@@ -195,8 +195,7 @@ class AdaptiveNeighborSampler(Module):
         sel_mask = np.take_along_axis(mask, columns, axis=1)
 
         rows = np.arange(r)[:, None]
-        eps = Tensor(np.full((r, m), 1e-20))
-        log_prob_full = (probabilities + eps).log()
+        log_prob_full = (probabilities + 1e-20).log()
         log_prob = log_prob_full[rows, columns]
         return NeighborSelection(columns=columns, mask=sel_mask, log_prob=log_prob,
                                  probabilities=probabilities)

@@ -44,13 +44,13 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
+from ..eval.evaluator import score_link_queries
 from ..eval.metrics import ranking_report
 from ..eval.negative_sampling import NegativeSampler
 from ..graph.splits import TemporalSplit
 from ..graph.tcsr import StreamingTCSR
 from ..graph.temporal_graph import TemporalGraph
 from ..sampling import make_finder
-from ..tensor import no_grad
 from .config import TaserConfig
 from .minibatch_selector import ChronologicalSelector
 from .pipeline import MiniBatchGenerator
@@ -326,7 +326,7 @@ class StreamingTrainer(TaserTrainer):
     # -- online cycle -----------------------------------------------------------
 
     def prequential_eval(self, chunk: EventChunk,
-                         batch_edges: int = 50) -> float:
+                         batch_edges: Optional[int] = None) -> float:
         """Score the chunk's events with the current model, before ingestion.
 
         Every event is ranked against ``config.eval_negatives`` sampled
@@ -345,40 +345,16 @@ class StreamingTrainer(TaserTrainer):
         else:
             picks = np.arange(b_all)
         src, dst, ts = chunk.src[picks], chunk.dst[picks], chunk.ts[picks]
-        k = self.config.eval_negatives
-        pos_scores, neg_scores = [], []
-        was_training = self.backbone.training
-        self.backbone.eval()
-        self.predictor.eval()
+        negatives = self.prequential_negatives.sample_matrix(
+            picks.size, self.config.eval_negatives, exclude=dst)
         self._activate_backend()
-        try:
-            with no_grad(), self.array_backend.arena_scope(self._workspace):
-                for start in range(0, picks.size, batch_edges):
-                    # Scoring-batch boundary of the array backend's workspace
-                    # arena (the previous batch's scores are copied out).
-                    self.array_backend.begin_batch()
-                    s = src[start:start + batch_edges]
-                    d = dst[start:start + batch_edges]
-                    t = ts[start:start + batch_edges]
-                    b = int(s.size)
-                    negs = self.prequential_negatives.sample_matrix(b, k, exclude=d)
-                    # Prequential batches are prepared by the shared prep
-                    # runtime, like every other execution path.
-                    prepared = self.prep.prepare_eval(s, d, t, negs)
-                    embeddings = self.backbone.embed(prepared.minibatch)
-                    h_src = embeddings[np.arange(b)]
-                    h_dst = embeddings[np.arange(b, 2 * b)]
-                    h_neg = embeddings[np.arange(2 * b, 2 * b + b * k)]
-                    pos_scores.append(self.predictor(h_src, h_dst).data.copy())
-                    src_rep = embeddings[np.repeat(np.arange(b), k)]
-                    neg_scores.append(
-                        self.predictor(src_rep, h_neg).data.reshape(b, k).copy())
-        finally:
-            self.backbone.train(was_training)
-            self.predictor.train(was_training)
-        report = ranking_report(np.concatenate(pos_scores),
-                                np.concatenate(neg_scores))
-        return report["mrr"]
+        # Prequential batches are prepared and scored by the shared eval
+        # loop, like offline MRR.
+        with self.array_backend.arena_scope(self._workspace):
+            pos, neg = score_link_queries(self.prep, self.backbone,
+                                          self.predictor, src, dst, ts,
+                                          negatives, batch_edges)
+        return ranking_report(pos, neg)["mrr"]
 
     def ingest(self, chunk: EventChunk) -> None:
         """Append a chunk and refresh the graph-dependent components.

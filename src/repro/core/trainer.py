@@ -297,9 +297,9 @@ class TaserTrainer:
                 if self.sampler_optimizer is not None:
                     self.sampler_optimizer.zero_grad()
                 embeddings = self.backbone.embed(minibatch)
-                h_src = embeddings[np.arange(b)]
-                h_dst = embeddings[np.arange(b, 2 * b)]
-                h_neg = embeddings[np.arange(2 * b, 3 * b)]
+                h_src = embeddings[:b]
+                h_dst = embeddings[b:2 * b]
+                h_neg = embeddings[2 * b:]
                 pos_logits = self.predictor(h_src, h_dst)
                 neg_logits = self.predictor(h_src, h_neg)
                 model_loss = F.binary_cross_entropy_with_logits(

@@ -2,7 +2,7 @@
 
 from .metrics import reciprocal_ranks, mrr, hits_at_k, ranking_report
 from .negative_sampling import destination_pool, NegativeSampler
-from .evaluator import LinkPredictionEvaluator
+from .evaluator import LinkPredictionEvaluator, score_link_queries
 
 __all__ = [
     "reciprocal_ranks",
@@ -12,4 +12,5 @@ __all__ = [
     "destination_pool",
     "NegativeSampler",
     "LinkPredictionEvaluator",
+    "score_link_queries",
 ]

@@ -13,7 +13,7 @@ the evaluation path.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +26,62 @@ from ..utils.rng import new_rng
 from .metrics import ranking_report
 from .negative_sampling import NegativeSampler
 
-__all__ = ["LinkPredictionEvaluator"]
+__all__ = ["LinkPredictionEvaluator", "score_link_queries", "SCORING_CHUNK_ROOTS"]
+
+#: roots (src + dst + negatives) scored per no-grad forward — the order of a
+#: training step's 300-600 roots.  Unbounded, a 50-edge x 51-root forward makes
+#: hop-2 sampler activations of ~35 MB each, above glibc's 32 MB mmap ceiling:
+#: every such array is mapped, page-faulted in and unmapped again.
+SCORING_CHUNK_ROOTS = 512
+
+
+def score_link_queries(prep, backbone: TGNNBackbone, predictor: EdgePredictor,
+                       src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
+                       negatives: np.ndarray,
+                       batch_edges: Optional[int] = None
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Logits of ``(src, dst, ts)`` queries and of their negative destinations.
+
+    The one scoring loop behind offline MRR and prequential evaluation:
+    ``negatives`` is the whole ``(edges, k)`` matrix, drawn by the caller
+    before chunking so the ranking does not depend on ``batch_edges``.
+    Scores in chunks of ``batch_edges`` edges (default: as many as keep a
+    forward within :data:`SCORING_CHUNK_ROOTS` roots) under ``no_grad`` and
+    evaluation mode, and returns ``(pos (edges,), neg (edges, k))``.
+    """
+    k = negatives.shape[1]
+    if batch_edges is None:
+        batch_edges = max(1, SCORING_CHUNK_ROOTS // (2 + k))
+    pos_scores = np.empty(src.size)
+    neg_scores = np.empty((src.size, k))
+    was_training = backbone.training
+    backbone.eval()
+    predictor.eval()
+    backend = get_backend()
+    try:
+        with no_grad():
+            for start in range(0, src.size, batch_edges):
+                # Scoring-batch boundary of the array backend: the previous
+                # chunk's activations are dead (its logits were copied out
+                # of any workspace buffer below), so buffers can be reused.
+                backend.begin_batch()
+                chunk = slice(start, min(start + batch_edges, src.size))
+                b = chunk.stop - chunk.start
+                # Root layout [src | dst | negatives (row-major)] is
+                # assembled by the prep runtime.
+                prepared = prep.prepare_eval(src[chunk], dst[chunk], ts[chunk],
+                                             negatives[chunk])
+                embeddings = backbone.embed(prepared.minibatch)
+                h_src = embeddings[:b]
+                pos_scores[chunk] = predictor(h_src, embeddings[b:2 * b]).data
+                # Repeat each source embedding once per negative.
+                src_rep = h_src[np.repeat(np.arange(b), k)]
+                neg_scores[chunk] = predictor(
+                    src_rep, embeddings[2 * b:]).data.reshape(b, k)
+    finally:
+        backbone.train(was_training)
+        predictor.train(was_training)
+    return pos_scores, neg_scores
 
 
 class LinkPredictionEvaluator:
@@ -45,8 +100,8 @@ class LinkPredictionEvaluator:
 
     def __init__(self, split: TemporalSplit, prep, backbone: TGNNBackbone,
                  predictor: EdgePredictor, num_negatives: int = 49,
-                 max_edges: Optional[int] = 300, batch_edges: int = 50,
-                 seed: int = 0) -> None:
+                 max_edges: Optional[int] = 300,
+                 batch_edges: Optional[int] = None, seed: int = 0) -> None:
         if num_negatives <= 0:
             raise ValueError("num_negatives must be positive")
         self.split = split
@@ -74,42 +129,10 @@ class LinkPredictionEvaluator:
         """Return MRR / Hits@K over the requested split."""
         graph = self.split.graph
         edges = self._select_edges(which)
-        k = self.num_negatives
-        pos_scores = []
-        neg_scores = []
-        was_training = self.backbone.training
-        self.backbone.eval()
-        self.predictor.eval()
-        backend = get_backend()
-        try:
-            with no_grad():
-                for start in range(0, edges.size, self.batch_edges):
-                    # Scoring-batch boundary of the array backend: the
-                    # previous chunk's activations are dead (its scores were
-                    # copied out below), so workspace buffers can be reused.
-                    backend.begin_batch()
-                    chunk = edges[start:start + self.batch_edges]
-                    src = graph.src[chunk]
-                    dst = graph.dst[chunk]
-                    ts = graph.ts[chunk]
-                    b = chunk.size
-                    negs = self.negatives.sample_matrix(b, k, exclude=dst)
-                    # Root layout [src | dst | negatives (row-major)] is
-                    # assembled by the prep runtime.
-                    prepared = self.prep.prepare_eval(src, dst, ts, negs)
-                    embeddings = self.backbone.embed(prepared.minibatch)
-                    h_src = embeddings[np.arange(b)]
-                    h_dst = embeddings[np.arange(b, 2 * b)]
-                    h_neg = embeddings[np.arange(2 * b, 2 * b + b * k)]
-                    pos = self.predictor(h_src, h_dst).data
-                    # Repeat each source embedding once per negative.
-                    src_rep = embeddings[np.repeat(np.arange(b), k)]
-                    neg = self.predictor(src_rep, h_neg).data.reshape(b, k)
-                    # Copies: logits may live in workspace buffers that the
-                    # next chunk's begin_batch recycles.
-                    pos_scores.append(pos.copy())
-                    neg_scores.append(neg.copy())
-        finally:
-            self.backbone.train(was_training)
-            self.predictor.train(was_training)
-        return ranking_report(np.concatenate(pos_scores), np.concatenate(neg_scores))
+        dst = graph.dst[edges]
+        negatives = self.negatives.sample_matrix(edges.size, self.num_negatives,
+                                                 exclude=dst)
+        pos, neg = score_link_queries(self.prep, self.backbone, self.predictor,
+                                      graph.src[edges], dst, graph.ts[edges],
+                                      negatives, self.batch_edges)
+        return ranking_report(pos, neg)

@@ -20,10 +20,51 @@ Design notes
 ------------
 The implementation follows the vectorisation idioms from the HPC guides: all
 forward/backward rules are expressed as whole-array numpy operations, no
-Python-level loops over elements, and gradients are accumulated in place with
-``+=`` to avoid temporaries.  Gradient flow through integer fancy-indexing
-(used for feature gathering) is implemented with ``np.add.at`` so repeated
-indices accumulate correctly — the same semantics as an embedding gather.
+Python-level loops over elements.  Gradient flow through integer
+fancy-indexing (used for feature gathering) is implemented with ``np.add.at``
+so repeated indices accumulate correctly — the same semantics as an embedding
+gather.
+
+Graph lifetime
+--------------
+The graph is acyclic: a node references its parents (``_prev`` and whatever
+its backward rule captured), never itself — a rule receives the node's
+gradient as its argument (``node._backward(node.grad)``) instead of closing
+over the node.  A graph therefore dies by reference counting the moment the
+last tensor referencing it (a loss, a ``TrainStep``) goes out of scope; the
+cyclic collector has nothing to find.  Interior ``.grad`` arrays stay
+readable after :meth:`Tensor.backward` for as long as their tensor lives
+(the sample loss reads ``embeddings.grad`` and the hop gates' gradients).
+
+Gradient ownership
+------------------
+Nodes are visited in reverse topological order, so a node's gradient is final
+before its rule hands it to the node's parents.  Copying it for the common
+case of a single consumer is therefore pointless:
+
+* an *interior* node **borrows** its first contribution (the array itself,
+  possibly a view of, or the same buffer as, its consumer's gradient);
+* the next contribution is added out of place (``grad = grad + g``); the node
+  then owns that buffer and accumulates further contributions in place —
+  until its own rule hands the buffer on, which makes it shared again (only
+  a repeated ``backward()`` over the same graph gets that far);
+* a *leaf* always **copies** — optimisers, ``clip_grad_norm`` and gradient
+  buckets scale and overwrite leaf gradients in place, which must never reach
+  through to another tensor's gradient.
+
+Hence no backward rule may write into the gradient it receives.
+
+GEMM-shaped linears
+-------------------
+``(..., n, k) @ (k, m)`` — every ``F.linear`` on a batched activation — runs
+as one ``(N, k) @ (k, m)`` GEMM with ``N`` the product of the leading axes,
+and its weight gradient as one ``(k, N) @ (N, m)`` product.  numpy would loop
+over per-sample GEMMs forward and the broadcast rule would materialise a
+per-sample weight gradient only to sum it.  The single product sums over
+``N`` in a different order than sum-of-per-sample-products, so trajectories
+differ in the last digits from builds before this rule (re-baselined once);
+every backend / engine / pool / comms pair still runs the same code on both
+sides and stays bitwise-equal.
 
 Backend dispatch
 ----------------
@@ -40,6 +81,7 @@ data.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -129,15 +171,19 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op",
+                 "_grad_shared", "__weakref__")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False, dtype=None):
         self.data: np.ndarray = _as_array(data, dtype)
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
         self.grad: Optional[np.ndarray] = None
-        self._backward: Optional[Callable[[], None]] = None
+        #: backward rule ``rule(grad_of_this_node)``; it must not reference
+        #: this node (see "Graph lifetime" in the module docstring).
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._prev: Tuple["Tensor", ...] = ()
         self._op: str = ""
+        self._grad_shared: bool = False
 
     # -- construction helpers ------------------------------------------------
 
@@ -220,35 +266,46 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Accumulate ``grad`` into ``self.grad`` (allocating lazily).
+        """Accumulate ``grad`` into ``self.grad`` (see "Gradient ownership").
 
-        The first contribution is materialised as ``grad + 0.0`` — one pass
-        instead of zero-filling a buffer and adding into it, and most graph
-        nodes only ever receive one contribution.  This is bitwise-identical
-        to the zero-buffer form (IEEE-754 addition of +0 normalises signed
-        zeros exactly the same way) *including the buffer layout* — which is
-        why the fast path requires a C-contiguous ``grad`` matching a
-        C-contiguous ``data``: ``np.add`` without ``out=`` propagates the
-        input's K-order, and a layout change would re-segment downstream
-        pairwise-summed reductions (e.g. the gradient-norm clip) by one ulp.
-        Later contributions accumulate in place.
+        An interior node borrows its first contribution, pays one
+        out-of-place add for the next, and accumulates in place after that:
+        ``_grad_shared`` says whether another tensor may alias the buffer.
+
+        A leaf materialises its first contribution as ``grad + 0.0`` — one
+        pass instead of zero-filling a buffer and adding into it.  This is
+        bitwise-identical to the zero-buffer form (IEEE-754 addition of +0
+        normalises signed zeros exactly the same way) *including the buffer
+        layout* — which is why the fast path requires a C-contiguous ``grad``
+        matching a C-contiguous ``data``: ``np.add`` without ``out=``
+        propagates the input's K-order, and a layout change would re-segment
+        downstream pairwise-summed reductions (e.g. the gradient-norm clip)
+        by one ulp.  Later contributions accumulate in place.
         """
         if not self.requires_grad:
             return
         if self.grad is None:
+            whole = isinstance(grad, np.ndarray) and grad.shape == self.data.shape
+            if whole and self._backward is not None:
+                self.grad = grad
+                self._grad_shared = True
+                return
             B = get_backend()
-            if (isinstance(grad, np.ndarray) and grad.shape == self.data.shape
-                    and grad.flags.c_contiguous and self.data.flags.c_contiguous):
+            if whole and grad.flags.c_contiguous and self.data.flags.c_contiguous:
                 self.grad = B.add(grad, 0.0)
             else:
                 self.grad = B.grad_zeros(self.data)
                 self.grad += grad
+        elif self._grad_shared:
+            self.grad = get_backend().add(self.grad, grad)
+            self._grad_shared = False
         else:
             self.grad += grad
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient to ``None``."""
         self.grad = None
+        self._grad_shared = False
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Back-propagate from this tensor through the recorded graph.
@@ -286,9 +343,12 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
+        # Reverse topological order: a node's gradient is final before its
+        # rule passes it on, which is what lets parents borrow it.
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
+                node._grad_shared = True
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -296,11 +356,11 @@ class Tensor:
         other = Tensor.ensure(other)
         out = self._make(get_backend().add(self.data, other.data), (self, other), "add")
         if out.requires_grad:
-            def _backward():
+            def _backward(g):
                 if self.requires_grad:
-                    self._accumulate(_unbroadcast(out.grad, self.shape))
+                    self._accumulate(_unbroadcast(g, self.shape))
                 if other.requires_grad:
-                    other._accumulate(_unbroadcast(out.grad, other.shape))
+                    other._accumulate(_unbroadcast(g, other.shape))
             out._backward = _backward
         return out
 
@@ -311,11 +371,11 @@ class Tensor:
         other = Tensor.ensure(other)
         out = self._make(get_backend().subtract(self.data, other.data), (self, other), "sub")
         if out.requires_grad:
-            def _backward():
+            def _backward(g):
                 if self.requires_grad:
-                    self._accumulate(_unbroadcast(out.grad, self.shape))
+                    self._accumulate(_unbroadcast(g, self.shape))
                 if other.requires_grad:
-                    other._accumulate(_unbroadcast(get_backend().negative(out.grad),
+                    other._accumulate(_unbroadcast(get_backend().negative(g),
                                                    other.shape))
             out._backward = _backward
         return out
@@ -326,8 +386,8 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         out = self._make(get_backend().negative(self.data), (self,), "neg")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(get_backend().negative(out.grad))
+            def _backward(g):
+                self._accumulate(get_backend().negative(g))
             out._backward = _backward
         return out
 
@@ -335,13 +395,13 @@ class Tensor:
         other = Tensor.ensure(other)
         out = self._make(get_backend().multiply(self.data, other.data), (self, other), "mul")
         if out.requires_grad:
-            def _backward():
+            def _backward(g):
                 B = get_backend()
                 if self.requires_grad:
-                    self._accumulate(_unbroadcast(B.multiply(out.grad, other.data),
+                    self._accumulate(_unbroadcast(B.multiply(g, other.data),
                                                   self.shape))
                 if other.requires_grad:
-                    other._accumulate(_unbroadcast(B.multiply(out.grad, self.data),
+                    other._accumulate(_unbroadcast(B.multiply(g, self.data),
                                                    other.shape))
             out._backward = _backward
         return out
@@ -353,14 +413,14 @@ class Tensor:
         other = Tensor.ensure(other)
         out = self._make(get_backend().divide(self.data, other.data), (self, other), "div")
         if out.requires_grad:
-            def _backward():
+            def _backward(g):
                 B = get_backend()
                 if self.requires_grad:
-                    self._accumulate(_unbroadcast(B.divide(out.grad, other.data),
+                    self._accumulate(_unbroadcast(B.divide(g, other.data),
                                                   self.shape))
                 if other.requires_grad:
                     other._accumulate(_unbroadcast(
-                        B.divide(B.multiply(B.negative(out.grad), self.data),
+                        B.divide(B.multiply(B.negative(g), self.data),
                                  B.power(other.data, 2)),
                         other.shape))
             out._backward = _backward
@@ -374,22 +434,22 @@ class Tensor:
             raise TypeError("only scalar exponents are supported")
         out = self._make(get_backend().power(self.data, exponent), (self,), "pow")
         if out.requires_grad:
-            def _backward():
+            def _backward(g):
                 B = get_backend()
-                self._accumulate(B.multiply(B.multiply(out.grad, exponent),
+                self._accumulate(B.multiply(B.multiply(g, exponent),
                                             B.power(self.data, exponent - 1)))
             out._backward = _backward
         return out
 
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = Tensor.ensure(other)
-        out = self._make(get_backend().matmul(self.data, other.data), (self, other), "matmul")
+        a, b = self.data, other.data
+        if a.ndim > 2 and b.ndim == 2:
+            return self._matmul_flat(other)
+        out = self._make(get_backend().matmul(a, b), (self, other), "matmul")
         if out.requires_grad:
-            a, b = self.data, other.data
-
-            def _backward():
+            def _backward(g):
                 B = get_backend()
-                g = out.grad
                 if self.requires_grad:
                     if a.ndim == 1 and b.ndim == 1:
                         ga = B.multiply(g, b)
@@ -419,6 +479,31 @@ class Tensor:
             out._backward = _backward
         return out
 
+    def _matmul_flat(self, other: "Tensor") -> "Tensor":
+        """``(..., n, k) @ (k, m)`` as one ``(N, k) @ (k, m)`` GEMM.
+
+        A shared right operand (every ``F.linear`` on a batched activation)
+        makes the leading axes plain rows: flattening them replaces numpy's
+        loop of per-sample GEMMs by one, and the weight gradient becomes one
+        ``a2d.T @ g2d`` instead of a per-sample ``(..., k, m)`` stack that is
+        materialised only to be summed.
+        """
+        a, b = self.data, other.data
+        rows = math.prod(a.shape[:-1])
+        a2d = a.reshape(rows, a.shape[-1])
+        data = get_backend().matmul(a2d, b).reshape(a.shape[:-1] + (b.shape[-1],))
+        out = self._make(data, (self, other), "matmul")
+        if out.requires_grad:
+            def _backward(g):
+                B = get_backend()
+                g2d = g.reshape(rows, b.shape[-1])
+                if self.requires_grad:
+                    self._accumulate(B.matmul(g2d, b.T).reshape(a.shape))
+                if other.requires_grad:
+                    other._accumulate(B.matmul(a2d.T, g2d))
+            out._backward = _backward
+        return out
+
     # comparisons produce plain boolean arrays (no gradient)
     def __gt__(self, other):
         other = other.data if isinstance(other, Tensor) else other
@@ -443,8 +528,7 @@ class Tensor:
         out = self._make(get_backend().sum(self.data, axis=axis, keepdims=keepdims),
                          (self,), "sum")
         if out.requires_grad:
-            def _backward():
-                g = out.grad
+            def _backward(g):
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis=axis)
                 self._accumulate(get_backend().broadcast_grad(g, self.shape))
@@ -462,9 +546,8 @@ class Tensor:
                 axes = (axis,) if isinstance(axis, int) else axis
                 count = int(np.prod([self.shape[a] for a in axes]))
 
-            def _backward():
+            def _backward(g):
                 B = get_backend()
-                g = out.grad
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis=axis)
                 self._accumulate(B.divide(B.broadcast_grad(g, self.shape), count))
@@ -475,9 +558,8 @@ class Tensor:
         data = get_backend().amax(self.data, axis=axis, keepdims=keepdims)
         out = self._make(data, (self,), "max")
         if out.requires_grad:
-            def _backward():
+            def _backward(g):
                 B = get_backend()
-                g = out.grad
                 d = data
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis=axis)
@@ -496,8 +578,8 @@ class Tensor:
             shape = tuple(shape[0])
         out = self._make(self.data.reshape(shape), (self,), "reshape")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(out.grad.reshape(self.shape))
+            def _backward(g):
+                self._accumulate(g.reshape(self.shape))
             out._backward = _backward
         return out
 
@@ -512,8 +594,8 @@ class Tensor:
         if out.requires_grad:
             inverse = tuple(np.argsort(axes_t))
 
-            def _backward():
-                self._accumulate(out.grad.transpose(inverse))
+            def _backward(g):
+                self._accumulate(g.transpose(inverse))
             out._backward = _backward
         return out
 
@@ -525,33 +607,33 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         out = self._make(self.data[index], (self,), "getitem")
         if out.requires_grad:
-            def _backward():
+            def _backward(g):
                 self._accumulate(get_backend().index_add(self.data, index,
-                                                         out.grad))
+                                                         g))
             out._backward = _backward
         return out
 
     def expand_dims(self, axis: int) -> "Tensor":
         out = self._make(np.expand_dims(self.data, axis), (self,), "expand_dims")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(np.squeeze(out.grad, axis=axis))
+            def _backward(g):
+                self._accumulate(np.squeeze(g, axis=axis))
             out._backward = _backward
         return out
 
     def squeeze(self, axis: Optional[int] = None) -> "Tensor":
         out = self._make(np.squeeze(self.data, axis=axis), (self,), "squeeze")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(out.grad.reshape(self.shape))
+            def _backward(g):
+                self._accumulate(g.reshape(self.shape))
             out._backward = _backward
         return out
 
     def broadcast_to(self, shape: Tuple[int, ...]) -> "Tensor":
         out = self._make(np.broadcast_to(self.data, shape).copy(), (self,), "broadcast_to")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(_unbroadcast(out.grad, self.shape))
+            def _backward(g):
+                self._accumulate(_unbroadcast(g, self.shape))
             out._backward = _backward
         return out
 
@@ -561,16 +643,16 @@ class Tensor:
         data = get_backend().exp(self.data)
         out = self._make(data, (self,), "exp")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(get_backend().multiply(out.grad, data))
+            def _backward(g):
+                self._accumulate(get_backend().multiply(g, data))
             out._backward = _backward
         return out
 
     def log(self) -> "Tensor":
         out = self._make(get_backend().log(self.data), (self,), "log")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(get_backend().divide(out.grad, self.data))
+            def _backward(g):
+                self._accumulate(get_backend().divide(g, self.data))
             out._backward = _backward
         return out
 
@@ -578,9 +660,9 @@ class Tensor:
         data = get_backend().sqrt(self.data)
         out = self._make(data, (self,), "sqrt")
         if out.requires_grad:
-            def _backward():
+            def _backward(g):
                 B = get_backend()
-                self._accumulate(B.divide(B.multiply(out.grad, 0.5),
+                self._accumulate(B.divide(B.multiply(g, 0.5),
                                           B.maximum(data, 1e-12)))
             out._backward = _backward
         return out
@@ -588,27 +670,27 @@ class Tensor:
     def abs(self) -> "Tensor":
         out = self._make(get_backend().absolute(self.data), (self,), "abs")
         if out.requires_grad:
-            def _backward():
+            def _backward(g):
                 B = get_backend()
-                self._accumulate(B.multiply(out.grad, B.sign(self.data)))
+                self._accumulate(B.multiply(g, B.sign(self.data)))
             out._backward = _backward
         return out
 
     def cos(self) -> "Tensor":
         out = self._make(get_backend().cos(self.data), (self,), "cos")
         if out.requires_grad:
-            def _backward():
+            def _backward(g):
                 B = get_backend()
-                self._accumulate(B.multiply(B.negative(out.grad), B.sin(self.data)))
+                self._accumulate(B.multiply(B.negative(g), B.sin(self.data)))
             out._backward = _backward
         return out
 
     def sin(self) -> "Tensor":
         out = self._make(get_backend().sin(self.data), (self,), "sin")
         if out.requires_grad:
-            def _backward():
+            def _backward(g):
                 B = get_backend()
-                self._accumulate(B.multiply(out.grad, B.cos(self.data)))
+                self._accumulate(B.multiply(g, B.cos(self.data)))
             out._backward = _backward
         return out
 
@@ -616,8 +698,8 @@ class Tensor:
         data = get_backend().tanh_forward(self.data)
         out = self._make(data, (self,), "tanh")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(get_backend().tanh_backward(out.grad, data))
+            def _backward(g):
+                self._accumulate(get_backend().tanh_backward(g, data))
             out._backward = _backward
         return out
 
@@ -625,8 +707,8 @@ class Tensor:
         data = get_backend().sigmoid_forward(self.data)
         out = self._make(data, (self,), "sigmoid")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(get_backend().sigmoid_backward(out.grad, data))
+            def _backward(g):
+                self._accumulate(get_backend().sigmoid_backward(g, data))
             out._backward = _backward
         return out
 
@@ -634,8 +716,8 @@ class Tensor:
         data, mask = get_backend().relu_forward(self.data)
         out = self._make(data, (self,), "relu")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(get_backend().relu_backward(out.grad, mask))
+            def _backward(g):
+                self._accumulate(get_backend().relu_backward(g, mask))
             out._backward = _backward
         return out
 
@@ -643,9 +725,9 @@ class Tensor:
         data, mask = get_backend().leaky_relu_forward(self.data, negative_slope)
         out = self._make(data, (self,), "leaky_relu")
         if out.requires_grad:
-            def _backward():
+            def _backward(g):
                 self._accumulate(get_backend().leaky_relu_backward(
-                    out.grad, mask, negative_slope))
+                    g, mask, negative_slope))
             out._backward = _backward
         return out
 
@@ -661,8 +743,8 @@ class Tensor:
         data, s = get_backend().gelu_forward(x)
         out = self._make(data, (self,), "gelu")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(get_backend().gelu_backward(out.grad, x, s))
+            def _backward(g):
+                self._accumulate(get_backend().gelu_backward(g, x, s))
             out._backward = _backward
         return out
 
@@ -672,8 +754,8 @@ class Tensor:
         if out.requires_grad:
             mask = (self.data >= low) & (self.data <= high)
 
-            def _backward():
-                self._accumulate(get_backend().multiply(out.grad, mask))
+            def _backward(g):
+                self._accumulate(get_backend().multiply(g, mask))
             out._backward = _backward
         return out
 
@@ -683,8 +765,8 @@ class Tensor:
         data = get_backend().softmax_forward(self.data, axis)
         out = self._make(data, (self,), "softmax")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(get_backend().softmax_backward(out.grad, data, axis))
+            def _backward(g):
+                self._accumulate(get_backend().softmax_backward(g, data, axis))
             out._backward = _backward
         return out
 
@@ -694,8 +776,8 @@ class Tensor:
         if out.requires_grad:
             soft = get_backend().exp(data)
 
-            def _backward():
-                self._accumulate(get_backend().log_softmax_backward(out.grad, soft,
+            def _backward(g):
+                self._accumulate(get_backend().log_softmax_backward(g, soft,
                                                                     axis))
             out._backward = _backward
         return out
@@ -718,12 +800,12 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
 
-        def _backward():
+        def _backward(g):
             for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
                 if t.requires_grad:
                     idx = [slice(None)] * data.ndim
                     idx[axis] = slice(int(start), int(stop))
-                    t._accumulate(out.grad[tuple(idx)])
+                    t._accumulate(g[tuple(idx)])
         out._backward = _backward
     return out
 
@@ -738,8 +820,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         out._prev = tuple(tensors)
         out._op = "stack"
 
-        def _backward():
-            grads = np.moveaxis(out.grad, axis, 0)
+        def _backward(g):
+            grads = np.moveaxis(g, axis, 0)
             for t, g in zip(tensors, grads):
                 if t.requires_grad:
                     t._accumulate(g)
@@ -758,11 +840,11 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         out._prev = (a, b)
         out._op = "where"
 
-        def _backward():
+        def _backward(g):
             B = get_backend()
             if a.requires_grad:
-                a._accumulate(_unbroadcast(B.multiply(out.grad, cond), a.shape))
+                a._accumulate(_unbroadcast(B.multiply(g, cond), a.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(B.multiply(out.grad, ~cond), b.shape))
+                b._accumulate(_unbroadcast(B.multiply(g, ~cond), b.shape))
         out._backward = _backward
     return out

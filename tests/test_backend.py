@@ -183,7 +183,9 @@ class TestWorkspaceArena:
         silently switch execution for the first (the active backend is
         re-installed at every batch boundary)."""
         def config(backend):
-            return TaserConfig(backbone="graphmixer", hidden_dim=8, time_dim=4,
+            # hidden_dim=32: forward kernels must reach ARENA_MIN_ELEMENTS
+            # for the fused trainer to have anything to reuse.
+            return TaserConfig(backbone="graphmixer", hidden_dim=32, time_dim=4,
                                num_neighbors=3, num_candidates=3, batch_size=64,
                                adaptive_minibatch=False, adaptive_neighbor=False,
                                max_batches_per_epoch=3, dropout=0.0,
@@ -202,7 +204,9 @@ class TestWorkspaceArena:
         assert fused_stats.batch_losses == ref_stats.batch_losses
 
     def test_trainer_reports_workspace_savings(self, small_graph):
-        config = TaserConfig(backbone="graphmixer", hidden_dim=8, time_dim=4,
+        # Sized so forward kernels reach ARENA_MIN_ELEMENTS (the gradient
+        # copies that used to fill the arena on toy sizes no longer exist).
+        config = TaserConfig(backbone="graphmixer", hidden_dim=32, time_dim=4,
                              num_neighbors=3, num_candidates=3, batch_size=64,
                              adaptive_minibatch=False, adaptive_neighbor=False,
                              max_batches_per_epoch=3, dropout=0.0,
@@ -305,6 +309,26 @@ class TestKernelEquality:
             return out.data.copy(), a.grad.copy(), b.grad.copy()
         _assert_bitwise(*_both(run))
 
+    @pytest.mark.parametrize("rows", [3, 600])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_flattened_linear(self, rows, strided):
+        """``(R, n, k) @ (k, m)`` — one GEMM under both backends; 600 rows
+        put the product above ARENA_MIN_ELEMENTS, 3 rows keep it below."""
+        rng = np.random.default_rng(rows)
+        n, k, m = 5, 8, 7
+        x_np = rng.standard_normal((rows, k, n) if strided else (rows, n, k))
+        w_np = rng.standard_normal((m, k))
+        b_np = rng.standard_normal(m)
+
+        def run():
+            x = Tensor(x_np.copy(), requires_grad=True)
+            w = Tensor(w_np.copy(), requires_grad=True)
+            b = Tensor(b_np.copy(), requires_grad=True)
+            out = F.linear(x.swapaxes(1, 2) if strided else x, w, b)
+            (out * out).sum().backward()
+            return out.data.copy(), x.grad.copy(), w.grad.copy(), b.grad.copy()
+        _assert_bitwise(*_both(run))
+
     @settings(max_examples=25, deadline=None)
     @given(arrays(np.float64, (3, 4),
                   elements=st.floats(min_value=0.0, max_value=100.0)),
@@ -396,6 +420,11 @@ class TestFusedGradcheck:
     def test_matmul(self):
         self._check(lambda a, b: (a @ b).sum(), (3, 4), (4, 2))
 
+    def test_flattened_matmul(self):
+        self._check(lambda a, b: ((a @ b) ** 2).sum(), (2, 3, 4), (4, 2))
+        self._check(lambda a, b: ((a.swapaxes(1, 2) @ b) ** 2).sum(),
+                    (2, 4, 3), (4, 2))
+
     def test_learnable_time_encoding(self):
         rng = np.random.default_rng(3)
         delta = np.abs(rng.standard_normal((3, 2)))
@@ -446,7 +475,7 @@ class TestTrainerEquality:
 
         hashes = {}
         for backend in ("reference", "fused"):
-            config = TaserConfig(backbone="graphmixer", hidden_dim=8,
+            config = TaserConfig(backbone="graphmixer", hidden_dim=32,
                                  time_dim=4, num_neighbors=3, num_candidates=3,
                                  batch_size=64, adaptive_minibatch=False,
                                  adaptive_neighbor=False, dropout=0.0,

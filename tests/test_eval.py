@@ -1,10 +1,13 @@
-"""Tests for ranking metrics and negative sampling."""
+"""Tests for ranking metrics, negative sampling and chunk-invariant scoring."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core import TaserConfig, TaserTrainer
+from repro.core.streaming import StreamingTrainer, split_warmup
+from repro.eval import evaluator as evaluator_mod
 from repro.eval import (reciprocal_ranks, mrr, hits_at_k, ranking_report,
                         destination_pool, NegativeSampler)
 from repro.graph import CTDGConfig, generate_ctdg
@@ -93,3 +96,75 @@ class TestNegativeSampling:
         a = NegativeSampler(small_graph, seed=5).sample(100)
         b = NegativeSampler(small_graph, seed=5).sample(100)
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# chunk-invariant scoring: one negatives matrix per call, one scoring loop
+# ---------------------------------------------------------------------------
+
+SCORING_VARIANTS = {
+    # ``recent`` candidates: the uniform finder policy draws per scoring
+    # forward, so its candidates (not the negatives) depend on the chunking.
+    "tgat+adaptive": dict(backbone="tgat", adaptive_minibatch=True,
+                          adaptive_neighbor=True, finder_policy="recent"),
+    "graphmixer": dict(backbone="graphmixer", adaptive_minibatch=False,
+                       adaptive_neighbor=False),
+}
+
+
+def _scoring_config(variant, **extra):
+    return TaserConfig(hidden_dim=8, time_dim=4, num_neighbors=3,
+                       num_candidates=6, batch_size=64, dropout=0.0,
+                       max_batches_per_epoch=2, eval_max_edges=23,
+                       eval_negatives=9, seed=0,
+                       **{**SCORING_VARIANTS[variant], **extra})
+
+
+@pytest.mark.parametrize("variant", sorted(SCORING_VARIANTS))
+def test_evaluate_is_invariant_to_batch_edges(small_graph, variant, monkeypatch):
+    trainer = TaserTrainer(small_graph, _scoring_config(variant))
+    trainer.train_epoch()
+
+    drawn = []
+    real = evaluator_mod.score_link_queries
+
+    def recording(prep, backbone, predictor, src, dst, ts, negatives, batch_edges):
+        drawn.append(negatives.copy())
+        return real(prep, backbone, predictor, src, dst, ts, negatives, batch_edges)
+    monkeypatch.setattr(evaluator_mod, "score_link_queries", recording)
+
+    chunks = []
+    prepare_eval = trainer.prep.prepare_eval
+    monkeypatch.setattr(
+        trainer.prep, "prepare_eval",
+        lambda src, *rest: chunks.append(src.size) or prepare_eval(src, *rest))
+
+    reports = [trainer.evaluate("test", batch_edges=be) for be in (None, 1, 7, 50)]
+    assert all(np.array_equal(drawn[0], other) for other in drawn[1:])
+    assert drawn[0].shape == (23, 9)
+    assert chunks == [23] + [1] * 23 + [7, 7, 7, 2] + [23]
+    # No knob: by default a forward holds at most SCORING_CHUNK_ROOTS roots
+    # (src + dst + 9 negatives per edge), and never less than one edge.
+    for roots, expected in ((40, [3] * 7 + [2]), (5, [1] * 23)):
+        del chunks[:]
+        monkeypatch.setattr(evaluator_mod, "SCORING_CHUNK_ROOTS", roots)
+        reports.append(trainer.evaluate("test"))
+        assert chunks == expected
+    for report in reports[1:]:
+        assert report.keys() == reports[0].keys()
+        for key, value in reports[0].items():
+            assert abs(report[key] - value) <= 1e-9, (key, report, reports[0])
+
+
+@pytest.mark.parametrize("variant", sorted(SCORING_VARIANTS))
+def test_prequential_eval_is_invariant_to_batch_edges(small_graph, variant):
+    values = []
+    for batch_edges in (None, 1, 7, 50):
+        warm, stream = split_warmup(small_graph, warmup_events=800, chunk_size=40)
+        trainer = StreamingTrainer(
+            warm, _scoring_config(variant, adaptive_minibatch=False),
+            window_events=200)
+        values.append(trainer.prequential_eval(next(iter(stream)),
+                                               batch_edges=batch_edges))
+    assert np.isfinite(values[0])
+    assert all(abs(v - values[0]) <= 1e-9 for v in values[1:]), values

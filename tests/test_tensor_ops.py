@@ -130,6 +130,29 @@ class TestGradients:
         b = t(self.rng.standard_normal((2, 4, 2)))
         gradcheck(lambda x, y: (x @ y).sum(), [a, b])
 
+    def test_matmul_shared_right_operand(self):
+        """``(..., n, k) @ (k, m)`` runs as one flattened GEMM; the weights
+        make the output gradient non-uniform so a mis-ordered flatten shows."""
+        b = t(self.rng.standard_normal((4, 2)))
+        weights = Tensor(self.rng.standard_normal((2, 3, 2)))
+        a = t(self.rng.standard_normal((2, 3, 4)))
+        gradcheck(lambda x, y: ((x @ y) * weights).sum(), [a, b])
+        # swapaxes-strided input (the mixer's token-mixing layout)
+        strided = t(self.rng.standard_normal((2, 4, 3)))
+        gradcheck(lambda x, y: ((x.swapaxes(1, 2) @ y) * weights).sum(),
+                  [strided, b])
+        # a strided incoming gradient as well
+        gradcheck(lambda x, y: ((x @ y).swapaxes(1, 2)
+                                * weights.swapaxes(1, 2)).sum(), [a, b])
+        deep = t(self.rng.standard_normal((2, 1, 3, 4)))
+        gradcheck(lambda x, y: ((x @ y) ** 2).sum(), [deep, b])
+        # the weight gradient is the sum over every leading row
+        a.zero_grad(), b.zero_grad()
+        (a @ b).sum().backward()
+        assert np.allclose(b.grad, np.einsum("rnk,rnm->km", a.data,
+                                             np.ones((2, 3, 2))))
+        assert b.grad.shape == (4, 2) and a.grad.shape == (2, 3, 4)
+
     def test_matmul_vector_cases(self):
         a = t(self.rng.standard_normal((3, 4)))
         v = t(self.rng.standard_normal(4))
