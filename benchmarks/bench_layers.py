@@ -1,0 +1,160 @@
+"""Per-layer micro-benchmark of the adaptive sampler's building blocks.
+
+Times ``F.layer_norm``, ``F.linear``, ``MixerBlock`` and
+``AdaptiveNeighborSampler`` at the shapes a ``train_tgat_taser`` step runs
+them at (``m = 10`` candidates, ``d = 34`` channels — the sampler's encoding
+width for an edge-featured graph), forward and forward+backward, at
+``R`` in {300, 1 500, 6 000} rows and with 0 % / 25 % of the rows *dead* (no
+valid candidate; the masked ops only).  Per cell it records
+
+* ``ns_per_op`` — median wall-clock nanoseconds of one call, the result kept
+  alive while the clock runs, as a training step keeps it;
+* ``out_bytes_per_op`` — bytes of array-backend kernel output per call,
+  counted by the end-to-end benchmark's kernel wrappers
+  (``benchmarks/e2e/tracer.py``), so it is ``tensor.kernel_out_mb_per_op``'s
+  definition at layer granularity.
+
+It localises a regression the end-to-end benchmark shows in a step total to
+a layer; it asserts nothing about speed.  Writes ``BENCH_layers.json``::
+
+    PYTHONPATH=src python benchmarks/bench_layers.py [--sizes 300 1500 6000]
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+
+from tracer import Tracer  # noqa: E402
+
+from repro.bench import emit_bench_json  # noqa: E402
+from repro.core import AdaptiveNeighborSampler  # noqa: E402
+from repro.nn import MixerBlock  # noqa: E402
+from repro.sampling import NeighborBatch  # noqa: E402
+from repro.tensor import Tensor, get_backend  # noqa: E402
+from repro.tensor import functional as F  # noqa: E402
+
+M, D, EDGE_DIM, BUDGET = 10, 34, 32, 5
+SIZES = (300, 1500, 6000)
+DEAD_SHARES = (0.0, 0.25)
+
+
+def candidate_mask(rng, rows: int, dead_share: float) -> np.ndarray:
+    mask = rng.random((rows, M)) < 0.8
+    mask[:, 0] = True
+    mask[:int(round(rows * dead_share))] = False
+    return mask
+
+
+def layer_norm_op(rng, rows, dead_share):
+    x = Tensor(rng.standard_normal((rows, M, D)), requires_grad=True)
+    w, b = Tensor(np.ones(D), requires_grad=True), Tensor(np.zeros(D), requires_grad=True)
+    return lambda: F.layer_norm(x, w, b)
+
+
+def linear_op(rng, rows, dead_share):
+    x = Tensor(rng.standard_normal((rows, M, D)), requires_grad=True)
+    w = Tensor(rng.standard_normal((D, D)) * 0.1, requires_grad=True)
+    b = Tensor(np.zeros(D), requires_grad=True)
+    return lambda: F.linear(x, w, b)
+
+
+def mixer_op(rng, rows, dead_share):
+    block = MixerBlock(M, D, token_expansion=0.5, channel_expansion=1.0, rng=rng)
+    x = Tensor(rng.standard_normal((rows, M, D)), requires_grad=True)
+    mask = candidate_mask(rng, rows, dead_share)
+    return lambda: block(x, mask=mask)
+
+
+def sampler_op(rng, rows, dead_share):
+    sampler = AdaptiveNeighborSampler(0, EDGE_DIM, M, seed=0)
+    assert sampler.enc_dim == D
+    mask = candidate_mask(rng, rows, dead_share)
+    candidates = NeighborBatch(
+        root_nodes=rng.integers(0, 1000, rows), root_times=np.full(rows, 100.0),
+        nodes=np.where(mask, rng.integers(1, 50, (rows, M)), 0),
+        eids=np.where(mask, rng.integers(1, 10 ** 4, (rows, M)), 0),
+        times=np.where(mask, rng.uniform(1.0, 99.0, (rows, M)), 0.0), mask=mask)
+    edge_feat = rng.standard_normal((rows, M, EDGE_DIM)) * mask[..., None]
+    return lambda: sampler(candidates, BUDGET, edge_feat=edge_feat).log_prob
+
+
+#: name -> (factory, whether the op sees the candidate mask)
+OPS = {
+    "layer_norm": (layer_norm_op, False),
+    "linear": (linear_op, False),
+    "mixer_block": (mixer_op, True),
+    "adaptive_sampler": (sampler_op, True),
+}
+
+
+def measure(run, tracer: Tracer, repeats: int) -> dict:
+    """Median ns and kernel output bytes of one ``run()``."""
+    run()                                           # warm caches and lazy set-up
+    tracer.install()
+    before = tracer.total("tensor.kernel_out_bytes") or 0
+    run()
+    out_bytes = (tracer.total("tensor.kernel_out_bytes") or 0) - before
+    tracer.uninstall()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter_ns()
+        kept = run()
+        times.append(time.perf_counter_ns() - start)
+        del kept
+    return {"ns_per_op": statistics.median(times), "out_bytes_per_op": out_bytes}
+
+
+def bench(sizes, repeats: int) -> dict:
+    tracer = Tracer()
+    tracer.bind(SimpleNamespace(array_backend=get_backend()))
+    cells: dict = {}
+    for name, (factory, masked) in OPS.items():
+        for rows in sizes:
+            for dead_share in (DEAD_SHARES if masked else DEAD_SHARES[:1]):
+                forward = factory(np.random.default_rng(0), rows, dead_share)
+                coeff = Tensor(np.random.default_rng(1).standard_normal(forward().shape))
+
+                def forward_backward():
+                    out = forward()
+                    (out * coeff).sum().backward()
+                    return out
+
+                cell = {"forward": measure(forward, tracer, repeats),
+                        "forward_backward": measure(forward_backward, tracer, repeats)}
+                cells.setdefault(name, {}).setdefault(f"R{rows}", {})[
+                    f"dead{int(dead_share * 100)}"] = cell
+                print(f"  {name:<17} R={rows:<5} dead={dead_share:<5}"
+                      f" fwd {cell['forward']['ns_per_op'] / 1e6:8.3f} ms"
+                      f" {cell['forward']['out_bytes_per_op'] / 2 ** 20:7.2f} MB |"
+                      f" fwd+bwd {cell['forward_backward']['ns_per_op'] / 1e6:8.3f} ms"
+                      f" {cell['forward_backward']['out_bytes_per_op'] / 2 ** 20:7.2f} MB")
+    return cells
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES),
+                        help="row counts R to run (default: 300 1500 6000)")
+    parser.add_argument("--repeats", type=int, default=9,
+                        help="timed calls per cell; the median is recorded")
+    args = parser.parse_args(argv)
+    print(f"bench_layers: m={M} d={D} backend={get_backend().name}")
+    cells = bench(args.sizes, args.repeats)
+    path = emit_bench_json("layers", {
+        "m": M, "d": D, "budget": BUDGET, "repeats": args.repeats,
+        "array_backend": get_backend().name, "cells": cells})
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -37,19 +37,25 @@ class NeighborDecoder(Module):
     (pre-softmax) scores of shape ``(R, m)``.
     """
 
-    def forward(self, z_neighbors: Tensor, z_target: Tensor) -> Tensor:
+    #: whether :meth:`forward` reads ``z_target``; the sampler builds the
+    #: target embedding only for decoders that do and passes ``None`` otherwise.
+    uses_target = True
+
+    def forward(self, z_neighbors: Tensor, z_target: Optional[Tensor]) -> Tensor:
         raise NotImplementedError
 
 
 class LinearDecoder(NeighborDecoder):
     """Eq. (17): per-neighbor linear read-out ``w_l Z``."""
 
+    uses_target = False
+
     def __init__(self, enc_dim: int, target_dim: int,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         self.score = Linear(enc_dim, 1, rng=rng)
 
-    def forward(self, z_neighbors: Tensor, z_target: Tensor) -> Tensor:
+    def forward(self, z_neighbors: Tensor, z_target: Optional[Tensor]) -> Tensor:
         return self.score(z_neighbors).reshape(z_neighbors.shape[0], z_neighbors.shape[1])
 
 

@@ -41,6 +41,11 @@ from .decoders import make_decoder
 
 __all__ = ["NeighborSelection", "AdaptiveNeighborSampler"]
 
+#: floor under a probability before its log is taken: a masked-out candidate
+#: has probability exactly 0, and a dead row nothing else.
+_PROB_FLOOR = 1e-20
+_LOG_PROB_FLOOR = float(np.log(_PROB_FLOOR))
+
 
 @dataclass
 class NeighborSelection:
@@ -122,8 +127,13 @@ class AdaptiveNeighborSampler(Module):
     def encode(self, candidates: NeighborBatch,
                edge_feat: Optional[np.ndarray],
                neigh_node_feat: Optional[np.ndarray],
-               target_node_feat: Optional[np.ndarray]) -> Tuple[Tensor, Tensor]:
-        """Build neighbor embeddings ``Z`` (R, m, enc_dim) and target embeddings."""
+               target_node_feat: Optional[np.ndarray]
+               ) -> Tuple[Tensor, Optional[Tensor]]:
+        """Build neighbor embeddings ``Z`` (R, m, enc_dim) and target embeddings.
+
+        The target embedding is ``None`` when the decoder does not read it
+        (:attr:`~repro.core.decoders.NeighborDecoder.uses_target`).
+        """
         if candidates.budget != self.num_candidates:
             raise ValueError(
                 f"sampler was built for m={self.num_candidates} candidates, got "
@@ -143,6 +153,8 @@ class AdaptiveNeighborSampler(Module):
         if self.identity_encoder is not None:
             parts.append(self.identity_encoder(candidates.nodes, candidates.mask))
         z_neighbors = concatenate(parts, axis=-1)
+        if not self.decoder.uses_target:
+            return z_neighbors, None
 
         # Target embedding (Eq. 21): node feature (if any), zero time encoding,
         # frequency-one encoding.
@@ -172,6 +184,32 @@ class AdaptiveNeighborSampler(Module):
 
     # ------------------------------------------------------------------ selection
 
+    @staticmethod
+    def _check_budget(budget: int, m: int) -> None:
+        if budget > m:
+            raise ValueError("selection budget exceeds the candidate budget")
+
+    def _gumbel(self, shape: Tuple[int, int], greedy: bool) -> Optional[np.ndarray]:
+        """The selection noise of one call (``None`` for greedy selection)."""
+        return None if greedy else self._select_rng.gumbel(size=shape)
+
+    def _pick(self, probabilities: Tensor, mask: np.ndarray, budget: int,
+              noise: Optional[np.ndarray]) -> NeighborSelection:
+        """Gumbel-top-k over ``log q`` perturbed by ``noise``."""
+        keys = np.log(np.maximum(probabilities.data, _PROB_FLOOR))
+        if noise is not None:
+            keys += noise
+        # Invalid candidates must sort last.
+        keys = np.where(mask, keys, -np.inf)
+        columns = np.argsort(-keys, axis=1, kind="stable")[:, :budget]
+        sel_mask = np.take_along_axis(mask, columns, axis=1)
+
+        rows = np.arange(len(columns))[:, None]
+        log_prob_full = (probabilities + _PROB_FLOOR).log()
+        log_prob = log_prob_full[rows, columns]
+        return NeighborSelection(columns=columns, mask=sel_mask, log_prob=log_prob,
+                                 probabilities=probabilities)
+
     def select(self, probabilities: Tensor, mask: np.ndarray, budget: int,
                greedy: bool = False) -> NeighborSelection:
         """Draw ``budget`` neighbors per row without replacement from ``q_theta``.
@@ -183,22 +221,9 @@ class AdaptiveNeighborSampler(Module):
         ``greedy=True`` the top-``budget`` most probable neighbors are taken
         instead (used at evaluation time for variance-free inference).
         """
-        probs = probabilities.data
-        r, m = probs.shape
-        if budget > m:
-            raise ValueError("selection budget exceeds the candidate budget")
-        log_p = np.log(np.maximum(probs, 1e-20))
-        keys = log_p if greedy else log_p + self._select_rng.gumbel(size=(r, m))
-        # Invalid candidates must sort last.
-        keys = np.where(mask, keys, -np.inf)
-        columns = np.argsort(-keys, axis=1, kind="stable")[:, :budget]
-        sel_mask = np.take_along_axis(mask, columns, axis=1)
-
-        rows = np.arange(r)[:, None]
-        log_prob_full = (probabilities + 1e-20).log()
-        log_prob = log_prob_full[rows, columns]
-        return NeighborSelection(columns=columns, mask=sel_mask, log_prob=log_prob,
-                                 probabilities=probabilities)
+        self._check_budget(budget, probabilities.shape[1])
+        return self._pick(probabilities, mask, budget,
+                          self._gumbel(probabilities.shape, greedy))
 
     # ------------------------------------------------------------------ convenience
 
@@ -207,7 +232,44 @@ class AdaptiveNeighborSampler(Module):
                 neigh_node_feat: Optional[np.ndarray] = None,
                 target_node_feat: Optional[np.ndarray] = None,
                 greedy: bool = False) -> NeighborSelection:
-        """Probability computation followed by selection in one call."""
-        probs = self.probabilities(candidates, edge_feat, neigh_node_feat,
-                                   target_node_feat)
-        return self.select(probs, candidates.mask, budget, greedy=greedy)
+        """Probability computation followed by selection, on the live rows.
+
+        A row is *dead* when it has no valid candidate (a padded frontier
+        slot, a target without history): its probabilities are identically
+        zero, nothing can be selected from it and its REINFORCE coefficient
+        is masked out.  Only the live rows are encoded, mixed and decoded —
+        every stage is row-independent, so they read exactly what they would
+        in the full batch — and the results are scattered back to ``(R, .)``.
+        Dead rows read columns ``0..n-1``, mask False, ``log_prob =
+        log(1e-20)`` and probability 0, the values :meth:`probabilities` +
+        :meth:`select` give them.  The Gumbel noise is still drawn at
+        ``(R, m)`` and sliced, so the selection RNG advances as if every row
+        had been scored.
+        """
+        r, m = candidates.nodes.shape
+        self._check_budget(budget, m)
+        noise = self._gumbel((r, m), greedy)
+        live = np.flatnonzero(candidates.mask.any(axis=1))
+        columns = np.tile(np.arange(budget), (r, 1))
+        mask = np.zeros((r, budget), dtype=bool)
+        if live.size == 0:
+            return NeighborSelection(
+                columns=columns, mask=mask,
+                log_prob=Tensor(np.full((r, budget), _LOG_PROB_FLOOR)),
+                probabilities=Tensor(np.zeros((r, m))))
+
+        def take(array):
+            return None if array is None else array[live]
+        alive = NeighborBatch(
+            root_nodes=candidates.root_nodes[live], root_times=candidates.root_times[live],
+            nodes=candidates.nodes[live], eids=candidates.eids[live],
+            times=candidates.times[live], mask=candidates.mask[live])
+        probs = self.probabilities(alive, take(edge_feat), take(neigh_node_feat),
+                                   take(target_node_feat))
+        picked = self._pick(probs, alive.mask, budget, take(noise))
+        columns[live] = picked.columns
+        mask[live] = picked.mask
+        return NeighborSelection(
+            columns=columns, mask=mask,
+            log_prob=F.scatter_rows(picked.log_prob, live, r, fill=_LOG_PROB_FLOOR),
+            probabilities=F.scatter_rows(probs, live, r))

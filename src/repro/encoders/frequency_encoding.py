@@ -29,15 +29,17 @@ class FrequencyEncoder(Module):
         self.dim = dim
         self.base = base
         half = np.arange(dim, dtype=np.float64) // 2
-        #: per-channel inverse wavelength 1 / base^{2i/d}.
+        #: per-channel inverse wavelength 1 / base^{2i/d}; channels alternate
+        #: sin (even) / cos (odd), mirroring Eq. (12), so a pair shares one.
         self.inv_wavelength = base ** (-2.0 * half / dim)
-        #: channels alternate sin (even) / cos (odd), mirroring Eq. (12).
-        self.is_sin = (np.arange(dim) % 2 == 0)
 
     def forward(self, frequency: Union[np.ndarray, Tensor]) -> Tensor:
         """Encode integer frequencies; output shape ``frequency.shape + (dim,)``."""
         freq = np.asarray(frequency.data if isinstance(frequency, Tensor) else frequency,
                           dtype=np.float64)
-        angles = freq[..., None] * self.inv_wavelength
-        enc = np.where(self.is_sin, np.sin(angles), np.cos(angles))
+        # One angle per sin/cos pair, each transcendental over its own channels.
+        angles = freq[..., None] * self.inv_wavelength[0::2]
+        enc = np.empty(freq.shape + (self.dim,))
+        enc[..., 0::2] = np.sin(angles)
+        enc[..., 1::2] = np.cos(angles[..., :self.dim // 2])
         return Tensor(enc)

@@ -16,6 +16,9 @@ chain is Tensor-composed (each primitive is arena-served under the ``fused``
 backend), and the fixed encoder calls the backend's dedicated
 ``fixed_time_encoding`` kernel, which fuses the multiply and cosine into one
 reused workspace buffer — bitwise-identical to the reference expression.
+The fixed encoding is a constant of the graph (``requires_grad=False``), so
+the composite kernels downstream of it — the sampler's ``Linear`` /
+``LayerNorm`` nodes — compute no gradient for it.
 """
 
 from __future__ import annotations

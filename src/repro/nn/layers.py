@@ -3,10 +3,12 @@
 All layers take an explicit ``rng`` at construction so initialisation is
 reproducible, following the repository-wide determinism convention.
 
-Forward/backward math is Tensor-composed, so every layer dispatches through
-the active array backend (:mod:`repro.tensor.backend`); ``Linear``'s
-``x @ W^T + b`` and ``LayerNorm``'s normalisation chain are the dense
-primitives the ``fused`` backend serves from its workspace arenas.
+Every layer dispatches through the active array backend
+(:mod:`repro.tensor.backend`).  ``Linear`` and ``LayerNorm`` are one graph
+node each (:func:`repro.tensor.functional.linear`,
+:func:`repro.tensor.functional.layer_norm`) with an analytic backward over a
+kernel pair every backend shares, so they are bitwise-equal across backends
+by construction; the remaining layers are composed from Tensor ops.
 """
 
 from __future__ import annotations

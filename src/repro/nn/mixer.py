@@ -9,10 +9,14 @@ neighborhood.
 
 Input layout is ``(batch, num_neighbors, channels)``.
 
-The GELU feed-forward sub-blocks and the layer-norm primitives are the
-model's largest activations; they dispatch through the active array backend
-(:mod:`repro.tensor.backend`), so under the ``fused`` backend each block
-runs over reused workspace buffers with bitwise-identical results.
+The GELU feed-forward sub-blocks and the layer norms run on the model's
+largest activations, so each is a handful of passes: ``Linear`` and
+``LayerNorm`` are single graph nodes over backend kernels shared by every
+backend, and the GELU / mask / residual ops dispatch through the active array
+backend (:mod:`repro.tensor.backend`) — reused workspace buffers under
+``fused``, bitwise-identical results either way.  Every row of the batch is
+mixed independently of the others, which is what lets the adaptive sampler
+run the block on its live rows only.
 """
 
 from __future__ import annotations

@@ -18,11 +18,12 @@ Two backends ship with the repo:
 ``fused``
     :class:`FusedBackend` — the same arithmetic in the same op order, but the
     hot forward/backward kernels (softmax attention, GELU / MLP-mixer blocks,
-    layer-norm primitives, sinusoidal time encodings, the edge predictor's
-    dense products) run as ``out=``/in-place NumPy calls over per-shape
-    preallocated :class:`WorkspaceArena` buffers.  Identical op order means
-    loss/MRR trajectories stay **bitwise-identical** to the reference while
-    temporary allocations are cut on every batch.
+    sinusoidal time encodings, the GEMMs inside the linear kernels) run as
+    ``out=``/in-place NumPy calls over per-shape preallocated
+    :class:`WorkspaceArena` buffers.  The composite LayerNorm / Linear
+    kernels are inherited from the reference unchanged.  Identical op order
+    means loss/MRR trajectories stay **bitwise-identical** to the reference
+    while temporary allocations are cut on every batch.
 
 Bitwise-equality contract
 -------------------------
@@ -450,6 +451,78 @@ class ReferenceBackend(ArrayBackend):
                             omega: np.ndarray) -> np.ndarray:
         """GraphMixer's fixed sinusoidal encoding ``cos(dt[..., None] * omega)``."""
         return np.cos(dt[..., None] * omega)
+
+    # -- composite layer kernels (one autograd node each) --------------------
+    # LayerNorm and Linear are one kernel pair each, *inherited* by every
+    # backend rather than overridden: both backends then run the same
+    # arithmetic by construction.  The kernels own what they return and
+    # update only buffers they allocated themselves — never the ``g`` they
+    # receive (see "Gradient ownership" in :mod:`repro.tensor.tensor`).
+
+    def layer_norm_forward(self, x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                           eps: float
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Layer norm over the last axis; returns ``(out, xhat, rstd)``.
+
+        ``xhat`` (the normalised input) and ``rstd`` (``1 / sqrt(var + eps)``,
+        one value per row) are all the backward pass needs; ``xhat`` and
+        ``out`` are the only full-size arrays allocated.
+        """
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        rstd = np.einsum("...i,...i->...", xhat, xhat)[..., None]
+        rstd /= x.shape[-1]
+        rstd += eps
+        np.sqrt(rstd, out=rstd)
+        np.divide(1.0, rstd, out=rstd)
+        xhat *= rstd
+        out = xhat * w
+        out += b
+        return out, xhat, rstd
+
+    def layer_norm_backward(self, g: np.ndarray, xhat: np.ndarray,
+                            rstd: np.ndarray, w: np.ndarray, need_x: bool
+                            ) -> Tuple[Optional[np.ndarray], np.ndarray,
+                                       np.ndarray]:
+        """``(gx, gw, gb)`` of :meth:`layer_norm_forward`; ``gx`` is ``None``
+        unless ``need_x``.
+
+        ``gx = rstd * (g*w - mean(g*w) - xhat * mean(g*w*xhat))`` with both
+        means over the last axis.
+        """
+        # einsum cannot sum an ellipsis away, so the row axes get letters.
+        rows = "abcdefgh"[:g.ndim - 1]
+        gw = np.einsum(f"{rows}i,{rows}i->i", g, xhat)
+        gb = g.sum(axis=tuple(range(g.ndim - 1)))
+        if not need_x:
+            return None, gw, gb
+        # C order whatever the layout of ``g`` (token mixing hands back a
+        # transposed view): the in-place passes below then run contiguously.
+        gx = np.multiply(g, w, order="C")
+        proj = np.einsum("...i,...i->...", gx, xhat)[..., None]
+        proj /= g.shape[-1]
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= xhat * proj
+        gx *= rstd
+        return gx, gw, gb
+
+    def linear_forward(self, a2d: np.ndarray, w: np.ndarray,
+                       b: Optional[np.ndarray]) -> np.ndarray:
+        """``a2d @ w.T + b`` for ``a2d`` ``(N, k)`` and ``w`` ``(m, k)``: one
+        GEMM, the bias added in place into its fresh output."""
+        out = self.matmul(a2d, w.T)
+        if b is not None:
+            out += b
+        return out
+
+    def linear_backward(self, g2d: np.ndarray, a2d: np.ndarray, w: np.ndarray,
+                        need_a: bool, need_w: bool, need_b: bool
+                        ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray],
+                                   Optional[np.ndarray]]:
+        """``(ga, gw, gb)`` of :meth:`linear_forward`, each only if needed."""
+        ga = self.matmul(g2d, w) if need_a else None
+        gw = self.matmul(g2d.T, a2d) if need_w else None
+        gb = g2d.sum(axis=0) if need_b else None
+        return ga, gw, gb
 
 
 # ---------------------------------------------------------------------------

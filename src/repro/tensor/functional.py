@@ -6,12 +6,14 @@ vectorised whole-array operations.
 
 All float math here is composed from :class:`~repro.tensor.Tensor` ops, so
 it dispatches through the active :mod:`~repro.tensor.backend` automatically:
-under the ``fused`` backend the primitives inside :func:`layer_norm`,
-:func:`masked_softmax` and the losses run as ``out=`` kernels over workspace
-buffers while the autograd graph — and therefore every gradient — stays
-bitwise-identical to the ``reference`` backend.  Only mask plumbing (boolean
-arrays, ``-1e30`` fill values) touches numpy directly; it moves no float
-math.
+under the ``fused`` backend the primitives inside :func:`masked_softmax` and
+the losses run as ``out=`` kernels over workspace buffers while the autograd
+graph — and therefore every gradient — stays bitwise-identical to the
+``reference`` backend.  :func:`linear`, :func:`layer_norm` and
+:func:`scatter_rows` are single graph nodes defined beside the engine
+(:mod:`repro.tensor.tensor`) and re-exported here.  Only mask plumbing
+(boolean arrays, ``-1e30`` fill values) touches numpy directly; it moves no
+float math.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, concatenate, stack, where
+from .tensor import (Tensor, concatenate, layer_norm, linear, scatter_rows, stack,
+                     where)
 
 __all__ = [
     "sigmoid",
@@ -36,6 +39,7 @@ __all__ = [
     "dropout",
     "layer_norm",
     "linear",
+    "scatter_rows",
     "masked_softmax",
     "masked_mean",
     "concatenate",
@@ -140,30 +144,6 @@ def dropout(x: Tensor, p: float, training: bool,
     rng = rng if rng is not None else np.random.default_rng()
     keep = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
     return x * Tensor(keep)
-
-
-def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalisation over the last axis.
-
-    Deliberately composed from Tensor primitives (mean/sub/mul/sqrt/div)
-    rather than a single opaque kernel: the composition keeps forward *and*
-    backward bitwise-identical across backends, while the ``fused`` backend
-    serves each primitive from its workspace arena — the layer-norm hot path
-    allocates no fresh temporaries per call.
-    """
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered / (var + eps).sqrt()
-    return normed * weight + bias
-
-
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ W^T + b`` (PyTorch weight layout ``(out, in)``)."""
-    out = x @ weight.T
-    if bias is not None:
-        out = out + bias
-    return out
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:

@@ -56,15 +56,23 @@ Hence no backward rule may write into the gradient it receives.
 
 GEMM-shaped linears
 -------------------
-``(..., n, k) @ (k, m)`` — every ``F.linear`` on a batched activation — runs
-as one ``(N, k) @ (k, m)`` GEMM with ``N`` the product of the leading axes,
-and its weight gradient as one ``(k, N) @ (N, m)`` product.  numpy would loop
-over per-sample GEMMs forward and the broadcast rule would materialise a
-per-sample weight gradient only to sum it.  The single product sums over
-``N`` in a different order than sum-of-per-sample-products, so trajectories
-differ in the last digits from builds before this rule (re-baselined once);
-every backend / engine / pool / comms pair still runs the same code on both
-sides and stays bitwise-equal.
+:func:`linear` — and ``(..., n, k) @ (k, m)``, which is the same node with
+the right operand as the transposed weight — runs as one ``(N, k) @ (k, m)``
+GEMM with ``N`` the product of the leading axes, and its weight gradient as
+one ``(m, N) @ (N, k)`` product.  numpy would loop over per-sample GEMMs
+forward and the broadcast rule would materialise a per-sample weight gradient
+only to sum it.
+
+Composite kernels
+-----------------
+:func:`linear` and :func:`layer_norm` are one graph node each with an
+analytic backward, over a forward / backward kernel pair on the array
+backend.  The pair is defined once on the reference backend and inherited —
+not overridden — by the others, so every backend runs the same arithmetic by
+construction; the kernels compute only the gradients whose tensor requires
+one and never write into the ``g`` they receive.  The primitive-composed
+forms (``x @ W.T + b``, ``mean`` / ``sub`` / ``sqrt`` / ``div``) agree with
+them to the last few ulps and live on as test oracles.
 
 Backend dispatch
 ----------------
@@ -81,7 +89,6 @@ data.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -445,7 +452,9 @@ class Tensor:
         other = Tensor.ensure(other)
         a, b = self.data, other.data
         if a.ndim > 2 and b.ndim == 2:
-            return self._matmul_flat(other)
+            # A shared right operand makes the leading axes plain rows: the
+            # product is the linear node with ``b`` as the transposed weight.
+            return linear(self, other.T)
         out = self._make(get_backend().matmul(a, b), (self, other), "matmul")
         if out.requires_grad:
             def _backward(g):
@@ -476,31 +485,6 @@ class Tensor:
                     else:
                         gb = B.matmul(np.swapaxes(a, -1, -2), g)
                     other._accumulate(_unbroadcast(gb, b.shape))
-            out._backward = _backward
-        return out
-
-    def _matmul_flat(self, other: "Tensor") -> "Tensor":
-        """``(..., n, k) @ (k, m)`` as one ``(N, k) @ (k, m)`` GEMM.
-
-        A shared right operand (every ``F.linear`` on a batched activation)
-        makes the leading axes plain rows: flattening them replaces numpy's
-        loop of per-sample GEMMs by one, and the weight gradient becomes one
-        ``a2d.T @ g2d`` instead of a per-sample ``(..., k, m)`` stack that is
-        materialised only to be summed.
-        """
-        a, b = self.data, other.data
-        rows = math.prod(a.shape[:-1])
-        a2d = a.reshape(rows, a.shape[-1])
-        data = get_backend().matmul(a2d, b).reshape(a.shape[:-1] + (b.shape[-1],))
-        out = self._make(data, (self, other), "matmul")
-        if out.requires_grad:
-            def _backward(g):
-                B = get_backend()
-                g2d = g.reshape(rows, b.shape[-1])
-                if self.requires_grad:
-                    self._accumulate(B.matmul(g2d, b.T).reshape(a.shape))
-                if other.requires_grad:
-                    other._accumulate(B.matmul(a2d.T, g2d))
             out._backward = _backward
         return out
 
@@ -825,6 +809,78 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             for t, g in zip(tensors, grads):
                 if t.requires_grad:
                     t._accumulate(g)
+        out._backward = _backward
+    return out
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Affine map ``x @ W^T + b`` (PyTorch weight layout ``(out, in)``).
+
+    One graph node over the backend's ``linear_forward`` / ``linear_backward``
+    kernels: the leading axes of ``x`` are flattened into the rows of one
+    GEMM (see "GEMM-shaped linears" in the module docstring), the bias is
+    added in place into its output, and the backward pass computes only the
+    gradients whose tensor requires one.
+    """
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    a, w = x.data, weight.data
+    a2d = a.reshape(-1, a.shape[-1])
+    data = get_backend().linear_forward(a2d, w, None if bias is None else bias.data)
+    out = x._make(data.reshape(a.shape[:-1] + (w.shape[0],)), parents, "linear")
+    if out.requires_grad:
+        def _backward(g):
+            ga, gw, gb = get_backend().linear_backward(
+                g.reshape(-1, w.shape[0]), a2d, w, x.requires_grad,
+                weight.requires_grad, bias is not None and bias.requires_grad)
+            if ga is not None:
+                x._accumulate(ga.reshape(a.shape))
+            if gw is not None:
+                weight._accumulate(gw)
+            if gb is not None:
+                bias._accumulate(gb)
+        out._backward = _backward
+    return out
+
+
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Layer normalisation over the last axis with a learnable affine.
+
+    One graph node with an analytic backward, over the backend's
+    ``layer_norm_forward`` / ``layer_norm_backward`` kernels.  Every backend
+    inherits the same kernel pair, so forward and backward are bitwise-equal
+    across backends by construction; the node retains the normalised input
+    and the per-row reciprocal standard deviation, and skips the input
+    gradient when ``x`` does not require one.  The primitive-composed form
+    (``mean`` / ``sub`` / ``mul`` / ``sqrt`` / ``div``) is the test oracle.
+    """
+    data, xhat, rstd = get_backend().layer_norm_forward(x.data, weight.data,
+                                                        bias.data, eps)
+    out = x._make(data, (x, weight, bias), "layer_norm")
+    if out.requires_grad:
+        def _backward(g):
+            gx, gw, gb = get_backend().layer_norm_backward(
+                g, xhat, rstd, weight.data, x.requires_grad)
+            if gx is not None:
+                x._accumulate(gx)
+            weight._accumulate(gw)
+            bias._accumulate(gb)
+        out._backward = _backward
+    return out
+
+
+def scatter_rows(src: Tensor, index: np.ndarray, num_rows: int,
+                 fill: float = 0.0) -> Tensor:
+    """Rows of ``src`` placed at ``index`` of a ``(num_rows, ...)`` tensor.
+
+    The inverse of row indexing ``full[index]`` for distinct ``index``: rows
+    not named hold ``fill`` and receive no gradient.
+    """
+    data = np.full((num_rows,) + src.shape[1:], fill, dtype=np.float64)
+    data[index] = src.data
+    out = src._make(data, (src,), "scatter_rows")
+    if out.requires_grad:
+        def _backward(g):
+            src._accumulate(g[index])
         out._backward = _backward
     return out
 

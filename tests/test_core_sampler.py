@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (AdaptiveNeighborSampler, MiniBatchGenerator, TaserConfig,
                         sensitivity_sample_loss, tgat_analytic_sample_loss,
@@ -9,7 +10,7 @@ from repro.core import (AdaptiveNeighborSampler, MiniBatchGenerator, TaserConfig
 from repro.device import FeatureStore
 from repro.graph import build_tcsr
 from repro.models import GraphMixer, TGAT
-from repro.sampling import make_finder
+from repro.sampling import NeighborBatch, make_finder
 from repro.tensor import Tensor
 
 
@@ -104,6 +105,136 @@ class TestAdaptiveNeighborSampler:
                                           decoder=decoder, seed=6)
         sel = sampler(cand, 3, edge_feat=efeat)
         assert sel.columns.shape == (cand.batch_size, 3)
+
+
+    @pytest.mark.parametrize("decoder", ["linear", "gat", "gatv2", "transformer"])
+    def test_target_embedding_built_only_for_decoders_that_read_it(
+            self, featured_graph, decoder):
+        tcsr = build_tcsr(featured_graph)
+        cand, efeat = candidates_for(featured_graph, tcsr)
+        nfeat = featured_graph.node_feat[cand.nodes].astype(np.float64)
+        tfeat = featured_graph.node_feat[cand.root_nodes].astype(np.float64)
+        sampler = AdaptiveNeighborSampler(featured_graph.node_dim,
+                                          featured_graph.edge_dim, 8,
+                                          decoder=decoder, seed=6)
+        z, z_target = sampler.encode(cand, efeat, nfeat, tfeat)
+        assert (z_target is None) == (decoder == "linear")
+        sampler.decoder.uses_target = True      # what encode always did before
+        _, always = sampler.encode(cand, efeat, nfeat, tfeat)
+        assert always.shape == (cand.batch_size, sampler.target_dim)
+        mixed = sampler.mixer(z, mask=cand.mask)
+        assert np.array_equal(sampler.decoder(mixed, z_target).data,
+                              sampler.decoder(mixed, always).data)
+
+
+# ---------------------------------------------------------------------------
+# live-row sampling: forward() against the all-rows oracle
+# ---------------------------------------------------------------------------
+
+M, EDGE_DIM = 6, 5
+LOG_FLOOR = np.log(1e-20)
+
+
+def synthetic_candidates(seed, rows, pattern):
+    """A padded candidate batch whose live rows follow ``pattern``."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((rows, M)) < 0.6
+    if pattern == "all_dead":
+        mask[:] = False
+    elif pattern == "all_live":
+        mask[:, 0] = True
+    elif pattern == "one_live":
+        mask[:] = False
+        mask[rng.integers(rows), rng.integers(M)] = True
+    else:
+        mask[rng.random(rows) < 0.4] = False
+    root_times = rng.uniform(50.0, 60.0, rows)
+    cand = NeighborBatch(
+        root_nodes=rng.integers(0, 9, rows), root_times=root_times,
+        nodes=np.where(mask, rng.integers(1, 5, (rows, M)), 0),
+        eids=np.where(mask, rng.integers(1, 99, (rows, M)), 0),
+        times=np.where(mask, rng.uniform(1.0, 49.0, (rows, M)), 0.0), mask=mask)
+    cand.check_padding()
+    efeat = rng.standard_normal((rows, M, EDGE_DIM)) * mask[..., None]
+    return cand, efeat
+
+
+def all_rows_oracle(sampler, cand, budget, efeat, greedy):
+    """Score and select over every row: what forward() did before it
+    restricted itself to the live ones."""
+    return sampler.select(sampler.probabilities(cand, edge_feat=efeat),
+                          cand.mask, budget, greedy=greedy)
+
+
+def parameter_grads(sampler, selection, coeff):
+    sampler.zero_grad()
+    (selection.log_prob * Tensor(coeff)).sum().backward()
+    return [None if p.grad is None else p.grad.copy() for p in sampler.parameters()]
+
+
+class TestLiveRowSampling:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9),
+           st.sampled_from(["random", "all_dead", "all_live", "one_live"]),
+           st.integers(1, M), st.booleans())
+    def test_matches_all_rows_oracle(self, seed, rows, pattern, budget, greedy):
+        cand, efeat = synthetic_candidates(seed, rows, pattern)
+        sampler = AdaptiveNeighborSampler(0, EDGE_DIM, M, seed=seed % 7)
+        oracle = AdaptiveNeighborSampler(0, EDGE_DIM, M, seed=seed % 7)
+        got = sampler(cand, budget, edge_feat=efeat, greedy=greedy)
+        want = all_rows_oracle(oracle, cand, budget, efeat, greedy)
+
+        live = cand.mask.any(axis=1)
+        assert np.array_equal(got.columns[live], want.columns[live])
+        assert np.array_equal(got.mask, want.mask)
+        np.testing.assert_allclose(got.log_prob.data, want.log_prob.data,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.probabilities.data, want.probabilities.data,
+                                   rtol=0, atol=1e-12)
+        # the selection stream is where the oracle left its own
+        assert (sampler._select_rng.bit_generator.state
+                == oracle._select_rng.bit_generator.state)
+        # dead rows read exactly what the oracle gives them
+        assert np.array_equal(got.columns[~live],
+                              np.tile(np.arange(budget), ((~live).sum(), 1)))
+        assert not got.mask[~live].any()
+        assert np.all(got.log_prob.data[~live] == LOG_FLOOR)
+        assert np.all(got.probabilities.data[~live] == 0.0)
+
+        coeff = np.random.default_rng(seed).standard_normal((rows, budget))
+        for mine, theirs in zip(parameter_grads(sampler, got, coeff),
+                                parameter_grads(oracle, want, coeff)):
+            if live.any():
+                np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-12)
+            else:
+                # nothing reaches theta; the oracle back-propagates zeros
+                assert mine is None and not theirs.any()
+
+    def test_no_live_row_never_touches_the_encoder(self, small_graph, small_tcsr,
+                                                   monkeypatch):
+        """Queries at the very start of the timeline (the first serve flush on
+        unseen nodes) have no history on any hop."""
+        sampler = AdaptiveNeighborSampler(0, small_graph.edge_dim, 8, seed=0)
+        monkeypatch.setattr(sampler, "encode", lambda *a, **k: pytest.fail(
+            "encoder reached with no live row"))
+        gen = MiniBatchGenerator(make_finder("gpu", small_tcsr),
+                                 FeatureStore(small_graph), 2, 4, 8,
+                                 adaptive_sampler=sampler)
+        roots = small_graph.src[:20]
+        times = np.full(20, small_graph.ts.min())
+        for train in (True, False):
+            mb = gen.build(roots, times, train=train)
+            mb.check_invariants()
+            for hop in mb.hops:
+                assert not hop.batch.mask.any()
+        hop = mb.hops[0]
+        selection = sampler(hop.candidates, 4)
+        assert selection.columns.shape == selection.mask.shape == (20, 4)
+        assert selection.log_prob.shape == (20, 4)
+        assert np.all(selection.log_prob.data == LOG_FLOOR)
+        assert selection.probabilities.shape == (20, 8)
+        with pytest.raises(ValueError):
+            sampler(hop.candidates, 9)
 
 
 class TestSampleLoss:

@@ -67,6 +67,16 @@ class TestFrequencyEncoder:
         assert np.allclose(out[0], np.sin(angles[0]))
         assert np.allclose(out[1], np.cos(angles[1]))
 
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8])
+    def test_equals_select_after_both_transcendentals(self, dim):
+        """sin on the even and cos on the odd channels only — bit for bit what
+        evaluating both over every channel and selecting gave."""
+        enc = FrequencyEncoder(dim)
+        freq = np.random.default_rng(dim).integers(0, 40, (50, 10))
+        angles = freq.astype(np.float64)[..., None] * enc.inv_wavelength
+        both = np.where(np.arange(dim) % 2 == 0, np.sin(angles), np.cos(angles))
+        assert np.array_equal(enc(freq).data, both)
+
     def test_distinguishes_frequencies(self):
         enc = FrequencyEncoder(8)
         assert not np.allclose(enc(np.array([1])).data, enc(np.array([7])).data)

@@ -303,3 +303,130 @@ class TestFunctional:
         out = F.masked_mean(x, mask, axis=1)
         assert np.allclose(out.data[0], x.data[0, :2].mean(axis=0))
         assert np.allclose(out.data[1], x.data[1, 0])
+
+
+# ---------------------------------------------------------------------------
+# composite kernels: one node each, checked against the composed primitives
+# ---------------------------------------------------------------------------
+
+def composed_layer_norm(x, weight, bias, eps=1e-5):
+    """Oracle: layer norm composed from Tensor primitives (the runtime's
+    implementation before it became one node)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    normed = centered / (var + eps).sqrt()
+    return normed * weight + bias
+
+
+def composed_linear(x, weight, bias=None):
+    """Oracle: ``x @ W^T + b`` composed from Tensor primitives."""
+    out = x @ weight.T
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+#: (input shape, swapaxes-strided): 2-D, 3-D, and the token-mixing layout.
+LAYOUTS = [((6, 5), False), ((4, 3, 5), False), ((4, 5, 3), True)]
+
+
+class TestCompositeKernels:
+    def setup_method(self):
+        self.rng = np.random.default_rng(7)
+
+    def _run(self, fn, arrays, grads, strided, coeff):
+        """Forward value and input gradients of ``fn`` under a random
+        coefficient loss; ``grads[i]`` says whether input ``i`` requires one."""
+        inputs = [None if a is None else t(a.copy(), grad=g)
+                  for a, g in zip(arrays, grads)]
+        x = inputs[0].swapaxes(1, 2) if strided else inputs[0]
+        out = fn(x, *inputs[1:])
+        (out * Tensor(coeff)).sum().backward()
+        return out.data, [None if i is None else i.grad for i in inputs]
+
+    def _assert_agree(self, node, oracle, arrays, grads, strided, out_shape):
+        coeff = self.rng.standard_normal(out_shape)
+        got, got_grads = self._run(node, arrays, grads, strided, coeff)
+        want, want_grads = self._run(oracle, arrays, grads, strided, coeff)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for got_g, want_g, needed in zip(got_grads, want_grads, grads):
+            if not needed:
+                assert got_g is None
+            else:
+                np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape,strided", LAYOUTS)
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_layer_norm_matches_composed(self, shape, strided, x_grad):
+        logical = (shape[0], shape[2], shape[1]) if strided else shape
+        dim = logical[-1]
+        arrays = [self.rng.standard_normal(shape) * 2 + 1,
+                  self.rng.standard_normal(dim), self.rng.standard_normal(dim)]
+        self._assert_agree(F.layer_norm, composed_layer_norm, arrays,
+                           [x_grad, True, True], strided, logical)
+
+    @pytest.mark.parametrize("shape,strided", LAYOUTS)
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_linear_matches_composed(self, shape, strided, bias, x_grad):
+        logical = (shape[0], shape[2], shape[1]) if strided else shape
+        arrays = [self.rng.standard_normal(shape),
+                  self.rng.standard_normal((4, logical[-1])),
+                  self.rng.standard_normal(4) if bias else None]
+        self._assert_agree(F.linear, composed_linear, arrays,
+                           [x_grad, True, bias], strided, logical[:-1] + (4,))
+
+    def test_each_is_one_graph_node(self):
+        x = t(self.rng.standard_normal((2, 3, 5)))
+        w, b = t(self.rng.standard_normal((4, 5))), t(self.rng.standard_normal(4))
+        out = F.linear(x, w, b)
+        assert out._op == "linear" and out._prev == (x, w, b)
+        gain, shift = t(np.ones(5)), t(np.zeros(5))
+        out = F.layer_norm(x, gain, shift)
+        assert out._op == "layer_norm" and out._prev == (x, gain, shift)
+        # (..., n, k) @ (k, m) is the same node behind a transposed weight.
+        right = t(self.rng.standard_normal((5, 4)))
+        out = x @ right
+        assert out._op == "linear" and out._prev[0] is x
+        np.testing.assert_allclose(out.data, x.data @ right.data, atol=1e-12)
+
+    def test_gradcheck(self):
+        x = t(self.rng.standard_normal((2, 4, 3)))
+        coeff = Tensor(self.rng.standard_normal((2, 3, 4)))
+        w, b = t(self.rng.standard_normal(4)), t(self.rng.standard_normal(4))
+        gradcheck(lambda a, ww, bb: F.layer_norm(a.swapaxes(1, 2), ww, bb) * coeff,
+                  [x, w, b])
+        w, b = t(self.rng.standard_normal((4, 4))), t(self.rng.standard_normal(4))
+        gradcheck(lambda a, ww, bb: F.linear(a.swapaxes(1, 2), ww, bb) * coeff,
+                  [x, w, b])
+        gradcheck(lambda a, ww: F.linear(a.swapaxes(1, 2), ww) * coeff, [x, w])
+
+    def test_backward_kernels_leave_g_untouched(self):
+        from repro.tensor.backend import get_backend
+        B = get_backend()
+        x = self.rng.standard_normal((4, 3, 5))
+        w, b = self.rng.standard_normal(5), self.rng.standard_normal(5)
+        g = self.rng.standard_normal((4, 3, 5))
+        saved = g.copy()
+        _, xhat, rstd = B.layer_norm_forward(x, w, b, 1e-5)
+        gx, _, _ = B.layer_norm_backward(g, xhat, rstd, w, True)
+        assert np.array_equal(g, saved) and not np.shares_memory(gx, g)
+        weight = self.rng.standard_normal((5, 5))
+        ga, _, _ = B.linear_backward(g.reshape(-1, 5), x.reshape(-1, 5), weight,
+                                     True, True, True)
+        assert np.array_equal(g, saved) and not np.shares_memory(ga, g)
+
+    def test_scatter_rows(self):
+        src = t(self.rng.standard_normal((3, 4)))
+        index = np.array([4, 0, 2])
+        out = F.scatter_rows(src, index, 6, fill=-7.0)
+        assert out.shape == (6, 4)
+        assert np.array_equal(out.data[index], src.data)
+        assert np.all(out.data[[1, 3, 5]] == -7.0)
+        coeff = Tensor(self.rng.standard_normal((6, 4)))
+        gradcheck(lambda s: F.scatter_rows(s, index, 6, fill=-7.0) * coeff, [src])
+        # the inverse of row indexing
+        assert np.array_equal(F.scatter_rows(src, index, 6)[index].data, src.data)
+        empty = F.scatter_rows(t(np.zeros((0, 4))), np.zeros(0, dtype=np.int64), 2)
+        assert np.array_equal(empty.data, np.zeros((2, 4)))

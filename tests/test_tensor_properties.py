@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.optim import clip_grad_norm
 from repro.tensor import Tensor, concatenate
+from repro.tensor import functional as F
 from repro.tensor.gradcheck import gradcheck
 
 finite_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
@@ -120,6 +121,11 @@ DAG_OPS = {
     "flat_matmul": lambda a, b, leaves: (
         a.reshape(1, 2, 3) @ leaves[3]).reshape(2, 3),           # (3, 3)
     "negate": lambda a, b, leaves: -a,
+    # The composite nodes; layer norm draws weight and bias from one leaf, so
+    # a single rule contributes twice to it.  (Its square root is inexact,
+    # but engine and oracle run the same float operations in the same order.)
+    "linear": lambda a, b, leaves: F.linear(a, leaves[3], leaves[1]),
+    "layer_norm": lambda a, b, leaves: F.layer_norm(a + b, leaves[1], leaves[1]),
 }
 
 LEAF_SHAPES = [(2, 3), (3,), (2, 1), (3, 3)]
