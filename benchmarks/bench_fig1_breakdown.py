@@ -34,29 +34,12 @@ the ``reference`` and the ``fused`` prep backend, recording per-prep-backend
 ``prep_seconds``/``nf_seconds`` and the batched-probe workspace counters,
 and the payload carries a ``prep_backend_equivalence`` hash pair enforced by
 the gate at every scale, exactly like ``backend_equivalence``.
-
-Since the pipeline-parallel prep runtime landed, the wikipedia variant also
-carries an ``overlap`` cell: the fused x fused configuration trained once
-serialized (legacy engine) and once under a 2-worker prep pool with a plan
-cache (``repro.core.prep_pool`` / ``prep_cache``), recording per-epoch
-consumer step time in simulated device seconds (plus raw wall-clock) and
-the epoch-1 vs epoch-2+ prep seconds (the cached epochs skip prep
-entirely).  The ``overlap_equivalence`` pair pins the
-pooled trajectory against an inline pool-size-0 replay of the same
-keyed-draw protocol — gate-enforced at every scale like the other pairs —
-and at ``REPRO_BENCH_SCALE >= 0.5`` the cell asserts a >= 20% end-to-end
-step-time reduction.
 """
-
-from dataclasses import replace
-from time import perf_counter
 
 import pytest
 
-from repro.bench import (bench_scale, emit_bench_json, normalise_runtime,
-                         quick_config)
-from repro.bench.breakdown import loss_trajectory_hash, runtime_breakdown
-from repro.core import TaserTrainer
+from repro.bench import bench_scale, emit_bench_json, quick_config
+from repro.bench.breakdown import runtime_breakdown
 
 NEIGHBOR_SWEEP = [5, 10, 15]
 ARRAY_BACKENDS = ("reference", "fused")
@@ -189,80 +172,8 @@ def _prep_backend_sweep(graph, name):
     return rows, equivalence
 
 
-def _overlap_cell(graph, config, label, epochs=BACKEND_EPOCHS):
-    """Train ``epochs`` under ``config``; per-epoch step-time accounting.
-
-    ``epoch_seconds`` is the steady-state (epochs 2+) consumer step time in
-    the fig-1 *simulated device seconds* ledger (``normalise_runtime``: PP /
-    AS / FS-gather divided by ``DEVICE_COMPUTE_SPEEDUP``, host-side finder
-    and transfer kept at wall) — the same convention every other
-    ``*_seconds`` leaf in this artifact uses.  Prep phases count only when
-    they occupy the consumer's critical path: the serialized cell runs them
-    inline, while the pooled cell's cached epochs skip them entirely, which
-    is exactly the reduction this sweep exists to demonstrate.  Raw
-    wall-clock per epoch is kept in ``epoch_wall`` for transparency (there
-    the un-accelerated pure-Python propagation phase dominates, drowning the
-    prep savings that a device-resident propagation would expose).
-    """
-    trainer = TaserTrainer(graph, config)
-    walls, steps, preps, trajectories = [], [], [], []
-    stats = None
-    for _ in range(epochs):
-        start = perf_counter()
-        stats = trainer.train_epoch()
-        walls.append(perf_counter() - start)
-        phases = normalise_runtime(stats.runtime, config.finder)
-        steps.append(sum(phases.values()))
-        preps.append(stats.runtime.get("NF", 0.0) + stats.runtime.get("FS", 0.0))
-        trajectories.append(list(stats.batch_losses))
-    if trainer.prep_runner is not None:
-        trainer.prep_runner.shutdown()
-    steady = steps[1:] or steps
-    return {
-        "label": label,
-        "epoch_seconds": sum(steady) / len(steady),
-        "epoch1_prep_seconds": preps[0],
-        "steady_prep_seconds": sum(preps[1:]) / max(len(preps[1:]), 1),
-        "epoch_wall": walls,
-        "plan_cache_hit_rate": stats.plan_cache_hit_rate,
-        "pool_occupancy": stats.pool_occupancy,
-        "prep_pool_workers": stats.prep_pool_workers,
-    }, loss_trajectory_hash(trajectories)
-
-
-def _overlap_sweep(graph, name):
-    """The pipeline-parallel prep runtime vs the serialized fused x fused cell.
-
-    Three runs of the same fused x fused configuration:
-
-    * ``serialized`` — the legacy engine (no prep runtime): prep and
-      propagation strictly alternate on one thread, every epoch re-prepares.
-    * ``pooled`` — 2 prep workers + a 256 MiB plan cache: epoch 1 overlaps
-      prep with propagation, epochs 2+ hit the plan cache and skip prep.
-    * the equivalence anchor — pool size 0, cache off: the keyed-draw
-      protocol inline on the consumer thread.  The ``overlap_equivalence``
-      pair (pooled vs anchor trajectories) is the bitwise contract the gate
-      enforces at every scale; the serialized cell draws its RNG in the
-      legacy sequential order, so its trajectory is deliberately *not* part
-      of the pair.
-    """
-    budget = NEIGHBOR_SWEEP[-1]
-    base = _budget_config(budget, backend="fused", prep_backend="fused",
-                          max_batches=12)
-    serialized, _ = _overlap_cell(graph, base, f"{name}-serialized")
-    pooled, pooled_hash = _overlap_cell(
-        graph, replace(base, prep_pool_workers=2, prep_cache_mb=256),
-        f"{name}-pooled")
-    _, anchor_hash = _overlap_cell(
-        graph, replace(base, prep_pool_workers=0), f"{name}-pool0")
-    overlap = {"serialized": serialized, "pooled": pooled}
-    equivalence = {"hash": pooled_hash, "replay_hash": anchor_hash}
-    return overlap, equivalence
-
-
 def _payload(rows, determinism, backends=None, equivalence=None,
-             prep_backends=None, prep_equivalence=None, overlap=None,
-             overlap_equivalence=None):
+             prep_backends=None, prep_equivalence=None):
     payload = {"rows": {str(k): v for k, v in rows.items()},
                "determinism": determinism}
     if backends is not None:
@@ -271,9 +182,6 @@ def _payload(rows, determinism, backends=None, equivalence=None,
     if prep_backends is not None:
         payload["prep_backends"] = prep_backends
         payload["prep_backend_equivalence"] = prep_equivalence
-    if overlap is not None:
-        payload["overlap"] = overlap
-        payload["overlap_equivalence"] = overlap_equivalence
     return payload
 
 
@@ -341,37 +249,6 @@ def _report_prep_backends(name, prep_backends, equivalence):
               "(warn-only below REPRO_BENCH_SCALE=0.5)")
 
 
-def _report_overlap(name, overlap, equivalence):
-    ser = overlap["serialized"]
-    pooled = overlap["pooled"]
-    reduction = (1.0 - pooled["epoch_seconds"] / ser["epoch_seconds"]
-                 if ser["epoch_seconds"] else 0.0)
-    prep1 = pooled["epoch1_prep_seconds"]
-    steady_prep = pooled["steady_prep_seconds"]
-    print(f"Figure 1 ({name}): pipeline-parallel prep runtime "
-          f"(n={NEIGHBOR_SWEEP[-1]}, {BACKEND_EPOCHS} epochs, "
-          f"{pooled['prep_pool_workers']} workers)")
-    print(f"  serialized  step={ser['epoch_seconds']:.3f}s (device ledger) "
-          f"prep={ser['steady_prep_seconds']:.3f}s")
-    print(f"  pooled      step={pooled['epoch_seconds']:.3f}s "
-          f"({reduction * 100:+.1f}% vs serialized), prep "
-          f"epoch1={prep1:.3f}s -> steady={steady_prep:.3f}s, "
-          f"cache hit rate={pooled['plan_cache_hit_rate']:.2f}")
-    # Bitwise contract: pooled trajectory == inline pool-0 replay, always.
-    assert equivalence["hash"] == equivalence["replay_hash"]
-    # The plan cache must actually serve epoch 2+: full hits, and the cached
-    # epochs' prep wall-clock collapses (prep stages never run on a hit).
-    assert pooled["plan_cache_hit_rate"] > 0.9
-    assert steady_prep <= 0.5 * max(prep1, 1e-9)
-    # Headline end-to-end step-time reduction, asserted where wall-clock is
-    # trustworthy (smoke runners are too noisy to block a merge on).
-    if bench_scale() >= 0.5:
-        assert reduction >= 0.20
-    elif reduction < 0.20:
-        print(f"  WARNING: step-time reduction {reduction * 100:.1f}% < 20% "
-              "(warn-only below REPRO_BENCH_SCALE=0.5)")
-
-
 @pytest.mark.paper("Figure 1")
 def test_fig1_tgat_runtime_breakdown_wikipedia(benchmark, wikipedia_graph):
     def experiment():
@@ -379,26 +256,21 @@ def test_fig1_tgat_runtime_breakdown_wikipedia(benchmark, wikipedia_graph):
         backends, equivalence = _backend_sweep(wikipedia_graph, "wikipedia")
         prep_backends, prep_equivalence = _prep_backend_sweep(
             wikipedia_graph, "wikipedia")
-        overlap, overlap_equivalence = _overlap_sweep(
-            wikipedia_graph, "wikipedia")
         return (rows, determinism, backends, equivalence, prep_backends,
-                prep_equivalence, overlap, overlap_equivalence)
+                prep_equivalence)
 
     (rows, determinism, backends, equivalence, prep_backends,
-     prep_equivalence, overlap, overlap_equivalence) = benchmark.pedantic(
+     prep_equivalence) = benchmark.pedantic(
         experiment, rounds=1, iterations=1)
     _report("wikipedia", rows, determinism)
     _report_backends("wikipedia", backends, equivalence)
     _report_prep_backends("wikipedia", prep_backends, prep_equivalence)
-    _report_overlap("wikipedia", overlap, overlap_equivalence)
     benchmark.extra_info["rows"] = {str(k): v for k, v in rows.items()}
     benchmark.extra_info["backends"] = backends
     benchmark.extra_info["prep_backends"] = prep_backends
-    benchmark.extra_info["overlap"] = overlap
     emit_bench_json("fig1_breakdown_wikipedia",
                     _payload(rows, determinism, backends, equivalence,
-                             prep_backends, prep_equivalence, overlap,
-                             overlap_equivalence))
+                             prep_backends, prep_equivalence))
 
 
 @pytest.mark.paper("Figure 1")

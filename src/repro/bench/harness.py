@@ -14,7 +14,7 @@ in minutes.  Environment variables scale them up toward the paper's setting:
 ``REPRO_BENCH_EPOCHS``  overrides the number of training epochs.
 ``REPRO_BENCH_DATASETS`` comma-separated dataset list for the accuracy table.
 ``REPRO_BENCH_ENGINE``  mini-batch engine for every benchmark config
-                        (``sync`` | ``prefetch`` | ``aot``, default ``sync``).
+                        (``sync`` | ``aot``, default ``sync``).
 ``REPRO_BENCH_OUTPUT``  directory for the machine-readable ``BENCH_*.json``
                         result files (default: current working directory).
 ``REPRO_BACKEND``       array backend of configs that do not pin one
@@ -129,7 +129,7 @@ def emit_bench_json(name: str, payload: Dict) -> Path:
 
 
 def engine_mode_comparison(graph: TemporalGraph, config: TaserConfig,
-                           modes: Sequence[str] = ("sync", "prefetch", "aot"),
+                           modes: Sequence[str] = ("sync", "aot"),
                            epochs: int = 1, evaluate: bool = True) -> Dict[str, Dict]:
     """Train the same cell under each batch-engine mode and compare.
 
@@ -140,8 +140,7 @@ def engine_mode_comparison(graph: TemporalGraph, config: TaserConfig,
       :mod:`repro.bench.breakdown`): host-side phases keep their measured
       wall-clock, dense-compute phases are converted to device time, and
       feature slicing uses the modelled transfer cost,
-    * ``wall_seconds`` — raw per-epoch wall-clock (the prefetch engine's
-      overlap only shows up here),
+    * ``wall_seconds`` — raw per-epoch wall-clock,
     * ``speedup_vs_sync`` / ``wall_speedup_vs_sync`` over the ``sync`` engine,
     * the per-batch training losses, which must be identical across modes
       under a fixed seed (the engines' determinism contract), and

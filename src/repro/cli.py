@@ -30,7 +30,7 @@ Examples
     python -m repro train --dataset wikipedia --workers 4 \
         --shard-policy temporal --worker-backend thread --json
     python -m repro stream --dataset wikipedia --chunk-size 500 \
-        --window-events 2000 --batch-engine prefetch --json
+        --window-events 2000 --json
     python -m repro stream --drift-phases 3 --max-chunks 20 --json
     python -m repro serve --dataset wikipedia --max-batch 32 \
         --staleness-events 500 --num-queries 2000 --replay --json
@@ -176,21 +176,6 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
                              f"${COMMS_ENV_VAR} then 'pickle'; only 'repro "
                              "train' has a barrier — the other subcommands "
                              "validate but ignore it")
-    parser.add_argument("--prep-pool-workers", type=int, default=None,
-                        metavar="N",
-                        help="prep-pool worker threads preparing batches "
-                             "ahead of training under the keyed-draw "
-                             "protocol (0 = inline, same protocol, the "
-                             "bitwise anchor; any N yields identical "
-                             "losses); default resolves $REPRO_PREP_POOL "
-                             "then off (legacy sequential engines)")
-    parser.add_argument("--prep-cache-mb", type=int, default=None,
-                        metavar="MB",
-                        help="byte budget (MiB) of the cross-epoch prep-plan "
-                             "cache; epoch 2+ reuses deterministic prep "
-                             "products instead of recomputing them "
-                             "(invalidated by graph ingest); default "
-                             "resolves $REPRO_PREP_CACHE_MB then 0 (off)")
 
 
 def _validate_runtime_env(parser: argparse.ArgumentParser,
@@ -238,10 +223,8 @@ def _add_training_cell_args(parser: argparse.ArgumentParser,
     parser.add_argument("--num-candidates", type=int, default=10,
                         help="m: candidate neighbors pre-sampled by the finder")
     parser.add_argument("--finder", choices=["gpu", "original", "tgl"], default="gpu")
-    parser.add_argument("--batch-engine", choices=["sync", "prefetch", "aot"],
+    parser.add_argument("--batch-engine", choices=["sync", "aot"],
                         default="sync", help=engine_help)
-    parser.add_argument("--prefetch-depth", type=_positive_int, default=2,
-                        help="bounded-queue depth of the prefetch engine (>= 1)")
     _add_runtime_args(parser)
     parser.add_argument("--decoder", choices=["linear", "gat", "gatv2", "transformer"],
                         default="linear")
@@ -264,11 +247,9 @@ def _taser_config(args: argparse.Namespace) -> TaserConfig:
         hidden_dim=args.hidden_dim, time_dim=args.time_dim,
         num_neighbors=args.num_neighbors, num_candidates=args.num_candidates,
         finder=args.finder, decoder=args.decoder, cache_ratio=args.cache_ratio,
-        batch_engine=args.batch_engine, prefetch_depth=args.prefetch_depth,
+        batch_engine=args.batch_engine,
         array_backend=args.backend, prep_backend=args.prep_backend,
         precision=args.precision, comms=args.comms,
-        prep_pool_workers=args.prep_pool_workers,
-        prep_cache_mb=args.prep_cache_mb,
         batch_size=args.batch_size, epochs=args.epochs,
         max_batches_per_epoch=args.max_batches_per_epoch,
         lr=args.lr, eval_negatives=args.eval_negatives,
@@ -290,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                "'repro serve --help'.")
     _add_training_cell_args(
         parser, variant_default="taser",
-        engine_help="mini-batch engine: synchronous, background prefetching, "
-                    "or an ahead-of-time epoch sampling plan (all "
-                    "bitwise-identical under a fixed seed)")
+        engine_help="mini-batch engine: synchronous, or an ahead-of-time "
+                    "vectorised sampling plan (bitwise-identical under a "
+                    "fixed seed)")
     return parser
 
 
@@ -468,12 +449,6 @@ def build_stream_parser() -> argparse.ArgumentParser:
     parser.add_argument("--num-neighbors", type=int, default=5)
     parser.add_argument("--num-candidates", type=int, default=10)
     parser.add_argument("--batch-size", type=int, default=200)
-    parser.add_argument("--batch-engine", choices=["sync", "prefetch"],
-                        default="sync",
-                        help="window training engine (aot is rejected: a plan "
-                             "is invalidated by every ingested chunk)")
-    parser.add_argument("--prefetch-depth", type=_positive_int, default=2,
-                        help="bounded-queue depth of the prefetch engine (>= 1)")
     _add_runtime_args(parser)
     parser.add_argument("--cache-ratio", type=float, default=0.2)
     parser.add_argument("--lr", type=float, default=2e-3)
@@ -501,12 +476,9 @@ def run_stream(args: argparse.Namespace) -> dict:
         adaptive_neighbor=adaptive_neighbor,
         hidden_dim=args.hidden_dim, time_dim=args.time_dim,
         num_neighbors=args.num_neighbors, num_candidates=args.num_candidates,
-        batch_size=args.batch_size, batch_engine=args.batch_engine,
-        prefetch_depth=args.prefetch_depth, array_backend=args.backend,
-        prep_backend=args.prep_backend, precision=args.precision,
-        prep_pool_workers=args.prep_pool_workers,
-        prep_cache_mb=args.prep_cache_mb,
-        cache_ratio=args.cache_ratio,
+        batch_size=args.batch_size,
+        array_backend=args.backend, prep_backend=args.prep_backend,
+        precision=args.precision, cache_ratio=args.cache_ratio,
         lr=args.lr, eval_negatives=args.eval_negatives, seed=args.seed,
     )
     warmup = args.warmup_events if args.warmup_events is not None \
@@ -526,7 +498,7 @@ def run_stream(args: argparse.Namespace) -> dict:
         "backbone": args.backbone,
         "variant": "w/ Ada. Neighbor" if adaptive_neighbor else "Baseline",
         "seed": args.seed,
-        "batch_engine": args.batch_engine,
+        "batch_engine": config.batch_engine,
         "warmup_events": warmup,
         "window_events": args.window_events,
         "chunk_size": args.chunk_size,
@@ -644,8 +616,6 @@ def run_serve(args: argparse.Namespace) -> dict:
         finder=args.finder, cache_ratio=args.cache_ratio,
         array_backend=args.backend, prep_backend=args.prep_backend,
         precision=args.precision,
-        prep_pool_workers=args.prep_pool_workers,
-        prep_cache_mb=args.prep_cache_mb,
         batch_size=args.batch_size, epochs=args.warmup_epochs,
         max_batches_per_epoch=args.max_batches_per_epoch,
         lr=args.lr, seed=args.seed,

@@ -15,8 +15,7 @@ from .prep import PreparedBatch, PrepPipeline
 from .prep_backend import (FusedPrepPipeline, available_prep_backends,
                            make_prep_pipeline, register_prep_backend,
                            resolve_prep_backend_name)
-from .prefetcher import (BatchEngine, SyncBatchEngine,
-                         PrefetchBatchEngine, AOTBatchEngine, make_engine,
+from .prefetcher import (BatchEngine, AOTBatchEngine, make_engine,
                          plan_capability, ENGINE_MODES)
 from .trainer import TaserTrainer, TrainResult, EpochStats
 from .streaming import (EventChunk, EventStream, split_warmup, StreamStats,
@@ -38,8 +37,6 @@ __all__ = [
     "register_prep_backend",
     "resolve_prep_backend_name",
     "BatchEngine",
-    "SyncBatchEngine",
-    "PrefetchBatchEngine",
     "AOTBatchEngine",
     "make_engine",
     "plan_capability",

@@ -11,7 +11,6 @@ to the paper's values.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -98,38 +97,14 @@ class TaserConfig:
 
     # -- mini-batch engine ----------------------------------------------------------
     #: how mini-batches are generated relative to model compute:
-    #: "sync"      generate each batch inside the training loop (reference),
-    #: "prefetch"  a background producer thread generates batches ahead of the
-    #:             consumer through a bounded queue, overlapping NF/FS with PP,
-    #: "aot"       an ahead-of-time sampling plan vectorises neighbor finding
-    #:             for the whole epoch's batches in one pass over the T-CSR
-    #:             before training starts.
-    #: All three modes produce bitwise-identical batches under a fixed seed;
-    #: configurations whose batch content depends on per-batch training
-    #: feedback (adaptive mini-batch selection, and adaptive neighbor sampling
-    #: beyond the first hop under a stochastic finder policy) transparently
-    #: fall back to synchronous generation.
+    #: "sync"  generate each batch inside the training loop (reference),
+    #: "aot"   an ahead-of-time sampling plan vectorises neighbor finding
+    #:         for a chunk of the epoch's batches in one pass over the T-CSR
+    #:         before they are trained on.
+    #: Both modes produce bitwise-identical batches under a fixed seed;
+    #: configurations the plan cannot cover (adaptive mini-batch selection,
+    #: a stochastic finder policy) run synchronously under either value.
     batch_engine: str = "sync"
-    #: bounded-queue depth of the "prefetch" engine (batches generated ahead).
-    prefetch_depth: int = 2
-
-    # -- pipeline-parallel prep runtime ---------------------------------------------
-    #: worker threads of the prep pool (repro.core.prep_pool): prep for the
-    #: next batches overlaps the current batch's propagation.  0 runs the
-    #: pool runtime inline (no threads — the bitwise anchor of the pooled
-    #: keyed-RNG protocol); None resolves the REPRO_PREP_POOL environment
-    #: variable and, failing that, leaves the pool runtime off entirely
-    #: (legacy sequential RNG streams, bitwise-identical to prior releases).
-    #: Any pool size produces bitwise-identical trajectories to pool size 0.
-    prep_pool_workers: Optional[int] = None
-    #: byte budget (in MiB) of the cross-epoch prep-plan cache
-    #: (repro.core.prep_cache): deterministic prep stages are memoized per
-    #: (batch ordinal, graph version), so epoch 2+ skips straight to the
-    #: state-dependent stages.  0 disables the cache; None resolves the
-    #: REPRO_PREP_CACHE_MB environment variable and falls back to 0.
-    #: Setting a cache budget without prep_pool_workers activates the pool
-    #: runtime inline (pool size 0).
-    prep_cache_mb: Optional[int] = None
 
     # -- array backend ------------------------------------------------------------
     #: array backend of the propagation hot path (repro.tensor.backend):
@@ -205,27 +180,11 @@ class TaserConfig:
             raise ValueError("num_candidates (m) must be >= num_neighbors (n)")
         if not 0.0 <= self.cache_ratio <= 1.0:
             raise ValueError("cache_ratio must be in [0, 1]")
-        if self.batch_engine not in ("sync", "prefetch", "aot"):
+        if self.batch_engine not in ("sync", "aot"):
             raise ValueError(
                 f"unknown batch_engine {self.batch_engine!r}: choose 'sync' "
-                "(generate batches inside the training loop), 'prefetch' "
-                "(background producer thread) or 'aot' (ahead-of-time epoch "
-                "plan); see docs/ARCHITECTURE.md")
-        if self.prefetch_depth < 1:
-            raise ValueError(
-                f"prefetch_depth must be >= 1, got {self.prefetch_depth}: it "
-                "is the bounded-queue depth of the 'prefetch' engine (how "
-                "many batches the producer may run ahead of training)")
-        if self.prep_pool_workers is not None and self.prep_pool_workers < 0:
-            raise ValueError(
-                f"prep_pool_workers must be >= 0, got {self.prep_pool_workers}: "
-                "0 runs the pool runtime inline, N > 0 adds worker threads, "
-                "None leaves the pool runtime off")
-        if self.prep_cache_mb is not None and self.prep_cache_mb < 0:
-            raise ValueError(
-                f"prep_cache_mb must be >= 0, got {self.prep_cache_mb}: it is "
-                "the byte budget (MiB) of the cross-epoch prep-plan cache "
-                "(0 disables the cache)")
+                "(generate batches inside the training loop) or 'aot' "
+                "(ahead-of-time vectorised plan); see docs/ARCHITECTURE.md")
         if self.adaptive_minibatch and self.finder == "tgl":
             raise ValueError(
                 "the TGL pointer-array finder only supports chronological order and "
@@ -276,48 +235,6 @@ class TaserConfig:
         pickle)."""
         from ..distributed.comms import resolve_comms_name
         return resolve_comms_name(self.comms)
-
-    @property
-    def resolved_prep_pool_workers(self) -> Optional[int]:
-        """Prep-pool size (explicit > REPRO_PREP_POOL env > None = off).
-
-        ``None`` means the pipeline-parallel prep runtime is not requested at
-        all; ``0`` requests the runtime but runs it inline on the consumer
-        thread (the bitwise anchor every pool size must match).
-        """
-        if self.prep_pool_workers is not None:
-            return self.prep_pool_workers
-        raw = os.environ.get("REPRO_PREP_POOL", "").strip()
-        if not raw:
-            return None
-        workers = int(raw)
-        if workers < 0:
-            raise ValueError(f"REPRO_PREP_POOL must be >= 0, got {workers}")
-        return workers
-
-    @property
-    def resolved_prep_cache_bytes(self) -> int:
-        """Prep-plan cache budget in bytes (explicit > REPRO_PREP_CACHE_MB > 0)."""
-        if self.prep_cache_mb is not None:
-            mb = self.prep_cache_mb
-        else:
-            raw = os.environ.get("REPRO_PREP_CACHE_MB", "").strip()
-            mb = int(raw) if raw else 0
-            if mb < 0:
-                raise ValueError(f"REPRO_PREP_CACHE_MB must be >= 0, got {mb}")
-        return int(mb) * 1024 * 1024
-
-    @property
-    def prep_runtime_requested(self) -> bool:
-        """Whether the pipeline-parallel prep runtime should be attempted.
-
-        True when a pool size is set (even 0 = inline) or a plan-cache budget
-        is set; the runtime may still fall back per-path when the
-        configuration cannot be prepared ahead of order (see
-        :func:`repro.core.prep_pool.make_prep_runner`).
-        """
-        return (self.resolved_prep_pool_workers is not None
-                or self.resolved_prep_cache_bytes > 0)
 
     @property
     def resolved_finder_policy(self) -> str:

@@ -23,7 +23,7 @@ runtime tables: ``NF`` (neighbor finding), ``FS`` (feature slicing) and
 The NF + FS stages of a layer are exposed separately as
 :meth:`MiniBatchGenerator.layer_candidates` so the prep runtime can
 precompute candidate neighborhoods ahead of the training loop on behalf of
-the pipelined batch engines; :meth:`MiniBatchGenerator.build` accepts such a
+the AOT batch engine; :meth:`MiniBatchGenerator.build` accepts such a
 precomputed first hop and finishes the state-dependent stages (adaptive
 sampling, deeper hops) synchronously.  Consumers never call this class
 directly — they go through the prep runtime, which is the single producer
@@ -53,7 +53,7 @@ class CandidateSlice:
 
     Produced by :meth:`MiniBatchGenerator.layer_candidates`; consumed either
     directly by :meth:`MiniBatchGenerator.build` or precomputed ahead of time
-    by the prefetch/AOT batch engines.
+    by the AOT batch engine.
     """
 
     #: candidate neighbors of each target, arrays of shape (R, m).
@@ -112,42 +112,38 @@ class MiniBatchGenerator:
 
     # -- layer stage (NF + FS) ---------------------------------------------------------
 
-    def layer_candidates(self, target_nodes: np.ndarray, target_times: np.ndarray,
-                         timer: Optional[Timer] = None) -> CandidateSlice:
+    def layer_candidates(self, target_nodes: np.ndarray,
+                         target_times: np.ndarray) -> CandidateSlice:
         """NF + FS of one layer: sample candidates and slice their features.
 
         This stage depends only on the graph and the query frontier — never on
-        trainable state — which is what makes it safe for the prefetch/AOT
-        engines to run it ahead of the training loop.
+        trainable state — which is what makes it safe for the AOT engine to
+        run it ahead of the training loop.
         """
-        timer = timer if timer is not None else self.timer
-        with timer.section("NF"):
+        with self.timer.section("NF"):
             candidates = self.finder.sample(target_nodes, target_times,
                                             self._candidate_budget())
         # Roots with no past interactions yield fully-masked rows whose slots
         # hold the padding sentinel; downstream feature slicing and
         # aggregation rely on that contract, so enforce it at the source.
         candidates.check_padding()
-        with timer.section("FS"):
+        with self.timer.section("FS"):
             edge_feat, neigh_feat, target_feat = self._slice_candidate_features(
                 candidates, target_nodes)
         return CandidateSlice(candidates=candidates, edge_feat=edge_feat,
                               neigh_node_feat=neigh_feat,
                               target_node_feat=target_feat)
 
-    def slice_root_features(self, root_nodes: np.ndarray,
-                            timer: Optional[Timer] = None) -> Optional[np.ndarray]:
-        """FS of the root queries (separately exposed for the batch engines)."""
-        timer = timer if timer is not None else self.timer
-        with timer.section("FS"):
+    def slice_root_features(self, root_nodes: np.ndarray) -> Optional[np.ndarray]:
+        """FS of the root queries."""
+        with self.timer.section("FS"):
             return self.feature_store.slice_node_features(root_nodes)
 
     # -- main entry point ------------------------------------------------------------
 
     def build(self, root_nodes: np.ndarray, root_times: np.ndarray,
               train: bool = True, first_hop: Optional[CandidateSlice] = None,
-              root_feat: Optional[np.ndarray] = None,
-              timer: Optional[Timer] = None) -> MiniBatch:
+              root_feat: Optional[np.ndarray] = None) -> MiniBatch:
         """Build the full multi-hop mini-batch for the given root queries.
 
         Parameters
@@ -160,9 +156,8 @@ class MiniBatchGenerator:
         """
         root_nodes = np.asarray(root_nodes, dtype=np.int64)
         root_times = np.asarray(root_times, dtype=np.float64)
-        timer = timer if timer is not None else self.timer
         if first_hop is None:
-            root_feat = self.slice_root_features(root_nodes, timer=timer)
+            root_feat = self.slice_root_features(root_nodes)
         minibatch = MiniBatch(root_nodes=root_nodes, root_times=root_times,
                               root_node_feat=root_feat)
 
@@ -171,14 +166,14 @@ class MiniBatchGenerator:
             if layer == 0 and first_hop is not None:
                 stage = first_hop
             else:
-                stage = self.layer_candidates(cur_nodes, cur_times, timer=timer)
+                stage = self.layer_candidates(cur_nodes, cur_times)
             candidates = stage.candidates
             edge_feat = stage.edge_feat
             neigh_feat = stage.neigh_node_feat
             target_feat = stage.target_node_feat
 
             if self.uses_adaptive_sampling:
-                with timer.section("AS"):
+                with self.timer.section("AS"):
                     selection = self.adaptive_sampler(
                         candidates, self.num_neighbors,
                         edge_feat=edge_feat, neigh_node_feat=neigh_feat,

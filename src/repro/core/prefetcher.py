@@ -1,36 +1,19 @@
-"""Pipelined mini-batch engines: synchronous, background prefetch, and
-ahead-of-time (AOT) epoch sampling plans.
+"""Mini-batch engines: synchronous, and ahead-of-time (AOT) sampling plans.
 
-The paper's central observation is that mini-batch generation (neighbor
-finding ``NF``, feature slicing ``FS``, adaptive sampling ``AS``) dominates
-TGNN training wall-clock.  The reference :class:`SyncBatchEngine` generates
-every batch inside the training loop, exactly like the seed trainer did.  The
-two pipelined engines overlap or amortise that work:
-
-``prefetch``
-    A background producer thread generates batches *in training order* and
-    hands them to the consumer through a bounded queue, overlapping NF/FS
-    with the model's forward/backward (``PP``) phase.
-
-``aot``
-    An ahead-of-time sampling plan generates every batch of the epoch before
-    training starts.  Under a deterministic finder policy (``recent``) the
-    plan vectorises neighbor finding for the *whole epoch's* queries in one
-    pass over the T-CSR — thousands of per-query lookups collapse into a
-    handful of batched ``searchsorted``/gather kernels — and feature slicing
-    is batched the same way.
+The reference :class:`BatchEngine` prepares every batch inside the training
+loop.  :class:`AOTBatchEngine` plans a chunk of batches at a time: under the
+deterministic ``recent`` finder policy the chunk's root queries are
+concatenated and each hop's neighbor finding runs as one batched pass over
+the T-CSR, with feature slicing batched (and deduplicated across the chunk's
+batches) the same way.
 
 Determinism contract
 --------------------
-Under a fixed seed all three engines produce **bitwise-identical batches**
-(and therefore identical losses and MRR).  This is achieved by construction,
-not by re-seeding:
-
-* every stateful component (finder RNG, negative sampler, feature cache) is
-  touched in exactly the training order by exactly one thread;
-* configurations whose batch content depends on per-batch training feedback
-  cannot be generated ahead of time and transparently fall back to
-  synchronous generation (see :func:`plan_capability`).
+Under a fixed seed both engines produce **bitwise-identical batches** (and
+therefore identical losses and MRR).  Everything runs on the training
+thread, every stateful component (finder RNG, negative sampler, feature
+cache) is touched in training order, and configurations the plan cannot
+cover run synchronously (see :func:`plan_capability`).
 
 Capability model
 ----------------
@@ -41,37 +24,34 @@ Capability model
     Adaptive neighbor sampling on: the hop-1 *candidate* neighborhood (NF +
     FS) is still state-free and is planned ahead; the adaptive selection and
     any deeper hops depend on the sampler's trainable parameters and run
-    synchronously in the consumer.  Requires that the ahead-of-order hop-1
-    queries cannot perturb the finder RNG stream consumed elsewhere: a
-    single-layer backbone, or a deterministic (``recent``) finder policy.
+    when the batch is trained on.  Requires a stateless finder, because the
+    plan answers hop 1 out of the finder's sight.
 ``none``
     Adaptive mini-batch selection draws every schedule entry from importance
     scores updated after each optimiser step — nothing can run ahead.
+
+A plan only exists under the ``recent`` policy (it is the one the T-CSR pass
+can vectorise without drawing randomness); under any other policy the AOT
+engine reports ``effective_mode == "sync"``.
 """
 
 from __future__ import annotations
 
-import threading
-from queue import Empty, Full, Queue
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
 import numpy as np
 
 from ..sampling.gpu_finder import GPUNeighborFinder
-from ..utils.timer import Timer
 from .config import TaserConfig
 from .prep import PreparedBatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .trainer import TaserTrainer
 
-__all__ = ["PreparedBatch", "plan_capability", "BatchEngine", "SyncBatchEngine",
-           "PrefetchBatchEngine", "AOTBatchEngine", "make_engine", "ENGINE_MODES"]
+__all__ = ["PreparedBatch", "plan_capability", "BatchEngine", "AOTBatchEngine",
+           "make_engine", "ENGINE_MODES"]
 
-ENGINE_MODES = ("sync", "prefetch", "aot")
-
-#: queue sentinel marking the end of a producer's epoch.
-_DONE = object()
+ENGINE_MODES = ("sync", "aot")
 
 
 def plan_capability(config: TaserConfig, finder) -> str:
@@ -85,50 +65,27 @@ def plan_capability(config: TaserConfig, finder) -> str:
         return "none"
     if not config.adaptive_neighbor:
         return "full"
-    if config.num_layers == 1:
-        # Hop-1 is the only hop: the consumer never queries the finder, so
-        # the producer's sequential draws match the sync order exactly.
-        return "first_hop"
     if config.resolved_finder_policy == "recent" and not finder.requires_chronological:
-        # Deeper hops run in the consumer concurrently with the producer's
-        # hop-1 queries; that is only race- and RNG-stream-safe when the
-        # finder is deterministic and stateless.
+        # The plan's finder answers hop 1, the trainer's finder the deeper
+        # hops; that split is only invisible when the finder is
+        # deterministic and stateless.
         return "first_hop"
     return "none"
 
 
 class BatchEngine:
-    """Base class: the synchronous (reference) mini-batch engine.
+    """The synchronous (reference) mini-batch engine.
 
     An engine owns the epoch loop's data side: it decides *when* each batch
-    of the schedule is prepared (inline, in a background producer, or in an
-    ahead-of-time plan) and yields :class:`PreparedBatch` items for the
-    trainer to consume.  The preparation itself — schedule walk, root
-    assembly, candidates/gather/encode/assemble — is entirely delegated to
-    the shared prep runtime (``trainer.prep``, a
-    :class:`~repro.core.prep.PrepPipeline`): engines contain no private
-    assembly logic, so every prep optimisation lands in all engines at once.
+    of the schedule is prepared (inline, or in an ahead-of-time plan) and
+    yields :class:`PreparedBatch` items for the trainer to consume.  The
+    preparation itself is delegated to the shared prep runtime
+    (``trainer.prep``, a :class:`~repro.core.prep.PrepPipeline`).
 
-    Lifecycle (driven by ``TaserTrainer.train_epoch``):
-
-    1. :meth:`begin_epoch` — quiesce leftovers from an abandoned epoch
-       *before* the trainer resets finder/timer state;
-    2. :meth:`epoch` — yield the epoch's :class:`PreparedBatch` items;
-    3. :meth:`collect_timings` — fold engine-side phase timings into the
-       trainer's timer at the epoch boundary;
-    4. :meth:`shutdown` — release resources (threads) when the engine is
-       replaced or the trainer is done.
-
-    Engines read ``trainer.{config, prep, finder, tcsr, timer}`` dynamically,
-    so a trainer may re-point those between epochs (the streaming subsystem
+    Engines read ``trainer.{config, prep, finder, tcsr}`` dynamically, so a
+    trainer may re-point those between epochs (the streaming subsystem
     rebuilds the prep pipeline and engine per sliding window for exactly
     this reason).
-
-    Parameters
-    ----------
-    trainer:
-        The owning :class:`~repro.core.trainer.TaserTrainer` (or a subclass
-        such as the streaming trainer).
     """
 
     mode = "sync"
@@ -141,229 +98,35 @@ class BatchEngine:
     @property
     def effective_mode(self) -> str:
         """The mode actually in effect after capability fallback."""
-        return "sync" if self.capability == "none" else self.mode
+        return "sync"
 
     @property
     def is_fallback(self) -> bool:
         return self.effective_mode != self.mode
 
-    # -- shared preparation (delegated to the prep runtime) --------------------------
-
-    def _schedule(self, max_batches: Optional[int]) -> Iterator[np.ndarray]:
-        return self.trainer.prep.schedule(max_batches)
-
-    def _prepare_sync(self, local_indices: np.ndarray) -> PreparedBatch:
-        return self.trainer.prep.prepare_train(local_indices)
-
     def _sync_epoch(self, max_batches: Optional[int]) -> Iterator[PreparedBatch]:
-        for local_indices in self._schedule(max_batches):
-            yield self._prepare_sync(local_indices)
-
-    def _pooled_epoch(self,
-                      max_batches: Optional[int]) -> Optional[Iterator[PreparedBatch]]:
-        """The pipeline-parallel prep runtime's epoch, if one is active.
-
-        When the trainer carries a :class:`~repro.core.prep_pool.PrepRunner`
-        (``--prep-pool-workers`` / ``--prep-cache-mb``), every engine routes
-        its epoch through it: batch preparation then runs on the runner's
-        worker pool under the keyed-draw protocol with cross-epoch plan
-        caching, superseding the engine's own pipelining.  Returns ``None``
-        when the runtime is off, leaving the legacy engine paths (and their
-        bitwise behaviour) untouched.
-        """
-        runner = getattr(self.trainer, "prep_runner", None)
-        if runner is None:
-            return None
-        return runner.epoch(max_batches)
-
-    # -- interface ------------------------------------------------------------------
+        prep = self.trainer.prep
+        for local_indices in prep.schedule(max_batches):
+            yield prep.prepare_train(local_indices)
 
     def epoch(self, max_batches: Optional[int] = None) -> Iterator[PreparedBatch]:
         """Yield the prepared batches of one training epoch."""
-        pooled = self._pooled_epoch(max_batches)
-        if pooled is not None:
-            return pooled
         return self._sync_epoch(max_batches)
-
-    def begin_epoch(self) -> None:
-        """Prepare for a new epoch.
-
-        The trainer calls this *before* resetting the finder/timers so an
-        engine can quiesce any leftover background work from an abandoned
-        epoch first (see :meth:`PrefetchBatchEngine.begin_epoch`).
-        """
-
-    def collect_timings(self) -> None:
-        """Fold any engine-side phase timings into the trainer's timer."""
-
-    def shutdown(self) -> None:
-        """Release engine resources (no-op for stateless engines)."""
-
-
-class SyncBatchEngine(BatchEngine):
-    """Reference engine: batch generation inside the training loop.
-
-    Identical to the base class; the explicit subclass exists so
-    ``config.batch_engine = "sync"`` resolves to a concrete named type and
-    the other engines can be asserted bitwise-identical against it.
-    """
-
-
-class PrefetchBatchEngine(BatchEngine):
-    """Producer/consumer engine with a bounded queue and a background thread.
-
-    The producer generates batches strictly in training order, so every RNG
-    draw and cache access happens in the same sequence as under ``sync`` —
-    only *when* they happen changes, which is what buys the NF/FS ↔ PP
-    overlap.  Phase times measured inside the producer are recorded in a
-    private timer and merged into the trainer's timer at the epoch boundary,
-    keeping the paper's NF/FS/AS breakdown accurate.
-
-    The queue depth comes from ``config.prefetch_depth`` (>= 1, validated at
-    config-parse time): how many prepared batches the producer may run ahead
-    of the consumer, bounding both staleness and memory.
-    """
-
-    mode = "prefetch"
-
-    #: seconds between stop-flag checks while blocked on the bounded queue.
-    _POLL_INTERVAL = 0.05
-
-    def __init__(self, trainer: "TaserTrainer") -> None:
-        super().__init__(trainer)
-        self.depth = trainer.config.prefetch_depth
-        self._aux_timer = Timer()
-        self._thread: Optional[threading.Thread] = None
-
-    # -- producer side -------------------------------------------------------------
-
-    def _prepare_ahead(self, local_indices: np.ndarray) -> PreparedBatch:
-        return self.trainer.prep.prepare_ahead(local_indices, self.capability,
-                                               timer=self._aux_timer)
-
-    def _offer(self, queue: Queue, item, stop: threading.Event) -> bool:
-        """Blocking put that aborts promptly once the consumer signals stop."""
-        while not stop.is_set():
-            try:
-                queue.put(item, timeout=self._POLL_INTERVAL)
-                return True
-            except Full:
-                continue
-        return False
-
-    # -- interface ------------------------------------------------------------------
-
-    def epoch(self, max_batches: Optional[int] = None) -> Iterator[PreparedBatch]:
-        pooled = self._pooled_epoch(max_batches)
-        if pooled is not None:
-            return pooled
-        if self.capability == "none":
-            return self._sync_epoch(max_batches)
-        return self._pipelined_epoch(max_batches)
-
-    def _reap_producer(self) -> None:
-        """Wait for any previous epoch's producer to fully exit.
-
-        An abandoned epoch (consumer exception) signals its producer to stop
-        and drains the queue, but only waits a bounded time for the join.  A
-        producer mid-way through a slow batch generation may outlive that
-        wait; starting a new epoch while it still runs would interleave two
-        threads on the finder/negative-sampler RNG streams and break the
-        determinism contract.  The stop flag is already set and the queue
-        drained, so the straggler exits right after its current batch — this
-        join is bounded by one batch's generation time.
-        """
-        thread = self._thread
-        if thread is not None and thread.is_alive():
-            thread.join()
-
-    def begin_epoch(self) -> None:
-        """Quiesce any straggler producer *before* the trainer resets state.
-
-        The trainer resets the (possibly stateful) finder and its timers at
-        the top of ``train_epoch``; a producer surviving from an abandoned
-        epoch could otherwise race those resets with its in-flight
-        ``finder.sample`` and leak its phase timings into the new epoch.
-        """
-        self._reap_producer()
-        # An abandoned epoch never collected its aux timings — they belong to
-        # no reported epoch, so drop them rather than pollute the next one.
-        self._aux_timer.reset()
-
-    def _pipelined_epoch(self, max_batches: Optional[int]) -> Iterator[PreparedBatch]:
-        self._reap_producer()
-        queue: Queue = Queue(maxsize=self.depth)
-        stop = threading.Event()
-        failure: List[BaseException] = []
-
-        def produce() -> None:
-            try:
-                for local_indices in self._schedule(max_batches):
-                    if stop.is_set():
-                        return
-                    item = self._prepare_ahead(local_indices)
-                    if not self._offer(queue, item, stop):
-                        return
-            except BaseException as exc:  # propagate into the consumer
-                failure.append(exc)
-            finally:
-                self._offer(queue, _DONE, stop)
-
-        thread = threading.Thread(target=produce, name="minibatch-prefetch",
-                                  daemon=True)
-        self._thread = thread
-        thread.start()
-        try:
-            while True:
-                item = queue.get()
-                if item is _DONE:
-                    if failure:
-                        raise failure[0]
-                    break
-                yield item
-        finally:
-            # Consumer is done (normally or via an exception): wake a producer
-            # blocked on the bounded queue and wait for it to exit.
-            stop.set()
-            while True:
-                try:
-                    queue.get_nowait()
-                except Empty:
-                    break
-            thread.join(timeout=10.0)
-
-    def collect_timings(self) -> None:
-        self.trainer.timer.merge(self._aux_timer)
-        self._aux_timer.reset()
-
-    def shutdown(self) -> None:
-        self._reap_producer()
-        self._thread = None
-
-    @property
-    def producer_alive(self) -> bool:
-        """Whether the last epoch's producer thread is still running."""
-        return self._thread is not None and self._thread.is_alive()
 
 
 class AOTBatchEngine(BatchEngine):
-    """Ahead-of-time engine: plan the whole epoch's sampling before training.
+    """Ahead-of-time engine: plan a chunk of batches before training on them.
 
-    Under the deterministic ``recent`` policy the plan is *vectorised*: the
-    root queries of every batch are concatenated and each hop's neighbor
-    finding runs as one batched pass over the T-CSR, with feature slicing
-    batched the same way.  Per-batch results are then cut back out of the
-    concatenated arrays (batch blocks stay contiguous through the frontier
-    expansion, so each cut is a plain row slice).
-
-    Under a stochastic policy the plan replays the per-batch generator calls
-    in exact training order before the epoch starts — still ahead of time and
-    still bitwise-identical, just without the vectorisation win.
+    The root queries of the chunk's batches are concatenated and each hop's
+    neighbor finding runs as one batched pass over the T-CSR, with feature
+    slicing batched the same way.  Per-batch results are then cut back out
+    of the concatenated arrays (batch blocks stay contiguous through the
+    frontier expansion, so each cut is a plain row slice).
 
     Memory is bounded by planning in chunks of :attr:`plan_chunk` batches:
     only one chunk's prepared batches (with their sliced feature arrays) are
     held at a time, so epoch length does not change the engine's footprint.
-    Chunking does not affect determinism — every RNG draw still happens in
+    Chunking does not affect determinism — negatives are still drawn in
     strict batch order — and a chunk of 16 full-size batches keeps the
     vectorised kernels operating on thousands of rows.
     """
@@ -389,23 +152,21 @@ class AOTBatchEngine(BatchEngine):
 
     @property
     def vectorised(self) -> bool:
-        """Whether the plan runs as one-pass vectorised kernels."""
+        """Whether this configuration has a plan at all."""
         return self._plan_finder is not None
 
+    @property
+    def effective_mode(self) -> str:
+        return "aot" if self.vectorised else "sync"
+
     def epoch(self, max_batches: Optional[int] = None) -> Iterator[PreparedBatch]:
-        pooled = self._pooled_epoch(max_batches)
-        if pooled is not None:
-            # The pool runtime supersedes the vectorised plan: batches come
-            # from worker threads under the keyed-draw protocol instead.
-            return pooled
-        if self.capability == "none":
+        if not self.vectorised:
             return self._sync_epoch(max_batches)
         return self._planned_epoch(max_batches)
 
-    # -- planning ---------------------------------------------------------------------
-
     def _planned_epoch(self, max_batches: Optional[int]) -> Iterator[PreparedBatch]:
-        schedule = self._schedule(max_batches)
+        prep = self.trainer.prep
+        schedule = prep.schedule(max_batches)
         while True:
             chunk: List[np.ndarray] = []
             for local_indices in schedule:
@@ -414,34 +175,18 @@ class AOTBatchEngine(BatchEngine):
                     break
             if not chunk:
                 return
-            for item in self._build_plan(chunk):
-                yield item
-
-    def _build_plan(self, chunk: List[np.ndarray]) -> List[PreparedBatch]:
-        # Negatives are drawn batch-by-batch in schedule order: the same RNG
-        # sequence the sync engine consumes.
-        prep = self.trainer.prep
-        prepared = [prep.assemble_train(ix) for ix in chunk]
-        if self.vectorised:
-            # One batched NF pass + one deduplicated fused gather per hop for
-            # the whole chunk: ids repeated across the chunk's batches
-            # collapse to a single gathered row.
-            prep.plan_chunk(prepared, self.capability, self._plan_finder,
-                            timer=self.trainer.timer)
-        else:
-            for item in prepared:
-                prep.complete_ahead(item, self.capability,
-                                    timer=self.trainer.timer)
-        return prepared
+            # Negatives are drawn batch-by-batch in schedule order: the same
+            # RNG sequence the sync engine consumes.
+            prepared = [prep.assemble_train(ix) for ix in chunk]
+            prep.plan_chunk(prepared, self.capability, self._plan_finder)
+            yield from prepared
 
 
 def make_engine(trainer: "TaserTrainer", mode: Optional[str] = None) -> BatchEngine:
     """Build the batch engine selected by ``trainer.config.batch_engine``."""
     mode = mode if mode is not None else trainer.config.batch_engine
     if mode == "sync":
-        return SyncBatchEngine(trainer)
-    if mode == "prefetch":
-        return PrefetchBatchEngine(trainer)
+        return BatchEngine(trainer)
     if mode == "aot":
         return AOTBatchEngine(trainer)
     raise ValueError(f"unknown batch engine {mode!r}; choose from {ENGINE_MODES}")

@@ -49,14 +49,12 @@ Contracts
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 import numpy as np
 
 from ..sampling.base import NeighborBatch
 from ..sampling.recursive import flatten_frontier
-from ..utils.rng import keyed_rng
-from ..utils.timer import Timer
 from .pipeline import CandidateSlice, MiniBatchGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,21 +64,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["PreparedBatch", "PrepPipeline"]
 
-#: RNG sub-stream domains of the keyed (pipeline-parallel) draw protocol.
-#: Keys are ``SeedSequence([component seed, domain, graph version, batch
-#: ordinal, ...])`` so every stochastic prep stage is a pure function of the
-#: batch identity — independent of worker thread, execution order and pool
-#: size (see :mod:`repro.core.prep_pool`).
-_DRAW_NF = 1
-_DRAW_NEG = 2
-
-
 @dataclass
 class PreparedBatch:
     """One batch with everything the prep runtime generated for it.
 
-    ``minibatch`` is set once the full multi-hop batch is built; the batch
-    engines may instead carry only the hop-1 candidate stage
+    ``minibatch`` is set once the full multi-hop batch is built; the AOT
+    engine may instead carry only the hop-1 candidate stage
     (``first_hop``/``root_feat``) when deeper stages depend on trainable
     state and must run in the consumer (see
     :func:`~repro.core.prefetcher.plan_capability`).
@@ -110,10 +99,6 @@ class PreparedBatch:
     #: precomputed root features (only meaningful when ``first_hop`` is set;
     #: None is a valid value for graphs without node features).
     root_feat: Optional[np.ndarray] = None
-    #: keyed-draw identity ``(graph version, batch ordinal)`` under the
-    #: pipeline-parallel prep runtime; None selects the legacy sequential
-    #: RNG streams (bitwise-identical to every pre-pool release).
-    draw_key: Optional[Tuple[int, int]] = None
 
 
 class PrepPipeline:
@@ -166,20 +151,12 @@ class PrepPipeline:
 
     # -- root-query assembly -----------------------------------------------------
 
-    def assemble_train(self, local_indices: np.ndarray,
-                       draw_key: Optional[Tuple[int, int]] = None
-                       ) -> PreparedBatch:
+    def assemble_train(self, local_indices: np.ndarray) -> PreparedBatch:
         """Root-query assembly of one training batch, in the sync order.
 
         Looks up the scheduled positives in the split, draws one negative
         destination per positive (the only RNG this stage consumes), and
         lays the roots out as ``[src; dst; negatives]``.
-
-        ``draw_key`` switches the negative draw (and, through
-        :meth:`complete_ahead`/:meth:`finish`, the neighbor-finder draws) to
-        the keyed protocol: a generator derived purely from
-        ``(sampler seed, domain, *draw_key)``, so the batch can be prepared
-        on any worker thread in any order with a bitwise-identical result.
         """
         if self.graph is None or self.split is None:
             raise ValueError("this PrepPipeline has no graph/split: it can "
@@ -190,16 +167,11 @@ class PrepPipeline:
         dst = graph.dst[global_idx]
         ts = graph.ts[global_idx]
         b = int(global_idx.size)
-        if draw_key is None:
-            negatives = self.negative_sampler.sample(b, exclude=dst)
-        else:
-            rng = keyed_rng(self.negative_sampler.seed, _DRAW_NEG, *draw_key)
-            negatives = self.negative_sampler.sample(b, exclude=dst, rng=rng)
+        negatives = self.negative_sampler.sample(b, exclude=dst)
         roots = np.concatenate([src, dst, negatives])
         times = np.concatenate([ts, ts, ts])
         return PreparedBatch(local_indices=local_indices, num_positives=b,
-                             negatives=negatives, roots=roots, times=times,
-                             draw_key=draw_key)
+                             negatives=negatives, roots=roots, times=times)
 
     def assemble_eval(self, src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
                       negatives: np.ndarray) -> PreparedBatch:
@@ -227,92 +199,35 @@ class PrepPipeline:
 
     # -- stages: candidates -> gather -> encode -> assemble ----------------------
 
-    def _nf_rngs(self, draw_key: Tuple[int, int], hops: int) -> List:
-        """One keyed generator per neighbor-finder ``sample`` call of a batch."""
-        finder = self.generator.finder
-        return [keyed_rng(finder.seed, _DRAW_NF, *draw_key, hop)
-                for hop in range(hops)]
-
-    def finish(self, prepared: PreparedBatch, train: bool = True,
-               timer: Optional[Timer] = None) -> PreparedBatch:
+    def finish(self, prepared: PreparedBatch, train: bool = True) -> PreparedBatch:
         """Run the remaining stages until ``prepared.minibatch`` is built.
 
-        Honours whatever was generated ahead of time: a precomputed hop-1
+        Honours whatever was planned ahead of time: a precomputed hop-1
         candidate stage (``first_hop``/``root_feat``) is consumed instead of
         re-running NF/FS, and an already-built mini-batch passes through
         untouched — so the same entry point serves the synchronous path and
-        the consumer half of the pipelined engines.
-
-        Batches carrying a ``draw_key`` run their neighbor-finder stages
-        under pre-drawn keyed generators (one per hop); batches whose hop-1
-        stage was already consumed ahead of time never draw again (deeper
-        hops only exist ahead-of-order under the deterministic ``recent``
-        policy — see :func:`~repro.core.prefetcher.plan_capability`).
+        the consumer half of the AOT engine.
         """
         if prepared.minibatch is None:
-            if prepared.draw_key is not None and prepared.first_hop is None:
-                finder = self.generator.finder
-                with finder.pre_drawn(self._nf_rngs(prepared.draw_key,
-                                                    self.generator.num_layers)):
-                    prepared.minibatch = self.generator.build(
-                        prepared.roots, prepared.times, train=train,
-                        root_feat=prepared.root_feat, timer=timer)
-            else:
-                prepared.minibatch = self.generator.build(
-                    prepared.roots, prepared.times, train=train,
-                    first_hop=prepared.first_hop, root_feat=prepared.root_feat,
-                    timer=timer)
+            prepared.minibatch = self.generator.build(
+                prepared.roots, prepared.times, train=train,
+                first_hop=prepared.first_hop, root_feat=prepared.root_feat)
         return prepared
 
-    def prepare_train(self, local_indices: np.ndarray,
-                      timer: Optional[Timer] = None) -> PreparedBatch:
+    def prepare_train(self, local_indices: np.ndarray) -> PreparedBatch:
         """Fully prepare one training batch (the synchronous reference path)."""
-        return self.finish(self.assemble_train(local_indices), train=True,
-                           timer=timer)
+        return self.finish(self.assemble_train(local_indices), train=True)
 
     def prepare_eval(self, src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
-                     negatives: np.ndarray,
-                     timer: Optional[Timer] = None) -> PreparedBatch:
+                     negatives: np.ndarray) -> PreparedBatch:
         """Fully prepare one evaluation batch (offline or prequential MRR)."""
         return self.finish(self.assemble_eval(src, dst, ts, negatives),
-                           train=False, timer=timer)
-
-    # -- ahead-of-order preparation (prefetch / AOT engines) ---------------------
-
-    def complete_ahead(self, prepared: PreparedBatch, capability: str,
-                       timer: Optional[Timer] = None) -> PreparedBatch:
-        """Run every stage that is safe ahead of the training loop.
-
-        Capability ``full`` builds the whole mini-batch; ``first_hop`` stops
-        after the state-free hop-1 candidate stage (NF + FS) and leaves the
-        adaptive selection and deeper hops to :meth:`finish` in the consumer.
-        """
-        if capability == "full":
-            return self.finish(prepared, train=True, timer=timer)
-        prepared.root_feat = self.generator.slice_root_features(
-            prepared.roots, timer=timer)
-        if prepared.draw_key is not None:
-            with self.generator.finder.pre_drawn(
-                    self._nf_rngs(prepared.draw_key, 1)):
-                prepared.first_hop = self.generator.layer_candidates(
-                    prepared.roots, prepared.times, timer=timer)
-        else:
-            prepared.first_hop = self.generator.layer_candidates(
-                prepared.roots, prepared.times, timer=timer)
-        return prepared
-
-    def prepare_ahead(self, local_indices: np.ndarray, capability: str,
-                      timer: Optional[Timer] = None,
-                      draw_key: Optional[Tuple[int, int]] = None
-                      ) -> PreparedBatch:
-        """Assemble + :meth:`complete_ahead` (the prefetch producer's path)."""
-        return self.complete_ahead(self.assemble_train(local_indices, draw_key),
-                                   capability, timer=timer)
+                           train=False)
 
     # -- vectorised chunk planning (AOT engine) ----------------------------------
 
     def plan_chunk(self, prepared: List[PreparedBatch], capability: str,
-                   plan_finder, timer: Optional[Timer] = None) -> None:
+                   plan_finder) -> None:
         """Vectorise the candidate/gather stages over a chunk of batches.
 
         The chunk's root queries are concatenated and each hop's neighbor
@@ -329,7 +244,7 @@ class PrepPipeline:
 
         generator = self.generator
         store = generator.feature_store
-        timer = timer if timer is not None else generator.timer
+        timer = generator.timer
         budget = generator._candidate_budget()
         num_layers = generator.num_layers if capability == "full" else 1
         sizes = [item.roots.size for item in prepared]

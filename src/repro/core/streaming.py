@@ -24,16 +24,14 @@ that workload:
        :class:`~repro.graph.StreamingTCSR` (amortized O(chunk), no rebuild),
        and the device feature cache's edge universe grows with it;
     3. **sliding-window training**: one (or more) passes over the most recent
-       ``window_events`` events through the existing mini-batch engine
-       (``sync`` or ``prefetch`` — the engine is rebuilt per window against
-       the fresh T-CSR snapshot, model/optimiser state persists throughout).
+       ``window_events`` events through the synchronous mini-batch engine
+       (rebuilt per window against the fresh T-CSR snapshot; model/optimiser
+       state persists throughout).
 
 Determinism: under a fixed seed the whole trajectory — prequential MRR per
-chunk and per-batch training losses — is reproducible, and identical between
-the ``sync`` and ``prefetch`` engines (the batch engines' bitwise-determinism
-contract extends to the streaming loop).  The graph-state invariant is that
-the incrementally maintained T-CSR stays bitwise-identical to a batch rebuild
-over the same events; see ``docs/ARCHITECTURE.md``.
+chunk and per-batch training losses — is reproducible.  The graph-state
+invariant is that the incrementally maintained T-CSR stays bitwise-identical
+to a batch rebuild over the same events; see ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -283,8 +281,8 @@ class StreamingTrainer(TaserTrainer):
 
     * ``adaptive_minibatch`` must be off — importance scores are keyed to a
       fixed training set and are meaningless over a sliding window;
-    * ``batch_engine`` must be ``sync`` or ``prefetch`` — an ahead-of-time
-      plan of a window that is invalidated by the next chunk buys nothing.
+    * ``batch_engine`` must be ``sync`` — an ahead-of-time plan of a window
+      that is invalidated by the next chunk buys nothing.
     """
 
     def __init__(self, warmup_graph: TemporalGraph,
@@ -297,9 +295,9 @@ class StreamingTrainer(TaserTrainer):
                 "streaming requires adaptive_minibatch=False: importance "
                 "scores are keyed to a fixed training set and cannot follow "
                 "a sliding window (use variant 'baseline' or 'ada-neighbor')")
-        if config.batch_engine not in ("sync", "prefetch"):
+        if config.batch_engine != "sync":
             raise ValueError(
-                f"streaming supports batch_engine 'sync' or 'prefetch', got "
+                f"streaming supports batch_engine 'sync' only, got "
                 f"{config.batch_engine!r}: an ahead-of-time plan is "
                 "invalidated by every ingested chunk")
         if window_events <= 0:
@@ -394,7 +392,6 @@ class StreamingTrainer(TaserTrainer):
                                        self.generator, self.negative_sampler,
                                        graph=self.graph, split=self.split,
                                        selector=self.selector)
-        self.engine.shutdown()
         self.engine = make_engine(self)
 
     def step(self, chunk: EventChunk, train_passes: int = 1) -> StreamStats:

@@ -42,7 +42,6 @@ from .pipeline import MiniBatchGenerator
 from .prefetcher import make_engine
 from .prep import PreparedBatch
 from .prep_backend import make_prep_pipeline
-from .prep_pool import make_prep_runner
 from .sample_loss import build_sample_loss
 
 __all__ = ["EpochStats", "TrainStep", "TrainResult", "TaserTrainer"]
@@ -78,17 +77,6 @@ class EpochStats:
     workspace_allocations_saved: int = 0
     #: bytes of those avoided allocations.
     workspace_bytes_saved: int = 0
-    #: seconds of batch preparation executed on prep-pool worker threads
-    #: this epoch, i.e. prep that overlapped training compute (0.0 when the
-    #: pipeline-parallel prep runtime is off or inline).
-    prep_overlap_seconds: float = 0.0
-    #: cross-epoch prep-plan cache hit rate of this epoch's batches (0.0
-    #: when the plan cache is off).
-    plan_cache_hit_rate: float = 0.0
-    #: mean fraction of the epoch the pool's workers spent busy.
-    pool_occupancy: float = 0.0
-    #: prep-pool worker threads in effect this epoch (0 = inline/off).
-    prep_pool_workers: int = 0
 
     @property
     def total_runtime(self) -> float:
@@ -231,17 +219,13 @@ class TaserTrainer:
 
         self.negative_sampler = NegativeSampler(self.graph, seed=cfg.seed + 17)
 
-        # --- shared prep runtime + mini-batch engine (sync | prefetch | aot) --------------
+        # --- shared prep runtime + mini-batch engine (sync | aot) -------------------------
         # The prep pipeline is the single producer of PreparedBatch for every
         # execution path (engines, evaluation, streaming, sharded replicas).
         self.prep = make_prep_pipeline(cfg.resolved_prep_backend,
                                        self.generator, self.negative_sampler,
                                        graph=self.graph, split=self.split,
                                        selector=self.selector)
-        # Pipeline-parallel prep runtime (worker pool + cross-epoch plan
-        # cache); None unless requested via config/env, in which case every
-        # engine routes its epochs through it (see repro.core.prep_pool).
-        self.prep_runner = make_prep_runner(self)
         self.engine = make_engine(self)
 
         self.history: List[EpochStats] = []
@@ -363,9 +347,6 @@ class TaserTrainer:
 
     def train_epoch(self) -> EpochStats:
         """Run one training epoch and return its statistics."""
-        # Quiesce any engine background work from an abandoned epoch before
-        # touching shared state (finder pointers, timers, cache stats).
-        self.engine.begin_epoch()
         self.backbone.train()
         self.predictor.train()
         if self.sampler is not None:
@@ -381,9 +362,6 @@ class TaserTrainer:
             stats = self._train_prepared(prepared)
             losses.append(stats["model_loss"])
             sample_losses.append(stats["sample_loss"])
-        # Fold phase timings measured inside a producer thread back into the
-        # epoch's NF/FS/AS breakdown.
-        self.engine.collect_timings()
 
         # Epoch boundary: cache replacement policy + simulated transfer time.
         # "FS" is the total feature-slicing phase (measured gather + modelled
@@ -401,10 +379,6 @@ class TaserTrainer:
                if isinstance(self.selector, AdaptiveMiniBatchSelector)
                else float(self.split.num_train))
         ws_end = self.array_backend.arena_stats(self._workspace)
-        # The pool runtime (when active) published its epoch stats when the
-        # engine's epoch generator finished.
-        pool_stats = (self.prep_runner.last_epoch_stats
-                      if self.prep_runner is not None else {})
         self._epoch += 1
         stats = EpochStats(epoch=self._epoch,
                            model_loss=float(np.mean(losses)) if losses else 0.0,
@@ -422,15 +396,7 @@ class TaserTrainer:
                                ws_end["workspace_reused"] - ws_start["workspace_reused"]),
                            workspace_bytes_saved=int(
                                ws_end["workspace_bytes_reused"]
-                               - ws_start["workspace_bytes_reused"]),
-                           prep_overlap_seconds=float(
-                               pool_stats.get("prep_overlap_seconds", 0.0)),
-                           plan_cache_hit_rate=float(
-                               pool_stats.get("plan_cache_hit_rate", 0.0)),
-                           pool_occupancy=float(
-                               pool_stats.get("pool_occupancy", 0.0)),
-                           prep_pool_workers=int(
-                               pool_stats.get("prep_pool_workers", 0)))
+                               - ws_start["workspace_bytes_reused"]))
         self.history.append(stats)
         return stats
 

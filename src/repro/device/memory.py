@@ -47,12 +47,11 @@ class SliceStats:
     """Cumulative accounting of the feature-slicing path.
 
     Counters are plain fields; *all* mutation of a live store's stats happens
-    under the owning :class:`FeatureStore`'s lock (the prefetch batch engine
-    slices hop-1 features in its producer thread while the consumer slices
-    deeper hops, and the sharded trainer runs one concurrent engine per
-    shard).  Readers that need a consistent multi-field view must go through
-    :meth:`FeatureStore.snapshot` rather than read the live fields, which can
-    tear between two counter updates.
+    under the owning :class:`FeatureStore`'s lock (the program itself slices
+    from one thread per store, but callers may drive a serve engine from a
+    thread pool).  Readers that need a consistent multi-field view must go
+    through :meth:`FeatureStore.snapshot` rather than read the live fields,
+    which can tear between two counter updates.
     """
 
     bytes_from_vram: float = 0.0
@@ -172,13 +171,11 @@ class FeatureStore:
         self.precision = (PrecisionPolicy() if precision is None
                           else PrecisionPolicy.coerce(precision))
         self.stats = SliceStats()
-        # Guards stats/cache accounting: the prefetch batch engine may slice
-        # hop-1 features in its producer thread while the consumer slices a
-        # deeper hop.  Accumulated counts are order-insensitive sums, so the
-        # lock is all that is needed for deterministic accounting.  Every
-        # mutation of ``stats`` — including reset and epoch rollover, which an
-        # abandoned epoch's straggler producer could otherwise race — must
-        # hold this lock; consistent reads go through :meth:`snapshot`.
+        # Guards stats/cache accounting.  Accumulated counts are
+        # order-insensitive sums, so the lock is all that is needed for
+        # deterministic accounting.  Every mutation of ``stats`` — including
+        # reset and epoch rollover — must hold this lock; consistent reads go
+        # through :meth:`snapshot`.
         self._lock = threading.Lock()
         # Lossy tiers: fit once on today's features, freeze, encode.  The
         # fp32 tier has no side table at all — it gathers straight from the

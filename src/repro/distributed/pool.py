@@ -119,8 +119,7 @@ class _WorkerThread(threading.Thread):
 
     One *persistent* thread per worker (rather than an executor) pins every
     worker's entire lifetime to a single thread, which keeps any
-    thread-local state (and the prefetch engine's producer handshake)
-    per-shard.
+    thread-local state per-shard.
     """
 
     def __init__(self, index: int, task: ShardTask) -> None:

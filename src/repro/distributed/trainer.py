@@ -5,7 +5,7 @@
 :class:`~repro.graph.sharding.TemporalShardPlan` splits the event log into
 ``W`` shards; each worker owns a full single-worker training stack over its
 shard (T-CSR view, neighbor finder, feature store with its slice of the
-global cache budget, sync/prefetch/aot batch engine) plus a model *replica*.
+global cache budget, sync/aot batch engine) plus a model *replica*.
 Per global step the trainer runs the lock-step protocol:
 
 1. every worker generates its shard's next mini-batch and runs forward +
@@ -220,15 +220,6 @@ class ShardedTrainer:
                 s["workspace_allocations_saved"] for s in summaries)),
             workspace_bytes_saved=int(sum(
                 s["workspace_bytes_saved"] for s in summaries)),
-            # Pool runtime: overlap sums across shards; rates average.
-            prep_overlap_seconds=float(sum(
-                s.get("prep_overlap_seconds", 0.0) for s in summaries)),
-            plan_cache_hit_rate=float(np.mean(
-                [s.get("plan_cache_hit_rate", 0.0) for s in summaries])),
-            pool_occupancy=float(np.mean(
-                [s.get("pool_occupancy", 0.0) for s in summaries])),
-            prep_pool_workers=int(max(
-                s.get("prep_pool_workers", 0) for s in summaries)),
             per_shard=summaries,
             sync_seconds=sync_seconds,
             global_steps=steps,

@@ -10,7 +10,7 @@ path, including its deduplicated fused gather), batch engine and model
 split step protocol:
 
 1. :meth:`model_backward`  — generate the shard's next mini-batch (through
-   the shard's own sync/prefetch/aot engine) and run forward + backward,
+   the shard's own sync/aot engine) and run forward + backward,
    leaving gradients in place;
 2. :meth:`apply_model`     — overwrite the replica's gradients with the
    globally averaged ones, clip, step, run the shard-local selector update,
@@ -122,7 +122,6 @@ class ShardWorker:
     def begin_epoch(self, max_batches: Optional[int] = None) -> None:
         """Mirror of ``TaserTrainer.train_epoch``'s prologue, minus the loop."""
         t = self.trainer
-        t.engine.begin_epoch()
         t.backbone.train()
         t.predictor.train()
         if t.sampler is not None:
@@ -297,10 +296,9 @@ class ShardWorker:
         single-worker epoch loop does.  This matters for bitwise fidelity:
         when ``max_batches`` truncates the schedule, the engine pulls one
         more entry from the selector's generator before breaking (an RNG
-        draw for the adaptive selector), and the prefetch engine consumes
-        its end-of-epoch sentinel and joins the producer.  The sharded
-        trainer sizes the epoch so no trained batch remains, making this a
-        state-finalising no-op pull in normal operation.
+        draw for the adaptive selector).  The sharded trainer sizes the
+        epoch so no trained batch remains, making this a state-finalising
+        no-op pull in normal operation.
         """
         t = self.trainer
         if self._batches is not None:
@@ -308,7 +306,6 @@ class ShardWorker:
                 pass
         self._batches = None
         self._step = None
-        t.engine.collect_timings()
         runtime = t.timer.totals()
         slice_stats = t.feature_store.snapshot()
         runtime["FS_transfer"] = slice_stats.simulated_seconds
@@ -319,8 +316,6 @@ class ShardWorker:
                if isinstance(t.selector, AdaptiveMiniBatchSelector)
                else float(t.split.num_train))
         ws_end = t.array_backend.arena_stats(t._workspace)
-        pool_stats = (t.prep_runner.last_epoch_stats
-                      if t.prep_runner is not None else {})
         return {
             "shard": self.task.shard_index,
             "losses": list(self._losses),
@@ -340,13 +335,6 @@ class ShardWorker:
             "workspace_bytes_saved": int(
                 ws_end["workspace_bytes_reused"]
                 - self._ws_start["workspace_bytes_reused"]),
-            "prep_overlap_seconds": float(
-                pool_stats.get("prep_overlap_seconds", 0.0)),
-            "plan_cache_hit_rate": float(
-                pool_stats.get("plan_cache_hit_rate", 0.0)),
-            "pool_occupancy": float(pool_stats.get("pool_occupancy", 0.0)),
-            "prep_pool_workers": int(
-                pool_stats.get("prep_pool_workers", 0)),
             "pack_seconds": float(self._pack_seconds),
         }
 
@@ -364,4 +352,3 @@ class ShardWorker:
         if self._comms is not None:
             self._comms.close()
             self._comms = None
-        self.trainer.engine.shutdown()

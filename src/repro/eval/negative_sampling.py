@@ -38,27 +38,18 @@ class NegativeSampler:
         self.pool = destination_pool(graph)
         if self.pool.size < 2:
             raise ValueError("destination pool too small for negative sampling")
-        self.seed = seed
         self.rng = new_rng(seed)
 
-    def sample(self, size: int, exclude: Optional[np.ndarray] = None,
-               rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Draw ``size`` destinations; ``exclude[i]`` is resampled away if hit.
-
-        ``rng`` overrides the sampler's sequential stream with a caller-keyed
-        generator — the pipeline-parallel prep runtime passes a per-batch
-        generator so negative draws are a pure function of the batch identity
-        rather than of execution order.
-        """
-        rng = self.rng if rng is None else rng
-        draws = rng.choice(self.pool, size=size, replace=True)
+    def sample(self, size: int, exclude: Optional[np.ndarray] = None) -> np.ndarray:
+        """Draw ``size`` destinations; ``exclude[i]`` is resampled away if hit."""
+        draws = self.rng.choice(self.pool, size=size, replace=True)
         if exclude is not None:
             exclude = np.asarray(exclude, dtype=np.int64)
             for _ in range(10):
                 clash = draws == exclude
                 if not clash.any():
                     break
-                draws[clash] = rng.choice(self.pool, size=int(clash.sum()), replace=True)
+                draws[clash] = self.rng.choice(self.pool, size=int(clash.sum()), replace=True)
         return draws
 
     def sample_matrix(self, batch: int, per_positive: int,

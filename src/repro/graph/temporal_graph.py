@@ -49,12 +49,6 @@ class TemporalGraph:
     # -- validation -------------------------------------------------------------
 
     def __post_init__(self) -> None:
-        # Monotone content-version counter: bumped by every successful
-        # append_events so prep-plan caches keyed on (batch, version) are
-        # invalidated exactly when the event stream grows.  A plain attribute
-        # rather than a dataclass field so positional construction and
-        # select_events copies are unaffected.
-        self.version = 0
         self.src = np.ascontiguousarray(self.src, dtype=np.int64)
         self.dst = np.ascontiguousarray(self.dst, dtype=np.int64)
         self.ts = np.ascontiguousarray(self.ts, dtype=np.float64)
@@ -173,7 +167,6 @@ class TemporalGraph:
         if edge_feat is not None:
             self._buf_edge_feat[n:n + k] = edge_feat
             self.edge_feat = self._buf_edge_feat[:n + k]
-        self.version += 1
         return self
 
     def _ensure_event_capacity(self, total: int) -> None:

@@ -9,10 +9,7 @@ aggregators and the adaptive sampler consume directly.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -179,44 +176,7 @@ class NeighborFinder:
             raise ValueError(f"unknown sampling policy {policy!r}")
         self.tcsr = tcsr
         self.policy = policy
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
-        self._predraw_tls = threading.local()
-
-    @contextmanager
-    def pre_drawn(self, rngs: Iterable[np.random.Generator]) -> Iterator[None]:
-        """Serve the next ``sample`` calls from pre-drawn per-batch generators.
-
-        The pipeline-parallel prep runtime keys one generator per
-        ``(batch, hop)`` on the submit side (see :func:`repro.utils.rng.keyed_rng`)
-        and wraps the prep stages in this context, so stochastic draws no
-        longer depend on which worker thread runs the batch or in what order —
-        the property that keeps pooled prep bitwise-identical to synchronous
-        execution.  The queue is **thread-local**: concurrent workers each see
-        only their own pre-drawn states, never the shared ``self.rng``.
-
-        Raises ``RuntimeError`` if more stochastic ``sample`` calls happen
-        inside the context than generators were provided — a silent fallback
-        to the shared stream would break determinism undetectably.
-        """
-        tls = self._predraw_tls
-        prev = getattr(tls, "queue", None)
-        tls.queue = list(rngs)
-        try:
-            yield
-        finally:
-            tls.queue = prev
-
-    def _sample_rng(self) -> np.random.Generator:
-        """RNG for the current ``sample`` call: pre-drawn if inside ``pre_drawn``."""
-        queue = getattr(self._predraw_tls, "queue", None)
-        if queue is None:
-            return self.rng
-        if not queue:
-            raise RuntimeError(
-                "pre_drawn() ran out of generators: more stochastic sample() "
-                "calls than pre-drawn states were provided")
-        return queue.pop(0)
 
     def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int) -> NeighborBatch:
         """Sample up to ``budget`` past neighbors for each ``(node, time)`` query.

@@ -36,7 +36,6 @@ class OriginalNeighborFinder(NeighborFinder):
         out_mask = np.zeros((b, budget), dtype=bool)
 
         tcsr = self.tcsr
-        rng = self.rng if self.policy == "recent" else self._sample_rng()
         for i in range(b):
             v = int(nodes[i])
             t = float(times[i])
@@ -58,7 +57,7 @@ class OriginalNeighborFinder(NeighborFinder):
                 if pivot <= budget:
                     sel = np.arange(pivot)
                 else:
-                    sel = rng.choice(pivot, size=budget, replace=False)
+                    sel = self.rng.choice(pivot, size=budget, replace=False)
             else:  # inverse_timespan
                 take = min(budget, pivot)
                 delta = t - seg_ts[:pivot]
@@ -67,7 +66,7 @@ class OriginalNeighborFinder(NeighborFinder):
                 if pivot <= budget:
                     sel = np.arange(pivot)
                 else:
-                    sel = rng.choice(pivot, size=budget, replace=False, p=weights)
+                    sel = self.rng.choice(pivot, size=budget, replace=False, p=weights)
             take = sel.shape[0]
             abs_idx = lo + sel
             out_nodes[i, :take] = tcsr.indices[abs_idx]

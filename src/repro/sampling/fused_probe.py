@@ -36,7 +36,7 @@ gather indices) are checked out of a thread-local
 before the call ends, so steady-state sampling stops allocating them; the
 arrays that escape into the :class:`~repro.sampling.base.NeighborBatch` are
 fresh allocations because prepared batches outlive any safe reset point
-(prefetch queues hold them across training steps).
+(an AOT plan holds a chunk of them across training steps).
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class BatchedProbeFinder(NeighborFinder):
         self.name = f"fused-probe[{base.name}]"
         self.tcsr = base.tcsr
         self.policy = base.policy
-        self.seed = base.seed
         self.rng = base.rng
         self.requires_chronological = base.requires_chronological
         # Only the per-query original finder has a Python probe loop worth
@@ -80,23 +79,12 @@ class BatchedProbeFinder(NeighborFinder):
     def reset(self) -> None:
         self.base.reset()
 
-    # -- pre-drawn RNG protocol -----------------------------------------------
-
-    def pre_drawn(self, rngs):
-        """Delegate to the wrapped finder — the two share one RNG protocol
-        (and one thread-local pre-draw queue), exactly as they share ``rng``,
-        so the prep_backend_equivalence contract holds under the pool too."""
-        return self.base.pre_drawn(rngs)
-
-    def _sample_rng(self) -> np.random.Generator:
-        return self.base._sample_rng()
-
     # -- workspace -------------------------------------------------------------
 
     @property
     def arena(self) -> WorkspaceArena:
-        """This thread's scratch arena (prefetch producer threads sample
-        concurrently with the consumer, so arenas are thread-local)."""
+        """This thread's scratch arena (thread-local, so a finder driven
+        from several threads never shares scratch buffers)."""
         arena = getattr(self._tls, "arena", None)
         if arena is None:
             arena = self._tls.arena = WorkspaceArena()
@@ -118,8 +106,7 @@ class BatchedProbeFinder(NeighborFinder):
         offsets = np.maximum(rel, 0, out=rel)
         return offsets, mask, rel
 
-    def _uniform_offsets(self, counts: np.ndarray, budget: int,
-                         rng: np.random.Generator):
+    def _uniform_offsets(self, counts: np.ndarray, budget: int):
         """Uniform-without-replacement offsets, replaying the per-row draws.
 
         Rows with ``counts <= budget`` take ``arange(counts)`` (no RNG, fully
@@ -132,14 +119,13 @@ class BatchedProbeFinder(NeighborFinder):
         np.copyto(offsets, np.arange(budget, dtype=_I64)[None, :])
         mask = offsets < counts[:, None]
         for i in np.nonzero(counts > budget)[0]:
-            offsets[i] = rng.choice(int(counts[i]), size=budget,
-                                    replace=False)
+            offsets[i] = self.rng.choice(int(counts[i]), size=budget,
+                                         replace=False)
             mask[i] = True
         return offsets, mask, offsets
 
     def _inverse_timespan_offsets(self, times: np.ndarray, starts: np.ndarray,
-                                  counts: np.ndarray, budget: int,
-                                  rng: np.random.Generator):
+                                  counts: np.ndarray, budget: int):
         """1/Δt-weighted offsets; weights are per-row, so oversubscribed rows
         keep their per-row draws (same float ops and RNG order as the wrapped
         finder) while everything else stays batched."""
@@ -154,8 +140,8 @@ class BatchedProbeFinder(NeighborFinder):
             delta = float(times[i]) - ts[lo:lo + c]
             weights = 1.0 / np.maximum(delta, 1e-9)
             weights = weights / weights.sum()
-            offsets[i] = rng.choice(c, size=budget, replace=False,
-                                    p=weights)
+            offsets[i] = self.rng.choice(c, size=budget, replace=False,
+                                         p=weights)
             mask[i] = True
         return offsets, mask, offsets
 
@@ -185,11 +171,10 @@ class BatchedProbeFinder(NeighborFinder):
         if self.policy == "recent":
             offsets, mask, scratch = self._recent_offsets(counts, budget)
         elif self.policy == "uniform":
-            offsets, mask, scratch = self._uniform_offsets(
-                counts, budget, self._sample_rng())
+            offsets, mask, scratch = self._uniform_offsets(counts, budget)
         else:  # inverse_timespan
             offsets, mask, scratch = self._inverse_timespan_offsets(
-                times, starts, counts, budget, self._sample_rng())
+                times, starts, counts, budget)
 
         arena = self.arena
         abs_idx = arena.scratch((b, budget), _I64)

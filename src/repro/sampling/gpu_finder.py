@@ -74,8 +74,7 @@ class GPUNeighborFinder(NeighborFinder):
 
     # -- uniform sampling without replacement (bitmap emulation) ----------------------
 
-    def _uniform_without_replacement(self, counts: np.ndarray, budget: int,
-                                     rng: np.random.Generator
+    def _uniform_without_replacement(self, counts: np.ndarray, budget: int
                                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample ``budget`` distinct offsets in ``[0, counts_i)`` per row.
 
@@ -101,7 +100,7 @@ class GPUNeighborFinder(NeighborFinder):
 
         sub_counts = counts[rows]
         selected = np.empty((rows.size, budget), dtype=np.int64)
-        uniforms = rng.random((rows.size, budget))
+        uniforms = self.rng.random((rows.size, budget))
         for step in range(budget):
             upper = sub_counts - budget + step          # inclusive upper bound per row
             draw = (uniforms[:, step] * (upper + 1)).astype(np.int64)
@@ -116,8 +115,7 @@ class GPUNeighborFinder(NeighborFinder):
     # -- weighted (inverse-timespan) sampling -------------------------------------------
 
     def _inverse_timespan(self, nodes: np.ndarray, times: np.ndarray,
-                          pivots: np.ndarray, budget: int,
-                          rng: np.random.Generator
+                          pivots: np.ndarray, budget: int
                           ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row weighted sampling with probability proportional to 1/Δt.
 
@@ -142,7 +140,7 @@ class GPUNeighborFinder(NeighborFinder):
             if c <= budget:
                 sel = np.arange(c)
             else:
-                sel = rng.choice(c, size=budget, replace=False, p=weights)
+                sel = self.rng.choice(c, size=budget, replace=False, p=weights)
             offsets[i, :take] = sel[:take]
             mask[i, :take] = True
         return offsets, mask
@@ -171,11 +169,9 @@ class GPUNeighborFinder(NeighborFinder):
             mask = rel >= 0
             offsets = np.maximum(rel, 0)
         elif self.policy == "uniform":
-            offsets, mask = self._uniform_without_replacement(
-                counts, budget, self._sample_rng())
+            offsets, mask = self._uniform_without_replacement(counts, budget)
         else:
-            offsets, mask = self._inverse_timespan(
-                nodes, times, pivots, budget, self._sample_rng())
+            offsets, mask = self._inverse_timespan(nodes, times, pivots, budget)
 
         abs_idx = starts[:, None] + offsets
         abs_idx = np.where(mask, abs_idx, 0)

@@ -42,16 +42,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..core.pipeline import MiniBatchGenerator
 from ..core.prep_backend import make_prep_pipeline, resolve_prep_backend_name
-from ..core.prep_cache import PrepPlanCache, deep_copy_arrays
 from ..device.costmodel import TransferCostModel
 from ..device.memory import FeatureStore
 from ..device.precision import PrecisionPolicy, resolve_precision_name
@@ -118,10 +116,9 @@ class ServeStats:
     expired: int = 0
     invalid: int = 0
     flushes: int = 0
-    #: number of model forward passes (== number of micro-batches scored).
+    #: number of model forward passes (== number of micro-batches scored,
+    #: so ``served / forward_batches`` is the mean micro-batch size).
     forward_batches: int = 0
-    #: per-micro-batch sizes, for the occupancy metric.
-    batch_sizes: List[int] = field(default_factory=list)
     #: unique (node, t) embeddings computed by the model.
     embeddings_computed: int = 0
     #: endpoint lookups served from the embedding cache.
@@ -196,19 +193,6 @@ class ServeEngine:
         Callable returning monotonically increasing seconds
         (default ``time.perf_counter``; inject :class:`VirtualClock` for
         deterministic deadline handling in replay).
-    prep_cache_mb:
-        Byte budget (MiB) of the serve-side prep-plan cache: repeated
-        micro-batches of the same unique ``(node, t)`` endpoints skip the
-        prep build entirely (content-keyed, invalidated by the graph's
-        version counter at every :meth:`ingest`).  ``None`` resolves
-        ``REPRO_PREP_CACHE_MB`` then 0 (off).  Cache decisions depend only
-        on the query sequence and graph state, so the deterministic replay
-        contract holds with the cache on.
-    prep_pool_workers:
-        Accepted for interface symmetry with training; serving's
-        micro-batch flushes are synchronous single passes whose embedding-
-        cache inserts feed the next chunk, so batch prep is never run on
-        pool threads here (the value is recorded in :meth:`stats` only).
     """
 
     def __init__(self, graph: TemporalGraph, backbone, predictor, *,
@@ -223,9 +207,7 @@ class ServeEngine:
                  staleness_events: Optional[int] = None,
                  staleness_time: Optional[float] = 0.0,
                  cache_nodes: Optional[int] = None, seed: int = 0,
-                 clock: Optional[Callable[[], float]] = None,
-                 prep_cache_mb: Optional[int] = None,
-                 prep_pool_workers: Optional[int] = None) -> None:
+                 clock: Optional[Callable[[], float]] = None) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if queue_depth < 1:
@@ -272,17 +254,6 @@ class ServeEngine:
                 hot_fraction=self.precision.hot_fraction,
                 warm_fraction=self.precision.warm_fraction)
 
-        if prep_cache_mb is None:
-            raw = os.environ.get("REPRO_PREP_CACHE_MB", "").strip()
-            prep_cache_mb = int(raw) if raw else 0
-        if prep_cache_mb < 0:
-            raise ValueError(
-                f"prep_cache_mb must be >= 0, got {prep_cache_mb}")
-        #: serve-side prep-plan cache (0-budget object when off).
-        self.plan_cache = PrepPlanCache(prep_cache_mb * 1024 * 1024)
-        #: recorded for stats symmetry with training; see the class docs.
-        self.prep_pool_workers = int(prep_pool_workers or 0)
-
         self.timer = Timer()
         self.stcsr = StreamingTCSR.from_graph(self.graph)
         self.feature_store = FeatureStore(self.graph, edge_cache=None,
@@ -313,9 +284,7 @@ class ServeEngine:
             finder=cfg.finder, finder_policy=cfg.resolved_finder_policy,
             prep_backend=cfg.resolved_prep_backend,
             array_backend=cfg.resolved_array_backend,
-            precision=cfg.resolved_precision, seed=cfg.seed,
-            prep_cache_mb=cfg.resolved_prep_cache_bytes // (1024 * 1024),
-            prep_pool_workers=cfg.resolved_prep_pool_workers)
+            precision=cfg.resolved_precision, seed=cfg.seed)
         defaults.update(kwargs)
         return cls(trainer.graph, trainer.backbone, trainer.predictor,
                    **defaults)
@@ -473,31 +442,10 @@ class ServeEngine:
                         key, axis=1, return_index=True, return_inverse=True)
                     uniq_nodes = nodes[misses][first]
                     uniq_times = times[misses][first]
-                    # Serve-side plan cache: identical unique endpoint sets
-                    # over an unchanged graph rebuild the exact same
-                    # minibatch, so skip the prep build.  Content-keyed (the
-                    # endpoint bytes), invalidated by the graph's version
-                    # counter on ingest.
-                    cache_key = None
-                    minibatch = None
-                    if self.plan_cache.enabled:
-                        digest = hashlib.sha256(
-                            uniq_nodes.tobytes() + uniq_times.tobytes()
-                        ).hexdigest()
-                        cache_key = (int(getattr(self.graph, "version", 0)),
-                                     digest, self.prep_backend_name,
-                                     self.num_layers, self.num_neighbors)
-                        minibatch = self.plan_cache.get(cache_key)
-                    if minibatch is None:
-                        if self.finder.requires_chronological:
-                            self.finder.reset()
-                        minibatch = self.prep.generator.build(
-                            uniq_nodes, uniq_times, train=False)
-                        if cache_key is not None:
-                            # Deep-copy: the build ran inside the workspace
-                            # arena whose buffers recycle next batch.
-                            self.plan_cache.put(
-                                cache_key, deep_copy_arrays(minibatch))
+                    if self.finder.requires_chronological:
+                        self.finder.reset()
+                    minibatch = self.prep.generator.build(
+                        uniq_nodes, uniq_times, train=False)
                     fresh = np.array(self.backbone.embed(minibatch).data,
                                      copy=True)
                     self.serve_stats.embeddings_computed += int(uniq_nodes.size)
@@ -517,7 +465,6 @@ class ServeEngine:
 
         done = self._clock()
         self.serve_stats.forward_batches += 1
-        self.serve_stats.batch_sizes.append(b)
         self.serve_stats.served += b
         endpoint_hits = hits[:b].astype(np.int64) + hits[b:].astype(np.int64)
         for i, item in enumerate(live):
@@ -533,7 +480,7 @@ class ServeEngine:
     def stats(self) -> Dict:
         """JSON-ready engine counters, occupancy and cache hit rate."""
         s = self.serve_stats
-        sizes = np.asarray(s.batch_sizes, dtype=np.float64)
+        mean_batch = s.served / s.forward_batches if s.forward_batches else 0.0
         endpoint_requests = s.embeddings_reused + s.embeddings_computed
         return {
             "submitted": s.submitted,
@@ -543,9 +490,8 @@ class ServeEngine:
             "invalid": s.invalid,
             "flushes": s.flushes,
             "forward_batches": s.forward_batches,
-            "mean_batch_size": float(sizes.mean()) if sizes.size else 0.0,
-            "batch_occupancy": (float(sizes.mean()) / self.max_batch
-                                if sizes.size else 0.0),
+            "mean_batch_size": mean_batch,
+            "batch_occupancy": mean_batch / self.max_batch,
             "embeddings_computed": s.embeddings_computed,
             "embeddings_reused": s.embeddings_reused,
             "embedding_cache_hit_rate": (
@@ -558,8 +504,6 @@ class ServeEngine:
             "prep_backend": self.prep_backend_name,
             "array_backend": self.array_backend.name,
             "precision": self.precision.tier,
-            "prep_pool_workers": self.prep_pool_workers,
-            **self.plan_cache.stats(),
         }
 
 

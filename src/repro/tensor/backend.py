@@ -42,12 +42,12 @@ computation graph is provably dead (the trainer does this at the top of each
 training step, the evaluators before each scoring batch), which returns every
 checked-out buffer to the per-shape free lists.  Arrays that must outlive the
 batch (accumulated evaluation scores, diagnostics) must be copied out by the
-consumer.  The *active* arena is thread-local, so the prefetch producer
-thread and concurrent shard workers never share buffers; owners that
-interleave several graphs on one thread (each trainer replica under the
-serial worker pool) hold a private arena via :meth:`ArrayBackend.new_arena`
-and install it with :meth:`ArrayBackend.arena_scope` around their compute, so
-one replica's batch boundary can never recycle another's pending gradients.
+consumer.  The *active* arena is thread-local, so concurrent shard workers
+never share buffers; owners that interleave several graphs on one thread
+(each trainer replica under the serial worker pool) hold a private arena via
+:meth:`ArrayBackend.new_arena` and install it with
+:meth:`ArrayBackend.arena_scope` around their compute, so one replica's
+batch boundary can never recycle another's pending gradients.
 
 Selecting a backend
 -------------------

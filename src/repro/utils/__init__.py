@@ -1,12 +1,11 @@
-"""Shared utilities: deterministic RNG management, timing and logging.
+"""Shared utilities: deterministic RNG management and timing.
 
 Configuration helpers live in :mod:`repro.core.config`; the deprecated
 ``repro.utils.config`` re-export shim has been removed.
 """
 
 from .rng import RngMixin, new_rng, spawn_rngs, seed_everything
-from .timer import Timer, Stopwatch
-from .logging import get_logger
+from .timer import Timer
 
 __all__ = [
     "RngMixin",
@@ -14,6 +13,4 @@ __all__ = [
     "spawn_rngs",
     "seed_everything",
     "Timer",
-    "Stopwatch",
-    "get_logger",
 ]

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-__all__ = ["new_rng", "spawn_rngs", "keyed_rng", "seed_everything", "RngMixin"]
+__all__ = ["new_rng", "spawn_rngs", "seed_everything", "RngMixin"]
 
 
 def new_rng(seed: Optional[int] = None) -> np.random.Generator:
@@ -30,19 +30,6 @@ def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
     """
     seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
-def keyed_rng(*key: int) -> np.random.Generator:
-    """Pure-function generator keyed on a tuple of non-negative integers.
-
-    ``keyed_rng(seed, domain, version, ordinal, ...)`` always yields the same
-    stream for the same key, regardless of which thread constructs it or in
-    which order — the property the pipeline-parallel prep runtime relies on to
-    keep pooled execution bitwise-identical to the synchronous path.  Built on
-    ``SeedSequence`` entropy mixing, so nearby keys still produce
-    statistically independent streams.
-    """
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
 
 
 def seed_everything(seed: int) -> np.random.Generator:

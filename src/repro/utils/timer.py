@@ -7,30 +7,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from typing import Dict, Iterator
 
-__all__ = ["Timer", "Stopwatch"]
-
-
-class Stopwatch:
-    """A resettable accumulating stopwatch (seconds)."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start = None
-
-    def start(self) -> None:
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        if self._start is None:
-            return self.elapsed
-        delta = time.perf_counter() - self._start
-        self.elapsed += delta
-        self._start = None
-        return delta
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._start = None
+__all__ = ["Timer"]
 
 
 class Timer:
@@ -79,9 +56,3 @@ class Timer:
     def reset(self) -> None:
         self._totals.clear()
         self._counts.clear()
-
-    def merge(self, other: "Timer") -> None:
-        for k, v in other._totals.items():
-            self._totals[k] += v
-        for k, v in other._counts.items():
-            self._counts[k] += v

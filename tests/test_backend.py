@@ -24,8 +24,9 @@ from repro.bench.breakdown import loss_trajectory_hash
 from repro.core import TaserConfig, TaserTrainer
 from repro.tensor import Tensor, gradcheck
 from repro.tensor import functional as F
-from repro.tensor.backend import (FusedBackend, WorkspaceArena,
-                                  available_backends, get_backend,
+from repro.tensor.backend import (ARENA_MIN_ELEMENTS, FusedBackend,
+                                  WorkspaceArena, available_backends,
+                                  get_backend,
                                   resolve_backend_name, set_backend,
                                   use_backend)
 
@@ -222,6 +223,114 @@ class TestWorkspaceArena:
         ref_stats = ref.train_epoch()
         assert ref_stats.array_backend == "reference"
         assert ref_stats.workspace_allocations_saved == 0
+
+
+# ------------------------------------------------------------ arena stress
+
+class TestArenaThreadSafety:
+    def test_concurrent_scratch_no_double_handout(self):
+        """N threads hammer scratch/give_back on one shape; a buffer handed to
+        two holders at once would show up as a foreign fill value."""
+        arena = WorkspaceArena()
+        shape, iters, workers = (64,), 300, 4
+        errors = []
+        ops = [0] * workers
+
+        def hammer(tid):
+            for i in range(iters):
+                buf = arena.scratch(shape)
+                ops[tid] += 1
+                stamp = float(tid * iters + i)
+                buf.fill(stamp)
+                if not np.all(buf == stamp):
+                    errors.append((tid, i))
+                arena.give_back(buf)
+
+        threads = [threading.Thread(target=hammer, args=(tid,))
+                   for tid in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors, f"buffer handed out twice: {errors[:5]}"
+        assert arena.allocated + arena.reused == sum(ops)
+
+    def test_concurrent_take_reset_with_scratch_traffic(self):
+        """One thread cycles take/reset (the consumer) while others run
+        scratch traffic (kernels on other threads) on the same shapes."""
+        arena = WorkspaceArena()
+        shape = (128,)
+        stop = threading.Event()
+        errors = []
+
+        def consumer():
+            for cycle in range(100):
+                held = [arena.take(shape) for _ in range(4)]
+                if len({id(buf) for buf in held}) != len(held):
+                    errors.append(("dup-take", cycle))
+                for j, buf in enumerate(held):
+                    buf.fill(float(cycle * 10 + j))
+                for j, buf in enumerate(held):
+                    if not np.all(buf == float(cycle * 10 + j)):
+                        errors.append(("clobbered", cycle, j))
+                arena.reset()
+            stop.set()
+
+        def scratcher(tid):
+            i = 0
+            while not stop.is_set():
+                buf = arena.scratch(shape)
+                stamp = float(10_000 + tid * 1_000 + (i % 997))
+                buf.fill(stamp)
+                if not np.all(buf == stamp):
+                    errors.append(("scratch-clobbered", tid, i))
+                arena.give_back(buf)
+                i += 1
+
+        threads = [threading.Thread(target=consumer)] + \
+            [threading.Thread(target=scratcher, args=(tid,))
+             for tid in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors, f"arena race: {errors[:5]}"
+        assert arena.resets == 100
+
+    def test_counters_consistent_after_stress(self):
+        arena = WorkspaceArena()
+        for _ in range(10):
+            bufs = [arena.take((32,)) for _ in range(3)]
+            assert len({id(b) for b in bufs}) == 3
+            arena.reset()
+        assert arena.allocated + arena.reused == 30
+        assert arena.resets == 10
+        stats = arena.stats()
+        assert stats["workspace_allocated"] == arena.allocated
+        assert stats["workspace_reused"] == arena.reused
+
+
+# --------------------------------------------- fused-backend size bypass
+
+class TestArenaSizeBypass:
+    def test_small_outputs_skip_the_arena(self):
+        backend = FusedBackend()
+        arena = backend.new_arena()
+        small = np.ones(64, dtype=np.float64)
+        with backend.arena_scope(arena):
+            backend.begin_batch()
+            out = backend.add(small, small)
+        assert np.array_equal(np.asarray(out), np.full(64, 2.0))
+        assert arena.allocated + arena.reused == 0
+
+    def test_large_outputs_still_use_the_arena(self):
+        backend = FusedBackend()
+        arena = backend.new_arena()
+        big = np.ones(ARENA_MIN_ELEMENTS, dtype=np.float64)
+        with backend.arena_scope(arena):
+            backend.begin_batch()
+            backend.add(big, big)
+        assert arena.allocated + arena.reused >= 1
 
 
 # --------------------------------------------------- kernel bitwise equality

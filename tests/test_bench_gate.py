@@ -156,23 +156,21 @@ class TestRequiredHashPairs:
             == ("serve_determinism",)
         assert set(bench_gate.REQUIRED_HASH_PAIRS[
             "BENCH_fig1_breakdown_wikipedia.json"]) \
-            == {"backend_equivalence", "prep_backend_equivalence",
-                "overlap_equivalence"}
+            == {"backend_equivalence", "prep_backend_equivalence"}
         assert set(bench_gate.REQUIRED_HASH_PAIRS["BENCH_precision.json"]) \
             == {"precision_determinism", "fp32_equivalence"}
         assert set(bench_gate.REQUIRED_HASH_PAIRS["BENCH_shard_scaling.json"]) \
             == {"determinism", "comms_equivalence"}
 
-    def _fig1_artifact(self, overlap_replay="pool", fused_prep=1.0,
+    def _fig1_artifact(self, prep_replay="b", fused_prep=1.0,
                        reference_prep=1.0):
         return {
             "benchmark": "fig1_breakdown_wikipedia", "scale": 0.1,
             "engine_env": "sync", "unix_time": 0.0,
             "results": {
                 "backend_equivalence": {"hash": "a", "replay_hash": "a"},
-                "prep_backend_equivalence": {"hash": "b", "replay_hash": "b"},
-                "overlap_equivalence": {"hash": "pool",
-                                        "replay_hash": overlap_replay},
+                "prep_backend_equivalence": {"hash": "b",
+                                             "replay_hash": prep_replay},
                 "backends": {
                     "reference": {"prep_seconds": reference_prep},
                     "fused": {"prep_seconds": fused_prep},
@@ -187,20 +185,20 @@ class TestRequiredHashPairs:
                name="BENCH_fig1_breakdown_wikipedia.json")
         assert _gate(current, baselines) == 0
 
-    def test_overlap_replay_mismatch_fails_at_every_scale(self, dirs):
-        """A pooled run whose trajectory diverges from the inline pool-0
-        anchor is a keyed-draw protocol break — enforced without --strict."""
+    def test_fig1_replay_mismatch_fails_at_every_scale(self, dirs):
+        """A fused-prep run whose trajectory diverges from the reference
+        prep backend's is a contract break — enforced without --strict."""
         current, baselines = dirs
         baselines.mkdir(parents=True)
-        _write(current, self._fig1_artifact(overlap_replay="doctored"),
+        _write(current, self._fig1_artifact(prep_replay="doctored"),
                name="BENCH_fig1_breakdown_wikipedia.json")
         assert _gate(current, baselines) == 1          # even without --strict
 
-    def test_overlap_pair_missing_fails_hard(self, dirs):
+    def test_fig1_pair_missing_fails_hard(self, dirs):
         current, baselines = dirs
         baselines.mkdir(parents=True)
         artifact = self._fig1_artifact()
-        del artifact["results"]["overlap_equivalence"]
+        del artifact["results"]["prep_backend_equivalence"]
         _write(current, artifact, name="BENCH_fig1_breakdown_wikipedia.json")
         assert _gate(current, baselines) == 1
 

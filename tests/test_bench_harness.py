@@ -73,7 +73,7 @@ class TestBenchJson:
                               eval_max_edges=20, eval_negatives=5,
                               batch_engine="sync")
         results = engine_mode_comparison(graph, config, epochs=1)
-        assert set(results) == {"sync", "prefetch", "aot"}
+        assert set(results) == {"sync", "aot"}
         for mode, row in results.items():
             assert row["epoch_seconds"] > 0
             assert row["speedup_vs_sync"] > 0

@@ -150,17 +150,6 @@ class TestShardedDeterminism:
         assert trajectories["serial"] == trajectories["thread"]
         assert trajectories["serial"] == trajectories["process"]
 
-    def test_w2_prefetch_engine_matches_sync(self, shard_graph):
-        sync_cfg = tiny_config(batch_engine="sync")
-        prefetch_cfg = tiny_config(batch_engine="prefetch")
-        with ShardedTrainer(shard_graph, sync_cfg, num_workers=2,
-                            backend="thread") as a:
-            sync_losses = _losses(a)
-        with ShardedTrainer(shard_graph, prefetch_cfg, num_workers=2,
-                            backend="thread") as b:
-            prefetch_losses = _losses(b)
-        assert sync_losses == prefetch_losses
-
     def test_replicas_stay_bitwise_identical(self, shard_graph):
         cfg = tiny_config()
         with ShardedTrainer(shard_graph, cfg, num_workers=2,

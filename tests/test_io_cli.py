@@ -66,12 +66,13 @@ class TestCLI:
         assert "PP" in summary["runtime_breakdown_seconds"]
 
     def test_batch_engine_flag_plumbing(self):
-        args = build_parser().parse_args(["--batch-engine", "aot",
-                                          "--prefetch-depth", "3"])
+        args = build_parser().parse_args(["--batch-engine", "aot"])
         assert args.batch_engine == "aot"
-        assert args.prefetch_depth == 3
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--batch-engine", "warp"])
+        for gone in (["--batch-engine", "warp"], ["--batch-engine", "prefetch"],
+                     ["--prefetch-depth", "3"], ["--prep-pool-workers", "1"],
+                     ["--prep-cache-mb", "64"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(gone)
 
     def test_batch_engine_modes_agree_end_to_end(self):
         """The CLI's aot run must reproduce the sync run exactly."""
@@ -88,22 +89,10 @@ class TestCLI:
         assert aot["test_mrr"] == sync["test_mrr"]
         assert aot["final_model_loss"] == sync["final_model_loss"]
 
-    def test_prefetch_depth_validated_at_parse_time(self, capsys):
-        """Bad --prefetch-depth values fail in argparse with a clear message,
-        not deep inside the engine."""
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--prefetch-depth", "0"])
-        assert "must be >= 1" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--prefetch-depth", "two"])
-        assert "expected an integer" in capsys.readouterr().err
-
     def test_config_rejects_bad_engine_settings_with_actionable_errors(self):
         from repro.core import TaserConfig
         with pytest.raises(ValueError, match="choose 'sync'"):
             TaserConfig(batch_engine="warp")
-        with pytest.raises(ValueError, match="prefetch_depth must be >= 1, got -3"):
-            TaserConfig(prefetch_depth=-3)
 
     def test_main_json_output(self, capsys):
         code = main([
@@ -201,20 +190,13 @@ class TestStreamCLI:
         assert "prequential MRR" in out
         assert "events ingested" in out
 
-    def test_stream_reproducible_across_engines(self, capsys):
-        main(self.STREAM_ARGS + ["--json", "--batch-engine", "sync"])
-        sync = json.loads(capsys.readouterr().out)
-        main(self.STREAM_ARGS + ["--json", "--batch-engine", "prefetch"])
-        prefetch = json.loads(capsys.readouterr().out)
-        assert sync["mrr_over_time"] == prefetch["mrr_over_time"]
-
-    def test_stream_rejects_aot_and_bad_depth(self, capsys):
-        with pytest.raises(SystemExit):
-            main(self.STREAM_ARGS + ["--batch-engine", "aot"])
-        capsys.readouterr()
-        with pytest.raises(SystemExit):
-            main(self.STREAM_ARGS + ["--prefetch-depth", "0"])
-        assert "must be >= 1" in capsys.readouterr().err
+    def test_stream_rejects_aot_and_removed_flags(self, capsys):
+        for gone in (["--batch-engine", "aot"], ["--batch-engine", "prefetch"],
+                     ["--prefetch-depth", "2"], ["--prep-pool-workers", "1"],
+                     ["--prep-cache-mb", "64"]):
+            with pytest.raises(SystemExit):
+                main(self.STREAM_ARGS + gone)
+            capsys.readouterr()
         with pytest.raises(SystemExit):
             main(self.STREAM_ARGS + ["--drift-phases", "0"])
         assert "must be >= 1" in capsys.readouterr().err

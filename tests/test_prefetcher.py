@@ -1,15 +1,18 @@
-"""Tests for the pipelined mini-batch engines (sync | prefetch | aot).
+"""Tests for the mini-batch engines (sync | aot).
 
 The engines' acceptance bar is *bitwise determinism*: under a fixed seed the
-prefetch and AOT paths must produce identical batches — and therefore
-identical per-batch losses and MRR — to the synchronous reference path.
+AOT path must produce identical batches — and therefore identical per-batch
+losses and MRR — to the synchronous reference path.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
-from repro.core import (AOTBatchEngine, PrefetchBatchEngine, SyncBatchEngine,
-                        TaserConfig, TaserTrainer, make_engine, plan_capability)
+from repro.bench.breakdown import loss_trajectory_hash
+from repro.core import (AOTBatchEngine, BatchEngine, TaserConfig, TaserTrainer,
+                        make_engine, plan_capability)
 from repro.graph import CTDGConfig, build_tcsr, generate_ctdg
 from repro.sampling import GPUNeighborFinder, OriginalNeighborFinder
 
@@ -67,7 +70,7 @@ VARIANT_MATRIX = [
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("mode", ["prefetch", "aot"])
+    @pytest.mark.parametrize("mode", ["aot"])
     @pytest.mark.parametrize("label,overrides",
                              VARIANT_MATRIX, ids=[v[0] for v in VARIANT_MATRIX])
     def test_identical_losses_and_mrr_vs_sync(self, engine_graph, mode, label,
@@ -95,13 +98,6 @@ class TestDeterminism:
         assert losses == sync_losses
         assert mrr == sync_mrr
 
-    def test_prefetch_depth_does_not_change_results(self, engine_graph):
-        kw = dict(backbone="graphmixer", adaptive_minibatch=False,
-                  adaptive_neighbor=False, batch_engine="prefetch")
-        one, _, _ = run_epochs(engine_graph, prefetch_depth=1, **kw)
-        four, _, _ = run_epochs(engine_graph, prefetch_depth=4, **kw)
-        assert one == four
-
 
 class TestCapability:
     def test_capability_matrix(self, engine_graph):
@@ -110,117 +106,101 @@ class TestCapability:
             return plan_capability(trainer.config, trainer.finder)
 
         assert cap(adaptive_minibatch=False, adaptive_neighbor=False) == "full"
-        # 1-layer backbone: hop-1 is the only hop, plannable under any policy.
+        # Deterministic policy + stateless finder: hop 1 is plannable.
         assert cap(backbone="graphmixer", adaptive_minibatch=False,
                    adaptive_neighbor=True) == "first_hop"
-        # 2-layer + deterministic policy: deeper hops are stateless too.
         assert cap(backbone="tgat", finder_policy="recent",
                    adaptive_minibatch=False, adaptive_neighbor=True) == "first_hop"
-        # 2-layer + stochastic policy: consumer-side hop-2 draws would race
-        # the producer's RNG stream.
+        # Stochastic policy: nothing a plan could answer without drawing.
         assert cap(backbone="tgat", adaptive_minibatch=False,
                    adaptive_neighbor=True) == "none"
+        assert cap(backbone="graphmixer", finder_policy="uniform",
+                   adaptive_minibatch=False, adaptive_neighbor=True) == "none"
+        # Stateful (pointer-array) finder: hop 1 cannot leave its sight.
+        assert cap(backbone="graphmixer", finder="tgl",
+                   adaptive_minibatch=False, adaptive_neighbor=True) == "none"
         # Adaptive mini-batch selection: the schedule itself is feedback-driven.
         assert cap(adaptive_minibatch=True, adaptive_neighbor=False) == "none"
 
     def test_effective_mode_reports_fallback(self, engine_graph):
         trainer = TaserTrainer(engine_graph, engine_config(
-            batch_engine="prefetch", adaptive_minibatch=True))
-        assert trainer.engine.mode == "prefetch"
+            batch_engine="aot", adaptive_minibatch=True))
+        assert trainer.engine.mode == "aot"
         assert trainer.engine.effective_mode == "sync"
         assert trainer.engine.is_fallback
         stats = trainer.train_epoch()
         assert stats.engine_mode == "sync"
         assert np.isfinite(stats.model_loss)
+        # A stochastic policy has no plan either, even at capability "full".
+        uniform = TaserTrainer(engine_graph, engine_config(
+            backbone="tgat", batch_engine="aot", adaptive_minibatch=False,
+            adaptive_neighbor=False))
+        assert uniform.engine.capability == "full"
+        assert uniform.engine.effective_mode == "sync"
 
     def test_make_engine_selects_class(self, engine_graph):
         trainer = TaserTrainer(engine_graph, engine_config())
-        assert isinstance(make_engine(trainer, "sync"), SyncBatchEngine)
-        assert isinstance(make_engine(trainer, "prefetch"), PrefetchBatchEngine)
+        assert type(make_engine(trainer, "sync")) is BatchEngine
         assert isinstance(make_engine(trainer, "aot"), AOTBatchEngine)
-        with pytest.raises(ValueError):
-            make_engine(trainer, "warp")
+        for unknown in ("prefetch", "warp"):
+            with pytest.raises(ValueError):
+                make_engine(trainer, unknown)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             engine_config(batch_engine="lazy")
-        with pytest.raises(ValueError):
-            engine_config(prefetch_depth=0)
 
 
-class TestPrefetchShutdown:
-    @pytest.fixture(autouse=True)
-    def _legacy_prefetch_path(self, monkeypatch):
-        # These tests assert the prefetch engine's own producer-thread
-        # lifecycle.  Under REPRO_PREP_POOL the engine routes its epochs
-        # through the prep runner and never starts that thread (the pool has
-        # its own shutdown tests in test_prep_pool.py), so pin the pooled
-        # runtime off regardless of the environment matrix cell.
+class TestOneBatchPath:
+    """The threaded prep-overlap layer is gone: its names are rejected, its
+    environment variables are inert, and a training epoch starts no thread."""
+
+    def test_prefetch_engine_rejected_naming_the_survivors(self):
+        with pytest.raises(ValueError, match="'sync'.*'aot'"):
+            TaserConfig(batch_engine="prefetch")
+
+    def test_removed_options_are_type_errors(self, engine_graph):
+        from repro.serve import ServeEngine
+        with pytest.raises(TypeError):
+            TaserConfig(prep_pool_workers=1)
+        trainer = TaserTrainer(engine_graph, engine_config(
+            backbone="graphmixer", adaptive_minibatch=False,
+            adaptive_neighbor=False))
+        with pytest.raises(TypeError):
+            ServeEngine(trainer.graph, trainer.backbone, trainer.predictor,
+                        prep_cache_mb=1)
+
+    def test_prep_env_vars_do_not_change_the_trajectory(self, engine_graph,
+                                                        monkeypatch):
+        def trajectory_hash():
+            # TGAT's default uniform policy draws in every hop, so a second
+            # RNG protocol could not hide.
+            trainer = TaserTrainer(engine_graph, engine_config(
+                backbone="tgat", adaptive_minibatch=False,
+                adaptive_neighbor=False))
+            losses = [trainer.train_epoch().batch_losses for _ in range(2)]
+            return loss_trajectory_hash(
+                losses + [[trainer.evaluate("test")["mrr"]]])
+
         monkeypatch.delenv("REPRO_PREP_POOL", raising=False)
         monkeypatch.delenv("REPRO_PREP_CACHE_MB", raising=False)
+        unset = trajectory_hash()
+        monkeypatch.setenv("REPRO_PREP_POOL", "2")
+        monkeypatch.setenv("REPRO_PREP_CACHE_MB", "64")
+        assert trajectory_hash() == unset
 
-    def test_consumer_exception_stops_producer(self, engine_graph):
+    @pytest.mark.parametrize("mode", ["sync", "aot"])
+    def test_train_epoch_starts_no_thread(self, engine_graph, mode):
         trainer = TaserTrainer(engine_graph, engine_config(
             backbone="graphmixer", adaptive_minibatch=False,
-            adaptive_neighbor=False, batch_engine="prefetch", prefetch_depth=2))
-
-        class Boom(RuntimeError):
-            pass
-
-        def explode(prepared):
-            raise Boom("consumer failure")
-
-        original = trainer._train_prepared
-        trainer._train_prepared = explode
-        with pytest.raises(Boom):
-            trainer.train_epoch()
-        # The bounded queue must not leave the producer thread blocked.
-        trainer.engine._thread.join(timeout=5.0)
-        assert not trainer.engine.producer_alive
-
-        # The engine must be reusable after the failure.
-        trainer._train_prepared = original
+            adaptive_neighbor=False, batch_engine=mode))
+        before = threading.active_count()
         stats = trainer.train_epoch()
-        assert np.isfinite(stats.model_loss)
-        assert not trainer.engine.producer_alive
-
-    def test_producer_exception_propagates(self, engine_graph):
-        trainer = TaserTrainer(engine_graph, engine_config(
-            backbone="graphmixer", adaptive_minibatch=False,
-            adaptive_neighbor=False, batch_engine="prefetch"))
-
-        def broken_sample(*args, **kwargs):
-            raise RuntimeError("finder exploded")
-
-        trainer.finder.sample = broken_sample
-        with pytest.raises(RuntimeError, match="finder exploded"):
-            trainer.train_epoch()
-        trainer.engine._thread.join(timeout=5.0)
-        assert not trainer.engine.producer_alive
-
-    def test_producer_thread_finishes_after_epoch(self, engine_graph):
-        trainer = TaserTrainer(engine_graph, engine_config(
-            backbone="graphmixer", adaptive_minibatch=False,
-            adaptive_neighbor=False, batch_engine="prefetch"))
-        trainer.train_epoch()
-        assert not trainer.engine.producer_alive
+        assert stats.engine_mode == mode
+        assert threading.active_count() == before
 
 
 class TestTimings:
-    def test_prefetch_phase_breakdown_collected(self, engine_graph):
-        _, _, trainer = run_epochs(engine_graph, epochs=1,
-                                   backbone="graphmixer",
-                                   adaptive_minibatch=False,
-                                   adaptive_neighbor=False,
-                                   batch_engine="prefetch")
-        runtime = trainer.history[-1].runtime
-        # NF/FS happen in the producer thread but must still land in the
-        # epoch's phase breakdown.
-        assert runtime["NF"] > 0
-        assert runtime["FS"] > 0
-        assert runtime["PP"] > 0
-        assert trainer.history[-1].engine_mode == "prefetch"
-
     def test_aot_phase_breakdown_recorded(self, engine_graph):
         _, _, trainer = run_epochs(engine_graph, epochs=1,
                                    backbone="graphmixer",
@@ -265,7 +245,7 @@ class TestVectorisedPlan:
         tgat = TaserTrainer(engine_graph, engine_config(
             backbone="tgat", adaptive_minibatch=False,
             adaptive_neighbor=False, batch_engine="aot"))
-        assert not tgat.engine.vectorised  # 'uniform' falls back to replay
+        assert not tgat.engine.vectorised  # 'uniform' has no plan: runs sync
 
 
 class TestEmptyNeighborhoods:
@@ -299,7 +279,7 @@ class TestEmptyNeighborhoods:
             adaptive_neighbor=False, batch_size=8))
         # The very first training batch contains the earliest edges, whose
         # sources have no history at all.
-        prepared = trainer.engine._prepare_sync(np.arange(8))
+        prepared = trainer.prep.prepare_train(np.arange(8))
         hop = prepared.minibatch.hops[0]
         empty_rows = ~hop.batch.mask.any(axis=1)
         assert empty_rows.any(), "expected some empty neighborhoods at t ~ 0"

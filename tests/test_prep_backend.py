@@ -13,7 +13,7 @@ backend's sampling kernel (``repro.sampling.fused_probe``):
   duplicate-timestamp edges — with the shared RNG stream staying in lockstep
   across successive calls;
 * trainer equality — full runs under both prep backends must produce
-  identical loss-trajectory hashes and MRR through the sync/prefetch/aot
+  identical loss-trajectory hashes and MRR through the sync/aot
   engines, the streaming trainer and the W=1 sharded path.
 """
 
@@ -274,7 +274,7 @@ class TestPreparedBatchEquality:
 # ------------------------------------------------- trajectory equality
 
 class TestTrajectoryEquality:
-    @pytest.mark.parametrize("mode", ["sync", "prefetch", "aot"])
+    @pytest.mark.parametrize("mode", ["sync", "aot"])
     def test_engines_hash_identical_across_prep_backends(self, shard_graph,  # noqa: F811
                                                          mode):
         def run(prep_backend):

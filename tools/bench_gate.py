@@ -17,8 +17,8 @@ a *gate* by diffing them against the committed baselines in
   equal values, and when a baseline records the pair the fresh ``hash``
   payload must still be self-consistent.  Contract pairs listed in
   ``REQUIRED_HASH_PAIRS`` (the fig1 ``backend_equivalence`` /
-  ``prep_backend_equivalence`` / ``overlap_equivalence`` pairs, the shard
-  sweep's ``determinism`` / ``comms_equivalence`` pairs, ...) must also be
+  ``prep_backend_equivalence`` pairs, the shard sweep's ``determinism`` /
+  ``comms_equivalence`` pairs, ...) must also be
   *present* in the fresh artifact — a benchmark that silently stops emitting
   one fails hard.
 * **ratio contract** — ``RATIO_CONTRACTS`` caps one timing metric relative
@@ -65,8 +65,7 @@ MIN_SECONDS_DEFAULT = 5e-3
 #: ``prep_backend_equivalence``) a hard failure instead of a silent pass.
 REQUIRED_HASH_PAIRS: Dict[str, Tuple[str, ...]] = {
     "BENCH_fig1_breakdown_wikipedia.json": (
-        "backend_equivalence", "prep_backend_equivalence",
-        "overlap_equivalence"),
+        "backend_equivalence", "prep_backend_equivalence"),
     "BENCH_serve_latency.json": ("serve_determinism",),
     "BENCH_precision.json": ("precision_determinism", "fp32_equivalence"),
     "BENCH_shard_scaling.json": ("determinism", "comms_equivalence"),
