@@ -3,7 +3,8 @@
 Times ``F.layer_norm``, ``F.linear``, ``MixerBlock`` and
 ``AdaptiveNeighborSampler`` at the shapes a ``train_tgat_taser`` step runs
 them at (``m = 10`` candidates, ``d = 34`` channels — the sampler's encoding
-width for an edge-featured graph), forward and forward+backward, at
+width for an edge-featured graph), forward, forward under ``no_grad()``
+(what ``evaluate`` and every serve flush run) and forward+backward, at
 ``R`` in {300, 1 500, 6 000} rows and with 0 % / 25 % of the rows *dead* (no
 valid candidate; the masked ops only).  Per cell it records
 
@@ -12,7 +13,10 @@ valid candidate; the masked ops only).  Per cell it records
 * ``out_bytes_per_op`` — bytes of array-backend kernel output per call,
   counted by the end-to-end benchmark's kernel wrappers
   (``benchmarks/e2e/tracer.py``), so it is ``tensor.kernel_out_mb_per_op``'s
-  definition at layer granularity.
+  definition at layer granularity.  The wrappers count what a kernel
+  *returns*: the transients a composite kernel (``mixer_block_forward``)
+  allocates and drops inside one call are invisible to it, so for such a
+  kernel the counter is reported, not argued from — ``ns_per_op`` is.
 
 It localises a regression the end-to-end benchmark shows in a step total to
 a layer; it asserts nothing about speed.  Writes ``BENCH_layers.json``::
@@ -39,7 +43,7 @@ from repro.bench import emit_bench_json  # noqa: E402
 from repro.core import AdaptiveNeighborSampler  # noqa: E402
 from repro.nn import MixerBlock  # noqa: E402
 from repro.sampling import NeighborBatch  # noqa: E402
-from repro.tensor import Tensor, get_backend  # noqa: E402
+from repro.tensor import Tensor, get_backend, no_grad  # noqa: E402
 from repro.tensor import functional as F  # noqa: E402
 
 M, D, EDGE_DIM, BUDGET = 10, 34, 32, 5
@@ -123,18 +127,24 @@ def bench(sizes, repeats: int) -> dict:
                 forward = factory(np.random.default_rng(0), rows, dead_share)
                 coeff = Tensor(np.random.default_rng(1).standard_normal(forward().shape))
 
+                def forward_nograd():
+                    with no_grad():
+                        return forward()
+
                 def forward_backward():
                     out = forward()
                     (out * coeff).sum().backward()
                     return out
 
                 cell = {"forward": measure(forward, tracer, repeats),
+                        "forward_nograd": measure(forward_nograd, tracer, repeats),
                         "forward_backward": measure(forward_backward, tracer, repeats)}
                 cells.setdefault(name, {}).setdefault(f"R{rows}", {})[
                     f"dead{int(dead_share * 100)}"] = cell
                 print(f"  {name:<17} R={rows:<5} dead={dead_share:<5}"
                       f" fwd {cell['forward']['ns_per_op'] / 1e6:8.3f} ms"
                       f" {cell['forward']['out_bytes_per_op'] / 2 ** 20:7.2f} MB |"
+                      f" nograd {cell['forward_nograd']['ns_per_op'] / 1e6:8.3f} ms |"
                       f" fwd+bwd {cell['forward_backward']['ns_per_op'] / 1e6:8.3f} ms"
                       f" {cell['forward_backward']['out_bytes_per_op'] / 2 ** 20:7.2f} MB")
     return cells

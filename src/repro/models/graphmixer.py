@@ -40,8 +40,6 @@ class GraphMixer(TGNNBackbone):
         self.message_proj = Linear(message_dim, hidden_dim, rng=rng)
         self.mixer = MixerBlock(num_neighbors, hidden_dim, dropout=dropout, rng=rng)
         self.out_proj = Linear(hidden_dim + hidden_dim, hidden_dim, rng=rng)
-        #: mixer token outputs of the latest forward pass (for diagnostics).
-        self.last_token_output: Optional[np.ndarray] = None
 
     # -- TGNNBackbone hooks -------------------------------------------------------------
 
@@ -62,6 +60,5 @@ class GraphMixer(TGNNBackbone):
         messages = build_messages(h_neighbors, hop.edge_feat, time_enc, gate=hop.gate)
         tokens = self.message_proj(messages)
         mixed = self.mixer(tokens, mask=hop.batch.mask)
-        self.last_token_output = mixed.data
         pooled = F.masked_mean(mixed, hop.batch.mask, axis=1)
         return self.out_proj(concatenate([pooled, h_target], axis=-1))

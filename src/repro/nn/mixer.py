@@ -9,14 +9,13 @@ neighborhood.
 
 Input layout is ``(batch, num_neighbors, channels)``.
 
-The GELU feed-forward sub-blocks and the layer norms run on the model's
-largest activations, so each is a handful of passes: ``Linear`` and
-``LayerNorm`` are single graph nodes over backend kernels shared by every
-backend, and the GELU / mask / residual ops dispatch through the active array
-backend (:mod:`repro.tensor.backend`) — reused workspace buffers under
-``fused``, bitwise-identical results either way.  Every row of the batch is
-mixed independently of the others, which is what lets the adaptive sampler
-run the block on its live rows only.
+The block runs on the model's largest activations, so its forward is one
+graph node (:func:`repro.tensor.functional.mixer_block`) with an analytic
+backward over a kernel pair every backend shares; the composition of
+``LayerNorm`` / ``FeedForward`` / mask / residual ops it replaces is the
+oracle of ``tests/test_tensor_ops.py``.  Every row of the batch is mixed
+independently of the others, which is what lets the adaptive sampler run the
+block on its live rows only.
 """
 
 from __future__ import annotations
@@ -88,19 +87,18 @@ class MixerBlock(Module):
             neighbors; padded entries are zeroed before token mixing so they
             cannot leak information into the valid positions.
         """
-        fmask = None
-        if mask is not None:
-            # One float mask for both gating points: the conversion is mask
-            # plumbing, everything downstream dispatches through the array
-            # backend via the Tensor ops.
-            fmask = Tensor(np.asarray(mask, dtype=np.float64)[..., None])
-            x = x * fmask
-        # Token mixing: transpose to (batch, dim, tokens), MLP over tokens.
-        h = self.token_norm(x).swapaxes(1, 2)
-        h = self.token_mlp(h).swapaxes(1, 2)
-        x = x + h
-        # Channel mixing.
-        x = x + self.channel_mlp(self.channel_norm(x))
-        if fmask is not None:
-            x = x * fmask
-        return x
+        fmask = None if mask is None else np.asarray(mask, dtype=np.float64)[..., None]
+        token, channel = self.token_mlp, self.channel_mlp
+        rows, tokens, dim = x.shape
+        # The dropout keep-masks, drawn in the composed block's order and
+        # shapes: token mixing ran on the (rows, dim, tokens) transpose.
+        keep_t = token.drop.keep_mask((rows, dim, token.fc1.out_features))
+        if keep_t is not None:
+            keep_t = keep_t.swapaxes(1, 2)
+        keep_c = channel.drop.keep_mask((rows, tokens, channel.fc1.out_features))
+        return F.mixer_block(x, fmask, (
+            self.token_norm.weight, self.token_norm.bias,
+            token.fc1.weight, token.fc1.bias, token.fc2.weight, token.fc2.bias,
+            self.channel_norm.weight, self.channel_norm.bias,
+            channel.fc1.weight, channel.fc1.bias, channel.fc2.weight, channel.fc2.bias,
+        ), keep_t, keep_c, eps=self.token_norm.eps)

@@ -17,13 +17,13 @@ Two backends ship with the repo:
 
 ``fused``
     :class:`FusedBackend` — the same arithmetic in the same op order, but the
-    hot forward/backward kernels (softmax attention, GELU / MLP-mixer blocks,
-    sinusoidal time encodings, the GEMMs inside the linear kernels) run as
+    hot forward/backward kernels (softmax attention, GELU, sinusoidal time
+    encodings, the GEMMs inside the composite kernels) run as
     ``out=``/in-place NumPy calls over per-shape preallocated
-    :class:`WorkspaceArena` buffers.  The composite LayerNorm / Linear
-    kernels are inherited from the reference unchanged.  Identical op order
-    means loss/MRR trajectories stay **bitwise-identical** to the reference
-    while temporary allocations are cut on every batch.
+    :class:`WorkspaceArena` buffers.  The composite LayerNorm / Linear /
+    mixer-block kernels are inherited from the reference unchanged.
+    Identical op order means loss/MRR trajectories stay **bitwise-identical**
+    to the reference while temporary allocations are cut on every batch.
 
 Bitwise-equality contract
 -------------------------
@@ -453,11 +453,11 @@ class ReferenceBackend(ArrayBackend):
         return np.cos(dt[..., None] * omega)
 
     # -- composite layer kernels (one autograd node each) --------------------
-    # LayerNorm and Linear are one kernel pair each, *inherited* by every
-    # backend rather than overridden: both backends then run the same
-    # arithmetic by construction.  The kernels own what they return and
-    # update only buffers they allocated themselves — never the ``g`` they
-    # receive (see "Gradient ownership" in :mod:`repro.tensor.tensor`).
+    # LayerNorm, Linear and the mixer block are one kernel pair each,
+    # *inherited* by every backend rather than overridden: both backends then
+    # run the same arithmetic by construction.  The kernels own what they
+    # return and update only buffers they allocated themselves — never the
+    # ``g`` they receive (see "Gradient ownership" in :mod:`repro.tensor.tensor`).
 
     def layer_norm_forward(self, x: np.ndarray, w: np.ndarray, b: np.ndarray,
                            eps: float
@@ -468,13 +468,7 @@ class ReferenceBackend(ArrayBackend):
         one value per row) are all the backward pass needs; ``xhat`` and
         ``out`` are the only full-size arrays allocated.
         """
-        xhat = x - x.mean(axis=-1, keepdims=True)
-        rstd = np.einsum("...i,...i->...", xhat, xhat)[..., None]
-        rstd /= x.shape[-1]
-        rstd += eps
-        np.sqrt(rstd, out=rstd)
-        np.divide(1.0, rstd, out=rstd)
-        xhat *= rstd
+        xhat, rstd = self._standardize(x, eps)
         out = xhat * w
         out += b
         return out, xhat, rstd
@@ -495,15 +489,38 @@ class ReferenceBackend(ArrayBackend):
         gb = g.sum(axis=tuple(range(g.ndim - 1)))
         if not need_x:
             return None, gw, gb
-        # C order whatever the layout of ``g`` (token mixing hands back a
-        # transposed view): the in-place passes below then run contiguously.
+        # C order whatever the layout of ``g`` (a transpose downstream hands
+        # back a strided view): the in-place passes below then run contiguously.
         gx = np.multiply(g, w, order="C")
-        proj = np.einsum("...i,...i->...", gx, xhat)[..., None]
-        proj /= g.shape[-1]
-        gx -= gx.mean(axis=-1, keepdims=True)
-        gx -= xhat * proj
-        gx *= rstd
-        return gx, gw, gb
+        return self._standardize_backward(gx, xhat, rstd), gw, gb
+
+    @staticmethod
+    def _standardize(x: np.ndarray, eps: float, out: Optional[np.ndarray] = None
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(xhat, rstd)``: ``x`` with zero mean and unit variance over the
+        last axis (written into ``out`` when given) and the per-row
+        ``1 / sqrt(var + eps)``."""
+        xhat = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)
+        rstd = np.einsum("...i,...i->...", xhat, xhat)[..., None]
+        rstd /= x.shape[-1]
+        rstd += eps
+        np.sqrt(rstd, out=rstd)
+        np.divide(1.0, rstd, out=rstd)
+        xhat *= rstd
+        return xhat, rstd
+
+    @staticmethod
+    def _standardize_backward(gxhat: np.ndarray, xhat: np.ndarray, rstd: np.ndarray,
+                              scratch: Optional[np.ndarray] = None) -> np.ndarray:
+        """Input gradient of :meth:`_standardize`, computed in place in
+        ``gxhat`` — a buffer the caller owns, as it does ``scratch``, which
+        takes the one full-size temporary."""
+        proj = np.einsum("...i,...i->...", gxhat, xhat)[..., None]
+        proj /= gxhat.shape[-1]
+        gxhat -= gxhat.mean(axis=-1, keepdims=True)
+        gxhat -= np.multiply(xhat, proj, out=scratch)
+        gxhat *= rstd
+        return gxhat
 
     def linear_forward(self, a2d: np.ndarray, w: np.ndarray,
                        b: Optional[np.ndarray]) -> np.ndarray:
@@ -523,6 +540,169 @@ class ReferenceBackend(ArrayBackend):
         gw = self.matmul(g2d.T, a2d) if need_w else None
         gb = g2d.sum(axis=0) if need_b else None
         return ga, gw, gb
+
+    # -- MLP-Mixer block (one autograd node) ---------------------------------
+    # Written to minimise full-size passes, not to mirror the composition:
+    # neither layer norm materialises its affine output, token mixing is a
+    # batched ``W @ x`` on the native (R, m, d) layout, and every in-place
+    # update targets a buffer the kernel allocated itself.  ``params`` is the
+    # block's twelve parameter arrays in registration order.
+
+    @staticmethod
+    def _gelu_gate(a: np.ndarray) -> np.ndarray:
+        """``sigmoid(1.702 a)``, built in place in one fresh buffer."""
+        s = np.multiply(a, -1.702)
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        return s
+
+    @staticmethod
+    def _gelu_backward(gy: np.ndarray, y: np.ndarray, s: np.ndarray,
+                       keep: Optional[np.ndarray]) -> np.ndarray:
+        """``gy *= keep * gelu'(a)`` in place, from the retained ``y = a s
+        keep`` and gate ``s``: ``keep gelu'(a) = keep s + 1.702 y (1 - s)``.
+        Returns the scratch buffer it built the factor in, now dead."""
+        t = np.subtract(1.0, s)
+        t *= y
+        t *= 1.702
+        t += s if keep is None else s * keep
+        gy *= t
+        return t
+
+    def mixer_block_forward(self, x: np.ndarray, fmask: Optional[np.ndarray],
+                            params, keep_t: Optional[np.ndarray],
+                            keep_c: Optional[np.ndarray], eps: float,
+                            retain: bool):
+        """One MLP-Mixer block on ``x`` ``(R, m, d)``; returns ``(out, saved)``.
+
+        ``fmask`` is the ``(R, m, 1)`` float validity mask (or ``None``),
+        ``keep_t`` ``(R, h_t, d)`` / ``keep_c`` ``(R, m, h_c)`` the scaled
+        dropout keep-masks (or ``None``).  With ``retain`` the backward pass's
+        inputs come back in ``saved`` — per sub-block the normalised input,
+        its ``rstd``, the GELU output (written over its pre-activation) and
+        the gate; without it ``saved`` is ``None`` and every intermediate is
+        released the moment it is dead.
+        """
+        gam_t, bet_t, w1t, b1t, w2t, b2t, gam_c, bet_c, w1c, b1c, w2c, b2c = params
+        x0 = x if fmask is None else x * fmask
+        # Token mixing.  W1 @ (xhat * gamma + beta) = (W1 @ xhat) * gamma +
+        # rowsum(W1) (x) beta: the affine lands on the half-size hidden.
+        xhat, rstd = self._standardize(x0, eps)
+        a = self.matmul(w1t, xhat)
+        a *= gam_t
+        a += w1t.sum(axis=1)[:, None] * bet_t + b1t[:, None]
+        s = self._gelu_gate(a)
+        y = np.multiply(a, s, out=a)
+        if keep_t is not None:
+            y *= keep_t
+        x1 = self.matmul(w2t, y)
+        x1 += b2t[:, None]
+        x1 += x0
+        saved = (fmask, xhat, rstd, y, s, keep_t) if retain else None
+        # A full-size buffer that is dead by now, when there is one, takes
+        # the second normalised input.
+        spare = xhat if not retain else (None if fmask is None else x0)
+        del x0, xhat, a, s, y
+        # Channel mixing.  (xhat * gamma + beta) @ W1.T = xhat @ (W1 * gamma).T
+        # + W1 @ beta: the affine folds into fc1.
+        xhat, rstd = self._standardize(x1, eps, out=spare)
+        a = self.matmul(xhat.reshape(-1, xhat.shape[-1]), (w1c * gam_c).T)
+        a += w1c @ bet_c + b1c
+        s = self._gelu_gate(a)
+        y = np.multiply(a, s, out=a)
+        if keep_c is not None:
+            y *= keep_c.reshape(y.shape)
+        if retain:
+            saved += (xhat, rstd, y, s, keep_c)
+        del spare, xhat, a, s
+        out = self.matmul(y, w2c.T).reshape(x1.shape)
+        out += b2c
+        out += x1
+        if fmask is not None:
+            out *= fmask
+        return out, saved
+
+    def mixer_block_backward(self, g: np.ndarray, saved, params, need) -> list:
+        """Gradients of :meth:`mixer_block_forward` w.r.t. ``(x, *params)``;
+        ``need[i]`` says whether entry ``i`` is wanted (``None`` otherwise):
+        0 is ``x``, 1-6 the token sub-block's ``gamma, beta, W1, b1, W2, b2``,
+        7-12 the channel sub-block's.
+
+        With ``P = ga.T @ xhat`` the small ``(h, d)`` product of the channel
+        sub-block and ``gb' = ga.sum(0)``, the folded affine unfolds as
+        ``dW1 = P * gamma + gb' (x) beta``, ``dgamma = sum_h(P * W1)`` and
+        ``dbeta = gb' @ W1``; the token sub-block does the same from
+        ``Q[h, m, c] = sum_r ga[r, h, c] xhat[r, m, c]``.
+        """
+        (fmask, xhat_t, rstd_t, y_t, s_t, keep_t,
+         xhat_c, rstd_c, y_c, s_c, keep_c) = saved
+        gam_t, bet_t, w1t, b1t, w2t, b2t, gam_c, bet_c, w1c, b1c, w2c, b2c = params
+        rows, m, d = xhat_t.shape
+        grads = [None] * 13
+        gx2 = g if fmask is None else np.multiply(g, fmask, order="C")
+
+        # Channel sub-block: out = x1 + gelu(xhat_c @ W1'.T + b1') @ W2.T + b2.
+        g2d = gx2.reshape(-1, d)
+        if need[11]:
+            grads[11] = self.matmul(g2d.T, y_c)
+        if need[12]:
+            grads[12] = g2d.sum(axis=0)
+        ga = self.matmul(g2d, w2c)
+        scratch = self._gelu_backward(
+            ga, y_c, s_c, None if keep_c is None else keep_c.reshape(y_c.shape))
+        gb = ga.sum(axis=0)
+        if need[7] or need[9]:
+            small = self.matmul(ga.T, xhat_c.reshape(-1, d))
+            if need[7]:
+                grads[7] = (small * w1c).sum(axis=0)
+            if need[9]:
+                small *= gam_c
+                small += gb[:, None] * bet_c
+                grads[9] = small
+        if need[8]:
+            grads[8] = gb @ w1c
+        if need[10]:
+            grads[10] = gb
+        if not any(need[:7]):
+            return grads
+        gx1 = self.matmul(ga, w1c * gam_c).reshape(rows, m, d)
+        # Dead buffers serve as the layer-norm backward's temporary: the GELU
+        # scratch here when it has the size, the masked ``g`` further down.
+        self._standardize_backward(
+            gx1, xhat_c, rstd_c,
+            scratch.reshape(gx1.shape) if scratch.size == gx1.size else None)
+        gx1 += gx2
+        scratch = None if fmask is None else gx2
+        del ga, g2d, gx2
+
+        # Token sub-block: x1 = x0 + W2 @ gelu((W1 @ xhat_t) * gamma + c) + b2.
+        if need[5]:
+            grads[5] = self.matmul(gx1, y_t.swapaxes(1, 2)).sum(axis=0)
+        if need[6]:
+            grads[6] = gx1.sum(axis=(0, 2))
+        ga = self.matmul(w2t.T, gx1)
+        self._gelu_backward(ga, y_t, s_t, keep_t)
+        gc = ga.sum(axis=0)
+        if need[1] or need[3]:
+            small = np.einsum("rhc,rmc->hmc", ga, xhat_t)
+            if need[1]:
+                grads[1] = np.einsum("hmc,hm->c", small, w1t)
+            if need[3]:
+                grads[3] = small @ gam_t + (gc @ bet_t)[:, None]
+        if need[2]:
+            grads[2] = w1t.sum(axis=1) @ gc
+        if need[4]:
+            grads[4] = gc.sum(axis=1)
+        if need[0]:
+            ga *= gam_t
+            gx = self._standardize_backward(self.matmul(w1t.T, ga), xhat_t, rstd_t,
+                                            scratch)
+            gx += gx1
+            if fmask is not None:
+                gx *= fmask
+            grads[0] = gx
+        return grads
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ it dispatches through the active :mod:`~repro.tensor.backend` automatically:
 under the ``fused`` backend the primitives inside :func:`masked_softmax` and
 the losses run as ``out=`` kernels over workspace buffers while the autograd
 graph — and therefore every gradient — stays bitwise-identical to the
-``reference`` backend.  :func:`linear`, :func:`layer_norm` and
-:func:`scatter_rows` are single graph nodes defined beside the engine
-(:mod:`repro.tensor.tensor`) and re-exported here.  Only mask plumbing
-(boolean arrays, ``-1e30`` fill values) touches numpy directly; it moves no
-float math.
+``reference`` backend.  :func:`linear`, :func:`layer_norm`,
+:func:`mixer_block` and :func:`scatter_rows` are single graph nodes defined
+beside the engine (:mod:`repro.tensor.tensor`) and re-exported here.  Only
+mask plumbing (boolean arrays, ``-1e30`` fill values, dropout keep-masks)
+touches numpy directly; it moves no float math.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import (Tensor, concatenate, layer_norm, linear, scatter_rows, stack,
-                     where)
+from .tensor import (Tensor, concatenate, layer_norm, linear, mixer_block,
+                     scatter_rows, stack, where)
 
 __all__ = [
     "sigmoid",
@@ -37,8 +37,10 @@ __all__ = [
     "cross_entropy",
     "mse_loss",
     "dropout",
+    "dropout_keep",
     "layer_norm",
     "linear",
+    "mixer_block",
     "scatter_rows",
     "masked_softmax",
     "masked_mean",
@@ -136,14 +138,23 @@ def mse_loss(pred: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def dropout_keep(shape, p: float, training: bool,
+                 rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+    """The scaled keep-mask inverted dropout multiplies a ``shape`` tensor
+    by: ``1 / (1 - p)`` where kept, 0 where dropped.  ``None`` — and no draw
+    — when not training or ``p == 0``."""
+    if not training or p <= 0.0:
+        return None
+    if rng is None:
+        raise ValueError("dropout with p > 0 in training mode needs an explicit rng")
+    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+
+
 def dropout(x: Tensor, p: float, training: bool,
             rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout; identity when not training or ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    rng = rng if rng is not None else np.random.default_rng()
-    keep = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return x * Tensor(keep)
+    keep = dropout_keep(x.shape, p, training, rng)
+    return x if keep is None else x * Tensor(keep)
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:

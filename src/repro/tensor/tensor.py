@@ -65,14 +65,15 @@ only to sum it.
 
 Composite kernels
 -----------------
-:func:`linear` and :func:`layer_norm` are one graph node each with an
-analytic backward, over a forward / backward kernel pair on the array
-backend.  The pair is defined once on the reference backend and inherited —
-not overridden — by the others, so every backend runs the same arithmetic by
-construction; the kernels compute only the gradients whose tensor requires
-one and never write into the ``g`` they receive.  The primitive-composed
-forms (``x @ W.T + b``, ``mean`` / ``sub`` / ``sqrt`` / ``div``) agree with
-them to the last few ulps and live on as test oracles.
+:func:`linear`, :func:`layer_norm` and :func:`mixer_block` are one graph node
+each with an analytic backward, over a forward / backward kernel pair on the
+array backend.  The pair is defined once on the reference backend and
+inherited — not overridden — by the others, so every backend runs the same
+arithmetic by construction; the kernels compute only the gradients whose
+tensor requires one and never write into the ``g`` they receive.  The
+primitive-composed forms (``x @ W.T + b``, ``mean`` / ``sub`` / ``sqrt`` /
+``div``, the mixer block's modules) agree with them to the last few ulps and
+live on as test oracles.
 
 Backend dispatch
 ----------------
@@ -864,6 +865,41 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
                 x._accumulate(gx)
             weight._accumulate(gw)
             bias._accumulate(gb)
+        out._backward = _backward
+    return out
+
+
+def mixer_block(x: Tensor, fmask: Optional[np.ndarray], params: Sequence[Tensor],
+                keep_t: Optional[np.ndarray] = None,
+                keep_c: Optional[np.ndarray] = None, eps: float = 1e-5) -> Tensor:
+    """One MLP-Mixer block — token mixing then channel mixing, each a
+    pre-norm GELU feed-forward with a residual — on ``x`` ``(R, m, d)``.
+
+    One graph node over the backend's ``mixer_block_forward`` /
+    ``mixer_block_backward`` kernels, with ``(x, *params)`` as parents.
+    ``params`` is the block's twelve parameters in registration order (per
+    sub-block: norm weight and bias, ``fc1`` and ``fc2`` weight and bias),
+    ``fmask`` the ``(R, m, 1)`` float validity mask applied to the input and
+    the output, ``keep_t`` ``(R, h_t, d)`` / ``keep_c`` ``(R, m, h_c)`` the
+    scaled dropout keep-masks of the two hidden layers.  The composition of
+    ``layer_norm`` / ``linear`` / ``gelu`` it replaces is the test oracle.
+    """
+    parents = (x, *params)
+    arrays = [p.data for p in params]
+    req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    data, saved = get_backend().mixer_block_forward(x.data, fmask, arrays, keep_t,
+                                                    keep_c, eps, req)
+    out = Tensor(data, requires_grad=req)
+    if req:
+        out._prev = parents
+        out._op = "mixer_block"
+
+        def _backward(g):
+            grads = get_backend().mixer_block_backward(
+                g, saved, arrays, [p.requires_grad for p in parents])
+            for parent, grad in zip(parents, grads):
+                if grad is not None:
+                    parent._accumulate(grad)
         out._backward = _backward
     return out
 

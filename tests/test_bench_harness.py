@@ -1,6 +1,7 @@
 """Tests for the benchmark harness and the runtime-breakdown tooling."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,3 +157,25 @@ class TestScalingEfficiency:
         with pytest.raises(ValueError, match="W=1 baseline"):
             attach_scaling_efficiency(
                 {"2": {"trained_events_per_second": 5.0}})
+
+
+class TestBenchHistory:
+    """``BENCH_history.jsonl``: one line of e2e headline medians per PR."""
+
+    def test_lines_parse_and_name_only_catalogued_metrics(self):
+        root = Path(__file__).resolve().parent.parent
+        catalogue = json.loads((root / "BENCHMARK.json").read_text())
+        workloads = {w["name"] for w in catalogue["workloads"]}
+        metrics = {m["name"] for m in catalogue["end_to_end"]}
+        lines = (root / "BENCH_history.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert records and all(line.strip() for line in lines)
+        prs = [record["pr"] for record in records]
+        assert prs == sorted(set(prs)), "one line per PR, in PR order"
+        for record in records:
+            assert record["source"] and record["what"]
+            assert record["workloads"] and set(record["workloads"]) <= workloads
+            for medians in record["workloads"].values():
+                assert medians and set(medians) <= metrics
+                assert all(isinstance(v, (int, float)) and v > 0
+                           for v in medians.values())

@@ -9,6 +9,9 @@ from repro.nn import (Module, ModuleList, Parameter, Linear, LayerNorm, Dropout,
 from repro.tensor import Tensor
 from repro.tensor.gradcheck import gradcheck
 
+from test_tensor_ops import (assert_mixer_agrees, composed_mixer_block,  # noqa: E402
+                             node_mixer_block, run_mixer)
+
 RNG = np.random.default_rng(3)
 
 
@@ -131,6 +134,39 @@ class TestMixer:
         x = Tensor(RNG.standard_normal((3, 4, 6)), requires_grad=True)
         block(x).sum().backward()
         assert x.grad is not None and np.any(x.grad != 0)
+
+    def test_matches_composed_modules(self):
+        """GraphMixer's and the adaptive sampler's configurations against the
+        block composed from its own LayerNorm / FeedForward modules."""
+        for tokens, dim, kwargs in [(5, 32, {}), (10, 34, {"token_expansion": 0.5,
+                                                            "channel_expansion": 1.0})]:
+            block = MixerBlock(tokens, dim, rng=np.random.default_rng(0), **kwargs)
+            x, coeff = RNG.standard_normal((2, 7, tokens, dim))
+            mask = RNG.random((7, tokens)) < 0.7
+            for m in (mask, None):
+                assert_mixer_agrees(run_mixer(node_mixer_block, block, x, m, coeff),
+                                    run_mixer(composed_mixer_block, block, x, m, coeff))
+
+    def test_dropout_consumes_the_composed_draws(self):
+        """In training mode the node draws its keep-masks from the two
+        ``Dropout`` generators in the composed order and shapes — the token
+        mask at ``(R, d, h)``, applied through its ``(R, h, d)`` view — so it
+        reproduces the composed output, gradients and generator state."""
+        x, coeff = RNG.standard_normal((2, 6, 5, 8))
+        mask = RNG.random((6, 5)) < 0.7
+        results, states = [], []
+        for forward in (node_mixer_block, composed_mixer_block):
+            block = MixerBlock(5, 8, dropout=0.3, rng=np.random.default_rng(11))
+            assert block.token_mlp.drop._rng is block.channel_mlp.drop._rng
+            results.append(run_mixer(forward, block, x, mask, coeff))
+            states.append(block.token_mlp.drop._rng.bit_generator.state)
+        assert_mixer_agrees(*results)
+        assert states[0] == states[1]
+        # dropout was active: the eval-mode output differs, and draws nothing
+        block.eval()
+        quiet = block(Tensor(x), mask=mask)
+        assert not np.allclose(quiet.data, results[0][0].data)
+        assert block.token_mlp.drop._rng.bit_generator.state == states[1]
 
 
 class TestAttention:

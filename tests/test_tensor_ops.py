@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.tensor import Tensor, concatenate, stack, where, no_grad, is_grad_enabled
+from repro.nn import MixerBlock
+from repro.tensor import (Tensor, concatenate, stack, where, no_grad, is_grad_enabled,
+                          get_backend, use_backend)
 from repro.tensor import functional as F
 from repro.tensor.gradcheck import gradcheck
 
@@ -287,6 +290,14 @@ class TestFunctional:
         # Inverted scaling keeps the expectation.
         assert np.isclose(out_train.data[kept].mean(), 2.0)
 
+    def test_dropout_needs_an_explicit_rng(self):
+        x = Tensor(np.ones((4, 3)))
+        with pytest.raises(ValueError, match="rng"):
+            F.dropout(x, 0.5, training=True)
+        # inactive dropout draws nothing, so it needs no generator
+        assert F.dropout(x, 0.5, training=False) is x
+        assert F.dropout(x, 0.0, training=True) is x
+
     def test_masked_softmax_zeroes_invalid(self):
         scores = t(self.rng.standard_normal((3, 4)))
         mask = np.array([[True, True, False, False],
@@ -325,6 +336,65 @@ def composed_linear(x, weight, bias=None):
     if bias is not None:
         out = out + bias
     return out
+
+
+def composed_mixer_block(block, x, mask=None):
+    """Oracle: the MLP-Mixer block composed from its ``LayerNorm`` /
+    ``FeedForward`` modules and Tensor primitives (``MixerBlock.forward``
+    before it became one node)."""
+    fmask = None
+    if mask is not None:
+        fmask = Tensor(np.asarray(mask, dtype=np.float64)[..., None])
+        x = x * fmask
+    # Token mixing: transpose to (batch, dim, tokens), MLP over tokens.
+    h = block.token_norm(x).swapaxes(1, 2)
+    h = block.token_mlp(h).swapaxes(1, 2)
+    x = x + h
+    # Channel mixing.
+    x = x + block.channel_mlp(block.channel_norm(x))
+    if fmask is not None:
+        x = x * fmask
+    return x
+
+
+def make_mixer(rng, tokens, dim, token_expansion=0.5, channel_expansion=1.0,
+               dropout=0.0):
+    """A block whose norms and biases are off their identity initialisation,
+    so every one of the twelve parameters shapes the output."""
+    block = MixerBlock(tokens, dim, token_expansion, channel_expansion,
+                       dropout=dropout, rng=np.random.default_rng(5))
+    for p in block.parameters():
+        p.data = p.data + 0.3 * rng.standard_normal(p.data.shape)
+    return block
+
+
+def run_mixer(forward, block, x_data, mask, coeff, x_grad=True, transposed_g=False):
+    """Output, ``x.grad`` and the parameter gradients of ``forward(block, x,
+    mask)`` under a random coefficient loss.  ``transposed_g`` routes the loss
+    through a transpose, so the block's node receives a non-contiguous ``g``."""
+    block.zero_grad()
+    x = t(x_data.copy(), grad=x_grad)
+    out = forward(block, x, mask)
+    if transposed_g:
+        (out.transpose(2, 0, 1) * Tensor(coeff.transpose(2, 0, 1))).sum().backward()
+    else:
+        (out * Tensor(coeff)).sum().backward()
+    return out, x.grad, [p.grad for p in block.parameters()]
+
+
+def node_mixer_block(block, x, mask=None):
+    return block(x, mask=mask)
+
+
+def assert_mixer_agrees(got, want):
+    """Composed-oracle equality of output, ``x.grad`` and parameter gradients."""
+    (got_out, got_gx, got_gp), (want_out, want_gx, want_gp) = got, want
+    np.testing.assert_allclose(got_out.data, want_out.data, rtol=1e-9, atol=1e-10)
+    for got_g, want_g in zip([got_gx] + got_gp, [want_gx] + want_gp):
+        if want_g is None:
+            assert got_g is None
+        else:
+            np.testing.assert_allclose(got_g, want_g, rtol=1e-9, atol=1e-10)
 
 
 #: (input shape, swapaxes-strided): 2-D, 3-D, and the token-mixing layout.
@@ -416,6 +486,122 @@ class TestCompositeKernels:
         ga, _, _ = B.linear_backward(g.reshape(-1, 5), x.reshape(-1, 5), weight,
                                      True, True, True)
         assert np.array_equal(g, saved) and not np.shares_memory(ga, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(0, 4), tokens=st.integers(1, 5), dim=st.integers(1, 6),
+           token_expansion=st.sampled_from([0.1, 0.5, 2.0]),
+           channel_expansion=st.sampled_from([0.1, 1.0, 2.0]),
+           masked=st.booleans(), x_grad=st.booleans(), transposed_g=st.booleans(),
+           frozen=st.sets(st.integers(0, 11)), seed=st.integers(0, 2 ** 16))
+    def test_mixer_block_matches_composed(self, rows, tokens, dim, token_expansion,
+                                          channel_expansion, masked, x_grad,
+                                          transposed_g, frozen, seed):
+        rng = np.random.default_rng(seed)
+        block = make_mixer(rng, tokens, dim, token_expansion, channel_expansion)
+        if not x_grad and len(frozen) == 12:
+            frozen = frozen - {0}                  # keep a graph to differentiate
+        for index, p in enumerate(block.parameters()):
+            p.requires_grad = index not in frozen
+        x = rng.standard_normal((rows, tokens, dim)) * 2 + 0.5
+        mask = None
+        if masked:
+            mask = rng.random((rows, tokens)) < 0.6
+            mask[:1] = False                       # a row with no valid token
+        coeff = rng.standard_normal((rows, tokens, dim))
+        got = run_mixer(node_mixer_block, block, x, mask, coeff, x_grad, transposed_g)
+        want = run_mixer(composed_mixer_block, block, x, mask, coeff, x_grad, transposed_g)
+        assert_mixer_agrees(got, want)
+        for index, grad in enumerate(got[2]):
+            assert (grad is None) == (index in frozen)
+        assert (got[1] is None) == (not x_grad)
+
+    def test_mixer_block_hidden_width_one(self):
+        # max(1, int(tokens * expansion)) floors both hidden layers at one unit
+        block = make_mixer(self.rng, 3, 4, token_expansion=0.1, channel_expansion=0.1)
+        assert block.token_mlp.fc1.out_features == block.channel_mlp.fc1.out_features == 1
+        x, coeff = self.rng.standard_normal((2, 5, 3, 4))
+        assert_mixer_agrees(run_mixer(node_mixer_block, block, x, None, coeff),
+                            run_mixer(composed_mixer_block, block, x, None, coeff))
+
+    def test_mixer_block_is_one_graph_node(self):
+        block = make_mixer(self.rng, 4, 6)
+        x = t(self.rng.standard_normal((3, 4, 6)))
+        out = block(x, mask=self.rng.random((3, 4)) < 0.7)
+        assert out._op == "mixer_block"
+        assert len(out._prev) == 13 and out._prev[0] is x
+        assert all(a is b for a, b in zip(out._prev[1:], block.parameters()))
+
+    def test_mixer_block_gradcheck(self):
+        block = make_mixer(self.rng, 3, 4, channel_expansion=2.0)
+        x = t(self.rng.standard_normal((2, 3, 4)))
+        mask = np.array([[True, True, False], [True, False, True]])
+        coeff = Tensor(self.rng.standard_normal((2, 3, 4)))
+        params = block.parameters()
+        gradcheck(lambda a, *ps: F.mixer_block(a, mask[..., None].astype(float), ps) * coeff,
+                  [x, *params])
+        gradcheck(lambda a, *ps: F.mixer_block(a, None, ps) * coeff, [x, *params])
+
+    def test_mixer_block_backward_contract(self):
+        """The kernel leaves ``g`` untouched, computes only the gradients
+        asked for, and keeps its saved activations intact for a repeated
+        ``backward()``."""
+        B = get_backend()
+        block = make_mixer(self.rng, 4, 6)
+        params = [p.data for p in block.parameters()]
+        x = self.rng.standard_normal((5, 4, 6))
+        fmask = (self.rng.random((5, 4, 1)) < 0.7).astype(np.float64)
+        for mask in (fmask, None):
+            _, saved = B.mixer_block_forward(x, mask, params, None, None, 1e-5, True)
+            g = self.rng.standard_normal((5, 4, 6))
+            kept = g.copy()
+            grads = B.mixer_block_backward(g, saved, params, [True] * 13)
+            assert g.tobytes() == kept.tobytes()
+            assert not any(np.shares_memory(grad, g) for grad in grads)
+            again = B.mixer_block_backward(g, saved, params, [True] * 13)
+            for first, second in zip(grads, again):
+                assert np.array_equal(first, second)
+            need = [False, True, False, False, True, False, False,
+                    True, False, False, False, True, False]
+            some = B.mixer_block_backward(g, saved, params, need)
+            for wanted, grad, full in zip(need, some, grads):
+                assert (grad is not None) == wanted
+                if wanted:
+                    assert np.array_equal(grad, full)
+
+    def test_mixer_block_backward_twice_doubles_the_gradient(self):
+        block = make_mixer(self.rng, 4, 6)
+        x_data, coeff = self.rng.standard_normal((2, 3, 4, 6))
+        mask = self.rng.random((3, 4)) < 0.7
+        _, gx, gp = run_mixer(node_mixer_block, block, x_data, mask, coeff)
+        once = [gx.copy()] + [g.copy() for g in gp]
+        block.zero_grad()
+        x = t(x_data)
+        out = block(x, mask=mask)
+        out.backward(coeff)
+        out.zero_grad()        # or the second call would push g + g through
+        out.backward(coeff)
+        for single, double in zip(once, [x.grad] + [p.grad for p in block.parameters()]):
+            assert np.array_equal(double, 2.0 * single)
+
+    @pytest.mark.parametrize("rows", [3, 60])      # below / above the arena floor
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_mixer_block_forward_only_and_backends_bitwise(self, rows, masked):
+        block = make_mixer(self.rng, 10, 34)
+        x = self.rng.standard_normal((rows, 10, 34))
+        mask = self.rng.random((rows, 10)) < 0.7 if masked else None
+        coeff = self.rng.standard_normal((rows, 10, 34))
+        out, gx, gp = run_mixer(node_mixer_block, block, x, mask, coeff)
+        want = [out.data.copy(), gx.copy()] + [g.copy() for g in gp]
+        with no_grad():
+            quiet = block(Tensor(x), mask=mask)
+        assert not quiet.requires_grad and quiet._prev == ()
+        assert quiet.data.tobytes() == want[0].tobytes()
+        for name in ("reference", "fused"):
+            with use_backend(name) as backend:
+                backend.begin_batch()
+                out, gx, gp = run_mixer(node_mixer_block, block, x, mask, coeff)
+                for got, ref in zip([out.data, gx] + gp, want):
+                    assert got.tobytes() == ref.tobytes()
 
     def test_scatter_rows(self):
         src = t(self.rng.standard_normal((3, 4)))
