@@ -183,7 +183,9 @@ class TaserTrainer:
         self.backbone = make_backbone(cfg.backbone, self.graph.node_dim,
                                       self.graph.edge_dim, hidden_dim=cfg.hidden_dim,
                                       time_dim=cfg.time_dim,
-                                      num_neighbors=cfg.num_neighbors, rng=rng_model)
+                                      num_neighbors=cfg.num_neighbors,
+                                      num_heads=cfg.num_heads, dropout=cfg.dropout,
+                                      rng=rng_model)
         self.predictor = EdgePredictor(cfg.hidden_dim, rng=rng_model)
         self.sampler = None
         if cfg.adaptive_neighbor:

@@ -6,9 +6,15 @@ adaptive mini-batch selection, adaptive neighbor sampling, TGNN training and
 MRR evaluation — at a scale that runs in a few seconds per test.
 """
 
+import dataclasses
+import inspect
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import TaserConfig, TaserTrainer
 from repro.graph import CTDGConfig, generate_ctdg, chronological_split
 
@@ -60,6 +66,25 @@ class TestConfig:
             tiny_config(num_candidates=2, num_neighbors=5)
         with pytest.raises(ValueError):
             tiny_config(cache_ratio=1.5)
+
+    def test_no_dead_options(self):
+        """Every field is read as ``cfg.<name>`` / ``config.<name>`` somewhere
+        under ``src/repro``, or through a ``resolved_<name>`` property that
+        is; a field only its own validation touches configures nothing."""
+        code = "\n".join(p.read_text() for p in
+                         sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")))
+
+        def read(name):
+            return re.search(rf"\b(?:cfg|config)\.{name}\b", code) is not None
+
+        def read_resolved(name):
+            prop = getattr(TaserConfig, f"resolved_{name}", None)
+            return (prop is not None and read(f"resolved_{name}")
+                    and f"self.{name}" in inspect.getsource(prop.fget))
+
+        dead = [f.name for f in dataclasses.fields(TaserConfig)
+                if not (read(f.name) or read_resolved(f.name))]
+        assert dead == []
 
 
 class TestTrainingVariants:
