@@ -1,4 +1,4 @@
-"""Per-layer micro-benchmark of the adaptive sampler's building blocks.
+"""Per-layer micro-benchmark of a ``train_tgat_taser`` step's building blocks.
 
 Times ``F.layer_norm``, ``F.linear``, ``MixerBlock`` and
 ``AdaptiveNeighborSampler`` at the shapes a ``train_tgat_taser`` step runs
@@ -6,7 +6,10 @@ them at (``m = 10`` candidates, ``d = 34`` channels — the sampler's encoding
 width for an edge-featured graph), forward, forward under ``no_grad()``
 (what ``evaluate`` and every serve flush run) and forward+backward, at
 ``R`` in {300, 1 500, 6 000} rows and with 0 % / 25 % of the rows *dead* (no
-valid candidate; the masked ops only).  Per cell it records
+valid candidate; the masked ops only) — and ``TGAT.aggregate`` (``n = 5``
+gated neighbors, hidden 32, edge 32, time 16, 15 % of the slots padded) on
+the layer-0 *zero state* (no node features: layer 1 of both hops) and on a
+live previous-layer state (layer 2).  Per cell it records
 
 * ``ns_per_op`` — median wall-clock nanoseconds of one call, the result kept
   alive while the clock runs, as a training step keeps it;
@@ -41,14 +44,16 @@ from tracer import Tracer  # noqa: E402
 
 from repro.bench import emit_bench_json  # noqa: E402
 from repro.core import AdaptiveNeighborSampler  # noqa: E402
+from repro.models import TGAT, HopData  # noqa: E402
 from repro.nn import MixerBlock  # noqa: E402
 from repro.sampling import NeighborBatch  # noqa: E402
 from repro.tensor import Tensor, get_backend, no_grad  # noqa: E402
 from repro.tensor import functional as F  # noqa: E402
 
 M, D, EDGE_DIM, BUDGET = 10, 34, 32, 5
+HIDDEN, TIME_DIM, PADDED_SHARE = 32, 16, 0.15
 SIZES = (300, 1500, 6000)
-DEAD_SHARES = (0.0, 0.25)
+DEAD_SHARES = {"dead0": 0.0, "dead25": 0.25}
 
 
 def candidate_mask(rng, rows: int, dead_share: float) -> np.ndarray:
@@ -91,12 +96,31 @@ def sampler_op(rng, rows, dead_share):
     return lambda: sampler(candidates, BUDGET, edge_feat=edge_feat).log_prob
 
 
-#: name -> (factory, whether the op sees the candidate mask)
+def tgat_aggregate_op(rng, rows, live_h):
+    model = TGAT(0, EDGE_DIM, hidden_dim=HIDDEN, time_dim=TIME_DIM, dropout=0.0, rng=rng)
+    mask = rng.random((rows, BUDGET)) >= PADDED_SHARE
+    hop = HopData(
+        batch=NeighborBatch(
+            root_nodes=rng.integers(0, 1000, rows), root_times=np.full(rows, 100.0),
+            nodes=np.where(mask, rng.integers(1, 50, (rows, BUDGET)), 0),
+            eids=np.where(mask, rng.integers(1, 10 ** 4, (rows, BUDGET)), 0),
+            times=np.where(mask, rng.uniform(1.0, 99.0, (rows, BUDGET)), 0.0), mask=mask),
+        edge_feat=rng.standard_normal((rows, BUDGET, EDGE_DIM)) * mask[..., None])
+    hop.make_gate()
+    h_target = h_neighbors = None                   # the zero state
+    if live_h:
+        h_target = Tensor(rng.standard_normal((rows, HIDDEN)), requires_grad=True)
+        h_neighbors = Tensor(rng.standard_normal((rows, BUDGET, HIDDEN)), requires_grad=True)
+    return lambda: model.aggregate(1, h_target, h_neighbors, hop)
+
+
+#: name -> (factory, {variant label: the factory's third argument})
 OPS = {
-    "layer_norm": (layer_norm_op, False),
-    "linear": (linear_op, False),
-    "mixer_block": (mixer_op, True),
-    "adaptive_sampler": (sampler_op, True),
+    "layer_norm": (layer_norm_op, {"dead0": 0.0}),
+    "linear": (linear_op, {"dead0": 0.0}),
+    "mixer_block": (mixer_op, DEAD_SHARES),
+    "adaptive_sampler": (sampler_op, DEAD_SHARES),
+    "tgat_aggregate": (tgat_aggregate_op, {"zero_state": False, "live_h": True}),
 }
 
 
@@ -121,10 +145,10 @@ def bench(sizes, repeats: int) -> dict:
     tracer = Tracer()
     tracer.bind(SimpleNamespace(array_backend=get_backend()))
     cells: dict = {}
-    for name, (factory, masked) in OPS.items():
+    for name, (factory, variants) in OPS.items():
         for rows in sizes:
-            for dead_share in (DEAD_SHARES if masked else DEAD_SHARES[:1]):
-                forward = factory(np.random.default_rng(0), rows, dead_share)
+            for label, variant in variants.items():
+                forward = factory(np.random.default_rng(0), rows, variant)
                 coeff = Tensor(np.random.default_rng(1).standard_normal(forward().shape))
 
                 def forward_nograd():
@@ -139,9 +163,8 @@ def bench(sizes, repeats: int) -> dict:
                 cell = {"forward": measure(forward, tracer, repeats),
                         "forward_nograd": measure(forward_nograd, tracer, repeats),
                         "forward_backward": measure(forward_backward, tracer, repeats)}
-                cells.setdefault(name, {}).setdefault(f"R{rows}", {})[
-                    f"dead{int(dead_share * 100)}"] = cell
-                print(f"  {name:<17} R={rows:<5} dead={dead_share:<5}"
+                cells.setdefault(name, {}).setdefault(f"R{rows}", {})[label] = cell
+                print(f"  {name:<17} R={rows:<5} {label:<10}"
                       f" fwd {cell['forward']['ns_per_op'] / 1e6:8.3f} ms"
                       f" {cell['forward']['out_bytes_per_op'] / 2 ** 20:7.2f} MB |"
                       f" nograd {cell['forward_nograd']['ns_per_op'] / 1e6:8.3f} ms |"
@@ -160,7 +183,8 @@ def main(argv=None) -> int:
     print(f"bench_layers: m={M} d={D} backend={get_backend().name}")
     cells = bench(args.sizes, args.repeats)
     path = emit_bench_json("layers", {
-        "m": M, "d": D, "budget": BUDGET, "repeats": args.repeats,
+        "m": M, "d": D, "budget": BUDGET, "hidden": HIDDEN, "edge_dim": EDGE_DIM,
+        "time_dim": TIME_DIM, "repeats": args.repeats,
         "array_backend": get_backend().name, "cells": cells})
     print(f"wrote {path}")
     return 0

@@ -70,15 +70,23 @@ class TGNNBackbone(Module):
 
     # -- layer-0 embeddings -------------------------------------------------------
 
-    def base_embedding(self, node_feat: Optional[np.ndarray], count: int) -> Tensor:
-        """Layer-0 node state: projected raw features, or zeros when absent."""
+    def base_embedding(self, node_feat: Optional[np.ndarray], count: int
+                       ) -> Optional[Tensor]:
+        """Layer-0 node state: projected raw features, or zeros when absent.
+
+        A backbone whose :meth:`aggregate` accepts it may return ``None``
+        instead of a zero tensor — the *zero state*.  It is a statement about
+        structure (no node features to project), never the result of
+        inspecting values, and it lets layer 1 skip the arithmetic on it.
+        """
         raise NotImplementedError
 
     # -- per-layer aggregation ------------------------------------------------------
 
-    def aggregate(self, layer: int, h_target: Tensor, h_neighbors: Tensor,
-                  hop: HopData) -> Tensor:
-        """COMB of layer ``layer`` (1-indexed): combine target and neighbor states."""
+    def aggregate(self, layer: int, h_target: Optional[Tensor],
+                  h_neighbors: Optional[Tensor], hop: HopData) -> Tensor:
+        """COMB of layer ``layer`` (1-indexed): combine target and neighbor
+        states (whatever :meth:`base_embedding` returns, at layer 1)."""
         raise NotImplementedError
 
     # -- recursive embedding computation ----------------------------------------------
@@ -104,7 +112,7 @@ class TGNNBackbone(Module):
         )
 
     def _embed_recursive(self, layer: int, target_feat: Optional[np.ndarray],
-                         num_targets: int, hops: List[HopData]) -> Tensor:
+                         num_targets: int, hops: List[HopData]) -> Optional[Tensor]:
         if layer == 0:
             return self.base_embedding(target_feat, num_targets)
         hop = hops[0]
@@ -117,7 +125,8 @@ class TGNNBackbone(Module):
             neigh_feat = hop.neigh_node_feat.reshape(num_targets * n, -1)
         h_neighbors = self._embed_recursive(layer - 1, neigh_feat,
                                             num_targets * n, hops[1:])
-        h_neighbors = h_neighbors.reshape(num_targets, n, self.hidden_dim)
+        if h_neighbors is not None:
+            h_neighbors = h_neighbors.reshape(num_targets, n, self.hidden_dim)
         return self.aggregate(layer, h_target, h_neighbors, hop)
 
     # -- link prediction head ------------------------------------------------------------

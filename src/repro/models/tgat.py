@@ -6,19 +6,26 @@ zero-timespan encoding, keys/values are the neighbor messages
 ``h_u || x_uvt || Phi(dt)`` with a *learnable* time encoding
 ``Phi(dt) = cos(dt w + b)``.  The reference configuration is two layers with
 uniformly sampled neighbors.
+
+One layer's aggregate is one graph node
+(:func:`repro.tensor.functional.temporal_attention`); the modules here own
+its parameters and dropout generators.  Without node features the layer-0
+state is the *zero state* (``None``, see :mod:`repro.models.base`), and the
+node skips the weight columns that would multiply it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..encoders import LearnableTimeEncoder
 from ..nn import Linear, Module, ModuleList, TemporalAttention
 from ..nn.layers import Dropout
-from ..tensor import Tensor, concatenate
-from .base import TGNNBackbone, build_messages
+from ..tensor import Tensor
+from ..tensor import functional as F
+from .base import TGNNBackbone
 from .minibatch import HopData
 
 __all__ = ["TGAT"]
@@ -43,13 +50,17 @@ class _TGATLayer(Module):
         #: analytic TGAT sample-loss estimator (Eq. 25).
         self.last_attention: Optional[np.ndarray] = None
 
-    def forward(self, query: Tensor, messages: Tensor, mask: np.ndarray) -> Tensor:
-        attended, attn = self.attention(query, messages, mask=mask)
-        self.last_attention = attn.data
-        merged = concatenate([attended, query[:, :attended.shape[-1]]], axis=-1) \
-            if query.shape[-1] >= attended.shape[-1] else concatenate([attended, query], axis=-1)
-        hidden = self.drop(self.merge1(merged).relu())
-        return self.merge2(hidden)
+    def forward(self, time_encoder: LearnableTimeEncoder, h_target: Optional[Tensor],
+                h_neighbors: Optional[Tensor], hop: HopData) -> Tensor:
+        attention = self.attention
+        # The keep-masks of the two dropouts, in the order they apply.
+        shape = (hop.num_targets, attention.out_dim)
+        keep_attn, keep_merge = attention.drop.keep_mask(shape), self.drop.keep_mask(shape)
+        out, self.last_attention = F.temporal_attention(
+            hop.batch.delta_t(), hop.batch.mask, hop.edge_feat, h_target, h_neighbors,
+            hop.gate, (*time_encoder.parameters(), *self.parameters()),
+            attention.num_heads, keep_attn, keep_merge)
+        return out
 
 
 class TGAT(TGNNBackbone):
@@ -71,20 +82,14 @@ class TGAT(TGNNBackbone):
 
     # -- TGNNBackbone hooks ----------------------------------------------------------
 
-    def base_embedding(self, node_feat: Optional[np.ndarray], count: int) -> Tensor:
+    def base_embedding(self, node_feat: Optional[np.ndarray], count: int) -> Optional[Tensor]:
         if self.node_proj is not None and node_feat is not None:
             return self.node_proj(Tensor(node_feat))
-        return Tensor(np.zeros((count, self.hidden_dim)))
+        return None
 
-    def aggregate(self, layer: int, h_target: Tensor, h_neighbors: Tensor,
-                  hop: HopData) -> Tensor:
-        tgat_layer: _TGATLayer = self.layers[layer - 1]
-        delta = hop.batch.delta_t()
-        time_enc = self.time_encoder(delta)
-        zero_enc = self.time_encoder(np.zeros(h_target.shape[0]))
-        query = concatenate([h_target, zero_enc], axis=-1)
-        messages = build_messages(h_neighbors, hop.edge_feat, time_enc, gate=hop.gate)
-        return tgat_layer(query, messages, mask=hop.batch.mask)
+    def aggregate(self, layer: int, h_target: Optional[Tensor],
+                  h_neighbors: Optional[Tensor], hop: HopData) -> Tensor:
+        return self.layers[layer - 1](self.time_encoder, h_target, h_neighbors, hop)
 
     # -- introspection for the analytic sample loss -------------------------------------
 

@@ -3,7 +3,7 @@
 from .module import Module, ModuleList, Parameter
 from .layers import Linear, LayerNorm, Dropout, MLP, Sequential, Identity, Activation
 from .mixer import MixerBlock, FeedForward
-from .attention import TemporalAttention, scaled_dot_product_attention
+from .attention import TemporalAttention
 from . import init
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "MixerBlock",
     "FeedForward",
     "TemporalAttention",
-    "scaled_dot_product_attention",
     "init",
 ]

@@ -1,56 +1,29 @@
-"""Scaled dot-product / multi-head attention used by the TGAT aggregator.
+"""Parameters of the multi-head attention inside the TGAT aggregator.
 
 TGAT (Eq. 4-7 of the paper) attends from a single query (the target node at
-time ``t``) over the messages of its sampled temporal neighborhood.  The
-attention here supports a per-neighbor validity mask so padded neighborhoods
-(nodes with fewer historical interactions than the budget) are excluded.
+time ``t``) over the messages of its sampled temporal neighborhood, with a
+per-neighbor validity mask so padded neighborhoods (nodes with fewer
+historical interactions than the budget) are excluded.
 
-The score → masked-softmax → aggregate chain is the propagation hot path of
-the TGAT backbone; all of its float math (projections, batched matmuls, the
-softmax kernel) dispatches through the active array backend
-(:mod:`repro.tensor.backend`) — the ``fused`` backend serves it from
-workspace arenas with bitwise-identical outputs.  Only the boolean head-mask
-broadcast below touches numpy directly (no float math moves through it).
+The whole aggregate — time encoding, messages, the score → masked-softmax →
+weighted-sum chain here, output projection and merge — is one graph node
+(:func:`repro.tensor.functional.temporal_attention`) over a kernel pair every
+backend shares, so this module only owns the attention's parameters and its
+dropout generator.  The composition of ``Linear`` / batched-matmul /
+``masked_softmax`` nodes the kernel replaces is the oracle of
+``tests/test_tensor_ops.py``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..tensor import Tensor
-from ..tensor import functional as F
 from .layers import Dropout, Linear
 from .module import Module
 
-__all__ = ["scaled_dot_product_attention", "TemporalAttention"]
-
-
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
-                                 mask: Optional[np.ndarray] = None
-                                 ) -> Tuple[Tensor, Tensor]:
-    """Attention over the second-to-last axis of ``k``/``v``.
-
-    Parameters
-    ----------
-    q: ``(..., 1, d)`` query.
-    k: ``(..., n, d)`` keys.
-    v: ``(..., n, dv)`` values.
-    mask: optional boolean ``(..., n)``; False entries receive zero weight.
-
-    Returns
-    -------
-    (output, attention_weights) where output is ``(..., 1, dv)``.
-    """
-    d = q.shape[-1]
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        attn = F.masked_softmax(scores, mask[..., None, :], axis=-1)
-    else:
-        attn = scores.softmax(axis=-1)
-    return attn @ v, attn
+__all__ = ["TemporalAttention"]
 
 
 class TemporalAttention(Module):
@@ -58,7 +31,10 @@ class TemporalAttention(Module):
 
     This is the COMB function of the TGAT aggregator: the query is built from
     the target node state concatenated with the zero time-encoding, while keys
-    and values are built from the neighbor messages (Eq. 4-6).
+    and values are built from the neighbor messages (Eq. 4-6).  A parameter
+    container: :class:`repro.models.TGAT` hands ``w_q`` / ``w_k`` / ``w_v`` /
+    ``w_out`` to the aggregate's node and draws ``drop``'s keep-mask for the
+    ``(B, out_dim)`` projection output.
     """
 
     def __init__(self, query_dim: int, message_dim: int, out_dim: int,
@@ -76,34 +52,3 @@ class TemporalAttention(Module):
         self.w_v = Linear(message_dim, out_dim, rng=rng)
         self.w_out = Linear(out_dim, out_dim, rng=rng)
         self.drop = Dropout(dropout, rng=rng)
-
-    def _split_heads(self, x: Tensor, batch: int, length: int) -> Tensor:
-        # (B, L, H*Dh) -> (B, H, L, Dh)
-        return x.reshape(batch, length, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
-
-    def forward(self, query: Tensor, messages: Tensor,
-                mask: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
-        """Compute the aggregated representation.
-
-        Parameters
-        ----------
-        query: ``(B, query_dim)`` target-node query features.
-        messages: ``(B, n, message_dim)`` neighbor messages.
-        mask: optional boolean ``(B, n)`` of valid neighbors.
-
-        Returns
-        -------
-        (output ``(B, out_dim)``, attention ``(B, num_heads, n)``).
-        """
-        batch, n, _ = messages.shape
-        q = self._split_heads(self.w_q(query).reshape(batch, 1, self.out_dim), batch, 1)
-        k = self._split_heads(self.w_k(messages), batch, n)
-        v = self._split_heads(self.w_v(messages), batch, n)
-        head_mask = None
-        if mask is not None:
-            head_mask = np.broadcast_to(np.asarray(mask, dtype=bool)[:, None, :],
-                                        (batch, self.num_heads, n))
-        out, attn = scaled_dot_product_attention(q, k, v, mask=head_mask)
-        out = out.transpose(0, 2, 1, 3).reshape(batch, self.out_dim)
-        out = self.drop(self.w_out(out))
-        return out, attn.reshape(batch, self.num_heads, n)

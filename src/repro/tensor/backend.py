@@ -704,6 +704,192 @@ class ReferenceBackend(ArrayBackend):
             grads[0] = gx
         return grads
 
+    # -- TGAT temporal-attention aggregate (one autograd node) ---------------
+    # Time encoding -> message -> K|V -> masked multi-head attention of one
+    # query per row -> ``w_out`` -> merge MLP.  The message ``h || edge ||
+    # Phi(dt)`` is never built: K|V is the sum of one GEMM per part over the
+    # matching weight columns, a part that is absent (``None``: the zero
+    # state, no edge features) costs nothing in either pass, and the gate
+    # scales the head contractions instead of the message, ``(g m) @ W =
+    # g (m @ W)``.  ``params`` is the fourteen parameter arrays in
+    # registration order: the time encoder's ``w, b``, then weight and bias of
+    # ``w_q, w_k, w_v, w_out, merge1, merge2``.  ``w_k``'s bias shifts every
+    # score of a row by the same ``q . b_k``, which the softmax cancels: it
+    # enters neither pass and its gradient is exactly zero.
+
+    def temporal_attention_forward(self, delta: np.ndarray, mask: np.ndarray,
+                                   edge: Optional[np.ndarray],
+                                   h_target: Optional[np.ndarray],
+                                   h_neighbors: Optional[np.ndarray],
+                                   gate: Optional[np.ndarray], params, num_heads: int,
+                                   keep_attn: Optional[np.ndarray],
+                                   keep_merge: Optional[np.ndarray], retain: bool):
+        """TGAT's aggregate of ``n`` neighbors per row; returns ``(out, attn,
+        saved)`` with ``out`` ``(R, d)`` and ``attn`` the ``(R, heads, n)``
+        attention weights.
+
+        ``delta`` ``(R, n)`` are the relative timespans, ``mask`` the boolean
+        validity of each slot, ``edge`` ``(R, n, d_e)`` the edge features,
+        ``h_target`` ``(R, d)`` / ``h_neighbors`` ``(R, n, d)`` the
+        previous-layer states (``None``: all zero), ``gate`` the ``(R, n)``
+        per-neighbor message scale, ``keep_attn`` / ``keep_merge`` the
+        ``(R, d)`` scaled dropout keep-masks after ``w_out`` and inside the
+        merge MLP.  With ``retain`` the backward pass's inputs come back in
+        ``saved``; without it ``saved`` is ``None`` and the encoding and K|V
+        are released the moment they are dead.
+        """
+        tw, tb, wq, bq, wk, _, wv, bv, wo, bo, m1, c1, m2, c2 = params
+        rows, n = delta.shape
+        width, d_t = wo.shape[0], tw.shape[0]
+        d_h = wq.shape[1] - d_t
+        heads = (num_heads, width // num_heads)
+
+        te = delta[..., None] * tw
+        te += tb
+        np.cos(te, out=te)
+        wkv = np.concatenate((wk, wv))
+        kv = self.matmul(te.reshape(-1, d_t), wkv[:, -d_t:].T)
+        if edge is not None:
+            kv += self.matmul(edge.reshape(rows * n, -1), wkv[:, d_h:-d_t].T)
+        if h_neighbors is not None:
+            kv += self.matmul(h_neighbors.reshape(-1, d_h), wkv[:, :d_h].T)
+        kv = kv.reshape(rows, n, 2, *heads)
+        saved = (delta, edge, h_target, h_neighbors, gate, te, kv) if retain else None
+        del te
+
+        # The query's time half encodes a zero timespan: cos(b) for every row.
+        q = self.matmul(wq[:, d_h:], np.cos(tb))
+        q += bq
+        if h_target is not None:
+            q = q + self.matmul(h_target, wq[:, :d_h].T)
+        q = np.broadcast_to(q.reshape(-1, *heads), (rows, *heads))
+        sp = np.einsum("rhd,rjhd->rhj", q, kv[:, :, 0])
+        attn = sp * (1.0 / np.sqrt(heads[1]))
+        if gate is not None:
+            attn *= gate[:, None, :]
+        attn += np.where(mask, 0.0, -1e30)[:, None, :]
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        # A row with no valid slot softmaxes to uniform; the mask zeroes it.
+        attn *= mask[:, None, :]
+        att = np.einsum("rhj,rjhd->rhd",
+                        attn if gate is None else attn * gate[:, None, :], kv[:, :, 1])
+        att += attn.sum(axis=-1)[..., None] * bv.reshape(heads)
+        att = att.reshape(rows, width)
+        del kv
+
+        o = self.matmul(att, wo.T)
+        o += bo
+        if keep_attn is not None:
+            o *= keep_attn
+        y = self.matmul(o, m1[:, :width].T)
+        if h_target is not None:
+            y += self.matmul(h_target, m1[:, width:].T)
+        y += c1
+        np.maximum(y, 0.0, out=y)
+        if keep_merge is not None:
+            y *= keep_merge
+        out = self.matmul(y, m2.T)
+        out += c2
+        if retain:
+            saved += (q, sp, attn, att, o, y, keep_attn, keep_merge)
+        return out, attn, saved
+
+    def temporal_attention_backward(self, g: np.ndarray, saved, params, need) -> list:
+        """Gradients of :meth:`temporal_attention_forward` w.r.t. ``(h_target,
+        h_neighbors, gate, *params)``; ``need[i]`` says whether entry ``i`` is
+        wanted (``None`` otherwise).
+
+        With ``gkv`` the gradient at the pre-gate K|V, each weight-column
+        block of ``w_k`` / ``w_v`` is ``gkv.T @ part`` and only the parts that
+        have one get an input gradient: ``gkv @ W[:, t]`` for the time
+        encoding always, ``gkv @ W[:, h]`` for a live ``h_neighbors`` that
+        requires it, nothing for the edge features.  The gate's gradient
+        needs no pass over K|V: it is ``sum_h (gw * attn + gs * sp)`` with
+        ``gw`` / ``gs`` the gradients at the gated weights and scores.
+        """
+        (delta, edge, h_target, h_neighbors, gate, te, kv,
+         q, sp, attn, att, o, y, keep_attn, keep_merge) = saved
+        tw, tb, wq, _, wk, bk, wv, _, wo, _, m1, _, m2, _ = params
+        rows, n = delta.shape
+        width, d_t = wo.shape[0], tw.shape[0]
+        d_h = wq.shape[1] - d_t
+        heads = kv.shape[3:]
+        grads = [None] * 17
+
+        # Merge MLP and w_out, on (R, d) arrays.
+        grads[15], grads[16] = self.matmul(g.T, y), g.sum(axis=0)
+        gz = self.matmul(g, m2)
+        gz *= y > 0
+        if keep_merge is not None:
+            gz *= keep_merge
+        grads[13] = np.zeros_like(m1)
+        grads[13][:, :width] = self.matmul(gz.T, o)
+        if h_target is not None:
+            grads[13][:, width:] = self.matmul(gz.T, h_target)
+        grads[14] = gz.sum(axis=0)
+        go = self.matmul(gz, m1[:, :width])
+        if keep_attn is not None:
+            go *= keep_attn
+        grads[11], grads[12] = self.matmul(go.T, att), go.sum(axis=0)
+        gatt = self.matmul(go, wo).reshape(rows, *heads)
+        grads[10] = np.einsum("rh,rhd->hd", attn.sum(axis=-1), gatt).reshape(width)
+
+        # Attention.  ``b_v``'s share of the weight gradient is constant over
+        # a row's slots, so the softmax backward cancels it like ``b_k``.
+        gw = np.einsum("rhd,rjhd->rhj", gatt, kv[:, :, 1])
+        gs = gw if gate is None else gw * gate[:, None, :]
+        gs = gs - np.einsum("rhj,rhj->rh", gs, attn)[..., None]
+        gs *= attn
+        gs *= 1.0 / np.sqrt(heads[1])
+        if need[2]:
+            grads[2] = (gw * attn + gs * sp).sum(axis=1)
+        wgt = attn
+        if gate is not None:
+            gs *= gate[:, None, :]
+            wgt = attn * gate[:, None, :]
+        gkv = np.empty_like(kv)
+        np.multiply(gs.swapaxes(1, 2)[..., None], q[:, None], out=gkv[:, :, 0])
+        np.multiply(wgt.swapaxes(1, 2)[..., None], gatt[:, None], out=gkv[:, :, 1])
+        gkv = gkv.reshape(rows * n, 2 * width)
+
+        # Query: its time half is the constant cos(b).
+        gq = np.einsum("rhj,rjhd->rhd", gs, kv[:, :, 0]).reshape(rows, width)
+        grads[6] = gq.sum(axis=0)
+        grads[5] = np.zeros_like(wq)
+        grads[5][:, d_h:] = np.outer(grads[6], np.cos(tb))
+        if h_target is not None:
+            grads[5][:, :d_h] = self.matmul(gq.T, h_target)
+        if need[0]:
+            grads[0] = self.matmul(gz, m1[:, width:])
+            grads[0] += self.matmul(gq, wq[:, :d_h])
+
+        # K|V projection, one column block per message part.
+        wkv = np.concatenate((wk, wv))
+        if need[7] or need[9]:
+            gwkv = np.zeros_like(wkv)
+            gwkv[:, -d_t:] = self.matmul(gkv.T, te.reshape(-1, d_t))
+            if edge is not None:
+                gwkv[:, d_h:-d_t] = self.matmul(gkv.T, edge.reshape(rows * n, -1))
+            if h_neighbors is not None:
+                gwkv[:, :d_h] = self.matmul(gkv.T, h_neighbors.reshape(-1, d_h))
+            grads[7], grads[9] = gwkv[:width], gwkv[width:]
+        grads[8] = np.zeros_like(bk)
+        if need[1]:
+            grads[1] = self.matmul(gkv, wkv[:, :d_h]).reshape(rows, n, d_h)
+
+        # Time encoder: d cos(phase) = -sin(phase), the phase rebuilt here.
+        if need[3] or need[4]:
+            gphase = delta[..., None] * tw
+            gphase += tb
+            np.sin(gphase, out=gphase)
+            gphase *= self.matmul(gkv, wkv[:, -d_t:]).reshape(rows, n, d_t)
+            grads[3] = -np.einsum("rjt,rj->t", gphase, delta)
+            grads[4] = -gphase.sum(axis=(0, 1))
+            grads[4] -= np.sin(tb) * (grads[6] @ wq[:, d_h:])
+        return [grad if wanted else None for grad, wanted in zip(grads, need)]
+
 
 # ---------------------------------------------------------------------------
 # fused backend — same ops, out=/in-place over workspace arenas

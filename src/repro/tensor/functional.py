@@ -10,8 +10,8 @@ under the ``fused`` backend the primitives inside :func:`masked_softmax` and
 the losses run as ``out=`` kernels over workspace buffers while the autograd
 graph — and therefore every gradient — stays bitwise-identical to the
 ``reference`` backend.  :func:`linear`, :func:`layer_norm`,
-:func:`mixer_block` and :func:`scatter_rows` are single graph nodes defined
-beside the engine (:mod:`repro.tensor.tensor`) and re-exported here.  Only
+:func:`mixer_block`, :func:`temporal_attention` and :func:`scatter_rows` are
+single graph nodes defined beside the engine (:mod:`repro.tensor.tensor`) and re-exported here.  Only
 mask plumbing (boolean arrays, ``-1e30`` fill values, dropout keep-masks)
 touches numpy directly; it moves no float math.
 """
@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .tensor import (Tensor, concatenate, layer_norm, linear, mixer_block,
-                     scatter_rows, stack, where)
+                     scatter_rows, stack, temporal_attention, where)
 
 __all__ = [
     "sigmoid",
@@ -41,6 +41,7 @@ __all__ = [
     "layer_norm",
     "linear",
     "mixer_block",
+    "temporal_attention",
     "scatter_rows",
     "masked_softmax",
     "masked_mean",

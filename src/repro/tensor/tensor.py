@@ -65,15 +65,16 @@ only to sum it.
 
 Composite kernels
 -----------------
-:func:`linear`, :func:`layer_norm` and :func:`mixer_block` are one graph node
-each with an analytic backward, over a forward / backward kernel pair on the
-array backend.  The pair is defined once on the reference backend and
+:func:`linear`, :func:`layer_norm`, :func:`mixer_block` and
+:func:`temporal_attention` are one graph node each with an analytic backward,
+over a forward / backward kernel pair on the array backend.  The pair is defined once on the reference backend and
 inherited — not overridden — by the others, so every backend runs the same
 arithmetic by construction; the kernels compute only the gradients whose
 tensor requires one and never write into the ``g`` they receive.  The
 primitive-composed forms (``x @ W.T + b``, ``mean`` / ``sub`` / ``sqrt`` /
-``div``, the mixer block's modules) agree with them to the last few ulps and
-live on as test oracles.
+``div``, the mixer block's modules, TGAT's concatenated messages and
+per-head matmuls) agree with them to the last few ulps and live on as test
+oracles.
 
 Backend dispatch
 ----------------
@@ -902,6 +903,51 @@ def mixer_block(x: Tensor, fmask: Optional[np.ndarray], params: Sequence[Tensor]
                     parent._accumulate(grad)
         out._backward = _backward
     return out
+
+
+def temporal_attention(delta: np.ndarray, mask: np.ndarray,
+                       edge_feat: Optional[np.ndarray], h_target: Optional[Tensor],
+                       h_neighbors: Optional[Tensor], gate: Optional[Tensor],
+                       params: Sequence[Tensor], num_heads: int,
+                       keep_attn: Optional[np.ndarray] = None,
+                       keep_merge: Optional[np.ndarray] = None
+                       ) -> Tuple[Tensor, np.ndarray]:
+    """TGAT's temporal-attention aggregate of ``n`` sampled neighbors per row
+    — learnable time encoding of ``delta`` ``(R, n)``, messages ``h || edge ||
+    Phi(dt)`` scaled by ``gate``, masked multi-head attention from the query
+    ``h_target || Phi(0)``, output projection and the merge MLP over
+    ``attended || h_target``.  Returns the ``(R, d)`` result and the
+    ``(R, heads, n)`` attention weights (a plain array).
+
+    One graph node over the backend's ``temporal_attention_forward`` /
+    ``temporal_attention_backward`` kernels, with those of ``(h_target,
+    h_neighbors, gate, *params)`` that are given as parents.  ``params`` is
+    the time encoder's ``w, b`` followed by the layer's twelve parameters in
+    registration order; ``h_target`` / ``h_neighbors`` are ``None`` for the
+    *zero state* (no node features below layer 1), whose weight columns are
+    then never multiplied; ``keep_attn`` / ``keep_merge`` are the ``(R, d)``
+    scaled dropout keep-masks.  The composition of ``linear`` / ``matmul`` /
+    ``masked_softmax`` nodes it replaces is the test oracle.
+    """
+    slots = (h_target, h_neighbors, gate, *params)
+    arrays = [p.data for p in params]
+    need = [s is not None and s.requires_grad for s in slots]
+    req = _GRAD_ENABLED and any(need)
+    data, attn, saved = get_backend().temporal_attention_forward(
+        delta, mask, edge_feat, *(None if s is None else s.data for s in slots[:3]),
+        arrays, num_heads, keep_attn, keep_merge, req)
+    out = Tensor(data, requires_grad=req)
+    if req:
+        out._prev = tuple(s for s in slots if s is not None)
+        out._op = "temporal_attention"
+
+        def _backward(g):
+            grads = get_backend().temporal_attention_backward(g, saved, arrays, need)
+            for slot, grad in zip(slots, grads):
+                if grad is not None:
+                    slot._accumulate(grad)
+        out._backward = _backward
+    return out, attn
 
 
 def scatter_rows(src: Tensor, index: np.ndarray, num_rows: int,

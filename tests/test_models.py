@@ -74,6 +74,15 @@ class TestTGAT:
         valid = mb.hops[0].batch.mask
         assert np.allclose(attn.sum(axis=1), valid.any(axis=1).astype(float), atol=1e-6)
 
+    def test_parameter_names_and_order(self):
+        """Checkpoints, optimiser state and the sharded replicas key on these."""
+        model = TGAT(3, 5, hidden_dim=8, time_dim=4, num_layers=1, rng=RNG)
+        layer = [f"layers.0.{name}.{kind}" for name in
+                 ("attention.w_q", "attention.w_k", "attention.w_v", "attention.w_out",
+                  "merge1", "merge2") for kind in ("weight", "bias")]
+        assert [name for name, _ in model.named_parameters()] == [
+            "time_encoder.w", "time_encoder.b", "node_proj.weight", "node_proj.bias", *layer]
+
     def test_node_features_used_when_present(self, featured_graph):
         tcsr = build_tcsr(featured_graph)
         mb = build_minibatch(featured_graph, tcsr, num_layers=2, n=4)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.nn import (Module, ModuleList, Parameter, Linear, LayerNorm, Dropout, MLP,
-                      Sequential, Activation, Identity, MixerBlock, TemporalAttention,
-                      scaled_dot_product_attention)
+                      Sequential, Activation, Identity, MixerBlock, TemporalAttention)
 from repro.tensor import Tensor
 from repro.tensor.gradcheck import gradcheck
 
-from test_tensor_ops import (assert_mixer_agrees, composed_mixer_block,  # noqa: E402
-                             node_mixer_block, run_mixer)
+from test_tensor_ops import (assert_mixer_agrees, composed_attention,  # noqa: E402
+                             composed_mixer_block, node_mixer_block, run_mixer,
+                             scaled_dot_product_attention)
 
 RNG = np.random.default_rng(3)
 
@@ -170,6 +170,8 @@ class TestMixer:
 
 
 class TestAttention:
+    """The composed attention TGAT's one-node aggregate is tested against."""
+
     def test_sdpa_uniform_when_equal_keys(self):
         q = Tensor(np.ones((2, 1, 4)))
         k = Tensor(np.ones((2, 5, 4)))
@@ -188,8 +190,8 @@ class TestAttention:
 
     def test_temporal_attention_shapes(self):
         att = TemporalAttention(query_dim=6, message_dim=9, out_dim=8, num_heads=2, rng=RNG)
-        out, attn = att(Tensor(RNG.standard_normal((3, 6))),
-                        Tensor(RNG.standard_normal((3, 7, 9))))
+        out, attn = composed_attention(att, Tensor(RNG.standard_normal((3, 6))),
+                                       Tensor(RNG.standard_normal((3, 7, 9))))
         assert out.shape == (3, 8)
         assert attn.shape == (3, 2, 7)
 
@@ -206,6 +208,6 @@ class TestAttention:
         msgs2 = msgs1.copy()
         msgs2[:, 2] += 50.0
         mask = np.array([[True, True, False]])
-        out1, _ = att(q, Tensor(msgs1), mask=mask)
-        out2, _ = att(q, Tensor(msgs2), mask=mask)
+        out1, _ = composed_attention(att, q, Tensor(msgs1), mask=mask)
+        out2, _ = composed_attention(att, q, Tensor(msgs2), mask=mask)
         assert np.allclose(out1.data, out2.data)

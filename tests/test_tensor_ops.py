@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.models import TGAT, HopData, build_messages
 from repro.nn import MixerBlock
+from repro.sampling import NeighborBatch
 from repro.tensor import (Tensor, concatenate, stack, where, no_grad, is_grad_enabled,
                           get_backend, use_backend)
 from repro.tensor import functional as F
@@ -397,6 +399,124 @@ def assert_mixer_agrees(got, want):
             np.testing.assert_allclose(got_g, want_g, rtol=1e-9, atol=1e-10)
 
 
+def scaled_dot_product_attention(q, k, v, mask=None):
+    """Oracle: attention of a ``(..., 1, d)`` query over the second-to-last
+    axis of ``k`` / ``v``; boolean ``mask`` ``(..., n)`` entries that are
+    False get zero weight.  Returns ``(output (..., 1, dv), weights)``."""
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    if mask is not None:
+        attn = F.masked_softmax(scores, np.asarray(mask, dtype=bool)[..., None, :], axis=-1)
+    else:
+        attn = scores.softmax(axis=-1)
+    return attn @ v, attn
+
+
+def composed_attention(att, query, messages, mask=None):
+    """Oracle: ``TemporalAttention.forward`` before TGAT's aggregate became
+    one node — ``(B, query_dim)`` query over ``(B, n, message_dim)`` messages;
+    returns ``(output (B, out_dim), attention (B, heads, n))``."""
+    batch, n, _ = messages.shape
+
+    def split_heads(x, length):                 # (B, L, H*Dh) -> (B, H, L, Dh)
+        return x.reshape(batch, length, att.num_heads, att.head_dim).transpose(0, 2, 1, 3)
+
+    q = split_heads(att.w_q(query).reshape(batch, 1, att.out_dim), 1)
+    k = split_heads(att.w_k(messages), n)
+    v = split_heads(att.w_v(messages), n)
+    head_mask = None
+    if mask is not None:
+        head_mask = np.broadcast_to(np.asarray(mask, dtype=bool)[:, None, :],
+                                    (batch, att.num_heads, n))
+    out, attn = scaled_dot_product_attention(q, k, v, mask=head_mask)
+    out = out.transpose(0, 2, 1, 3).reshape(batch, att.out_dim)
+    return att.drop(att.w_out(out)), attn.reshape(batch, att.num_heads, n)
+
+
+def composed_temporal_attention(model, layer, h_target, h_neighbors, hop):
+    """Oracle: ``TGAT.aggregate`` composed from the time encoder, the
+    concatenated ``(R, n, d_h + d_e + d_t)`` messages, the attention above and
+    the merge ``Linear`` modules, on an explicit all-zero layer-0 state.
+    Returns ``(output, attention weights)``."""
+    tgat_layer = model.layers[layer - 1]
+    rows, n = hop.num_targets, hop.budget
+    if h_target is None:
+        h_target = Tensor(np.zeros((rows, model.hidden_dim)))
+    if h_neighbors is None:
+        h_neighbors = Tensor(np.zeros((rows, n, model.hidden_dim)))
+    time_enc = model.time_encoder(hop.batch.delta_t())
+    zero_enc = model.time_encoder(np.zeros(rows))
+    query = concatenate([h_target, zero_enc], axis=-1)
+    messages = build_messages(h_neighbors, hop.edge_feat, time_enc, gate=hop.gate)
+    attended, attn = composed_attention(tgat_layer.attention, query, messages,
+                                        mask=hop.batch.mask)
+    merged = concatenate([attended, h_target], axis=-1)
+    hidden = tgat_layer.drop(tgat_layer.merge1(merged).relu())
+    return tgat_layer.merge2(hidden), attn.data
+
+
+def node_temporal_attention(model, layer, h_target, h_neighbors, hop):
+    out = model.aggregate(layer, h_target, h_neighbors, hop)
+    return out, model.layers[layer - 1].last_attention
+
+
+def make_tgat(rng, hidden=8, edge_dim=6, time_dim=4, num_heads=2, dropout=0.0,
+              num_layers=1):
+    """A TGAT whose biases are off their zero initialisation, so every
+    parameter shapes the output."""
+    model = TGAT(0, edge_dim, hidden_dim=hidden, time_dim=time_dim, num_layers=num_layers,
+                 num_heads=num_heads, dropout=dropout, rng=np.random.default_rng(5))
+    for p in model.parameters():
+        p.data = p.data + 0.3 * rng.standard_normal(p.data.shape)
+    return model
+
+
+def make_hop(rng, rows, n, edge_dim, gate=True, dead_rows=1):
+    """A padded hop: ~30 % of the slots invalid, the first ``dead_rows`` rows
+    without any valid neighbor, and a gate off its all-ones initialisation."""
+    mask = rng.random((rows, n)) >= 0.3
+    mask[:dead_rows] = False
+    hop = HopData(
+        batch=NeighborBatch(
+            root_nodes=rng.integers(0, 10, rows), root_times=np.full(rows, 100.0),
+            nodes=np.where(mask, rng.integers(1, 9, (rows, n)), 0),
+            eids=np.where(mask, rng.integers(1, 99, (rows, n)), 0),
+            times=np.where(mask, rng.uniform(1.0, 99.0, (rows, n)), 0.0), mask=mask),
+        edge_feat=rng.standard_normal((rows, n, edge_dim)) * mask[..., None]
+        if edge_dim else None)
+    if gate:
+        hop.gate = t(1.0 + 0.2 * rng.standard_normal((rows, n)))
+    return hop
+
+
+def run_aggregate(forward, model, hop, h_target, h_neighbors, coeff):
+    """Output, attention weights and the gradients of the states, the gate
+    and every parameter of ``forward(model, 1, h_target, h_neighbors, hop)``
+    under a random coefficient loss (states given as arrays or ``None``)."""
+    model.zero_grad()
+    if hop.gate is not None:
+        hop.gate.zero_grad()
+    states = [None if h is None else t(h.copy()) for h in (h_target, h_neighbors)]
+    out, attn = forward(model, 1, *states, hop)
+    (out * Tensor(coeff)).sum().backward()
+    grads = [None if s is None else s.grad for s in states]
+    grads.append(hop.gate_sensitivity())
+    return out.data, attn, grads + [p.grad for p in model.parameters()]
+
+
+def assert_aggregate_agrees(got, want):
+    """Composed-oracle equality of output, attention weights and gradients.
+    ``atol`` covers ``w_k.bias``: its true gradient is zero (the softmax
+    cancels it), where the composition leaves rounding noise."""
+    for got_a, want_a in zip(got[:2], want[:2]):
+        np.testing.assert_allclose(got_a, want_a, rtol=1e-10, atol=1e-12)
+    assert len(got[2]) == len(want[2])
+    for got_g, want_g in zip(got[2], want[2]):
+        if want_g is None:
+            assert got_g is None
+        else:
+            np.testing.assert_allclose(got_g, want_g, rtol=1e-9, atol=1e-12)
+
+
 #: (input shape, swapaxes-strided): 2-D, 3-D, and the token-mixing layout.
 LAYOUTS = [((6, 5), False), ((4, 3, 5), False), ((4, 5, 3), True)]
 
@@ -616,3 +736,167 @@ class TestCompositeKernels:
         assert np.array_equal(F.scatter_rows(src, index, 6)[index].data, src.data)
         empty = F.scatter_rows(t(np.zeros((0, 4))), np.zeros(0, dtype=np.int64), 2)
         assert np.array_equal(empty.data, np.zeros((2, 4)))
+
+
+class TestTemporalAttentionNode:
+    """TGAT's aggregate as one graph node against its composition."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(17)
+
+    def _states(self, live, rows, n, hidden):
+        if not live:
+            return None, None
+        return self.rng.standard_normal((rows, hidden)), \
+            self.rng.standard_normal((rows, n, hidden))
+
+    @pytest.mark.parametrize("live", [False, True])
+    @pytest.mark.parametrize("gate", [False, True])
+    @pytest.mark.parametrize("edge_dim", [0, 6])
+    @pytest.mark.parametrize("num_heads", [1, 2])
+    def test_matches_composed(self, live, gate, edge_dim, num_heads):
+        model = make_tgat(self.rng, edge_dim=edge_dim, num_heads=num_heads)
+        hop = make_hop(self.rng, 9, 4, edge_dim, gate=gate, dead_rows=2)
+        states = self._states(live, 9, 4, 8)
+        coeff = self.rng.standard_normal((9, 8))
+        got = run_aggregate(node_temporal_attention, model, hop, *states, coeff)
+        want = run_aggregate(composed_temporal_attention, model, hop, *states, coeff)
+        assert_aggregate_agrees(got, want)
+        # rows without a valid neighbor attend to nothing
+        assert not got[1][:2].any()
+        assert np.allclose(got[1][2:].sum(axis=-1), hop.batch.mask[2:].any(axis=1)[:, None])
+        assert (got[2][2] is None) == (not gate)
+
+    @pytest.mark.parametrize("live", [False, True])
+    @pytest.mark.parametrize("edge_dim,num_heads", [(0, 2), (3, 1), (3, 2)])
+    def test_gradcheck(self, live, edge_dim, num_heads):
+        model = make_tgat(self.rng, hidden=4, edge_dim=edge_dim, time_dim=2,
+                          num_heads=num_heads)
+        hop = make_hop(self.rng, 3, 3, edge_dim)
+        hop.batch.times[hop.batch.mask] = self.rng.uniform(97.0, 99.5, hop.batch.mask.sum())
+        states = [None if h is None else t(h) for h in self._states(live, 3, 3, 4)]
+        given = [s for s in states if s is not None]
+        params = model.parameters()
+        coeff = Tensor(self.rng.standard_normal((3, 4)))
+
+        def forward(gate, *rest):
+            h = list(rest[:len(given)]) if live else [None, None]
+            return F.temporal_attention(
+                hop.batch.delta_t(), hop.batch.mask, hop.edge_feat, *h, gate,
+                rest[len(given):], num_heads)[0] * coeff
+        gradcheck(forward, [hop.gate, *given, *params])
+
+    def test_is_one_graph_node(self):
+        model = make_tgat(self.rng)
+        hop = make_hop(self.rng, 5, 3, 6)
+        h_target, h_neighbors = (t(h) for h in self._states(True, 5, 3, 8))
+        out = model.aggregate(1, h_target, h_neighbors, hop)
+        assert out._op == "temporal_attention"
+        assert out._prev[:3] == (h_target, h_neighbors, hop.gate)
+        assert all(a is b for a, b in zip(out._prev[3:], model.parameters()))
+        # the zero state and an absent gate are no parents at all
+        hop.gate = None
+        out = model.aggregate(1, None, None, hop)
+        assert all(a is b for a, b in zip(out._prev, model.parameters()))
+        assert len(out._prev) == 14
+
+    def test_gate_sensitivity_end_to_end(self, monkeypatch):
+        """Two layers, both hops gated: the gate gradients the sample loss
+        reads, through the node and through the composition."""
+        model = make_tgat(self.rng, num_layers=2)
+        hops = [make_hop(self.rng, 6, 3, 6), make_hop(self.rng, 18, 3, 6)]
+        coeff = Tensor(self.rng.standard_normal((6, 8)))
+
+        def sensitivities():
+            model.zero_grad()
+            for hop in hops:
+                hop.gate.zero_grad()
+            out = model._embed_recursive(2, None, 6, hops)
+            (out * coeff).sum().backward()
+            return [out.data] + [hop.gate_sensitivity().copy() for hop in hops] \
+                + [model.last_layer_attention()]
+
+        got = sensitivities()
+        monkeypatch.setattr(
+            model, "aggregate",
+            lambda *args: composed_temporal_attention(model, *args)[0])
+        # the composition never reports its attention: read it from the node's
+        want = sensitivities()[:3]
+        for got_a, want_a in zip(got, want):
+            np.testing.assert_allclose(got_a, want_a, rtol=1e-9, atol=1e-12)
+        assert got[1][hops[0].batch.mask].all() and got[2][hops[1].batch.mask].any()
+        assert got[3].shape == (6, 3)
+
+    def test_dropout_consumes_the_composed_draws(self):
+        """In training mode the node draws its two keep-masks from the layer's
+        ``Dropout`` generator in the composed order and shapes, so it
+        reproduces the composed output, gradients and generator state."""
+        hop = make_hop(self.rng, 7, 4, 6)
+        states = self._states(True, 7, 4, 8)
+        coeff = self.rng.standard_normal((7, 8))
+        results, rng_states = [], []
+        for forward in (node_temporal_attention, composed_temporal_attention):
+            model = TGAT(0, 6, hidden_dim=8, time_dim=4, num_layers=1, dropout=0.4,
+                         rng=np.random.default_rng(11))
+            layer = model.layers[0]
+            assert layer.attention.drop._rng is layer.drop._rng
+            results.append(run_aggregate(forward, model, hop, *states, coeff))
+            rng_states.append(layer.drop._rng.bit_generator.state)
+        assert_aggregate_agrees(*results)
+        assert rng_states[0] == rng_states[1]
+        # dropout was active: the eval-mode output differs, and draws nothing
+        model.eval()
+        quiet = model.aggregate(1, *(Tensor(h) for h in states), hop)
+        assert not np.allclose(quiet.data, results[0][0])
+        assert layer.drop._rng.bit_generator.state == rng_states[1]
+
+    @pytest.mark.parametrize("rows", [4, 900])     # below / above the arena floor
+    @pytest.mark.parametrize("live", [False, True])
+    def test_forward_only_and_backends_bitwise(self, rows, live):
+        model = make_tgat(self.rng, hidden=32, edge_dim=32, time_dim=16)
+        hop = make_hop(self.rng, rows, 5, 32)
+        states = self._states(live, rows, 5, 32)
+        coeff = self.rng.standard_normal((rows, 32))
+        out, attn, grads = run_aggregate(node_temporal_attention, model, hop, *states, coeff)
+        want = [out.copy(), attn.copy()] + [g.copy() for g in grads if g is not None]
+        with no_grad():
+            quiet = model.aggregate(1, *(None if h is None else t(h) for h in states), hop)
+        assert not quiet.requires_grad and quiet._prev == () and quiet._backward is None
+        assert quiet.data.tobytes() == want[0].tobytes()
+        for name in ("reference", "fused"):
+            with use_backend(name) as backend:
+                backend.begin_batch()
+                out, attn, grads = run_aggregate(node_temporal_attention, model, hop,
+                                                 *states, coeff)
+                for got, ref in zip([out, attn] + [g for g in grads if g is not None], want):
+                    assert got.tobytes() == ref.tobytes()
+
+    def test_backward_contract(self):
+        """The kernel retains nothing forward-only, leaves ``g`` untouched,
+        computes only the gradients asked for, and keeps its saved
+        activations intact for a repeated ``backward()``."""
+        B = get_backend()
+        model = make_tgat(self.rng)
+        params = [p.data for p in model.parameters()]
+        hop = make_hop(self.rng, 6, 4, 6)
+        h_target, h_neighbors = self._states(True, 6, 4, 8)
+        inputs = (hop.batch.delta_t(), hop.batch.mask, hop.edge_feat, h_target,
+                  h_neighbors, hop.gate.data, params, 2, None, None)
+        out, attn, saved = B.temporal_attention_forward(*inputs, False)
+        assert saved is None
+        again, _, saved = B.temporal_attention_forward(*inputs, True)
+        assert again.tobytes() == out.tobytes()
+        g = self.rng.standard_normal((6, 8))
+        kept = g.copy()
+        grads = B.temporal_attention_backward(g, saved, params, [True] * 17)
+        assert g.tobytes() == kept.tobytes()
+        assert not any(np.shares_memory(grad, g) for grad in grads)
+        repeat = B.temporal_attention_backward(g, saved, params, [True] * 17)
+        for first, second in zip(grads, repeat):
+            assert np.array_equal(first, second)
+        need = [False, True, False] + [True, False] * 7
+        some = B.temporal_attention_backward(g, saved, params, need)
+        for wanted, grad, full in zip(need, some, grads):
+            assert (grad is not None) == wanted
+            if wanted:
+                assert np.array_equal(grad, full)
