@@ -15,25 +15,19 @@ plus the deduplicated-gather statistics (``dedup_ratio``, unique-id counts)
 from ``FeatureStore.snapshot()``, and the payload carries a run-vs-replay
 determinism hash pair over the batch-loss trajectory.
 
-Since the pluggable array-backend runtime landed, the wikipedia variant also
-tracks the *propagation* half per backend: the largest-budget cell is trained
-under both the ``reference`` and the ``fused`` backend
-(``repro.tensor.backend``), recording per-backend ``prop_seconds`` and the
-workspace-arena reuse counters, and the payload carries a
-``backend_equivalence`` hash pair (reference trajectory vs fused trajectory)
-that the bench gate enforces at every scale — a fused kernel that stops
-being bitwise-identical to the reference fails CI even at smoke scale.  The
-wikipedia variant has a committed baseline under ``benchmarks/baselines/``
-so prep- and prop-path regressions fail the bench gate like shard/stream
-regressions already do.
+The wikipedia variant has a committed baseline under
+``benchmarks/baselines/`` so prep- and prop-path regressions fail the bench
+gate like shard/stream regressions already do.
 
-Since the pluggable prep-backend runtime landed, the wikipedia variant
-symmetrically tracks the *preparation* half per prep backend
+Since the pluggable prep-backend runtime landed, the wikipedia variant also
+tracks the *preparation* half per prep backend
 (``repro.core.prep_backend``): the largest-budget cell is trained under both
 the ``reference`` and the ``fused`` prep backend, recording per-prep-backend
-``prep_seconds``/``nf_seconds`` and the batched-probe workspace counters,
-and the payload carries a ``prep_backend_equivalence`` hash pair enforced by
-the gate at every scale, exactly like ``backend_equivalence``.
+``prep_seconds``/``nf_seconds``, and the payload carries a
+``prep_backend_equivalence`` hash pair (reference trajectory vs fused
+trajectory) that the bench gate enforces at every scale — a fused prep path
+that stops being bitwise-identical to the reference fails CI even at smoke
+scale.
 """
 
 import pytest
@@ -42,22 +36,19 @@ from repro.bench import bench_scale, emit_bench_json, quick_config
 from repro.bench.breakdown import runtime_breakdown
 
 NEIGHBOR_SWEEP = [5, 10, 15]
-ARRAY_BACKENDS = ("reference", "fused")
 PREP_BACKENDS = ("reference", "fused")
-#: epochs of the per-backend propagation experiment: epoch 0 absorbs numpy /
-#: allocator / workspace-arena warm-up (and is excluded from the timing
-#: averages via ``warmup_epochs=1``), later epochs measure steady state.
+#: epochs of the per-prep-backend experiment: epoch 0 absorbs numpy /
+#: allocator warm-up (and is excluded from the timing averages via
+#: ``warmup_epochs=1``), later epochs measure steady state.
 BACKEND_EPOCHS = 3
 
 
-def _budget_config(budget, backend="reference", prep_backend="reference",
-                   max_batches=4):
+def _budget_config(budget, prep_backend="reference", max_batches=4):
     return quick_config(
         backbone="tgat", adaptive_minibatch=False, adaptive_neighbor=False,
         finder="original", cache_ratio=0.0, num_neighbors=budget,
         num_candidates=budget, batch_size=100, max_batches_per_epoch=max_batches,
-        eval_max_edges=10, seed=0, array_backend=backend,
-        prep_backend=prep_backend)
+        eval_max_edges=10, seed=0, prep_backend=prep_backend)
 
 
 def _sweep(graph, name):
@@ -89,66 +80,15 @@ def _sweep(graph, name):
     return rows, determinism
 
 
-def _backend_sweep(graph, name):
-    """Train the largest-budget cell under each array backend.
-
-    Uses more batches per epoch than the budget sweep so the steady-state
-    allocation behaviour — the thing the fused backend's workspace arena
-    changes — dominates one-off warm-up costs, averages over the timed
-    ``BACKEND_EPOCHS`` epochs to damp allocator jitter, and leaves each
-    cell's first epoch untimed so the allocator/page-cache state left by the
-    previous cell cannot bias the comparison (run order once produced a
-    phantom fused prep "regression" here).
-
-    The whole reference+fused pair is measured three times and the trial
-    with the smallest fused/reference prep ratio kept.  The gate holds this
-    cell to a one-sided intra-artifact ratio contract (fused prep <= 1.1x
-    reference, a *systematic*-regression detector), while shared runners
-    exhibit multi-second slowdown episodes (frequency scaling, noisy
-    neighbours) that extra epochs cannot average away: a real regression —
-    the arena/dispatch overhead this cell once caught was 1.4x — persists
-    in every trial and survives the minimum, an episode that inflates one
-    trial's fused cell does not.  Keeping one whole pair — not per-cell
-    minima — compares the two backends under the same machine state.
-    Trajectory hashes and workspace counters are deterministic, so trials
-    differ only in timing.
-    """
-    budget = NEIGHBOR_SWEEP[-1]
-    best = None
-    for trial in range(3):
-        rows = {}
-        for backend in ARRAY_BACKENDS:
-            row = runtime_breakdown(
-                graph, _budget_config(budget, backend=backend, max_batches=12),
-                label=f"{name}-{backend}-t{trial}", epochs=BACKEND_EPOCHS,
-                warmup_epochs=1)
-            rows[backend] = {
-                "prop_seconds": row.pp,
-                "prep_seconds": row.nf + row.fs,
-                "loss_hash": row.loss_hash,
-                "workspace_allocations_saved": row.workspace_allocations_saved,
-                "workspace_bytes_saved": row.workspace_bytes_saved,
-            }
-        ratio = (rows["fused"]["prep_seconds"]
-                 / max(rows["reference"]["prep_seconds"], 1e-9))
-        if best is None or ratio < best[0]:
-            best = (ratio, rows)
-    rows = best[1]
-    # Reference-vs-fused divergence pair: the two backends must produce the
-    # same batch-loss trajectory bit for bit; the gate enforces equality of
-    # any hash/replay_hash pair at every scale.
-    equivalence = {"hash": rows["reference"]["loss_hash"],
-                   "replay_hash": rows["fused"]["loss_hash"]}
-    return rows, equivalence
-
-
 def _prep_backend_sweep(graph, name):
     """Train the largest-budget cell under each prep backend.
 
-    The mirror of :func:`_backend_sweep` for the preparation half: same
-    batch count and epoch averaging, rows keyed by prep backend with the
-    prep-side phase splits (``prep_seconds`` = NF + FS, plus bare
-    ``nf_seconds`` — the phase the batched composite-key probe replaces).
+    Uses more batches per epoch than the budget sweep and averages over the
+    timed ``BACKEND_EPOCHS`` epochs, each cell's first epoch left untimed so
+    the allocator/page-cache state left by the previous cell cannot bias the
+    comparison.  Rows are keyed by prep backend with the prep-side phase
+    splits (``prep_seconds`` = NF + FS, plus bare ``nf_seconds`` — the phase
+    the batched composite-key probe replaces).
     """
     budget = NEIGHBOR_SWEEP[-1]
     rows = {}
@@ -172,13 +112,9 @@ def _prep_backend_sweep(graph, name):
     return rows, equivalence
 
 
-def _payload(rows, determinism, backends=None, equivalence=None,
-             prep_backends=None, prep_equivalence=None):
+def _payload(rows, determinism, prep_backends=None, prep_equivalence=None):
     payload = {"rows": {str(k): v for k, v in rows.items()},
                "determinism": determinism}
-    if backends is not None:
-        payload["backends"] = backends
-        payload["backend_equivalence"] = equivalence
     if prep_backends is not None:
         payload["prep_backends"] = prep_backends
         payload["prep_backend_equivalence"] = prep_equivalence
@@ -199,30 +135,6 @@ def _report(name, rows, determinism):
     assert rows[budgets[-1]]["prep_share"] > 0.5
     # The loss trajectory must reproduce under the fixed seed.
     assert determinism["hash"] == determinism["replay_hash"]
-
-
-def _report_backends(name, backends, equivalence):
-    ref = backends["reference"]
-    fused = backends["fused"]
-    reduction = (1.0 - fused["prop_seconds"] / ref["prop_seconds"]
-                 if ref["prop_seconds"] else 0.0)
-    print(f"Figure 1 ({name}): propagation per array backend "
-          f"(n={NEIGHBOR_SWEEP[-1]}, {BACKEND_EPOCHS} epochs)")
-    print(f"  reference  Prop={ref['prop_seconds']:.3f}s")
-    print(f"  fused      Prop={fused['prop_seconds']:.3f}s "
-          f"({reduction * 100:+.1f}% vs reference, "
-          f"{fused['workspace_allocations_saved']} allocations saved, "
-          f"{fused['workspace_bytes_saved'] / 1e6:.1f} MB reused)")
-    # Bitwise contract: identical loss trajectories across backends, always.
-    assert equivalence["hash"] == equivalence["replay_hash"]
-    # The fused backend must actually reuse workspace buffers.
-    assert fused["workspace_allocations_saved"] > 0
-    assert ref["workspace_allocations_saved"] == 0
-    # Headline speedup, asserted where wall-clock is trustworthy (CI smoke
-    # runners are too noisy to block a merge on; the committed baseline +
-    # bench gate track the smoke-scale trajectory instead).
-    if bench_scale() >= 0.5:
-        assert reduction >= 0.10
 
 
 def _report_prep_backends(name, prep_backends, equivalence):
@@ -253,24 +165,19 @@ def _report_prep_backends(name, prep_backends, equivalence):
 def test_fig1_tgat_runtime_breakdown_wikipedia(benchmark, wikipedia_graph):
     def experiment():
         rows, determinism = _sweep(wikipedia_graph, "wikipedia")
-        backends, equivalence = _backend_sweep(wikipedia_graph, "wikipedia")
         prep_backends, prep_equivalence = _prep_backend_sweep(
             wikipedia_graph, "wikipedia")
-        return (rows, determinism, backends, equivalence, prep_backends,
-                prep_equivalence)
+        return rows, determinism, prep_backends, prep_equivalence
 
-    (rows, determinism, backends, equivalence, prep_backends,
-     prep_equivalence) = benchmark.pedantic(
+    rows, determinism, prep_backends, prep_equivalence = benchmark.pedantic(
         experiment, rounds=1, iterations=1)
     _report("wikipedia", rows, determinism)
-    _report_backends("wikipedia", backends, equivalence)
     _report_prep_backends("wikipedia", prep_backends, prep_equivalence)
     benchmark.extra_info["rows"] = {str(k): v for k, v in rows.items()}
-    benchmark.extra_info["backends"] = backends
     benchmark.extra_info["prep_backends"] = prep_backends
     emit_bench_json("fig1_breakdown_wikipedia",
-                    _payload(rows, determinism, backends, equivalence,
-                             prep_backends, prep_equivalence))
+                    _payload(rows, determinism, prep_backends,
+                             prep_equivalence))
 
 
 @pytest.mark.paper("Figure 1")

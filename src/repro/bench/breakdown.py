@@ -104,15 +104,8 @@ class BreakdownRow:
     ids_unique: int = 0
     #: digest of the run's per-epoch batch-loss trajectories.
     loss_hash: str = ""
-    #: array backend the run's propagation phase executed under.
-    array_backend: str = "reference"
     #: prep backend that produced the run's batches.
     prep_backend: str = "reference"
-    #: workspace-arena buffer checkouts served from a free list instead of a
-    #: fresh allocation, summed over the run (0 under "reference").
-    workspace_allocations_saved: int = 0
-    #: bytes of those avoided allocations.
-    workspace_bytes_saved: int = 0
     #: per-epoch batch-loss trajectories (for replay comparisons).
     batch_losses: List[List[float]] = field(default_factory=list, repr=False)
 
@@ -156,8 +149,6 @@ def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
     totals = {"NF": 0.0, "AS": 0.0, "FS": 0.0, "FS_transfer": 0.0, "PP": 0.0}
     ids_requested = 0
     ids_unique = 0
-    ws_saved = 0
-    ws_bytes = 0
     trajectories: List[List[float]] = []
     for epoch in range(epochs):
         stats = trainer.train_epoch()
@@ -165,8 +156,6 @@ def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
             for key in totals:
                 totals[key] += stats.runtime.get(key, 0.0)
         trajectories.append(list(stats.batch_losses))
-        ws_saved += stats.workspace_allocations_saved
-        ws_bytes += stats.workspace_bytes_saved
         # Per-epoch slice counters are still live right after train_epoch
         # (reset happens at the top of the next epoch).  getattr keeps the
         # harness usable against stores without dedup accounting.
@@ -185,10 +174,7 @@ def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
                         dedup_ratio=float(dedup_ratio),
                         ids_requested=ids_requested, ids_unique=ids_unique,
                         loss_hash=loss_trajectory_hash(trajectories),
-                        array_backend=trainer.array_backend.name,
                         prep_backend=trainer.prep.name,
-                        workspace_allocations_saved=ws_saved,
-                        workspace_bytes_saved=ws_bytes,
                         batch_losses=trajectories)
 
 

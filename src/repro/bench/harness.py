@@ -17,11 +17,6 @@ in minutes.  Environment variables scale them up toward the paper's setting:
                         (``sync`` | ``aot``, default ``sync``).
 ``REPRO_BENCH_OUTPUT``  directory for the machine-readable ``BENCH_*.json``
                         result files (default: current working directory).
-``REPRO_BACKEND``       array backend of configs that do not pin one
-                        explicitly (``reference`` | ``fused``; resolved by
-                        ``TaserConfig.array_backend``, not a bench-specific
-                        variable — the per-backend experiments pin both
-                        values regardless of the environment).
 
 Machine-readable results
 ------------------------

@@ -26,7 +26,7 @@ Examples
     python -m repro --dataset wikipedia --backbone graphmixer --variant taser
     python -m repro --dataset reddit --backbone tgat --variant baseline \
         --epochs 10 --num-neighbors 10 --num-candidates 25 --seed 3
-    python -m repro --dataset wikipedia --backend fused --json
+    python -m repro --dataset wikipedia --prep-backend fused --json
     python -m repro train --dataset wikipedia --workers 4 \
         --shard-policy temporal --worker-backend thread --json
     python -m repro stream --dataset wikipedia --chunk-size 500 \
@@ -52,8 +52,6 @@ from .device.precision import (PRECISION_ENV_VAR, available_precisions,
                                resolve_precision_name)
 from .distributed.comms import (COMMS_ENV_VAR, available_comms,
                                 resolve_comms_name)
-from .tensor.backend import (BACKEND_ENV_VAR, available_backends,
-                             resolve_backend_name)
 
 __all__ = ["build_parser", "build_serve_parser", "build_stream_parser",
            "build_train_parser", "main", "run", "run_serve", "run_stream",
@@ -102,19 +100,9 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
-def _backend_name(text: str) -> str:
-    """Argparse type: reject unknown array backends at parse time with the
-    registered-backend list (same style as the engine/depth validation)."""
-    if text not in available_backends():
-        raise argparse.ArgumentTypeError(
-            f"unknown array backend {text!r}: registered backends are "
-            f"{', '.join(available_backends())}")
-    return text
-
-
 def _prep_backend_name(text: str) -> str:
     """Argparse type: reject unknown prep backends at parse time with the
-    registered-backend list (mirrors :func:`_backend_name`)."""
+    registered-backend list (same style as the engine/depth validation)."""
     if text not in available_prep_backends():
         raise argparse.ArgumentTypeError(
             f"unknown prep backend {text!r}: registered backends are "
@@ -124,7 +112,7 @@ def _prep_backend_name(text: str) -> str:
 
 def _precision_name(text: str) -> str:
     """Argparse type: reject unknown precision tiers at parse time with the
-    registered-tier list (mirrors :func:`_backend_name`)."""
+    registered-tier list (mirrors :func:`_prep_backend_name`)."""
     if text not in available_precisions():
         raise argparse.ArgumentTypeError(
             f"unknown precision tier {text!r}: registered tiers are "
@@ -134,7 +122,7 @@ def _precision_name(text: str) -> str:
 
 def _comms_name(text: str) -> str:
     """Argparse type: reject unknown gradient transports at parse time with
-    the registered-transport list (mirrors :func:`_backend_name`)."""
+    the registered-transport list (mirrors :func:`_prep_backend_name`)."""
     if text not in available_comms():
         raise argparse.ArgumentTypeError(
             f"unknown gradient comms {text!r}: registered transports are "
@@ -144,15 +132,9 @@ def _comms_name(text: str) -> str:
 
 def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     """The runtime-selection flags shared by every subcommand — one
-    definition for ``--backend``/``--prep-backend``/``--precision``, so the
+    definition for ``--prep-backend``/``--precision``, so the
     ``train``/``stream``/``serve`` parsers cannot drift.  Pair with
     :func:`_validate_runtime_env` after ``parse_args``."""
-    parser.add_argument("--backend", type=_backend_name, default=None,
-                        help="array backend of the propagation hot path: "
-                             "'reference' (plain numpy) or 'fused' (buffer-"
-                             "reusing kernels, bitwise-identical results); "
-                             f"default resolves ${BACKEND_ENV_VAR} then "
-                             "'reference'")
     parser.add_argument("--prep-backend", type=_prep_backend_name, default=None,
                         help="prep backend of the batch-preparation hot path: "
                              "'reference' (per-seed neighbor probes) or "
@@ -166,22 +148,13 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
                              "quantization + compressed hot/warm/cold "
                              "caches); default resolves "
                              f"${PRECISION_ENV_VAR} then 'fp32'")
-    parser.add_argument("--comms", type=_comms_name, default=None,
-                        help="gradient transport of the sharded barrier: "
-                             "'pickle' (grad lists through the worker-pool "
-                             "channel, reference reduction) or 'shm' (flat-"
-                             "bucket vectorised reduction over shared-memory "
-                             "/ in-process buffers, bitwise-identical "
-                             "trajectories); default resolves "
-                             f"${COMMS_ENV_VAR} then 'pickle'; only 'repro "
-                             "train' has a barrier — the other subcommands "
-                             "validate but ignore it")
 
 
 def _validate_runtime_env(parser: argparse.ArgumentParser,
                           args: argparse.Namespace) -> None:
-    """Reject bad ``REPRO_BACKEND`` / ``REPRO_PREP_BACKEND`` /
-    ``REPRO_PRECISION`` / ``REPRO_COMMS`` values at parse time.
+    """Reject bad ``REPRO_PREP_BACKEND`` / ``REPRO_PRECISION`` /
+    ``REPRO_COMMS`` values at parse time, for the dimensions the invoked
+    command has a flag for (the ones it reads).
 
     Without the explicit flag, the config resolves each runtime dimension
     from the environment; validating here surfaces a typo as a normal usage
@@ -190,11 +163,10 @@ def _validate_runtime_env(parser: argparse.ArgumentParser,
     explicit flag wins over the environment, and ``--help`` must keep
     working regardless of a stale environment.
     """
-    for flag, resolver in (("backend", resolve_backend_name),
-                           ("prep_backend", resolve_prep_backend_name),
+    for flag, resolver in (("prep_backend", resolve_prep_backend_name),
                            ("precision", resolve_precision_name),
                            ("comms", resolve_comms_name)):
-        if getattr(args, flag, None) is None:
+        if hasattr(args, flag) and getattr(args, flag) is None:
             try:
                 resolver(None)
             except ValueError as exc:
@@ -248,8 +220,7 @@ def _taser_config(args: argparse.Namespace) -> TaserConfig:
         num_neighbors=args.num_neighbors, num_candidates=args.num_candidates,
         finder=args.finder, decoder=args.decoder, cache_ratio=args.cache_ratio,
         batch_engine=args.batch_engine,
-        array_backend=args.backend, prep_backend=args.prep_backend,
-        precision=args.precision, comms=args.comms,
+        prep_backend=args.prep_backend, precision=args.precision,
         batch_size=args.batch_size, epochs=args.epochs,
         max_batches_per_epoch=args.max_batches_per_epoch,
         lr=args.lr, eval_negatives=args.eval_negatives,
@@ -291,11 +262,8 @@ def run(args: argparse.Namespace) -> dict:
         "epochs": args.epochs,
         "batch_engine": args.batch_engine,
         "batch_engine_effective": trainer.engine.effective_mode,
-        "array_backend": trainer.array_backend.name,
         "prep_backend": trainer.prep.name,
         "precision": trainer.precision.tier,
-        "workspace_allocations_saved": sum(
-            s.workspace_allocations_saved for s in result.history),
         "val_mrr": result.val_mrr,
         "test_mrr": result.test_mrr,
         "test_metrics": result.test_metrics,
@@ -327,6 +295,16 @@ def build_train_parser() -> argparse.ArgumentParser:
                         help="worker pool: 'serial' (reference, sequential), "
                              "'thread' (numpy kernels overlap across shards) "
                              "or 'process' (one child process per shard)")
+    # Only the sharded trainer has a gradient barrier: the default runner
+    # builds a plain TaserTrainer, which never reads ``config.comms``.
+    parser.add_argument("--comms", type=_comms_name, default=None,
+                        help="gradient transport of the sharded barrier: "
+                             "'pickle' (grad lists through the worker-pool "
+                             "channel, reference reduction) or 'shm' (flat-"
+                             "bucket vectorised reduction over shared-memory "
+                             "/ in-process buffers, bitwise-identical "
+                             "trajectories); default resolves "
+                             f"${COMMS_ENV_VAR} then 'pickle'")
     _add_training_cell_args(parser, variant_default="baseline",
                             engine_help="per-shard mini-batch engine")
     return parser
@@ -477,7 +455,7 @@ def run_stream(args: argparse.Namespace) -> dict:
         hidden_dim=args.hidden_dim, time_dim=args.time_dim,
         num_neighbors=args.num_neighbors, num_candidates=args.num_candidates,
         batch_size=args.batch_size,
-        array_backend=args.backend, prep_backend=args.prep_backend,
+        prep_backend=args.prep_backend,
         precision=args.precision, cache_ratio=args.cache_ratio,
         lr=args.lr, eval_negatives=args.eval_negatives, seed=args.seed,
     )
@@ -614,8 +592,7 @@ def run_serve(args: argparse.Namespace) -> dict:
         hidden_dim=args.hidden_dim, time_dim=args.time_dim,
         num_neighbors=args.num_neighbors, num_candidates=args.num_candidates,
         finder=args.finder, cache_ratio=args.cache_ratio,
-        array_backend=args.backend, prep_backend=args.prep_backend,
-        precision=args.precision,
+        prep_backend=args.prep_backend, precision=args.precision,
         batch_size=args.batch_size, epochs=args.warmup_epochs,
         max_batches_per_epoch=args.max_batches_per_epoch,
         lr=args.lr, seed=args.seed,
@@ -707,8 +684,7 @@ def _serve_main(argv: Sequence[str]) -> int:
           f"{summary['embedding_cache_hit_rate']:.2f} "
           f"({summary['embedding_cache_entries']} entries, "
           f"{summary['embedding_cache_evictions']} evictions)")
-    print(f"  backends       : array {summary['array_backend']}, "
-          f"prep {summary['prep_backend']}, "
+    print(f"  runtime        : prep {summary['prep_backend']}, "
           f"precision {summary['precision']}")
     print(f"  scores hash    : {summary['scores_hash']}")
     if summary["replay_match"] is not None:
@@ -741,8 +717,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"  final loss     : {summary['final_model_loss']:.4f}")
     print(f"  batch engine   : {summary['batch_engine']} "
           f"(effective {summary['batch_engine_effective']})")
-    print(f"  array backend  : {summary['array_backend']} "
-          f"({summary['workspace_allocations_saved']} allocations saved)")
     print(f"  prep backend   : {summary['prep_backend']}")
     print(f"  precision      : {summary['precision']}")
     breakdown = ", ".join(f"{k}={v:.2f}s"

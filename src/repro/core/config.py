@@ -106,23 +106,13 @@ class TaserConfig:
     #: a stochastic finder policy) run synchronously under either value.
     batch_engine: str = "sync"
 
-    # -- array backend ------------------------------------------------------------
-    #: array backend of the propagation hot path (repro.tensor.backend):
-    #: "reference" (plain numpy, the semantics anchor) or "fused" (out=/
-    #: in-place kernels over reusable workspace arenas; bitwise-identical
-    #: trajectories).  None resolves the REPRO_BACKEND environment variable
-    #: and falls back to "reference".  The trainer installs the resolved
-    #: backend process-globally, so sharded worker processes re-install it
-    #: from the config they receive.
-    array_backend: Optional[str] = None
-
     # -- prep backend -------------------------------------------------------------
     #: prep backend of the batch-preparation hot path
     #: (repro.core.prep_backend): "reference" (the unified prep runtime,
     #: per-seed neighbor probes) or "fused" (batched composite-key T-CSR
-    #: probing with workspace-arena reuse; bitwise-identical batches and
-    #: trajectories).  None resolves the REPRO_PREP_BACKEND environment
-    #: variable and falls back to "reference".  Consumers build their
+    #: probing; bitwise-identical batches and trajectories).  None resolves
+    #: the REPRO_PREP_BACKEND environment variable and falls back to
+    #: "reference".  Consumers build their
     #: pipelines through the registry, so sharded worker processes re-resolve
     #: the backend from the config they receive.
     prep_backend: Optional[str] = None
@@ -189,11 +179,9 @@ class TaserConfig:
             raise ValueError(
                 "the TGL pointer-array finder only supports chronological order and "
                 "cannot be combined with adaptive mini-batch selection (Section IV-C)")
-        # Unknown names (explicit or via REPRO_BACKEND) raise here with the
-        # registered-backend list, so a typo fails at configuration time
-        # rather than deep inside the first forward pass.
-        from ..tensor.backend import resolve_backend_name
-        resolve_backend_name(self.array_backend)
+        # Unknown names (explicit or via the REPRO_* variables) raise here
+        # with the registered-name list, so a typo fails at configuration
+        # time rather than deep inside the first batch.
         from .prep_backend import resolve_prep_backend_name
         resolve_prep_backend_name(self.prep_backend)
         from ..device.precision import resolve_precision_name
@@ -208,12 +196,6 @@ class TaserConfig:
     def num_layers(self) -> int:
         """TGAT is a 2-layer model, GraphMixer a 1-layer model (paper setup)."""
         return 2 if self.backbone == "tgat" else 1
-
-    @property
-    def resolved_array_backend(self) -> str:
-        """The array backend this run uses (explicit > REPRO_BACKEND > reference)."""
-        from ..tensor.backend import resolve_backend_name
-        return resolve_backend_name(self.array_backend)
 
     @property
     def resolved_prep_backend(self) -> str:

@@ -20,9 +20,8 @@ Two backends ship with the repo:
     neighbor lookup is vectorised across the whole batch through
     :class:`~repro.sampling.fused_probe.BatchedProbeFinder`: sorted-offset
     T-CSR probes via one composite-key ``searchsorted``
-    (:meth:`~repro.graph.tcsr.TCSR.pivots`), batched candidate generation,
-    and workspace-arena reuse for the gather intermediates (reusing
-    :class:`~repro.tensor.backend.WorkspaceArena`).
+    (:meth:`~repro.graph.tcsr.TCSR.pivots`) and batched candidate
+    generation.
 
 Bitwise-equivalence contract
 ----------------------------

@@ -1,9 +1,9 @@
 """Generic named-factory registry with flag > env > default resolution.
 
-Three runtime dimensions of this repo are selected the same way — the array
-backend of the propagation hot path (:mod:`repro.tensor.backend`), the prep
-backend of the batch-preparation hot path (:mod:`repro.core.prep_backend`)
-and the precision tier of the feature store (:mod:`repro.device.precision`).
+Three runtime dimensions of this repo are selected the same way — the prep
+backend of the batch-preparation hot path (:mod:`repro.core.prep_backend`),
+the precision tier of the feature store (:mod:`repro.device.precision`) and
+the gradient transport of sharded runs (:mod:`repro.distributed.comms`).
 Each follows the identical contract:
 
 * **resolution order**: an explicit name (CLI flag / config field) wins over
@@ -16,7 +16,7 @@ Each follows the identical contract:
   replace a factory in place.
 
 :class:`Registry` is that contract, extracted once.  The selection modules
-keep their public helper names (``resolve_backend_name`` & co.) as thin
+keep their public helper names (``resolve_precision_name`` & co.) as thin
 wrappers over a module-level ``Registry`` instance, so existing imports and
 error-message expectations are unchanged.
 """
@@ -37,7 +37,7 @@ class Registry(Generic[T]):
     Parameters
     ----------
     kind:
-        Human-readable singular of what is registered (``"array backend"``,
+        Human-readable singular of what is registered (``"prep backend"``,
         ``"precision tier"``); leads the unknown-name error message.
     env_var:
         Environment variable consulted when no explicit name is given.
@@ -65,17 +65,9 @@ class Registry(Generic[T]):
 
     # -- registration -----------------------------------------------------------
 
-    def register(self, name: str,
-                 factory: Callable[..., T]) -> Optional[Callable[..., T]]:
-        """Register ``factory`` under ``name`` (overwrites silently).
-
-        Returns the previously registered factory, or ``None`` — callers with
-        replacement side effects (e.g. the array backend's singleton-instance
-        eviction) can act on it.
-        """
-        previous = self._factories.get(name)
+    def register(self, name: str, factory: Callable[..., T]) -> None:
+        """Register ``factory`` under ``name`` (overwrites silently)."""
         self._factories[name] = factory
-        return previous
 
     def names(self) -> Tuple[str, ...]:
         """Registered names, sorted."""

@@ -345,13 +345,11 @@ class StreamingTrainer(TaserTrainer):
         src, dst, ts = chunk.src[picks], chunk.dst[picks], chunk.ts[picks]
         negatives = self.prequential_negatives.sample_matrix(
             picks.size, self.config.eval_negatives, exclude=dst)
-        self._activate_backend()
         # Prequential batches are prepared and scored by the shared eval
         # loop, like offline MRR.
-        with self.array_backend.arena_scope(self._workspace):
-            pos, neg = score_link_queries(self.prep, self.backbone,
-                                          self.predictor, src, dst, ts,
-                                          negatives, batch_edges)
+        pos, neg = score_link_queries(self.prep, self.backbone,
+                                      self.predictor, src, dst, ts,
+                                      negatives, batch_edges)
         return ranking_report(pos, neg)["mrr"]
 
     def ingest(self, chunk: EventChunk) -> None:

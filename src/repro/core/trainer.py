@@ -31,7 +31,7 @@ from ..graph.temporal_graph import TemporalGraph
 from ..models import EdgePredictor, make_backbone
 from ..optim import Adam, clip_grad_norm
 from ..sampling import make_finder
-from ..tensor import Tensor
+from ..tensor import Tensor, get_backend
 from ..tensor import functional as F
 from ..utils.rng import spawn_rngs
 from ..utils.timer import Timer
@@ -65,18 +65,10 @@ class EpochStats:
     #: prep-runtime gather dedup ratio of the epoch (requested candidate id
     #: occurrences / unique ids gathered at the feature-store choke point).
     dedup_ratio: float = 1.0
-    #: array backend the propagation hot path ran under this epoch.
-    array_backend: str = "reference"
     #: prep backend that prepared this epoch's batches.
     prep_backend: str = "reference"
     #: feature-store precision tier the epoch's gathers decoded from.
     precision: str = "fp32"
-    #: temporary allocations the backend's workspace arena saved this epoch
-    #: (buffer checkouts served from a free list instead of np.empty);
-    #: 0 under the reference backend, which has no arena.
-    workspace_allocations_saved: int = 0
-    #: bytes of those avoided allocations.
-    workspace_bytes_saved: int = 0
 
     @property
     def total_runtime(self) -> float:
@@ -134,20 +126,9 @@ class TaserTrainer:
             self.graph = self.split.graph
         cfg = self.config
 
-        # --- array backend (repro.tensor.backend) --------------------------------
-        # Installed process-globally so every Tensor op this trainer triggers
-        # dispatches through it; re-resolved from the config in worker
-        # processes, which re-installs the backend in the child.  Because the
-        # active backend is a process-wide setting, :meth:`_activate_backend`
-        # re-installs this trainer's backend at every batch/evaluation
-        # boundary — trainers with different backends can coexist in one
-        # process without silently running each other's kernels.  The trainer
-        # owns a private workspace arena (None under "reference") so replicas
-        # sharing a thread (serial worker pool) cannot recycle each other's
-        # in-flight buffers.
-        from ..tensor.backend import set_backend
-        self.array_backend = set_backend(cfg.resolved_array_backend)
-        self._workspace = self.array_backend.new_arena()
+        #: the array runtime every Tensor op runs on (one per process); held
+        #: here so a tracer can find the instance whose kernels it wraps.
+        self.array_backend = get_backend()
 
         (rng_model, rng_sampler, _rng_selector, _rng_neg,
          _rng_finder, _rng_misc) = spawn_rngs(cfg.seed, 6)
@@ -246,17 +227,6 @@ class TaserTrainer:
         budget (see :class:`~repro.graph.sharding.TemporalShardPlan`)."""
         return int(round(self.config.cache_ratio * graph.num_edges))
 
-    def _activate_backend(self) -> None:
-        """Make this trainer's backend the process-global active one.
-
-        The active backend is process-wide state; re-installing it at every
-        batch/evaluation boundary lets trainers with different backends
-        coexist in one process without silently running each other's
-        kernels."""
-        from ..tensor.backend import get_backend, set_backend
-        if get_backend() is not self.array_backend:
-            set_backend(self.array_backend.name)
-
     # ------------------------------------------------------------------ training
 
     def _model_backward(self, prepared: PreparedBatch) -> TrainStep:
@@ -264,34 +234,26 @@ class TaserTrainer:
 
         Leaves the model gradients in place *without* stepping, so a
         data-parallel caller can average them across shard replicas first.
-
-        This is the per-batch boundary of the array backend's workspace
-        arena: the previous step of *this* trainer is fully applied by the
-        time the next batch starts, so its graph is dead and every workspace
-        buffer can be reclaimed.
         """
         b = prepared.num_positives
-        self._activate_backend()
-        with self.array_backend.arena_scope(self._workspace):
-            self.array_backend.begin_batch()
-            # Finish the state-dependent prep stages the engine could not run
-            # ahead (adaptive neighbor selection and any deeper hops).
-            minibatch = self.prep.finish(prepared, train=True).minibatch
+        # Finish the state-dependent prep stages the engine could not run
+        # ahead (adaptive neighbor selection and any deeper hops).
+        minibatch = self.prep.finish(prepared, train=True).minibatch
 
-            with self.timer.section("PP"):
-                self.model_optimizer.zero_grad()
-                if self.sampler_optimizer is not None:
-                    self.sampler_optimizer.zero_grad()
-                embeddings = self.backbone.embed(minibatch)
-                h_src = embeddings[:b]
-                h_dst = embeddings[b:2 * b]
-                h_neg = embeddings[2 * b:]
-                pos_logits = self.predictor(h_src, h_dst)
-                neg_logits = self.predictor(h_src, h_neg)
-                model_loss = F.binary_cross_entropy_with_logits(
-                    pos_logits, Tensor(np.ones(b))) \
-                    + F.binary_cross_entropy_with_logits(neg_logits, Tensor(np.zeros(b)))
-                model_loss.backward()
+        with self.timer.section("PP"):
+            self.model_optimizer.zero_grad()
+            if self.sampler_optimizer is not None:
+                self.sampler_optimizer.zero_grad()
+            embeddings = self.backbone.embed(minibatch)
+            h_src = embeddings[:b]
+            h_dst = embeddings[b:2 * b]
+            h_neg = embeddings[2 * b:]
+            pos_logits = self.predictor(h_src, h_dst)
+            neg_logits = self.predictor(h_src, h_neg)
+            model_loss = F.binary_cross_entropy_with_logits(
+                pos_logits, Tensor(np.ones(b))) \
+                + F.binary_cross_entropy_with_logits(neg_logits, Tensor(np.zeros(b)))
+            model_loss.backward()
         return TrainStep(prepared=prepared, minibatch=minibatch,
                          embeddings=embeddings, pos_logits=pos_logits,
                          model_loss=model_loss)
@@ -310,17 +272,15 @@ class TaserTrainer:
         produces no sample loss for this batch.
         """
         cfg = self.config
-        self._activate_backend()
-        with self.array_backend.arena_scope(self._workspace):
-            attention = None
-            if cfg.backbone == "tgat" and cfg.sample_loss == "tgat_analytic":
-                attention = self.backbone.last_layer_attention()
-            sample_loss = build_sample_loss(
-                cfg.sample_loss, step.minibatch.hops, step.prepared.num_positives,
-                step.embeddings, attention=attention, alpha=cfg.sample_alpha,
-                beta=cfg.sample_beta)
-            if sample_loss is not None:
-                sample_loss.backward()
+        attention = None
+        if cfg.backbone == "tgat" and cfg.sample_loss == "tgat_analytic":
+            attention = self.backbone.last_layer_attention()
+        sample_loss = build_sample_loss(
+            cfg.sample_loss, step.minibatch.hops, step.prepared.num_positives,
+            step.embeddings, attention=attention, alpha=cfg.sample_alpha,
+            beta=cfg.sample_beta)
+        if sample_loss is not None:
+            sample_loss.backward()
         return sample_loss
 
     def _sampler_step(self) -> None:
@@ -358,7 +318,6 @@ class TaserTrainer:
 
         self.timer.reset()
         self.feature_store.reset_stats()
-        ws_start = self.array_backend.arena_stats(self._workspace)
         losses, sample_losses = [], []
         for prepared in self.engine.epoch(self.config.max_batches_per_epoch):
             stats = self._train_prepared(prepared)
@@ -380,7 +339,6 @@ class TaserTrainer:
         ess = (self.selector.effective_sample_size()
                if isinstance(self.selector, AdaptiveMiniBatchSelector)
                else float(self.split.num_train))
-        ws_end = self.array_backend.arena_stats(self._workspace)
         self._epoch += 1
         stats = EpochStats(epoch=self._epoch,
                            model_loss=float(np.mean(losses)) if losses else 0.0,
@@ -391,14 +349,8 @@ class TaserTrainer:
                            batch_losses=losses,
                            engine_mode=self.engine.effective_mode,
                            dedup_ratio=float(slice_stats.dedup_ratio),
-                           array_backend=self.array_backend.name,
                            prep_backend=self.prep.name,
-                           precision=self.precision.tier,
-                           workspace_allocations_saved=int(
-                               ws_end["workspace_reused"] - ws_start["workspace_reused"]),
-                           workspace_bytes_saved=int(
-                               ws_end["workspace_bytes_reused"]
-                               - ws_start["workspace_bytes_reused"]))
+                           precision=self.precision.tier)
         self.history.append(stats)
         return stats
 
@@ -416,11 +368,7 @@ class TaserTrainer:
         """MRR / Hits@K on the requested split."""
         if self.finder.requires_chronological:
             self.finder.reset()
-        # Evaluation forward passes reuse this trainer's workspace arena;
-        # any pending training step has been fully applied by now.
-        self._activate_backend()
-        with self.array_backend.arena_scope(self._workspace):
-            return self.make_evaluator(**overrides).evaluate(which)
+        return self.make_evaluator(**overrides).evaluate(which)
 
     # ------------------------------------------------------------------ orchestration
 

@@ -215,11 +215,6 @@ class ShardedTrainer:
             effective_sample_size=ess,
             batch_losses=step_losses,
             engine_mode=summaries[0]["engine_mode"],
-            array_backend=summaries[0]["array_backend"],
-            workspace_allocations_saved=int(sum(
-                s["workspace_allocations_saved"] for s in summaries)),
-            workspace_bytes_saved=int(sum(
-                s["workspace_bytes_saved"] for s in summaries)),
             per_shard=summaries,
             sync_seconds=sync_seconds,
             global_steps=steps,

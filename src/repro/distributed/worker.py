@@ -23,15 +23,11 @@ across workers for the whole run — there is no weight broadcast, only the
 gradient barrier.  All methods take and return picklable values only, so the
 same class serves the in-process pools and the process pool's children.
 
-Array backend: building the shard's :class:`~repro.core.trainer.TaserTrainer`
-re-resolves ``config.array_backend`` and installs it process-globally, so a
-process pool's children — including ``spawn`` children that start from a
-fresh interpreter — run the same backend as the parent.  Each replica owns a
-private workspace arena (trainers request one from the backend), so replicas
-that share a thread under the serial pool can never recycle each other's
-in-flight gradient buffers.  Gradients returned across the barrier are
-*copies*: the live ``p.grad`` arrays may sit in the replica's arena and be
-recycled at its next batch boundary.
+Gradients returned across the barrier are *copies*: a live ``p.grad`` is a
+buffer the autograd engine may have borrowed from an interior node and keeps
+accumulating into in place (see "Gradient ownership" in
+:mod:`repro.tensor.tensor`), so it must not be aliased by what the master
+reduces.
 """
 
 from __future__ import annotations
@@ -105,8 +101,6 @@ class ShardWorker:
         self._step: Optional[TrainStep] = None
         self._losses: List[float] = []
         self._sample_losses: List[float] = []
-        self._ws_start = self.trainer.array_backend.arena_stats(
-            self.trainer._workspace)
         self._comms: Optional[WorkerCommsEndpoint] = None
         self._pack_seconds = 0.0
 
@@ -130,7 +124,6 @@ class ShardWorker:
             t.finder.reset()
         t.timer.reset()
         t.feature_store.reset_stats()
-        self._ws_start = t.array_backend.arena_stats(t._workspace)
         self._batches = iter(t.engine.epoch(max_batches))
         self._step = None
         self._losses = []
@@ -152,9 +145,9 @@ class ShardWorker:
             self._step = None
             return None
         self._step = t._model_backward(prepared)
-        # Copies, not live references: under the fused backend p.grad lives
-        # in this replica's workspace arena and is recycled at its next
-        # batch boundary — after the barrier has consumed these values.
+        # Copies, not live references: p.grad is borrowed / accumulated into
+        # in place by the engine, and the barrier consumes these values after
+        # this replica has moved on.
         return [None if p.grad is None else p.grad.copy()
                 for p in t.model_optimizer.params]
 
@@ -252,7 +245,8 @@ class ShardWorker:
         """Bucket counterpart of :meth:`model_backward`: pack gradients into
         this worker's flat buffer in place; only a present/exhausted flag
         crosses the pool channel.  Packing reads the live ``p.grad`` arrays
-        directly (the pack *is* the copy out of the replica's arena)."""
+        directly (the pack *is* the copy that decouples them from the
+        barrier)."""
         t = self.trainer
         prepared = next(self._batches, None)
         if prepared is None:
@@ -315,7 +309,6 @@ class ShardWorker:
         ess = (t.selector.effective_sample_size()
                if isinstance(t.selector, AdaptiveMiniBatchSelector)
                else float(t.split.num_train))
-        ws_end = t.array_backend.arena_stats(t._workspace)
         return {
             "shard": self.task.shard_index,
             "losses": list(self._losses),
@@ -329,12 +322,6 @@ class ShardWorker:
             "num_events": t.graph.num_edges,
             "num_train": t.split.num_train,
             "engine_mode": t.engine.effective_mode,
-            "array_backend": t.array_backend.name,
-            "workspace_allocations_saved": int(
-                ws_end["workspace_reused"] - self._ws_start["workspace_reused"]),
-            "workspace_bytes_saved": int(
-                ws_end["workspace_bytes_reused"]
-                - self._ws_start["workspace_bytes_reused"]),
             "pack_seconds": float(self._pack_seconds),
         }
 

@@ -10,12 +10,9 @@ Two encoders from the paper:
   III-B) because a fixed encoding keeps the sampler's probability landscape
   stable while the aggregator trains.
 
-Both encoders run in every hop of every batch, so their math dispatches
-through the active array backend: the learnable encoder's ``dt * w + b``
-chain is Tensor-composed (each primitive is arena-served under the ``fused``
-backend), and the fixed encoder calls the backend's dedicated
-``fixed_time_encoding`` kernel, which fuses the multiply and cosine into one
-reused workspace buffer — bitwise-identical to the reference expression.
+Both encoders run in every hop of every batch on the array runtime: the
+learnable encoder's ``dt * w + b`` chain is Tensor-composed, and the fixed
+encoder calls the backend's dedicated ``fixed_time_encoding`` kernel.
 The fixed encoding is a constant of the graph (``requires_grad=False``), so
 the composite kernels downstream of it — the sampler's ``Linear`` /
 ``LayerNorm`` nodes — compute no gradient for it.

@@ -21,7 +21,6 @@ from ..graph.splits import TemporalSplit
 from ..models.base import TGNNBackbone
 from ..models.edge_predictor import EdgePredictor
 from ..tensor import no_grad
-from ..tensor.backend import get_backend
 from ..utils.rng import new_rng
 from .metrics import ranking_report
 from .negative_sampling import NegativeSampler
@@ -57,14 +56,9 @@ def score_link_queries(prep, backbone: TGNNBackbone, predictor: EdgePredictor,
     was_training = backbone.training
     backbone.eval()
     predictor.eval()
-    backend = get_backend()
     try:
         with no_grad():
             for start in range(0, src.size, batch_edges):
-                # Scoring-batch boundary of the array backend: the previous
-                # chunk's activations are dead (its logits were copied out
-                # of any workspace buffer below), so buffers can be reused.
-                backend.begin_batch()
                 chunk = slice(start, min(start + batch_edges, src.size))
                 b = chunk.stop - chunk.start
                 # Root layout [src | dst | negatives (row-major)] is

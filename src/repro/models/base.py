@@ -7,9 +7,8 @@ each backbone specialises.
 
 Everything a backbone computes — message concatenation, the per-layer COMB,
 the recursive expansion — is Tensor math, so the whole propagation phase
-(the ``PP`` section of Table III) dispatches through the active array
-backend (:mod:`repro.tensor.backend`) and is bitwise-identical across
-backends.
+(the ``PP`` section of Table III) runs on the array runtime
+(:mod:`repro.tensor.backend`).
 """
 
 from __future__ import annotations

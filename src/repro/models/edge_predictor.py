@@ -30,12 +30,6 @@ class EdgePredictor(Module):
         self.out = Linear(hidden_dim, 1, rng=rng)
 
     def forward(self, h_src: Tensor, h_dst: Tensor) -> Tensor:
-        """Return logits of shape ``(B,)`` for ``B`` embedding pairs.
-
-        The projection dot products here run once per positive/negative pair
-        in training *and* once per ranked candidate in MRR evaluation, so
-        they dispatch through the active array backend (the ``fused``
-        backend serves them as ``out=`` matmuls over workspace buffers).
-        """
+        """Return logits of shape ``(B,)`` for ``B`` embedding pairs."""
         hidden = (self.src_proj(h_src) + self.dst_proj(h_dst)).relu()
         return self.out(hidden).reshape(-1)

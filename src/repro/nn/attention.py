@@ -7,8 +7,8 @@ historical interactions than the budget) are excluded.
 
 The whole aggregate — time encoding, messages, the score → masked-softmax →
 weighted-sum chain here, output projection and merge — is one graph node
-(:func:`repro.tensor.functional.temporal_attention`) over a kernel pair every
-backend shares, so this module only owns the attention's parameters and its
+(:func:`repro.tensor.functional.temporal_attention`) over a kernel pair of
+the array runtime, so this module only owns the attention's parameters and its
 dropout generator.  The composition of ``Linear`` / batched-matmul /
 ``masked_softmax`` nodes the kernel replaces is the oracle of
 ``tests/test_tensor_ops.py``.

@@ -3,12 +3,11 @@
 All layers take an explicit ``rng`` at construction so initialisation is
 reproducible, following the repository-wide determinism convention.
 
-Every layer dispatches through the active array backend
-(:mod:`repro.tensor.backend`).  ``Linear`` and ``LayerNorm`` are one graph
-node each (:func:`repro.tensor.functional.linear`,
+Every layer runs on the array runtime (:mod:`repro.tensor.backend`).
+``Linear`` and ``LayerNorm`` are one graph node each
+(:func:`repro.tensor.functional.linear`,
 :func:`repro.tensor.functional.layer_norm`) with an analytic backward over a
-kernel pair every backend shares, so they are bitwise-equal across backends
-by construction; the remaining layers are composed from Tensor ops.
+kernel pair; the remaining layers are composed from Tensor ops.
 """
 
 from __future__ import annotations

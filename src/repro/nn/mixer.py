@@ -11,7 +11,7 @@ Input layout is ``(batch, num_neighbors, channels)``.
 
 The block runs on the model's largest activations, so its forward is one
 graph node (:func:`repro.tensor.functional.mixer_block`) with an analytic
-backward over a kernel pair every backend shares; the composition of
+backward over a kernel pair of the array runtime; the composition of
 ``LayerNorm`` / ``FeedForward`` / mask / residual ops it replaces is the
 oracle of ``tests/test_tensor_ops.py``.  Every row of the batch is mixed
 independently of the others, which is what lets the adaptive sampler run the

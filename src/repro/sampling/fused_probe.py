@@ -27,26 +27,12 @@ share one ``rng`` object):
 
 Finders that are already batched (the block-centric GPU finder) or stateful
 (the chronological TGL pointer finder) are delegated to unchanged.
-
-Workspace reuse
----------------
-The per-call ``(B, budget)`` index intermediates (relative offsets, absolute
-gather indices) are checked out of a thread-local
-:class:`~repro.tensor.backend.WorkspaceArena` as scratch buffers and returned
-before the call ends, so steady-state sampling stops allocating them; the
-arrays that escape into the :class:`~repro.sampling.base.NeighborBatch` are
-fresh allocations because prepared batches outlive any safe reset point
-(an AOT plan holds a chunk of them across training steps).
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict
-
 import numpy as np
 
-from ..tensor.backend import WorkspaceArena
 from .base import NeighborBatch, NeighborFinder
 from .cpu_finder import OriginalNeighborFinder
 
@@ -74,37 +60,17 @@ class BatchedProbeFinder(NeighborFinder):
         # replacing; the GPU finder is already batched and the TGL pointer
         # finder is stateful/chronological — both delegate.
         self._vectorise = isinstance(base, OriginalNeighborFinder)
-        self._tls = threading.local()
 
     def reset(self) -> None:
         self.base.reset()
-
-    # -- workspace -------------------------------------------------------------
-
-    @property
-    def arena(self) -> WorkspaceArena:
-        """This thread's scratch arena (thread-local, so a finder driven
-        from several threads never shares scratch buffers)."""
-        arena = getattr(self._tls, "arena", None)
-        if arena is None:
-            arena = self._tls.arena = WorkspaceArena()
-        return arena
-
-    def probe_stats(self) -> Dict[str, int]:
-        """Workspace-reuse counters of the calling thread's scratch arena."""
-        return self.arena.stats()
 
     # -- policy kernels ----------------------------------------------------------
 
     def _recent_offsets(self, counts: np.ndarray, budget: int):
         """Most-recent-first relative offsets: pivot-1, pivot-2, ... per row."""
-        arena = self.arena
-        rel = arena.scratch((counts.shape[0], budget), _I64)
-        np.subtract(counts[:, None], 1 + np.arange(budget, dtype=_I64)[None, :],
-                    out=rel)
+        rel = counts[:, None] - (1 + np.arange(budget, dtype=_I64))[None, :]
         mask = rel >= 0
-        offsets = np.maximum(rel, 0, out=rel)
-        return offsets, mask, rel
+        return np.maximum(rel, 0, out=rel), mask
 
     def _uniform_offsets(self, counts: np.ndarray, budget: int):
         """Uniform-without-replacement offsets, replaying the per-row draws.
@@ -113,26 +79,20 @@ class BatchedProbeFinder(NeighborFinder):
         vectorised); oversubscribed rows replay ``rng.choice`` in ascending
         row order — exactly the draw sequence of the per-query loop.
         """
-        arena = self.arena
-        b = counts.shape[0]
-        offsets = arena.scratch((b, budget), _I64)
-        np.copyto(offsets, np.arange(budget, dtype=_I64)[None, :])
+        offsets = np.tile(np.arange(budget, dtype=_I64), (counts.shape[0], 1))
         mask = offsets < counts[:, None]
         for i in np.nonzero(counts > budget)[0]:
             offsets[i] = self.rng.choice(int(counts[i]), size=budget,
                                          replace=False)
             mask[i] = True
-        return offsets, mask, offsets
+        return offsets, mask
 
     def _inverse_timespan_offsets(self, times: np.ndarray, starts: np.ndarray,
                                   counts: np.ndarray, budget: int):
         """1/Δt-weighted offsets; weights are per-row, so oversubscribed rows
         keep their per-row draws (same float ops and RNG order as the wrapped
         finder) while everything else stays batched."""
-        arena = self.arena
-        b = counts.shape[0]
-        offsets = arena.scratch((b, budget), _I64)
-        np.copyto(offsets, np.arange(budget, dtype=_I64)[None, :])
+        offsets = np.tile(np.arange(budget, dtype=_I64), (counts.shape[0], 1))
         mask = offsets < counts[:, None]
         ts = self.tcsr.ts
         for i in np.nonzero(counts > budget)[0]:
@@ -143,7 +103,7 @@ class BatchedProbeFinder(NeighborFinder):
             offsets[i] = self.rng.choice(c, size=budget, replace=False,
                                          p=weights)
             mask[i] = True
-        return offsets, mask, offsets
+        return offsets, mask
 
     # -- main entry point --------------------------------------------------------
 
@@ -169,26 +129,21 @@ class BatchedProbeFinder(NeighborFinder):
         counts = tcsr.pivots(nodes, times) - starts
 
         if self.policy == "recent":
-            offsets, mask, scratch = self._recent_offsets(counts, budget)
+            offsets, mask = self._recent_offsets(counts, budget)
         elif self.policy == "uniform":
-            offsets, mask, scratch = self._uniform_offsets(counts, budget)
+            offsets, mask = self._uniform_offsets(counts, budget)
         else:  # inverse_timespan
-            offsets, mask, scratch = self._inverse_timespan_offsets(
+            offsets, mask = self._inverse_timespan_offsets(
                 times, starts, counts, budget)
 
-        arena = self.arena
-        abs_idx = arena.scratch((b, budget), _I64)
-        np.add(starts[:, None], offsets, out=abs_idx)
+        abs_idx = starts[:, None] + offsets
         # Padded slots point at entry 0 so the gather stays in bounds; the
         # where() below restores the padding sentinel (0 / 0 / 0.0).
-        np.multiply(abs_idx, mask, out=abs_idx)
+        abs_idx *= mask
 
         out_nodes = np.where(mask, tcsr.indices[abs_idx], 0)
         out_eids = np.where(mask, tcsr.eid[abs_idx], 0)
         out_times = np.where(mask, tcsr.ts[abs_idx], 0.0)
-
-        arena.give_back(abs_idx)
-        arena.give_back(scratch)
         return NeighborBatch(root_nodes=nodes, root_times=times,
                              nodes=out_nodes, eids=out_eids, times=out_times,
                              mask=mask)

@@ -7,8 +7,7 @@ north-star's other half — "how fast can we *answer*".  A
 src -> dst at time t``), admits them into a bounded queue, micro-batches the
 pending queries into **one** pass through the existing batch-prep runtime
 (:func:`~repro.core.prep_backend.make_prep_pipeline`, so both prep backends
-serve) and **one** model forward (under the configured array backend), and
-returns calibrated probabilities.
+serve) and **one** model forward, and returns calibrated probabilities.
 
 Dataflow of one flush::
 
@@ -56,9 +55,8 @@ from ..device.precision import PrecisionPolicy, resolve_precision_name
 from ..graph.tcsr import StreamingTCSR
 from ..graph.temporal_graph import TemporalGraph
 from ..sampling import make_finder
-from ..tensor import Tensor, no_grad
+from ..tensor import Tensor, get_backend, no_grad
 from ..tensor import functional as F
-from ..tensor.backend import resolve_backend_name, set_backend
 from ..utils.timer import Timer
 from .cache import NodeEmbeddingCache, TieredNodeEmbeddingCache
 
@@ -177,11 +175,10 @@ class ServeEngine:
     cache_nodes:
         Embedding-cache capacity in nodes (default: a quarter of the node
         universe; 0 disables the cache).
-    prep_backend / array_backend:
-        Registry names threaded through
-        :func:`~repro.core.prep_backend.make_prep_pipeline` /
-        :func:`~repro.tensor.backend.set_backend`; ``None`` resolves the
-        environment exactly like training does.
+    prep_backend:
+        Registry name threaded through
+        :func:`~repro.core.prep_backend.make_prep_pipeline`; ``None``
+        resolves the environment exactly like training does.
     precision:
         Feature-store precision tier (``None`` resolves ``REPRO_PRECISION``
         then ``fp32``).  The exact ``fp32`` tier keeps today's store and
@@ -200,7 +197,6 @@ class ServeEngine:
                  num_neighbors: int = 5, num_candidates: Optional[int] = None,
                  finder: str = "gpu", finder_policy: str = "recent",
                  prep_backend: Optional[str] = None,
-                 array_backend: Optional[str] = None,
                  precision: Optional[str] = None,
                  max_batch: int = 32, queue_depth: int = 128,
                  admission: str = "wait",
@@ -234,9 +230,9 @@ class ServeEngine:
         self.finder_kind = finder
         self.finder_policy = finder_policy
         self.prep_backend_name = resolve_prep_backend_name(prep_backend)
-        self.array_backend = set_backend(resolve_backend_name(array_backend))
+        #: the array runtime the forward runs on (one per process).
+        self.array_backend = get_backend()
         self.precision = PrecisionPolicy(tier=resolve_precision_name(precision))
-        self._workspace = self.array_backend.new_arena()
 
         capacity = cache_nodes if cache_nodes is not None \
             else max(1, self.graph.num_nodes // 4)
@@ -271,9 +267,9 @@ class ServeEngine:
         """Build a serving engine over a (trained) ``TaserTrainer``'s model.
 
         The model stack is shared by reference; the event history is copied.
-        Backend names default to the trainer's resolved configuration, so a
-        replay engine built from the same trainer is the bitwise-equal twin
-        of the original.
+        Prep backend and precision default to the trainer's resolved
+        configuration, so a replay engine built from the same trainer is the
+        bitwise-equal twin of the original.
         """
         cfg = trainer.config
         defaults = dict(
@@ -283,7 +279,6 @@ class ServeEngine:
                             else cfg.num_neighbors),
             finder=cfg.finder, finder_policy=cfg.resolved_finder_policy,
             prep_backend=cfg.resolved_prep_backend,
-            array_backend=cfg.resolved_array_backend,
             precision=cfg.resolved_precision, seed=cfg.seed)
         defaults.update(kwargs)
         return cls(trainer.graph, trainer.backbone, trainer.predictor,
@@ -302,11 +297,6 @@ class ServeEngine:
             self.num_neighbors, self.num_candidates,
             adaptive_sampler=self.adaptive_sampler, timer=self.timer)
         self.prep = make_prep_pipeline(self.prep_backend_name, self.generator)
-
-    def _activate_backend(self) -> None:
-        from ..tensor.backend import get_backend
-        if get_backend() is not self.array_backend:
-            set_backend(self.array_backend.name)
 
     # -- ingestion --------------------------------------------------------------
 
@@ -426,10 +416,8 @@ class ServeEngine:
         was_training = self.backbone.training
         self.backbone.eval()
         self.predictor.eval()
-        self._activate_backend()
         try:
-            with no_grad(), self.array_backend.arena_scope(self._workspace):
-                self.array_backend.begin_batch()
+            with no_grad():
                 hits, rows = self.embedding_cache.lookup(
                     nodes, times, self.events_observed)
                 misses = ~hits

@@ -1,16 +1,12 @@
 """Numpy-backed reverse-mode autograd engine (PyTorch substitute).
 
-All ndarray math in the engine's forward/backward hot paths dispatches
-through a pluggable :mod:`~repro.tensor.backend` (``reference`` — plain
-numpy, or ``fused`` — out=/in-place kernels over reusable workspace arenas;
-both bitwise-identical).  Select with ``set_backend`` / the ``REPRO_BACKEND``
-environment variable / the ``--backend`` CLI flag.
+All ndarray math in the engine's forward/backward hot paths goes through the
+one array runtime of :mod:`~repro.tensor.backend` (:func:`get_backend`).
 """
 
 from .tensor import Tensor, concatenate, stack, where, no_grad, is_grad_enabled
 from . import functional
-from .backend import (ArrayBackend, available_backends, get_backend,
-                      resolve_backend_name, set_backend, use_backend)
+from .backend import ReferenceBackend, get_backend
 from .gradcheck import gradcheck, numerical_grad
 
 __all__ = [
@@ -23,10 +19,6 @@ __all__ = [
     "functional",
     "gradcheck",
     "numerical_grad",
-    "ArrayBackend",
-    "available_backends",
+    "ReferenceBackend",
     "get_backend",
-    "resolve_backend_name",
-    "set_backend",
-    "use_backend",
 ]

@@ -5,13 +5,10 @@ TGNN models and the TASER adaptive sampler.  Everything is expressed as
 vectorised whole-array operations.
 
 All float math here is composed from :class:`~repro.tensor.Tensor` ops, so
-it dispatches through the active :mod:`~repro.tensor.backend` automatically:
-under the ``fused`` backend the primitives inside :func:`masked_softmax` and
-the losses run as ``out=`` kernels over workspace buffers while the autograd
-graph — and therefore every gradient — stays bitwise-identical to the
-``reference`` backend.  :func:`linear`, :func:`layer_norm`,
-:func:`mixer_block`, :func:`temporal_attention` and :func:`scatter_rows` are
-single graph nodes defined beside the engine (:mod:`repro.tensor.tensor`) and re-exported here.  Only
+it runs on the array runtime of :mod:`~repro.tensor.backend`.
+:func:`linear`, :func:`layer_norm`, :func:`mixer_block`,
+:func:`temporal_attention` and :func:`scatter_rows` are single graph nodes
+defined beside the engine (:mod:`repro.tensor.tensor`) and re-exported here.  Only
 mask plumbing (boolean arrays, ``-1e30`` fill values, dropout keep-masks)
 touches numpy directly; it moves no float math.
 """

@@ -3,14 +3,6 @@
 Used by the test suite to validate every backward rule against a numerical
 Jacobian-vector product.  The check perturbs each input element in turn, so it
 is only intended for small tensors.
-
-The check runs under whatever array backend is active
-(:func:`~repro.tensor.backend.get_backend`), so the same ``gradcheck`` call
-validates the fused kernels' backward rules when wrapped in
-``use_backend("fused")``.  The analytic gradients are copied out before the
-numerical sweep: the sweep re-runs ``fn`` many times, and under the fused
-backend those re-runs may recycle the workspace buffers the first backward
-pass wrote its gradients into.
 """
 
 from __future__ import annotations
@@ -19,7 +11,6 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .backend import get_backend
 from .tensor import Tensor
 
 __all__ = ["gradcheck", "numerical_grad"]
@@ -51,29 +42,19 @@ def gradcheck(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
     Raises ``AssertionError`` with a diagnostic message on mismatch so pytest
     failures point at the offending operand.
     """
-    backend = get_backend()
-    # Run inside a private arena: resetting the caller's active arena would
-    # recycle buffers of any live fused-backend tensors the caller created
-    # before this check.
-    with backend.arena_scope(backend.new_arena()):
-        backend.begin_batch()
-        for t in inputs:
-            t.zero_grad()
-        out = fn(*inputs)
-        out.backward(np.ones_like(out.data))
-        analytic_grads = [None if t.grad is None else t.grad.copy()
-                          for t in inputs]
-        backend.begin_batch()
-        for i, t in enumerate(inputs):
-            if not t.requires_grad:
-                continue
-            analytic = analytic_grads[i] if analytic_grads[i] is not None \
-                else np.zeros_like(t.data)
-            numeric = numerical_grad(fn, list(inputs), i, eps=eps)
-            if not np.allclose(analytic, numeric, atol=atol, rtol=rtol):
-                diff = np.abs(analytic - numeric).max()
-                raise AssertionError(
-                    f"gradcheck failed for input {i}: max abs diff {diff:.3e}\n"
-                    f"analytic:\n{analytic}\nnumeric:\n{numeric}"
-                )
+    for t in inputs:
+        t.zero_grad()
+    out = fn(*inputs)
+    out.backward(np.ones_like(out.data))
+    for i, t in enumerate(inputs):
+        if not t.requires_grad:
+            continue
+        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+        numeric = numerical_grad(fn, list(inputs), i, eps=eps)
+        if not np.allclose(analytic, numeric, atol=atol, rtol=rtol):
+            diff = np.abs(analytic - numeric).max()
+            raise AssertionError(
+                f"gradcheck failed for input {i}: max abs diff {diff:.3e}\n"
+                f"analytic:\n{analytic}\nnumeric:\n{numeric}"
+            )
     return True

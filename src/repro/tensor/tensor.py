@@ -67,10 +67,9 @@ Composite kernels
 -----------------
 :func:`linear`, :func:`layer_norm`, :func:`mixer_block` and
 :func:`temporal_attention` are one graph node each with an analytic backward,
-over a forward / backward kernel pair on the array backend.  The pair is defined once on the reference backend and
-inherited — not overridden — by the others, so every backend runs the same
-arithmetic by construction; the kernels compute only the gradients whose
-tensor requires one and never write into the ``g`` they receive.  The
+over a forward / backward kernel pair on the array backend; the kernels
+compute only the gradients whose tensor requires one and never write into the
+``g`` they receive.  The
 primitive-composed forms (``x @ W.T + b``, ``mean`` / ``sub`` / ``sqrt`` /
 ``div``, the mixer block's modules, TGAT's concatenated messages and
 per-head matmuls) agree with them to the last few ulps and live on as test
@@ -78,15 +77,13 @@ oracles.
 
 Backend dispatch
 ----------------
-Every ndarray computation in the forward rules and backward closures routes
-through the active :class:`~repro.tensor.backend.ArrayBackend`
+Every ndarray computation in the forward rules and backward closures goes
+through the one :class:`~repro.tensor.backend.ReferenceBackend` instance
 (:func:`~repro.tensor.backend.get_backend`) rather than calling numpy
-directly.  The graph *structure* is identical under every backend — a
-backend only chooses where each result is materialised (fresh allocation for
-``reference``, reused workspace buffers for ``fused``) — which is what keeps
-training trajectories bitwise-identical across backends.  Shape-only views
-(``reshape``, ``transpose``, ``expand_dims``) stay plain numpy: they move no
-data.
+directly, and looks the kernel up on that instance at call time — which is
+what lets a tracer count kernel calls by wrapping the instance's attributes.
+Shape-only views (``reshape``, ``transpose``, ``expand_dims``) stay plain
+numpy: they move no data.
 """
 
 from __future__ import annotations
@@ -238,12 +235,8 @@ class Tensor:
         return self.transpose()
 
     def numpy(self) -> np.ndarray:
-        """Return the underlying array (detached view).
-
-        Under the ``fused`` backend the array may live in a workspace buffer
-        that is recycled at the next batch boundary; copy it if it must
-        outlive the batch.
-        """
+        """Return the underlying array (detached; shares memory with the
+        tensor, so copy it before writing to it)."""
         return self.data
 
     def item(self) -> float:
@@ -848,9 +841,8 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     """Layer normalisation over the last axis with a learnable affine.
 
     One graph node with an analytic backward, over the backend's
-    ``layer_norm_forward`` / ``layer_norm_backward`` kernels.  Every backend
-    inherits the same kernel pair, so forward and backward are bitwise-equal
-    across backends by construction; the node retains the normalised input
+    ``layer_norm_forward`` / ``layer_norm_backward`` kernels; the node
+    retains the normalised input
     and the per-row reciprocal standard deviation, and skips the input
     gradient when ``x`` does not require one.  The primitive-composed form
     (``mean`` / ``sub`` / ``mul`` / ``sqrt`` / ``div``) is the test oracle.

@@ -154,27 +154,21 @@ class TestRequiredHashPairs:
     def test_registry_covers_fig1_serve_and_precision(self):
         assert bench_gate.REQUIRED_HASH_PAIRS["BENCH_serve_latency.json"] \
             == ("serve_determinism",)
-        assert set(bench_gate.REQUIRED_HASH_PAIRS[
-            "BENCH_fig1_breakdown_wikipedia.json"]) \
-            == {"backend_equivalence", "prep_backend_equivalence"}
+        assert bench_gate.REQUIRED_HASH_PAIRS[
+            "BENCH_fig1_breakdown_wikipedia.json"] \
+            == ("prep_backend_equivalence",)
         assert set(bench_gate.REQUIRED_HASH_PAIRS["BENCH_precision.json"]) \
             == {"precision_determinism", "fp32_equivalence"}
         assert set(bench_gate.REQUIRED_HASH_PAIRS["BENCH_shard_scaling.json"]) \
             == {"determinism", "comms_equivalence"}
 
-    def _fig1_artifact(self, prep_replay="b", fused_prep=1.0,
-                       reference_prep=1.0):
+    def _fig1_artifact(self, prep_replay="b"):
         return {
             "benchmark": "fig1_breakdown_wikipedia", "scale": 0.1,
             "engine_env": "sync", "unix_time": 0.0,
             "results": {
-                "backend_equivalence": {"hash": "a", "replay_hash": "a"},
                 "prep_backend_equivalence": {"hash": "b",
                                              "replay_hash": prep_replay},
-                "backends": {
-                    "reference": {"prep_seconds": reference_prep},
-                    "fused": {"prep_seconds": fused_prep},
-                },
             },
         }
 
@@ -201,40 +195,6 @@ class TestRequiredHashPairs:
         del artifact["results"]["prep_backend_equivalence"]
         _write(current, artifact, name="BENCH_fig1_breakdown_wikipedia.json")
         assert _gate(current, baselines) == 1
-
-
-class TestRatioContracts:
-    """Intra-artifact timing contracts that need no baseline."""
-
-    _fig1 = TestRequiredHashPairs._fig1_artifact
-
-    def test_registry_covers_fused_prep_ratio(self):
-        assert any(name == "BENCH_fig1_breakdown_wikipedia.json"
-                   and num == "backends.fused.prep_seconds"
-                   and den == "backends.reference.prep_seconds"
-                   for name, num, den, _ in bench_gate.RATIO_CONTRACTS)
-
-    def test_fused_prep_regression_warns_at_smoke_fails_strict(self, dirs):
-        current, baselines = dirs
-        baselines.mkdir(parents=True)
-        _write(current, self._fig1(fused_prep=2.0, reference_prep=1.0),
-               name="BENCH_fig1_breakdown_wikipedia.json")
-        assert _gate(current, baselines) == 0          # warn-only at smoke
-        assert _gate(current, baselines, "--strict") == 1
-
-    def test_fused_prep_within_ratio_passes(self, dirs):
-        current, baselines = dirs
-        baselines.mkdir(parents=True)
-        _write(current, self._fig1(fused_prep=1.05, reference_prep=1.0),
-               name="BENCH_fig1_breakdown_wikipedia.json")
-        assert _gate(current, baselines, "--strict") == 0
-
-    def test_tiny_denominator_skipped_as_noise(self, dirs):
-        current, baselines = dirs
-        baselines.mkdir(parents=True)
-        _write(current, self._fig1(fused_prep=5e-4, reference_prep=1e-4),
-               name="BENCH_fig1_breakdown_wikipedia.json")
-        assert _gate(current, baselines, "--strict") == 0
 
     def _serve_artifact(self, run_hash="abc", replay_hash="abc"):
         return {

@@ -5,7 +5,7 @@ import pytest
 
 from repro.encoders import (LearnableTimeEncoder, FixedTimeEncoder, FrequencyEncoder,
                             IdentityEncoder, sort_by_recency)
-from repro.tensor import Tensor
+from repro.tensor import Tensor, gradcheck
 
 
 class TestTimeEncoders:
@@ -26,6 +26,15 @@ class TestTimeEncoders:
         out.sum().backward()
         assert enc.w.grad is not None and np.any(enc.w.grad != 0)
         assert enc.b.grad is not None
+
+    def test_learnable_gradcheck(self):
+        rng = np.random.default_rng(3)
+        delta = np.abs(rng.standard_normal((3, 2)))
+        enc = LearnableTimeEncoder(4, rng=rng)
+        # gradcheck perturbs the parameter arrays in place, so a lambda that
+        # closes over the encoder sees every perturbation.
+        assert gradcheck(lambda w, b: enc(delta).sum(), [enc.w, enc.b],
+                         atol=1e-3, rtol=1e-2)
 
     def test_fixed_no_parameters(self):
         enc = FixedTimeEncoder(8)

@@ -209,15 +209,6 @@ class TestBatchedProbeFinder:
         np.testing.assert_array_equal(a.nodes, b.nodes)
         assert fused.name.startswith("fused-probe[")
 
-    def test_workspace_scratch_is_reused(self, small_tcsr):
-        fused = BatchedProbeFinder(
-            OriginalNeighborFinder(small_tcsr, policy="recent", seed=0))
-        nodes = np.arange(8, dtype=np.int64)
-        times = np.full(8, 1e12)
-        for _ in range(4):
-            fused.sample(nodes, times, 4)
-        assert fused.probe_stats()["workspace_reused"] > 0
-
 
 # ----------------------------------------------- prepared-batch equality
 

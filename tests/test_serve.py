@@ -246,23 +246,19 @@ class TestServeEngineEdgeCases:
 
 class TestServeDeterminism:
     @pytest.mark.parametrize("prep_backend", ["reference", "fused"])
-    @pytest.mark.parametrize("array_backend", ["reference", "fused"])
-    def test_replay_bitwise_per_cell(self, trained, queries, prep_backend,
-                                     array_backend):
+    def test_replay_bitwise_per_cell(self, trained, queries, prep_backend):
         def run():
             engine = make_engine(trained, prep_backend=prep_backend,
-                                 array_backend=array_backend,
                                  staleness_time=None)
             return scores_hash(engine.serve(queries))
 
-        assert run() == run(), (prep_backend, array_backend)
+        assert run() == run(), prep_backend
 
-    def test_all_four_cells_agree(self, trained, queries):
+    def test_both_prep_backends_agree(self, trained, queries):
         hashes = {
-            (pb, ab): scores_hash(
-                make_engine(trained, prep_backend=pb, array_backend=ab,
+            pb: scores_hash(
+                make_engine(trained, prep_backend=pb,
                             staleness_time=None).serve(queries))
             for pb in ("reference", "fused")
-            for ab in ("reference", "fused")
         }
         assert len(set(hashes.values())) == 1, hashes

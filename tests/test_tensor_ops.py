@@ -8,7 +8,7 @@ from repro.models import TGAT, HopData, build_messages
 from repro.nn import MixerBlock
 from repro.sampling import NeighborBatch
 from repro.tensor import (Tensor, concatenate, stack, where, no_grad, is_grad_enabled,
-                          get_backend, use_backend)
+                          get_backend)
 from repro.tensor import functional as F
 from repro.tensor.gradcheck import gradcheck
 
@@ -703,9 +703,9 @@ class TestCompositeKernels:
         for single, double in zip(once, [x.grad] + [p.grad for p in block.parameters()]):
             assert np.array_equal(double, 2.0 * single)
 
-    @pytest.mark.parametrize("rows", [3, 60])      # below / above the arena floor
+    @pytest.mark.parametrize("rows", [3, 60])
     @pytest.mark.parametrize("masked", [True, False])
-    def test_mixer_block_forward_only_and_backends_bitwise(self, rows, masked):
+    def test_mixer_block_forward_only_and_rerun_bitwise(self, rows, masked):
         block = make_mixer(self.rng, 10, 34)
         x = self.rng.standard_normal((rows, 10, 34))
         mask = self.rng.random((rows, 10)) < 0.7 if masked else None
@@ -716,12 +716,9 @@ class TestCompositeKernels:
             quiet = block(Tensor(x), mask=mask)
         assert not quiet.requires_grad and quiet._prev == ()
         assert quiet.data.tobytes() == want[0].tobytes()
-        for name in ("reference", "fused"):
-            with use_backend(name) as backend:
-                backend.begin_batch()
-                out, gx, gp = run_mixer(node_mixer_block, block, x, mask, coeff)
-                for got, ref in zip([out.data, gx] + gp, want):
-                    assert got.tobytes() == ref.tobytes()
+        out, gx, gp = run_mixer(node_mixer_block, block, x, mask, coeff)
+        for got, ref in zip([out.data, gx] + gp, want):
+            assert got.tobytes() == ref.tobytes()
 
     def test_scatter_rows(self):
         src = t(self.rng.standard_normal((3, 4)))
@@ -850,9 +847,9 @@ class TestTemporalAttentionNode:
         assert not np.allclose(quiet.data, results[0][0])
         assert layer.drop._rng.bit_generator.state == rng_states[1]
 
-    @pytest.mark.parametrize("rows", [4, 900])     # below / above the arena floor
+    @pytest.mark.parametrize("rows", [4, 900])
     @pytest.mark.parametrize("live", [False, True])
-    def test_forward_only_and_backends_bitwise(self, rows, live):
+    def test_forward_only_and_rerun_bitwise(self, rows, live):
         model = make_tgat(self.rng, hidden=32, edge_dim=32, time_dim=16)
         hop = make_hop(self.rng, rows, 5, 32)
         states = self._states(live, rows, 5, 32)
@@ -863,13 +860,10 @@ class TestTemporalAttentionNode:
             quiet = model.aggregate(1, *(None if h is None else t(h) for h in states), hop)
         assert not quiet.requires_grad and quiet._prev == () and quiet._backward is None
         assert quiet.data.tobytes() == want[0].tobytes()
-        for name in ("reference", "fused"):
-            with use_backend(name) as backend:
-                backend.begin_batch()
-                out, attn, grads = run_aggregate(node_temporal_attention, model, hop,
-                                                 *states, coeff)
-                for got, ref in zip([out, attn] + [g for g in grads if g is not None], want):
-                    assert got.tobytes() == ref.tobytes()
+        out, attn, grads = run_aggregate(node_temporal_attention, model, hop,
+                                         *states, coeff)
+        for got, ref in zip([out, attn] + [g for g in grads if g is not None], want):
+            assert got.tobytes() == ref.tobytes()
 
     def test_backward_contract(self):
         """The kernel retains nothing forward-only, leaves ``g`` untouched,

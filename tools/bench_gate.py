@@ -16,15 +16,10 @@ a *gate* by diffing them against the committed baselines in
   ``replay_hash`` pair (the benchmarks' run-vs-replay digests) must have
   equal values, and when a baseline records the pair the fresh ``hash``
   payload must still be self-consistent.  Contract pairs listed in
-  ``REQUIRED_HASH_PAIRS`` (the fig1 ``backend_equivalence`` /
-  ``prep_backend_equivalence`` pairs, the shard sweep's ``determinism`` /
-  ``comms_equivalence`` pairs, ...) must also be
-  *present* in the fresh artifact — a benchmark that silently stops emitting
-  one fails hard.
-* **ratio contract** — ``RATIO_CONTRACTS`` caps one timing metric relative
-  to another *within the same fresh artifact* (e.g. the fused backend's
-  fig1 ``prep_seconds`` may not exceed 1.1x the reference cell's): no
-  baseline needed, enforced on the same scale rule as the timing diffs.
+  ``REQUIRED_HASH_PAIRS`` (the fig1 ``prep_backend_equivalence`` pair, the
+  shard sweep's ``determinism`` / ``comms_equivalence`` pairs, ...) must
+  also be *present* in the fresh artifact — a benchmark that silently stops
+  emitting one fails hard.
 
 Enforcement: *timing* findings **fail** (exit 1) when
 ``REPRO_BENCH_SCALE >= 0.5`` or ``--strict`` is given, and are **warnings**
@@ -64,25 +59,11 @@ MIN_SECONDS_DEFAULT = 5e-3
 #: silently dropping a contract pair (e.g. a refactor that stops emitting
 #: ``prep_backend_equivalence``) a hard failure instead of a silent pass.
 REQUIRED_HASH_PAIRS: Dict[str, Tuple[str, ...]] = {
-    "BENCH_fig1_breakdown_wikipedia.json": (
-        "backend_equivalence", "prep_backend_equivalence"),
+    "BENCH_fig1_breakdown_wikipedia.json": ("prep_backend_equivalence",),
     "BENCH_serve_latency.json": ("serve_determinism",),
     "BENCH_precision.json": ("precision_determinism", "fp32_equivalence"),
     "BENCH_shard_scaling.json": ("determinism", "comms_equivalence"),
 }
-
-#: intra-artifact timing contracts: ``(artifact, numerator path, denominator
-#: path, max ratio)``.  Both paths are dotted locations inside ``results``;
-#: the check fires when the numerator exceeds ``max ratio`` times the
-#: denominator *within one fresh run*, so it needs no baseline and is immune
-#: to machine-to-machine drift.  The fused array backend must never slow the
-#: prep phase down — its contract is "same ops, fewer allocations" — so its
-#: prep time is capped relative to the reference cell of the same artifact.
-RATIO_CONTRACTS: Tuple[Tuple[str, str, str, float], ...] = (
-    ("BENCH_fig1_breakdown_wikipedia.json",
-     "backends.fused.prep_seconds", "backends.reference.prep_seconds", 1.1),
-)
-
 
 def walk_numeric(payload, prefix: str = "") -> Iterator[Tuple[str, float]]:
     """Yield ``(dotted.path, value)`` for every numeric leaf of a payload."""
@@ -162,36 +143,10 @@ def check_determinism(name: str, current: Dict, report: Report) -> None:
                 "from the artifact — the benchmark must emit it")
 
 
-def check_ratio_contracts(name: str, current: Dict, report: Report,
-                          min_seconds: float) -> None:
-    """Enforce the intra-artifact ``RATIO_CONTRACTS`` for one fresh artifact.
-
-    Timing-class findings (warn-only at smoke scale): the two sides come from
-    the same run on the same machine, but smoke cells are short enough that
-    scheduler jitter can still trip a ratio, so enforcement follows the same
-    scale rule as the baseline diffs.  Denominators below ``min_seconds``
-    are skipped as timer noise.
-    """
-    metrics = dict(walk_numeric(current.get("results", {})))
-    for artifact, num_path, den_path, max_ratio in RATIO_CONTRACTS:
-        if artifact != name:
-            continue
-        num = metrics.get(num_path)
-        den = metrics.get(den_path)
-        if num is None or den is None or den < min_seconds:
-            continue
-        if num > den * max_ratio:
-            report.finding(
-                f"{name}: '{num_path}' is {num / den:.2f}x "
-                f"'{den_path}' ({num:.4f}s vs {den:.4f}s, "
-                f"contract <= {max_ratio:.2f}x)")
-
-
 def compare_file(name: str, current: Dict, baseline: Dict, report: Report,
                  threshold: float, min_seconds: float) -> None:
     """Diff one fresh artifact against its committed baseline."""
     check_determinism(name, current, report)
-    check_ratio_contracts(name, current, report, min_seconds)
 
     comparable = (current.get("scale") == baseline.get("scale")
                   and current.get("engine_env") == baseline.get("engine_env"))
@@ -279,11 +234,9 @@ def main(argv=None) -> int:
             report.notes.append(
                 f"{path.name}: no committed baseline — run "
                 f"'python tools/bench_gate.py --update' to record one")
-            # Still check the fresh artifact's determinism pairs and
-            # intra-artifact ratio contracts (neither needs a baseline).
+            # Still check the fresh artifact's determinism pairs (they
+            # need no baseline).
             check_determinism(path.name, current, report)
-            check_ratio_contracts(path.name, current, report,
-                                  args.min_seconds)
             continue
         baseline = json.loads(baseline_path.read_text())
         compare_file(path.name, current, baseline, report,
