@@ -21,6 +21,9 @@ live previous-layer state (layer 2).  Per cell it records
   allocates and drops inside one call are invisible to it, so for such a
   kernel the counter is reported, not argued from — ``ns_per_op`` is.
 
+Operands are built in ``repro.tensor.COMPUTE_DTYPE`` — the dtype the program
+runs these layers in — and the payload records it as ``compute_dtype``.
+
 It localises a regression the end-to-end benchmark shows in a step total to
 a layer; it asserts nothing about speed.  Writes ``BENCH_layers.json``::
 
@@ -30,18 +33,27 @@ a layer; it asserts nothing about speed.  Writes ``BENCH_layers.json``::
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
+# Before numpy: one BLAS thread, as ``benchmarks/e2e/run.py`` pins it — the
+# cells localise what that benchmark measures, and on a host with fewer
+# cores than BLAS threads a float32 GEMM of >= 1 000 rows stalls for 8 ms in
+# the multi-threaded path (the ``linear`` R=300 cell read 8.0 / 80 ms).
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 
 from tracer import Tracer  # noqa: E402
 
+import repro.tensor  # noqa: E402
 from repro.bench import emit_bench_json  # noqa: E402
 from repro.core import AdaptiveNeighborSampler  # noqa: E402
 from repro.models import TGAT, HopData  # noqa: E402
@@ -56,6 +68,10 @@ SIZES = (300, 1500, 6000)
 DEAD_SHARES = {"dead0": 0.0, "dead25": 0.25}
 
 
+def randn(rng, *shape, scale: float = 1.0, requires_grad: bool = True) -> Tensor:
+    return Tensor.randn(*shape, rng=rng, scale=scale, requires_grad=requires_grad)
+
+
 def candidate_mask(rng, rows: int, dead_share: float) -> np.ndarray:
     mask = rng.random((rows, M)) < 0.8
     mask[:, 0] = True
@@ -64,21 +80,21 @@ def candidate_mask(rng, rows: int, dead_share: float) -> np.ndarray:
 
 
 def layer_norm_op(rng, rows, dead_share):
-    x = Tensor(rng.standard_normal((rows, M, D)), requires_grad=True)
-    w, b = Tensor(np.ones(D), requires_grad=True), Tensor(np.zeros(D), requires_grad=True)
+    x = randn(rng, rows, M, D)
+    w, b = Tensor.ones(D, requires_grad=True), Tensor.zeros(D, requires_grad=True)
     return lambda: F.layer_norm(x, w, b)
 
 
 def linear_op(rng, rows, dead_share):
-    x = Tensor(rng.standard_normal((rows, M, D)), requires_grad=True)
-    w = Tensor(rng.standard_normal((D, D)) * 0.1, requires_grad=True)
-    b = Tensor(np.zeros(D), requires_grad=True)
+    x = randn(rng, rows, M, D)
+    w = randn(rng, D, D, scale=0.1)
+    b = Tensor.zeros(D, requires_grad=True)
     return lambda: F.linear(x, w, b)
 
 
 def mixer_op(rng, rows, dead_share):
     block = MixerBlock(M, D, token_expansion=0.5, channel_expansion=1.0, rng=rng)
-    x = Tensor(rng.standard_normal((rows, M, D)), requires_grad=True)
+    x = randn(rng, rows, M, D)
     mask = candidate_mask(rng, rows, dead_share)
     return lambda: block(x, mask=mask)
 
@@ -92,7 +108,7 @@ def sampler_op(rng, rows, dead_share):
         nodes=np.where(mask, rng.integers(1, 50, (rows, M)), 0),
         eids=np.where(mask, rng.integers(1, 10 ** 4, (rows, M)), 0),
         times=np.where(mask, rng.uniform(1.0, 99.0, (rows, M)), 0.0), mask=mask)
-    edge_feat = rng.standard_normal((rows, M, EDGE_DIM)) * mask[..., None]
+    edge_feat = randn(rng, rows, M, EDGE_DIM).data * mask[..., None]
     return lambda: sampler(candidates, BUDGET, edge_feat=edge_feat).log_prob
 
 
@@ -105,12 +121,12 @@ def tgat_aggregate_op(rng, rows, live_h):
             nodes=np.where(mask, rng.integers(1, 50, (rows, BUDGET)), 0),
             eids=np.where(mask, rng.integers(1, 10 ** 4, (rows, BUDGET)), 0),
             times=np.where(mask, rng.uniform(1.0, 99.0, (rows, BUDGET)), 0.0), mask=mask),
-        edge_feat=rng.standard_normal((rows, BUDGET, EDGE_DIM)) * mask[..., None])
+        edge_feat=randn(rng, rows, BUDGET, EDGE_DIM).data * mask[..., None])
     hop.make_gate()
     h_target = h_neighbors = None                   # the zero state
     if live_h:
-        h_target = Tensor(rng.standard_normal((rows, HIDDEN)), requires_grad=True)
-        h_neighbors = Tensor(rng.standard_normal((rows, BUDGET, HIDDEN)), requires_grad=True)
+        h_target = randn(rng, rows, HIDDEN)
+        h_neighbors = randn(rng, rows, BUDGET, HIDDEN)
     return lambda: model.aggregate(1, h_target, h_neighbors, hop)
 
 
@@ -149,7 +165,8 @@ def bench(sizes, repeats: int) -> dict:
         for rows in sizes:
             for label, variant in variants.items():
                 forward = factory(np.random.default_rng(0), rows, variant)
-                coeff = Tensor(np.random.default_rng(1).standard_normal(forward().shape))
+                coeff = randn(np.random.default_rng(1), *forward().shape,
+                              requires_grad=False)
 
                 def forward_nograd():
                     with no_grad():
@@ -180,12 +197,13 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=9,
                         help="timed calls per cell; the median is recorded")
     args = parser.parse_args(argv)
-    print(f"bench_layers: m={M} d={D} backend={get_backend().name}")
+    compute_dtype = np.dtype(repro.tensor.COMPUTE_DTYPE).name
+    print(f"bench_layers: m={M} d={D} compute_dtype={compute_dtype}")
     cells = bench(args.sizes, args.repeats)
     path = emit_bench_json("layers", {
         "m": M, "d": D, "budget": BUDGET, "hidden": HIDDEN, "edge_dim": EDGE_DIM,
         "time_dim": TIME_DIM, "repeats": args.repeats,
-        "array_backend": get_backend().name, "cells": cells})
+        "compute_dtype": compute_dtype, "cells": cells})
     print(f"wrote {path}")
     return 0
 

@@ -141,12 +141,13 @@ class AdaptiveNeighborSampler(Module):
         r, m = candidates.nodes.shape
         parts = []
         if self.node_proj is not None:
-            feats = neigh_node_feat if neigh_node_feat is not None \
-                else np.zeros((r, m, self.node_dim))
-            parts.append(self.node_proj(Tensor(feats)).gelu())
+            feats = Tensor(neigh_node_feat) if neigh_node_feat is not None \
+                else Tensor.zeros(r, m, self.node_dim)
+            parts.append(self.node_proj(feats).gelu())
         if self.edge_proj is not None:
-            feats = edge_feat if edge_feat is not None else np.zeros((r, m, self.edge_dim))
-            parts.append(self.edge_proj(Tensor(feats)).gelu())
+            feats = Tensor(edge_feat) if edge_feat is not None \
+                else Tensor.zeros(r, m, self.edge_dim)
+            parts.append(self.edge_proj(feats).gelu())
         parts.append(self.time_encoder(candidates.delta_t()))
         if self.freq_encoder is not None:
             parts.append(self.freq_encoder(candidates.frequencies()))
@@ -160,9 +161,9 @@ class AdaptiveNeighborSampler(Module):
         # frequency-one encoding.
         t_parts = []
         if self.node_proj is not None:
-            feats = target_node_feat if target_node_feat is not None \
-                else np.zeros((r, self.node_dim))
-            t_parts.append(self.node_proj(Tensor(feats)).gelu())
+            feats = Tensor(target_node_feat) if target_node_feat is not None \
+                else Tensor.zeros(r, self.node_dim)
+            t_parts.append(self.node_proj(feats).gelu())
         t_parts.append(self.time_encoder(np.zeros(r)))
         if self.freq_encoder is not None:
             t_parts.append(self.freq_encoder(np.ones(r)))
@@ -198,7 +199,8 @@ class AdaptiveNeighborSampler(Module):
         """Gumbel-top-k over ``log q`` perturbed by ``noise``."""
         keys = np.log(np.maximum(probabilities.data, _PROB_FLOOR))
         if noise is not None:
-            keys += noise
+            # Out of place: the float64 noise is not rounded into the keys.
+            keys = keys + noise
         # Invalid candidates must sort last.
         keys = np.where(mask, keys, -np.inf)
         columns = np.argsort(-keys, axis=1, kind="stable")[:, :budget]
@@ -255,8 +257,8 @@ class AdaptiveNeighborSampler(Module):
         if live.size == 0:
             return NeighborSelection(
                 columns=columns, mask=mask,
-                log_prob=Tensor(np.full((r, budget), _LOG_PROB_FLOOR)),
-                probabilities=Tensor(np.zeros((r, m))))
+                log_prob=Tensor.zeros(r, budget) + _LOG_PROB_FLOOR,
+                probabilities=Tensor.zeros(r, m))
 
         def take(array):
             return None if array is None else array[live]

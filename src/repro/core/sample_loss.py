@@ -55,7 +55,7 @@ def _centered_coefficients(sensitivity: np.ndarray, mask: np.ndarray,
     that otherwise dominates the variance of small ``n`` Monte-Carlo samples.
     ``alpha`` is the paper's variance-control scaling (Eq. 25).
     """
-    mask = mask.astype(np.float64)
+    mask = mask.astype(sensitivity.dtype)
     counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
     mean = (sensitivity * mask).sum(axis=1, keepdims=True) / counts
     return ((sensitivity - mean) / alpha) * mask
@@ -105,7 +105,7 @@ def tgat_analytic_sample_loss(hops: List[HopData], batch_size: int,
         sensitivity = hop.gate_sensitivity()
         if sensitivity is None:
             continue
-        coeff = sensitivity.astype(np.float64)
+        coeff = sensitivity
         if level == 0 and attention is not None and embeddings.grad is not None \
                 and attention.shape == hop.batch.mask.shape:
             # dL/dh_v . h_v per root, broadcast over that root's neighbors.

@@ -251,8 +251,8 @@ class TaserTrainer:
             pos_logits = self.predictor(h_src, h_dst)
             neg_logits = self.predictor(h_src, h_neg)
             model_loss = F.binary_cross_entropy_with_logits(
-                pos_logits, Tensor(np.ones(b))) \
-                + F.binary_cross_entropy_with_logits(neg_logits, Tensor(np.zeros(b)))
+                pos_logits, Tensor.ones(b)) \
+                + F.binary_cross_entropy_with_logits(neg_logits, Tensor.zeros(b))
             model_loss.backward()
         return TrainStep(prepared=prepared, minibatch=minibatch,
                          embeddings=embeddings, pos_logits=pos_logits,

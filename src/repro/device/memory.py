@@ -34,6 +34,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .. import tensor as _tensor
 from ..graph.temporal_graph import TemporalGraph
 from .cache import FeatureCache
 from .costmodel import TransferCostModel
@@ -313,14 +314,14 @@ class FeatureStore:
                 self.stats.simulated_seconds += self.cost_model.pcie_time(
                     miss_bytes, num_rows=n_miss_unique)
 
-        # Fused gather: convert each unique row once, scatter via inverse.
-        # The fancy index already yields a fresh array, so copy=False only
-        # skips the second allocation when the source is float64 already.
+        # Fused gather: decode each unique row once, scatter via inverse.
+        # The graph stores features in the compute dtype (float32), so the
+        # fp32 tier's cast is a no-op: rows are never widened on the way in.
         if self._edge_codec is not None:
             rows = self._edge_codec.decode(self._edge_encoded[unique_ids])
         else:
-            rows = self.graph.edge_feat[unique_ids].astype(np.float64,
-                                                           copy=False)
+            rows = self.graph.edge_feat[unique_ids].astype(
+                _tensor.COMPUTE_DTYPE, copy=False)
         features = rows[inverse]
         if mask is not None:
             features = features * valid[:, None]
@@ -360,8 +361,8 @@ class FeatureStore:
         if self._node_codec is not None:
             rows = self._node_codec.decode(self._node_encoded[unique_ids])
         else:
-            rows = self.graph.node_feat[unique_ids].astype(np.float64,
-                                                           copy=False)
+            rows = self.graph.node_feat[unique_ids].astype(
+                _tensor.COMPUTE_DTYPE, copy=False)
         features = rows[inverse]
         if mask is not None:
             features = features * valid[:, None]

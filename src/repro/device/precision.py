@@ -54,6 +54,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from .. import tensor as _tensor
 from ..core.registry import Registry
 
 __all__ = [
@@ -94,7 +95,9 @@ class PrecisionCodec:
         raise NotImplementedError
 
     def decode(self, encoded: np.ndarray) -> np.ndarray:
-        """Dequantize to ``float64`` (the autodiff engine's dtype)."""
+        """Dequantize to ``repro.tensor.COMPUTE_DTYPE`` (float32): the
+        ``fp32`` tier hands its rows back uncopied, the lossy tiers decode
+        straight to it."""
         raise NotImplementedError
 
 
@@ -114,7 +117,7 @@ class Fp32Codec(PrecisionCodec):
         return np.asarray(rows).astype(np.float32)
 
     def decode(self, encoded: np.ndarray) -> np.ndarray:
-        return np.asarray(encoded).astype(np.float64)
+        return np.asarray(encoded).astype(_tensor.COMPUTE_DTYPE, copy=False)
 
 
 class Fp16Codec(PrecisionCodec):
@@ -127,7 +130,7 @@ class Fp16Codec(PrecisionCodec):
         return np.asarray(rows).astype(np.float16)
 
     def decode(self, encoded: np.ndarray) -> np.ndarray:
-        return np.asarray(encoded).astype(np.float64)
+        return np.asarray(encoded).astype(_tensor.COMPUTE_DTYPE)
 
 
 class Int8Codec(PrecisionCodec):
@@ -179,7 +182,11 @@ class Int8Codec(PrecisionCodec):
     def decode(self, encoded: np.ndarray) -> np.ndarray:
         if self.lo is None:
             raise RuntimeError("Int8Codec.decode before fit()")
-        return np.asarray(encoded).astype(np.float64) * self.scale + self.lo
+        dtype = _tensor.COMPUTE_DTYPE
+        out = np.asarray(encoded).astype(dtype)
+        out *= self.scale.astype(dtype)
+        out += self.lo.astype(dtype)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +305,18 @@ def roundtrip_rows(tier: str, rows: np.ndarray) -> np.ndarray:
     Embedding caches store *rows computed at serve time*, so there is no
     training matrix to fit a per-column codec on; instead each row carries
     its own affine range (``int8``), or casts elementwise (``fp16`` /
-    ``fp32``).  Returns ``float64`` rows of the same shape — a pure,
+    ``fp32``).  Returns rows of the same shape and dtype — a pure,
     deterministic function of the input, which is what keeps tiered serving
     bitwise-reproducible in replay.
     """
-    x = np.asarray(rows, dtype=np.float64)
+    x = np.asarray(rows)
     if x.ndim != 2:
         raise ValueError(f"expected (rows, dim), got shape {x.shape}")
     tier = resolve_precision_name(tier)
     if tier == "fp32":
-        return x.astype(np.float32).astype(np.float64)
+        return x.astype(np.float32).astype(x.dtype, copy=False)
     if tier == "fp16":
-        return x.astype(np.float16).astype(np.float64)
+        return x.astype(np.float16).astype(x.dtype)
     # int8: per-row affine (each row its own lo/scale).
     lo = x.min(axis=1, keepdims=True)
     span = x.max(axis=1, keepdims=True) - lo

@@ -19,7 +19,8 @@ precision tier (flag > environment > default, through the shared
 ``shm``
     Flat-bucket comms.  A :class:`GradientBucket` — a fixed layout computed
     once from the replica's parameter shapes — packs a ``GradList``
-    (including its ``None`` mask) into **one contiguous float64 buffer**;
+    (including its ``None`` mask) into **one contiguous buffer of the
+    compute dtype** (float32: half the bytes per barrier float64 moved);
     the barrier reduction becomes ``W - 1`` vectorised adds plus one scale
     over that buffer instead of a per-parameter Python loop.  Process pools
     get a :class:`SharedMemoryComms` transport: per-worker
@@ -71,6 +72,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import tensor as _tensor
 from ..core.registry import Registry
 
 __all__ = [
@@ -152,7 +154,10 @@ def gradlist_nbytes(grads: Sequence[Optional[np.ndarray]]) -> int:
 class GradientBucket:
     """Fixed flat-buffer layout for a ``GradList`` over known parameter shapes.
 
-    Layout of the ``float64`` buffer (one per worker, plus one averaged)::
+    Layout of the buffer (one per worker, plus one averaged), whose
+    :attr:`dtype` is ``repro.tensor.COMPUTE_DTYPE`` at construction — the
+    dtype of the gradients it carries — and which every view of it (plain,
+    ``shared_memory``, ``mmap``) follows::
 
         [ mask: P slots ][ param 0 data ][ param 1 data ] ... [ param P-1 ]
           1.0 present        size_0 floats   size_1 floats
@@ -185,11 +190,12 @@ class GradientBucket:
             cursor += size
         self.offsets = offsets
         self.total_floats = cursor
-        self.nbytes = self.total_floats * 8
+        self.dtype = np.dtype(_tensor.COMPUTE_DTYPE)
+        self.nbytes = self.total_floats * self.dtype.itemsize
 
     def allocate(self) -> np.ndarray:
         """A fresh zeroed buffer of this bucket's layout."""
-        return np.zeros(self.total_floats, dtype=np.float64)
+        return np.zeros(self.total_floats, dtype=self.dtype)
 
     def pack(self, grads: GradList, out: np.ndarray) -> np.ndarray:
         """Write ``grads`` (with its ``None`` mask) into flat buffer ``out``."""
@@ -525,7 +531,7 @@ class SharedMemoryComms(_BucketComms):
 
     def _view(self, seg: shared_memory.SharedMemory,
               bucket: GradientBucket) -> np.ndarray:
-        view = np.ndarray((bucket.total_floats,), dtype=np.float64,
+        view = np.ndarray((bucket.total_floats,), dtype=bucket.dtype,
                           buffer=seg.buf)
         view.fill(0.0)
         return view
@@ -645,7 +651,7 @@ class WorkerCommsEndpoint:
         finally:
             os.close(fd)
         self._mappings.append(mapping)
-        return np.frombuffer(mapping, dtype=np.float64,
+        return np.frombuffer(mapping, dtype=bucket.dtype,
                              count=bucket.total_floats)
 
     def close(self) -> None:

@@ -14,6 +14,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from .. import tensor as _tensor
 from ..nn.module import Module
 from ..tensor import Tensor
 
@@ -62,8 +63,8 @@ class IdentityEncoder(Module):
         ids = np.asarray(nodes.data if isinstance(nodes, Tensor) else nodes, dtype=np.int64)
         if ids.ndim != 2 or ids.shape[1] != self.budget:
             raise ValueError(f"expected (B, {self.budget}) node ids, got {ids.shape}")
-        same = (ids[:, :, None] == ids[:, None, :]).astype(np.float64)
+        same = ids[:, :, None] == ids[:, None, :]
         if mask is not None:
-            m = np.asarray(mask, dtype=np.float64)
-            same = same * m[:, :, None] * m[:, None, :]
-        return Tensor(same)
+            m = np.asarray(mask, dtype=bool)
+            same = same & m[:, :, None] & m[:, None, :]
+        return Tensor(same.astype(_tensor.COMPUTE_DTYPE))

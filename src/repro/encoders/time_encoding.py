@@ -10,12 +10,16 @@ Two encoders from the paper:
   III-B) because a fixed encoding keeps the sampler's probability landscape
   stable while the aggregator trains.
 
-Both encoders run in every hop of every batch on the array runtime: the
-learnable encoder's ``dt * w + b`` chain is Tensor-composed, and the fixed
-encoder calls the backend's dedicated ``fixed_time_encoding`` kernel.
+Both encoders are one kernel of the array runtime each
+(``time_encoding_forward`` / ``_backward``, ``fixed_time_encoding``).
 The fixed encoding is a constant of the graph (``requires_grad=False``), so
 the composite kernels downstream of it — the sampler's ``Linear`` /
 ``LayerNorm`` nodes — compute no gradient for it.
+
+Timespans are not model quantities: they stay float64 (they reach 1e6-1e7,
+past float32's 24 bits), the kernels take the cosine of the float64 phase
+``dt * w + b``, and only that cosine is cast to
+``repro.tensor.COMPUTE_DTYPE``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .. import tensor as _tensor
 from ..nn.module import Module, Parameter
 from ..tensor import Tensor
 from ..tensor.backend import get_backend
@@ -31,8 +36,9 @@ from ..tensor.backend import get_backend
 __all__ = ["LearnableTimeEncoder", "FixedTimeEncoder"]
 
 
-def _as_tensor(delta_t: Union[np.ndarray, Tensor]) -> Tensor:
-    return delta_t if isinstance(delta_t, Tensor) else Tensor(np.asarray(delta_t, dtype=np.float64))
+def _timespans(delta_t: Union[np.ndarray, Tensor]) -> np.ndarray:
+    return np.asarray(delta_t.data if isinstance(delta_t, Tensor) else delta_t,
+                      dtype=np.float64)
 
 
 class LearnableTimeEncoder(Module):
@@ -51,9 +57,16 @@ class LearnableTimeEncoder(Module):
 
     def forward(self, delta_t: Union[np.ndarray, Tensor]) -> Tensor:
         """Encode relative timespans; output shape ``delta_t.shape + (dim,)``."""
-        dt = _as_tensor(delta_t)
-        expanded = dt.reshape(*dt.shape, 1) if dt.ndim else dt.reshape(1)
-        return (expanded * self.w + self.b).cos()
+        dt, w, b = _timespans(delta_t), self.w, self.b
+        out = w._make(get_backend().time_encoding_forward(dt, w.data, b.data),
+                      (w, b), "time_encoding")
+        if out.requires_grad:
+            def _backward(g):
+                gw, gb = get_backend().time_encoding_backward(g, dt, w.data, b.data)
+                w._accumulate(gw)
+                b._accumulate(gb)
+            out._backward = _backward
+        return out
 
 
 class FixedTimeEncoder(Module):
@@ -73,6 +86,5 @@ class FixedTimeEncoder(Module):
         self.omega = self.alpha ** (-(i - 1) / self.beta)
 
     def forward(self, delta_t: Union[np.ndarray, Tensor]) -> Tensor:
-        dt = np.asarray(delta_t.data if isinstance(delta_t, Tensor) else delta_t,
-                        dtype=np.float64)
-        return Tensor(get_backend().fixed_time_encoding(dt, self.omega))
+        return Tensor(get_backend().fixed_time_encoding(
+            _timespans(delta_t), self.omega, _tensor.COMPUTE_DTYPE))

@@ -46,7 +46,7 @@ class GraphMixer(TGNNBackbone):
     def base_embedding(self, node_feat: Optional[np.ndarray], count: int) -> Tensor:
         if self.node_proj is not None and node_feat is not None:
             return self.node_proj(Tensor(node_feat))
-        return Tensor(np.zeros((count, self.hidden_dim)))
+        return Tensor.zeros(count, self.hidden_dim)
 
     def aggregate(self, layer: int, h_target: Tensor, h_neighbors: Tensor,
                   hop: HopData) -> Tensor:

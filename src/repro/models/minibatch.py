@@ -56,7 +56,7 @@ class HopData:
 
     def make_gate(self) -> Tensor:
         """Create (and remember) a fresh all-ones gate for this hop."""
-        self.gate = Tensor(np.ones((self.num_targets, self.budget)), requires_grad=True)
+        self.gate = Tensor.ones(self.num_targets, self.budget, requires_grad=True)
         return self.gate
 
     def gate_sensitivity(self) -> Optional[np.ndarray]:

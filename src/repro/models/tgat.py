@@ -55,7 +55,9 @@ class _TGATLayer(Module):
         attention = self.attention
         # The keep-masks of the two dropouts, in the order they apply.
         shape = (hop.num_targets, attention.out_dim)
-        keep_attn, keep_merge = attention.drop.keep_mask(shape), self.drop.keep_mask(shape)
+        dtype = self.merge2.weight.dtype
+        keep_attn = attention.drop.keep_mask(shape, dtype)
+        keep_merge = self.drop.keep_mask(shape, dtype)
         out, self.last_attention = F.temporal_attention(
             hop.batch.delta_t(), hop.batch.mask, hop.edge_feat, h_target, h_neighbors,
             hop.gate, (*time_encoder.parameters(), *self.parameters()),

@@ -67,10 +67,10 @@ class Dropout(Module):
         self.p = p
         self._rng = rng if rng is not None else np.random.default_rng()
 
-    def keep_mask(self, shape) -> Optional[np.ndarray]:
-        """The keep-mask :meth:`forward` would draw for a ``shape`` input
-        (:func:`repro.tensor.functional.dropout_keep`)."""
-        return F.dropout_keep(shape, self.p, self.training, self._rng)
+    def keep_mask(self, shape, dtype) -> Optional[np.ndarray]:
+        """The keep-mask :meth:`forward` would draw for a ``shape`` input of
+        ``dtype`` (:func:`repro.tensor.functional.dropout_keep`)."""
+        return F.dropout_keep(shape, self.p, self.training, self._rng, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, training=self.training, rng=self._rng)

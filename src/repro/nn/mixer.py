@@ -87,15 +87,15 @@ class MixerBlock(Module):
             neighbors; padded entries are zeroed before token mixing so they
             cannot leak information into the valid positions.
         """
-        fmask = None if mask is None else np.asarray(mask, dtype=np.float64)[..., None]
+        fmask = None if mask is None else np.asarray(mask, dtype=x.dtype)[..., None]
         token, channel = self.token_mlp, self.channel_mlp
         rows, tokens, dim = x.shape
         # The dropout keep-masks, drawn in the composed block's order and
         # shapes: token mixing ran on the (rows, dim, tokens) transpose.
-        keep_t = token.drop.keep_mask((rows, dim, token.fc1.out_features))
+        keep_t = token.drop.keep_mask((rows, dim, token.fc1.out_features), x.dtype)
         if keep_t is not None:
             keep_t = keep_t.swapaxes(1, 2)
-        keep_c = channel.drop.keep_mask((rows, tokens, channel.fc1.out_features))
+        keep_c = channel.drop.keep_mask((rows, tokens, channel.fc1.out_features), x.dtype)
         return F.mixer_block(x, fmask, (
             self.token_norm.weight, self.token_norm.bias,
             token.fc1.weight, token.fc1.bias, token.fc2.weight, token.fc2.bias,

@@ -12,16 +12,23 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .. import tensor as _tensor
 from ..tensor import Tensor
 
 __all__ = ["Parameter", "Module"]
 
 
 class Parameter(Tensor):
-    """A :class:`Tensor` flagged as a learnable parameter."""
+    """A :class:`Tensor` flagged as a learnable parameter.
+
+    Always ``repro.tensor.COMPUTE_DTYPE``: :mod:`repro.nn.init` draws
+    initial values at the generator's native width — the stream is the same
+    whatever the compute dtype — and they are cast here.
+    """
 
     def __init__(self, data, requires_grad: bool = True):
-        super().__init__(data, requires_grad=requires_grad)
+        super().__init__(data, requires_grad=requires_grad,
+                         dtype=_tensor.COMPUTE_DTYPE)
 
 
 class Module:
@@ -77,7 +84,9 @@ class Module:
     # -- training-mode toggles -----------------------------------------------------
 
     def train(self, mode: bool = True) -> "Module":
-        self.training = mode
+        # Not through __setattr__: a bool is never registered, and serving
+        # flips the mode of every submodule twice per flush.
+        object.__setattr__(self, "training", mode)
         for module in self._modules.values():
             module.train(mode)
         return self
@@ -108,7 +117,9 @@ class Module:
                 if own[name].data.shape != value.shape:
                     raise ValueError(f"shape mismatch for {name}: "
                                      f"{own[name].data.shape} vs {value.shape}")
-                own[name].data = value.copy()
+                # A copy in the receiving parameter's dtype: a wider
+                # checkpoint must not widen the model.
+                own[name].data = value.astype(own[name].data.dtype)
 
 
 class ModuleList(Module):

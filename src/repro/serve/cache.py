@@ -160,10 +160,13 @@ class NodeEmbeddingCache:
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[0] != nodes.size:
             raise ValueError("rows must have shape (len(nodes), dim)")
-        if nodes.size != np.unique(nodes).size:
+        order = np.argsort(nodes, kind="stable")
+        by_node = nodes[order]
+        last = np.ones(nodes.size, dtype=bool)
+        last[:-1] = by_node[1:] != by_node[:-1]
+        if not last.all():
             # Last write wins, deterministically: keep the final occurrence.
-            _, last = np.unique(nodes[::-1], return_index=True)
-            keep = np.sort(nodes.size - 1 - last)
+            keep = np.sort(order[last])
             nodes, times, rows = nodes[keep], times[keep], rows[keep]
         if self.rows is None:
             self.rows = np.zeros((self.capacity, rows.shape[1]),
@@ -333,7 +336,7 @@ class TieredNodeEmbeddingCache(NodeEmbeddingCache):
 
     def _quantize_for_slots(self, slots: np.ndarray,
                             rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.float64).copy()
+        rows = np.array(rows)
         for itemsize, tier in self._TIERS:
             in_tier = self._slot_tier[slots] == itemsize
             if in_tier.any():

@@ -150,6 +150,21 @@ class _Pending:
     enqueued_at: float
 
 
+def _unique_endpoints(nodes: np.ndarray, times: np.ndarray):
+    """The distinct ``(node, t)`` pairs of a micro-batch in ``(node, t)``
+    order, and the index of every input pair among them — what
+    ``np.unique(axis=1)`` over the stacked pair returns, by one stable
+    ``lexsort`` of the two keys (a fraction of its cost on the handful of
+    endpoints a flush holds)."""
+    order = np.lexsort((times, nodes))
+    nodes, times = nodes[order], times[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (nodes[1:] != nodes[:-1]) | (times[1:] != times[:-1])
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return nodes[new], times[new], inverse
+
+
 class ServeEngine:
     """Micro-batched link-prediction serving over a trained TGNN.
 
@@ -424,29 +439,24 @@ class ServeEngine:
                 if misses.any():
                     # One prep pass + one forward for the unique missing
                     # (node, t) endpoints of the whole micro-batch.
-                    key = np.stack([nodes[misses].astype(np.float64),
-                                    times[misses]])
-                    _, first, inverse = np.unique(
-                        key, axis=1, return_index=True, return_inverse=True)
-                    uniq_nodes = nodes[misses][first]
-                    uniq_times = times[misses][first]
+                    uniq_nodes, uniq_times, inverse = _unique_endpoints(
+                        nodes[misses], times[misses])
                     if self.finder.requires_chronological:
                         self.finder.reset()
                     minibatch = self.prep.generator.build(
                         uniq_nodes, uniq_times, train=False)
-                    fresh = np.array(self.backbone.embed(minibatch).data,
-                                     copy=True)
+                    fresh = self.backbone.embed(minibatch).data
                     self.serve_stats.embeddings_computed += int(uniq_nodes.size)
                     if rows is None:
                         rows = np.zeros((nodes.size, fresh.shape[1]),
                                         dtype=fresh.dtype)
-                    rows[misses] = fresh[inverse.reshape(-1)]
+                    rows[misses] = fresh[inverse]
                     self.embedding_cache.insert(uniq_nodes, fresh, uniq_times,
                                                 self.events_observed)
                 self.serve_stats.embeddings_reused += int(hits.sum())
                 logits_t = self.predictor(Tensor(rows[:b]), Tensor(rows[b:]))
-                scores = np.array(F.sigmoid(logits_t).data, copy=True)
-                logits = np.array(logits_t.data, copy=True)
+                scores = F.sigmoid(logits_t).data
+                logits = logits_t.data
         finally:
             self.backbone.train(was_training)
             self.predictor.train(was_training)
@@ -454,13 +464,13 @@ class ServeEngine:
         done = self._clock()
         self.serve_stats.forward_batches += 1
         self.serve_stats.served += b
-        endpoint_hits = hits[:b].astype(np.int64) + hits[b:].astype(np.int64)
-        for i, item in enumerate(live):
+        endpoint_hits = (hits[:b].astype(np.int64) + hits[b:]).tolist()
+        for item, score, logit, cache_hits in zip(
+                live, scores.tolist(), logits.tolist(), endpoint_hits):
             results.append(ServeResult(
-                query=item.query, status="ok",
-                score=float(scores[i]), logit=float(logits[i]),
+                query=item.query, status="ok", score=score, logit=logit,
                 latency_seconds=done - item.enqueued_at, batch_size=b,
-                cache_hits=int(endpoint_hits[i]), seq=item.seq))
+                cache_hits=cache_hits, seq=item.seq))
         return results
 
     # -- reporting ---------------------------------------------------------------

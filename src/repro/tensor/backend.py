@@ -27,13 +27,55 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ReferenceBackend", "get_backend"]
+__all__ = ["ReferenceBackend", "MixedDtypeError", "get_backend"]
+
+
+class MixedDtypeError(TypeError):
+    """A composite kernel was handed floating arrays of more than one dtype."""
 
 
 class ReferenceBackend:
-    """The kernel surface of the autodiff engine, as plain NumPy expressions."""
+    """The kernel surface of the autodiff engine, as plain NumPy expressions.
+
+    No kernel names a dtype: a result has the dtype of the kernel's floating
+    inputs, whatever it is.  The one exception is the time-encoding *phase*
+    ``dt * w + b`` (:meth:`_time_phase`), double precision whatever the dtype
+    of ``w``: timespans reach 1e6-1e7, and float32's 24 bits would lose the
+    phase before the cosine is taken.
+    """
 
     name = "reference"
+
+    @staticmethod
+    def _one_float_dtype(like: np.ndarray, *others: Optional[np.ndarray]) -> None:
+        """Raise :class:`MixedDtypeError` unless the floating arrays among
+        ``others`` have the dtype of the floating array ``like``.  The
+        composite kernels update buffers in place, and an in-place ``a *= b``
+        casts ``b``'s contribution to ``a.dtype`` without complaint — mixed
+        inputs would silently compute part of the kernel in the narrower
+        type."""
+        dtype = like.dtype
+        for a in others:
+            if a is not None and a.dtype != dtype and a.dtype.kind == "f":
+                raise MixedDtypeError(
+                    f"composite kernel got both {dtype} and {a.dtype} inputs; "
+                    "cast them to one dtype at the boundary that produced them")
+
+    @staticmethod
+    def _time_phase(dt: np.ndarray, w: np.ndarray,
+                    b: Optional[np.ndarray] = None) -> np.ndarray:
+        """The time-encoding phase ``dt[..., None] * w + b``, in float64."""
+        phase = np.multiply(dt[..., None], w, dtype=np.float64)
+        if b is not None:
+            phase += b
+        return phase
+
+    def _time_encoding(self, dt: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
+                       dtype) -> np.ndarray:
+        """``cos(dt[..., None] * w + b)`` as a ``dtype`` array: the cosine is
+        taken of the float64 phase, then cast."""
+        phase = self._time_phase(dt, w, b)
+        return np.cos(phase, out=phase).astype(dtype, copy=False)
 
     # -- element-wise primitives ---------------------------------------------
 
@@ -105,20 +147,20 @@ class ReferenceBackend:
     # -- gradient plumbing ---------------------------------------------------
 
     def grad_zeros(self, like: np.ndarray) -> np.ndarray:
-        """Zero-initialised float64 gradient buffer shaped/laid-out like
-        ``like`` (K-order, exactly what ``np.zeros_like`` has always done —
+        """Zero-initialised gradient buffer with the shape, dtype and layout
+        of ``like`` (K-order, exactly what ``np.zeros_like`` has always done —
         gradient-buffer layout feeds downstream pairwise-summed reductions)."""
-        return np.zeros_like(like, dtype=np.float64)
+        return np.zeros_like(like)
 
     def index_add(self, like: np.ndarray, index, grad) -> np.ndarray:
         """Scatter-add ``grad`` into a zeroed buffer (fancy-index backward)."""
-        out = np.zeros_like(like, dtype=np.float64)
+        out = np.zeros_like(like)
         np.add.at(out, index, grad)
         return out
 
     def broadcast_grad(self, grad, shape) -> np.ndarray:
         """Materialise ``grad`` broadcast to ``shape`` (reduction backward)."""
-        return np.broadcast_to(grad, shape).astype(np.float64)
+        return np.broadcast_to(grad, shape).copy(order="K")
 
     # -- softmax / activation kernels (one autograd node each) ---------------
 
@@ -178,10 +220,29 @@ class ReferenceBackend:
                             slope: float) -> np.ndarray:
         return g * np.where(mask, 1.0, slope)
 
-    def fixed_time_encoding(self, dt: np.ndarray,
-                            omega: np.ndarray) -> np.ndarray:
-        """GraphMixer's fixed sinusoidal encoding ``cos(dt[..., None] * omega)``."""
-        return np.cos(dt[..., None] * omega)
+    def fixed_time_encoding(self, dt: np.ndarray, omega: np.ndarray,
+                            dtype) -> np.ndarray:
+        """GraphMixer's fixed sinusoidal encoding ``cos(dt[..., None] * omega)``
+        as a ``dtype`` array (:meth:`_time_encoding`)."""
+        return self._time_encoding(dt, omega, None, dtype)
+
+    def time_encoding_forward(self, dt: np.ndarray, w: np.ndarray,
+                              b: np.ndarray) -> np.ndarray:
+        """TGAT's learnable encoding ``cos(dt[..., None] * w + b)`` in the
+        dtype of ``w`` (:meth:`_time_encoding`)."""
+        return self._time_encoding(dt, w, b, w.dtype)
+
+    def time_encoding_backward(self, g: np.ndarray, dt: np.ndarray, w: np.ndarray,
+                               b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(gw, gb)`` of :meth:`time_encoding_forward`, reduced from the
+        float64 phase and cast once."""
+        gphase = self._time_phase(dt, w, b)
+        np.sin(gphase, out=gphase)
+        gphase *= g
+        gphase = gphase.reshape(-1, w.shape[0])
+        gw = -(dt.reshape(-1) @ gphase)
+        gb = -gphase.sum(axis=0)
+        return gw.astype(w.dtype, copy=False), gb.astype(b.dtype, copy=False)
 
     # -- composite layer kernels (one autograd node each) --------------------
     # LayerNorm, Linear, the mixer block and the temporal attention are one
@@ -198,6 +259,7 @@ class ReferenceBackend:
         one value per row) are all the backward pass needs; ``xhat`` and
         ``out`` are the only full-size arrays allocated.
         """
+        self._one_float_dtype(x, w, b)
         xhat, rstd = self._standardize(x, eps)
         out = xhat * w
         out += b
@@ -256,6 +318,7 @@ class ReferenceBackend:
                        b: Optional[np.ndarray]) -> np.ndarray:
         """``a2d @ w.T + b`` for ``a2d`` ``(N, k)`` and ``w`` ``(m, k)``: one
         GEMM, the bias added in place into its fresh output."""
+        self._one_float_dtype(a2d, w, b)
         out = self.matmul(a2d, w.T)
         if b is not None:
             out += b
@@ -314,6 +377,7 @@ class ReferenceBackend:
         the gate; without it ``saved`` is ``None`` and every intermediate is
         released the moment it is dead.
         """
+        self._one_float_dtype(x, fmask, keep_t, keep_c, *params)
         gam_t, bet_t, w1t, b1t, w2t, b2t, gam_c, bet_c, w1c, b1c, w2c, b2c = params
         x0 = x if fmask is None else x * fmask
         # Token mixing.  W1 @ (xhat * gamma + beta) = (W1 @ xhat) * gamma +
@@ -458,7 +522,9 @@ class ReferenceBackend:
         saved)`` with ``out`` ``(R, d)`` and ``attn`` the ``(R, heads, n)``
         attention weights.
 
-        ``delta`` ``(R, n)`` are the relative timespans, ``mask`` the boolean
+        ``delta`` ``(R, n)`` are the relative timespans (float64 timestamps
+        differences, whatever the dtype of everything else: only the cosine of
+        their phase is a model quantity), ``mask`` the boolean
         validity of each slot, ``edge`` ``(R, n, d_e)`` the edge features,
         ``h_target`` ``(R, d)`` / ``h_neighbors`` ``(R, n, d)`` the
         previous-layer states (``None``: all zero), ``gate`` the ``(R, n)``
@@ -468,15 +534,15 @@ class ReferenceBackend:
         ``saved``; without it ``saved`` is ``None`` and the encoding and K|V
         are released the moment they are dead.
         """
+        self._one_float_dtype(params[0], edge, h_target, h_neighbors, gate,
+                              keep_attn, keep_merge, *params[1:])
         tw, tb, wq, bq, wk, _, wv, bv, wo, bo, m1, c1, m2, c2 = params
         rows, n = delta.shape
         width, d_t = wo.shape[0], tw.shape[0]
         d_h = wq.shape[1] - d_t
         heads = (num_heads, width // num_heads)
 
-        te = delta[..., None] * tw
-        te += tb
-        np.cos(te, out=te)
+        te = self._time_encoding(delta, tw, tb, tw.dtype)
         wkv = np.concatenate((wk, wv))
         kv = self.matmul(te.reshape(-1, d_t), wkv[:, -d_t:].T)
         if edge is not None:
@@ -494,10 +560,12 @@ class ReferenceBackend:
             q = q + self.matmul(h_target, wq[:, :d_h].T)
         q = np.broadcast_to(q.reshape(-1, *heads), (rows, *heads))
         sp = np.einsum("rhd,rjhd->rhj", q, kv[:, :, 0])
-        attn = sp * (1.0 / np.sqrt(heads[1]))
+        # A Python float: a numpy scalar is strong under NEP 50 and would
+        # promote the product.
+        attn = sp * float(1.0 / np.sqrt(heads[1]))
         if gate is not None:
             attn *= gate[:, None, :]
-        attn += np.where(mask, 0.0, -1e30)[:, None, :]
+        attn += np.where(mask, attn.dtype.type(0.0), attn.dtype.type(-1e30))[:, None, :]
         attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
@@ -572,7 +640,7 @@ class ReferenceBackend:
         gs = gw if gate is None else gw * gate[:, None, :]
         gs = gs - np.einsum("rhj,rhj->rh", gs, attn)[..., None]
         gs *= attn
-        gs *= 1.0 / np.sqrt(heads[1])
+        gs *= float(1.0 / np.sqrt(heads[1]))
         if need[2]:
             grads[2] = (gw * attn + gs * sp).sum(axis=1)
         wgt = attn
@@ -611,13 +679,15 @@ class ReferenceBackend:
 
         # Time encoder: d cos(phase) = -sin(phase), the phase rebuilt here.
         if need[3] or need[4]:
-            gphase = delta[..., None] * tw
-            gphase += tb
+            # Reduced from the float64 phase, cast once.
+            gphase = self._time_phase(delta, tw, tb)
             np.sin(gphase, out=gphase)
             gphase *= self.matmul(gkv, wkv[:, -d_t:]).reshape(rows, n, d_t)
-            grads[3] = -np.einsum("rjt,rj->t", gphase, delta)
-            grads[4] = -gphase.sum(axis=(0, 1))
-            grads[4] -= np.sin(tb) * (grads[6] @ wq[:, d_h:])
+            gtb = -gphase.sum(axis=(0, 1))
+            gtb -= np.sin(tb) * (grads[6] @ wq[:, d_h:])
+            grads[3] = (-np.einsum("rjt,rj->t", gphase, delta)).astype(tw.dtype,
+                                                                       copy=False)
+            grads[4] = gtb.astype(tb.dtype, copy=False)
         return [grad if wanted else None for grad, wanted in zip(grads, need)]
 
 

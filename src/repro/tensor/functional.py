@@ -10,7 +10,8 @@ it runs on the array runtime of :mod:`~repro.tensor.backend`.
 :func:`temporal_attention` and :func:`scatter_rows` are single graph nodes
 defined beside the engine (:mod:`repro.tensor.tensor`) and re-exported here.  Only
 mask plumbing (boolean arrays, ``-1e30`` fill values, dropout keep-masks)
-touches numpy directly; it moves no float math.
+touches numpy directly; it moves no float math, and builds every mask in the
+dtype of the tensor it scales.
 """
 
 from __future__ import annotations
@@ -94,10 +95,9 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor,
     stable formulation.  This is the model loss :math:`L_{model}` (Eq. 10) used
     for self-supervised dynamic link prediction.
     """
-    targets = Tensor.ensure(targets)
     zeros = Tensor(np.zeros_like(logits.data))
     loss = where(logits.data > 0, logits, zeros) - logits * targets \
-        + (Tensor(1.0) + (-logits.abs()).exp()).log()
+        + ((-logits.abs()).exp() + 1.0).log()
     if reduction == "mean":
         return loss.mean()
     if reduction == "sum":
@@ -122,7 +122,7 @@ def cross_entropy(logits: Tensor, target_index: np.ndarray,
 
 
 def mse_loss(pred: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
-    diff = pred - Tensor.ensure(target)
+    diff = pred - target
     loss = diff * diff
     if reduction == "mean":
         return loss.mean()
@@ -137,21 +137,21 @@ def mse_loss(pred: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
 
 
 def dropout_keep(shape, p: float, training: bool,
-                 rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+                 rng: Optional[np.random.Generator], dtype) -> Optional[np.ndarray]:
     """The scaled keep-mask inverted dropout multiplies a ``shape`` tensor
-    by: ``1 / (1 - p)`` where kept, 0 where dropped.  ``None`` — and no draw
-    — when not training or ``p == 0``."""
+    of ``dtype`` by: ``1 / (1 - p)`` where kept, 0 where dropped.  ``None`` —
+    and no draw — when not training or ``p == 0``."""
     if not training or p <= 0.0:
         return None
     if rng is None:
         raise ValueError("dropout with p > 0 in training mode needs an explicit rng")
-    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 
 def dropout(x: Tensor, p: float, training: bool,
             rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout; identity when not training or ``p == 0``."""
-    keep = dropout_keep(x.shape, p, training, rng)
+    keep = dropout_keep(x.shape, p, training, rng, x.dtype)
     return x if keep is None else x * Tensor(keep)
 
 
@@ -162,15 +162,16 @@ def masked_softmax(scores: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     neighborhood has fewer valid neighbors than the padded budget.
     """
     mask = np.asarray(mask, dtype=bool)
-    neg = Tensor(np.where(mask, 0.0, -1e30))
+    dtype = scores.dtype.type
+    neg = Tensor(np.where(mask, dtype(0.0), dtype(-1e30)))
     out = (scores + neg).softmax(axis=axis)
     # Zero-out any masked positions explicitly (handles fully-masked rows).
-    return out * Tensor(mask.astype(np.float64))
+    return out * Tensor(mask.astype(scores.dtype))
 
 
 def masked_mean(x: Tensor, mask: np.ndarray, axis: int) -> Tensor:
     """Mean over ``axis`` counting only positions where ``mask`` is True."""
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask, dtype=x.dtype)
     while mask.ndim < x.ndim:
         mask = mask[..., None]
     total = (x * Tensor(mask)).sum(axis=axis)

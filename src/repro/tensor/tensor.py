@@ -84,6 +84,16 @@ directly, and looks the kernel up on that instance at call time — which is
 what lets a tracer count kernel calls by wrapping the instance's attributes.
 Shape-only views (``reshape``, ``transpose``, ``expand_dims``) stay plain
 numpy: they move no data.
+
+Numeric types
+-------------
+Nothing here names a dtype.  An ndarray keeps the dtype it arrives with
+through every op, gradient and accumulation; a Python number combined with a
+tensor takes that tensor's dtype; only data that is not an array yet (lists,
+bare scalars handed to :class:`Tensor`) becomes
+``repro.tensor.COMPUTE_DTYPE``, read at call time.  The program feeds the
+engine float32 arrays, the gradient checks double-precision ones, and both
+run the same rules.
 """
 
 from __future__ import annotations
@@ -91,6 +101,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+import repro.tensor as _pkg  # COMPUTE_DTYPE is read there at call time
 
 from .backend import get_backend
 
@@ -135,12 +147,17 @@ ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
 
 def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
+    """``data`` as an ndarray: numpy data (arrays, and the numpy scalars full
+    reductions return) keeps its dtype, anything else becomes
+    ``COMPUTE_DTYPE``; an explicit ``dtype`` overrides both."""
     if isinstance(data, np.ndarray):
         arr = data
         if dtype is not None and arr.dtype != dtype:
             arr = arr.astype(dtype)
         return arr
-    return np.asarray(data, dtype=dtype if dtype is not None else np.float64)
+    if dtype is None and not isinstance(data, np.generic):
+        dtype = _pkg.COMPUTE_DTYPE
+    return np.asarray(data, dtype=dtype)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -170,8 +187,12 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload.  Stored as ``numpy.ndarray`` (float64 by default
-        for numerical robustness of gradient checks; models may down-cast).
+        Array-like payload, stored as ``numpy.ndarray``.  An array keeps its
+        dtype; anything else (a list, a Python number) becomes
+        ``repro.tensor.COMPUTE_DTYPE`` — float32 in the program, double
+        precision while the test suite builds a gradient check.
+    dtype:
+        Cast the payload to this dtype instead (a copy only if it differs).
     requires_grad:
         Whether gradients should be accumulated into :attr:`grad` during
         :meth:`backward`.
@@ -195,22 +216,35 @@ class Tensor:
 
     @staticmethod
     def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
+        return Tensor(np.zeros(shape, dtype=_pkg.COMPUTE_DTYPE),
+                      requires_grad=requires_grad)
 
     @staticmethod
     def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
+        return Tensor(np.ones(shape, dtype=_pkg.COMPUTE_DTYPE),
+                      requires_grad=requires_grad)
 
     @staticmethod
     def randn(*shape: int, rng: Optional[np.random.Generator] = None,
               scale: float = 1.0, requires_grad: bool = False) -> "Tensor":
         rng = rng if rng is not None else np.random.default_rng()
-        return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
+        return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad,
+                      dtype=_pkg.COMPUTE_DTYPE)
 
     @staticmethod
     def ensure(value: Union["Tensor", ArrayLike]) -> "Tensor":
         """Coerce ``value`` to a Tensor (no-op when it already is one)."""
         return value if isinstance(value, Tensor) else Tensor(value)
+
+    def _operand(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
+        """``other`` as the second operand of a binary op on ``self``: a
+        Python number (or a list of them) takes this tensor's dtype, so a
+        constant never decides the dtype of a result."""
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, np.ndarray):
+            return Tensor(other)
+        return Tensor(other, dtype=self.data.dtype)
 
     # -- introspection ---------------------------------------------------------
 
@@ -321,11 +355,11 @@ class Tensor:
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a gradient argument requires a scalar tensor")
-            grad = np.ones_like(self.data, dtype=np.float64)
+            grad = np.ones_like(self.data)
         else:
-            grad = _as_array(grad, np.float64)
+            grad = _as_array(grad, self.data.dtype)
             if grad.shape != self.data.shape:
-                grad = np.broadcast_to(grad, self.data.shape).astype(np.float64)
+                grad = np.broadcast_to(grad, self.data.shape).copy(order="K")
 
         # Topological sort of the graph reachable from ``self``.
         topo: List[Tensor] = []
@@ -355,7 +389,7 @@ class Tensor:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         out = self._make(get_backend().add(self.data, other.data), (self, other), "add")
         if out.requires_grad:
             def _backward(g):
@@ -370,7 +404,7 @@ class Tensor:
         return self.__add__(other)
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         out = self._make(get_backend().subtract(self.data, other.data), (self, other), "sub")
         if out.requires_grad:
             def _backward(g):
@@ -383,7 +417,7 @@ class Tensor:
         return out
 
     def __rsub__(self, other):
-        return Tensor.ensure(other).__sub__(self)
+        return self._operand(other).__sub__(self)
 
     def __neg__(self) -> "Tensor":
         out = self._make(get_backend().negative(self.data), (self,), "neg")
@@ -394,7 +428,7 @@ class Tensor:
         return out
 
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         out = self._make(get_backend().multiply(self.data, other.data), (self, other), "mul")
         if out.requires_grad:
             def _backward(g):
@@ -412,7 +446,7 @@ class Tensor:
         return self.__mul__(other)
 
     def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         out = self._make(get_backend().divide(self.data, other.data), (self, other), "div")
         if out.requires_grad:
             def _backward(g):
@@ -429,7 +463,7 @@ class Tensor:
         return out
 
     def __rtruediv__(self, other):
-        return Tensor.ensure(other).__truediv__(self)
+        return self._operand(other).__truediv__(self)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -444,7 +478,7 @@ class Tensor:
         return out
 
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = Tensor.ensure(other)
+        other = self._operand(other)
         a, b = self.data, other.data
         if a.ndim > 2 and b.ndim == 2:
             # A shared right operand makes the leading axes plain rows: the
@@ -543,7 +577,7 @@ class Tensor:
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis=axis)
                     d = np.expand_dims(d, axis=axis)
-                mask = (self.data == d).astype(np.float64)
+                mask = (self.data == d).astype(g.dtype)
                 mask /= np.maximum(mask.sum(axis=axis, keepdims=True) if axis is not None
                                    else mask.sum(), 1.0)
                 self._accumulate(B.multiply(mask, g))
@@ -949,7 +983,7 @@ def scatter_rows(src: Tensor, index: np.ndarray, num_rows: int,
     The inverse of row indexing ``full[index]`` for distinct ``index``: rows
     not named hold ``fill`` and receive no gradient.
     """
-    data = np.full((num_rows,) + src.shape[1:], fill, dtype=np.float64)
+    data = np.full((num_rows,) + src.shape[1:], fill, dtype=src.dtype)
     data[index] = src.data
     out = src._make(data, (src,), "scatter_rows")
     if out.requires_grad:

@@ -5,7 +5,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.tensor
 from repro.graph import CTDGConfig, generate_ctdg, build_tcsr, chronological_split
+
+
+@pytest.fixture(scope="class")
+def float64_compute():
+    """Rebind ``repro.tensor.COMPUTE_DTYPE`` to float64 for a test (class).
+
+    The program computes in float32; a gradient check or a composed-oracle
+    comparison at 1e-9 needs float64.  No kernel names a dtype, so modules
+    built (and Python numbers wrapped) while this fixture is active carry
+    float64 through the very kernels the float32 program runs — the only way
+    a test gets float64, and not a second code path.  Request it with
+    ``pytest.mark.usefixtures("float64_compute")`` on a test, a class or a
+    module (``pytestmark``); class scope keeps it usable under ``@given``.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.tensor, "COMPUTE_DTYPE", np.float64)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -126,13 +126,16 @@ class TestKernelEquality:
     @settings(max_examples=15, deadline=None)
     @given(small_array(dtype=np.float32))
     def test_float32_inputs_match_numpy(self, data):
-        """A float32 array keeps its dtype through a kernel; mixed with a
-        Python scalar it promotes the way numpy's 0-d float64 array does."""
+        """A float32 array keeps its dtype through a kernel, and a scalar —
+        a Python float or a (NEP 50 strong) numpy float64 — takes the
+        tensor's dtype instead of promoting the result."""
         x = Tensor(data.copy(), dtype=np.float32)
-        got = (x * 2.0 + x).data
-        want = data * np.asarray(2.0) + data
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+        want = data * 2.0 + data
+        assert want.dtype == np.float32
+        for two in (2.0, np.float64(2.0)):
+            got = (x * two + x).data
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want)
         sig = Tensor(data.copy()).sigmoid().data
         assert sig.dtype == np.float32
         assert np.array_equal(sig, 1.0 / (1.0 + np.exp(-data)))

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.tensor
 from repro.core import TaserConfig
 from repro.distributed import ShardedTrainer, average_gradients
 from repro.distributed.comms import (COMMS_ENV_VAR, DEFAULT_COMMS,
@@ -62,7 +63,9 @@ def _bitwise_equal(a, b) -> bool:
 
 @st.composite
 def grad_problem(draw):
-    """Shapes + W gradient lists with mixed None masks and layouts."""
+    """Shapes + W gradient lists with mixed None masks and layouts, in the
+    compute dtype — the dtype of the gradients a bucket carries."""
+    dtype = repro.tensor.COMPUTE_DTYPE
     shapes = draw(st.lists(
         st.sampled_from([(3,), (7,), (2, 4), (5, 3), (1,), (2, 2, 3), ()]),
         min_size=1, max_size=6))
@@ -77,7 +80,7 @@ def grad_problem(draw):
             if choice == 0:
                 grads.append(None)
                 continue
-            g = rng.standard_normal(shape)
+            g = rng.standard_normal(shape).astype(dtype)
             # Sprinkle exact signed zeros: the -0.0 packing trick must be
             # bitwise-transparent even when real gradients carry them.
             flat = g.reshape(-1)
@@ -90,7 +93,7 @@ def grad_problem(draw):
                 assert not g.flags["C_CONTIGUOUS"] or g.size <= 1
             elif choice == 3 and shape and shape[0] > 1:
                 # Sliced view with a stride.
-                base = rng.standard_normal((shape[0] * 2,) + shape[1:])
+                base = rng.standard_normal((shape[0] * 2,) + shape[1:]).astype(dtype)
                 g = base[::2]
                 assert g.shape == shape
             grads.append(g)
@@ -129,7 +132,9 @@ def test_bucket_layout_and_validation():
     assert bucket.sizes == [6, 4]
     assert bucket.offsets == [2, 8]          # data starts after 2 mask slots
     assert bucket.total_floats == 12
-    assert bucket.nbytes == 96
+    assert bucket.dtype == repro.tensor.COMPUTE_DTYPE == np.float32
+    assert bucket.nbytes == 12 * 4
+    assert bucket.allocate().dtype == bucket.dtype
     with pytest.raises(ValueError, match="expected 2 gradients"):
         bucket.pack([None], bucket.allocate())
     with pytest.raises(ValueError, match="no gradient buffers"):
@@ -139,7 +144,7 @@ def test_bucket_layout_and_validation():
 def test_bucket_reduce_skips_divide_at_denominator_one():
     bucket = GradientBucket([(3,)])
     buf = bucket.allocate()
-    grads = [np.array([1.0, -0.0, 3.5])]
+    grads = [np.array([1.0, -0.0, 3.5], dtype=bucket.dtype)]
     bucket.pack(grads, buf)
     out = bucket.allocate()
     bucket.reduce([buf], out=out, denominator=1)

@@ -23,6 +23,7 @@ def candidates_for(graph, tcsr, m=8, count=60, seed=0):
     return cand, efeat
 
 
+@pytest.mark.usefixtures("float64_compute")
 class TestAdaptiveNeighborSampler:
     def test_probabilities_are_masked_distribution(self, small_graph, small_tcsr):
         cand, efeat = candidates_for(small_graph, small_tcsr)
@@ -172,6 +173,7 @@ def parameter_grads(sampler, selection, coeff):
     return [None if p.grad is None else p.grad.copy() for p in sampler.parameters()]
 
 
+@pytest.mark.usefixtures("float64_compute")
 class TestLiveRowSampling:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9),
@@ -330,7 +332,7 @@ class TestMiniBatchGenerator:
         idx = np.arange(900, 950)
         mb = gen.build(small_graph.src[idx], small_graph.ts[idx], train=True)
         hop = mb.hops[0]
-        expect = small_graph.edge_feat[hop.batch.eids].astype(np.float64)
+        expect = small_graph.edge_feat[hop.batch.eids]
         expect[~hop.batch.mask] = 0.0
         got = hop.edge_feat.copy()
         got[~hop.batch.mask] = 0.0

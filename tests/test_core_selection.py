@@ -95,6 +95,7 @@ def test_property_selector_indices_always_valid(num_train, batch, seed):
     assert np.all(probs >= 0)
 
 
+@pytest.mark.usefixtures("float64_compute")
 class TestDecoders:
     ENC, TGT, R, M = 20, 12, 6, 8
 

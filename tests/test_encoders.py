@@ -27,6 +27,7 @@ class TestTimeEncoders:
         assert enc.w.grad is not None and np.any(enc.w.grad != 0)
         assert enc.b.grad is not None
 
+    @pytest.mark.usefixtures("float64_compute")
     def test_learnable_gradcheck(self):
         rng = np.random.default_rng(3)
         delta = np.abs(rng.standard_normal((3, 2)))
@@ -76,6 +77,7 @@ class TestFrequencyEncoder:
         assert np.allclose(out[0], np.sin(angles[0]))
         assert np.allclose(out[1], np.cos(angles[1]))
 
+    @pytest.mark.usefixtures("float64_compute")
     @pytest.mark.parametrize("dim", [1, 2, 7, 8])
     def test_equals_select_after_both_transcendentals(self, dim):
         """sin on the even and cos on the odd channels only — bit for bit what

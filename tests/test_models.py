@@ -28,14 +28,13 @@ def build_minibatch(graph, tcsr, num_layers, n, batch=40, policy="uniform", seed
 class TestEdgePredictor:
     def test_logit_shape(self):
         pred = EdgePredictor(16, rng=RNG)
-        out = pred(Tensor(RNG.standard_normal((7, 16))),
-                   Tensor(RNG.standard_normal((7, 16))))
+        out = pred(Tensor.randn(7, 16, rng=RNG), Tensor.randn(7, 16, rng=RNG))
         assert out.shape == (7,)
 
     def test_gradients_reach_both_sides(self):
         pred = EdgePredictor(8, rng=RNG)
-        a = Tensor(RNG.standard_normal((3, 8)), requires_grad=True)
-        b = Tensor(RNG.standard_normal((3, 8)), requires_grad=True)
+        a = Tensor.randn(3, 8, rng=RNG, requires_grad=True)
+        b = Tensor.randn(3, 8, rng=RNG, requires_grad=True)
         pred(a, b).sum().backward()
         assert a.grad is not None and b.grad is not None
 

@@ -14,6 +14,10 @@ from test_tensor_ops import (assert_mixer_agrees, composed_attention,  # noqa: E
 
 RNG = np.random.default_rng(3)
 
+# The engine's oracles and gradient checks run in float64 — through the same
+# kernels the float32 program runs (see ``conftest.float64_compute``).
+pytestmark = pytest.mark.usefixtures("float64_compute")
+
 
 class TestModuleSystem:
     def test_parameter_registration(self):

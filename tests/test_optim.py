@@ -35,8 +35,9 @@ class TestOptimizers:
 
     def test_adam_beats_initial_loss_on_regression(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((64, 5))
-        true_w = rng.standard_normal((5, 1))
+        # float32, the program's dtype: parameters, gradients and moments.
+        x = rng.standard_normal((64, 5)).astype(np.float32)
+        true_w = rng.standard_normal((5, 1)).astype(np.float32)
         y = x @ true_w
         lin = Linear(5, 1, rng=rng)
         opt = Adam(lin.parameters(), lr=1e-2)
@@ -49,6 +50,8 @@ class TestOptimizers:
             opt.step()
             losses.append(float(loss.data))
         assert losses[-1] < 0.05 * losses[0]
+        assert all(a.dtype == np.float32 for a in
+                   [loss.data, *opt._m, *opt._v, *(p.data for p in opt.params)])
 
     def test_weight_decay_shrinks_weights(self):
         p = Parameter(np.full(3, 10.0))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.tensor
 from repro.device import (DynamicFeatureCache, FeatureStore,
                           TieredFeatureCache, TransferCostModel)
 from repro.device import precision as precision_mod
@@ -24,27 +25,42 @@ finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False,
                           allow_infinity=False)
 
 
-def feature_matrix(max_rows=8, max_cols=5):
+def feature_matrix(max_rows=8, max_cols=5, dtype=np.float64):
+    elements = finite_floats if dtype == np.float64 else st.floats(
+        min_value=-50.0, max_value=50.0, allow_nan=False, width=32)
     return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)).flatmap(
-        lambda shape: arrays(np.float64, shape, elements=finite_floats))
+        lambda shape: arrays(dtype, shape, elements=elements))
+
+
+def stored_features():
+    """Feature matrices as the graph stores them: float32."""
+    return feature_matrix(dtype=np.float32)
+
+
+def decode_headroom(codec):
+    """float32 rounding of ``q * scale + lo`` — the codecs decode straight
+    to the compute dtype — on top of a tier's quantization error."""
+    f32 = np.finfo(np.float32)
+    return 4 * f32.eps * (np.abs(codec.lo) + 255.0 * codec.scale) + f32.tiny
 
 
 class TestCodecs:
     @settings(max_examples=50, deadline=None)
-    @given(feature_matrix())
+    @given(stored_features())
     def test_int8_roundtrip_error_within_half_scale(self, features):
         codec = Int8Codec().fit(features)
         decoded = codec.decode(codec.encode(features))
+        assert decoded.dtype == repro.tensor.COMPUTE_DTYPE
         # Affine quantization: |x - deq(q(x))| <= scale/2 per column for
         # values inside the fitted range (plus float rounding headroom).
-        bound = codec.scale / 2 + 1e-9
+        bound = codec.scale / 2 + decode_headroom(codec)
         assert np.all(np.abs(decoded - features) <= bound)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+    @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, width=32),
            st.integers(1, 8), st.integers(1, 4))
     def test_int8_constant_columns_roundtrip_exactly(self, value, rows, cols):
-        features = np.full((rows, cols), value, dtype=np.float64)
+        features = np.full((rows, cols), value, dtype=np.float32)
         codec = Int8Codec().fit(features)
         np.testing.assert_array_equal(codec.decode(codec.encode(features)),
                                       features)
@@ -57,7 +73,7 @@ class TestCodecs:
                                       features)
 
     @settings(max_examples=25, deadline=None)
-    @given(feature_matrix())
+    @given(stored_features())
     def test_int8_frozen_params_clip_out_of_range_rows(self, features):
         codec = Int8Codec().fit(features)
         lo, scale = codec.lo.copy(), codec.scale.copy()
@@ -67,10 +83,10 @@ class TestCodecs:
         # Fit state is frozen; later rows clip to the fitted boundary.
         np.testing.assert_array_equal(codec.lo, lo)
         np.testing.assert_array_equal(codec.scale, scale)
-        assert np.all(decoded <= hi + 1e-9)
+        assert np.all(decoded <= hi + decode_headroom(codec))
 
     @settings(max_examples=25, deadline=None)
-    @given(feature_matrix())
+    @given(stored_features())
     def test_fp16_roundtrip_relative_error(self, features):
         codec = Fp16Codec().fit(features)
         decoded = codec.decode(codec.encode(features))
@@ -79,11 +95,14 @@ class TestCodecs:
         assert np.allclose(decoded, features, rtol=1e-3, atol=1e-4)
 
     @settings(max_examples=25, deadline=None)
-    @given(feature_matrix())
+    @given(stored_features())
     def test_fp32_roundtrips_float32_sources_exactly(self, features):
-        f32 = features.astype(np.float32).astype(np.float64)
-        codec = Fp32Codec().fit(f32)
-        np.testing.assert_array_equal(codec.decode(codec.encode(f32)), f32)
+        codec = Fp32Codec().fit(features)
+        decoded = codec.decode(codec.encode(features))
+        np.testing.assert_array_equal(decoded, features)
+        # The full-width tier is an identity: no widening, no copy.
+        assert decoded.dtype == np.float32
+        assert np.shares_memory(codec.decode(features), features)
 
     def test_int8_requires_fit(self):
         with pytest.raises(RuntimeError, match="before fit"):

@@ -47,10 +47,12 @@ class TestDedupGatherBitwise:
             if with_cache else None
         store = FeatureStore(small_graph, edge_cache=cache)
         got = store.slice_edge_features(ids, mask)
-        # Naive per-slot reference: exactly the pre-dedup gather.
-        want = small_graph.edge_feat[ids.reshape(-1)].astype(np.float64)
+        # Naive per-slot reference: exactly the pre-dedup gather, in the
+        # dtype the graph stores (rows are never widened on the way in).
+        want = small_graph.edge_feat[ids.reshape(-1)]
         want = (want * mask.reshape(-1)[:, None]).reshape(
             rows, cols, small_graph.edge_dim)
+        assert got.dtype == want.dtype == np.float32
         assert np.array_equal(got, want)  # bitwise, not allclose
         stats = store.snapshot()
         valid = int(mask.sum())
@@ -69,7 +71,8 @@ class TestDedupGatherBitwise:
         ids = rng.integers(0, pool, size=n)
         store = FeatureStore(featured_graph)
         got = store.slice_node_features(ids)
-        want = featured_graph.node_feat[ids].astype(np.float64)
+        want = featured_graph.node_feat[ids]
+        assert got.dtype == want.dtype == np.float32
         assert np.array_equal(got, want)
         stats = store.snapshot()
         assert stats.ids_requested == n

@@ -14,6 +14,7 @@ import pytest
 from repro.core import TaserConfig, TaserTrainer
 from repro.serve import (LinkQuery, NodeEmbeddingCache, ServeEngine,
                          VirtualClock, scores_hash)
+from repro.serve.engine import _unique_endpoints
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,21 @@ class TestNodeEmbeddingCache:
         assert np.array_equal(got[0], rows[1])
         assert cache.num_cached == 1
 
+    def test_insert_duplicates_keep_final_occurrence_of_each(self):
+        # Interleaved repeats: the kept rows are the np.unique-of-reversed
+        # oracle's, whatever order the duplicates arrive in.
+        rng = np.random.default_rng(5)
+        nodes = rng.integers(0, 6, 20)
+        rows = rng.standard_normal((20, 3))
+        times = rng.random(20)
+        cache = NodeEmbeddingCache(6, 6, staleness_time=None)
+        cache.insert(nodes, rows, times, 0)
+        _, last = np.unique(nodes[::-1], return_index=True)
+        keep = np.sort(nodes.size - 1 - last)
+        _, got = cache.lookup(nodes[keep], times[keep], 0)
+        assert np.array_equal(got, rows[keep])
+        assert cache.num_cached == keep.size
+
     def test_grow_extends_universe_and_rejects_shrink(self):
         cache = NodeEmbeddingCache(5, 3)
         cache.insert(np.array([4]), np.ones((1, 2)), np.zeros(1), 0)
@@ -122,6 +138,21 @@ class TestNodeEmbeddingCache:
         hits, rows = cache.lookup(np.array([1]), np.zeros(1), 0)
         assert not hits.any() and rows is None
         assert cache.num_cached == 0
+
+
+class TestUniqueEndpoints:
+    @pytest.mark.parametrize("size", [1, 2, 7, 64])
+    def test_matches_unique_over_the_stacked_pair(self, size):
+        rng = np.random.default_rng(size)
+        nodes = rng.integers(0, 4, size)
+        times = rng.integers(0, 3, size).astype(np.float64) * 0.5
+        key = np.stack([nodes.astype(np.float64), times])
+        want, inverse = np.unique(key, axis=1, return_inverse=True)
+        got_nodes, got_times, got_inverse = _unique_endpoints(nodes, times)
+        assert np.array_equal(got_nodes, want[0].astype(np.int64))
+        assert np.array_equal(got_times, want[1])
+        assert np.array_equal(got_inverse, inverse.reshape(-1))
+        assert got_nodes.dtype == nodes.dtype and got_times.dtype == times.dtype
 
 
 class TestServeEngineEdgeCases:

@@ -12,9 +12,18 @@ from repro.tensor import (Tensor, concatenate, stack, where, no_grad, is_grad_en
 from repro.tensor import functional as F
 from repro.tensor.gradcheck import gradcheck
 
+# The engine's oracles and gradient checks run in float64 — through the same
+# kernels the float32 program runs (see ``conftest.float64_compute``).
+pytestmark = pytest.mark.usefixtures("float64_compute")
+
 
 def t(arr, grad=True):
-    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
+    """A tensor of ``arr``: a float array keeps its dtype (the float32 twins
+    of ``test_compute_dtype.py`` reuse these helpers), anything else — lists,
+    integer ranges — is float64."""
+    arr = np.asarray(arr)
+    return Tensor(arr if arr.dtype.kind == "f" else arr.astype(np.float64),
+                  requires_grad=grad)
 
 
 class TestForwardValues:
