@@ -17,38 +17,25 @@ determinism hash pair over the batch-loss trajectory.
 
 The wikipedia variant has a committed baseline under
 ``benchmarks/baselines/`` so prep- and prop-path regressions fail the bench
-gate like shard/stream regressions already do.
-
-Since the pluggable prep-backend runtime landed, the wikipedia variant also
-tracks the *preparation* half per prep backend
-(``repro.core.prep_backend``): the largest-budget cell is trained under both
-the ``reference`` and the ``fused`` prep backend, recording per-prep-backend
-``prep_seconds``/``nf_seconds``, and the payload carries a
-``prep_backend_equivalence`` hash pair (reference trajectory vs fused
-trajectory) that the bench gate enforces at every scale — a fused prep path
-that stops being bitwise-identical to the reference fails CI even at smoke
-scale.
+gate like shard/stream regressions already do; its ``determinism`` pair is
+required by the gate (``REQUIRED_HASH_PAIRS``), so it cannot silently stop
+being emitted.
 """
 
 import pytest
 
-from repro.bench import bench_scale, emit_bench_json, quick_config
+from repro.bench import emit_bench_json, quick_config
 from repro.bench.breakdown import runtime_breakdown
 
 NEIGHBOR_SWEEP = [5, 10, 15]
-PREP_BACKENDS = ("reference", "fused")
-#: epochs of the per-prep-backend experiment: epoch 0 absorbs numpy /
-#: allocator warm-up (and is excluded from the timing averages via
-#: ``warmup_epochs=1``), later epochs measure steady state.
-BACKEND_EPOCHS = 3
 
 
-def _budget_config(budget, prep_backend="reference", max_batches=4):
+def _budget_config(budget):
     return quick_config(
         backbone="tgat", adaptive_minibatch=False, adaptive_neighbor=False,
         finder="original", cache_ratio=0.0, num_neighbors=budget,
-        num_candidates=budget, batch_size=100, max_batches_per_epoch=max_batches,
-        eval_max_edges=10, seed=0, prep_backend=prep_backend)
+        num_candidates=budget, batch_size=100, max_batches_per_epoch=4,
+        eval_max_edges=10, seed=0)
 
 
 def _sweep(graph, name):
@@ -80,45 +67,9 @@ def _sweep(graph, name):
     return rows, determinism
 
 
-def _prep_backend_sweep(graph, name):
-    """Train the largest-budget cell under each prep backend.
-
-    Uses more batches per epoch than the budget sweep and averages over the
-    timed ``BACKEND_EPOCHS`` epochs, each cell's first epoch left untimed so
-    the allocator/page-cache state left by the previous cell cannot bias the
-    comparison.  Rows are keyed by prep backend with the prep-side phase
-    splits (``prep_seconds`` = NF + FS, plus bare ``nf_seconds`` — the phase
-    the batched composite-key probe replaces).
-    """
-    budget = NEIGHBOR_SWEEP[-1]
-    rows = {}
-    for prep_backend in PREP_BACKENDS:
-        row = runtime_breakdown(
-            graph, _budget_config(budget, prep_backend=prep_backend,
-                                  max_batches=12),
-            label=f"{name}-prep-{prep_backend}", epochs=BACKEND_EPOCHS,
-            warmup_epochs=1)
-        rows[prep_backend] = {
-            "prep_seconds": row.nf + row.fs,
-            "nf_seconds": row.nf,
-            "prop_seconds": row.pp,
-            "loss_hash": row.loss_hash,
-        }
-    # Reference-vs-fused prep divergence pair: both prep backends must
-    # produce the same batch-loss trajectory bit for bit; the gate enforces
-    # equality of any hash/replay_hash pair at every scale.
-    equivalence = {"hash": rows["reference"]["loss_hash"],
-                   "replay_hash": rows["fused"]["loss_hash"]}
-    return rows, equivalence
-
-
-def _payload(rows, determinism, prep_backends=None, prep_equivalence=None):
-    payload = {"rows": {str(k): v for k, v in rows.items()},
-               "determinism": determinism}
-    if prep_backends is not None:
-        payload["prep_backends"] = prep_backends
-        payload["prep_backend_equivalence"] = prep_equivalence
-    return payload
+def _payload(rows, determinism):
+    return {"rows": {str(k): v for k, v in rows.items()},
+            "determinism": determinism}
 
 
 def _report(name, rows, determinism):
@@ -137,47 +88,13 @@ def _report(name, rows, determinism):
     assert determinism["hash"] == determinism["replay_hash"]
 
 
-def _report_prep_backends(name, prep_backends, equivalence):
-    ref = prep_backends["reference"]
-    fused = prep_backends["fused"]
-    reduction = (1.0 - fused["prep_seconds"] / ref["prep_seconds"]
-                 if ref["prep_seconds"] else 0.0)
-    print(f"Figure 1 ({name}): preparation per prep backend "
-          f"(n={NEIGHBOR_SWEEP[-1]}, {BACKEND_EPOCHS} epochs)")
-    print(f"  reference  Prep={ref['prep_seconds']:.3f}s "
-          f"(NF={ref['nf_seconds']:.3f}s)")
-    print(f"  fused      Prep={fused['prep_seconds']:.3f}s "
-          f"(NF={fused['nf_seconds']:.3f}s, "
-          f"{reduction * 100:+.1f}% vs reference)")
-    # Bitwise contract: identical loss trajectories across prep backends,
-    # always — even at smoke scale.
-    assert equivalence["hash"] == equivalence["replay_hash"]
-    # Headline speedup of the batched composite-key probe, asserted where
-    # wall-clock is trustworthy (smoke runners are too noisy to block on).
-    if bench_scale() >= 0.5:
-        assert reduction >= 0.10
-    elif reduction < 0.10:
-        print(f"  WARNING: prep reduction {reduction * 100:.1f}% < 10% "
-              "(warn-only below REPRO_BENCH_SCALE=0.5)")
-
-
 @pytest.mark.paper("Figure 1")
 def test_fig1_tgat_runtime_breakdown_wikipedia(benchmark, wikipedia_graph):
-    def experiment():
-        rows, determinism = _sweep(wikipedia_graph, "wikipedia")
-        prep_backends, prep_equivalence = _prep_backend_sweep(
-            wikipedia_graph, "wikipedia")
-        return rows, determinism, prep_backends, prep_equivalence
-
-    rows, determinism, prep_backends, prep_equivalence = benchmark.pedantic(
-        experiment, rounds=1, iterations=1)
+    rows, determinism = benchmark.pedantic(
+        lambda: _sweep(wikipedia_graph, "wikipedia"), rounds=1, iterations=1)
     _report("wikipedia", rows, determinism)
-    _report_prep_backends("wikipedia", prep_backends, prep_equivalence)
     benchmark.extra_info["rows"] = {str(k): v for k, v in rows.items()}
-    benchmark.extra_info["prep_backends"] = prep_backends
-    emit_bench_json("fig1_breakdown_wikipedia",
-                    _payload(rows, determinism, prep_backends,
-                             prep_equivalence))
+    emit_bench_json("fig1_breakdown_wikipedia", _payload(rows, determinism))
 
 
 @pytest.mark.paper("Figure 1")

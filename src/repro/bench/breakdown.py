@@ -104,8 +104,6 @@ class BreakdownRow:
     ids_unique: int = 0
     #: digest of the run's per-epoch batch-loss trajectories.
     loss_hash: str = ""
-    #: prep backend that produced the run's batches.
-    prep_backend: str = "reference"
     #: per-epoch batch-loss trajectories (for replay comparisons).
     batch_losses: List[List[float]] = field(default_factory=list, repr=False)
 
@@ -174,7 +172,6 @@ def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
                         dedup_ratio=float(dedup_ratio),
                         ids_requested=ids_requested, ids_unique=ids_unique,
                         loss_hash=loss_trajectory_hash(trajectories),
-                        prep_backend=trainer.prep.name,
                         batch_losses=trajectories)
 
 

@@ -26,7 +26,7 @@ Examples
     python -m repro --dataset wikipedia --backbone graphmixer --variant taser
     python -m repro --dataset reddit --backbone tgat --variant baseline \
         --epochs 10 --num-neighbors 10 --num-candidates 25 --seed 3
-    python -m repro --dataset wikipedia --prep-backend fused --json
+    python -m repro --dataset wikipedia --precision fp16 --json
     python -m repro train --dataset wikipedia --workers 4 \
         --shard-policy temporal --worker-backend thread --json
     python -m repro stream --dataset wikipedia --chunk-size 500 \
@@ -46,8 +46,6 @@ from typing import Optional, Sequence
 
 from .core import TaserConfig, TaserTrainer
 from .graph import DATASET_NAMES, load_dataset
-from .core.prep_backend import (PREP_BACKEND_ENV_VAR, available_prep_backends,
-                                resolve_prep_backend_name)
 from .device.precision import (PRECISION_ENV_VAR, available_precisions,
                                resolve_precision_name)
 from .distributed.comms import (COMMS_ENV_VAR, available_comms,
@@ -100,19 +98,9 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
-def _prep_backend_name(text: str) -> str:
-    """Argparse type: reject unknown prep backends at parse time with the
-    registered-backend list (same style as the engine/depth validation)."""
-    if text not in available_prep_backends():
-        raise argparse.ArgumentTypeError(
-            f"unknown prep backend {text!r}: registered backends are "
-            f"{', '.join(available_prep_backends())}")
-    return text
-
-
 def _precision_name(text: str) -> str:
     """Argparse type: reject unknown precision tiers at parse time with the
-    registered-tier list (mirrors :func:`_prep_backend_name`)."""
+    registered-tier list (same style as the engine/depth validation)."""
     if text not in available_precisions():
         raise argparse.ArgumentTypeError(
             f"unknown precision tier {text!r}: registered tiers are "
@@ -122,7 +110,7 @@ def _precision_name(text: str) -> str:
 
 def _comms_name(text: str) -> str:
     """Argparse type: reject unknown gradient transports at parse time with
-    the registered-transport list (mirrors :func:`_prep_backend_name`)."""
+    the registered-transport list (mirrors :func:`_precision_name`)."""
     if text not in available_comms():
         raise argparse.ArgumentTypeError(
             f"unknown gradient comms {text!r}: registered transports are "
@@ -130,17 +118,28 @@ def _comms_name(text: str) -> str:
     return text
 
 
-def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
-    """The runtime-selection flags shared by every subcommand — one
-    definition for ``--prep-backend``/``--precision``, so the
-    ``train``/``stream``/``serve`` parsers cannot drift.  Pair with
+def _add_model_args(parser: argparse.ArgumentParser) -> None:
+    """The dataset / model / runtime flags every command takes — one
+    definition, so the four parsers cannot drift.  :func:`_model_config`
+    turns them into a ``TaserConfig``; pair with
     :func:`_validate_runtime_env` after ``parse_args``."""
-    parser.add_argument("--prep-backend", type=_prep_backend_name, default=None,
-                        help="prep backend of the batch-preparation hot path: "
-                             "'reference' (per-seed neighbor probes) or "
-                             "'fused' (batched composite-key T-CSR probing, "
-                             "bitwise-identical batches); default resolves "
-                             f"${PREP_BACKEND_ENV_VAR} then 'reference'")
+    parser.add_argument("--dataset", choices=DATASET_NAMES, default="wikipedia")
+    parser.add_argument("--scale", type=float, default=1.0,
+                        help="dataset size multiplier")
+    parser.add_argument("--backbone", choices=["tgat", "graphmixer"],
+                        default="graphmixer")
+    parser.add_argument("--hidden-dim", type=int, default=32)
+    parser.add_argument("--time-dim", type=int, default=16)
+    parser.add_argument("--num-neighbors", type=int, default=5,
+                        help="n: supporting neighbors per node")
+    parser.add_argument("--num-candidates", type=int, default=10,
+                        help="m: candidate neighbors pre-sampled by the finder")
+    parser.add_argument("--batch-size", type=int, default=200)
+    parser.add_argument("--cache-ratio", type=float, default=0.2)
+    parser.add_argument("--lr", type=float, default=2e-3)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--json", action="store_true",
+                        help="print the result as a single JSON object only")
     parser.add_argument("--precision", type=_precision_name, default=None,
                         help="feature-store storage tier: 'fp32' (full width, "
                              "bitwise-identical to a build without tiers), "
@@ -152,9 +151,9 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
 
 def _validate_runtime_env(parser: argparse.ArgumentParser,
                           args: argparse.Namespace) -> None:
-    """Reject bad ``REPRO_PREP_BACKEND`` / ``REPRO_PRECISION`` /
-    ``REPRO_COMMS`` values at parse time, for the dimensions the invoked
-    command has a flag for (the ones it reads).
+    """Reject bad ``REPRO_PRECISION`` / ``REPRO_COMMS`` values at parse
+    time, for the dimensions the invoked command has a flag for (the ones it
+    reads).
 
     Without the explicit flag, the config resolves each runtime dimension
     from the environment; validating here surfaces a typo as a normal usage
@@ -163,8 +162,7 @@ def _validate_runtime_env(parser: argparse.ArgumentParser,
     explicit flag wins over the environment, and ``--help`` must keep
     working regardless of a stale environment.
     """
-    for flag, resolver in (("prep_backend", resolve_prep_backend_name),
-                           ("precision", resolve_precision_name),
+    for flag, resolver in (("precision", resolve_precision_name),
                            ("comms", resolve_comms_name)):
         if hasattr(args, flag) and getattr(args, flag) is None:
             try:
@@ -179,38 +177,23 @@ def _add_training_cell_args(parser: argparse.ArgumentParser,
     """The (dataset, backbone, variant) cell flags shared by the default
     runner and ``repro train`` — one definition, so the parsers cannot
     drift."""
-    parser.add_argument("--dataset", choices=DATASET_NAMES, default="wikipedia")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="dataset size multiplier")
-    parser.add_argument("--backbone", choices=["tgat", "graphmixer"], default="graphmixer")
+    _add_model_args(parser)
     parser.add_argument("--variant", choices=sorted(VARIANT_FLAGS),
                         default=variant_default)
     parser.add_argument("--epochs", type=int, default=5)
-    parser.add_argument("--batch-size", type=int, default=200)
     parser.add_argument("--max-batches-per-epoch", type=int, default=None)
-    parser.add_argument("--hidden-dim", type=int, default=32)
-    parser.add_argument("--time-dim", type=int, default=16)
-    parser.add_argument("--num-neighbors", type=int, default=5,
-                        help="n: supporting neighbors per node")
-    parser.add_argument("--num-candidates", type=int, default=10,
-                        help="m: candidate neighbors pre-sampled by the finder")
     parser.add_argument("--finder", choices=["gpu", "original", "tgl"], default="gpu")
     parser.add_argument("--batch-engine", choices=["sync", "aot"],
                         default="sync", help=engine_help)
-    _add_runtime_args(parser)
     parser.add_argument("--decoder", choices=["linear", "gat", "gatv2", "transformer"],
                         default="linear")
-    parser.add_argument("--cache-ratio", type=float, default=0.2)
-    parser.add_argument("--lr", type=float, default=2e-3)
     parser.add_argument("--eval-negatives", type=int, default=49)
     parser.add_argument("--eval-max-edges", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", action="store_true",
-                        help="print the result as a single JSON object only")
 
 
-def _taser_config(args: argparse.Namespace) -> TaserConfig:
-    """Build the shared TaserConfig from the training-cell flags."""
+def _model_config(args: argparse.Namespace, **overrides) -> TaserConfig:
+    """Build the TaserConfig of any command: the :func:`_add_model_args`
+    flags plus ``--variant``, then the command's own fields."""
     adaptive_minibatch, adaptive_neighbor = VARIANT_FLAGS[args.variant]
     return TaserConfig(
         backbone=args.backbone,
@@ -218,14 +201,17 @@ def _taser_config(args: argparse.Namespace) -> TaserConfig:
         adaptive_neighbor=adaptive_neighbor,
         hidden_dim=args.hidden_dim, time_dim=args.time_dim,
         num_neighbors=args.num_neighbors, num_candidates=args.num_candidates,
-        finder=args.finder, decoder=args.decoder, cache_ratio=args.cache_ratio,
-        batch_engine=args.batch_engine,
-        prep_backend=args.prep_backend, precision=args.precision,
-        batch_size=args.batch_size, epochs=args.epochs,
+        batch_size=args.batch_size, cache_ratio=args.cache_ratio,
+        precision=args.precision, lr=args.lr, seed=args.seed, **overrides)
+
+
+def _taser_config(args: argparse.Namespace) -> TaserConfig:
+    """The TaserConfig of a training cell (default runner, ``repro train``)."""
+    return _model_config(
+        args, finder=args.finder, decoder=args.decoder,
+        batch_engine=args.batch_engine, epochs=args.epochs,
         max_batches_per_epoch=args.max_batches_per_epoch,
-        lr=args.lr, eval_negatives=args.eval_negatives,
-        eval_max_edges=args.eval_max_edges, seed=args.seed,
-    )
+        eval_negatives=args.eval_negatives, eval_max_edges=args.eval_max_edges)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +248,6 @@ def run(args: argparse.Namespace) -> dict:
         "epochs": args.epochs,
         "batch_engine": args.batch_engine,
         "batch_engine_effective": trainer.engine.effective_mode,
-        "prep_backend": trainer.prep.name,
         "precision": trainer.precision.tier,
         "val_mrr": result.val_mrr,
         "test_mrr": result.test_mrr,
@@ -391,15 +376,11 @@ def build_stream_parser() -> argparse.ArgumentParser:
         description="Replay a dataset as a live event stream: incremental "
                     "T-CSR ingestion, sliding-window training and "
                     "prequential (test-then-train) link-prediction MRR")
-    parser.add_argument("--dataset", choices=DATASET_NAMES, default="wikipedia")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="dataset size multiplier")
+    _add_model_args(parser)
     parser.add_argument("--drift-phases", type=_positive_int, default=1,
                         help="> 1 replays a synthetic drift sequence: the "
                              "latent communities are redrawn this many times "
                              "over the stream's lifetime")
-    parser.add_argument("--backbone", choices=["tgat", "graphmixer"],
-                        default="graphmixer")
     parser.add_argument("--variant", choices=["baseline", "ada-neighbor"],
                         default="baseline",
                         help="adaptive mini-batch selection is incompatible "
@@ -422,18 +403,7 @@ def build_stream_parser() -> argparse.ArgumentParser:
                              "(default: as fast as the loop drains)")
     parser.add_argument("--eval-events-per-chunk", type=_positive_int, default=256,
                         help="cap on prequentially scored events per chunk")
-    parser.add_argument("--hidden-dim", type=int, default=32)
-    parser.add_argument("--time-dim", type=int, default=16)
-    parser.add_argument("--num-neighbors", type=int, default=5)
-    parser.add_argument("--num-candidates", type=int, default=10)
-    parser.add_argument("--batch-size", type=int, default=200)
-    _add_runtime_args(parser)
-    parser.add_argument("--cache-ratio", type=float, default=0.2)
-    parser.add_argument("--lr", type=float, default=2e-3)
     parser.add_argument("--eval-negatives", type=int, default=49)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", action="store_true",
-                        help="print the result as a single JSON object only")
     return parser
 
 
@@ -448,17 +418,7 @@ def run_stream(args: argparse.Namespace) -> dict:
             num_phases=args.drift_phases)
     else:
         graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    adaptive_neighbor = args.variant == "ada-neighbor"
-    config = TaserConfig(
-        backbone=args.backbone, adaptive_minibatch=False,
-        adaptive_neighbor=adaptive_neighbor,
-        hidden_dim=args.hidden_dim, time_dim=args.time_dim,
-        num_neighbors=args.num_neighbors, num_candidates=args.num_candidates,
-        batch_size=args.batch_size,
-        prep_backend=args.prep_backend,
-        precision=args.precision, cache_ratio=args.cache_ratio,
-        lr=args.lr, eval_negatives=args.eval_negatives, seed=args.seed,
-    )
+    config = _model_config(args, eval_negatives=args.eval_negatives)
     warmup = args.warmup_events if args.warmup_events is not None \
         else max(1, graph.num_edges // 5)
     start = time.time()
@@ -474,7 +434,8 @@ def run_stream(args: argparse.Namespace) -> dict:
         "dataset": args.dataset,
         "drift_phases": args.drift_phases,
         "backbone": args.backbone,
-        "variant": "w/ Ada. Neighbor" if adaptive_neighbor else "Baseline",
+        "variant": ("w/ Ada. Neighbor" if config.adaptive_neighbor
+                    else "Baseline"),
         "seed": args.seed,
         "batch_engine": config.batch_engine,
         "warmup_events": warmup,
@@ -523,11 +484,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
                     "through one prep pass + one forward per batch and "
                     "report latency percentiles, QPS, batch occupancy and "
                     "the embedding-cache hit rate")
-    parser.add_argument("--dataset", choices=DATASET_NAMES, default="wikipedia")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="dataset size multiplier")
-    parser.add_argument("--backbone", choices=["tgat", "graphmixer"],
-                        default="graphmixer")
+    _add_model_args(parser)
     parser.add_argument("--variant", choices=sorted(VARIANT_FLAGS),
                         default="baseline",
                         help="training variant of the in-memory warm-up model")
@@ -561,20 +518,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replay", action="store_true",
                         help="serve the stream twice through fresh engines "
                              "and verify the bitwise score-hash contract")
-    parser.add_argument("--hidden-dim", type=int, default=32)
-    parser.add_argument("--time-dim", type=int, default=16)
-    parser.add_argument("--num-neighbors", type=int, default=5)
-    parser.add_argument("--num-candidates", type=int, default=10)
-    parser.add_argument("--batch-size", type=int, default=200)
     parser.add_argument("--max-batches-per-epoch", type=int, default=None)
     parser.add_argument("--finder", choices=["gpu", "original", "tgl"],
                         default="gpu")
-    _add_runtime_args(parser)
-    parser.add_argument("--cache-ratio", type=float, default=0.2)
-    parser.add_argument("--lr", type=float, default=2e-3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", action="store_true",
-                        help="print the result as a single JSON object only")
     return parser
 
 
@@ -584,19 +530,9 @@ def run_serve(args: argparse.Namespace) -> dict:
 
     from .serve import LinkQuery, ServeEngine, scores_hash
 
-    adaptive_minibatch, adaptive_neighbor = VARIANT_FLAGS[args.variant]
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    config = TaserConfig(
-        backbone=args.backbone, adaptive_minibatch=adaptive_minibatch,
-        adaptive_neighbor=adaptive_neighbor,
-        hidden_dim=args.hidden_dim, time_dim=args.time_dim,
-        num_neighbors=args.num_neighbors, num_candidates=args.num_candidates,
-        finder=args.finder, cache_ratio=args.cache_ratio,
-        prep_backend=args.prep_backend, precision=args.precision,
-        batch_size=args.batch_size, epochs=args.warmup_epochs,
-        max_batches_per_epoch=args.max_batches_per_epoch,
-        lr=args.lr, seed=args.seed,
-    )
+    config = _model_config(args, finder=args.finder, epochs=args.warmup_epochs,
+                           max_batches_per_epoch=args.max_batches_per_epoch)
     warmup = args.warmup_events if args.warmup_events is not None \
         else max(1, graph.num_edges * 3 // 5)
     warmup = min(warmup, graph.num_edges - 1)
@@ -684,8 +620,7 @@ def _serve_main(argv: Sequence[str]) -> int:
           f"{summary['embedding_cache_hit_rate']:.2f} "
           f"({summary['embedding_cache_entries']} entries, "
           f"{summary['embedding_cache_evictions']} evictions)")
-    print(f"  runtime        : prep {summary['prep_backend']}, "
-          f"precision {summary['precision']}")
+    print(f"  precision      : {summary['precision']}")
     print(f"  scores hash    : {summary['scores_hash']}")
     if summary["replay_match"] is not None:
         verdict = "bitwise-identical" if summary["replay_match"] else "MISMATCH"
@@ -717,7 +652,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"  final loss     : {summary['final_model_loss']:.4f}")
     print(f"  batch engine   : {summary['batch_engine']} "
           f"(effective {summary['batch_engine_effective']})")
-    print(f"  prep backend   : {summary['prep_backend']}")
     print(f"  precision      : {summary['precision']}")
     breakdown = ", ".join(f"{k}={v:.2f}s"
                           for k, v in sorted(summary["runtime_breakdown_seconds"].items()))

@@ -12,9 +12,6 @@ from .sample_loss import (sensitivity_sample_loss, tgat_analytic_sample_loss,
                           build_sample_loss)
 from .pipeline import MiniBatchGenerator, CandidateSlice
 from .prep import PreparedBatch, PrepPipeline
-from .prep_backend import (FusedPrepPipeline, available_prep_backends,
-                           make_prep_pipeline, register_prep_backend,
-                           resolve_prep_backend_name)
 from .prefetcher import (BatchEngine, AOTBatchEngine, make_engine,
                          plan_capability, ENGINE_MODES)
 from .trainer import TaserTrainer, TrainResult, EpochStats
@@ -31,11 +28,6 @@ __all__ = [
     "CandidateSlice",
     "PreparedBatch",
     "PrepPipeline",
-    "FusedPrepPipeline",
-    "available_prep_backends",
-    "make_prep_pipeline",
-    "register_prep_backend",
-    "resolve_prep_backend_name",
     "BatchEngine",
     "AOTBatchEngine",
     "make_engine",

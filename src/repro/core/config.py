@@ -106,17 +106,6 @@ class TaserConfig:
     #: a stochastic finder policy) run synchronously under either value.
     batch_engine: str = "sync"
 
-    # -- prep backend -------------------------------------------------------------
-    #: prep backend of the batch-preparation hot path
-    #: (repro.core.prep_backend): "reference" (the unified prep runtime,
-    #: per-seed neighbor probes) or "fused" (batched composite-key T-CSR
-    #: probing; bitwise-identical batches and trajectories).  None resolves
-    #: the REPRO_PREP_BACKEND environment variable and falls back to
-    #: "reference".  Consumers build their
-    #: pipelines through the registry, so sharded worker processes re-resolve
-    #: the backend from the config they receive.
-    prep_backend: Optional[str] = None
-
     # -- precision tier -----------------------------------------------------------
     #: storage tier of the feature path (repro.device.precision): "fp32"
     #: (full width, bitwise-identical to a build without precision tiers),
@@ -182,8 +171,6 @@ class TaserConfig:
         # Unknown names (explicit or via the REPRO_* variables) raise here
         # with the registered-name list, so a typo fails at configuration
         # time rather than deep inside the first batch.
-        from .prep_backend import resolve_prep_backend_name
-        resolve_prep_backend_name(self.prep_backend)
         from ..device.precision import resolve_precision_name
         resolve_precision_name(self.precision)
         from ..distributed.comms import resolve_comms_name
@@ -196,13 +183,6 @@ class TaserConfig:
     def num_layers(self) -> int:
         """TGAT is a 2-layer model, GraphMixer a 1-layer model (paper setup)."""
         return 2 if self.backbone == "tgat" else 1
-
-    @property
-    def resolved_prep_backend(self) -> str:
-        """The prep backend this run uses (explicit > REPRO_PREP_BACKEND >
-        reference)."""
-        from .prep_backend import resolve_prep_backend_name
-        return resolve_prep_backend_name(self.prep_backend)
 
     @property
     def resolved_precision(self) -> str:

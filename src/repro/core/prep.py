@@ -123,7 +123,8 @@ class PrepPipeline:
         Training-schedule components; optional for evaluation-only pipelines.
     """
 
-    #: registry name of this prep backend (see :mod:`repro.core.prep_backend`).
+    #: There is one prep path and no registry; the name stays because the
+    #: frozen benchmarks/e2e/workloads.py records ``trainer.prep.name``.
     name = "reference"
 
     def __init__(self, generator: MiniBatchGenerator,

@@ -1,10 +1,9 @@
 """Generic named-factory registry with flag > env > default resolution.
 
-Three runtime dimensions of this repo are selected the same way — the prep
-backend of the batch-preparation hot path (:mod:`repro.core.prep_backend`),
-the precision tier of the feature store (:mod:`repro.device.precision`) and
-the gradient transport of sharded runs (:mod:`repro.distributed.comms`).
-Each follows the identical contract:
+Two runtime dimensions of this repo are selected the same way — the
+precision tier of the feature store (:mod:`repro.device.precision`) and the
+gradient transport of sharded runs (:mod:`repro.distributed.comms`).  Each
+follows the identical contract:
 
 * **resolution order**: an explicit name (CLI flag / config field) wins over
   the dimension's environment variable, which wins over the built-in default;
@@ -37,8 +36,8 @@ class Registry(Generic[T]):
     Parameters
     ----------
     kind:
-        Human-readable singular of what is registered (``"prep backend"``,
-        ``"precision tier"``); leads the unknown-name error message.
+        Human-readable singular of what is registered (``"precision tier"``,
+        ``"gradient comms"``); leads the unknown-name error message.
     env_var:
         Environment variable consulted when no explicit name is given.
     default:
@@ -48,7 +47,7 @@ class Registry(Generic[T]):
         created, at module bottom).
     plural:
         Plural noun used when listing the registered names
-        (``"backends"``, ``"tiers"``).
+        (``"tiers"``, ``"transports"``).
     hint:
         Trailing guidance of the unknown-name error — the flag / config
         field / environment variable that select this dimension.

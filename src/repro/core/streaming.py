@@ -53,7 +53,7 @@ from .config import TaserConfig
 from .minibatch_selector import ChronologicalSelector
 from .pipeline import MiniBatchGenerator
 from .prefetcher import make_engine
-from .prep_backend import make_prep_pipeline
+from .prep import PrepPipeline
 from .trainer import EpochStats, TaserTrainer
 
 __all__ = ["EventChunk", "EventStream", "split_warmup", "StreamStats",
@@ -386,10 +386,9 @@ class StreamingTrainer(TaserTrainer):
         self.split = _window_split(self.graph, self.window_events)
         self.selector = ChronologicalSelector(self.split.num_train,
                                               cfg.batch_size)
-        self.prep = make_prep_pipeline(self.config.resolved_prep_backend,
-                                       self.generator, self.negative_sampler,
-                                       graph=self.graph, split=self.split,
-                                       selector=self.selector)
+        self.prep = PrepPipeline(self.generator, self.negative_sampler,
+                                 graph=self.graph, split=self.split,
+                                 selector=self.selector)
         self.engine = make_engine(self)
 
     def step(self, chunk: EventChunk, train_passes: int = 1) -> StreamStats:

@@ -40,8 +40,7 @@ from .minibatch_selector import AdaptiveMiniBatchSelector, ChronologicalSelector
 from .neighbor_sampler import AdaptiveNeighborSampler
 from .pipeline import MiniBatchGenerator
 from .prefetcher import make_engine
-from .prep import PreparedBatch
-from .prep_backend import make_prep_pipeline
+from .prep import PreparedBatch, PrepPipeline
 from .sample_loss import build_sample_loss
 
 __all__ = ["EpochStats", "TrainStep", "TrainResult", "TaserTrainer"]
@@ -65,14 +64,8 @@ class EpochStats:
     #: prep-runtime gather dedup ratio of the epoch (requested candidate id
     #: occurrences / unique ids gathered at the feature-store choke point).
     dedup_ratio: float = 1.0
-    #: prep backend that prepared this epoch's batches.
-    prep_backend: str = "reference"
     #: feature-store precision tier the epoch's gathers decoded from.
     precision: str = "fp32"
-
-    @property
-    def total_runtime(self) -> float:
-        return float(sum(self.runtime.values()))
 
 
 @dataclass
@@ -205,10 +198,9 @@ class TaserTrainer:
         # --- shared prep runtime + mini-batch engine (sync | aot) -------------------------
         # The prep pipeline is the single producer of PreparedBatch for every
         # execution path (engines, evaluation, streaming, sharded replicas).
-        self.prep = make_prep_pipeline(cfg.resolved_prep_backend,
-                                       self.generator, self.negative_sampler,
-                                       graph=self.graph, split=self.split,
-                                       selector=self.selector)
+        self.prep = PrepPipeline(self.generator, self.negative_sampler,
+                                 graph=self.graph, split=self.split,
+                                 selector=self.selector)
         self.engine = make_engine(self)
 
         self.history: List[EpochStats] = []
@@ -349,7 +341,6 @@ class TaserTrainer:
                            batch_losses=losses,
                            engine_mode=self.engine.effective_mode,
                            dedup_ratio=float(slice_stats.dedup_ratio),
-                           prep_backend=self.prep.name,
                            precision=self.precision.tier)
         self.history.append(stats)
         return stats

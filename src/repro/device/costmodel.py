@@ -56,7 +56,3 @@ class TransferCostModel:
             raise ValueError("num_bytes and num_rows must be non-negative")
         return (num_requests * self.vram_latency + num_rows * self.vram_row_overhead
                 + num_bytes / self.vram_bandwidth)
-
-    def speedup_bound(self) -> float:
-        """Asymptotic PCIe/VRAM per-row cost ratio (upper bound on caching gains)."""
-        return self.pcie_row_overhead / self.vram_row_overhead

@@ -6,8 +6,7 @@ boundary as a pickled list of arrays (both directions, every step), and the
 master reduces them parameter-by-parameter in a Python loop
 (:func:`average_gradients`).  That was fine at W = 1 and is the measured
 bottleneck at scale — so this module makes the *gradient comms* a runtime
-dimension of its own, selected exactly like the array/prep backends and the
-precision tier (flag > environment > default, through the shared
+dimension of its own, selected exactly like the precision tier (flag > environment > default, through the shared
 :class:`repro.core.registry.Registry`):
 
 ``pickle``

@@ -111,12 +111,13 @@ class TCSR:
     def pivots(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`pivot` for a batch of (node, time) queries.
 
-        This is the batched binary search at the heart of the GPU neighbor
-        finder and the fused prep backend: the per-query segment searches
-        collapse into one ``searchsorted`` over composite
-        ``(node, timestamp-rank)`` keys, exactly matching the scalar
-        :meth:`pivot` — including on duplicate timestamps, where the integer
-        rank keys are immune to the float-composite precision hazard.
+        The exact oracle the finder tests compare against (no program path
+        calls it: the GPU finder searches cheaper float keys and repairs
+        their rounding, see ``GPUNeighborFinder.batched_pivots``).  The
+        per-query segment searches collapse into one ``searchsorted`` over
+        composite ``(node, timestamp-rank)`` keys, exactly matching the
+        scalar :meth:`pivot` — including on duplicate timestamps, where the
+        integer rank keys are immune to the float-composite precision hazard.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)

@@ -127,12 +127,3 @@ class TGNNBackbone(Module):
         if h_neighbors is not None:
             h_neighbors = h_neighbors.reshape(num_targets, n, self.hidden_dim)
         return self.aggregate(layer, h_target, h_neighbors, hop)
-
-    # -- link prediction head ------------------------------------------------------------
-
-    def link_logits(self, embeddings: Tensor, src_index: np.ndarray,
-                    dst_index: np.ndarray, predictor: "Module") -> Tensor:
-        """Score (src, dst) pairs given row indices into ``embeddings``."""
-        h_src = embeddings[np.asarray(src_index, dtype=np.int64)]
-        h_dst = embeddings[np.asarray(dst_index, dtype=np.int64)]
-        return predictor(h_src, h_dst)

@@ -1,4 +1,4 @@
-"""Weight initialisation schemes (Xavier/Glorot and Kaiming)."""
+"""Weight initialisation schemes (Xavier/Glorot)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "zeros", "ones"]
+__all__ = ["xavier_uniform", "zeros", "ones"]
 
 
 def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -23,21 +23,6 @@ def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator,
                    gain: float = 1.0) -> np.ndarray:
     fan_in, fan_out = _fans(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator,
-                  gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator,
-                    a: float = np.sqrt(5.0)) -> np.ndarray:
-    fan_in, _ = _fans(shape)
-    gain = np.sqrt(2.0 / (1.0 + a ** 2))
-    bound = gain * np.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -4,7 +4,6 @@ from .base import NeighborBatch, NeighborFinder, PAD_NODE, PAD_EDGE
 from .cpu_finder import OriginalNeighborFinder
 from .tgl_finder import TGLNeighborFinder
 from .gpu_finder import GPUNeighborFinder
-from .fused_probe import BatchedProbeFinder
 from .recursive import sample_multi_hop, flatten_frontier
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "OriginalNeighborFinder",
     "TGLNeighborFinder",
     "GPUNeighborFinder",
-    "BatchedProbeFinder",
     "sample_multi_hop",
     "flatten_frontier",
 ]

@@ -67,10 +67,36 @@ class GPUNeighborFinder(NeighborFinder):
 
         Equivalent to one binary search per thread block in Algorithm 2 but
         performed as a single ``searchsorted`` over the composite key array.
+
+        The float key ``node * offset + (ts - t_min)`` rounds: once
+        ``node * offset`` is large its ulp swallows real timestamp gaps, and
+        the search stops short of strictly earlier entries whose key collides
+        with the query's.  The result is therefore clamped into the node's
+        segment and walked to the exact pivot by comparing timestamps — zero
+        steps unless a key collided, so the answer always equals
+        :meth:`TCSR.pivots <repro.graph.tcsr.TCSR.pivots>`.
         """
         query_keys = nodes.astype(np.float64) * self._offset \
             + np.clip(times - self._t_min, 0.0, self._offset - 1.0)
-        return np.searchsorted(self._keys, query_keys, side="left")
+        pivots = np.searchsorted(self._keys, query_keys, side="left")
+        indptr, ts = self.tcsr.indptr, self.tcsr.ts
+        if ts.shape[0] == 0:
+            return pivots
+        lo, hi = indptr[nodes], indptr[nodes + 1]
+        pivots = np.minimum(np.maximum(pivots, lo), hi)
+        last = ts.shape[0] - 1
+        while True:
+            early = (pivots < hi) & (ts[np.minimum(pivots, last)] < times)
+            if not early.any():
+                break
+            pivots += early
+        while True:
+            # pivots - 1 == -1 only where pivots == lo == 0, masked out.
+            late = (pivots > lo) & (ts[pivots - 1] >= times)
+            if not late.any():
+                break
+            pivots -= late
+        return pivots
 
     # -- uniform sampling without replacement (bitmap emulation) ----------------------
 

@@ -6,8 +6,8 @@ north-star's other half — "how fast can we *answer*".  A
 :class:`ServeEngine` accepts :class:`LinkQuery` requests (``score the link
 src -> dst at time t``), admits them into a bounded queue, micro-batches the
 pending queries into **one** pass through the existing batch-prep runtime
-(:func:`~repro.core.prep_backend.make_prep_pipeline`, so both prep backends
-serve) and **one** model forward, and returns calibrated probabilities.
+(:class:`~repro.core.prep.PrepPipeline`) and **one** model forward, and
+returns calibrated probabilities.
 
 Dataflow of one flush::
 
@@ -48,7 +48,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 import numpy as np
 
 from ..core.pipeline import MiniBatchGenerator
-from ..core.prep_backend import make_prep_pipeline, resolve_prep_backend_name
+from ..core.prep import PrepPipeline
 from ..device.costmodel import TransferCostModel
 from ..device.memory import FeatureStore
 from ..device.precision import PrecisionPolicy, resolve_precision_name
@@ -190,10 +190,6 @@ class ServeEngine:
     cache_nodes:
         Embedding-cache capacity in nodes (default: a quarter of the node
         universe; 0 disables the cache).
-    prep_backend:
-        Registry name threaded through
-        :func:`~repro.core.prep_backend.make_prep_pipeline`; ``None``
-        resolves the environment exactly like training does.
     precision:
         Feature-store precision tier (``None`` resolves ``REPRO_PRECISION``
         then ``fp32``).  The exact ``fp32`` tier keeps today's store and
@@ -211,7 +207,6 @@ class ServeEngine:
                  adaptive_sampler=None, num_layers: int = 1,
                  num_neighbors: int = 5, num_candidates: Optional[int] = None,
                  finder: str = "gpu", finder_policy: str = "recent",
-                 prep_backend: Optional[str] = None,
                  precision: Optional[str] = None,
                  max_batch: int = 32, queue_depth: int = 128,
                  admission: str = "wait",
@@ -244,7 +239,6 @@ class ServeEngine:
             else int(num_neighbors)
         self.finder_kind = finder
         self.finder_policy = finder_policy
-        self.prep_backend_name = resolve_prep_backend_name(prep_backend)
         #: the array runtime the forward runs on (one per process).
         self.array_backend = get_backend()
         self.precision = PrecisionPolicy(tier=resolve_precision_name(precision))
@@ -282,9 +276,9 @@ class ServeEngine:
         """Build a serving engine over a (trained) ``TaserTrainer``'s model.
 
         The model stack is shared by reference; the event history is copied.
-        Prep backend and precision default to the trainer's resolved
-        configuration, so a replay engine built from the same trainer is the
-        bitwise-equal twin of the original.
+        Precision defaults to the trainer's resolved configuration, so a
+        replay engine built from the same trainer is the bitwise-equal twin
+        of the original.
         """
         cfg = trainer.config
         defaults = dict(
@@ -293,7 +287,6 @@ class ServeEngine:
             num_candidates=(cfg.num_candidates if cfg.adaptive_neighbor
                             else cfg.num_neighbors),
             finder=cfg.finder, finder_policy=cfg.resolved_finder_policy,
-            prep_backend=cfg.resolved_prep_backend,
             precision=cfg.resolved_precision, seed=cfg.seed)
         defaults.update(kwargs)
         return cls(trainer.graph, trainer.backbone, trainer.predictor,
@@ -311,7 +304,7 @@ class ServeEngine:
             self.finder, self.feature_store, self.num_layers,
             self.num_neighbors, self.num_candidates,
             adaptive_sampler=self.adaptive_sampler, timer=self.timer)
-        self.prep = make_prep_pipeline(self.prep_backend_name, self.generator)
+        self.prep = PrepPipeline(self.generator)
 
     # -- ingestion --------------------------------------------------------------
 
@@ -499,7 +492,9 @@ class ServeEngine:
             "embedding_cache_evictions": self.embedding_cache.eviction_count,
             "events_ingested": s.events_ingested,
             "events_observed": self.events_observed,
-            "prep_backend": self.prep_backend_name,
+            # There is one prep path; the key stays because the frozen
+            # benchmarks/e2e/workloads.py reads stats()["prep_backend"].
+            "prep_backend": self.prep.name,
             "array_backend": self.array_backend.name,
             "precision": self.precision.tier,
         }

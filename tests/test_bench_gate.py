@@ -156,19 +156,18 @@ class TestRequiredHashPairs:
             == ("serve_determinism",)
         assert bench_gate.REQUIRED_HASH_PAIRS[
             "BENCH_fig1_breakdown_wikipedia.json"] \
-            == ("prep_backend_equivalence",)
+            == ("determinism",)
         assert set(bench_gate.REQUIRED_HASH_PAIRS["BENCH_precision.json"]) \
             == {"precision_determinism", "fp32_equivalence"}
         assert set(bench_gate.REQUIRED_HASH_PAIRS["BENCH_shard_scaling.json"]) \
             == {"determinism", "comms_equivalence"}
 
-    def _fig1_artifact(self, prep_replay="b"):
+    def _fig1_artifact(self, replay="b"):
         return {
             "benchmark": "fig1_breakdown_wikipedia", "scale": 0.1,
             "engine_env": "sync", "unix_time": 0.0,
             "results": {
-                "prep_backend_equivalence": {"hash": "b",
-                                             "replay_hash": prep_replay},
+                "determinism": {"hash": "b", "replay_hash": replay},
             },
         }
 
@@ -180,11 +179,11 @@ class TestRequiredHashPairs:
         assert _gate(current, baselines) == 0
 
     def test_fig1_replay_mismatch_fails_at_every_scale(self, dirs):
-        """A fused-prep run whose trajectory diverges from the reference
-        prep backend's is a contract break — enforced without --strict."""
+        """A same-seed replay whose trajectory diverges from the first run's
+        is a contract break — enforced without --strict."""
         current, baselines = dirs
         baselines.mkdir(parents=True)
-        _write(current, self._fig1_artifact(prep_replay="doctored"),
+        _write(current, self._fig1_artifact(replay="doctored"),
                name="BENCH_fig1_breakdown_wikipedia.json")
         assert _gate(current, baselines) == 1          # even without --strict
 
@@ -192,7 +191,7 @@ class TestRequiredHashPairs:
         current, baselines = dirs
         baselines.mkdir(parents=True)
         artifact = self._fig1_artifact()
-        del artifact["results"]["prep_backend_equivalence"]
+        del artifact["results"]["determinism"]
         _write(current, artifact, name="BENCH_fig1_breakdown_wikipedia.json")
         assert _gate(current, baselines) == 1
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import (TemporalGraph, build_tcsr, chronological_split, CTDGConfig,
                          generate_ctdg, measure_noise, inject_random_edges,
                          perturb_edge_features, drop_events, load_dataset,
                          dataset_config, dataset_table, DATASET_NAMES)
+from repro.graph.tcsr import TCSR
+from repro.sampling import GPUNeighborFinder, OriginalNeighborFinder
 
 
 def tiny_graph():
@@ -114,6 +117,104 @@ class TestTCSR:
     def test_eid_maps_to_original_edge(self, small_graph, small_tcsr):
         nbr, eid, ts = small_tcsr.neighborhood(int(small_graph.src[0]))
         assert np.all((small_graph.ts[eid] == ts))
+
+
+# -------------------------------------------------- duplicate-heavy T-CSRs
+
+def _tcsr_from_events(num_nodes, events):
+    """Build a (single-direction) TCSR from (node, ts) event pairs."""
+    events = sorted(enumerate(events), key=lambda e: (e[1][0], e[1][1], e[0]))
+    per_node = {}
+    for eid, (node, ts) in events:
+        per_node.setdefault(node, []).append((ts, eid))
+    indptr = [0]
+    indices, eids, tss = [], [], []
+    for v in range(num_nodes):
+        for ts, eid in per_node.get(v, ()):
+            indices.append((v + 1) % num_nodes)
+            eids.append(eid)
+            tss.append(ts)
+        indptr.append(len(indices))
+    return TCSR(indptr=np.asarray(indptr), indices=np.asarray(indices),
+                eid=np.asarray(eids), ts=np.asarray(tss, dtype=np.float64),
+                num_nodes=num_nodes)
+
+
+def _assert_gpu_finder_exact(tcsr, nodes, times, budget):
+    """The default finder's float-key search lands on the exact pivots, and
+    under ``recent`` its batches equal the per-query finder's bitwise."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    times = np.asarray(times, dtype=np.float64)
+    gpu = GPUNeighborFinder(tcsr, policy="recent")
+    np.testing.assert_array_equal(gpu.batched_pivots(nodes, times),
+                                  tcsr.pivots(nodes, times))
+    got = gpu.sample(nodes, times, budget)
+    want = OriginalNeighborFinder(tcsr, policy="recent").sample(nodes, times,
+                                                                budget)
+    for field in ("nodes", "eids", "times", "mask"):
+        np.testing.assert_array_equal(getattr(got, field),
+                                      getattr(want, field), err_msg=field)
+    return got
+
+
+# Few distinct timestamps over many events -> heavy duplication, the case a
+# float composite key can get wrong and the rank-based key must get right.
+dup_events = st.lists(
+    st.tuples(st.integers(0, 7), st.sampled_from([0.0, 1.0, 1.0 + 2**-40,
+                                                  2.0, 5.0, 5.0, 9.0])),
+    min_size=0, max_size=60)
+query_times = st.sampled_from([0.0, 1.0, 1.0 + 2**-40, 2.0, 3.5, 5.0, 9.0,
+                               100.0])
+dup_queries = st.lists(st.tuples(st.integers(0, 7), query_times),
+                       min_size=1, max_size=20)
+
+
+class TestBatchedPivots:
+    @given(dup_events, dup_queries)
+    @settings(max_examples=60, deadline=None)
+    def test_pivots_match_scalar_path(self, events, queries):
+        tcsr = _tcsr_from_events(8, events)
+        nodes = np.asarray([q[0] for q in queries], dtype=np.int64)
+        times = np.asarray([q[1] for q in queries], dtype=np.float64)
+        batched = tcsr.pivots(nodes, times)
+        scalar = np.asarray([tcsr.pivot(int(v), float(t))
+                             for v, t in zip(nodes, times)])
+        np.testing.assert_array_equal(batched, scalar)
+
+    def test_pivots_empty_query(self):
+        tcsr = _tcsr_from_events(8, [(0, 1.0), (0, 1.0), (3, 2.0)])
+        out = tcsr.pivots(np.empty(0, dtype=np.int64), np.empty(0))
+        assert out.shape == (0,) and out.dtype == np.int64
+
+    # Node ids offset by 10^4 push ``node * offset`` past the point where its
+    # ulp exceeds the 2^-40 timestamp gap, so the float key is really stressed.
+    @given(st.sampled_from([0, 10**4]), dup_events, dup_queries,
+           st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_gpu_finder_matches_exact_pivots(self, shift, events, queries,
+                                             budget):
+        tcsr = _tcsr_from_events(shift + 8,
+                                 [(shift + v, t) for v, t in events])
+        _assert_gpu_finder_exact(tcsr, [shift + q[0] for q in queries],
+                                 [q[1] for q in queries], budget)
+
+    def test_gpu_finder_keeps_history_behind_large_node_ids(self):
+        t = 1.0 + 2**-40
+        tcsr = _tcsr_from_events(
+            2000, [(1500, 0.0), (1500, 1.0), (1500, t), (1500, 9.0)])
+        got = _assert_gpu_finder_exact(tcsr, [1500], [t], 3)
+        assert got.mask.tolist() == [[True, True, False]]
+
+    def test_gpu_finder_keeps_history_at_epoch_second_timestamps(self):
+        # A ten-year log over 10^5 nodes: millisecond gaps fall below the
+        # key's ulp (2^-8 s at 3e13).
+        t0, node = 1.6e9, 10**5 - 1
+        tcsr = _tcsr_from_events(
+            10**5, [(0, t0 - 3e8),
+                    (node, t0), (node, t0 + .001), (node, t0 + .002)])
+        times = [t0 + .001, t0 + .002, t0 + .003]
+        got = _assert_gpu_finder_exact(tcsr, [node] * 3, times, 3)
+        assert got.valid_counts().tolist() == [1, 2, 3]
 
 
 class TestSplits:

@@ -77,9 +77,11 @@ class TestCLI:
     ], ids=["default", "train", "stream", "serve"])
     def test_no_dead_flags(self, build, readers):
         """Every flag a parser accepts is read as ``args.<dest>`` by that
-        command's run function, ``_taser_config`` where the command calls it,
-        or its ``main``; an accepted flag nothing reads is silently ignored."""
-        code = "\n".join(inspect.getsource(fn) for fn in readers)
+        command's run function, ``_model_config`` (which every command
+        calls), ``_taser_config`` where the command calls it, or its
+        ``main``; an accepted flag nothing reads is silently ignored."""
+        code = "\n".join(inspect.getsource(fn)
+                         for fn in readers + (cli._model_config,))
         dead = [action.dest for action in build()._actions
                 if action.dest != "help"
                 and not re.search(rf"\bargs\.{action.dest}\b", code)]
@@ -90,7 +92,7 @@ class TestCLI:
         assert args.batch_engine == "aot"
         for gone in (["--batch-engine", "warp"], ["--batch-engine", "prefetch"],
                      ["--prefetch-depth", "3"], ["--prep-pool-workers", "1"],
-                     ["--prep-cache-mb", "64"]):
+                     ["--prep-cache-mb", "64"], ["--prep-backend", "fused"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(gone)
 
@@ -113,6 +115,8 @@ class TestCLI:
         from repro.core import TaserConfig
         with pytest.raises(ValueError, match="choose 'sync'"):
             TaserConfig(batch_engine="warp")
+        with pytest.raises(TypeError):       # the dimension is gone (PR 24)
+            TaserConfig(prep_backend="fused")
 
     def test_main_json_output(self, capsys):
         code = main([
@@ -181,6 +185,10 @@ class TestTrainCLI:
         capsys.readouterr()
         with pytest.raises(SystemExit):
             main(self.TRAIN_ARGS + ["--worker-backend", "mpi"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(self.TRAIN_ARGS + ["--prep-backend", "fused"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestStreamCLI:
@@ -214,7 +222,7 @@ class TestStreamCLI:
         for gone in (["--batch-engine", "aot"], ["--batch-engine", "prefetch"],
                      ["--prefetch-depth", "2"], ["--prep-pool-workers", "1"],
                      ["--prep-cache-mb", "64"], ["--backend", "reference"],
-                     ["--comms", "shm"]):
+                     ["--prep-backend", "fused"], ["--comms", "shm"]):
             with pytest.raises(SystemExit):
                 main(self.STREAM_ARGS + gone)
             capsys.readouterr()
@@ -293,35 +301,37 @@ class TestServeCLI:
         assert "must be >= 0" in capsys.readouterr().err
 
     def test_serve_rejects_unknown_backends_at_parse_time(self, capsys):
-        """An unknown --prep-backend lists the registered names; --backend
-        and --comms (serving has no shard barrier) are not flags at all."""
-        for gone in (["--backend", "reference"], ["--comms", "shm"]):
+        """An unknown --precision lists the registered tiers; --backend,
+        --prep-backend and --comms (serving has no shard barrier) are not
+        flags at all."""
+        for gone in (["--backend", "reference"], ["--prep-backend", "fused"],
+                     ["--comms", "shm"]):
             with pytest.raises(SystemExit):
                 main(self.SERVE_ARGS + gone)
             assert "unrecognized arguments" in capsys.readouterr().err
         with pytest.raises(SystemExit):
-            main(self.SERVE_ARGS + ["--prep-backend", "warp"])
+            main(self.SERVE_ARGS + ["--precision", "warp"])
         err = capsys.readouterr().err
-        assert "registered backends" in err and "fused" in err
+        assert "registered tiers" in err and "fp16" in err
 
     def test_serve_env_backend_validated_not_breaking_help(self, monkeypatch,
                                                            capsys):
-        """A stale REPRO_PREP_BACKEND is a parse-time error for a run, but
+        """A stale REPRO_PRECISION is a parse-time error for a run, but
         --help must still work (the train/stream contract)."""
-        monkeypatch.setenv("REPRO_PREP_BACKEND", "bogus")
+        monkeypatch.setenv("REPRO_PRECISION", "bogus")
         with pytest.raises(SystemExit) as exc:
             main(self.SERVE_ARGS + ["--json"])
         assert exc.value.code == 2
-        assert "registered backends" in capsys.readouterr().err
+        assert "registered tiers" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
             main(["serve", "--help"])
         assert exc.value.code == 0
         assert "--max-batch" in capsys.readouterr().out
 
     def test_serve_explicit_backend_beats_stale_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_PREP_BACKEND", "bogus")
-        code = main(self.SERVE_ARGS + ["--prep-backend", "reference", "--json"])
+        monkeypatch.setenv("REPRO_PRECISION", "bogus")
+        code = main(self.SERVE_ARGS + ["--precision", "fp32", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["prep_backend"] == "reference"
+        assert payload["precision"] == "fp32"
         assert payload["array_backend"] == "reference"

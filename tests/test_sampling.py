@@ -129,6 +129,20 @@ class TestFinderCorrectness:
         expected = small_tcsr.pivots(nodes, times)
         assert np.array_equal(pivots, expected)
 
+    @pytest.mark.parametrize("drift", [0.05, -0.05])
+    def test_gpu_pivots_exact_whatever_the_keys_round_to(
+            self, small_graph, small_tcsr, drift):
+        """Entry keys pushed late (early) land the search before (after) the
+        pivot; the timestamp walk repairs either direction."""
+        nodes, times = query_batch(small_graph, 300, seed=5)
+        gpu = GPUNeighborFinder(small_tcsr)
+        gpu._keys = gpu._keys + drift * gpu._offset
+        expected = small_tcsr.pivots(nodes, times)
+        raw = np.searchsorted(gpu._keys, nodes * gpu._offset
+                              + (times - gpu._t_min))
+        assert ((raw < expected) if drift > 0 else (raw > expected)).any()
+        assert np.array_equal(gpu.batched_pivots(nodes, times), expected)
+
     def test_query_beyond_horizon(self, small_graph, small_tcsr):
         """Queries later than every event see the whole neighborhood."""
         t_max = small_graph.ts.max() + 100.0

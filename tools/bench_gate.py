@@ -16,8 +16,8 @@ a *gate* by diffing them against the committed baselines in
   ``replay_hash`` pair (the benchmarks' run-vs-replay digests) must have
   equal values, and when a baseline records the pair the fresh ``hash``
   payload must still be self-consistent.  Contract pairs listed in
-  ``REQUIRED_HASH_PAIRS`` (the fig1 ``prep_backend_equivalence`` pair, the
-  shard sweep's ``determinism`` / ``comms_equivalence`` pairs, ...) must
+  ``REQUIRED_HASH_PAIRS`` (the fig1 ``determinism`` pair, the shard
+  sweep's ``determinism`` / ``comms_equivalence`` pairs, ...) must
   also be *present* in the fresh artifact — a benchmark that silently stops
   emitting one fails hard.
 
@@ -57,9 +57,9 @@ MIN_SECONDS_DEFAULT = 5e-3
 #: equivalence pairs that MUST be present in a fresh artifact.  The generic
 #: walker checks any ``hash``/``replay_hash`` pair it *finds*; this map makes
 #: silently dropping a contract pair (e.g. a refactor that stops emitting
-#: ``prep_backend_equivalence``) a hard failure instead of a silent pass.
+#: ``comms_equivalence``) a hard failure instead of a silent pass.
 REQUIRED_HASH_PAIRS: Dict[str, Tuple[str, ...]] = {
-    "BENCH_fig1_breakdown_wikipedia.json": ("prep_backend_equivalence",),
+    "BENCH_fig1_breakdown_wikipedia.json": ("determinism",),
     "BENCH_serve_latency.json": ("serve_determinism",),
     "BENCH_precision.json": ("precision_determinism", "fp32_equivalence"),
     "BENCH_shard_scaling.json": ("determinism", "comms_equivalence"),
