@@ -25,18 +25,15 @@ Correctness contracts asserted at every scale:
   ``determinism`` hash pair (run vs replay) that ``tools/bench_gate.py``
   checks for equality, so a determinism break fails CI even if the
   assertion itself were lost;
-* the ``pickle`` and ``shm`` gradient transports produce bitwise-identical
-  trajectories at every ``W`` across the serial/thread/process pools —
+* the flat gradient buckets give bitwise-identical trajectories at every
+  ``W`` whether they live in in-process buffers (serial and thread pools,
+  asserted equal to each other) or in shared memory (process pool) —
   recorded as the ``comms_equivalence`` hash pair the gate enforces.
 
 A second sweep times the **comms cells**: the process pool (the backend
-where gradients actually cross a serialization boundary) under each
-transport at every ``W``, recording the ``sync = reduce + transport``
-split, worker-side ``pack_seconds`` and ``barrier_bytes_moved`` per cell.
-At scale >= 0.5 the sweep asserts *hard* that the flat-bucket shm transport
-cuts barrier (sync) seconds by >= 30% vs pickle at every ``W > 1`` and
-never regresses ``W = 1``; at smoke scale the same checks print warnings
-(timings too noisy to gate).
+whose buckets live in shared memory) at every ``W``, recording the
+``sync = reduce + transport`` split and worker-side ``pack_seconds`` per
+cell.
 
 Results land in ``BENCH_shard_scaling.json`` for CI artifacts and the
 benchmark regression gate.
@@ -61,10 +58,9 @@ def _loss_trajectory_hash(trajectories) -> str:
 
 
 def _run_sharded(graph, config, workers, epochs, policy="temporal",
-                 backend="thread", comms=None):
+                 backend="thread"):
     with ShardedTrainer(graph, config, num_workers=workers,
-                        shard_policy=policy, backend=backend,
-                        comms=comms) as trainer:
+                        shard_policy=policy, backend=backend) as trainer:
         start = time.perf_counter()
         for _ in range(epochs):
             trainer.train_epoch()
@@ -73,13 +69,11 @@ def _run_sharded(graph, config, workers, epochs, policy="temporal",
         # Per-shard phase totals across epochs (NF/FS/AS/PP per shard).
         per_shard = [{} for _ in range(workers)]
         sync = reduce = transport = pack = 0.0
-        bytes_moved = 0
         for stats in trainer.history:
             sync += stats.sync_seconds
             reduce += stats.reduce_seconds
             transport += stats.transport_seconds
             pack += stats.pack_seconds
-            bytes_moved += stats.barrier_bytes_moved
             for shard_summary in stats.per_shard:
                 acc = per_shard[shard_summary["shard"]]
                 for key, value in shard_summary["runtime"].items():
@@ -87,12 +81,10 @@ def _run_sharded(graph, config, workers, epochs, policy="temporal",
         denom = max(epochs, 1)
         return {
             "wall_seconds_per_epoch": wall,
-            "comms": trainer.comms_name,
             "sync_seconds": sync / denom,
             "reduce_seconds": reduce / denom,
             "transport_seconds": transport / denom,
             "pack_seconds": pack / denom,
-            "barrier_bytes_moved": bytes_moved // denom,
             "per_shard_phases": per_shard,
             "plan": trainer.plan.describe(),
             "global_steps_per_epoch": trainer.history[-1].global_steps,
@@ -181,31 +173,21 @@ def test_shard_scaling(benchmark, wikipedia_graph):
         for violation in violations:
             print(f"  WARN (smoke-scale timing): {violation}")
 
-    # ---- comms cells: pickle vs shm under the process pool -------------------
-    # The process pool is the backend where gradients genuinely cross a
-    # serialization boundary, so it is the one whose barrier the flat-bucket
-    # transport must visibly cut; serial/thread cells below contribute to
-    # the bitwise-equivalence contract only.
+    # ---- comms cells: the process pool, buckets in shared memory ------------
     comms_epochs = 1
-    comms_cells = {"pickle": {}, "shm": {}}
-    equivalence = {"pickle": {}, "shm": {}}
-    for comms in ("pickle", "shm"):
-        for w in worker_counts:
-            entry, traj = _run_sharded(wikipedia_graph, config, w,
-                                       comms_epochs, backend="process",
-                                       comms=comms)
-            # The scaling sweep above already records plan + phase detail.
-            entry.pop("per_shard_phases")
-            entry.pop("plan")
-            comms_cells[comms][str(w)] = entry
-            equivalence[comms][f"process:w{w}"] = traj
+    comms_cells = {}
+    trajectories = {"serial": {}, "thread": {}, "process": {}}
+    for w in worker_counts:
+        entry, trajectories["process"][w] = _run_sharded(
+            wikipedia_graph, config, w, comms_epochs, backend="process")
+        # The scaling sweep above already records plan + phase detail.
+        entry.pop("per_shard_phases")
+        entry.pop("plan")
+        comms_cells[str(w)] = entry
     for pool in ("serial", "thread"):
-        for comms in ("pickle", "shm"):
-            for w in worker_counts:
-                _, traj = _run_sharded(wikipedia_graph, config, w,
-                                       comms_epochs, backend=pool,
-                                       comms=comms)
-                equivalence[comms][f"{pool}:w{w}"] = traj
+        for w in worker_counts:
+            _, trajectories[pool][w] = _run_sharded(
+                wikipedia_graph, config, w, comms_epochs, backend=pool)
 
     payload["comms"] = {
         "pool": "process",
@@ -213,49 +195,28 @@ def test_shard_scaling(benchmark, wikipedia_graph):
         "cells": comms_cells,
         "equivalence_pools": ["serial", "thread", "process"],
     }
+    # Both in-process pools share one buffer provider, so they must agree
+    # with each other before their trajectory is set against shared memory.
+    assert trajectories["thread"] == trajectories["serial"], \
+        "serial and thread pools must train bitwise-identical trajectories"
     payload["comms_equivalence"] = {
-        "hash": _loss_trajectory_hash(equivalence["pickle"]),
-        "replay_hash": _loss_trajectory_hash(equivalence["shm"]),
+        "hash": _loss_trajectory_hash(
+            {f"w{w}": trajectories["serial"][w] for w in worker_counts}),
+        "replay_hash": _loss_trajectory_hash(
+            {f"w{w}": trajectories["process"][w] for w in worker_counts}),
     }
 
-    print("Comms cells (process pool, pickle vs shm)")
+    print("Comms cells (process pool, buckets in shared memory)")
     for w in worker_counts:
-        p = comms_cells["pickle"][str(w)]
-        s = comms_cells["shm"][str(w)]
-        cut = (1.0 - s["sync_seconds"] / p["sync_seconds"]) * 100 \
-            if p["sync_seconds"] else 0.0
-        print(f"  W={w}: sync {p['sync_seconds']*1e3:7.2f} ms -> "
-              f"{s['sync_seconds']*1e3:7.2f} ms ({cut:+.0f}% cut), bytes "
-              f"{p['barrier_bytes_moved']} -> {s['barrier_bytes_moved']}")
+        c = comms_cells[str(w)]
+        print(f"  W={w}: sync {c['sync_seconds']*1e3:7.2f} ms = reduce "
+              f"{c['reduce_seconds']*1e3:6.2f} + transport "
+              f"{c['transport_seconds']*1e3:6.2f} ms; pack "
+              f"{c['pack_seconds']*1e3:6.2f} ms")
 
-    # Bitwise contract: every pool x W trajectory identical across transports.
-    assert equivalence["shm"] == equivalence["pickle"], \
-        "shm transport must match the pickle trajectories bitwise"
-    # Byte accounting: pickle moves every gradient array through the pool
-    # channel; the flat-bucket transports move none.
-    for w in worker_counts:
-        assert comms_cells["pickle"][str(w)]["barrier_bytes_moved"] > 0
-        assert comms_cells["shm"][str(w)]["barrier_bytes_moved"] == 0
-    # Barrier cut: hard at scale >= 0.5 (stable timings), warn-only at smoke.
-    comms_violations = []
-    for w in worker_counts:
-        p = comms_cells["pickle"][str(w)]["sync_seconds"]
-        s = comms_cells["shm"][str(w)]["sync_seconds"]
-        if w == 1:
-            # No cut required at W=1 (one worker, nothing to exchange) —
-            # but the flat path must not cost more than pickle there.
-            if s > p + max(0.25 * p, 2e-3):
-                comms_violations.append(
-                    f"W=1 barrier regressed under shm: {s:.4f}s vs {p:.4f}s")
-        elif s > 0.7 * p:
-            comms_violations.append(
-                f"shm must cut barrier seconds >=30% at W={w}: "
-                f"{s:.4f}s vs {p:.4f}s pickle")
-    if bench_scale() >= 0.5:
-        assert not comms_violations, "; ".join(comms_violations)
-    else:
-        for violation in comms_violations:
-            print(f"  WARN (smoke-scale timing): {violation}")
+    # Bitwise contract: in-process buffers and shared memory agree at every W.
+    assert trajectories["process"] == trajectories["serial"], \
+        "shared-memory buckets must match the in-process trajectories bitwise"
 
     benchmark.extra_info["shard_scaling"] = payload
     emit_bench_json("shard_scaling", payload)

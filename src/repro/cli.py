@@ -46,10 +46,8 @@ from typing import Optional, Sequence
 
 from .core import TaserConfig, TaserTrainer
 from .graph import DATASET_NAMES, load_dataset
-from .device.precision import (PRECISION_ENV_VAR, available_precisions,
+from .device.precision import (PRECISION_ENV_VAR, PRECISION_TIERS,
                                resolve_precision_name)
-from .distributed.comms import (COMMS_ENV_VAR, available_comms,
-                                resolve_comms_name)
 
 __all__ = ["build_parser", "build_serve_parser", "build_stream_parser",
            "build_train_parser", "main", "run", "run_serve", "run_stream",
@@ -98,26 +96,6 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
-def _precision_name(text: str) -> str:
-    """Argparse type: reject unknown precision tiers at parse time with the
-    registered-tier list (same style as the engine/depth validation)."""
-    if text not in available_precisions():
-        raise argparse.ArgumentTypeError(
-            f"unknown precision tier {text!r}: registered tiers are "
-            f"{', '.join(available_precisions())}")
-    return text
-
-
-def _comms_name(text: str) -> str:
-    """Argparse type: reject unknown gradient transports at parse time with
-    the registered-transport list (mirrors :func:`_precision_name`)."""
-    if text not in available_comms():
-        raise argparse.ArgumentTypeError(
-            f"unknown gradient comms {text!r}: registered transports are "
-            f"{', '.join(available_comms())}")
-    return text
-
-
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     """The dataset / model / runtime flags every command takes — one
     definition, so the four parsers cannot drift.  :func:`_model_config`
@@ -140,7 +118,8 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true",
                         help="print the result as a single JSON object only")
-    parser.add_argument("--precision", type=_precision_name, default=None,
+    parser.add_argument("--precision", choices=tuple(PRECISION_TIERS),
+                        default=None,
                         help="feature-store storage tier: 'fp32' (full width, "
                              "bitwise-identical to a build without tiers), "
                              "'fp16' or 'int8' (per-feature affine "
@@ -151,24 +130,20 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 def _validate_runtime_env(parser: argparse.ArgumentParser,
                           args: argparse.Namespace) -> None:
-    """Reject bad ``REPRO_PRECISION`` / ``REPRO_COMMS`` values at parse
-    time, for the dimensions the invoked command has a flag for (the ones it
-    reads).
+    """Reject a bad ``REPRO_PRECISION`` value at parse time.
 
-    Without the explicit flag, the config resolves each runtime dimension
-    from the environment; validating here surfaces a typo as a normal usage
-    error (with the registered-name list) instead of a traceback mid-run.
-    Runs *after* ``parse_args`` and only when no explicit flag was given: an
-    explicit flag wins over the environment, and ``--help`` must keep
-    working regardless of a stale environment.
+    Without the explicit flag, the config resolves the tier from the
+    environment; validating here surfaces a typo as a normal usage error
+    (with the tier list) instead of a traceback mid-run.  Runs *after*
+    ``parse_args`` and only when no explicit flag was given: an explicit
+    flag wins over the environment, and ``--help`` must keep working
+    regardless of a stale environment.
     """
-    for flag, resolver in (("precision", resolve_precision_name),
-                           ("comms", resolve_comms_name)):
-        if hasattr(args, flag) and getattr(args, flag) is None:
-            try:
-                resolver(None)
-            except ValueError as exc:
-                parser.error(str(exc))
+    if args.precision is None:
+        try:
+            resolve_precision_name(None)
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def _add_training_cell_args(parser: argparse.ArgumentParser,
@@ -280,16 +255,6 @@ def build_train_parser() -> argparse.ArgumentParser:
                         help="worker pool: 'serial' (reference, sequential), "
                              "'thread' (numpy kernels overlap across shards) "
                              "or 'process' (one child process per shard)")
-    # Only the sharded trainer has a gradient barrier: the default runner
-    # builds a plain TaserTrainer, which never reads ``config.comms``.
-    parser.add_argument("--comms", type=_comms_name, default=None,
-                        help="gradient transport of the sharded barrier: "
-                             "'pickle' (grad lists through the worker-pool "
-                             "channel, reference reduction) or 'shm' (flat-"
-                             "bucket vectorised reduction over shared-memory "
-                             "/ in-process buffers, bitwise-identical "
-                             "trajectories); default resolves "
-                             f"${COMMS_ENV_VAR} then 'pickle'")
     _add_training_cell_args(parser, variant_default="baseline",
                             engine_help="per-shard mini-batch engine")
     return parser
@@ -304,8 +269,7 @@ def run_train(args: argparse.Namespace) -> dict:
     start = time.time()
     with ShardedTrainer(graph, config, num_workers=args.workers,
                         shard_policy=args.shard_policy,
-                        backend=args.worker_backend,
-                        comms=args.comms) as trainer:
+                        backend=args.worker_backend) as trainer:
         result = trainer.fit()
         last = trainer.history[-1] if trainer.history else None
         return {
@@ -326,14 +290,11 @@ def run_train(args: argparse.Namespace) -> dict:
             "final_model_loss": (result.history[-1].model_loss
                                  if result.history else None),
             "runtime_breakdown_seconds": result.runtime_breakdown,
-            "comms": trainer.comms_name,
             "sync_seconds": sum(s.sync_seconds for s in trainer.history),
             "reduce_seconds": sum(s.reduce_seconds for s in trainer.history),
             "transport_seconds": sum(s.transport_seconds
                                      for s in trainer.history),
             "pack_seconds": sum(s.pack_seconds for s in trainer.history),
-            "barrier_bytes_moved": sum(s.barrier_bytes_moved
-                                       for s in trainer.history),
             "cache_hit_rates": result.cache_hit_rates,
             "wall_clock_seconds": time.time() - start,
         }
@@ -353,12 +314,10 @@ def _train_main(argv: Sequence[str]) -> int:
     print(f"  shards         : {summary['workers']} x {summary['shard_policy']} "
           f"{plan['shard_events']} events "
           f"(backend {summary['worker_backend']}, engine {summary['batch_engine']})")
-    print(f"  comms          : {summary['comms']} "
-          f"(sync {summary['sync_seconds']:.2f}s = "
+    print(f"  barrier        : sync {summary['sync_seconds']:.2f}s = "
           f"reduce {summary['reduce_seconds']:.2f}s + "
-          f"transport {summary['transport_seconds']:.2f}s; "
-          f"pack {summary['pack_seconds']:.2f}s, "
-          f"{summary['barrier_bytes_moved'] / 1e6:.1f} MB moved)")
+          f"transport {summary['transport_seconds']:.2f}s "
+          f"(pack {summary['pack_seconds']:.2f}s)")
     print(f"  test MRR       : {summary['test_mrr']:.4f}")
     print(f"  final loss     : {summary['final_model_loss']:.4f}")
     breakdown = ", ".join(

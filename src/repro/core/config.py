@@ -120,17 +120,6 @@ class TaserConfig:
     #: |MRR(tier) - MRR(fp32)| stays within this budget.
     precision_mrr_budget: float = 0.05
 
-    # -- gradient comms -----------------------------------------------------------
-    #: gradient transport of the sharded trainer's barrier
-    #: (repro.distributed.comms): "pickle" (grad lists through the worker
-    #: pool channel, reference loop reduction) or "shm" (flat-bucket
-    #: vectorised reduction; shared-memory segments under the process pool,
-    #: zero-copy in-process buffers otherwise; bitwise-identical
-    #: trajectories).  None resolves the REPRO_COMMS environment variable
-    #: and falls back to "pickle".  Single-worker (non-sharded) runs ignore
-    #: this field.
-    comms: Optional[str] = None
-
     # -- memory hierarchy ---------------------------------------------------------------
     #: fraction of edge features cached in simulated VRAM (0 disables the cache).
     cache_ratio: float = 0.2
@@ -168,13 +157,11 @@ class TaserConfig:
             raise ValueError(
                 "the TGL pointer-array finder only supports chronological order and "
                 "cannot be combined with adaptive mini-batch selection (Section IV-C)")
-        # Unknown names (explicit or via the REPRO_* variables) raise here
-        # with the registered-name list, so a typo fails at configuration
-        # time rather than deep inside the first batch.
+        # An unknown tier (explicit or via REPRO_PRECISION) raises here with
+        # the tier list, so a typo fails at configuration time rather than
+        # deep inside the first batch.
         from ..device.precision import resolve_precision_name
         resolve_precision_name(self.precision)
-        from ..distributed.comms import resolve_comms_name
-        resolve_comms_name(self.comms)
         if self.precision_mrr_budget < 0:
             raise ValueError("precision_mrr_budget must be >= 0, got "
                              f"{self.precision_mrr_budget}")
@@ -190,13 +177,6 @@ class TaserConfig:
         fp32)."""
         from ..device.precision import resolve_precision_name
         return resolve_precision_name(self.precision)
-
-    @property
-    def resolved_comms(self) -> str:
-        """The gradient transport sharded runs use (explicit > REPRO_COMMS >
-        pickle)."""
-        from ..distributed.comms import resolve_comms_name
-        return resolve_comms_name(self.comms)
 
     @property
     def resolved_finder_policy(self) -> str:

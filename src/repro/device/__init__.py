@@ -5,9 +5,8 @@ from .cache import (FeatureCache, DynamicFeatureCache, TieredFeatureCache,
                     OracleCache, StaticRandomCache, StaticDegreeCache)
 from .memory import FeatureStore, SliceStats
 from .precision import (PrecisionCodec, Fp32Codec, Fp16Codec, Int8Codec,
-                        PrecisionPolicy, available_precisions,
-                        register_precision, resolve_precision_name,
-                        make_precision_codec, roundtrip_rows,
+                        PrecisionPolicy, PRECISION_TIERS,
+                        resolve_precision_name, roundtrip_rows,
                         DEFAULT_PRECISION, PRECISION_ENV_VAR)
 
 __all__ = [
@@ -25,10 +24,8 @@ __all__ = [
     "Fp16Codec",
     "Int8Codec",
     "PrecisionPolicy",
-    "available_precisions",
-    "register_precision",
+    "PRECISION_TIERS",
     "resolve_precision_name",
-    "make_precision_codec",
     "roundtrip_rows",
     "DEFAULT_PRECISION",
     "PRECISION_ENV_VAR",

@@ -37,25 +37,22 @@ Exactness and error contracts
 
 Selecting a tier
 ----------------
-Resolution runs on the shared :class:`repro.core.registry.Registry`:
-an explicit name (the ``--precision`` CLI flag / ``TaserConfig.precision``)
-> the ``REPRO_PRECISION`` environment variable > ``"fp32"``.  Unknown names
-raise ``ValueError`` listing the registered tiers.
-
-Extension recipe: subclass :class:`PrecisionCodec`, set ``name`` and
-``itemsize``, implement ``fit`` / ``encode`` / ``decode``, and
-``register_precision("mine", MyCodec)``.
+The three tiers are fixed: :data:`PRECISION_TIERS` maps each name to its
+codec class, and :func:`resolve_precision_name` picks one — an explicit
+name (the ``--precision`` CLI flag / ``TaserConfig.precision``) > the
+``REPRO_PRECISION`` environment variable > ``"fp32"``.  Unknown names raise
+``ValueError`` listing the tiers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+import os
+from dataclasses import dataclass
+from typing import Dict, Optional, Type, Union
 
 import numpy as np
 
 from .. import tensor as _tensor
-from ..core.registry import Registry
 
 __all__ = [
     "PrecisionCodec",
@@ -63,10 +60,8 @@ __all__ = [
     "Fp16Codec",
     "Int8Codec",
     "PrecisionPolicy",
-    "available_precisions",
-    "register_precision",
+    "PRECISION_TIERS",
     "resolve_precision_name",
-    "make_precision_codec",
     "roundtrip_rows",
     "DEFAULT_PRECISION",
     "PRECISION_ENV_VAR",
@@ -189,47 +184,30 @@ class Int8Codec(PrecisionCodec):
         return out
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-#: shared name->codec-factory store + flag > REPRO_PRECISION > default
-#: resolution (see :class:`repro.core.registry.Registry`).
-_REGISTRY: "Registry[PrecisionCodec]" = Registry(
-    "precision tier", env_var=PRECISION_ENV_VAR, default=DEFAULT_PRECISION,
-    plural="tiers",
-    hint="pick one via --precision, TaserConfig.precision or "
-         f"{PRECISION_ENV_VAR}")
-
-
-def register_precision(name: str,
-                       factory: Callable[[], PrecisionCodec]) -> None:
-    """Register a precision-tier codec factory (overwrites silently)."""
-    _REGISTRY.register(name, factory)
-
-
-def available_precisions() -> Tuple[str, ...]:
-    """Registered tier names, sorted."""
-    return _REGISTRY.names()
+#: the storage tiers, anchor first; the CLI's ``--precision`` choices.
+PRECISION_TIERS: Dict[str, Type[PrecisionCodec]] = {
+    "fp32": Fp32Codec, "fp16": Fp16Codec, "int8": Int8Codec}
 
 
 def resolve_precision_name(name: Optional[str] = None) -> str:
-    """Resolve a tier name: explicit > ``REPRO_PRECISION`` env > default.
+    """Resolve a tier name: explicit > ``REPRO_PRECISION`` env > ``fp32``.
 
-    Raises ``ValueError`` with the registered tiers when the resolved name
-    is unknown, so config/CLI validation can surface an actionable message.
+    Raises ``ValueError`` listing the tiers when the resolved name is
+    unknown (naming the environment variable when it was the source), so
+    config/CLI validation can surface an actionable message.
     """
-    return _REGISTRY.resolve(name)
-
-
-def make_precision_codec(name: Optional[str] = None) -> PrecisionCodec:
-    """A fresh (unfitted) codec instance of the resolved tier."""
-    return _REGISTRY.get(name)()
-
-
-register_precision("fp32", Fp32Codec)
-register_precision("fp16", Fp16Codec)
-register_precision("int8", Int8Codec)
+    source = "requested"
+    if name is None:
+        name = os.environ.get(PRECISION_ENV_VAR, "").strip()
+        source = f"{PRECISION_ENV_VAR} environment variable"
+        if not name:
+            return DEFAULT_PRECISION
+    if name not in PRECISION_TIERS:
+        raise ValueError(
+            f"unknown precision tier {name!r} ({source}): the tiers are "
+            f"{', '.join(PRECISION_TIERS)}; pick one via --precision, "
+            f"TaserConfig.precision or {PRECISION_ENV_VAR}")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +265,11 @@ class PrecisionPolicy:
 
     @property
     def bytes_per_element(self) -> int:
-        return make_precision_codec(self.tier).itemsize
+        return PRECISION_TIERS[self.tier].itemsize
 
     def make_codec(self) -> PrecisionCodec:
         """A fresh (unfitted) codec of the configured tier."""
-        return make_precision_codec(self.tier)
+        return PRECISION_TIERS[self.tier]()
 
 
 # ---------------------------------------------------------------------------

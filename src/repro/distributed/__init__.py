@@ -11,18 +11,16 @@ with deterministic gradient averaging at batch barriers.
 ``W = 1`` is bitwise-identical to the single-process
 :class:`~repro.core.trainer.TaserTrainer`; ``W > 1`` is reproducible under a
 fixed seed and identical across the ``serial``, ``thread`` and ``process``
-pool backends — and across the ``pickle`` and ``shm`` gradient transports
-(:mod:`repro.distributed.comms`).  See ``docs/ARCHITECTURE.md`` (sharded
+pool backends, whose gradients meet in flat buckets held in shared memory
+(process pool) or in-process buffers (serial / thread) —
+:mod:`repro.distributed.comms`.  See ``docs/ARCHITECTURE.md`` (sharded
 data-parallel layer, gradient comms layer).
 """
 
-from .comms import (COMMS_ENV_VAR, DEFAULT_COMMS, GradientBucket,
-                    GradientComms, InProcessComms, PickleComms,
-                    SharedMemoryComms, available_comms, make_comms,
-                    register_comms, resolve_comms_name)
+from .comms import GradientBucket, GradientComms, average_gradients
 from .pool import (WORKER_BACKENDS, WorkerPool, SerialWorkerPool,
                    ThreadWorkerPool, ProcessWorkerPool, make_worker_pool)
-from .trainer import ShardedEpochStats, ShardedTrainer, average_gradients
+from .trainer import ShardedEpochStats, ShardedTrainer
 from .worker import ShardTask, ShardWorker
 
 __all__ = [
@@ -37,15 +35,6 @@ __all__ = [
     "average_gradients",
     "ShardTask",
     "ShardWorker",
-    "COMMS_ENV_VAR",
-    "DEFAULT_COMMS",
     "GradientBucket",
     "GradientComms",
-    "InProcessComms",
-    "PickleComms",
-    "SharedMemoryComms",
-    "available_comms",
-    "make_comms",
-    "register_comms",
-    "resolve_comms_name",
 ]

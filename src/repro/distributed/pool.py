@@ -17,8 +17,9 @@ execution backend is swappable:
 
 ``process``
     One child process per worker, connected over a pipe.  True parallelism
-    regardless of the GIL; arguments/results are pickled, so gradients cross
-    process boundaries by copy.
+    regardless of the GIL; arguments/results are pickled, so gradients meet
+    in shared-memory buckets instead (:mod:`repro.distributed.comms`) and
+    the pipe carries control messages.
 
 All three produce bitwise-identical training trajectories: each worker's
 compute is a deterministic function of its shard and the averaged gradients
@@ -219,9 +220,9 @@ def _process_worker_main(conn, task: ShardTask) -> None:
 class ProcessWorkerPool(WorkerPool):
     """One child process per shard, connected over a duplex pipe.
 
-    Gradients cross the barrier by pickling — acceptable for the model sizes
-    this repo trains, and the only backend with true parallelism for
-    GIL-bound (non-numpy) portions of batch generation.
+    The only backend with true parallelism for GIL-bound (non-numpy)
+    portions of batch generation; gradients bypass the pipe through
+    shared-memory buckets (:mod:`repro.distributed.comms`).
     """
 
     backend = "process"

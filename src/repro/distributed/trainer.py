@@ -46,14 +46,11 @@ from ..core.trainer import EpochStats, TaserTrainer, TrainResult
 from ..device.memory import SliceStats
 from ..graph.sharding import TemporalShardPlan, make_shard_plan
 from ..graph.temporal_graph import TemporalGraph
-# average_gradients lives in the comms module now (it is the reference
-# reduction every transport is asserted against) — re-exported here so
-# ``from repro.distributed.trainer import average_gradients`` keeps working.
-from .comms import GradientComms, average_gradients, make_comms
+from .comms import GradientComms
 from .pool import WorkerPool, make_worker_pool
 from .worker import ShardTask
 
-__all__ = ["ShardedEpochStats", "ShardedTrainer", "average_gradients"]
+__all__ = ["ShardedEpochStats", "ShardedTrainer"]
 
 
 @dataclass
@@ -75,20 +72,14 @@ class ShardedEpochStats(EpochStats):
     global_steps: int = 0
     #: raw wall-clock of the epoch as observed by the master.
     wall_seconds: float = 0.0
-    #: gradient transport in effect (``"pickle"`` or ``"shm"``).
-    comms: str = "pickle"
-    #: master seconds spent reducing gradients (loop or vectorised adds).
+    #: master seconds spent reducing gradients (vectorised bucket adds).
     reduce_seconds: float = 0.0
-    #: master seconds in barrier exchanges net of worker compute — pipe /
-    #: pickling / queue handoff cost (near zero for zero-copy transports).
+    #: master seconds in barrier exchanges net of worker compute — pipe I/O
+    #: of the control messages on the process pool, queue handoff otherwise.
     transport_seconds: float = 0.0
     #: worker seconds marshalling gradients (buffer packing, ingest copies),
     #: summed over shards.
     pack_seconds: float = 0.0
-    #: gradient array bytes handed across the pool interface this epoch
-    #: (0 for the flat-bucket transports: gradients move through shared or
-    #: in-process buffers, never the pool channel).
-    barrier_bytes_moved: int = 0
 
 
 class ShardedTrainer:
@@ -107,30 +98,24 @@ class ShardedTrainer:
         ``"temporal"`` or ``"hash"`` — see :func:`~repro.graph.sharding.make_shard_plan`.
     backend:
         Worker pool backend: ``"serial"``, ``"thread"`` (default) or
-        ``"process"``.
-    comms:
-        Gradient transport override: ``"pickle"`` or ``"shm"`` (see
-        :mod:`repro.distributed.comms`).  Defaults to the config's resolved
-        selection (``--comms`` flag > ``REPRO_COMMS`` env > ``"pickle"``).
+        ``"process"``.  It also decides where the flat gradient buckets
+        live (:mod:`repro.distributed.comms`): shared-memory segments on the
+        process pool, in-process buffers otherwise.
     """
 
     def __init__(self, graph: TemporalGraph, config: Optional[TaserConfig] = None,
                  num_workers: int = 1, shard_policy: str = "temporal",
-                 backend: str = "thread", comms: Optional[str] = None) -> None:
+                 backend: str = "thread") -> None:
         self.config = config if config is not None else TaserConfig()
         self.graph = graph if graph.is_chronological else graph.sort_by_time()
         self.num_workers = int(num_workers)
         self.backend = backend
-        self.comms_name = (comms if comms is not None
-                           else self.config.resolved_comms)
         self.plan: TemporalShardPlan = make_shard_plan(
             self.graph, self.num_workers, shard_policy,
             cache_ratio=self.config.cache_ratio)
         self.pool: WorkerPool = make_worker_pool(backend, self._shard_tasks())
         try:
-            self.comms: GradientComms = make_comms(
-                self.comms_name, self.pool,
-                lambda: self.pool.run_one(0, "comms_layout"))
+            self.comms = GradientComms(self.pool)
         except BaseException:
             self.pool.shutdown()
             raise
@@ -169,10 +154,8 @@ class ShardedTrainer:
         step_losses: List[float] = []
         step_sample_losses: List[float] = []
         for _ in range(steps):
-            # Backward -> reduce -> apply, through the selected transport
-            # (see repro.distributed.comms).  Every transport reduces in
-            # fixed shard order, so the trajectory is bitwise independent
-            # of the comms selection.
+            # Backward -> reduce -> apply over the flat buckets (see
+            # repro.distributed.comms), reducing in fixed shard order.
             self.comms.step()
         comms_stats = self.comms.epoch_stats()
         sync_seconds = (comms_stats["reduce_seconds"]
@@ -219,12 +202,10 @@ class ShardedTrainer:
             sync_seconds=sync_seconds,
             global_steps=steps,
             wall_seconds=wall_seconds,
-            comms=str(comms_stats["comms"]),
             reduce_seconds=float(comms_stats["reduce_seconds"]),
             transport_seconds=float(comms_stats["transport_seconds"]),
             pack_seconds=float(sum(s.get("pack_seconds", 0.0)
                                    for s in summaries)),
-            barrier_bytes_moved=int(comms_stats["barrier_bytes_moved"]),
         )
         self.history.append(stats)
         return stats

@@ -6,16 +6,18 @@ event view, with its own T-CSR, neighbor finder, feature store/cache slice,
 prep runtime (:class:`~repro.core.prep.PrepPipeline` — the shard's batches
 are prepared through the same shared pipeline as every other execution
 path, including its deduplicated fused gather), batch engine and model
-*replica*.  The sharded trainer drives all workers in lock-step through the
-split step protocol:
+*replica*.  After :meth:`ShardWorker.comms_attach` binds it to the master's
+flat gradient buckets (:mod:`repro.distributed.comms`), the sharded trainer
+drives all workers in lock-step through the split step protocol:
 
-1. :meth:`model_backward`  — generate the shard's next mini-batch (through
-   the shard's own sync/aot engine) and run forward + backward,
-   leaving gradients in place;
-2. :meth:`apply_model`     — overwrite the replica's gradients with the
+1. :meth:`comms_model_backward` — generate the shard's next mini-batch
+   (through the shard's own sync/aot engine), run forward + backward and
+   pack the gradients into this worker's buffer;
+2. :meth:`comms_apply_model`    — overwrite the replica's gradients with the
    globally averaged ones, clip, step, run the shard-local selector update,
-   and (for adaptive configs) backprop the sampler loss;
-3. :meth:`apply_sampler`   — apply the averaged sampler gradients.
+   and (for adaptive configs) backprop the sampler loss and pack its
+   gradients;
+3. :meth:`comms_apply_sampler`  — apply the averaged sampler gradients.
 
 Because every replica starts from identical weights (same config seed) and
 steps on identical averaged gradients, replicas stay **bitwise identical**
@@ -23,11 +25,10 @@ across workers for the whole run — there is no weight broadcast, only the
 gradient barrier.  All methods take and return picklable values only, so the
 same class serves the in-process pools and the process pool's children.
 
-Gradients returned across the barrier are *copies*: a live ``p.grad`` is a
-buffer the autograd engine may have borrowed from an interior node and keeps
-accumulating into in place (see "Gradient ownership" in
-:mod:`repro.tensor.tensor`), so it must not be aliased by what the master
-reduces.
+Packing copies: a live ``p.grad`` is a buffer the autograd engine may have
+borrowed from an interior node and keeps accumulating into in place (see
+"Gradient ownership" in :mod:`repro.tensor.tensor`), so it must not be
+aliased by what the master reduces.
 """
 
 from __future__ import annotations
@@ -41,13 +42,9 @@ import numpy as np
 from ..core.config import TaserConfig
 from ..core.trainer import TaserTrainer, TrainStep
 from ..graph.temporal_graph import TemporalGraph
-from .comms import WorkerCommsEndpoint
+from .comms import GradList, WorkerCommsEndpoint
 
 __all__ = ["ShardTask", "ShardWorker"]
-
-#: gradient lists are aligned with ``optimizer.params``; ``None`` marks a
-#: parameter that received no gradient this step.
-GradList = List[Optional[np.ndarray]]
 
 
 @dataclass
@@ -132,97 +129,6 @@ class ShardWorker:
 
     # -- lock-step protocol --------------------------------------------------------
 
-    def model_backward(self) -> Optional[GradList]:
-        """Advance to the shard's next batch; forward + backward; return grads.
-
-        Returns ``None`` once the shard's schedule is exhausted (the sharded
-        trainer sizes the epoch to the smallest shard, so this only happens
-        if it over-asks).
-        """
-        t = self.trainer
-        prepared = next(self._batches, None)
-        if prepared is None:
-            self._step = None
-            return None
-        self._step = t._model_backward(prepared)
-        # Copies, not live references: p.grad is borrowed / accumulated into
-        # in place by the engine, and the barrier consumes these values after
-        # this replica has moved on.
-        return [None if p.grad is None else p.grad.copy()
-                for p in t.model_optimizer.params]
-
-    def apply_model(self, grads: GradList) -> Optional[GradList]:
-        """Apply averaged model gradients; run shard-local feedback updates.
-
-        Returns the sampler's gradients when the adaptive neighbor sampler
-        produced a sample loss for this batch, else ``None``.
-        """
-        sampler_params = self._apply_model_grads(grads)
-        if sampler_params is None:
-            return None
-        return [None if p.grad is None else p.grad.copy()
-                for p in sampler_params]
-
-    def _apply_model_grads(self, grads: GradList):
-        """Shared body of the model half-step, transport-independent.
-
-        Both transports route through here so the replica executes the exact
-        same op sequence per step — the bitwise contract depends on it.
-        Returns the sampler optimizer's live params when the adaptive
-        sampler produced a sample loss for this batch, else ``None``.
-        """
-        t = self.trainer
-        step = self._step
-        t0 = time.perf_counter()
-        for p, g in zip(t.model_optimizer.params, grads):
-            # Private copy: clipping scales gradients in place, and under the
-            # thread pool all workers receive the same averaged arrays (the
-            # bucket transports hand out views of the shared averaged buffer).
-            p.grad = None if g is None else np.array(g, copy=True)
-        self._pack_seconds += time.perf_counter() - t0
-        t._model_step()
-        t.selector.update(step.prepared.local_indices, step.pos_logits.data)
-        self._losses.append(float(step.model_loss.data))
-
-        if t.sampler_optimizer is None:
-            self._sample_losses.append(0.0)
-            return None
-        with t.timer.section("AS"):
-            sample_loss = t._sampler_backward(step)
-        if sample_loss is None:
-            self._sample_losses.append(0.0)
-            return None
-        self._sample_losses.append(float(sample_loss.data))
-        return t.sampler_optimizer.params
-
-    def apply_sampler(self, grads: GradList) -> None:
-        """Apply averaged sampler gradients (clip + step, AS phase)."""
-        t = self.trainer
-        t0 = time.perf_counter()
-        for p, g in zip(t.sampler_optimizer.params, grads):
-            p.grad = None if g is None else np.array(g, copy=True)
-        self._pack_seconds += time.perf_counter() - t0
-        with t.timer.section("AS"):
-            t._sampler_step()
-
-    # -- timed pickle-transport wrappers -------------------------------------------
-
-    def barrier_apply_model(self, grads: GradList
-                            ) -> Tuple[Optional[GradList], float]:
-        """:meth:`apply_model` plus the in-method seconds the comms layer
-        subtracts from master wall time to isolate transport cost."""
-        t0 = time.perf_counter()
-        out = self.apply_model(grads)
-        return out, time.perf_counter() - t0
-
-    def barrier_apply_sampler(self, grads: GradList) -> Tuple[None, float]:
-        """:meth:`apply_sampler`, timed like :meth:`barrier_apply_model`."""
-        t0 = time.perf_counter()
-        self.apply_sampler(grads)
-        return None, time.perf_counter() - t0
-
-    # -- flat-bucket transport endpoints ---------------------------------------------
-
     def comms_layout(self) -> Dict:
         """Parameter shapes for the flat-bucket layout (worker 0 speaks for
         all — replicas are bitwise identical by construction)."""
@@ -242,29 +148,32 @@ class ShardWorker:
         self._comms = WorkerCommsEndpoint(spec)
 
     def comms_model_backward(self) -> bool:
-        """Bucket counterpart of :meth:`model_backward`: pack gradients into
-        this worker's flat buffer in place; only a present/exhausted flag
-        crosses the pool channel.  Packing reads the live ``p.grad`` arrays
-        directly (the pack *is* the copy that decouples them from the
-        barrier)."""
-        t = self.trainer
-        prepared = next(self._batches, None)
-        if prepared is None:
-            self._step = None
+        """Advance to the shard's next batch, run forward + backward and
+        pack the gradients into this worker's flat buffer in place; only a
+        present/exhausted flag crosses the pool channel.
+
+        Returns ``False`` once the shard's schedule is exhausted (the sharded
+        trainer sizes the epoch to the smallest shard, so this only happens
+        if it over-asks).
+        """
+        if not self._backward():
             return False
-        self._step = t._model_backward(prepared)
+        t = self.trainer
         c = self._comms
         t0 = time.perf_counter()
+        # The pack *is* the copy that decouples the live p.grad buffers from
+        # the barrier.
         c.model_bucket.pack([p.grad for p in t.model_optimizer.params],
                             c.model_buf)
         self._pack_seconds += time.perf_counter() - t0
         return True
 
     def comms_apply_model(self) -> Tuple[bool, float]:
-        """Bucket counterpart of :meth:`apply_model`: read the averaged
-        gradients from the shared buffer, apply, and pack any sampler
-        gradients into this worker's sampler buffer.  Returns (has sampler
-        contribution, in-method seconds)."""
+        """Apply the averaged model gradients from the shared buffer, run the
+        shard-local feedback updates, and pack any sampler gradients into
+        this worker's sampler buffer.  Returns (has sampler contribution,
+        in-method seconds) — the seconds let the master subtract worker
+        compute from the exchange wall time."""
         t0 = time.perf_counter()
         c = self._comms
         sampler_params = self._apply_model_grads(
@@ -277,11 +186,63 @@ class ShardWorker:
         return sampler_params is not None, time.perf_counter() - t0
 
     def comms_apply_sampler(self) -> Tuple[None, float]:
-        """Bucket counterpart of :meth:`apply_sampler`."""
+        """Apply the averaged sampler gradients (clip + step, AS phase),
+        timed like :meth:`comms_apply_model`."""
         t0 = time.perf_counter()
         c = self._comms
-        self.apply_sampler(c.sampler_bucket.unpack(c.sampler_avg))
+        self._apply_sampler_grads(c.sampler_bucket.unpack(c.sampler_avg))
         return None, time.perf_counter() - t0
+
+    # -- transport-independent halves of a step ------------------------------------
+
+    def _backward(self) -> bool:
+        """Next batch, forward + backward; gradients stay in ``p.grad``."""
+        prepared = next(self._batches, None)
+        if prepared is None:
+            self._step = None
+            return False
+        self._step = self.trainer._model_backward(prepared)
+        return True
+
+    def _apply_model_grads(self, grads: GradList):
+        """Install averaged model gradients, step, run the selector update
+        and (adaptive configs) backprop the sampler loss.
+
+        Returns the sampler optimizer's live params when the adaptive
+        sampler produced a sample loss for this batch, else ``None``.
+        """
+        t = self.trainer
+        step = self._step
+        t0 = time.perf_counter()
+        for p, g in zip(t.model_optimizer.params, grads):
+            # Private copy: clipping scales gradients in place, and every
+            # worker reads views of the one averaged buffer.
+            p.grad = None if g is None else np.array(g, copy=True)
+        self._pack_seconds += time.perf_counter() - t0
+        t._model_step()
+        t.selector.update(step.prepared.local_indices, step.pos_logits.data)
+        self._losses.append(float(step.model_loss.data))
+
+        if t.sampler_optimizer is None:
+            self._sample_losses.append(0.0)
+            return None
+        with t.timer.section("AS"):
+            sample_loss = t._sampler_backward(step)
+        if sample_loss is None:
+            self._sample_losses.append(0.0)
+            return None
+        self._sample_losses.append(float(sample_loss.data))
+        return t.sampler_optimizer.params
+
+    def _apply_sampler_grads(self, grads: GradList) -> None:
+        """Install averaged sampler gradients; clip + step (AS phase)."""
+        t = self.trainer
+        t0 = time.perf_counter()
+        for p, g in zip(t.sampler_optimizer.params, grads):
+            p.grad = None if g is None else np.array(g, copy=True)
+        self._pack_seconds += time.perf_counter() - t0
+        with t.timer.section("AS"):
+            t._sampler_step()
 
     def end_epoch(self) -> Dict:
         """Finish the batch iterator and return the shard's epoch summary.

@@ -279,8 +279,8 @@ class TestRequiredHashPairs:
         assert _gate(current, baselines) == 0
 
     def test_comms_replay_mismatch_fails_at_every_scale(self, dirs):
-        """A shm trajectory diverging from the pickle anchor breaks the
-        transports' bitwise contract — enforced without --strict."""
+        """A shared-memory trajectory diverging from the in-process one
+        breaks the buckets' bitwise contract — enforced without --strict."""
         current, baselines = dirs
         baselines.mkdir(parents=True)
         _write(current, self._shard_artifact(comms_replay="doctored"),

@@ -1,4 +1,4 @@
-"""Gradient comms layer: bucket bitwise contract + transport equivalence.
+"""Gradient comms layer: bucket bitwise contract + the reference barrier.
 
 Three contract layers (see docs/ARCHITECTURE.md, "Gradient comms layer"):
 
@@ -7,12 +7,18 @@ Three contract layers (see docs/ARCHITECTURE.md, "Gradient comms layer"):
   vectorised ``reduce`` is **bitwise-identical** to the reference
   :func:`average_gradients` loop — property-tested over mixed shapes, mask
   patterns and worker counts;
-* the ``pickle`` and ``shm`` transports produce bitwise-identical loss
-  trajectories at every worker count across the serial/thread/process
-  pools (the ``comms_equivalence`` contract the bench gate enforces);
+* ``ShardedTrainer`` — flat buckets in in-process buffers (serial/thread)
+  or shared memory (process) — produces the loss trajectory of a plain
+  reference barrier bitwise: per-worker ``p.grad`` copies averaged with
+  :func:`average_gradients` in shard order, driven over bare
+  :class:`ShardWorker`s without buckets or a pool;
 * shared-memory segments never outlive the trainer — unlinked on normal
   shutdown *and* after a worker crash — and a dead child surfaces as a
   clear error instead of a hang.
+
+The transport used to be an option; the removal tests at the end pin that
+the option is gone from the trainer, the config, the CLI and the
+environment.
 """
 
 import glob
@@ -26,14 +32,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.tensor
+from repro import cli
 from repro.core import TaserConfig
-from repro.distributed import ShardedTrainer, average_gradients
-from repro.distributed.comms import (COMMS_ENV_VAR, DEFAULT_COMMS,
-                                     GradientBucket, PickleComms,
-                                     available_comms, gradlist_nbytes,
-                                     make_comms, register_comms,
-                                     resolve_comms_name)
-from repro.graph import CTDGConfig, generate_ctdg
+from repro.distributed import (ShardedTrainer, ShardTask, ShardWorker,
+                               average_gradients)
+from repro.distributed.comms import GradientBucket, GradientComms
+from repro.graph import CTDGConfig, generate_ctdg, make_shard_plan
 
 
 def tiny_config(**overrides):
@@ -120,7 +124,7 @@ def test_bucket_roundtrip_and_reduce_match_reference(problem):
     w = len(grad_lists)
     out = bucket.allocate()
     bucket.reduce(buffers, out=out, denominator=w)
-    flat_avg = bucket.unpack_averaged(out)
+    flat_avg = bucket.unpack(out)
     ref_avg = average_gradients(grad_lists, denominator=w)
     for ref, got in zip(ref_avg, flat_avg):
         assert _bitwise_equal(ref, got)
@@ -181,133 +185,81 @@ def test_average_gradients_matches_pre_earlyout_form():
         assert _bitwise_equal(f, s)
 
 
-def test_gradlist_nbytes():
-    assert gradlist_nbytes([np.zeros(4), None, np.zeros((2, 3))]) == 80
+# ------------------------------------------------------- reference barrier
+
+def _grad_copies(params):
+    return [None if p.grad is None else p.grad.copy() for p in params]
 
 
-# ----------------------------------------------------------------- registry
-
-def test_registry_names_and_resolution(monkeypatch):
-    assert "pickle" in available_comms()
-    assert "shm" in available_comms()
-    monkeypatch.delenv(COMMS_ENV_VAR, raising=False)
-    assert resolve_comms_name(None) == DEFAULT_COMMS == "pickle"
-    assert resolve_comms_name("shm") == "shm"
-    monkeypatch.setenv(COMMS_ENV_VAR, "shm")
-    assert resolve_comms_name(None) == "shm"
-    assert resolve_comms_name("pickle") == "pickle"  # explicit beats env
-    with pytest.raises(ValueError, match="pickle"):
-        resolve_comms_name("bogus")
-
-
-def test_register_custom_comms_dispatches():
-    calls = {}
-
-    def factory(pool, layout_provider):
-        calls["pool"] = pool
-        return PickleComms(pool)
-
-    register_comms("test-custom", factory)
-    try:
-
-        class FakePool:
-            num_workers = 1
-            backend = "serial"
-
-        comms = make_comms("test-custom", FakePool(), lambda: {})
-        assert isinstance(comms, PickleComms)
-        assert isinstance(calls["pool"], FakePool)
-    finally:
-        from repro.distributed.comms import _REGISTRY
-        _REGISTRY._factories.pop("test-custom", None)
-
-
-def test_config_validates_and_resolves_comms(monkeypatch):
-    monkeypatch.delenv(COMMS_ENV_VAR, raising=False)
-    assert tiny_config().resolved_comms == "pickle"
-    assert tiny_config(comms="shm").resolved_comms == "shm"
-    with pytest.raises(ValueError, match="gradient comms"):
-        tiny_config(comms="bogus")
-    monkeypatch.setenv(COMMS_ENV_VAR, "shm")
-    assert tiny_config().resolved_comms == "shm"
-    monkeypatch.setenv(COMMS_ENV_VAR, "bogus")
-    with pytest.raises(ValueError, match="gradient comms"):
-        tiny_config()
-
-
-def test_cli_comms_flag_and_env_validation(monkeypatch):
-    from repro.cli import build_train_parser, _validate_runtime_env
-
-    parser = build_train_parser()
-    args = parser.parse_args(["--comms", "shm", "--epochs", "1"])
-    assert args.comms == "shm"
-    with pytest.raises(SystemExit):
-        parser.parse_args(["--comms", "bogus"])
-    monkeypatch.setenv(COMMS_ENV_VAR, "bogus")
-    args = parser.parse_args(["--epochs", "1"])
-    with pytest.raises(SystemExit):
-        _validate_runtime_env(parser, args)
-
-
-# ----------------------------------------------------- transport equivalence
-
-def _trajectory(graph, comms, backend, workers, epochs=2):
-    config = tiny_config()
-    with ShardedTrainer(graph, config, num_workers=workers,
-                        backend=backend, comms=comms) as trainer:
-        losses = [trainer.train_epoch().batch_losses for _ in range(epochs)]
-        last = trainer.history[-1]
-        return losses, last
+def reference_trajectory(graph, config, workers, epochs=2):
+    """The barrier without buckets or a pool: per-worker ``p.grad`` copies
+    -> :func:`average_gradients` in shard order -> apply, model then
+    sampler, over bare :class:`ShardWorker`s."""
+    graph = graph if graph.is_chronological else graph.sort_by_time()
+    plan = make_shard_plan(graph, workers, "temporal",
+                           cache_ratio=config.cache_ratio)
+    shards = []
+    for spec in plan.shards:
+        g = plan.shard_graph(spec.index)
+        shards.append(ShardWorker(ShardTask(
+            config=config, shard_index=spec.index, num_shards=workers,
+            cache_capacity=spec.cache_capacity, src=g.src, dst=g.dst,
+            ts=g.ts, num_nodes=g.num_nodes, edge_feat=g.edge_feat,
+            node_feat=g.node_feat, meta=g.meta)))
+    trajectory = []
+    for _ in range(epochs):
+        steps = min(w.num_batches(config.max_batches_per_epoch)
+                    for w in shards)
+        for w in shards:
+            w.begin_epoch(steps)
+        for _ in range(steps):
+            grads = []
+            for w in shards:
+                assert w._backward()
+                grads.append(_grad_copies(w.trainer.model_optimizer.params))
+            averaged = average_gradients(grads, denominator=workers)
+            sampler = [w._apply_model_grads(averaged) for w in shards]
+            contributors = [_grad_copies(params) for params in sampler
+                            if params is not None]
+            if contributors:
+                averaged = average_gradients(
+                    contributors, denominator=len(contributors))
+                for w in shards:
+                    w._apply_sampler_grads(averaged)
+        summaries = [w.end_epoch() for w in shards]
+        trajectory.append([
+            float(sum(s["losses"][i] for s in summaries) / workers)
+            for i in range(steps)])
+    return trajectory
 
 
 @pytest.mark.parametrize("backend,workers", [
-    ("serial", 1), ("serial", 3), ("thread", 2),
+    ("serial", 1), ("serial", 3), ("thread", 2), ("process", 2),
 ])
-def test_shm_matches_pickle_inprocess(comms_graph, backend, workers):
-    pickle_losses, pickle_last = _trajectory(comms_graph, "pickle",
-                                             backend, workers)
-    shm_losses, shm_last = _trajectory(comms_graph, "shm", backend, workers)
-    assert shm_losses == pickle_losses
-    assert pickle_last.comms == "pickle"
-    assert shm_last.comms == "shm"
-    assert pickle_last.barrier_bytes_moved > 0
-    assert shm_last.barrier_bytes_moved == 0
-    for stats in (pickle_last, shm_last):
-        assert stats.sync_seconds == pytest.approx(
-            stats.reduce_seconds + stats.transport_seconds)
-        assert stats.pack_seconds >= 0.0
-
-
-def test_shm_matches_pickle_process_pool(comms_graph):
-    pickle_losses, pickle_last = _trajectory(comms_graph, "pickle",
-                                             "process", 2, epochs=1)
-    shm_losses, shm_last = _trajectory(comms_graph, "shm",
-                                       "process", 2, epochs=1)
-    assert shm_losses == pickle_losses
-    assert pickle_last.barrier_bytes_moved > 0
-    assert shm_last.barrier_bytes_moved == 0
-
-
-def test_trainer_rejects_unknown_comms(comms_graph):
-    with pytest.raises(ValueError, match="gradient comms"):
-        ShardedTrainer(comms_graph, tiny_config(), num_workers=1,
-                       backend="serial", comms="bogus")
+def test_trainer_matches_reference_barrier(comms_graph, backend, workers):
+    config = tiny_config()
+    assert config.adaptive_neighbor   # the sampler sub-barrier runs too
+    with ShardedTrainer(comms_graph, config, num_workers=workers,
+                        backend=backend) as trainer:
+        losses = [trainer.train_epoch().batch_losses for _ in range(2)]
+        last = trainer.history[-1]
+    assert losses == reference_trajectory(comms_graph, config, workers)
+    assert last.sync_seconds == pytest.approx(
+        last.reduce_seconds + last.transport_seconds)
+    assert last.pack_seconds >= 0.0
 
 
 def test_run_train_summary_reports_comms(comms_graph, monkeypatch):
-    from repro import cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "load_dataset",
+    monkeypatch.setattr(cli, "load_dataset",
                         lambda name, scale=1.0, seed=0: comms_graph)
-    parser = cli_mod.build_train_parser()
+    parser = cli.build_train_parser()
     args = parser.parse_args(["--workers", "2", "--worker-backend", "serial",
-                              "--comms", "shm", "--epochs", "1",
-                              "--max-batches-per-epoch", "3"])
-    summary = cli_mod.run_train(args)
-    assert summary["comms"] == "shm"
-    assert summary["barrier_bytes_moved"] == 0
+                              "--epochs", "1", "--max-batches-per-epoch", "3"])
+    summary = cli.run_train(args)
     assert summary["sync_seconds"] == pytest.approx(
         summary["reduce_seconds"] + summary["transport_seconds"])
+    assert summary["pack_seconds"] >= 0.0
+    assert "comms" not in summary and "barrier_bytes_moved" not in summary
 
 
 # ------------------------------------------------- crash + lifecycle hygiene
@@ -321,7 +273,7 @@ def _shm_segment_names():
 def test_shm_segments_unlinked_on_shutdown(comms_graph):
     before = _shm_segment_names()
     trainer = ShardedTrainer(comms_graph, tiny_config(), num_workers=2,
-                             backend="process", comms="shm")
+                             backend="process")
     try:
         seg_name = trainer.comms._segment_names[0]
         assert shared_memory.SharedMemory(name=seg_name) is not None
@@ -335,7 +287,7 @@ def test_shm_segments_unlinked_on_shutdown(comms_graph):
 
 def test_dead_child_raises_instead_of_hanging(comms_graph):
     trainer = ShardedTrainer(comms_graph, tiny_config(), num_workers=2,
-                             backend="process", comms="shm")
+                             backend="process")
     before = _shm_segment_names()
     assert before  # the run is live: its segments exist
     seg_name = trainer.comms._segment_names[0]
@@ -358,14 +310,68 @@ def test_dead_child_raises_instead_of_hanging(comms_graph):
         assert not set(after) & set(before)
 
 
-def test_pickle_comms_flags_exhausted_worker():
+def test_comms_flags_exhausted_worker():
     class FakePool:
         num_workers = 2
         backend = "serial"
 
+        def run_one(self, index, method):
+            assert method == "comms_layout"
+            return {"model": [(2,)], "sampler": None}
+
         def run(self, method, args_list=None):
-            assert method == "model_backward"
-            return [[np.ones(2)], None]   # worker 1 ran out of batches
+            assert method == "comms_attach"
+
+        def run_timed(self, method, args_list=None):
+            assert method == "comms_model_backward"
+            return [True, False], 0.0   # worker 1 ran out of batches
 
     with pytest.raises(RuntimeError, match=r"\[1\] exhausted"):
-        PickleComms(FakePool()).step()
+        GradientComms(FakePool()).step()
+
+
+# ------------------------------------------------------------- removal tests
+
+#: what the deleted transport option was called; its flag, config field,
+#: trainer argument and environment variable were all named after it.
+GONE = "comms"
+
+
+def test_default_transport_is_the_bucket_path(comms_graph):
+    with ShardedTrainer(comms_graph, tiny_config(), num_workers=2,
+                        backend="serial") as trainer:
+        comms = trainer.comms
+        assert isinstance(comms, GradientComms)
+        assert comms.sampler_bucket is not None
+        assert len(comms.model_bufs) == len(comms.sampler_bufs) == 2
+        # in-process buffers: plain arrays, no shared-memory segment
+        assert all(type(b) is np.ndarray
+                   for b in [*comms.model_bufs, comms.model_avg])
+        assert comms._segment_names == []
+
+
+def test_trainer_rejects_unknown_comms(comms_graph):
+    with pytest.raises(TypeError):
+        ShardedTrainer(comms_graph, tiny_config(), num_workers=1,
+                       backend="serial", **{GONE: "shm"})
+
+
+def test_config_has_no_comms_field(monkeypatch):
+    with pytest.raises(TypeError):
+        tiny_config(**{GONE: "shm"})
+    assert not hasattr(TaserConfig(), "resolved_" + GONE)
+    # A stale variable from an older setup is ignored, not an error.
+    monkeypatch.setenv("REPRO_" + GONE.upper(), "bogus")
+    assert tiny_config().variant_name() == "TASER"
+
+
+def test_cli_comms_flag_and_env_validation(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_" + GONE.upper(), "bogus")
+    for build in (cli.build_parser, cli.build_train_parser,
+                  cli.build_stream_parser, cli.build_serve_parser):
+        parser = build()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--" + GONE, "shm"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+        # the stale variable no longer fails validation
+        cli._validate_runtime_env(parser, parser.parse_args([]))

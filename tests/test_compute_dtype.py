@@ -189,8 +189,8 @@ class TestLeakGuard:
 
     def test_gradient_bucket_follows_the_dtype(self, small_graph):
         config = leak_config(backbone="graphmixer")
-        with ShardedTrainer(small_graph, config, num_workers=1, backend="serial",
-                            comms="shm") as sharded:
+        with ShardedTrainer(small_graph, config, num_workers=1,
+                            backend="serial") as sharded:
             sharded.train_epoch()
             comms = sharded.comms
             for bucket, buffers, averaged in (
@@ -293,7 +293,8 @@ class TestSourceLint:
     def test_no_dtype_knob(self):
         pattern = re.compile(r"REPRO_DTYPE|compute_dtype|--dtype")
         root = SRC.parents[1]
-        files = [SRC / "cli.py", SRC / "core" / "config.py", SRC / "core" / "registry.py",
+        files = [SRC / "cli.py", SRC / "core" / "config.py",
+                 SRC / "device" / "precision.py",
                  *sorted((root / ".github").rglob("*.yml"))]
         assert [str(f) for f in files if pattern.search(f.read_text())] == []
 

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core import TaserConfig, TaserTrainer
-from repro.distributed import (ShardedTrainer, ShardTask, ShardWorker,
-                               average_gradients, make_worker_pool)
+from repro.distributed import (GradientBucket, ShardedTrainer, ShardTask,
+                               ShardWorker, average_gradients,
+                               make_worker_pool)
 from repro.graph import (CTDGConfig, build_tcsr, generate_ctdg,
                          make_shard_plan)
 
@@ -241,10 +242,21 @@ class TestShardedMechanics:
         worker = ShardWorker(task)
         try:
             assert worker.num_batches(4) == 4
+            layout = worker.comms_layout()
+            assert layout["sampler"] is None      # non-adaptive config
+            bucket = GradientBucket(layout["model"])
+            own, averaged = bucket.allocate(), bucket.allocate()
+            worker.comms_attach({"kind": "inprocess",
+                                 "model_shapes": bucket.shapes,
+                                 "sampler_shapes": None,
+                                 "model_buf": own, "model_avg": averaged})
             worker.begin_epoch(1)
-            grads = worker.model_backward()
-            assert any(g is not None for g in grads)
-            assert worker.apply_model(average_gradients([grads])) is None
+            assert worker.comms_model_backward()
+            assert any(g is not None for g in bucket.unpack(own))
+            bucket.reduce([own], out=averaged, denominator=1)
+            has_sampler, seconds = worker.comms_apply_model()
+            assert has_sampler is False and seconds >= 0.0
+            assert not worker.comms_model_backward()   # schedule exhausted
             summary = worker.end_epoch()
             assert len(summary["losses"]) == 1
         finally:

@@ -222,7 +222,7 @@ class TestStreamCLI:
         for gone in (["--batch-engine", "aot"], ["--batch-engine", "prefetch"],
                      ["--prefetch-depth", "2"], ["--prep-pool-workers", "1"],
                      ["--prep-cache-mb", "64"], ["--backend", "reference"],
-                     ["--prep-backend", "fused"], ["--comms", "shm"]):
+                     ["--prep-backend", "fused"]):
             with pytest.raises(SystemExit):
                 main(self.STREAM_ARGS + gone)
             capsys.readouterr()
@@ -301,18 +301,16 @@ class TestServeCLI:
         assert "must be >= 0" in capsys.readouterr().err
 
     def test_serve_rejects_unknown_backends_at_parse_time(self, capsys):
-        """An unknown --precision lists the registered tiers; --backend,
-        --prep-backend and --comms (serving has no shard barrier) are not
-        flags at all."""
-        for gone in (["--backend", "reference"], ["--prep-backend", "fused"],
-                     ["--comms", "shm"]):
+        """An unknown --precision lists the tiers; --backend and
+        --prep-backend are not flags at all."""
+        for gone in (["--backend", "reference"], ["--prep-backend", "fused"]):
             with pytest.raises(SystemExit):
                 main(self.SERVE_ARGS + gone)
             assert "unrecognized arguments" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             main(self.SERVE_ARGS + ["--precision", "warp"])
         err = capsys.readouterr().err
-        assert "registered tiers" in err and "fp16" in err
+        assert "invalid choice" in err and "fp16" in err
 
     def test_serve_env_backend_validated_not_breaking_help(self, monkeypatch,
                                                            capsys):
@@ -322,7 +320,7 @@ class TestServeCLI:
         with pytest.raises(SystemExit) as exc:
             main(self.SERVE_ARGS + ["--json"])
         assert exc.value.code == 2
-        assert "registered tiers" in capsys.readouterr().err
+        assert "the tiers are" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
             main(["serve", "--help"])
         assert exc.value.code == 0

@@ -1,7 +1,7 @@
 """Precision tiers (repro.device.precision) and the compressed caches.
 
 Covers the codec round-trip contracts (hypothesis property tests), the
-registry resolution order, :class:`PrecisionPolicy` validation, the feature
+tier resolution order, :class:`PrecisionPolicy` validation, the feature
 store's quantized side tables and byte accounting, and the tier-demotion
 behaviour of :class:`TieredFeatureCache` / :class:`TieredNodeEmbeddingCache`.
 """
@@ -14,10 +14,8 @@ from hypothesis.extra.numpy import arrays
 import repro.tensor
 from repro.device import (DynamicFeatureCache, FeatureStore,
                           TieredFeatureCache, TransferCostModel)
-from repro.device import precision as precision_mod
-from repro.device.precision import (Fp16Codec, Fp32Codec, Int8Codec,
-                                    PrecisionPolicy, available_precisions,
-                                    make_precision_codec, register_precision,
+from repro.device.precision import (PRECISION_TIERS, Fp16Codec, Fp32Codec,
+                                    Int8Codec, PrecisionPolicy,
                                     resolve_precision_name, roundtrip_rows)
 from repro.serve.cache import NodeEmbeddingCache, TieredNodeEmbeddingCache
 
@@ -146,7 +144,7 @@ class TestRoundtripRows:
     def test_pure_function_of_input(self):
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(8, 4))
-        for tier in available_precisions():
+        for tier in PRECISION_TIERS:
             np.testing.assert_array_equal(roundtrip_rows(tier, rows),
                                           roundtrip_rows(tier, rows.copy()))
 
@@ -181,18 +179,6 @@ class TestRegistryResolution:
         monkeypatch.setenv("REPRO_PRECISION", "bogus")
         with pytest.raises(ValueError, match="REPRO_PRECISION environment"):
             resolve_precision_name()
-
-    def test_register_custom_tier(self):
-        class TruncCodec(Fp16Codec):
-            name = "trunc"
-
-        register_precision("trunc", TruncCodec)
-        try:
-            assert "trunc" in available_precisions()
-            assert isinstance(make_precision_codec("trunc"), TruncCodec)
-        finally:
-            precision_mod._REGISTRY._factories.pop("trunc", None)
-        assert "trunc" not in available_precisions()
 
 
 class TestPrecisionPolicy:

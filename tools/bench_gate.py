@@ -17,7 +17,8 @@ a *gate* by diffing them against the committed baselines in
   equal values, and when a baseline records the pair the fresh ``hash``
   payload must still be self-consistent.  Contract pairs listed in
   ``REQUIRED_HASH_PAIRS`` (the fig1 ``determinism`` pair, the shard
-  sweep's ``determinism`` / ``comms_equivalence`` pairs, ...) must
+  sweep's ``determinism`` pair and its ``comms_equivalence`` pair —
+  gradient buckets in in-process buffers vs in shared memory —, ...) must
   also be *present* in the fresh artifact — a benchmark that silently stops
   emitting one fails hard.
 
