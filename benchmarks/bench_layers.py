@@ -24,6 +24,14 @@ live previous-layer state (layer 2).  Per cell it records
 Operands are built in ``repro.tensor.COMPUTE_DTYPE`` — the dtype the program
 runs these layers in — and the payload records it as ``compute_dtype``.
 
+One more cell, ``eval_chunk``, times the unit ``evaluate("test")`` repeats
+on that workload: one no-grad scoring chunk of 10 test edges x 51 roots (src,
+dst, 49 negatives) through ``score_link_queries`` on the ``train_tgat_taser``
+configuration after one training epoch, and records the rows per level of
+its forward-only batch: ``per_row`` (what a batch without dedup holds),
+``rows`` (the slots that reach the level) and ``targets`` (its distinct
+``(node, t)`` queries, the rows the level computes).
+
 It localises a regression the end-to-end benchmark shows in a step total to
 a layer; it asserts nothing about speed.  Writes ``BENCH_layers.json``::
 
@@ -52,10 +60,15 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 
 from tracer import Tracer  # noqa: E402
+from workloads import MODEL, TRAIN_SPECS  # noqa: E402
 
 import repro.tensor  # noqa: E402
 from repro.bench import emit_bench_json  # noqa: E402
-from repro.core import AdaptiveNeighborSampler  # noqa: E402
+from repro.core import (AdaptiveNeighborSampler, TaserConfig,  # noqa: E402
+                        TaserTrainer)
+from repro.eval.evaluator import (SCORING_CHUNK_ROOTS,  # noqa: E402
+                                  score_link_queries)
+from repro.graph import load_dataset  # noqa: E402
 from repro.models import TGAT, HopData  # noqa: E402
 from repro.nn import MixerBlock  # noqa: E402
 from repro.sampling import NeighborBatch  # noqa: E402
@@ -140,6 +153,32 @@ OPS = {
 }
 
 
+def eval_chunk_cell(tracer: Tracer, repeats: int) -> dict:
+    """``score_link_queries`` on one ``train_tgat_taser`` scoring chunk."""
+    spec = TRAIN_SPECS["train_tgat_taser"]
+    config = TaserConfig(**dict(MODEL, **spec["config"]))
+    trainer = TaserTrainer(load_dataset(spec["dataset"], scale=spec["scale"],
+                                        seed=0), config)
+    trainer.train_epoch()
+    evaluator = trainer.make_evaluator()
+    graph, test = trainer.graph, trainer.split.test_idx
+    edges = test[np.linspace(0, test.size - 1,
+                             SCORING_CHUNK_ROOTS // (2 + config.eval_negatives)
+                             ).astype(np.int64)]
+    queries = (graph.src[edges], graph.dst[edges], graph.ts[edges],
+               evaluator.negatives.sample_matrix(edges.size, config.eval_negatives,
+                                                 exclude=graph.dst[edges]))
+    with trainer.finder.draws_from(evaluator.rng):
+        minibatch = trainer.prep.prepare_eval(*queries).minibatch
+        levels = [{"per_row": minibatch.batch_size * config.num_neighbors ** level,
+                   "rows": int(hop.inverse.size), "targets": hop.num_targets}
+                  for level, hop in enumerate(minibatch.hops)]
+        cell = measure(lambda: score_link_queries(
+            trainer.prep, trainer.backbone, trainer.predictor, *queries),
+            tracer, repeats)
+    return dict(cell, edges=int(edges.size), levels=levels)
+
+
 def measure(run, tracer: Tracer, repeats: int) -> dict:
     """Median ns and kernel output bytes of one ``run()``."""
     run()                                           # warm caches and lazy set-up
@@ -187,6 +226,12 @@ def bench(sizes, repeats: int) -> dict:
                       f" nograd {cell['forward_nograd']['ns_per_op'] / 1e6:8.3f} ms |"
                       f" fwd+bwd {cell['forward_backward']['ns_per_op'] / 1e6:8.3f} ms"
                       f" {cell['forward_backward']['out_bytes_per_op'] / 2 ** 20:7.2f} MB")
+    cell = cells["eval_chunk"] = eval_chunk_cell(tracer, repeats)
+    print(f"  eval_chunk        {cell['edges']} edges     "
+          f" nograd {cell['ns_per_op'] / 1e6:8.3f} ms, per-row -> rows -> targets"
+          " per level: " + ", ".join(
+              f"{level['per_row']} -> {level['rows']} -> {level['targets']}"
+              for level in cell["levels"]))
     return cells
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from ..device.memory import FeatureStore
 from ..models.minibatch import HopData, MiniBatch
 from ..sampling.base import NeighborBatch, NeighborFinder
-from ..sampling.recursive import flatten_frontier
+from ..sampling.recursive import flatten_frontier, unique_targets
 from ..utils.timer import Timer
 from .neighbor_sampler import AdaptiveNeighborSampler
 
@@ -146,26 +146,36 @@ class MiniBatchGenerator:
               root_feat: Optional[np.ndarray] = None) -> MiniBatch:
         """Build the full multi-hop mini-batch for the given root queries.
 
+        A training batch (``train=True``) has one target per row at every
+        hop: each row draws its own Gumbel selection, gate and log-prob.  A
+        forward-only batch builds every hop on the *distinct* ``(node, t)``
+        queries of its level — the roots, then each flattened frontier — and
+        records in :attr:`~repro.models.HopData.inverse` where each row went,
+        so nothing downstream computes a repeated query twice.
+
         Parameters
         ----------
         first_hop:
-            Optional precomputed NF + FS result for the first hop (from
-            :meth:`layer_candidates`).  When given, ``root_feat`` is taken
-            as the (possibly ``None``) precomputed root features instead of
-            being sliced here.
+            Optional precomputed NF + FS result for the first hop of a
+            training batch (from :meth:`layer_candidates`).  When given,
+            ``root_feat`` is taken as the (possibly ``None``) precomputed root
+            features instead of being sliced here.
         """
         root_nodes = np.asarray(root_nodes, dtype=np.int64)
         root_times = np.asarray(root_times, dtype=np.float64)
-        if first_hop is None:
-            root_feat = self.slice_root_features(root_nodes)
         minibatch = MiniBatch(root_nodes=root_nodes, root_times=root_times,
                               root_node_feat=root_feat)
 
         cur_nodes, cur_times = root_nodes, root_times
         for layer in range(self.num_layers):
+            inverse = None
+            if not train:
+                cur_nodes, cur_times, inverse = unique_targets(cur_nodes, cur_times)
             if layer == 0 and first_hop is not None:
                 stage = first_hop
             else:
+                if layer == 0:
+                    minibatch.root_node_feat = self.slice_root_features(cur_nodes)
                 stage = self.layer_candidates(cur_nodes, cur_times)
             candidates = stage.candidates
             edge_feat = stage.edge_feat
@@ -194,6 +204,7 @@ class MiniBatchGenerator:
 
             if train and self.uses_adaptive_sampling:
                 hop.make_gate()
+            hop.inverse = inverse
             minibatch.hops.append(hop)
             cur_nodes, cur_times = flatten_frontier(hop.batch)
 

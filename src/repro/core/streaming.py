@@ -49,6 +49,7 @@ from ..graph.splits import TemporalSplit
 from ..graph.tcsr import StreamingTCSR
 from ..graph.temporal_graph import TemporalGraph
 from ..sampling import make_finder
+from ..utils.rng import new_rng
 from .config import TaserConfig
 from .minibatch_selector import ChronologicalSelector
 from .pipeline import MiniBatchGenerator
@@ -307,10 +308,12 @@ class StreamingTrainer(TaserTrainer):
         super().__init__(graph, config, split=_window_split(graph, window_events))
         self.window_events = int(window_events)
         self.prequential_max_events = prequential_max_events
-        #: negative sampler reserved for prequential scoring, so online
-        #: evaluation never perturbs the training RNG stream.
+        #: negative sampler and finder-draw generator reserved for
+        #: prequential scoring, so online evaluation never perturbs the
+        #: training RNG streams.
         self.prequential_negatives = NegativeSampler(self.graph,
                                                      seed=config.seed + 202)
+        self.prequential_rng = new_rng(config.seed + 203)
         self.stream_history: List[StreamStats] = []
 
     def _build_tcsr(self, graph):
@@ -347,9 +350,10 @@ class StreamingTrainer(TaserTrainer):
             picks.size, self.config.eval_negatives, exclude=dst)
         # Prequential batches are prepared and scored by the shared eval
         # loop, like offline MRR.
-        pos, neg = score_link_queries(self.prep, self.backbone,
-                                      self.predictor, src, dst, ts,
-                                      negatives, batch_edges)
+        with self.prep.generator.finder.draws_from(self.prequential_rng):
+            pos, neg = score_link_queries(self.prep, self.backbone,
+                                          self.predictor, src, dst, ts,
+                                          negatives, batch_edges)
         return ranking_report(pos, neg)["mrr"]
 
     def ingest(self, chunk: EventChunk) -> None:

@@ -30,7 +30,9 @@ __all__ = ["LinkPredictionEvaluator", "score_link_queries", "SCORING_CHUNK_ROOTS
 #: roots (src + dst + negatives) scored per no-grad forward — the order of a
 #: training step's 300-600 roots.  Unbounded, a 50-edge x 51-root forward makes
 #: hop-2 sampler activations of ~35 MB each, above glibc's 32 MB mmap ceiling:
-#: every such array is mapped, page-faulted in and unmapped again.
+#: every such array is mapped, page-faulted in and unmapped again.  The bound
+#: counts roots before the forward-only batch drops repeated ``(node, t)``
+#: queries, so a chunk's edges never depend on how many of its roots repeat.
 SCORING_CHUNK_ROOTS = 512
 
 
@@ -46,7 +48,11 @@ def score_link_queries(prep, backbone: TGNNBackbone, predictor: EdgePredictor,
     before chunking so the ranking does not depend on ``batch_edges``.
     Scores in chunks of ``batch_edges`` edges (default: as many as keep a
     forward within :data:`SCORING_CHUNK_ROOTS` roots) under ``no_grad`` and
-    evaluation mode, and returns ``(pos (edges,), neg (edges, k))``.
+    evaluation mode, and returns ``(pos (edges,), neg (edges, k))``.  Each
+    chunk is one forward-only mini-batch, which computes every distinct
+    ``(node, t)`` once per hop.  Callers run it under
+    :meth:`~repro.sampling.NeighborFinder.draws_from` with a generator they
+    own, so a stochastic finder policy draws nothing from the training stream.
     """
     k = negatives.shape[1]
     if batch_edges is None:
@@ -87,9 +93,9 @@ class LinkPredictionEvaluator:
         The temporal split whose ``train``/``val``/``test`` edges are scored.
     prep:
         The shared :class:`~repro.core.prep.PrepPipeline` that builds the
-        evaluation mini-batches (only its generator stages are used; the
-        evaluator owns its negative-sampling RNG so scoring never perturbs
-        training streams).
+        evaluation mini-batches (only its generator stages are used).  The
+        evaluator owns the generators of its negatives and of the finder's
+        draws while it scores, so scoring never perturbs training streams.
     """
 
     def __init__(self, split: TemporalSplit, prep, backbone: TGNNBackbone,
@@ -126,7 +132,9 @@ class LinkPredictionEvaluator:
         dst = graph.dst[edges]
         negatives = self.negatives.sample_matrix(edges.size, self.num_negatives,
                                                  exclude=dst)
-        pos, neg = score_link_queries(self.prep, self.backbone, self.predictor,
-                                      graph.src[edges], dst, graph.ts[edges],
-                                      negatives, self.batch_edges)
+        with self.prep.generator.finder.draws_from(self.rng):
+            pos, neg = score_link_queries(self.prep, self.backbone,
+                                          self.predictor, graph.src[edges], dst,
+                                          graph.ts[edges], negatives,
+                                          self.batch_edges)
         return ranking_report(pos, neg)

@@ -97,33 +97,46 @@ class TGNNBackbone(Module):
         targets' layer-``k`` embeddings are aggregated from their neighbors'
         layer-``k-1`` embeddings, which are themselves computed from hop
         ``l+1``.  The recursion depth equals :attr:`num_layers`, so the cost is
-        the usual :math:`O(prod(budgets))` of sampled TGNN training.
+        the usual :math:`O(prod(budgets))` of sampled TGNN training.  A
+        deduplicated hop is computed once per distinct target and gathered
+        back through its :attr:`~repro.models.HopData.inverse`; the result has
+        one row per root either way.
         """
         if minibatch.num_hops < self.num_layers:
             raise ValueError(
                 f"minibatch has {minibatch.num_hops} hops but the model needs "
                 f"{self.num_layers}")
-        return self._embed_recursive(
+        first = minibatch.hops[0]
+        embeddings = self._embed_recursive(
             layer=self.num_layers,
             target_feat=minibatch.root_node_feat,
-            num_targets=minibatch.batch_size,
+            num_targets=first.batch.batch_size,
             hops=minibatch.hops,
         )
+        return embeddings if first.inverse is None else embeddings[first.inverse]
 
     def _embed_recursive(self, layer: int, target_feat: Optional[np.ndarray],
                          num_targets: int, hops: List[HopData]) -> Optional[Tensor]:
         if layer == 0:
             return self.base_embedding(target_feat, num_targets)
-        hop = hops[0]
+        hop, deeper = hops[0], hops[1:]
         # Previous-layer state of the targets themselves (the "self" query).
         h_target = self._embed_recursive(layer - 1, target_feat, num_targets, hops)
-        # Previous-layer state of the neighbors, computed from the next hop.
+        # Previous-layer state of the neighbors, computed from the next hop:
+        # one row per neighbor slot, or one per distinct next-hop target.
         n = hop.budget
-        neigh_feat = None
-        if hop.neigh_node_feat is not None:
-            neigh_feat = hop.neigh_node_feat.reshape(num_targets * n, -1)
-        h_neighbors = self._embed_recursive(layer - 1, neigh_feat,
-                                            num_targets * n, hops[1:])
+        inverse = deeper[0].inverse if deeper else None
+        if inverse is None:
+            count = num_targets * n
+            neigh_feat = None
+            if hop.neigh_node_feat is not None:
+                neigh_feat = hop.neigh_node_feat.reshape(count, -1)
+        else:
+            count = deeper[0].num_targets
+            neigh_feat = deeper[0].target_node_feat
+        h_neighbors = self._embed_recursive(layer - 1, neigh_feat, count, deeper)
         if h_neighbors is not None:
+            if inverse is not None:
+                h_neighbors = h_neighbors[inverse]
             h_neighbors = h_neighbors.reshape(num_targets, n, self.hidden_dim)
         return self.aggregate(layer, h_target, h_neighbors, hop)

@@ -16,6 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..sampling.base import NeighborBatch
+from ..sampling.recursive import flatten_frontier, unique_targets
 from ..tensor import Tensor
 
 __all__ = ["HopData", "MiniBatch"]
@@ -27,6 +28,9 @@ class HopData:
 
     ``R`` denotes the number of targets at this hop (``B`` for hop 1,
     ``B * n_1`` for hop 2, ...); ``n`` is the per-target neighbor budget.
+    A deduplicated hop (forward-only batches) has one target per distinct
+    ``(node, t)`` of the level it expands instead, and :attr:`inverse` maps
+    the level's rows to them.
     """
 
     #: selected neighbors of each target, arrays of shape (R, n).
@@ -45,6 +49,10 @@ class HopData:
     gate: Optional[Tensor] = None
     #: candidate pool the adaptive sampler chose from (for diagnostics).
     candidates: Optional[NeighborBatch] = None
+    #: index of each row of the level this hop expands (the roots for hop 1,
+    #: the previous hop's flattened neighbor slots after it) among the hop's
+    #: distinct targets; None when the hop has one target per row.
+    inverse: Optional[np.ndarray] = None
 
     @property
     def num_targets(self) -> int:
@@ -77,7 +85,8 @@ class MiniBatch:
     root_times: np.ndarray
     #: per-hop sampled data, outermost hop first (hops[0] = neighbors of roots).
     hops: List[HopData] = field(default_factory=list)
-    #: node features of the roots, shape (B, d_v) or None.
+    #: node features of the first hop's targets, shape (B, d_v) — or one row
+    #: per distinct root when that hop is deduplicated — or None.
     root_node_feat: Optional[np.ndarray] = None
 
     @property
@@ -89,10 +98,31 @@ class MiniBatch:
         return len(self.hops)
 
     def check_invariants(self) -> None:
-        """Validate the hop cascade: hop l+1 has one target per hop-l neighbor slot."""
-        expected = self.batch_size
+        """Validate the hop cascade: hop l+1's targets are the queries of
+        hop l's flattened neighbor slots — one per slot, or each distinct
+        ``(node, t)`` once with an :attr:`HopData.inverse` that maps every
+        slot back to its own query."""
+        nodes, times = self.root_nodes, self.root_times
         for i, hop in enumerate(self.hops):
-            assert hop.num_targets == expected, (
-                f"hop {i} has {hop.num_targets} targets, expected {expected}")
-            hop.batch.check_invariants()
-            expected = hop.num_targets * hop.budget
+            targets = hop.batch
+            if hop.inverse is None:
+                assert hop.num_targets == nodes.size, (
+                    f"hop {i} has {hop.num_targets} targets, expected {nodes.size}")
+                reached = targets.root_nodes, targets.root_times
+            else:
+                assert hop.inverse.shape == nodes.shape, (
+                    f"hop {i} inverse has shape {hop.inverse.shape}, "
+                    f"expected {nodes.shape}")
+                distinct = unique_targets(targets.root_nodes, targets.root_times)[0]
+                assert distinct.size == hop.num_targets, (
+                    f"hop {i} repeats a (node, t) target")
+                assert np.array_equal(np.unique(hop.inverse),
+                                      np.arange(hop.num_targets)), (
+                    f"hop {i} has targets no row reaches")
+                reached = (targets.root_nodes[hop.inverse],
+                           targets.root_times[hop.inverse])
+            assert np.array_equal(reached[0], nodes) and \
+                np.array_equal(reached[1], times), (
+                    f"hop {i} rows do not reach their own (node, t) target")
+            targets.check_invariants()
+            nodes, times = flatten_frontier(targets)

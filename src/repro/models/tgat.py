@@ -96,6 +96,7 @@ class TGAT(TGNNBackbone):
     # -- introspection for the analytic sample loss -------------------------------------
 
     def last_layer_attention(self) -> Optional[np.ndarray]:
-        """Head-averaged attention weights of the outermost layer, shape (B, n)."""
+        """Head-averaged attention weights of the outermost layer, one row per
+        target of the first hop: shape (B, n) for a training batch."""
         attn = self.layers[self.num_layers - 1].last_attention
         return None if attn is None else attn.mean(axis=1)

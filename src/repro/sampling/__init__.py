@@ -4,7 +4,7 @@ from .base import NeighborBatch, NeighborFinder, PAD_NODE, PAD_EDGE
 from .cpu_finder import OriginalNeighborFinder
 from .tgl_finder import TGLNeighborFinder
 from .gpu_finder import GPUNeighborFinder
-from .recursive import sample_multi_hop, flatten_frontier
+from .recursive import sample_multi_hop, flatten_frontier, unique_targets
 
 __all__ = [
     "NeighborBatch",
@@ -16,6 +16,7 @@ __all__ = [
     "GPUNeighborFinder",
     "sample_multi_hop",
     "flatten_frontier",
+    "unique_targets",
 ]
 
 

@@ -9,6 +9,7 @@ aggregators and the adaptive sampler consume directly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,3 +204,16 @@ class NeighborFinder:
         Called by the trainer at every epoch boundary for finders with
         ``requires_chronological=True``.
         """
+
+    @contextmanager
+    def draws_from(self, rng: np.random.Generator):
+        """Take every random draw from ``rng`` instead, for the duration.
+
+        Scoring runs under it with a generator its caller owns, so a
+        forward-only pass never advances the training stream.
+        """
+        saved, self.rng = self.rng, rng
+        try:
+            yield self
+        finally:
+            self.rng = saved

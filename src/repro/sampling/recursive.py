@@ -15,7 +15,7 @@ import numpy as np
 
 from .base import NeighborBatch, NeighborFinder
 
-__all__ = ["sample_multi_hop", "flatten_frontier"]
+__all__ = ["sample_multi_hop", "flatten_frontier", "unique_targets"]
 
 
 def flatten_frontier(batch: NeighborBatch) -> tuple:
@@ -30,6 +30,24 @@ def flatten_frontier(batch: NeighborBatch) -> tuple:
     nodes = batch.nodes.reshape(-1)
     times = np.where(batch.mask, batch.times, 0.0).reshape(-1)
     return nodes, times
+
+
+def unique_targets(nodes: np.ndarray, times: np.ndarray) -> tuple:
+    """The distinct ``(node, t)`` queries of one level, and where each row went.
+
+    Returns ``(nodes, times, inverse)``: the distinct pairs in ``(node, t)``
+    order and the index of every input pair among them — what
+    ``np.unique(axis=1)`` over the stacked pair returns, by one stable
+    ``lexsort`` of the two keys.  The padded slots of a flattened frontier
+    (:func:`flatten_frontier`) all collapse to one ``(PAD_NODE, 0.0)`` query.
+    """
+    order = np.lexsort((times, nodes))
+    nodes, times = nodes[order], times[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (nodes[1:] != nodes[:-1]) | (times[1:] != times[:-1])
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return nodes[new], times[new], inverse
 
 
 def sample_multi_hop(finder: NeighborFinder, roots: np.ndarray, times: np.ndarray,

@@ -17,8 +17,9 @@ Dataflow of one flush::
                     endpoint (node, t) pairs ──▶ NodeEmbeddingCache.lookup
                               │ misses only          (staleness bounds)
                               ▼
-               unique (node, t) ──▶ prep runtime ──▶ backbone.embed
-               (one build + one forward for the whole micro-batch)
+              missing (node, t) ──▶ prep runtime ──▶ backbone.embed
+               (one forward-only build + one forward for the whole
+                micro-batch; each distinct (node, t) computed once)
                               │ fresh rows ──▶ NodeEmbeddingCache.insert
                               ▼
             EdgePredictor(h_src, h_dst) ──▶ sigmoid ──▶ ServeResult
@@ -43,6 +44,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -143,26 +145,15 @@ class VirtualClock:
         return self.now
 
 
+#: sort key of results: submission order (C-level, no Python frame per item).
+_by_seq = attrgetter("seq")
+
+
 @dataclass
 class _Pending:
     query: LinkQuery
     seq: int
     enqueued_at: float
-
-
-def _unique_endpoints(nodes: np.ndarray, times: np.ndarray):
-    """The distinct ``(node, t)`` pairs of a micro-batch in ``(node, t)``
-    order, and the index of every input pair among them — what
-    ``np.unique(axis=1)`` over the stacked pair returns, by one stable
-    ``lexsort`` of the two keys (a fraction of its cost on the handful of
-    endpoints a flush holds)."""
-    order = np.lexsort((times, nodes))
-    nodes, times = nodes[order], times[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (nodes[1:] != nodes[:-1]) | (times[1:] != times[:-1])
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return nodes[new], times[new], inverse
 
 
 class ServeEngine:
@@ -369,7 +360,7 @@ class ServeEngine:
         model."""
         results = self._drained + self._flush_pending()
         self._drained = []
-        results.sort(key=lambda r: r.seq)
+        results.sort(key=_by_seq)
         return results
 
     def serve(self, queries: Iterable[LinkQuery]) -> List[ServeResult]:
@@ -386,7 +377,7 @@ class ServeEngine:
             if len(self._pending) >= self.max_batch:
                 results.extend(self.flush())
         results.extend(self.flush())
-        results.sort(key=lambda r: r.seq)
+        results.sort(key=_by_seq)
         return results
 
     def _flush_pending(self) -> List[ServeResult]:
@@ -422,30 +413,36 @@ class ServeEngine:
         times = np.concatenate([ts, ts])
 
         was_training = self.backbone.training
-        self.backbone.eval()
-        self.predictor.eval()
+        self.backbone.train(False)
+        self.predictor.train(False)
+        observed = self.events_observed
         try:
             with no_grad():
-                hits, rows = self.embedding_cache.lookup(
-                    nodes, times, self.events_observed)
+                hits, rows = self.embedding_cache.lookup(nodes, times, observed)
                 misses = ~hits
                 if misses.any():
-                    # One prep pass + one forward for the unique missing
-                    # (node, t) endpoints of the whole micro-batch.
-                    uniq_nodes, uniq_times, inverse = _unique_endpoints(
-                        nodes[misses], times[misses])
+                    # One prep pass + one forward for the missing endpoints
+                    # of the whole micro-batch; the forward-only batch
+                    # computes each distinct (node, t) once.
                     if self.finder.requires_chronological:
                         self.finder.reset()
                     minibatch = self.prep.generator.build(
-                        uniq_nodes, uniq_times, train=False)
+                        nodes[misses], times[misses], train=False)
                     fresh = self.backbone.embed(minibatch).data
-                    self.serve_stats.embeddings_computed += int(uniq_nodes.size)
+                    distinct = minibatch.hops[0]
+                    uniq_nodes = distinct.batch.root_nodes
+                    self.serve_stats.embeddings_computed += uniq_nodes.size
                     if rows is None:
                         rows = np.zeros((nodes.size, fresh.shape[1]),
                                         dtype=fresh.dtype)
-                    rows[misses] = fresh[inverse]
-                    self.embedding_cache.insert(uniq_nodes, fresh, uniq_times,
-                                                self.events_observed)
+                    rows[misses] = fresh
+                    # The rows of one distinct endpoint are all the same row.
+                    computed = np.empty((uniq_nodes.size, fresh.shape[1]),
+                                        dtype=fresh.dtype)
+                    computed[distinct.inverse] = fresh
+                    self.embedding_cache.insert(uniq_nodes, computed,
+                                                distinct.batch.root_times,
+                                                observed)
                 self.serve_stats.embeddings_reused += int(hits.sum())
                 logits_t = self.predictor(Tensor(rows[:b]), Tensor(rows[b:]))
                 scores = F.sigmoid(logits_t).data

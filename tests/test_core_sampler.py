@@ -224,12 +224,12 @@ class TestLiveRowSampling:
                                  adaptive_sampler=sampler)
         roots = small_graph.src[:20]
         times = np.full(20, small_graph.ts.min())
-        for train in (True, False):
+        for train in (False, True):
             mb = gen.build(roots, times, train=train)
             mb.check_invariants()
             for hop in mb.hops:
                 assert not hop.batch.mask.any()
-        hop = mb.hops[0]
+        hop = mb.hops[0]    # the training batch's: one row per root
         selection = sampler(hop.candidates, 4)
         assert selection.columns.shape == selection.mask.shape == (20, 4)
         assert selection.log_prob.shape == (20, 4)

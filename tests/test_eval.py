@@ -156,6 +156,35 @@ def test_evaluate_is_invariant_to_batch_edges(small_graph, variant, monkeypatch)
             assert abs(report[key] - value) <= 1e-9, (key, report, reports[0])
 
 
+class TestScoringDrawsItsOwnStream:
+    """Under TGAT's default ``uniform`` finder policy every scoring forward
+    draws candidates; those draws come from the evaluator's generator, never
+    from the training finder's."""
+
+    @staticmethod
+    def _config():
+        return TaserConfig(hidden_dim=8, time_dim=4, num_neighbors=3,
+                           num_candidates=6, batch_size=64,
+                           max_batches_per_epoch=3, eval_max_edges=23,
+                           eval_negatives=9, seed=0)
+
+    def test_evaluate_between_epochs_leaves_training_bitwise(self, small_graph):
+        assert self._config().resolved_finder_policy == "uniform"
+        losses = []
+        for evaluate in (False, True):
+            trainer = TaserTrainer(small_graph, self._config())
+            trainer.train_epoch()
+            if evaluate:
+                trainer.evaluate("val")
+            losses.append(trainer.train_epoch().batch_losses)
+        assert losses[0] == losses[1]
+
+    def test_back_to_back_evaluations_report_the_same(self, small_graph):
+        trainer = TaserTrainer(small_graph, self._config())
+        trainer.train_epoch()
+        assert trainer.evaluate("test") == trainer.evaluate("test")
+
+
 @pytest.mark.parametrize("variant", sorted(SCORING_VARIANTS))
 def test_prequential_eval_is_invariant_to_batch_edges(small_graph, variant):
     values = []

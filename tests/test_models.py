@@ -69,7 +69,9 @@ class TestTGAT:
                      time_dim=4, rng=RNG)
         model.embed(mb)
         attn = model.last_layer_attention()
-        assert attn.shape == (mb.batch_size, 5)
+        # One row per first-hop target: the distinct roots of this
+        # forward-only batch.
+        assert attn.shape == (mb.hops[0].num_targets, 5)
         valid = mb.hops[0].batch.mask
         assert np.allclose(attn.sum(axis=1), valid.any(axis=1).astype(float), atol=1e-6)
 

@@ -13,7 +13,7 @@ import pytest
 from repro.core import TaserConfig, TaserTrainer
 from repro.serve import (LinkQuery, NodeEmbeddingCache, ServeEngine,
                          VirtualClock, scores_hash)
-from repro.serve.engine import _unique_endpoints
+from repro.sampling import unique_targets
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +140,9 @@ class TestNodeEmbeddingCache:
 
 
 class TestUniqueEndpoints:
+    """Serve computes a flush's distinct endpoints with the forward-only
+    batch's per-level dedup primitive."""
+
     @pytest.mark.parametrize("size", [1, 2, 7, 64])
     def test_matches_unique_over_the_stacked_pair(self, size):
         rng = np.random.default_rng(size)
@@ -147,7 +150,7 @@ class TestUniqueEndpoints:
         times = rng.integers(0, 3, size).astype(np.float64) * 0.5
         key = np.stack([nodes.astype(np.float64), times])
         want, inverse = np.unique(key, axis=1, return_inverse=True)
-        got_nodes, got_times, got_inverse = _unique_endpoints(nodes, times)
+        got_nodes, got_times, got_inverse = unique_targets(nodes, times)
         assert np.array_equal(got_nodes, want[0].astype(np.int64))
         assert np.array_equal(got_times, want[1])
         assert np.array_equal(got_inverse, inverse.reshape(-1))
