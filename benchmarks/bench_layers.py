@@ -9,7 +9,13 @@ width for an edge-featured graph), forward, forward under ``no_grad()``
 valid candidate; the masked ops only) — and ``TGAT.aggregate`` (``n = 5``
 gated neighbors, hidden 32, edge 32, time 16, 15 % of the slots padded) on
 the layer-0 *zero state* (no node features: layer 1 of both hops) and on a
-live previous-layer state (layer 2).  Per cell it records
+live previous-layer state (layer 2).  Two groups run at fixed sizes whatever
+``--sizes`` says: ``sampler_mixer``, the sampler's ``MixerBlock`` at the live
+rows of a step's two hops (R = 289 and 1 174), its input written into the
+kernel's channel-major ``input_buffer`` as the sampler's encoder writes it;
+and ``time_encoding`` at R = 1 500 rows of 10 timespans up to a month, 16
+dimensions: the fixed encoding (no gradient: forward only) and the learnable
+one.  Per cell it records
 
 * ``ns_per_op`` — median wall-clock nanoseconds of one call, the result kept
   alive while the clock runs, as a training step keeps it;
@@ -66,6 +72,7 @@ import repro.tensor  # noqa: E402
 from repro.bench import emit_bench_json  # noqa: E402
 from repro.core import (AdaptiveNeighborSampler, TaserConfig,  # noqa: E402
                         TaserTrainer)
+from repro.encoders import FixedTimeEncoder, LearnableTimeEncoder  # noqa: E402
 from repro.eval.evaluator import (SCORING_CHUNK_ROOTS,  # noqa: E402
                                   score_link_queries)
 from repro.graph import load_dataset  # noqa: E402
@@ -112,6 +119,20 @@ def mixer_op(rng, rows, dead_share):
     return lambda: block(x, mask=mask)
 
 
+def sampler_mixer_op(rng, rows, dead_share):
+    block = MixerBlock(M, D, token_expansion=0.5, channel_expansion=1.0, rng=rng)
+    x = randn(rng, rows, M, D)
+    mask = candidate_mask(rng, rows, dead_share)
+    return lambda: block(F.concatenate([x], out=block.input_buffer(rows)), mask=mask)
+
+
+def time_encoding_op(rng, rows, learnable):
+    encoder = LearnableTimeEncoder(TIME_DIM, rng=rng) if learnable \
+        else FixedTimeEncoder(TIME_DIM)
+    dt = rng.uniform(0.0, 2.6e6, (rows, M))
+    return lambda: encoder(dt)
+
+
 def sampler_op(rng, rows, dead_share):
     sampler = AdaptiveNeighborSampler(0, EDGE_DIM, M, seed=0)
     assert sampler.enc_dim == D
@@ -143,13 +164,16 @@ def tgat_aggregate_op(rng, rows, live_h):
     return lambda: model.aggregate(1, h_target, h_neighbors, hop)
 
 
-#: name -> (factory, {variant label: the factory's third argument})
+#: name -> (factory, {variant label: the factory's third argument}, the row
+#: counts it runs at — ``None``: the ``--sizes``)
 OPS = {
-    "layer_norm": (layer_norm_op, {"dead0": 0.0}),
-    "linear": (linear_op, {"dead0": 0.0}),
-    "mixer_block": (mixer_op, DEAD_SHARES),
-    "adaptive_sampler": (sampler_op, DEAD_SHARES),
-    "tgat_aggregate": (tgat_aggregate_op, {"zero_state": False, "live_h": True}),
+    "layer_norm": (layer_norm_op, {"dead0": 0.0}, None),
+    "linear": (linear_op, {"dead0": 0.0}, None),
+    "mixer_block": (mixer_op, DEAD_SHARES, None),
+    "sampler_mixer": (sampler_mixer_op, {"dead0": 0.0}, (289, 1174)),
+    "adaptive_sampler": (sampler_op, DEAD_SHARES, None),
+    "tgat_aggregate": (tgat_aggregate_op, {"zero_state": False, "live_h": True}, None),
+    "time_encoding": (time_encoding_op, {"fixed": False, "learnable": True}, (1500,)),
 }
 
 
@@ -200,12 +224,12 @@ def bench(sizes, repeats: int) -> dict:
     tracer = Tracer()
     tracer.bind(SimpleNamespace(array_backend=get_backend()))
     cells: dict = {}
-    for name, (factory, variants) in OPS.items():
-        for rows in sizes:
+    for name, (factory, variants, fixed_sizes) in OPS.items():
+        for rows in fixed_sizes or sizes:
             for label, variant in variants.items():
                 forward = factory(np.random.default_rng(0), rows, variant)
-                coeff = randn(np.random.default_rng(1), *forward().shape,
-                              requires_grad=False)
+                out = forward()
+                coeff = randn(np.random.default_rng(1), *out.shape, requires_grad=False)
 
                 def forward_nograd():
                     with no_grad():
@@ -217,15 +241,18 @@ def bench(sizes, repeats: int) -> dict:
                     return out
 
                 cell = {"forward": measure(forward, tracer, repeats),
-                        "forward_nograd": measure(forward_nograd, tracer, repeats),
-                        "forward_backward": measure(forward_backward, tracer, repeats)}
+                        "forward_nograd": measure(forward_nograd, tracer, repeats)}
+                line = (f"  {name:<17} R={rows:<5} {label:<10}"
+                        f" fwd {cell['forward']['ns_per_op'] / 1e6:8.3f} ms"
+                        f" {cell['forward']['out_bytes_per_op'] / 2 ** 20:7.2f} MB |"
+                        f" nograd {cell['forward_nograd']['ns_per_op'] / 1e6:8.3f} ms")
+                if out.requires_grad:
+                    both = cell["forward_backward"] = measure(forward_backward, tracer,
+                                                              repeats)
+                    line += (f" | fwd+bwd {both['ns_per_op'] / 1e6:8.3f} ms"
+                             f" {both['out_bytes_per_op'] / 2 ** 20:7.2f} MB")
                 cells.setdefault(name, {}).setdefault(f"R{rows}", {})[label] = cell
-                print(f"  {name:<17} R={rows:<5} {label:<10}"
-                      f" fwd {cell['forward']['ns_per_op'] / 1e6:8.3f} ms"
-                      f" {cell['forward']['out_bytes_per_op'] / 2 ** 20:7.2f} MB |"
-                      f" nograd {cell['forward_nograd']['ns_per_op'] / 1e6:8.3f} ms |"
-                      f" fwd+bwd {cell['forward_backward']['ns_per_op'] / 1e6:8.3f} ms"
-                      f" {cell['forward_backward']['out_bytes_per_op'] / 2 ** 20:7.2f} MB")
+                print(line)
     cell = cells["eval_chunk"] = eval_chunk_cell(tracer, repeats)
     print(f"  eval_chunk        {cell['edges']} edges     "
           f" nograd {cell['ns_per_op'] / 1e6:8.3f} ms, per-row -> rows -> targets"

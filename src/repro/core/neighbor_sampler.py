@@ -153,7 +153,8 @@ class AdaptiveNeighborSampler(Module):
             parts.append(self.freq_encoder(candidates.frequencies()))
         if self.identity_encoder is not None:
             parts.append(self.identity_encoder(candidates.nodes, candidates.mask))
-        z_neighbors = concatenate(parts, axis=-1)
+        # Written straight into the mixer kernel's channel-major input.
+        z_neighbors = concatenate(parts, axis=-1, out=self.mixer.input_buffer(r))
         if not self.decoder.uses_target:
             return z_neighbors, None
 

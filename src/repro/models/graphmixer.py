@@ -15,7 +15,6 @@ import numpy as np
 from ..encoders import FixedTimeEncoder
 from ..nn import Linear, MixerBlock, Module
 from ..tensor import Tensor, concatenate
-from ..tensor import functional as F
 from .base import TGNNBackbone, build_messages
 from .minibatch import HopData
 
@@ -60,5 +59,8 @@ class GraphMixer(TGNNBackbone):
         messages = build_messages(h_neighbors, hop.edge_feat, time_enc, gate=hop.gate)
         tokens = self.message_proj(messages)
         mixed = self.mixer(tokens, mask=hop.batch.mask)
-        pooled = F.masked_mean(mixed, hop.batch.mask, axis=1)
+        # The block zeroes the masked tokens itself, so the mean over the
+        # valid ones is a plain sum over the valid count.
+        count = np.maximum(hop.batch.mask.sum(axis=1, keepdims=True), 1)
+        pooled = mixed.sum(axis=1) / Tensor(count.astype(mixed.dtype))
         return self.out_proj(concatenate([pooled, h_target], axis=-1))

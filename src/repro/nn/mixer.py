@@ -7,7 +7,10 @@ mixing first the hidden (channel) dimension and then the neighbor dimension so
 that each neighbor's importance score can depend on the rest of the
 neighborhood.
 
-Input layout is ``(batch, num_neighbors, channels)``.
+Input layout is ``(batch, num_neighbors, channels)``; the kernel pair computes
+on its channel-major ``(channels, num_neighbors, batch)`` transpose, and
+:meth:`MixerBlock.input_buffer` hands a caller an input array already laid out
+that way.
 
 The block runs on the model's largest activations, so its forward is one
 graph node (:func:`repro.tensor.functional.mixer_block`) with an analytic
@@ -74,6 +77,15 @@ class MixerBlock(Module):
         self.channel_norm = LayerNorm(dim)
         self.channel_mlp = FeedForward(dim, max(1, int(dim * channel_expansion)),
                                        dropout, rng=rng)
+
+    def input_buffer(self, rows: int) -> np.ndarray:
+        """An uninitialised ``(rows, num_tokens, dim)`` array in the dtype of
+        the block's parameters, laid out the way the block's kernel reads its
+        input — the transpose of a C-contiguous ``(dim, num_tokens, rows)``
+        array — so an input written into it (``concatenate(..., out=)``)
+        reaches the kernel without a copy."""
+        return np.empty((self.dim, self.num_tokens, rows),
+                        dtype=self.token_norm.weight.dtype).transpose(2, 1, 0)
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         """Apply the block.

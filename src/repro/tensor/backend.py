@@ -39,9 +39,11 @@ class ReferenceBackend:
 
     No kernel names a dtype: a result has the dtype of the kernel's floating
     inputs, whatever it is.  The one exception is the time-encoding *phase*
-    ``dt * w + b`` (:meth:`_time_phase`), double precision whatever the dtype
-    of ``w``: timespans reach 1e6-1e7, and float32's 24 bits would lose the
-    phase before the cosine is taken.
+    ``dt * w + b`` (:meth:`_reduced_phase`), built and reduced into
+    ``[-pi, pi]`` in double precision whatever the dtype of ``w``: timespans
+    reach 1e6-1e7, and float32's 24 bits would lose the phase before the
+    cosine is taken.  Once reduced it is cast, and its cosine and sine are
+    taken in the compute dtype.
     """
 
     name = "reference"
@@ -62,20 +64,47 @@ class ReferenceBackend:
                     "cast them to one dtype at the boundary that produced them")
 
     @staticmethod
-    def _time_phase(dt: np.ndarray, w: np.ndarray,
-                    b: Optional[np.ndarray] = None) -> np.ndarray:
-        """The time-encoding phase ``dt[..., None] * w + b``, in float64."""
+    def _reduced_phase(dt: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
+                       dtype) -> np.ndarray:
+        """The time-encoding phase ``dt[..., None] * w + b`` as a ``dtype``
+        array, reduced into ``[-pi, pi]`` before the cast.
+
+        The phase is built in float64 and ``2 pi rint(phase / 2 pi)`` is
+        subtracted in float64, so the cast rounds a number of magnitude at
+        most pi, whatever the timespan: a float32 cosine or sine of the result
+        is within 2e-7 of the float64 function of the unreduced phase (the
+        bound of ``tests/test_compute_dtype.py::TestTimePhasePrecision`` is
+        1e-6).  An unreduced float32 phase would be off by radians at a
+        timespan of 1e7.
+        """
         phase = np.multiply(dt[..., None], w, dtype=np.float64)
         if b is not None:
             phase += b
-        return phase
+        turns = np.multiply(phase, 1.0 / (2.0 * np.pi))
+        np.rint(turns, out=turns)
+        turns *= -2.0 * np.pi
+        phase += turns
+        return phase.astype(dtype, copy=False)
 
     def _time_encoding(self, dt: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
                        dtype) -> np.ndarray:
-        """``cos(dt[..., None] * w + b)`` as a ``dtype`` array: the cosine is
-        taken of the float64 phase, then cast."""
-        phase = self._time_phase(dt, w, b)
-        return np.cos(phase, out=phase).astype(dtype, copy=False)
+        """``cos(dt[..., None] * w + b)`` as a ``dtype`` array: the cosine of
+        the reduced phase, taken in ``dtype``."""
+        phase = self._reduced_phase(dt, w, b, dtype)
+        return np.cos(phase, out=phase)
+
+    def _time_encoding_grads(self, g: np.ndarray, dt: np.ndarray, w: np.ndarray,
+                             b: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(gw, gb)`` of :meth:`_time_encoding` under the output gradient
+        ``g``: ``d cos = -sin``, the sine taken of the reduced phase in the
+        dtype of ``g``; ``g sin`` is formed in the float64 of the timespans
+        ``dt``, and both reductions over its rows are one float64 product
+        with the rows ``dt`` and ``1`` (the caller casts the result once)."""
+        sine = self._reduced_phase(dt, w, b, g.dtype)
+        np.sin(sine, out=sine)
+        gphase = np.multiply(sine, g, dtype=dt.dtype).reshape(-1, w.shape[0])
+        gw, gb = np.stack((dt.reshape(-1), np.ones(dt.size))) @ gphase
+        return -gw, -gb
 
     # -- element-wise primitives ---------------------------------------------
 
@@ -234,14 +263,9 @@ class ReferenceBackend:
 
     def time_encoding_backward(self, g: np.ndarray, dt: np.ndarray, w: np.ndarray,
                                b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(gw, gb)`` of :meth:`time_encoding_forward`, reduced from the
-        float64 phase and cast once."""
-        gphase = self._time_phase(dt, w, b)
-        np.sin(gphase, out=gphase)
-        gphase *= g
-        gphase = gphase.reshape(-1, w.shape[0])
-        gw = -(dt.reshape(-1) @ gphase)
-        gb = -gphase.sum(axis=0)
+        """``(gw, gb)`` of :meth:`time_encoding_forward`
+        (:meth:`_time_encoding_grads`)."""
+        gw, gb = self._time_encoding_grads(g, dt, w, b)
         return gw.astype(w.dtype, copy=False), gb.astype(b.dtype, copy=False)
 
     # -- composite layer kernels (one autograd node each) --------------------
@@ -286,30 +310,46 @@ class ReferenceBackend:
         gx = np.multiply(g, w, order="C")
         return self._standardize_backward(gx, xhat, rstd), gw, gb
 
+    #: per normalised axis (the last / the leading): the einsum of a dot
+    #: product over it, and the index that restores it as a length-1 axis.
+    _DOT = {-1: ("...i,...i->...", (Ellipsis, None)), 0: ("i...,i...->...", None)}
+
     @staticmethod
-    def _standardize(x: np.ndarray, eps: float, out: Optional[np.ndarray] = None
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(xhat, rstd)``: ``x`` with zero mean and unit variance over the
-        last axis (written into ``out`` when given) and the per-row
-        ``1 / sqrt(var + eps)``."""
-        xhat = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)
-        rstd = np.einsum("...i,...i->...", xhat, xhat)[..., None]
-        rstd /= x.shape[-1]
+    def _mean(x: np.ndarray, axis: int) -> np.ndarray:
+        """``x.mean(axis, keepdims=True)`` without ``np.mean``'s Python-level
+        set-up, which outweighs the arithmetic on a serve flush's rows."""
+        total = np.add.reduce(x, axis=axis, keepdims=True)
+        total /= x.shape[axis]
+        return total
+
+    @classmethod
+    def _standardize(cls, x: np.ndarray, eps: float, out: Optional[np.ndarray] = None,
+                     axis: int = -1) -> Tuple[np.ndarray, np.ndarray]:
+        """``(xhat, rstd)``: ``x`` with zero mean and unit variance over
+        ``axis`` — the last (row-major) or the leading (channel-major) —
+        written into ``out`` when given, and the ``1 / sqrt(var + eps)`` of
+        each vector, with ``axis`` kept as a length-1 axis."""
+        spec, keep = cls._DOT[axis]
+        xhat = np.subtract(x, cls._mean(x, axis), out=out)
+        rstd = np.einsum(spec, xhat, xhat)[keep]
+        rstd /= x.shape[axis]
         rstd += eps
         np.sqrt(rstd, out=rstd)
         np.divide(1.0, rstd, out=rstd)
         xhat *= rstd
         return xhat, rstd
 
-    @staticmethod
-    def _standardize_backward(gxhat: np.ndarray, xhat: np.ndarray, rstd: np.ndarray,
-                              scratch: Optional[np.ndarray] = None) -> np.ndarray:
-        """Input gradient of :meth:`_standardize`, computed in place in
-        ``gxhat`` — a buffer the caller owns, as it does ``scratch``, which
-        takes the one full-size temporary."""
-        proj = np.einsum("...i,...i->...", gxhat, xhat)[..., None]
-        proj /= gxhat.shape[-1]
-        gxhat -= gxhat.mean(axis=-1, keepdims=True)
+    @classmethod
+    def _standardize_backward(cls, gxhat: np.ndarray, xhat: np.ndarray, rstd: np.ndarray,
+                              scratch: Optional[np.ndarray] = None,
+                              axis: int = -1) -> np.ndarray:
+        """Input gradient of :meth:`_standardize` over ``axis``, computed in
+        place in ``gxhat`` — a buffer the caller owns, as it does ``scratch``,
+        which takes the one full-size temporary."""
+        spec, keep = cls._DOT[axis]
+        proj = np.einsum(spec, gxhat, xhat)[keep]
+        proj /= gxhat.shape[axis]
+        gxhat -= cls._mean(gxhat, axis)
         gxhat -= np.multiply(xhat, proj, out=scratch)
         gxhat *= rstd
         return gxhat
@@ -335,11 +375,17 @@ class ReferenceBackend:
         return ga, gw, gb
 
     # -- MLP-Mixer block (one autograd node) ---------------------------------
-    # Written to minimise full-size passes, not to mirror the composition:
-    # neither layer norm materialises its affine output, token mixing is a
-    # batched ``W @ x`` on the native (R, m, d) layout, and every in-place
-    # update targets a buffer the kernel allocated itself.  ``params`` is the
-    # block's twelve parameter arrays in registration order.
+    # Channel-major: the pair computes on ``X``, the ``(d, m, R)`` transpose of
+    # the block's ``(R, m, d)`` input (``a.transpose(2, 1, 0)`` both ways), and
+    # hands back the transposes of what it computes.  A per-token statistic
+    # then runs along the long ``m R`` axis: layer-norm means and variances
+    # and the mask are passes over ``d`` contiguous rows, channel mixing is one
+    # 2-D GEMM on ``(d, m R)``, token mixing a ``W @ X`` batched over
+    # channels, and bias gradients are contiguous sums.  Written to minimise
+    # full-size passes, not to mirror the composition: neither layer norm
+    # materialises its affine output and every in-place update targets a
+    # buffer the kernel allocated itself.  ``params`` is the block's twelve
+    # parameter arrays in registration order.
 
     @staticmethod
     def _gelu_gate(a: np.ndarray) -> np.ndarray:
@@ -363,29 +409,48 @@ class ReferenceBackend:
         gy *= t
         return t
 
+    @staticmethod
+    def _channel_major(a: Optional[np.ndarray],
+                       fmask: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+        """A fresh C-contiguous copy of the ``(d, m, R)`` transpose of an
+        ``(R, m, d)`` array, times the channel-major ``fmask`` when given
+        (``None`` passes through)."""
+        if a is None:
+            return None
+        at = a.transpose(2, 1, 0)
+        return np.array(at, order="C") if fmask is None else \
+            np.multiply(at, fmask, order="C")
+
     def mixer_block_forward(self, x: np.ndarray, fmask: Optional[np.ndarray],
                             params, keep_t: Optional[np.ndarray],
                             keep_c: Optional[np.ndarray], eps: float,
                             retain: bool):
-        """One MLP-Mixer block on ``x`` ``(R, m, d)``; returns ``(out, saved)``.
+        """One MLP-Mixer block on ``x`` ``(R, m, d)``; returns ``(out, saved)``
+        with ``out`` the ``(R, m, d)`` transpose of a C-contiguous ``(d, m,
+        R)`` array.
 
-        ``fmask`` is the ``(R, m, 1)`` float validity mask (or ``None``),
-        ``keep_t`` ``(R, h_t, d)`` / ``keep_c`` ``(R, m, h_c)`` the scaled
-        dropout keep-masks (or ``None``).  With ``retain`` the backward pass's
-        inputs come back in ``saved`` — per sub-block the normalised input,
-        its ``rstd``, the GELU output (written over its pre-activation) and
-        the gate; without it ``saved`` is ``None`` and every intermediate is
-        released the moment it is dead.
+        ``x`` is read through its channel-major transpose: a contiguous copy
+        when ``x`` is laid out that way already (``MixerBlock.input_buffer``),
+        a transposing one otherwise.  ``fmask`` is the ``(R, m, 1)`` float
+        validity mask (or ``None``), ``keep_t`` ``(R, h_t, d)`` / ``keep_c``
+        ``(R, m, h_c)`` the scaled dropout keep-masks (or ``None``).  With
+        ``retain`` the backward pass's inputs come back in ``saved`` — per
+        sub-block the normalised input, its ``rstd``, the GELU output (written
+        over its pre-activation) and the gate, all channel-major; without it
+        ``saved`` is ``None`` and every intermediate is released the moment it
+        is dead.
         """
         self._one_float_dtype(x, fmask, keep_t, keep_c, *params)
         gam_t, bet_t, w1t, b1t, w2t, b2t, gam_c, bet_c, w1c, b1c, w2c, b2c = params
-        x0 = x if fmask is None else x * fmask
+        fmask, keep_t = self._channel_major(fmask), self._channel_major(keep_t)
+        x0 = self._channel_major(x, fmask)
+        d, m, rows = x0.shape
         # Token mixing.  W1 @ (xhat * gamma + beta) = (W1 @ xhat) * gamma +
         # rowsum(W1) (x) beta: the affine lands on the half-size hidden.
-        xhat, rstd = self._standardize(x0, eps)
+        xhat, rstd = self._standardize(x0, eps, axis=0)
         a = self.matmul(w1t, xhat)
-        a *= gam_t
-        a += w1t.sum(axis=1)[:, None] * bet_t + b1t[:, None]
+        a *= gam_t[:, None, None]
+        a += (bet_t[:, None] * w1t.sum(axis=1) + b1t)[..., None]
         s = self._gelu_gate(a)
         y = np.multiply(a, s, out=a)
         if keep_t is not None:
@@ -394,60 +459,61 @@ class ReferenceBackend:
         x1 += b2t[:, None]
         x1 += x0
         saved = (fmask, xhat, rstd, y, s, keep_t) if retain else None
-        # A full-size buffer that is dead by now, when there is one, takes
-        # the second normalised input.
-        spare = xhat if not retain else (None if fmask is None else x0)
+        # The normalised input of the channel sub-block goes into a full-size
+        # buffer that is dead by now.
+        spare = x0 if retain else xhat
         del x0, xhat, a, s, y
-        # Channel mixing.  (xhat * gamma + beta) @ W1.T = xhat @ (W1 * gamma).T
-        # + W1 @ beta: the affine folds into fc1.
-        xhat, rstd = self._standardize(x1, eps, out=spare)
-        a = self.matmul(xhat.reshape(-1, xhat.shape[-1]), (w1c * gam_c).T)
-        a += w1c @ bet_c + b1c
+        # Channel mixing.  (W1 * gamma) @ xhat + W1 @ beta: the affine folds
+        # into fc1.
+        xhat, rstd = self._standardize(x1, eps, out=spare, axis=0)
+        a = self.matmul(w1c * gam_c, xhat.reshape(d, -1))
+        a += (w1c @ bet_c + b1c)[:, None]
         s = self._gelu_gate(a)
         y = np.multiply(a, s, out=a)
         if keep_c is not None:
-            y *= keep_c.reshape(y.shape)
+            keep_c = self._channel_major(keep_c).reshape(y.shape)
+            y *= keep_c
         if retain:
             saved += (xhat, rstd, y, s, keep_c)
         del spare, xhat, a, s
-        out = self.matmul(y, w2c.T).reshape(x1.shape)
-        out += b2c
+        out = self.matmul(w2c, y).reshape(x1.shape)
+        out += b2c[:, None, None]
         out += x1
         if fmask is not None:
             out *= fmask
-        return out, saved
+        return out.transpose(2, 1, 0), saved
 
     def mixer_block_backward(self, g: np.ndarray, saved, params, need) -> list:
         """Gradients of :meth:`mixer_block_forward` w.r.t. ``(x, *params)``;
         ``need[i]`` says whether entry ``i`` is wanted (``None`` otherwise):
-        0 is ``x``, 1-6 the token sub-block's ``gamma, beta, W1, b1, W2, b2``,
-        7-12 the channel sub-block's.
+        0 is ``x`` (the ``(R, m, d)`` transpose of a channel-major array), 1-6
+        the token sub-block's ``gamma, beta, W1, b1, W2, b2``, 7-12 the
+        channel sub-block's.
 
-        With ``P = ga.T @ xhat`` the small ``(h, d)`` product of the channel
-        sub-block and ``gb' = ga.sum(0)``, the folded affine unfolds as
+        With ``P = ga @ xhat.T`` the small ``(h, d)`` product of the channel
+        sub-block and ``gb' = ga.sum(1)``, the folded affine unfolds as
         ``dW1 = P * gamma + gb' (x) beta``, ``dgamma = sum_h(P * W1)`` and
-        ``dbeta = gb' @ W1``; the token sub-block does the same from
-        ``Q[h, m, c] = sum_r ga[r, h, c] xhat[r, m, c]``.
+        ``dbeta = gb' @ W1``; the token sub-block does the same from the
+        channel-batched ``Q[c] = ga[c] @ xhat[c].T``.
         """
         (fmask, xhat_t, rstd_t, y_t, s_t, keep_t,
          xhat_c, rstd_c, y_c, s_c, keep_c) = saved
         gam_t, bet_t, w1t, b1t, w2t, b2t, gam_c, bet_c, w1c, b1c, w2c, b2c = params
-        rows, m, d = xhat_t.shape
+        d, m, rows = xhat_t.shape
         grads = [None] * 13
-        gx2 = g if fmask is None else np.multiply(g, fmask, order="C")
+        gx2 = self._channel_major(g, fmask)
 
-        # Channel sub-block: out = x1 + gelu(xhat_c @ W1'.T + b1') @ W2.T + b2.
-        g2d = gx2.reshape(-1, d)
+        # Channel sub-block: out = x1 + W2 @ gelu(W1' @ xhat_c + b1') + b2.
+        g2d = gx2.reshape(d, -1)
         if need[11]:
-            grads[11] = self.matmul(g2d.T, y_c)
+            grads[11] = self.matmul(g2d, y_c.T)
         if need[12]:
-            grads[12] = g2d.sum(axis=0)
-        ga = self.matmul(g2d, w2c)
-        scratch = self._gelu_backward(
-            ga, y_c, s_c, None if keep_c is None else keep_c.reshape(y_c.shape))
-        gb = ga.sum(axis=0)
+            grads[12] = g2d.sum(axis=1)
+        ga = self.matmul(w2c.T, g2d)
+        scratch = self._gelu_backward(ga, y_c, s_c, keep_c)
+        gb = ga.sum(axis=1)
         if need[7] or need[9]:
-            small = self.matmul(ga.T, xhat_c.reshape(-1, d))
+            small = self.matmul(ga, xhat_c.reshape(d, -1).T)
             if need[7]:
                 grads[7] = (small * w1c).sum(axis=0)
             if need[9]:
@@ -460,14 +526,14 @@ class ReferenceBackend:
             grads[10] = gb
         if not any(need[:7]):
             return grads
-        gx1 = self.matmul(ga, w1c * gam_c).reshape(rows, m, d)
+        gx1 = self.matmul((w1c * gam_c).T, ga).reshape(d, m, rows)
         # Dead buffers serve as the layer-norm backward's temporary: the GELU
-        # scratch here when it has the size, the masked ``g`` further down.
+        # scratch here when it has the size, the transposed ``g`` further down.
         self._standardize_backward(
             gx1, xhat_c, rstd_c,
-            scratch.reshape(gx1.shape) if scratch.size == gx1.size else None)
+            scratch.reshape(gx1.shape) if scratch.size == gx1.size else None, axis=0)
         gx1 += gx2
-        scratch = None if fmask is None else gx2
+        scratch = gx2
         del ga, g2d, gx2
 
         # Token sub-block: x1 = x0 + W2 @ gelu((W1 @ xhat_t) * gamma + c) + b2.
@@ -477,25 +543,25 @@ class ReferenceBackend:
             grads[6] = gx1.sum(axis=(0, 2))
         ga = self.matmul(w2t.T, gx1)
         self._gelu_backward(ga, y_t, s_t, keep_t)
-        gc = ga.sum(axis=0)
+        gc = ga.sum(axis=2)
         if need[1] or need[3]:
-            small = np.einsum("rhc,rmc->hmc", ga, xhat_t)
+            small = self.matmul(ga, xhat_t.swapaxes(1, 2))
             if need[1]:
-                grads[1] = np.einsum("hmc,hm->c", small, w1t)
+                grads[1] = np.einsum("chm,hm->c", small, w1t)
             if need[3]:
-                grads[3] = small @ gam_t + (gc @ bet_t)[:, None]
+                grads[3] = np.einsum("chm,c->hm", small, gam_t) + (bet_t @ gc)[:, None]
         if need[2]:
-            grads[2] = w1t.sum(axis=1) @ gc
+            grads[2] = gc @ w1t.sum(axis=1)
         if need[4]:
-            grads[4] = gc.sum(axis=1)
+            grads[4] = gc.sum(axis=0)
         if need[0]:
-            ga *= gam_t
+            ga *= gam_t[:, None, None]
             gx = self._standardize_backward(self.matmul(w1t.T, ga), xhat_t, rstd_t,
-                                            scratch)
+                                            scratch, axis=0)
             gx += gx1
             if fmask is not None:
                 gx *= fmask
-            grads[0] = gx
+            grads[0] = gx.transpose(2, 1, 0)
         return grads
 
     # -- TGAT temporal-attention aggregate (one autograd node) ---------------
@@ -677,16 +743,12 @@ class ReferenceBackend:
         if need[1]:
             grads[1] = self.matmul(gkv, wkv[:, :d_h]).reshape(rows, n, d_h)
 
-        # Time encoder: d cos(phase) = -sin(phase), the phase rebuilt here.
+        # Time encoder, the phase rebuilt here; the query's cos(b) adds to b's.
         if need[3] or need[4]:
-            # Reduced from the float64 phase, cast once.
-            gphase = self._time_phase(delta, tw, tb)
-            np.sin(gphase, out=gphase)
-            gphase *= self.matmul(gkv, wkv[:, -d_t:]).reshape(rows, n, d_t)
-            gtb = -gphase.sum(axis=(0, 1))
+            gtw, gtb = self._time_encoding_grads(
+                self.matmul(gkv, wkv[:, -d_t:]).reshape(rows, n, d_t), delta, tw, tb)
             gtb -= np.sin(tb) * (grads[6] @ wq[:, d_h:])
-            grads[3] = (-np.einsum("rjt,rj->t", gphase, delta)).astype(tw.dtype,
-                                                                       copy=False)
+            grads[3] = gtw.astype(tw.dtype, copy=False)
             grads[4] = gtb.astype(tb.dtype, copy=False)
         return [grad if wanted else None for grad, wanted in zip(grads, need)]
 

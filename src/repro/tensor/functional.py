@@ -42,7 +42,6 @@ __all__ = [
     "temporal_attention",
     "scatter_rows",
     "masked_softmax",
-    "masked_mean",
     "concatenate",
     "stack",
     "where",
@@ -167,13 +166,3 @@ def masked_softmax(scores: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     out = (scores + neg).softmax(axis=axis)
     # Zero-out any masked positions explicitly (handles fully-masked rows).
     return out * Tensor(mask.astype(scores.dtype))
-
-
-def masked_mean(x: Tensor, mask: np.ndarray, axis: int) -> Tensor:
-    """Mean over ``axis`` counting only positions where ``mask`` is True."""
-    mask = np.asarray(mask, dtype=x.dtype)
-    while mask.ndim < x.ndim:
-        mask = mask[..., None]
-    total = (x * Tensor(mask)).sum(axis=axis)
-    count = np.maximum(mask.sum(axis=axis), 1.0)
-    return total / Tensor(count)

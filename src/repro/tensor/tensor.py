@@ -801,15 +801,24 @@ class Tensor:
 # ---------------------------------------------------------------------------
 
 
-def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient routing back to each."""
+def concatenate(tensors: Sequence[Tensor], axis: int = -1,
+                out: Optional[np.ndarray] = None) -> Tensor:
+    """Concatenate tensors along ``axis`` with gradient routing back to each.
+
+    With ``out`` — an array of the result's shape and dtype in whatever memory
+    layout its consumer reads (``MixerBlock.input_buffer``) — the parts are
+    copied straight into it and the result wraps it; a dtype mismatch raises
+    instead of casting.
+    """
     tensors = [Tensor.ensure(t) for t in tensors]
-    data = get_backend().concatenate([t.data for t in tensors], axis=axis)
+    arrays = [t.data for t in tensors]
+    data = get_backend().concatenate(arrays, axis=axis) if out is None else \
+        np.concatenate(arrays, axis=axis, out=out, casting="no")
     req = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=req)
+    joined = Tensor(data, requires_grad=req)
     if req:
-        out._prev = tuple(tensors)
-        out._op = "concatenate"
+        joined._prev = tuple(tensors)
+        joined._op = "concatenate"
         sizes = [t.data.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
 
@@ -819,8 +828,8 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                     idx = [slice(None)] * data.ndim
                     idx[axis] = slice(int(start), int(stop))
                     t._accumulate(g[tuple(idx)])
-        out._backward = _backward
-    return out
+        joined._backward = _backward
+    return joined
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -252,8 +252,8 @@ class TestLeakGuard:
 #: (``file -> enclosing functions``; ``None`` allows the whole file).
 FLOAT64_ALLOWED = {
     "tensor/gradcheck.py": None,
-    "tensor/backend.py": {"_time_phase", "_time_encoding", "time_encoding_backward",
-                          "temporal_attention_forward", "temporal_attention_backward"},
+    "tensor/backend.py": {"_reduced_phase", "_time_encoding_grads",
+                          "temporal_attention_forward"},
 }
 
 
@@ -285,10 +285,13 @@ class TestSourceLint:
 
     def test_the_one_code_site_is_the_time_phase(self):
         """Outside docstrings and comments, ``np.float64`` appears once in
-        ``backend.py`` — inside ``_time_phase``."""
+        ``backend.py`` — inside ``_reduced_phase``, the helper every
+        time-encoding site takes its phase from."""
         source = (SRC / "tensor" / "backend.py").read_text()
         assert source.count("np.float64") == 1
-        assert "np.float64" in inspect.getsource(ReferenceBackend._time_phase)
+        assert "np.float64" in inspect.getsource(ReferenceBackend._reduced_phase)
+        for site in (ReferenceBackend._time_encoding, ReferenceBackend._time_encoding_grads):
+            assert "self._reduced_phase(" in inspect.getsource(site)
 
     def test_no_dtype_knob(self):
         pattern = re.compile(r"REPRO_DTYPE|compute_dtype|--dtype")
@@ -434,6 +437,51 @@ class TestFloat32Twins:
         with pytest.raises(AssertionError):
             assert_mixer_agrees(got, want)       # the float64 bound is out of reach
 
+    @pytest.mark.parametrize("rows, tokens, dim, token_exp, channel_exp, dead, buffered", [
+        # the adaptive sampler's block at a hop's size, a quarter of its rows
+        # without any candidate, its input written into ``input_buffer``
+        (300, 10, 34, 0.5, 1.0, 0.25, True),
+        # a serve flush of one query through GraphMixer's block
+        (1, 5, 32, 0.5, 2.0, 0.0, False),
+        # every axis a different length (R, m, d, h_t, h_c = 7, 6, 9, 3, 18):
+        # a transposed axis cannot pass by coincidence
+        (7, 6, 9, 0.5, 2.0, 0.0, True),
+    ], ids=["sampler", "serve", "m_ne_d"])
+    def test_mixer_block_at_production_shape(self, rows, tokens, dim, token_exp,
+                                             channel_exp, dead, buffered):
+        """The channel-major kernel pair in the program's dtype against the
+        composed float64 oracle, at the shapes the program runs."""
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, tokens, dim)).astype(np.float32)
+        mask = rng.random((rows, tokens)) > 0.3
+        mask[:int(dead * rows)] = False
+        coeff = rng.standard_normal((rows, tokens, dim)).astype(np.float32)
+        block32 = MixerBlock(tokens, dim, token_exp, channel_exp,
+                             rng=np.random.default_rng(5))
+        for p in block32.parameters():                 # norms and biases off init
+            p.data = (p.data + 0.3 * rng.standard_normal(p.data.shape)).astype(np.float32)
+
+        def node(block, x, mask):
+            if buffered:     # the sampler's route: written into the kernel's layout
+                x = F.concatenate([x], axis=-1, out=block.input_buffer(rows))
+                assert x.data.transpose(2, 1, 0).flags.c_contiguous
+            return block(x, mask=mask)
+        got = run_mixer(node, block32, x, mask, coeff)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.tensor, "COMPUTE_DTYPE", np.float64)
+            block64 = MixerBlock(tokens, dim, token_exp, channel_exp,
+                                 rng=np.random.default_rng(5))
+            block64.load_state_dict(block32.state_dict())
+            want = run_mixer(composed_mixer_block, block64, x.astype(np.float64), mask,
+                             coeff.astype(np.float64))
+        assert want[0].dtype == np.float64 and got[0].shape == (rows, tokens, dim)
+        _assert_close32(got[0].data, want[0].data, 1.0)
+        assert np.all(got[0].data[~mask] == 0.0) and np.all(got[1][~mask] == 0.0)
+        assert len(got[2]) == len(want[2]) == 12
+        for got_g, want_g in zip([got[1]] + got[2], [want[1]] + want[2]):
+            assert got_g.shape == want_g.shape
+            _assert_close32(got_g, want_g, 1.0)
+
     @pytest.mark.parametrize("zero_state", [False, True])
     def test_temporal_attention_matches_composed(self, zero_state):
         """``TestTemporalAttentionNode.test_matches_composed`` in the
@@ -478,19 +526,36 @@ class TestFloat32Twins:
 
 #: a second, an hour, a day, a month and the largest timespan of the datasets.
 TIMESPANS = np.array([0.0, 1.0, 3.6e3, 8.64e4, 2.6e6, 1e7])
+#: timespans whose phase at ``w = 1, b = 0`` sits on or just beside an odd
+#: multiple of pi/2 — where the cosine crosses zero and the sine peaks —
+#: from the first quarter turn out to ~1e7, the last ``dt = 1e7`` itself.
+QUARTER_TURNS = np.array([k * np.pi / 2 + off for k in (1, 3, 15, 2001, 6366197)
+                          for off in (-1e-7, 0.0, 1e-7)] + [1e7])
+
+
+def _phase_weights(dim=8):
+    """``w`` and ``b`` of a learnable encoder: ``w[0] == 1`` exactly (the
+    log-scale initialisation starts at 1), ``b`` off zero except ``b[0]``."""
+    enc = LearnableTimeEncoder(dim, rng=np.random.default_rng(0))
+    enc.b.data = np.linspace(0.0, 1.0, dim).astype(np.float32)
+    assert enc.w.data[0] == 1.0 and enc.b.data[0] == 0.0
+    return enc
 
 
 class TestTimePhasePrecision:
-    """``w * dt + b`` is computed in float64 and only its cosine is cast.
+    """``w * dt + b`` is built and reduced into ``[-pi, pi]`` in float64;
+    only the reduced phase is cast, and its cosine and sine are float32.
 
     float32 has 24 bits: at ``dt = 1e7`` a float32 timespan is exact only to
     1, and the float32 product ``w * dt`` to ``1e7 * 2**-24 ~ 0.6`` radians —
-    the encoding of a month-old event would be noise.  The demonstration
-    below casts ``dt`` to float32 *before* the product and misses the 1e-6
-    bound by five orders of magnitude; the encoders meet it.
+    the encoding of a month-old event would be noise.  The demonstrations
+    below cast ``dt`` to float32 before the product, or the float64 phase to
+    float32 before the reduction, and miss the 1e-6 bound by orders of
+    magnitude; the reduced phase meets it, for the cosine and for the sine.
     """
 
     BOUND = 1e-6
+    SPANS = np.concatenate([TIMESPANS, QUARTER_TURNS])
 
     def test_casting_dt_first_fails_the_bound(self):
         w = (1.0 / 10 ** np.linspace(0, 4, 8)).astype(np.float32)
@@ -499,34 +564,67 @@ class TestTimePhasePrecision:
         assert early_cast.dtype == np.float32
         assert np.abs(early_cast - reference).max() > 1e-2
 
+    def test_casting_the_unreduced_phase_fails_the_bound(self):
+        phase = self.SPANS[:, None] * _phase_weights().w.data.astype(np.float64)
+        unreduced = np.cos(phase.astype(np.float32))
+        assert np.abs(unreduced - np.cos(phase)).max() > 1e-2
+
+    @pytest.mark.parametrize("fn", [np.cos, np.sin])
+    def test_reduced_phase(self, fn):
+        """The helper every site takes its phase from, on the timespans and
+        on the quarter turns."""
+        enc = _phase_weights()
+        w, b = enc.w.data, enc.b.data
+        reduced = ReferenceBackend._reduced_phase(self.SPANS, w, b, np.float32)
+        assert reduced.dtype == np.float32 and np.abs(reduced).max() <= np.float32(np.pi)
+        got = fn(reduced)
+        want = fn(self.SPANS[:, None] * w.astype(np.float64) + b.astype(np.float64))
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() <= self.BOUND
+        # The quarter turns are what they claim: the cosine is ~0 there.
+        assert np.abs(np.cos(QUARTER_TURNS[:-1])).max() < 1e-6
+
     def test_learnable_encoder(self):
-        enc = LearnableTimeEncoder(8, rng=np.random.default_rng(0))
-        enc.b.data = np.linspace(-1.0, 1.0, 8).astype(np.float32)
-        out = enc(TIMESPANS)
+        enc = _phase_weights()
+        out = enc(self.SPANS)
         assert out.dtype == enc.w.dtype == np.float32
-        reference = np.cos(TIMESPANS[:, None] * enc.w.data.astype(np.float64)
+        reference = np.cos(self.SPANS[:, None] * enc.w.data.astype(np.float64)
                            + enc.b.data.astype(np.float64))
         assert np.abs(out.data - reference).max() <= self.BOUND
 
     def test_learnable_encoder_gradients_reduce_from_the_float64_phase(self):
-        enc = LearnableTimeEncoder(8, rng=np.random.default_rng(0))
-        dt = np.repeat(TIMESPANS, 50).reshape(-1, 6)
+        """``gw = -sum coeff * dt * sin(phase)`` and ``gb = -sum coeff *
+        sin(phase)``.  Each float32 sine is within ``BOUND`` of the float64
+        sine of the unreduced phase and both sums accumulate in float64, so
+        the result is off the all-float64 reference by at most the sine's
+        error weighted by the summands, plus one cast of the float64 sum
+        (half an ulp, ``2**-24`` of it):
+
+            |gw - want_w| <= BOUND * sum |coeff * dt| + 2**-24 |want_w|
+            |gb - want_b| <= BOUND * sum |coeff|      + 2**-24 |want_b|
+        """
+        enc = _phase_weights()
+        dt = np.repeat(self.SPANS, 50).reshape(-1, self.SPANS.size)
         coeff = np.random.default_rng(1).standard_normal(dt.shape + (8,)).astype(np.float32)
         (enc(dt) * Tensor(coeff)).sum().backward()
         assert enc.w.grad.dtype == enc.b.grad.dtype == np.float32
-        w64 = enc.w.data.astype(np.float64)
-        gphase = -np.sin(dt[..., None] * w64) * coeff
+        w64, b64 = (p.data.astype(np.float64) for p in (enc.w, enc.b))
+        gphase = -np.sin(dt[..., None] * w64 + b64) * coeff
         want_w = (gphase * dt[..., None]).sum(axis=(0, 1))
         want_b = gphase.sum(axis=(0, 1))
-        # one cast of the float64 reduction: half an ulp of the result.
-        np.testing.assert_allclose(enc.w.grad, want_w, rtol=2e-7, atol=0)
-        np.testing.assert_allclose(enc.b.grad, want_b, rtol=2e-7, atol=1e-6)
+        weight_w = np.abs(coeff * dt[..., None]).sum(axis=(0, 1))
+        weight_b = np.abs(coeff).sum(axis=(0, 1), dtype=np.float64)
+        assert np.all(np.abs(enc.w.grad - want_w)
+                      <= self.BOUND * weight_w + 2.0 ** -24 * np.abs(want_w))
+        assert np.all(np.abs(enc.b.grad - want_b)
+                      <= self.BOUND * weight_b + 2.0 ** -24 * np.abs(want_b))
 
     def test_fixed_encoder(self):
         enc = FixedTimeEncoder(8)
-        out = enc(TIMESPANS)
+        out = enc(self.SPANS)
         assert out.dtype == np.float32 and enc.omega.dtype == np.float64
-        reference = np.cos(TIMESPANS[:, None] * enc.omega)
+        assert enc.omega[0] == 1.0
+        reference = np.cos(self.SPANS[:, None] * enc.omega)
         assert np.abs(out.data - reference).max() <= self.BOUND
 
     def test_time_columns_inside_temporal_attention(self):

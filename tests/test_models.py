@@ -11,6 +11,8 @@ from repro.models import (TGAT, GraphMixer, EdgePredictor, make_backbone, MiniBa
 from repro.sampling import make_finder
 from repro.tensor import Tensor
 
+from test_tensor_ops import make_hop  # noqa: E402
+
 RNG = np.random.default_rng(0)
 
 
@@ -136,6 +138,34 @@ class TestGraphMixer:
         sens = hop.gate_sensitivity()
         assert sens is not None and sens.shape == hop.batch.mask.shape
         assert np.any(sens[hop.batch.mask] != 0)
+
+    def test_pools_the_mean_of_the_valid_tokens(self):
+        """The mixer block zeroes masked tokens itself, so the pooling is a
+        token sum over the valid count: each row pools the mean of its valid
+        mixed tokens, and a row with none pools to zero."""
+        rng = np.random.default_rng(3)
+        model = GraphMixer(0, 3, hidden_dim=4, time_dim=2, num_neighbors=3,
+                           dropout=0.0, rng=rng)
+        hop = make_hop(rng, 5, 3, 3, gate=False, dead_rows=1)
+        hop.edge_feat = hop.edge_feat.astype(np.float32)
+        seen = {}
+        mixer, out_proj = model.mixer.forward, model.out_proj.forward
+
+        def mix(*args, **kwargs):
+            out = mixer(*args, **kwargs)
+            seen["mixed"] = out.data
+            return out
+
+        def project(x):
+            seen["pooled"] = x.data[:, :4]
+            return out_proj(x)
+        model.mixer.forward, model.out_proj.forward = mix, project
+        model.aggregate(1, Tensor.zeros(5, 4), Tensor.zeros(5, 3, 4), hop)
+        mask = hop.batch.mask
+        assert not mask[0].any() and mask[1:].any(axis=1).all()
+        want = [seen["mixed"][r][mask[r]].mean(axis=0) if mask[r].any() else np.zeros(4)
+                for r in range(5)]
+        np.testing.assert_allclose(seen["pooled"], want, rtol=1e-6, atol=1e-7)
 
 
 class TestFactory:

@@ -319,13 +319,6 @@ class TestFunctional:
         assert np.allclose(probs.data[0].sum(), 1)
         assert np.allclose(probs.data[2], 0)
 
-    def test_masked_mean(self):
-        x = Tensor(np.arange(12, dtype=float).reshape(2, 3, 2))
-        mask = np.array([[True, True, False], [True, False, False]])
-        out = F.masked_mean(x, mask, axis=1)
-        assert np.allclose(out.data[0], x.data[0, :2].mean(axis=0))
-        assert np.allclose(out.data[1], x.data[1, 0])
-
 
 # ---------------------------------------------------------------------------
 # composite kernels: one node each, checked against the composed primitives

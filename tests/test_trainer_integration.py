@@ -6,17 +6,35 @@ adaptive mini-batch selection, adaptive neighbor sampling, TGNN training and
 MRR evaluation — at a scale that runs in a few seconds per test.
 """
 
+import ast
 import dataclasses
 import inspect
 import pathlib
 import re
+import textwrap
 
 import numpy as np
 import pytest
 
 import repro
+from repro.bench import harness
 from repro.core import TaserConfig, TaserTrainer
 from repro.graph import CTDGConfig, generate_ctdg, chronological_split
+
+
+def _field_is_read(name):
+    """Whether the ``TaserConfig`` field ``name`` is read as ``cfg.<name>`` /
+    ``config.<name>`` somewhere under ``src/repro``, or through a
+    ``resolved_<name>`` property that is."""
+    code = "\n".join(p.read_text() for p in
+                     sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")))
+
+    def read(attr):
+        return re.search(rf"\b(?:cfg|config)\.{attr}\b", code) is not None
+
+    prop = getattr(TaserConfig, f"resolved_{name}", None)
+    return read(name) or (prop is not None and read(f"resolved_{name}")
+                          and f"self.{name}" in inspect.getsource(prop.fget))
 
 
 def tiny_config(**overrides):
@@ -71,20 +89,27 @@ class TestConfig:
         """Every field is read as ``cfg.<name>`` / ``config.<name>`` somewhere
         under ``src/repro``, or through a ``resolved_<name>`` property that
         is; a field only its own validation touches configures nothing."""
-        code = "\n".join(p.read_text() for p in
-                         sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")))
-
-        def read(name):
-            return re.search(rf"\b(?:cfg|config)\.{name}\b", code) is not None
-
-        def read_resolved(name):
-            prop = getattr(TaserConfig, f"resolved_{name}", None)
-            return (prop is not None and read(f"resolved_{name}")
-                    and f"self.{name}" in inspect.getsource(prop.fget))
-
         dead = [f.name for f in dataclasses.fields(TaserConfig)
-                if not (read(f.name) or read_resolved(f.name))]
+                if not _field_is_read(f.name)]
         assert dead == []
+
+    def test_no_dead_bench_options(self):
+        """Every key ``bench.harness.quick_config`` sets and every keyword
+        ``variant_config`` hands it is a ``TaserConfig`` field the program
+        reads (:meth:`test_no_dead_options`); a benchmark setting nothing
+        reads would configure nothing, silently."""
+        keys = set()
+        for fn in (harness.quick_config, harness.variant_config):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and \
+                        getattr(node.func, "id", None) in ("dict", "quick_config"):
+                    keys.update(k.arg for k in node.keywords if k.arg is not None)
+        assert {"backbone", "hidden_dim", "batch_engine", "adaptive_minibatch",
+                "adaptive_neighbor"} <= keys
+        fields = {f.name for f in dataclasses.fields(TaserConfig)}
+        assert sorted(keys - fields) == []
+        assert [key for key in sorted(keys) if not _field_is_read(key)] == []
 
 
 class TestTrainingVariants:
