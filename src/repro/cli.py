@@ -26,7 +26,7 @@ Examples
     python -m repro --dataset wikipedia --backbone graphmixer --variant taser
     python -m repro --dataset reddit --backbone tgat --variant baseline \
         --epochs 10 --num-neighbors 10 --num-candidates 25 --seed 3
-    python -m repro --dataset wikipedia --precision fp16 --json
+    python -m repro --dataset wikipedia --json
     python -m repro train --dataset wikipedia --workers 4 \
         --shard-policy temporal --worker-backend thread --json
     python -m repro stream --dataset wikipedia --chunk-size 500 \
@@ -46,8 +46,6 @@ from typing import Optional, Sequence
 
 from .core import TaserConfig, TaserTrainer
 from .graph import DATASET_NAMES, load_dataset
-from .device.precision import (PRECISION_ENV_VAR, PRECISION_TIERS,
-                               resolve_precision_name)
 
 __all__ = ["build_parser", "build_serve_parser", "build_stream_parser",
            "build_train_parser", "main", "run", "run_serve", "run_stream",
@@ -97,10 +95,9 @@ def _non_negative_float(text: str) -> float:
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
-    """The dataset / model / runtime flags every command takes — one
-    definition, so the four parsers cannot drift.  :func:`_model_config`
-    turns them into a ``TaserConfig``; pair with
-    :func:`_validate_runtime_env` after ``parse_args``."""
+    """The dataset / model flags every command takes — one definition, so
+    the four parsers cannot drift.  :func:`_model_config` turns them into a
+    ``TaserConfig``."""
     parser.add_argument("--dataset", choices=DATASET_NAMES, default="wikipedia")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="dataset size multiplier")
@@ -118,32 +115,6 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true",
                         help="print the result as a single JSON object only")
-    parser.add_argument("--precision", choices=tuple(PRECISION_TIERS),
-                        default=None,
-                        help="feature-store storage tier: 'fp32' (full width, "
-                             "bitwise-identical to a build without tiers), "
-                             "'fp16' or 'int8' (per-feature affine "
-                             "quantization + compressed hot/warm/cold "
-                             "caches); default resolves "
-                             f"${PRECISION_ENV_VAR} then 'fp32'")
-
-
-def _validate_runtime_env(parser: argparse.ArgumentParser,
-                          args: argparse.Namespace) -> None:
-    """Reject a bad ``REPRO_PRECISION`` value at parse time.
-
-    Without the explicit flag, the config resolves the tier from the
-    environment; validating here surfaces a typo as a normal usage error
-    (with the tier list) instead of a traceback mid-run.  Runs *after*
-    ``parse_args`` and only when no explicit flag was given: an explicit
-    flag wins over the environment, and ``--help`` must keep working
-    regardless of a stale environment.
-    """
-    if args.precision is None:
-        try:
-            resolve_precision_name(None)
-        except ValueError as exc:
-            parser.error(str(exc))
 
 
 def _add_training_cell_args(parser: argparse.ArgumentParser,
@@ -177,7 +148,7 @@ def _model_config(args: argparse.Namespace, **overrides) -> TaserConfig:
         hidden_dim=args.hidden_dim, time_dim=args.time_dim,
         num_neighbors=args.num_neighbors, num_candidates=args.num_candidates,
         batch_size=args.batch_size, cache_ratio=args.cache_ratio,
-        precision=args.precision, lr=args.lr, seed=args.seed, **overrides)
+        lr=args.lr, seed=args.seed, **overrides)
 
 
 def _taser_config(args: argparse.Namespace) -> TaserConfig:
@@ -223,7 +194,6 @@ def run(args: argparse.Namespace) -> dict:
         "epochs": args.epochs,
         "batch_engine": args.batch_engine,
         "batch_engine_effective": trainer.engine.effective_mode,
-        "precision": trainer.precision.tier,
         "val_mrr": result.val_mrr,
         "test_mrr": result.test_mrr,
         "test_metrics": result.test_metrics,
@@ -301,9 +271,7 @@ def run_train(args: argparse.Namespace) -> dict:
 
 
 def _train_main(argv: Sequence[str]) -> int:
-    parser = build_train_parser()
-    args = parser.parse_args(argv)
-    _validate_runtime_env(parser, args)
+    args = build_train_parser().parse_args(argv)
     summary = run_train(args)
     if args.json:
         print(json.dumps(summary, indent=2, default=float))
@@ -407,9 +375,7 @@ def run_stream(args: argparse.Namespace) -> dict:
 
 
 def _stream_main(argv: Sequence[str]) -> int:
-    parser = build_stream_parser()
-    args = parser.parse_args(argv)
-    _validate_runtime_env(parser, args)
+    args = build_stream_parser().parse_args(argv)
     summary = run_stream(args)
     if args.json:
         print(json.dumps(summary, indent=2, default=float))
@@ -556,9 +522,7 @@ def run_serve(args: argparse.Namespace) -> dict:
 
 
 def _serve_main(argv: Sequence[str]) -> int:
-    parser = build_serve_parser()
-    args = parser.parse_args(argv)
-    _validate_runtime_env(parser, args)
+    args = build_serve_parser().parse_args(argv)
     summary = run_serve(args)
     if args.json:
         print(json.dumps(summary, indent=2, default=float))
@@ -579,7 +543,6 @@ def _serve_main(argv: Sequence[str]) -> int:
           f"{summary['embedding_cache_hit_rate']:.2f} "
           f"({summary['embedding_cache_entries']} entries, "
           f"{summary['embedding_cache_evictions']} evictions)")
-    print(f"  precision      : {summary['precision']}")
     print(f"  scores hash    : {summary['scores_hash']}")
     if summary["replay_match"] is not None:
         verdict = "bitwise-identical" if summary["replay_match"] else "MISMATCH"
@@ -596,9 +559,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _train_main(argv[1:])
     if argv and argv[0] == "serve":
         return _serve_main(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate_runtime_env(parser, args)
+    args = build_parser().parse_args(argv)
     summary = run(args)
     if args.json:
         print(json.dumps(summary, indent=2, default=float))
@@ -611,7 +572,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"  final loss     : {summary['final_model_loss']:.4f}")
     print(f"  batch engine   : {summary['batch_engine']} "
           f"(effective {summary['batch_engine_effective']})")
-    print(f"  precision      : {summary['precision']}")
     breakdown = ", ".join(f"{k}={v:.2f}s"
                           for k, v in sorted(summary["runtime_breakdown_seconds"].items()))
     print(f"  runtime        : {breakdown}")

@@ -106,20 +106,6 @@ class TaserConfig:
     #: a stochastic finder policy) run synchronously under either value.
     batch_engine: str = "sync"
 
-    # -- precision tier -----------------------------------------------------------
-    #: storage tier of the feature path (repro.device.precision): "fp32"
-    #: (full width, bitwise-identical to a build without precision tiers),
-    #: "fp16" (half-precision storage) or "int8" (per-feature affine
-    #: quantization, scale/zero-point fitted once on the training features).
-    #: Lossy tiers also swap the feature/embedding caches for their tiered
-    #: variants (hot fp32 -> warm fp16 -> cold int8 at a fixed byte budget).
-    #: None resolves the REPRO_PRECISION environment variable and falls back
-    #: to "fp32".
-    precision: Optional[str] = None
-    #: accuracy contract of a lossy tier: benchmarks assert the achieved
-    #: |MRR(tier) - MRR(fp32)| stays within this budget.
-    precision_mrr_budget: float = 0.05
-
     # -- memory hierarchy ---------------------------------------------------------------
     #: fraction of edge features cached in simulated VRAM (0 disables the cache).
     cache_ratio: float = 0.2
@@ -157,26 +143,11 @@ class TaserConfig:
             raise ValueError(
                 "the TGL pointer-array finder only supports chronological order and "
                 "cannot be combined with adaptive mini-batch selection (Section IV-C)")
-        # An unknown tier (explicit or via REPRO_PRECISION) raises here with
-        # the tier list, so a typo fails at configuration time rather than
-        # deep inside the first batch.
-        from ..device.precision import resolve_precision_name
-        resolve_precision_name(self.precision)
-        if self.precision_mrr_budget < 0:
-            raise ValueError("precision_mrr_budget must be >= 0, got "
-                             f"{self.precision_mrr_budget}")
 
     @property
     def num_layers(self) -> int:
         """TGAT is a 2-layer model, GraphMixer a 1-layer model (paper setup)."""
         return 2 if self.backbone == "tgat" else 1
-
-    @property
-    def resolved_precision(self) -> str:
-        """The precision tier this run uses (explicit > REPRO_PRECISION >
-        fp32)."""
-        from ..device.precision import resolve_precision_name
-        return resolve_precision_name(self.precision)
 
     @property
     def resolved_finder_policy(self) -> str:

@@ -368,9 +368,7 @@ class StreamingTrainer(TaserTrainer):
         self.graph.append_events(chunk.src, chunk.dst, chunk.ts, chunk.edge_feat)
         self.stcsr.append(chunk.src, chunk.dst, chunk.ts)
         if self.cache is not None:
-            budget = int(round(self.config.cache_ratio * self.graph.num_edges))
-            capacity = min(self.graph.num_edges,
-                           self.cache.budget_capacity(budget))
+            capacity = int(round(self.config.cache_ratio * self.graph.num_edges))
             self.cache.grow(self.graph.num_edges,
                             capacity=max(capacity, self.cache.capacity))
         self._refresh_window()

@@ -16,11 +16,12 @@ Runtime is recorded per phase with the section names of Table III:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..device.cache import DynamicFeatureCache, TieredFeatureCache
+from ..device.cache import DynamicFeatureCache
 from ..device.costmodel import TransferCostModel
 from ..device.memory import FeatureStore
 from ..eval.evaluator import LinkPredictionEvaluator
@@ -64,8 +65,6 @@ class EpochStats:
     #: prep-runtime gather dedup ratio of the epoch (requested candidate id
     #: occurrences / unique ids gathered at the feature-store choke point).
     dedup_ratio: float = 1.0
-    #: feature-store precision tier the epoch's gathers decoded from.
-    precision: str = "fp32"
 
 
 @dataclass
@@ -109,6 +108,10 @@ class TrainResult:
 class TaserTrainer:
     """Trains a TGNN backbone with (or without) TASER's adaptive sampling."""
 
+    #: Features have one width and no tier; the name stays because the
+    #: frozen benchmarks/e2e/workloads.py records ``trainer.precision.tier``.
+    precision = SimpleNamespace(tier="fp32")
+
     def __init__(self, graph: TemporalGraph, config: Optional[TaserConfig] = None,
                  split: Optional[TemporalSplit] = None) -> None:
         self.config = config if config is not None else TaserConfig()
@@ -130,28 +133,13 @@ class TaserTrainer:
         self.tcsr = self._build_tcsr(self.graph)
         self.finder = make_finder(cfg.finder, self.tcsr,
                                   policy=cfg.resolved_finder_policy, seed=cfg.seed)
-        # Precision policy: the exact fp32 tier keeps today's cache/store
-        # bitwise; a lossy tier stores features quantized and turns the
-        # cache's byte budget into compressed residency tiers.
-        from ..device.precision import PrecisionPolicy
-        self.precision = PrecisionPolicy(tier=cfg.resolved_precision,
-                                         mrr_budget=cfg.precision_mrr_budget)
         self.cache = None
         if self.graph.edge_feat is not None and cfg.cache_ratio > 0:
-            capacity = self._cache_capacity(self.graph)
-            if self.precision.is_exact:
-                self.cache = DynamicFeatureCache(
-                    self.graph.num_edges, capacity,
-                    epsilon=cfg.cache_epsilon, seed=cfg.seed)
-            else:
-                self.cache = TieredFeatureCache(
-                    self.graph.num_edges, capacity, self.graph.edge_dim,
-                    hot_fraction=self.precision.hot_fraction,
-                    warm_fraction=self.precision.warm_fraction,
-                    epsilon=cfg.cache_epsilon, seed=cfg.seed)
+            self.cache = DynamicFeatureCache(
+                self.graph.num_edges, self._cache_capacity(self.graph),
+                epsilon=cfg.cache_epsilon, seed=cfg.seed)
         self.feature_store = FeatureStore(self.graph, edge_cache=self.cache,
-                                          cost_model=TransferCostModel(),
-                                          precision=self.precision)
+                                          cost_model=TransferCostModel())
 
         # --- models -------------------------------------------------------------------
         self.backbone = make_backbone(cfg.backbone, self.graph.node_dim,
@@ -340,8 +328,7 @@ class TaserTrainer:
                            effective_sample_size=float(ess),
                            batch_losses=losses,
                            engine_mode=self.engine.effective_mode,
-                           dedup_ratio=float(slice_stats.dedup_ratio),
-                           precision=self.precision.tier)
+                           dedup_ratio=float(slice_stats.dedup_ratio))
         self.history.append(stats)
         return stats
 

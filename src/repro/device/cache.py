@@ -30,8 +30,8 @@ import numpy as np
 
 from ..utils.rng import new_rng
 
-__all__ = ["FeatureCache", "DynamicFeatureCache", "TieredFeatureCache",
-           "OracleCache", "StaticRandomCache", "StaticDegreeCache"]
+__all__ = ["FeatureCache", "DynamicFeatureCache", "OracleCache",
+           "StaticRandomCache", "StaticDegreeCache"]
 
 
 class FeatureCache:
@@ -105,23 +105,6 @@ class FeatureCache:
 
     def _replace(self) -> None:
         """Replacement policy hook (default: static, never replaces)."""
-
-    def hit_row_bytes(self, hit_ids: np.ndarray, full_row_bytes: int) -> float:
-        """VRAM bytes moved to serve these cache-hit unique ids.
-
-        Accounting hook for the feature store: the base cache holds
-        full-width rows, so every hit moves ``full_row_bytes`` (the store
-        tier's bytes per row).  :class:`TieredFeatureCache` overrides this
-        to charge each hit at its residency tier's width.
-        """
-        return float(hit_ids.size * full_row_bytes)
-
-    def budget_capacity(self, byte_budget_rows: int) -> int:
-        """Row capacity a VRAM budget of ``byte_budget_rows`` full-width rows
-        buys.  The base cache stores full-width rows, so budget == capacity;
-        :class:`TieredFeatureCache` converts the same bytes into more rows.
-        """
-        return int(byte_budget_rows)
 
     def grow(self, num_edges: int, capacity: Optional[int] = None) -> None:
         """Extend the cacheable edge-id universe (streaming ingestion).
@@ -220,115 +203,6 @@ class DynamicFeatureCache(FeatureCache):
             self._set_cache(top)
             self.replacement_count += 1
         self.frequency[:] = 0
-
-
-class TieredFeatureCache(DynamicFeatureCache):
-    """Dynamic cache re-budgeted as hot fp32 / warm fp16 / cold int8 tiers.
-
-    A plain :class:`DynamicFeatureCache` of ``byte_budget_rows`` rows spends
-    its whole VRAM budget on full-width (fp32) rows.  This cache keeps the
-    *byte* budget fixed and splits it into three residency tiers —
-    ``hot_fraction`` of the bytes hold fp32 rows, ``warm_fraction`` hold
-    fp16 rows (2 rows per fp32-row budget), and the remainder holds int8
-    rows (4 per) — so at the default 0.3/0.3 split the cache holds ``0.3 +
-    0.6 + 1.6 = 2.5x`` as many rows as its uncompressed peer
-    (:attr:`effective_capacity_multiplier`).
-
-    Replacement is the paper's Algorithm 3 unchanged (top-k by epoch
-    frequency, epsilon-guarded swap); within the chosen set, rows are ranked
-    by ``(-frequency, id)`` and assigned to tiers in rank order.  A row that
-    cools therefore *demotes* — fp32 -> fp16 -> int8 — instead of being
-    evicted, and only falls out entirely once it leaves the (much larger)
-    top-k.  Hit/miss accounting is inherited occurrence-weighted; only
-    :meth:`hit_row_bytes` changes, charging each hit at its residency tier's
-    width.  Values are never served from the cache (the feature store's
-    tier decode applies to every row), so tiering is purely a capacity /
-    byte-accounting model and cannot perturb training trajectories.
-    """
-
-    #: bytes per element of the hot/warm/cold residency tiers.
-    TIER_ITEMSIZES = (4, 2, 1)
-
-    def __init__(self, num_edges: int, byte_budget_rows: int, edge_dim: int,
-                 hot_fraction: float = 0.3, warm_fraction: float = 0.3,
-                 epsilon: float = 0.8, seed: int = 0) -> None:
-        if byte_budget_rows < 0:
-            raise ValueError(f"byte_budget_rows must be >= 0, got {byte_budget_rows}")
-        if not (0.0 <= hot_fraction <= 1.0 and 0.0 <= warm_fraction <= 1.0
-                and hot_fraction + warm_fraction <= 1.0):
-            raise ValueError(
-                "hot_fraction and warm_fraction must be in [0, 1] with "
-                f"hot + warm <= 1, got hot={hot_fraction} warm={warm_fraction}")
-        self.byte_budget_rows = byte_budget_rows
-        self.edge_dim = edge_dim
-        self.hot_fraction = hot_fraction
-        self.warm_fraction = warm_fraction
-        self._hot_rows = int(byte_budget_rows * hot_fraction)
-        self._warm_rows = int(byte_budget_rows * warm_fraction * 2)
-        cold_rows = int(byte_budget_rows
-                        * (1.0 - hot_fraction - warm_fraction) * 4)
-        capacity = min(num_edges, self._hot_rows + self._warm_rows + cold_rows)
-        #: per-id residency-tier bytes/element (0 = uncached).
-        self.tier_itemsize = np.zeros(num_edges, dtype=np.int64)
-        # super().__init__ performs the random initial fill through our
-        # _set_cache override, so the tier state above must already exist.
-        super().__init__(num_edges, capacity, epsilon=epsilon, seed=seed)
-
-    @property
-    def effective_capacity_multiplier(self) -> float:
-        """Cached rows per row an uncompressed cache of equal bytes holds."""
-        if self.byte_budget_rows == 0:
-            return 1.0
-        return self.capacity / self.byte_budget_rows
-
-    def tier_counts(self) -> dict:
-        """Currently cached row counts per residency tier."""
-        return {
-            "fp32": int((self.tier_itemsize == 4).sum()),
-            "fp16": int((self.tier_itemsize == 2).sum()),
-            "int8": int((self.tier_itemsize == 1).sum()),
-        }
-
-    def _set_cache(self, edge_ids: np.ndarray) -> None:
-        edge_ids = np.asarray(edge_ids, dtype=np.int64)
-        # Rank hottest-first with id tiebreak: argpartition hands us the
-        # top-k unordered, and the tier an id lands in must be deterministic.
-        order = np.lexsort((edge_ids, -self.frequency[edge_ids]))
-        ranked = edge_ids[order][:self.capacity]
-        super()._set_cache(ranked)
-        self.tier_itemsize[:] = 0
-        hot_end = self._hot_rows
-        warm_end = self._hot_rows + self._warm_rows
-        self.tier_itemsize[ranked[:hot_end]] = 4
-        self.tier_itemsize[ranked[hot_end:warm_end]] = 2
-        self.tier_itemsize[ranked[warm_end:]] = 1
-
-    def grow(self, num_edges: int, capacity: Optional[int] = None) -> None:
-        extra = num_edges - self.num_edges
-        super().grow(num_edges, capacity=capacity)
-        if extra > 0:
-            self.tier_itemsize = np.concatenate(
-                [self.tier_itemsize, np.zeros(extra, dtype=np.int64)])
-
-    def budget_capacity(self, byte_budget_rows: int) -> int:
-        """Re-derive the tiered capacity for a (never shrinking) byte budget.
-
-        Called by the streaming trainer before :meth:`grow` to keep the
-        cache's VRAM share of a growing edge universe constant; the tier
-        regions are re-split from the new budget and apply at the next
-        replacement.
-        """
-        if byte_budget_rows <= self.byte_budget_rows:
-            return self.capacity
-        self.byte_budget_rows = int(byte_budget_rows)
-        self._hot_rows = int(byte_budget_rows * self.hot_fraction)
-        self._warm_rows = int(byte_budget_rows * self.warm_fraction * 2)
-        cold_rows = int(byte_budget_rows
-                        * (1.0 - self.hot_fraction - self.warm_fraction) * 4)
-        return self._hot_rows + self._warm_rows + cold_rows
-
-    def hit_row_bytes(self, hit_ids: np.ndarray, full_row_bytes: int) -> float:
-        return float(self.edge_dim * int(self.tier_itemsize[hit_ids].sum()))
 
 
 class OracleCache(FeatureCache):

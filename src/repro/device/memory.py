@@ -38,7 +38,6 @@ from .. import tensor as _tensor
 from ..graph.temporal_graph import TemporalGraph
 from .cache import FeatureCache
 from .costmodel import TransferCostModel
-from .precision import PrecisionCodec, PrecisionPolicy
 
 __all__ = ["SliceStats", "FeatureStore"]
 
@@ -147,30 +146,19 @@ class FeatureStore:
     node_features_on_device:
         The paper keeps node features resident in VRAM (they are small for
         all five datasets); set False to model them as host-resident too.
-    precision:
-        Storage tier of the backing feature tables — a
-        :class:`~repro.device.precision.PrecisionPolicy`, a tier name, or
-        ``None`` for the exact ``fp32`` anchor (environment resolution of
-        ``REPRO_PRECISION`` happens at the config layer, not here, so
-        directly constructed stores stay bitwise-deterministic).  Lossy
-        tiers keep an encoded side table fitted once on the features
-        present at construction; rows appended later (streaming/serving
-        ingest) are encoded lazily with the frozen scale/zero-point.  The
-        tier's decode applies to **every** gathered row, hit or miss, so
-        cache state never influences values — only byte accounting.
+
+    Gathers always read the graph's own feature arrays, hit or miss, so cache
+    state never influences values — only byte accounting.
     """
 
     def __init__(self, graph: TemporalGraph,
                  edge_cache: Optional[FeatureCache] = None,
                  cost_model: Optional[TransferCostModel] = None,
-                 node_features_on_device: bool = True,
-                 precision=None) -> None:
+                 node_features_on_device: bool = True) -> None:
         self.graph = graph
         self.edge_cache = edge_cache
         self.cost_model = cost_model if cost_model is not None else TransferCostModel()
         self.node_features_on_device = node_features_on_device
-        self.precision = (PrecisionPolicy() if precision is None
-                          else PrecisionPolicy.coerce(precision))
         self.stats = SliceStats()
         # Guards stats/cache accounting.  Accumulated counts are
         # order-insensitive sums, so the lock is all that is needed for
@@ -178,43 +166,23 @@ class FeatureStore:
         # reset and epoch rollover — must hold this lock; consistent reads go
         # through :meth:`snapshot`.
         self._lock = threading.Lock()
-        # Lossy tiers: fit once on today's features, freeze, encode.  The
-        # fp32 tier has no side table at all — it gathers straight from the
-        # graph arrays, which is what makes it bitwise today's path.
-        self._edge_codec: Optional[PrecisionCodec] = None
-        self._node_codec: Optional[PrecisionCodec] = None
-        self._edge_encoded: Optional[np.ndarray] = None
-        self._node_encoded: Optional[np.ndarray] = None
-        if not self.precision.is_exact:
-            if graph.edge_feat is not None:
-                self._edge_codec = self.precision.make_codec().fit(graph.edge_feat)
-                self._edge_encoded = self._edge_codec.encode(graph.edge_feat)
-            if graph.node_feat is not None:
-                self._node_codec = self.precision.make_codec().fit(graph.node_feat)
-                self._node_encoded = self._node_codec.encode(graph.node_feat)
-        # Transfer accounting charges the *stored* width per element: the
-        # graph array's own itemsize on the fp32 tier, the codec's on a
-        # quantized tier — so SliceStats/TransferCostModel see the bytes
-        # that actually move.
+        # Transfer accounting charges the graph arrays' own width per row, so
+        # SliceStats/TransferCostModel see the bytes that actually move.
         self._edge_bytes_per_row = 0
         if graph.edge_feat is not None:
-            itemsize = (self._edge_codec.itemsize if self._edge_codec
-                        is not None else graph.edge_feat.itemsize)
-            self._edge_bytes_per_row = itemsize * graph.edge_dim
+            self._edge_bytes_per_row = graph.edge_feat.itemsize * graph.edge_dim
         self._node_bytes_per_row = 0
         if graph.node_feat is not None:
-            itemsize = (self._node_codec.itemsize if self._node_codec
-                        is not None else graph.node_feat.itemsize)
-            self._node_bytes_per_row = itemsize * graph.node_dim
+            self._node_bytes_per_row = graph.node_feat.itemsize * graph.node_dim
 
     @property
     def edge_bytes_per_row(self) -> int:
-        """Bytes one stored edge-feature row occupies (the tier's width)."""
+        """Bytes one stored edge-feature row occupies."""
         return self._edge_bytes_per_row
 
     @property
     def node_bytes_per_row(self) -> int:
-        """Bytes one stored node-feature row occupies (the tier's width)."""
+        """Bytes one stored node-feature row occupies."""
         return self._node_bytes_per_row
 
     # -- dedup choke point -----------------------------------------------------
@@ -234,28 +202,6 @@ class FeatureStore:
         valid_counts = np.bincount(inverse, weights=valid,
                                    minlength=unique_ids.size).astype(np.int64)
         return unique_ids, inverse, valid_counts
-
-    # -- quantized side tables ---------------------------------------------------
-
-    def _sync_encoded(self) -> None:
-        """Lazily encode rows appended to the graph since the last gather.
-
-        Streaming/serving ingest grows ``graph.edge_feat``/``node_feat``
-        after the store was built; the frozen codec (scale/zero-point fitted
-        once) encodes just the new tail, so earlier encoded rows — and
-        therefore all previously decoded values — are untouched.
-        """
-        with self._lock:
-            if (self._edge_encoded is not None
-                    and self._edge_encoded.shape[0] < self.graph.edge_feat.shape[0]):
-                tail = self.graph.edge_feat[self._edge_encoded.shape[0]:]
-                self._edge_encoded = np.concatenate(
-                    [self._edge_encoded, self._edge_codec.encode(tail)])
-            if (self._node_encoded is not None
-                    and self._node_encoded.shape[0] < self.graph.node_feat.shape[0]):
-                tail = self.graph.node_feat[self._node_encoded.shape[0]:]
-                self._node_encoded = np.concatenate(
-                    [self._node_encoded, self._node_codec.encode(tail)])
 
     # -- edge features ---------------------------------------------------------
 
@@ -277,8 +223,6 @@ class FeatureStore:
         """
         if self.graph.edge_feat is None:
             return None
-        if self._edge_codec is not None:
-            self._sync_encoded()
         edge_ids = np.asarray(edge_ids, dtype=np.int64)
         flat = edge_ids.reshape(-1)
         valid = np.ones(flat.shape[0], dtype=bool) if mask is None \
@@ -297,14 +241,12 @@ class FeatureStore:
                 hits = self.edge_cache.lookup_unique(live_ids, live_counts)
                 n_hit_unique = int(hits.sum())
                 n_hit = int(live_counts[hits].sum())
-                hit_bytes = self.edge_cache.hit_row_bytes(
-                    live_ids[hits], self._edge_bytes_per_row)
             else:
                 n_hit_unique, n_hit = 0, 0
-                hit_bytes = 0.0
             n_miss_unique = int(live_ids.size - n_hit_unique)
             self.stats.cache_hits += n_hit
             self.stats.cache_misses += requested - n_hit
+            hit_bytes = float(n_hit_unique * self._edge_bytes_per_row)
             miss_bytes = n_miss_unique * self._edge_bytes_per_row
             self.stats.bytes_from_vram += hit_bytes
             self.stats.bytes_from_ram += miss_bytes
@@ -314,14 +256,11 @@ class FeatureStore:
                 self.stats.simulated_seconds += self.cost_model.pcie_time(
                     miss_bytes, num_rows=n_miss_unique)
 
-        # Fused gather: decode each unique row once, scatter via inverse.
-        # The graph stores features in the compute dtype (float32), so the
-        # fp32 tier's cast is a no-op: rows are never widened on the way in.
-        if self._edge_codec is not None:
-            rows = self._edge_codec.decode(self._edge_encoded[unique_ids])
-        else:
-            rows = self.graph.edge_feat[unique_ids].astype(
-                _tensor.COMPUTE_DTYPE, copy=False)
+        # Fused gather: each unique row once, scattered via inverse.  The
+        # graph stores features in the compute dtype (float32), so the cast
+        # is a no-op: rows are never widened on the way in.
+        rows = self.graph.edge_feat[unique_ids].astype(
+            _tensor.COMPUTE_DTYPE, copy=False)
         features = rows[inverse]
         if mask is not None:
             features = features * valid[:, None]
@@ -338,8 +277,6 @@ class FeatureStore:
         """
         if self.graph.node_feat is None:
             return None
-        if self._node_codec is not None:
-            self._sync_encoded()
         node_ids = np.asarray(node_ids, dtype=np.int64)
         flat = node_ids.reshape(-1)
         valid = np.ones(flat.shape[0], dtype=bool) if mask is None \
@@ -358,11 +295,8 @@ class FeatureStore:
                 self.stats.bytes_from_ram += nbytes
                 self.stats.simulated_seconds += self.cost_model.pcie_time(
                     nbytes, num_rows=n_unique)
-        if self._node_codec is not None:
-            rows = self._node_codec.decode(self._node_encoded[unique_ids])
-        else:
-            rows = self.graph.node_feat[unique_ids].astype(
-                _tensor.COMPUTE_DTYPE, copy=False)
+        rows = self.graph.node_feat[unique_ids].astype(
+            _tensor.COMPUTE_DTYPE, copy=False)
         features = rows[inverse]
         if mask is not None:
             features = features * valid[:, None]

@@ -5,10 +5,9 @@ contract, and :mod:`repro.serve.cache` for the bounded-staleness
 node-embedding cache.
 """
 
-from .cache import NodeEmbeddingCache, TieredNodeEmbeddingCache
+from .cache import NodeEmbeddingCache
 from .engine import (LinkQuery, ServeEngine, ServeResult, ServeStats,
                      VirtualClock, scores_hash)
 
-__all__ = ["NodeEmbeddingCache", "TieredNodeEmbeddingCache", "LinkQuery",
-           "ServeEngine", "ServeResult", "ServeStats", "VirtualClock",
-           "scores_hash"]
+__all__ = ["NodeEmbeddingCache", "LinkQuery", "ServeEngine", "ServeResult",
+           "ServeStats", "VirtualClock", "scores_hash"]

@@ -36,9 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..device.precision import roundtrip_rows
-
-__all__ = ["NodeEmbeddingCache", "TieredNodeEmbeddingCache"]
+__all__ = ["NodeEmbeddingCache"]
 
 
 class NodeEmbeddingCache:
@@ -265,116 +263,3 @@ class NodeEmbeddingCache:
         """Sorted node ids currently cached."""
         return np.sort(self.node_of[self.node_of >= 0])
 
-
-class TieredNodeEmbeddingCache(NodeEmbeddingCache):
-    """Embedding cache re-budgeted as hot fp32 / warm fp16 / cold int8 slots.
-
-    The slot array is partitioned into three contiguous tier regions: a VRAM
-    byte budget of ``byte_budget_rows`` full-width rows buys
-    ``hot_fraction`` of those bytes as fp32 slots, ``warm_fraction`` as fp16
-    slots (2 per fp32-row budget) and the remainder as per-row-affine int8
-    slots (4 per) — at the default 0.3/0.3 split, 2.5x the rows of an
-    uncompressed cache with the same bytes.
-
-    A row pays its slot's quantization loss: :meth:`_install` applies the
-    destination tier's round-trip (:func:`repro.device.precision.
-    roundtrip_rows`) before storing, and :meth:`end_epoch` *rebalances* —
-    occupants are re-ranked by ``(-frequency, stamp, node)`` and reassigned
-    to slots in rank order, so an entry that cools demotes hot -> warm ->
-    cold instead of being evicted (precision lost to a cold slot is only
-    recovered when a fresh embedding is reinserted).  Free-slot allocation
-    already hands out hot slots first (ascending slot order), so newly
-    computed embeddings start at full width.  Everything stays a pure
-    function of the request sequence: served scores remain
-    bitwise-reproducible in replay.
-    """
-
-    #: bytes per element of the hot/warm/cold slot regions.
-    TIER_ITEMSIZES = (4, 2, 1)
-    _TIERS = ((4, "fp32"), (2, "fp16"), (1, "int8"))
-
-    def __init__(self, num_nodes: int, byte_budget_rows: int,
-                 staleness_events: Optional[int] = None,
-                 staleness_time: Optional[float] = 0.0,
-                 hot_fraction: float = 0.3,
-                 warm_fraction: float = 0.3) -> None:
-        if byte_budget_rows < 0:
-            raise ValueError(
-                f"byte_budget_rows must be >= 0, got {byte_budget_rows}")
-        if not (0.0 <= hot_fraction <= 1.0 and 0.0 <= warm_fraction <= 1.0
-                and hot_fraction + warm_fraction <= 1.0):
-            raise ValueError(
-                "hot_fraction and warm_fraction must be in [0, 1] with "
-                f"hot + warm <= 1, got hot={hot_fraction} warm={warm_fraction}")
-        self.byte_budget_rows = int(byte_budget_rows)
-        hot_slots = int(byte_budget_rows * hot_fraction)
-        warm_slots = int(byte_budget_rows * warm_fraction * 2)
-        cold_slots = int(byte_budget_rows
-                         * (1.0 - hot_fraction - warm_fraction) * 4)
-        capacity = hot_slots + warm_slots + cold_slots
-        super().__init__(num_nodes, capacity,
-                         staleness_events=staleness_events,
-                         staleness_time=staleness_time)
-        #: slot -> residency-tier bytes/element (hot region first).
-        self._slot_tier = np.empty(capacity, dtype=np.int64)
-        self._slot_tier[:hot_slots] = 4
-        self._slot_tier[hot_slots:hot_slots + warm_slots] = 2
-        self._slot_tier[hot_slots + warm_slots:] = 1
-
-    @property
-    def effective_capacity_multiplier(self) -> float:
-        """Cached rows per row an uncompressed cache of equal bytes holds."""
-        if self.byte_budget_rows == 0:
-            return 1.0
-        return self.capacity / self.byte_budget_rows
-
-    def tier_counts(self) -> dict:
-        """Currently occupied slot counts per residency tier."""
-        occupied = self.node_of >= 0
-        return {tier: int((self._slot_tier[occupied] == itemsize).sum())
-                for itemsize, tier in self._TIERS}
-
-    def _quantize_for_slots(self, slots: np.ndarray,
-                            rows: np.ndarray) -> np.ndarray:
-        rows = np.array(rows)
-        for itemsize, tier in self._TIERS:
-            in_tier = self._slot_tier[slots] == itemsize
-            if in_tier.any():
-                rows[in_tier] = roundtrip_rows(tier, rows[in_tier])
-        return rows
-
-    def _install(self, slots: np.ndarray, nodes: np.ndarray, rows: np.ndarray,
-                 times: np.ndarray, now_event: int) -> None:
-        super()._install(slots, nodes, self._quantize_for_slots(slots, rows),
-                         times, now_event)
-
-    def end_epoch(self) -> None:
-        super().end_epoch()
-        self._rebalance()
-
-    def _rebalance(self) -> None:
-        """Reassign occupants to slots in frequency-rank order (demotion)."""
-        if self.rows is None:
-            return
-        occupied = np.nonzero(self.node_of >= 0)[0]
-        if occupied.size == 0:
-            return
-        nodes = self.node_of[occupied]
-        # Hottest first; ties -> oldest stamp -> smallest node id, matching
-        # the eviction tie-break (in reverse) so the ranking is total.
-        order = np.lexsort((nodes, self._slot_stamp[occupied],
-                            -self.frequency[nodes]))
-        src = occupied[order]
-        ranked_nodes = nodes[order]
-        rows = self.rows[src].copy()
-        times = self.computed_time[src].copy()
-        events = self.computed_event[src].copy()
-        stamps = self._slot_stamp[src].copy()
-        dst = np.arange(src.size)
-        self.node_of[:] = -1
-        self.node_of[dst] = ranked_nodes
-        self.slot_of[ranked_nodes] = dst
-        self.rows[dst] = self._quantize_for_slots(dst, rows)
-        self.computed_time[dst] = times
-        self.computed_event[dst] = events
-        self._slot_stamp[dst] = stamps

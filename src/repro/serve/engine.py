@@ -53,14 +53,13 @@ from ..core.pipeline import MiniBatchGenerator
 from ..core.prep import PrepPipeline
 from ..device.costmodel import TransferCostModel
 from ..device.memory import FeatureStore
-from ..device.precision import PrecisionPolicy, resolve_precision_name
 from ..graph.tcsr import StreamingTCSR
 from ..graph.temporal_graph import TemporalGraph
 from ..sampling import make_finder
 from ..tensor import Tensor, get_backend, no_grad
 from ..tensor import functional as F
 from ..utils.timer import Timer
-from .cache import NodeEmbeddingCache, TieredNodeEmbeddingCache
+from .cache import NodeEmbeddingCache
 
 __all__ = ["LinkQuery", "ServeResult", "ServeStats", "VirtualClock",
            "ServeEngine", "scores_hash"]
@@ -181,13 +180,6 @@ class ServeEngine:
     cache_nodes:
         Embedding-cache capacity in nodes (default: a quarter of the node
         universe; 0 disables the cache).
-    precision:
-        Feature-store precision tier (``None`` resolves ``REPRO_PRECISION``
-        then ``fp32``).  The exact ``fp32`` tier keeps today's store and
-        embedding cache bitwise; a lossy tier stores features quantized and
-        swaps the embedding cache for a
-        :class:`~repro.serve.cache.TieredNodeEmbeddingCache` whose
-        ``cache_nodes`` byte budget holds ~2.5x the rows.
     clock:
         Callable returning monotonically increasing seconds
         (default ``time.perf_counter``; inject :class:`VirtualClock` for
@@ -198,7 +190,6 @@ class ServeEngine:
                  adaptive_sampler=None, num_layers: int = 1,
                  num_neighbors: int = 5, num_candidates: Optional[int] = None,
                  finder: str = "gpu", finder_policy: str = "recent",
-                 precision: Optional[str] = None,
                  max_batch: int = 32, queue_depth: int = 128,
                  admission: str = "wait",
                  staleness_events: Optional[int] = None,
@@ -232,29 +223,18 @@ class ServeEngine:
         self.finder_policy = finder_policy
         #: the array runtime the forward runs on (one per process).
         self.array_backend = get_backend()
-        self.precision = PrecisionPolicy(tier=resolve_precision_name(precision))
 
         capacity = cache_nodes if cache_nodes is not None \
             else max(1, self.graph.num_nodes // 4)
-        if self.precision.is_exact:
-            self.embedding_cache = NodeEmbeddingCache(
-                self.graph.num_nodes, capacity,
-                staleness_events=staleness_events,
-                staleness_time=staleness_time)
-        else:
-            # Same VRAM byte budget, compressed residency tiers: ~2.5x rows.
-            self.embedding_cache = TieredNodeEmbeddingCache(
-                self.graph.num_nodes, capacity,
-                staleness_events=staleness_events,
-                staleness_time=staleness_time,
-                hot_fraction=self.precision.hot_fraction,
-                warm_fraction=self.precision.warm_fraction)
+        self.embedding_cache = NodeEmbeddingCache(
+            self.graph.num_nodes, capacity,
+            staleness_events=staleness_events,
+            staleness_time=staleness_time)
 
         self.timer = Timer()
         self.stcsr = StreamingTCSR.from_graph(self.graph)
         self.feature_store = FeatureStore(self.graph, edge_cache=None,
-                                          cost_model=TransferCostModel(),
-                                          precision=self.precision)
+                                          cost_model=TransferCostModel())
         self._refresh()
 
         self._pending: List[_Pending] = []
@@ -266,10 +246,9 @@ class ServeEngine:
     def from_trainer(cls, trainer, **kwargs) -> "ServeEngine":
         """Build a serving engine over a (trained) ``TaserTrainer``'s model.
 
-        The model stack is shared by reference; the event history is copied.
-        Precision defaults to the trainer's resolved configuration, so a
-        replay engine built from the same trainer is the bitwise-equal twin
-        of the original.
+        The model stack is shared by reference; the event history is copied,
+        so a replay engine built from the same trainer is the bitwise-equal
+        twin of the original.
         """
         cfg = trainer.config
         defaults = dict(
@@ -278,7 +257,7 @@ class ServeEngine:
             num_candidates=(cfg.num_candidates if cfg.adaptive_neighbor
                             else cfg.num_neighbors),
             finder=cfg.finder, finder_policy=cfg.resolved_finder_policy,
-            precision=cfg.resolved_precision, seed=cfg.seed)
+            seed=cfg.seed)
         defaults.update(kwargs)
         return cls(trainer.graph, trainer.backbone, trainer.predictor,
                    **defaults)
@@ -493,7 +472,6 @@ class ServeEngine:
             # benchmarks/e2e/workloads.py reads stats()["prep_backend"].
             "prep_backend": self.prep.name,
             "array_backend": self.array_backend.name,
-            "precision": self.precision.tier,
         }
 
 

@@ -11,7 +11,7 @@ rules keep it that way without a switch: kernels and autograd never name a
 dtype (every result takes the dtype of its floating inputs), and the
 boundaries that turn non-array or stored data into model quantities
 (:class:`Tensor` construction from Python numbers, ``Parameter``, the
-encoders, the precision codecs, the feature store) read this constant *at
+encoders, the feature store) read this constant *at
 call time*.  It is not configuration: the program runs float32 and nothing
 else; the test suite rebinds it to double precision while it builds the
 modules whose gradients it checks (:mod:`~repro.tensor.gradcheck`), and those

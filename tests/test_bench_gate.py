@@ -151,16 +151,15 @@ class TestBenchGate:
 class TestRequiredHashPairs:
     """The contract pairs a benchmark may not silently stop emitting."""
 
-    def test_registry_covers_fig1_serve_and_precision(self):
+    def test_registry_covers_fig1_serve_and_shards(self):
         assert bench_gate.REQUIRED_HASH_PAIRS["BENCH_serve_latency.json"] \
             == ("serve_determinism",)
         assert bench_gate.REQUIRED_HASH_PAIRS[
             "BENCH_fig1_breakdown_wikipedia.json"] \
             == ("determinism",)
-        assert set(bench_gate.REQUIRED_HASH_PAIRS["BENCH_precision.json"]) \
-            == {"precision_determinism", "fp32_equivalence"}
         assert set(bench_gate.REQUIRED_HASH_PAIRS["BENCH_shard_scaling.json"]) \
             == {"determinism", "comms_equivalence"}
+        assert len(bench_gate.REQUIRED_HASH_PAIRS) == 3
 
     def _fig1_artifact(self, replay="b"):
         return {
@@ -227,45 +226,12 @@ class TestRequiredHashPairs:
         _write(current, artifact, name="BENCH_serve_latency.json")
         assert _gate(current, baselines) == 1
 
-    def _precision_artifact(self, run_hash="abc", replay_hash="abc"):
-        return {
-            "benchmark": "precision", "scale": 0.1, "engine_env": "sync",
-            "unix_time": 0.0,
-            "results": {
-                "fp32_equivalence": {"hash": "eq", "replay_hash": "eq"},
-                "precision_determinism": {"hash": run_hash,
-                                          "replay_hash": replay_hash},
-            },
-        }
-
-    def test_precision_pairs_present_and_equal_pass(self, dirs):
-        current, baselines = dirs
-        baselines.mkdir(parents=True)
-        _write(current, self._precision_artifact(),
-               name="BENCH_precision.json")
-        assert _gate(current, baselines) == 0
-
-    def test_precision_replay_mismatch_fails_at_every_scale(self, dirs):
-        current, baselines = dirs
-        baselines.mkdir(parents=True)
-        _write(current, self._precision_artifact(replay_hash="doctored"),
-               name="BENCH_precision.json")
-        assert _gate(current, baselines) == 1          # even without --strict
-
-    def test_precision_pair_missing_fails_hard(self, dirs):
-        current, baselines = dirs
-        baselines.mkdir(parents=True)
-        artifact = self._precision_artifact()
-        del artifact["results"]["precision_determinism"]
-        _write(current, artifact, name="BENCH_precision.json")
-        assert _gate(current, baselines) == 1
-
-    def _shard_artifact(self, comms_replay="traj"):
+    def _shard_artifact(self, comms_replay="traj", replay="det"):
         return {
             "benchmark": "shard_scaling", "scale": 0.1, "engine_env": "sync",
             "unix_time": 0.0,
             "results": {
-                "determinism": {"hash": "det", "replay_hash": "det"},
+                "determinism": {"hash": "det", "replay_hash": replay},
                 "comms_equivalence": {"hash": "traj",
                                       "replay_hash": comms_replay},
             },
@@ -276,6 +242,44 @@ class TestRequiredHashPairs:
         baselines.mkdir(parents=True)
         _write(current, self._shard_artifact(),
                name="BENCH_shard_scaling.json")
+        assert _gate(current, baselines) == 0
+
+    def test_shard_replay_mismatch_fails_at_every_scale(self, dirs):
+        current, baselines = dirs
+        baselines.mkdir(parents=True)
+        _write(current, self._shard_artifact(replay="doctored"),
+               name="BENCH_shard_scaling.json")
+        assert _gate(current, baselines) == 1          # even without --strict
+
+    def test_shard_determinism_pair_missing_fails_hard(self, dirs):
+        """A two-pair artifact that still carries one pair fails when the
+        other goes missing."""
+        current, baselines = dirs
+        baselines.mkdir(parents=True)
+        artifact = self._shard_artifact()
+        del artifact["results"]["determinism"]
+        _write(current, artifact, name="BENCH_shard_scaling.json")
+        assert _gate(current, baselines) == 1
+
+    def test_precision_pairs_present_and_equal_pass(self, dirs):
+        """A BENCH_precision.json left over from an older checkout still
+        passes: its equal pairs are walked like any others, and it is no
+        longer required to carry them."""
+        current, baselines = dirs
+        baselines.mkdir(parents=True)
+        artifact = {
+            "benchmark": "precision", "scale": 0.1, "engine_env": "sync",
+            "unix_time": 0.0,
+            "results": {
+                "fp32_equivalence": {"hash": "eq", "replay_hash": "eq"},
+                "precision_determinism": {"hash": "abc",
+                                          "replay_hash": "abc"},
+            },
+        }
+        _write(current, artifact, name="BENCH_precision.json")
+        assert _gate(current, baselines) == 0
+        del artifact["results"]["precision_determinism"]
+        _write(current, artifact, name="BENCH_precision.json")
         assert _gate(current, baselines) == 0
 
     def test_comms_replay_mismatch_fails_at_every_scale(self, dirs):

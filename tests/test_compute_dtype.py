@@ -145,9 +145,8 @@ class TestLeakGuard:
         assert leaks == []
         assert_model_state_is_compute_dtype(trainer)
 
-    @pytest.mark.parametrize("precision", ["fp32", "fp16", "int8"])
-    def test_every_precision_tier_gathers_compute_dtype(self, small_graph, precision):
-        trainer = TaserTrainer(small_graph, leak_config(precision=precision))
+    def test_feature_store_gathers_compute_dtype(self, small_graph):
+        trainer = TaserTrainer(small_graph, leak_config())
         ids = np.arange(12).reshape(3, 4)
         rows = trainer.feature_store.slice_edge_features(ids)
         assert rows.dtype == repro.tensor.COMPUTE_DTYPE
@@ -167,14 +166,11 @@ class TestLeakGuard:
         assert leaks == []
         assert_model_state_is_compute_dtype(trainer)
 
-    @pytest.mark.parametrize("tiered", [False, True])
-    def test_serve_flush(self, small_graph, tiered):
+    def test_serve_flush(self, small_graph):
         trainer = TaserTrainer(small_graph, leak_config(adaptive_minibatch=False,
                                                         adaptive_neighbor=False))
-        kwargs = dict(max_batch=8, clock=VirtualClock())
-        if tiered:
-            kwargs["precision"] = "int8"
-        engine = ServeEngine.from_trainer(trainer, **kwargs)
+        engine = ServeEngine.from_trainer(trainer, max_batch=8,
+                                          clock=VirtualClock())
         t_hi = float(small_graph.ts.max())
         with recorded_kernels() as (leaks, calls):
             for i in range(6):
@@ -297,7 +293,6 @@ class TestSourceLint:
         pattern = re.compile(r"REPRO_DTYPE|compute_dtype|--dtype")
         root = SRC.parents[1]
         files = [SRC / "cli.py", SRC / "core" / "config.py",
-                 SRC / "device" / "precision.py",
                  *sorted((root / ".github").rglob("*.yml"))]
         assert [str(f) for f in files if pattern.search(f.read_text())] == []
 

@@ -1,9 +1,14 @@
 """Tests for the simulated memory hierarchy: caches, feature store, cost model."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.device
+import repro.serve
+from repro.core import TaserConfig
 from repro.device import (TransferCostModel, DynamicFeatureCache, OracleCache,
                           StaticRandomCache, StaticDegreeCache, FeatureStore)
 
@@ -179,6 +184,36 @@ class TestFeatureStore:
         assert store.stats.requests == 0
         assert store.stats.simulated_seconds == 0.0
 
+    def test_cache_membership_never_changes_values(self, featured_graph):
+        cache = DynamicFeatureCache(featured_graph.num_edges, 20, seed=1)
+        cached = FeatureStore(featured_graph, edge_cache=cache)
+        bare = FeatureStore(featured_graph)
+        ids = np.arange(0, featured_graph.num_edges, 2)
+        for _ in range(2):
+            np.testing.assert_array_equal(cached.slice_edge_features(ids),
+                                          bare.slice_edge_features(ids))
+            cached.end_epoch()         # the replacement policy swaps content
+        assert cache.hit_rate_history[0] > 0
+
+    def test_bytes_are_charged_at_the_stored_row_width(self, featured_graph):
+        graph = featured_graph
+        width = graph.edge_feat.itemsize * graph.edge_dim
+        cache = DynamicFeatureCache(graph.num_edges, 20, seed=1)
+        store = FeatureStore(graph, edge_cache=cache)
+        assert store.edge_bytes_per_row == width
+        assert store.node_bytes_per_row == graph.node_feat.itemsize * graph.node_dim
+        ids = np.tile(np.arange(0, graph.num_edges, 3), 2)    # every id twice
+        rows = store.slice_edge_features(ids)
+        np.testing.assert_array_equal(rows, graph.edge_feat[ids])
+        unique = np.unique(ids)
+        hits = int(cache.cached[unique].sum())
+        assert 0 < hits < unique.size
+        # One row moved per unique id, at the stored width, hit or miss.
+        assert store.stats.bytes_from_vram == hits * width
+        assert store.stats.bytes_from_ram == (unique.size - hits) * width
+        assert store.stats.cache_hits == 2 * hits
+        assert store.stats.cache_hits + store.stats.cache_misses == ids.size
+
 
 class TestCacheGrowProperties:
     """Hypothesis property tests: grow()/lookup()/lookup_unique() interplay.
@@ -309,3 +344,24 @@ class TestCacheGrowProperties:
         hits = cache.lookup(upcoming)
         assert cache.current_hit_rate == pytest.approx(
             hits.sum() / upcoming.size)
+
+
+# ------------------------------------------------------------- removal tests
+
+def test_config_has_no_precision_fields(monkeypatch):
+    for field, value in (("precision", "fp16"), ("precision_mrr_budget", 0.05)):
+        with pytest.raises(TypeError):
+            TaserConfig(**{field: value})
+    assert not hasattr(TaserConfig(), "resolved_precision")
+    # A stale variable from an older setup is ignored, not an error.
+    monkeypatch.setenv("REPRO_PRECISION", "bogus")
+    assert TaserConfig().variant_name() == "TASER"
+
+
+def test_lossy_tiers_are_not_exported():
+    gone = ("Fp16Codec", "Int8Codec", "TieredFeatureCache",
+            "TieredNodeEmbeddingCache")
+    for module in (repro.device, repro.serve):
+        assert [name for name in gone if hasattr(module, name)] == []
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.device.precision")

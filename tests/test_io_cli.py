@@ -92,7 +92,8 @@ class TestCLI:
         assert args.batch_engine == "aot"
         for gone in (["--batch-engine", "warp"], ["--batch-engine", "prefetch"],
                      ["--prefetch-depth", "3"], ["--prep-pool-workers", "1"],
-                     ["--prep-cache-mb", "64"], ["--prep-backend", "fused"]):
+                     ["--prep-cache-mb", "64"], ["--prep-backend", "fused"],
+                     ["--precision", "fp16"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(gone)
 
@@ -186,9 +187,17 @@ class TestTrainCLI:
         with pytest.raises(SystemExit):
             main(self.TRAIN_ARGS + ["--worker-backend", "mpi"])
         capsys.readouterr()
-        with pytest.raises(SystemExit):
-            main(self.TRAIN_ARGS + ["--prep-backend", "fused"])
-        assert "unrecognized arguments" in capsys.readouterr().err
+        for gone in (["--prep-backend", "fused"], ["--precision", "fp16"]):
+            with pytest.raises(SystemExit):
+                main(self.TRAIN_ARGS + gone)
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_train_ignores_a_stale_precision_variable(self, monkeypatch,
+                                                      capsys):
+        monkeypatch.setenv("REPRO_PRECISION", "bogus")
+        assert main(self.TRAIN_ARGS + ["--workers", "1", "--worker-backend",
+                                       "serial", "--json"]) == 0
+        assert 0.0 <= json.loads(capsys.readouterr().out)["test_mrr"] <= 1.0
 
 
 class TestStreamCLI:
@@ -222,7 +231,7 @@ class TestStreamCLI:
         for gone in (["--batch-engine", "aot"], ["--batch-engine", "prefetch"],
                      ["--prefetch-depth", "2"], ["--prep-pool-workers", "1"],
                      ["--prep-cache-mb", "64"], ["--backend", "reference"],
-                     ["--prep-backend", "fused"]):
+                     ["--prep-backend", "fused"], ["--precision", "fp16"]):
             with pytest.raises(SystemExit):
                 main(self.STREAM_ARGS + gone)
             capsys.readouterr()
@@ -301,35 +310,35 @@ class TestServeCLI:
         assert "must be >= 0" in capsys.readouterr().err
 
     def test_serve_rejects_unknown_backends_at_parse_time(self, capsys):
-        """An unknown --precision lists the tiers; --backend and
-        --prep-backend are not flags at all."""
-        for gone in (["--backend", "reference"], ["--prep-backend", "fused"]):
+        """--backend, --prep-backend and --precision are not flags at all."""
+        for gone in (["--backend", "reference"], ["--prep-backend", "fused"],
+                     ["--precision", "fp16"]):
             with pytest.raises(SystemExit):
                 main(self.SERVE_ARGS + gone)
             assert "unrecognized arguments" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(self.SERVE_ARGS + ["--precision", "warp"])
-        err = capsys.readouterr().err
-        assert "invalid choice" in err and "fp16" in err
 
     def test_serve_env_backend_validated_not_breaking_help(self, monkeypatch,
                                                            capsys):
-        """A stale REPRO_PRECISION is a parse-time error for a run, but
-        --help must still work (the train/stream contract)."""
+        """No environment variable selects a serve backend any more, so a
+        stale REPRO_PRECISION is not validated: the run succeeds, and --help
+        still works (the train/stream contract)."""
         monkeypatch.setenv("REPRO_PRECISION", "bogus")
-        with pytest.raises(SystemExit) as exc:
-            main(self.SERVE_ARGS + ["--json"])
-        assert exc.value.code == 2
-        assert "the tiers are" in capsys.readouterr().err
+        assert main(self.SERVE_ARGS + ["--json"]) == 0
+        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["serve", "--help"])
         assert exc.value.code == 0
         assert "--max-batch" in capsys.readouterr().out
 
     def test_serve_explicit_backend_beats_stale_env(self, monkeypatch, capsys):
+        """The command line alone decides a serve run: a stale
+        REPRO_PRECISION changes neither the payload's backend nor a score,
+        and the payload names no tier."""
+        assert main(self.SERVE_ARGS + ["--json"]) == 0
+        clean = json.loads(capsys.readouterr().out)
         monkeypatch.setenv("REPRO_PRECISION", "bogus")
-        code = main(self.SERVE_ARGS + ["--precision", "fp32", "--json"])
-        assert code == 0
+        assert main(self.SERVE_ARGS + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["precision"] == "fp32"
+        assert "precision" not in payload
         assert payload["array_backend"] == "reference"
+        assert payload["scores_hash"] == clean["scores_hash"]

@@ -138,6 +138,15 @@ class TestNodeEmbeddingCache:
         assert not hits.any() and rows is None
         assert cache.num_cached == 0
 
+    def test_rows_are_served_exactly_as_inserted(self):
+        cache = NodeEmbeddingCache(50, 8)
+        rows = np.random.default_rng(0).normal(size=(4, 5))
+        cache.insert(np.arange(4), rows, np.zeros(4), now_event=0)
+        hits, cached = cache.lookup(np.arange(4), np.zeros(4), now_event=0)
+        assert hits.all()
+        np.testing.assert_array_equal(cached, rows)
+        assert cached.dtype == rows.dtype
+
 
 class TestUniqueEndpoints:
     """Serve computes a flush's distinct endpoints with the forward-only
@@ -275,6 +284,13 @@ class TestServeEngineEdgeCases:
         assert 0.0 <= stats["embedding_cache_hit_rate"] <= 1.0
         assert stats["embeddings_computed"] + stats["embeddings_reused"] \
             == 2 * len(queries)
+
+    def test_engine_has_no_precision_argument(self, trained):
+        with pytest.raises(TypeError):
+            make_engine(trained, precision="fp32")
+        engine = make_engine(trained)
+        assert type(engine.embedding_cache) is NodeEmbeddingCache
+        assert "precision" not in engine.stats()
 
 
 class TestServeDeterminism:

@@ -62,7 +62,6 @@ MIN_SECONDS_DEFAULT = 5e-3
 REQUIRED_HASH_PAIRS: Dict[str, Tuple[str, ...]] = {
     "BENCH_fig1_breakdown_wikipedia.json": ("determinism",),
     "BENCH_serve_latency.json": ("serve_determinism",),
-    "BENCH_precision.json": ("precision_determinism", "fp32_equivalence"),
     "BENCH_shard_scaling.json": ("determinism", "comms_equivalence"),
 }
 
