@@ -192,14 +192,13 @@ def eval_chunk_cell(tracer: Tracer, repeats: int) -> dict:
     queries = (graph.src[edges], graph.dst[edges], graph.ts[edges],
                evaluator.negatives.sample_matrix(edges.size, config.eval_negatives,
                                                  exclude=graph.dst[edges]))
-    with trainer.finder.draws_from(evaluator.rng):
-        minibatch = trainer.prep.prepare_eval(*queries).minibatch
-        levels = [{"per_row": minibatch.batch_size * config.num_neighbors ** level,
-                   "rows": int(hop.inverse.size), "targets": hop.num_targets}
-                  for level, hop in enumerate(minibatch.hops)]
-        cell = measure(lambda: score_link_queries(
-            trainer.prep, trainer.backbone, trainer.predictor, *queries),
-            tracer, repeats)
+    minibatch = trainer.prep.prepare_eval(*queries, rng=evaluator.rng).minibatch
+    levels = [{"per_row": minibatch.batch_size * config.num_neighbors ** level,
+               "rows": int(hop.inverse.size), "targets": hop.num_targets}
+              for level, hop in enumerate(minibatch.hops)]
+    cell = measure(lambda: score_link_queries(
+        trainer.prep, trainer.backbone, trainer.predictor, *queries,
+        evaluator.rng), tracer, repeats)
     return dict(cell, edges=int(edges.size), levels=levels)
 
 

@@ -113,16 +113,19 @@ class MiniBatchGenerator:
     # -- layer stage (NF + FS) ---------------------------------------------------------
 
     def layer_candidates(self, target_nodes: np.ndarray,
-                         target_times: np.ndarray) -> CandidateSlice:
+                         target_times: np.ndarray,
+                         rng: Optional[np.random.Generator] = None
+                         ) -> CandidateSlice:
         """NF + FS of one layer: sample candidates and slice their features.
 
         This stage depends only on the graph and the query frontier — never on
         trainable state — which is what makes it safe for the AOT engine to
-        run it ahead of the training loop.
+        run it ahead of the training loop.  ``rng`` is the generator of the
+        finder's draws (``None``: the finder's own stream).
         """
         with self.timer.section("NF"):
             candidates = self.finder.sample(target_nodes, target_times,
-                                            self._candidate_budget())
+                                            self._candidate_budget(), rng=rng)
         # Roots with no past interactions yield fully-masked rows whose slots
         # hold the padding sentinel; downstream feature slicing and
         # aggregation rely on that contract, so enforce it at the source.
@@ -143,7 +146,8 @@ class MiniBatchGenerator:
 
     def build(self, root_nodes: np.ndarray, root_times: np.ndarray,
               train: bool = True, first_hop: Optional[CandidateSlice] = None,
-              root_feat: Optional[np.ndarray] = None) -> MiniBatch:
+              root_feat: Optional[np.ndarray] = None,
+              rng: Optional[np.random.Generator] = None) -> MiniBatch:
         """Build the full multi-hop mini-batch for the given root queries.
 
         A training batch (``train=True``) has one target per row at every
@@ -160,6 +164,10 @@ class MiniBatchGenerator:
             training batch (from :meth:`layer_candidates`).  When given,
             ``root_feat`` is taken as the (possibly ``None``) precomputed root
             features instead of being sliced here.
+        rng:
+            Generator of the finder's draws at every hop (``None``: the
+            finder's own stream).  Scoring passes one per chunk, which is
+            what lets chunks run on several threads.
         """
         root_nodes = np.asarray(root_nodes, dtype=np.int64)
         root_times = np.asarray(root_times, dtype=np.float64)
@@ -176,7 +184,7 @@ class MiniBatchGenerator:
             else:
                 if layer == 0:
                     minibatch.root_node_feat = self.slice_root_features(cur_nodes)
-                stage = self.layer_candidates(cur_nodes, cur_times)
+                stage = self.layer_candidates(cur_nodes, cur_times, rng=rng)
             candidates = stage.candidates
             edge_feat = stage.edge_feat
             neigh_feat = stage.neigh_node_feat

@@ -200,19 +200,22 @@ class PrepPipeline:
 
     # -- stages: candidates -> gather -> encode -> assemble ----------------------
 
-    def finish(self, prepared: PreparedBatch, train: bool = True) -> PreparedBatch:
+    def finish(self, prepared: PreparedBatch, train: bool = True,
+               rng: Optional[np.random.Generator] = None) -> PreparedBatch:
         """Run the remaining stages until ``prepared.minibatch`` is built.
 
         Honours whatever was planned ahead of time: a precomputed hop-1
         candidate stage (``first_hop``/``root_feat``) is consumed instead of
         re-running NF/FS, and an already-built mini-batch passes through
         untouched — so the same entry point serves the synchronous path and
-        the consumer half of the AOT engine.
+        the consumer half of the AOT engine.  ``rng`` is the generator of the
+        finder's draws (``None``: the finder's own stream).
         """
         if prepared.minibatch is None:
             prepared.minibatch = self.generator.build(
                 prepared.roots, prepared.times, train=train,
-                first_hop=prepared.first_hop, root_feat=prepared.root_feat)
+                first_hop=prepared.first_hop, root_feat=prepared.root_feat,
+                rng=rng)
         return prepared
 
     def prepare_train(self, local_indices: np.ndarray) -> PreparedBatch:
@@ -220,10 +223,12 @@ class PrepPipeline:
         return self.finish(self.assemble_train(local_indices), train=True)
 
     def prepare_eval(self, src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
-                     negatives: np.ndarray) -> PreparedBatch:
-        """Fully prepare one evaluation batch (offline or prequential MRR)."""
+                     negatives: np.ndarray,
+                     rng: Optional[np.random.Generator] = None) -> PreparedBatch:
+        """Fully prepare one evaluation batch (offline or prequential MRR),
+        the finder drawing from ``rng`` (``None``: its own stream)."""
         return self.finish(self.assemble_eval(src, dst, ts, negatives),
-                           train=False)
+                           train=False, rng=rng)
 
     # -- vectorised chunk planning (AOT engine) ----------------------------------
 

@@ -350,10 +350,9 @@ class StreamingTrainer(TaserTrainer):
             picks.size, self.config.eval_negatives, exclude=dst)
         # Prequential batches are prepared and scored by the shared eval
         # loop, like offline MRR.
-        with self.prep.generator.finder.draws_from(self.prequential_rng):
-            pos, neg = score_link_queries(self.prep, self.backbone,
-                                          self.predictor, src, dst, ts,
-                                          negatives, batch_edges)
+        pos, neg = score_link_queries(self.prep, self.backbone, self.predictor,
+                                      src, dst, ts, negatives,
+                                      self.prequential_rng, batch_edges)
         return ranking_report(pos, neg)["mrr"]
 
     def ingest(self, chunk: EventChunk) -> None:

@@ -9,21 +9,36 @@ Evaluation batches are prepared through the shared prep runtime
 serves training: eval therefore benefits from the deduplicated fused gather
 and its cache accounting, and any prep optimisation automatically covers
 the evaluation path.
+
+Scoring runs its chunks on every core the process may use: the calling
+thread and a persistent pool of helper threads take chunk indices from one
+shared counter.  Almost all of a chunk's time is spent in NumPy / BLAS calls
+that release the GIL.  Each chunk's finder draws come from its own
+generator, seeded from the caller's before any chunk runs, so scores do not
+depend on how many threads ran or which thread took which chunk.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import ctypes
+import os
+import threading
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import _BLAS_THREADS
 from ..graph.splits import TemporalSplit
 from ..models.base import TGNNBackbone
 from ..models.edge_predictor import EdgePredictor
+from ..sampling.base import NeighborFinder
 from ..tensor import no_grad
 from ..utils.rng import new_rng
 from .metrics import ranking_report
 from .negative_sampling import NegativeSampler
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["LinkPredictionEvaluator", "score_link_queries", "SCORING_CHUNK_ROOTS"]
 
@@ -35,10 +50,109 @@ __all__ = ["LinkPredictionEvaluator", "score_link_queries", "SCORING_CHUNK_ROOTS
 #: queries, so a chunk's edges never depend on how many of its roots repeat.
 SCORING_CHUNK_ROOTS = 512
 
+#: ``M_ARENA_MAX`` of glibc's ``<malloc.h>``.
+_M_ARENA_MAX = -8
+
+
+def _one_malloc_arena() -> None:
+    """Make every thread allocate from glibc's main arena (no-op elsewhere).
+
+    With an arena per thread, each scoring thread keeps its own freed pages
+    and peak RSS grows by one chunk's working set per thread; scoring was
+    also slower that way.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None
+    if not glibc:
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
+def _pool_size(chunks: int, finder: NeighborFinder) -> int:
+    """Threads that score ``chunks`` chunks at once, the caller included.
+
+    The CPUs the process may use, divided by the threads BLAS uses (every
+    CPU when ``repro`` could not pin them), capped at the number of chunks.
+    A finder that needs chronological queries keeps state between calls (the
+    TGL pointer arrays), so it scores on the caller alone.
+    """
+    if finder.requires_chronological:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(chunks, cpus // (_BLAS_THREADS or cpus)))
+
+
+class _Helpers:
+    """The scoring threads besides the caller: one executor per process,
+    created on first need and kept."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._executor: Optional[ThreadPoolExecutor] = None
+        self._pid: Optional[int] = None
+
+    def run(self, work: Callable[[], None], helpers: int) -> None:
+        """Run ``work()`` on the calling thread and on ``helpers`` helper
+        threads; return once every one of them has returned."""
+        futures = []
+        if helpers:
+            with self._lock:
+                # A forked child (the shard pool forks) inherits the executor
+                # but none of its threads.
+                if self._pid != os.getpid():
+                    # Imported here: a process that never scores on helper
+                    # threads (serve, training alone) does not load it.
+                    from concurrent.futures import ThreadPoolExecutor
+                    _one_malloc_arena()
+                    self._executor = ThreadPoolExecutor(
+                        max_workers=os.cpu_count(), thread_name_prefix="repro-scoring")
+                    self._pid = os.getpid()
+                futures = [self._executor.submit(work) for _ in range(helpers)]
+        try:
+            work()
+        finally:
+            for future in futures:
+                future.result()
+
+
+_HELPERS = _Helpers()
+
+
+def _run_chunks(score: Callable[[int], None], chunks: int, threads: int) -> None:
+    """Call ``score(i)`` once for each chunk index on ``threads`` threads, the
+    caller among them.  After a chunk raises no new chunk starts; the first
+    error is re-raised once every thread has stopped."""
+    lock = threading.Lock()
+    indices = iter(range(chunks))
+    errors: List[BaseException] = []
+
+    def work() -> None:
+        while not errors:
+            with lock:
+                index = next(indices, None)
+            if index is None:
+                return
+            try:
+                score(index)
+            except BaseException as exc:  # re-raised by the caller below
+                errors.append(exc)
+
+    _HELPERS.run(work, threads - 1)
+    if errors:
+        raise errors[0]
+
 
 def score_link_queries(prep, backbone: TGNNBackbone, predictor: EdgePredictor,
                        src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
-                       negatives: np.ndarray,
+                       negatives: np.ndarray, rng: np.random.Generator,
                        batch_edges: Optional[int] = None
                        ) -> Tuple[np.ndarray, np.ndarray]:
     """Logits of ``(src, dst, ts)`` queries and of their negative destinations.
@@ -50,34 +164,47 @@ def score_link_queries(prep, backbone: TGNNBackbone, predictor: EdgePredictor,
     forward within :data:`SCORING_CHUNK_ROOTS` roots) under ``no_grad`` and
     evaluation mode, and returns ``(pos (edges,), neg (edges, k))``.  Each
     chunk is one forward-only mini-batch, which computes every distinct
-    ``(node, t)`` once per hop.  Callers run it under
-    :meth:`~repro.sampling.NeighborFinder.draws_from` with a generator they
-    own, so a stochastic finder policy draws nothing from the training stream.
+    ``(node, t)`` once per hop, and writes only its own rows of the outputs.
+
+    ``rng`` is the caller's generator: it advances by exactly one draw per
+    chunk, the seed of that chunk's finder draws, taken in chunk order before
+    any chunk runs.  A stochastic finder policy therefore never draws from
+    the training stream, and the scores are the same whatever number of
+    threads (:func:`_pool_size`) scored the chunks.  Evaluation mode is
+    restored only after every chunk has finished or raised.
     """
     k = negatives.shape[1]
     if batch_edges is None:
         batch_edges = max(1, SCORING_CHUNK_ROOTS // (2 + k))
+    chunks = -(-src.size // batch_edges)
+    seeds = rng.bit_generator.random_raw(chunks)
     pos_scores = np.empty(src.size)
     neg_scores = np.empty((src.size, k))
+
+    def score(index: int) -> None:
+        chunk = slice(index * batch_edges, min((index + 1) * batch_edges, src.size))
+        b = chunk.stop - chunk.start
+        # Root layout [src | dst | negatives (row-major)] is assembled by the
+        # prep runtime.
+        prepared = prep.prepare_eval(src[chunk], dst[chunk], ts[chunk],
+                                     negatives[chunk],
+                                     rng=np.random.default_rng(int(seeds[index])))
+        embeddings = backbone.embed(prepared.minibatch)
+        h_src = embeddings[:b]
+        pos_scores[chunk] = predictor(h_src, embeddings[b:2 * b]).data
+        # Repeat each source embedding once per negative.
+        src_rep = h_src[np.repeat(np.arange(b), k)]
+        neg_scores[chunk] = predictor(
+            src_rep, embeddings[2 * b:]).data.reshape(b, k)
+
     was_training = backbone.training
     backbone.eval()
     predictor.eval()
     try:
+        # Helpers create tensors under the caller's no_grad: the switch is
+        # process-global, so only the caller enters and leaves it.
         with no_grad():
-            for start in range(0, src.size, batch_edges):
-                chunk = slice(start, min(start + batch_edges, src.size))
-                b = chunk.stop - chunk.start
-                # Root layout [src | dst | negatives (row-major)] is
-                # assembled by the prep runtime.
-                prepared = prep.prepare_eval(src[chunk], dst[chunk], ts[chunk],
-                                             negatives[chunk])
-                embeddings = backbone.embed(prepared.minibatch)
-                h_src = embeddings[:b]
-                pos_scores[chunk] = predictor(h_src, embeddings[b:2 * b]).data
-                # Repeat each source embedding once per negative.
-                src_rep = h_src[np.repeat(np.arange(b), k)]
-                neg_scores[chunk] = predictor(
-                    src_rep, embeddings[2 * b:]).data.reshape(b, k)
+            _run_chunks(score, chunks, _pool_size(chunks, prep.generator.finder))
     finally:
         backbone.train(was_training)
         predictor.train(was_training)
@@ -132,9 +259,7 @@ class LinkPredictionEvaluator:
         dst = graph.dst[edges]
         negatives = self.negatives.sample_matrix(edges.size, self.num_negatives,
                                                  exclude=dst)
-        with self.prep.generator.finder.draws_from(self.rng):
-            pos, neg = score_link_queries(self.prep, self.backbone,
-                                          self.predictor, graph.src[edges], dst,
-                                          graph.ts[edges], negatives,
-                                          self.batch_edges)
+        pos, neg = score_link_queries(self.prep, self.backbone, self.predictor,
+                                      graph.src[edges], dst, graph.ts[edges],
+                                      negatives, self.rng, self.batch_edges)
         return ranking_report(pos, neg)

@@ -9,8 +9,8 @@ aggregators and the adaptive sampler consume directly.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -162,7 +162,9 @@ class NeighborFinder:
     seed:
         Seed of the finder's private RNG stream.  Engines rely on every
         stochastic draw happening in exactly the training order, so the RNG
-        must never be shared across threads.
+        must never be shared across threads: a caller that samples off the
+        training order (scoring, on several threads at once) passes its own
+        generator to :meth:`sample` instead.
     """
 
     #: human-readable name used by the benchmark harness.
@@ -179,7 +181,8 @@ class NeighborFinder:
         self.policy = policy
         self.rng = np.random.default_rng(seed)
 
-    def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int) -> NeighborBatch:
+    def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int,
+               rng: Optional[np.random.Generator] = None) -> NeighborBatch:
         """Sample up to ``budget`` past neighbors for each ``(node, time)`` query.
 
         Parameters
@@ -189,6 +192,9 @@ class NeighborFinder:
         budget:
             Maximum neighbors per root; shorter neighborhoods are padded (see
             :class:`NeighborBatch` and :meth:`NeighborBatch.check_padding`).
+        rng:
+            Generator of this call's random draws; ``None`` draws from the
+            finder's own stream (:attr:`rng`).
 
         Returns
         -------
@@ -204,16 +210,3 @@ class NeighborFinder:
         Called by the trainer at every epoch boundary for finders with
         ``requires_chronological=True``.
         """
-
-    @contextmanager
-    def draws_from(self, rng: np.random.Generator):
-        """Take every random draw from ``rng`` instead, for the duration.
-
-        Scoring runs under it with a generator its caller owns, so a
-        forward-only pass never advances the training stream.
-        """
-        saved, self.rng = self.rng, rng
-        try:
-            yield self
-        finally:
-            self.rng = saved

@@ -26,7 +26,9 @@ class OriginalNeighborFinder(NeighborFinder):
     name = "original-cpu"
     requires_chronological = False
 
-    def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int) -> NeighborBatch:
+    def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int,
+               rng: Optional[np.random.Generator] = None) -> NeighborBatch:
+        rng = self.rng if rng is None else rng
         nodes = np.asarray(nodes, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         b = nodes.shape[0]
@@ -57,7 +59,7 @@ class OriginalNeighborFinder(NeighborFinder):
                 if pivot <= budget:
                     sel = np.arange(pivot)
                 else:
-                    sel = self.rng.choice(pivot, size=budget, replace=False)
+                    sel = rng.choice(pivot, size=budget, replace=False)
             else:  # inverse_timespan
                 take = min(budget, pivot)
                 delta = t - seg_ts[:pivot]
@@ -66,7 +68,7 @@ class OriginalNeighborFinder(NeighborFinder):
                 if pivot <= budget:
                     sel = np.arange(pivot)
                 else:
-                    sel = self.rng.choice(pivot, size=budget, replace=False, p=weights)
+                    sel = rng.choice(pivot, size=budget, replace=False, p=weights)
             take = sel.shape[0]
             abs_idx = lo + sel
             out_nodes[i, :take] = tcsr.indices[abs_idx]

@@ -100,7 +100,9 @@ class GPUNeighborFinder(NeighborFinder):
 
     # -- uniform sampling without replacement (bitmap emulation) ----------------------
 
-    def _uniform_without_replacement(self, counts: np.ndarray, budget: int
+    @staticmethod
+    def _uniform_without_replacement(counts: np.ndarray, budget: int,
+                                     rng: np.random.Generator
                                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample ``budget`` distinct offsets in ``[0, counts_i)`` per row.
 
@@ -126,7 +128,7 @@ class GPUNeighborFinder(NeighborFinder):
 
         sub_counts = counts[rows]
         selected = np.empty((rows.size, budget), dtype=np.int64)
-        uniforms = self.rng.random((rows.size, budget))
+        uniforms = rng.random((rows.size, budget))
         for step in range(budget):
             upper = sub_counts - budget + step          # inclusive upper bound per row
             draw = (uniforms[:, step] * (upper + 1)).astype(np.int64)
@@ -141,7 +143,8 @@ class GPUNeighborFinder(NeighborFinder):
     # -- weighted (inverse-timespan) sampling -------------------------------------------
 
     def _inverse_timespan(self, nodes: np.ndarray, times: np.ndarray,
-                          pivots: np.ndarray, budget: int
+                          pivots: np.ndarray, budget: int,
+                          rng: np.random.Generator
                           ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row weighted sampling with probability proportional to 1/Δt.
 
@@ -166,14 +169,16 @@ class GPUNeighborFinder(NeighborFinder):
             if c <= budget:
                 sel = np.arange(c)
             else:
-                sel = self.rng.choice(c, size=budget, replace=False, p=weights)
+                sel = rng.choice(c, size=budget, replace=False, p=weights)
             offsets[i, :take] = sel[:take]
             mask[i, :take] = True
         return offsets, mask
 
     # -- main entry point -------------------------------------------------------------------
 
-    def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int) -> NeighborBatch:
+    def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int,
+               rng: Optional[np.random.Generator] = None) -> NeighborBatch:
+        rng = self.rng if rng is None else rng
         nodes = np.asarray(nodes, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         tcsr = self.tcsr
@@ -195,9 +200,10 @@ class GPUNeighborFinder(NeighborFinder):
             mask = rel >= 0
             offsets = np.maximum(rel, 0)
         elif self.policy == "uniform":
-            offsets, mask = self._uniform_without_replacement(counts, budget)
+            offsets, mask = self._uniform_without_replacement(counts, budget, rng)
         else:
-            offsets, mask = self._inverse_timespan(nodes, times, pivots, budget)
+            offsets, mask = self._inverse_timespan(nodes, times, pivots, budget,
+                                                   rng)
 
         abs_idx = starts[:, None] + offsets
         abs_idx = np.where(mask, abs_idx, 0)

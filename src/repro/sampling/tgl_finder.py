@@ -18,6 +18,8 @@ incompatibility the paper describes (Section IV-C).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..graph.tcsr import TCSR
@@ -69,7 +71,9 @@ class TGLNeighborFinder(NeighborFinder):
         self._pointer[v] = p
         return p
 
-    def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int) -> NeighborBatch:
+    def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int,
+               rng: Optional[np.random.Generator] = None) -> NeighborBatch:
+        rng = self.rng if rng is None else rng
         nodes = np.asarray(nodes, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         b = nodes.shape[0]
@@ -93,7 +97,7 @@ class TGLNeighborFinder(NeighborFinder):
                 if pivot <= budget:
                     sel = np.arange(pivot)
                 else:
-                    sel = self.rng.choice(pivot, size=budget, replace=False)
+                    sel = rng.choice(pivot, size=budget, replace=False)
             else:  # inverse_timespan
                 delta = t - tcsr.ts[lo:lo + pivot]
                 weights = 1.0 / np.maximum(delta, 1e-9)
@@ -101,7 +105,7 @@ class TGLNeighborFinder(NeighborFinder):
                 if pivot <= budget:
                     sel = np.arange(pivot)
                 else:
-                    sel = self.rng.choice(pivot, size=budget, replace=False, p=weights)
+                    sel = rng.choice(pivot, size=budget, replace=False, p=weights)
             take = sel.shape[0]
             abs_idx = lo + sel
             out_nodes[i, :take] = tcsr.indices[abs_idx]

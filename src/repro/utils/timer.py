@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import defaultdict
 from contextlib import contextmanager
@@ -24,11 +25,17 @@ class Timer:
     named phases; :class:`Timer` is how the harness collects those phases.
     It also supports adding *simulated* time (from the device cost model) on
     top of measured wall-clock time via :meth:`add`.
+
+    Sections may be recorded from several threads at once (the evaluator's
+    scoring threads share one generator's timer): every update holds a lock,
+    since ``+=`` on a dict entry is a read-modify-write.  Concurrent sections
+    each add their own wall time, so a total can exceed the elapsed time.
     """
 
     def __init__(self) -> None:
         self._totals: Dict[str, float] = defaultdict(float)
         self._counts: Dict[str, int] = defaultdict(int)
+        self._lock = threading.Lock()
 
     @contextmanager
     def section(self, name: str) -> Iterator[None]:
@@ -36,23 +43,26 @@ class Timer:
         try:
             yield
         finally:
-            self._totals[name] += time.perf_counter() - start
-            self._counts[name] += 1
+            self.add(name, time.perf_counter() - start)
 
     def add(self, name: str, seconds: float) -> None:
         """Add simulated/externally-measured seconds to a section."""
-        self._totals[name] += seconds
-        self._counts[name] += 1
+        with self._lock:
+            self._totals[name] += seconds
+            self._counts[name] += 1
 
     def totals(self) -> Dict[str, float]:
-        return dict(self._totals)
+        with self._lock:
+            return dict(self._totals)
 
     def counts(self) -> Dict[str, int]:
-        return dict(self._counts)
+        with self._lock:
+            return dict(self._counts)
 
     def total(self) -> float:
-        return float(sum(self._totals.values()))
+        return float(sum(self.totals().values()))
 
     def reset(self) -> None:
-        self._totals.clear()
-        self._counts.clear()
+        with self._lock:
+            self._totals.clear()
+            self._counts.clear()

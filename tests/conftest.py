@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+# Before numpy, as in the program's entry points: ``repro`` pins BLAS to one
+# thread at import, so scoring sizes its thread pool from the CPUs.
+import repro.tensor
+
 import numpy as np
 import pytest
-
-import repro.tensor
 from repro.graph import CTDGConfig, generate_ctdg, build_tcsr, chronological_split
 
 

@@ -1,16 +1,27 @@
 """Tests for ranking metrics, negative sampling and chunk-invariant scoring."""
 
+import copy
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro
 from repro.core import TaserConfig, TaserTrainer
+from repro.core import streaming as streaming_mod
 from repro.core.streaming import StreamingTrainer, split_warmup
 from repro.eval import evaluator as evaluator_mod
 from repro.eval import (reciprocal_ranks, mrr, hits_at_k, ranking_report,
                         destination_pool, NegativeSampler)
 from repro.graph import CTDGConfig, generate_ctdg
+from repro.sampling import NeighborFinder, make_finder
 
 
 class TestMetrics:
@@ -128,28 +139,37 @@ def test_evaluate_is_invariant_to_batch_edges(small_graph, variant, monkeypatch)
     drawn = []
     real = evaluator_mod.score_link_queries
 
-    def recording(prep, backbone, predictor, src, dst, ts, negatives, batch_edges):
+    def recording(prep, backbone, predictor, src, dst, ts, negatives, rng,
+                  batch_edges):
         drawn.append(negatives.copy())
-        return real(prep, backbone, predictor, src, dst, ts, negatives, batch_edges)
+        return real(prep, backbone, predictor, src, dst, ts, negatives, rng,
+                    batch_edges)
     monkeypatch.setattr(evaluator_mod, "score_link_queries", recording)
 
     chunks = []
     prepare_eval = trainer.prep.prepare_eval
     monkeypatch.setattr(
         trainer.prep, "prepare_eval",
-        lambda src, *rest: chunks.append(src.size) or prepare_eval(src, *rest))
+        lambda src, *rest, **kw: chunks.append(src.size) or prepare_eval(src, *rest,
+                                                                          **kw))
 
-    reports = [trainer.evaluate("test", batch_edges=be) for be in (None, 1, 7, 50)]
+    reports = []
+
+    def evaluate(**overrides):
+        # Chunks may be scored on several threads, in any order.
+        del chunks[:]
+        reports.append(trainer.evaluate("test", **overrides))
+        return sorted(chunks, reverse=True)
+
+    assert [evaluate(batch_edges=be) for be in (None, 1, 7, 50)] == [
+        [23], [1] * 23, [7, 7, 7, 2], [23]]
     assert all(np.array_equal(drawn[0], other) for other in drawn[1:])
     assert drawn[0].shape == (23, 9)
-    assert chunks == [23] + [1] * 23 + [7, 7, 7, 2] + [23]
     # No knob: by default a forward holds at most SCORING_CHUNK_ROOTS roots
     # (src + dst + 9 negatives per edge), and never less than one edge.
     for roots, expected in ((40, [3] * 7 + [2]), (5, [1] * 23)):
-        del chunks[:]
         monkeypatch.setattr(evaluator_mod, "SCORING_CHUNK_ROOTS", roots)
-        reports.append(trainer.evaluate("test"))
-        assert chunks == expected
+        assert evaluate() == expected
     for report in reports[1:]:
         assert report.keys() == reports[0].keys()
         for key, value in reports[0].items():
@@ -183,6 +203,150 @@ class TestScoringDrawsItsOwnStream:
         trainer = TaserTrainer(small_graph, self._config())
         trainer.train_epoch()
         assert trainer.evaluate("test") == trainer.evaluate("test")
+
+
+def test_finders_have_no_global_draw_swap():
+    # Scoring threads pass their generator to ``sample``; an attribute swap
+    # on the shared finder would race.
+    assert not hasattr(NeighborFinder, "draws_from")
+
+
+# ---------------------------------------------------------------------------
+# scoring on every core: which thread scores a chunk changes no bit
+# ---------------------------------------------------------------------------
+
+POOL_BASE = dict(hidden_dim=8, time_dim=4, num_neighbors=3, num_candidates=6,
+                 batch_size=64, max_batches_per_epoch=2, eval_max_edges=23,
+                 eval_negatives=9, seed=0)
+POOL_VARIANTS = {
+    "tgat+taser/uniform": dict(backbone="tgat", adaptive_minibatch=True,
+                               adaptive_neighbor=True),
+    "graphmixer/recent": dict(backbone="graphmixer", adaptive_minibatch=False,
+                              adaptive_neighbor=False),
+}
+#: 23 evaluation edges, 4 per chunk.
+CHUNK_EDGES, CHUNKS = 4, 6
+
+
+def _scores_at_pool_sizes(monkeypatch, module, run):
+    """``run()``'s ``(pos, neg)`` scores at pool sizes 1, 2 and 3 (forced)
+    and at the size derived for this host."""
+    real_score, derived = module.score_link_queries, evaluator_mod._pool_size
+    scores = []
+
+    def capture(*args, **kwargs):
+        scores.append(real_score(*args, **kwargs))
+        return scores[-1]
+    monkeypatch.setattr(module, "score_link_queries", capture)
+    for size in (1, 2, 3, None):
+        monkeypatch.setattr(evaluator_mod, "_pool_size", derived if size is None
+                            else lambda chunks, finder, size=size: size)
+        run()
+    assert len(scores) == 4
+    return scores
+
+
+def _assert_bitwise_equal(scores):
+    for pos, neg in scores[1:]:
+        assert np.array_equal(pos, scores[0][0])
+        assert np.array_equal(neg, scores[0][1])
+
+
+class TestScoringPool:
+    @pytest.mark.parametrize("variant", sorted(POOL_VARIANTS))
+    def test_pool_size_evaluate_bitwise_equal(self, small_graph, variant,
+                                              monkeypatch):
+        config = TaserConfig(**POOL_BASE, **POOL_VARIANTS[variant])
+        assert config.resolved_finder_policy == variant.split("/")[1]
+        trainer = TaserTrainer(small_graph, config)
+        trainer.train_epoch()
+        _assert_bitwise_equal(_scores_at_pool_sizes(
+            monkeypatch, evaluator_mod,
+            lambda: trainer.evaluate("test", batch_edges=CHUNK_EDGES)))
+
+    def test_pool_size_prequential_bitwise_equal(self, small_graph, monkeypatch):
+        config = TaserConfig(**POOL_BASE, backbone="tgat", adaptive_minibatch=False,
+                             adaptive_neighbor=True)
+
+        def run():
+            warm, stream = split_warmup(small_graph, warmup_events=800,
+                                        chunk_size=40)
+            trainer = StreamingTrainer(warm, config, window_events=200)
+            trainer.prequential_eval(next(iter(stream)), batch_edges=CHUNK_EDGES)
+        _assert_bitwise_equal(_scores_at_pool_sizes(monkeypatch, streaming_mod, run))
+
+    def test_caller_generator_advances_one_draw_per_chunk(self, small_graph):
+        trainer = TaserTrainer(small_graph, TaserConfig(
+            **POOL_BASE, **POOL_VARIANTS["tgat+taser/uniform"]))
+        evaluator = trainer.make_evaluator(batch_edges=CHUNK_EDGES)
+        expected = copy.deepcopy(evaluator.rng)
+        expected.bit_generator.advance(CHUNKS)
+        evaluator.evaluate("test")
+        assert evaluator.rng.bit_generator.state == expected.bit_generator.state
+
+    def test_helper_error_reaches_caller_after_every_chunk(self, small_graph,
+                                                          monkeypatch):
+        trainer = TaserTrainer(small_graph, TaserConfig(
+            **POOL_BASE, **POOL_VARIANTS["graphmixer/recent"]))
+        monkeypatch.setattr(evaluator_mod, "_pool_size", lambda chunks, finder: 2)
+        both_started = threading.Barrier(2, timeout=30)
+        helper_failed = threading.Event()
+        caller_saw = []
+        prepare_eval = trainer.prep.prepare_eval
+
+        def failing(*args, **kwargs):
+            both_started.wait()          # the caller and the helper hold a chunk
+            if threading.current_thread() is not threading.main_thread():
+                helper_failed.set()
+                raise RuntimeError("helper chunk failed")
+            assert helper_failed.wait(30)
+            time.sleep(0.05)             # the caller's chunk outlives the error
+            caller_saw.append((trainer.backbone.training,
+                               trainer.predictor.training))
+            return prepare_eval(*args, **kwargs)
+        monkeypatch.setattr(trainer.prep, "prepare_eval", failing)
+
+        assert trainer.backbone.training
+        with pytest.raises(RuntimeError, match="helper chunk failed"):
+            trainer.evaluate("test", batch_edges=CHUNK_EDGES)
+        # One chunk each: no chunk starts after the error, and train mode
+        # came back only after the caller's chunk had finished.
+        assert caller_saw == [(False, False)]
+        assert trainer.backbone.training and trainer.predictor.training
+
+
+class TestScoringPoolSize:
+    def test_derived_from_cpus_blas_threads_and_chunks(self, small_tcsr,
+                                                       monkeypatch):
+        finder = make_finder("gpu", small_tcsr)
+
+        def size(cpus, blas, chunks):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(evaluator_mod, "_BLAS_THREADS", blas)
+            return evaluator_mod._pool_size(chunks, finder)
+        assert [size(4, 1, chunks) for chunks in (1, 3, 10)] == [1, 3, 4]
+        assert size(4, 2, 10) == 2
+        assert size(4, None, 10) == 1        # BLAS spread over every CPU
+        assert size(1, 1, 10) == 1           # one CPU: no helper thread
+
+    def test_chronological_finder_scores_on_the_caller(self, small_tcsr,
+                                                       monkeypatch):
+        monkeypatch.setattr(evaluator_mod, "_BLAS_THREADS", 1)
+        assert evaluator_mod._pool_size(10, make_finder("tgl", small_tcsr)) == 1
+
+    @pytest.mark.parametrize("numpy_first, seen", [(False, ["1", "1"]),
+                                                   (True, ["None", "unset"])])
+    def test_blas_pinned_at_import_unless_numpy_came_first(self, numpy_first,
+                                                           seen):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        code = (("import numpy; " if numpy_first else "")
+                + "import os, repro; print(repro._BLAS_THREADS, "
+                  "os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == seen
 
 
 @pytest.mark.parametrize("variant", sorted(SCORING_VARIANTS))

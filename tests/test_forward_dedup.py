@@ -93,14 +93,14 @@ class TestInverseInvariants:
 # oracle: the per-row forward-only batch
 # ---------------------------------------------------------------------------
 
-def per_row_build(gen, roots, times):
+def per_row_build(gen, roots, times, rng=None):
     """One target per row at every hop, greedy selection: the forward-only
     batch as it was built before deduplication."""
     mb = MiniBatch(root_nodes=roots, root_times=times,
                    root_node_feat=gen.slice_root_features(roots))
     nodes = roots
     for _ in range(gen.num_layers):
-        stage = gen.layer_candidates(nodes, times)
+        stage = gen.layer_candidates(nodes, times, rng=rng)
         hop = HopData(batch=stage.candidates, edge_feat=stage.edge_feat,
                       neigh_node_feat=stage.neigh_node_feat,
                       target_node_feat=stage.target_node_feat)
@@ -123,11 +123,12 @@ class PerRowPrep:
 
     def __init__(self, prep):
         self.prep = prep
+        self.generator = prep.generator
 
-    def prepare_eval(self, src, dst, ts, negatives):
+    def prepare_eval(self, src, dst, ts, negatives, rng=None):
         prepared = self.prep.assemble_eval(src, dst, ts, negatives)
-        prepared.minibatch = per_row_build(self.prep.generator, prepared.roots,
-                                           prepared.times)
+        prepared.minibatch = per_row_build(self.generator, prepared.roots,
+                                           prepared.times, rng)
         return prepared
 
 
@@ -163,9 +164,11 @@ def test_recent_scores_equal_the_per_row_oracle(small_graph, variant):
         assert hop.num_targets < hop.inverse.size
 
     deduplicated = score_link_queries(trainer.prep, trainer.backbone,
-                                      trainer.predictor, *queries)
+                                      trainer.predictor, *queries,
+                                      np.random.default_rng(0))
     per_row = score_link_queries(PerRowPrep(trainer.prep), trainer.backbone,
-                                 trainer.predictor, *queries)
+                                 trainer.predictor, *queries,
+                                 np.random.default_rng(0))
     for got, want in zip(deduplicated, per_row):
         np.testing.assert_allclose(got, want, rtol=0, atol=LOGIT_ATOL)
     assert ranking_report(*deduplicated) == ranking_report(*per_row)

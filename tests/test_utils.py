@@ -1,12 +1,18 @@
 """Tests for RNG management, timers and config helpers."""
 
 import dataclasses
+import sys
+import threading
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.config import asdict_shallow
+from repro.utils import timer as timer_mod
 from repro.utils import new_rng, spawn_rngs, seed_everything, RngMixin, Timer
 
 
@@ -61,6 +67,46 @@ class TestTimer:
         timer.reset()
         assert timer.totals() == {}
         assert timer.counts() == {}
+
+    def test_concurrent_updates_are_not_lost(self, monkeypatch):
+        # The evaluator's scoring threads record NF / FS / AS into one timer.
+        threads, rounds = 8, 2000
+        clock = threading.local()
+
+        def tick():                      # every section lasts exactly 1.0
+            clock.now = getattr(clock, "now", 0.0) + 1.0
+            return clock.now
+        monkeypatch.setattr(timer_mod, "time", SimpleNamespace(perf_counter=tick))
+        timer = Timer()
+        start = threading.Barrier(threads, timeout=30)
+
+        def record():
+            start.wait()
+            for _ in range(rounds):
+                timer.add("sim", 1.0)
+                with timer.section("NF"):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=record) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert timer.totals() == {"sim": threads * rounds, "NF": threads * rounds}
+        assert timer.counts() == {"sim": threads * rounds, "NF": threads * rounds}
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    line = next(line for line in pyproject.read_text().splitlines()
+                if line.startswith("version = "))
+    assert line == f'version = "{repro.__version__}"'
 
 
 class TestMisc:
