@@ -3,8 +3,8 @@
 Not a paper table: this benchmark tracks the sharding axis of the north-star
 (TGL-style event-log partitioning across workers).  It trains the same
 chronological baseline cell under increasing worker counts ``W`` through
-:class:`~repro.distributed.ShardedTrainer` (thread pool backend) and
-records, per ``W``:
+:class:`~repro.distributed.ShardedTrainer` on the pool ``W`` derives (serial
+at ``W = 1``, process above) and records, per ``W``:
 
 * wall-clock per epoch, trained-events **throughput** and the weak-scaling
   efficiency vs ``W = 1`` (every worker trains ``batch_size`` events per
@@ -14,7 +14,9 @@ records, per ``W``:
   barrier + contention overhead instead);
 * the per-shard NF/FS/AS/PP phase breakdown (each shard's batch generation
   runs through its own engine, so the breakdown shows where the parallel
-  time goes) plus the master-side gradient-averaging ``SYNC`` time;
+  time goes);
+* the barrier: ``sync_seconds = reduce_seconds + transport_seconds`` on the
+  master, and worker-side ``pack_seconds``;
 * the shard plan summary (events and cache-budget slice per shard).
 
 Correctness contracts asserted at every scale:
@@ -25,15 +27,10 @@ Correctness contracts asserted at every scale:
   ``determinism`` hash pair (run vs replay) that ``tools/bench_gate.py``
   checks for equality, so a determinism break fails CI even if the
   assertion itself were lost;
-* the flat gradient buckets give bitwise-identical trajectories at every
-  ``W`` whether they live in in-process buffers (serial and thread pools,
-  asserted equal to each other) or in shared memory (process pool) —
-  recorded as the ``comms_equivalence`` hash pair the gate enforces.
-
-A second sweep times the **comms cells**: the process pool (the backend
-whose buckets live in shared memory) at every ``W``, recording the
-``sync = reduce + transport`` split and worker-side ``pack_seconds`` per
-cell.
+* the serial pool (workers in-process over the shared buckets) and the
+  process pool (forked children over the same mappings) train
+  bitwise-identical trajectories at every ``W`` — recorded as the
+  ``comms_equivalence`` hash pair the gate enforces.
 
 Results land in ``BENCH_shard_scaling.json`` for CI artifacts and the
 benchmark regression gate.
@@ -58,7 +55,7 @@ def _loss_trajectory_hash(trajectories) -> str:
 
 
 def _run_sharded(graph, config, workers, epochs, policy="temporal",
-                 backend="thread"):
+                 backend=None):
     with ShardedTrainer(graph, config, num_workers=workers,
                         shard_policy=policy, backend=backend) as trainer:
         start = time.perf_counter()
@@ -80,6 +77,7 @@ def _run_sharded(graph, config, workers, epochs, policy="temporal",
                     acc[key] = acc.get(key, 0.0) + value
         denom = max(epochs, 1)
         return {
+            "pool": trainer.backend,
             "wall_seconds_per_epoch": wall,
             "sync_seconds": sync / denom,
             "reduce_seconds": reduce / denom,
@@ -151,14 +149,19 @@ def test_shard_scaling(benchmark, wikipedia_graph):
         payload["workers"][str(w)] = entry
     violations = attach_scaling_efficiency(payload["workers"])
 
-    print("\nShard scaling (wikipedia, graphmixer baseline, thread pool)")
+    print("\nShard scaling (wikipedia, graphmixer baseline)")
     for w in worker_counts:
         entry = payload["workers"][str(w)]
-        print(f"  W={w}: {entry['wall_seconds_per_epoch']*1e3:7.1f} ms/epoch, "
+        print(f"  W={w} ({entry['pool']}): "
+              f"{entry['wall_seconds_per_epoch']*1e3:7.1f} ms/epoch, "
               f"{entry['trained_events_per_second']:8.0f} events/s, "
               f"speedup {entry['speedup_vs_w1']:.2f}x, "
               f"efficiency {entry['efficiency']:.2f}, "
               f"shards {entry['plan']['shard_events']}")
+        print(f"        sync {entry['sync_seconds']*1e3:7.2f} ms = reduce "
+              f"{entry['reduce_seconds']*1e3:6.2f} + transport "
+              f"{entry['transport_seconds']*1e3:6.2f} ms; pack "
+              f"{entry['pack_seconds']*1e3:6.2f} ms")
 
     assert payload["determinism"]["hash"] == payload["determinism"]["replay_hash"]
     # Epoch length is the min shard batch count — every step is a W-way barrier.
@@ -173,50 +176,23 @@ def test_shard_scaling(benchmark, wikipedia_graph):
         for violation in violations:
             print(f"  WARN (smoke-scale timing): {violation}")
 
-    # ---- comms cells: the process pool, buckets in shared memory ------------
-    comms_epochs = 1
-    comms_cells = {}
-    trajectories = {"serial": {}, "thread": {}, "process": {}}
+    # ---- comms equivalence: serial vs process pool at every W ------------
+    # The sweep ran each W on its derived pool; run the other pool once.
+    trajectories = {"serial": {}, "process": {}}
     for w in worker_counts:
-        entry, trajectories["process"][w] = _run_sharded(
-            wikipedia_graph, config, w, comms_epochs, backend="process")
-        # The scaling sweep above already records plan + phase detail.
-        entry.pop("per_shard_phases")
-        entry.pop("plan")
-        comms_cells[str(w)] = entry
-    for pool in ("serial", "thread"):
-        for w in worker_counts:
-            _, trajectories[pool][w] = _run_sharded(
-                wikipedia_graph, config, w, comms_epochs, backend=pool)
-
-    payload["comms"] = {
-        "pool": "process",
-        "epochs": comms_epochs,
-        "cells": comms_cells,
-        "equivalence_pools": ["serial", "thread", "process"],
-    }
-    # Both in-process pools share one buffer provider, so they must agree
-    # with each other before their trajectory is set against shared memory.
-    assert trajectories["thread"] == trajectories["serial"], \
-        "serial and thread pools must train bitwise-identical trajectories"
+        entry, derived = results[w]
+        trajectories[entry["pool"]][w] = derived
+        other = "process" if entry["pool"] == "serial" else "serial"
+        _, trajectories[other][w] = _run_sharded(
+            wikipedia_graph, config, w, epochs, backend=other)
     payload["comms_equivalence"] = {
         "hash": _loss_trajectory_hash(
             {f"w{w}": trajectories["serial"][w] for w in worker_counts}),
         "replay_hash": _loss_trajectory_hash(
             {f"w{w}": trajectories["process"][w] for w in worker_counts}),
     }
-
-    print("Comms cells (process pool, buckets in shared memory)")
-    for w in worker_counts:
-        c = comms_cells[str(w)]
-        print(f"  W={w}: sync {c['sync_seconds']*1e3:7.2f} ms = reduce "
-              f"{c['reduce_seconds']*1e3:6.2f} + transport "
-              f"{c['transport_seconds']*1e3:6.2f} ms; pack "
-              f"{c['pack_seconds']*1e3:6.2f} ms")
-
-    # Bitwise contract: in-process buffers and shared memory agree at every W.
     assert trajectories["process"] == trajectories["serial"], \
-        "shared-memory buckets must match the in-process trajectories bitwise"
+        "the serial and process pools must train bitwise-identical trajectories"
 
     benchmark.extra_info["shard_scaling"] = payload
     emit_bench_json("shard_scaling", payload)

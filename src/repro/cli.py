@@ -7,8 +7,9 @@ Three entry points share the ``repro`` command:
   and runtime breakdown as JSON;
 * ``repro train ...`` is the sharded data-parallel runner: the event log is
   partitioned into ``--workers`` shards (``--shard-policy temporal|hash``),
-  trained in lock-step with gradient averaging at batch barriers
-  (``--workers 1`` is bitwise-identical to the default runner's trainer);
+  trained in lock-step with gradient averaging at batch barriers, one
+  forked process per shard (``--workers 1`` runs in-process and is
+  bitwise-identical to the default runner's trainer);
 * ``repro stream ...`` drives the online streaming loop: replay a dataset (or
   a synthetic drift scenario) as an event stream, ingest it incrementally and
   report prequential test-then-train MRR plus ingestion/training throughput;
@@ -28,7 +29,7 @@ Examples
         --epochs 10 --num-neighbors 10 --num-candidates 25 --seed 3
     python -m repro --dataset wikipedia --json
     python -m repro train --dataset wikipedia --workers 4 \
-        --shard-policy temporal --worker-backend thread --json
+        --shard-policy temporal --json
     python -m repro stream --dataset wikipedia --chunk-size 500 \
         --window-events 2000 --json
     python -m repro stream --drift-phases 3 --max-chunks 20 --json
@@ -214,17 +215,14 @@ def build_train_parser() -> argparse.ArgumentParser:
                     "with deterministic gradient averaging at batch barriers "
                     "(--workers 1 is bitwise-identical to the default runner)")
     parser.add_argument("--workers", type=_positive_int, default=2,
-                        help="W: number of event-log shards / worker replicas")
+                        help="W: number of event-log shards / worker replicas "
+                             "(W > 1 forks one process per shard; W = 1 "
+                             "trains in-process)")
     parser.add_argument("--shard-policy", choices=["temporal", "hash"],
                         default="temporal",
                         help="'temporal' = W contiguous chronological ranges; "
                              "'hash' = route events by source node so "
                              "per-source histories stay intact")
-    parser.add_argument("--worker-backend", choices=["serial", "thread", "process"],
-                        default="thread",
-                        help="worker pool: 'serial' (reference, sequential), "
-                             "'thread' (numpy kernels overlap across shards) "
-                             "or 'process' (one child process per shard)")
     _add_training_cell_args(parser, variant_default="baseline",
                             engine_help="per-shard mini-batch engine")
     return parser
@@ -238,8 +236,7 @@ def run_train(args: argparse.Namespace) -> dict:
     config = _taser_config(args)
     start = time.time()
     with ShardedTrainer(graph, config, num_workers=args.workers,
-                        shard_policy=args.shard_policy,
-                        backend=args.worker_backend) as trainer:
+                        shard_policy=args.shard_policy) as trainer:
         result = trainer.fit()
         last = trainer.history[-1] if trainer.history else None
         return {
@@ -250,7 +247,7 @@ def run_train(args: argparse.Namespace) -> dict:
             "epochs": args.epochs,
             "workers": args.workers,
             "shard_policy": args.shard_policy,
-            "worker_backend": args.worker_backend,
+            "pool": trainer.backend,
             "batch_engine": args.batch_engine,
             "shard_plan": trainer.plan.describe(),
             "global_steps_per_epoch": last.global_steps if last else 0,
@@ -281,7 +278,7 @@ def _train_main(argv: Sequence[str]) -> int:
           f"{summary['variant']} (seed {summary['seed']})")
     print(f"  shards         : {summary['workers']} x {summary['shard_policy']} "
           f"{plan['shard_events']} events "
-          f"(backend {summary['worker_backend']}, engine {summary['batch_engine']})")
+          f"(pool {summary['pool']}, engine {summary['batch_engine']})")
     print(f"  barrier        : sync {summary['sync_seconds']:.2f}s = "
           f"reduce {summary['reduce_seconds']:.2f}s + "
           f"transport {summary['transport_seconds']:.2f}s "

@@ -8,18 +8,19 @@ store with its slice of the global cache budget, mini-batch engine) plus a
 model replica, and :class:`ShardedTrainer` keeps the replicas in lock-step
 with deterministic gradient averaging at batch barriers.
 
-``W = 1`` is bitwise-identical to the single-process
-:class:`~repro.core.trainer.TaserTrainer`; ``W > 1`` is reproducible under a
-fixed seed and identical across the ``serial``, ``thread`` and ``process``
-pool backends, whose gradients meet in flat buckets held in shared memory
-(process pool) or in-process buffers (serial / thread) —
+The pool follows from ``W``: ``W = 1`` runs in-process (``serial``) and is
+bitwise-identical to the single-process
+:class:`~repro.core.trainer.TaserTrainer`; ``W > 1`` forks one child per
+worker (``process``), is reproducible under a fixed seed, and matches the
+serial pool bitwise.  Gradients meet in flat buckets held in anonymous
+shared mappings that exist before the fork —
 :mod:`repro.distributed.comms`.  See ``docs/ARCHITECTURE.md`` (sharded
 data-parallel layer, gradient comms layer).
 """
 
 from .comms import GradientBucket, GradientComms, average_gradients
 from .pool import (WORKER_BACKENDS, WorkerPool, SerialWorkerPool,
-                   ThreadWorkerPool, ProcessWorkerPool, make_worker_pool)
+                   ProcessWorkerPool, make_worker_pool)
 from .trainer import ShardedEpochStats, ShardedTrainer
 from .worker import ShardTask, ShardWorker
 
@@ -27,7 +28,6 @@ __all__ = [
     "WORKER_BACKENDS",
     "WorkerPool",
     "SerialWorkerPool",
-    "ThreadWorkerPool",
     "ProcessWorkerPool",
     "make_worker_pool",
     "ShardedEpochStats",

@@ -1,29 +1,29 @@
-"""The sharded trainer's gradient barrier: flat buckets, one transport.
+"""The sharded trainer's gradient barrier: flat buckets in shared mappings.
 
 Every barrier step moves each worker's gradients (a :data:`GradList`) to
-the master and the average back.  A :class:`GradientBucket` — a fixed layout computed once from the
-replica's parameter shapes — packs a ``GradList`` (including its ``None``
-mask) into **one contiguous buffer of the compute dtype**; the master's
-reduction is ``W - 1`` vectorised adds plus one scale over those buffers.
-:class:`GradientComms` owns one buffer per worker plus one averaged buffer
-per bucket (model, and sampler for adaptive configs), from one of two
-providers chosen by the pool backend:
+the master and the average back.  A :class:`GradientBucket` — a fixed
+layout computed once from the master replica's parameter shapes — packs a
+``GradList`` (including its ``None`` mask) into **one contiguous buffer of
+the compute dtype**; the master's reduction is ``W - 1`` vectorised adds
+plus one scale over those buffers.
 
-``process``
-    ``multiprocessing.shared_memory`` segments: children write gradients in
-    place and read the average back, and the pipe carries only method names
-    and tiny flags — no array pickling in either direction.
-``serial`` / ``thread``
-    Plain numpy arrays in the master's address space, which the workers
-    share: the buffers *are* the transport (zero-copy by construction).  The
-    pool's queue handoff provides the happens-before edges — workers write
-    their own buffer before replying, the master reduces only after every
-    reply.
+:class:`GradientComms` owns one buffer per worker plus one averaged buffer
+per bucket (model, and sampler for adaptive configs), each an anonymous
+``MAP_SHARED`` mapping.  They are created *before* the worker pool starts,
+and every :class:`~repro.distributed.worker.ShardTask` carries its worker's
+buffer and the averaged one: children forked by the process pool inherit
+the very mappings the master reduces over, and the serial pool's workers
+use the same arrays in-process.  Workers write their gradients in place and
+read the average back, so the pool channel carries only method names and
+tiny flags.  The pool's request/reply round-trip orders the accesses: a
+worker writes its buffer before replying, and the master reduces only after
+every reply.  Nothing is named, so nothing needs unlinking: a mapping dies
+with the last process that maps it.
 
 Bitwise contract
 ----------------
 The reduction accumulates contributions in fixed shard order, so every
-trajectory is identical across the three pools and equal to the reference
+trajectory is identical across both pools and equal to the reference
 :func:`average_gradients` loop.  Inside the flat buffer, parameters that a
 worker reported as ``None`` are packed as ``-0.0`` — the exact additive
 identity of IEEE-754 round-to-nearest (``-0.0 + x == x`` bit for bit for
@@ -31,28 +31,16 @@ every ``x``, including ``-0.0`` itself) — so the element-wise flat sum
 reproduces :func:`average_gradients`'s "copy the first contributor, add the
 rest" result exactly, including negative-zero gradient entries.  The
 ``comms_equivalence`` hash pair in ``BENCH_shard_scaling.json`` gates the
-two providers against each other (see ``tools/bench_gate.py``
+serial pool against the process pool (see ``tools/bench_gate.py``
 ``REQUIRED_HASH_PAIRS``).
-
-Shared-memory lifecycle
------------------------
-The master creates every segment, workers attach by name and never unlink.
-:meth:`GradientComms.shutdown` (called from ``ShardedTrainer.shutdown``,
-which runs on context-manager exit even when a worker crashed mid-barrier)
-closes and unlinks all segments; unlinking is idempotent, so a crash between
-creation and attach leaks nothing.  Workers attach with a raw ``shm_open`` +
-``mmap`` (no ``SharedMemory`` object), keeping the ``resource_tracker`` out
-of the children entirely — child-exit teardown can neither clobber the
-master's bookkeeping nor spuriously unlink live segments (Python < 3.13
-would track attachments too).
 """
 
 from __future__ import annotations
 
-import os
-import secrets
+import mmap
 import time
-from multiprocessing import shared_memory
+from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -120,8 +108,7 @@ class GradientBucket:
 
     Layout of the buffer (one per worker, plus one averaged), whose
     :attr:`dtype` is ``repro.tensor.COMPUTE_DTYPE`` at construction — the
-    dtype of the gradients it carries — and which every view of it (plain,
-    ``shared_memory``, ``mmap``) follows::
+    dtype of the gradients it carries::
 
         [ mask: P slots ][ param 0 data ][ param 1 data ] ... [ param P-1 ]
           1.0 present        size_0 floats   size_1 floats
@@ -157,8 +144,24 @@ class GradientBucket:
         self.nbytes = self.total_floats * self.dtype.itemsize
 
     def allocate(self) -> np.ndarray:
-        """A fresh zeroed buffer of this bucket's layout."""
-        return np.zeros(self.total_floats, dtype=self.dtype)
+        """A fresh zeroed buffer of this bucket's layout, viewing an
+        anonymous shared mapping: a process forked after this call reads
+        and writes the same memory."""
+        mapping = mmap.mmap(-1, max(self.nbytes, 1))
+        return np.frombuffer(mapping, dtype=self.dtype,
+                             count=self.total_floats)
+
+    def check_shapes(self, shapes: Sequence[Tuple[int, ...]],
+                     what: str) -> None:
+        """Raise ``ValueError`` naming the first parameter of ``shapes``
+        that does not match this layout."""
+        shapes = [tuple(int(d) for d in s) for s in shapes]
+        for i, (got, want) in enumerate(zip_longest(shapes, self.shapes)):
+            if got != want:
+                raise ValueError(
+                    f"{what} parameter {i} has shape {got}, but the gradient "
+                    f"bucket expects {want}: every replica must be built "
+                    "from the master's config")
 
     def pack(self, grads: GradList, out: np.ndarray) -> np.ndarray:
         """Write ``grads`` (with its ``None`` mask) into flat buffer ``out``."""
@@ -221,12 +224,12 @@ class GradientBucket:
 class GradientComms:
     """One barrier step's gradient exchange over flat buckets.
 
-    Built over a live worker pool: worker 0 reports the parameter shapes
-    (replicas are identical, so it speaks for all), the buffers come from
-    the provider the pool backend selects (see the module docstring), and
-    every worker is attached to its own buffer and the averaged one.  The
-    sharded trainer drives :meth:`step` once per global step.  Accounting
-    contract (:meth:`epoch_stats`):
+    Built before the worker pool, from the parameter shapes of the master's
+    own replica (every replica is built from the same config over the same
+    node universe, so the shapes are everyone's); :meth:`endpoint` hands
+    each shard task its buffers, and the sharded trainer drives
+    :meth:`step` over the pool once per global step.  Accounting contract
+    (:meth:`epoch_stats`):
 
     ``reduce_seconds``
         master time spent in the vectorised adds;
@@ -237,98 +240,62 @@ class GradientComms:
         is ready (``WorkerPool.run_timed``) — which deliberately excludes
         the wait for worker compute: with ``W`` children on fewer cores the
         scheduler serializes that wait, and a wall-clock measure would
-        charge it to the transport, drowning the signal.  On the in-process
-        pools it is the exchange wall time minus the worker-side in-method
-        compute those calls report (queue handoff).
+        charge it to the transport, drowning the signal.  On the serial
+        pool it is the exchange wall time minus the worker-side in-method
+        compute those calls report (dispatch overhead).
 
     ``sync_seconds`` as reported by the trainer is
     ``reduce_seconds + transport_seconds``.
     """
 
-    SEGMENT_PREFIX = "rcomms"
-
-    def __init__(self, pool) -> None:
-        self.pool = pool
-        self.num_workers = int(pool.num_workers)
-        # The serial pool runs workers back-to-back in the caller's thread,
-        # so its pool.run wall time is the *sum* of worker compute; the
-        # concurrent pools overlap workers, so the barrier waits for the max.
-        self._serial = pool.backend == "serial"
-        # Process pools report marshalling (pipe I/O) directly and need
-        # buffers both sides can map.
-        self._piped = pool.backend == "process"
-        self._segments: List[shared_memory.SharedMemory] = []
-        self._segment_names: List[str] = []
-        self._token = secrets.token_hex(3)
+    def __init__(self, model_shapes: Sequence[Tuple[int, ...]],
+                 sampler_shapes: Optional[Sequence[Tuple[int, ...]]],
+                 num_workers: int) -> None:
+        self.num_workers = int(num_workers)
+        self.model_bucket = GradientBucket(model_shapes)
+        self.sampler_bucket = (GradientBucket(sampler_shapes)
+                               if sampler_shapes else None)
+        self.model_bufs = [self.model_bucket.allocate()
+                           for _ in range(self.num_workers)]
+        self.model_avg = self.model_bucket.allocate()
+        self.sampler_bufs: List[np.ndarray] = []
+        self.sampler_avg: Optional[np.ndarray] = None
+        if self.sampler_bucket is not None:
+            self.sampler_bufs = [self.sampler_bucket.allocate()
+                                 for _ in range(self.num_workers)]
+            self.sampler_avg = self.sampler_bucket.allocate()
         self.reset_stats()
-        try:
-            layout = pool.run_one(0, "comms_layout")
-            self.model_bucket = GradientBucket(layout["model"])
-            self.sampler_bucket = (GradientBucket(layout["sampler"])
-                                   if layout.get("sampler") else None)
-            bufs, model_handles = self._provide(self.model_bucket, "m")
-            self.model_bufs, self.model_avg = bufs[:-1], bufs[-1]
-            self.sampler_bufs, self.sampler_avg = [], None
-            sampler_handles = [None] * (self.num_workers + 1)
-            if self.sampler_bucket is not None:
-                bufs, sampler_handles = self._provide(self.sampler_bucket, "s")
-                self.sampler_bufs, self.sampler_avg = bufs[:-1], bufs[-1]
-            pool.run("comms_attach", [({
-                "kind": "shm" if self._piped else "inprocess",
-                "model_shapes": self.model_bucket.shapes,
-                "sampler_shapes": (self.sampler_bucket.shapes
-                                   if self.sampler_bucket is not None
-                                   else None),
-                "model_buf": model_handles[i],
-                "model_avg": model_handles[-1],
-                "sampler_buf": sampler_handles[i],
-                "sampler_avg": sampler_handles[-1],
-            },) for i in range(self.num_workers)])
-        except BaseException:
-            self.shutdown()
-            raise
 
-    # -- buffer providers ---------------------------------------------------------
+    @classmethod
+    def for_replica(cls, trainer, num_workers: int) -> "GradientComms":
+        """Buckets laid out over ``trainer``'s optimiser parameters."""
+        return cls(*_optimizer_shapes(trainer), num_workers)
 
-    def _provide(self, bucket: GradientBucket,
-                 tag: str) -> Tuple[List[np.ndarray], List]:
-        """``W + 1`` zeroed buffers (the averaged one last) and the handles
-        workers attach them by: the arrays themselves in-process, segment
-        names across processes."""
-        if not self._piped:
-            bufs = [bucket.allocate() for _ in range(self.num_workers + 1)]
-            return bufs, bufs
-        bufs, names = [], []
-        for i in range(self.num_workers + 1):
-            name = (f"{self.SEGMENT_PREFIX}_{os.getpid():x}_{self._token}_"
-                    f"{tag}{i}")
-            seg = shared_memory.SharedMemory(name=name, create=True,
-                                             size=max(bucket.nbytes, 8))
-            self._segments.append(seg)
-            self._segment_names.append(seg.name)
-            view = np.ndarray((bucket.total_floats,), dtype=bucket.dtype,
-                              buffer=seg.buf)
-            view.fill(0.0)
-            bufs.append(view)
-            names.append(seg.name)
-        return bufs, names
+    def endpoint(self, index: int) -> "WorkerCommsEndpoint":
+        """Worker ``index``'s view: its own buffers and the averaged ones."""
+        sampler = self.sampler_bucket is not None
+        return WorkerCommsEndpoint(
+            model_bucket=self.model_bucket,
+            model_buf=self.model_bufs[index], model_avg=self.model_avg,
+            sampler_bucket=self.sampler_bucket,
+            sampler_buf=self.sampler_bufs[index] if sampler else None,
+            sampler_avg=self.sampler_avg)
 
     # -- barrier ----------------------------------------------------------------
 
-    def step(self) -> None:
+    def step(self, pool) -> None:
         """Backward on all workers -> reduce -> apply (model, then sampler)."""
-        w = self.num_workers
-        flags, io = self.pool.run_timed("comms_model_backward")
-        if self._piped:
+        flags, io = pool.run_timed("comms_model_backward")
+        if pool.backend == "process":
             self.transport_seconds += io
         self._check_backward(flags)
 
         t0 = time.perf_counter()
         self.model_bucket.reduce(self.model_bufs, out=self.model_avg,
-                                 denominator=w)
+                                 denominator=self.num_workers)
         self.reduce_seconds += time.perf_counter() - t0
 
-        has_sampler = self._timed_exchange("comms_apply_model")
+        has_sampler = self._timed_exchange(pool, "comms_apply_model")
         contributors = [i for i, flag in enumerate(has_sampler) if flag]
         if contributors:
             t0 = time.perf_counter()
@@ -336,34 +303,7 @@ class GradientComms:
                 [self.sampler_bufs[i] for i in contributors],
                 out=self.sampler_avg, denominator=len(contributors))
             self.reduce_seconds += time.perf_counter() - t0
-            self._timed_exchange("comms_apply_sampler")
-
-    def shutdown(self) -> None:
-        """Drop the buffers; close and unlink every segment (idempotent,
-        crash-safe).
-
-        Runs from ``ShardedTrainer.shutdown`` on every exit path — normal
-        teardown *and* the context-manager unwind after a worker crash — so
-        no ``/dev/shm`` entry outlives the trainer.  ``FileNotFoundError``
-        is tolerated: a segment may already be gone if the resource tracker
-        reaped it after an abnormal exit.
-        """
-        # Numpy views into seg.buf must be dropped before close() or the
-        # memoryview export keeps the mapping alive and close() raises.
-        self.model_bufs = []
-        self.model_avg = None
-        self.sampler_bufs = []
-        self.sampler_avg = None
-        segments, self._segments = self._segments, []
-        for seg in segments:
-            try:
-                seg.close()
-            except (OSError, BufferError):  # pragma: no cover - defensive
-                pass
-            try:
-                seg.unlink()
-            except FileNotFoundError:
-                pass
+            self._timed_exchange(pool, "comms_apply_sampler")
 
     # -- accounting -------------------------------------------------------------
 
@@ -378,23 +318,22 @@ class GradientComms:
         self.reset_stats()
         return stats
 
-    def _timed_exchange(self, method: str) -> List:
+    def _timed_exchange(self, pool, method: str) -> List:
         """Run a timed worker method, booking its cost as transport.
 
         Process pool: the pipe I/O reported by ``run_timed`` (see
-        :meth:`epoch_stats`).  In-process pools: exchange wall minus the
+        :meth:`epoch_stats`).  Serial pool: exchange wall minus the
         worker-side compute the methods report — they return ``(value,
         seconds)`` with ``seconds`` measured around the whole in-worker
-        body, so the difference is queue handoff.
+        body, and the serial pool runs them back to back.
         """
         t0 = time.perf_counter()
-        replies, io = self.pool.run_timed(method)
+        replies, io = pool.run_timed(method)
         wall = time.perf_counter() - t0
-        if self._piped:
+        if pool.backend == "process":
             self.transport_seconds += io
         else:
-            timings = [seconds for _, seconds in replies]
-            compute = sum(timings) if self._serial else max(timings)
+            compute = sum(seconds for _, seconds in replies)
             self.transport_seconds += max(0.0, wall - compute)
         return [value for value, _ in replies]
 
@@ -413,67 +352,38 @@ class GradientComms:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class WorkerCommsEndpoint:
-    """Worker-side view of the flat buckets.
+    """One worker's buffers: its own per bucket, and the averaged ones.
 
-    Built from the attach spec the master broadcasts: either direct buffer
-    references (in-process) or shared-memory segment names.  Attaching maps
-    the named segment with ``shm_open`` + ``mmap`` directly, deliberately
-    *without* :class:`multiprocessing.shared_memory.SharedMemory`: on
-    Python < 3.13 an attaching ``SharedMemory`` registers the segment with
-    the worker's resource tracker, and whether that tracker is the master's
-    (fork after the master's tracker started) or a private one (spawn, or
-    fork before it started) decides between clobbering the master's
-    bookkeeping and a spurious leak-unlink at child exit.  A raw mapping
-    touches no tracker in either case.  :meth:`close` unmaps only — the
-    segments belong to the master, which alone unlinks.
+    Created by :meth:`GradientComms.endpoint` before the pool starts and
+    carried by the worker's shard task, so a forked child holds views of
+    the master's mappings.
     """
 
-    def __init__(self, spec: Dict) -> None:
-        self.model_bucket = GradientBucket(spec["model_shapes"])
-        self.sampler_bucket = (GradientBucket(spec["sampler_shapes"])
-                               if spec.get("sampler_shapes") else None)
-        self._mappings: List = []
-        self.sampler_buf = None
-        self.sampler_avg = None
-        if spec["kind"] == "shm":
-            self.model_buf = self._attach(spec["model_buf"], self.model_bucket)
-            self.model_avg = self._attach(spec["model_avg"], self.model_bucket)
-            if self.sampler_bucket is not None:
-                self.sampler_buf = self._attach(spec["sampler_buf"],
-                                                self.sampler_bucket)
-                self.sampler_avg = self._attach(spec["sampler_avg"],
-                                                self.sampler_bucket)
-        else:
-            self.model_buf = spec["model_buf"]
-            self.model_avg = spec["model_avg"]
-            if self.sampler_bucket is not None:
-                self.sampler_buf = spec["sampler_buf"]
-                self.sampler_avg = spec["sampler_avg"]
+    model_bucket: GradientBucket
+    model_buf: np.ndarray
+    model_avg: np.ndarray
+    sampler_bucket: Optional[GradientBucket] = None
+    sampler_buf: Optional[np.ndarray] = None
+    sampler_avg: Optional[np.ndarray] = None
 
-    def _attach(self, name: str, bucket: GradientBucket) -> np.ndarray:
-        import _posixshmem  # the module shared_memory itself maps through
-        import mmap
+    def check_layout(self, trainer) -> None:
+        """Raise ``ValueError`` unless ``trainer``'s optimiser parameters
+        have the buckets' shapes.  The layout comes from the master's
+        replica; a worker built from another config would pack past (or
+        short of) it."""
+        model, sampler = _optimizer_shapes(trainer)
+        self.model_bucket.check_shapes(model, "model")
+        (self.sampler_bucket or GradientBucket([])).check_shapes(
+            sampler or [], "sampler")
 
-        fd = _posixshmem.shm_open(
-            name if name.startswith("/") else "/" + name,
-            os.O_RDWR, mode=0o600)
-        try:
-            mapping = mmap.mmap(fd, max(bucket.nbytes, 8))
-        finally:
-            os.close(fd)
-        self._mappings.append(mapping)
-        return np.frombuffer(mapping, dtype=bucket.dtype,
-                             count=bucket.total_floats)
 
-    def close(self) -> None:
-        self.model_buf = None
-        self.model_avg = None
-        self.sampler_buf = None
-        self.sampler_avg = None
-        mappings, self._mappings = self._mappings, []
-        for mapping in mappings:
-            try:
-                mapping.close()
-            except (OSError, BufferError):  # pragma: no cover - defensive
-                pass
+def _optimizer_shapes(trainer) -> Tuple[List[Tuple[int, ...]],
+                                        Optional[List[Tuple[int, ...]]]]:
+    """Parameter shapes of ``trainer``'s model and sampler optimisers
+    (``None`` for the sampler when the config has no adaptive sampler)."""
+    sampler = trainer.sampler_optimizer
+    return ([p.data.shape for p in trainer.model_optimizer.params],
+            [p.data.shape for p in sampler.params]
+            if sampler is not None else None)

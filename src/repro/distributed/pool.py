@@ -1,46 +1,52 @@
-"""Worker pools: serial, thread and process execution of shard workers.
+"""Worker pools: serial and process execution of shard workers.
 
 The sharded trainer talks to its workers through one tiny interface —
 :meth:`WorkerPool.run` broadcasts a :class:`~repro.distributed.worker.ShardWorker`
-method to every worker and returns the results **in shard order** — so the
-execution backend is swappable:
+method to every worker and returns the results **in shard order**.  The
+pool follows from the worker count (:func:`resolve_backend`):
 
-``serial``
-    Workers run one after another in the caller's thread.  The reference
-    backend: zero concurrency, useful for debugging and as the determinism
-    anchor the concurrent backends are asserted against.
+``serial`` (``W = 1``)
+    Workers run one after another in the caller's process — at ``W = 1``
+    bitwise the single-process trainer, with no fork.  Tests also ask for
+    it at ``W > 1``, as the determinism oracle the process pool is asserted
+    against.
 
-``thread``
-    One long-lived thread per worker.  Numpy kernels release the GIL, so
-    per-shard batch generation (neighbor finding, feature slicing) and the
-    dense forward/backward overlap across shards on multi-core hosts.
+``process`` (``W > 1``)
+    One forked child process per worker, connected over a pipe.  True
+    parallelism regardless of the GIL; the children inherit the gradient
+    buckets as shared mappings (:mod:`repro.distributed.comms`), so the
+    pipe carries only control messages.  Fork is required: a platform
+    without it runs ``backend="serial"``.
 
-``process``
-    One child process per worker, connected over a pipe.  True parallelism
-    regardless of the GIL; arguments/results are pickled, so gradients meet
-    in shared-memory buckets instead (:mod:`repro.distributed.comms`) and
-    the pipe carries control messages.
-
-All three produce bitwise-identical training trajectories: each worker's
-compute is a deterministic function of its shard and the averaged gradients
-it receives, and the barrier collects contributions in fixed shard order.
+Both produce bitwise-identical training trajectories: each worker's compute
+is a deterministic function of its shard and the averaged gradients it
+receives, and the barrier collects contributions in fixed shard order.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import threading
 import time
 import traceback
-from queue import Queue
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .worker import ShardTask, ShardWorker
 
 __all__ = ["WORKER_BACKENDS", "WorkerPool", "SerialWorkerPool",
-           "ThreadWorkerPool", "ProcessWorkerPool", "make_worker_pool"]
+           "ProcessWorkerPool", "make_worker_pool", "resolve_backend"]
 
-WORKER_BACKENDS = ("serial", "thread", "process")
+WORKER_BACKENDS = ("serial", "process")
+
+
+def resolve_backend(backend: Optional[str], num_workers: int) -> str:
+    """The pool a ``num_workers`` run uses: ``serial`` at ``W = 1`` and
+    ``process`` above, unless ``backend`` names one explicitly."""
+    if backend is None:
+        return "serial" if num_workers == 1 else "process"
+    if backend not in WORKER_BACKENDS:
+        raise ValueError(f"unknown worker backend {backend!r}; "
+                         f"choose from {WORKER_BACKENDS}")
+    return backend
 
 
 class WorkerPool:
@@ -70,13 +76,13 @@ class WorkerPool:
         argument pickling + pipe writes on dispatch and pipe reads +
         unpickling once a reply is ready, explicitly *excluding* the wait
         for workers to compute (which a wall-clock measure conflates with
-        transport whenever workers outnumber cores).  In-process pools pass
-        references, so their marshalling cost is 0.
+        transport whenever workers outnumber cores).  The serial pool passes
+        references, so its marshalling cost is 0.
         """
         return self.run(method, args_list), 0.0
 
     def shutdown(self) -> None:
-        """Release pool resources (threads / processes)."""
+        """Release pool resources (child processes)."""
 
     def _resolve_args(self, args_list: Optional[Sequence[Tuple]]) -> List[Tuple]:
         if args_list is None:
@@ -110,92 +116,6 @@ class SerialWorkerPool(WorkerPool):
     def run_one(self, index, method, *args):
         return getattr(self.workers[index], method)(*args)
 
-    def shutdown(self) -> None:
-        for worker in self.workers:
-            worker.shutdown()
-
-
-class _WorkerThread(threading.Thread):
-    """A dedicated thread owning one worker and draining a command queue.
-
-    One *persistent* thread per worker (rather than an executor) pins every
-    worker's entire lifetime to a single thread, which keeps any
-    thread-local state per-shard.
-    """
-
-    def __init__(self, index: int, task: ShardTask) -> None:
-        super().__init__(name=f"shard-worker-{index}", daemon=True)
-        self.commands: "Queue" = Queue()
-        self._task = task
-        self._init_error: Optional[BaseException] = None
-        self._ready = threading.Event()
-
-    def run(self) -> None:
-        try:
-            worker = ShardWorker(self._task)
-        except BaseException as exc:
-            self._init_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        while True:
-            item = self.commands.get()
-            if item is None:
-                worker.shutdown()
-                return
-            method, args, reply = item
-            try:
-                reply.put(("ok", getattr(worker, method)(*args)))
-            except BaseException as exc:
-                reply.put(("err", exc))
-
-    def wait_ready(self) -> None:
-        self._ready.wait()
-        if self._init_error is not None:
-            raise self._init_error
-
-
-class ThreadWorkerPool(WorkerPool):
-    """One long-lived thread per shard; numpy kernels overlap across shards."""
-
-    backend = "thread"
-
-    def __init__(self, tasks: Sequence[ShardTask]) -> None:
-        super().__init__(tasks)
-        self.threads = [_WorkerThread(i, task) for i, task in enumerate(tasks)]
-        for thread in self.threads:
-            thread.start()
-        for thread in self.threads:
-            thread.wait_ready()
-
-    def _dispatch(self, index: int, method: str, args: Tuple) -> "Queue":
-        reply: "Queue" = Queue(maxsize=1)
-        self.threads[index].commands.put((method, args, reply))
-        return reply
-
-    @staticmethod
-    def _collect(reply: "Queue") -> Any:
-        status, value = reply.get()
-        if status == "err":
-            raise value
-        return value
-
-    def run(self, method, args_list=None):
-        args_list = self._resolve_args(args_list)
-        replies = [self._dispatch(i, method, args)
-                   for i, args in enumerate(args_list)]
-        return [self._collect(reply) for reply in replies]
-
-    def run_one(self, index, method, *args):
-        return self._collect(self._dispatch(index, method, args))
-
-    def shutdown(self) -> None:
-        for thread in self.threads:
-            if thread.is_alive():
-                thread.commands.put(None)
-        for thread in self.threads:
-            thread.join(timeout=10.0)
-
 
 def _process_worker_main(conn, task: ShardTask) -> None:
     """Child-process loop: build the worker, then serve pipe commands."""
@@ -208,7 +128,6 @@ def _process_worker_main(conn, task: ShardTask) -> None:
     while True:
         message = conn.recv()
         if message is None:
-            worker.shutdown()
             return
         method, args = message
         try:
@@ -218,36 +137,40 @@ def _process_worker_main(conn, task: ShardTask) -> None:
 
 
 class ProcessWorkerPool(WorkerPool):
-    """One child process per shard, connected over a duplex pipe.
+    """One forked child process per shard, connected over a duplex pipe.
 
-    The only backend with true parallelism for GIL-bound (non-numpy)
-    portions of batch generation; gradients bypass the pipe through
-    shared-memory buckets (:mod:`repro.distributed.comms`).
+    The children inherit their tasks — and with them the gradient buckets'
+    shared mappings (:mod:`repro.distributed.comms`) — from the fork, so
+    gradients bypass the pipe entirely.
     """
 
     backend = "process"
 
     def __init__(self, tasks: Sequence[ShardTask]) -> None:
         super().__init__(tasks)
-        # fork (where available) shares the parent's read-only pages with the
-        # children; spawn (the only option on some platforms) re-imports and
-        # pickles, which works because ShardTask carries only arrays/config.
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        #: how children were started ("fork" where available, else "spawn").
-        self.start_method = ctx.get_start_method()
+        if "fork" not in mp.get_all_start_methods():
+            raise RuntimeError(
+                "the process worker pool needs the 'fork' start method, "
+                "which this platform lacks: its workers inherit the gradient "
+                "buffers as shared mappings.  Train with backend=\"serial\" "
+                "instead (one process, bitwise the same trajectory).")
+        ctx = mp.get_context("fork")
         self.processes = []
         self.conns = []
-        for task in tasks:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_process_worker_main,
-                               args=(child_conn, task), daemon=True)
-            proc.start()
-            child_conn.close()
-            self.processes.append(proc)
-            self.conns.append(parent_conn)
-        for index in range(self.num_workers):
-            self._check(self._recv(index), index)
+        try:
+            for task in tasks:
+                parent_conn, child_conn = ctx.Pipe()
+                proc = ctx.Process(target=_process_worker_main,
+                                   args=(child_conn, task), daemon=True)
+                proc.start()
+                child_conn.close()
+                self.processes.append(proc)
+                self.conns.append(parent_conn)
+            for index in range(self.num_workers):
+                self._check(self._recv(index), index)
+        except BaseException:
+            self.shutdown()
+            raise
 
     def _send(self, index: int, message) -> None:
         """Send one command to child ``index``; a dead child's broken pipe
@@ -360,13 +283,9 @@ class ProcessWorkerPool(WorkerPool):
             conn.close()
 
 
-def make_worker_pool(backend: str, tasks: Sequence[ShardTask]) -> WorkerPool:
-    """Build the worker pool selected by ``backend``."""
-    if backend == "serial":
+def make_worker_pool(backend: Optional[str],
+                     tasks: Sequence[ShardTask]) -> WorkerPool:
+    """Build the worker pool :func:`resolve_backend` selects."""
+    if resolve_backend(backend, len(tasks)) == "serial":
         return SerialWorkerPool(tasks)
-    if backend == "thread":
-        return ThreadWorkerPool(tasks)
-    if backend == "process":
-        return ProcessWorkerPool(tasks)
-    raise ValueError(f"unknown worker backend {backend!r}; "
-                     f"choose from {WORKER_BACKENDS}")
+    return ProcessWorkerPool(tasks)

@@ -9,7 +9,8 @@ global cache budget, sync/aot batch engine) plus a model *replica*.
 Per global step the trainer runs the lock-step protocol:
 
 1. every worker generates its shard's next mini-batch and runs forward +
-   backward (concurrently, under the configured pool backend);
+   backward (concurrently on the process pool, which every ``W > 1`` run
+   uses; ``W = 1`` runs in-process on the serial pool);
 2. **barrier** — model gradients are averaged over workers in fixed shard
    order (missing per-parameter gradients count as zeros, the sum is divided
    by ``W``);
@@ -22,10 +23,10 @@ Determinism contract
 * ``W = 1`` is **bitwise-identical** to :class:`TaserTrainer` under the same
   config: the single shard is the identity partition, averaging one gradient
   is exact, and the split step hooks preserve the synchronous op order.
-* ``W > 1`` is reproducible under a fixed seed, and identical across the
-  ``serial``, ``thread`` and ``process`` pool backends: every worker's
-  compute is a deterministic function of (shard, averaged gradients), and
-  the barrier reduces in fixed shard order.
+* ``W > 1`` is reproducible under a fixed seed, and identical on the
+  ``serial`` pool (the tests' oracle) and the ``process`` pool: every
+  worker's compute is a deterministic function of (shard, averaged
+  gradients), and the barrier reduces in fixed shard order.
 
 Epoch length is ``min_w(batches of shard w)`` (capped by
 ``config.max_batches_per_epoch``): every global step is a full ``W``-way
@@ -47,7 +48,7 @@ from ..device.memory import SliceStats
 from ..graph.sharding import TemporalShardPlan, make_shard_plan
 from ..graph.temporal_graph import TemporalGraph
 from .comms import GradientComms
-from .pool import WorkerPool, make_worker_pool
+from .pool import WorkerPool, make_worker_pool, resolve_backend
 from .worker import ShardTask
 
 __all__ = ["ShardedEpochStats", "ShardedTrainer"]
@@ -75,7 +76,7 @@ class ShardedEpochStats(EpochStats):
     #: master seconds spent reducing gradients (vectorised bucket adds).
     reduce_seconds: float = 0.0
     #: master seconds in barrier exchanges net of worker compute — pipe I/O
-    #: of the control messages on the process pool, queue handoff otherwise.
+    #: of the control messages on the process pool, dispatch on the serial.
     transport_seconds: float = 0.0
     #: worker seconds marshalling gradients (buffer packing, ingest copies),
     #: summed over shards.
@@ -97,31 +98,32 @@ class ShardedTrainer:
     shard_policy:
         ``"temporal"`` or ``"hash"`` — see :func:`~repro.graph.sharding.make_shard_plan`.
     backend:
-        Worker pool backend: ``"serial"``, ``"thread"`` (default) or
-        ``"process"``.  It also decides where the flat gradient buckets
-        live (:mod:`repro.distributed.comms`): shared-memory segments on the
-        process pool, in-process buffers otherwise.
+        ``None`` (default) derives the worker pool from ``W``: ``"serial"``
+        at ``W = 1``, ``"process"`` above.  Tests pass ``"serial"`` to get
+        the in-process oracle at any ``W``.
     """
 
     def __init__(self, graph: TemporalGraph, config: Optional[TaserConfig] = None,
                  num_workers: int = 1, shard_policy: str = "temporal",
-                 backend: str = "thread") -> None:
+                 backend: Optional[str] = None) -> None:
         self.config = config if config is not None else TaserConfig()
         self.graph = graph if graph.is_chronological else graph.sort_by_time()
         self.num_workers = int(num_workers)
-        self.backend = backend
+        self.backend = resolve_backend(backend, self.num_workers)
         self.plan: TemporalShardPlan = make_shard_plan(
             self.graph, self.num_workers, shard_policy,
             cache_ratio=self.config.cache_ratio)
-        self.pool: WorkerPool = make_worker_pool(backend, self._shard_tasks())
-        try:
-            self.comms = GradientComms(self.pool)
-        except BaseException:
-            self.pool.shutdown()
-            raise
+        # The master's own replica: the full-graph evaluation harness, and
+        # the source of the bucket layout (shard views keep the full node
+        # universe, so every replica has its shapes).  The buckets exist
+        # before the pool forks, so the children inherit them.
+        self._eval_trainer = TaserTrainer(self.graph, self.config)
+        self.comms = GradientComms.for_replica(self._eval_trainer,
+                                               self.num_workers)
+        self.pool: WorkerPool = make_worker_pool(self.backend,
+                                                 self._shard_tasks())
         self.history: List[ShardedEpochStats] = []
         self._epoch = 0
-        self._eval_trainer: Optional[TaserTrainer] = None
 
     def _shard_tasks(self) -> List[ShardTask]:
         tasks = []
@@ -133,7 +135,8 @@ class ShardedTrainer:
                 cache_capacity=spec.cache_capacity,
                 src=shard.src, dst=shard.dst, ts=shard.ts,
                 num_nodes=shard.num_nodes, edge_feat=shard.edge_feat,
-                node_feat=shard.node_feat, meta=shard.meta))
+                node_feat=shard.node_feat, meta=shard.meta,
+                comms=self.comms.endpoint(spec.index)))
         return tasks
 
     # ------------------------------------------------------------------ training
@@ -156,7 +159,7 @@ class ShardedTrainer:
         for _ in range(steps):
             # Backward -> reduce -> apply over the flat buckets (see
             # repro.distributed.comms), reducing in fixed shard order.
-            self.comms.step()
+            self.comms.step(self.pool)
         comms_stats = self.comms.epoch_stats()
         sync_seconds = (comms_stats["reduce_seconds"]
                         + comms_stats["transport_seconds"])
@@ -212,20 +215,11 @@ class ShardedTrainer:
 
     # ------------------------------------------------------------------ evaluation
 
-    def _ensure_eval_trainer(self) -> TaserTrainer:
-        """Full-graph evaluation harness for the synchronized replica.
-
-        Built once: a standard single-worker trainer over the *whole* log
-        (its own T-CSR/finder/generator), whose model weights are replaced
-        by worker 0's replica before every evaluation.  Replicas are bitwise
-        identical across workers, so worker 0 speaks for all.
-        """
-        if self._eval_trainer is None:
-            self._eval_trainer = TaserTrainer(self.graph, self.config)
-        return self._eval_trainer
-
     def _sync_eval_weights(self) -> TaserTrainer:
-        evaluator = self._ensure_eval_trainer()
+        """The full-graph evaluation harness — a single-worker trainer over
+        the *whole* log — carrying worker 0's weights.  Replicas are bitwise
+        identical across workers, so worker 0 speaks for all."""
+        evaluator = self._eval_trainer
         state = self.pool.run_one(0, "model_state")
         evaluator.backbone.load_state_dict(state["backbone"])
         evaluator.predictor.load_state_dict(state["predictor"])
@@ -246,7 +240,7 @@ class ShardedTrainer:
         for _ in range(epochs):
             self.train_epoch()
 
-        split = self._ensure_eval_trainer().split
+        split = self._eval_trainer.split
         val_metrics = self.evaluate("val") if evaluate_val and split.num_val else {}
         test_metrics = (self.evaluate("test")
                         if evaluate_test and split.num_test else {})
@@ -263,17 +257,9 @@ class ShardedTrainer:
             cache_hit_rates=[s.cache_hit_rate for s in self.history])
 
     def shutdown(self) -> None:
-        """Tear down the comms transport, then the worker pool.
-
-        Comms first, unconditionally: shared-memory segments must be
-        unlinked even when a worker crashed mid-barrier (this runs on the
-        context-manager unwind), and unlinking does not require the
-        children to be alive.
-        """
-        try:
-            self.comms.shutdown()
-        finally:
-            self.pool.shutdown()
+        """Stop the worker pool.  The gradient buckets need no teardown:
+        their mappings die with the last process that maps them."""
+        self.pool.shutdown()
 
     def __enter__(self) -> "ShardedTrainer":
         return self

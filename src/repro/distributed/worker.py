@@ -6,9 +6,11 @@ event view, with its own T-CSR, neighbor finder, feature store/cache slice,
 prep runtime (:class:`~repro.core.prep.PrepPipeline` — the shard's batches
 are prepared through the same shared pipeline as every other execution
 path, including its deduplicated fused gather), batch engine and model
-*replica*.  After :meth:`ShardWorker.comms_attach` binds it to the master's
-flat gradient buckets (:mod:`repro.distributed.comms`), the sharded trainer
-drives all workers in lock-step through the split step protocol:
+*replica*.  Its :class:`ShardTask` carries its views of the master's flat
+gradient buckets (:mod:`repro.distributed.comms`), created before the pool
+started; the worker checks its parameter shapes against them when built,
+and the sharded trainer drives all workers in lock-step through the split
+step protocol:
 
 1. :meth:`comms_model_backward` — generate the shard's next mini-batch
    (through the shard's own sync/aot engine), run forward + backward and
@@ -23,7 +25,7 @@ Because every replica starts from identical weights (same config seed) and
 steps on identical averaged gradients, replicas stay **bitwise identical**
 across workers for the whole run — there is no weight broadcast, only the
 gradient barrier.  All methods take and return picklable values only, so the
-same class serves the in-process pools and the process pool's children.
+same class serves the serial pool and the process pool's forked children.
 
 Packing copies: a live ``p.grad`` is a buffer the autograd engine may have
 borrowed from an interior node and keeps accumulating into in place (see
@@ -49,10 +51,12 @@ __all__ = ["ShardTask", "ShardWorker"]
 
 @dataclass
 class ShardTask:
-    """Everything needed to (re)build one shard's worker — in any process.
+    """Everything needed to build one shard's worker.
 
-    Carries raw arrays rather than live objects so the task pickles cheaply
-    and identically for the thread and process pools.
+    Raw arrays and config, plus ``comms``: the worker's own gradient
+    buffers and the averaged ones, views of shared mappings that a forked
+    child inherits.  ``None`` builds a worker for driving the split step
+    halves by hand (the reference barrier of the tests).
     """
 
     config: TaserConfig
@@ -66,6 +70,7 @@ class ShardTask:
     edge_feat: Optional[np.ndarray] = None
     node_feat: Optional[np.ndarray] = None
     meta: Dict = field(default_factory=dict)
+    comms: Optional[WorkerCommsEndpoint] = None
 
     def build_graph(self) -> TemporalGraph:
         return TemporalGraph(src=self.src, dst=self.dst, ts=self.ts,
@@ -98,8 +103,10 @@ class ShardWorker:
         self._step: Optional[TrainStep] = None
         self._losses: List[float] = []
         self._sample_losses: List[float] = []
-        self._comms: Optional[WorkerCommsEndpoint] = None
+        self._comms = task.comms
         self._pack_seconds = 0.0
+        if self._comms is not None:
+            self._comms.check_layout(self.trainer)
 
     # -- epoch lifecycle ---------------------------------------------------------
 
@@ -128,24 +135,6 @@ class ShardWorker:
         self._pack_seconds = 0.0
 
     # -- lock-step protocol --------------------------------------------------------
-
-    def comms_layout(self) -> Dict:
-        """Parameter shapes for the flat-bucket layout (worker 0 speaks for
-        all — replicas are bitwise identical by construction)."""
-        t = self.trainer
-        return {
-            "model": [tuple(p.data.shape) for p in t.model_optimizer.params],
-            "sampler": ([tuple(p.data.shape)
-                         for p in t.sampler_optimizer.params]
-                        if t.sampler_optimizer is not None else None),
-        }
-
-    def comms_attach(self, spec: Dict) -> None:
-        """Bind this worker to the master's gradient buffers (see
-        :class:`~repro.distributed.comms.WorkerCommsEndpoint`)."""
-        if self._comms is not None:
-            self._comms.close()
-        self._comms = WorkerCommsEndpoint(spec)
 
     def comms_model_backward(self) -> bool:
         """Advance to the shard's next batch, run forward + backward and
@@ -295,8 +284,3 @@ class ShardWorker:
         if self.trainer.sampler is not None:
             state["sampler"] = self.trainer.sampler.state_dict()
         return state
-
-    def shutdown(self) -> None:
-        if self._comms is not None:
-            self._comms.close()
-            self._comms = None

@@ -7,34 +7,41 @@ Three contract layers (see docs/ARCHITECTURE.md, "Gradient comms layer"):
   vectorised ``reduce`` is **bitwise-identical** to the reference
   :func:`average_gradients` loop — property-tested over mixed shapes, mask
   patterns and worker counts;
-* ``ShardedTrainer`` — flat buckets in in-process buffers (serial/thread)
-  or shared memory (process) — produces the loss trajectory of a plain
+* ``ShardedTrainer`` — flat buckets in anonymous shared mappings created
+  before the pool, used in-process by the serial pool and inherited by the
+  process pool's forked children — produces the loss trajectory of a plain
   reference barrier bitwise: per-worker ``p.grad`` copies averaged with
   :func:`average_gradients` in shard order, driven over bare
   :class:`ShardWorker`s without buckets or a pool;
-* shared-memory segments never outlive the trainer — unlinked on normal
-  shutdown *and* after a worker crash — and a dead child surfaces as a
-  clear error instead of a hang.
+* a dead child surfaces as a clear error instead of a hang, a worker built
+  from another config is refused at build, and the process pool says so
+  where fork is missing.
 
-The transport used to be an option; the removal tests at the end pin that
-the option is gone from the trainer, the config, the CLI and the
-environment.
+The transport used to be an option, and the pool had a thread backend with
+named shared-memory segments; the removal tests at the end pin that they
+are gone from the trainer, the config, the CLI and the environment.
 """
 
 import glob
+import mmap
+import multiprocessing
 import os
+import subprocess
+import sys
 import time
-from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.distributed
 import repro.tensor
 from repro import cli
-from repro.core import TaserConfig
-from repro.distributed import (ShardedTrainer, ShardTask, ShardWorker,
+from repro.core import TaserConfig, TaserTrainer
+from repro.distributed import (ProcessWorkerPool, SerialWorkerPool,
+                               ShardedTrainer, ShardTask, ShardWorker,
                                average_gradients)
 from repro.distributed.comms import GradientBucket, GradientComms
 from repro.graph import CTDGConfig, generate_ctdg, make_shard_plan
@@ -234,7 +241,7 @@ def reference_trajectory(graph, config, workers, epochs=2):
 
 
 @pytest.mark.parametrize("backend,workers", [
-    ("serial", 1), ("serial", 3), ("thread", 2), ("process", 2),
+    ("serial", 1), ("serial", 3), ("process", 2), ("process", 3),
 ])
 def test_trainer_matches_reference_barrier(comms_graph, backend, workers):
     config = tiny_config()
@@ -253,44 +260,20 @@ def test_run_train_summary_reports_comms(comms_graph, monkeypatch):
     monkeypatch.setattr(cli, "load_dataset",
                         lambda name, scale=1.0, seed=0: comms_graph)
     parser = cli.build_train_parser()
-    args = parser.parse_args(["--workers", "2", "--worker-backend", "serial",
+    args = parser.parse_args(["--workers", "2",
                               "--epochs", "1", "--max-batches-per-epoch", "3"])
     summary = cli.run_train(args)
+    assert summary["pool"] == "process"
     assert summary["sync_seconds"] == pytest.approx(
         summary["reduce_seconds"] + summary["transport_seconds"])
     assert summary["pack_seconds"] >= 0.0
     assert "comms" not in summary and "barrier_bytes_moved" not in summary
 
 
-# ------------------------------------------------- crash + lifecycle hygiene
-
-def _shm_segment_names():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-tmpfs host
-        return None
-    return sorted(glob.glob("/dev/shm/rcomms_*"))
-
-
-def test_shm_segments_unlinked_on_shutdown(comms_graph):
-    before = _shm_segment_names()
-    trainer = ShardedTrainer(comms_graph, tiny_config(), num_workers=2,
-                             backend="process")
-    try:
-        seg_name = trainer.comms._segment_names[0]
-        assert shared_memory.SharedMemory(name=seg_name) is not None
-    finally:
-        trainer.shutdown()
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=seg_name)
-    if before is not None:
-        assert _shm_segment_names() == before
-
+# ------------------------------------------------------ crash + misuse hygiene
 
 def test_dead_child_raises_instead_of_hanging(comms_graph):
-    trainer = ShardedTrainer(comms_graph, tiny_config(), num_workers=2,
-                             backend="process")
-    before = _shm_segment_names()
-    assert before  # the run is live: its segments exist
-    seg_name = trainer.comms._segment_names[0]
+    trainer = ShardedTrainer(comms_graph, tiny_config(), num_workers=2)
     victim = trainer.pool.processes[0]
     victim.kill()
     victim.join(timeout=10.0)
@@ -298,36 +281,57 @@ def test_dead_child_raises_instead_of_hanging(comms_graph):
     with pytest.raises(RuntimeError, match=r"shard worker 0 died"):
         trainer.pool.run("num_batches", [(2,)] * 2)
     assert time.perf_counter() - start < 30.0
-    # The context-manager unwind path: comms cleanup must run even though a
-    # child is gone, leaving no /dev/shm entries behind.
+    # The context-manager unwind path must not hang on the dead child.
     start = time.perf_counter()
     trainer.shutdown()
     assert time.perf_counter() - start < 30.0
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=seg_name)
-    after = _shm_segment_names()
-    if after is not None:
-        assert not set(after) & set(before)
 
 
 def test_comms_flags_exhausted_worker():
     class FakePool:
-        num_workers = 2
         backend = "serial"
-
-        def run_one(self, index, method):
-            assert method == "comms_layout"
-            return {"model": [(2,)], "sampler": None}
-
-        def run(self, method, args_list=None):
-            assert method == "comms_attach"
 
         def run_timed(self, method, args_list=None):
             assert method == "comms_model_backward"
             return [True, False], 0.0   # worker 1 ran out of batches
 
+    # The buckets exist before any pool; the pool only drives a step.
+    comms = GradientComms([(2,)], None, num_workers=2)
     with pytest.raises(RuntimeError, match=r"\[1\] exhausted"):
-        GradientComms(FakePool()).step()
+        comms.step(FakePool())
+
+
+def _task(graph, config, comms=None):
+    return ShardTask(config=config, shard_index=0, num_shards=1,
+                     cache_capacity=0, src=graph.src, dst=graph.dst,
+                     ts=graph.ts, num_nodes=graph.num_nodes,
+                     edge_feat=graph.edge_feat, comms=comms)
+
+
+def test_worker_refuses_a_layout_it_does_not_match(comms_graph):
+    master = TaserTrainer(comms_graph, tiny_config())
+    comms = GradientComms.for_replica(master, num_workers=1)
+    with pytest.raises(ValueError,
+                       match=r"model parameter \d+ has shape .* expects"):
+        ShardWorker(_task(comms_graph, tiny_config(hidden_dim=16),
+                          comms.endpoint(0)))
+    # The master's own config matches its layout.
+    ShardWorker(_task(comms_graph, tiny_config(), comms.endpoint(0)))
+
+
+def test_process_pool_requires_fork(comms_graph, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    with pytest.raises(RuntimeError, match=r"'fork'.*backend=\"serial\""):
+        ProcessWorkerPool([_task(comms_graph, tiny_config())])
+
+
+def test_pool_follows_worker_count(comms_graph):
+    for workers, pool in ((1, SerialWorkerPool), (2, ProcessWorkerPool)):
+        with ShardedTrainer(comms_graph, tiny_config(),
+                            num_workers=workers) as trainer:
+            assert type(trainer.pool) is pool
+            assert trainer.backend == pool.backend
 
 
 # ------------------------------------------------------------- removal tests
@@ -344,10 +348,15 @@ def test_default_transport_is_the_bucket_path(comms_graph):
         assert isinstance(comms, GradientComms)
         assert comms.sampler_bucket is not None
         assert len(comms.model_bufs) == len(comms.sampler_bufs) == 2
-        # in-process buffers: plain arrays, no shared-memory segment
-        assert all(type(b) is np.ndarray
-                   for b in [*comms.model_bufs, comms.model_avg])
-        assert comms._segment_names == []
+        # one provider: arrays viewing anonymous shared mappings, and the
+        # workers hold the very arrays the master reduces over
+        buffers = [*comms.model_bufs, comms.model_avg,
+                   *comms.sampler_bufs, comms.sampler_avg]
+        assert all(type(b) is np.ndarray and isinstance(b.base.obj, mmap.mmap)
+                   for b in buffers)
+        for i, worker in enumerate(trainer.pool.workers):
+            assert worker._comms.model_buf is comms.model_bufs[i]
+            assert worker._comms.model_avg is comms.model_avg
 
 
 def test_trainer_rejects_unknown_comms(comms_graph):
@@ -375,3 +384,35 @@ def test_cli_comms_flag_and_env_validation(monkeypatch, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
         # the stale variable does not fail parsing
         parser.parse_args([])
+
+
+def test_cli_has_no_worker_backend_flag(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["train", "--worker-backend", "thread"])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_trainer_rejects_the_thread_pool(comms_graph):
+    with pytest.raises(ValueError, match=r"\('serial', 'process'\)"):
+        ShardedTrainer(comms_graph, tiny_config(), num_workers=2,
+                       backend="thread")
+
+
+def test_no_thread_pool_export():
+    assert not hasattr(repro.distributed, "ThreadWorkerPool")
+    assert "ThreadWorkerPool" not in repro.distributed.__all__
+
+
+def test_w2_run_creates_no_shm_segment(comms_graph):
+    before = set(glob.glob("/dev/shm/rcomms_*"))
+    with ShardedTrainer(comms_graph, tiny_config(), num_workers=2) as trainer:
+        trainer.train_epoch()
+        assert set(glob.glob("/dev/shm/rcomms_*")) == before
+    # ...and the comms layer does not even import the named-segment module.
+    probe = ("import sys, repro.distributed.comms; "
+             "print('multiprocessing.shared_memory' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"

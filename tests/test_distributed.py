@@ -7,14 +7,14 @@ The two contracts that define the subsystem (see docs/ARCHITECTURE.md):
   to a rebuild over the masked event set;
 * ``ShardedTrainer`` with ``W = 1`` is bitwise-identical to the
   single-process ``TaserTrainer``, and ``W = 2`` reproduces exactly under a
-  fixed seed — across runs and across the serial/thread/process pools.
+  fixed seed — across runs and across the serial and process pools.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import TaserConfig, TaserTrainer
-from repro.distributed import (GradientBucket, ShardedTrainer, ShardTask,
+from repro.distributed import (GradientComms, ShardedTrainer, ShardTask,
                                ShardWorker, average_gradients,
                                make_worker_pool)
 from repro.graph import (CTDGConfig, build_tcsr, generate_ctdg,
@@ -136,19 +136,17 @@ class TestShardedDeterminism:
         runs = []
         for _ in range(2):
             with ShardedTrainer(shard_graph, cfg, num_workers=2,
-                                shard_policy=policy,
-                                backend="thread") as sharded:
+                                shard_policy=policy) as sharded:
                 runs.append(_losses(sharded))
         assert runs[0] == runs[1]
 
     def test_w2_identical_across_pool_backends(self, shard_graph):
         cfg = tiny_config()
         trajectories = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             with ShardedTrainer(shard_graph, cfg, num_workers=2,
                                 backend=backend) as sharded:
                 trajectories[backend] = _losses(sharded)
-        assert trajectories["serial"] == trajectories["thread"]
         assert trajectories["serial"] == trajectories["process"]
 
     def test_replicas_stay_bitwise_identical(self, shard_graph):
@@ -191,8 +189,7 @@ class TestShardedMechanics:
 
     def test_fit_and_evaluate_full_graph(self, shard_graph):
         cfg = tiny_config(epochs=2)
-        with ShardedTrainer(shard_graph, cfg, num_workers=2,
-                            backend="thread") as sharded:
+        with ShardedTrainer(shard_graph, cfg, num_workers=2) as sharded:
             result = sharded.fit()
             assert len(result.history) == 2
             assert 0.0 <= result.test_mrr <= 1.0
@@ -218,7 +215,7 @@ class TestShardedMechanics:
                          dst=plan_graph.dst, ts=plan_graph.ts,
                          num_nodes=plan_graph.num_nodes,
                          edge_feat=plan_graph.edge_feat)
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             pool = make_worker_pool(backend, [task])
             try:
                 with pytest.raises(Exception):
@@ -239,25 +236,18 @@ class TestShardedMechanics:
                          dst=shard_graph.dst, ts=shard_graph.ts,
                          num_nodes=shard_graph.num_nodes,
                          edge_feat=shard_graph.edge_feat)
+        comms = GradientComms.for_replica(TaserTrainer(shard_graph, cfg), 1)
+        assert comms.sampler_bucket is None       # non-adaptive config
+        task.comms = comms.endpoint(0)
         worker = ShardWorker(task)
-        try:
-            assert worker.num_batches(4) == 4
-            layout = worker.comms_layout()
-            assert layout["sampler"] is None      # non-adaptive config
-            bucket = GradientBucket(layout["model"])
-            own, averaged = bucket.allocate(), bucket.allocate()
-            worker.comms_attach({"kind": "inprocess",
-                                 "model_shapes": bucket.shapes,
-                                 "sampler_shapes": None,
-                                 "model_buf": own, "model_avg": averaged})
-            worker.begin_epoch(1)
-            assert worker.comms_model_backward()
-            assert any(g is not None for g in bucket.unpack(own))
-            bucket.reduce([own], out=averaged, denominator=1)
-            has_sampler, seconds = worker.comms_apply_model()
-            assert has_sampler is False and seconds >= 0.0
-            assert not worker.comms_model_backward()   # schedule exhausted
-            summary = worker.end_epoch()
-            assert len(summary["losses"]) == 1
-        finally:
-            worker.shutdown()
+        assert worker.num_batches(4) == 4
+        bucket, own = comms.model_bucket, comms.model_bufs[0]
+        worker.begin_epoch(1)
+        assert worker.comms_model_backward()
+        assert any(g is not None for g in bucket.unpack(own))
+        bucket.reduce([own], out=comms.model_avg, denominator=1)
+        has_sampler, seconds = worker.comms_apply_model()
+        assert has_sampler is False and seconds >= 0.0
+        assert not worker.comms_model_backward()   # schedule exhausted
+        summary = worker.end_epoch()
+        assert len(summary["losses"]) == 1

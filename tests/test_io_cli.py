@@ -172,8 +172,7 @@ class TestTrainCLI:
                   "--eval-max-edges", "20", "--eval-negatives", "5", "--json"]
         assert main(shared) == 0
         single = json.loads(capsys.readouterr().out)
-        assert main(["train", "--workers", "1", "--worker-backend", "serial",
-                     *shared]) == 0
+        assert main(["train", "--workers", "1", *shared]) == 0
         sharded = json.loads(capsys.readouterr().out)
         assert sharded["final_model_loss"] == single["final_model_loss"]
 
@@ -184,10 +183,8 @@ class TestTrainCLI:
         with pytest.raises(SystemExit):
             main(self.TRAIN_ARGS + ["--shard-policy", "roundrobin"])
         capsys.readouterr()
-        with pytest.raises(SystemExit):
-            main(self.TRAIN_ARGS + ["--worker-backend", "mpi"])
-        capsys.readouterr()
-        for gone in (["--prep-backend", "fused"], ["--precision", "fp16"]):
+        for gone in (["--prep-backend", "fused"], ["--precision", "fp16"],
+                     ["--worker-backend", "process"]):
             with pytest.raises(SystemExit):
                 main(self.TRAIN_ARGS + gone)
             assert "unrecognized arguments" in capsys.readouterr().err
@@ -195,8 +192,7 @@ class TestTrainCLI:
     def test_train_ignores_a_stale_precision_variable(self, monkeypatch,
                                                       capsys):
         monkeypatch.setenv("REPRO_PRECISION", "bogus")
-        assert main(self.TRAIN_ARGS + ["--workers", "1", "--worker-backend",
-                                       "serial", "--json"]) == 0
+        assert main(self.TRAIN_ARGS + ["--workers", "1", "--json"]) == 0
         assert 0.0 <= json.loads(capsys.readouterr().out)["test_mrr"] <= 1.0
 
 

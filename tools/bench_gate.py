@@ -18,7 +18,7 @@ a *gate* by diffing them against the committed baselines in
   payload must still be self-consistent.  Contract pairs listed in
   ``REQUIRED_HASH_PAIRS`` (the fig1 ``determinism`` pair, the shard
   sweep's ``determinism`` pair and its ``comms_equivalence`` pair —
-  gradient buckets in in-process buffers vs in shared memory —, ...) must
+  the serial pool's trajectories vs the process pool's —, ...) must
   also be *present* in the fresh artifact — a benchmark that silently stops
   emitting one fails hard.
 
