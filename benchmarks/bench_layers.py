@@ -38,6 +38,13 @@ its forward-only batch: ``per_row`` (what a batch without dedup holds),
 ``rows`` (the slots that reach the level) and ``targets`` (its distinct
 ``(node, t)`` queries, the rows the level computes).
 
+Two cells cover the serve path.  ``graphmixer_aggregate`` times
+``GraphMixer.aggregate`` on the zero state at a serve flush's rows (R = 3)
+and a training batch's (R = 600).  ``serve_flush`` times one
+``ServeEngine.flush`` of 1, 3 and 10 queries on the ``serve_openloop``
+configuration and counts its Python + C calls (``calls_per_flush``, a
+``sys.setprofile`` counter).
+
 It localises a regression the end-to-end benchmark shows in a step total to
 a layer; it asserts nothing about speed.  Writes ``BENCH_layers.json``::
 
@@ -47,6 +54,7 @@ a layer; it asserts nothing about speed.  Writes ``BENCH_layers.json``::
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import statistics
 import sys
@@ -66,7 +74,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 
 from tracer import Tracer  # noqa: E402
-from workloads import MODEL, TRAIN_SPECS  # noqa: E402
+from workloads import MODEL, SERVE_SPEC, TRAIN_SPECS, resolve  # noqa: E402
 
 import repro.tensor  # noqa: E402
 from repro.bench import emit_bench_json  # noqa: E402
@@ -76,9 +84,10 @@ from repro.encoders import FixedTimeEncoder, LearnableTimeEncoder  # noqa: E402
 from repro.eval.evaluator import (SCORING_CHUNK_ROOTS,  # noqa: E402
                                   score_link_queries)
 from repro.graph import load_dataset  # noqa: E402
-from repro.models import TGAT, HopData  # noqa: E402
+from repro.models import TGAT, GraphMixer, HopData  # noqa: E402
 from repro.nn import MixerBlock  # noqa: E402
 from repro.sampling import NeighborBatch  # noqa: E402
+from repro.serve import LinkQuery, ServeEngine  # noqa: E402
 from repro.tensor import Tensor, get_backend, no_grad  # noqa: E402
 from repro.tensor import functional as F  # noqa: E402
 
@@ -146,8 +155,19 @@ def sampler_op(rng, rows, dead_share):
     return lambda: sampler(candidates, BUDGET, edge_feat=edge_feat).log_prob
 
 
-def tgat_aggregate_op(rng, rows, live_h):
-    model = TGAT(0, EDGE_DIM, hidden_dim=HIDDEN, time_dim=TIME_DIM, dropout=0.0, rng=rng)
+def graphmixer_aggregate_op(rng, rows, variant):
+    """GraphMixer's aggregate on the zero state, as ``serve_openloop`` and
+    ``train_mixer_baseline`` run it: a serve flush's rows (R = 3) and a
+    training batch's (R = 600)."""
+    model = GraphMixer(0, EDGE_DIM, hidden_dim=HIDDEN, time_dim=TIME_DIM,
+                       num_neighbors=BUDGET, dropout=0.0, rng=rng)
+    hop = padded_hop(rng, rows)
+    return lambda: model.aggregate(1, None, None, hop)
+
+
+def padded_hop(rng, rows: int) -> HopData:
+    """A gated hop of ``BUDGET`` neighbors per row, ``PADDED_SHARE`` of the
+    slots padded, with edge features."""
     mask = rng.random((rows, BUDGET)) >= PADDED_SHARE
     hop = HopData(
         batch=NeighborBatch(
@@ -157,6 +177,12 @@ def tgat_aggregate_op(rng, rows, live_h):
             times=np.where(mask, rng.uniform(1.0, 99.0, (rows, BUDGET)), 0.0), mask=mask),
         edge_feat=randn(rng, rows, BUDGET, EDGE_DIM).data * mask[..., None])
     hop.make_gate()
+    return hop
+
+
+def tgat_aggregate_op(rng, rows, live_h):
+    model = TGAT(0, EDGE_DIM, hidden_dim=HIDDEN, time_dim=TIME_DIM, dropout=0.0, rng=rng)
+    hop = padded_hop(rng, rows)
     h_target = h_neighbors = None                   # the zero state
     if live_h:
         h_target = randn(rng, rows, HIDDEN)
@@ -173,6 +199,7 @@ OPS = {
     "sampler_mixer": (sampler_mixer_op, {"dead0": 0.0}, (289, 1174)),
     "adaptive_sampler": (sampler_op, DEAD_SHARES, None),
     "tgat_aggregate": (tgat_aggregate_op, {"zero_state": False, "live_h": True}, None),
+    "graphmixer_aggregate": (graphmixer_aggregate_op, {"zero_state": None}, (3, 600)),
     "time_encoding": (time_encoding_op, {"fixed": False, "learnable": True}, (1500,)),
 }
 
@@ -200,6 +227,62 @@ def eval_chunk_cell(tracer: Tracer, repeats: int) -> dict:
         trainer.prep, trainer.backbone, trainer.predictor, *queries,
         evaluator.rng), tracer, repeats)
     return dict(cell, edges=int(edges.size), levels=levels)
+
+
+def calls_of(run) -> int:
+    """Python and C function calls ``run()`` makes (a ``sys.setprofile``
+    counter: every ``call`` and ``c_call`` event)."""
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call" or event == "c_call":
+            calls[0] += 1
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls[0] - 1                             # the setprofile(None) call
+
+
+def serve_flush_cell(repeats: int) -> dict:
+    """One ``ServeEngine.flush`` of 1, 3 and 10 queries on the
+    ``serve_openloop`` configuration — GraphMixer trained one epoch on a
+    wikipedia prefix, an engine built as that workload builds it — timed
+    and call-counted per flush, each flush on fresh queries."""
+    spec, config = resolve(SERVE_SPEC, smoke=False)
+    graph = load_dataset(spec["dataset"], scale=1.0, seed=0)
+    warm_events = int(graph.num_edges * spec["warm_fraction"])
+    trainer = TaserTrainer(graph.select_events(np.arange(warm_events)),
+                           TaserConfig(**config))
+    trainer.train_epoch()
+    engine = ServeEngine.from_trainer(trainer, max_batch=spec["max_batch"],
+                                      queue_depth=spec["queue_depth"], staleness_time=0.0)
+    nodes = trainer.graph.num_nodes
+    rng = np.random.default_rng(0)
+    stream = itertools.cycle(range(warm_events, graph.num_edges))
+
+    def submit(count: int) -> None:
+        for _ in range(count):
+            e = next(stream)
+            engine.submit(LinkQuery(int(graph.src[e]) % nodes,
+                                    int(rng.integers(0, nodes)), float(graph.ts[e])))
+
+    cell = {}
+    for count in (1, 3, 10):
+        submit(count)
+        engine.flush()                              # warm this flush shape
+        submit(count)
+        calls = calls_of(engine.flush)
+        times = []
+        for _ in range(repeats):
+            submit(count)
+            start = time.perf_counter_ns()
+            engine.flush()
+            times.append(time.perf_counter_ns() - start)
+        cell[f"q{count}"] = {"us_per_flush": statistics.median(times) / 1e3,
+                             "calls_per_flush": calls}
+    return cell
 
 
 def measure(run, tracer: Tracer, repeats: int) -> dict:
@@ -252,6 +335,10 @@ def bench(sizes, repeats: int) -> dict:
                              f" {both['out_bytes_per_op'] / 2 ** 20:7.2f} MB")
                 cells.setdefault(name, {}).setdefault(f"R{rows}", {})[label] = cell
                 print(line)
+    cell = cells["serve_flush"] = serve_flush_cell(max(100, 20 * repeats))
+    print("  serve_flush       " + "  ".join(
+        f"{label}: {one['us_per_flush']:7.1f} us {one['calls_per_flush']:4d} calls"
+        for label, one in cell.items()))
     cell = cells["eval_chunk"] = eval_chunk_cell(tracer, repeats)
     print(f"  eval_chunk        {cell['edges']} edges     "
           f" nograd {cell['ns_per_op'] / 1e6:8.3f} ms, per-row -> rows -> targets"

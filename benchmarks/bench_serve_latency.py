@@ -21,13 +21,15 @@ replays the held-out suffix as a link-prediction query stream through
   scale.  The stale cell carries its own ``stale_determinism`` pair (reuse
   is approximate across *cells*, but bitwise-reproducible across *runs*).
 
-The ``sequential`` and ``batched`` cells run with the exact cache
-(``staleness_time=0.0``: only identical ``(node, t)`` repeats hit, and a hit
-returns exactly what recomputing would), so their scores must agree to
-within a few ulp — micro-batching changes the latency shape, not the
-numbers.  (Bitwise equality holds per batch shape, i.e. run-vs-replay; BLAS
-picks different blocking for different matrix heights, so summation order —
-and the last bit — can differ *across* batch sizes.)
+The ``sequential`` and ``batched`` cells run under time-exact staleness
+(``staleness_time=0.0``), where the engine's embedding cache is off by
+default: only an identical ``(node, t)`` repeat could hit, and a hit is not
+bitwise a recomputation — the row was computed in another flush, and BLAS
+picks its blocking by the matrix height.  Every score is computed, so the
+two cells must agree to within a few ulp — micro-batching changes the
+latency shape, not the numbers.  (Bitwise equality holds per batch shape,
+i.e. run-vs-replay; summation order — and the last bit — can differ
+*across* batch sizes.)
 
 Every cell runs once untimed first, under its own admission shape: the
 first serving pass of a shape pays one-time allocator/BLAS warm-up that
@@ -131,8 +133,8 @@ def test_serve_latency(benchmark, wikipedia_graph):
     _, replay_results, _ = _serve_once(trainer, queries, 32)
     replay_hash = scores_hash(replay_results)
     assert replay_hash == run_hash, "serve replay is not bitwise-identical"
-    # With the exact cache, batching must not change the scores beyond the
-    # last bits of the compute dtype (BLAS blocking differs across matrix
+    # Under time-exact staleness, batching must not change the scores beyond
+    # the last bits of the compute dtype (BLAS blocking differs across matrix
     # heights, so bitwise equality only holds per batch shape — that's what
     # the replay pair checks above).  Scores lie in [0, 1]: four float32 ulps.
     seq_scores = np.asarray([r.score for r in seq_results])

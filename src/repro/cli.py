@@ -436,7 +436,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "(>= 0; default: unbounded)")
     parser.add_argument("--cache-nodes", type=_non_negative_int, default=None,
                         help="embedding-cache capacity in nodes (0 disables; "
-                             "default: a quarter of the node universe)")
+                             "default: a quarter of the node universe, or 0 "
+                             "with --staleness-time 0, where only an identical "
+                             "(node, t) query could hit)")
     parser.add_argument("--replay", action="store_true",
                         help="serve the stream twice through fresh engines "
                              "and verify the bitwise score-hash contract")

@@ -106,9 +106,13 @@ class MiniBatchGenerator:
     @staticmethod
     def _gather_columns(array: Optional[np.ndarray], columns: np.ndarray
                         ) -> Optional[np.ndarray]:
+        """``array[r, columns[r]]`` per row: the ``(R, n, ...)`` selection of
+        an ``(R, m, ...)`` candidate array.  One fancy index on the two
+        leading axes; ``np.take_along_axis`` builds the same result through a
+        broadcast index over every trailing element, ~7x slower here."""
         if array is None:
             return None
-        return np.take_along_axis(array, columns[..., None], axis=1)
+        return array[np.arange(columns.shape[0])[:, None], columns]
 
     # -- layer stage (NF + FS) ---------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """TGNN backbones, mini-batch containers and the link-prediction head."""
 
 from .minibatch import HopData, MiniBatch
-from .base import TGNNBackbone, build_messages
+from .base import TGNNBackbone
 from .edge_predictor import EdgePredictor
 from .tgat import TGAT
 from .graphmixer import GraphMixer
@@ -10,7 +10,6 @@ __all__ = [
     "HopData",
     "MiniBatch",
     "TGNNBackbone",
-    "build_messages",
     "EdgePredictor",
     "TGAT",
     "GraphMixer",

@@ -1,12 +1,12 @@
 """Base class shared by the TGNN backbones (TGAT, GraphMixer).
 
 A backbone turns a :class:`~repro.models.minibatch.MiniBatch` into dynamic
-node embeddings for its root queries (Eq. 1-2).  The link-prediction head and
-the message construction are shared here; the per-layer COMB function is what
+node embeddings for its root queries (Eq. 1-2).  The recursive expansion is
+shared here; the per-layer COMB function — one graph node per layer, which
+forms the messages ``h_u || x_uvt || Phi(dt)`` inside its kernel — is what
 each backbone specialises.
 
-Everything a backbone computes — message concatenation, the per-layer COMB,
-the recursive expansion — is Tensor math, so the whole propagation phase
+Everything a backbone computes is Tensor math, so the whole propagation phase
 (the ``PP`` section of Table III) runs on the array runtime
 (:mod:`repro.tensor.backend`).
 """
@@ -18,36 +18,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..nn import Module
-from ..tensor import Tensor, concatenate
+from ..tensor import Tensor
 from .minibatch import HopData, MiniBatch
 
-__all__ = ["TGNNBackbone", "build_messages"]
-
-
-def build_messages(h_neighbors: Tensor, edge_feat: Optional[np.ndarray],
-                   time_enc: Tensor, gate: Optional[Tensor] = None) -> Tensor:
-    """Assemble neighbor messages ``m_u = h_u || x_uvt || Phi(dt)`` (Eq. 1).
-
-    Parameters
-    ----------
-    h_neighbors:
-        ``(R, n, d_h)`` previous-layer embeddings of the neighbors.
-    edge_feat:
-        ``(R, n, d_e)`` edge features or None.
-    time_enc:
-        ``(R, n, d_t)`` encoded relative timespans.
-    gate:
-        optional ``(R, n)`` per-neighbor gate; multiplies the whole message so
-        its gradient measures the neighbor's contribution to the loss.
-    """
-    parts = [h_neighbors]
-    if edge_feat is not None:
-        parts.append(Tensor(edge_feat))
-    parts.append(time_enc)
-    messages = concatenate(parts, axis=-1)
-    if gate is not None:
-        messages = messages * gate.reshape(*gate.shape, 1)
-    return messages
+__all__ = ["TGNNBackbone"]
 
 
 class TGNNBackbone(Module):

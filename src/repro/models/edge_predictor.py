@@ -7,7 +7,8 @@ from typing import Optional
 import numpy as np
 
 from ..nn import Linear, Module
-from ..tensor import Tensor, concatenate
+from ..tensor import Tensor
+from ..tensor import functional as F
 
 __all__ = ["EdgePredictor"]
 
@@ -30,6 +31,9 @@ class EdgePredictor(Module):
         self.out = Linear(hidden_dim, 1, rng=rng)
 
     def forward(self, h_src: Tensor, h_dst: Tensor) -> Tensor:
-        """Return logits of shape ``(B,)`` for ``B`` embedding pairs."""
-        hidden = (self.src_proj(h_src) + self.dst_proj(h_dst)).relu()
-        return self.out(hidden).reshape(-1)
+        """Return logits of shape ``(B,)`` for ``B`` embedding pairs: one
+        graph node (:func:`repro.tensor.functional.edge_predictor`), bitwise
+        equal to ``out(relu(src_proj(h_src) + dst_proj(h_dst)))`` composed."""
+        src, dst, out = self.src_proj, self.dst_proj, self.out
+        return F.edge_predictor(h_src, h_dst, (src.weight, src.bias, dst.weight, dst.bias,
+                                               out.weight, out.bias))

@@ -4,6 +4,12 @@ GraphMixer is a deliberately simple single-layer model: neighbor messages
 (with a *fixed* cosine time encoding) pass through one MLP-Mixer block and are
 mean-pooled over the neighborhood.  The reference configuration samples the
 *most recent* neighbors rather than uniform ones.
+
+The layer's aggregate is one graph node
+(:func:`repro.tensor.functional.graphmixer_aggregate`); the modules here own
+its parameters and the block's dropout generators.  Without node features the
+layer-0 state is the *zero state* (``None``, see :mod:`repro.models.base`),
+and the node skips the weight columns that would multiply it.
 """
 
 from __future__ import annotations
@@ -13,9 +19,10 @@ from typing import Optional
 import numpy as np
 
 from ..encoders import FixedTimeEncoder
-from ..nn import Linear, MixerBlock, Module
-from ..tensor import Tensor, concatenate
-from .base import TGNNBackbone, build_messages
+from ..nn import Linear, MixerBlock
+from ..tensor import Tensor
+from ..tensor import functional as F
+from .base import TGNNBackbone
 from .minibatch import HopData
 
 __all__ = ["GraphMixer"]
@@ -42,25 +49,23 @@ class GraphMixer(TGNNBackbone):
 
     # -- TGNNBackbone hooks -------------------------------------------------------------
 
-    def base_embedding(self, node_feat: Optional[np.ndarray], count: int) -> Tensor:
+    def base_embedding(self, node_feat: Optional[np.ndarray], count: int) -> Optional[Tensor]:
         if self.node_proj is not None and node_feat is not None:
             return self.node_proj(Tensor(node_feat))
-        return Tensor.zeros(count, self.hidden_dim)
+        return None
 
-    def aggregate(self, layer: int, h_target: Tensor, h_neighbors: Tensor,
-                  hop: HopData) -> Tensor:
+    def aggregate(self, layer: int, h_target: Optional[Tensor],
+                  h_neighbors: Optional[Tensor], hop: HopData) -> Tensor:
         if hop.budget != self.num_neighbors:
             raise ValueError(
                 f"GraphMixer was built for {self.num_neighbors} neighbors per node "
                 f"but the mini-batch provides {hop.budget}; the token-mixing MLP "
                 "dimension is tied to the neighbor budget")
-        delta = hop.batch.delta_t()
-        time_enc = self.time_encoder(delta)
-        messages = build_messages(h_neighbors, hop.edge_feat, time_enc, gate=hop.gate)
-        tokens = self.message_proj(messages)
-        mixed = self.mixer(tokens, mask=hop.batch.mask)
-        # The block zeroes the masked tokens itself, so the mean over the
-        # valid ones is a plain sum over the valid count.
-        count = np.maximum(hop.batch.mask.sum(axis=1, keepdims=True), 1)
-        pooled = mixed.sum(axis=1) / Tensor(count.astype(mixed.dtype))
-        return self.out_proj(concatenate([pooled, h_target], axis=-1))
+        mixer = self.mixer
+        keep_t, keep_c = mixer.keep_masks(hop.num_targets, self.out_proj.weight.dtype)
+        params = (self.message_proj.weight, self.message_proj.bias,
+                  *mixer.block_parameters(), self.out_proj.weight, self.out_proj.bias)
+        return F.graphmixer_aggregate(
+            hop.batch.delta_t(), hop.batch.mask, hop.edge_feat, h_target, h_neighbors,
+            hop.gate, params, self.time_encoder.omega, keep_t, keep_c,
+            eps=mixer.token_norm.eps)

@@ -100,17 +100,28 @@ class MixerBlock(Module):
             cannot leak information into the valid positions.
         """
         fmask = None if mask is None else np.asarray(mask, dtype=x.dtype)[..., None]
+        keep_t, keep_c = self.keep_masks(x.shape[0], x.dtype)
+        return F.mixer_block(x, fmask, self.block_parameters(), keep_t, keep_c,
+                             eps=self.token_norm.eps)
+
+    def block_parameters(self) -> tuple:
+        """The block's twelve parameters in registration order — the
+        ``params`` of :func:`~repro.tensor.functional.mixer_block`."""
         token, channel = self.token_mlp, self.channel_mlp
-        rows, tokens, dim = x.shape
-        # The dropout keep-masks, drawn in the composed block's order and
-        # shapes: token mixing ran on the (rows, dim, tokens) transpose.
-        keep_t = token.drop.keep_mask((rows, dim, token.fc1.out_features), x.dtype)
+        return (self.token_norm.weight, self.token_norm.bias,
+                token.fc1.weight, token.fc1.bias, token.fc2.weight, token.fc2.bias,
+                self.channel_norm.weight, self.channel_norm.bias,
+                channel.fc1.weight, channel.fc1.bias, channel.fc2.weight, channel.fc2.bias)
+
+    def keep_masks(self, rows: int, dtype):
+        """``(keep_t, keep_c)``: the dropout keep-masks of a ``rows``-row
+        input, drawn in the composed block's order and shapes (token mixing
+        ran on the ``(rows, dim, tokens)`` transpose); ``None`` each when
+        dropout is off."""
+        token, channel = self.token_mlp, self.channel_mlp
+        keep_t = token.drop.keep_mask((rows, self.dim, token.fc1.out_features), dtype)
         if keep_t is not None:
             keep_t = keep_t.swapaxes(1, 2)
-        keep_c = channel.drop.keep_mask((rows, tokens, channel.fc1.out_features), x.dtype)
-        return F.mixer_block(x, fmask, (
-            self.token_norm.weight, self.token_norm.bias,
-            token.fc1.weight, token.fc1.bias, token.fc2.weight, token.fc2.bias,
-            self.channel_norm.weight, self.channel_norm.bias,
-            channel.fc1.weight, channel.fc1.bias, channel.fc2.weight, channel.fc2.bias,
-        ), keep_t, keep_c, eps=self.token_norm.eps)
+        keep_c = channel.drop.keep_mask((rows, self.num_tokens, channel.fc1.out_features),
+                                        dtype)
+        return keep_t, keep_c

@@ -18,7 +18,16 @@ Either bound may be ``None`` (unbounded).  With both bounds at ``None`` a hit
 is exact *only* when the query time matches the cached entry's compute time,
 so the default construction keeps time staleness at ``0.0`` — i.e. a hit
 requires the identical ``(node, t)`` query — and serving engines opt in to
-approximation explicitly.
+approximation explicitly.  Even such a hit is the same embedding only to the
+last bits, not bitwise: it was computed in another flush, and BLAS blocks a
+GEMM by its row count.  That is why :class:`~repro.serve.ServeEngine`
+leaves the cache off (capacity 0) under time-exact staleness unless given a
+capacity.
+
+Where the cache is on, free slots come off a fill pointer (a slot is never
+freed — an evicted one is refilled at once) and a lookup allocates rows only
+when something hits.  An eviction still sorts every occupant, so an insert
+into a full cache costs O(capacity log capacity).
 
 Eviction follows the :class:`~repro.device.cache.FeatureCache` idioms:
 capacity-bounded content, per-node access **frequencies** accumulated on
@@ -100,11 +109,14 @@ class NodeEmbeddingCache:
 
         Returns ``(hit_mask, rows)`` where ``rows`` holds the cached
         embedding of every hit (``rows[hit_mask]`` are valid; missed
-        positions are zero) or ``None`` when nothing has ever been inserted.
-        Every request — hit or miss, fresh or stale — increments the node's
-        access frequency, exactly like :class:`~repro.device.cache.
-        FeatureCache` records accesses for its replacement policy.
+        positions are zero) or ``None`` when nothing hits.  Every request —
+        hit or miss, fresh or stale — increments the node's access
+        frequency, exactly like :class:`~repro.device.cache.FeatureCache`
+        records accesses for its replacement policy.  A zero-capacity cache
+        returns an all-miss mask at once and records nothing.
         """
+        if self.capacity == 0:
+            return np.zeros(np.size(nodes), dtype=bool), None
         nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
         times = np.asarray(times, dtype=np.float64).reshape(-1)
         if nodes.shape != times.shape:
@@ -116,7 +128,7 @@ class NodeEmbeddingCache:
 
         slots = self.slot_of[nodes]
         hits = slots >= 0
-        if hits.any() and self.rows is not None:
+        if hits.any():
             occupied = slots[hits]
             fresh = np.ones(occupied.size, dtype=bool)
             if self.staleness_events is not None:
@@ -126,17 +138,14 @@ class NodeEmbeddingCache:
                 fresh &= (np.abs(times[hits] - self.computed_time[occupied])
                           <= self.staleness_time)
             hits[np.nonzero(hits)[0][~fresh]] = False
-        else:
-            hits[:] = False
 
-        self._epoch_hits += int(hits.sum())
+        num_hits = int(np.count_nonzero(hits))
+        self._epoch_hits += num_hits
         self._epoch_requests += int(nodes.size)
-        rows = None
-        if self.rows is not None:
-            rows = np.zeros((nodes.size, self.rows.shape[1]),
-                            dtype=self.rows.dtype)
-            if hits.any():
-                rows[hits] = self.rows[self.slot_of[nodes[hits]]]
+        if not num_hits:
+            return hits, None
+        rows = np.zeros((nodes.size, self.rows.shape[1]), dtype=self.rows.dtype)
+        rows[hits] = self.rows[slots[hits]]
         return hits, rows
 
     def insert(self, nodes: np.ndarray, rows: np.ndarray, times: np.ndarray,
@@ -181,10 +190,12 @@ class NodeEmbeddingCache:
             return
         new_rows, new_times = rows[~cached], times[~cached]
 
-        free = np.nonzero(self.node_of < 0)[0]
-        take = min(free.size, new_nodes.size)
+        # Slots are never freed (an evicted slot is refilled at once), so the
+        # occupied ones are the prefix ``[0, num_cached)``.
+        take = min(self.capacity - self._num_cached, new_nodes.size)
         if take:
-            self._install(free[:take], new_nodes[:take], new_rows[:take],
+            free = np.arange(self._num_cached, self._num_cached + take)
+            self._install(free, new_nodes[:take], new_rows[:take],
                           new_times[:take], now_event)
             new_nodes = new_nodes[take:]
             new_rows, new_times = new_rows[take:], new_times[take:]

@@ -15,7 +15,8 @@ Dataflow of one flush::
                               │ micro-batch of <= max_batch queries
                               ▼
                     endpoint (node, t) pairs ──▶ NodeEmbeddingCache.lookup
-                              │ misses only          (staleness bounds)
+                              │ misses only          (staleness bounds;
+                              │                       off when time-exact)
                               ▼
               missing (node, t) ──▶ prep runtime ──▶ backbone.embed
                (one forward-only build + one forward for the whole
@@ -178,8 +179,11 @@ class ServeEngine:
         Embedding-cache staleness bounds (see
         :class:`~repro.serve.cache.NodeEmbeddingCache`).
     cache_nodes:
-        Embedding-cache capacity in nodes (default: a quarter of the node
-        universe; 0 disables the cache).
+        Embedding-cache capacity in nodes; 0 disables the cache.  The
+        default follows the staleness bounds: 0 under time-exact staleness
+        (``staleness_time=0.0``, where a hit would need an identical
+        ``(node, t)`` query and would not spare the flush its build and
+        forward), a quarter of the node universe under any other time bound.
     clock:
         Callable returning monotonically increasing seconds
         (default ``time.perf_counter``; inject :class:`VirtualClock` for
@@ -215,6 +219,10 @@ class ServeEngine:
         self.backbone = backbone
         self.predictor = predictor
         self.adaptive_sampler = adaptive_sampler
+        #: every module of the scoring stack, flat: a flush flips their modes
+        #: in one pass instead of a recursive ``train()`` walk per root.
+        self._modules = tuple(module for root in (backbone, predictor)
+                              for _, module in root.named_modules())
         self.num_layers = int(num_layers)
         self.num_neighbors = int(num_neighbors)
         self.num_candidates = int(num_candidates) if num_candidates is not None \
@@ -224,8 +232,15 @@ class ServeEngine:
         #: the array runtime the forward runs on (one per process).
         self.array_backend = get_backend()
 
-        capacity = cache_nodes if cache_nodes is not None \
-            else max(1, self.graph.num_nodes // 4)
+        if cache_nodes is not None:
+            capacity = cache_nodes
+        elif staleness_time == 0.0:
+            # Time-exact staleness: a hit needs the identical (node, t), which
+            # a flush's destinations never repeat, and a hit would not spare
+            # the build + forward of the misses beside it.
+            capacity = 0
+        else:
+            capacity = max(1, self.graph.num_nodes // 4)
         self.embedding_cache = NodeEmbeddingCache(
             self.graph.num_nodes, capacity,
             staleness_events=staleness_events,
@@ -391,18 +406,22 @@ class ServeEngine:
         nodes = np.concatenate([src, dst])
         times = np.concatenate([ts, ts])
 
-        was_training = self.backbone.training
-        self.backbone.train(False)
-        self.predictor.train(False)
+        modules = self._modules
+        modes = [module.training for module in modules]
+        for module in modules:
+            object.__setattr__(module, "training", False)
+        cache = self.embedding_cache
         observed = self.events_observed
         try:
             with no_grad():
-                hits, rows = self.embedding_cache.lookup(nodes, times, observed)
-                misses = ~hits
-                if misses.any():
+                hits, rows = cache.lookup(nodes, times, observed)
+                num_hits = 0 if rows is None else int(hits.sum())
+                if num_hits < nodes.size:
                     # One prep pass + one forward for the missing endpoints
-                    # of the whole micro-batch; the forward-only batch
-                    # computes each distinct (node, t) once.
+                    # of the whole micro-batch (all of them when nothing
+                    # hit); the forward-only batch computes each distinct
+                    # (node, t) once.
+                    misses = slice(None) if rows is None else ~hits
                     if self.finder.requires_chronological:
                         self.finder.reset()
                     minibatch = self.prep.generator.build(
@@ -412,28 +431,29 @@ class ServeEngine:
                     uniq_nodes = distinct.batch.root_nodes
                     self.serve_stats.embeddings_computed += uniq_nodes.size
                     if rows is None:
-                        rows = np.zeros((nodes.size, fresh.shape[1]),
-                                        dtype=fresh.dtype)
-                    rows[misses] = fresh
-                    # The rows of one distinct endpoint are all the same row.
-                    computed = np.empty((uniq_nodes.size, fresh.shape[1]),
-                                        dtype=fresh.dtype)
-                    computed[distinct.inverse] = fresh
-                    self.embedding_cache.insert(uniq_nodes, computed,
-                                                distinct.batch.root_times,
-                                                observed)
-                self.serve_stats.embeddings_reused += int(hits.sum())
+                        rows = fresh
+                    else:
+                        rows[misses] = fresh
+                    if cache.capacity:
+                        # The rows of one distinct endpoint are all the same row.
+                        computed = np.empty((uniq_nodes.size, fresh.shape[1]),
+                                            dtype=fresh.dtype)
+                        computed[distinct.inverse] = fresh
+                        cache.insert(uniq_nodes, computed, distinct.batch.root_times,
+                                     observed)
+                self.serve_stats.embeddings_reused += num_hits
                 logits_t = self.predictor(Tensor(rows[:b]), Tensor(rows[b:]))
                 scores = F.sigmoid(logits_t).data
                 logits = logits_t.data
         finally:
-            self.backbone.train(was_training)
-            self.predictor.train(was_training)
+            for module, mode in zip(modules, modes):
+                object.__setattr__(module, "training", mode)
 
         done = self._clock()
         self.serve_stats.forward_batches += 1
         self.serve_stats.served += b
-        endpoint_hits = (hits[:b].astype(np.int64) + hits[b:]).tolist()
+        endpoint_hits = [0] * b if not num_hits else \
+            (hits[:b].astype(np.int64) + hits[b:]).tolist()
         for item, score, logit, cache_hits in zip(
                 live, scores.tolist(), logits.tolist(), endpoint_hits):
             results.append(ServeResult(

@@ -752,6 +752,173 @@ class ReferenceBackend:
             grads[4] = gtb.astype(tb.dtype, copy=False)
         return [grad if wanted else None for grad, wanted in zip(grads, need)]
 
+    # -- GraphMixer aggregate (one autograd node) ----------------------------
+    # Fixed time encoding -> message -> ``message_proj`` -> mixer block ->
+    # mean over the valid tokens -> ``out_proj`` over ``pooled || h_target``.
+    # As in the temporal attention, the message ``h || edge || Phi(dt)`` is
+    # never built: the tokens are the sum of one GEMM per present part over
+    # its weight columns, scaled by the gate before the bias, ``(g m) @ W =
+    # g (m @ W)``, and an absent part (``None``: the zero state, no edge
+    # features) costs nothing in either pass; its weight columns get an
+    # exact-zero gradient.  The mixer block is the pair above.  ``params`` is
+    # the sixteen parameter arrays in registration order: ``message_proj``'s
+    # weight and bias, the block's twelve, ``out_proj``'s weight and bias.
+
+    def graphmixer_aggregate_forward(self, delta: np.ndarray, mask: np.ndarray,
+                                     edge: Optional[np.ndarray],
+                                     h_target: Optional[np.ndarray],
+                                     h_neighbors: Optional[np.ndarray],
+                                     gate: Optional[np.ndarray], params, omega: np.ndarray,
+                                     keep_t: Optional[np.ndarray],
+                                     keep_c: Optional[np.ndarray], eps: float,
+                                     retain: bool):
+        """GraphMixer's aggregate of ``n`` neighbors per row; returns ``(out,
+        saved)`` with ``out`` ``(R, d)``.
+
+        ``delta`` ``(R, n)`` are the relative timespans (in the timestamps'
+        own precision), ``omega`` the fixed encoding's frequencies, ``mask``
+        the boolean validity of each slot, ``edge`` ``(R, n, d_e)`` the edge
+        features, ``h_target`` ``(R, d)`` / ``h_neighbors`` ``(R, n, d)`` the
+        layer-0 states (``None``: all zero), ``gate`` the ``(R, n)``
+        per-neighbor message scale, ``keep_t`` / ``keep_c`` the mixer block's
+        scaled dropout keep-masks.  With ``retain`` the backward pass's inputs
+        come back in ``saved``; without it ``saved`` is ``None``.
+        """
+        wm, bm, wo, bo = params[0], params[1], params[14], params[15]
+        self._one_float_dtype(wm, edge, h_target, h_neighbors, gate, *params)
+        rows, n = delta.shape
+        width, d_t = wm.shape[0], omega.shape[0]
+
+        te = self._time_encoding(delta, omega, None, wm.dtype)
+        summed = self.matmul(te.reshape(-1, d_t), wm[:, -d_t:].T)
+        if edge is not None:
+            summed += self.matmul(edge.reshape(rows * n, -1), wm[:, width:-d_t].T)
+        if h_neighbors is not None:
+            summed += self.matmul(h_neighbors.reshape(rows * n, width), wm[:, :width].T)
+        summed = summed.reshape(rows, n, width)
+        tokens = summed if gate is None else summed * gate[..., None]
+        tokens += bm
+        fmask = mask.astype(wm.dtype)[..., None]
+        mixed, block = self.mixer_block_forward(tokens, fmask, params[2:14], keep_t,
+                                                keep_c, eps, retain)
+        del tokens
+        # The block zeroes the masked tokens, so the mean over the valid ones
+        # is a token sum over the valid count.
+        count = np.maximum(mask.sum(axis=1, keepdims=True), 1).astype(wm.dtype)
+        pooled = mixed.sum(axis=1)
+        pooled /= count
+        out = self.matmul(pooled, wo[:, :width].T)
+        if h_target is not None:
+            out += self.matmul(h_target, wo[:, width:].T)
+        out += bo
+        saved = None
+        if retain:
+            saved = (edge, h_target, h_neighbors, gate, te,
+                     None if gate is None else summed, block, count, pooled)
+        return out, saved
+
+    def graphmixer_aggregate_backward(self, g: np.ndarray, saved, params, need) -> list:
+        """Gradients of :meth:`graphmixer_aggregate_forward` w.r.t.
+        ``(h_target, h_neighbors, gate, *params)``; ``need[i]`` says whether
+        entry ``i`` is wanted (``None`` otherwise).
+
+        With ``gt`` the gradient at the gated tokens, ``message_proj``'s
+        weight-column block of each present part is ``(gate gt).T @ part``,
+        its bias gradient ``sum gt``, and the gate's ``sum_c gt * summed``
+        over the pre-gate token sum.
+        """
+        edge, h_target, h_neighbors, gate, te, summed, block, count, pooled = saved
+        wm, wo = params[0], params[14]
+        rows, n = te.shape[:2]
+        width, d_t = wm.shape[0], te.shape[2]
+        grads = [None] * 19
+
+        # out_proj over pooled || h_target, on (R, d) arrays.
+        grads[17] = np.zeros_like(wo)
+        grads[17][:, :width] = self.matmul(g.T, pooled)
+        if h_target is not None:
+            grads[17][:, width:] = self.matmul(g.T, h_target)
+        grads[18] = g.sum(axis=0)
+        if need[0]:
+            grads[0] = self.matmul(g, wo[:, width:])
+        gpooled = self.matmul(g, wo[:, :width])
+        gpooled /= count
+
+        # The mean: every token of a row gets the row's pooled gradient.
+        need_tokens = any(need[1:5])
+        mixer = self.mixer_block_backward(
+            np.broadcast_to(gpooled[:, None, :], (rows, n, width)), block,
+            params[2:14], [need_tokens, *need[5:17]])
+        grads[5:17] = mixer[1:]
+        gt = mixer[0]
+        if gt is not None:
+            grads[4] = gt.sum(axis=(0, 1))
+            if need[2]:
+                grads[2] = np.einsum("rjc,rjc->rj", gt, summed)
+            gs = (gt if gate is None else
+                  np.multiply(gt, gate[..., None], order="C")).reshape(-1, width)
+            if need[3]:
+                grads[3] = np.zeros_like(wm)
+                grads[3][:, -d_t:] = self.matmul(gs.T, te.reshape(-1, d_t))
+                if edge is not None:
+                    grads[3][:, width:-d_t] = self.matmul(gs.T, edge.reshape(rows * n, -1))
+                if h_neighbors is not None:
+                    grads[3][:, :width] = self.matmul(gs.T, h_neighbors.reshape(-1, width))
+            if need[1]:
+                grads[1] = self.matmul(gs, wm[:, :width]).reshape(rows, n, width)
+        return [grad if wanted else None for grad, wanted in zip(grads, need)]
+
+    # -- edge predictor (one autograd node) ----------------------------------
+    # ``out(relu(src_proj(h_src) + dst_proj(h_dst)))``, in the composed
+    # nodes' op order — each GEMM, bias add, sum and mask in the same form —
+    # so both passes are bitwise those of the composition.  ``params`` is the
+    # six parameter arrays in registration order: weight and bias of
+    # ``src_proj``, ``dst_proj``, ``out``.
+
+    def edge_predictor_forward(self, h_src: np.ndarray, h_dst: np.ndarray, params,
+                               retain: bool):
+        """Logits ``(B,)`` of ``B`` embedding pairs; returns ``(out, saved)``,
+        ``saved`` ``None`` unless ``retain``."""
+        ws, bs, wd, bd, wo, bo = params
+        self._one_float_dtype(ws, h_src, h_dst, *params)
+        src = h_src.reshape(-1, h_src.shape[-1])
+        dst = h_dst.reshape(-1, h_dst.shape[-1])
+        hidden = self.matmul(src, ws.T)
+        hidden += bs
+        other = self.matmul(dst, wd.T)
+        other += bd
+        hidden += other
+        del other
+        live = hidden > 0
+        hidden *= live
+        out = self.matmul(hidden, wo.T)
+        out += bo
+        saved = (src, dst, hidden, live) if retain else None
+        return out.reshape(-1), saved
+
+    def edge_predictor_backward(self, g: np.ndarray, saved, params, need) -> list:
+        """Gradients of :meth:`edge_predictor_forward` w.r.t. ``(h_src, h_dst,
+        *params)`` (the states in their 2-D row form); ``need[i]`` says
+        whether entry ``i`` is wanted (``None`` otherwise)."""
+        src, dst, hidden, live = saved
+        ws, _, wd, _, wo, _ = params
+        grads = [None] * 8
+        g2d = g.reshape(-1, wo.shape[0])
+        if need[6]:
+            grads[6] = self.matmul(g2d.T, hidden)
+        if need[7]:
+            grads[7] = g2d.sum(axis=0)
+        gz = self.matmul(g2d, wo)
+        gz *= live
+        for state, w, first in ((src, ws, 0), (dst, wd, 1)):
+            if need[first]:
+                grads[first] = self.matmul(gz, w)
+            if need[2 + 2 * first]:
+                grads[2 + 2 * first] = self.matmul(gz.T, state)
+            if need[3 + 2 * first]:
+                grads[3 + 2 * first] = gz.sum(axis=0)
+        return grads
+
 
 _BACKEND = ReferenceBackend()
 

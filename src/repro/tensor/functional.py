@@ -7,7 +7,8 @@ vectorised whole-array operations.
 All float math here is composed from :class:`~repro.tensor.Tensor` ops, so
 it runs on the array runtime of :mod:`~repro.tensor.backend`.
 :func:`linear`, :func:`layer_norm`, :func:`mixer_block`,
-:func:`temporal_attention` and :func:`scatter_rows` are single graph nodes
+:func:`temporal_attention`, :func:`graphmixer_aggregate`,
+:func:`edge_predictor` and :func:`scatter_rows` are single graph nodes
 defined beside the engine (:mod:`repro.tensor.tensor`) and re-exported here.  Only
 mask plumbing (boolean arrays, ``-1e30`` fill values, dropout keep-masks)
 touches numpy directly; it moves no float math, and builds every mask in the
@@ -20,8 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import (Tensor, concatenate, layer_norm, linear, mixer_block,
-                     scatter_rows, stack, temporal_attention, where)
+from .tensor import (Tensor, concatenate, edge_predictor, graphmixer_aggregate,
+                     layer_norm, linear, mixer_block, scatter_rows, stack,
+                     temporal_attention, where)
 
 __all__ = [
     "sigmoid",
@@ -40,6 +42,8 @@ __all__ = [
     "linear",
     "mixer_block",
     "temporal_attention",
+    "graphmixer_aggregate",
+    "edge_predictor",
     "scatter_rows",
     "masked_softmax",
     "concatenate",

@@ -65,15 +65,16 @@ only to sum it.
 
 Composite kernels
 -----------------
-:func:`linear`, :func:`layer_norm`, :func:`mixer_block` and
-:func:`temporal_attention` are one graph node each with an analytic backward,
+:func:`linear`, :func:`layer_norm`, :func:`mixer_block`,
+:func:`temporal_attention`, :func:`graphmixer_aggregate` and
+:func:`edge_predictor` are one graph node each with an analytic backward,
 over a forward / backward kernel pair on the array backend; the kernels
 compute only the gradients whose tensor requires one and never write into the
 ``g`` they receive.  The
 primitive-composed forms (``x @ W.T + b``, ``mean`` / ``sub`` / ``sqrt`` /
-``div``, the mixer block's modules, TGAT's concatenated messages and
-per-head matmuls) agree with them to the last few ulps and live on as test
-oracles.
+``div``, the mixer block's modules, TGAT's and GraphMixer's concatenated
+messages, per-head matmuls) agree with them to the last few ulps — the edge
+predictor's bit for bit — and live on as test oracles.
 
 Backend dispatch
 ----------------
@@ -983,6 +984,78 @@ def temporal_attention(delta: np.ndarray, mask: np.ndarray,
                     slot._accumulate(grad)
         out._backward = _backward
     return out, attn
+
+
+def graphmixer_aggregate(delta: np.ndarray, mask: np.ndarray,
+                         edge_feat: Optional[np.ndarray], h_target: Optional[Tensor],
+                         h_neighbors: Optional[Tensor], gate: Optional[Tensor],
+                         params: Sequence[Tensor], omega: np.ndarray,
+                         keep_t: Optional[np.ndarray] = None,
+                         keep_c: Optional[np.ndarray] = None, eps: float = 1e-5) -> Tensor:
+    """GraphMixer's aggregate of ``n`` sampled neighbors per row — fixed time
+    encoding ``cos(delta * omega)``, messages ``h || edge || Phi(dt)`` scaled
+    by ``gate`` through ``message_proj``, one MLP-Mixer block over the masked
+    tokens, the mean over the valid ones and ``out_proj`` over ``pooled ||
+    h_target``.  Returns the ``(R, d)`` result.
+
+    One graph node over the backend's ``graphmixer_aggregate_forward`` /
+    ``graphmixer_aggregate_backward`` kernels, with those of ``(h_target,
+    h_neighbors, gate, *params)`` that are given as parents.  ``params`` is
+    ``message_proj``'s weight and bias, the block's twelve parameters and
+    ``out_proj``'s weight and bias; ``h_target`` / ``h_neighbors`` are
+    ``None`` for the zero state, whose weight columns are then never
+    multiplied; ``keep_t`` / ``keep_c`` are the block's scaled dropout
+    keep-masks.  The composition of ``linear`` / ``mixer_block`` / ``sum``
+    nodes over the concatenated messages it replaces is the test oracle.
+    """
+    slots = (h_target, h_neighbors, gate, *params)
+    arrays = [p.data for p in params]
+    need = [s is not None and s.requires_grad for s in slots]
+    req = _GRAD_ENABLED and any(need)
+    data, saved = get_backend().graphmixer_aggregate_forward(
+        delta, mask, edge_feat, *(None if s is None else s.data for s in slots[:3]),
+        arrays, omega, keep_t, keep_c, eps, req)
+    out = Tensor(data, requires_grad=req)
+    if req:
+        out._prev = tuple(s for s in slots if s is not None)
+        out._op = "graphmixer_aggregate"
+
+        def _backward(g):
+            grads = get_backend().graphmixer_aggregate_backward(g, saved, arrays, need)
+            for slot, grad in zip(slots, grads):
+                if grad is not None:
+                    slot._accumulate(grad)
+        out._backward = _backward
+    return out
+
+
+def edge_predictor(h_src: Tensor, h_dst: Tensor, params: Sequence[Tensor]) -> Tensor:
+    """Logits ``out(relu(src_proj(h_src) + dst_proj(h_dst)))`` of ``B``
+    embedding pairs, shape ``(B,)``.
+
+    One graph node over the backend's ``edge_predictor_forward`` /
+    ``edge_predictor_backward`` kernels, with ``(h_src, h_dst, *params)`` as
+    parents; ``params`` is the weight and bias of ``src_proj``, ``dst_proj``
+    and ``out``.  Both passes run the composed nodes' ops in their order, so
+    the composition — the test oracle — agrees bit for bit.
+    """
+    parents = (h_src, h_dst, *params)
+    arrays = [p.data for p in params]
+    need = [p.requires_grad for p in parents]
+    req = _GRAD_ENABLED and any(need)
+    data, saved = get_backend().edge_predictor_forward(h_src.data, h_dst.data, arrays, req)
+    out = Tensor(data, requires_grad=req)
+    if req:
+        out._prev = parents
+        out._op = "edge_predictor"
+
+        def _backward(g):
+            grads = get_backend().edge_predictor_backward(g, saved, arrays, need)
+            for parent, grad in zip(parents, grads):
+                if grad is not None:
+                    parent._accumulate(grad.reshape(parent.shape))
+        out._backward = _backward
+    return out
 
 
 def scatter_rows(src: Tensor, index: np.ndarray, num_rows: int,

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import TaserConfig, TaserTrainer
+from repro.models import EdgePredictor
 from repro.serve import ServeEngine
 from repro.tensor import Tensor
 from repro.tensor import functional as F
@@ -42,6 +43,13 @@ PRIMITIVES = {
     "sqrt", "cos", "sin", "absolute", "sign", "maximum", "clip", "where",
     "matmul", "concatenate", "sum", "mean", "amax",
     "grad_zeros", "index_add", "broadcast_grad", "fixed_time_encoding",
+}
+
+# the forward / backward kernel pairs, one autograd node each.
+PAIRS = {
+    "softmax", "log_softmax", "sigmoid", "tanh", "gelu", "relu", "leaky_relu",
+    "time_encoding", "layer_norm", "linear", "mixer_block", "temporal_attention",
+    "graphmixer_aggregate", "edge_predictor",
 }
 
 
@@ -90,6 +98,43 @@ class TestOneRuntime:
                          or name in PRIMITIVES)]
         assert stray == []
         assert PRIMITIVES <= set(public)
+        forwards = {name[:-len("_forward")] for name in public if name.endswith("_forward")}
+        backwards = {name[:-len("_backward")] for name in public
+                     if name.endswith("_backward")}
+        assert forwards == backwards == PAIRS
+
+    @pytest.mark.usefixtures("float64_compute")
+    def test_composite_pairs_run_their_gemms_through_matmul(self):
+        """GraphMixer's aggregate and the edge predictor: every GEMM of both
+        passes reaches the instance's ``matmul`` (the mixer block's through
+        its own pair, which the aggregate calls on the instance too)."""
+        from test_tensor_ops import make_graphmixer, make_hop
+        backend, seen = get_backend(), []
+        rng = np.random.default_rng(0)
+        model = make_graphmixer(rng)
+        hop = make_hop(rng, 5, 4, 6)
+        predictor = EdgePredictor(8, rng=rng)
+        for name in ("matmul", "mixer_block_forward", "mixer_block_backward"):
+            kernel = getattr(backend, name)
+            setattr(backend, name,
+                    lambda *a, _k=kernel, _n=name: seen.append(_n) or _k(*a))
+        try:
+            # zero state: the time and edge GEMMs, four in the block, out_proj
+            out = model.aggregate(1, None, None, hop)
+            assert seen == ["matmul"] * 2 + ["mixer_block_forward"] + ["matmul"] * 5
+            del seen[:]
+            out.sum().backward()
+            assert seen.count("mixer_block_backward") == 1
+            # out_proj 2, the block 8, message_proj's time and edge columns 2
+            assert seen.count("matmul") == 12
+            del seen[:]
+            logits = predictor(Tensor(out.data, requires_grad=True), out.detach())
+            assert seen == ["matmul"] * 3
+            logits.sum().backward()             # out 2, src_proj 2, dst_proj's weight 1
+            assert seen == ["matmul"] * 8
+        finally:
+            for name in ("matmul", "mixer_block_forward", "mixer_block_backward"):
+                delattr(backend, name)
 
 
 # ------------------------------------------------------- kernels vs numpy

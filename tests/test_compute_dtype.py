@@ -36,7 +36,7 @@ from repro.core import TaserConfig, TaserTrainer
 from repro.core.streaming import StreamingTrainer, split_warmup
 from repro.distributed import ShardedTrainer
 from repro.encoders import FixedTimeEncoder, LearnableTimeEncoder
-from repro.models import TGAT, EdgePredictor, HopData
+from repro.models import TGAT, EdgePredictor, GraphMixer, HopData
 from repro.nn import LayerNorm, Linear, MixerBlock
 from repro.sampling import NeighborBatch
 from repro.serve import LinkQuery, ServeEngine, VirtualClock
@@ -45,10 +45,11 @@ from repro.tensor import (GradcheckDtypeError, MixedDtypeError, Tensor, get_back
 from repro.tensor import functional as F
 from repro.tensor.backend import ReferenceBackend
 
-from test_tensor_ops import (assert_mixer_agrees, composed_mixer_block,  # noqa: E402
-                             composed_temporal_attention, make_hop, make_tgat,
-                             node_mixer_block, node_temporal_attention, run_aggregate,
-                             run_mixer, t)
+from test_tensor_ops import (assert_mixer_agrees, composed_graphmixer_aggregate,  # noqa: E402
+                             composed_mixer_block, composed_temporal_attention,
+                             make_graphmixer, make_hop, make_tgat,
+                             node_graphmixer_aggregate, node_mixer_block,
+                             node_temporal_attention, run_aggregate, run_mixer, t)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -169,7 +170,8 @@ class TestLeakGuard:
     def test_serve_flush(self, small_graph):
         trainer = TaserTrainer(small_graph, leak_config(adaptive_minibatch=False,
                                                         adaptive_neighbor=False))
-        engine = ServeEngine.from_trainer(trainer, max_batch=8,
+        # An explicit capacity: the time-exact default caches nothing.
+        engine = ServeEngine.from_trainer(trainer, max_batch=8, cache_nodes=16,
                                           clock=VirtualClock())
         t_hi = float(small_graph.ts.max())
         with recorded_kernels() as (leaks, calls):
@@ -321,7 +323,8 @@ class TestFloat64Route:
             return spy
 
         kernels = ["linear_forward", "layer_norm_forward", "mixer_block_forward",
-                   "temporal_attention_forward"]
+                   "temporal_attention_forward", "graphmixer_aggregate_forward",
+                   "edge_predictor_forward"]
         for name in kernels:
             setattr(backend, name, spying(name))
         try:
@@ -343,6 +346,13 @@ class TestFloat64Route:
             assert gradcheck(
                 lambda a, b, g, *p: (model.aggregate(1, a, b, hop) ** 2).sum(),
                 [h_t, h_n, hop.gate, *model.parameters()], atol=1e-3, rtol=1e-2)
+            mixer = make_graphmixer(rng, hidden=4, edge_dim=3, time_dim=2, n=2)
+            assert gradcheck(
+                lambda a, b, g, *p: (mixer.aggregate(1, a, b, hop) ** 2).sum(),
+                [h_t, h_n, hop.gate, *mixer.parameters()], atol=1e-3, rtol=1e-2)
+            predictor = EdgePredictor(4, rng=rng)
+            assert gradcheck(lambda a, b, *p: (predictor(a, b) ** 2).sum(),
+                             [h_t, h_n[:, 0], *predictor.parameters()])
         finally:
             for name in kernels:
                 delattr(backend, name)
@@ -389,6 +399,21 @@ class TestMixedInputsRaise:
         hop.edge_feat = hop.edge_feat.astype(np.float32)
         out = model.aggregate(1, None, None, hop)           # float64 timespans are fine
         assert out.dtype == np.float32 and hop.batch.delta_t().dtype == np.float64
+
+    def test_graphmixer_aggregate_and_edge_predictor(self):
+        rng = np.random.default_rng(3)
+        model = GraphMixer(0, 3, hidden_dim=4, time_dim=2, num_neighbors=2, dropout=0.0,
+                           rng=rng)
+        hop = make_hop(rng, 3, 2, 3, gate=False, dead_rows=0)
+        with pytest.raises(MixedDtypeError):
+            model.aggregate(1, None, None, hop)
+        hop.edge_feat = hop.edge_feat.astype(np.float32)
+        out = model.aggregate(1, None, None, hop)
+        assert out.dtype == np.float32
+        predictor = EdgePredictor(4, rng=rng)
+        with pytest.raises(MixedDtypeError):
+            predictor(out, Tensor(out.data.astype(np.float64)))
+        assert predictor(out, out).dtype == np.float32
 
 
 # ------------------------------------------------------------- float32 twins
@@ -511,6 +536,45 @@ class TestFloat32Twins:
         assert want[0].dtype == np.float64
         _assert_close32(got[0], want[0], 1.0)
         _assert_close32(got[1], want[1], 1.0)
+        assert len(got[2]) == len(want[2])
+        scale = max(float(np.abs(g).max()) for g in want[2] if g is not None)
+        for got_g, want_g in zip(got[2], want[2]):
+            _assert_close32(got_g, want_g, scale)
+
+
+    @pytest.mark.parametrize("rows,zero_state", [(1, True), (3, True), (40, False)],
+                             ids=["serve_one", "serve_three", "live"])
+    def test_graphmixer_aggregate_matches_composed(self, rows, zero_state):
+        """``TestGraphMixerAggregateNode.test_matches_composed`` in the
+        program's dtype, at a serve flush's row counts."""
+        rng = np.random.default_rng(rows)
+        n, hidden, edge_dim = 5, 8, 6
+        hop = make_hop(rng, rows, n, edge_dim, gate=True, dead_rows=min(rows - 1, 1))
+        hop.edge_feat = hop.edge_feat.astype(np.float32)
+        gate = hop.gate.data.astype(np.float32)
+        h_t = None if zero_state else rng.standard_normal((rows, hidden)).astype(np.float32)
+        h_n = None if zero_state else \
+            rng.standard_normal((rows, n, hidden)).astype(np.float32)
+        coeff = rng.standard_normal((rows, hidden)).astype(np.float32)
+        model32 = GraphMixer(0, edge_dim, hidden_dim=hidden, time_dim=4, num_neighbors=n,
+                             dropout=0.0, rng=np.random.default_rng(5))
+        for p in model32.parameters():
+            p.data = (p.data + 0.3 * rng.standard_normal(p.data.shape)).astype(np.float32)
+        hop.gate = Tensor(gate.copy(), requires_grad=True)
+        got = run_aggregate(node_graphmixer_aggregate, model32, hop, h_t, h_n, coeff)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.tensor, "COMPUTE_DTYPE", np.float64)
+            model64 = GraphMixer(0, edge_dim, hidden_dim=hidden, time_dim=4,
+                                 num_neighbors=n, dropout=0.0,
+                                 rng=np.random.default_rng(5))
+            model64.load_state_dict(model32.state_dict())
+            hop.edge_feat = hop.edge_feat.astype(np.float64)
+            hop.gate = Tensor(gate.astype(np.float64), requires_grad=True)
+            wide = [None if h is None else h.astype(np.float64) for h in (h_t, h_n)]
+            want = run_aggregate(composed_graphmixer_aggregate, model64, hop, *wide,
+                                 coeff.astype(np.float64))
+        assert want[0].dtype == np.float64
+        _assert_close32(got[0], want[0], 1.0)
         assert len(got[2]) == len(want[2])
         scale = max(float(np.abs(g).max()) for g in want[2] if g is not None)
         for got_g, want_g in zip(got[2], want[2]):

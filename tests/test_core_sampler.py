@@ -338,6 +338,25 @@ class TestMiniBatchGenerator:
         got[~hop.batch.mask] = 0.0
         assert np.allclose(got, expect)
 
+    @pytest.mark.parametrize("rows,m,n,dim", [(1, 5, 5, 3), (37, 10, 5, 32), (8, 6, 2, 1)])
+    def test_gather_columns_is_take_along_axis_bitwise(self, rows, m, n, dim):
+        """The row-indexed gather equals ``np.take_along_axis`` bit for bit,
+        on padded candidate rows (zeroed dead slots, a row with no candidate
+        at all selecting the padding) and on a strided operand."""
+        rng = np.random.default_rng(rows)
+        mask = rng.random((rows, m)) < 0.6
+        mask[0] = False                                  # a dead row
+        array = (rng.standard_normal((rows, m, dim)) * mask[..., None]).astype(np.float32)
+        columns = np.argsort(rng.random((rows, m)), axis=1)[:, :n]
+        columns[0] = np.arange(n)                        # the dead row's pick
+        for operand in (array, np.asfortranarray(array)):
+            got = MiniBatchGenerator._gather_columns(operand, columns)
+            want = np.take_along_axis(operand, columns[..., None], axis=1)
+            assert got.shape == (rows, n, dim) and got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+            assert not got[0].any()
+        assert MiniBatchGenerator._gather_columns(None, columns) is None
+
     def test_timer_records_phases(self, small_graph, small_tcsr):
         from repro.utils import Timer
         timer = Timer()

@@ -9,7 +9,7 @@ from repro.graph import build_tcsr
 from repro.models import (TGAT, GraphMixer, EdgePredictor, make_backbone, MiniBatch,
                           HopData)
 from repro.sampling import make_finder
-from repro.tensor import Tensor
+from repro.tensor import Tensor, get_backend
 
 from test_tensor_ops import make_hop  # noqa: E402
 
@@ -142,30 +142,32 @@ class TestGraphMixer:
     def test_pools_the_mean_of_the_valid_tokens(self):
         """The mixer block zeroes masked tokens itself, so the pooling is a
         token sum over the valid count: each row pools the mean of its valid
-        mixed tokens, and a row with none pools to zero."""
+        mixed tokens, and a row with none pools to zero (under the zero
+        state its output is ``out_proj``'s bias)."""
         rng = np.random.default_rng(3)
         model = GraphMixer(0, 3, hidden_dim=4, time_dim=2, num_neighbors=3,
                            dropout=0.0, rng=rng)
         hop = make_hop(rng, 5, 3, 3, gate=False, dead_rows=1)
         hop.edge_feat = hop.edge_feat.astype(np.float32)
-        seen = {}
-        mixer, out_proj = model.mixer.forward, model.out_proj.forward
+        backend, seen = get_backend(), {}
+        block = backend.mixer_block_forward
 
-        def mix(*args, **kwargs):
-            out = mixer(*args, **kwargs)
-            seen["mixed"] = out.data
-            return out
-
-        def project(x):
-            seen["pooled"] = x.data[:, :4]
-            return out_proj(x)
-        model.mixer.forward, model.out_proj.forward = mix, project
-        model.aggregate(1, Tensor.zeros(5, 4), Tensor.zeros(5, 3, 4), hop)
+        def mix(*args):
+            mixed, saved = block(*args)
+            seen["mixed"] = mixed
+            return mixed, saved
+        backend.mixer_block_forward = mix      # the aggregate's kernel reaches it here
+        try:
+            out = model.aggregate(1, None, None, hop).data
+        finally:
+            del backend.mixer_block_forward
         mask = hop.batch.mask
         assert not mask[0].any() and mask[1:].any(axis=1).all()
-        want = [seen["mixed"][r][mask[r]].mean(axis=0) if mask[r].any() else np.zeros(4)
-                for r in range(5)]
-        np.testing.assert_allclose(seen["pooled"], want, rtol=1e-6, atol=1e-7)
+        want = np.array([seen["mixed"][r][mask[r]].mean(axis=0) if mask[r].any()
+                         else np.zeros(4) for r in range(5)])
+        weight, bias = model.out_proj.weight.data, model.out_proj.bias.data
+        np.testing.assert_allclose(out, want @ weight[:, :4].T + bias, rtol=1e-5, atol=1e-6)
+        assert np.array_equal(out[0], bias)
 
 
 class TestFactory:

@@ -9,6 +9,7 @@ deterministic replay contract: bitwise-identical scores across runs.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import TaserConfig, TaserTrainer
 from repro.serve import (LinkQuery, NodeEmbeddingCache, ServeEngine,
@@ -146,6 +147,146 @@ class TestNodeEmbeddingCache:
         assert hits.all()
         np.testing.assert_array_equal(cached, rows)
         assert cached.dtype == rows.dtype
+
+
+class ScanningCache(NodeEmbeddingCache):
+    """Oracle: the cache before its fill pointer — free slots found by a
+    scan of ``node_of < 0``, and a zero-filled ``rows`` from every lookup
+    once anything was inserted."""
+
+    def lookup(self, nodes, times, now_event):
+        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+        times = np.asarray(times, dtype=np.float64).reshape(-1)
+        np.add.at(self.frequency, nodes, 1)
+        slots = self.slot_of[nodes]
+        hits = slots >= 0
+        if hits.any() and self.rows is not None:
+            occupied = slots[hits]
+            fresh = np.ones(occupied.size, dtype=bool)
+            if self.staleness_events is not None:
+                fresh &= (now_event - self.computed_event[occupied]
+                          <= self.staleness_events)
+            if self.staleness_time is not None:
+                fresh &= (np.abs(times[hits] - self.computed_time[occupied])
+                          <= self.staleness_time)
+            hits[np.nonzero(hits)[0][~fresh]] = False
+        else:
+            hits[:] = False
+        self._epoch_hits += int(hits.sum())
+        self._epoch_requests += int(nodes.size)
+        rows = None
+        if self.rows is not None:
+            rows = np.zeros((nodes.size, self.rows.shape[1]), dtype=self.rows.dtype)
+            if hits.any():
+                rows[hits] = self.rows[self.slot_of[nodes[hits]]]
+        return hits, rows
+
+    def insert(self, nodes, rows, times, now_event):
+        if self.capacity == 0:
+            return
+        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+        times = np.asarray(times, dtype=np.float64).reshape(-1)
+        order = np.argsort(nodes, kind="stable")
+        by_node = nodes[order]
+        last = np.ones(nodes.size, dtype=bool)
+        last[:-1] = by_node[1:] != by_node[:-1]
+        if not last.all():
+            keep = np.sort(order[last])
+            nodes, times, rows = nodes[keep], times[keep], rows[keep]
+        if self.rows is None:
+            self.rows = np.zeros((self.capacity, rows.shape[1]), dtype=rows.dtype)
+        slots = self.slot_of[nodes]
+        cached = slots >= 0
+        if cached.any():
+            self._install(slots[cached], nodes[cached], rows[cached], times[cached],
+                          now_event)
+        new_nodes = nodes[~cached]
+        if new_nodes.size == 0:
+            return
+        new_rows, new_times = rows[~cached], times[~cached]
+        free = np.nonzero(self.node_of < 0)[0]
+        take = min(free.size, new_nodes.size)
+        if take:
+            self._install(free[:take], new_nodes[:take], new_rows[:take],
+                          new_times[:take], now_event)
+            new_nodes = new_nodes[take:]
+            new_rows, new_times = new_rows[take:], new_times[take:]
+        if new_nodes.size == 0:
+            return
+        if new_nodes.size > self.capacity:
+            order = np.lexsort((new_nodes, -self.frequency[new_nodes]))
+            keep = np.sort(order[:self.capacity])
+            new_nodes, new_rows, new_times = (new_nodes[keep], new_rows[keep],
+                                              new_times[keep])
+        occupants = self.node_of
+        order = np.lexsort((occupants, self._slot_stamp, self.frequency[occupants]))
+        victims = order[:new_nodes.size]
+        self.slot_of[occupants[victims]] = -1
+        self.eviction_count += int(victims.size)
+        self._install(victims, new_nodes, new_rows, new_times, now_event)
+
+
+#: one cache operation: ("lookup" | "insert", node ids, time indices) or
+#: ("grow", extra nodes, ()) or ("ingest", events, ()).
+_CACHE_OPS = st.one_of(
+    st.tuples(st.sampled_from(["lookup", "insert"]),
+              st.lists(st.integers(0, 11), min_size=0, max_size=9),
+              st.lists(st.integers(0, 3), min_size=9, max_size=9)),
+    st.tuples(st.just("grow"), st.integers(0, 3), st.just(())),
+    st.tuples(st.just("ingest"), st.integers(1, 3), st.just(())))
+
+
+class TestCacheAgainstScanningOracle:
+    """Over interleavings of ``lookup`` / ``insert`` / ``grow`` and
+    ingest-driven event clocks, the fill-pointer cache picks the oracle's
+    victims and keeps its stamps, rows and counters."""
+
+    STATE = ("slot_of", "node_of", "computed_time", "computed_event", "frequency",
+             "_slot_stamp")
+
+    @settings(max_examples=120, deadline=None)
+    @given(capacity=st.integers(1, 6), num_nodes=st.integers(4, 8),
+           staleness=st.sampled_from([(None, 0.0), (None, None), (2, None), (3, 0.5)]),
+           ops=st.lists(_CACHE_OPS, min_size=1, max_size=25), seed=st.integers(0, 99))
+    def test_same_victims_stamps_rows_and_counters(self, capacity, num_nodes, staleness,
+                                                   ops, seed):
+        rng = np.random.default_rng(seed)
+        events, times_of = staleness
+        caches = [cls(num_nodes, capacity, staleness_events=events,
+                      staleness_time=times_of) for cls in (NodeEmbeddingCache, ScanningCache)]
+        now = 0
+        for kind, arg, time_index in ops:
+            if kind == "grow":
+                for cache in caches:
+                    cache.grow(cache.num_nodes + arg)
+                continue
+            if kind == "ingest":
+                now += arg
+                continue
+            nodes = np.array(arg, dtype=np.int64) % caches[0].num_nodes
+            times = np.array(time_index[:nodes.size], dtype=np.float64) * 0.5
+            if kind == "insert":
+                rows = rng.standard_normal((nodes.size, 3)).astype(np.float32)
+                for cache in caches:
+                    cache.insert(nodes, rows, times, now)
+            else:
+                (hits, rows), (want_hits, want_rows) = (
+                    cache.lookup(nodes, times, now) for cache in caches)
+                assert np.array_equal(hits, want_hits)
+                assert (rows is None) == (not hits.any())
+                if rows is not None:
+                    assert np.array_equal(rows, want_rows)
+            got, want = caches
+            for name in self.STATE:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            occupied = got.node_of >= 0
+            assert (got.rows is None) == (want.rows is None)
+            if got.rows is not None:
+                assert np.array_equal(got.rows[occupied], want.rows[occupied])
+            assert occupied.sum() == got.num_cached == want.num_cached
+            assert not occupied[got.num_cached:].any()     # the fill-pointer prefix
+            for name in ("eviction_count", "_stamp", "_epoch_hits", "_epoch_requests"):
+                assert getattr(got, name) == getattr(want, name), name
 
 
 class TestUniqueEndpoints:
@@ -303,3 +444,52 @@ class TestServeDeterminism:
             return scores_hash(engine.serve(queries))
 
         assert run() == run()
+
+    def test_default_engine_is_the_uncached_engine_bitwise(self, trained, queries):
+        """Under time-exact staleness the default caches nothing: a default
+        engine is a ``cache_nodes=0`` engine, score for score.  A cached hit
+        is not bitwise a recomputation — the GEMM's blocking follows the
+        flush's row count — so an engine that caches may differ in the last
+        bits."""
+        default = make_engine(trained, max_batch=4)
+        assert default.embedding_cache.capacity == 0
+        want = make_engine(trained, max_batch=4, cache_nodes=0).serve(queries + queries)
+        got = default.serve(queries + queries)
+        assert scores_hash(got) == scores_hash(want)
+        assert default.stats()["embeddings_reused"] == 0
+        assert all(r.cache_hits == 0 for r in got)
+        cached = make_engine(trained, max_batch=4, cache_nodes=16).serve(queries + queries)
+        np.testing.assert_allclose([r.score for r in cached], [r.score for r in got],
+                                   rtol=0, atol=1e-6)
+
+    def test_cache_default_follows_the_staleness_bound(self, trained):
+        quarter = max(1, trained.graph.num_nodes // 4)
+        assert make_engine(trained).embedding_cache.capacity == 0
+        for bounds in (dict(staleness_time=1.0), dict(staleness_time=None),
+                       dict(staleness_time=None, staleness_events=3)):
+            assert make_engine(trained, **bounds).embedding_cache.capacity == quarter
+        assert make_engine(trained, cache_nodes=7).embedding_cache.capacity == 7
+
+    def test_flush_restores_each_modules_mode(self, trained, queries):
+        engine = make_engine(trained)
+        backbone = [m for _, m in trained.backbone.named_modules()]
+        predictor = [m for _, m in trained.predictor.named_modules()]
+        assert list(engine._modules) == backbone + predictor
+        seen = []
+        embed = trained.backbone.embed
+
+        def spying(minibatch):
+            seen.append({m.training for m in engine._modules})
+            return embed(minibatch)
+        # mixed modes: the backbone training, the predictor in eval
+        trained.backbone.train(True)
+        trained.predictor.train(False)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(trained.backbone, "embed", spying)
+                engine.serve(queries[:3])
+            after = [m.training for m in engine._modules]
+        finally:
+            trained.backbone.train(False)
+        assert seen == [{False}]
+        assert after == [True] * len(backbone) + [False] * len(predictor)

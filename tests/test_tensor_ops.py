@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.models import TGAT, HopData, build_messages
+import repro.tensor as repro_tensor
+from repro.core import MiniBatchGenerator
+from repro.device import FeatureStore
+from repro.graph import build_tcsr, load_dataset
+from repro.models import TGAT, EdgePredictor, GraphMixer, HopData
 from repro.nn import MixerBlock
-from repro.sampling import NeighborBatch
+from repro.sampling import NeighborBatch, make_finder
 from repro.tensor import (Tensor, concatenate, stack, where, no_grad, is_grad_enabled,
                           get_backend)
 from repro.tensor import functional as F
@@ -434,6 +438,20 @@ def composed_attention(att, query, messages, mask=None):
     return att.drop(att.w_out(out)), attn.reshape(batch, att.num_heads, n)
 
 
+def build_messages(h_neighbors, edge_feat, time_enc, gate=None):
+    """Oracle: the neighbor messages ``m_u = h_u || x_uvt || Phi(dt)`` (Eq.
+    1), ``(R, n, d_h + d_e + d_t)``, times the ``(R, n)`` gate when given —
+    what both backbones' aggregates built before each became one node."""
+    parts = [h_neighbors]
+    if edge_feat is not None:
+        parts.append(Tensor(edge_feat))
+    parts.append(time_enc)
+    messages = concatenate(parts, axis=-1)
+    if gate is not None:
+        messages = messages * gate.reshape(*gate.shape, 1)
+    return messages
+
+
 def composed_temporal_attention(model, layer, h_target, h_neighbors, hop):
     """Oracle: ``TGAT.aggregate`` composed from the time encoder, the
     concatenated ``(R, n, d_h + d_e + d_t)`` messages, the attention above and
@@ -459,6 +477,45 @@ def composed_temporal_attention(model, layer, h_target, h_neighbors, hop):
 def node_temporal_attention(model, layer, h_target, h_neighbors, hop):
     out = model.aggregate(layer, h_target, h_neighbors, hop)
     return out, model.layers[layer - 1].last_attention
+
+
+def composed_graphmixer_aggregate(model, layer, h_target, h_neighbors, hop):
+    """Oracle: ``GraphMixer.aggregate`` before it became one node — the fixed
+    time encoding, the concatenated messages through ``message_proj``, the
+    mixer block, a token sum over the valid count and ``out_proj`` over
+    ``pooled || h_target``, on an explicit all-zero layer-0 state.  Returns
+    ``(output, None)``."""
+    rows, n = hop.num_targets, hop.budget
+    if h_target is None:
+        h_target = Tensor(np.zeros((rows, model.hidden_dim)))
+    if h_neighbors is None:
+        h_neighbors = Tensor(np.zeros((rows, n, model.hidden_dim)))
+    time_enc = model.time_encoder(hop.batch.delta_t())
+    messages = build_messages(h_neighbors, hop.edge_feat, time_enc, gate=hop.gate)
+    mixed = model.mixer(model.message_proj(messages), mask=hop.batch.mask)
+    count = np.maximum(hop.batch.mask.sum(axis=1, keepdims=True), 1)
+    pooled = mixed.sum(axis=1) / Tensor(count.astype(mixed.dtype))
+    return model.out_proj(concatenate([pooled, h_target], axis=-1)), None
+
+
+def node_graphmixer_aggregate(model, layer, h_target, h_neighbors, hop):
+    return model.aggregate(layer, h_target, h_neighbors, hop), None
+
+
+def make_graphmixer(rng, node_dim=0, edge_dim=6, hidden=8, time_dim=4, n=4, dropout=0.0):
+    """A GraphMixer whose biases and norms are off their initialisation, so
+    every parameter shapes the output."""
+    model = GraphMixer(node_dim, edge_dim, hidden_dim=hidden, time_dim=time_dim,
+                       num_neighbors=n, dropout=dropout, rng=np.random.default_rng(5))
+    for p in model.parameters():
+        p.data = p.data + 0.3 * rng.standard_normal(p.data.shape)
+    return model
+
+
+def composed_edge_predictor(predictor, h_src, h_dst):
+    """Oracle: ``EdgePredictor.forward`` before it became one node."""
+    hidden = (predictor.src_proj(h_src) + predictor.dst_proj(h_dst)).relu()
+    return predictor.out(hidden).reshape(-1)
 
 
 def make_tgat(rng, hidden=8, edge_dim=6, time_dim=4, num_heads=2, dropout=0.0,
@@ -510,6 +567,9 @@ def assert_aggregate_agrees(got, want):
     ``atol`` covers ``w_k.bias``: its true gradient is zero (the softmax
     cancels it), where the composition leaves rounding noise."""
     for got_a, want_a in zip(got[:2], want[:2]):
+        if want_a is None:                         # GraphMixer reports no attention
+            assert got_a is None
+            continue
         np.testing.assert_allclose(got_a, want_a, rtol=1e-10, atol=1e-12)
     assert len(got[2]) == len(want[2])
     for got_g, want_g in zip(got[2], want[2]):
@@ -896,3 +956,226 @@ class TestTemporalAttentionNode:
             assert (grad is not None) == wanted
             if wanted:
                 assert np.array_equal(grad, full)
+
+
+class TestGraphMixerAggregateNode:
+    """GraphMixer's aggregate as one graph node against its composition."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(23)
+
+    def _states(self, live, rows, n, hidden):
+        if not live:
+            return None, None
+        return self.rng.standard_normal((rows, hidden)), \
+            self.rng.standard_normal((rows, n, hidden))
+
+    @pytest.mark.parametrize("live", [False, True])
+    @pytest.mark.parametrize("gate", [False, True])
+    @pytest.mark.parametrize("edge_dim", [0, 6])
+    def test_matches_composed(self, live, gate, edge_dim):
+        model = make_graphmixer(self.rng, edge_dim=edge_dim)
+        hop = make_hop(self.rng, 9, 4, edge_dim, gate=gate, dead_rows=2)
+        states = self._states(live, 9, 4, 8)
+        coeff = self.rng.standard_normal((9, 8))
+        got = run_aggregate(node_graphmixer_aggregate, model, hop, *states, coeff)
+        want = run_aggregate(composed_graphmixer_aggregate, model, hop, *states, coeff)
+        assert_aggregate_agrees(got, want)
+        assert (got[2][2] is None) == (not gate)
+        if not live:
+            # the zero state's weight blocks: skipped, with exact-zero gradients
+            message, out = model.message_proj.weight.grad, model.out_proj.weight.grad
+            assert not message[:, :8].any() and not out[:, 8:].any()
+            assert message[:, 8:].any() and out[:, :8].any()
+
+    def test_node_features_without_edge_features(self):
+        """The ``flights`` preset's shape: node features project into a live
+        layer-0 state, and there are no edge features."""
+        graph = load_dataset("flights", scale=0.02, seed=3)
+        assert graph.node_dim > 0 and graph.edge_feat is None
+        gen = MiniBatchGenerator(make_finder("gpu", build_tcsr(graph), policy="recent"),
+                                 FeatureStore(graph), 1, 4, 4)
+        idx = np.arange(graph.num_edges - 12, graph.num_edges)
+        minibatch = gen.build(graph.src[idx], graph.ts[idx], train=True)
+        minibatch.hops[0].make_gate()
+        model = make_graphmixer(self.rng, node_dim=graph.node_dim, edge_dim=0)
+        coeff = Tensor(self.rng.standard_normal((12, 8)))
+
+        def run(aggregate):
+            model.zero_grad()
+            minibatch.hops[0].gate.zero_grad()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model, "aggregate", aggregate)
+                out = model.embed(minibatch)
+            (out * coeff).sum().backward()
+            return [out.data, minibatch.hops[0].gate_sensitivity().copy()] + \
+                [p.grad for p in model.parameters()]
+
+        got = run(model.aggregate)
+        want = run(lambda *args: composed_graphmixer_aggregate(model, *args)[0])
+        assert model.node_proj.weight.grad is not None
+        for got_a, want_a in zip(got, want):
+            np.testing.assert_allclose(got_a, want_a, rtol=1e-9, atol=1e-12)
+
+    def test_gradcheck(self):
+        model = make_graphmixer(self.rng, hidden=4, edge_dim=3, time_dim=2, n=3)
+        hop = make_hop(self.rng, 3, 3, 3)
+        for live in (False, True):
+            states = [None if h is None else t(h) for h in self._states(live, 3, 3, 4)]
+            given = [s for s in states if s is not None]
+            coeff = Tensor(self.rng.standard_normal((3, 4)))
+
+            def forward(gate, *rest):
+                h = list(rest[:len(given)]) if live else [None, None]
+                return model.aggregate(1, *h, _with_gate(hop, gate)) * coeff
+            gradcheck(forward, [hop.gate, *given, *model.parameters()],
+                      atol=1e-4, rtol=1e-3)
+
+    def test_is_one_graph_node(self):
+        model = make_graphmixer(self.rng)
+        hop = make_hop(self.rng, 5, 4, 6)
+        h_target, h_neighbors = (t(h) for h in self._states(True, 5, 4, 8))
+        out = model.aggregate(1, h_target, h_neighbors, hop)
+        assert out._op == "graphmixer_aggregate"
+        assert out._prev[:3] == (h_target, h_neighbors, hop.gate)
+        assert all(a is b for a, b in zip(out._prev[3:], model.parameters()))
+        # the zero state and an absent gate are no parents at all
+        hop.gate = None
+        out = model.aggregate(1, None, None, hop)
+        assert all(a is b for a, b in zip(out._prev, model.parameters()))
+        assert len(out._prev) == 16
+        assert model.base_embedding(None, 5) is None
+
+    def test_dropout_consumes_the_composed_draws(self):
+        """In training mode the node draws the block's two keep-masks from
+        its ``Dropout`` generators in the composed order and shapes, so it
+        reproduces the composed output, gradients and generator state."""
+        hop = make_hop(self.rng, 7, 4, 6)
+        states = self._states(True, 7, 4, 8)
+        coeff = self.rng.standard_normal((7, 8))
+        results, rng_states = [], []
+        for forward in (node_graphmixer_aggregate, composed_graphmixer_aggregate):
+            model = GraphMixer(0, 6, hidden_dim=8, time_dim=4, num_neighbors=4,
+                               dropout=0.4, rng=np.random.default_rng(11))
+            drops = (model.mixer.token_mlp.drop, model.mixer.channel_mlp.drop)
+            assert drops[0]._rng is drops[1]._rng
+            results.append(run_aggregate(forward, model, hop, *states, coeff))
+            rng_states.append(drops[0]._rng.bit_generator.state)
+        assert_aggregate_agrees(*results)
+        assert rng_states[0] == rng_states[1]
+        model.eval()
+        quiet = model.aggregate(1, *(Tensor(h) for h in states), hop)
+        assert not np.allclose(quiet.data, results[0][0])
+        assert drops[0]._rng.bit_generator.state == rng_states[1]
+
+    @pytest.mark.parametrize("rows", [3, 600])
+    @pytest.mark.parametrize("live", [False, True])
+    def test_forward_only_and_rerun_bitwise(self, rows, live):
+        model = make_graphmixer(self.rng, hidden=32, edge_dim=32, time_dim=16, n=5)
+        hop = make_hop(self.rng, rows, 5, 32)
+        states = self._states(live, rows, 5, 32)
+        coeff = self.rng.standard_normal((rows, 32))
+        out, _, grads = run_aggregate(node_graphmixer_aggregate, model, hop, *states, coeff)
+        want = [out.copy()] + [g.copy() for g in grads if g is not None]
+        with no_grad():
+            quiet = model.aggregate(1, *(None if h is None else t(h) for h in states), hop)
+        assert not quiet.requires_grad and quiet._prev == () and quiet._backward is None
+        assert quiet.data.tobytes() == want[0].tobytes()
+        out, _, grads = run_aggregate(node_graphmixer_aggregate, model, hop, *states, coeff)
+        for got, ref in zip([out] + [g for g in grads if g is not None], want):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_backward_contract(self):
+        """The kernel retains nothing forward-only, leaves ``g`` untouched,
+        computes only the gradients asked for, and keeps its saved
+        activations intact for a repeated ``backward()``."""
+        B = get_backend()
+        model = make_graphmixer(self.rng)
+        params = [p.data for p in model.parameters()]
+        hop = make_hop(self.rng, 6, 4, 6)
+        h_target, h_neighbors = self._states(True, 6, 4, 8)
+        inputs = (hop.batch.delta_t(), hop.batch.mask, hop.edge_feat, h_target,
+                  h_neighbors, hop.gate.data, params, model.time_encoder.omega,
+                  None, None, 1e-5)
+        out, saved = B.graphmixer_aggregate_forward(*inputs, False)
+        assert saved is None
+        again, saved = B.graphmixer_aggregate_forward(*inputs, True)
+        assert again.tobytes() == out.tobytes()
+        g = self.rng.standard_normal((6, 8))
+        kept = g.copy()
+        grads = B.graphmixer_aggregate_backward(g, saved, params, [True] * 19)
+        assert g.tobytes() == kept.tobytes()
+        assert not any(np.shares_memory(grad, g) for grad in grads)
+        repeat = B.graphmixer_aggregate_backward(g, saved, params, [True] * 19)
+        for first, second in zip(grads, repeat):
+            assert np.array_equal(first, second)
+        need = [False, True, False] + [True, False] * 8
+        some = B.graphmixer_aggregate_backward(g, saved, params, need)
+        for wanted, grad, full in zip(need, some, grads):
+            assert (grad is not None) == wanted
+            if wanted:
+                assert np.array_equal(grad, full)
+
+
+def _with_gate(hop, gate):
+    """``hop`` with ``gate`` as its gate tensor (gradcheck perturbs it)."""
+    hop.gate = gate
+    return hop
+
+
+class TestEdgePredictorNode:
+    """The edge predictor as one graph node: bitwise its composition."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(29)
+
+    def _train_step(self, forward, predictor, emb, targets):
+        """The trainer's use: positives and negatives share the source rows."""
+        predictor.zero_grad()
+        emb = Tensor(emb.copy(), requires_grad=True)
+        b = targets.size // 2
+        logits = concatenate([forward(predictor, emb[:b], emb[b:2 * b]),
+                              forward(predictor, emb[:b], emb[2 * b:])], axis=0)
+        loss = F.binary_cross_entropy_with_logits(logits, Tensor(targets))
+        loss.backward()
+        return [logits.data, emb.grad] + [p.grad for p in predictor.parameters()]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_matches_composed_bitwise(self, dtype, rows):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro_tensor, "COMPUTE_DTYPE", dtype)
+            predictor = EdgePredictor(16, rng=np.random.default_rng(rows))
+        emb = self.rng.standard_normal((3 * rows, 16)).astype(dtype)
+        targets = np.concatenate([np.ones(rows), np.zeros(rows)]).astype(dtype)
+        got = self._train_step(lambda p, a, b: p(a, b), predictor, emb, targets)
+        want = self._train_step(composed_edge_predictor, predictor, emb, targets)
+        for got_a, want_a in zip(got, want):
+            assert got_a.dtype == dtype and np.array_equal(got_a, want_a)
+        with no_grad():
+            quiet = predictor(Tensor(emb[:rows]), Tensor(emb[rows:2 * rows]))
+        assert quiet._prev == () and np.array_equal(quiet.data, got[0][:rows])
+
+    def test_is_one_graph_node_and_frozen_parameters(self):
+        predictor = EdgePredictor(6, hidden_dim=5, rng=np.random.default_rng(1))
+        h_src, h_dst = t(self.rng.standard_normal((4, 6))), t(self.rng.standard_normal((4, 6)))
+        out = predictor(h_src, h_dst)
+        assert out._op == "edge_predictor" and out.shape == (4,)
+        assert out._prev[:2] == (h_src, h_dst)
+        assert all(a is b for a, b in zip(out._prev[2:], predictor.parameters()))
+        frozen = predictor.parameters()[::2]
+        for p in frozen:
+            p.requires_grad = False
+        h_dst.requires_grad = False
+        predictor(h_src, h_dst).sum().backward()
+        assert h_src.grad is not None and h_dst.grad is None
+        assert all((p.grad is None) == (p in frozen) for p in predictor.parameters())
+
+    def test_gradcheck(self):
+        predictor = EdgePredictor(4, hidden_dim=3, rng=np.random.default_rng(2))
+        for p in predictor.parameters():                      # biases off zero
+            p.data = p.data + 0.3 * self.rng.standard_normal(p.data.shape)
+        h_src, h_dst = t(self.rng.standard_normal((5, 4))), t(self.rng.standard_normal((5, 4)))
+        coeff = Tensor(self.rng.standard_normal(5))
+        gradcheck(lambda a, b, *ps: F.edge_predictor(a, b, ps) * coeff,
+                  [h_src, h_dst, *predictor.parameters()])
