@@ -80,7 +80,7 @@ def _cell_payload(engine, results, elapsed, num_queries):
 def test_serve_latency(benchmark, wikipedia_graph):
     config = quick_config(
         backbone="graphmixer", adaptive_minibatch=False, adaptive_neighbor=False,
-        batch_engine="sync", batch_size=150, max_batches_per_epoch=8,
+        batch_size=150, max_batches_per_epoch=8,
         num_neighbors=5, num_candidates=5, seed=0)
 
     n = wikipedia_graph.num_edges

@@ -93,7 +93,7 @@ def _run_sharded(graph, config, workers, epochs, policy="temporal",
 def test_shard_scaling(benchmark, wikipedia_graph):
     config = quick_config(
         backbone="graphmixer", adaptive_minibatch=False, adaptive_neighbor=False,
-        batch_engine="sync", batch_size=150, max_batches_per_epoch=8,
+        batch_size=150, max_batches_per_epoch=8,
         num_neighbors=5, num_candidates=5, eval_negatives=10, seed=0)
     epochs = config.epochs
     worker_counts = (1, 2, 4) if bench_scale() >= 0.5 else (1, 2)

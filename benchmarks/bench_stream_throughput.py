@@ -38,7 +38,7 @@ def _stream_once(graph, config, warmup_events, chunk_size, window_events):
 def test_stream_throughput(benchmark, wikipedia_graph):
     config = quick_config(
         backbone="graphmixer", adaptive_minibatch=False, adaptive_neighbor=False,
-        batch_engine="sync", batch_size=150, max_batches_per_epoch=6,
+        batch_size=150, max_batches_per_epoch=6,
         num_neighbors=5, num_candidates=5, eval_negatives=10, seed=0)
 
     n = wikipedia_graph.num_edges

@@ -17,8 +17,7 @@ Reproduced shape (asserted):
 
 import pytest
 
-from repro.bench import (bench_scale, emit_bench_json, engine_mode_comparison,
-                         quick_config)
+from repro.bench import emit_bench_json, quick_config
 from repro.bench.breakdown import runtime_breakdown, system_configurations
 
 
@@ -86,54 +85,3 @@ def test_table3_runtime_breakdown(benchmark, wikipedia_graph):
         "speedups": speedups,
         "rows": benchmark.extra_info["rows"],
     })
-
-
-@pytest.mark.paper("Table III")
-def test_table3_batch_engine_modes(benchmark, wikipedia_graph):
-    """Per-epoch wall-clock of the two mini-batch engines.
-
-    Measures the chronological baseline (GraphMixer, per-query ``original``
-    finder — the slow mini-batch-generation path of Fig. 1) under the
-    ``sync`` and ``aot`` engines, in the same simulated-device
-    currency as the rest of Table III (host-side NF keeps wall-clock, dense
-    compute is device-converted, FS uses the modelled transfer cost).
-
-    Determinism is the acceptance bar: per-batch losses and MRR must be
-    identical across engines.  Speedup is the headline: the AOT plan
-    vectorises the whole epoch's neighbor finding in one pass over the T-CSR
-    and must beat the synchronous engine by >= 1.3x (asserted at full
-    benchmark scale; smoke runs at tiny scales only check determinism).
-    """
-    config = quick_config(
-        backbone="graphmixer", adaptive_minibatch=False, adaptive_neighbor=False,
-        finder="original", batch_engine="sync", batch_size=150,
-        max_batches_per_epoch=8, num_neighbors=10, num_candidates=10,
-        eval_max_edges=50, eval_negatives=10, seed=0)
-
-    results = benchmark.pedantic(
-        lambda: engine_mode_comparison(wikipedia_graph, config, epochs=2),
-        rounds=1, iterations=1)
-
-    print("\nTable III (reproduction): mini-batch engine comparison "
-          "(GraphMixer baseline, original finder; simulated device seconds)")
-    for mode, row in results.items():
-        print(f"  {mode:9s} effective={row['effective_mode']:9s} "
-              f"epoch={row['epoch_seconds']:.4f}s "
-              f"({row['speedup_vs_sync']:.2f}x)  "
-              f"wall={row['wall_seconds']:.3f}s "
-              f"({row['wall_speedup_vs_sync']:.2f}x)  "
-              f"MRR={row['test_mrr']:.4f}")
-
-    # Determinism contract: identical per-batch losses and MRR across engines.
-    assert results["aot"]["batch_losses"] == results["sync"]["batch_losses"]
-    assert results["aot"]["test_mrr"] == results["sync"]["test_mrr"]
-
-    # Headline: the AOT sampling plan beats synchronous generation.  Tiny
-    # smoke scales (CI artifact runs) have too little NF work to assert on.
-    if bench_scale() >= 0.5:
-        assert results["aot"]["speedup_vs_sync"] >= 1.3
-
-    benchmark.extra_info["modes"] = {
-        mode: {k: v for k, v in row.items() if k != "batch_losses"}
-        for mode, row in results.items()}
-    emit_bench_json("table3_engine_modes", benchmark.extra_info["modes"])

@@ -1,9 +1,9 @@
 """Benchmark harness: shared configuration and runtime-breakdown tooling."""
 
-from .harness import (bench_scale, bench_epochs, bench_datasets, bench_engine,
-                      bench_output_dir, emit_bench_json, engine_mode_comparison,
-                      quick_config, variant_config, VARIANTS, run_variant,
-                      format_table, geometric_mean, attach_scaling_efficiency,
+from .harness import (bench_scale, bench_epochs, bench_datasets,
+                      bench_output_dir, emit_bench_json, quick_config,
+                      variant_config, VARIANTS, run_variant, format_table,
+                      geometric_mean, attach_scaling_efficiency,
                       EFFICIENCY_TOLERANCE)
 from .breakdown import (BreakdownRow, normalise_runtime, runtime_breakdown,
                         system_configurations)
@@ -12,10 +12,8 @@ __all__ = [
     "bench_scale",
     "bench_epochs",
     "bench_datasets",
-    "bench_engine",
     "bench_output_dir",
     "emit_bench_json",
-    "engine_mode_comparison",
     "quick_config",
     "variant_config",
     "VARIANTS",

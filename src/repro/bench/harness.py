@@ -13,8 +13,6 @@ in minutes.  Environment variables scale them up toward the paper's setting:
 ``REPRO_BENCH_SCALE``   multiplies dataset sizes (default 1.0).
 ``REPRO_BENCH_EPOCHS``  overrides the number of training epochs.
 ``REPRO_BENCH_DATASETS`` comma-separated dataset list for the accuracy table.
-``REPRO_BENCH_ENGINE``  mini-batch engine for every benchmark config
-                        (``sync`` | ``aot``, default ``sync``).
 ``REPRO_BENCH_OUTPUT``  directory for the machine-readable ``BENCH_*.json``
                         result files (default: current working directory).
 
@@ -22,8 +20,7 @@ Machine-readable results
 ------------------------
 :func:`emit_bench_json` writes each benchmark's results as ``BENCH_<name>.json``
 so CI can upload them as artifacts and future PRs can track the performance
-trajectory.  :func:`engine_mode_comparison` is the shared experiment behind
-the batch-engine rows (per-mode epoch time, speedup vs ``sync``, MRR).
+trajectory.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -45,10 +41,8 @@ __all__ = [
     "bench_scale",
     "bench_epochs",
     "bench_datasets",
-    "bench_engine",
     "bench_output_dir",
     "emit_bench_json",
-    "engine_mode_comparison",
     "quick_config",
     "variant_config",
     "VARIANTS",
@@ -94,11 +88,6 @@ def bench_datasets(default: Sequence[str]) -> List[str]:
     return [name.strip() for name in raw.split(",") if name.strip()]
 
 
-def bench_engine() -> str:
-    """Mini-batch engine used by the benchmark configs (``REPRO_BENCH_ENGINE``)."""
-    return os.environ.get("REPRO_BENCH_ENGINE", "sync")
-
-
 def bench_output_dir() -> Path:
     """Directory the ``BENCH_*.json`` result files are written to."""
     return Path(os.environ.get("REPRO_BENCH_OUTPUT", "."))
@@ -107,13 +96,12 @@ def bench_output_dir() -> Path:
 def emit_bench_json(name: str, payload: Dict) -> Path:
     """Write one benchmark's results as machine-readable ``BENCH_<name>.json``.
 
-    The payload is wrapped with the run's scale/engine environment so CI
-    artifacts from different runs are comparable.
+    The payload is wrapped with the run's scale so CI artifacts from
+    different runs are comparable.
     """
     record = {
         "benchmark": name,
         "scale": bench_scale(),
-        "engine_env": bench_engine(),
         "unix_time": time.time(),
         "results": payload,
     }
@@ -121,69 +109,6 @@ def emit_bench_json(name: str, payload: Dict) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(record, indent=2, sort_keys=True, default=float) + "\n")
     return path
-
-
-def engine_mode_comparison(graph: TemporalGraph, config: TaserConfig,
-                           modes: Sequence[str] = ("sync", "aot"),
-                           epochs: int = 1, evaluate: bool = True) -> Dict[str, Dict]:
-    """Train the same cell under each batch-engine mode and compare.
-
-    Returns, per mode:
-
-    * ``epoch_seconds`` — per-epoch time in *simulated device seconds*, the
-      same normalisation every other Table III number uses (see
-      :mod:`repro.bench.breakdown`): host-side phases keep their measured
-      wall-clock, dense-compute phases are converted to device time, and
-      feature slicing uses the modelled transfer cost,
-    * ``wall_seconds`` — raw per-epoch wall-clock,
-    * ``speedup_vs_sync`` / ``wall_speedup_vs_sync`` over the ``sync`` engine,
-    * the per-batch training losses, which must be identical across modes
-      under a fixed seed (the engines' determinism contract), and
-    * the test MRR (evaluated outside the timed region).
-    """
-    from .breakdown import normalise_runtime
-
-    # Absorb one-time numpy/allocator warm-up so the first timed mode is not
-    # penalised relative to the later ones.
-    warmup = TaserTrainer(graph, replace(config, batch_engine="sync"))
-    warmup.train_epoch()
-
-    results: Dict[str, Dict] = {}
-    for mode in modes:
-        trainer = TaserTrainer(graph, replace(config, batch_engine=mode))
-        start = time.perf_counter()
-        for _ in range(epochs):
-            trainer.train_epoch()
-        wall_seconds = (time.perf_counter() - start) / max(epochs, 1)
-        phase_totals: Dict[str, float] = {}
-        for stats in trainer.history:
-            for key, value in stats.runtime.items():
-                phase_totals[key] = phase_totals.get(key, 0.0) + value
-        per_epoch = {key: value / max(epochs, 1)
-                     for key, value in phase_totals.items()}
-        phases = normalise_runtime(per_epoch, config.finder)
-        batch_losses = [loss for stats in trainer.history
-                        for loss in stats.batch_losses]
-        entry = {
-            "effective_mode": trainer.engine.effective_mode,
-            "epoch_seconds": float(sum(phases.values())),
-            "phases": phases,
-            "wall_seconds": wall_seconds,
-            "mean_loss": trainer.history[-1].model_loss if trainer.history else None,
-            "batch_losses": batch_losses,
-        }
-        if evaluate:
-            entry["test_mrr"] = trainer.evaluate("test").get("mrr")
-        results[mode] = entry
-    if "sync" in results:
-        sim_base = results["sync"]["epoch_seconds"]
-        wall_base = results["sync"]["wall_seconds"]
-        for entry in results.values():
-            entry["speedup_vs_sync"] = (sim_base / entry["epoch_seconds"]
-                                        if entry["epoch_seconds"] else float("inf"))
-            entry["wall_speedup_vs_sync"] = (wall_base / entry["wall_seconds"]
-                                             if entry["wall_seconds"] else float("inf"))
-    return results
 
 
 def quick_config(backbone: str = "graphmixer", **overrides) -> TaserConfig:
@@ -207,7 +132,6 @@ def quick_config(backbone: str = "graphmixer", **overrides) -> TaserConfig:
         eval_max_edges=200,
         eval_negatives=49,
         cache_ratio=0.2,
-        batch_engine=bench_engine(),
     )
     base.update(overrides)
     return TaserConfig(**base)

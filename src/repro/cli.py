@@ -104,13 +104,13 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
                         help="dataset size multiplier")
     parser.add_argument("--backbone", choices=["tgat", "graphmixer"],
                         default="graphmixer")
-    parser.add_argument("--hidden-dim", type=int, default=32)
-    parser.add_argument("--time-dim", type=int, default=16)
-    parser.add_argument("--num-neighbors", type=int, default=5,
+    parser.add_argument("--hidden-dim", type=_positive_int, default=32)
+    parser.add_argument("--time-dim", type=_positive_int, default=16)
+    parser.add_argument("--num-neighbors", type=_positive_int, default=5,
                         help="n: supporting neighbors per node")
-    parser.add_argument("--num-candidates", type=int, default=10,
+    parser.add_argument("--num-candidates", type=_positive_int, default=10,
                         help="m: candidate neighbors pre-sampled by the finder")
-    parser.add_argument("--batch-size", type=int, default=200)
+    parser.add_argument("--batch-size", type=_positive_int, default=200)
     parser.add_argument("--cache-ratio", type=float, default=0.2)
     parser.add_argument("--lr", type=float, default=2e-3)
     parser.add_argument("--seed", type=int, default=0)
@@ -119,8 +119,7 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_training_cell_args(parser: argparse.ArgumentParser,
-                            variant_default: str,
-                            engine_help: str) -> None:
+                            variant_default: str) -> None:
     """The (dataset, backbone, variant) cell flags shared by the default
     runner and ``repro train`` — one definition, so the parsers cannot
     drift."""
@@ -130,11 +129,9 @@ def _add_training_cell_args(parser: argparse.ArgumentParser,
     parser.add_argument("--epochs", type=int, default=5)
     parser.add_argument("--max-batches-per-epoch", type=int, default=None)
     parser.add_argument("--finder", choices=["gpu", "original", "tgl"], default="gpu")
-    parser.add_argument("--batch-engine", choices=["sync", "aot"],
-                        default="sync", help=engine_help)
     parser.add_argument("--decoder", choices=["linear", "gat", "gatv2", "transformer"],
                         default="linear")
-    parser.add_argument("--eval-negatives", type=int, default=49)
+    parser.add_argument("--eval-negatives", type=_positive_int, default=49)
     parser.add_argument("--eval-max-edges", type=int, default=300)
 
 
@@ -156,7 +153,7 @@ def _taser_config(args: argparse.Namespace) -> TaserConfig:
     """The TaserConfig of a training cell (default runner, ``repro train``)."""
     return _model_config(
         args, finder=args.finder, decoder=args.decoder,
-        batch_engine=args.batch_engine, epochs=args.epochs,
+        epochs=args.epochs,
         max_batches_per_epoch=args.max_batches_per_epoch,
         eval_negatives=args.eval_negatives, eval_max_edges=args.eval_max_edges)
 
@@ -173,11 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                "queries online through the micro-batched serving engine; see "
                "'repro train --help' / 'repro stream --help' / "
                "'repro serve --help'.")
-    _add_training_cell_args(
-        parser, variant_default="taser",
-        engine_help="mini-batch engine: synchronous, or an ahead-of-time "
-                    "vectorised sampling plan (bitwise-identical under a "
-                    "fixed seed)")
+    _add_training_cell_args(parser, variant_default="taser")
     return parser
 
 
@@ -193,8 +186,6 @@ def run(args: argparse.Namespace) -> dict:
         "variant": result.variant,
         "seed": args.seed,
         "epochs": args.epochs,
-        "batch_engine": args.batch_engine,
-        "batch_engine_effective": trainer.engine.effective_mode,
         "val_mrr": result.val_mrr,
         "test_mrr": result.test_mrr,
         "test_metrics": result.test_metrics,
@@ -223,8 +214,7 @@ def build_train_parser() -> argparse.ArgumentParser:
                         help="'temporal' = W contiguous chronological ranges; "
                              "'hash' = route events by source node so "
                              "per-source histories stay intact")
-    _add_training_cell_args(parser, variant_default="baseline",
-                            engine_help="per-shard mini-batch engine")
+    _add_training_cell_args(parser, variant_default="baseline")
     return parser
 
 
@@ -248,7 +238,6 @@ def run_train(args: argparse.Namespace) -> dict:
             "workers": args.workers,
             "shard_policy": args.shard_policy,
             "pool": trainer.backend,
-            "batch_engine": args.batch_engine,
             "shard_plan": trainer.plan.describe(),
             "global_steps_per_epoch": last.global_steps if last else 0,
             "val_mrr": result.val_mrr,
@@ -278,7 +267,7 @@ def _train_main(argv: Sequence[str]) -> int:
           f"{summary['variant']} (seed {summary['seed']})")
     print(f"  shards         : {summary['workers']} x {summary['shard_policy']} "
           f"{plan['shard_events']} events "
-          f"(pool {summary['pool']}, engine {summary['batch_engine']})")
+          f"(pool {summary['pool']})")
     print(f"  barrier        : sync {summary['sync_seconds']:.2f}s = "
           f"reduce {summary['reduce_seconds']:.2f}s + "
           f"transport {summary['transport_seconds']:.2f}s "
@@ -327,7 +316,7 @@ def build_stream_parser() -> argparse.ArgumentParser:
                              "(default: as fast as the loop drains)")
     parser.add_argument("--eval-events-per-chunk", type=_positive_int, default=256,
                         help="cap on prequentially scored events per chunk")
-    parser.add_argument("--eval-negatives", type=int, default=49)
+    parser.add_argument("--eval-negatives", type=_positive_int, default=49)
     return parser
 
 
@@ -361,7 +350,6 @@ def run_stream(args: argparse.Namespace) -> dict:
         "variant": ("w/ Ada. Neighbor" if config.adaptive_neighbor
                     else "Baseline"),
         "seed": args.seed,
-        "batch_engine": config.batch_engine,
         "warmup_events": warmup,
         "window_events": args.window_events,
         "chunk_size": args.chunk_size,
@@ -384,8 +372,7 @@ def _stream_main(argv: Sequence[str]) -> int:
           f"in {summary['chunks']} chunks "
           f"({summary['events_per_second']:.0f} events/s)")
     print(f"  batches trained : {summary['batches_trained']} "
-          f"({summary['batches_per_second']:.1f} batches/s, "
-          f"engine {summary['batch_engine']})")
+          f"({summary['batches_per_second']:.1f} batches/s)")
     mrr = summary["prequential_mrr"]
     print(f"  prequential MRR : {'n/a' if mrr is None else format(mrr, '.4f')}")
     trajectory = ", ".join("n/a" if m is None else f"{m:.3f}"
@@ -569,8 +556,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if summary["val_mrr"] == summary["val_mrr"]:  # not NaN
         print(f"  val MRR        : {summary['val_mrr']:.4f}")
     print(f"  final loss     : {summary['final_model_loss']:.4f}")
-    print(f"  batch engine   : {summary['batch_engine']} "
-          f"(effective {summary['batch_engine_effective']})")
     breakdown = ", ".join(f"{k}={v:.2f}s"
                           for k, v in sorted(summary["runtime_breakdown_seconds"].items()))
     print(f"  runtime        : {breakdown}")

@@ -1,6 +1,6 @@
 """TASER core: adaptive mini-batch selection, adaptive neighbor sampling,
 sample losses, the unified batch-prep runtime (``repro.core.prep``), the
-batch engines and the end-to-end trainer."""
+batch engine and the end-to-end trainer."""
 
 from .config import TaserConfig, asdict_shallow
 from .minibatch_selector import (MiniBatchSelector, ChronologicalSelector,
@@ -12,8 +12,7 @@ from .sample_loss import (sensitivity_sample_loss, tgat_analytic_sample_loss,
                           build_sample_loss)
 from .pipeline import MiniBatchGenerator, CandidateSlice
 from .prep import PreparedBatch, PrepPipeline
-from .prefetcher import (BatchEngine, AOTBatchEngine, make_engine,
-                         plan_capability, ENGINE_MODES)
+from .prefetcher import BatchEngine
 from .trainer import TaserTrainer, TrainResult, EpochStats
 from .streaming import (EventChunk, EventStream, split_warmup, StreamStats,
                         StreamResult, StreamingTrainer)
@@ -29,10 +28,6 @@ __all__ = [
     "PreparedBatch",
     "PrepPipeline",
     "BatchEngine",
-    "AOTBatchEngine",
-    "make_engine",
-    "plan_capability",
-    "ENGINE_MODES",
     "TaserConfig",
     "asdict_shallow",
     "MiniBatchSelector",

@@ -96,14 +96,9 @@ class TaserConfig:
     grad_clip: float = 5.0
 
     # -- mini-batch engine ----------------------------------------------------------
-    #: how mini-batches are generated relative to model compute:
-    #: "sync"  generate each batch inside the training loop (reference),
-    #: "aot"   an ahead-of-time sampling plan vectorises neighbor finding
-    #:         for a chunk of the epoch's batches in one pass over the T-CSR
-    #:         before they are trained on.
-    #: Both modes produce bitwise-identical batches under a fixed seed;
-    #: configurations the plan cannot cover (adaptive mini-batch selection,
-    #: a stochastic finder policy) run synchronously under either value.
+    #: Every batch is generated inside the training loop; "sync" is the only
+    #: legal value.  The field stays because the frozen
+    #: benchmarks/e2e/workloads.py:46 passes ``batch_engine="sync"``.
     batch_engine: str = "sync"
 
     # -- memory hierarchy ---------------------------------------------------------------
@@ -134,11 +129,14 @@ class TaserConfig:
             raise ValueError("num_candidates (m) must be >= num_neighbors (n)")
         if not 0.0 <= self.cache_ratio <= 1.0:
             raise ValueError("cache_ratio must be in [0, 1]")
-        if self.batch_engine not in ("sync", "aot"):
+        if self.batch_engine != "sync":
             raise ValueError(
-                f"unknown batch_engine {self.batch_engine!r}: choose 'sync' "
-                "(generate batches inside the training loop) or 'aot' "
-                "(ahead-of-time vectorised plan); see docs/ARCHITECTURE.md")
+                f"unknown batch_engine {self.batch_engine!r}: 'sync' is the "
+                "only batch engine (choose 'sync' or leave the default)")
+        for name in ("hidden_dim", "num_neighbors"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if self.adaptive_minibatch and self.finder == "tgl":
             raise ValueError(
                 "the TGL pointer-array finder only supports chronological order and "

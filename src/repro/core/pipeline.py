@@ -20,14 +20,10 @@ Per-phase wall-clock time is recorded in the supplied
 runtime tables: ``NF`` (neighbor finding), ``FS`` (feature slicing) and
 ``AS`` (adaptive sampling).
 
-The NF + FS stages of a layer are exposed separately as
-:meth:`MiniBatchGenerator.layer_candidates` so the prep runtime can
-precompute candidate neighborhoods ahead of the training loop on behalf of
-the AOT batch engine; :meth:`MiniBatchGenerator.build` accepts such a
-precomputed first hop and finishes the state-dependent stages (adaptive
-sampling, deeper hops) synchronously.  Consumers never call this class
-directly — they go through the prep runtime, which is the single producer
-of :class:`~repro.core.prep.PreparedBatch`.
+The NF + FS stages of a layer are :meth:`MiniBatchGenerator.layer_candidates`.
+Consumers never call this class directly — they go through the prep
+runtime, which is the single producer of
+:class:`~repro.core.prep.PreparedBatch`.
 """
 
 from __future__ import annotations
@@ -51,9 +47,8 @@ __all__ = ["CandidateSlice", "MiniBatchGenerator"]
 class CandidateSlice:
     """One layer's candidate neighborhood with its sliced features.
 
-    Produced by :meth:`MiniBatchGenerator.layer_candidates`; consumed either
-    directly by :meth:`MiniBatchGenerator.build` or precomputed ahead of time
-    by the AOT batch engine.
+    Produced by :meth:`MiniBatchGenerator.layer_candidates` and consumed by
+    :meth:`MiniBatchGenerator.build`.
     """
 
     #: candidate neighbors of each target, arrays of shape (R, m).
@@ -122,10 +117,9 @@ class MiniBatchGenerator:
                          ) -> CandidateSlice:
         """NF + FS of one layer: sample candidates and slice their features.
 
-        This stage depends only on the graph and the query frontier — never on
-        trainable state — which is what makes it safe for the AOT engine to
-        run it ahead of the training loop.  ``rng`` is the generator of the
-        finder's draws (``None``: the finder's own stream).
+        This stage depends only on the graph and the query frontier, never
+        on trainable state.  ``rng`` is the generator of the finder's draws
+        (``None``: the finder's own stream).
         """
         with self.timer.section("NF"):
             candidates = self.finder.sample(target_nodes, target_times,
@@ -149,8 +143,7 @@ class MiniBatchGenerator:
     # -- main entry point ------------------------------------------------------------
 
     def build(self, root_nodes: np.ndarray, root_times: np.ndarray,
-              train: bool = True, first_hop: Optional[CandidateSlice] = None,
-              root_feat: Optional[np.ndarray] = None,
+              train: bool = True,
               rng: Optional[np.random.Generator] = None) -> MiniBatch:
         """Build the full multi-hop mini-batch for the given root queries.
 
@@ -161,34 +154,22 @@ class MiniBatchGenerator:
         records in :attr:`~repro.models.HopData.inverse` where each row went,
         so nothing downstream computes a repeated query twice.
 
-        Parameters
-        ----------
-        first_hop:
-            Optional precomputed NF + FS result for the first hop of a
-            training batch (from :meth:`layer_candidates`).  When given,
-            ``root_feat`` is taken as the (possibly ``None``) precomputed root
-            features instead of being sliced here.
-        rng:
-            Generator of the finder's draws at every hop (``None``: the
-            finder's own stream).  Scoring passes one per chunk, which is
-            what lets chunks run on several threads.
+        ``rng`` is the generator of the finder's draws at every hop
+        (``None``: the finder's own stream).  Scoring passes one per chunk,
+        which is what lets chunks run on several threads.
         """
         root_nodes = np.asarray(root_nodes, dtype=np.int64)
         root_times = np.asarray(root_times, dtype=np.float64)
-        minibatch = MiniBatch(root_nodes=root_nodes, root_times=root_times,
-                              root_node_feat=root_feat)
+        minibatch = MiniBatch(root_nodes=root_nodes, root_times=root_times)
 
         cur_nodes, cur_times = root_nodes, root_times
         for layer in range(self.num_layers):
             inverse = None
             if not train:
                 cur_nodes, cur_times, inverse = unique_targets(cur_nodes, cur_times)
-            if layer == 0 and first_hop is not None:
-                stage = first_hop
-            else:
-                if layer == 0:
-                    minibatch.root_node_feat = self.slice_root_features(cur_nodes)
-                stage = self.layer_candidates(cur_nodes, cur_times, rng=rng)
+            if layer == 0:
+                minibatch.root_node_feat = self.slice_root_features(cur_nodes)
+            stage = self.layer_candidates(cur_nodes, cur_times, rng=rng)
             candidates = stage.candidates
             edge_feat = stage.edge_feat
             neigh_feat = stage.neigh_node_feat

@@ -4,7 +4,7 @@ Mini-batch *preparation* — neighbor finding, feature slicing, adaptive
 sampler encoding — dominates temporal-GNN training (the paper's Fig. 1; our
 own ``BENCH_fig1_breakdown_*.json`` measures PrepShare ≈ 0.89–0.95).  Before
 this runtime existed the prep path was assembled independently by four
-consumers (the ``TaserTrainer`` batch engines, the ``StreamingTrainer``, the
+consumers (the ``TaserTrainer`` batch engine, the ``StreamingTrainer``, the
 distributed ``ShardWorker`` replicas and the ``LinkPredictionEvaluator``),
 so every prep optimisation had to be implemented, and kept deterministic,
 four times.  :class:`PrepPipeline` is now the one place batches are
@@ -22,8 +22,7 @@ Staged dataflow
                                    choke point)                 ▼
                                                        PreparedBatch
                                                        (roots, negatives,
-                                                        MiniBatch / hop-1
-                                                        candidate stage)
+                                                        MiniBatch)
 
 The ``candidates``/``gather``/``encode``/``assemble`` stages are implemented
 by :class:`~repro.core.pipeline.MiniBatchGenerator` (a thin stage wrapper
@@ -39,8 +38,8 @@ Contracts
 ---------
 1. **Bitwise identity** — batches prepared through the runtime are
    bitwise-identical to the pre-runtime per-consumer assembly under a fixed
-   seed (the engines' determinism contract extends through prep: every RNG
-   draw and cache access happens in exactly the training order).
+   seed (every RNG draw and cache access happens in exactly the training
+   order).
 2. **Single cache choke point** — all feature-cache lookups and hit/transfer
    accounting happen behind the deduplicated gather; no consumer touches the
    cache directly.
@@ -49,13 +48,11 @@ Contracts
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-from ..sampling.base import NeighborBatch
-from ..sampling.recursive import flatten_frontier
-from .pipeline import CandidateSlice, MiniBatchGenerator
+from .pipeline import MiniBatchGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..eval.negative_sampling import NegativeSampler
@@ -68,11 +65,8 @@ __all__ = ["PreparedBatch", "PrepPipeline"]
 class PreparedBatch:
     """One batch with everything the prep runtime generated for it.
 
-    ``minibatch`` is set once the full multi-hop batch is built; the AOT
-    engine may instead carry only the hop-1 candidate stage
-    (``first_hop``/``root_feat``) when deeper stages depend on trainable
-    state and must run in the consumer (see
-    :func:`~repro.core.prefetcher.plan_capability`).
+    ``minibatch`` is set once :meth:`PrepPipeline.finish` has built the
+    full multi-hop batch.
 
     Training batches carry ``local_indices`` (the schedule entry) and one
     negative per positive; evaluation batches carry ``local_indices=None``
@@ -92,13 +86,8 @@ class PreparedBatch:
     roots: np.ndarray
     #: query timestamps of all root queries.
     times: np.ndarray
-    #: fully-built multi-hop mini-batch, or None if the consumer must build it.
+    #: fully-built multi-hop mini-batch; None until the batch is finished.
     minibatch: Optional[object] = None
-    #: precomputed hop-1 candidate stage (capability ``first_hop``).
-    first_hop: Optional[CandidateSlice] = None
-    #: precomputed root features (only meaningful when ``first_hop`` is set;
-    #: None is a valid value for graphs without node features).
-    root_feat: Optional[np.ndarray] = None
 
 
 class PrepPipeline:
@@ -202,24 +191,16 @@ class PrepPipeline:
 
     def finish(self, prepared: PreparedBatch, train: bool = True,
                rng: Optional[np.random.Generator] = None) -> PreparedBatch:
-        """Run the remaining stages until ``prepared.minibatch`` is built.
-
-        Honours whatever was planned ahead of time: a precomputed hop-1
-        candidate stage (``first_hop``/``root_feat``) is consumed instead of
-        re-running NF/FS, and an already-built mini-batch passes through
-        untouched — so the same entry point serves the synchronous path and
-        the consumer half of the AOT engine.  ``rng`` is the generator of the
-        finder's draws (``None``: the finder's own stream).
-        """
-        if prepared.minibatch is None:
-            prepared.minibatch = self.generator.build(
-                prepared.roots, prepared.times, train=train,
-                first_hop=prepared.first_hop, root_feat=prepared.root_feat,
-                rng=rng)
+        """Run the candidates/gather/encode/assemble stages: build
+        ``prepared.minibatch`` from the assembled root queries.  ``rng`` is
+        the generator of the finder's draws (``None``: the finder's own
+        stream)."""
+        prepared.minibatch = self.generator.build(
+            prepared.roots, prepared.times, train=train, rng=rng)
         return prepared
 
     def prepare_train(self, local_indices: np.ndarray) -> PreparedBatch:
-        """Fully prepare one training batch (the synchronous reference path)."""
+        """Fully prepare one training batch."""
         return self.finish(self.assemble_train(local_indices), train=True)
 
     def prepare_eval(self, src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
@@ -229,86 +210,3 @@ class PrepPipeline:
         the finder drawing from ``rng`` (``None``: its own stream)."""
         return self.finish(self.assemble_eval(src, dst, ts, negatives),
                            train=False, rng=rng)
-
-    # -- vectorised chunk planning (AOT engine) ----------------------------------
-
-    def plan_chunk(self, prepared: List[PreparedBatch], capability: str,
-                   plan_finder) -> None:
-        """Vectorise the candidate/gather stages over a chunk of batches.
-
-        The chunk's root queries are concatenated and each hop's neighbor
-        finding runs as one batched pass over the T-CSR through
-        ``plan_finder`` (the block-centric finder under the deterministic
-        ``recent`` policy); feature slicing runs through the store's
-        deduplicated fused gather, so ids repeated *across the chunk's
-        batches* — not just within one batch — collapse to a single gathered
-        row.  Per-batch results are then cut back out of the concatenated
-        arrays (batch blocks stay contiguous through the frontier expansion,
-        so each cut is a plain row slice).
-        """
-        from ..models.minibatch import HopData, MiniBatch
-
-        generator = self.generator
-        store = generator.feature_store
-        timer = generator.timer
-        budget = generator._candidate_budget()
-        num_layers = generator.num_layers if capability == "full" else 1
-        sizes = [item.roots.size for item in prepared]
-
-        cur_nodes = np.concatenate([item.roots for item in prepared])
-        cur_times = np.concatenate([item.times for item in prepared])
-        with timer.section("FS"):
-            root_feat_all = store.slice_node_features(cur_nodes)
-
-        # Per layer: (candidates, edge_feat, neigh_feat, target_feat, offsets).
-        layer_stages = []
-        for layer in range(num_layers):
-            with timer.section("NF"):
-                candidates = plan_finder.sample(cur_nodes, cur_times, budget)
-            candidates.check_padding()
-            with timer.section("FS"):
-                edge_feat, neigh_feat, target_feat = \
-                    generator._slice_candidate_features(candidates, cur_nodes)
-            rows = [size * budget ** layer for size in sizes]
-            offsets = np.concatenate([[0], np.cumsum(rows)])
-            layer_stages.append((candidates, edge_feat, neigh_feat, target_feat,
-                                 offsets))
-            cur_nodes, cur_times = flatten_frontier(candidates)
-
-        root_offsets = np.concatenate([[0], np.cumsum(sizes)])
-        for i, item in enumerate(prepared):
-            lo, hi = int(root_offsets[i]), int(root_offsets[i + 1])
-            root_feat = root_feat_all[lo:hi] if root_feat_all is not None else None
-            slices = [self._cut_stage(stage, i) for stage in layer_stages]
-            if capability == "full":
-                minibatch = MiniBatch(root_nodes=item.roots, root_times=item.times,
-                                      root_node_feat=root_feat)
-                for stage in slices:
-                    minibatch.hops.append(HopData(
-                        batch=stage.candidates, edge_feat=stage.edge_feat,
-                        neigh_node_feat=stage.neigh_node_feat,
-                        target_node_feat=stage.target_node_feat))
-                item.minibatch = minibatch
-            else:
-                item.root_feat = root_feat
-                item.first_hop = slices[0]
-
-    @staticmethod
-    def _cut_stage(stage, index: int) -> CandidateSlice:
-        """Cut batch ``index``'s rows out of one concatenated layer stage."""
-        candidates, edge_feat, neigh_feat, target_feat, offsets = stage
-        lo, hi = int(offsets[index]), int(offsets[index + 1])
-        batch = NeighborBatch(
-            root_nodes=candidates.root_nodes[lo:hi],
-            root_times=candidates.root_times[lo:hi],
-            nodes=candidates.nodes[lo:hi],
-            eids=candidates.eids[lo:hi],
-            times=candidates.times[lo:hi],
-            mask=candidates.mask[lo:hi],
-        )
-        return CandidateSlice(
-            candidates=batch,
-            edge_feat=edge_feat[lo:hi] if edge_feat is not None else None,
-            neigh_node_feat=neigh_feat[lo:hi] if neigh_feat is not None else None,
-            target_node_feat=target_feat[lo:hi] if target_feat is not None else None,
-        )

@@ -24,9 +24,9 @@ that workload:
        :class:`~repro.graph.StreamingTCSR` (amortized O(chunk), no rebuild),
        and the device feature cache's edge universe grows with it;
     3. **sliding-window training**: one (or more) passes over the most recent
-       ``window_events`` events through the synchronous mini-batch engine
-       (rebuilt per window against the fresh T-CSR snapshot; model/optimiser
-       state persists throughout).
+       ``window_events`` events through the mini-batch engine (its prep
+       runtime rebuilt per window against the fresh T-CSR snapshot;
+       model/optimiser state persists throughout).
 
 Determinism: under a fixed seed the whole trajectory — prequential MRR per
 chunk and per-batch training losses — is reproducible.  The graph-state
@@ -53,7 +53,6 @@ from ..utils.rng import new_rng
 from .config import TaserConfig
 from .minibatch_selector import ChronologicalSelector
 from .pipeline import MiniBatchGenerator
-from .prefetcher import make_engine
 from .prep import PrepPipeline
 from .trainer import EpochStats, TaserTrainer
 
@@ -275,15 +274,12 @@ class StreamingTrainer(TaserTrainer):
     and negative samplers are built once and persist across the whole stream.
     Per ingested chunk the graph-dependent components are refreshed — the
     T-CSR via an incremental snapshot (never a rebuild), the neighbor finder
-    and mini-batch generator against it, and the batch engine over the new
+    and mini-batch generator against it, and the prep runtime over the new
     window — which is cheap relative to training.
 
-    Restrictions (validated with actionable errors):
-
-    * ``adaptive_minibatch`` must be off — importance scores are keyed to a
-      fixed training set and are meaningless over a sliding window;
-    * ``batch_engine`` must be ``sync`` — an ahead-of-time plan of a window
-      that is invalidated by the next chunk buys nothing.
+    ``adaptive_minibatch`` must be off (validated with an actionable error):
+    importance scores are keyed to a fixed training set and are meaningless
+    over a sliding window.
     """
 
     def __init__(self, warmup_graph: TemporalGraph,
@@ -296,11 +292,6 @@ class StreamingTrainer(TaserTrainer):
                 "streaming requires adaptive_minibatch=False: importance "
                 "scores are keyed to a fixed training set and cannot follow "
                 "a sliding window (use variant 'baseline' or 'ada-neighbor')")
-        if config.batch_engine != "sync":
-            raise ValueError(
-                f"streaming supports batch_engine 'sync' only, got "
-                f"{config.batch_engine!r}: an ahead-of-time plan is "
-                "invalidated by every ingested chunk")
         if window_events <= 0:
             raise ValueError("window_events must be positive")
         graph = warmup_graph if warmup_graph.is_chronological \
@@ -361,8 +352,8 @@ class StreamingTrainer(TaserTrainer):
         The event log grows in place (feature-store accounting follows it
         automatically), the incremental T-CSR absorbs the chunk in amortized
         O(chunk), the device cache's edge universe grows keeping the
-        configured VRAM ratio, and the finder/generator/engine are re-pointed
-        at the new snapshot and sliding window.
+        configured VRAM ratio, and the finder/generator/prep runtime are
+        re-pointed at the new snapshot and sliding window.
         """
         self.graph.append_events(chunk.src, chunk.dst, chunk.ts, chunk.edge_feat)
         self.stcsr.append(chunk.src, chunk.dst, chunk.ts)
@@ -373,8 +364,9 @@ class StreamingTrainer(TaserTrainer):
         self._refresh_window()
 
     def _refresh_window(self) -> None:
-        """Re-point finder, generator, split, selector, prep runtime and
-        engine at the current graph state and sliding window."""
+        """Re-point finder, generator, split, selector and prep runtime at
+        the current graph state and sliding window (the engine reads
+        ``self.prep`` at each epoch)."""
         cfg = self.config
         self.tcsr = self.stcsr.snapshot()
         self.finder = make_finder(cfg.finder, self.tcsr,
@@ -390,7 +382,6 @@ class StreamingTrainer(TaserTrainer):
         self.prep = PrepPipeline(self.generator, self.negative_sampler,
                                  graph=self.graph, split=self.split,
                                  selector=self.selector)
-        self.engine = make_engine(self)
 
     def step(self, chunk: EventChunk, train_passes: int = 1) -> StreamStats:
         """One full prequential cycle: evaluate, ingest, train the window."""

@@ -40,7 +40,7 @@ from .config import TaserConfig
 from .minibatch_selector import AdaptiveMiniBatchSelector, ChronologicalSelector
 from .neighbor_sampler import AdaptiveNeighborSampler
 from .pipeline import MiniBatchGenerator
-from .prefetcher import make_engine
+from .prefetcher import BatchEngine
 from .prep import PreparedBatch, PrepPipeline
 from .sample_loss import build_sample_loss
 
@@ -57,11 +57,9 @@ class EpochStats:
     runtime: Dict[str, float]
     cache_hit_rate: float
     effective_sample_size: float
-    #: per-batch model losses in training order (the batch engines' bitwise
+    #: per-batch model losses in training order (the run-vs-replay bitwise
     #: determinism contract is asserted against these).
     batch_losses: List[float] = field(default_factory=list)
-    #: batch engine mode actually in effect this epoch (after fallback).
-    engine_mode: str = "sync"
     #: prep-runtime gather dedup ratio of the epoch (requested candidate id
     #: occurrences / unique ids gathered at the feature-store choke point).
     dedup_ratio: float = 1.0
@@ -183,13 +181,13 @@ class TaserTrainer:
 
         self.negative_sampler = NegativeSampler(self.graph, seed=cfg.seed + 17)
 
-        # --- shared prep runtime + mini-batch engine (sync | aot) -------------------------
+        # --- shared prep runtime + mini-batch engine -------------------------------------
         # The prep pipeline is the single producer of PreparedBatch for every
         # execution path (engines, evaluation, streaming, sharded replicas).
         self.prep = PrepPipeline(self.generator, self.negative_sampler,
                                  graph=self.graph, split=self.split,
                                  selector=self.selector)
-        self.engine = make_engine(self)
+        self.engine = BatchEngine(self)
 
         self.history: List[EpochStats] = []
         self._epoch = 0
@@ -210,15 +208,13 @@ class TaserTrainer:
     # ------------------------------------------------------------------ training
 
     def _model_backward(self, prepared: PreparedBatch) -> TrainStep:
-        """Backward half of one step: build the batch, forward, loss, backward.
+        """Backward half of one step: forward, loss, backward.
 
         Leaves the model gradients in place *without* stepping, so a
         data-parallel caller can average them across shard replicas first.
         """
         b = prepared.num_positives
-        # Finish the state-dependent prep stages the engine could not run
-        # ahead (adaptive neighbor selection and any deeper hops).
-        minibatch = self.prep.finish(prepared, train=True).minibatch
+        minibatch = prepared.minibatch
 
         with self.timer.section("PP"):
             self.model_optimizer.zero_grad()
@@ -327,7 +323,6 @@ class TaserTrainer:
                            cache_hit_rate=float(cache_hit),
                            effective_sample_size=float(ess),
                            batch_losses=losses,
-                           engine_mode=self.engine.effective_mode,
                            dedup_ratio=float(slice_stats.dedup_ratio))
         self.history.append(stats)
         return stats

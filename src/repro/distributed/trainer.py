@@ -5,7 +5,7 @@
 :class:`~repro.graph.sharding.TemporalShardPlan` splits the event log into
 ``W`` shards; each worker owns a full single-worker training stack over its
 shard (T-CSR view, neighbor finder, feature store with its slice of the
-global cache budget, sync/aot batch engine) plus a model *replica*.
+global cache budget, batch engine) plus a model *replica*.
 Per global step the trainer runs the lock-step protocol:
 
 1. every worker generates its shard's next mini-batch and runs forward +
@@ -200,7 +200,6 @@ class ShardedTrainer:
             cache_hit_rate=float(cache_hit),
             effective_sample_size=ess,
             batch_losses=step_losses,
-            engine_mode=summaries[0]["engine_mode"],
             per_shard=summaries,
             sync_seconds=sync_seconds,
             global_steps=steps,

@@ -13,7 +13,7 @@ and the sharded trainer drives all workers in lock-step through the split
 step protocol:
 
 1. :meth:`comms_model_backward` — generate the shard's next mini-batch
-   (through the shard's own sync/aot engine), run forward + backward and
+   (through the shard's own batch engine), run forward + backward and
    pack the gradients into this worker's buffer;
 2. :meth:`comms_apply_model`    — overwrite the replica's gradients with the
    globally averaged ones, clip, step, run the shard-local selector update,
@@ -271,7 +271,6 @@ class ShardWorker:
             "effective_sample_size": float(ess),
             "num_events": t.graph.num_edges,
             "num_train": t.split.num_train,
-            "engine_mode": t.engine.effective_mode,
             "pack_seconds": float(self._pack_seconds),
         }
 

@@ -156,11 +156,10 @@ class NeighborFinder:
     policy:
         Static sampling policy for oversubscribed neighborhoods:
         ``"uniform"`` (uniform without replacement, consumes RNG),
-        ``"recent"`` (deterministic most-recent — the policy the AOT batch
-        engine can vectorise over a whole epoch), or ``"inverse_timespan"``
+        ``"recent"`` (deterministic most-recent), or ``"inverse_timespan"``
         (probability proportional to 1 / (t - t_u)).
     seed:
-        Seed of the finder's private RNG stream.  Engines rely on every
+        Seed of the finder's private RNG stream.  Training relies on every
         stochastic draw happening in exactly the training order, so the RNG
         must never be shared across threads: a caller that samples off the
         training order (scoring, on several threads at once) passes its own

@@ -24,7 +24,6 @@ def _artifact(wall=1.0, throughput=100.0, run_hash="abc", replay_hash="abc",
     return {
         "benchmark": "demo",
         "scale": scale,
-        "engine_env": "sync",
         "unix_time": 0.0,
         "results": {
             "wall_seconds": wall,
@@ -115,6 +114,17 @@ class TestBenchGate:
         _write(current, _artifact(wall=100.0, scale=0.1))
         assert _gate(current, baselines, "--strict") == 0
 
+    def test_legacy_engine_key_in_baseline_still_gates(self, dirs):
+        """Committed baselines still carry ``"engine_env": "sync"``; fresh
+        artifacts no longer do.  Timings are compared whenever the scale
+        matches, so a 10x slowdown against such a baseline fails."""
+        current, baselines = dirs
+        legacy = _artifact(wall=1.0)
+        legacy["engine_env"] = "sync"
+        _write(baselines, legacy)
+        _write(current, _artifact(wall=10.0))
+        assert _gate(current, baselines, "--strict") == 1
+
     def test_tiny_baselines_skipped_as_noise(self, dirs):
         current, baselines = dirs
         _write(baselines, _artifact(wall=1e-4))
@@ -164,7 +174,7 @@ class TestRequiredHashPairs:
     def _fig1_artifact(self, replay="b"):
         return {
             "benchmark": "fig1_breakdown_wikipedia", "scale": 0.1,
-            "engine_env": "sync", "unix_time": 0.0,
+            "unix_time": 0.0,
             "results": {
                 "determinism": {"hash": "b", "replay_hash": replay},
             },
@@ -196,7 +206,7 @@ class TestRequiredHashPairs:
 
     def _serve_artifact(self, run_hash="abc", replay_hash="abc"):
         return {
-            "benchmark": "serve_latency", "scale": 0.1, "engine_env": "sync",
+            "benchmark": "serve_latency", "scale": 0.1,
             "unix_time": 0.0,
             "results": {
                 "serve_determinism": {"hash": run_hash,
@@ -228,7 +238,7 @@ class TestRequiredHashPairs:
 
     def _shard_artifact(self, comms_replay="traj", replay="det"):
         return {
-            "benchmark": "shard_scaling", "scale": 0.1, "engine_env": "sync",
+            "benchmark": "shard_scaling", "scale": 0.1,
             "unix_time": 0.0,
             "results": {
                 "determinism": {"hash": "det", "replay_hash": replay},
@@ -268,7 +278,7 @@ class TestRequiredHashPairs:
         current, baselines = dirs
         baselines.mkdir(parents=True)
         artifact = {
-            "benchmark": "precision", "scale": 0.1, "engine_env": "sync",
+            "benchmark": "precision", "scale": 0.1,
             "unix_time": 0.0,
             "results": {
                 "fp32_equivalence": {"hash": "eq", "replay_hash": "eq"},

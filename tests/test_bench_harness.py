@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench import (VARIANTS, emit_bench_json, engine_mode_comparison,
-                         format_table, geometric_mean, quick_config,
-                         variant_config, run_variant, system_configurations)
+from repro.bench import (VARIANTS, emit_bench_json, format_table,
+                         geometric_mean, quick_config, variant_config,
+                         run_variant, system_configurations)
 from repro.bench.breakdown import BreakdownRow, runtime_breakdown
 from repro.graph import CTDGConfig, generate_ctdg
 
@@ -63,25 +63,17 @@ class TestBenchJson:
         assert record["results"] == {"speedup": 2.0}
         assert "scale" in record and "unix_time" in record
 
-    def test_engine_mode_comparison_deterministic(self, tmp_path, monkeypatch):
+    def test_no_engine_knob(self, tmp_path, monkeypatch):
+        """The benchmark engine variable is gone: the record carries no
+        engine key and a leftover variable configures nothing."""
+        import repro.bench
         monkeypatch.setenv("REPRO_BENCH_OUTPUT", str(tmp_path))
-        graph = generate_ctdg(CTDGConfig(num_src=30, num_dst=20, num_events=600,
-                                         edge_dim=8, seed=3))
-        config = quick_config("graphmixer", adaptive_minibatch=False,
-                              adaptive_neighbor=False, epochs=1,
-                              max_batches_per_epoch=3, hidden_dim=8, time_dim=4,
-                              num_neighbors=3, num_candidates=3,
-                              eval_max_edges=20, eval_negatives=5,
-                              batch_engine="sync")
-        results = engine_mode_comparison(graph, config, epochs=1)
-        assert set(results) == {"sync", "aot"}
-        for mode, row in results.items():
-            assert row["epoch_seconds"] > 0
-            assert row["speedup_vs_sync"] > 0
-            assert row["batch_losses"] == results["sync"]["batch_losses"]
-            assert row["test_mrr"] == results["sync"]["test_mrr"]
-        assert results["sync"]["effective_mode"] == "sync"
-        assert results["aot"]["effective_mode"] == "aot"
+        monkeypatch.setenv("REPRO_BENCH_ENGINE", "aot")
+        record = json.loads(emit_bench_json("smoke", {}).read_text())
+        assert set(record) == {"benchmark", "scale", "unix_time", "results"}
+        assert quick_config("graphmixer").batch_engine == "sync"
+        for gone in ("bench_engine", "engine_mode_comparison"):
+            assert not hasattr(repro.bench, gone), gone
 
 
 class TestBreakdown:

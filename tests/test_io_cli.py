@@ -87,30 +87,37 @@ class TestCLI:
                 and not re.search(rf"\bargs\.{action.dest}\b", code)]
         assert dead == []
 
-    def test_batch_engine_flag_plumbing(self):
-        args = build_parser().parse_args(["--batch-engine", "aot"])
-        assert args.batch_engine == "aot"
-        for gone in (["--batch-engine", "warp"], ["--batch-engine", "prefetch"],
-                     ["--prefetch-depth", "3"], ["--prep-pool-workers", "1"],
-                     ["--prep-cache-mb", "64"], ["--prep-backend", "fused"],
-                     ["--precision", "fp16"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(gone)
+    def test_batch_engine_flag_plumbing(self, capsys):
+        """``--batch-engine`` is gone from both training parsers, with every
+        value it ever took, and no summary reports an engine."""
+        for build in (build_parser, cli.build_train_parser):
+            for gone in (["--batch-engine", "sync"], ["--batch-engine", "aot"],
+                         ["--batch-engine", "prefetch"],
+                         ["--prefetch-depth", "3"], ["--prep-pool-workers", "1"],
+                         ["--prep-cache-mb", "64"], ["--prep-backend", "fused"],
+                         ["--precision", "fp16"]):
+                with pytest.raises(SystemExit) as info:
+                    build().parse_args(gone)
+                assert info.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
+        assert "batch_engine" not in vars(build_parser().parse_args([]))
+        for fn in (cli.run, cli.run_train, cli.run_stream, cli.main,
+                   cli._train_main, cli._stream_main):
+            assert "batch_engine" not in inspect.getsource(fn)
 
-    def test_batch_engine_modes_agree_end_to_end(self):
-        """The CLI's aot run must reproduce the sync run exactly."""
-        base = ["--dataset", "wikipedia", "--scale", "0.05",
-                "--backbone", "graphmixer", "--variant", "baseline",
-                "--epochs", "1", "--max-batches-per-epoch", "2",
-                "--hidden-dim", "8", "--time-dim", "4",
-                "--num-neighbors", "3", "--num-candidates", "6",
-                "--eval-max-edges", "20", "--eval-negatives", "5"]
-        sync = run(build_parser().parse_args(base + ["--batch-engine", "sync"]))
-        aot = run(build_parser().parse_args(base + ["--batch-engine", "aot"]))
-        assert sync["batch_engine_effective"] == "sync"
-        assert aot["batch_engine_effective"] == "aot"
-        assert aot["test_mrr"] == sync["test_mrr"]
-        assert aot["final_model_loss"] == sync["final_model_loss"]
+    @pytest.mark.parametrize("flag", ["--hidden-dim", "--time-dim",
+                                      "--num-neighbors", "--num-candidates",
+                                      "--batch-size", "--eval-negatives"])
+    def test_model_size_flag_of_zero_rejected_at_parse_time(self, flag,
+                                                            capsys):
+        for build in (build_parser, cli.build_train_parser,
+                      cli.build_stream_parser, cli.build_serve_parser):
+            if flag not in build()._option_string_actions:
+                continue
+            with pytest.raises(SystemExit) as info:
+                build().parse_args([flag, "0"])
+            assert info.value.code == 2
+            assert "must be >= 1" in capsys.readouterr().err
 
     def test_config_rejects_bad_engine_settings_with_actionable_errors(self):
         from repro.core import TaserConfig

@@ -1,18 +1,21 @@
-"""Tests for the mini-batch engines (sync | aot).
+"""Tests for the mini-batch engine.
 
-The engines' acceptance bar is *bitwise determinism*: under a fixed seed the
-AOT path must produce identical batches — and therefore identical per-batch
-losses and MRR — to the synchronous reference path.
+The engine's acceptance bar is *bitwise determinism*: under a fixed seed a
+fresh trainer replays identical batches — and therefore identical per-batch
+losses and MRR.  The ahead-of-time plan and its capability model are gone;
+their names and options must stay gone.
 """
 
+import dataclasses
+import inspect
 import threading
 
 import numpy as np
 import pytest
 
 from repro.bench.breakdown import loss_trajectory_hash
-from repro.core import (AOTBatchEngine, BatchEngine, TaserConfig, TaserTrainer,
-                        make_engine, plan_capability)
+from repro.core import (BatchEngine, EpochStats, MiniBatchGenerator,
+                        PreparedBatch, TaserConfig, TaserTrainer)
 from repro.graph import CTDGConfig, build_tcsr, generate_ctdg
 from repro.sampling import GPUNeighborFinder, OriginalNeighborFinder
 
@@ -43,13 +46,13 @@ def run_epochs(graph, epochs=2, **overrides):
 
 
 VARIANT_MATRIX = [
-    # (label, overrides): covers full / first_hop / fallback capabilities
-    # across backbones (1- and 2-layer) and all three finders.
+    # (label, overrides): both backbones (1- and 2-layer), all three
+    # finders, and each adaptive switch.
     ("baseline-graphmixer", dict(backbone="graphmixer", adaptive_minibatch=False,
                                  adaptive_neighbor=False)),
     ("baseline-tgat", dict(backbone="tgat", adaptive_minibatch=False,
                            adaptive_neighbor=False)),
-    # 2-layer vectorised AOT plan (deterministic policy across both hops).
+    # 2-layer model under the deterministic policy across both hops.
     ("baseline-tgat-recent", dict(backbone="tgat", finder_policy="recent",
                                   adaptive_minibatch=False,
                                   adaptive_neighbor=False)),
@@ -70,85 +73,55 @@ VARIANT_MATRIX = [
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("mode", ["aot"])
     @pytest.mark.parametrize("label,overrides",
                              VARIANT_MATRIX, ids=[v[0] for v in VARIANT_MATRIX])
-    def test_identical_losses_and_mrr_vs_sync(self, engine_graph, mode, label,
-                                              overrides):
-        sync_losses, sync_mrr, _ = run_epochs(engine_graph, batch_engine="sync",
-                                              **overrides)
-        losses, mrr, trainer = run_epochs(engine_graph, batch_engine=mode,
-                                          **overrides)
-        assert losses == sync_losses, \
-            f"{mode} diverged from sync on {label} " \
-            f"(effective mode {trainer.engine.effective_mode})"
-        assert mrr == sync_mrr
-        assert len(sync_losses) > 0
-
-    def test_aot_plan_chunking_does_not_change_results(self, engine_graph,
-                                                       monkeypatch):
-        kw = dict(backbone="tgat", finder_policy="recent",
-                  adaptive_minibatch=False, adaptive_neighbor=False)
-        sync_losses, sync_mrr, _ = run_epochs(engine_graph, batch_engine="sync",
-                                              **kw)
-        # Force multiple planning chunks per epoch (6 batches / chunk of 2).
-        monkeypatch.setattr(AOTBatchEngine, "plan_chunk", 2)
-        losses, mrr, trainer = run_epochs(engine_graph, batch_engine="aot", **kw)
-        assert trainer.engine.vectorised
-        assert losses == sync_losses
-        assert mrr == sync_mrr
+    def test_identical_losses_and_mrr_on_replay(self, engine_graph, label,
+                                                overrides):
+        """A fresh trainer under the same seed replays the two-epoch
+        training trajectory and the val MRR bitwise."""
+        losses, mrr, _ = run_epochs(engine_graph, **overrides)
+        replay_losses, replay_mrr, _ = run_epochs(engine_graph, **overrides)
+        assert len(losses) > 0
+        assert replay_losses == losses, f"replay diverged on {label}"
+        assert replay_mrr == mrr
 
 
 class TestCapability:
-    def test_capability_matrix(self, engine_graph):
-        def cap(**kw):
-            trainer = TaserTrainer(engine_graph, engine_config(**kw))
-            return plan_capability(trainer.config, trainer.finder)
-
-        assert cap(adaptive_minibatch=False, adaptive_neighbor=False) == "full"
-        # Deterministic policy + stateless finder: hop 1 is plannable.
-        assert cap(backbone="graphmixer", adaptive_minibatch=False,
-                   adaptive_neighbor=True) == "first_hop"
-        assert cap(backbone="tgat", finder_policy="recent",
-                   adaptive_minibatch=False, adaptive_neighbor=True) == "first_hop"
-        # Stochastic policy: nothing a plan could answer without drawing.
-        assert cap(backbone="tgat", adaptive_minibatch=False,
-                   adaptive_neighbor=True) == "none"
-        assert cap(backbone="graphmixer", finder_policy="uniform",
-                   adaptive_minibatch=False, adaptive_neighbor=True) == "none"
-        # Stateful (pointer-array) finder: hop 1 cannot leave its sight.
-        assert cap(backbone="graphmixer", finder="tgl",
-                   adaptive_minibatch=False, adaptive_neighbor=True) == "none"
-        # Adaptive mini-batch selection: the schedule itself is feedback-driven.
-        assert cap(adaptive_minibatch=True, adaptive_neighbor=False) == "none"
-
-    def test_effective_mode_reports_fallback(self, engine_graph):
-        trainer = TaserTrainer(engine_graph, engine_config(
-            batch_engine="aot", adaptive_minibatch=True))
-        assert trainer.engine.mode == "aot"
-        assert trainer.engine.effective_mode == "sync"
-        assert trainer.engine.is_fallback
-        stats = trainer.train_epoch()
-        assert stats.engine_mode == "sync"
-        assert np.isfinite(stats.model_loss)
-        # A stochastic policy has no plan either, even at capability "full".
-        uniform = TaserTrainer(engine_graph, engine_config(
-            backbone="tgat", batch_engine="aot", adaptive_minibatch=False,
-            adaptive_neighbor=False))
-        assert uniform.engine.capability == "full"
-        assert uniform.engine.effective_mode == "sync"
-
-    def test_make_engine_selects_class(self, engine_graph):
-        trainer = TaserTrainer(engine_graph, engine_config())
-        assert type(make_engine(trainer, "sync")) is BatchEngine
-        assert isinstance(make_engine(trainer, "aot"), AOTBatchEngine)
-        for unknown in ("prefetch", "warp"):
-            with pytest.raises(ValueError):
-                make_engine(trainer, unknown)
+    """What the deleted capability model leaves: a config naming any engine
+    but ``sync`` is rejected."""
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             engine_config(batch_engine="lazy")
+
+
+class TestOneEngine:
+    """``sync`` is the only way a training batch is produced."""
+
+    def test_core_exports_no_plan(self):
+        import repro.core
+        from repro.core import prefetcher
+        for gone in ("AOTBatchEngine", "make_engine", "plan_capability",
+                     "ENGINE_MODES"):
+            assert not hasattr(repro.core, gone), gone
+            assert not hasattr(prefetcher, gone), gone
+            assert gone not in repro.core.__all__
+        # benchmarks/e2e/tracer.py wraps ``epoch`` where a class defines it.
+        assert "epoch" in BatchEngine.__dict__
+
+    def test_aot_config_rejected_naming_only_sync(self):
+        with pytest.raises(ValueError, match="'sync' is the only") as info:
+            TaserConfig(batch_engine="aot")
+        message = str(info.value).replace("'aot'", "", 1)
+        assert "aot" not in message
+        assert TaserConfig().batch_engine == "sync"
+
+    def test_no_precomputed_first_hop(self):
+        fields = {f.name for f in dataclasses.fields(PreparedBatch)}
+        assert not fields & {"first_hop", "root_feat"}
+        params = inspect.signature(MiniBatchGenerator.build).parameters
+        assert not set(params) & {"first_hop", "root_feat"}
+        assert "engine_mode" not in {f.name for f in dataclasses.fields(EpochStats)}
 
 
 class TestOneBatchPath:
@@ -156,8 +129,9 @@ class TestOneBatchPath:
     environment variables are inert, and a training epoch starts no thread."""
 
     def test_prefetch_engine_rejected_naming_the_survivors(self):
-        with pytest.raises(ValueError, match="'sync'.*'aot'"):
+        with pytest.raises(ValueError, match="'sync' is the only") as info:
             TaserConfig(batch_engine="prefetch")
+        assert "aot" not in str(info.value)
 
     def test_removed_options_are_type_errors(self, engine_graph):
         from repro.serve import ServeEngine
@@ -189,34 +163,19 @@ class TestOneBatchPath:
         monkeypatch.setenv("REPRO_PREP_CACHE_MB", "64")
         assert trajectory_hash() == unset
 
-    @pytest.mark.parametrize("mode", ["sync", "aot"])
+    @pytest.mark.parametrize("mode", ["sync"])
     def test_train_epoch_starts_no_thread(self, engine_graph, mode):
         trainer = TaserTrainer(engine_graph, engine_config(
             backbone="graphmixer", adaptive_minibatch=False,
             adaptive_neighbor=False, batch_engine=mode))
         before = threading.active_count()
-        stats = trainer.train_epoch()
-        assert stats.engine_mode == mode
+        trainer.train_epoch()
         assert threading.active_count() == before
 
 
-class TestTimings:
-    def test_aot_phase_breakdown_recorded(self, engine_graph):
-        _, _, trainer = run_epochs(engine_graph, epochs=1,
-                                   backbone="graphmixer",
-                                   adaptive_minibatch=False,
-                                   adaptive_neighbor=False,
-                                   batch_engine="aot")
-        runtime = trainer.history[-1].runtime
-        assert runtime["NF"] > 0
-        assert runtime["FS"] > 0
-        assert runtime["PP"] > 0
-        assert trainer.history[-1].engine_mode == "aot"
-
-
 class TestVectorisedPlan:
-    """The AOT plan's vectorised recent-policy kernel must equal the
-    per-query finders bit-for-bit (that is what makes the bypass legal)."""
+    """The block-centric finder's vectorised recent-policy kernel must equal
+    the per-query finder bit-for-bit (the finder oracle)."""
 
     @pytest.fixture(scope="class")
     def plan_graph(self):
@@ -236,16 +195,6 @@ class TestVectorisedPlan:
         assert np.array_equal(reference.eids, vectorised.eids)
         assert np.array_equal(reference.times, vectorised.times)
         assert np.array_equal(reference.mask, vectorised.mask)
-
-    def test_aot_uses_vectorised_plan_only_for_recent(self, engine_graph):
-        gm = TaserTrainer(engine_graph, engine_config(
-            backbone="graphmixer", adaptive_minibatch=False,
-            adaptive_neighbor=False, batch_engine="aot"))
-        assert gm.engine.vectorised  # graphmixer resolves to 'recent'
-        tgat = TaserTrainer(engine_graph, engine_config(
-            backbone="tgat", adaptive_minibatch=False,
-            adaptive_neighbor=False, batch_engine="aot"))
-        assert not tgat.engine.vectorised  # 'uniform' has no plan: runs sync
 
 
 class TestEmptyNeighborhoods:

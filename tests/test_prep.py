@@ -5,7 +5,7 @@ Two contracts (see docs/ARCHITECTURE.md, "Prep runtime"):
 * **bitwise identity** — the deduplicated fused gather produces outputs
   bitwise-identical to the naive per-slot gather, for arbitrarily
   duplicate-heavy neighborhoods, and the loss trajectories of every
-  execution path (sync/aot engines, ``StreamingTrainer``,
+  execution path (the batch engine, ``StreamingTrainer``,
   ``ShardedTrainer``) reproduce exactly under a fixed seed;
 * **single cache choke point** — all feature-cache probes and hit/transfer
   accounting happen behind the unique-id dedup, with occurrence-weighted
@@ -117,7 +117,7 @@ class TestDedupGatherBitwise:
 # -------------------------------------------------------- engine consumers
 
 class TestEngineConsumers:
-    @pytest.mark.parametrize("mode", ["sync", "aot"])
+    @pytest.mark.parametrize("mode", ["sync"])
     def test_engines_share_the_prep_runtime(self, shard_graph, mode):
         trainer = TaserTrainer(shard_graph, tiny_config(batch_engine=mode))
         assert isinstance(trainer.prep, PrepPipeline)
@@ -125,14 +125,6 @@ class TestEngineConsumers:
         # Multi-hop candidate sets are duplicate-heavy: dedup must engage.
         assert stats.dedup_ratio > 1.0
         assert np.isfinite(stats.model_loss)
-
-    @pytest.mark.parametrize("mode", ["aot"])
-    def test_engine_trajectories_hash_identical_to_sync(self, shard_graph,
-                                                        mode):
-        sync = _losses(TaserTrainer(shard_graph, tiny_config()))
-        other = _losses(TaserTrainer(shard_graph,
-                                     tiny_config(batch_engine=mode)))
-        assert loss_trajectory_hash(other) == loss_trajectory_hash(sync)
 
     def test_eval_goes_through_prep(self, shard_graph):
         trainer = TaserTrainer(shard_graph, tiny_config())

@@ -289,7 +289,7 @@ class TestStreamingTrainer:
         warm, _ = split_warmup(small_graph, warmup_events=200)
         with pytest.raises(ValueError, match="adaptive_minibatch"):
             StreamingTrainer(warm, stream_config(adaptive_minibatch=True))
-        with pytest.raises(ValueError, match="'sync' only"):
+        with pytest.raises(ValueError, match="'sync' is the only"):
             StreamingTrainer(warm, stream_config(batch_engine="aot"))
         with pytest.raises(ValueError, match="window_events"):
             StreamingTrainer(warm, stream_config(), window_events=0)

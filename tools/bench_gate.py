@@ -28,14 +28,13 @@ Enforcement: *timing* findings **fail** (exit 1) when
 too noisy to block a merge.  Determinism-hash mismatches are enforced at
 *every* scale — the digests are computed within one run, so a mismatch is
 machine-independent.  Timing baselines are only compared
-when the fresh artifact was produced at the same ``scale`` / ``engine_env``
-as the baseline.
+when the fresh artifact was produced at the same ``scale`` as the baseline.
 
 Refreshing baselines after an intentional performance change::
 
     REPRO_BENCH_SCALE=0.1 REPRO_BENCH_EPOCHS=1 PYTHONPATH=src \
-        python -m pytest benchmarks/bench_table3_runtime.py::test_table3_batch_engine_modes \
-        benchmarks/bench_stream_throughput.py benchmarks/bench_shard_scaling.py -q
+        python -m pytest benchmarks/bench_stream_throughput.py \
+        benchmarks/bench_shard_scaling.py -q
     python tools/bench_gate.py --update
 
 Exit codes: 0 = clean (or warnings only), 1 = enforced regression,
@@ -148,13 +147,10 @@ def compare_file(name: str, current: Dict, baseline: Dict, report: Report,
     """Diff one fresh artifact against its committed baseline."""
     check_determinism(name, current, report)
 
-    comparable = (current.get("scale") == baseline.get("scale")
-                  and current.get("engine_env") == baseline.get("engine_env"))
-    if not comparable:
+    if current.get("scale") != baseline.get("scale"):
         report.notes.append(
-            f"{name}: baseline recorded at scale={baseline.get('scale')} "
-            f"engine={baseline.get('engine_env')!r}, current at "
-            f"scale={current.get('scale')} engine={current.get('engine_env')!r} "
+            f"{name}: baseline recorded at scale={baseline.get('scale')}, "
+            f"current at scale={current.get('scale')} "
             "— timing comparison skipped")
         return
 
