@@ -9,13 +9,15 @@ width for an edge-featured graph), forward, forward under ``no_grad()``
 valid candidate; the masked ops only) — and ``TGAT.aggregate`` (``n = 5``
 gated neighbors, hidden 32, edge 32, time 16, 15 % of the slots padded) on
 the layer-0 *zero state* (no node features: layer 1 of both hops) and on a
-live previous-layer state (layer 2).  Two groups run at fixed sizes whatever
-``--sizes`` says: ``sampler_mixer``, the sampler's ``MixerBlock`` at the live
-rows of a step's two hops (R = 289 and 1 174), its input written into the
-kernel's channel-major ``input_buffer`` as the sampler's encoder writes it;
-and ``time_encoding`` at R = 1 500 rows of 10 timespans up to a month, 16
-dimensions: the fixed encoding (no gradient: forward only) and the learnable
-one.  Per cell it records
+live previous-layer state (layer 2).  Four groups run at fixed sizes
+whatever ``--sizes`` says.  Three are the sampler's graph nodes at the live
+rows of a step's two hops (R = 289 and 1 174): ``sampler_encode`` (the
+encoder writing the block's channel-major ``input_buffer``),
+``sampler_mixer`` (the ``MixerBlock``, its input written into that buffer)
+and ``sampler_head`` (softmax, Gumbel-top-5 and the log-probabilities of the
+selected, from ``(R, 10)`` scores).  The fourth is ``time_encoding`` at R =
+1 500 rows of 10 timespans up to a month, 16 dimensions: the fixed encoding
+(no gradient: forward only) and the learnable one.  Per cell it records
 
 * ``ns_per_op`` — median wall-clock nanoseconds of one call, the result kept
   alive while the clock runs, as a training step keeps it;
@@ -135,6 +137,30 @@ def sampler_mixer_op(rng, rows, dead_share):
     return lambda: block(F.concatenate([x], out=block.input_buffer(rows)), mask=mask)
 
 
+def sampler_candidates(rng, rows: int, dead_share: float) -> NeighborBatch:
+    mask = candidate_mask(rng, rows, dead_share)
+    return NeighborBatch(
+        root_nodes=rng.integers(0, 1000, rows), root_times=np.full(rows, 100.0),
+        nodes=np.where(mask, rng.integers(1, 50, (rows, M)), 0),
+        eids=np.where(mask, rng.integers(1, 10 ** 4, (rows, M)), 0),
+        times=np.where(mask, rng.uniform(1.0, 99.0, (rows, M)), 0.0), mask=mask)
+
+
+def sampler_encode_op(rng, rows, dead_share):
+    sampler = AdaptiveNeighborSampler(0, EDGE_DIM, M, seed=0)
+    candidates = sampler_candidates(rng, rows, dead_share)
+    edge_feat = randn(rng, rows, M, EDGE_DIM).data * candidates.mask[..., None]
+    return lambda: sampler.encode(candidates, edge_feat, None)
+
+
+def sampler_head_op(rng, rows, dead_share):
+    scores = randn(rng, rows, M)
+    mask = candidate_mask(rng, rows, dead_share)
+    noise = rng.gumbel(size=(rows, M))
+    live = np.arange(rows)
+    return lambda: F.sampler_head(scores, mask, BUDGET, 1.0, noise, live, rows, 1e-20)[0]
+
+
 def time_encoding_op(rng, rows, learnable):
     encoder = LearnableTimeEncoder(TIME_DIM, rng=rng) if learnable \
         else FixedTimeEncoder(TIME_DIM)
@@ -145,13 +171,8 @@ def time_encoding_op(rng, rows, learnable):
 def sampler_op(rng, rows, dead_share):
     sampler = AdaptiveNeighborSampler(0, EDGE_DIM, M, seed=0)
     assert sampler.enc_dim == D
-    mask = candidate_mask(rng, rows, dead_share)
-    candidates = NeighborBatch(
-        root_nodes=rng.integers(0, 1000, rows), root_times=np.full(rows, 100.0),
-        nodes=np.where(mask, rng.integers(1, 50, (rows, M)), 0),
-        eids=np.where(mask, rng.integers(1, 10 ** 4, (rows, M)), 0),
-        times=np.where(mask, rng.uniform(1.0, 99.0, (rows, M)), 0.0), mask=mask)
-    edge_feat = randn(rng, rows, M, EDGE_DIM).data * mask[..., None]
+    candidates = sampler_candidates(rng, rows, dead_share)
+    edge_feat = randn(rng, rows, M, EDGE_DIM).data * candidates.mask[..., None]
     return lambda: sampler(candidates, BUDGET, edge_feat=edge_feat).log_prob
 
 
@@ -196,7 +217,9 @@ OPS = {
     "layer_norm": (layer_norm_op, {"dead0": 0.0}, None),
     "linear": (linear_op, {"dead0": 0.0}, None),
     "mixer_block": (mixer_op, DEAD_SHARES, None),
+    "sampler_encode": (sampler_encode_op, {"dead0": 0.0}, (289, 1174)),
     "sampler_mixer": (sampler_mixer_op, {"dead0": 0.0}, (289, 1174)),
+    "sampler_head": (sampler_head_op, {"dead0": 0.0}, (289, 1174)),
     "adaptive_sampler": (sampler_op, DEAD_SHARES, None),
     "tgat_aggregate": (tgat_aggregate_op, {"zero_state": False, "live_h": True}, None),
     "graphmixer_aggregate": (graphmixer_aggregate_op, {"zero_state": None}, (3, 600)),

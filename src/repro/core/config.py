@@ -65,8 +65,8 @@ class TaserConfig:
     adaptive_neighbor: bool = True
     #: gamma — uniform mixture weight of the importance distribution (Eq. 11).
     gamma: float = 0.1
-    #: neighbor-decoder family: "mlp_mixer" default routing ("linear", "gat",
-    #: "gatv2", "transformer" select the predictor of Eq. 17-20).
+    #: neighbor-decoder family, the predictor of Eq. 17-20 after the MLP-Mixer
+    #: block every decoder runs: "linear", "gat", "gatv2" or "transformer".
     decoder: str = "linear"
     #: include the frequency encoding (Eq. 12) in the neighbor encoder.
     use_frequency_encoding: bool = True

@@ -22,16 +22,22 @@ Selection
     ``log q_theta``; the log-probabilities of the selected neighbors are kept
     as autograd tensors so the REINFORCE sample loss (Eq. 23-26) can update
     ``theta``.
+
+One hop is four graph nodes — encode, the mixer block, the decoder, the head
+— each with an analytic backward (``docs/ARCHITECTURE.md``, "The adaptive
+sampler at its floor"); the composition of encoder modules, ``Linear``,
+``masked_softmax``, ``log`` and ``getitem`` nodes over all rows they replace
+is the oracle of ``tests/test_core_sampler.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..encoders import FixedTimeEncoder, FrequencyEncoder, IdentityEncoder, sort_by_recency
+from ..encoders import FixedTimeEncoder, FrequencyEncoder
 from ..nn import Linear, MixerBlock, Module
 from ..sampling.base import NeighborBatch
 from ..tensor import Tensor, concatenate
@@ -57,8 +63,9 @@ class NeighborSelection:
     mask: np.ndarray
     #: log q_theta of the selected neighbors (autograd tensor), (R, n).
     log_prob: Tensor
-    #: full candidate probability matrix (autograd tensor), (R, m).
-    probabilities: Tensor
+    #: full candidate probability matrix q_theta, (R, m) (no gradient: the
+    #: sample loss differentiates ``log_prob``).
+    probabilities: np.ndarray
 
 
 class AdaptiveNeighborSampler(Module):
@@ -76,6 +83,9 @@ class AdaptiveNeighborSampler(Module):
         rng = rng if rng is not None else np.random.default_rng(seed)
         if num_candidates <= 0:
             raise ValueError("num_candidates must be positive")
+        if not temperature > 0:
+            # The head divides by it; a negative one would invert the ranking.
+            raise ValueError(f"temperature must be positive, got {temperature}")
         self.num_candidates = num_candidates
         self.node_dim = node_dim
         self.edge_dim = edge_dim
@@ -94,7 +104,9 @@ class AdaptiveNeighborSampler(Module):
         self.edge_proj = Linear(edge_dim, feat_dim, rng=rng) if edge_dim else None
         self.time_encoder = FixedTimeEncoder(time_dim)
         self.freq_encoder = FrequencyEncoder(freq_dim) if use_frequency_encoding else None
-        self.identity_encoder = IdentityEncoder(num_candidates) if use_identity_encoding else None
+        #: the leading encoder channels with a parameter behind them (the
+        #: projections): the mixer block's input gradient is formed on these.
+        self.live_channels = feat_dim * ((node_dim > 0) + (edge_dim > 0))
 
         enc_dim = time_dim
         if node_dim:
@@ -124,142 +136,84 @@ class AdaptiveNeighborSampler(Module):
 
     # ------------------------------------------------------------------ encoding
 
-    def encode(self, candidates: NeighborBatch,
-               edge_feat: Optional[np.ndarray],
-               neigh_node_feat: Optional[np.ndarray],
-               target_node_feat: Optional[np.ndarray]
-               ) -> Tuple[Tensor, Optional[Tensor]]:
-        """Build neighbor embeddings ``Z`` (R, m, enc_dim) and target embeddings.
-
-        The target embedding is ``None`` when the decoder does not read it
-        (:attr:`~repro.core.decoders.NeighborDecoder.uses_target`).
-        """
-        if candidates.budget != self.num_candidates:
-            raise ValueError(
-                f"sampler was built for m={self.num_candidates} candidates, got "
-                f"{candidates.budget}")
+    def encode(self, candidates: NeighborBatch, edge_feat: Optional[np.ndarray],
+               neigh_node_feat: Optional[np.ndarray]) -> Tensor:
+        """Neighbor embeddings ``Z`` ``(R, m, enc_dim)``: one graph node
+        (:func:`~repro.tensor.functional.sampler_encode`) that writes every
+        part straight into the mixer block's channel-major input buffer."""
         r, m = candidates.nodes.shape
+        feats, params = [], []
+        for proj, x, dim in ((self.node_proj, neigh_node_feat, self.node_dim),
+                             (self.edge_proj, edge_feat, self.edge_dim)):
+            if proj is not None:
+                feats.append(np.zeros((r, m, dim), dtype=proj.weight.dtype)
+                             if x is None else x)
+                params += [proj.weight, proj.bias]
+        return F.sampler_encode(
+            self.mixer.input_buffer(r), feats, params, candidates.delta_t(),
+            self.time_encoder.omega, candidates.nodes, candidates.mask,
+            None if self.freq_encoder is None else self.freq_encoder.inv_wavelength,
+            self.use_identity_encoding)
+
+    def target_embedding(self, rows: int,
+                         target_node_feat: Optional[np.ndarray]) -> Tensor:
+        """Target embedding ``(R, target_dim)`` (Eq. 21): node feature (if
+        any), zero time encoding, frequency-one encoding.  Built only for the
+        decoders that read it (:attr:`~repro.core.decoders.NeighborDecoder.uses_target`)."""
         parts = []
         if self.node_proj is not None:
-            feats = Tensor(neigh_node_feat) if neigh_node_feat is not None \
-                else Tensor.zeros(r, m, self.node_dim)
-            parts.append(self.node_proj(feats).gelu())
-        if self.edge_proj is not None:
-            feats = Tensor(edge_feat) if edge_feat is not None \
-                else Tensor.zeros(r, m, self.edge_dim)
-            parts.append(self.edge_proj(feats).gelu())
-        parts.append(self.time_encoder(candidates.delta_t()))
-        if self.freq_encoder is not None:
-            parts.append(self.freq_encoder(candidates.frequencies()))
-        if self.identity_encoder is not None:
-            parts.append(self.identity_encoder(candidates.nodes, candidates.mask))
-        # Written straight into the mixer kernel's channel-major input.
-        z_neighbors = concatenate(parts, axis=-1, out=self.mixer.input_buffer(r))
-        if not self.decoder.uses_target:
-            return z_neighbors, None
-
-        # Target embedding (Eq. 21): node feature (if any), zero time encoding,
-        # frequency-one encoding.
-        t_parts = []
-        if self.node_proj is not None:
             feats = Tensor(target_node_feat) if target_node_feat is not None \
-                else Tensor.zeros(r, self.node_dim)
-            t_parts.append(self.node_proj(feats).gelu())
-        t_parts.append(self.time_encoder(np.zeros(r)))
+                else Tensor.zeros(rows, self.node_dim)
+            parts.append(self.node_proj(feats).gelu())
+        parts.append(self.time_encoder(np.zeros(rows)))
         if self.freq_encoder is not None:
-            t_parts.append(self.freq_encoder(np.ones(r)))
-        z_target = concatenate(t_parts, axis=-1)
-        return z_neighbors, z_target
+            parts.append(self.freq_encoder(np.ones(rows)))
+        return concatenate(parts, axis=-1)
 
-    # ------------------------------------------------------------------ probabilities
-
-    def probabilities(self, candidates: NeighborBatch,
-                      edge_feat: Optional[np.ndarray] = None,
-                      neigh_node_feat: Optional[np.ndarray] = None,
-                      target_node_feat: Optional[np.ndarray] = None) -> Tensor:
-        """Compute ``q_theta(u | v)`` over the candidate neighborhood, (R, m)."""
-        z_neighbors, z_target = self.encode(candidates, edge_feat, neigh_node_feat,
-                                            target_node_feat)
-        mixed = self.mixer(z_neighbors, mask=candidates.mask)
-        scores = self.decoder(mixed, z_target) * (1.0 / self.temperature)
-        return F.masked_softmax(scores, candidates.mask, axis=-1)
-
-    # ------------------------------------------------------------------ selection
-
-    @staticmethod
-    def _check_budget(budget: int, m: int) -> None:
-        if budget > m:
-            raise ValueError("selection budget exceeds the candidate budget")
-
-    def _gumbel(self, shape: Tuple[int, int], greedy: bool) -> Optional[np.ndarray]:
-        """The selection noise of one call (``None`` for greedy selection)."""
-        return None if greedy else self._select_rng.gumbel(size=shape)
-
-    def _pick(self, probabilities: Tensor, mask: np.ndarray, budget: int,
-              noise: Optional[np.ndarray]) -> NeighborSelection:
-        """Gumbel-top-k over ``log q`` perturbed by ``noise``."""
-        keys = np.log(np.maximum(probabilities.data, _PROB_FLOOR))
-        if noise is not None:
-            # Out of place: the float64 noise is not rounded into the keys.
-            keys = keys + noise
-        # Invalid candidates must sort last.
-        keys = np.where(mask, keys, -np.inf)
-        columns = np.argsort(-keys, axis=1, kind="stable")[:, :budget]
-        sel_mask = np.take_along_axis(mask, columns, axis=1)
-
-        rows = np.arange(len(columns))[:, None]
-        log_prob_full = (probabilities + _PROB_FLOOR).log()
-        log_prob = log_prob_full[rows, columns]
-        return NeighborSelection(columns=columns, mask=sel_mask, log_prob=log_prob,
-                                 probabilities=probabilities)
-
-    def select(self, probabilities: Tensor, mask: np.ndarray, budget: int,
-               greedy: bool = False) -> NeighborSelection:
-        """Draw ``budget`` neighbors per row without replacement from ``q_theta``.
-
-        Gumbel-top-k over ``log q`` yields an exact sample from the successive
-        sampling-without-replacement process.  Rows with fewer valid
-        candidates than ``budget`` keep all their valid candidates and pad the
-        remainder (padding slots are masked out downstream).  With
-        ``greedy=True`` the top-``budget`` most probable neighbors are taken
-        instead (used at evaluation time for variance-free inference).
-        """
-        self._check_budget(budget, probabilities.shape[1])
-        return self._pick(probabilities, mask, budget,
-                          self._gumbel(probabilities.shape, greedy))
-
-    # ------------------------------------------------------------------ convenience
+    # ------------------------------------------------------------------ one hop
 
     def forward(self, candidates: NeighborBatch, budget: int,
                 edge_feat: Optional[np.ndarray] = None,
                 neigh_node_feat: Optional[np.ndarray] = None,
                 target_node_feat: Optional[np.ndarray] = None,
                 greedy: bool = False) -> NeighborSelection:
-        """Probability computation followed by selection, on the live rows.
+        """Score the candidates and draw ``budget`` of them per row, on the
+        live rows: four graph nodes, encode -> mixer block -> decoder -> head
+        (:func:`~repro.tensor.functional.sampler_head`).
+
+        The head takes ``q = masked_softmax(scores / temperature)`` and draws
+        without replacement by Gumbel-top-k over ``log q`` — an exact sample
+        from the successive sampling-without-replacement process; with
+        ``greedy=True`` the ``budget`` most probable candidates instead
+        (evaluation's variance-free inference).  A row with fewer valid
+        candidates than ``budget`` keeps all of them and pads the rest
+        (masked out downstream).
 
         A row is *dead* when it has no valid candidate (a padded frontier
-        slot, a target without history): its probabilities are identically
-        zero, nothing can be selected from it and its REINFORCE coefficient
-        is masked out.  Only the live rows are encoded, mixed and decoded —
-        every stage is row-independent, so they read exactly what they would
-        in the full batch — and the results are scattered back to ``(R, .)``.
-        Dead rows read columns ``0..n-1``, mask False, ``log_prob =
-        log(1e-20)`` and probability 0, the values :meth:`probabilities` +
-        :meth:`select` give them.  The Gumbel noise is still drawn at
-        ``(R, m)`` and sliced, so the selection RNG advances as if every row
-        had been scored.
+        slot, a target without history): nothing can be selected from it and
+        its REINFORCE coefficient is masked out.  Only the live rows are
+        encoded, mixed and decoded — every stage is row-independent, so they
+        read exactly what they would in the full batch.  Dead rows read
+        columns ``0..n-1``, mask False, ``log_prob = log(1e-20)`` and
+        probability 0.  The Gumbel noise is still drawn at ``(R, m)`` and
+        sliced, so the selection RNG advances as if every row had been
+        scored.
         """
+        if candidates.budget != self.num_candidates:
+            raise ValueError(
+                f"sampler was built for m={self.num_candidates} candidates, got "
+                f"{candidates.budget}")
         r, m = candidates.nodes.shape
-        self._check_budget(budget, m)
-        noise = self._gumbel((r, m), greedy)
+        if budget > m:
+            raise ValueError("selection budget exceeds the candidate budget")
+        noise = None if greedy else self._select_rng.gumbel(size=(r, m))
         live = np.flatnonzero(candidates.mask.any(axis=1))
-        columns = np.tile(np.arange(budget), (r, 1))
-        mask = np.zeros((r, budget), dtype=bool)
         if live.size == 0:
             return NeighborSelection(
-                columns=columns, mask=mask,
+                columns=np.tile(np.arange(budget), (r, 1)),
+                mask=np.zeros((r, budget), dtype=bool),
                 log_prob=Tensor.zeros(r, budget) + _LOG_PROB_FLOOR,
-                probabilities=Tensor.zeros(r, m))
+                probabilities=np.zeros((r, m), dtype=self.mixer.token_norm.weight.dtype))
 
         def take(array):
             return None if array is None else array[live]
@@ -267,12 +221,12 @@ class AdaptiveNeighborSampler(Module):
             root_nodes=candidates.root_nodes[live], root_times=candidates.root_times[live],
             nodes=candidates.nodes[live], eids=candidates.eids[live],
             times=candidates.times[live], mask=candidates.mask[live])
-        probs = self.probabilities(alive, take(edge_feat), take(neigh_node_feat),
-                                   take(target_node_feat))
-        picked = self._pick(probs, alive.mask, budget, take(noise))
-        columns[live] = picked.columns
-        mask[live] = picked.mask
-        return NeighborSelection(
-            columns=columns, mask=mask,
-            log_prob=F.scatter_rows(picked.log_prob, live, r, fill=_LOG_PROB_FLOOR),
-            probabilities=F.scatter_rows(probs, live, r))
+        encoded = self.encode(alive, take(edge_feat), take(neigh_node_feat))
+        mixed = self.mixer(encoded, mask=alive.mask, live_channels=self.live_channels)
+        z_target = self.target_embedding(live.size, take(target_node_feat)) \
+            if self.decoder.uses_target else None
+        log_prob, columns, mask, probs = F.sampler_head(
+            self.decoder(mixed, z_target), alive.mask, budget, self.temperature,
+            take(noise), live, r, _PROB_FLOOR)
+        return NeighborSelection(columns=columns, mask=mask, log_prob=log_prob,
+                                 probabilities=probs)

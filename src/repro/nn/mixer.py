@@ -82,12 +82,13 @@ class MixerBlock(Module):
         """An uninitialised ``(rows, num_tokens, dim)`` array in the dtype of
         the block's parameters, laid out the way the block's kernel reads its
         input — the transpose of a C-contiguous ``(dim, num_tokens, rows)``
-        array — so an input written into it (``concatenate(..., out=)``)
-        reaches the kernel without a copy."""
+        array — so an input written into it (``F.sampler_encode``,
+        ``concatenate(..., out=)``) reaches the kernel without a copy."""
         return np.empty((self.dim, self.num_tokens, rows),
                         dtype=self.token_norm.weight.dtype).transpose(2, 1, 0)
 
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None,
+                live_channels: Optional[int] = None) -> Tensor:
         """Apply the block.
 
         Parameters
@@ -98,11 +99,14 @@ class MixerBlock(Module):
             Optional boolean array ``(batch, num_tokens)`` marking valid
             neighbors; padded entries are zeroed before token mixing so they
             cannot leak information into the valid positions.
+        live_channels:
+            How many leading channels of ``x`` want a gradient (``None``:
+            all); the others read zero (:func:`~repro.tensor.functional.mixer_block`).
         """
         fmask = None if mask is None else np.asarray(mask, dtype=x.dtype)[..., None]
         keep_t, keep_c = self.keep_masks(x.shape[0], x.dtype)
         return F.mixer_block(x, fmask, self.block_parameters(), keep_t, keep_c,
-                             eps=self.token_norm.eps)
+                             eps=self.token_norm.eps, live_channels=live_channels)
 
     def block_parameters(self) -> tuple:
         """The block's twelve parameters in registration order — the

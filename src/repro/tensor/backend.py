@@ -5,10 +5,10 @@ the layers built on it) performs in a forward or backward pass goes through
 the one :class:`ReferenceBackend` instance that :func:`get_backend` returns.
 The class *is* the kernel surface: element-wise primitives, reductions,
 gradient plumbing and the composite forward / backward kernel pairs
-(LayerNorm, Linear, the MLP-Mixer block, TGAT's temporal attention) that back
-one autograd node each.  Every kernel allocates its result and owns what it
-returns; none writes into the ``g`` it receives (see "Gradient ownership" in
-:mod:`repro.tensor.tensor`).
+(LayerNorm, Linear, the MLP-Mixer block, TGAT's temporal attention, the
+adaptive sampler's encoder and head, ...) that back one autograd node each.
+Every kernel allocates its result and owns what it returns; none writes into
+the ``g`` it receives (see "Gradient ownership" in :mod:`repro.tensor.tensor`).
 
 There is one runtime and nothing to select.  What the seam is for is
 *observation*: callers resolve a kernel by attribute lookup on the instance at
@@ -247,7 +247,10 @@ class ReferenceBackend:
 
     def leaky_relu_backward(self, g: np.ndarray, mask: np.ndarray,
                             slope: float) -> np.ndarray:
-        return g * np.where(mask, 1.0, slope)
+        # The factor in the dtype of ``g``: bare Python numbers would make it
+        # a double-precision array and widen the gradient.
+        one = g.dtype.type
+        return g * np.where(mask, one(1.0), one(slope))
 
     def fixed_time_encoding(self, dt: np.ndarray, omega: np.ndarray,
                             dtype) -> np.ndarray:
@@ -342,17 +345,30 @@ class ReferenceBackend:
     @classmethod
     def _standardize_backward(cls, gxhat: np.ndarray, xhat: np.ndarray, rstd: np.ndarray,
                               scratch: Optional[np.ndarray] = None,
-                              axis: int = -1) -> np.ndarray:
+                              axis: int = -1, out: Optional[np.ndarray] = None
+                              ) -> np.ndarray:
         """Input gradient of :meth:`_standardize` over ``axis``, computed in
         place in ``gxhat`` — a buffer the caller owns, as it does ``scratch``,
-        which takes the one full-size temporary."""
+        which takes the one full-size temporary.
+
+        With ``out`` (channel-major only, ``axis=0``; it may be the leading
+        slice of ``gxhat`` itself) just the leading ``len(out)`` channels are
+        formed, into ``out``: both channel means still read every channel of
+        ``gxhat``."""
         spec, keep = cls._DOT[axis]
         proj = np.einsum(spec, gxhat, xhat)[keep]
         proj /= gxhat.shape[axis]
-        gxhat -= cls._mean(gxhat, axis)
-        gxhat -= np.multiply(xhat, proj, out=scratch)
-        gxhat *= rstd
-        return gxhat
+        mean = cls._mean(gxhat, axis)
+        if out is None:
+            out = gxhat
+        else:
+            live = len(out)
+            gxhat, xhat = gxhat[:live], xhat[:live]
+            scratch = None if scratch is None else scratch[:live]
+        np.subtract(gxhat, mean, out=out)
+        out -= np.multiply(xhat, proj, out=scratch)
+        out *= rstd
+        return out
 
     def linear_forward(self, a2d: np.ndarray, w: np.ndarray,
                        b: Optional[np.ndarray]) -> np.ndarray:
@@ -490,6 +506,12 @@ class ReferenceBackend:
         the token sub-block's ``gamma, beta, W1, b1, W2, b2``, 7-12 the
         channel sub-block's.
 
+        ``need[0]`` may also be a channel count: the input gradient is then
+        wanted on the leading ``need[0]`` channels only (``True``: all ``d``).
+        Below ``d`` only that leading slice of the channel-major gradient is
+        formed and the other channels read exactly zero; the token layer
+        norm's channel means still read all ``d`` channels.
+
         With ``P = ga @ xhat.T`` the small ``(h, d)`` product of the channel
         sub-block and ``gb' = ga.sum(1)``, the folded affine unfolds as
         ``dW1 = P * gamma + gb' (x) beta``, ``dgamma = sum_h(P * W1)`` and
@@ -556,13 +578,174 @@ class ReferenceBackend:
             grads[4] = gc.sum(axis=0)
         if need[0]:
             ga *= gam_t[:, None, None]
-            gx = self._standardize_backward(self.matmul(w1t.T, ga), xhat_t, rstd_t,
-                                            scratch, axis=0)
-            gx += gx1
+            gxhat = self.matmul(w1t.T, ga)
+            live = d if need[0] is True else need[0]
+            head = self._standardize_backward(gxhat, xhat_t, rstd_t, scratch, axis=0,
+                                              out=None if live == d else gxhat[:live])
+            gxhat[live:] = 0.0
+            head += gx1[:live]
             if fmask is not None:
-                gx *= fmask
-            grads[0] = gx.transpose(2, 1, 0)
+                head *= fmask
+            grads[0] = gxhat.transpose(2, 1, 0)
         return grads
+
+    # -- adaptive sampler: encoder and head (one autograd node each) ---------
+    # One hop of the sampler is four nodes: encode -> mixer block -> decoder
+    # -> head.  The encoder writes every part of ``h(u) || h(v,u,t) || TE(dt)
+    # || FE(freq) || IE(u)`` straight into the block's channel-major ``(d, m,
+    # R)`` input; only the GELU projections carry parameters, and they come
+    # first, so the block's input gradient is wanted on a leading channel
+    # slice.  The head turns the decoder's scores into the selection and the
+    # log-probabilities the REINFORCE loss differentiates.
+
+    def sampler_encode_forward(self, out: np.ndarray, feats, params, delta: np.ndarray,
+                               omega: np.ndarray, nodes: np.ndarray, mask: np.ndarray,
+                               inv_wavelength: Optional[np.ndarray], identity: bool,
+                               retain: bool):
+        """Write the sampler's neighbor encoding of ``R`` rows of ``m``
+        candidates into ``out``, a C-contiguous ``(d, m, R)`` array; returns
+        ``saved``, ``None`` unless ``retain``.
+
+        Channels in order: one projection ``gelu(x @ W.T + b)`` per ``(R, m,
+        k)`` array ``x`` of ``feats`` (``params`` holds each one's ``W, b``),
+        the fixed time encoding ``cos(delta * omega)`` of the ``(R, m)``
+        timespans, the frequency encoding of each valid candidate's count in
+        its row (``inv_wavelength``; ``None``: left out) and, with
+        ``identity``, the ``m`` same-node indicators of the valid pairs.
+        Counts and indicators read one pairwise equality of ``nodes`` under
+        ``mask``.
+        """
+        self._one_float_dtype(out, *feats, *params)
+        m, rows = out.shape[1:]
+        start, saved = 0, []
+        for x, w, b in zip(feats, params[0::2], params[1::2]):
+            x2d = x.reshape(-1, x.shape[-1])
+            a = self.matmul(x2d, w.T)
+            a += b
+            s = self._gelu_gate(a)
+            y = np.multiply(a, s, out=a)
+            stop = start + w.shape[0]
+            out[start:stop] = y.reshape(rows, m, -1).transpose(2, 1, 0)
+            saved.append((x2d, y, s))
+            start = stop
+        # The phase omega (x) delta, built channel-major: the timespans enter
+        # as the (1, m, R) factor, so every pass runs along the rows.
+        stop = start + omega.shape[0]
+        phase = self._reduced_phase(omega[:, None], delta.T[None], None, out.dtype)
+        np.cos(phase, out=out[start:stop])
+        start = stop
+        k = 0 if inv_wavelength is None else inv_wavelength.shape[0]
+        if k or identity:
+            # An invalid slot gets an id no other slot has (-1 - its column),
+            # so off the diagonal equality is "same node, both valid"; the
+            # diagonal is then set to "valid".
+            ids = np.where(mask, nodes, -1 - np.arange(m)).T.copy()
+            same = out[start + k:start + k + m] if identity else \
+                np.empty((m, m, rows), dtype=out.dtype)
+            np.equal(ids[:, None], ids[None], out=same)
+            same[np.arange(m), np.arange(m)] = mask.T
+            if k:
+                counts = np.add.reduce(same, axis=0).astype(np.intp)
+                np.take(self._frequency_table(m, inv_wavelength, out.dtype), counts,
+                        axis=1, out=out[start:start + k], mode="clip")
+        return saved if retain else None
+
+    @staticmethod
+    def _frequency_table(m: int, inv_wavelength: np.ndarray, dtype) -> np.ndarray:
+        """The ``(k, m + 1)`` frequency encoding of the counts ``0..m``:
+        channels alternate ``sin`` / ``cos`` of ``count * inv_wavelength``,
+        a pair sharing one wavelength (Eq. 12)."""
+        k = inv_wavelength.shape[0]
+        angles = np.multiply.outer(inv_wavelength[0::2].astype(dtype),
+                                   np.arange(m + 1, dtype=dtype))
+        table = np.empty((k, m + 1), dtype=dtype)
+        table[0::2] = np.sin(angles)
+        table[1::2] = np.cos(angles[:k // 2])
+        return table
+
+    def sampler_encode_backward(self, g: np.ndarray, saved, params, need) -> list:
+        """Gradients of :meth:`sampler_encode_forward` w.r.t. ``params``;
+        ``need[i]`` says whether entry ``i`` is wanted (``None`` otherwise).
+        ``g`` is the ``(R, m, d)`` transpose of the channel-major gradient of
+        ``out``; only its leading projection channels are read."""
+        self._one_float_dtype(g, *params)
+        gcm = g.transpose(2, 1, 0)
+        grads = [None] * len(params)
+        start = 0
+        for i, (x2d, y, s) in enumerate(saved):
+            stop = start + y.shape[1]
+            gy = np.array(gcm[start:stop].transpose(2, 1, 0), order="C").reshape(y.shape)
+            self._gelu_backward(gy, y, s, None)
+            if need[2 * i]:
+                grads[2 * i] = self.matmul(gy.T, x2d)
+            if need[2 * i + 1]:
+                grads[2 * i + 1] = gy.sum(axis=0)
+            start = stop
+        return grads
+
+    def sampler_head_forward(self, scores: np.ndarray, mask: np.ndarray, budget: int,
+                             temperature: float, noise: Optional[np.ndarray],
+                             live: np.ndarray, num_rows: int, floor: float,
+                             retain: bool):
+        """Scores ``(L, m)`` of the ``L`` live rows ``live`` of an ``R =
+        num_rows`` batch to the selection of ``budget`` candidates per row;
+        returns ``(log_prob, columns, selected, probs, saved)``, ``saved``
+        ``None`` unless ``retain``.
+
+        ``q = softmax(scores / temperature)`` over each row's valid
+        candidates (``mask``), then Gumbel-top-``budget`` over ``log
+        max(q, floor) + noise`` (``noise`` ``(L, m)``; ``None``: greedy), a
+        stable sort with the masked candidates last.  ``columns`` ``(R,
+        budget)`` are the picked candidates, ``selected`` their validity,
+        ``log_prob`` their ``log(q + floor)`` and ``probs`` ``(R, m)`` is
+        ``q``; a row outside ``live`` reads columns ``0..budget-1``, selected
+        False, ``log_prob = log(floor)`` and probability 0.
+        """
+        m = scores.shape[1]
+        dtype = scores.dtype.type
+        # Candidate-major (m, L): each row's reductions over its m candidates
+        # run along the rows, and the linear decoder's scores are laid out so.
+        valid = np.ascontiguousarray(mask.T)
+        q = np.multiply(scores.T, 1.0 / temperature, order="C")
+        q += np.where(valid, dtype(0.0), dtype(-1e30))
+        q -= q.max(axis=0)
+        np.exp(q, out=q)
+        q /= q.sum(axis=0)
+        keys = np.log(np.maximum(q, floor))
+        if noise is not None:
+            # Out of place: the noise is not rounded into the keys' dtype.
+            keys = keys + noise.T
+        keys[~valid] = -np.inf
+        picked = np.argsort(-keys, axis=0, kind="stable")[:budget]
+        q_sel = np.take_along_axis(q, picked, axis=0)
+        hit = np.take_along_axis(valid, picked, axis=0)
+        selected = np.zeros((num_rows, budget), dtype=bool)
+        selected[live] = hit.T
+        columns = np.tile(np.arange(budget), (num_rows, 1))
+        columns[live] = picked.T
+        log_prob = np.full((num_rows, budget), np.log(floor), dtype=q.dtype)
+        log_prob[live] = np.log(q_sel + floor).T
+        probs = np.zeros((num_rows, m), dtype=q.dtype)
+        probs[live] = q.T
+        saved = (q, live, picked, hit, q_sel) if retain else None
+        return log_prob, columns, selected, probs, saved
+
+    def sampler_head_backward(self, g: np.ndarray, saved, temperature: float,
+                              floor: float) -> np.ndarray:
+        """Gradient of :meth:`sampler_head_forward`'s ``log_prob`` w.r.t. the
+        scores, in closed form: with ``a = g / (q_sel + floor)`` placed at the
+        selected valid columns (0 elsewhere, where ``q`` is 0 or nothing was
+        picked), ``d scores = q * (a - sum_k q_k a_k) / temperature``.
+        Returned as the ``(L, m)`` transpose of a C-contiguous array."""
+        q, live, picked, hit, q_sel = saved
+        self._one_float_dtype(q, g)
+        a_sel = np.divide(g[live].T, q_sel + floor, where=hit, out=np.zeros_like(q_sel))
+        a = np.zeros_like(q)
+        np.put_along_axis(a, picked, a_sel, axis=0)
+        a -= (a * q).sum(axis=0)
+        a *= q
+        a *= 1.0 / temperature
+        return a.T
 
     # -- TGAT temporal-attention aggregate (one autograd node) ---------------
     # Time encoding -> message -> K|V -> masked multi-head attention of one

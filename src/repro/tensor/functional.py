@@ -8,8 +8,9 @@ All float math here is composed from :class:`~repro.tensor.Tensor` ops, so
 it runs on the array runtime of :mod:`~repro.tensor.backend`.
 :func:`linear`, :func:`layer_norm`, :func:`mixer_block`,
 :func:`temporal_attention`, :func:`graphmixer_aggregate`,
-:func:`edge_predictor` and :func:`scatter_rows` are single graph nodes
-defined beside the engine (:mod:`repro.tensor.tensor`) and re-exported here.  Only
+:func:`edge_predictor`, :func:`sampler_encode` and :func:`sampler_head` are
+single graph nodes defined beside the engine (:mod:`repro.tensor.tensor`) and
+re-exported here.  Only
 mask plumbing (boolean arrays, ``-1e30`` fill values, dropout keep-masks)
 touches numpy directly; it moves no float math, and builds every mask in the
 dtype of the tensor it scales.
@@ -22,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .tensor import (Tensor, concatenate, edge_predictor, graphmixer_aggregate,
-                     layer_norm, linear, mixer_block, scatter_rows, stack,
-                     temporal_attention, where)
+                     layer_norm, linear, mixer_block, sampler_encode, sampler_head,
+                     stack, temporal_attention, where)
 
 __all__ = [
     "sigmoid",
@@ -44,7 +45,8 @@ __all__ = [
     "temporal_attention",
     "graphmixer_aggregate",
     "edge_predictor",
-    "scatter_rows",
+    "sampler_encode",
+    "sampler_head",
     "masked_softmax",
     "concatenate",
     "stack",

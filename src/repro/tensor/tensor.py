@@ -66,14 +66,16 @@ only to sum it.
 Composite kernels
 -----------------
 :func:`linear`, :func:`layer_norm`, :func:`mixer_block`,
-:func:`temporal_attention`, :func:`graphmixer_aggregate` and
-:func:`edge_predictor` are one graph node each with an analytic backward,
+:func:`temporal_attention`, :func:`graphmixer_aggregate`,
+:func:`edge_predictor` and the adaptive sampler's :func:`sampler_encode` and
+:func:`sampler_head` are one graph node each with an analytic backward,
 over a forward / backward kernel pair on the array backend; the kernels
 compute only the gradients whose tensor requires one and never write into the
 ``g`` they receive.  The
 primitive-composed forms (``x @ W.T + b``, ``mean`` / ``sub`` / ``sqrt`` /
 ``div``, the mixer block's modules, TGAT's and GraphMixer's concatenated
-messages, per-head matmuls) agree with them to the last few ulps — the edge
+messages, per-head matmuls, the sampler's encoder modules and its
+softmax / log / gather tail) agree with them to the last few ulps — the edge
 predictor's bit for bit — and live on as test oracles.
 
 Backend dispatch
@@ -908,7 +910,8 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
 
 def mixer_block(x: Tensor, fmask: Optional[np.ndarray], params: Sequence[Tensor],
                 keep_t: Optional[np.ndarray] = None,
-                keep_c: Optional[np.ndarray] = None, eps: float = 1e-5) -> Tensor:
+                keep_c: Optional[np.ndarray] = None, eps: float = 1e-5,
+                live_channels: Optional[int] = None) -> Tensor:
     """One MLP-Mixer block — token mixing then channel mixing, each a
     pre-norm GELU feed-forward with a residual — on ``x`` ``(R, m, d)``.
 
@@ -918,8 +921,12 @@ def mixer_block(x: Tensor, fmask: Optional[np.ndarray], params: Sequence[Tensor]
     sub-block: norm weight and bias, ``fc1`` and ``fc2`` weight and bias),
     ``fmask`` the ``(R, m, 1)`` float validity mask applied to the input and
     the output, ``keep_t`` ``(R, h_t, d)`` / ``keep_c`` ``(R, m, h_c)`` the
-    scaled dropout keep-masks of the two hidden layers.  The composition of
-    ``layer_norm`` / ``linear`` / ``gelu`` it replaces is the test oracle.
+    scaled dropout keep-masks of the two hidden layers.  With
+    ``live_channels`` only the leading channels of ``x``'s gradient are
+    formed, the rest reading zero: channels that nothing upstream takes a
+    gradient from need none (the adaptive sampler's fixed encodings).  The
+    composition of ``layer_norm`` / ``linear`` / ``gelu`` it replaces is the
+    test oracle.
     """
     parents = (x, *params)
     arrays = [p.data for p in params]
@@ -931,14 +938,88 @@ def mixer_block(x: Tensor, fmask: Optional[np.ndarray], params: Sequence[Tensor]
         out._prev = parents
         out._op = "mixer_block"
 
+        need = [p.requires_grad for p in parents]
+        if need[0] and live_channels is not None:
+            need[0] = live_channels
+
         def _backward(g):
-            grads = get_backend().mixer_block_backward(
-                g, saved, arrays, [p.requires_grad for p in parents])
+            grads = get_backend().mixer_block_backward(g, saved, arrays, need)
             for parent, grad in zip(parents, grads):
                 if grad is not None:
                     parent._accumulate(grad)
         out._backward = _backward
     return out
+
+
+def sampler_encode(out: np.ndarray, feats: Sequence[np.ndarray],
+                   params: Sequence[Tensor], delta: np.ndarray, omega: np.ndarray,
+                   nodes: np.ndarray, mask: np.ndarray,
+                   inv_wavelength: Optional[np.ndarray], identity: bool) -> Tensor:
+    """The adaptive sampler's neighbor encoding ``h(u) || h(v,u,t) || TE(dt)
+    || FE(freq) || IE(u)`` of ``R`` rows of ``m`` candidates, written into
+    ``out`` — an ``(R, m, d)`` array laid out channel-major
+    (``MixerBlock.input_buffer``) — and returned as a tensor over it.
+
+    One graph node over the backend's ``sampler_encode_forward`` /
+    ``sampler_encode_backward`` kernels, with ``params`` — weight and bias of
+    each GELU projection of ``feats`` — as parents.  ``delta`` ``(R, m)`` are
+    the timespans of the fixed time encoding ``cos(delta * omega)``,
+    ``nodes`` / ``mask`` the candidates' ids and validity behind the
+    frequency encoding (``inv_wavelength``; ``None``: left out) and, with
+    ``identity``, the identity encoding.  Only the projections carry
+    parameters, and they lead: the backward reads only those channels of
+    its gradient.  The concatenation of the encoder modules it replaces is
+    the test oracle.
+    """
+    arrays = [p.data for p in params]
+    need = [p.requires_grad for p in params]
+    req = _GRAD_ENABLED and any(need)
+    saved = get_backend().sampler_encode_forward(
+        out.transpose(2, 1, 0), feats, arrays, delta, omega, nodes, mask,
+        inv_wavelength, identity, req)
+    encoded = Tensor(out, requires_grad=req)
+    if req:
+        encoded._prev = tuple(params)
+        encoded._op = "sampler_encode"
+
+        def _backward(g):
+            grads = get_backend().sampler_encode_backward(g, saved, arrays, need)
+            for param, grad in zip(params, grads):
+                if grad is not None:
+                    param._accumulate(grad)
+        encoded._backward = _backward
+    return encoded
+
+
+def sampler_head(scores: Tensor, mask: np.ndarray, budget: int, temperature: float,
+                 noise: Optional[np.ndarray], live: np.ndarray, num_rows: int,
+                 floor: float) -> Tuple[Tensor, np.ndarray, np.ndarray, np.ndarray]:
+    """The adaptive sampler's selection from the decoder's ``(L, m)``
+    scores of the live rows ``live`` of an ``R = num_rows`` batch: ``q =
+    masked_softmax(scores / temperature)``, Gumbel-top-``budget`` columns
+    under ``noise`` (``None``: greedy) and ``log(q + floor)`` of the
+    selected, scattered to all ``R`` rows.  Returns ``(log_prob, columns,
+    selected, probs)``: the ``(R, budget)`` log-probabilities as a tensor,
+    the picked columns and their validity, and ``q`` as an ``(R, m)`` array.
+
+    One graph node over the backend's ``sampler_head_forward`` /
+    ``sampler_head_backward`` kernels with ``scores`` as its parent; the
+    backward is the closed form of the composed ``mul`` / ``masked_softmax``
+    / ``log`` / ``getitem`` chain it replaces (the test oracle).
+    """
+    req = _GRAD_ENABLED and scores.requires_grad
+    log_prob, columns, selected, probs, saved = get_backend().sampler_head_forward(
+        scores.data, mask, budget, temperature, noise, live, num_rows, floor, req)
+    out = Tensor(log_prob, requires_grad=req)
+    if req:
+        out._prev = (scores,)
+        out._op = "sampler_head"
+
+        def _backward(g):
+            scores._accumulate(get_backend().sampler_head_backward(
+                g, saved, temperature, floor))
+        out._backward = _backward
+    return out, columns, selected, probs
 
 
 def temporal_attention(delta: np.ndarray, mask: np.ndarray,
@@ -1054,23 +1135,6 @@ def edge_predictor(h_src: Tensor, h_dst: Tensor, params: Sequence[Tensor]) -> Te
             for parent, grad in zip(parents, grads):
                 if grad is not None:
                     parent._accumulate(grad.reshape(parent.shape))
-        out._backward = _backward
-    return out
-
-
-def scatter_rows(src: Tensor, index: np.ndarray, num_rows: int,
-                 fill: float = 0.0) -> Tensor:
-    """Rows of ``src`` placed at ``index`` of a ``(num_rows, ...)`` tensor.
-
-    The inverse of row indexing ``full[index]`` for distinct ``index``: rows
-    not named hold ``fill`` and receive no gradient.
-    """
-    data = np.full((num_rows,) + src.shape[1:], fill, dtype=src.dtype)
-    data[index] = src.data
-    out = src._make(data, (src,), "scatter_rows")
-    if out.requires_grad:
-        def _backward(g):
-            src._accumulate(g[index])
         out._backward = _backward
     return out
 

@@ -49,7 +49,7 @@ PRIMITIVES = {
 PAIRS = {
     "softmax", "log_softmax", "sigmoid", "tanh", "gelu", "relu", "leaky_relu",
     "time_encoding", "layer_norm", "linear", "mixer_block", "temporal_attention",
-    "graphmixer_aggregate", "edge_predictor",
+    "graphmixer_aggregate", "edge_predictor", "sampler_encode", "sampler_head",
 }
 
 

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 import repro.tensor
-from repro.core import TaserConfig, TaserTrainer
+from repro.core import AdaptiveNeighborSampler, TaserConfig, TaserTrainer
 from repro.core.streaming import StreamingTrainer, split_warmup
 from repro.distributed import ShardedTrainer
 from repro.encoders import FixedTimeEncoder, LearnableTimeEncoder
@@ -135,6 +135,18 @@ class TestLeakGuard:
             report = trainer.evaluate("test")
         assert calls[0] > 0 and np.isfinite(stats.batch_losses).all()
         assert 0.0 <= report["mrr"] <= 1.0
+        assert leaks == []
+        assert_model_state_is_compute_dtype(trainer)
+
+    @pytest.mark.parametrize("decoder", ["gat", "gatv2", "transformer"])
+    def test_sampler_decoders(self, small_graph, decoder):
+        """The adaptive sampler's attention decoders train in the compute
+        dtype too: a widened gradient would reach the encoder node, which
+        refuses it."""
+        trainer = TaserTrainer(small_graph, leak_config(backbone="tgat", decoder=decoder))
+        with recorded_kernels() as (leaks, calls):
+            stats = trainer.train_epoch()
+        assert calls[0] > 0 and np.isfinite(stats.batch_losses).all()
         assert leaks == []
         assert_model_state_is_compute_dtype(trainer)
 
@@ -414,6 +426,33 @@ class TestMixedInputsRaise:
         with pytest.raises(MixedDtypeError):
             predictor(out, Tensor(out.data.astype(np.float64)))
         assert predictor(out, out).dtype == np.float32
+
+
+    def test_sampler_encode_and_head(self):
+        """The sampler's encoder refuses float64 features beside its float32
+        projections; its head refuses a float64 gradient of its float32
+        log-probabilities."""
+        rng = np.random.default_rng(4)
+        rows, m = 6, 5
+        mask = rng.random((rows, m)) < 0.7
+        mask[:, 0] = True
+        cand = NeighborBatch(
+            root_nodes=rng.integers(0, 9, rows), root_times=np.full(rows, 60.0),
+            nodes=np.where(mask, rng.integers(1, 4, (rows, m)), 0),
+            eids=np.where(mask, 1, 0),
+            times=np.where(mask, rng.uniform(1.0, 50.0, (rows, m)), 0.0), mask=mask)
+        sampler = AdaptiveNeighborSampler(0, 3, m, seed=0)
+        wide = rng.standard_normal((rows, m, 3))
+        with pytest.raises(MixedDtypeError):
+            sampler(cand, 2, edge_feat=wide)
+        selection = sampler(cand, 2, edge_feat=wide.astype(np.float32))
+        assert selection.log_prob.dtype == selection.probabilities.dtype == np.float32
+        with pytest.raises(MixedDtypeError):
+            (selection.log_prob * Tensor(rng.standard_normal((rows, 2)))).sum().backward()
+        selection = sampler(cand, 2, edge_feat=wide.astype(np.float32))
+        narrow = Tensor(rng.standard_normal((rows, 2)).astype(np.float32))
+        (selection.log_prob * narrow).sum().backward()
+        assert sampler.edge_proj.weight.grad.dtype == np.float32
 
 
 # ------------------------------------------------------------- float32 twins

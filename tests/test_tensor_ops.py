@@ -750,6 +750,34 @@ class TestCompositeKernels:
                 if wanted:
                     assert np.array_equal(grad, full)
 
+    @pytest.mark.parametrize("live", [0, 2, 5])
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_mixer_block_live_channels(self, live, masked):
+        """``live_channels`` forms the input gradient's leading channels
+        only — bitwise those of the full-width gradient — and leaves the
+        others exactly zero; the parameter gradients do not move."""
+        block = make_mixer(self.rng, 4, 6)
+        x_data, coeff = self.rng.standard_normal((2, 3, 4, 6))
+        mask = self.rng.random((3, 4)) < 0.7 if masked else None
+        _, full, full_params = run_mixer(node_mixer_block, block, x_data, mask, coeff)
+        _, part, part_params = run_mixer(
+            lambda b, x, m: b(x, mask=m, live_channels=live), block, x_data, mask, coeff)
+        if live == 0:
+            assert part is None
+        else:
+            assert part.shape == full.shape
+            assert part[..., :live].tobytes() == np.ascontiguousarray(
+                full[..., :live]).tobytes()
+            assert not part[..., live:].any()
+        for got, want in zip(part_params, full_params):
+            assert got.tobytes() == want.tobytes()
+        # ``True`` is every channel, bitwise the same as the full count
+        B, params = get_backend(), [p.data for p in block.parameters()]
+        _, saved = B.mixer_block_forward(x_data, None, params, None, None, 1e-5, True)
+        every = B.mixer_block_backward(coeff, saved, params, [True] * 13)[0]
+        count = B.mixer_block_backward(coeff, saved, params, [6] + [True] * 12)[0]
+        assert every.tobytes() == count.tobytes()
+
     def test_mixer_block_backward_twice_doubles_the_gradient(self):
         block = make_mixer(self.rng, 4, 6)
         x_data, coeff = self.rng.standard_normal((2, 3, 4, 6))
@@ -781,20 +809,6 @@ class TestCompositeKernels:
         out, gx, gp = run_mixer(node_mixer_block, block, x, mask, coeff)
         for got, ref in zip([out.data, gx] + gp, want):
             assert got.tobytes() == ref.tobytes()
-
-    def test_scatter_rows(self):
-        src = t(self.rng.standard_normal((3, 4)))
-        index = np.array([4, 0, 2])
-        out = F.scatter_rows(src, index, 6, fill=-7.0)
-        assert out.shape == (6, 4)
-        assert np.array_equal(out.data[index], src.data)
-        assert np.all(out.data[[1, 3, 5]] == -7.0)
-        coeff = Tensor(self.rng.standard_normal((6, 4)))
-        gradcheck(lambda s: F.scatter_rows(s, index, 6, fill=-7.0) * coeff, [src])
-        # the inverse of row indexing
-        assert np.array_equal(F.scatter_rows(src, index, 6)[index].data, src.data)
-        empty = F.scatter_rows(t(np.zeros((0, 4))), np.zeros(0, dtype=np.int64), 2)
-        assert np.array_equal(empty.data, np.zeros((2, 4)))
 
 
 class TestTemporalAttentionNode:
