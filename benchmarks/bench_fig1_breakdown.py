@@ -26,6 +26,7 @@ import pytest
 
 from repro.bench import emit_bench_json, quick_config
 from repro.bench.breakdown import runtime_breakdown
+from repro.bench.finders import OriginalNeighborFinder
 
 NEIGHBOR_SWEEP = [5, 10, 15]
 
@@ -33,7 +34,7 @@ NEIGHBOR_SWEEP = [5, 10, 15]
 def _budget_config(budget):
     return quick_config(
         backbone="tgat", adaptive_minibatch=False, adaptive_neighbor=False,
-        finder="original", cache_ratio=0.0, num_neighbors=budget,
+        cache_ratio=0.0, num_neighbors=budget,
         num_candidates=budget, batch_size=100, max_batches_per_epoch=4,
         eval_max_edges=10, seed=0)
 
@@ -47,7 +48,7 @@ def _sweep(graph, name):
     for budget in NEIGHBOR_SWEEP:
         row = runtime_breakdown(graph, _budget_config(budget),
                                 label=f"{name}-n{budget}", epochs=2,
-                                warmup_epochs=1)
+                                warmup_epochs=1, finder=OriginalNeighborFinder)
         rows[budget] = {
             "prep_seconds": row.nf + row.fs,
             "prop_seconds": row.pp,
@@ -61,7 +62,7 @@ def _sweep(graph, name):
     # bench gate enforces hash equality at every scale.
     replay = runtime_breakdown(graph, _budget_config(NEIGHBOR_SWEEP[-1]),
                                label=f"{name}-replay", epochs=2,
-                               warmup_epochs=1)
+                               warmup_epochs=1, finder=OriginalNeighborFinder)
     determinism = {"hash": rows[NEIGHBOR_SWEEP[-1]]["loss_hash"],
                    "replay_hash": replay.loss_hash}
     return rows, determinism

@@ -6,11 +6,12 @@ TGL pointer-array CPU finder (chronological order only), and TASER's
 block-centric GPU finder.  The GPU finder is reported >3 orders of magnitude
 faster than the original and 37-56x faster than TGL.
 
-Reproduced shape (asserted): for every budget, ``GPU < TGL < original`` in
-total 2-hop sampling time, and the GPU finder's advantage grows with the
-budget.  Absolute factors are compressed because all three implementations
-here are Python/numpy on one CPU core (the paper's original finder is far
-slower Python code and its GPU finder is a CUDA kernel); see EXPERIMENTS.md.
+Reproduced shape (asserted): for every budget the GPU finder is more than 4x
+faster than both TGL and the original finder in total 2-hop sampling time.
+The two baselines are the fixtures of :mod:`repro.bench.finders`.  Absolute
+factors are compressed because all three implementations here are
+Python/numpy on one CPU core (the paper's original finder is far slower
+Python code and its GPU finder is a CUDA kernel); see EXPERIMENTS.md.
 """
 
 import time
@@ -18,17 +19,27 @@ import time
 import numpy as np
 import pytest
 
-from repro.sampling import make_finder, sample_multi_hop
+from repro.bench.finders import OriginalNeighborFinder, TGLNeighborFinder
+from repro.sampling import GPUNeighborFinder, sample_multi_hop
 
 BUDGETS = [5, 10, 15, 20, 25]
 NUM_ROOTS = 1500
+FINDERS = {"original": OriginalNeighborFinder, "tgl": TGLNeighborFinder,
+           "gpu": GPUNeighborFinder}
 
 
-def _epoch_sampling_time(kind, tcsr, roots, times, budget, seed=0):
-    finder = make_finder(kind, tcsr, policy="uniform", seed=seed)
-    start = time.perf_counter()
-    sample_multi_hop(finder, roots, times, [budget, budget])
-    return time.perf_counter() - start
+def _epoch_sampling_time(kind, tcsr, roots, times, budget, seed=0, repeats=3):
+    """Best of ``repeats`` timed 2-hop expansions, each on a fresh finder (the
+    TGL pointers start from zero every time): one GPU-finder call lasts a few
+    milliseconds at small scales, where a single timing is at the mercy of
+    scheduler noise."""
+    best = float("inf")
+    for _ in range(repeats):
+        finder = FINDERS[kind](tcsr, policy="uniform", seed=seed)
+        start = time.perf_counter()
+        sample_multi_hop(finder, roots, times, [budget, budget])
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def _chronological_roots(graph, count):
@@ -45,7 +56,7 @@ def test_fig3a_neighbor_finder_comparison(benchmark, wikipedia_graph, wikipedia_
         for budget in BUDGETS:
             results[budget] = {
                 kind: _epoch_sampling_time(kind, wikipedia_tcsr, roots, times, budget)
-                for kind in ("original", "tgl", "gpu")
+                for kind in FINDERS
             }
         return results
 
@@ -76,6 +87,6 @@ def test_fig3a_neighbor_finder_comparison(benchmark, wikipedia_graph, wikipedia_
 def test_fig3a_gpu_finder_throughput(benchmark, wikipedia_graph, wikipedia_tcsr):
     """pytest-benchmark timing of a single GPU-finder call at the paper's m=25."""
     roots, times = _chronological_roots(wikipedia_graph, NUM_ROOTS)
-    finder = make_finder("gpu", wikipedia_tcsr, policy="uniform", seed=0)
+    finder = GPUNeighborFinder(wikipedia_tcsr, policy="uniform", seed=0)
     result = benchmark(lambda: finder.sample(roots, times, 25))
     assert result.nodes.shape == (NUM_ROOTS, 25)

@@ -26,8 +26,9 @@ def _run_breakdown(graph, backbone):
                         adaptive_neighbor=True, batch_size=150,
                         max_batches_per_epoch=6, eval_max_edges=10, seed=0)
     rows = {}
-    for label, config in system_configurations(base):
-        rows[label] = runtime_breakdown(graph, config, label=label, epochs=1)
+    for label, config, finder in system_configurations(base):
+        rows[label] = runtime_breakdown(graph, config, label=label, epochs=1,
+                                        finder=finder)
     return rows
 
 

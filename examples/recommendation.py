@@ -5,8 +5,8 @@ A MovieLens-profile user-item interaction graph is used to study the two
 system optimisations the paper contributes for large graphs whose edge
 features do not fit in VRAM:
 
-1. the temporal neighbor finders (original per-query CPU loop vs. TGL
-   pointer array vs. TASER's block-centric "GPU" finder), and
+1. the temporal neighbor finders (original per-query CPU loop vs. TGL pointer
+   array, both ``repro.bench.finders`` fixtures, vs. TASER's "GPU" finder), and
 2. the dynamic edge-feature cache (hit rate vs. capacity, compared against
    static random / degree caches and the clairvoyant Oracle).
 
@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro import load_dataset
+from repro.bench.finders import OriginalNeighborFinder, TGLNeighborFinder
 from repro.device import (DynamicFeatureCache, OracleCache, StaticDegreeCache,
                           StaticRandomCache)
 from repro.graph import build_tcsr, chronological_split
-from repro.sampling import make_finder, sample_multi_hop
+from repro.sampling import GPUNeighborFinder, sample_multi_hop
 
 
 def finder_study(graph, tcsr) -> None:
@@ -31,12 +30,12 @@ def finder_study(graph, tcsr) -> None:
     split = chronological_split(graph)
     idx = split.train_idx[:: max(1, split.num_train // 2000)][:2000]
     roots, times = graph.src[idx], graph.ts[idx]
-    for kind in ("original", "tgl", "gpu"):
-        finder = make_finder(kind, tcsr, policy="uniform", seed=0)
+    for kind in (OriginalNeighborFinder, TGLNeighborFinder, GPUNeighborFinder):
+        finder = kind(tcsr, policy="uniform", seed=0)
         start = time.perf_counter()
         hops = sample_multi_hop(finder, roots, times, [10, 10])
         elapsed = time.perf_counter() - start
-        print(f"  {kind:10s} {elapsed:8.3f}s   "
+        print(f"  {kind.__name__:22s} {elapsed:8.3f}s   "
               f"valid hop-1 neighbors: {int(hops[0].mask.sum())}")
 
 
@@ -46,7 +45,7 @@ def cache_study(graph, tcsr) -> None:
     # sampling over three passes of the training set (the access pattern of a
     # recommendation model retrained continuously).
     split = chronological_split(graph)
-    finder = make_finder("gpu", tcsr, policy="recent", seed=0)
+    finder = GPUNeighborFinder(tcsr, policy="recent", seed=0)
     idx = split.train_idx[:: max(1, split.num_train // 3000)][:3000]
     streams = []
     for epoch in range(3):

@@ -55,8 +55,7 @@ from .core import (TaserConfig, TaserTrainer, TrainResult,
                    AdaptiveMiniBatchSelector, AdaptiveNeighborSampler,
                    MiniBatchGenerator)
 from .models import TGAT, GraphMixer, EdgePredictor, make_backbone
-from .sampling import (GPUNeighborFinder, TGLNeighborFinder, OriginalNeighborFinder,
-                       make_finder, NeighborBatch)
+from .sampling import GPUNeighborFinder, NeighborBatch
 from .device import (DynamicFeatureCache, OracleCache, FeatureStore,
                      TransferCostModel)
 from .eval import LinkPredictionEvaluator, mrr
@@ -70,8 +69,7 @@ __all__ = [
     "TaserConfig", "TaserTrainer", "TrainResult",
     "AdaptiveMiniBatchSelector", "AdaptiveNeighborSampler", "MiniBatchGenerator",
     "TGAT", "GraphMixer", "EdgePredictor", "make_backbone",
-    "GPUNeighborFinder", "TGLNeighborFinder", "OriginalNeighborFinder",
-    "make_finder", "NeighborBatch",
+    "GPUNeighborFinder", "NeighborBatch",
     "DynamicFeatureCache", "OracleCache", "FeatureStore", "TransferCostModel",
     "LinkPredictionEvaluator", "mrr",
     "__version__",

@@ -9,15 +9,16 @@ propagation and optimiser steps).
 Normalisation to simulated device seconds
 -----------------------------------------
 The paper runs the dense-compute phases (propagation, adaptive sampling and
-the block-centric neighbor finder) on a GPU, while the original/TGL neighbor
-finders run on the host CPU and the feature slicing cost is data movement.
+the block-centric neighbor finder) on a GPU, while the baseline finders of
+:mod:`repro.bench.finders` run on the host CPU and the feature slicing cost
+is data movement.
 This reproduction measures everything on a CPU with numpy, which inflates the
 dense-compute phases by roughly two orders of magnitude relative to a GPU and
 would flip the paper's ratios.  ``runtime_breakdown`` therefore converts the
 device-side phases into *simulated device seconds* by dividing the measured
 numpy time by ``device_speedup`` (default 64, an explicit and documented
-calibration constant), while host-side phases (the original / TGL finders)
-keep their measured wall-clock and feature slicing keeps its byte/row-level
+calibration constant), while host-side phases (the baseline finders) keep
+their measured wall-clock and feature slicing keeps its byte/row-level
 cost model.  Only the *relative* structure of the resulting tables is
 interpreted, never the absolute seconds.
 """
@@ -27,10 +28,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from ..core import TaserConfig, TaserTrainer
 from ..graph.temporal_graph import TemporalGraph
+from ..sampling import GPUNeighborFinder
+from .finders import OriginalNeighborFinder, use_finder
 
 __all__ = ["BreakdownRow", "normalise_runtime", "runtime_breakdown",
            "system_configurations", "loss_trajectory_hash",
@@ -40,22 +43,22 @@ __all__ = ["BreakdownRow", "normalise_runtime", "runtime_breakdown",
 DEVICE_COMPUTE_SPEEDUP = 64.0
 
 
-def normalise_runtime(runtime: Dict[str, float], finder: str,
+def normalise_runtime(runtime: Dict[str, float], finder: type,
                       device_speedup: float = DEVICE_COMPUTE_SPEEDUP
                       ) -> Dict[str, float]:
     """Convert one epoch's measured phase times to simulated device seconds.
 
     Applies the module-docstring normalisation to a single
     :attr:`~repro.core.trainer.EpochStats.runtime` dict: dense-compute phases
-    (PP, AS, and NF under the block-centric "gpu" finder) are divided by
-    ``device_speedup``; the host-side finders keep measured wall-clock and
-    feature slicing keeps its modelled transfer time plus the device-converted
-    gather time.
+    (PP, AS, and NF under the block-centric ``GPUNeighborFinder`` class) are
+    divided by ``device_speedup``; the host-side finders keep measured
+    wall-clock and feature slicing keeps its modelled transfer time plus the
+    device-converted gather time.
     """
     if device_speedup <= 0:
         raise ValueError("device_speedup must be positive")
     nf = runtime.get("NF", 0.0)
-    if finder == "gpu":
+    if issubclass(finder, GPUNeighborFinder):
         nf /= device_speedup
     fs_transfer = runtime.get("FS_transfer", 0.0)
     fs_measured = runtime.get("FS", 0.0) - fs_transfer
@@ -124,12 +127,15 @@ class BreakdownRow:
 def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
                       epochs: int = 1,
                       device_speedup: float = DEVICE_COMPUTE_SPEEDUP,
-                      warmup_epochs: int = 0) -> BreakdownRow:
+                      warmup_epochs: int = 0,
+                      finder: type = GPUNeighborFinder) -> BreakdownRow:
     """Train ``epochs`` epochs under ``config`` and average the phase times.
 
-    Dense-compute phases (PP, AS, and NF when the block-centric "GPU" finder
-    is used) are divided by ``device_speedup`` to express them in simulated
-    device seconds; see the module docstring.
+    The row's neighbor finder is the class ``finder``, swapped into the
+    trainer before its first epoch (:func:`~repro.bench.finders.use_finder`).
+    Dense-compute phases (PP, AS, and NF under the block-centric
+    ``GPUNeighborFinder``) are divided by ``device_speedup`` to express them
+    in simulated device seconds; see the module docstring.
 
     The first ``warmup_epochs`` epochs (clamped to ``epochs - 1``) are
     *trained but not timed*: they advance the model and appear in the loss
@@ -144,6 +150,7 @@ def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
         raise ValueError("device_speedup must be positive")
     warmup = min(max(int(warmup_epochs), 0), epochs - 1)
     trainer = TaserTrainer(graph, config)
+    use_finder(trainer, finder)
     totals = {"NF": 0.0, "AS": 0.0, "FS": 0.0, "FS_transfer": 0.0, "PP": 0.0}
     ids_requested = 0
     ids_unique = 0
@@ -165,7 +172,7 @@ def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
     # paper); the deterministic transfer component dominates, so the cache
     # effect is not drowned by wall-clock jitter of the CPU gather.
     per_epoch = {key: value / (epochs - warmup) for key, value in totals.items()}
-    phases = normalise_runtime(per_epoch, config.finder, device_speedup)
+    phases = normalise_runtime(per_epoch, finder, device_speedup)
     dedup_ratio = (ids_requested / ids_unique) if ids_unique else 1.0
     return BreakdownRow(label=label, nf=phases["NF"], adaptive=phases["AS"],
                         fs=phases["FS"], pp=phases["PP"],
@@ -176,7 +183,9 @@ def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
 
 
 def system_configurations(base: TaserConfig) -> List[tuple]:
-    """The five system rows of Table III, derived from a TASER base config.
+    """The five ``(label, config, finder)`` rows of Table III, derived from a
+    TASER base config; ``finder`` is the class :func:`runtime_breakdown`
+    runs the row on.
 
     Baseline      original per-query CPU finder, no feature cache.
     +GPU NF       TASER's block-centric finder, still no cache.
@@ -185,9 +194,9 @@ def system_configurations(base: TaserConfig) -> List[tuple]:
     from dataclasses import replace
 
     return [
-        ("Baseline", replace(base, finder="original", cache_ratio=0.0)),
-        ("+GPU NF", replace(base, finder="gpu", cache_ratio=0.0)),
-        ("+10% Cache", replace(base, finder="gpu", cache_ratio=0.1)),
-        ("+20% Cache", replace(base, finder="gpu", cache_ratio=0.2)),
-        ("+30% Cache", replace(base, finder="gpu", cache_ratio=0.3)),
+        ("Baseline", replace(base, cache_ratio=0.0), OriginalNeighborFinder),
+        ("+GPU NF", replace(base, cache_ratio=0.0), GPUNeighborFinder),
+        ("+10% Cache", replace(base, cache_ratio=0.1), GPUNeighborFinder),
+        ("+20% Cache", replace(base, cache_ratio=0.2), GPUNeighborFinder),
+        ("+30% Cache", replace(base, cache_ratio=0.3), GPUNeighborFinder),
     ]

@@ -127,12 +127,11 @@ def _add_training_cell_args(parser: argparse.ArgumentParser,
     parser.add_argument("--variant", choices=sorted(VARIANT_FLAGS),
                         default=variant_default)
     parser.add_argument("--epochs", type=int, default=5)
-    parser.add_argument("--max-batches-per-epoch", type=int, default=None)
-    parser.add_argument("--finder", choices=["gpu", "original", "tgl"], default="gpu")
+    parser.add_argument("--max-batches-per-epoch", type=_positive_int, default=None)
     parser.add_argument("--decoder", choices=["linear", "gat", "gatv2", "transformer"],
                         default="linear")
     parser.add_argument("--eval-negatives", type=_positive_int, default=49)
-    parser.add_argument("--eval-max-edges", type=int, default=300)
+    parser.add_argument("--eval-max-edges", type=_positive_int, default=300)
 
 
 def _model_config(args: argparse.Namespace, **overrides) -> TaserConfig:
@@ -152,8 +151,7 @@ def _model_config(args: argparse.Namespace, **overrides) -> TaserConfig:
 def _taser_config(args: argparse.Namespace) -> TaserConfig:
     """The TaserConfig of a training cell (default runner, ``repro train``)."""
     return _model_config(
-        args, finder=args.finder, decoder=args.decoder,
-        epochs=args.epochs,
+        args, decoder=args.decoder, epochs=args.epochs,
         max_batches_per_epoch=args.max_batches_per_epoch,
         eval_negatives=args.eval_negatives, eval_max_edges=args.eval_max_edges)
 
@@ -429,9 +427,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replay", action="store_true",
                         help="serve the stream twice through fresh engines "
                              "and verify the bitwise score-hash contract")
-    parser.add_argument("--max-batches-per-epoch", type=int, default=None)
-    parser.add_argument("--finder", choices=["gpu", "original", "tgl"],
-                        default="gpu")
+    parser.add_argument("--max-batches-per-epoch", type=_positive_int, default=None)
     return parser
 
 
@@ -442,7 +438,7 @@ def run_serve(args: argparse.Namespace) -> dict:
     from .serve import LinkQuery, ServeEngine, scores_hash
 
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    config = _model_config(args, finder=args.finder, epochs=args.warmup_epochs,
+    config = _model_config(args, epochs=args.warmup_epochs,
                            max_batches_per_epoch=args.max_batches_per_epoch)
     warmup = args.warmup_events if args.warmup_events is not None \
         else max(1, graph.num_edges * 3 // 5)

@@ -52,7 +52,9 @@ class TaserConfig:
     #: candidate neighbors pre-sampled by the finder for the adaptive sampler
     #: (paper: m = 25).  Ignored when adaptive neighbor sampling is off.
     num_candidates: int = 20
-    #: neighbor finder implementation: "gpu", "original" or "tgl".
+    #: TASER's block-centric finder is the only one; "gpu" is the only legal
+    #: value.  The field stays because the frozen
+    #: benchmarks/e2e/workloads.py:45 passes ``finder="gpu"``.
     finder: str = "gpu"
     #: static finder policy; None selects the backbone default
     #: (uniform for TGAT, most-recent for GraphMixer).
@@ -119,8 +121,10 @@ class TaserConfig:
     def __post_init__(self) -> None:
         if self.backbone not in ("tgat", "graphmixer"):
             raise ValueError("backbone must be 'tgat' or 'graphmixer'")
-        if self.finder not in ("gpu", "original", "tgl"):
-            raise ValueError("finder must be one of 'gpu', 'original', 'tgl'")
+        if self.finder != "gpu":
+            raise ValueError(
+                f"unknown finder {self.finder!r}: 'gpu' is the only neighbor "
+                "finder (choose 'gpu' or leave the default)")
         if self.decoder not in ("linear", "gat", "gatv2", "transformer"):
             raise ValueError("decoder must be linear/gat/gatv2/transformer")
         if self.sample_loss not in ("sensitivity", "tgat_analytic"):
@@ -137,10 +141,10 @@ class TaserConfig:
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.adaptive_minibatch and self.finder == "tgl":
-            raise ValueError(
-                "the TGL pointer-array finder only supports chronological order and "
-                "cannot be combined with adaptive mini-batch selection (Section IV-C)")
+        for name in ("max_batches_per_epoch", "eval_max_edges"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be None or >= 1, got {value}")
 
     @property
     def num_layers(self) -> int:

@@ -42,25 +42,14 @@ class MiniBatchSelector:
     def update(self, indices: np.ndarray, logits: np.ndarray) -> None:
         """Feed back the positive-edge logits of the last batch (no-op by default)."""
 
-    @property
-    def requires_chronological_finder(self) -> bool:
-        """Whether batches are guaranteed to be in chronological order."""
-        return False
-
 
 class ChronologicalSelector(MiniBatchSelector):
     """Baseline: consecutive chronological slices of the training set."""
-
-    requires_chronological = True
 
     def epoch(self) -> Iterator[np.ndarray]:
         for start in range(0, self.num_train, self.batch_size):
             yield np.arange(start, min(start + self.batch_size, self.num_train),
                             dtype=np.int64)
-
-    @property
-    def requires_chronological_finder(self) -> bool:
-        return True
 
 
 class AdaptiveMiniBatchSelector(MiniBatchSelector):

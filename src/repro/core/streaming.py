@@ -48,7 +48,7 @@ from ..eval.negative_sampling import NegativeSampler
 from ..graph.splits import TemporalSplit
 from ..graph.tcsr import StreamingTCSR
 from ..graph.temporal_graph import TemporalGraph
-from ..sampling import make_finder
+from ..sampling import GPUNeighborFinder
 from ..utils.rng import new_rng
 from .config import TaserConfig
 from .minibatch_selector import ChronologicalSelector
@@ -369,10 +369,10 @@ class StreamingTrainer(TaserTrainer):
         ``self.prep`` at each epoch)."""
         cfg = self.config
         self.tcsr = self.stcsr.snapshot()
-        self.finder = make_finder(cfg.finder, self.tcsr,
-                                  policy=cfg.resolved_finder_policy, seed=cfg.seed)
         self.generator = MiniBatchGenerator(
-            self.finder, self.feature_store, cfg.num_layers,
+            GPUNeighborFinder(self.tcsr, policy=cfg.resolved_finder_policy,
+                              seed=cfg.seed),
+            self.feature_store, cfg.num_layers,
             cfg.num_neighbors, cfg.num_candidates if cfg.adaptive_neighbor
             else cfg.num_neighbors,
             adaptive_sampler=self.sampler, timer=self.timer)

@@ -31,7 +31,7 @@ from ..graph.tcsr import build_tcsr
 from ..graph.temporal_graph import TemporalGraph
 from ..models import EdgePredictor, make_backbone
 from ..optim import Adam, clip_grad_norm
-from ..sampling import make_finder
+from ..sampling import GPUNeighborFinder
 from ..tensor import Tensor, get_backend
 from ..tensor import functional as F
 from ..utils.rng import spawn_rngs
@@ -127,10 +127,8 @@ class TaserTrainer:
         (rng_model, rng_sampler, _rng_selector, _rng_neg,
          _rng_finder, _rng_misc) = spawn_rngs(cfg.seed, 6)
 
-        # --- substrate: T-CSR + neighbor finder + memory hierarchy -----------------
+        # --- substrate: T-CSR + memory hierarchy ------------------------------------
         self.tcsr = self._build_tcsr(self.graph)
-        self.finder = make_finder(cfg.finder, self.tcsr,
-                                  policy=cfg.resolved_finder_policy, seed=cfg.seed)
         self.cache = None
         if self.graph.edge_feat is not None and cfg.cache_ratio > 0:
             self.cache = DynamicFeatureCache(
@@ -156,10 +154,12 @@ class TaserTrainer:
                 use_identity_encoding=cfg.use_identity_encoding,
                 seed=cfg.seed, rng=rng_sampler)
 
-        # --- pipeline -------------------------------------------------------------------
+        # --- pipeline: the generator holds the run's one neighbor finder -----------------
         self.timer = Timer()
         self.generator = MiniBatchGenerator(
-            self.finder, self.feature_store, cfg.num_layers,
+            GPUNeighborFinder(self.tcsr, policy=cfg.resolved_finder_policy,
+                              seed=cfg.seed),
+            self.feature_store, cfg.num_layers,
             cfg.num_neighbors, cfg.num_candidates if cfg.adaptive_neighbor
             else cfg.num_neighbors,
             adaptive_sampler=self.sampler, timer=self.timer)
@@ -289,8 +289,6 @@ class TaserTrainer:
         self.predictor.train()
         if self.sampler is not None:
             self.sampler.train()
-        if self.finder.requires_chronological:
-            self.finder.reset()
 
         self.timer.reset()
         self.feature_store.reset_stats()
@@ -339,8 +337,6 @@ class TaserTrainer:
 
     def evaluate(self, which: str = "test", **overrides) -> Dict[str, float]:
         """MRR / Hits@K on the requested split."""
-        if self.finder.requires_chronological:
-            self.finder.reset()
         return self.make_evaluator(**overrides).evaluate(which)
 
     # ------------------------------------------------------------------ orchestration

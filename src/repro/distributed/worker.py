@@ -124,8 +124,6 @@ class ShardWorker:
         t.predictor.train()
         if t.sampler is not None:
             t.sampler.train()
-        if t.finder.requires_chronological:
-            t.finder.reset()
         t.timer.reset()
         t.feature_store.reset_stats()
         self._batches = iter(t.engine.epoch(max_batches))

@@ -31,7 +31,6 @@ from .. import _BLAS_THREADS
 from ..graph.splits import TemporalSplit
 from ..models.base import TGNNBackbone
 from ..models.edge_predictor import EdgePredictor
-from ..sampling.base import NeighborFinder
 from ..tensor import no_grad
 from ..utils.rng import new_rng
 from .metrics import ranking_report
@@ -73,16 +72,12 @@ def _one_malloc_arena() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
-def _pool_size(chunks: int, finder: NeighborFinder) -> int:
+def _pool_size(chunks: int) -> int:
     """Threads that score ``chunks`` chunks at once, the caller included.
 
     The CPUs the process may use, divided by the threads BLAS uses (every
     CPU when ``repro`` could not pin them), capped at the number of chunks.
-    A finder that needs chronological queries keeps state between calls (the
-    TGL pointer arrays), so it scores on the caller alone.
     """
-    if finder.requires_chronological:
-        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -204,7 +199,7 @@ def score_link_queries(prep, backbone: TGNNBackbone, predictor: EdgePredictor,
         # Helpers create tensors under the caller's no_grad: the switch is
         # process-global, so only the caller enters and leaves it.
         with no_grad():
-            _run_chunks(score, chunks, _pool_size(chunks, prep.generator.finder))
+            _run_chunks(score, chunks, _pool_size(chunks))
     finally:
         backbone.train(was_training)
         predictor.train(was_training)

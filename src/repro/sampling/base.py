@@ -142,10 +142,10 @@ class NeighborBatch:
 class NeighborFinder:
     """Abstract batched temporal neighbor finder over a T-CSR graph.
 
-    Concrete finders (``original`` per-query CPU, ``tgl`` pointer-array,
-    ``gpu`` block-centric vectorised) share this interface and are built via
-    :func:`repro.sampling.make_finder`.  A finder is **stateless with respect
-    to the graph**: it holds a reference to one immutable
+    The runtime's finder is :class:`~repro.sampling.GPUNeighborFinder`; the
+    paper's two baselines implement this interface as benchmark fixtures in
+    :mod:`repro.bench.finders`.  A finder is **stateless with respect to the
+    graph**: it holds a reference to one immutable
     :class:`~repro.graph.tcsr.TCSR` snapshot, which is how the streaming
     subsystem swaps in a fresh snapshot per ingested chunk.
 
@@ -155,9 +155,8 @@ class NeighborFinder:
         The temporal CSR adjacency to answer queries against.
     policy:
         Static sampling policy for oversubscribed neighborhoods:
-        ``"uniform"`` (uniform without replacement, consumes RNG),
-        ``"recent"`` (deterministic most-recent), or ``"inverse_timespan"``
-        (probability proportional to 1 / (t - t_u)).
+        ``"uniform"`` (uniform without replacement, consumes RNG) or
+        ``"recent"`` (deterministic most-recent).
     seed:
         Seed of the finder's private RNG stream.  Training relies on every
         stochastic draw happening in exactly the training order, so the RNG
@@ -166,15 +165,9 @@ class NeighborFinder:
         generator to :meth:`sample` instead.
     """
 
-    #: human-readable name used by the benchmark harness.
-    name: str = "abstract"
-    #: whether the finder requires queries in chronological order
-    #: (True for the TGL pointer-array finder).
-    requires_chronological: bool = False
-
     def __init__(self, tcsr: TCSR, policy: str = "uniform",
                  seed: int = 0) -> None:
-        if policy not in ("uniform", "recent", "inverse_timespan"):
+        if policy not in ("uniform", "recent"):
             raise ValueError(f"unknown sampling policy {policy!r}")
         self.tcsr = tcsr
         self.policy = policy
@@ -202,10 +195,3 @@ class NeighborFinder:
             entry is strictly earlier than its query time (causality).
         """
         raise NotImplementedError
-
-    def reset(self) -> None:
-        """Reset any internal state (pointer arrays; the RNG is preserved).
-
-        Called by the trainer at every epoch boundary for finders with
-        ``requires_chronological=True``.
-        """

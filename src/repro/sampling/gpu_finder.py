@@ -14,8 +14,9 @@ batch at once, which plays the role of the SIMD lanes:
   by vectorised collision detection and redraw, mirroring the bitmap
   compare-and-update loop of the CUDA kernel.
 
-Unlike the TGL pointer-array finder it supports **arbitrary query order**,
-which is what TASER's adaptive mini-batch selection requires.
+Unlike TGL's pointer-array finder (a fixture in :mod:`repro.bench.finders`)
+it supports **arbitrary query order**, which is what TASER's adaptive
+mini-batch selection requires.
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ __all__ = ["GPUNeighborFinder"]
 
 class GPUNeighborFinder(NeighborFinder):
     """Vectorised block-centric temporal neighbor finder (arbitrary order)."""
-
-    name = "taser-gpu"
-    requires_chronological = False
-
-    #: maximum vectorised redraw rounds before falling back to exact per-row fixing.
-    MAX_REDRAW_ROUNDS = 8
 
     def __init__(self, tcsr: TCSR, policy: str = "uniform", seed: int = 0) -> None:
         super().__init__(tcsr, policy=policy, seed=seed)
@@ -140,40 +135,6 @@ class GPUNeighborFinder(NeighborFinder):
         mask[rows] = True
         return offsets, mask
 
-    # -- weighted (inverse-timespan) sampling -------------------------------------------
-
-    def _inverse_timespan(self, nodes: np.ndarray, times: np.ndarray,
-                          pivots: np.ndarray, budget: int,
-                          rng: np.random.Generator
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row weighted sampling with probability proportional to 1/Δt.
-
-        This heuristic policy (TGAT's deprecated-link workaround) has a
-        data-dependent weight vector per row, so it is implemented as a
-        per-row loop; it is only exercised by the heuristic-comparison bench.
-        """
-        starts = self.tcsr.indptr[nodes]
-        counts = pivots - starts
-        b = nodes.shape[0]
-        offsets = np.zeros((b, budget), dtype=np.int64)
-        mask = np.zeros((b, budget), dtype=bool)
-        for i in range(b):
-            c = int(counts[i])
-            if c == 0:
-                continue
-            lo = int(starts[i])
-            delta = times[i] - self.tcsr.ts[lo:lo + c]
-            weights = 1.0 / np.maximum(delta, 1e-9)
-            weights /= weights.sum()
-            take = min(budget, c)
-            if c <= budget:
-                sel = np.arange(c)
-            else:
-                sel = rng.choice(c, size=budget, replace=False, p=weights)
-            offsets[i, :take] = sel[:take]
-            mask[i, :take] = True
-        return offsets, mask
-
     # -- main entry point -------------------------------------------------------------------
 
     def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int,
@@ -199,11 +160,8 @@ class GPUNeighborFinder(NeighborFinder):
             rel = counts[:, None] - 1 - np.arange(budget, dtype=np.int64)[None, :]
             mask = rel >= 0
             offsets = np.maximum(rel, 0)
-        elif self.policy == "uniform":
-            offsets, mask = self._uniform_without_replacement(counts, budget, rng)
         else:
-            offsets, mask = self._inverse_timespan(nodes, times, pivots, budget,
-                                                   rng)
+            offsets, mask = self._uniform_without_replacement(counts, budget, rng)
 
         abs_idx = starts[:, None] + offsets
         abs_idx = np.where(mask, abs_idx, 0)

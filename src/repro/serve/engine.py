@@ -56,7 +56,7 @@ from ..device.costmodel import TransferCostModel
 from ..device.memory import FeatureStore
 from ..graph.tcsr import StreamingTCSR
 from ..graph.temporal_graph import TemporalGraph
-from ..sampling import make_finder
+from ..sampling import GPUNeighborFinder
 from ..tensor import Tensor, get_backend, no_grad
 from ..tensor import functional as F
 from ..utils.timer import Timer
@@ -193,7 +193,7 @@ class ServeEngine:
     def __init__(self, graph: TemporalGraph, backbone, predictor, *,
                  adaptive_sampler=None, num_layers: int = 1,
                  num_neighbors: int = 5, num_candidates: Optional[int] = None,
-                 finder: str = "gpu", finder_policy: str = "recent",
+                 finder_policy: str = "recent",
                  max_batch: int = 32, queue_depth: int = 128,
                  admission: str = "wait",
                  staleness_events: Optional[int] = None,
@@ -227,7 +227,6 @@ class ServeEngine:
         self.num_neighbors = int(num_neighbors)
         self.num_candidates = int(num_candidates) if num_candidates is not None \
             else int(num_neighbors)
-        self.finder_kind = finder
         self.finder_policy = finder_policy
         #: the array runtime the forward runs on (one per process).
         self.array_backend = get_backend()
@@ -271,7 +270,7 @@ class ServeEngine:
             num_layers=cfg.num_layers, num_neighbors=cfg.num_neighbors,
             num_candidates=(cfg.num_candidates if cfg.adaptive_neighbor
                             else cfg.num_neighbors),
-            finder=cfg.finder, finder_policy=cfg.resolved_finder_policy,
+            finder_policy=cfg.resolved_finder_policy,
             seed=cfg.seed)
         defaults.update(kwargs)
         return cls(trainer.graph, trainer.backbone, trainer.predictor,
@@ -283,10 +282,10 @@ class ServeEngine:
         """Re-point finder/generator/prep at the current T-CSR snapshot
         (the streaming trainer's idiom, reused verbatim)."""
         self.tcsr = self.stcsr.snapshot()
-        self.finder = make_finder(self.finder_kind, self.tcsr,
-                                  policy=self.finder_policy, seed=self.seed)
         self.generator = MiniBatchGenerator(
-            self.finder, self.feature_store, self.num_layers,
+            GPUNeighborFinder(self.tcsr, policy=self.finder_policy,
+                              seed=self.seed),
+            self.feature_store, self.num_layers,
             self.num_neighbors, self.num_candidates,
             adaptive_sampler=self.adaptive_sampler, timer=self.timer)
         self.prep = PrepPipeline(self.generator)
@@ -422,8 +421,6 @@ class ServeEngine:
                     # hit); the forward-only batch computes each distinct
                     # (node, t) once.
                     misses = slice(None) if rows is None else ~hits
-                    if self.finder.requires_chronological:
-                        self.finder.reset()
                     minibatch = self.prep.generator.build(
                         nodes[misses], times[misses], train=False)
                     fresh = self.backbone.embed(minibatch).data

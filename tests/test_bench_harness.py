@@ -10,6 +10,8 @@ from repro.bench import (VARIANTS, emit_bench_json, format_table,
                          geometric_mean, quick_config, variant_config,
                          run_variant, system_configurations)
 from repro.bench.breakdown import BreakdownRow, runtime_breakdown
+from repro.bench.finders import OriginalNeighborFinder
+from repro.sampling import GPUNeighborFinder
 from repro.graph import CTDGConfig, generate_ctdg
 
 
@@ -86,9 +88,10 @@ class TestBreakdown:
     def test_system_configurations_rows(self):
         base = quick_config("graphmixer")
         rows = system_configurations(base)
-        labels = [label for label, _ in rows]
+        labels = [label for label, _, _ in rows]
         assert labels == ["Baseline", "+GPU NF", "+10% Cache", "+20% Cache", "+30% Cache"]
-        assert rows[0][1].finder == "original" and rows[0][1].cache_ratio == 0.0
+        assert rows[0][2] is OriginalNeighborFinder and rows[0][1].cache_ratio == 0.0
+        assert all(finder is GPUNeighborFinder for _, _, finder in rows[1:])
         assert rows[-1][1].cache_ratio == pytest.approx(0.3)
 
     def test_runtime_breakdown_scaling(self):

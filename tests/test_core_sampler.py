@@ -13,13 +13,13 @@ from repro.encoders import IdentityEncoder
 from repro.device import FeatureStore
 from repro.graph import build_tcsr
 from repro.models import GraphMixer, TGAT
-from repro.sampling import NeighborBatch, make_finder
+from repro.sampling import GPUNeighborFinder, NeighborBatch
 from repro.tensor import Tensor, concatenate, gradcheck
 from repro.tensor import functional as F
 
 
 def candidates_for(graph, tcsr, m=8, count=60, seed=0):
-    finder = make_finder("gpu", tcsr, policy="uniform", seed=seed)
+    finder = GPUNeighborFinder(tcsr, policy="uniform", seed=seed)
     rng = np.random.default_rng(seed)
     idx = rng.integers(graph.num_edges // 2, graph.num_edges, count)
     cand = finder.sample(graph.src[idx], graph.ts[idx], m)
@@ -339,7 +339,7 @@ class TestLiveRowSampling:
         sampler = AdaptiveNeighborSampler(0, small_graph.edge_dim, 8, seed=0)
         monkeypatch.setattr(F, "sampler_encode", lambda *a, **k: pytest.fail(
             "encoder reached with no live row"))
-        gen = MiniBatchGenerator(make_finder("gpu", small_tcsr),
+        gen = MiniBatchGenerator(GPUNeighborFinder(small_tcsr),
                                  FeatureStore(small_graph), 2, 4, 8,
                                  adaptive_sampler=sampler)
         roots = small_graph.src[:20]
@@ -413,7 +413,7 @@ class TestSamplerNodes:
 
 class TestSampleLoss:
     def _training_minibatch(self, graph, tcsr, backbone="graphmixer", n=5, m=8):
-        finder = make_finder("gpu", tcsr, policy="uniform", seed=0)
+        finder = GPUNeighborFinder(tcsr, policy="uniform", seed=0)
         store = FeatureStore(graph)
         sampler = AdaptiveNeighborSampler(graph.node_dim, graph.edge_dim, m, seed=0)
         layers = 2 if backbone == "tgat" else 1
@@ -442,7 +442,7 @@ class TestSampleLoss:
         assert grads and any(np.any(g != 0) for g in grads)
 
     def test_returns_none_without_adaptive_hops(self, small_graph, small_tcsr):
-        finder = make_finder("gpu", small_tcsr, seed=0)
+        finder = GPUNeighborFinder(small_tcsr, seed=0)
         gen = MiniBatchGenerator(finder, FeatureStore(small_graph), 1, 5, 5)
         idx = np.arange(800, 830)
         mb = gen.build(small_graph.src[idx], small_graph.ts[idx], train=True)
@@ -472,7 +472,7 @@ class TestSampleLoss:
 
 class TestMiniBatchGenerator:
     def test_baseline_budget_equals_n(self, small_graph, small_tcsr):
-        gen = MiniBatchGenerator(make_finder("gpu", small_tcsr),
+        gen = MiniBatchGenerator(GPUNeighborFinder(small_tcsr),
                                  FeatureStore(small_graph), 2, 5, 5)
         idx = np.arange(700, 740)
         mb = gen.build(small_graph.src[idx], small_graph.ts[idx])
@@ -483,7 +483,7 @@ class TestMiniBatchGenerator:
 
     def test_adaptive_selects_n_from_m(self, small_graph, small_tcsr):
         sampler = AdaptiveNeighborSampler(0, small_graph.edge_dim, 12, seed=0)
-        gen = MiniBatchGenerator(make_finder("gpu", small_tcsr),
+        gen = MiniBatchGenerator(GPUNeighborFinder(small_tcsr),
                                  FeatureStore(small_graph), 1, 5, 12,
                                  adaptive_sampler=sampler)
         idx = np.arange(700, 740)
@@ -498,7 +498,7 @@ class TestMiniBatchGenerator:
 
     def test_edge_features_align_with_selected_eids(self, small_graph, small_tcsr):
         sampler = AdaptiveNeighborSampler(0, small_graph.edge_dim, 10, seed=1)
-        gen = MiniBatchGenerator(make_finder("gpu", small_tcsr),
+        gen = MiniBatchGenerator(GPUNeighborFinder(small_tcsr),
                                  FeatureStore(small_graph), 1, 4, 10,
                                  adaptive_sampler=sampler)
         idx = np.arange(900, 950)
@@ -533,7 +533,7 @@ class TestMiniBatchGenerator:
         from repro.utils import Timer
         timer = Timer()
         sampler = AdaptiveNeighborSampler(0, small_graph.edge_dim, 8, seed=0)
-        gen = MiniBatchGenerator(make_finder("gpu", small_tcsr),
+        gen = MiniBatchGenerator(GPUNeighborFinder(small_tcsr),
                                  FeatureStore(small_graph), 1, 4, 8,
                                  adaptive_sampler=sampler, timer=timer)
         idx = np.arange(700, 720)
@@ -544,8 +544,8 @@ class TestMiniBatchGenerator:
 
     def test_validation(self, small_graph, small_tcsr):
         with pytest.raises(ValueError):
-            MiniBatchGenerator(make_finder("gpu", small_tcsr),
+            MiniBatchGenerator(GPUNeighborFinder(small_tcsr),
                                FeatureStore(small_graph), 0, 5, 5)
         with pytest.raises(ValueError):
-            MiniBatchGenerator(make_finder("gpu", small_tcsr),
+            MiniBatchGenerator(GPUNeighborFinder(small_tcsr),
                                FeatureStore(small_graph), 1, 5, 3)

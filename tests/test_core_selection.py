@@ -18,7 +18,6 @@ class TestChronologicalSelector:
         assert len(batches) == sel.num_batches == 4
         joined = np.concatenate(batches)
         assert np.array_equal(joined, np.arange(95))
-        assert sel.requires_chronological_finder
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from repro.eval import evaluator as evaluator_mod
 from repro.eval import (reciprocal_ranks, mrr, hits_at_k, ranking_report,
                         destination_pool, NegativeSampler)
 from repro.graph import CTDGConfig, generate_ctdg
-from repro.sampling import NeighborFinder, make_finder
+from repro.sampling import NeighborFinder
 
 
 class TestMetrics:
@@ -240,7 +240,7 @@ def _scores_at_pool_sizes(monkeypatch, module, run):
     monkeypatch.setattr(module, "score_link_queries", capture)
     for size in (1, 2, 3, None):
         monkeypatch.setattr(evaluator_mod, "_pool_size", derived if size is None
-                            else lambda chunks, finder, size=size: size)
+                            else lambda chunks, size=size: size)
         run()
     assert len(scores) == 4
     return scores
@@ -288,7 +288,7 @@ class TestScoringPool:
                                                           monkeypatch):
         trainer = TaserTrainer(small_graph, TaserConfig(
             **POOL_BASE, **POOL_VARIANTS["graphmixer/recent"]))
-        monkeypatch.setattr(evaluator_mod, "_pool_size", lambda chunks, finder: 2)
+        monkeypatch.setattr(evaluator_mod, "_pool_size", lambda chunks: 2)
         both_started = threading.Barrier(2, timeout=30)
         helper_failed = threading.Event()
         caller_saw = []
@@ -316,24 +316,16 @@ class TestScoringPool:
 
 
 class TestScoringPoolSize:
-    def test_derived_from_cpus_blas_threads_and_chunks(self, small_tcsr,
-                                                       monkeypatch):
-        finder = make_finder("gpu", small_tcsr)
-
+    def test_derived_from_cpus_blas_threads_and_chunks(self, monkeypatch):
         def size(cpus, blas, chunks):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid: set(range(cpus)), raising=False)
             monkeypatch.setattr(evaluator_mod, "_BLAS_THREADS", blas)
-            return evaluator_mod._pool_size(chunks, finder)
+            return evaluator_mod._pool_size(chunks)
         assert [size(4, 1, chunks) for chunks in (1, 3, 10)] == [1, 3, 4]
         assert size(4, 2, 10) == 2
         assert size(4, None, 10) == 1        # BLAS spread over every CPU
         assert size(1, 1, 10) == 1           # one CPU: no helper thread
-
-    def test_chronological_finder_scores_on_the_caller(self, small_tcsr,
-                                                       monkeypatch):
-        monkeypatch.setattr(evaluator_mod, "_BLAS_THREADS", 1)
-        assert evaluator_mod._pool_size(10, make_finder("tgl", small_tcsr)) == 1
 
     @pytest.mark.parametrize("numpy_first, seen", [(False, ["1", "1"]),
                                                    (True, ["None", "unset"])])

@@ -15,7 +15,7 @@ from repro.device import FeatureStore
 from repro.eval import ranking_report, score_link_queries
 from repro.graph import TemporalGraph, build_tcsr
 from repro.models import HopData, MiniBatch
-from repro.sampling import PAD_NODE, flatten_frontier, make_finder
+from repro.sampling import GPUNeighborFinder, PAD_NODE, flatten_frontier
 
 # Node 3 is reached at t = 2.0 both from node 1 (event 1) and from node 4
 # (event 2); node 0 has no events.
@@ -29,7 +29,7 @@ TIMES = np.array([5.0, 5.0, 5.0, 1.5, 2.0])
 def tiny():
     graph = TemporalGraph(num_nodes=5, **EVENTS,
                           edge_feat=np.arange(8, dtype=np.float32).reshape(4, 2))
-    return MiniBatchGenerator(make_finder("gpu", build_tcsr(graph), policy="recent"),
+    return MiniBatchGenerator(GPUNeighborFinder(build_tcsr(graph), policy="recent"),
                               FeatureStore(graph), num_layers=2, num_neighbors=2,
                               num_candidates=2)
 

@@ -9,7 +9,8 @@ from repro.graph import (TemporalGraph, build_tcsr, chronological_split, CTDGCon
                          perturb_edge_features, drop_events, load_dataset,
                          dataset_config, dataset_table, DATASET_NAMES)
 from repro.graph.tcsr import TCSR
-from repro.sampling import GPUNeighborFinder, OriginalNeighborFinder
+from repro.bench.finders import OriginalNeighborFinder
+from repro.sampling import GPUNeighborFinder
 
 
 def tiny_graph():

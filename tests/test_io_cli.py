@@ -107,7 +107,9 @@ class TestCLI:
 
     @pytest.mark.parametrize("flag", ["--hidden-dim", "--time-dim",
                                       "--num-neighbors", "--num-candidates",
-                                      "--batch-size", "--eval-negatives"])
+                                      "--batch-size", "--eval-negatives",
+                                      "--max-batches-per-epoch",
+                                      "--eval-max-edges"])
     def test_model_size_flag_of_zero_rejected_at_parse_time(self, flag,
                                                             capsys):
         for build in (build_parser, cli.build_train_parser,

@@ -8,7 +8,7 @@ from repro.device import FeatureStore
 from repro.graph import build_tcsr
 from repro.models import (TGAT, GraphMixer, EdgePredictor, make_backbone, MiniBatch,
                           HopData)
-from repro.sampling import make_finder
+from repro.sampling import GPUNeighborFinder
 from repro.tensor import Tensor, get_backend
 
 from test_tensor_ops import make_hop  # noqa: E402
@@ -17,7 +17,7 @@ RNG = np.random.default_rng(0)
 
 
 def build_minibatch(graph, tcsr, num_layers, n, batch=40, policy="uniform", seed=0):
-    finder = make_finder("gpu", tcsr, policy=policy, seed=seed)
+    finder = GPUNeighborFinder(tcsr, policy=policy, seed=seed)
     store = FeatureStore(graph)
     gen = MiniBatchGenerator(finder, store, num_layers, n, n)
     rng = np.random.default_rng(seed)

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from repro.bench.breakdown import loss_trajectory_hash
+from repro.bench.finders import OriginalNeighborFinder, use_finder
 from repro.core import (BatchEngine, EpochStats, MiniBatchGenerator,
                         PreparedBatch, TaserConfig, TaserTrainer)
 from repro.graph import CTDGConfig, build_tcsr, generate_ctdg
-from repro.sampling import GPUNeighborFinder, OriginalNeighborFinder
+from repro.sampling import GPUNeighborFinder
 
 
 def engine_config(**overrides):
@@ -35,9 +36,11 @@ def engine_graph():
                                     noise_prob=0.15, repeat_prob=0.4))
 
 
-def run_epochs(graph, epochs=2, **overrides):
-    """Train ``epochs`` epochs; return (per-batch losses, val MRR, trainer)."""
+def run_epochs(graph, epochs=2, finder=GPUNeighborFinder, **overrides):
+    """Train ``epochs`` epochs on ``finder``; return (per-batch losses, val
+    MRR, trainer)."""
     trainer = TaserTrainer(graph, engine_config(epochs=epochs, **overrides))
+    use_finder(trainer, finder)
     losses = []
     for _ in range(epochs):
         losses.extend(trainer.train_epoch().batch_losses)
@@ -46,8 +49,8 @@ def run_epochs(graph, epochs=2, **overrides):
 
 
 VARIANT_MATRIX = [
-    # (label, overrides): both backbones (1- and 2-layer), all three
-    # finders, and each adaptive switch.
+    # (label, overrides): both backbones (1- and 2-layer), the finder and
+    # its per-query oracle, and each adaptive switch.
     ("baseline-graphmixer", dict(backbone="graphmixer", adaptive_minibatch=False,
                                  adaptive_neighbor=False)),
     ("baseline-tgat", dict(backbone="tgat", adaptive_minibatch=False,
@@ -56,12 +59,10 @@ VARIANT_MATRIX = [
     ("baseline-tgat-recent", dict(backbone="tgat", finder_policy="recent",
                                   adaptive_minibatch=False,
                                   adaptive_neighbor=False)),
-    ("baseline-original-finder", dict(backbone="graphmixer", finder="original",
+    ("baseline-original-finder", dict(backbone="graphmixer",
+                                      finder=OriginalNeighborFinder,
                                       adaptive_minibatch=False,
                                       adaptive_neighbor=False)),
-    ("baseline-tgl-finder", dict(backbone="graphmixer", finder="tgl",
-                                 adaptive_minibatch=False,
-                                 adaptive_neighbor=False)),
     ("ada-neighbor-graphmixer", dict(backbone="graphmixer",
                                      adaptive_minibatch=False,
                                      adaptive_neighbor=True)),

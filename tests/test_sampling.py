@@ -1,16 +1,27 @@
-"""Tests for the three temporal neighbor finders and multi-hop expansion."""
+"""Tests for the neighbor finder, its two baseline fixtures and multi-hop
+expansion."""
+
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+import repro.sampling
+from repro import cli
+from repro.bench import quick_config
+from repro.bench.breakdown import runtime_breakdown
+from repro.bench.finders import OriginalNeighborFinder, TGLNeighborFinder
+from repro.core import AdaptiveMiniBatchSelector, ChronologicalSelector, TaserConfig
+from repro.core.minibatch_selector import MiniBatchSelector
 from repro.graph import build_tcsr, CTDGConfig, generate_ctdg
-from repro.sampling import (make_finder, OriginalNeighborFinder, TGLNeighborFinder,
-                            GPUNeighborFinder, sample_multi_hop, flatten_frontier,
+from repro.sampling import (GPUNeighborFinder, sample_multi_hop, flatten_frontier,
                             NeighborBatch)
 
-FINDERS = ["original", "tgl", "gpu"]
-POLICIES = ["uniform", "recent", "inverse_timespan"]
+FINDERS = {"original": OriginalNeighborFinder, "tgl": TGLNeighborFinder,
+           "gpu": GPUNeighborFinder}
+POLICIES = ["uniform", "recent"]
 
 
 def query_batch(graph, count=200, seed=0):
@@ -26,7 +37,7 @@ def chronological_queries(graph, count=300):
 class TestNeighborBatch:
     def test_delta_and_counts(self, small_graph, small_tcsr):
         nodes, times = query_batch(small_graph)
-        nb = make_finder("gpu", small_tcsr).sample(nodes, times, 7)
+        nb = GPUNeighborFinder(small_tcsr).sample(nodes, times, 7)
         delta = nb.delta_t()
         assert np.all(delta[nb.mask] > 0)
         assert np.all(delta[~nb.mask] == 0)
@@ -43,7 +54,7 @@ class TestNeighborBatch:
 
     def test_select_columns(self, small_graph, small_tcsr):
         nodes, times = query_batch(small_graph, 50)
-        nb = make_finder("gpu", small_tcsr).sample(nodes, times, 6)
+        nb = GPUNeighborFinder(small_tcsr).sample(nodes, times, 6)
         cols = np.tile(np.array([2, 0, 1]), (nb.batch_size, 1))
         sub = nb.select(cols)
         assert sub.budget == 3
@@ -63,7 +74,7 @@ class TestFinderCorrectness:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_causality_and_shapes(self, small_graph, small_tcsr, kind, policy):
         nodes, times = chronological_queries(small_graph)
-        finder = make_finder(kind, small_tcsr, policy=policy, seed=0)
+        finder = FINDERS[kind](small_tcsr, policy=policy, seed=0)
         nb = finder.sample(nodes, times, 8)
         nb.check_invariants()
         assert nb.nodes.shape == (nodes.size, 8)
@@ -72,16 +83,16 @@ class TestFinderCorrectness:
     def test_recent_policy_equivalence(self, small_graph, small_tcsr, kind):
         """All finders must return exactly the same most-recent neighbors."""
         nodes, times = chronological_queries(small_graph)
-        reference = make_finder("original", small_tcsr, policy="recent").sample(
+        reference = OriginalNeighborFinder(small_tcsr, policy="recent").sample(
             nodes, times, 5)
-        other = make_finder(kind, small_tcsr, policy="recent").sample(nodes, times, 5)
+        other = FINDERS[kind](small_tcsr, policy="recent").sample(nodes, times, 5)
         assert np.array_equal(reference.mask, other.mask)
         assert np.array_equal(reference.eids[reference.mask], other.eids[other.mask])
 
     @pytest.mark.parametrize("kind", FINDERS)
     def test_uniform_no_duplicates(self, small_graph, small_tcsr, kind):
         nodes, times = chronological_queries(small_graph)
-        nb = make_finder(kind, small_tcsr, policy="uniform", seed=1).sample(nodes, times, 6)
+        nb = FINDERS[kind](small_tcsr, policy="uniform", seed=1).sample(nodes, times, 6)
         for i in range(nb.batch_size):
             eids = nb.eids[i][nb.mask[i]]
             assert eids.size == np.unique(eids).size
@@ -90,7 +101,7 @@ class TestFinderCorrectness:
         """A node with fewer past interactions than the budget returns all of them."""
         nodes, times = chronological_queries(small_graph, 100)
         budget = 50
-        nb = make_finder("gpu", small_tcsr, policy="uniform").sample(nodes, times, budget)
+        nb = GPUNeighborFinder(small_tcsr, policy="uniform").sample(nodes, times, budget)
         counts = small_tcsr.pivots(nodes, times) - small_tcsr.indptr[nodes]
         expected = np.minimum(counts, budget)
         assert np.array_equal(nb.valid_counts(), expected)
@@ -100,7 +111,7 @@ class TestFinderCorrectness:
         deg = np.diff(small_tcsr.indptr)
         v = int(np.argmax(deg))
         t = float(small_tcsr.ts[small_tcsr.indptr[v + 1] - 1]) + 1.0
-        finder = make_finder("gpu", small_tcsr, policy="uniform", seed=3)
+        finder = GPUNeighborFinder(small_tcsr, policy="uniform", seed=3)
         trials = 800
         nb = finder.sample(np.full(trials, v), np.full(trials, t), 5)
         pivot = small_tcsr.pivot(v, t)
@@ -111,16 +122,6 @@ class TestFinderCorrectness:
         # Every candidate should appear, and no candidate should dominate.
         assert (counts > 0).sum() >= 0.9 * population
         assert sampled_counts.max() < 4 * expected
-
-    def test_inverse_timespan_prefers_recent(self, small_graph, small_tcsr):
-        deg = np.diff(small_tcsr.indptr)
-        v = int(np.argmax(deg))
-        t = float(small_tcsr.ts[small_tcsr.indptr[v + 1] - 1]) + 1.0
-        finder = make_finder("gpu", small_tcsr, policy="inverse_timespan", seed=0)
-        nb = finder.sample(np.full(300, v), np.full(300, t), 5)
-        uni = make_finder("gpu", small_tcsr, policy="uniform", seed=0).sample(
-            np.full(300, v), np.full(300, t), 5)
-        assert nb.delta_t()[nb.mask].mean() < uni.delta_t()[uni.mask].mean()
 
     def test_gpu_matches_original_pivots(self, small_graph, small_tcsr):
         nodes, times = query_batch(small_graph, 300, seed=5)
@@ -147,21 +148,22 @@ class TestFinderCorrectness:
         """Queries later than every event see the whole neighborhood."""
         t_max = small_graph.ts.max() + 100.0
         nodes = np.arange(min(20, small_graph.num_nodes))
-        nb = make_finder("gpu", small_tcsr, policy="recent").sample(
+        nb = GPUNeighborFinder(small_tcsr, policy="recent").sample(
             nodes, np.full(nodes.size, t_max), 4)
         degrees = np.diff(small_tcsr.indptr)[nodes]
         assert np.array_equal(nb.valid_counts(), np.minimum(degrees, 4))
 
     def test_cold_start_node_empty_neighborhood(self, small_graph, small_tcsr):
         """Querying at time zero returns an empty, fully-masked neighborhood."""
-        nb = make_finder("gpu", small_tcsr).sample(np.array([0, 1]), np.array([0.0, 0.0]), 5)
+        nb = GPUNeighborFinder(small_tcsr).sample(np.array([0, 1]), np.array([0.0, 0.0]), 5)
         assert not nb.mask.any()
 
     def test_unknown_finder_kind(self, small_tcsr):
         with pytest.raises(ValueError):
-            make_finder("cuda", small_tcsr)
-        with pytest.raises(ValueError):
-            make_finder("gpu", small_tcsr, policy="bogus")
+            TaserConfig(finder="cuda")
+        for policy in ("bogus", "inverse_timespan"):
+            with pytest.raises(ValueError):
+                GPUNeighborFinder(small_tcsr, policy=policy)
 
 
 class TestTGLRestrictions:
@@ -204,13 +206,13 @@ class TestTGLRestrictions:
 class TestMultiHop:
     def test_shapes_cascade(self, small_graph, small_tcsr):
         roots, times = query_batch(small_graph, 30)
-        hops = sample_multi_hop(make_finder("gpu", small_tcsr), roots, times, [5, 3])
+        hops = sample_multi_hop(GPUNeighborFinder(small_tcsr), roots, times, [5, 3])
         assert hops[0].nodes.shape == (30, 5)
         assert hops[1].nodes.shape == (150, 3)
 
     def test_frontier_times_are_hop_interaction_times(self, small_graph, small_tcsr):
         roots, times = query_batch(small_graph, 20)
-        hops = sample_multi_hop(make_finder("gpu", small_tcsr), roots, times, [4, 4])
+        hops = sample_multi_hop(GPUNeighborFinder(small_tcsr), roots, times, [4, 4])
         nodes, next_times = flatten_frontier(hops[0])
         assert np.array_equal(hops[1].root_times, next_times)
         # hop-2 neighbors are strictly older than the hop-1 interaction they hang off.
@@ -219,7 +221,7 @@ class TestMultiHop:
     def test_padded_frontier_produces_empty_neighborhoods(self, small_graph, small_tcsr):
         roots = np.array([int(small_graph.src[0])])
         times = np.array([float(small_graph.ts[0]) + 1e-9])
-        hops = sample_multi_hop(make_finder("gpu", small_tcsr), roots, times, [6, 2])
+        hops = sample_multi_hop(GPUNeighborFinder(small_tcsr), roots, times, [6, 2])
         invalid_rows = ~hops[0].mask.reshape(-1)
         assert not hops[1].mask[invalid_rows].any()
 
@@ -234,10 +236,69 @@ def test_property_gpu_finder_valid_sample(budget, seed):
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, graph.num_edges, 40)
     nodes, times = graph.src[idx], graph.ts[idx]
-    nb = make_finder("gpu", tcsr, policy="uniform", seed=seed).sample(nodes, times, budget)
+    nb = GPUNeighborFinder(tcsr, policy="uniform", seed=seed).sample(nodes, times, budget)
     nb.check_invariants()
     counts = tcsr.pivots(nodes, times) - tcsr.indptr[nodes]
     assert np.array_equal(nb.valid_counts(), np.minimum(counts, budget))
     for i in range(nb.batch_size):
         eids = nb.eids[i][nb.mask[i]]
         assert eids.size == np.unique(eids).size
+
+
+class TestOneFinder:
+    """TASER's block-centric finder is the runtime's only finder; the
+    paper's two baselines are benchmark fixtures, and the factory, flags and
+    chronological-order plumbing that served them are gone."""
+
+    def test_packages_export_no_baseline_finder(self):
+        for module in (repro, repro.sampling):
+            for gone in ("make_finder", "TGLNeighborFinder",
+                         "OriginalNeighborFinder"):
+                assert not hasattr(module, gone), (module.__name__, gone)
+                assert gone not in module.__all__
+
+    def test_no_chronological_order_members(self):
+        from repro.sampling import NeighborFinder
+        for gone in ("requires_chronological", "reset", "name"):
+            assert not hasattr(NeighborFinder, gone), gone
+            assert not hasattr(GPUNeighborFinder, gone), gone
+        for selector in (MiniBatchSelector, ChronologicalSelector,
+                         AdaptiveMiniBatchSelector):
+            for gone in ("requires_chronological",
+                         "requires_chronological_finder"):
+                assert not hasattr(selector, gone), (selector.__name__, gone)
+
+    def test_baseline_finder_config_rejected_naming_only_gpu(self):
+        for gone in ("tgl", "original"):
+            with pytest.raises(ValueError, match="'gpu' is the only") as info:
+                TaserConfig(finder=gone, adaptive_minibatch=False)
+            assert gone not in str(info.value).replace(f"'{gone}'", "", 1)
+        assert TaserConfig().finder == "gpu"
+
+    def test_finder_flag_is_gone(self, capsys):
+        for build in (cli.build_parser, cli.build_train_parser,
+                      cli.build_serve_parser):
+            with pytest.raises(SystemExit) as info:
+                build().parse_args(["--finder", "gpu"])
+            assert info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_engine_takes_no_finder(self):
+        from repro.serve import ServeEngine
+        params = inspect.signature(ServeEngine.__init__).parameters
+        assert "finder" not in params and "finder_policy" in params
+
+    def test_breakdown_row_runs_the_injected_finder(self, small_graph):
+        """A row replays under its injected finder and differs from the
+        default finder's row, so a swap that is lost cannot pass."""
+        config = quick_config("graphmixer", finder_policy="uniform",
+                              adaptive_minibatch=False, adaptive_neighbor=False,
+                              epochs=1, max_batches_per_epoch=2, hidden_dim=8,
+                              time_dim=4, num_neighbors=3, num_candidates=3,
+                              eval_max_edges=10)
+
+        def row_hash(**finder):
+            return runtime_breakdown(small_graph, config, "x", **finder).loss_hash
+        original = row_hash(finder=OriginalNeighborFinder)
+        assert row_hash(finder=OriginalNeighborFinder) == original
+        assert row_hash() == row_hash(finder=GPUNeighborFinder) != original

@@ -10,7 +10,7 @@ from repro.device import FeatureStore
 from repro.graph import build_tcsr, load_dataset
 from repro.models import TGAT, EdgePredictor, GraphMixer, HopData
 from repro.nn import MixerBlock
-from repro.sampling import NeighborBatch, make_finder
+from repro.sampling import GPUNeighborFinder, NeighborBatch
 from repro.tensor import (Tensor, concatenate, stack, where, no_grad, is_grad_enabled,
                           get_backend)
 from repro.tensor import functional as F
@@ -1007,7 +1007,7 @@ class TestGraphMixerAggregateNode:
         layer-0 state, and there are no edge features."""
         graph = load_dataset("flights", scale=0.02, seed=3)
         assert graph.node_dim > 0 and graph.edge_feat is None
-        gen = MiniBatchGenerator(make_finder("gpu", build_tcsr(graph), policy="recent"),
+        gen = MiniBatchGenerator(GPUNeighborFinder(build_tcsr(graph), policy="recent"),
                                  FeatureStore(graph), 1, 4, 4)
         idx = np.arange(graph.num_edges - 12, graph.num_edges)
         minibatch = gen.build(graph.src[idx], graph.ts[idx], train=True)

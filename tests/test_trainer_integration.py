@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro.bench import harness
+from repro.bench.finders import OriginalNeighborFinder, use_finder
 from repro.core import TaserConfig, TaserTrainer
 from repro.graph import CTDGConfig, generate_ctdg, chronological_split
 
@@ -71,12 +72,6 @@ class TestConfig:
         assert tiny_config(backbone="graphmixer").resolved_finder_policy == "recent"
         assert tiny_config(finder_policy="recent").resolved_finder_policy == "recent"
 
-    def test_tgl_finder_incompatible_with_adaptive_minibatch(self):
-        with pytest.raises(ValueError):
-            tiny_config(finder="tgl", adaptive_minibatch=True)
-        # but fine for the chronological baseline
-        tiny_config(finder="tgl", adaptive_minibatch=False)
-
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             tiny_config(backbone="tgn")
@@ -89,6 +84,12 @@ class TestConfig:
         for name in ("hidden_dim", "num_neighbors"):
             with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                 tiny_config(**{name: 0})
+        # A cap of 0 trained zero batches (loss 0.0) or scored no edges (MRR
+        # nan); a negative one failed inside numpy.
+        for name in ("max_batches_per_epoch", "eval_max_edges"):
+            for value in (0, -5):
+                with pytest.raises(ValueError, match=f"{name} must be None or >= 1"):
+                    tiny_config(**{name: value})
 
     def test_no_dead_options(self):
         """Every field is read as ``cfg.<name>`` / ``config.<name>`` somewhere
@@ -96,9 +97,10 @@ class TestConfig:
         is; a field only its own validation touches configures nothing."""
         dead = [f.name for f in dataclasses.fields(TaserConfig)
                 if not _field_is_read(f.name)]
-        # batch_engine has one legal value and rejects every other one; it
-        # stays only because the frozen benchmarks/e2e/workloads.py passes it.
-        assert dead == ["batch_engine"]
+        # finder and batch_engine have one legal value each and reject every
+        # other one; they stay only because the frozen
+        # benchmarks/e2e/workloads.py passes them.
+        assert dead == ["finder", "batch_engine"]
 
     def test_no_dead_bench_options(self):
         """Every key ``bench.harness.quick_config`` sets and every keyword
@@ -186,21 +188,11 @@ class TestTrainingVariants:
         trainer = TaserTrainer(train_graph, cfg)
         assert trainer.cache is None
 
-    def test_chronological_baseline_with_tgl_finder(self, train_graph):
-        cfg = tiny_config(backbone="graphmixer", adaptive_minibatch=False,
-                          adaptive_neighbor=False, finder="tgl")
-        trainer = TaserTrainer(train_graph, cfg)
-        stats = trainer.train_epoch()
-        assert np.isfinite(stats.model_loss)
-        # second epoch must reset the pointer array and work again
-        stats2 = trainer.train_epoch()
-        assert np.isfinite(stats2.model_loss)
-
     def test_original_finder_variant(self, train_graph):
         cfg = tiny_config(backbone="graphmixer", adaptive_minibatch=False,
-                          adaptive_neighbor=False, finder="original",
-                          max_batches_per_epoch=2)
+                          adaptive_neighbor=False, max_batches_per_epoch=2)
         trainer = TaserTrainer(train_graph, cfg)
+        use_finder(trainer, OriginalNeighborFinder)
         assert np.isfinite(trainer.train_epoch().model_loss)
 
     def test_deterministic_with_same_seed(self, train_graph):
