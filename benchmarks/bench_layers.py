@@ -32,13 +32,14 @@ selected, from ``(R, 10)`` scores).  The fourth is ``time_encoding`` at R =
 Operands are built in ``repro.tensor.COMPUTE_DTYPE`` — the dtype the program
 runs these layers in — and the payload records it as ``compute_dtype``.
 
-One more cell, ``eval_chunk``, times the unit ``evaluate("test")`` repeats
-on that workload: one no-grad scoring chunk of 10 test edges x 51 roots (src,
-dst, 49 negatives) through ``score_link_queries`` on the ``train_tgat_taser``
-configuration after one training epoch, and records the rows per level of
-its forward-only batch: ``per_row`` (what a batch without dedup holds),
-``rows`` (the slots that reach the level) and ``targets`` (its distinct
-``(node, t)`` queries, the rows the level computes).
+One more cell, ``eval_levels``, times what ``evaluate("test")`` runs on that
+workload: one whole no-grad scoring call of 100 test edges x 51 roots (src,
+dst, 49 negatives) through ``score_link_queries`` on the
+``train_tgat_taser`` configuration after one training epoch, at the tile
+bound ``SCORING_TILE_ROWS`` and at half and twice it (``ns_by_tile_rows``).
+Per level of the call's forward-only batch it records ``rows`` (the slots
+that reach the level), ``targets`` (its distinct ``(node, t)`` queries, the
+rows the level computes) and ``tiles`` (how many tiles run them).
 
 Two cells cover the serve path.  ``graphmixer_aggregate`` times
 ``GraphMixer.aggregate`` on the zero state at a serve flush's rows (R = 3)
@@ -83,8 +84,7 @@ from repro.bench import emit_bench_json  # noqa: E402
 from repro.core import (AdaptiveNeighborSampler, TaserConfig,  # noqa: E402
                         TaserTrainer)
 from repro.encoders import FixedTimeEncoder, LearnableTimeEncoder  # noqa: E402
-from repro.eval.evaluator import (SCORING_CHUNK_ROOTS,  # noqa: E402
-                                  score_link_queries)
+from repro.eval import evaluator, score_link_queries  # noqa: E402
 from repro.graph import load_dataset  # noqa: E402
 from repro.models import TGAT, GraphMixer, HopData  # noqa: E402
 from repro.nn import MixerBlock  # noqa: E402
@@ -227,29 +227,37 @@ OPS = {
 }
 
 
-def eval_chunk_cell(tracer: Tracer, repeats: int) -> dict:
-    """``score_link_queries`` on one ``train_tgat_taser`` scoring chunk."""
+def eval_levels_cell(tracer: Tracer, repeats: int) -> dict:
+    """``score_link_queries`` on one whole ``train_tgat_taser`` evaluation."""
     spec = TRAIN_SPECS["train_tgat_taser"]
     config = TaserConfig(**dict(MODEL, **spec["config"]))
     trainer = TaserTrainer(load_dataset(spec["dataset"], scale=spec["scale"],
                                         seed=0), config)
     trainer.train_epoch()
-    evaluator = trainer.make_evaluator()
-    graph, test = trainer.graph, trainer.split.test_idx
-    edges = test[np.linspace(0, test.size - 1,
-                             SCORING_CHUNK_ROOTS // (2 + config.eval_negatives)
-                             ).astype(np.int64)]
+    scorer = trainer.make_evaluator()
+    graph, edges = trainer.graph, scorer._select_edges("test")
     queries = (graph.src[edges], graph.dst[edges], graph.ts[edges],
-               evaluator.negatives.sample_matrix(edges.size, config.eval_negatives,
-                                                 exclude=graph.dst[edges]))
-    minibatch = trainer.prep.prepare_eval(*queries, rng=evaluator.rng).minibatch
-    levels = [{"per_row": minibatch.batch_size * config.num_neighbors ** level,
-               "rows": int(hop.inverse.size), "targets": hop.num_targets}
-              for level, hop in enumerate(minibatch.hops)]
-    cell = measure(lambda: score_link_queries(
-        trainer.prep, trainer.backbone, trainer.predictor, *queries,
-        evaluator.rng), tracer, repeats)
-    return dict(cell, edges=int(edges.size), levels=levels)
+               scorer.negatives.sample_matrix(edges.size, config.eval_negatives,
+                                              exclude=graph.dst[edges]))
+    bound = evaluator.SCORING_TILE_ROWS
+    minibatch = trainer.prep.prepare_eval(*queries, rng=np.random.default_rng(0)
+                                          ).minibatch
+    levels = [{"rows": int(hop.inverse.size), "targets": hop.num_targets,
+               "tiles": -(-hop.num_targets // bound)} for hop in minibatch.hops]
+
+    def score():
+        return score_link_queries(trainer.prep, trainer.backbone,
+                                  trainer.predictor, *queries, scorer.rng)
+    cell = measure(score, tracer, repeats)
+    by_bound = {}
+    try:
+        for rows in (bound // 2, bound, 2 * bound):
+            evaluator.SCORING_TILE_ROWS = rows
+            by_bound[str(rows)] = measure(score, tracer, repeats)["ns_per_op"]
+    finally:
+        evaluator.SCORING_TILE_ROWS = bound
+    return dict(cell, edges=int(edges.size), tile_rows=bound,
+                ns_by_tile_rows=by_bound, levels=levels)
 
 
 def calls_of(run) -> int:
@@ -362,11 +370,13 @@ def bench(sizes, repeats: int) -> dict:
     print("  serve_flush       " + "  ".join(
         f"{label}: {one['us_per_flush']:7.1f} us {one['calls_per_flush']:4d} calls"
         for label, one in cell.items()))
-    cell = cells["eval_chunk"] = eval_chunk_cell(tracer, repeats)
-    print(f"  eval_chunk        {cell['edges']} edges     "
-          f" nograd {cell['ns_per_op'] / 1e6:8.3f} ms, per-row -> rows -> targets"
-          " per level: " + ", ".join(
-              f"{level['per_row']} -> {level['rows']} -> {level['targets']}"
+    cell = cells["eval_levels"] = eval_levels_cell(tracer, repeats)
+    print(f"  eval_levels       {cell['edges']} edges      nograd "
+          f"{cell['ns_per_op'] / 1e6:8.3f} ms at {cell['tile_rows']} rows per tile ("
+          + ", ".join(f"{rows}: {ns / 1e6:.1f} ms"
+                      for rows, ns in cell["ns_by_tile_rows"].items())
+          + "); rows -> targets in tiles per level: " + ", ".join(
+              f"{level['rows']} -> {level['targets']} in {level['tiles']}"
               for level in cell["levels"]))
     return cells
 

@@ -137,7 +137,7 @@ class TaserConfig:
             raise ValueError(
                 f"unknown batch_engine {self.batch_engine!r}: 'sync' is the "
                 "only batch engine (choose 'sync' or leave the default)")
-        for name in ("hidden_dim", "num_neighbors"):
+        for name in ("hidden_dim", "num_neighbors", "eval_negatives"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")

@@ -21,9 +21,10 @@ runtime tables: ``NF`` (neighbor finding), ``FS`` (feature slicing) and
 ``AS`` (adaptive sampling).
 
 The NF + FS stages of a layer are :meth:`MiniBatchGenerator.layer_candidates`.
-Consumers never call this class directly — they go through the prep
-runtime, which is the single producer of
-:class:`~repro.core.prep.PreparedBatch`.
+A forward-only batch (scoring, serving) runs the same stages per row tile of
+each level's distinct targets; :meth:`MiniBatchGenerator.hop_tile` is one
+tile's stage in the embedding pass.  Training and scoring go through the
+prep runtime, the single producer of :class:`~repro.core.prep.PreparedBatch`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from ..device.memory import FeatureStore
 from ..models.minibatch import HopData, MiniBatch
 from ..sampling.base import NeighborBatch, NeighborFinder
 from ..sampling.recursive import flatten_frontier, unique_targets
+from ..utils.tiles import ONE_TILE, Tiles
 from ..utils.timer import Timer
 from .neighbor_sampler import AdaptiveNeighborSampler
 
@@ -89,13 +91,12 @@ class MiniBatchGenerator:
     def _candidate_budget(self) -> int:
         return self.num_candidates if self.uses_adaptive_sampling else self.num_neighbors
 
-    def _slice_candidate_features(self, candidates: NeighborBatch,
-                                  target_nodes: np.ndarray):
-        """Gather edge/node features of the candidate neighborhood."""
+    def _slice_features(self, neighbors: NeighborBatch):
+        """Gather edge/node features of a neighborhood and of its targets."""
         store = self.feature_store
-        edge_feat = store.slice_edge_features(candidates.eids, candidates.mask)
-        neigh_feat = store.slice_node_features(candidates.nodes, candidates.mask)
-        target_feat = store.slice_node_features(target_nodes)
+        edge_feat = store.slice_edge_features(neighbors.eids, neighbors.mask)
+        neigh_feat = store.slice_node_features(neighbors.nodes, neighbors.mask)
+        target_feat = store.slice_node_features(neighbors.root_nodes)
         return edge_feat, neigh_feat, target_feat
 
     @staticmethod
@@ -111,6 +112,17 @@ class MiniBatchGenerator:
 
     # -- layer stage (NF + FS) ---------------------------------------------------------
 
+    def _find(self, target_nodes: np.ndarray, target_times: np.ndarray,
+              budget: int, rng: Optional[np.random.Generator]) -> NeighborBatch:
+        """NF: ``budget`` past neighbors of each target."""
+        with self.timer.section("NF"):
+            neighbors = self.finder.sample(target_nodes, target_times, budget, rng=rng)
+        # Roots with no past interactions yield fully-masked rows whose slots
+        # hold the padding sentinel; downstream feature slicing and
+        # aggregation rely on that contract, so enforce it at the source.
+        neighbors.check_padding()
+        return neighbors
+
     def layer_candidates(self, target_nodes: np.ndarray,
                          target_times: np.ndarray,
                          rng: Optional[np.random.Generator] = None
@@ -121,16 +133,10 @@ class MiniBatchGenerator:
         on trainable state.  ``rng`` is the generator of the finder's draws
         (``None``: the finder's own stream).
         """
-        with self.timer.section("NF"):
-            candidates = self.finder.sample(target_nodes, target_times,
-                                            self._candidate_budget(), rng=rng)
-        # Roots with no past interactions yield fully-masked rows whose slots
-        # hold the padding sentinel; downstream feature slicing and
-        # aggregation rely on that contract, so enforce it at the source.
-        candidates.check_padding()
+        candidates = self._find(target_nodes, target_times,
+                                self._candidate_budget(), rng)
         with self.timer.section("FS"):
-            edge_feat, neigh_feat, target_feat = self._slice_candidate_features(
-                candidates, target_nodes)
+            edge_feat, neigh_feat, target_feat = self._slice_features(candidates)
         return CandidateSlice(candidates=candidates, edge_feat=edge_feat,
                               neigh_node_feat=neigh_feat,
                               target_node_feat=target_feat)
@@ -140,33 +146,94 @@ class MiniBatchGenerator:
         with self.timer.section("FS"):
             return self.feature_store.slice_node_features(root_nodes)
 
+    # -- forward-only tile stages ------------------------------------------------------
+
+    def _hop_features(self, neighbors: NeighborBatch) -> HopData:
+        """FS of a forward-only tile: the hop of ``neighbors`` with its
+        neighbors' and its targets' features."""
+        with self.timer.section("FS"):
+            edge_feat, neigh_feat, target_feat = self._slice_features(neighbors)
+        return HopData(batch=neighbors, edge_feat=edge_feat,
+                       neigh_node_feat=neigh_feat, target_node_feat=target_feat)
+
+    def _draw(self, target_nodes: np.ndarray, target_times: np.ndarray,
+              rng: Optional[np.random.Generator], features: bool) -> HopData:
+        """NF (+ FS + greedy AS with the adaptive sampler) of a forward-only
+        tile: the selected neighbors of each target, with their features
+        when ``features``.  Candidate features live only inside this call."""
+        if not self.uses_adaptive_sampling:
+            selected = self._find(target_nodes, target_times, self.num_neighbors, rng)
+            return self._hop_features(selected) if features else HopData(batch=selected)
+        stage = self.layer_candidates(target_nodes, target_times, rng=rng)
+        with self.timer.section("AS"):
+            columns = self.adaptive_sampler(
+                stage.candidates, self.num_neighbors, edge_feat=stage.edge_feat,
+                neigh_node_feat=stage.neigh_node_feat,
+                target_node_feat=stage.target_node_feat, greedy=True).columns
+        hop = HopData(batch=stage.candidates.select(columns))
+        if features:
+            hop.edge_feat = self._gather_columns(stage.edge_feat, columns)
+            hop.neigh_node_feat = self._gather_columns(stage.neigh_node_feat, columns)
+            hop.target_node_feat = stage.target_node_feat
+        return hop
+
+    def hop_tile(self, hop: HopData, index: int, rows: slice) -> HopData:
+        """Tile ``index`` (rows ``rows``) of a forward-only level, with its
+        features.  A drawn level's selected neighbors are sliced and their
+        features gathered; an undrawn one (the deepest level of a scoring
+        call) draws the tile here, from its own seed in :attr:`HopData.seeds`
+        (``None``: the finder's own stream), and keeps the candidates'
+        features of the selected neighbors."""
+        batch = hop.batch
+        if batch.budget:
+            return self._hop_features(batch.rows(rows))
+        rng = None if hop.seeds is None else \
+            np.random.default_rng(int(hop.seeds[index]))
+        return self._draw(batch.root_nodes[rows], batch.root_times[rows], rng,
+                          features=True)
+
     # -- main entry point ------------------------------------------------------------
 
     def build(self, root_nodes: np.ndarray, root_times: np.ndarray,
               train: bool = True,
-              rng: Optional[np.random.Generator] = None) -> MiniBatch:
+              rng: Optional[np.random.Generator] = None,
+              tiles: Optional[Tiles] = None) -> MiniBatch:
         """Build the full multi-hop mini-batch for the given root queries.
 
         A training batch (``train=True``) has one target per row at every
-        hop: each row draws its own Gumbel selection, gate and log-prob.  A
-        forward-only batch builds every hop on the *distinct* ``(node, t)``
-        queries of its level — the roots, then each flattened frontier — and
-        records in :attr:`~repro.models.HopData.inverse` where each row went,
-        so nothing downstream computes a repeated query twice.
+        hop, with its features: each row draws its own Gumbel selection,
+        gate and log-prob.  ``rng`` is the generator of the finder's draws at
+        every hop (``None``: the finder's own stream).
 
-        ``rng`` is the generator of the finder's draws at every hop
-        (``None``: the finder's own stream).  Scoring passes one per chunk,
-        which is what lets chunks run on several threads.
+        A forward-only batch (``train=False``) is built level by level: each
+        level — the roots, then each flattened frontier — is reduced to its
+        distinct ``(node, t)`` queries once, and
+        :attr:`~repro.models.HopData.inverse` records where each row went.
+        The level's distinct targets are cut into ``tiles`` (default: one),
+        and each tile runs the finder, and with the adaptive sampler the
+        candidate gather and the greedy selection.  A level keeps only its
+        targets, ``inverse`` and the selected neighbors' ids / times / mask:
+        the hops carry no features, and
+        :meth:`~repro.models.TGNNBackbone.embed` gathers each tile's through
+        :meth:`hop_tile`.  A deepest level of more than one tile keeps only
+        its targets (a batch of budget 0) and the seeds of its tiles:
+        :meth:`hop_tile` draws each tile where it is embedded, so no array of
+        that level outlives its tile.
+
+        With ``rng``, each tile's finder draws come from its own generator,
+        seeded by one raw draw of ``rng`` per tile, taken in tile order before
+        the level's tiles run; so the batch does not depend on the threads
+        that ran the tiles.  Without it the tiles draw from the finder's own
+        stream and must run in order on one thread.
         """
         root_nodes = np.asarray(root_nodes, dtype=np.int64)
         root_times = np.asarray(root_times, dtype=np.float64)
         minibatch = MiniBatch(root_nodes=root_nodes, root_times=root_times)
+        if not train:
+            return self._build_levels(minibatch, rng, tiles or ONE_TILE)
 
         cur_nodes, cur_times = root_nodes, root_times
         for layer in range(self.num_layers):
-            inverse = None
-            if not train:
-                cur_nodes, cur_times, inverse = unique_targets(cur_nodes, cur_times)
             if layer == 0:
                 minibatch.root_node_feat = self.slice_root_features(cur_nodes)
             stage = self.layer_candidates(cur_nodes, cur_times, rng=rng)
@@ -180,25 +247,53 @@ class MiniBatchGenerator:
                     selection = self.adaptive_sampler(
                         candidates, self.num_neighbors,
                         edge_feat=edge_feat, neigh_node_feat=neigh_feat,
-                        target_node_feat=target_feat, greedy=not train)
+                        target_node_feat=target_feat)
                     selected = candidates.select(selection.columns)
                     hop = HopData(
                         batch=selected,
                         edge_feat=self._gather_columns(edge_feat, selection.columns),
                         neigh_node_feat=self._gather_columns(neigh_feat, selection.columns),
                         target_node_feat=target_feat,
-                        log_prob=selection.log_prob if train else None,
+                        log_prob=selection.log_prob,
                         candidates=candidates,
                     )
+                hop.make_gate()
             else:
                 hop = HopData(batch=candidates, edge_feat=edge_feat,
                               neigh_node_feat=neigh_feat,
                               target_node_feat=target_feat)
-
-            if train and self.uses_adaptive_sampling:
-                hop.make_gate()
-            hop.inverse = inverse
             minibatch.hops.append(hop)
             cur_nodes, cur_times = flatten_frontier(hop.batch)
 
+        return minibatch
+
+    def _build_levels(self, minibatch: MiniBatch,
+                      rng: Optional[np.random.Generator],
+                      tiles: Tiles) -> MiniBatch:
+        """The levels of a forward-only batch (see :meth:`build`)."""
+        nodes, times = minibatch.root_nodes, minibatch.root_times
+        for layer in range(self.num_layers):
+            if layer:
+                nodes, times = flatten_frontier(minibatch.hops[-1].batch)
+            nodes, times, inverse = unique_targets(nodes, times)
+            cut = tiles.split(nodes.size)
+            count = len(cut)
+            seeds = None if rng is None else rng.bit_generator.random_raw(count)
+            if layer == self.num_layers - 1 and count > 1:
+                minibatch.hops.append(HopData(
+                    batch=NeighborBatch.targets(nodes, times), inverse=inverse,
+                    seeds=seeds))
+                break
+            parts = [None] * count
+
+            def draw(index: int, rows: slice, nodes=nodes, times=times,
+                     seeds=seeds, parts=parts) -> None:
+                tile_rng = None if seeds is None else \
+                    np.random.default_rng(int(seeds[index]))
+                parts[index] = self._draw(nodes[rows], times[rows], tile_rng,
+                                          features=False).batch
+
+            tiles.run(draw, cut)
+            minibatch.hops.append(HopData(batch=NeighborBatch.concatenate(parts),
+                                          inverse=inverse))
         return minibatch

@@ -58,6 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..eval.negative_sampling import NegativeSampler
     from ..graph.splits import TemporalSplit
     from ..graph.temporal_graph import TemporalGraph
+    from ..utils.tiles import Tiles
 
 __all__ = ["PreparedBatch", "PrepPipeline"]
 
@@ -190,13 +191,15 @@ class PrepPipeline:
     # -- stages: candidates -> gather -> encode -> assemble ----------------------
 
     def finish(self, prepared: PreparedBatch, train: bool = True,
-               rng: Optional[np.random.Generator] = None) -> PreparedBatch:
+               rng: Optional[np.random.Generator] = None,
+               tiles: Optional["Tiles"] = None) -> PreparedBatch:
         """Run the candidates/gather/encode/assemble stages: build
         ``prepared.minibatch`` from the assembled root queries.  ``rng`` is
         the generator of the finder's draws (``None``: the finder's own
-        stream)."""
+        stream); a forward-only batch (``train=False``) runs its levels over
+        ``tiles`` (:meth:`MiniBatchGenerator.build`)."""
         prepared.minibatch = self.generator.build(
-            prepared.roots, prepared.times, train=train, rng=rng)
+            prepared.roots, prepared.times, train=train, rng=rng, tiles=tiles)
         return prepared
 
     def prepare_train(self, local_indices: np.ndarray) -> PreparedBatch:
@@ -205,8 +208,10 @@ class PrepPipeline:
 
     def prepare_eval(self, src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
                      negatives: np.ndarray,
-                     rng: Optional[np.random.Generator] = None) -> PreparedBatch:
-        """Fully prepare one evaluation batch (offline or prequential MRR),
-        the finder drawing from ``rng`` (``None``: its own stream)."""
+                     rng: Optional[np.random.Generator] = None,
+                     tiles: Optional["Tiles"] = None) -> PreparedBatch:
+        """Prepare the forward-only batch of one scoring call (offline or
+        prequential MRR), the finder drawing from ``rng`` (``None``: its own
+        stream) in each of ``tiles``."""
         return self.finish(self.assemble_eval(src, dst, ts, negatives),
-                           train=False, rng=rng)
+                           train=False, rng=rng, tiles=tiles)

@@ -294,6 +294,9 @@ class StreamingTrainer(TaserTrainer):
                 "a sliding window (use variant 'baseline' or 'ada-neighbor')")
         if window_events <= 0:
             raise ValueError("window_events must be positive")
+        if prequential_max_events is not None and prequential_max_events < 1:
+            raise ValueError(f"prequential_max_events must be None or >= 1, "
+                             f"got {prequential_max_events}")
         graph = warmup_graph if warmup_graph.is_chronological \
             else warmup_graph.sort_by_time()
         super().__init__(graph, config, split=_window_split(graph, window_events))
@@ -317,8 +320,7 @@ class StreamingTrainer(TaserTrainer):
 
     # -- online cycle -----------------------------------------------------------
 
-    def prequential_eval(self, chunk: EventChunk,
-                         batch_edges: Optional[int] = None) -> float:
+    def prequential_eval(self, chunk: EventChunk) -> float:
         """Score the chunk's events with the current model, before ingestion.
 
         Every event is ranked against ``config.eval_negatives`` sampled
@@ -343,7 +345,7 @@ class StreamingTrainer(TaserTrainer):
         # loop, like offline MRR.
         pos, neg = score_link_queries(self.prep, self.backbone, self.predictor,
                                       src, dst, ts, negatives,
-                                      self.prequential_rng, batch_edges)
+                                      self.prequential_rng)
         return ranking_report(pos, neg)["mrr"]
 
     def ingest(self, chunk: EventChunk) -> None:

@@ -10,12 +10,15 @@ serves training: eval therefore benefits from the deduplicated fused gather
 and its cache accounting, and any prep optimisation automatically covers
 the evaluation path.
 
-Scoring runs its chunks on every core the process may use: the calling
-thread and a persistent pool of helper threads take chunk indices from one
-shared counter.  Almost all of a chunk's time is spent in NumPy / BLAS calls
-that release the GIL.  Each chunk's finder draws come from its own
-generator, seeded from the caller's before any chunk runs, so scores do not
-depend on how many threads ran or which thread took which chunk.
+A scoring call works level by level: every distinct ``(node, t)`` query of a
+level is sampled, gathered and aggregated once per call.  The heavy stages
+run over row tiles of at most :data:`SCORING_TILE_ROWS` rows, on every core
+the process may use: the calling thread and a persistent pool of helper
+threads take tile indices from one shared counter.  Almost all of a tile's
+time is spent in NumPy / BLAS calls that release the GIL.  Each tile's
+finder draws come from its own generator, seeded from the caller's before
+the level's tiles run, so scores do not depend on how many threads ran or
+which thread took which tile.
 """
 
 from __future__ import annotations
@@ -31,23 +34,23 @@ from .. import _BLAS_THREADS
 from ..graph.splits import TemporalSplit
 from ..models.base import TGNNBackbone
 from ..models.edge_predictor import EdgePredictor
-from ..tensor import no_grad
+from ..tensor import Tensor, no_grad
 from ..utils.rng import new_rng
+from ..utils.tiles import Tiles
 from .metrics import ranking_report
 from .negative_sampling import NegativeSampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["LinkPredictionEvaluator", "score_link_queries", "SCORING_CHUNK_ROOTS"]
+__all__ = ["LinkPredictionEvaluator", "score_link_queries", "SCORING_TILE_ROWS"]
 
-#: roots (src + dst + negatives) scored per no-grad forward — the order of a
-#: training step's 300-600 roots.  Unbounded, a 50-edge x 51-root forward makes
-#: hop-2 sampler activations of ~35 MB each, above glibc's 32 MB mmap ceiling:
-#: every such array is mapped, page-faulted in and unmapped again.  The bound
-#: counts roots before the forward-only batch drops repeated ``(node, t)``
-#: queries, so a chunk's edges never depend on how many of its roots repeat.
-SCORING_CHUNK_ROOTS = 512
+#: distinct rows per tile of a scoring stage: the targets of a level for the
+#: finder, the gather, the adaptive sampler and each aggregate; the scored
+#: (source, destination) pairs for the edge predictor.  Every array sized
+#: rows x slots x channels lives inside one tile, so a call's working set does
+#: not grow with its edge count.
+SCORING_TILE_ROWS = 512
 
 #: ``M_ARENA_MAX`` of glibc's ``<malloc.h>``.
 _M_ARENA_MAX = -8
@@ -57,7 +60,7 @@ def _one_malloc_arena() -> None:
     """Make every thread allocate from glibc's main arena (no-op elsewhere).
 
     With an arena per thread, each scoring thread keeps its own freed pages
-    and peak RSS grows by one chunk's working set per thread; scoring was
+    and peak RSS grows by one tile's working set per thread; scoring was
     also slower that way.
     """
     try:
@@ -73,10 +76,10 @@ def _one_malloc_arena() -> None:
 
 
 def _pool_size(chunks: int) -> int:
-    """Threads that score ``chunks`` chunks at once, the caller included.
+    """Threads that run ``chunks`` tiles at once, the caller included.
 
     The CPUs the process may use, divided by the threads BLAS uses (every
-    CPU when ``repro`` could not pin them), capped at the number of chunks.
+    CPU when ``repro`` could not pin them), capped at the number of tiles.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -122,8 +125,8 @@ _HELPERS = _Helpers()
 
 
 def _run_chunks(score: Callable[[int], None], chunks: int, threads: int) -> None:
-    """Call ``score(i)`` once for each chunk index on ``threads`` threads, the
-    caller among them.  After a chunk raises no new chunk starts; the first
+    """Call ``score(i)`` once for each tile index on ``threads`` threads, the
+    caller among them.  After a tile raises no new tile starts; the first
     error is re-raised once every thread has stopped."""
     lock = threading.Lock()
     indices = iter(range(chunks))
@@ -145,52 +148,38 @@ def _run_chunks(score: Callable[[int], None], chunks: int, threads: int) -> None
         raise errors[0]
 
 
+def _pool_runner(call: Callable[[int], None], count: int) -> None:
+    _run_chunks(call, count, _pool_size(count))
+
+
 def score_link_queries(prep, backbone: TGNNBackbone, predictor: EdgePredictor,
                        src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
-                       negatives: np.ndarray, rng: np.random.Generator,
-                       batch_edges: Optional[int] = None
+                       negatives: np.ndarray, rng: np.random.Generator
                        ) -> Tuple[np.ndarray, np.ndarray]:
     """Logits of ``(src, dst, ts)`` queries and of their negative destinations.
 
     The one scoring loop behind offline MRR and prequential evaluation:
-    ``negatives`` is the whole ``(edges, k)`` matrix, drawn by the caller
-    before chunking so the ranking does not depend on ``batch_edges``.
-    Scores in chunks of ``batch_edges`` edges (default: as many as keep a
-    forward within :data:`SCORING_CHUNK_ROOTS` roots) under ``no_grad`` and
-    evaluation mode, and returns ``(pos (edges,), neg (edges, k))``.  Each
-    chunk is one forward-only mini-batch, which computes every distinct
-    ``(node, t)`` once per hop, and writes only its own rows of the outputs.
+    ``negatives`` is the whole ``(edges, k)`` matrix, drawn by the caller.
+    Under ``no_grad`` and evaluation mode, the call builds one forward-only
+    batch over all its roots — each level's distinct ``(node, t)`` queries
+    once — embeds it level by level, and scores every ``(source, destination)``
+    pair; each stage runs over tiles of at most :data:`SCORING_TILE_ROWS`
+    rows on the scoring threads (:func:`_pool_size`).  Returns
+    ``(pos (edges,), neg (edges, k))``.
 
-    ``rng`` is the caller's generator: it advances by exactly one draw per
-    chunk, the seed of that chunk's finder draws, taken in chunk order before
-    any chunk runs.  A stochastic finder policy therefore never draws from
-    the training stream, and the scores are the same whatever number of
-    threads (:func:`_pool_size`) scored the chunks.  Evaluation mode is
-    restored only after every chunk has finished or raised.
+    ``rng`` is the caller's generator: it advances by exactly one raw draw
+    per tile of each level, the seed of that tile's finder draws, taken in
+    (level, tile) order before the level's tiles run.  A stochastic finder
+    policy therefore never draws from the training stream, and the scores
+    are the same whatever number of threads ran the tiles.  Evaluation mode
+    is restored only after every tile has finished or raised.
     """
-    k = negatives.shape[1]
-    if batch_edges is None:
-        batch_edges = max(1, SCORING_CHUNK_ROOTS // (2 + k))
-    chunks = -(-src.size // batch_edges)
-    seeds = rng.bit_generator.random_raw(chunks)
-    pos_scores = np.empty(src.size)
-    neg_scores = np.empty((src.size, k))
-
-    def score(index: int) -> None:
-        chunk = slice(index * batch_edges, min((index + 1) * batch_edges, src.size))
-        b = chunk.stop - chunk.start
-        # Root layout [src | dst | negatives (row-major)] is assembled by the
-        # prep runtime.
-        prepared = prep.prepare_eval(src[chunk], dst[chunk], ts[chunk],
-                                     negatives[chunk],
-                                     rng=np.random.default_rng(int(seeds[index])))
-        embeddings = backbone.embed(prepared.minibatch)
-        h_src = embeddings[:b]
-        pos_scores[chunk] = predictor(h_src, embeddings[b:2 * b]).data
-        # Repeat each source embedding once per negative.
-        src_rep = h_src[np.repeat(np.arange(b), k)]
-        neg_scores[chunk] = predictor(
-            src_rep, embeddings[2 * b:]).data.reshape(b, k)
+    b, k = negatives.shape
+    tiles = Tiles(SCORING_TILE_ROWS, _pool_runner)
+    # Pair p < b is (src[p], dst[p]); pair b + e k + q is (src[e], the q-th
+    # negative of edge e).  The destination of pair p is root b + p.
+    sources = np.concatenate([np.arange(b), np.repeat(np.arange(b), k)])
+    logits = np.empty(sources.size)
 
     was_training = backbone.training
     backbone.eval()
@@ -199,11 +188,23 @@ def score_link_queries(prep, backbone: TGNNBackbone, predictor: EdgePredictor,
         # Helpers create tensors under the caller's no_grad: the switch is
         # process-global, so only the caller enters and leaves it.
         with no_grad():
-            _run_chunks(score, chunks, _pool_size(chunks))
+            # Root layout [src | dst | negatives (row-major)] is assembled by
+            # the prep runtime.
+            minibatch = prep.prepare_eval(src, dst, ts, negatives, rng=rng,
+                                          tiles=tiles).minibatch
+            embeddings = backbone.embed(minibatch, prep.generator.hop_tile,
+                                        tiles).data
+
+            def score(index: int, pairs: slice) -> None:
+                logits[pairs] = predictor(
+                    Tensor(embeddings[sources[pairs]]),
+                    Tensor(embeddings[b + pairs.start:b + pairs.stop])).data
+
+            tiles.run(score, tiles.split(sources.size))
     finally:
         backbone.train(was_training)
         predictor.train(was_training)
-    return pos_scores, neg_scores
+    return logits[:b], logits[b:].reshape(b, k)
 
 
 class LinkPredictionEvaluator:
@@ -222,8 +223,7 @@ class LinkPredictionEvaluator:
 
     def __init__(self, split: TemporalSplit, prep, backbone: TGNNBackbone,
                  predictor: EdgePredictor, num_negatives: int = 49,
-                 max_edges: Optional[int] = 300,
-                 batch_edges: Optional[int] = None, seed: int = 0) -> None:
+                 max_edges: Optional[int] = 300, seed: int = 0) -> None:
         if num_negatives <= 0:
             raise ValueError("num_negatives must be positive")
         self.split = split
@@ -232,7 +232,6 @@ class LinkPredictionEvaluator:
         self.predictor = predictor
         self.num_negatives = num_negatives
         self.max_edges = max_edges
-        self.batch_edges = batch_edges
         self.rng = new_rng(seed)
         self.negatives = NegativeSampler(split.graph, seed=seed + 1)
 
@@ -256,5 +255,5 @@ class LinkPredictionEvaluator:
                                                  exclude=dst)
         pos, neg = score_link_queries(self.prep, self.backbone, self.predictor,
                                       graph.src[edges], dst, graph.ts[edges],
-                                      negatives, self.rng, self.batch_edges)
+                                      negatives, self.rng)
         return ranking_report(pos, neg)

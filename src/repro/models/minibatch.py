@@ -53,6 +53,10 @@ class HopData:
     #: the previous hop's flattened neighbor slots after it) among the hop's
     #: distinct targets; None when the hop has one target per row.
     inverse: Optional[np.ndarray] = None
+    #: per-tile seeds of the finder draws of a forward-only level whose
+    #: neighbors are drawn tile by tile where they are embedded (``batch``
+    #: then holds only the targets); None otherwise.
+    seeds: Optional[np.ndarray] = None
 
     @property
     def num_targets(self) -> int:

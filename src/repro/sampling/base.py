@@ -10,7 +10,7 @@ aggregators and the adaptive sampler consume directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -118,6 +118,29 @@ class NeighborBatch:
         assert np.all(self.times[self.mask] < np.repeat(self.root_times, self.budget
                                                         ).reshape(self.mask.shape)[self.mask]), \
             "neighbor finder returned a non-causal (future) interaction"
+
+    @staticmethod
+    def targets(root_nodes: np.ndarray, root_times: np.ndarray) -> "NeighborBatch":
+        """The queries alone: a batch of budget 0, its neighbors not drawn."""
+        empty = np.empty((root_nodes.size, 0))
+        return NeighborBatch(root_nodes, root_times, empty, empty, empty, empty)
+
+    def rows(self, rows: slice) -> "NeighborBatch":
+        """The queries of the slice ``rows`` with their neighborhoods."""
+        if rows == slice(0, self.root_nodes.shape[0]):
+            return self
+        return NeighborBatch(self.root_nodes[rows], self.root_times[rows],
+                             self.nodes[rows], self.eids[rows],
+                             self.times[rows], self.mask[rows])
+
+    @staticmethod
+    def concatenate(parts: List["NeighborBatch"]) -> "NeighborBatch":
+        """One batch holding the queries of ``parts``, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        return NeighborBatch(*(np.concatenate([getattr(part, name) for part in parts])
+                               for name in ("root_nodes", "root_times", "nodes",
+                                            "eids", "times", "mask")))
 
     def select(self, columns: np.ndarray) -> "NeighborBatch":
         """Gather a per-row subset of columns (used by the adaptive sampler).

@@ -418,12 +418,13 @@ class ServeEngine:
                 if num_hits < nodes.size:
                     # One prep pass + one forward for the missing endpoints
                     # of the whole micro-batch (all of them when nothing
-                    # hit); the forward-only batch computes each distinct
-                    # (node, t) once.
+                    # hit), as one tile on this thread; the forward-only
+                    # batch computes each distinct (node, t) once.
                     misses = slice(None) if rows is None else ~hits
-                    minibatch = self.prep.generator.build(
-                        nodes[misses], times[misses], train=False)
-                    fresh = self.backbone.embed(minibatch).data
+                    generator = self.prep.generator
+                    minibatch = generator.build(nodes[misses], times[misses],
+                                                train=False)
+                    fresh = self.backbone.embed(minibatch, generator.hop_tile).data
                     distinct = minibatch.hops[0]
                     uniq_nodes = distinct.batch.root_nodes
                     self.serve_stats.embeddings_computed += uniq_nodes.size

@@ -1,10 +1,11 @@
-"""Shared utilities: deterministic RNG management and timing.
+"""Shared utilities: deterministic RNG management, timing and row tiles.
 
 Configuration helpers live in :mod:`repro.core.config`; the deprecated
 ``repro.utils.config`` re-export shim has been removed.
 """
 
 from .rng import RngMixin, new_rng, spawn_rngs, seed_everything
+from .tiles import Tiles
 from .timer import Timer
 
 __all__ = [
@@ -12,5 +13,6 @@ __all__ = [
     "new_rng",
     "spawn_rngs",
     "seed_everything",
+    "Tiles",
     "Timer",
 ]

@@ -169,8 +169,16 @@ class TestBenchHistory:
         assert prs == sorted(set(prs)), "one line per PR, in PR order"
         for record in records:
             assert record["source"] and record["what"]
-            assert record["workloads"] and set(record["workloads"]) <= workloads
-            for medians in record["workloads"].values():
-                assert medians and set(medians) <= metrics
-                assert all(isinstance(v, (int, float)) and v > 0
-                           for v in medians.values())
+            # ``parent``, when present, holds the same day's parent-side
+            # medians in the schema of ``workloads``: a within-day ratio
+            # needs both sides.
+            for side in ("workloads", "parent"):
+                if side == "parent" and side not in record:
+                    continue
+                assert record[side] and set(record[side]) <= workloads
+                for medians in record[side].values():
+                    assert medians and set(medians) <= metrics
+                    assert all(isinstance(v, (int, float)) and v > 0
+                               for v in medians.values())
+            if "parent" in record:
+                assert set(record["parent"]) == set(record["workloads"])

@@ -1,6 +1,7 @@
-"""Tests for ranking metrics, negative sampling and chunk-invariant scoring."""
+"""Tests for ranking metrics, negative sampling and level-wise scoring."""
 
 import copy
+import inspect
 import os
 import subprocess
 import sys
@@ -110,17 +111,20 @@ class TestNegativeSampling:
 
 
 # ---------------------------------------------------------------------------
-# chunk-invariant scoring: one negatives matrix per call, one scoring loop
+# level-wise scoring: one negatives matrix and one forward-only batch per call
 # ---------------------------------------------------------------------------
 
 SCORING_VARIANTS = {
-    # ``recent`` candidates: the uniform finder policy draws per scoring
-    # forward, so its candidates (not the negatives) depend on the chunking.
+    # ``recent`` candidates: the uniform finder policy draws per tile, so its
+    # candidates (not the negatives) depend on the tiling.
     "tgat+adaptive": dict(backbone="tgat", adaptive_minibatch=True,
                           adaptive_neighbor=True, finder_policy="recent"),
     "graphmixer": dict(backbone="graphmixer", adaptive_minibatch=False,
                        adaptive_neighbor=False),
 }
+
+#: tile bounds that cut the 23-edge test call into many tiles, a few, one.
+TILE_BOUNDS = (1, 7, 50, 10_000)
 
 
 def _scoring_config(variant, **extra):
@@ -131,45 +135,39 @@ def _scoring_config(variant, **extra):
                        **{**SCORING_VARIANTS[variant], **extra})
 
 
+def _capture_levels(monkeypatch, prep):
+    """Record the forward-only batch of every scoring call through ``prep``."""
+    built = []
+    real = prep.prepare_eval
+
+    def recording(*args, **kwargs):
+        prepared = real(*args, **kwargs)
+        built.append(prepared.minibatch)
+        return prepared
+    monkeypatch.setattr(prep, "prepare_eval", recording)
+    return built
+
+
 @pytest.mark.parametrize("variant", sorted(SCORING_VARIANTS))
-def test_evaluate_is_invariant_to_batch_edges(small_graph, variant, monkeypatch):
+def test_evaluate_is_invariant_to_the_tile_bound(small_graph, variant,
+                                                 monkeypatch):
     trainer = TaserTrainer(small_graph, _scoring_config(variant))
     trainer.train_epoch()
 
     drawn = []
     real = evaluator_mod.score_link_queries
 
-    def recording(prep, backbone, predictor, src, dst, ts, negatives, rng,
-                  batch_edges):
+    def recording(prep, backbone, predictor, src, dst, ts, negatives, rng):
         drawn.append(negatives.copy())
-        return real(prep, backbone, predictor, src, dst, ts, negatives, rng,
-                    batch_edges)
+        return real(prep, backbone, predictor, src, dst, ts, negatives, rng)
     monkeypatch.setattr(evaluator_mod, "score_link_queries", recording)
 
-    chunks = []
-    prepare_eval = trainer.prep.prepare_eval
-    monkeypatch.setattr(
-        trainer.prep, "prepare_eval",
-        lambda src, *rest, **kw: chunks.append(src.size) or prepare_eval(src, *rest,
-                                                                          **kw))
-
     reports = []
-
-    def evaluate(**overrides):
-        # Chunks may be scored on several threads, in any order.
-        del chunks[:]
-        reports.append(trainer.evaluate("test", **overrides))
-        return sorted(chunks, reverse=True)
-
-    assert [evaluate(batch_edges=be) for be in (None, 1, 7, 50)] == [
-        [23], [1] * 23, [7, 7, 7, 2], [23]]
+    for rows in TILE_BOUNDS:
+        monkeypatch.setattr(evaluator_mod, "SCORING_TILE_ROWS", rows)
+        reports.append(trainer.evaluate("test"))
     assert all(np.array_equal(drawn[0], other) for other in drawn[1:])
     assert drawn[0].shape == (23, 9)
-    # No knob: by default a forward holds at most SCORING_CHUNK_ROOTS roots
-    # (src + dst + 9 negatives per edge), and never less than one edge.
-    for roots, expected in ((40, [3] * 7 + [2]), (5, [1] * 23)):
-        monkeypatch.setattr(evaluator_mod, "SCORING_CHUNK_ROOTS", roots)
-        assert evaluate() == expected
     for report in reports[1:]:
         assert report.keys() == reports[0].keys()
         for key, value in reports[0].items():
@@ -212,7 +210,7 @@ def test_finders_have_no_global_draw_swap():
 
 
 # ---------------------------------------------------------------------------
-# scoring on every core: which thread scores a chunk changes no bit
+# scoring on every core: which thread runs a tile changes no bit
 # ---------------------------------------------------------------------------
 
 POOL_BASE = dict(hidden_dim=8, time_dim=4, num_neighbors=3, num_candidates=6,
@@ -224,8 +222,13 @@ POOL_VARIANTS = {
     "graphmixer/recent": dict(backbone="graphmixer", adaptive_minibatch=False,
                               adaptive_neighbor=False),
 }
-#: 23 evaluation edges, 4 per chunk.
-CHUNK_EDGES, CHUNKS = 4, 6
+#: rows per tile that cut every level of the 23-edge call into several tiles.
+POOL_TILE_ROWS = 16
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    monkeypatch.setattr(evaluator_mod, "SCORING_TILE_ROWS", POOL_TILE_ROWS)
 
 
 def _scores_at_pool_sizes(monkeypatch, module, run):
@@ -252,19 +255,42 @@ def _assert_bitwise_equal(scores):
         assert np.array_equal(neg, scores[0][1])
 
 
+def _fail_on_a_helper(monkeypatch, generator, models):
+    """Make the first tile a helper thread embeds raise while the caller's
+    tile is still running; returns what the caller saw of the models'
+    training flags when its tile finished."""
+    monkeypatch.setattr(evaluator_mod, "_pool_size", lambda chunks: 2)
+    both_started = threading.Barrier(2, timeout=30)
+    helper_failed = threading.Event()
+    caller_saw = []
+    hop_tile = generator.hop_tile
+
+    def failing(*args, **kwargs):
+        both_started.wait()          # the caller and the helper hold a tile
+        if threading.current_thread() is not threading.main_thread():
+            helper_failed.set()
+            raise RuntimeError("helper tile failed")
+        assert helper_failed.wait(30)
+        time.sleep(0.05)             # the caller's tile outlives the error
+        caller_saw.append(tuple(model.training for model in models))
+        return hop_tile(*args, **kwargs)
+    monkeypatch.setattr(generator, "hop_tile", failing)
+    return caller_saw
+
+
 class TestScoringPool:
     @pytest.mark.parametrize("variant", sorted(POOL_VARIANTS))
     def test_pool_size_evaluate_bitwise_equal(self, small_graph, variant,
-                                              monkeypatch):
+                                              monkeypatch, small_tiles):
         config = TaserConfig(**POOL_BASE, **POOL_VARIANTS[variant])
         assert config.resolved_finder_policy == variant.split("/")[1]
         trainer = TaserTrainer(small_graph, config)
         trainer.train_epoch()
         _assert_bitwise_equal(_scores_at_pool_sizes(
-            monkeypatch, evaluator_mod,
-            lambda: trainer.evaluate("test", batch_edges=CHUNK_EDGES)))
+            monkeypatch, evaluator_mod, lambda: trainer.evaluate("test")))
 
-    def test_pool_size_prequential_bitwise_equal(self, small_graph, monkeypatch):
+    def test_pool_size_prequential_bitwise_equal(self, small_graph, monkeypatch,
+                                                 small_tiles):
         config = TaserConfig(**POOL_BASE, backbone="tgat", adaptive_minibatch=False,
                              adaptive_neighbor=True)
 
@@ -272,47 +298,106 @@ class TestScoringPool:
             warm, stream = split_warmup(small_graph, warmup_events=800,
                                         chunk_size=40)
             trainer = StreamingTrainer(warm, config, window_events=200)
-            trainer.prequential_eval(next(iter(stream)), batch_edges=CHUNK_EDGES)
+            trainer.prequential_eval(next(iter(stream)))
         _assert_bitwise_equal(_scores_at_pool_sizes(monkeypatch, streaming_mod, run))
 
-    def test_caller_generator_advances_one_draw_per_chunk(self, small_graph):
+    def test_caller_generator_advances_one_draw_per_tile_per_level(
+            self, small_graph, monkeypatch, small_tiles):
         trainer = TaserTrainer(small_graph, TaserConfig(
             **POOL_BASE, **POOL_VARIANTS["tgat+taser/uniform"]))
-        evaluator = trainer.make_evaluator(batch_edges=CHUNK_EDGES)
-        expected = copy.deepcopy(evaluator.rng)
-        expected.bit_generator.advance(CHUNKS)
+        evaluator = trainer.make_evaluator()
+        built = _capture_levels(monkeypatch, trainer.prep)
+        start = copy.deepcopy(evaluator.rng)
         evaluator.evaluate("test")
-        assert evaluator.rng.bit_generator.state == expected.bit_generator.state
+        (minibatch,) = built
+        tiles = [-(-hop.num_targets // POOL_TILE_ROWS) for hop in minibatch.hops]
+        assert len(tiles) == 2 and min(tiles) > 1
+        start.bit_generator.advance(sum(tiles))
+        assert evaluator.rng.bit_generator.state == start.bit_generator.state
+
+    def test_finder_asked_each_distinct_query_once_per_call(
+            self, small_graph, monkeypatch, small_tiles):
+        """Every level is deduplicated over the whole call: the finder sees
+        each distinct ``(node, t)`` of a level once, in whichever tile."""
+        trainer = TaserTrainer(small_graph, TaserConfig(
+            **POOL_BASE, **POOL_VARIANTS["tgat+taser/uniform"]))
+        finder = trainer.prep.generator.finder
+        asked = []
+        sample = finder.sample
+
+        def recording(nodes, times, *args, **kwargs):
+            asked.append((nodes.copy(), times.copy()))
+            return sample(nodes, times, *args, **kwargs)
+        monkeypatch.setattr(finder, "sample", recording)
+        built = _capture_levels(monkeypatch, trainer.prep)
+        trainer.evaluate("test")
+        (minibatch,) = built
+
+        def pairs(nodes, times):
+            return sorted(zip(nodes.tolist(), times.tolist()))
+        levels = [pairs(hop.batch.root_nodes, hop.batch.root_times)
+                  for hop in minibatch.hops]
+        assert all(len(set(level)) == len(level) for level in levels)
+        assert len(levels[0]) < minibatch.batch_size
+        assert pairs(*map(np.concatenate, zip(*asked))) == sorted(
+            levels[0] + levels[1])
 
     def test_helper_error_reaches_caller_after_every_chunk(self, small_graph,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          small_tiles):
         trainer = TaserTrainer(small_graph, TaserConfig(
             **POOL_BASE, **POOL_VARIANTS["graphmixer/recent"]))
-        monkeypatch.setattr(evaluator_mod, "_pool_size", lambda chunks: 2)
-        both_started = threading.Barrier(2, timeout=30)
-        helper_failed = threading.Event()
-        caller_saw = []
-        prepare_eval = trainer.prep.prepare_eval
-
-        def failing(*args, **kwargs):
-            both_started.wait()          # the caller and the helper hold a chunk
-            if threading.current_thread() is not threading.main_thread():
-                helper_failed.set()
-                raise RuntimeError("helper chunk failed")
-            assert helper_failed.wait(30)
-            time.sleep(0.05)             # the caller's chunk outlives the error
-            caller_saw.append((trainer.backbone.training,
-                               trainer.predictor.training))
-            return prepare_eval(*args, **kwargs)
-        monkeypatch.setattr(trainer.prep, "prepare_eval", failing)
-
+        models = (trainer.backbone, trainer.predictor)
+        caller_saw = _fail_on_a_helper(monkeypatch, trainer.prep.generator,
+                                       models)
         assert trainer.backbone.training
-        with pytest.raises(RuntimeError, match="helper chunk failed"):
-            trainer.evaluate("test", batch_edges=CHUNK_EDGES)
-        # One chunk each: no chunk starts after the error, and train mode
-        # came back only after the caller's chunk had finished.
+        with pytest.raises(RuntimeError, match="helper tile failed"):
+            trainer.evaluate("test")
+        # One tile each: no tile starts after the error, and train mode
+        # came back only after the caller's tile had finished.
         assert caller_saw == [(False, False)]
         assert trainer.backbone.training and trainer.predictor.training
+
+    def test_helper_error_in_prequential_eval_reaches_caller_after_every_tile(
+            self, small_graph, monkeypatch, small_tiles):
+        config = TaserConfig(**POOL_BASE, backbone="graphmixer",
+                             adaptive_minibatch=False, adaptive_neighbor=False)
+        warm, stream = split_warmup(small_graph, warmup_events=800, chunk_size=40)
+        trainer = StreamingTrainer(warm, config, window_events=200)
+        models = (trainer.backbone, trainer.predictor)
+        caller_saw = _fail_on_a_helper(monkeypatch, trainer.prep.generator,
+                                       models)
+        assert trainer.backbone.training
+        with pytest.raises(RuntimeError, match="helper tile failed"):
+            trainer.prequential_eval(next(iter(stream)))
+        assert caller_saw == [(False, False)]
+        assert trainer.backbone.training and trainer.predictor.training
+
+
+class TestOneScoringLoop:
+    """Scoring has no edge chunks: ``batch_edges`` is gone everywhere."""
+
+    def test_no_batch_edges_parameter(self):
+        for function in (evaluator_mod.score_link_queries,
+                         evaluator_mod.LinkPredictionEvaluator.__init__,
+                         StreamingTrainer.prequential_eval):
+            assert "batch_edges" not in inspect.signature(function).parameters
+        assert not hasattr(evaluator_mod, "SCORING_CHUNK_ROOTS")
+
+    def test_batch_edges_override_is_a_type_error(self, small_graph):
+        trainer = TaserTrainer(small_graph, TaserConfig(**POOL_BASE))
+        with pytest.raises(TypeError):
+            trainer.evaluate("test", batch_edges=4)
+        with pytest.raises(TypeError):
+            trainer.make_evaluator(batch_edges=4)
+
+    def test_prequential_batch_edges_is_a_type_error(self, small_graph):
+        config = TaserConfig(**POOL_BASE, backbone="graphmixer",
+                             adaptive_minibatch=False, adaptive_neighbor=False)
+        warm, stream = split_warmup(small_graph, warmup_events=800, chunk_size=40)
+        trainer = StreamingTrainer(warm, config, window_events=200)
+        with pytest.raises(TypeError):
+            trainer.prequential_eval(next(iter(stream)), batch_edges=4)
 
 
 class TestScoringPoolSize:
@@ -342,14 +427,15 @@ class TestScoringPoolSize:
 
 
 @pytest.mark.parametrize("variant", sorted(SCORING_VARIANTS))
-def test_prequential_eval_is_invariant_to_batch_edges(small_graph, variant):
+def test_prequential_eval_is_invariant_to_the_tile_bound(small_graph, variant,
+                                                         monkeypatch):
     values = []
-    for batch_edges in (None, 1, 7, 50):
+    for rows in TILE_BOUNDS:
+        monkeypatch.setattr(evaluator_mod, "SCORING_TILE_ROWS", rows)
         warm, stream = split_warmup(small_graph, warmup_events=800, chunk_size=40)
         trainer = StreamingTrainer(
             warm, _scoring_config(variant, adaptive_minibatch=False),
             window_events=200)
-        values.append(trainer.prequential_eval(next(iter(stream)),
-                                               batch_edges=batch_edges))
+        values.append(trainer.prequential_eval(next(iter(stream))))
     assert np.isfinite(values[0])
     assert all(abs(v - values[0]) <= 1e-9 for v in values[1:]), values

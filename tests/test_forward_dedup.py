@@ -1,10 +1,11 @@
-"""Forward-only mini-batches compute each ``(node, t)`` once per hop.
+"""Forward-only mini-batches compute each ``(node, t)`` once per level.
 
 ``MiniBatchGenerator.build(train=False)`` builds every hop on the distinct
 queries of its level and keeps one inverse index per level; the exact-value
 tests below pin both on a hand-built graph, in the style of PyG's sampler
-test.  The per-row forward-only batch — what scoring built before — lives on
-here only, as the oracle the deduplicated scores are held to.
+test.  Two oracles live on here only: the per-row forward-only batch, and the
+per-chunk scoring loop (ten-edge chunks, each its own forward) that scoring
+ran before it worked level by level over a whole call.
 """
 
 import numpy as np
@@ -12,10 +13,12 @@ import pytest
 
 from repro.core import MiniBatchGenerator, TaserConfig, TaserTrainer
 from repro.device import FeatureStore
+from repro.eval import evaluator as evaluator_mod
 from repro.eval import ranking_report, score_link_queries
 from repro.graph import TemporalGraph, build_tcsr
 from repro.models import HopData, MiniBatch
 from repro.sampling import GPUNeighborFinder, PAD_NODE, flatten_frontier
+from repro.tensor import no_grad
 
 # Node 3 is reached at t = 2.0 both from node 1 (event 1) and from node 4
 # (event 2); node 0 has no events.
@@ -125,7 +128,7 @@ class PerRowPrep:
         self.prep = prep
         self.generator = prep.generator
 
-    def prepare_eval(self, src, dst, ts, negatives, rng=None):
+    def prepare_eval(self, src, dst, ts, negatives, rng=None, tiles=None):
         prepared = self.prep.assemble_eval(src, dst, ts, negatives)
         prepared.minibatch = per_row_build(self.generator, prepared.roots,
                                            prepared.times, rng)
@@ -172,3 +175,69 @@ def test_recent_scores_equal_the_per_row_oracle(small_graph, variant):
     for got, want in zip(deduplicated, per_row):
         np.testing.assert_allclose(got, want, rtol=0, atol=LOGIT_ATOL)
     assert ranking_report(*deduplicated) == ranking_report(*per_row)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-chunk scoring loop
+# ---------------------------------------------------------------------------
+
+#: roots per chunk of the per-chunk loop: src + dst + k negatives per edge.
+CHUNK_ROOTS = 512
+
+
+def per_chunk_scores(prep, backbone, predictor, src, dst, ts, negatives, rng):
+    """``(pos, neg)`` of the per-chunk loop: each chunk of
+    ``CHUNK_ROOTS // (2 + k)`` edges is its own forward, on its own finder
+    generator seeded by one draw of ``rng`` per chunk."""
+    k = negatives.shape[1]
+    per_chunk = max(1, CHUNK_ROOTS // (2 + k))
+    chunks = -(-src.size // per_chunk)
+    seeds = rng.bit_generator.random_raw(chunks)
+    pos, neg = np.empty(src.size), np.empty((src.size, k))
+    backbone.eval()
+    predictor.eval()
+    with no_grad():
+        for index in range(chunks):
+            chunk = slice(index * per_chunk, min((index + 1) * per_chunk, src.size))
+            b = chunk.stop - chunk.start
+            prepared = prep.assemble_eval(src[chunk], dst[chunk], ts[chunk],
+                                          negatives[chunk])
+            minibatch = per_row_build(prep.generator, prepared.roots,
+                                      prepared.times,
+                                      np.random.default_rng(int(seeds[index])))
+            h = backbone.embed(minibatch)
+            pos[chunk] = predictor(h[:b], h[b:2 * b]).data
+            neg[chunk] = predictor(h[np.repeat(np.arange(b), k)],
+                                   h[2 * b:]).data.reshape(b, k)
+    return pos, neg
+
+
+@pytest.mark.parametrize("rows", [None, 16])
+@pytest.mark.parametrize("variant", sorted(ORACLE_VARIANTS))
+def test_level_scores_equal_the_per_chunk_oracle(small_graph, variant, rows,
+                                                 monkeypatch):
+    """Recent candidates and greedy selection make both deterministic: the
+    level-wise call (one tile per level, or many) scores what the ten-edge
+    chunks scored."""
+    if rows is not None:
+        monkeypatch.setattr(evaluator_mod, "SCORING_TILE_ROWS", rows)
+    config = TaserConfig(hidden_dim=8, time_dim=4, num_neighbors=3,
+                         num_candidates=6, batch_size=64, dropout=0.0,
+                         max_batches_per_epoch=2, seed=0,
+                         **ORACLE_VARIANTS[variant])
+    trainer = TaserTrainer(small_graph, config)
+    trainer.train_epoch()
+    edges = trainer.split.test_idx[:60]
+    graph = trainer.graph
+    negatives = trainer.make_evaluator().negatives.sample_matrix(
+        edges.size, 9, exclude=graph.dst[edges])
+    queries = (graph.src[edges], graph.dst[edges], graph.ts[edges], negatives)
+    models = (trainer.prep, trainer.backbone, trainer.predictor)
+
+    levels = score_link_queries(*models, *queries, np.random.default_rng(0))
+    chunks = per_chunk_scores(*models, *queries, np.random.default_rng(0))
+    assert -(-edges.size // (CHUNK_ROOTS // 11)) == 2
+    for got, want in zip(levels, chunks):
+        np.testing.assert_allclose(got, want, rtol=0, atol=LOGIT_ATOL)
+    for key, value in ranking_report(*chunks).items():
+        assert abs(ranking_report(*levels)[key] - value) <= 1e-9, key

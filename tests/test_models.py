@@ -24,7 +24,9 @@ def build_minibatch(graph, tcsr, num_layers, n, batch=40, policy="uniform", seed
     idx = rng.integers(graph.num_edges // 2, graph.num_edges, batch)
     roots = np.concatenate([graph.src[idx], graph.dst[idx]])
     times = np.concatenate([graph.ts[idx], graph.ts[idx]])
-    return gen.build(roots, times, train=False)
+    # A training batch: it carries its features and keeps the autograd graph
+    # (a forward-only batch is embedded tile by tile, without either).
+    return gen.build(roots, times, train=True)
 
 
 class TestEdgePredictor:
@@ -71,8 +73,7 @@ class TestTGAT:
                      time_dim=4, rng=RNG)
         model.embed(mb)
         attn = model.last_layer_attention()
-        # One row per first-hop target: the distinct roots of this
-        # forward-only batch.
+        # One row per first-hop target.
         assert attn.shape == (mb.hops[0].num_targets, 5)
         valid = mb.hops[0].batch.mask
         assert np.allclose(attn.sum(axis=1), valid.any(axis=1).astype(float), atol=1e-6)

@@ -478,9 +478,9 @@ class TestServeDeterminism:
         seen = []
         embed = trained.backbone.embed
 
-        def spying(minibatch):
+        def spying(minibatch, *rest):
             seen.append({m.training for m in engine._modules})
-            return embed(minibatch)
+            return embed(minibatch, *rest)
         # mixed modes: the backbone training, the predictor in eval
         trained.backbone.train(True)
         trained.predictor.train(False)

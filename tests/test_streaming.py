@@ -242,6 +242,19 @@ class TestStreamingTrainer:
                   for loss in es.batch_losses]
         return trainer, result, losses
 
+    def test_prequential_max_events_below_one_rejected(self, small_graph):
+        # 0 scored no event (MRR nan on every chunk); a negative cap failed
+        # inside numpy.
+        warm, _ = split_warmup(small_graph, warmup_events=240, chunk_size=80)
+        for value in (0, -2):
+            with pytest.raises(ValueError,
+                               match="prequential_max_events must be None or >= 1"):
+                StreamingTrainer(warm, stream_config(), window_events=200,
+                                 prequential_max_events=value)
+        for value in (None, 1):
+            StreamingTrainer(warm, stream_config(), window_events=200,
+                             prequential_max_events=value)
+
     def test_online_loop_ingests_everything(self, small_graph):
         trainer, result, losses = self._run(stream_config(), small_graph)
         assert trainer.graph.num_edges == small_graph.num_edges

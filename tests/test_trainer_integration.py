@@ -91,6 +91,13 @@ class TestConfig:
                 with pytest.raises(ValueError, match=f"{name} must be None or >= 1"):
                     tiny_config(**{name: value})
 
+    def test_eval_negatives_below_one_rejected(self):
+        # 0 negatives ranked every positive first (MRR 1.0); a negative count
+        # failed inside numpy.
+        for value in (0, -3):
+            with pytest.raises(ValueError, match="eval_negatives must be >= 1"):
+                tiny_config(eval_negatives=value)
+
     def test_no_dead_options(self):
         """Every field is read as ``cfg.<name>`` / ``config.<name>`` somewhere
         under ``src/repro``, or through a ``resolved_<name>`` property that
