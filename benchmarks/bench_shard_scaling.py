@@ -36,22 +36,15 @@ Results land in ``BENCH_shard_scaling.json`` for CI artifacts and the
 benchmark regression gate.
 """
 
-import hashlib
-import json
 import time
 
 import pytest
 
 from repro.bench import (attach_scaling_efficiency, bench_scale,
                          emit_bench_json, quick_config)
+from repro.bench.breakdown import loss_trajectory_hash
 from repro.core import TaserTrainer
 from repro.distributed import ShardedTrainer
-
-
-def _loss_trajectory_hash(trajectories) -> str:
-    """Stable digest of a per-epoch loss-trajectory list (full float repr)."""
-    blob = json.dumps(trajectories, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _run_sharded(graph, config, workers, epochs, policy="temporal",
@@ -108,7 +101,7 @@ def test_shard_scaling(benchmark, wikipedia_graph):
         results = {}
         for w in worker_counts:
             entry, trajectories = _run_sharded(wikipedia_graph, config, w, epochs)
-            entry["loss_hash"] = _loss_trajectory_hash(trajectories)
+            entry["loss_hash"] = loss_trajectory_hash(trajectories)
             results[w] = (entry, trajectories)
         return results
 
@@ -134,8 +127,8 @@ def test_shard_scaling(benchmark, wikipedia_graph):
         "workers": {},
         "w1_matches_single_trainer": True,
         "determinism": {
-            "hash": _loss_trajectory_hash(w2_trajectories),
-            "replay_hash": _loss_trajectory_hash(replay_trajectories),
+            "hash": loss_trajectory_hash(w2_trajectories),
+            "replay_hash": loss_trajectory_hash(replay_trajectories),
         },
     }
     for w in worker_counts:
@@ -186,9 +179,9 @@ def test_shard_scaling(benchmark, wikipedia_graph):
         _, trajectories[other][w] = _run_sharded(
             wikipedia_graph, config, w, epochs, backend=other)
     payload["comms_equivalence"] = {
-        "hash": _loss_trajectory_hash(
+        "hash": loss_trajectory_hash(
             {f"w{w}": trajectories["serial"][w] for w in worker_counts}),
-        "replay_hash": _loss_trajectory_hash(
+        "replay_hash": loss_trajectory_hash(
             {f"w{w}": trajectories["process"][w] for w in worker_counts}),
     }
     assert trajectories["process"] == trajectories["serial"], \

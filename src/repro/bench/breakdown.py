@@ -74,9 +74,9 @@ def normalise_runtime(runtime: Dict[str, float], finder: type,
 def loss_trajectory_hash(trajectories: List[List[float]]) -> str:
     """Stable digest of a per-epoch loss-trajectory list (full float repr).
 
-    Same construction as the shard-scaling benchmark's determinism pair:
-    two runs of the same config under the same seed must produce the same
-    digest, and ``tools/bench_gate.py`` enforces any committed
+    The digest of the fig1 and shard-scaling benchmarks' determinism
+    pairs: two runs of the same config under the same seed must produce the
+    same digest, and ``tools/bench_gate.py`` enforces each
     ``hash``/``replay_hash`` pair for equality.
     """
     blob = json.dumps(trajectories, sort_keys=True).encode()

@@ -29,9 +29,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import TaserConfig, TaserTrainer, TrainResult
 from ..graph import load_dataset
@@ -48,7 +46,6 @@ __all__ = [
     "VARIANTS",
     "run_variant",
     "format_table",
-    "geometric_mean",
     "attach_scaling_efficiency",
     "EFFICIENCY_TOLERANCE",
 ]
@@ -188,13 +185,6 @@ def attach_scaling_efficiency(workers: Dict[str, Dict],
                 f"{1.0 + tolerance:.2f} — the W=1 baseline is likely "
                 "mis-measured (missing warm-up?)")
     return violations
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    vals = np.asarray(list(values), dtype=np.float64)
-    if vals.size == 0 or np.any(vals <= 0):
-        return float("nan")
-    return float(np.exp(np.log(vals).mean()))
 
 
 def format_table(rows: Dict[str, Dict[str, float]], value_format: str = "{:.4f}",

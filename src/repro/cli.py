@@ -84,14 +84,34 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _non_negative_float(text: str) -> float:
-    """Argparse type: a float >= 0, rejected at parse time otherwise."""
+def _float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+
+
+def _non_negative_float(text: str) -> float:
+    """Argparse type: a float >= 0, rejected at parse time otherwise."""
+    value = _float(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """Argparse type: a float > 0, rejected at parse time otherwise."""
+    value = _float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """Argparse type: a float in [0, 1], rejected at parse time otherwise."""
+    value = _float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
     return value
 
 
@@ -100,7 +120,7 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     the four parsers cannot drift.  :func:`_model_config` turns them into a
     ``TaserConfig``."""
     parser.add_argument("--dataset", choices=DATASET_NAMES, default="wikipedia")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=_positive_float, default=1.0,
                         help="dataset size multiplier")
     parser.add_argument("--backbone", choices=["tgat", "graphmixer"],
                         default="graphmixer")
@@ -111,8 +131,8 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-candidates", type=_positive_int, default=10,
                         help="m: candidate neighbors pre-sampled by the finder")
     parser.add_argument("--batch-size", type=_positive_int, default=200)
-    parser.add_argument("--cache-ratio", type=float, default=0.2)
-    parser.add_argument("--lr", type=float, default=2e-3)
+    parser.add_argument("--cache-ratio", type=_fraction, default=0.2)
+    parser.add_argument("--lr", type=_positive_float, default=2e-3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true",
                         help="print the result as a single JSON object only")
@@ -126,7 +146,7 @@ def _add_training_cell_args(parser: argparse.ArgumentParser,
     _add_model_args(parser)
     parser.add_argument("--variant", choices=sorted(VARIANT_FLAGS),
                         default=variant_default)
-    parser.add_argument("--epochs", type=int, default=5)
+    parser.add_argument("--epochs", type=_positive_int, default=5)
     parser.add_argument("--max-batches-per-epoch", type=_positive_int, default=None)
     parser.add_argument("--decoder", choices=["linear", "gat", "gatv2", "transformer"],
                         default="linear")
@@ -309,7 +329,7 @@ def build_stream_parser() -> argparse.ArgumentParser:
                         help="training passes over the window per chunk")
     parser.add_argument("--max-chunks", type=_positive_int, default=None,
                         help="stop after this many chunks")
-    parser.add_argument("--rate", type=float, default=None,
+    parser.add_argument("--rate", type=_positive_float, default=None,
                         help="rate-limit replay to this many events/second "
                              "(default: as fast as the loop drains)")
     parser.add_argument("--eval-events-per-chunk", type=_positive_int, default=256,

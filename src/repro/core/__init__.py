@@ -2,7 +2,7 @@
 sample losses, the unified batch-prep runtime (``repro.core.prep``), the
 batch engine and the end-to-end trainer."""
 
-from .config import TaserConfig, asdict_shallow
+from .config import TaserConfig
 from .minibatch_selector import (MiniBatchSelector, ChronologicalSelector,
                                  AdaptiveMiniBatchSelector)
 from .decoders import (NeighborDecoder, LinearDecoder, GATDecoder, GATv2Decoder,
@@ -29,7 +29,6 @@ __all__ = [
     "PrepPipeline",
     "BatchEngine",
     "TaserConfig",
-    "asdict_shallow",
     "MiniBatchSelector",
     "ChronologicalSelector",
     "AdaptiveMiniBatchSelector",

@@ -10,23 +10,10 @@ to the paper's values.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
-__all__ = ["TaserConfig", "asdict_shallow"]
-
-
-def asdict_shallow(obj: Any) -> Dict[str, Any]:
-    """Shallow ``asdict`` for dataclasses (does not recurse into fields).
-
-    ``dataclasses.asdict`` deep-copies numpy arrays which is both slow and
-    unnecessary for logging configuration values.  Lives here, in the repo's
-    single config module.
-    """
-    if not dataclasses.is_dataclass(obj):
-        raise TypeError(f"{obj!r} is not a dataclass instance")
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+__all__ = ["TaserConfig"]
 
 
 @dataclass
@@ -137,7 +124,7 @@ class TaserConfig:
             raise ValueError(
                 f"unknown batch_engine {self.batch_engine!r}: 'sync' is the "
                 "only batch engine (choose 'sync' or leave the default)")
-        for name in ("hidden_dim", "num_neighbors", "eval_negatives"):
+        for name in ("hidden_dim", "num_heads", "num_neighbors", "eval_negatives"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")

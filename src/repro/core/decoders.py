@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from ..nn import Linear, Module
-from ..nn.layers import Activation
 from ..tensor import Tensor, concatenate, get_backend
 
 __all__ = ["NeighborDecoder", "LinearDecoder", "GATDecoder", "GATv2Decoder",

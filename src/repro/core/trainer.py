@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..device.cache import DynamicFeatureCache
-from ..device.costmodel import TransferCostModel
 from ..device.memory import FeatureStore
 from ..eval.evaluator import LinkPredictionEvaluator
 from ..eval.negative_sampling import NegativeSampler
@@ -134,8 +133,7 @@ class TaserTrainer:
             self.cache = DynamicFeatureCache(
                 self.graph.num_edges, self._cache_capacity(self.graph),
                 epsilon=cfg.cache_epsilon, seed=cfg.seed)
-        self.feature_store = FeatureStore(self.graph, edge_cache=self.cache,
-                                          cost_model=TransferCostModel())
+        self.feature_store = FeatureStore(self.graph, edge_cache=self.cache)
 
         # --- models -------------------------------------------------------------------
         self.backbone = make_backbone(cfg.backbone, self.graph.node_dim,

@@ -141,24 +141,20 @@ class FeatureStore:
     edge_cache:
         Optional cache over edge ids.  ``None`` models the baseline where
         every edge feature is fetched from host RAM each iteration.
-    cost_model:
-        Converts bytes moved to simulated seconds.
-    node_features_on_device:
-        The paper keeps node features resident in VRAM (they are small for
-        all five datasets); set False to model them as host-resident too.
+
+    Bytes moved are converted to simulated seconds by a
+    :class:`~repro.device.costmodel.TransferCostModel`.  Node features are
+    resident in VRAM, as in the paper (they are small for all five datasets).
 
     Gathers always read the graph's own feature arrays, hit or miss, so cache
     state never influences values — only byte accounting.
     """
 
     def __init__(self, graph: TemporalGraph,
-                 edge_cache: Optional[FeatureCache] = None,
-                 cost_model: Optional[TransferCostModel] = None,
-                 node_features_on_device: bool = True) -> None:
+                 edge_cache: Optional[FeatureCache] = None) -> None:
         self.graph = graph
         self.edge_cache = edge_cache
-        self.cost_model = cost_model if cost_model is not None else TransferCostModel()
-        self.node_features_on_device = node_features_on_device
+        self.cost_model = TransferCostModel()
         self.stats = SliceStats()
         # Guards stats/cache accounting.  Accumulated counts are
         # order-insensitive sums, so the lock is all that is needed for
@@ -270,7 +266,7 @@ class FeatureStore:
 
     def slice_node_features(self, node_ids: np.ndarray,
                             mask: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
-        """Gather node feature rows (VRAM-resident unless configured otherwise).
+        """Gather node feature rows (VRAM-resident).
 
         Deduplicated like :meth:`slice_edge_features`: one gathered/converted
         row and one accounted transfer row per *unique* node id.
@@ -287,14 +283,9 @@ class FeatureStore:
         with self._lock:
             self.stats.ids_requested += int(valid_counts.sum())
             self.stats.ids_unique += n_unique
-            if self.node_features_on_device:
-                self.stats.bytes_from_vram += nbytes
-                self.stats.simulated_seconds += self.cost_model.vram_time(
-                    nbytes, num_rows=n_unique)
-            else:
-                self.stats.bytes_from_ram += nbytes
-                self.stats.simulated_seconds += self.cost_model.pcie_time(
-                    nbytes, num_rows=n_unique)
+            self.stats.bytes_from_vram += nbytes
+            self.stats.simulated_seconds += self.cost_model.vram_time(
+                nbytes, num_rows=n_unique)
         rows = self.graph.node_feat[unique_ids].astype(
             _tensor.COMPUTE_DTYPE, copy=False)
         features = rows[inverse]

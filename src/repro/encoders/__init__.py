@@ -2,12 +2,11 @@
 
 from .time_encoding import LearnableTimeEncoder, FixedTimeEncoder
 from .frequency_encoding import FrequencyEncoder
-from .identity_encoding import IdentityEncoder, sort_by_recency
+from .identity_encoding import IdentityEncoder
 
 __all__ = [
     "LearnableTimeEncoder",
     "FixedTimeEncoder",
     "FrequencyEncoder",
     "IdentityEncoder",
-    "sort_by_recency",
 ]

@@ -18,20 +18,7 @@ from .. import tensor as _tensor
 from ..nn.module import Module
 from ..tensor import Tensor
 
-__all__ = ["IdentityEncoder", "sort_by_recency"]
-
-
-def sort_by_recency(nodes: np.ndarray, times: np.ndarray, mask: np.ndarray
-                    ) -> np.ndarray:
-    """Column permutation sorting each neighborhood by decreasing timestamp.
-
-    Padded (invalid) entries are pushed to the end.  Returns an integer array
-    of shape ``(B, m)`` usable with ``np.take_along_axis`` /
-    :meth:`repro.sampling.NeighborBatch.select`.
-    """
-    # Invalid entries get -inf so they sort last under descending order.
-    keyed = np.where(mask, times, -np.inf)
-    return np.argsort(-keyed, axis=1, kind="stable")
+__all__ = ["IdentityEncoder"]
 
 
 class IdentityEncoder(Module):

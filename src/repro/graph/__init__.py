@@ -4,8 +4,7 @@ from .temporal_graph import TemporalGraph
 from .tcsr import TCSR, build_tcsr, StreamingTCSR
 from .generators import CTDGConfig, generate_ctdg, generate_drift_sequence
 from .datasets import DATASET_NAMES, dataset_config, load_dataset, dataset_table
-from .noise import (NoiseReport, measure_noise, inject_random_edges,
-                    perturb_edge_features, drop_events)
+from .noise import NoiseReport, measure_noise, inject_random_edges
 from .splits import TemporalSplit, chronological_split
 from .sharding import (SHARD_POLICIES, ShardSpec, TemporalShardPlan,
                        make_shard_plan)
@@ -29,8 +28,6 @@ __all__ = [
     "NoiseReport",
     "measure_noise",
     "inject_random_edges",
-    "perturb_edge_features",
-    "drop_events",
     "TemporalSplit",
     "chronological_split",
 ]

@@ -3,8 +3,8 @@
 The paper identifies two noise types in dynamic graphs (Section I):
 *deprecated links* and *skewed neighborhood distributions*.  This module
 provides (a) measurement helpers that quantify both on any
-:class:`~repro.graph.TemporalGraph` and (b) standalone corruption operators
-used for failure-injection tests and robustness ablations.
+:class:`~repro.graph.TemporalGraph` and (b) random-edge injection, the
+corruption the fraud-detection example sweeps.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ __all__ = [
     "NoiseReport",
     "measure_noise",
     "inject_random_edges",
-    "perturb_edge_features",
-    "drop_events",
 ]
 
 
@@ -113,26 +111,3 @@ def inject_random_edges(graph: TemporalGraph, fraction: float,
         meta=meta,
     )
     return out.sort_by_time()
-
-
-def perturb_edge_features(graph: TemporalGraph, sigma: float,
-                          seed: int = 0) -> TemporalGraph:
-    """Return a copy with Gaussian noise of scale ``sigma`` added to edge features."""
-    if graph.edge_feat is None:
-        raise ValueError("graph has no edge features to perturb")
-    rng = new_rng(seed)
-    noisy = graph.edge_feat + sigma * rng.standard_normal(graph.edge_feat.shape).astype(np.float32)
-    return TemporalGraph(
-        src=graph.src.copy(), dst=graph.dst.copy(), ts=graph.ts.copy(),
-        num_nodes=graph.num_nodes, edge_feat=noisy.astype(np.float32),
-        node_feat=graph.node_feat, meta=dict(graph.meta),
-    )
-
-
-def drop_events(graph: TemporalGraph, fraction: float, seed: int = 0) -> TemporalGraph:
-    """Randomly drop a fraction of events (static sparsification baseline)."""
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must be in [0, 1)")
-    rng = new_rng(seed)
-    keep = rng.random(graph.num_edges) >= fraction
-    return graph.select_events(np.nonzero(keep)[0])

@@ -9,7 +9,7 @@ events).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -42,12 +42,6 @@ class TemporalSplit:
     @property
     def num_test(self) -> int:
         return int(self.test_idx.size)
-
-    def boundaries(self) -> Tuple[float, float]:
-        """Timestamps separating train/val and val/test."""
-        t_val = float(self.graph.ts[self.val_idx[0]]) if self.num_val else np.inf
-        t_test = float(self.graph.ts[self.test_idx[0]]) if self.num_test else np.inf
-        return t_val, t_test
 
     def check_invariants(self) -> None:
         """Assert the split is disjoint, covering and chronological."""

@@ -61,13 +61,6 @@ class TCSR:
     def num_entries(self) -> int:
         return int(self.indices.shape[0])
 
-    def degree(self, node: int) -> int:
-        """Number of (directed) adjacency entries of ``node`` over all time."""
-        return int(self.indptr[node + 1] - self.indptr[node])
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
     def neighborhood(self, node: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views (no copy) of the full temporal adjacency of ``node``.
 
@@ -147,41 +140,33 @@ class TCSR:
 
 
 def _half_edges(src: np.ndarray, dst: np.ndarray, eid: np.ndarray,
-                ts: np.ndarray, add_reverse: bool):
+                ts: np.ndarray):
     """Expand events into half-edges in the **canonical** entry order.
 
-    With ``add_reverse`` the two half-edges of each event are interleaved —
-    forward ``(src -> dst)`` immediately followed by reverse ``(dst -> src)``
-    — so that a stable sort by (ts, position) realises the canonical segment
+    The two half-edges of each event are interleaved — forward
+    ``(src -> dst)`` immediately followed by reverse ``(dst -> src)`` — so
+    that a stable sort by (ts, position) realises the canonical segment
     order ``(ts, event id, direction)``.  Both the batch builder and the
     incremental appender go through this single definition; changing it in
     one place cannot silently break the append-vs-rebuild bitwise invariant.
 
     Returns ``(rows, cols, eids, tss)``.
     """
-    if not add_reverse:
-        return src, dst, eid, ts
     rows = np.stack([src, dst], axis=1).reshape(-1)
     cols = np.stack([dst, src], axis=1).reshape(-1)
     return rows, cols, np.repeat(eid, 2), np.repeat(ts, 2)
 
 
-def build_tcsr(graph: TemporalGraph, add_reverse: bool = True) -> TCSR:
+def build_tcsr(graph: TemporalGraph) -> TCSR:
     """Build the T-CSR adjacency from an event list.
 
-    Parameters
-    ----------
-    graph:
-        The dynamic graph.
-    add_reverse:
-        When True (default, matching TGL) each event contributes adjacency
-        entries to *both* endpoints, so destination nodes also see their
-        history.  Both directions carry the same event id, hence the same
-        edge feature.
+    As in TGL, each event contributes adjacency entries to *both* endpoints,
+    so destination nodes also see their history.  Both directions carry the
+    same event id, hence the same edge feature.
     """
     e = graph.num_edges
     rows, cols, eid, ts = _half_edges(graph.src, graph.dst, np.arange(e),
-                                      graph.ts, add_reverse)
+                                      graph.ts)
 
     # Counting sort by (row, ts): first order by ts, then stable-sort by row so
     # each node segment remains chronologically sorted.
@@ -218,10 +203,9 @@ class StreamingTCSR:
       ``(ts, event id, direction)`` equals chronological arrival order).
 
     Abandoned segment slots (holes left behind by relocation) are bounded by
-    the geometric growth at roughly 2x the live capacity; :meth:`compact`
-    rebuilds a tight layout when the waste matters.  Snapshots are cached and
-    invalidated by the next append, so alternating ingest/train phases pay the
-    ``O(E)`` gather once per window.
+    the geometric growth at roughly 2x the live capacity.  Snapshots are
+    cached and invalidated by the next append, so alternating ingest/train
+    phases pay the ``O(E)`` gather once per window.
     """
 
     #: capacity multiplier applied when a segment is relocated.
@@ -229,12 +213,10 @@ class StreamingTCSR:
     #: smallest capacity allocated to a non-empty segment.
     MIN_SEGMENT_CAPACITY = 4
 
-    def __init__(self, num_nodes: int, add_reverse: bool = True,
-                 initial_capacity: int = 1024) -> None:
+    def __init__(self, num_nodes: int, initial_capacity: int = 1024) -> None:
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
         self.num_nodes = int(num_nodes)
-        self.add_reverse = bool(add_reverse)
         self._seg_start = np.zeros(self.num_nodes, dtype=np.int64)
         self._seg_len = np.zeros(self.num_nodes, dtype=np.int64)
         self._seg_cap = np.zeros(self.num_nodes, dtype=np.int64)
@@ -250,13 +232,11 @@ class StreamingTCSR:
         self._snapshot: Optional[TCSR] = None
 
     @classmethod
-    def from_graph(cls, graph: TemporalGraph, add_reverse: bool = True
-                   ) -> "StreamingTCSR":
+    def from_graph(cls, graph: TemporalGraph) -> "StreamingTCSR":
         """Seed a streaming T-CSR with an existing (chronological) event log."""
         g = graph if graph.is_chronological else graph.sort_by_time()
-        per_event = 2 if add_reverse else 1
-        stcsr = cls(g.num_nodes, add_reverse=add_reverse,
-                    initial_capacity=max(1024, 2 * per_event * g.num_edges))
+        # Two half-edges per event, with 2x slack.
+        stcsr = cls(g.num_nodes, initial_capacity=max(1024, 4 * g.num_edges))
         stcsr.append(g.src, g.dst, g.ts)
         return stcsr
 
@@ -271,16 +251,6 @@ class StreamingTCSR:
     def num_entries(self) -> int:
         """Number of live adjacency entries (half-edges)."""
         return self._num_entries
-
-    @property
-    def last_timestamp(self) -> float:
-        """Timestamp of the most recently appended event (-inf when empty)."""
-        return self._last_ts
-
-    @property
-    def physical_size(self) -> int:
-        """Allocated heap entries, including slack and abandoned holes."""
-        return int(self._indices.shape[0])
 
     # -- ingestion ------------------------------------------------------------
 
@@ -312,7 +282,7 @@ class StreamingTCSR:
                 f"(got timestamp {float(ts[0])!r} after {self._last_ts!r})")
 
         eid = np.arange(self._num_events, self._num_events + k, dtype=np.int64)
-        rows, cols, eids, tss = _half_edges(src, dst, eid, ts, self.add_reverse)
+        rows, cols, eids, tss = _half_edges(src, dst, eid, ts)
 
         counts = np.bincount(rows, minlength=self.num_nodes)
         growing = np.nonzero(self._seg_len + counts > self._seg_cap)[0]
@@ -389,26 +359,3 @@ class StreamingTCSR:
                                   eid=self._eid[gather], ts=self._ts[gather],
                                   num_nodes=self.num_nodes)
         return self._snapshot
-
-    def compact(self) -> "StreamingTCSR":
-        """Rebuild a tight heap layout, reclaiming relocation holes."""
-        new_caps = np.maximum(self.MIN_SEGMENT_CAPACITY,
-                              np.ceil(self.GROWTH * self._seg_len)).astype(np.int64)
-        new_caps[self._seg_len == 0] = 0
-        starts = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(new_caps[:-1], dtype=np.int64)])
-        total = int(new_caps.sum())
-        snap = self.snapshot()
-        indices = np.zeros(max(total, 1), dtype=np.int64)
-        eid = np.zeros(max(total, 1), dtype=np.int64)
-        ts = np.zeros(max(total, 1), dtype=np.float64)
-        within = np.arange(self._num_entries, dtype=np.int64) \
-            - np.repeat(snap.indptr[:-1], self._seg_len)
-        pos = np.repeat(starts, self._seg_len) + within
-        indices[pos] = snap.indices
-        eid[pos] = snap.eid
-        ts[pos] = snap.ts
-        self._indices, self._eid, self._ts = indices, eid, ts
-        self._seg_start, self._seg_cap = starts, new_caps
-        self._heap_end = total
-        return self

@@ -10,7 +10,7 @@ all cheap vectorised operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -209,23 +209,6 @@ class TemporalGraph:
             meta=dict(self.meta),
         )
 
-    def time_slice(self, t_start: float, t_end: float) -> "TemporalGraph":
-        """Events with ``t_start <= ts < t_end`` (graph must not be reordered)."""
-        mask = (self.ts >= t_start) & (self.ts < t_end)
-        return self.select_events(np.nonzero(mask)[0])
-
-    def latest_events(self, count: int) -> "TemporalGraph":
-        """Keep only the ``count`` most recent events.
-
-        Mirrors the paper's protocol for large datasets: *"for large-scale
-        datasets with more than one million temporal edges, we use the latest
-        one million edges"* (Section IV-A).
-        """
-        if count >= self.num_edges:
-            return self
-        g = self if self.is_chronological else self.sort_by_time()
-        return g.select_events(np.arange(g.num_edges - count, g.num_edges))
-
     # -- statistics used by Table II and the generators -------------------------------
 
     def degree_counts(self) -> np.ndarray:
@@ -245,11 +228,6 @@ class TemporalGraph:
         pairs = self.src.astype(np.int64) * self.num_nodes + self.dst
         _, counts = np.unique(pairs, return_counts=True)
         return float((counts - 1).sum() / self.num_edges)
-
-    def timespan(self) -> Tuple[float, float]:
-        if self.num_edges == 0:
-            return (0.0, 0.0)
-        return float(self.ts.min()), float(self.ts.max())
 
     def statistics(self) -> Dict[str, float]:
         """Summary statistics in the shape of the paper's Table II."""

@@ -1,7 +1,7 @@
 """Neural-network layers built on the repro autograd engine."""
 
 from .module import Module, ModuleList, Parameter
-from .layers import Linear, LayerNorm, Dropout, MLP, Sequential, Identity, Activation
+from .layers import Linear, LayerNorm, Dropout
 from .mixer import MixerBlock, FeedForward
 from .attention import TemporalAttention
 from . import init
@@ -13,10 +13,6 @@ __all__ = [
     "Linear",
     "LayerNorm",
     "Dropout",
-    "MLP",
-    "Sequential",
-    "Identity",
-    "Activation",
     "MixerBlock",
     "FeedForward",
     "TemporalAttention",

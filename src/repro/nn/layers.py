@@ -1,4 +1,4 @@
-"""Core layers: Linear, LayerNorm, Dropout, MLP, Sequential.
+"""Core layers: Linear, LayerNorm, Dropout.
 
 All layers take an explicit ``rng`` at construction so initialisation is
 reproducible, following the repository-wide determinism convention.
@@ -7,21 +7,21 @@ Every layer runs on the array runtime (:mod:`repro.tensor.backend`).
 ``Linear`` and ``LayerNorm`` are one graph node each
 (:func:`repro.tensor.functional.linear`,
 :func:`repro.tensor.functional.layer_norm`) with an analytic backward over a
-kernel pair; the remaining layers are composed from Tensor ops.
+kernel pair; ``Dropout`` is composed from Tensor ops.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..tensor import Tensor
 from ..tensor import functional as F
 from . import init
-from .module import Module, ModuleList, Parameter
+from .module import Module, Parameter
 
-__all__ = ["Linear", "LayerNorm", "Dropout", "MLP", "Sequential", "Identity", "Activation"]
+__all__ = ["Linear", "LayerNorm", "Dropout"]
 
 
 class Linear(Module):
@@ -74,67 +74,3 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, training=self.training, rng=self._rng)
-
-
-class Identity(Module):
-    """Pass-through layer (useful as a default component)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
-class Activation(Module):
-    """Wrap a functional activation as a module (``relu``/``gelu``/...)."""
-
-    _FUNCS: dict = {
-        "relu": F.relu,
-        "gelu": F.gelu,
-        "tanh": F.tanh,
-        "sigmoid": F.sigmoid,
-        "leaky_relu": F.leaky_relu,
-        "identity": lambda x: x,
-    }
-
-    def __init__(self, name: str = "relu") -> None:
-        super().__init__()
-        if name not in self._FUNCS:
-            raise ValueError(f"unknown activation {name!r}; choose from {sorted(self._FUNCS)}")
-        self.name = name
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self._FUNCS[self.name](x)
-
-
-class Sequential(Module):
-    """Run child modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self.layers = ModuleList(list(modules))
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-
-class MLP(Module):
-    """Multi-layer perceptron with configurable hidden sizes and activation."""
-
-    def __init__(self, in_dim: int, hidden_dims: Sequence[int], out_dim: int,
-                 activation: str = "relu", dropout: float = 0.0,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
-        dims = [in_dim, *hidden_dims, out_dim]
-        layers: List[Module] = []
-        for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            layers.append(Linear(d_in, d_out, rng=rng))
-            if i < len(dims) - 2:
-                layers.append(Activation(activation))
-                if dropout > 0:
-                    layers.append(Dropout(dropout, rng=rng))
-        self.net = Sequential(*layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.net(x)

@@ -77,10 +77,6 @@ class Module:
         for name, module in self._modules.items():
             yield from module.named_modules(prefix=f"{prefix}{name}.")
 
-    def num_parameters(self) -> int:
-        """Total number of learnable scalars."""
-        return int(sum(p.data.size for p in self.parameters()))
-
     # -- training-mode toggles -----------------------------------------------------
 
     def train(self, mode: bool = True) -> "Module":

@@ -1,6 +1,5 @@
-"""Optimisers and LR schedules."""
+"""The Adam optimiser and gradient clipping."""
 
-from .optimizers import Optimizer, SGD, Adam, clip_grad_norm
-from .schedulers import StepLR, CosineLR
+from .optimizers import Optimizer, Adam, clip_grad_norm
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm", "StepLR", "CosineLR"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]

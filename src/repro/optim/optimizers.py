@@ -1,9 +1,9 @@
-"""First-order optimisers: SGD (with momentum) and Adam.
+"""The first-order optimiser: Adam.
 
 The paper trains both the TGNN backbone and the adaptive neighbor sampler
 with Adam (learning rate 1e-4 in the reference configuration); the dynamic
 GPU cache design explicitly relies on Adam's stabilising effect on the edge
-access pattern (Section III-D), so Adam is the default everywhere.
+access pattern (Section III-D), so Adam is the one optimiser here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from ..nn.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 class Optimizer:
@@ -40,31 +40,6 @@ class Optimizer:
 
     def load_state_dict(self, state: Dict) -> None:
         self.lr = state.get("lr", self.lr)
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.params)
-
-    def step(self) -> None:
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(p.data)
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
-            p.data -= self.lr * grad
 
 
 class Adam(Optimizer):

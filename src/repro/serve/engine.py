@@ -52,7 +52,6 @@ import numpy as np
 
 from ..core.pipeline import MiniBatchGenerator
 from ..core.prep import PrepPipeline
-from ..device.costmodel import TransferCostModel
 from ..device.memory import FeatureStore
 from ..graph.tcsr import StreamingTCSR
 from ..graph.temporal_graph import TemporalGraph
@@ -247,8 +246,7 @@ class ServeEngine:
 
         self.timer = Timer()
         self.stcsr = StreamingTCSR.from_graph(self.graph)
-        self.feature_store = FeatureStore(self.graph, edge_cache=None,
-                                          cost_model=TransferCostModel())
+        self.feature_store = FeatureStore(self.graph, edge_cache=None)
         self._refresh()
 
         self._pending: List[_Pending] = []

@@ -25,7 +25,7 @@ import numpy as np
 #: call time, never copied into another module's namespace.
 COMPUTE_DTYPE = np.float32
 
-from .tensor import Tensor, concatenate, stack, where, no_grad, is_grad_enabled
+from .tensor import Tensor, concatenate, where, no_grad, is_grad_enabled
 from . import functional
 from .backend import MixedDtypeError, ReferenceBackend, get_backend
 from .gradcheck import GradcheckDtypeError, gradcheck, numerical_grad
@@ -34,7 +34,6 @@ __all__ = [
     "COMPUTE_DTYPE",
     "Tensor",
     "concatenate",
-    "stack",
     "where",
     "no_grad",
     "is_grad_enabled",

@@ -135,12 +135,6 @@ class ReferenceBackend:
     def sqrt(self, x):
         return np.sqrt(x)
 
-    def cos(self, x):
-        return np.cos(x)
-
-    def sin(self, x):
-        return np.sin(x)
-
     def absolute(self, x):
         return np.abs(x)
 
@@ -149,9 +143,6 @@ class ReferenceBackend:
 
     def maximum(self, a, b):
         return np.maximum(a, b)
-
-    def clip(self, x, low, high):
-        return np.clip(x, low, high)
 
     def where(self, cond, a, b):
         return np.where(cond, a, b)
@@ -169,9 +160,6 @@ class ReferenceBackend:
 
     def mean(self, x, axis=None, keepdims: bool = False):
         return np.mean(x, axis=axis, keepdims=keepdims)
-
-    def amax(self, x, axis=None, keepdims: bool = False):
-        return np.max(x, axis=axis, keepdims=keepdims)
 
     # -- gradient plumbing ---------------------------------------------------
 
@@ -201,15 +189,6 @@ class ReferenceBackend:
     def softmax_backward(self, g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
         dot = (g * y).sum(axis=axis, keepdims=True)
         return y * (g - dot)
-
-    def log_softmax_forward(self, x: np.ndarray, axis: int) -> np.ndarray:
-        shifted = x - x.max(axis=axis, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        return shifted - lse
-
-    def log_softmax_backward(self, g: np.ndarray, soft: np.ndarray,
-                             axis: int) -> np.ndarray:
-        return g - soft * g.sum(axis=axis, keepdims=True)
 
     def sigmoid_forward(self, x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))

@@ -18,25 +18,17 @@ dtype of the tensor it scales.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .tensor import (Tensor, concatenate, edge_predictor, graphmixer_aggregate,
                      layer_norm, linear, mixer_block, sampler_encode, sampler_head,
-                     stack, temporal_attention, where)
+                     temporal_attention, where)
 
 __all__ = [
     "sigmoid",
-    "softmax",
-    "log_softmax",
-    "relu",
-    "leaky_relu",
-    "gelu",
-    "tanh",
     "binary_cross_entropy_with_logits",
-    "cross_entropy",
-    "mse_loss",
     "dropout",
     "dropout_keep",
     "layer_norm",
@@ -49,42 +41,17 @@ __all__ = [
     "sampler_head",
     "masked_softmax",
     "concatenate",
-    "stack",
     "where",
 ]
 
 
 # ---------------------------------------------------------------------------
-# activations (thin wrappers so callers can stay functional-style)
+# activations
 # ---------------------------------------------------------------------------
 
 
 def sigmoid(x: Tensor) -> Tensor:
     return x.sigmoid()
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x.softmax(axis=axis)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x.log_softmax(axis=axis)
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
-    return x.leaky_relu(negative_slope)
-
-
-def gelu(x: Tensor) -> Tensor:
-    return x.gelu()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
 
 
 # ---------------------------------------------------------------------------
@@ -110,30 +77,6 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor,
     if reduction == "none":
         return loss
     raise ValueError(f"unknown reduction {reduction!r}")
-
-
-def cross_entropy(logits: Tensor, target_index: np.ndarray,
-                  reduction: str = "mean") -> Tensor:
-    """Multi-class cross entropy over the last axis given integer targets."""
-    logp = logits.log_softmax(axis=-1)
-    rows = np.arange(logits.shape[0])
-    picked = logp[rows, np.asarray(target_index, dtype=np.int64)]
-    loss = -picked
-    if reduction == "mean":
-        return loss.mean()
-    if reduction == "sum":
-        return loss.sum()
-    return loss
-
-
-def mse_loss(pred: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
-    diff = pred - target
-    loss = diff * diff
-    if reduction == "mean":
-        return loss.mean()
-    if reduction == "sum":
-        return loss.sum()
-    return loss
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ REINFORCE-style sample loss:
 
 * broadcasting element-wise arithmetic,
 * matrix multiplication (including batched ``@``),
-* reductions (``sum``, ``mean``, ``max``),
+* reductions (``sum``, ``mean``),
 * shape manipulation (``reshape``, ``transpose``, ``concatenate``, indexing),
 * the non-linearities used by the models (``sigmoid``, ``tanh``, ``relu``,
-  ``leaky_relu``, ``gelu``, ``softmax``, ``cos``, ``sin``, ``exp``, ``log``).
+  ``leaky_relu``, ``gelu``, ``softmax``, ``exp``, ``log``).
 
 Design notes
 ------------
@@ -520,23 +520,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    # comparisons produce plain boolean arrays (no gradient)
-    def __gt__(self, other):
-        other = other.data if isinstance(other, Tensor) else other
-        return self.data > other
-
-    def __lt__(self, other):
-        other = other.data if isinstance(other, Tensor) else other
-        return self.data < other
-
-    def __ge__(self, other):
-        other = other.data if isinstance(other, Tensor) else other
-        return self.data >= other
-
-    def __le__(self, other):
-        other = other.data if isinstance(other, Tensor) else other
-        return self.data <= other
-
     # -- reductions --------------------------------------------------------------
 
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
@@ -567,23 +550,6 @@ class Tensor:
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis=axis)
                 self._accumulate(B.divide(B.broadcast_grad(g, self.shape), count))
-            out._backward = _backward
-        return out
-
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        data = get_backend().amax(self.data, axis=axis, keepdims=keepdims)
-        out = self._make(data, (self,), "max")
-        if out.requires_grad:
-            def _backward(g):
-                B = get_backend()
-                d = data
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis=axis)
-                    d = np.expand_dims(d, axis=axis)
-                mask = (self.data == d).astype(g.dtype)
-                mask /= np.maximum(mask.sum(axis=axis, keepdims=True) if axis is not None
-                                   else mask.sum(), 1.0)
-                self._accumulate(B.multiply(mask, g))
             out._backward = _backward
         return out
 
@@ -626,22 +592,6 @@ class Tensor:
             def _backward(g):
                 self._accumulate(get_backend().index_add(self.data, index,
                                                          g))
-            out._backward = _backward
-        return out
-
-    def expand_dims(self, axis: int) -> "Tensor":
-        out = self._make(np.expand_dims(self.data, axis), (self,), "expand_dims")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(np.squeeze(g, axis=axis))
-            out._backward = _backward
-        return out
-
-    def squeeze(self, axis: Optional[int] = None) -> "Tensor":
-        out = self._make(np.squeeze(self.data, axis=axis), (self,), "squeeze")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(g.reshape(self.shape))
             out._backward = _backward
         return out
 
@@ -689,24 +639,6 @@ class Tensor:
             def _backward(g):
                 B = get_backend()
                 self._accumulate(B.multiply(g, B.sign(self.data)))
-            out._backward = _backward
-        return out
-
-    def cos(self) -> "Tensor":
-        out = self._make(get_backend().cos(self.data), (self,), "cos")
-        if out.requires_grad:
-            def _backward(g):
-                B = get_backend()
-                self._accumulate(B.multiply(B.negative(g), B.sin(self.data)))
-            out._backward = _backward
-        return out
-
-    def sin(self) -> "Tensor":
-        out = self._make(get_backend().sin(self.data), (self,), "sin")
-        if out.requires_grad:
-            def _backward(g):
-                B = get_backend()
-                self._accumulate(B.multiply(g, B.cos(self.data)))
             out._backward = _backward
         return out
 
@@ -764,17 +696,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def clip(self, low: float, high: float) -> "Tensor":
-        data = get_backend().clip(self.data, low, high)
-        out = self._make(data, (self,), "clip")
-        if out.requires_grad:
-            mask = (self.data >= low) & (self.data <= high)
-
-            def _backward(g):
-                self._accumulate(get_backend().multiply(g, mask))
-            out._backward = _backward
-        return out
-
     # -- reductions along neighbourhood axes used by aggregators ----------------------
 
     def softmax(self, axis: int = -1) -> "Tensor":
@@ -786,17 +707,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def log_softmax(self, axis: int = -1) -> "Tensor":
-        data = get_backend().log_softmax_forward(self.data, axis)
-        out = self._make(data, (self,), "log_softmax")
-        if out.requires_grad:
-            soft = get_backend().exp(data)
-
-            def _backward(g):
-                self._accumulate(get_backend().log_softmax_backward(g, soft,
-                                                                    axis))
-            out._backward = _backward
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -833,25 +743,6 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1,
                     t._accumulate(g[tuple(idx)])
         joined._backward = _backward
     return joined
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis``."""
-    tensors = [Tensor.ensure(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-    req = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=req)
-    if req:
-        out._prev = tuple(tensors)
-        out._op = "stack"
-
-        def _backward(g):
-            grads = np.moveaxis(g, axis, 0)
-            for t, g in zip(tensors, grads):
-                if t.requires_grad:
-                    t._accumulate(g)
-        out._backward = _backward
-    return out
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

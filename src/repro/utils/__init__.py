@@ -4,15 +4,13 @@ Configuration helpers live in :mod:`repro.core.config`; the deprecated
 ``repro.utils.config`` re-export shim has been removed.
 """
 
-from .rng import RngMixin, new_rng, spawn_rngs, seed_everything
+from .rng import new_rng, spawn_rngs
 from .tiles import Tiles
 from .timer import Timer
 
 __all__ = [
-    "RngMixin",
     "new_rng",
     "spawn_rngs",
-    "seed_everything",
     "Tiles",
     "Timer",
 ]

@@ -34,7 +34,6 @@ class Timer:
 
     def __init__(self) -> None:
         self._totals: Dict[str, float] = defaultdict(float)
-        self._counts: Dict[str, int] = defaultdict(int)
         self._lock = threading.Lock()
 
     @contextmanager
@@ -49,20 +48,11 @@ class Timer:
         """Add simulated/externally-measured seconds to a section."""
         with self._lock:
             self._totals[name] += seconds
-            self._counts[name] += 1
 
     def totals(self) -> Dict[str, float]:
         with self._lock:
             return dict(self._totals)
 
-    def counts(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def total(self) -> float:
-        return float(sum(self.totals().values()))
-
     def reset(self) -> None:
         with self._lock:
             self._totals.clear()
-            self._counts.clear()

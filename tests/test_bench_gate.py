@@ -1,8 +1,7 @@
-"""The CI benchmark regression gate (tools/bench_gate.py).
+"""The CI benchmark hash gate (tools/bench_gate.py).
 
-Exercises the gate as a library (its ``main`` with explicit argv), covering
-the three verdicts — clean, warn-only at smoke scale, enforced failure —
-plus baseline refresh and the determinism-hash rules.
+Exercises the gate as a library (its ``main`` with explicit argv): the clean
+and failing verdicts, baseline refresh and the determinism-hash rules.
 """
 
 import importlib.util
@@ -19,15 +18,13 @@ sys.modules.setdefault("bench_gate", bench_gate)
 _SPEC.loader.exec_module(bench_gate)
 
 
-def _artifact(wall=1.0, throughput=100.0, run_hash="abc", replay_hash="abc",
-              scale=0.1):
+def _artifact(wall=1.0, run_hash="abc", replay_hash="abc"):
     return {
         "benchmark": "demo",
-        "scale": scale,
+        "scale": 0.1,
         "unix_time": 0.0,
         "results": {
             "wall_seconds": wall,
-            "events_per_second": throughput,
             "determinism": {"hash": run_hash, "replay_hash": replay_hash},
         },
     }
@@ -39,8 +36,7 @@ def _write(directory: Path, payload, name="BENCH_demo.json"):
 
 
 @pytest.fixture
-def dirs(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
+def dirs(tmp_path):
     return tmp_path / "current", tmp_path / "baselines"
 
 
@@ -55,46 +51,17 @@ class TestBenchGate:
         _write(current, _artifact())
         _write(baselines, _artifact())
         assert _gate(current, baselines) == 0
-        assert _gate(current, baselines, "--strict") == 0
 
     def test_no_artifacts_is_usage_error(self, dirs):
         current, baselines = dirs
         current.mkdir(parents=True)
         assert _gate(current, baselines) == 2
 
-    def test_slowdown_warns_at_smoke_scale_fails_strict(self, dirs):
-        current, baselines = dirs
-        _write(baselines, _artifact(wall=1.0))
-        _write(current, _artifact(wall=1.5))
-        assert _gate(current, baselines) == 0            # warn-only
-        assert _gate(current, baselines, "--strict") == 1
-
-    def test_slowdown_enforced_at_half_scale(self, dirs, monkeypatch):
-        current, baselines = dirs
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.5")
-        _write(baselines, _artifact(wall=1.0, scale=0.5))
-        _write(current, _artifact(wall=2.0, scale=0.5))
-        assert _gate(current, baselines) == 1
-
-    def test_slowdown_within_threshold_passes(self, dirs):
-        current, baselines = dirs
-        _write(baselines, _artifact(wall=1.0))
-        _write(current, _artifact(wall=1.2))
-        assert _gate(current, baselines, "--strict") == 0
-
-    def test_throughput_drop_fails(self, dirs):
-        current, baselines = dirs
-        _write(baselines, _artifact(throughput=100.0))
-        _write(current, _artifact(throughput=60.0))
-        assert _gate(current, baselines, "--strict") == 1
-
     def test_determinism_mismatch_fails_even_at_smoke_scale(self, dirs):
         current, baselines = dirs
         _write(baselines, _artifact())
         _write(current, _artifact(run_hash="abc", replay_hash="xyz"))
-        # Hash pairs are machine-independent: enforced without --strict.
         assert _gate(current, baselines) == 1
-        assert _gate(current, baselines, "--strict") == 1
 
     def test_determinism_checked_even_without_baseline(self, dirs):
         current, baselines = dirs
@@ -106,30 +73,7 @@ class TestBenchGate:
         current, baselines = dirs
         baselines.mkdir(parents=True)
         _write(current, _artifact())
-        assert _gate(current, baselines, "--strict") == 0
-
-    def test_scale_mismatch_skips_timing(self, dirs):
-        current, baselines = dirs
-        _write(baselines, _artifact(wall=1.0, scale=1.0))
-        _write(current, _artifact(wall=100.0, scale=0.1))
-        assert _gate(current, baselines, "--strict") == 0
-
-    def test_legacy_engine_key_in_baseline_still_gates(self, dirs):
-        """Committed baselines still carry ``"engine_env": "sync"``; fresh
-        artifacts no longer do.  Timings are compared whenever the scale
-        matches, so a 10x slowdown against such a baseline fails."""
-        current, baselines = dirs
-        legacy = _artifact(wall=1.0)
-        legacy["engine_env"] = "sync"
-        _write(baselines, legacy)
-        _write(current, _artifact(wall=10.0))
-        assert _gate(current, baselines, "--strict") == 1
-
-    def test_tiny_baselines_skipped_as_noise(self, dirs):
-        current, baselines = dirs
-        _write(baselines, _artifact(wall=1e-4))
-        _write(current, _artifact(wall=5e-4))  # 5x, but below the noise floor
-        assert _gate(current, baselines, "--strict") == 0
+        assert _gate(current, baselines) == 0
 
     def test_update_refreshes_baselines(self, dirs):
         current, baselines = dirs
@@ -137,15 +81,25 @@ class TestBenchGate:
         assert _gate(current, baselines, "--update") == 0
         recorded = json.loads((baselines / "BENCH_demo.json").read_text())
         assert recorded["results"]["wall_seconds"] == 2.0
-        # After the refresh the same artifact gates clean under --strict.
-        assert _gate(current, baselines, "--strict") == 0
+        # After the refresh the same artifact gates clean.
+        assert _gate(current, baselines) == 0
+
+    @pytest.mark.parametrize("flag", ["--strict", "--threshold=0.25",
+                                      "--min-seconds=0.005"])
+    def test_timing_options_are_gone(self, dirs, flag):
+        """Wall-clock timings are not compared: a 10x slower artifact
+        gates clean, and the timing options are usage errors."""
+        current, baselines = dirs
+        _write(baselines, _artifact(wall=1.0))
+        _write(current, _artifact(wall=10.0))
+        assert _gate(current, baselines) == 0
+        with pytest.raises(SystemExit) as info:
+            _gate(current, baselines, flag)
+        assert info.value.code == 2
 
     def test_walk_helpers(self):
         payload = {"a": {"b_seconds": 1.5, "list": [{"c": 2}]},
                    "determinism": {"hash": "x", "replay_hash": "y"}}
-        metrics = dict(bench_gate.walk_numeric(payload))
-        assert metrics["a.b_seconds"] == 1.5
-        assert metrics["a.list[0].c"] == 2.0
         pairs = list(bench_gate.walk_hash_pairs(payload))
         assert pairs == [("determinism", "x", "y")]
 
@@ -154,8 +108,7 @@ class TestBenchGate:
         baselines = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
         assert baselines.is_dir(), "benchmarks/baselines must be committed"
         assert bench_gate.main(["--current-dir", str(baselines),
-                                "--baseline-dir", str(baselines),
-                                "--strict"]) == 0
+                                "--baseline-dir", str(baselines)]) == 0
 
 
 class TestRequiredHashPairs:
@@ -189,12 +142,12 @@ class TestRequiredHashPairs:
 
     def test_fig1_replay_mismatch_fails_at_every_scale(self, dirs):
         """A same-seed replay whose trajectory diverges from the first run's
-        is a contract break — enforced without --strict."""
+        is a contract break."""
         current, baselines = dirs
         baselines.mkdir(parents=True)
         _write(current, self._fig1_artifact(replay="doctored"),
                name="BENCH_fig1_breakdown_wikipedia.json")
-        assert _gate(current, baselines) == 1          # even without --strict
+        assert _gate(current, baselines) == 1
 
     def test_fig1_pair_missing_fails_hard(self, dirs):
         current, baselines = dirs
@@ -226,7 +179,7 @@ class TestRequiredHashPairs:
         baselines.mkdir(parents=True)
         _write(current, self._serve_artifact(replay_hash="doctored"),
                name="BENCH_serve_latency.json")
-        assert _gate(current, baselines) == 1          # even without --strict
+        assert _gate(current, baselines) == 1
 
     def test_serve_pair_missing_fails_hard(self, dirs):
         current, baselines = dirs
@@ -259,7 +212,7 @@ class TestRequiredHashPairs:
         baselines.mkdir(parents=True)
         _write(current, self._shard_artifact(replay="doctored"),
                name="BENCH_shard_scaling.json")
-        assert _gate(current, baselines) == 1          # even without --strict
+        assert _gate(current, baselines) == 1
 
     def test_shard_determinism_pair_missing_fails_hard(self, dirs):
         """A two-pair artifact that still carries one pair fails when the
@@ -294,12 +247,12 @@ class TestRequiredHashPairs:
 
     def test_comms_replay_mismatch_fails_at_every_scale(self, dirs):
         """A shared-memory trajectory diverging from the in-process one
-        breaks the buckets' bitwise contract — enforced without --strict."""
+        breaks the buckets' bitwise contract."""
         current, baselines = dirs
         baselines.mkdir(parents=True)
         _write(current, self._shard_artifact(comms_replay="doctored"),
                name="BENCH_shard_scaling.json")
-        assert _gate(current, baselines) == 1          # even without --strict
+        assert _gate(current, baselines) == 1
 
     def test_comms_pair_missing_fails_hard(self, dirs):
         current, baselines = dirs

@@ -3,12 +3,11 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.bench import (VARIANTS, emit_bench_json, format_table,
-                         geometric_mean, quick_config, variant_config,
-                         run_variant, system_configurations)
+                         quick_config, variant_config, run_variant,
+                         system_configurations)
 from repro.bench.breakdown import BreakdownRow, runtime_breakdown
 from repro.bench.finders import OriginalNeighborFinder
 from repro.sampling import GPUNeighborFinder
@@ -48,11 +47,6 @@ class TestFormatting:
         rows = {"A": {"x": 1.0, "y": 2.0}, "B": {"x": 3.0}}
         text = format_table(rows, value_format="{:.1f}", title="T")
         assert "T" in text and "1.0" in text and "3.0" in text and "-" in text
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert np.isnan(geometric_mean([]))
-        assert np.isnan(geometric_mean([1.0, 0.0]))
 
 
 class TestBenchJson:

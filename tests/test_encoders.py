@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.encoders import (LearnableTimeEncoder, FixedTimeEncoder, FrequencyEncoder,
-                            IdentityEncoder, sort_by_recency)
+                            IdentityEncoder)
 from repro.tensor import Tensor, gradcheck
 
 
@@ -125,16 +125,3 @@ class TestIdentityEncoder:
             enc(np.zeros((2, 3), dtype=int))
         with pytest.raises(ValueError):
             IdentityEncoder(0)
-
-    def test_sort_by_recency(self):
-        times = np.array([[1.0, 5.0, 3.0]])
-        nodes = np.array([[10, 20, 30]])
-        mask = np.array([[True, True, True]])
-        order = sort_by_recency(nodes, times, mask)
-        assert order[0].tolist() == [1, 2, 0]
-
-    def test_sort_by_recency_pushes_padding_last(self):
-        times = np.array([[9.0, 5.0, 3.0]])
-        mask = np.array([[False, True, True]])
-        order = sort_by_recency(np.zeros((1, 3), dtype=int), times, mask)
-        assert order[0, -1] == 0

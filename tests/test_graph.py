@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import (TemporalGraph, build_tcsr, chronological_split, CTDGConfig,
+from repro.graph import (TemporalGraph, chronological_split, CTDGConfig,
                          generate_ctdg, measure_noise, inject_random_edges,
-                         perturb_edge_features, drop_events, load_dataset,
-                         dataset_config, dataset_table, DATASET_NAMES)
+                         load_dataset, dataset_config, dataset_table, DATASET_NAMES)
 from repro.graph.tcsr import TCSR
 from repro.bench.finders import OriginalNeighborFinder
 from repro.sampling import GPUNeighborFinder
@@ -53,12 +52,6 @@ class TestTemporalGraph:
         s = g.sort_by_time()
         assert s.is_chronological
         assert s.src[0] == 1
-
-    def test_time_slice_and_latest(self):
-        g = tiny_graph()
-        assert g.time_slice(2.0, 4.0).num_edges == 2
-        assert g.latest_events(2).num_edges == 2
-        assert g.latest_events(100).num_edges == 5
 
     def test_select_events_keeps_features(self):
         g = tiny_graph()
@@ -109,11 +102,6 @@ class TestTCSR:
         scalar = np.array([small_tcsr.pivot(int(v), float(t))
                            for v, t in zip(nodes, times)])
         assert np.array_equal(batch, scalar)
-
-    def test_no_reverse_option(self, small_graph):
-        tcsr = build_tcsr(small_graph, add_reverse=False)
-        tcsr.check_invariants()
-        assert tcsr.num_entries == small_graph.num_edges
 
     def test_eid_maps_to_original_edge(self, small_graph, small_tcsr):
         nbr, eid, ts = small_tcsr.neighborhood(int(small_graph.src[0]))
@@ -362,20 +350,3 @@ class TestNoiseInjection:
 
     def test_inject_zero_fraction_is_identity(self, small_graph):
         assert inject_random_edges(small_graph, 0.0) is small_graph
-
-    def test_perturb_edge_features(self, small_graph):
-        noisy = perturb_edge_features(small_graph, 1.0, seed=2)
-        assert not np.allclose(noisy.edge_feat, small_graph.edge_feat)
-        assert np.array_equal(noisy.src, small_graph.src)
-
-    def test_perturb_requires_features(self):
-        g = TemporalGraph(src=np.array([0]), dst=np.array([1]), ts=np.array([0.0]),
-                          num_nodes=2)
-        with pytest.raises(ValueError):
-            perturb_edge_features(g, 1.0)
-
-    def test_drop_events(self, small_graph):
-        dropped = drop_events(small_graph, 0.3, seed=3)
-        assert dropped.num_edges < small_graph.num_edges
-        with pytest.raises(ValueError):
-            drop_events(small_graph, 1.0)

@@ -109,7 +109,7 @@ class TestCLI:
                                       "--num-neighbors", "--num-candidates",
                                       "--batch-size", "--eval-negatives",
                                       "--max-batches-per-epoch",
-                                      "--eval-max-edges"])
+                                      "--eval-max-edges", "--epochs"])
     def test_model_size_flag_of_zero_rejected_at_parse_time(self, flag,
                                                             capsys):
         for build in (build_parser, cli.build_train_parser,
@@ -120,6 +120,27 @@ class TestCLI:
                 build().parse_args([flag, "0"])
             assert info.value.code == 2
             assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--scale", "0", "must be > 0"),
+        ("--lr", "0", "must be > 0"),
+        ("--rate", "0", "must be > 0"),
+        ("--cache-ratio", "1.5", "must be in [0, 1]"),
+    ])
+    def test_out_of_range_float_flag_rejected_at_parse_time(self, flag, value,
+                                                            message, capsys):
+        # Each used to surface as a ValueError traceback from load_dataset,
+        # Adam, TaserConfig or EventStream (0 is legal for --cache-ratio).
+        parsers = [build for build in (build_parser, cli.build_train_parser,
+                                       cli.build_stream_parser,
+                                       cli.build_serve_parser)
+                   if flag in build()._option_string_actions]
+        assert parsers
+        for build in parsers:
+            with pytest.raises(SystemExit) as info:
+                build().parse_args([flag, value])
+            assert info.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_config_rejects_bad_engine_settings_with_actionable_errors(self):
         from repro.core import TaserConfig

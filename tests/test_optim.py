@@ -1,10 +1,10 @@
-"""Tests for the optimisers and LR schedules."""
+"""Tests for the optimiser and gradient clipping."""
 
 import numpy as np
 import pytest
 
 from repro.nn import Linear, Parameter
-from repro.optim import Adam, SGD, StepLR, CosineLR, clip_grad_norm
+from repro.optim import Adam, clip_grad_norm
 from repro.tensor import Tensor
 
 
@@ -24,12 +24,6 @@ def run_optimizer(opt_cls, steps=200, **kwargs):
 
 
 class TestOptimizers:
-    def test_sgd_converges_on_quadratic(self):
-        assert abs(run_optimizer(SGD, lr=0.1)) < 1e-3
-
-    def test_sgd_momentum_converges(self):
-        assert abs(run_optimizer(SGD, lr=0.05, momentum=0.9)) < 1e-3
-
     def test_adam_converges_on_quadratic(self):
         assert abs(run_optimizer(Adam, lr=0.1, steps=400)) < 1e-2
 
@@ -55,7 +49,7 @@ class TestOptimizers:
 
     def test_weight_decay_shrinks_weights(self):
         p = Parameter(np.full(3, 10.0))
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
+        opt = Adam([p], lr=0.5, weight_decay=0.5)
         for _ in range(50):
             opt.zero_grad()
             p.grad = np.zeros_like(p.data)   # pure decay
@@ -68,7 +62,7 @@ class TestOptimizers:
 
     def test_bad_lr_rejected(self):
         with pytest.raises(ValueError):
-            SGD([quadratic_param()], lr=0.0)
+            Adam([quadratic_param()], lr=0.0)
 
     def test_step_skips_none_grads(self):
         p = quadratic_param()
@@ -106,24 +100,3 @@ class TestGradClip:
     def test_clip_empty(self):
         assert clip_grad_norm([Parameter(np.zeros(2))], 1.0) == 0.0
 
-
-class TestSchedulers:
-    def test_step_lr(self):
-        opt = SGD([quadratic_param()], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs == [1.0, 0.5, 0.5, 0.25]
-
-    def test_cosine_lr_monotone_to_min(self):
-        opt = SGD([quadratic_param()], lr=1.0)
-        sched = CosineLR(opt, total_epochs=10, min_lr=0.1)
-        lrs = [sched.step() for _ in range(10)]
-        assert all(a >= b - 1e-12 for a, b in zip(lrs, lrs[1:]))
-        assert lrs[-1] == pytest.approx(0.1)
-
-    def test_scheduler_validation(self):
-        opt = SGD([quadratic_param()], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ValueError):
-            CosineLR(opt, total_epochs=0)

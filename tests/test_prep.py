@@ -185,10 +185,5 @@ class TestConfigFold:
         repro.utils.config re-export shim is gone."""
         import importlib
 
-        from repro.core import asdict_shallow as core_level
-        from repro.core.config import asdict_shallow as canonical
-        assert canonical is core_level
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.utils.config")
-        import repro.utils as utils
-        assert not hasattr(utils, "asdict_shallow")

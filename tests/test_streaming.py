@@ -73,12 +73,6 @@ class TestStreamingTCSR:
         assert_tcsr_equal(StreamingTCSR.from_graph(small_graph).snapshot(),
                           build_tcsr(small_graph))
 
-    def test_no_reverse_mode(self, small_graph):
-        stcsr = StreamingTCSR(small_graph.num_nodes, add_reverse=False)
-        stcsr.append(small_graph.src, small_graph.dst, small_graph.ts)
-        assert_tcsr_equal(stcsr.snapshot(),
-                          build_tcsr(small_graph, add_reverse=False))
-
     def test_snapshot_cached_until_next_append(self, small_graph):
         stcsr = StreamingTCSR.from_graph(small_graph)
         first = stcsr.snapshot()
@@ -86,22 +80,6 @@ class TestStreamingTCSR:
         stcsr.append(np.array([0]), np.array([1]),
                      np.array([small_graph.ts[-1] + 1.0]))
         assert stcsr.snapshot() is not first
-
-    def test_compact_preserves_content_and_tightens_heap(self, small_graph):
-        stcsr = StreamingTCSR(small_graph.num_nodes, initial_capacity=4)
-        for lo in range(0, small_graph.num_edges, 23):
-            hi = min(lo + 23, small_graph.num_edges)
-            stcsr.append(small_graph.src[lo:hi], small_graph.dst[lo:hi],
-                         small_graph.ts[lo:hi])
-        before = stcsr.snapshot()
-        heap_before = stcsr._heap_end
-        stcsr.compact()
-        assert stcsr._heap_end <= heap_before
-        assert_tcsr_equal(stcsr.snapshot(), before)
-        # Appends keep working after compaction.
-        stcsr.append(np.array([1]), np.array([2]),
-                     np.array([small_graph.ts[-1] + 1.0]))
-        assert stcsr.num_events == small_graph.num_edges + 1
 
     def test_rejects_out_of_order_and_out_of_range(self):
         stcsr = StreamingTCSR(4)

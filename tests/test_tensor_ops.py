@@ -11,7 +11,7 @@ from repro.graph import build_tcsr, load_dataset
 from repro.models import TGAT, EdgePredictor, GraphMixer, HopData
 from repro.nn import MixerBlock
 from repro.sampling import GPUNeighborFinder, NeighborBatch
-from repro.tensor import (Tensor, concatenate, stack, where, no_grad, is_grad_enabled,
+from repro.tensor import (Tensor, concatenate, where, no_grad, is_grad_enabled,
                           get_backend)
 from repro.tensor import functional as F
 from repro.tensor.gradcheck import gradcheck
@@ -54,10 +54,6 @@ class TestForwardValues:
         s = x.softmax(axis=-1)
         assert np.allclose(s.data.sum(axis=-1), 1.0)
 
-    def test_log_softmax_consistency(self):
-        x = t(np.random.default_rng(1).standard_normal((4, 6)))
-        assert np.allclose(x.log_softmax(-1).data, np.log(x.softmax(-1).data))
-
     def test_sigmoid_range(self):
         x = t(np.linspace(-10, 10, 21))
         s = x.sigmoid()
@@ -87,22 +83,15 @@ class TestForwardValues:
         rows = np.array([0, 2])
         assert np.allclose(x[rows].data, x.data[rows])
 
-    def test_concatenate_and_stack(self):
+    def test_concatenate(self):
         a, b = t(np.ones((2, 3))), t(np.zeros((2, 2)))
         cat = concatenate([a, b], axis=1)
         assert cat.shape == (2, 5)
-        st = stack([t(np.ones(3)), t(np.zeros(3))], axis=0)
-        assert st.shape == (2, 3)
 
     def test_where_selects(self):
         cond = np.array([True, False, True])
         out = where(cond, t([1.0, 1.0, 1.0]), t([5.0, 5.0, 5.0]))
         assert np.allclose(out.data, [1, 5, 1])
-
-    def test_max_and_clip(self):
-        x = t([[1.0, 5.0], [3.0, 2.0]])
-        assert np.allclose(x.max(axis=1).data, [5, 3])
-        assert np.allclose(x.clip(1.5, 4.0).data, [[1.5, 4.0], [3.0, 2.0]])
 
     def test_detach_cuts_graph(self):
         x = t([1.0, 2.0])
@@ -195,14 +184,9 @@ class TestGradients:
         a = t(np.abs(self.rng.standard_normal((3, 3))) + 0.5)
         gradcheck(lambda x: (x.exp() + x.log() + x.sqrt()).sum(), [a])
 
-    def test_trig(self):
-        a = t(self.rng.standard_normal((3, 3)))
-        gradcheck(lambda x: (x.cos() * x.sin()).sum(), [a])
-
     def test_softmax_and_logsoftmax(self):
         a = t(self.rng.standard_normal((3, 5)))
         gradcheck(lambda x: (x.softmax(-1) * np.arange(5)).sum(), [a])
-        gradcheck(lambda x: (x.log_softmax(-1) * np.arange(5)).sum(), [a])
 
     def test_getitem_accumulates_repeated_indices(self):
         a = t(np.ones(4))
@@ -216,11 +200,6 @@ class TestGradients:
         b = t(self.rng.standard_normal((2, 2)))
         gradcheck(lambda x, y: (concatenate([x, y], axis=1) ** 2).sum(), [a, b])
 
-    def test_stack_grad(self):
-        a = t(self.rng.standard_normal(4))
-        b = t(self.rng.standard_normal(4))
-        gradcheck(lambda x, y: (stack([x, y], axis=0) * 2).sum(), [a, b])
-
     def test_transpose_reshape_grad(self):
         a = t(self.rng.standard_normal((2, 3, 4)))
         gradcheck(lambda x: (x.transpose(1, 0, 2).reshape(3, 8) ** 2).sum(), [a])
@@ -228,13 +207,6 @@ class TestGradients:
     def test_broadcast_to_grad(self):
         a = t(self.rng.standard_normal((1, 4)))
         gradcheck(lambda x: (x.broadcast_to((3, 4)) * np.arange(12).reshape(3, 4)).sum(), [a])
-
-    def test_max_grad(self):
-        a = t(np.array([[1.0, 5.0, 2.0], [7.0, 0.0, 7.0]]))
-        out = a.max(axis=1).sum()
-        out.backward()
-        # Ties split the gradient equally.
-        assert np.allclose(a.grad, [[0, 1, 0], [0.5, 0, 0.5]])
 
     def test_grad_accumulates_across_backwards(self):
         a = t(np.ones(3))
@@ -270,17 +242,6 @@ class TestFunctional:
         assert np.isclose(float(total.data), float(none.data.sum()))
         with pytest.raises(ValueError):
             F.binary_cross_entropy_with_logits(logits, targets, reduction="bogus")
-
-    def test_cross_entropy(self):
-        logits = t(self.rng.standard_normal((4, 3)))
-        target = np.array([0, 2, 1, 1])
-        loss = F.cross_entropy(logits, target)
-        assert loss.data.size == 1 and float(loss.data) > 0
-
-    def test_mse(self):
-        pred = t([1.0, 2.0, 3.0])
-        target = Tensor([1.0, 1.0, 1.0])
-        assert np.isclose(float(F.mse_loss(pred, target).data), (0 + 1 + 4) / 3)
 
     def test_layer_norm_statistics(self):
         x = t(self.rng.standard_normal((6, 8)) * 3 + 2)

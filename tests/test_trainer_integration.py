@@ -81,7 +81,7 @@ class TestConfig:
             tiny_config(cache_ratio=1.5)
         # A model size of 0 used to surface deep in the model as a reshape
         # or division error; the config names the field instead.
-        for name in ("hidden_dim", "num_neighbors"):
+        for name in ("hidden_dim", "num_heads", "num_neighbors"):
             with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                 tiny_config(**{name: 0})
         # A cap of 0 trained zero batches (loss 0.0) or scored no edges (MRR
