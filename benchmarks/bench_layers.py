@@ -39,7 +39,9 @@ dst, 49 negatives) through ``score_link_queries`` on the
 bound ``SCORING_TILE_ROWS`` and at half and twice it (``ns_by_tile_rows``).
 Per level of the call's forward-only batch it records ``rows`` (the slots
 that reach the level), ``targets`` (its distinct ``(node, t)`` queries, the
-rows the level computes) and ``tiles`` (how many tiles run them).
+rows the level computes) and ``tiles`` (how many tiles run them).  Beside it,
+``train_levels`` counts the same ``rows`` and ``targets`` per level, summed
+over one epoch of that workload's training batches (counts only, no timing).
 
 Two cells cover the serve path.  ``graphmixer_aggregate`` times
 ``GraphMixer.aggregate`` on the zero state at a serve flush's rows (R = 3)
@@ -260,6 +262,26 @@ def eval_levels_cell(tracer: Tracer, repeats: int) -> dict:
                 ns_by_tile_rows=by_bound, levels=levels)
 
 
+def train_levels_cell() -> dict:
+    """Rows and distinct targets per level, summed over one epoch of
+    ``train_tgat_taser`` training batches."""
+    spec = TRAIN_SPECS["train_tgat_taser"]
+    trainer = TaserTrainer(load_dataset(spec["dataset"], scale=spec["scale"],
+                                        seed=0),
+                           TaserConfig(**dict(MODEL, **spec["config"])))
+    build, batches = trainer.generator.build, []
+
+    def counted(*args, **kwargs):
+        batches.append(build(*args, **kwargs))
+        return batches[-1]
+    trainer.generator.build = counted
+    trainer.train_epoch()
+    levels = [{"rows": sum(int(batch.hops[level].inverse.size) for batch in batches),
+               "targets": sum(batch.hops[level].num_targets for batch in batches)}
+              for level in range(trainer.generator.num_layers)]
+    return {"batches": len(batches), "levels": levels}
+
+
 def calls_of(run) -> int:
     """Python and C function calls ``run()`` makes (a ``sys.setprofile``
     counter: every ``call`` and ``c_call`` event)."""
@@ -378,6 +400,10 @@ def bench(sizes, repeats: int) -> dict:
           + "); rows -> targets in tiles per level: " + ", ".join(
               f"{level['rows']} -> {level['targets']} in {level['tiles']}"
               for level in cell["levels"]))
+    cell = cells["train_levels"] = train_levels_cell()
+    print(f"  train_levels      {cell['batches']} batches    rows -> targets per "
+          "level: " + ", ".join(f"{level['rows']} -> {level['targets']}"
+                                for level in cell["levels"]))
     return cells
 
 

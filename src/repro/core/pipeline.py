@@ -21,10 +21,11 @@ runtime tables: ``NF`` (neighbor finding), ``FS`` (feature slicing) and
 ``AS`` (adaptive sampling).
 
 The NF + FS stages of a layer are :meth:`MiniBatchGenerator.layer_candidates`.
-A forward-only batch (scoring, serving) runs the same stages per row tile of
-each level's distinct targets; :meth:`MiniBatchGenerator.hop_tile` is one
-tile's stage in the embedding pass.  Training and scoring go through the
-prep runtime, the single producer of :class:`~repro.core.prep.PreparedBatch`.
+Every batch runs them on the distinct ``(node, t)`` queries of each level, a
+forward-only batch (scoring, serving) per row tile;
+:meth:`MiniBatchGenerator.hop_tile` is one tile's stage in the embedding
+pass.  Training and scoring go through the prep runtime, the single producer
+of :class:`~repro.core.prep.PreparedBatch`.
 """
 
 from __future__ import annotations
@@ -142,48 +143,62 @@ class MiniBatchGenerator:
                               target_node_feat=target_feat)
 
     def slice_root_features(self, root_nodes: np.ndarray) -> Optional[np.ndarray]:
-        """FS of the root queries."""
+        """FS of the root queries.  Kept for the frozen
+        benchmarks/e2e/tracer.py, which patches it by name."""
         with self.timer.section("FS"):
             return self.feature_store.slice_node_features(root_nodes)
 
-    # -- forward-only tile stages ------------------------------------------------------
+    # -- level and tile stages --------------------------------------------------------
 
     def _hop_features(self, neighbors: NeighborBatch) -> HopData:
-        """FS of a forward-only tile: the hop of ``neighbors`` with its
-        neighbors' and its targets' features."""
+        """FS of a tile: the hop of ``neighbors`` with its neighbors' and its
+        targets' features."""
         with self.timer.section("FS"):
             edge_feat, neigh_feat, target_feat = self._slice_features(neighbors)
         return HopData(batch=neighbors, edge_feat=edge_feat,
-                       neigh_node_feat=neigh_feat, target_node_feat=target_feat)
+                       neigh_node_feat=neigh_feat, target_node_feat=target_feat,
+                       gathered=True)
 
     def _draw(self, target_nodes: np.ndarray, target_times: np.ndarray,
-              rng: Optional[np.random.Generator], features: bool) -> HopData:
-        """NF (+ FS + greedy AS with the adaptive sampler) of a forward-only
-        tile: the selected neighbors of each target, with their features
-        when ``features``.  Candidate features live only inside this call."""
+              rng: Optional[np.random.Generator], features: bool,
+              train: bool = False) -> HopData:
+        """NF (+ FS + AS with the adaptive sampler) of a tile: the selected
+        neighbors of each target, with their features when ``features``.
+
+        The adaptive sampler picks greedily, or with ``train`` draws one
+        Gumbel selection per target and the hop keeps its ``log_prob`` and a
+        gate.  Candidate features live only inside this call."""
         if not self.uses_adaptive_sampling:
             selected = self._find(target_nodes, target_times, self.num_neighbors, rng)
             return self._hop_features(selected) if features else HopData(batch=selected)
         stage = self.layer_candidates(target_nodes, target_times, rng=rng)
         with self.timer.section("AS"):
-            columns = self.adaptive_sampler(
+            selection = self.adaptive_sampler(
                 stage.candidates, self.num_neighbors, edge_feat=stage.edge_feat,
                 neigh_node_feat=stage.neigh_node_feat,
-                target_node_feat=stage.target_node_feat, greedy=True).columns
+                target_node_feat=stage.target_node_feat, greedy=not train)
+        columns = selection.columns
         hop = HopData(batch=stage.candidates.select(columns))
         if features:
             hop.edge_feat = self._gather_columns(stage.edge_feat, columns)
             hop.neigh_node_feat = self._gather_columns(stage.neigh_node_feat, columns)
             hop.target_node_feat = stage.target_node_feat
+            hop.gathered = True
+        if train:
+            hop.log_prob = selection.log_prob
+            hop.make_gate()
         return hop
 
     def hop_tile(self, hop: HopData, index: int, rows: slice) -> HopData:
-        """Tile ``index`` (rows ``rows``) of a forward-only level, with its
-        features.  A drawn level's selected neighbors are sliced and their
-        features gathered; an undrawn one (the deepest level of a scoring
-        call) draws the tile here, from its own seed in :attr:`HopData.seeds`
-        (``None``: the finder's own stream), and keeps the candidates'
-        features of the selected neighbors."""
+        """Tile ``index`` (rows ``rows``) of a level, with its features.  A
+        training level holds them and is its own (one) tile.  A drawn
+        forward-only level's selected neighbors are sliced and their features
+        gathered; an undrawn one (the deepest level of a scoring call) draws
+        the tile here, from its own seed in :attr:`HopData.seeds` (``None``:
+        the finder's own stream), and keeps the candidates' features of the
+        selected neighbors."""
+        if hop.gathered:
+            return hop
         batch = hop.batch
         if batch.budget:
             return self._hop_features(batch.rows(rows))
@@ -198,79 +213,40 @@ class MiniBatchGenerator:
               train: bool = True,
               rng: Optional[np.random.Generator] = None,
               tiles: Optional[Tiles] = None) -> MiniBatch:
-        """Build the full multi-hop mini-batch for the given root queries.
-
-        A training batch (``train=True``) has one target per row at every
-        hop, with its features: each row draws its own Gumbel selection,
-        gate and log-prob.  ``rng`` is the generator of the finder's draws at
-        every hop (``None``: the finder's own stream).
-
-        A forward-only batch (``train=False``) is built level by level: each
-        level — the roots, then each flattened frontier — is reduced to its
-        distinct ``(node, t)`` queries once, and
+        """Build the full multi-hop mini-batch for the given root queries,
+        level by level: each level — the roots, then each flattened frontier
+        — is reduced to its distinct ``(node, t)`` queries once, and
         :attr:`~repro.models.HopData.inverse` records where each row went.
-        The level's distinct targets are cut into ``tiles`` (default: one),
-        and each tile runs the finder, and with the adaptive sampler the
-        candidate gather and the greedy selection.  A level keeps only its
+        The level's distinct targets run the finder, and with the adaptive
+        sampler the candidate gather and the selection.
+
+        A training batch (``train=True``) is one tile per level, and each
+        level keeps its selected neighbors' features; with the adaptive
+        sampler each distinct target draws one Gumbel selection, and the hop
+        keeps its ``log_prob`` and gate.  A target that several rows reach
+        shares that draw: its gate's gradient is the sum over its uses.
+
+        A forward-only batch (``train=False``) selects greedily, and its
+        levels are cut into ``tiles`` (default: one).  A level keeps only its
         targets, ``inverse`` and the selected neighbors' ids / times / mask:
-        the hops carry no features, and
-        :meth:`~repro.models.TGNNBackbone.embed` gathers each tile's through
-        :meth:`hop_tile`.  A deepest level of more than one tile keeps only
-        its targets (a batch of budget 0) and the seeds of its tiles:
+        :meth:`~repro.models.TGNNBackbone.embed` gathers each tile's features
+        through :meth:`hop_tile`.  A deepest level of more than one tile keeps
+        only its targets (a batch of budget 0) and the seeds of its tiles:
         :meth:`hop_tile` draws each tile where it is embedded, so no array of
         that level outlives its tile.
 
-        With ``rng``, each tile's finder draws come from its own generator,
-        seeded by one raw draw of ``rng`` per tile, taken in tile order before
-        the level's tiles run; so the batch does not depend on the threads
-        that ran the tiles.  Without it the tiles draw from the finder's own
-        stream and must run in order on one thread.
+        ``rng`` is the generator of the finder's draws (``None``: the
+        finder's own stream).  With it, each tile's finder draws come from
+        its own generator, seeded by one raw draw of ``rng`` per tile, taken
+        in tile order before the level's tiles run; so the batch does not
+        depend on the threads that ran the tiles.  Without it the tiles draw
+        from the finder's own stream and must run in order on one thread.
         """
-        root_nodes = np.asarray(root_nodes, dtype=np.int64)
-        root_times = np.asarray(root_times, dtype=np.float64)
-        minibatch = MiniBatch(root_nodes=root_nodes, root_times=root_times)
-        if not train:
-            return self._build_levels(minibatch, rng, tiles or ONE_TILE)
-
-        cur_nodes, cur_times = root_nodes, root_times
-        for layer in range(self.num_layers):
-            if layer == 0:
-                minibatch.root_node_feat = self.slice_root_features(cur_nodes)
-            stage = self.layer_candidates(cur_nodes, cur_times, rng=rng)
-            candidates = stage.candidates
-            edge_feat = stage.edge_feat
-            neigh_feat = stage.neigh_node_feat
-            target_feat = stage.target_node_feat
-
-            if self.uses_adaptive_sampling:
-                with self.timer.section("AS"):
-                    selection = self.adaptive_sampler(
-                        candidates, self.num_neighbors,
-                        edge_feat=edge_feat, neigh_node_feat=neigh_feat,
-                        target_node_feat=target_feat)
-                    selected = candidates.select(selection.columns)
-                    hop = HopData(
-                        batch=selected,
-                        edge_feat=self._gather_columns(edge_feat, selection.columns),
-                        neigh_node_feat=self._gather_columns(neigh_feat, selection.columns),
-                        target_node_feat=target_feat,
-                        log_prob=selection.log_prob,
-                        candidates=candidates,
-                    )
-                hop.make_gate()
-            else:
-                hop = HopData(batch=candidates, edge_feat=edge_feat,
-                              neigh_node_feat=neigh_feat,
-                              target_node_feat=target_feat)
-            minibatch.hops.append(hop)
-            cur_nodes, cur_times = flatten_frontier(hop.batch)
-
-        return minibatch
-
-    def _build_levels(self, minibatch: MiniBatch,
-                      rng: Optional[np.random.Generator],
-                      tiles: Tiles) -> MiniBatch:
-        """The levels of a forward-only batch (see :meth:`build`)."""
+        if train and tiles is not None:
+            raise ValueError("a training batch is one tile per level")
+        tiles = tiles or ONE_TILE
+        minibatch = MiniBatch(root_nodes=np.asarray(root_nodes, dtype=np.int64),
+                              root_times=np.asarray(root_times, dtype=np.float64))
         nodes, times = minibatch.root_nodes, minibatch.root_times
         for layer in range(self.num_layers):
             if layer:
@@ -291,9 +267,11 @@ class MiniBatchGenerator:
                 tile_rng = None if seeds is None else \
                     np.random.default_rng(int(seeds[index]))
                 parts[index] = self._draw(nodes[rows], times[rows], tile_rng,
-                                          features=False).batch
+                                          features=train, train=train)
 
             tiles.run(draw, cut)
-            minibatch.hops.append(HopData(batch=NeighborBatch.concatenate(parts),
-                                          inverse=inverse))
+            hop = parts[0] if count == 1 else \
+                HopData(batch=NeighborBatch.concatenate([p.batch for p in parts]))
+            hop.inverse = inverse
+            minibatch.hops.append(hop)
         return minibatch

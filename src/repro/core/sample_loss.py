@@ -94,7 +94,9 @@ def tgat_analytic_sample_loss(hops: List[HopData], batch_size: int,
     The neighbor-value term ``a_ij [V]_j . dL/dh`` is taken from the gate
     sensitivity of the outermost hop; the analytic correction adds the
     ``beta * a_ij (dL/dh . h_v)`` self-term and scales everything by
-    ``1/alpha``.  Deeper hops fall back to the generic sensitivity estimator.
+    ``1/alpha``; a target that several roots share (one row of ``attention``
+    and of the gate) takes the sum of their self-terms.  Deeper hops fall
+    back to the generic sensitivity estimator.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -108,8 +110,11 @@ def tgat_analytic_sample_loss(hops: List[HopData], batch_size: int,
         coeff = sensitivity
         if level == 0 and attention is not None and embeddings.grad is not None \
                 and attention.shape == hop.batch.mask.shape:
-            # dL/dh_v . h_v per root, broadcast over that root's neighbors.
-            self_term = (embeddings.grad * embeddings.data).sum(axis=1)
+            # dL/dh_v . h_v per root, summed over the roots that share a
+            # target and broadcast over that target's neighbors.
+            self_term = np.zeros(hop.num_targets, dtype=embeddings.data.dtype)
+            np.add.at(self_term, hop.inverse,
+                      (embeddings.grad * embeddings.data).sum(axis=1))
             coeff = coeff + beta * attention * self_term[:, None]
         coeff = _centered_coefficients(coeff, hop.batch.mask, alpha)
         terms.append((hop.log_prob * Tensor(coeff)).sum())

@@ -218,7 +218,7 @@ class TaserTrainer:
             self.model_optimizer.zero_grad()
             if self.sampler_optimizer is not None:
                 self.sampler_optimizer.zero_grad()
-            embeddings = self.backbone.embed(minibatch)
+            embeddings = self.backbone.embed(minibatch, self.generator.hop_tile)
             h_src = embeddings[:b]
             h_dst = embeddings[b:2 * b]
             h_neg = embeddings[2 * b:]

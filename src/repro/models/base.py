@@ -1,7 +1,7 @@
 """Base class shared by the TGNN backbones (TGAT, GraphMixer).
 
 A backbone turns a :class:`~repro.models.minibatch.MiniBatch` into dynamic
-node embeddings for its root queries (Eq. 1-2).  The recursive expansion is
+node embeddings for its root queries (Eq. 1-2).  The level-wise expansion is
 shared here; the per-layer COMB function — one graph node per layer, which
 forms the messages ``h_u || x_uvt || Phi(dt)`` inside its kernel — is what
 each backbone specialises.
@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..nn import Module
-from ..tensor import Tensor
+from ..tensor import Tensor, concatenate
 from ..utils.tiles import ONE_TILE, Tiles
 from .minibatch import HopData, MiniBatch
 
@@ -63,73 +63,36 @@ class TGNNBackbone(Module):
         states (whatever :meth:`base_embedding` returns, at layer 1)."""
         raise NotImplementedError
 
-    # -- recursive embedding computation ----------------------------------------------
+    # -- level-wise embedding computation ----------------------------------------------
 
     def embed(self, minibatch: MiniBatch,
-              hop_tile: Optional[Callable[[HopData, int, slice], HopData]] = None,
+              hop_tile: Callable[[HopData, int, slice], HopData],
               tiles: Optional[Tiles] = None) -> Tensor:
         """Compute final-layer dynamic embeddings of the mini-batch roots.
 
-        A training batch follows the standard recursive expansion: the
-        hop-``l`` targets' layer-``k`` embeddings are aggregated from their
-        neighbors' layer-``k-1`` embeddings, which are themselves computed
-        from hop ``l+1``.  The recursion depth equals :attr:`num_layers`, so
-        the cost is the usual :math:`O(prod(budgets))` of sampled TGNN
-        training.
+        The batch holds one hop per level of distinct ``(node, t)`` targets,
+        each with an :attr:`~repro.models.HopData.inverse`; it is computed
+        level by level, deepest first, each level over the row tiles of
+        ``tiles`` (default: one).  A tile gets its hop and features from
+        ``hop_tile(hop, index, rows)``, reads the level beneath through that
+        level's ``inverse`` and runs every aggregate its level needs: the
+        hop-``l`` targets' layer-``k`` states are aggregated from their
+        neighbors' layer-``k-1`` states, computed one level deeper.  A level
+        keeps only the layer states of its distinct targets.
 
-        A forward-only batch (one hop per level of distinct targets, with an
-        :attr:`~repro.models.HopData.inverse` and no features) is computed
-        level by level instead, deepest first, each level over the row tiles
-        of ``tiles`` (default: one).  A tile gets its hop and features from
-        ``hop_tile(hop, index, rows)``, reads the level beneath through
-        that level's ``inverse`` and runs every aggregate its level needs; a
-        level keeps only the layer states of its distinct targets.  The
-        result has one row per root either way.
+        The reads through ``inverse`` are differentiable gathers, so a
+        target that several rows reach gets the sum of their gradients.  The
+        result has one row per root.
         """
         if minibatch.num_hops < self.num_layers:
             raise ValueError(
                 f"minibatch has {minibatch.num_hops} hops but the model needs "
                 f"{self.num_layers}")
-        first = minibatch.hops[0]
-        if first.inverse is None:
-            return self._embed_recursive(
-                layer=self.num_layers,
-                target_feat=minibatch.root_node_feat,
-                num_targets=first.batch.batch_size,
-                hops=minibatch.hops,
-            )
-        if hop_tile is None:
-            raise ValueError("a forward-only batch carries no features: "
-                             "pass hop_tile=")
-        return Tensor(self._embed_levels(minibatch.hops, hop_tile,
-                                         tiles or ONE_TILE)[first.inverse])
-
-    def _embed_recursive(self, layer: int, target_feat: Optional[np.ndarray],
-                         num_targets: int, hops: List[HopData]) -> Optional[Tensor]:
-        if layer == 0:
-            return self.base_embedding(target_feat, num_targets)
-        hop, deeper = hops[0], hops[1:]
-        # Previous-layer state of the targets themselves (the "self" query).
-        h_target = self._embed_recursive(layer - 1, target_feat, num_targets, hops)
-        # Previous-layer state of the neighbors (one row per neighbor slot),
-        # computed from the next hop.
-        count = num_targets * hop.budget
-        neigh_feat = None
-        if hop.neigh_node_feat is not None:
-            neigh_feat = hop.neigh_node_feat.reshape(count, -1)
-        h_neighbors = self._embed_recursive(layer - 1, neigh_feat, count, deeper)
-        if h_neighbors is not None:
-            h_neighbors = h_neighbors.reshape(num_targets, hop.budget, self.hidden_dim)
-        return self.aggregate(layer, h_target, h_neighbors, hop)
-
-    def _embed_levels(self, hops: List[HopData],
-                      hop_tile: Callable[[HopData, int, slice], HopData],
-                      tiles: Tiles) -> np.ndarray:
-        """Final-layer states of the first level's distinct targets."""
-        below: Optional[List[Optional[np.ndarray]]] = None
+        tiles = tiles or ONE_TILE
+        below: Optional[List[Optional[Tensor]]] = None
         inverse: Optional[np.ndarray] = None
         for level in reversed(range(self.num_layers)):
-            hop = hops[level]
+            hop = minibatch.hops[level]
             cut = tiles.split(hop.batch.root_nodes.size)
             parts: List[Optional[List[Optional[Tensor]]]] = [None] * len(cut)
 
@@ -150,8 +113,7 @@ class TGNNBackbone(Module):
                 else:
                     slots = inverse[rows.start * n:rows.stop * n]
                     neighbors = [None if state is None else
-                                 Tensor(state[slots].reshape(shape))
-                                 for state in below]
+                                 state[slots].reshape(shape) for state in below]
                 state = self.base_embedding(tile.target_node_feat, count)
                 states = [state]
                 for layer in range(1, layers + 1):
@@ -160,12 +122,8 @@ class TGNNBackbone(Module):
                 parts[index] = states
 
             tiles.run(embed_tile, cut)
-            if len(parts) == 1:
-                below = [None if state is None else state.data
-                         for state in parts[0]]
-            else:
-                below = [None if layer[0] is None else
-                         np.concatenate([state.data for state in layer])
-                         for layer in zip(*parts)]
+            below = parts[0] if len(parts) == 1 else \
+                [None if layer[0] is None else concatenate(layer, axis=0)
+                 for layer in zip(*parts)]
             inverse = hop.inverse
-        return below[-1]
+        return below[-1][inverse]

@@ -2,10 +2,11 @@
 
 The mini-batch generation pipeline (neighbor finding -> feature slicing ->
 optional adaptive neighbor sampling) produces a :class:`MiniBatch`: one
-:class:`HopData` per TGNN layer, containing the selected neighbors, their
-sliced features, and the hooks needed to co-train the adaptive sampler
-(selection log-probabilities and per-neighbor gates whose gradient gives the
-loss sensitivity used by the REINFORCE sample loss).
+:class:`HopData` per TGNN layer, built on the distinct ``(node, t)`` queries
+of its level, with the selected neighbors, their sliced features, and the
+hooks needed to co-train the adaptive sampler (selection log-probabilities
+and per-neighbor gates whose gradient gives the loss sensitivity used by the
+REINFORCE sample loss).
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ __all__ = ["HopData", "MiniBatch"]
 
 @dataclass
 class HopData:
-    """Sampled neighborhood of one hop plus its sliced features.
+    """Sampled neighborhood of one level's distinct queries plus its features.
 
-    ``R`` denotes the number of targets at this hop (``B`` for hop 1,
-    ``B * n_1`` for hop 2, ...); ``n`` is the per-target neighbor budget.
-    A deduplicated hop (forward-only batches) has one target per distinct
-    ``(node, t)`` of the level it expands instead, and :attr:`inverse` maps
-    the level's rows to them.
+    ``R`` denotes the number of targets at this hop: the distinct
+    ``(node, t)`` queries of the level it expands (the roots for hop 1, the
+    previous hop's flattened neighbor slots after it), which
+    :attr:`inverse` maps the level's rows to; ``n`` is the per-target
+    neighbor budget.
     """
 
     #: selected neighbors of each target, arrays of shape (R, n).
@@ -42,21 +43,23 @@ class HopData:
     #: node features of the hop's targets, shape (R, d_v) or None.
     target_node_feat: Optional[np.ndarray] = None
     #: log q_theta of the selected neighbors, shape (R, n); set by the
-    #: adaptive neighbor sampler and consumed by the sample loss.
+    #: adaptive neighbor sampler on a training batch and consumed by the
+    #: sample loss.
     log_prob: Optional[Tensor] = None
     #: per-neighbor multiplicative gate (ones); after backward its gradient
-    #: measures the model-loss sensitivity to each selected neighbor.
+    #: measures the model-loss sensitivity to each selected neighbor, summed
+    #: over every row of the level that reaches the target.
     gate: Optional[Tensor] = None
-    #: candidate pool the adaptive sampler chose from (for diagnostics).
-    candidates: Optional[NeighborBatch] = None
-    #: index of each row of the level this hop expands (the roots for hop 1,
-    #: the previous hop's flattened neighbor slots after it) among the hop's
-    #: distinct targets; None when the hop has one target per row.
+    #: index of each row of the level this hop expands among the hop's
+    #: distinct targets; None on a tile (rows of a hop, not a level).
     inverse: Optional[np.ndarray] = None
     #: per-tile seeds of the finder draws of a forward-only level whose
     #: neighbors are drawn tile by tile where they are embedded (``batch``
     #: then holds only the targets); None otherwise.
     seeds: Optional[np.ndarray] = None
+    #: whether the hop holds its features (a training level, or a tile);
+    #: a forward-only level gathers them tile by tile where it is embedded.
+    gathered: bool = False
 
     @property
     def num_targets(self) -> int:
@@ -89,9 +92,6 @@ class MiniBatch:
     root_times: np.ndarray
     #: per-hop sampled data, outermost hop first (hops[0] = neighbors of roots).
     hops: List[HopData] = field(default_factory=list)
-    #: node features of the first hop's targets, shape (B, d_v) — or one row
-    #: per distinct root when that hop is deduplicated — or None.
-    root_node_feat: Optional[np.ndarray] = None
 
     @property
     def batch_size(self) -> int:
@@ -102,31 +102,23 @@ class MiniBatch:
         return len(self.hops)
 
     def check_invariants(self) -> None:
-        """Validate the hop cascade: hop l+1's targets are the queries of
-        hop l's flattened neighbor slots — one per slot, or each distinct
-        ``(node, t)`` once with an :attr:`HopData.inverse` that maps every
-        slot back to its own query."""
+        """Validate the hop cascade: hop l+1's targets are the distinct
+        queries of hop l's flattened neighbor slots, each once, with an
+        :attr:`HopData.inverse` that maps every slot back to its own query."""
         nodes, times = self.root_nodes, self.root_times
         for i, hop in enumerate(self.hops):
             targets = hop.batch
-            if hop.inverse is None:
-                assert hop.num_targets == nodes.size, (
-                    f"hop {i} has {hop.num_targets} targets, expected {nodes.size}")
-                reached = targets.root_nodes, targets.root_times
-            else:
-                assert hop.inverse.shape == nodes.shape, (
-                    f"hop {i} inverse has shape {hop.inverse.shape}, "
-                    f"expected {nodes.shape}")
-                distinct = unique_targets(targets.root_nodes, targets.root_times)[0]
-                assert distinct.size == hop.num_targets, (
-                    f"hop {i} repeats a (node, t) target")
-                assert np.array_equal(np.unique(hop.inverse),
-                                      np.arange(hop.num_targets)), (
-                    f"hop {i} has targets no row reaches")
-                reached = (targets.root_nodes[hop.inverse],
-                           targets.root_times[hop.inverse])
-            assert np.array_equal(reached[0], nodes) and \
-                np.array_equal(reached[1], times), (
+            assert hop.inverse.shape == nodes.shape, (
+                f"hop {i} inverse has shape {hop.inverse.shape}, "
+                f"expected {nodes.shape}")
+            distinct = unique_targets(targets.root_nodes, targets.root_times)[0]
+            assert distinct.size == hop.num_targets, (
+                f"hop {i} repeats a (node, t) target")
+            assert np.array_equal(np.unique(hop.inverse),
+                                  np.arange(hop.num_targets)), (
+                f"hop {i} has targets no row reaches")
+            assert np.array_equal(targets.root_nodes[hop.inverse], nodes) and \
+                np.array_equal(targets.root_times[hop.inverse], times), (
                     f"hop {i} rows do not reach their own (node, t) target")
             targets.check_invariants()
             nodes, times = flatten_frontier(targets)

@@ -97,6 +97,6 @@ class TGAT(TGNNBackbone):
 
     def last_layer_attention(self) -> Optional[np.ndarray]:
         """Head-averaged attention weights of the outermost layer, one row per
-        target of the first hop: shape (B, n) for a training batch."""
+        distinct root of the first hop: shape (R, n), ``R = hops[0].num_targets``."""
         attn = self.layers[self.num_layers - 1].last_attention
         return None if attn is None else attn.mean(axis=1)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from operator import attrgetter
@@ -87,7 +88,8 @@ class ServeResult:
 
     ``status`` is ``"ok"`` (scored), ``"shed"`` (rejected at admission:
     queue full under the ``shed`` policy), ``"expired"`` (deadline passed
-    while queued) or ``"invalid"`` (endpoint outside the node universe).
+    while queued) or ``"invalid"`` (endpoint outside the node universe, or a
+    query time that is NaN or infinite).
     ``score`` is the calibrated link probability ``sigmoid(logit)``.
     """
 
@@ -321,7 +323,8 @@ class ServeEngine:
 
         Returns ``None`` when the query was enqueued; a terminal
         :class:`ServeResult` when it was rejected immediately (``"invalid"``
-        endpoints, or ``"shed"`` by a full queue under the shed policy).
+        endpoints or query time, or ``"shed"`` by a full queue under the shed
+        policy).
         Under the ``wait`` policy a full queue triggers a synchronous drain
         (backpressure) whose results are delivered by the next
         :meth:`flush`.
@@ -330,7 +333,8 @@ class ServeEngine:
         seq = self._seq
         self._seq += 1
         n = self.graph.num_nodes
-        if not (0 <= query.src < n and 0 <= query.dst < n):
+        if not (0 <= query.src < n and 0 <= query.dst < n
+                and math.isfinite(query.t)):
             self.serve_stats.invalid += 1
             return ServeResult(query=query, status="invalid", seq=seq)
         if len(self._pending) >= self.queue_depth:

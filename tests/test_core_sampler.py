@@ -349,14 +349,14 @@ class TestLiveRowSampling:
             mb.check_invariants()
             for hop in mb.hops:
                 assert not hop.batch.mask.any()
-        hop = mb.hops[0]    # the training batch's: one row per root
-        selection = sampler(hop.candidates, 4)
+        candidates = gen.layer_candidates(roots, times).candidates
+        selection = sampler(candidates, 4)
         assert selection.columns.shape == selection.mask.shape == (20, 4)
         assert selection.log_prob.shape == (20, 4)
         assert np.all(selection.log_prob.data == LOG_FLOOR)
         assert selection.probabilities.shape == (20, 8)
         with pytest.raises(ValueError):
-            sampler(hop.candidates, 9)
+            sampler(candidates, 9)
 
 
 @pytest.mark.usefixtures("float64_compute")
@@ -429,7 +429,7 @@ class TestSampleLoss:
         else:
             model = GraphMixer(graph.node_dim, graph.edge_dim, hidden_dim=8, time_dim=4,
                                num_neighbors=n, dropout=0.0, rng=np.random.default_rng(1))
-        emb = model.embed(mb)
+        emb = model.embed(mb, gen.hop_tile)
         emb.sum().backward()
         return mb, emb, model, sampler
 
@@ -478,7 +478,6 @@ class TestMiniBatchGenerator:
         mb = gen.build(small_graph.src[idx], small_graph.ts[idx])
         mb.check_invariants()
         assert mb.hops[0].budget == 5
-        assert mb.hops[0].candidates is None
         assert mb.hops[0].log_prob is None
 
     def test_adaptive_selects_n_from_m(self, small_graph, small_tcsr):
@@ -490,7 +489,6 @@ class TestMiniBatchGenerator:
         mb = gen.build(small_graph.src[idx], small_graph.ts[idx], train=True)
         hop = mb.hops[0]
         assert hop.budget == 5
-        assert hop.candidates.budget == 12
         assert hop.log_prob is not None and hop.gate is not None
         # eval mode: no gates, no log-probs
         mb_eval = gen.build(small_graph.src[idx], small_graph.ts[idx], train=False)

@@ -3,9 +3,10 @@
 ``MiniBatchGenerator.build(train=False)`` builds every hop on the distinct
 queries of its level and keeps one inverse index per level; the exact-value
 tests below pin both on a hand-built graph, in the style of PyG's sampler
-test.  Two oracles live on here only: the per-row forward-only batch, and the
-per-chunk scoring loop (ten-edge chunks, each its own forward) that scoring
-ran before it worked level by level over a whole call.
+test.  Two oracles live on here only: the per-row forward-only batch,
+embedded by the recursion of ``recursive_oracle``, and the per-chunk scoring
+loop (ten-edge chunks, each its own forward) that scoring ran before it
+worked level by level over a whole call.
 """
 
 import numpy as np
@@ -19,6 +20,8 @@ from repro.graph import TemporalGraph, build_tcsr
 from repro.models import HopData, MiniBatch
 from repro.sampling import GPUNeighborFinder, PAD_NODE, flatten_frontier
 from repro.tensor import no_grad
+
+from recursive_oracle import embed_per_row
 
 # Node 3 is reached at t = 2.0 both from node 1 (event 1) and from node 4
 # (event 2); node 0 has no events.
@@ -62,11 +65,19 @@ class TestExactTargets:
                                               [False, False], [True, False],
                                               [False, False]]
 
-    def test_training_batches_keep_one_target_per_row(self, tiny):
+    def test_training_batches_collapse_to_the_same_levels(self, tiny):
         mb = tiny.build(ROOTS, TIMES, train=True)
         mb.check_invariants()
-        assert [hop.num_targets for hop in mb.hops] == [5, 10]
-        assert all(hop.inverse is None for hop in mb.hops)
+        assert [hop.num_targets for hop in mb.hops] == [4, 5]
+        levels = tiny.build(ROOTS, TIMES, train=False).hops
+        for hop, level in zip(mb.hops, levels):
+            assert hop.inverse.tolist() == level.inverse.tolist()
+            assert hop.batch.root_nodes.tolist() == level.batch.root_nodes.tolist()
+            assert hop.batch.nodes.tolist() == level.batch.nodes.tolist()
+        # ... with their features: event e carries [2e, 2e + 1].
+        first = mb.hops[0]
+        assert first.batch.eids[:, 0].tolist() == [1, 0, 0, 3]
+        assert first.edge_feat[:, 0].tolist() == [[2, 3], [0, 1], [0, 1], [6, 7]]
 
 
 class TestInverseInvariants:
@@ -99,8 +110,7 @@ class TestInverseInvariants:
 def per_row_build(gen, roots, times, rng=None):
     """One target per row at every hop, greedy selection: the forward-only
     batch as it was built before deduplication."""
-    mb = MiniBatch(root_nodes=roots, root_times=times,
-                   root_node_feat=gen.slice_root_features(roots))
+    mb = MiniBatch(root_nodes=roots, root_times=times)
     nodes = roots
     for _ in range(gen.num_layers):
         stage = gen.layer_candidates(nodes, times, rng=rng)
@@ -121,18 +131,18 @@ def per_row_build(gen, roots, times, rng=None):
     return mb
 
 
-class PerRowPrep:
-    """A prep runtime whose evaluation batches are the per-row oracle's."""
-
-    def __init__(self, prep):
-        self.prep = prep
-        self.generator = prep.generator
-
-    def prepare_eval(self, src, dst, ts, negatives, rng=None, tiles=None):
-        prepared = self.prep.assemble_eval(src, dst, ts, negatives)
-        prepared.minibatch = per_row_build(self.generator, prepared.roots,
-                                           prepared.times, rng)
-        return prepared
+def per_row_scores(prep, backbone, predictor, src, dst, ts, negatives, rng):
+    """``(pos, neg)`` of one forward over the per-row batch of every query,
+    embedded by the recursion (``score_link_queries``'s arguments)."""
+    b, k = negatives.shape
+    prepared = prep.assemble_eval(src, dst, ts, negatives)
+    backbone.eval()
+    predictor.eval()
+    with no_grad():
+        h = embed_per_row(backbone, per_row_build(prep.generator, prepared.roots,
+                                                  prepared.times, rng).hops)
+        return (predictor(h[:b], h[b:2 * b]).data,
+                predictor(h[np.repeat(np.arange(b), k)], h[2 * b:]).data.reshape(b, k))
 
 
 #: float32 logits of the same queries through GEMMs of other row counts:
@@ -169,9 +179,8 @@ def test_recent_scores_equal_the_per_row_oracle(small_graph, variant):
     deduplicated = score_link_queries(trainer.prep, trainer.backbone,
                                       trainer.predictor, *queries,
                                       np.random.default_rng(0))
-    per_row = score_link_queries(PerRowPrep(trainer.prep), trainer.backbone,
-                                 trainer.predictor, *queries,
-                                 np.random.default_rng(0))
+    per_row = per_row_scores(trainer.prep, trainer.backbone, trainer.predictor,
+                             *queries, np.random.default_rng(0))
     for got, want in zip(deduplicated, per_row):
         np.testing.assert_allclose(got, want, rtol=0, atol=LOGIT_ATOL)
     assert ranking_report(*deduplicated) == ranking_report(*per_row)
@@ -194,21 +203,11 @@ def per_chunk_scores(prep, backbone, predictor, src, dst, ts, negatives, rng):
     chunks = -(-src.size // per_chunk)
     seeds = rng.bit_generator.random_raw(chunks)
     pos, neg = np.empty(src.size), np.empty((src.size, k))
-    backbone.eval()
-    predictor.eval()
-    with no_grad():
-        for index in range(chunks):
-            chunk = slice(index * per_chunk, min((index + 1) * per_chunk, src.size))
-            b = chunk.stop - chunk.start
-            prepared = prep.assemble_eval(src[chunk], dst[chunk], ts[chunk],
-                                          negatives[chunk])
-            minibatch = per_row_build(prep.generator, prepared.roots,
-                                      prepared.times,
-                                      np.random.default_rng(int(seeds[index])))
-            h = backbone.embed(minibatch)
-            pos[chunk] = predictor(h[:b], h[b:2 * b]).data
-            neg[chunk] = predictor(h[np.repeat(np.arange(b), k)],
-                                   h[2 * b:]).data.reshape(b, k)
+    for index in range(chunks):
+        chunk = slice(index * per_chunk, min((index + 1) * per_chunk, src.size))
+        pos[chunk], neg[chunk] = per_row_scores(
+            prep, backbone, predictor, src[chunk], dst[chunk], ts[chunk],
+            negatives[chunk], np.random.default_rng(int(seeds[index])))
     return pos, neg
 
 

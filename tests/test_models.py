@@ -26,7 +26,7 @@ def build_minibatch(graph, tcsr, num_layers, n, batch=40, policy="uniform", seed
     times = np.concatenate([graph.ts[idx], graph.ts[idx]])
     # A training batch: it carries its features and keeps the autograd graph
     # (a forward-only batch is embedded tile by tile, without either).
-    return gen.build(roots, times, train=True)
+    return gen, gen.build(roots, times, train=True)
 
 
 class TestEdgePredictor:
@@ -45,33 +45,33 @@ class TestEdgePredictor:
 
 class TestTGAT:
     def test_embedding_shape(self, small_graph, small_tcsr):
-        mb = build_minibatch(small_graph, small_tcsr, num_layers=2, n=5)
+        gen, mb = build_minibatch(small_graph, small_tcsr, num_layers=2, n=5)
         model = TGAT(small_graph.node_dim, small_graph.edge_dim, hidden_dim=16,
                      time_dim=8, rng=RNG)
-        emb = model.embed(mb)
+        emb = model.embed(mb, gen.hop_tile)
         assert emb.shape == (mb.batch_size, 16)
 
     def test_requires_enough_hops(self, small_graph, small_tcsr):
-        mb = build_minibatch(small_graph, small_tcsr, num_layers=1, n=5)
+        gen, mb = build_minibatch(small_graph, small_tcsr, num_layers=1, n=5)
         model = TGAT(small_graph.node_dim, small_graph.edge_dim, hidden_dim=8,
                      time_dim=4, rng=RNG)
         with pytest.raises(ValueError):
-            model.embed(mb)
+            model.embed(mb, gen.hop_tile)
 
     def test_backward_reaches_all_parameters(self, small_graph, small_tcsr):
-        mb = build_minibatch(small_graph, small_tcsr, num_layers=2, n=4)
+        gen, mb = build_minibatch(small_graph, small_tcsr, num_layers=2, n=4)
         model = TGAT(small_graph.node_dim, small_graph.edge_dim, hidden_dim=8,
                      time_dim=4, num_heads=1, dropout=0.0, rng=RNG)
-        model.embed(mb).sum().backward()
+        model.embed(mb, gen.hop_tile).sum().backward()
         with_grad = sum(1 for p in model.parameters() if p.grad is not None
                         and np.any(p.grad != 0))
         assert with_grad >= 0.8 * len(model.parameters())
 
     def test_last_layer_attention_exposed(self, small_graph, small_tcsr):
-        mb = build_minibatch(small_graph, small_tcsr, num_layers=2, n=5)
+        gen, mb = build_minibatch(small_graph, small_tcsr, num_layers=2, n=5)
         model = TGAT(small_graph.node_dim, small_graph.edge_dim, hidden_dim=8,
                      time_dim=4, rng=RNG)
-        model.embed(mb)
+        model.embed(mb, gen.hop_tile)
         attn = model.last_layer_attention()
         # One row per first-hop target.
         assert attn.shape == (mb.hops[0].num_targets, 5)
@@ -89,53 +89,53 @@ class TestTGAT:
 
     def test_node_features_used_when_present(self, featured_graph):
         tcsr = build_tcsr(featured_graph)
-        mb = build_minibatch(featured_graph, tcsr, num_layers=2, n=4)
+        gen, mb = build_minibatch(featured_graph, tcsr, num_layers=2, n=4)
         model = TGAT(featured_graph.node_dim, featured_graph.edge_dim, hidden_dim=8,
                      time_dim=4, rng=RNG)
         assert model.node_proj is not None
-        emb = model.embed(mb)
+        emb = model.embed(mb, gen.hop_tile)
         assert np.isfinite(emb.data).all()
 
     def test_deterministic_in_eval_mode(self, small_graph, small_tcsr):
-        mb = build_minibatch(small_graph, small_tcsr, num_layers=2, n=5)
+        gen, mb = build_minibatch(small_graph, small_tcsr, num_layers=2, n=5)
         model = TGAT(small_graph.node_dim, small_graph.edge_dim, hidden_dim=8,
                      time_dim=4, rng=np.random.default_rng(1))
         model.eval()
-        a = model.embed(mb).data
-        b = model.embed(mb).data
+        a = model.embed(mb, gen.hop_tile).data
+        b = model.embed(mb, gen.hop_tile).data
         assert np.allclose(a, b)
 
 
 class TestGraphMixer:
     def test_embedding_shape(self, small_graph, small_tcsr):
-        mb = build_minibatch(small_graph, small_tcsr, num_layers=1, n=6, policy="recent")
+        gen, mb = build_minibatch(small_graph, small_tcsr, num_layers=1, n=6, policy="recent")
         model = GraphMixer(small_graph.node_dim, small_graph.edge_dim, hidden_dim=16,
                            time_dim=8, num_neighbors=6, rng=RNG)
-        emb = model.embed(mb)
+        emb = model.embed(mb, gen.hop_tile)
         assert emb.shape == (mb.batch_size, 16)
 
     def test_budget_mismatch_raises(self, small_graph, small_tcsr):
-        mb = build_minibatch(small_graph, small_tcsr, num_layers=1, n=4, policy="recent")
+        gen, mb = build_minibatch(small_graph, small_tcsr, num_layers=1, n=4, policy="recent")
         model = GraphMixer(small_graph.node_dim, small_graph.edge_dim, hidden_dim=8,
                            time_dim=4, num_neighbors=6, rng=RNG)
         with pytest.raises(ValueError):
-            model.embed(mb)
+            model.embed(mb, gen.hop_tile)
 
     def test_backward(self, small_graph, small_tcsr):
-        mb = build_minibatch(small_graph, small_tcsr, num_layers=1, n=5, policy="recent")
+        gen, mb = build_minibatch(small_graph, small_tcsr, num_layers=1, n=5, policy="recent")
         model = GraphMixer(small_graph.node_dim, small_graph.edge_dim, hidden_dim=8,
                            time_dim=4, num_neighbors=5, dropout=0.0, rng=RNG)
-        model.embed(mb).sum().backward()
+        model.embed(mb, gen.hop_tile).sum().backward()
         grads = [p.grad for p in model.parameters() if p.grad is not None]
         assert len(grads) > 0
 
     def test_gate_sensitivity_available_after_backward(self, small_graph, small_tcsr):
-        mb = build_minibatch(small_graph, small_tcsr, num_layers=1, n=5, policy="recent")
+        gen, mb = build_minibatch(small_graph, small_tcsr, num_layers=1, n=5, policy="recent")
         hop = mb.hops[0]
         hop.make_gate()
         model = GraphMixer(small_graph.node_dim, small_graph.edge_dim, hidden_dim=8,
                            time_dim=4, num_neighbors=5, dropout=0.0, rng=RNG)
-        model.embed(mb).sum().backward()
+        model.embed(mb, gen.hop_tile).sum().backward()
         sens = hop.gate_sensitivity()
         assert sens is not None and sens.shape == hop.batch.mask.shape
         assert np.any(sens[hop.batch.mask] != 0)
@@ -181,15 +181,14 @@ class TestFactory:
 
 class TestMiniBatchContainer:
     def test_check_invariants(self, small_graph, small_tcsr):
-        mb = build_minibatch(small_graph, small_tcsr, num_layers=2, n=5)
+        _, mb = build_minibatch(small_graph, small_tcsr, num_layers=2, n=5)
         mb.check_invariants()
         assert mb.num_hops == 2
 
     def test_invariant_violation_detected(self, small_graph, small_tcsr):
-        mb = build_minibatch(small_graph, small_tcsr, num_layers=2, n=5)
-        # corrupt the cascade: drop half the rows of hop 2
-        bad = mb.hops[1].batch
-        mb.hops[1] = HopData(batch=bad.select(np.zeros((bad.batch_size, 2), dtype=int)))
-        mb.hops[1].batch.root_nodes = bad.root_nodes[:10]
+        _, mb = build_minibatch(small_graph, small_tcsr, num_layers=2, n=5)
+        # corrupt the cascade: keep the first ten targets of hop 2 only
+        bad = mb.hops[1]
+        mb.hops[1] = HopData(batch=bad.batch.rows(slice(0, 10)), inverse=bad.inverse)
         with pytest.raises(AssertionError):
             mb.check_invariants()

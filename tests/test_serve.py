@@ -317,8 +317,12 @@ class TestServeEngineEdgeCases:
         engine = make_engine(trained)
         results = engine.serve([LinkQuery(-1, 3, 1.0),
                                 LinkQuery(2, 10 ** 9, 1.0),
+                                LinkQuery(1, 3, float("nan")),
+                                LinkQuery(2, 3, float("inf")),
+                                LinkQuery(2, 3, float("-inf")),
                                 LinkQuery(2, 3, 1.0)])
-        assert [r.status for r in results] == ["invalid", "invalid", "ok"]
+        assert [r.status for r in results] == ["invalid"] * 5 + ["ok"]
+        assert engine.stats()["invalid"] == 5
 
     def test_unseen_node_at_time_t(self, trained):
         # At t = first timestamp no node has any history yet: the temporal

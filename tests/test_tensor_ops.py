@@ -16,6 +16,8 @@ from repro.tensor import (Tensor, concatenate, where, no_grad, is_grad_enabled,
 from repro.tensor import functional as F
 from repro.tensor.gradcheck import gradcheck
 
+from recursive_oracle import embed_recursive
+
 # The engine's oracles and gradient checks run in float64 — through the same
 # kernels the float32 program runs (see ``conftest.float64_compute``).
 pytestmark = pytest.mark.usefixtures("float64_compute")
@@ -845,7 +847,7 @@ class TestTemporalAttentionNode:
             model.zero_grad()
             for hop in hops:
                 hop.gate.zero_grad()
-            out = model._embed_recursive(2, None, 6, hops)
+            out = embed_recursive(model, 2, None, 6, hops)
             (out * coeff).sum().backward()
             return [out.data] + [hop.gate_sensitivity().copy() for hop in hops] \
                 + [model.last_layer_attention()]
@@ -981,7 +983,7 @@ class TestGraphMixerAggregateNode:
             minibatch.hops[0].gate.zero_grad()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(model, "aggregate", aggregate)
-                out = model.embed(minibatch)
+                out = model.embed(minibatch, gen.hop_tile)
             (out * coeff).sum().backward()
             return [out.data, minibatch.hops[0].gate_sensitivity().copy()] + \
                 [p.grad for p in model.parameters()]
