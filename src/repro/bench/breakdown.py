@@ -30,6 +30,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+import numpy as np
+
 from ..core import TaserConfig, TaserTrainer
 from ..graph.temporal_graph import TemporalGraph
 from ..sampling import GPUNeighborFinder
@@ -124,18 +126,27 @@ class BreakdownRow:
                 "Total": self.total}
 
 
+def per_row_targets(nodes: np.ndarray, times: np.ndarray) -> tuple:
+    """Every row of a level is its own query: the original TGAT prep, which
+    finds, slices and propagates repeated and padded rows alike."""
+    return nodes, times, np.arange(nodes.size)
+
+
 def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
                       epochs: int = 1,
                       device_speedup: float = DEVICE_COMPUTE_SPEEDUP,
                       warmup_epochs: int = 0,
-                      finder: type = GPUNeighborFinder) -> BreakdownRow:
+                      finder: type = GPUNeighborFinder,
+                      per_row: bool = False) -> BreakdownRow:
     """Train ``epochs`` epochs under ``config`` and average the phase times.
 
     The row's neighbor finder is the class ``finder``, swapped into the
     trainer before its first epoch (:func:`~repro.bench.finders.use_finder`).
     Dense-compute phases (PP, AS, and NF under the block-centric
     ``GPUNeighborFinder``) are divided by ``device_speedup`` to express them
-    in simulated device seconds; see the module docstring.
+    in simulated device seconds; see the module docstring.  With ``per_row``
+    the trainer's levels keep every row (:func:`per_row_targets`), as Fig. 1's
+    original TGAT does, instead of their distinct queries.
 
     The first ``warmup_epochs`` epochs (clamped to ``epochs - 1``) are
     *trained but not timed*: they advance the model and appear in the loss
@@ -151,6 +162,8 @@ def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
     warmup = min(max(int(warmup_epochs), 0), epochs - 1)
     trainer = TaserTrainer(graph, config)
     use_finder(trainer, finder)
+    if per_row:
+        trainer.generator.distinct = per_row_targets
     totals = {"NF": 0.0, "AS": 0.0, "FS": 0.0, "FS_transfer": 0.0, "PP": 0.0}
     ids_requested = 0
     ids_unique = 0

@@ -67,6 +67,10 @@ class CandidateSlice:
 class MiniBatchGenerator:
     """Builds :class:`~repro.models.MiniBatch` objects for training/evaluation."""
 
+    #: a level's distinct ``(node, t)`` queries and each row's index among
+    #: them; Fig. 1's per-row baseline swaps it (:mod:`repro.bench.breakdown`).
+    distinct = staticmethod(unique_targets)
+
     def __init__(self, finder: NeighborFinder, feature_store: FeatureStore,
                  num_layers: int, num_neighbors: int, num_candidates: int,
                  adaptive_sampler: Optional[AdaptiveNeighborSampler] = None,
@@ -251,7 +255,7 @@ class MiniBatchGenerator:
         for layer in range(self.num_layers):
             if layer:
                 nodes, times = flatten_frontier(minibatch.hops[-1].batch)
-            nodes, times, inverse = unique_targets(nodes, times)
+            nodes, times, inverse = self.distinct(nodes, times)
             cut = tiles.split(nodes.size)
             count = len(cut)
             seeds = None if rng is None else rng.bit_generator.random_raw(count)

@@ -23,7 +23,6 @@ GEMMs through ``self.matmul`` so they are counted too.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -171,29 +170,9 @@ class ReferenceBackend:
         return np.zeros_like(like)
 
     def index_add(self, like: np.ndarray, index, grad) -> np.ndarray:
-        """Scatter-add ``grad`` into a zeroed buffer (fancy-index backward).
-
-        ``np.add.at`` adds every contribution in index order; two indexes
-        reach the same sums faster.  A basic index (integers and slices)
-        names each element once, so ``out[index] += grad`` adds each once.
-        A 1-D integer array picks rows of the leading axis: one 1-D
-        ``np.add.at`` over the rows' flat element ids (numpy's fast path)
-        adds the same values in the same order.
-        """
+        """Scatter-add ``grad`` into a zeroed buffer (fancy-index backward)."""
         out = np.zeros_like(like)
-        if all(isinstance(part, (int, np.integer, slice))
-               for part in (index if isinstance(index, tuple) else (index,))):
-            out[index] += grad
-        elif isinstance(index, np.ndarray) and index.ndim == 1 \
-                and index.dtype.kind == "i" and out.ndim > 1 \
-                and out.flags.c_contiguous:
-            # A negative row's ids are negative too, and count from the end.
-            width = math.prod(out.shape[1:])
-            np.add.at(out.reshape(-1),
-                      (index[:, None] * width + np.arange(width)).reshape(-1),
-                      grad.reshape(-1))
-        else:
-            np.add.at(out, index, grad)
+        np.add.at(out, index, grad)
         return out
 
     def broadcast_grad(self, grad, shape) -> np.ndarray:

@@ -202,24 +202,3 @@ class TestKernelEquality:
         assert np.array_equal(out.data, (xt * s) @ ones)
         want = (np.ones_like(out.data) @ ones.T) * (s + 1.702 * xt * s * (1.0 - s))
         np.testing.assert_allclose(x.grad, want.T, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("index", [
-        slice(2, 5), 3, -1, (slice(None), 1), (1, slice(0, 2)),
-        np.array([4, 0, 4, -1, 2, 0]), np.array([], dtype=np.int64),
-        np.array([True, False, True, False, True, False]),
-        np.array([[0, 5], [5, 0]]), (np.array([1, 1]), np.array([0, 2]))])
-    @pytest.mark.parametrize("layout", ["C", "F"])
-    def test_index_add_is_the_ordered_scatter(self, index, layout):
-        """``index_add`` equals ``np.add.at`` bit for bit — every
-        contribution added in index order — on basic indexes, repeated and
-        negative rows, masks and tuples, into either memory layout."""
-        rng = np.random.default_rng(7)
-        like = np.asarray(rng.standard_normal((6, 3, 4)).astype(np.float32),
-                          order=layout)
-        grad = rng.standard_normal(like[index].shape).astype(np.float32)
-        grad = np.asfortranarray(grad)                  # a non-C-contiguous g
-        want = np.zeros_like(like)
-        np.add.at(want, index, grad)
-        got = get_backend().index_add(like, index, grad)
-        assert got.shape == like.shape and got.dtype == like.dtype
-        assert got.tobytes() == want.tobytes()

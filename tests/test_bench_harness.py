@@ -3,12 +3,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.bench import (VARIANTS, emit_bench_json, format_table,
                          quick_config, variant_config, run_variant,
                          system_configurations)
-from repro.bench.breakdown import BreakdownRow, runtime_breakdown
+from repro.bench.breakdown import (BreakdownRow, per_row_targets,
+                                    runtime_breakdown)
 from repro.bench.finders import OriginalNeighborFinder
 from repro.sampling import GPUNeighborFinder
 from repro.graph import CTDGConfig, generate_ctdg
@@ -100,6 +102,25 @@ class TestBreakdown:
         assert fast.pp < slow.pp
         with pytest.raises(ValueError):
             runtime_breakdown(graph, config, "x", device_speedup=0.0)
+
+    def test_per_row_levels_keep_repeats_and_padding(self):
+        """Fig. 1's original-TGAT baseline: ``per_row`` levels query every
+        row, repeats and padded slots included, so they request more feature
+        ids than the runtime's distinct levels and replay under the seed."""
+        nodes, times = np.array([3, 1, 3]), np.array([2.0, 1.0, 2.0])
+        got = per_row_targets(nodes, times)
+        assert [a.tolist() for a in got] == [[3, 1, 3], [2.0, 1.0, 2.0], [0, 1, 2]]
+        graph = generate_ctdg(CTDGConfig(num_src=30, num_dst=20, num_events=600,
+                                         edge_dim=8, seed=2))
+        config = quick_config("tgat", adaptive_minibatch=False,
+                              adaptive_neighbor=False, epochs=1,
+                              max_batches_per_epoch=2, hidden_dim=8, time_dim=4,
+                              num_neighbors=3, num_candidates=6, eval_max_edges=10)
+        distinct = runtime_breakdown(graph, config, "x")
+        per_row = runtime_breakdown(graph, config, "x", per_row=True)
+        assert per_row.ids_requested > distinct.ids_requested
+        assert runtime_breakdown(graph, config, "x", per_row=True).loss_hash \
+            == per_row.loss_hash
 
 
 class TestScalingEfficiency:
