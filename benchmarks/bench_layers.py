@@ -175,7 +175,9 @@ def sampler_op(rng, rows, dead_share):
     assert sampler.enc_dim == D
     candidates = sampler_candidates(rng, rows, dead_share)
     edge_feat = randn(rng, rows, M, EDGE_DIM).data * candidates.mask[..., None]
-    return lambda: sampler(candidates, BUDGET, edge_feat=edge_feat).log_prob
+    draws = np.random.default_rng(0)
+    return lambda: sampler(candidates, BUDGET, edge_feat=edge_feat,
+                           rng=draws).log_prob
 
 
 def graphmixer_aggregate_op(rng, rows, variant):

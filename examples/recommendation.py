@@ -6,7 +6,8 @@ system optimisations the paper contributes for large graphs whose edge
 features do not fit in VRAM:
 
 1. the temporal neighbor finders (original per-query CPU loop vs. TGL pointer
-   array, both ``repro.bench.finders`` fixtures, vs. TASER's "GPU" finder), and
+   array, both ``repro.bench.finders`` fixtures, vs. TASER's "GPU" finder;
+   each draws from the generator its caller passes, here one per study), and
 2. the dynamic edge-feature cache (hit rate vs. capacity, compared against
    static random / degree caches and the clairvoyant Oracle).
 
@@ -16,6 +17,8 @@ Run with ``python examples/recommendation.py`` (about a minute on a CPU).
 from __future__ import annotations
 
 import time
+
+import numpy as np
 
 from repro import load_dataset
 from repro.bench.finders import OriginalNeighborFinder, TGLNeighborFinder
@@ -31,9 +34,10 @@ def finder_study(graph, tcsr) -> None:
     idx = split.train_idx[:: max(1, split.num_train // 2000)][:2000]
     roots, times = graph.src[idx], graph.ts[idx]
     for kind in (OriginalNeighborFinder, TGLNeighborFinder, GPUNeighborFinder):
-        finder = kind(tcsr, policy="uniform", seed=0)
+        finder = kind(tcsr, policy="uniform")
         start = time.perf_counter()
-        hops = sample_multi_hop(finder, roots, times, [10, 10])
+        hops = sample_multi_hop(finder, roots, times, [10, 10],
+                                np.random.default_rng(0))
         elapsed = time.perf_counter() - start
         print(f"  {kind.__name__:22s} {elapsed:8.3f}s   "
               f"valid hop-1 neighbors: {int(hops[0].mask.sum())}")
@@ -45,11 +49,13 @@ def cache_study(graph, tcsr) -> None:
     # sampling over three passes of the training set (the access pattern of a
     # recommendation model retrained continuously).
     split = chronological_split(graph)
-    finder = GPUNeighborFinder(tcsr, policy="recent", seed=0)
+    # Most-recent sampling draws nothing from its generator.
+    finder = GPUNeighborFinder(tcsr, policy="recent")
+    rng = np.random.default_rng(0)
     idx = split.train_idx[:: max(1, split.num_train // 3000)][:3000]
     streams = []
     for epoch in range(3):
-        hops = sample_multi_hop(finder, graph.src[idx], graph.ts[idx], [10])
+        hops = sample_multi_hop(finder, graph.src[idx], graph.ts[idx], [10], rng)
         streams.append(hops[0].eids[hops[0].mask])
 
     capacity = int(0.2 * graph.num_edges)

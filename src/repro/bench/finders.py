@@ -14,8 +14,6 @@ the paper measures it against, and nothing in the runtime builds them:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..graph.tcsr import TCSR
@@ -27,15 +25,14 @@ __all__ = ["OriginalNeighborFinder", "TGLNeighborFinder", "use_finder"]
 def use_finder(trainer, finder: type) -> None:
     """Re-point ``trainer``'s mini-batch generator at a fresh ``finder``.
 
-    The new finder reads the trainer's T-CSR under the configured policy and
-    seed, exactly as the trainer built its own, so a swap made before the
-    first epoch replays the run that finder would have trained.  Training and
-    evaluation both sample through the generator, its only holder.
+    The new finder reads the trainer's T-CSR under the configured policy,
+    exactly as the trainer built its own; it draws from the same per-tile
+    generators, so a swap made before the first epoch replays the run that
+    finder would have trained.  Training and evaluation both sample through
+    the generator, its only holder.
     """
-    cfg = trainer.config
-    trainer.generator.finder = finder(trainer.tcsr,
-                                      policy=cfg.resolved_finder_policy,
-                                      seed=cfg.seed)
+    trainer.generator.finder = finder(
+        trainer.tcsr, policy=trainer.config.resolved_finder_policy)
 
 
 def _gather(tcsr: TCSR, nodes: np.ndarray, times: np.ndarray, budget: int,
@@ -78,8 +75,7 @@ class OriginalNeighborFinder(NeighborFinder):
     """
 
     def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int,
-               rng: Optional[np.random.Generator] = None) -> NeighborBatch:
-        rng = self.rng if rng is None else rng
+               rng: np.random.Generator) -> NeighborBatch:
         nodes = np.asarray(nodes, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         tcsr = self.tcsr
@@ -108,9 +104,9 @@ class TGLNeighborFinder(NeighborFinder):
     the timeline from its start.
     """
 
-    def __init__(self, tcsr: TCSR, policy: str = "uniform", seed: int = 0,
+    def __init__(self, tcsr: TCSR, policy: str = "uniform",
                  strict: bool = False) -> None:
-        super().__init__(tcsr, policy=policy, seed=seed)
+        super().__init__(tcsr, policy=policy)
         #: per-node count of adjacency entries already in the past.
         self._pointer = np.zeros(tcsr.num_nodes, dtype=np.int64)
         #: last query time seen per node (for the chronological check).
@@ -118,7 +114,7 @@ class TGLNeighborFinder(NeighborFinder):
         self.strict = strict
 
     def reset(self) -> None:
-        """Rewind the pointer arrays (the RNG keeps its state)."""
+        """Rewind the pointer arrays (the finder holds no other state)."""
         self._pointer[:] = 0
         self._last_time[:] = -np.inf
 
@@ -142,8 +138,7 @@ class TGLNeighborFinder(NeighborFinder):
         return p
 
     def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int,
-               rng: Optional[np.random.Generator] = None) -> NeighborBatch:
-        rng = self.rng if rng is None else rng
+               rng: np.random.Generator) -> NeighborBatch:
         nodes = np.asarray(nodes, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         rows = []

@@ -436,14 +436,16 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="embedding-cache event-count staleness bound "
                              "(>= 0; default: unbounded)")
     parser.add_argument("--staleness-time", type=_non_negative_float,
-                        default=None,
+                        default=0.0,
                         help="embedding-cache |query_t - computed_t| bound "
-                             "(>= 0; default: unbounded)")
+                             "(>= 0; default: 0, time-exact: every score is "
+                             "computed at its own query time)")
     parser.add_argument("--cache-nodes", type=_non_negative_int, default=None,
                         help="embedding-cache capacity in nodes (0 disables; "
-                             "default: a quarter of the node universe, or 0 "
-                             "with --staleness-time 0, where only an identical "
-                             "(node, t) query could hit)")
+                             "default: 0 under the time-exact --staleness-time "
+                             "0, where only an identical (node, t) query could "
+                             "hit, a quarter of the node universe under any "
+                             "other bound)")
     parser.add_argument("--replay", action="store_true",
                         help="serve the stream twice through fresh engines "
                              "and verify the bitwise score-hash contract")

@@ -8,8 +8,7 @@ from .minibatch_selector import (MiniBatchSelector, ChronologicalSelector,
 from .decoders import (NeighborDecoder, LinearDecoder, GATDecoder, GATv2Decoder,
                        TransformerDecoder, make_decoder)
 from .neighbor_sampler import AdaptiveNeighborSampler, NeighborSelection
-from .sample_loss import (sensitivity_sample_loss, tgat_analytic_sample_loss,
-                          build_sample_loss)
+from .sample_loss import build_sample_loss
 from .pipeline import MiniBatchGenerator, CandidateSlice
 from .prep import PreparedBatch, PrepPipeline
 from .prefetcher import BatchEngine
@@ -40,8 +39,6 @@ __all__ = [
     "make_decoder",
     "AdaptiveNeighborSampler",
     "NeighborSelection",
-    "sensitivity_sample_loss",
-    "tgat_analytic_sample_loss",
     "build_sample_loss",
     "MiniBatchGenerator",
     "TaserTrainer",

@@ -19,9 +19,10 @@ Decoder (Eq. 16-20)
 
 Selection
     ``n`` neighbors are drawn without replacement via Gumbel-top-k over
-    ``log q_theta``; the log-probabilities of the selected neighbors are kept
-    as autograd tensors so the REINFORCE sample loss (Eq. 23-26) can update
-    ``theta``.
+    ``log q_theta``, the Gumbel noise from the generator of the caller's
+    tile (the sampler holds no random state); the log-probabilities of the
+    selected neighbors are kept as autograd tensors so the REINFORCE sample
+    loss (Eq. 23-26) can update ``theta``.
 
 One hop is four graph nodes — encode, the mixer block, the decoder, the head
 — each with an analytic backward (``docs/ARCHITECTURE.md``, "The adaptive
@@ -42,7 +43,6 @@ from ..nn import Linear, MixerBlock, Module
 from ..sampling.base import NeighborBatch
 from ..tensor import Tensor, concatenate
 from ..tensor import functional as F
-from ..utils.rng import new_rng
 from .decoders import make_decoder
 
 __all__ = ["NeighborSelection", "AdaptiveNeighborSampler"]
@@ -92,7 +92,6 @@ class AdaptiveNeighborSampler(Module):
         self.use_frequency_encoding = use_frequency_encoding
         self.use_identity_encoding = use_identity_encoding
         self.temperature = temperature
-        self._select_rng = new_rng(seed)
 
         # To balance the impact of each information source the paper sets
         # d_feat = d_time = d_freq; we follow the same convention.
@@ -176,16 +175,17 @@ class AdaptiveNeighborSampler(Module):
                 edge_feat: Optional[np.ndarray] = None,
                 neigh_node_feat: Optional[np.ndarray] = None,
                 target_node_feat: Optional[np.ndarray] = None,
-                greedy: bool = False) -> NeighborSelection:
+                rng: Optional[np.random.Generator] = None) -> NeighborSelection:
         """Score the candidates and draw ``budget`` of them per row, on the
         live rows: four graph nodes, encode -> mixer block -> decoder -> head
         (:func:`~repro.tensor.functional.sampler_head`).
 
-        The head takes ``q = masked_softmax(scores / temperature)`` and draws
-        without replacement by Gumbel-top-k over ``log q`` — an exact sample
-        from the successive sampling-without-replacement process; with
-        ``greedy=True`` the ``budget`` most probable candidates instead
-        (evaluation's variance-free inference).  A row with fewer valid
+        The head takes ``q = masked_softmax(scores / temperature)`` and, given
+        the tile's generator ``rng``, draws without replacement by
+        Gumbel-top-k over ``log q`` — an exact sample from the successive
+        sampling-without-replacement process; without one it takes the
+        ``budget`` most probable candidates (forward-only batches'
+        variance-free inference).  A row with fewer valid
         candidates than ``budget`` keeps all of them and pads the rest
         (masked out downstream).
 
@@ -196,8 +196,7 @@ class AdaptiveNeighborSampler(Module):
         read exactly what they would in the full batch.  Dead rows read
         columns ``0..n-1``, mask False, ``log_prob = log(1e-20)`` and
         probability 0.  The Gumbel noise is still drawn at ``(R, m)`` and
-        sliced, so the selection RNG advances as if every row had been
-        scored.
+        sliced, so ``rng`` advances as if every row had been scored.
         """
         if candidates.budget != self.num_candidates:
             raise ValueError(
@@ -206,7 +205,7 @@ class AdaptiveNeighborSampler(Module):
         r, m = candidates.nodes.shape
         if budget > m:
             raise ValueError("selection budget exceeds the candidate budget")
-        noise = None if greedy else self._select_rng.gumbel(size=(r, m))
+        noise = None if rng is None else rng.gumbel(size=(r, m))
         live = np.flatnonzero(candidates.mask.any(axis=1))
         if live.size == 0:
             return NeighborSelection(

@@ -26,6 +26,11 @@ forward-only batch (scoring, serving) per row tile;
 :meth:`MiniBatchGenerator.hop_tile` is one tile's stage in the embedding
 pass.  Training and scoring go through the prep runtime, the single producer
 of :class:`~repro.core.prep.PreparedBatch`.
+
+Every stochastic draw of a tile — the finder's, then the adaptive sampler's
+Gumbel selection — comes from that tile's own generator, seeded by one raw
+draw of the caller's generator (:meth:`MiniBatchGenerator.build`); neither
+the finder nor the sampler holds random state.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from ..device.memory import FeatureStore
 from ..models.minibatch import HopData, MiniBatch
 from ..sampling.base import NeighborBatch, NeighborFinder
 from ..sampling.recursive import flatten_frontier, unique_targets
+from ..utils.rng import TileGenerator
 from ..utils.tiles import ONE_TILE, Tiles
 from ..utils.timer import Timer
 from .neighbor_sampler import AdaptiveNeighborSampler
@@ -118,10 +124,10 @@ class MiniBatchGenerator:
     # -- layer stage (NF + FS) ---------------------------------------------------------
 
     def _find(self, target_nodes: np.ndarray, target_times: np.ndarray,
-              budget: int, rng: Optional[np.random.Generator]) -> NeighborBatch:
+              budget: int, rng: np.random.Generator) -> NeighborBatch:
         """NF: ``budget`` past neighbors of each target."""
         with self.timer.section("NF"):
-            neighbors = self.finder.sample(target_nodes, target_times, budget, rng=rng)
+            neighbors = self.finder.sample(target_nodes, target_times, budget, rng)
         # Roots with no past interactions yield fully-masked rows whose slots
         # hold the padding sentinel; downstream feature slicing and
         # aggregation rely on that contract, so enforce it at the source.
@@ -130,13 +136,11 @@ class MiniBatchGenerator:
 
     def layer_candidates(self, target_nodes: np.ndarray,
                          target_times: np.ndarray,
-                         rng: Optional[np.random.Generator] = None
-                         ) -> CandidateSlice:
+                         rng: np.random.Generator) -> CandidateSlice:
         """NF + FS of one layer: sample candidates and slice their features.
 
-        This stage depends only on the graph and the query frontier, never
-        on trainable state.  ``rng`` is the generator of the finder's draws
-        (``None``: the finder's own stream).
+        This stage depends only on the graph, the query frontier and ``rng``
+        (the generator of the finder's draws), never on trainable state.
         """
         candidates = self._find(target_nodes, target_times,
                                 self._candidate_budget(), rng)
@@ -164,23 +168,25 @@ class MiniBatchGenerator:
                        gathered=True)
 
     def _draw(self, target_nodes: np.ndarray, target_times: np.ndarray,
-              rng: Optional[np.random.Generator], features: bool,
+              rng: np.random.Generator, features: bool,
               train: bool = False) -> HopData:
         """NF (+ FS + AS with the adaptive sampler) of a tile: the selected
         neighbors of each target, with their features when ``features``.
 
-        The adaptive sampler picks greedily, or with ``train`` draws one
-        Gumbel selection per target and the hop keeps its ``log_prob`` and a
-        gate.  Candidate features live only inside this call."""
+        ``rng`` is the tile's generator: the finder draws from it, then, with
+        ``train``, the adaptive sampler draws one Gumbel selection per target
+        and the hop keeps its ``log_prob`` and a gate; otherwise the sampler
+        picks greedily.  Candidate features live only inside this call."""
         if not self.uses_adaptive_sampling:
             selected = self._find(target_nodes, target_times, self.num_neighbors, rng)
             return self._hop_features(selected) if features else HopData(batch=selected)
-        stage = self.layer_candidates(target_nodes, target_times, rng=rng)
+        stage = self.layer_candidates(target_nodes, target_times, rng)
         with self.timer.section("AS"):
             selection = self.adaptive_sampler(
                 stage.candidates, self.num_neighbors, edge_feat=stage.edge_feat,
                 neigh_node_feat=stage.neigh_node_feat,
-                target_node_feat=stage.target_node_feat, greedy=not train)
+                target_node_feat=stage.target_node_feat,
+                rng=rng if train else None)
         columns = selection.columns
         hop = HopData(batch=stage.candidates.select(columns))
         if features:
@@ -198,24 +204,20 @@ class MiniBatchGenerator:
         training level holds them and is its own (one) tile.  A drawn
         forward-only level's selected neighbors are sliced and their features
         gathered; an undrawn one (the deepest level of a scoring call) draws
-        the tile here, from its own seed in :attr:`HopData.seeds` (``None``:
-        the finder's own stream), and keeps the candidates' features of the
-        selected neighbors."""
+        the tile here, from its own seed in :attr:`HopData.seeds`, and keeps
+        the candidates' features of the selected neighbors."""
         if hop.gathered:
             return hop
         batch = hop.batch
         if batch.budget:
             return self._hop_features(batch.rows(rows))
-        rng = None if hop.seeds is None else \
-            np.random.default_rng(int(hop.seeds[index]))
-        return self._draw(batch.root_nodes[rows], batch.root_times[rows], rng,
-                          features=True)
+        return self._draw(batch.root_nodes[rows], batch.root_times[rows],
+                          TileGenerator(int(hop.seeds[index])), features=True)
 
     # -- main entry point ------------------------------------------------------------
 
     def build(self, root_nodes: np.ndarray, root_times: np.ndarray,
-              train: bool = True,
-              rng: Optional[np.random.Generator] = None,
+              rng: np.random.Generator, train: bool = True,
               tiles: Optional[Tiles] = None) -> MiniBatch:
         """Build the full multi-hop mini-batch for the given root queries,
         level by level: each level — the roots, then each flattened frontier
@@ -239,12 +241,13 @@ class MiniBatchGenerator:
         :meth:`hop_tile` draws each tile where it is embedded, so no array of
         that level outlives its tile.
 
-        ``rng`` is the generator of the finder's draws (``None``: the
-        finder's own stream).  With it, each tile's finder draws come from
-        its own generator, seeded by one raw draw of ``rng`` per tile, taken
-        in tile order before the level's tiles run; so the batch does not
-        depend on the threads that ran the tiles.  Without it the tiles draw
-        from the finder's own stream and must run in order on one thread.
+        ``rng`` is the caller's generator.  Every tile draws — the finder,
+        then a training batch's Gumbel selection — from its own generator
+        (:class:`~repro.utils.rng.TileGenerator`), seeded by one raw draw of
+        ``rng`` per tile, taken in tile order before the level's tiles run;
+        so ``rng`` advances by exactly one raw draw per tile of each level,
+        and the batch does not depend on the threads that ran the tiles.  A
+        training batch is the one-tile case: one raw draw per level.
         """
         if train and tiles is not None:
             raise ValueError("a training batch is one tile per level")
@@ -258,7 +261,7 @@ class MiniBatchGenerator:
             nodes, times, inverse = self.distinct(nodes, times)
             cut = tiles.split(nodes.size)
             count = len(cut)
-            seeds = None if rng is None else rng.bit_generator.random_raw(count)
+            seeds = rng.bit_generator.random_raw(count)
             if layer == self.num_layers - 1 and count > 1:
                 minibatch.hops.append(HopData(
                     batch=NeighborBatch.targets(nodes, times), inverse=inverse,
@@ -268,9 +271,8 @@ class MiniBatchGenerator:
 
             def draw(index: int, rows: slice, nodes=nodes, times=times,
                      seeds=seeds, parts=parts) -> None:
-                tile_rng = None if seeds is None else \
-                    np.random.default_rng(int(seeds[index]))
-                parts[index] = self._draw(nodes[rows], times[rows], tile_rng,
+                parts[index] = self._draw(nodes[rows], times[rows],
+                                          TileGenerator(int(seeds[index])),
                                           features=train, train=train)
 
             tiles.run(draw, cut)

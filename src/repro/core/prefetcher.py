@@ -3,9 +3,9 @@
 :class:`BatchEngine` walks the epoch schedule and prepares every batch
 through the shared prep runtime (``trainer.prep``) right before the trainer
 consumes it.  Everything runs on the training thread and every stateful
-component (finder RNG, negative sampler, feature cache) is touched in
-training order, which is what makes a fixed seed reproduce the loss
-trajectory bitwise.
+component (the batches' generator, negative sampler, feature cache) is
+touched in training order, which is what makes a fixed seed reproduce the
+loss trajectory bitwise.
 """
 
 from __future__ import annotations

@@ -36,10 +36,11 @@ gather/cache work (TASER-style redundancy elimination, surfaced as
 
 Contracts
 ---------
-1. **Bitwise identity** — batches prepared through the runtime are
-   bitwise-identical to the pre-runtime per-consumer assembly under a fixed
-   seed (every RNG draw and cache access happens in exactly the training
-   order).
+1. **Bitwise identity** — under a fixed seed the runtime prepares the same
+   batches on every run: the schedule stage's streams (selector, negatives)
+   and the cache are touched in training order, and every tile of a batch
+   draws from its own generator, seeded by one raw draw of
+   :attr:`PrepPipeline.rng` (:meth:`~repro.core.pipeline.MiniBatchGenerator.build`).
 2. **Single cache choke point** — all feature-cache lookups and hit/transfer
    accounting happen behind the deduplicated gather; no consumer touches the
    cache directly.
@@ -97,10 +98,11 @@ class PrepPipeline:
     A pipeline is a cheap façade over the live components it drives — the
     stage wrapper (:class:`~repro.core.pipeline.MiniBatchGenerator`), the
     negative sampler, and (for training schedules) the graph/split/selector
-    triple.  Consumers that re-point those components (the streaming trainer
-    rebuilds finder/generator/split per sliding window) rebuild the pipeline
-    with them; consumers that only *evaluate* (the offline evaluator, the
-    prequential scorer) need just ``generator`` + explicit query arrays.
+    triple and the batches' generator.  Consumers re-point those components
+    in place (the streaming trainer swaps the finder, split and selector per
+    sliding window, keeping the generator's stream); consumers that only
+    *evaluate* (the offline evaluator, the prequential scorer) need just
+    ``generator`` + explicit query arrays and their own generator.
 
     Parameters
     ----------
@@ -111,6 +113,10 @@ class PrepPipeline:
         (evaluation batches bring their own negative matrix).
     graph, split, selector:
         Training-schedule components; optional for evaluation-only pipelines.
+    rng:
+        The training batches' generator: each batch takes one raw draw per
+        level from it to seed that level's tile.  Optional for
+        evaluation-only pipelines, whose callers pass their own generator.
     """
 
     #: There is one prep path and no registry; the name stays because the
@@ -121,12 +127,14 @@ class PrepPipeline:
                  negative_sampler: Optional["NegativeSampler"] = None,
                  graph: Optional["TemporalGraph"] = None,
                  split: Optional["TemporalSplit"] = None,
-                 selector=None) -> None:
+                 selector=None,
+                 rng: Optional[np.random.Generator] = None) -> None:
         self.generator = generator
         self.negative_sampler = negative_sampler
         self.graph = graph
         self.split = split
         self.selector = selector
+        self.rng = rng
 
     # -- stage: schedule ---------------------------------------------------------
 
@@ -190,28 +198,28 @@ class PrepPipeline:
 
     # -- stages: candidates -> gather -> encode -> assemble ----------------------
 
-    def finish(self, prepared: PreparedBatch, train: bool = True,
-               rng: Optional[np.random.Generator] = None,
+    def finish(self, prepared: PreparedBatch, rng: np.random.Generator,
+               train: bool = True,
                tiles: Optional["Tiles"] = None) -> PreparedBatch:
         """Run the candidates/gather/encode/assemble stages: build
-        ``prepared.minibatch`` from the assembled root queries.  ``rng`` is
-        the generator of the finder's draws (``None``: the finder's own
-        stream); a forward-only batch (``train=False``) runs its levels over
-        ``tiles`` (:meth:`MiniBatchGenerator.build`)."""
+        ``prepared.minibatch`` from the assembled root queries, each tile
+        seeded by one raw draw of ``rng``; a forward-only batch
+        (``train=False``) runs its levels over ``tiles``
+        (:meth:`MiniBatchGenerator.build`)."""
         prepared.minibatch = self.generator.build(
-            prepared.roots, prepared.times, train=train, rng=rng, tiles=tiles)
+            prepared.roots, prepared.times, rng, train=train, tiles=tiles)
         return prepared
 
     def prepare_train(self, local_indices: np.ndarray) -> PreparedBatch:
-        """Fully prepare one training batch."""
-        return self.finish(self.assemble_train(local_indices), train=True)
+        """Fully prepare one training batch, its tiles seeded from
+        :attr:`rng`."""
+        return self.finish(self.assemble_train(local_indices), self.rng)
 
     def prepare_eval(self, src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
-                     negatives: np.ndarray,
-                     rng: Optional[np.random.Generator] = None,
+                     negatives: np.ndarray, rng: np.random.Generator,
                      tiles: Optional["Tiles"] = None) -> PreparedBatch:
         """Prepare the forward-only batch of one scoring call (offline or
-        prequential MRR), the finder drawing from ``rng`` (``None``: its own
-        stream) in each of ``tiles``."""
-        return self.finish(self.assemble_eval(src, dst, ts, negatives),
-                           train=False, rng=rng, tiles=tiles)
+        prequential MRR), each of ``tiles`` seeded by one raw draw of
+        ``rng``."""
+        return self.finish(self.assemble_eval(src, dst, ts, negatives), rng,
+                           train=False, tiles=tiles)

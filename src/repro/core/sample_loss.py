@@ -7,7 +7,7 @@ with the log-derivative trick (Eq. 23) and materialised as an auxiliary
 *sample loss* whose autograd gradient equals that estimate: every term except
 ``log q_theta(u_j)`` is frozen (treated as a constant coefficient).
 
-Two estimators are provided:
+One function, :func:`build_sample_loss`, computes both estimators:
 
 ``sensitivity`` (default, aggregator-agnostic)
     Every selected neighbor's message is multiplied by a *gate* initialised
@@ -19,9 +19,9 @@ Two estimators are provided:
     GraphMixer with the ``w'_jk mu_jk . dL/dh`` term of Eq. (26).
 
 ``tgat_analytic``
-    Adds the explicit ``beta * h_v`` self-term and the ``1/alpha`` variance
-    scaling of Eq. (25) on top of the gate sensitivity, using the attention
-    weights captured from the outermost TGAT layer.
+    Adds Eq. (25)'s explicit ``beta * h_v`` self-term to the outermost hop's
+    gate sensitivity, using the attention weights captured from the
+    outermost TGAT layer.  Both scale by Eq. (25)'s ``1/alpha``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from ..models.minibatch import HopData
 from ..tensor import Tensor
 
-__all__ = ["sensitivity_sample_loss", "tgat_analytic_sample_loss", "build_sample_loss"]
+__all__ = ["build_sample_loss"]
 
 
 def _accumulate(terms: List[Tensor]) -> Optional[Tensor]:
@@ -61,45 +61,28 @@ def _centered_coefficients(sensitivity: np.ndarray, mask: np.ndarray,
     return ((sensitivity - mean) / alpha) * mask
 
 
-def sensitivity_sample_loss(hops: List[HopData], batch_size: int,
-                            alpha: float = 2.0) -> Optional[Tensor]:
-    """Generic sample loss ``sum_j coeff_j * log q(u_j)`` from gate sensitivities.
+def build_sample_loss(kind: str, hops: List[HopData], batch_size: int,
+                      embeddings: Tensor,
+                      attention: Optional[np.ndarray] = None,
+                      alpha: float = 2.0, beta: float = 1.0) -> Optional[Tensor]:
+    """Sample loss ``sum_j coeff_j * log q(u_j) / batch_size`` of the
+    estimator ``kind`` (``"sensitivity"`` or ``"tgat_analytic"``).
 
     Must be called *after* the model loss has been back-propagated (the gate
-    gradients are read at that point).  Returns ``None`` when no hop carries
-    adaptive-sampling information (e.g. baseline runs).
+    gradients are read at that point).  Every hop's coefficient is its gate
+    sensitivity, centred and scaled by ``1/alpha``.  Under ``tgat_analytic``
+    with the outermost TGAT layer's ``attention``, the outermost hop's
+    coefficient also takes Eq. (25)'s ``beta * a_ij (dL/dh . h_v)``
+    self-term; a target that several roots share (one row of ``attention``
+    and of the gate) takes the sum of their self-terms.  Returns ``None``
+    when no hop carries adaptive-sampling information (e.g. baseline runs).
     """
+    if kind not in ("sensitivity", "tgat_analytic"):
+        raise ValueError(f"unknown sample-loss estimator {kind!r}")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    terms: List[Tensor] = []
-    for hop in hops:
-        if hop.log_prob is None:
-            continue
-        sensitivity = hop.gate_sensitivity()
-        if sensitivity is None:
-            continue
-        coeff = _centered_coefficients(sensitivity, hop.batch.mask, alpha)
-        terms.append((hop.log_prob * Tensor(coeff)).sum())
-    total = _accumulate(terms)
-    return None if total is None else total / float(batch_size)
-
-
-def tgat_analytic_sample_loss(hops: List[HopData], batch_size: int,
-                              embeddings: Tensor,
-                              attention: Optional[np.ndarray],
-                              alpha: float = 2.0, beta: float = 1.0
-                              ) -> Optional[Tensor]:
-    """Eq. (25) estimator for the outermost TGAT layer.
-
-    The neighbor-value term ``a_ij [V]_j . dL/dh`` is taken from the gate
-    sensitivity of the outermost hop; the analytic correction adds the
-    ``beta * a_ij (dL/dh . h_v)`` self-term and scales everything by
-    ``1/alpha``; a target that several roots share (one row of ``attention``
-    and of the gate) takes the sum of their self-terms.  Deeper hops fall
-    back to the generic sensitivity estimator.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if kind == "sensitivity":
+        attention = None
     terms: List[Tensor] = []
     for level, hop in enumerate(hops):
         if hop.log_prob is None:
@@ -120,16 +103,3 @@ def tgat_analytic_sample_loss(hops: List[HopData], batch_size: int,
         terms.append((hop.log_prob * Tensor(coeff)).sum())
     total = _accumulate(terms)
     return None if total is None else total / float(batch_size)
-
-
-def build_sample_loss(kind: str, hops: List[HopData], batch_size: int,
-                      embeddings: Tensor,
-                      attention: Optional[np.ndarray] = None,
-                      alpha: float = 2.0, beta: float = 1.0) -> Optional[Tensor]:
-    """Dispatch on the configured estimator name."""
-    if kind == "sensitivity":
-        return sensitivity_sample_loss(hops, batch_size, alpha=alpha)
-    if kind == "tgat_analytic":
-        return tgat_analytic_sample_loss(hops, batch_size, embeddings, attention,
-                                         alpha=alpha, beta=beta)
-    raise ValueError(f"unknown sample-loss estimator {kind!r}")

@@ -25,8 +25,8 @@ that workload:
        and the device feature cache's edge universe grows with it;
     3. **sliding-window training**: one (or more) passes over the most recent
        ``window_events`` events through the mini-batch engine (its prep
-       runtime rebuilt per window against the fresh T-CSR snapshot;
-       model/optimiser state persists throughout).
+       runtime re-pointed per window at the fresh T-CSR snapshot;
+       model/optimiser state and the batches' generator persist throughout).
 
 Determinism: under a fixed seed the whole trajectory — prequential MRR per
 chunk and per-batch training losses — is reproducible.  The graph-state
@@ -52,8 +52,6 @@ from ..sampling import GPUNeighborFinder
 from ..utils.rng import new_rng
 from .config import TaserConfig
 from .minibatch_selector import ChronologicalSelector
-from .pipeline import MiniBatchGenerator
-from .prep import PrepPipeline
 from .trainer import EpochStats, TaserTrainer
 
 __all__ = ["EventChunk", "EventStream", "split_warmup", "StreamStats",
@@ -274,8 +272,9 @@ class StreamingTrainer(TaserTrainer):
     and negative samplers are built once and persist across the whole stream.
     Per ingested chunk the graph-dependent components are refreshed — the
     T-CSR via an incremental snapshot (never a rebuild), the neighbor finder
-    and mini-batch generator against it, and the prep runtime over the new
-    window — which is cheap relative to training.
+    against it, and the prep runtime's split and selector over the new
+    window — which is cheap relative to training.  The training batches'
+    generator is the warm-start trainer's, one stream across every window.
 
     ``adaptive_minibatch`` must be off (validated with an actionable error):
     importance scores are keyed to a fixed training set and are meaningless
@@ -354,7 +353,7 @@ class StreamingTrainer(TaserTrainer):
         The event log grows in place (feature-store accounting follows it
         automatically), the incremental T-CSR absorbs the chunk in amortized
         O(chunk), the device cache's edge universe grows keeping the
-        configured VRAM ratio, and the finder/generator/prep runtime are
+        configured VRAM ratio, and the finder and the prep runtime are
         re-pointed at the new snapshot and sliding window.
         """
         self.graph.append_events(chunk.src, chunk.dst, chunk.ts, chunk.edge_feat)
@@ -366,24 +365,16 @@ class StreamingTrainer(TaserTrainer):
         self._refresh_window()
 
     def _refresh_window(self) -> None:
-        """Re-point finder, generator, split, selector and prep runtime at
-        the current graph state and sliding window (the engine reads
-        ``self.prep`` at each epoch)."""
-        cfg = self.config
+        """Re-point the finder, split and selector at the current graph state
+        and sliding window.  The prep runtime keeps its generator, so the
+        training batches' stream continues across windows."""
         self.tcsr = self.stcsr.snapshot()
-        self.generator = MiniBatchGenerator(
-            GPUNeighborFinder(self.tcsr, policy=cfg.resolved_finder_policy,
-                              seed=cfg.seed),
-            self.feature_store, cfg.num_layers,
-            cfg.num_neighbors, cfg.num_candidates if cfg.adaptive_neighbor
-            else cfg.num_neighbors,
-            adaptive_sampler=self.sampler, timer=self.timer)
-        self.split = _window_split(self.graph, self.window_events)
-        self.selector = ChronologicalSelector(self.split.num_train,
-                                              cfg.batch_size)
-        self.prep = PrepPipeline(self.generator, self.negative_sampler,
-                                 graph=self.graph, split=self.split,
-                                 selector=self.selector)
+        self.generator.finder = GPUNeighborFinder(
+            self.tcsr, policy=self.config.resolved_finder_policy)
+        self.split = self.prep.split = _window_split(self.graph,
+                                                     self.window_events)
+        self.selector = self.prep.selector = ChronologicalSelector(
+            self.split.num_train, self.config.batch_size)
 
     def step(self, chunk: EventChunk, train_passes: int = 1) -> StreamStats:
         """One full prequential cycle: evaluate, ingest, train the window."""

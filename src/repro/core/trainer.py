@@ -123,8 +123,9 @@ class TaserTrainer:
         #: here so a tracer can find the instance whose kernels it wraps.
         self.array_backend = get_backend()
 
-        (rng_model, rng_sampler, _rng_selector, _rng_neg,
-         _rng_finder, _rng_misc) = spawn_rngs(cfg.seed, 6)
+        # Model init, sampler init, and the training batches' generator: each
+        # batch seeds its tiles' finder and selection draws from it.
+        rng_model, rng_sampler, rng_prep = spawn_rngs(cfg.seed, 3)
 
         # --- substrate: T-CSR + memory hierarchy ------------------------------------
         self.tcsr = self._build_tcsr(self.graph)
@@ -150,13 +151,12 @@ class TaserTrainer:
                 decoder=cfg.decoder,
                 use_frequency_encoding=cfg.use_frequency_encoding,
                 use_identity_encoding=cfg.use_identity_encoding,
-                seed=cfg.seed, rng=rng_sampler)
+                rng=rng_sampler)
 
         # --- pipeline: the generator holds the run's one neighbor finder -----------------
         self.timer = Timer()
         self.generator = MiniBatchGenerator(
-            GPUNeighborFinder(self.tcsr, policy=cfg.resolved_finder_policy,
-                              seed=cfg.seed),
+            GPUNeighborFinder(self.tcsr, policy=cfg.resolved_finder_policy),
             self.feature_store, cfg.num_layers,
             cfg.num_neighbors, cfg.num_candidates if cfg.adaptive_neighbor
             else cfg.num_neighbors,
@@ -184,7 +184,7 @@ class TaserTrainer:
         # execution path (engines, evaluation, streaming, sharded replicas).
         self.prep = PrepPipeline(self.generator, self.negative_sampler,
                                  graph=self.graph, split=self.split,
-                                 selector=self.selector)
+                                 selector=self.selector, rng=rng_prep)
         self.engine = BatchEngine(self)
 
         self.history: List[EpochStats] = []

@@ -260,9 +260,9 @@ class StreamingTCSR:
 
         Event ids continue the running counter (``num_events``), matching the
         row order of the event log's edge-feature matrix.  Raises
-        ``ValueError`` when the chunk is out of chronological order (within
-        itself or against previously appended events) or references node ids
-        outside ``[0, num_nodes)``.
+        ``ValueError`` when the chunk holds a non-finite timestamp, is out of
+        chronological order (within itself or against previously appended
+        events) or references node ids outside ``[0, num_nodes)``.
         """
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
@@ -274,6 +274,8 @@ class StreamingTCSR:
             return self
         if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= self.num_nodes:
             raise ValueError(f"appended node id out of range [0, {self.num_nodes})")
+        if not np.isfinite(ts).all():
+            raise ValueError("appended timestamps must be finite")
         if np.any(np.diff(ts) < 0):
             raise ValueError("appended events must be sorted chronologically")
         if ts[0] < self._last_ts:

@@ -115,8 +115,8 @@ class TemporalGraph:
 
         * node ids must lie in ``[0, num_nodes)`` — streaming does not grow
           the node set (presets have a fixed node universe);
-        * timestamps must be non-decreasing within the chunk and must not
-          precede the latest existing event (chronological ingestion);
+        * timestamps must be finite, non-decreasing within the chunk and must
+          not precede the latest existing event (chronological ingestion);
         * ``edge_feat`` must be present with matching width iff the graph
           already has edge features.
 
@@ -138,6 +138,8 @@ class TemporalGraph:
             raise ValueError(
                 f"appended node id out of range [0, {self.num_nodes}); "
                 "streaming ingestion does not grow the node set")
+        if not np.isfinite(ts).all():
+            raise ValueError("appended timestamps must be finite")
         if np.any(np.diff(ts) < 0):
             raise ValueError("appended events must be sorted chronologically")
         if self.num_edges and ts[0] < self.ts[-1]:

@@ -53,9 +53,10 @@ class HopData:
     #: index of each row of the level this hop expands among the hop's
     #: distinct targets; None on a tile (rows of a hop, not a level).
     inverse: Optional[np.ndarray] = None
-    #: per-tile seeds of the finder draws of a forward-only level whose
-    #: neighbors are drawn tile by tile where they are embedded (``batch``
-    #: then holds only the targets); None otherwise.
+    #: per-tile seeds of a forward-only level whose neighbors are drawn tile
+    #: by tile where they are embedded (``batch`` then holds only the
+    #: targets): one raw draw of the caller's generator per tile, the seed
+    #: of that tile's generator; None on a level drawn when it was built.
     seeds: Optional[np.ndarray] = None
     #: whether the hop holds its features (a training level, or a tile);
     #: a forward-only level gathers them tile by tile where it is embedded.

@@ -10,7 +10,7 @@ aggregators and the adaptive sampler consume directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -167,10 +167,12 @@ class NeighborFinder:
 
     The runtime's finder is :class:`~repro.sampling.GPUNeighborFinder`; the
     paper's two baselines implement this interface as benchmark fixtures in
-    :mod:`repro.bench.finders`.  A finder is **stateless with respect to the
-    graph**: it holds a reference to one immutable
-    :class:`~repro.graph.tcsr.TCSR` snapshot, which is how the streaming
-    subsystem swaps in a fresh snapshot per ingested chunk.
+    :mod:`repro.bench.finders`.  A finder holds one immutable
+    :class:`~repro.graph.tcsr.TCSR` snapshot and **no random state**: every
+    draw comes from the generator the caller passes to :meth:`sample`, so a
+    finder is a pure function of the snapshot, the queries and that
+    generator.  The streaming subsystem swaps in a fresh finder per ingested
+    chunk without touching any random stream.
 
     Parameters
     ----------
@@ -178,26 +180,19 @@ class NeighborFinder:
         The temporal CSR adjacency to answer queries against.
     policy:
         Static sampling policy for oversubscribed neighborhoods:
-        ``"uniform"`` (uniform without replacement, consumes RNG) or
-        ``"recent"`` (deterministic most-recent).
-    seed:
-        Seed of the finder's private RNG stream.  Training relies on every
-        stochastic draw happening in exactly the training order, so the RNG
-        must never be shared across threads: a caller that samples off the
-        training order (scoring, on several threads at once) passes its own
-        generator to :meth:`sample` instead.
+        ``"uniform"`` (uniform without replacement, draws from the caller's
+        generator) or ``"recent"`` (deterministic most-recent, draws
+        nothing).
     """
 
-    def __init__(self, tcsr: TCSR, policy: str = "uniform",
-                 seed: int = 0) -> None:
+    def __init__(self, tcsr: TCSR, policy: str = "uniform") -> None:
         if policy not in ("uniform", "recent"):
             raise ValueError(f"unknown sampling policy {policy!r}")
         self.tcsr = tcsr
         self.policy = policy
-        self.rng = np.random.default_rng(seed)
 
     def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int,
-               rng: Optional[np.random.Generator] = None) -> NeighborBatch:
+               rng: np.random.Generator) -> NeighborBatch:
         """Sample up to ``budget`` past neighbors for each ``(node, time)`` query.
 
         Parameters
@@ -208,8 +203,7 @@ class NeighborFinder:
             Maximum neighbors per root; shorter neighborhoods are padded (see
             :class:`NeighborBatch` and :meth:`NeighborBatch.check_padding`).
         rng:
-            Generator of this call's random draws; ``None`` draws from the
-            finder's own stream (:attr:`rng`).
+            Generator of this call's random draws.
 
         Returns
         -------

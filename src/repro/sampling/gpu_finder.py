@@ -21,7 +21,7 @@ mini-batch selection requires.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -34,8 +34,8 @@ __all__ = ["GPUNeighborFinder"]
 class GPUNeighborFinder(NeighborFinder):
     """Vectorised block-centric temporal neighbor finder (arbitrary order)."""
 
-    def __init__(self, tcsr: TCSR, policy: str = "uniform", seed: int = 0) -> None:
-        super().__init__(tcsr, policy=policy, seed=seed)
+    def __init__(self, tcsr: TCSR, policy: str = "uniform") -> None:
+        super().__init__(tcsr, policy=policy)
         self._prepare_keys()
 
     def _prepare_keys(self) -> None:
@@ -138,8 +138,7 @@ class GPUNeighborFinder(NeighborFinder):
     # -- main entry point -------------------------------------------------------------------
 
     def sample(self, nodes: np.ndarray, times: np.ndarray, budget: int,
-               rng: Optional[np.random.Generator] = None) -> NeighborBatch:
-        rng = self.rng if rng is None else rng
+               rng: np.random.Generator) -> NeighborBatch:
         nodes = np.asarray(nodes, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         tcsr = self.tcsr

@@ -51,7 +51,8 @@ def unique_targets(nodes: np.ndarray, times: np.ndarray) -> tuple:
 
 
 def sample_multi_hop(finder: NeighborFinder, roots: np.ndarray, times: np.ndarray,
-                     budgets: Sequence[int]) -> List[NeighborBatch]:
+                     budgets: Sequence[int],
+                     rng: np.random.Generator) -> List[NeighborBatch]:
     """Sample an ``len(budgets)``-hop temporal neighborhood.
 
     Parameters
@@ -62,6 +63,8 @@ def sample_multi_hop(finder: NeighborFinder, roots: np.ndarray, times: np.ndarra
         ``(B,)`` root nodes and their query timestamps.
     budgets:
         Neighbors to sample per hop, outermost (hop 1) first.
+    rng:
+        Generator of the finder's draws, hop after hop.
 
     Returns
     -------
@@ -73,7 +76,7 @@ def sample_multi_hop(finder: NeighborFinder, roots: np.ndarray, times: np.ndarra
     cur_nodes = np.asarray(roots, dtype=np.int64)
     cur_times = np.asarray(times, dtype=np.float64)
     for budget in budgets:
-        batch = finder.sample(cur_nodes, cur_times, budget)
+        batch = finder.sample(cur_nodes, cur_times, budget, rng)
         batches.append(batch)
         cur_nodes, cur_times = flatten_frontier(batch)
     return batches

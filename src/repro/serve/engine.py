@@ -59,6 +59,7 @@ from ..graph.temporal_graph import TemporalGraph
 from ..sampling import GPUNeighborFinder
 from ..tensor import Tensor, get_backend, no_grad
 from ..tensor import functional as F
+from ..utils.rng import new_rng
 from ..utils.timer import Timer
 from .cache import NodeEmbeddingCache
 
@@ -185,6 +186,10 @@ class ServeEngine:
         (``staleness_time=0.0``, where a hit would need an identical
         ``(node, t)`` query and would not spare the flush its build and
         forward), a quarter of the node universe under any other time bound.
+    seed:
+        Seed of the flushes' generator (:attr:`rng`), the one random stream
+        of the engine: a ``uniform`` finder draws from it, an ingest never
+        restarts it.
     clock:
         Callable returning monotonically increasing seconds
         (default ``time.perf_counter``; inject :class:`VirtualClock` for
@@ -211,7 +216,6 @@ class ServeEngine:
         self.max_batch = int(max_batch)
         self.queue_depth = int(queue_depth)
         self.admission = admission
-        self.seed = int(seed)
         self._clock = clock if clock is not None else time.perf_counter
 
         src = graph if graph.is_chronological else graph.sort_by_time()
@@ -219,15 +223,10 @@ class ServeEngine:
         self.graph = src.select_events(np.arange(src.num_edges))
         self.backbone = backbone
         self.predictor = predictor
-        self.adaptive_sampler = adaptive_sampler
         #: every module of the scoring stack, flat: a flush flips their modes
         #: in one pass instead of a recursive ``train()`` walk per root.
         self._modules = tuple(module for root in (backbone, predictor)
                               for _, module in root.named_modules())
-        self.num_layers = int(num_layers)
-        self.num_neighbors = int(num_neighbors)
-        self.num_candidates = int(num_candidates) if num_candidates is not None \
-            else int(num_neighbors)
         self.finder_policy = finder_policy
         #: the array runtime the forward runs on (one per process).
         self.array_backend = get_backend()
@@ -249,7 +248,16 @@ class ServeEngine:
         self.timer = Timer()
         self.stcsr = StreamingTCSR.from_graph(self.graph)
         self.feature_store = FeatureStore(self.graph, edge_cache=None)
-        self._refresh()
+        self.tcsr = self.stcsr.snapshot()
+        self.generator = MiniBatchGenerator(
+            GPUNeighborFinder(self.tcsr, policy=finder_policy),
+            self.feature_store, int(num_layers), int(num_neighbors),
+            int(num_neighbors if num_candidates is None else num_candidates),
+            adaptive_sampler=adaptive_sampler, timer=self.timer)
+        self.prep = PrepPipeline(self.generator)
+        #: the flushes' generator: each build takes one raw draw per level
+        #: tile from it to seed that tile; ingest never touches it.
+        self.rng = new_rng(int(seed))
 
         self._pending: List[_Pending] = []
         self._drained: List[ServeResult] = []
@@ -279,16 +287,11 @@ class ServeEngine:
     # -- graph-dependent component refresh -------------------------------------
 
     def _refresh(self) -> None:
-        """Re-point finder/generator/prep at the current T-CSR snapshot
-        (the streaming trainer's idiom, reused verbatim)."""
+        """Re-point the finder at the current T-CSR snapshot (the streaming
+        trainer's idiom); the flushes' generator is untouched."""
         self.tcsr = self.stcsr.snapshot()
-        self.generator = MiniBatchGenerator(
-            GPUNeighborFinder(self.tcsr, policy=self.finder_policy,
-                              seed=self.seed),
-            self.feature_store, self.num_layers,
-            self.num_neighbors, self.num_candidates,
-            adaptive_sampler=self.adaptive_sampler, timer=self.timer)
-        self.prep = PrepPipeline(self.generator)
+        self.generator.finder = GPUNeighborFinder(self.tcsr,
+                                                  policy=self.finder_policy)
 
     # -- ingestion --------------------------------------------------------------
 
@@ -420,12 +423,12 @@ class ServeEngine:
                 if num_hits < nodes.size:
                     # One prep pass + one forward for the missing endpoints
                     # of the whole micro-batch (all of them when nothing
-                    # hit), as one tile on this thread; the forward-only
-                    # batch computes each distinct (node, t) once.
+                    # hit), one tile per level; the forward-only batch
+                    # computes each distinct (node, t) once.
                     misses = slice(None) if rows is None else ~hits
                     generator = self.prep.generator
                     minibatch = generator.build(nodes[misses], times[misses],
-                                                train=False)
+                                                self.rng, train=False)
                     fresh = self.backbone.embed(minibatch, generator.hop_tile).data
                     distinct = minibatch.hops[0]
                     uniq_nodes = distinct.batch.root_nodes

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-__all__ = ["new_rng", "spawn_rngs"]
+__all__ = ["new_rng", "spawn_rngs", "TileGenerator"]
 
 
 def new_rng(seed: Optional[int] = None) -> np.random.Generator:
@@ -29,3 +29,27 @@ def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
     """
     seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
+
+
+class TileGenerator:
+    """The generator of one prep tile, ``default_rng(seed)``, built at its
+    first draw.
+
+    Every tile takes its seed from one raw draw of its caller's generator,
+    whether or not anything in it draws.  Building the generator costs
+    about 30 µs inside a serve flush on a 2-vCPU host, 8 % of a 3-query
+    flush, so a tile that draws nothing (``recent`` neighbors, a greedy
+    selection) never builds it.
+    Any attribute is the built generator's.
+    """
+
+    __slots__ = ("seed", "_generator")
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self._generator: Optional[np.random.Generator] = None
+
+    def __getattr__(self, name: str):
+        if self._generator is None:
+            self._generator = np.random.default_rng(self.seed)
+        return getattr(self._generator, name)

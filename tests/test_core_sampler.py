@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (AdaptiveNeighborSampler, MiniBatchGenerator, TaserConfig,
-                        sensitivity_sample_loss, tgat_analytic_sample_loss,
                         build_sample_loss)
 from repro.core.decoders import LinearDecoder
 from repro.core.neighbor_sampler import NeighborSelection
@@ -16,13 +15,15 @@ from repro.models import GraphMixer, TGAT
 from repro.sampling import GPUNeighborFinder, NeighborBatch
 from repro.tensor import Tensor, concatenate, gradcheck
 from repro.tensor import functional as F
+from repro.utils.tiles import Tiles
 
 
 def candidates_for(graph, tcsr, m=8, count=60, seed=0):
-    finder = GPUNeighborFinder(tcsr, policy="uniform", seed=seed)
+    finder = GPUNeighborFinder(tcsr, policy="uniform")
     rng = np.random.default_rng(seed)
     idx = rng.integers(graph.num_edges // 2, graph.num_edges, count)
-    cand = finder.sample(graph.src[idx], graph.ts[idx], m)
+    cand = finder.sample(graph.src[idx], graph.ts[idx], m,
+                         np.random.default_rng(seed))
     efeat = graph.edge_feat[cand.eids].astype(np.float64) if graph.edge_feat is not None else None
     return cand, efeat
 
@@ -52,7 +53,7 @@ class TestAdaptiveNeighborSampler:
     def test_selection_only_picks_valid_when_available(self, small_graph, small_tcsr):
         cand, efeat = candidates_for(small_graph, small_tcsr)
         sampler = AdaptiveNeighborSampler(0, small_graph.edge_dim, 8, seed=1)
-        sel = sampler(cand, 4, edge_feat=efeat)
+        sel = sampler(cand, 4, edge_feat=efeat, rng=np.random.default_rng(1))
         assert sel.columns.shape == (cand.batch_size, 4)
         counts = cand.valid_counts()
         # every selected-and-valid column really is a valid candidate
@@ -64,7 +65,7 @@ class TestAdaptiveNeighborSampler:
     def test_selected_columns_are_distinct(self, small_graph, small_tcsr):
         cand, efeat = candidates_for(small_graph, small_tcsr)
         sampler = AdaptiveNeighborSampler(0, small_graph.edge_dim, 8, seed=2)
-        sel = sampler(cand, 5, edge_feat=efeat)
+        sel = sampler(cand, 5, edge_feat=efeat, rng=np.random.default_rng(2))
         for i in range(cand.batch_size):
             cols = sel.columns[i][sel.mask[i]]
             assert cols.size == np.unique(cols).size
@@ -72,7 +73,7 @@ class TestAdaptiveNeighborSampler:
     def test_greedy_selection_is_argmax(self, small_graph, small_tcsr):
         cand, efeat = candidates_for(small_graph, small_tcsr)
         sampler = AdaptiveNeighborSampler(0, small_graph.edge_dim, 8, seed=3)
-        sel = sampler(cand, 1, edge_feat=efeat, greedy=True)
+        sel = sampler(cand, 1, edge_feat=efeat)
         valid_rows = cand.mask.any(axis=1)
         masked = np.where(cand.mask, sel.probabilities, -np.inf)
         assert np.array_equal(sel.columns[valid_rows, 0],
@@ -81,7 +82,7 @@ class TestAdaptiveNeighborSampler:
     def test_log_prob_gradients_reach_theta(self, small_graph, small_tcsr):
         cand, efeat = candidates_for(small_graph, small_tcsr)
         sampler = AdaptiveNeighborSampler(0, small_graph.edge_dim, 8, seed=4)
-        sel = sampler(cand, 4, edge_feat=efeat)
+        sel = sampler(cand, 4, edge_feat=efeat, rng=np.random.default_rng(4))
         (sel.log_prob * Tensor(sel.mask.astype(float))).sum().backward()
         grads = [p.grad for p in sampler.parameters() if p.grad is not None]
         assert grads and any(np.any(g != 0) for g in grads)
@@ -105,7 +106,7 @@ class TestAdaptiveNeighborSampler:
         sampler = AdaptiveNeighborSampler(featured_graph.node_dim,
                                           featured_graph.edge_dim, 8, seed=5)
         sel = sampler(cand, 3, edge_feat=efeat, neigh_node_feat=nfeat,
-                      target_node_feat=tfeat)
+                      target_node_feat=tfeat, rng=np.random.default_rng(5))
         assert np.isfinite(sel.probabilities).all()
         assert sampler.live_channels == 2 * sampler.feat_dim
 
@@ -114,7 +115,7 @@ class TestAdaptiveNeighborSampler:
         cand, efeat = candidates_for(small_graph, small_tcsr)
         sampler = AdaptiveNeighborSampler(0, small_graph.edge_dim, 8,
                                           decoder=decoder, seed=6)
-        sel = sampler(cand, 3, edge_feat=efeat)
+        sel = sampler(cand, 3, edge_feat=efeat, rng=np.random.default_rng(6))
         assert sel.columns.shape == (cand.batch_size, 3)
 
     @pytest.mark.parametrize("decoder", ["linear", "gat", "gatv2", "transformer"])
@@ -182,10 +183,11 @@ def composed_probabilities(sampler, cand, edge_feat=None, neigh_node_feat=None,
     return F.masked_softmax(scores * (1.0 / sampler.temperature), cand.mask, axis=-1)
 
 
-def composed_select(sampler, probabilities, mask, budget, greedy):
-    """Gumbel-top-k over ``log q`` from the sampler's selection stream, and
-    ``log(q + 1e-20)`` of the picked as ``log`` / ``getitem`` nodes."""
-    noise = None if greedy else sampler._select_rng.gumbel(size=probabilities.shape)
+def composed_select(probabilities, mask, budget, rng):
+    """Gumbel-top-k over ``log q`` with noise from ``rng`` (``None``: the
+    greedy top-k), and ``log(q + 1e-20)`` of the picked as ``log`` /
+    ``getitem`` nodes."""
+    noise = None if rng is None else rng.gumbel(size=probabilities.shape)
     keys = np.log(np.maximum(probabilities.data, 1e-20))
     if noise is not None:
         keys = keys + noise
@@ -198,14 +200,13 @@ def composed_select(sampler, probabilities, mask, budget, greedy):
                              probabilities=probabilities)
 
 
-def all_rows_oracle(sampler, cand, budget, efeat, greedy, nfeat=None, tfeat=None):
+def all_rows_oracle(sampler, cand, budget, efeat, rng, nfeat=None, tfeat=None):
     """Score and select over every row with the composed chain: what a hop
     computed before it was four graph nodes on the live rows."""
     if budget > cand.budget:
         raise ValueError("selection budget exceeds the candidate budget")
-    return composed_select(sampler, composed_probabilities(sampler, cand, efeat, nfeat,
-                                                           tfeat),
-                           cand.mask, budget, greedy)
+    return composed_select(composed_probabilities(sampler, cand, efeat, nfeat, tfeat),
+                           cand.mask, budget, rng)
 
 
 def synthetic_candidates(seed, rows, pattern):
@@ -242,23 +243,25 @@ def parameter_grads(sampler, selection, coeff):
 
 
 def sampler_pair(seed, **kwargs):
-    """Two samplers with the same parameters and selection stream."""
+    """Two samplers with the same parameters."""
     return (AdaptiveNeighborSampler(seed=seed % 7, **kwargs),
             AdaptiveNeighborSampler(seed=seed % 7, **kwargs))
 
 
-def assert_matches_oracle(got, want, sampler, oracle, cand, coeff):
+def assert_matches_oracle(got, want, sampler, oracle, cand, coeff,
+                          mine=None, theirs=None):
     """``TestLiveRowSampling``'s float64 bar: columns and masks exactly
     equal, ``log_prob``, probabilities and every parameter gradient within
-    1e-12, the selection stream where the oracle left its own."""
+    1e-12, and the sampler's generator ``mine`` where the oracle left its
+    own (``None`` for a greedy selection)."""
     live = cand.mask.any(axis=1)
     assert np.array_equal(got.columns, want.columns)
     assert np.array_equal(got.mask, want.mask)
     np.testing.assert_allclose(got.log_prob.data, want.log_prob.data, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.probabilities, want.probabilities.data,
                                rtol=0, atol=1e-12)
-    assert (sampler._select_rng.bit_generator.state
-            == oracle._select_rng.bit_generator.state)
+    if mine is not None:
+        assert mine.bit_generator.state == theirs.bit_generator.state
     # dead rows read exactly what the oracle gives them
     budget = got.columns.shape[1]
     assert np.array_equal(got.columns[~live],
@@ -293,11 +296,13 @@ class TestLiveRowSampling:
             seed, node_dim=NODE_DIM if node_feats else 0, edge_dim=EDGE_DIM,
             num_candidates=M, decoder=decoder, use_frequency_encoding=frequency,
             use_identity_encoding=identity, temperature=temperature)
+        mine, theirs = (None, None) if greedy else (np.random.default_rng(seed),
+                                                    np.random.default_rng(seed))
         got = sampler(cand, budget, edge_feat=efeat, neigh_node_feat=nfeat,
-                      target_node_feat=tfeat, greedy=greedy)
-        want = all_rows_oracle(oracle, cand, budget, efeat, greedy, nfeat, tfeat)
+                      target_node_feat=tfeat, rng=mine)
+        want = all_rows_oracle(oracle, cand, budget, efeat, theirs, nfeat, tfeat)
         coeff = np.random.default_rng(seed).standard_normal((rows, budget))
-        assert_matches_oracle(got, want, sampler, oracle, cand, coeff)
+        assert_matches_oracle(got, want, sampler, oracle, cand, coeff, mine, theirs)
 
     @pytest.mark.parametrize("budget", [2, M])
     def test_greedy_ties_keep_the_stable_order(self, budget):
@@ -309,8 +314,8 @@ class TestLiveRowSampling:
                                        num_candidates=M)
         for s in (sampler, oracle):
             s.decoder.score.weight.data[:] = 0.0
-        got = sampler(cand, budget, edge_feat=efeat, greedy=True)
-        want = all_rows_oracle(oracle, cand, budget, efeat, True)
+        got = sampler(cand, budget, edge_feat=efeat)
+        want = all_rows_oracle(oracle, cand, budget, efeat, None)
         live = cand.mask.any(axis=1)
         stable = np.argsort(~cand.mask, axis=1, kind="stable")[:, :budget]
         assert np.array_equal(got.columns[live], stable[live])
@@ -325,7 +330,8 @@ class TestLiveRowSampling:
         log-probabilities of a linear-decoder hop, parameters aside."""
         cand, efeat, _, _ = synthetic_candidates(5, 9, "random")
         sampler = AdaptiveNeighborSampler(0, EDGE_DIM, M, seed=0)
-        log_prob = sampler(cand, 3, edge_feat=efeat).log_prob
+        log_prob = sampler(cand, 3, edge_feat=efeat,
+                           rng=np.random.default_rng(0)).log_prob
         ops, node = [], log_prob
         while node._prev:
             ops.append(node._op)
@@ -345,11 +351,12 @@ class TestLiveRowSampling:
         roots = small_graph.src[:20]
         times = np.full(20, small_graph.ts.min())
         for train in (False, True):
-            mb = gen.build(roots, times, train=train)
+            mb = gen.build(roots, times, np.random.default_rng(0), train=train)
             mb.check_invariants()
             for hop in mb.hops:
                 assert not hop.batch.mask.any()
-        candidates = gen.layer_candidates(roots, times).candidates
+        candidates = gen.layer_candidates(roots, times,
+                                          np.random.default_rng(0)).candidates
         selection = sampler(candidates, 4)
         assert selection.columns.shape == selection.mask.shape == (20, 4)
         assert selection.log_prob.shape == (20, 4)
@@ -413,7 +420,7 @@ class TestSamplerNodes:
 
 class TestSampleLoss:
     def _training_minibatch(self, graph, tcsr, backbone="graphmixer", n=5, m=8):
-        finder = GPUNeighborFinder(tcsr, policy="uniform", seed=0)
+        finder = GPUNeighborFinder(tcsr, policy="uniform")
         store = FeatureStore(graph)
         sampler = AdaptiveNeighborSampler(graph.node_dim, graph.edge_dim, m, seed=0)
         layers = 2 if backbone == "tgat" else 1
@@ -422,7 +429,7 @@ class TestSampleLoss:
         idx = rng.integers(graph.num_edges // 2, graph.num_edges, 30)
         roots = np.concatenate([graph.src[idx], graph.dst[idx]])
         times = np.concatenate([graph.ts[idx], graph.ts[idx]])
-        mb = gen.build(roots, times, train=True)
+        mb = gen.build(roots, times, np.random.default_rng(0), train=True)
         if backbone == "tgat":
             model = TGAT(graph.node_dim, graph.edge_dim, hidden_dim=8, time_dim=4,
                          num_heads=1, dropout=0.0, rng=np.random.default_rng(1))
@@ -435,25 +442,26 @@ class TestSampleLoss:
 
     def test_sensitivity_loss_trains_sampler(self, small_graph, small_tcsr):
         mb, emb, _, sampler = self._training_minibatch(small_graph, small_tcsr)
-        loss = sensitivity_sample_loss(mb.hops, mb.batch_size)
+        loss = build_sample_loss("sensitivity", mb.hops, mb.batch_size, emb)
         assert loss is not None
         loss.backward()
         grads = [p.grad for p in sampler.parameters() if p.grad is not None]
         assert grads and any(np.any(g != 0) for g in grads)
 
     def test_returns_none_without_adaptive_hops(self, small_graph, small_tcsr):
-        finder = GPUNeighborFinder(small_tcsr, seed=0)
+        finder = GPUNeighborFinder(small_tcsr)
         gen = MiniBatchGenerator(finder, FeatureStore(small_graph), 1, 5, 5)
         idx = np.arange(800, 830)
-        mb = gen.build(small_graph.src[idx], small_graph.ts[idx], train=True)
-        assert sensitivity_sample_loss(mb.hops, mb.batch_size) is None
+        mb = gen.build(small_graph.src[idx], small_graph.ts[idx],
+                       np.random.default_rng(0), train=True)
+        assert build_sample_loss("sensitivity", mb.hops, mb.batch_size, None) is None
 
     def test_tgat_analytic_loss(self, small_graph, small_tcsr):
         mb, emb, model, sampler = self._training_minibatch(small_graph, small_tcsr,
                                                            backbone="tgat")
-        loss = tgat_analytic_sample_loss(mb.hops, mb.batch_size, emb,
-                                         model.last_layer_attention(),
-                                         alpha=2.0, beta=1.0)
+        loss = build_sample_loss("tgat_analytic", mb.hops, mb.batch_size, emb,
+                                 attention=model.last_layer_attention(),
+                                 alpha=2.0, beta=1.0)
         assert loss is not None
         loss.backward()
         assert any(p.grad is not None for p in sampler.parameters())
@@ -467,7 +475,7 @@ class TestSampleLoss:
     def test_alpha_validation(self, small_graph, small_tcsr):
         mb, emb, _, _ = self._training_minibatch(small_graph, small_tcsr)
         with pytest.raises(ValueError):
-            sensitivity_sample_loss(mb.hops, mb.batch_size, alpha=0.0)
+            build_sample_loss("sensitivity", mb.hops, mb.batch_size, emb, alpha=0.0)
 
 
 class TestMiniBatchGenerator:
@@ -475,7 +483,8 @@ class TestMiniBatchGenerator:
         gen = MiniBatchGenerator(GPUNeighborFinder(small_tcsr),
                                  FeatureStore(small_graph), 2, 5, 5)
         idx = np.arange(700, 740)
-        mb = gen.build(small_graph.src[idx], small_graph.ts[idx])
+        mb = gen.build(small_graph.src[idx], small_graph.ts[idx],
+                       np.random.default_rng(0))
         mb.check_invariants()
         assert mb.hops[0].budget == 5
         assert mb.hops[0].log_prob is None
@@ -486,12 +495,14 @@ class TestMiniBatchGenerator:
                                  FeatureStore(small_graph), 1, 5, 12,
                                  adaptive_sampler=sampler)
         idx = np.arange(700, 740)
-        mb = gen.build(small_graph.src[idx], small_graph.ts[idx], train=True)
+        mb = gen.build(small_graph.src[idx], small_graph.ts[idx],
+                       np.random.default_rng(0), train=True)
         hop = mb.hops[0]
         assert hop.budget == 5
         assert hop.log_prob is not None and hop.gate is not None
         # eval mode: no gates, no log-probs
-        mb_eval = gen.build(small_graph.src[idx], small_graph.ts[idx], train=False)
+        mb_eval = gen.build(small_graph.src[idx], small_graph.ts[idx],
+                       np.random.default_rng(0), train=False)
         assert mb_eval.hops[0].gate is None and mb_eval.hops[0].log_prob is None
 
     def test_edge_features_align_with_selected_eids(self, small_graph, small_tcsr):
@@ -500,13 +511,47 @@ class TestMiniBatchGenerator:
                                  FeatureStore(small_graph), 1, 4, 10,
                                  adaptive_sampler=sampler)
         idx = np.arange(900, 950)
-        mb = gen.build(small_graph.src[idx], small_graph.ts[idx], train=True)
+        mb = gen.build(small_graph.src[idx], small_graph.ts[idx],
+                       np.random.default_rng(0), train=True)
         hop = mb.hops[0]
         expect = small_graph.edge_feat[hop.batch.eids]
         expect[~hop.batch.mask] = 0.0
         got = hop.edge_feat.copy()
         got[~hop.batch.mask] = 0.0
         assert np.allclose(got, expect)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_recent_without_sampler_draws_nothing(self, small_graph, small_tcsr,
+                                                  train):
+        """``recent`` and no adaptive sampler leave a tile nothing to draw:
+        two generators build the same batch, tile for tile, which is why a
+        workload on that configuration keeps its numbers under any seeding
+        of the tiles.  ``uniform`` under the same two generators differs."""
+        idx = np.arange(700, 760)
+        tiles = None if train else Tiles(16)
+
+        def tiles_of(policy, seed):
+            gen = MiniBatchGenerator(GPUNeighborFinder(small_tcsr, policy=policy),
+                                     FeatureStore(small_graph), 2, 4, 4)
+            mb = gen.build(small_graph.src[idx], small_graph.ts[idx],
+                           np.random.default_rng(seed), train=train, tiles=tiles)
+            return [(hop.inverse, gen.hop_tile(hop, index, rows))
+                    for hop in mb.hops for index, rows in
+                    enumerate((tiles or Tiles()).split(hop.num_targets))]
+
+        def same(a, b):
+            return len(a) == len(b) and all(
+                np.array_equal(inv_a, inv_b) and all(
+                    np.array_equal(getattr(tile_a.batch, name), getattr(tile_b.batch, name))
+                    for name in ("root_nodes", "root_times", "nodes", "eids",
+                                 "times", "mask"))
+                and np.array_equal(tile_a.edge_feat, tile_b.edge_feat)
+                for (inv_a, tile_a), (inv_b, tile_b) in zip(a, b))
+        recent = tiles_of("recent", 0)
+        # one tile per level to train, several per level to score
+        assert len(recent) == 2 if train else len(recent) > 4
+        assert same(recent, tiles_of("recent", 1))
+        assert not same(tiles_of("uniform", 0), tiles_of("uniform", 1))
 
     @pytest.mark.parametrize("rows,m,n,dim", [(1, 5, 5, 3), (37, 10, 5, 32), (8, 6, 2, 1)])
     def test_gather_columns_is_take_along_axis_bitwise(self, rows, m, n, dim):
@@ -535,7 +580,8 @@ class TestMiniBatchGenerator:
                                  FeatureStore(small_graph), 1, 4, 8,
                                  adaptive_sampler=sampler, timer=timer)
         idx = np.arange(700, 720)
-        gen.build(small_graph.src[idx], small_graph.ts[idx], train=True)
+        gen.build(small_graph.src[idx], small_graph.ts[idx],
+                       np.random.default_rng(0), train=True)
         totals = timer.totals()
         assert {"NF", "FS", "AS"} <= set(totals)
         assert all(v >= 0 for v in totals.values())

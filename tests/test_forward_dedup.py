@@ -42,7 +42,7 @@ def tiny():
 
 class TestExactTargets:
     def test_roots_collapse_to_their_distinct_queries(self, tiny):
-        hop = tiny.build(ROOTS, TIMES, train=False).hops[0]
+        hop = tiny.build(ROOTS, TIMES, np.random.default_rng(0), train=False).hops[0]
         assert hop.batch.root_nodes.tolist() == [1, 2, 2, 4]
         assert hop.batch.root_times.tolist() == [5.0, 1.5, 2.0, 5.0]
         assert hop.inverse.tolist() == [0, 3, 0, 1, 2]
@@ -52,7 +52,7 @@ class TestExactTargets:
                                            [True, False], [True, True]]
 
     def test_frontier_slots_collapse_to_their_distinct_queries(self, tiny):
-        first, second = tiny.build(ROOTS, TIMES, train=False).hops
+        first, second = tiny.build(ROOTS, TIMES, np.random.default_rng(0), train=False).hops
         slots = list(zip(*flatten_frontier(first.batch)))
         assert slots == [(3, 2.0), (2, 1.0), (1, 1.0), (0, 0.0),
                          (1, 1.0), (0, 0.0), (2, 3.0), (3, 2.0)]
@@ -66,10 +66,10 @@ class TestExactTargets:
                                               [False, False]]
 
     def test_training_batches_collapse_to_the_same_levels(self, tiny):
-        mb = tiny.build(ROOTS, TIMES, train=True)
+        mb = tiny.build(ROOTS, TIMES, np.random.default_rng(0), train=True)
         mb.check_invariants()
         assert [hop.num_targets for hop in mb.hops] == [4, 5]
-        levels = tiny.build(ROOTS, TIMES, train=False).hops
+        levels = tiny.build(ROOTS, TIMES, np.random.default_rng(0), train=False).hops
         for hop, level in zip(mb.hops, levels):
             assert hop.inverse.tolist() == level.inverse.tolist()
             assert hop.batch.root_nodes.tolist() == level.batch.root_nodes.tolist()
@@ -82,12 +82,12 @@ class TestExactTargets:
 
 class TestInverseInvariants:
     def test_deduplicated_batch_passes(self, tiny):
-        tiny.build(ROOTS, TIMES, train=False).check_invariants()
+        tiny.build(ROOTS, TIMES, np.random.default_rng(0), train=False).check_invariants()
 
     @pytest.mark.parametrize("corrupt", ["misroute", "unreached", "short",
                                          "repeat"])
     def test_corrupt_inverse_detected(self, tiny, corrupt):
-        mb = tiny.build(ROOTS, TIMES, train=False)
+        mb = tiny.build(ROOTS, TIMES, np.random.default_rng(0), train=False)
         hop = mb.hops[1]
         if corrupt == "misroute":        # slot 0 is (3, 2.0), not (2, 1.0)
             hop.inverse[0] = 2
@@ -107,13 +107,13 @@ class TestInverseInvariants:
 # oracle: the per-row forward-only batch
 # ---------------------------------------------------------------------------
 
-def per_row_build(gen, roots, times, rng=None):
+def per_row_build(gen, roots, times, rng):
     """One target per row at every hop, greedy selection: the forward-only
     batch as it was built before deduplication."""
     mb = MiniBatch(root_nodes=roots, root_times=times)
     nodes = roots
     for _ in range(gen.num_layers):
-        stage = gen.layer_candidates(nodes, times, rng=rng)
+        stage = gen.layer_candidates(nodes, times, rng)
         hop = HopData(batch=stage.candidates, edge_feat=stage.edge_feat,
                       neigh_node_feat=stage.neigh_node_feat,
                       target_node_feat=stage.target_node_feat)
@@ -121,7 +121,7 @@ def per_row_build(gen, roots, times, rng=None):
             columns = gen.adaptive_sampler(
                 stage.candidates, gen.num_neighbors, edge_feat=stage.edge_feat,
                 neigh_node_feat=stage.neigh_node_feat,
-                target_node_feat=stage.target_node_feat, greedy=True).columns
+                target_node_feat=stage.target_node_feat).columns
             hop.batch = stage.candidates.select(columns)
             hop.edge_feat = gen._gather_columns(stage.edge_feat, columns)
             hop.neigh_node_feat = gen._gather_columns(stage.neigh_node_feat,
@@ -172,7 +172,7 @@ def test_recent_scores_equal_the_per_row_oracle(small_graph, variant):
     queries = (graph.src[edges], graph.dst[edges], graph.ts[edges], negatives)
 
     # Repeated queries at every level, or the comparison shows nothing.
-    mb = trainer.prep.prepare_eval(*queries).minibatch
+    mb = trainer.prep.prepare_eval(*queries, rng=np.random.default_rng(0)).minibatch
     for hop in mb.hops:
         assert hop.num_targets < hop.inverse.size
 

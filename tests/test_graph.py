@@ -137,9 +137,10 @@ def _assert_gpu_finder_exact(tcsr, nodes, times, budget):
     gpu = GPUNeighborFinder(tcsr, policy="recent")
     np.testing.assert_array_equal(gpu.batched_pivots(nodes, times),
                                   tcsr.pivots(nodes, times))
-    got = gpu.sample(nodes, times, budget)
+    rng = np.random.default_rng(0)
+    got = gpu.sample(nodes, times, budget, rng)
     want = OriginalNeighborFinder(tcsr, policy="recent").sample(nodes, times,
-                                                                budget)
+                                                                budget, rng)
     for field in ("nodes", "eids", "times", "mask"):
         np.testing.assert_array_equal(getattr(got, field),
                                       getattr(want, field), err_msg=field)

@@ -303,6 +303,17 @@ class TestServeCLI:
         assert len(payload["scores_hash"]) == 16
         assert payload["replay_hash"] is None
 
+    def test_serve_default_is_time_exact(self, capsys):
+        """``repro serve`` serves what the engine serves by default: no
+        reused embedding, the scores of ``--staleness-time 0``."""
+        assert main(self.SERVE_ARGS + ["--json"]) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert main(self.SERVE_ARGS + ["--staleness-time", "0", "--json"]) == 0
+        exact = json.loads(capsys.readouterr().out)
+        assert default["staleness_time"] == 0.0
+        assert default["embeddings_reused"] == 0
+        assert default["scores_hash"] == exact["scores_hash"]
+
     def test_serve_text_output(self, capsys):
         assert main(self.SERVE_ARGS) == 0
         out = capsys.readouterr().out

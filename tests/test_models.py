@@ -17,7 +17,7 @@ RNG = np.random.default_rng(0)
 
 
 def build_minibatch(graph, tcsr, num_layers, n, batch=40, policy="uniform", seed=0):
-    finder = GPUNeighborFinder(tcsr, policy=policy, seed=seed)
+    finder = GPUNeighborFinder(tcsr, policy=policy)
     store = FeatureStore(graph)
     gen = MiniBatchGenerator(finder, store, num_layers, n, n)
     rng = np.random.default_rng(seed)
@@ -26,7 +26,7 @@ def build_minibatch(graph, tcsr, num_layers, n, batch=40, policy="uniform", seed
     times = np.concatenate([graph.ts[idx], graph.ts[idx]])
     # A training batch: it carries its features and keeps the autograd graph
     # (a forward-only batch is embedded tile by tile, without either).
-    return gen, gen.build(roots, times, train=True)
+    return gen, gen.build(roots, times, np.random.default_rng(seed), train=True)
 
 
 class TestEdgePredictor:

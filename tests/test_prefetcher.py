@@ -189,9 +189,9 @@ class TestVectorisedPlan:
         idx = rng.integers(0, plan_graph.num_edges, 300)
         nodes, times = plan_graph.src[idx], plan_graph.ts[idx]
         reference = OriginalNeighborFinder(tcsr, policy="recent").sample(
-            nodes, times, 7)
+            nodes, times, 7, np.random.default_rng(0))
         vectorised = GPUNeighborFinder(tcsr, policy="recent").sample(
-            nodes, times, 7)
+            nodes, times, 7, np.random.default_rng(0))
         assert np.array_equal(reference.nodes, vectorised.nodes)
         assert np.array_equal(reference.eids, vectorised.eids)
         assert np.array_equal(reference.times, vectorised.times)
@@ -208,7 +208,7 @@ class TestEmptyNeighborhoods:
         # Query at (and before) the first event: nothing is in the past.
         t0 = float(engine_graph.ts.min())
         nodes = np.arange(5, dtype=np.int64)
-        batch = finder.sample(nodes, np.full(5, t0), 4)
+        batch = finder.sample(nodes, np.full(5, t0), 4, np.random.default_rng(0))
         assert not batch.mask.any()
         batch.check_padding()  # sentinel contract
 

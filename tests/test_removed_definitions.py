@@ -4,14 +4,18 @@ Each ``(owner, name)`` pair names a module, class or function and a name it
 no longer defines: a module attribute, a class member (``object``'s own
 members do not count, so ``Tensor.__gt__`` is checked on ``Tensor`` itself)
 or a keyword parameter of a callable.  The three parameters were knobs that
-only one value ever reached; their value is now a constant.  The last group
+only one value ever reached; their value is now a constant.  One group
 went when training took the level-wise batch: the recursion lives on in
-``tests/recursive_oracle.py`` as an oracle.
+``tests/recursive_oracle.py`` as an oracle.  The last went with the one RNG
+protocol: no finder or adaptive sampler holds a generator, which
+``test_no_component_holds_a_generator`` checks on instances, since an
+instance attribute is not a class member.
 """
 
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 GONE = {
@@ -34,7 +38,8 @@ GONE = {
     "repro.utils": ["RngMixin", "seed_everything"],
     "repro.utils.rng": ["RngMixin", "seed_everything"],
     "repro.utils.timer:Timer": ["counts", "total"],
-    "repro.core": ["asdict_shallow"],
+    "repro.core": ["asdict_shallow", "sensitivity_sample_loss",
+                   "tgat_analytic_sample_loss"],
     "repro.core.config": ["asdict_shallow"],
     "repro.encoders": ["sort_by_recency"],
     "repro.encoders.identity_encoding": ["sort_by_recency"],
@@ -59,6 +64,15 @@ GONE = {
     "repro.core.pipeline:MiniBatchGenerator": ["_build_levels"],
     "repro.models.minibatch:HopData": ["candidates"],
     "repro.models.minibatch:MiniBatch": ["root_node_feat"],
+    # One RNG protocol: every draw of a tile comes from the tile's generator.
+    "repro.sampling.base:NeighborFinder": ["rng", "seed"],
+    "repro.sampling.gpu_finder:GPUNeighborFinder": ["rng", "seed"],
+    "repro.bench.finders:OriginalNeighborFinder": ["rng", "seed"],
+    "repro.bench.finders:TGLNeighborFinder": ["rng", "seed"],
+    "repro.core.neighbor_sampler:AdaptiveNeighborSampler": ["_select_rng"],
+    "repro.core.neighbor_sampler:AdaptiveNeighborSampler.forward": ["greedy"],
+    "repro.core.sample_loss": ["sensitivity_sample_loss",
+                               "tgat_analytic_sample_loss"],
 }
 
 
@@ -86,3 +100,21 @@ def test_deleted(owner, name):
     assert not _defines(target, name)
     if inspect.isclass(target):
         assert name not in inspect.signature(target).parameters
+
+
+def test_no_component_holds_a_generator():
+    from repro.bench.finders import OriginalNeighborFinder, TGLNeighborFinder
+    from repro.core import AdaptiveNeighborSampler
+    from repro.graph import TemporalGraph, build_tcsr
+    from repro.sampling import GPUNeighborFinder
+
+    tcsr = build_tcsr(TemporalGraph(num_nodes=3, src=np.array([0]),
+                                    dst=np.array([1]), ts=np.array([1.0])))
+    components = [finder(tcsr, policy) for policy in ("uniform", "recent")
+                  for finder in (GPUNeighborFinder, OriginalNeighborFinder,
+                                 TGLNeighborFinder)]
+    components.append(AdaptiveNeighborSampler(0, 2, 4))
+    for component in components:
+        held = [name for name, value in vars(component).items()
+                if isinstance(value, (np.random.Generator, np.random.BitGenerator))]
+        assert held == [], (type(component).__name__, held)

@@ -37,7 +37,7 @@ def chronological_queries(graph, count=300):
 class TestNeighborBatch:
     def test_delta_and_counts(self, small_graph, small_tcsr):
         nodes, times = query_batch(small_graph)
-        nb = GPUNeighborFinder(small_tcsr).sample(nodes, times, 7)
+        nb = GPUNeighborFinder(small_tcsr).sample(nodes, times, 7, np.random.default_rng(0))
         delta = nb.delta_t()
         assert np.all(delta[nb.mask] > 0)
         assert np.all(delta[~nb.mask] == 0)
@@ -54,7 +54,7 @@ class TestNeighborBatch:
 
     def test_select_columns(self, small_graph, small_tcsr):
         nodes, times = query_batch(small_graph, 50)
-        nb = GPUNeighborFinder(small_tcsr).sample(nodes, times, 6)
+        nb = GPUNeighborFinder(small_tcsr).sample(nodes, times, 6, np.random.default_rng(0))
         cols = np.tile(np.array([2, 0, 1]), (nb.batch_size, 1))
         sub = nb.select(cols)
         assert sub.budget == 3
@@ -74,8 +74,8 @@ class TestFinderCorrectness:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_causality_and_shapes(self, small_graph, small_tcsr, kind, policy):
         nodes, times = chronological_queries(small_graph)
-        finder = FINDERS[kind](small_tcsr, policy=policy, seed=0)
-        nb = finder.sample(nodes, times, 8)
+        finder = FINDERS[kind](small_tcsr, policy=policy)
+        nb = finder.sample(nodes, times, 8, np.random.default_rng(0))
         nb.check_invariants()
         assert nb.nodes.shape == (nodes.size, 8)
 
@@ -84,15 +84,17 @@ class TestFinderCorrectness:
         """All finders must return exactly the same most-recent neighbors."""
         nodes, times = chronological_queries(small_graph)
         reference = OriginalNeighborFinder(small_tcsr, policy="recent").sample(
-            nodes, times, 5)
-        other = FINDERS[kind](small_tcsr, policy="recent").sample(nodes, times, 5)
+            nodes, times, 5, np.random.default_rng(0))
+        other = FINDERS[kind](small_tcsr, policy="recent").sample(
+            nodes, times, 5, np.random.default_rng(0))
         assert np.array_equal(reference.mask, other.mask)
         assert np.array_equal(reference.eids[reference.mask], other.eids[other.mask])
 
     @pytest.mark.parametrize("kind", FINDERS)
     def test_uniform_no_duplicates(self, small_graph, small_tcsr, kind):
         nodes, times = chronological_queries(small_graph)
-        nb = FINDERS[kind](small_tcsr, policy="uniform", seed=1).sample(nodes, times, 6)
+        nb = FINDERS[kind](small_tcsr, policy="uniform").sample(
+            nodes, times, 6, np.random.default_rng(1))
         for i in range(nb.batch_size):
             eids = nb.eids[i][nb.mask[i]]
             assert eids.size == np.unique(eids).size
@@ -101,7 +103,8 @@ class TestFinderCorrectness:
         """A node with fewer past interactions than the budget returns all of them."""
         nodes, times = chronological_queries(small_graph, 100)
         budget = 50
-        nb = GPUNeighborFinder(small_tcsr, policy="uniform").sample(nodes, times, budget)
+        nb = GPUNeighborFinder(small_tcsr, policy="uniform").sample(
+            nodes, times, budget, np.random.default_rng(0))
         counts = small_tcsr.pivots(nodes, times) - small_tcsr.indptr[nodes]
         expected = np.minimum(counts, budget)
         assert np.array_equal(nb.valid_counts(), expected)
@@ -111,9 +114,10 @@ class TestFinderCorrectness:
         deg = np.diff(small_tcsr.indptr)
         v = int(np.argmax(deg))
         t = float(small_tcsr.ts[small_tcsr.indptr[v + 1] - 1]) + 1.0
-        finder = GPUNeighborFinder(small_tcsr, policy="uniform", seed=3)
+        finder = GPUNeighborFinder(small_tcsr, policy="uniform")
         trials = 800
-        nb = finder.sample(np.full(trials, v), np.full(trials, t), 5)
+        nb = finder.sample(np.full(trials, v), np.full(trials, t), 5,
+                           np.random.default_rng(3))
         pivot = small_tcsr.pivot(v, t)
         population = pivot - small_tcsr.indptr[v]
         counts = np.bincount(nb.eids[nb.mask], minlength=small_graph.num_edges)
@@ -149,13 +153,14 @@ class TestFinderCorrectness:
         t_max = small_graph.ts.max() + 100.0
         nodes = np.arange(min(20, small_graph.num_nodes))
         nb = GPUNeighborFinder(small_tcsr, policy="recent").sample(
-            nodes, np.full(nodes.size, t_max), 4)
+            nodes, np.full(nodes.size, t_max), 4, np.random.default_rng(0))
         degrees = np.diff(small_tcsr.indptr)[nodes]
         assert np.array_equal(nb.valid_counts(), np.minimum(degrees, 4))
 
     def test_cold_start_node_empty_neighborhood(self, small_graph, small_tcsr):
         """Querying at time zero returns an empty, fully-masked neighborhood."""
-        nb = GPUNeighborFinder(small_tcsr).sample(np.array([0, 1]), np.array([0.0, 0.0]), 5)
+        nb = GPUNeighborFinder(small_tcsr).sample(np.array([0, 1]), np.array([0.0, 0.0]),
+                                                  5, np.random.default_rng(0))
         assert not nb.mask.any()
 
     def test_unknown_finder_kind(self, small_tcsr):
@@ -170,9 +175,10 @@ class TestTGLRestrictions:
     def test_strict_mode_rejects_out_of_order_queries(self, small_graph, small_tcsr):
         finder = TGLNeighborFinder(small_tcsr, strict=True)
         v = int(small_graph.src[500])
-        finder.sample(np.array([v]), np.array([small_graph.ts[500]]), 4)
+        rng = np.random.default_rng(0)
+        finder.sample(np.array([v]), np.array([small_graph.ts[500]]), 4, rng)
         with pytest.raises(ValueError):
-            finder.sample(np.array([v]), np.array([small_graph.ts[500] - 50.0]), 4)
+            finder.sample(np.array([v]), np.array([small_graph.ts[500] - 50.0]), 4, rng)
 
     def test_backward_query_fallback_matches_reference(self, small_graph, small_tcsr):
         """Non-strict mode answers backward queries correctly via the slow path."""
@@ -180,17 +186,19 @@ class TestTGLRestrictions:
         ref = OriginalNeighborFinder(small_tcsr, policy="recent")
         v = int(small_graph.src[800])
         late, early = float(small_graph.ts[800]), float(small_graph.ts[800]) / 3.0
-        finder.sample(np.array([v]), np.array([late]), 5)
-        a = finder.sample(np.array([v]), np.array([early]), 5)
-        b = ref.sample(np.array([v]), np.array([early]), 5)
+        rng = np.random.default_rng(0)
+        finder.sample(np.array([v]), np.array([late]), 5, rng)
+        a = finder.sample(np.array([v]), np.array([early]), 5, rng)
+        b = ref.sample(np.array([v]), np.array([early]), 5, rng)
         assert np.array_equal(a.eids[a.mask], b.eids[b.mask])
 
     def test_reset_allows_restart(self, small_graph, small_tcsr):
         finder = TGLNeighborFinder(small_tcsr)
         nodes, times = chronological_queries(small_graph, 100)
-        finder.sample(nodes, times, 4)
+        rng = np.random.default_rng(0)
+        finder.sample(nodes, times, 4, rng)
         finder.reset()
-        nb = finder.sample(nodes, times, 4)
+        nb = finder.sample(nodes, times, 4, rng)
         nb.check_invariants()
 
     def test_pointer_matches_binary_search(self, small_graph, small_tcsr):
@@ -198,21 +206,24 @@ class TestTGLRestrictions:
         finder = TGLNeighborFinder(small_tcsr, policy="recent")
         ref = OriginalNeighborFinder(small_tcsr, policy="recent")
         nodes, times = chronological_queries(small_graph, 400)
-        a = finder.sample(nodes, times, 6)
-        b = ref.sample(nodes, times, 6)
+        rng = np.random.default_rng(0)
+        a = finder.sample(nodes, times, 6, rng)
+        b = ref.sample(nodes, times, 6, rng)
         assert np.array_equal(a.eids[a.mask], b.eids[b.mask])
 
 
 class TestMultiHop:
     def test_shapes_cascade(self, small_graph, small_tcsr):
         roots, times = query_batch(small_graph, 30)
-        hops = sample_multi_hop(GPUNeighborFinder(small_tcsr), roots, times, [5, 3])
+        hops = sample_multi_hop(GPUNeighborFinder(small_tcsr), roots, times, [5, 3],
+                                np.random.default_rng(0))
         assert hops[0].nodes.shape == (30, 5)
         assert hops[1].nodes.shape == (150, 3)
 
     def test_frontier_times_are_hop_interaction_times(self, small_graph, small_tcsr):
         roots, times = query_batch(small_graph, 20)
-        hops = sample_multi_hop(GPUNeighborFinder(small_tcsr), roots, times, [4, 4])
+        hops = sample_multi_hop(GPUNeighborFinder(small_tcsr), roots, times, [4, 4],
+                                np.random.default_rng(0))
         nodes, next_times = flatten_frontier(hops[0])
         assert np.array_equal(hops[1].root_times, next_times)
         # hop-2 neighbors are strictly older than the hop-1 interaction they hang off.
@@ -221,7 +232,8 @@ class TestMultiHop:
     def test_padded_frontier_produces_empty_neighborhoods(self, small_graph, small_tcsr):
         roots = np.array([int(small_graph.src[0])])
         times = np.array([float(small_graph.ts[0]) + 1e-9])
-        hops = sample_multi_hop(GPUNeighborFinder(small_tcsr), roots, times, [6, 2])
+        hops = sample_multi_hop(GPUNeighborFinder(small_tcsr), roots, times, [6, 2],
+                                np.random.default_rng(0))
         invalid_rows = ~hops[0].mask.reshape(-1)
         assert not hops[1].mask[invalid_rows].any()
 
@@ -236,7 +248,8 @@ def test_property_gpu_finder_valid_sample(budget, seed):
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, graph.num_edges, 40)
     nodes, times = graph.src[idx], graph.ts[idx]
-    nb = GPUNeighborFinder(tcsr, policy="uniform", seed=seed).sample(nodes, times, budget)
+    nb = GPUNeighborFinder(tcsr, policy="uniform").sample(nodes, times, budget,
+                                                           np.random.default_rng(seed))
     nb.check_invariants()
     counts = tcsr.pivots(nodes, times) - tcsr.indptr[nodes]
     assert np.array_equal(nb.valid_counts(), np.minimum(counts, budget))

@@ -7,6 +7,8 @@ admission policies, deadline expiry on the injected clock — and the
 deterministic replay contract: bitwise-identical scores across runs.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -402,6 +404,21 @@ class TestServeEngineEdgeCases:
         results = engine.serve([LinkQuery(0, 1, last + 3.0)])
         assert results[0].status == "ok"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ingest_rejects_a_non_finite_time(self, trained, bad):
+        """A NaN slips past a ``<`` chronology check, and an inf would make
+        every later finite ingest fail: both are rejected, leaving the
+        history as it was."""
+        engine = make_engine(trained)
+        before = engine.graph.num_edges
+        last = float(engine.graph.ts[-1])
+        feat = np.zeros((1, engine.graph.edge_dim), dtype=np.float32)
+        with pytest.raises(ValueError, match="finite"):
+            engine.ingest(np.array([0]), np.array([1]), np.array([bad]), feat)
+        assert engine.graph.num_edges == engine.stcsr.num_events == before
+        engine.ingest(np.array([0]), np.array([1]), np.array([last + 1.0]), feat)
+        assert engine.graph.num_edges == engine.stcsr.num_events == before + 1
+
     def test_constructor_validation(self, trained):
         with pytest.raises(ValueError, match="max_batch"):
             make_engine(trained, max_batch=0)
@@ -465,6 +482,39 @@ class TestServeDeterminism:
         cached = make_engine(trained, max_batch=4, cache_nodes=16).serve(queries + queries)
         np.testing.assert_allclose([r.score for r in cached], [r.score for r in got],
                                    rtol=0, atol=1e-6)
+
+    def test_a_flush_draws_one_seed_per_level_tile_and_ingest_none(self, trained,
+                                                                     queries):
+        """The engine's generator is its one random stream: a flush's build
+        takes one raw draw per level (one tile each) to seed that level's
+        draws, and an ingest neither draws from it nor restarts it."""
+        engine = make_engine(trained, max_batch=8, finder_policy="uniform")
+        layers = engine.generator.num_layers
+        assert layers == 2
+        want = copy.deepcopy(engine.rng)
+        engine.serve(queries[:8])
+        want.bit_generator.random_raw(layers)
+        assert engine.rng.bit_generator.state == want.bit_generator.state
+        last = float(engine.graph.ts[-1])
+        engine.ingest(np.array([0]), np.array([1]), np.array([last + 1.0]),
+                      np.zeros((1, engine.graph.edge_dim), dtype=np.float32))
+        assert engine.rng.bit_generator.state == want.bit_generator.state
+
+    def test_ingest_does_not_restart_the_draws(self, trained, queries):
+        """Under ``uniform``, a query scored again after an ingest of later
+        events gets the score it gets without the ingest: the draws go on
+        from where the first flush left them."""
+        def twice(ingest):
+            engine = make_engine(trained, finder_policy="uniform")
+            first = engine.serve(queries[:1])[0].score
+            if ingest:
+                last = float(engine.graph.ts[-1])
+                engine.ingest(np.array([0]), np.array([1]), np.array([last + 1.0]),
+                              np.zeros((1, engine.graph.edge_dim), dtype=np.float32))
+            return first, engine.serve(queries[:1])[0].score
+        plain, ingested = twice(False), twice(True)
+        assert plain[0] != plain[1]
+        assert ingested == plain
 
     def test_cache_default_follows_the_staleness_bound(self, trained):
         quarter = max(1, trained.graph.num_nodes // 4)

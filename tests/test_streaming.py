@@ -1,6 +1,7 @@
 """Tests for the streaming subsystem: incremental T-CSR, in-place event
 ingestion, event streams and the online prequential train/eval loop."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -284,6 +285,36 @@ class TestStreamingTrainer:
             StreamingTrainer(warm, stream_config(batch_engine="aot"))
         with pytest.raises(ValueError, match="window_events"):
             StreamingTrainer(warm, stream_config(), window_events=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ingest_rejects_a_non_finite_time(self, small_graph, bad):
+        """A NaN slips past a ``<`` chronology check, and an inf would make
+        every later finite chunk fail: both are rejected, leaving the log as
+        it was."""
+        warm, _ = split_warmup(small_graph, warmup_events=240)
+        trainer = StreamingTrainer(warm, stream_config(), window_events=200)
+        last = float(trainer.graph.ts[-1])
+        feat = np.zeros((1, trainer.graph.edge_dim), dtype=np.float32)
+        with pytest.raises(ValueError, match="finite"):
+            trainer.ingest(EventChunk(np.array([0]), np.array([1]),
+                                      np.array([bad]), feat))
+        assert trainer.graph.num_edges == trainer.stcsr.num_events == 240
+        trainer.ingest(EventChunk(np.array([0]), np.array([1]),
+                                  np.array([last + 1.0]), feat))
+        assert trainer.graph.num_edges == trainer.stcsr.num_events == 241
+
+    def test_windows_share_one_batch_generator(self, small_graph):
+        """Every window's pipeline draws from the warm-start trainer's
+        generator, which goes on across windows instead of restarting."""
+        warm, stream = split_warmup(small_graph, warmup_events=240, chunk_size=80)
+        trainer = StreamingTrainer(warm, stream_config(), window_events=200)
+        rng, generator = trainer.prep.rng, trainer.generator
+        trainer.train_epoch()
+        state = copy.deepcopy(rng.bit_generator.state)
+        trainer.step(next(iter(stream)))
+        assert trainer.prep.rng is rng and trainer.generator is generator
+        assert trainer.generator.finder.tcsr is trainer.tcsr
+        assert rng.bit_generator.state != state
 
     def test_adaptive_neighbor_streams(self, small_graph):
         cfg = stream_config(adaptive_neighbor=True, eval_negatives=5)

@@ -973,7 +973,8 @@ class TestGraphMixerAggregateNode:
         gen = MiniBatchGenerator(GPUNeighborFinder(build_tcsr(graph), policy="recent"),
                                  FeatureStore(graph), 1, 4, 4)
         idx = np.arange(graph.num_edges - 12, graph.num_edges)
-        minibatch = gen.build(graph.src[idx], graph.ts[idx], train=True)
+        minibatch = gen.build(graph.src[idx], graph.ts[idx],
+                              np.random.default_rng(0), train=True)
         minibatch.hops[0].make_gate()
         model = make_graphmixer(self.rng, node_dim=graph.node_dim, edge_dim=0)
         coeff = Tensor(self.rng.standard_normal((12, 8)))

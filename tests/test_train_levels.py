@@ -70,7 +70,7 @@ def run(graph, roots, times, backbone, estimator, n, m, per_row):
                            num_neighbors=n, dropout=0.0, rng=np.random.default_rng(1))
     predictor = EdgePredictor(8, rng=np.random.default_rng(2))
 
-    minibatch = gen.build(roots, times, train=True)
+    minibatch = gen.build(roots, times, np.random.default_rng(3), train=True)
     if per_row:
         hops, rows = per_row_hops(minibatch)
         emb = embed_per_row(model, hops)
@@ -182,20 +182,22 @@ def test_training_batch_is_one_tile(small_graph, small_tcsr):
     gen = MiniBatchGenerator(GPUNeighborFinder(small_tcsr), FeatureStore(small_graph),
                              1, 3, 3)
     with pytest.raises(ValueError):
-        gen.build(small_graph.src[:8], small_graph.ts[:8], train=True,
-                  tiles=Tiles(4))
+        gen.build(small_graph.src[:8], small_graph.ts[:8],
+                  np.random.default_rng(0), train=True, tiles=Tiles(4))
 
 
 def test_training_draws_scoring_picks_greedily(small_graph, small_tcsr):
     """With the same candidates (``recent``) and parameters, two training
-    batches draw different selections and two forward-only ones the same."""
+    batches on one generator draw different selections and two forward-only
+    ones the same."""
     sampler = AdaptiveNeighborSampler(0, small_graph.edge_dim, 8, seed=0)
     gen = MiniBatchGenerator(GPUNeighborFinder(small_tcsr, policy="recent"),
                              FeatureStore(small_graph), 1, 3, 8,
                              adaptive_sampler=sampler)
     roots, times = small_graph.src[700:760], small_graph.ts[700:760]
+    rng = np.random.default_rng(0)
 
     def picks(train):
-        return gen.build(roots, times, train=train).hops[0].batch.eids
+        return gen.build(roots, times, rng, train=train).hops[0].batch.eids
     assert np.array_equal(picks(False), picks(False))
     assert not np.array_equal(picks(True), picks(True))

@@ -12,6 +12,7 @@ import pytest
 import repro
 from repro.utils import timer as timer_mod
 from repro.utils import new_rng, spawn_rngs, Timer
+from repro.utils.rng import TileGenerator
 
 
 class TestRng:
@@ -26,6 +27,14 @@ class TestRng:
         a1, _ = spawn_rngs(7, 2)
         a2, _ = spawn_rngs(7, 2)
         assert np.array_equal(a1.integers(0, 1000, 10), a2.integers(0, 1000, 10))
+
+    def test_tile_generator_is_default_rng_built_at_its_first_draw(self):
+        seed = int(np.random.default_rng(3).bit_generator.random_raw())
+        tile, want = TileGenerator(seed), np.random.default_rng(seed)
+        assert tile._generator is None
+        assert np.array_equal(tile.random(5), want.random(5))
+        assert np.array_equal(tile.gumbel(size=(2, 3)), want.gumbel(size=(2, 3)))
+        assert tile.bit_generator.state == want.bit_generator.state
 
 
 class TestTimer:
