@@ -64,9 +64,8 @@ def _run_sharded(graph, config, workers, epochs, policy="temporal",
             reduce += stats.reduce_seconds
             transport += stats.transport_seconds
             pack += stats.pack_seconds
-            for shard_summary in stats.per_shard:
-                acc = per_shard[shard_summary["shard"]]
-                for key, value in shard_summary["runtime"].items():
+            for acc, shard_stats in zip(per_shard, stats.per_shard):
+                for key, value in shard_stats.runtime.items():
                     acc[key] = acc.get(key, 0.0) + value
         denom = max(epochs, 1)
         return {

@@ -2,9 +2,10 @@
 
 The breakdown separates an epoch into the four phases of Table III:
 ``NF`` (neighbor finding), ``AS`` (adaptive neighbor sampling), ``FS``
-(feature slicing, measured gather time plus the simulated PCIe/VRAM transfer
-time of the memory-hierarchy cost model) and ``PP`` (forward/backward
-propagation and optimiser steps).
+(feature slicing) and ``PP`` (forward/backward propagation and optimiser
+steps).  An epoch's ``runtime`` holds measured seconds under those keys and
+the memory-hierarchy cost model's simulated PCIe/VRAM transfer seconds under
+``FS_sim_seconds``; only the table view below adds the two.
 
 Normalisation to simulated device seconds
 -----------------------------------------
@@ -54,21 +55,19 @@ def normalise_runtime(runtime: Dict[str, float], finder: type,
     :attr:`~repro.core.trainer.EpochStats.runtime` dict: dense-compute phases
     (PP, AS, and NF under the block-centric ``GPUNeighborFinder`` class) are
     divided by ``device_speedup``; the host-side finders keep measured
-    wall-clock and feature slicing keeps its modelled transfer time plus the
-    device-converted gather time.
+    wall-clock, and feature slicing is the modelled ``FS_sim_seconds`` plus
+    the device-converted measured gather time ``FS``.
     """
     if device_speedup <= 0:
         raise ValueError("device_speedup must be positive")
     nf = runtime.get("NF", 0.0)
     if issubclass(finder, GPUNeighborFinder):
         nf /= device_speedup
-    fs_transfer = runtime.get("FS_transfer", 0.0)
-    fs_measured = runtime.get("FS", 0.0) - fs_transfer
-    fs = fs_transfer + fs_measured / device_speedup
     return {
         "NF": nf,
         "AS": runtime.get("AS", 0.0) / device_speedup,
-        "FS": fs,
+        "FS": (runtime.get("FS_sim_seconds", 0.0)
+               + runtime.get("FS", 0.0) / device_speedup),
         "PP": runtime.get("PP", 0.0) / device_speedup,
     }
 
@@ -164,7 +163,8 @@ def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
     use_finder(trainer, finder)
     if per_row:
         trainer.generator.distinct = per_row_targets
-    totals = {"NF": 0.0, "AS": 0.0, "FS": 0.0, "FS_transfer": 0.0, "PP": 0.0}
+    totals = {"NF": 0.0, "AS": 0.0, "FS": 0.0, "FS_sim_seconds": 0.0,
+              "PP": 0.0}
     ids_requested = 0
     ids_unique = 0
     trajectories: List[List[float]] = []

@@ -9,8 +9,14 @@ rows of the paper's Table I correspond to the four combinations of the two
 
 Runtime is recorded per phase with the section names of Table III:
 ``NF`` (neighbor finding), ``AS`` (adaptive neighbor sampling), ``FS``
-(feature slicing, including the simulated PCIe/VRAM transfer time) and ``PP``
-(forward/backward propagation and optimiser steps).
+(feature slicing) and ``PP`` (forward/backward propagation and optimiser
+steps), all measured wall-clock seconds.  The memory hierarchy's modelled
+PCIe/VRAM transfer time is never added to them: it is reported under its own
+key, ``FS_sim_seconds``, which :func:`~repro.bench.breakdown.normalise_runtime`
+folds into the paper-table view.
+
+The epoch prologue, epilogue and step halves (:class:`TrainStep`) are
+written once, here; the sharded trainer's workers call the same methods.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ from .prefetcher import BatchEngine
 from .prep import PreparedBatch, PrepPipeline
 from .sample_loss import build_sample_loss
 
-__all__ = ["EpochStats", "TrainStep", "TrainResult", "TaserTrainer"]
+__all__ = ["EpochStats", "TrainStep", "TrainResult", "TaserTrainer",
+           "train_and_evaluate"]
 
 
 @dataclass
@@ -53,6 +60,8 @@ class EpochStats:
     epoch: int
     model_loss: float
     sample_loss: float
+    #: measured seconds per phase (``NF`` / ``AS`` / ``FS`` / ``PP``), plus
+    #: the cost model's ``FS_sim_seconds`` under its own key.
     runtime: Dict[str, float]
     cache_hit_rate: float
     effective_sample_size: float
@@ -66,17 +75,22 @@ class EpochStats:
 
 @dataclass
 class TrainStep:
-    """In-flight state of one training step, between backward and step.
+    """In-flight state of one training step, between its halves.
 
-    The synchronous trainer runs backward → step → selector/sampler updates
-    back-to-back inside :meth:`TaserTrainer._train_prepared`; the sharded
-    data-parallel trainer interposes a gradient-averaging barrier between the
-    backward and step halves.  This container carries everything the later
-    halves need.
+    A step of Algorithm 1 is three halves:
+
+    1. :meth:`TaserTrainer._model_backward` — forward, loss, backward;
+    2. :meth:`TaserTrainer._apply_model` — clip and step the model, selector
+       feedback (Eq. 11), loss record, sampler backward;
+    3. :meth:`TaserTrainer._sampler_step` — clip and step the sampler.
+
+    :meth:`TaserTrainer._train_prepared` runs them back to back.  A shard
+    worker of the data-parallel trainer runs the same halves, and between
+    them installs the gradients averaged over all shards.  This container
+    carries what the later halves need.
     """
 
     prepared: PreparedBatch
-    minibatch: object
     embeddings: object
     pos_logits: object
     model_loss: object
@@ -189,6 +203,9 @@ class TaserTrainer:
 
         self.history: List[EpochStats] = []
         self._epoch = 0
+        #: the running epoch's per-batch model and sample losses.
+        self._batch_losses: List[float] = []
+        self._sample_losses: List[float] = []
 
     def _build_tcsr(self, graph: TemporalGraph):
         """T-CSR construction hook (the streaming trainer substitutes an
@@ -205,6 +222,17 @@ class TaserTrainer:
 
     # ------------------------------------------------------------------ training
 
+    def _begin_epoch(self) -> None:
+        """Epoch prologue: train modes, a fresh timer, store stats and losses."""
+        self.backbone.train()
+        self.predictor.train()
+        if self.sampler is not None:
+            self.sampler.train()
+        self.timer.reset()
+        self.feature_store.reset_stats()
+        self._batch_losses = []
+        self._sample_losses = []
+
     def _model_backward(self, prepared: PreparedBatch) -> TrainStep:
         """Backward half of one step: forward, loss, backward.
 
@@ -212,13 +240,12 @@ class TaserTrainer:
         data-parallel caller can average them across shard replicas first.
         """
         b = prepared.num_positives
-        minibatch = prepared.minibatch
-
         with self.timer.section("PP"):
             self.model_optimizer.zero_grad()
             if self.sampler_optimizer is not None:
                 self.sampler_optimizer.zero_grad()
-            embeddings = self.backbone.embed(minibatch, self.generator.hop_tile)
+            embeddings = self.backbone.embed(prepared.minibatch,
+                                             self.generator.hop_tile)
             h_src = embeddings[:b]
             h_dst = embeddings[b:2 * b]
             h_neg = embeddings[2 * b:]
@@ -228,100 +255,86 @@ class TaserTrainer:
                 pos_logits, Tensor.ones(b)) \
                 + F.binary_cross_entropy_with_logits(neg_logits, Tensor.zeros(b))
             model_loss.backward()
-        return TrainStep(prepared=prepared, minibatch=minibatch,
-                         embeddings=embeddings, pos_logits=pos_logits,
-                         model_loss=model_loss)
+        return TrainStep(prepared=prepared, embeddings=embeddings,
+                         pos_logits=pos_logits, model_loss=model_loss)
 
-    def _model_step(self) -> None:
-        """Step half: clip and apply whatever gradients the params now hold."""
-        with self.timer.section("PP"):
-            if self.config.grad_clip > 0:
-                clip_grad_norm(self.model_optimizer.params, self.config.grad_clip)
-            self.model_optimizer.step()
+    def _apply_model(self, step: TrainStep) -> bool:
+        """Apply half: clip and step the model on whatever gradients its
+        params now hold, feed the positive logits back to the selector
+        (Eq. 11), record the batch's losses and backprop the sampler's
+        REINFORCE sample loss (no step).
 
-    def _sampler_backward(self, step: TrainStep):
-        """Build the REINFORCE sample loss and backprop it (no step).
-
-        Returns the sample-loss tensor, or ``None`` when the configuration
-        produces no sample loss for this batch.
+        Returns ``True`` when a sample loss was backpropagated, i.e. when
+        :meth:`_sampler_step` is due.
         """
         cfg = self.config
-        attention = None
-        if cfg.backbone == "tgat" and cfg.sample_loss == "tgat_analytic":
-            attention = self.backbone.last_layer_attention()
-        sample_loss = build_sample_loss(
-            cfg.sample_loss, step.minibatch.hops, step.prepared.num_positives,
-            step.embeddings, attention=attention, alpha=cfg.sample_alpha,
-            beta=cfg.sample_beta)
-        if sample_loss is not None:
-            sample_loss.backward()
-        return sample_loss
+        with self.timer.section("PP"):
+            if cfg.grad_clip > 0:
+                clip_grad_norm(self.model_optimizer.params, cfg.grad_clip)
+            self.model_optimizer.step()
+        self.selector.update(step.prepared.local_indices, step.pos_logits.data)
+        self._batch_losses.append(float(step.model_loss.data))
 
-    def _sampler_step(self) -> None:
-        if self.config.grad_clip > 0:
-            clip_grad_norm(self.sampler_optimizer.params, self.config.grad_clip)
-        self.sampler_optimizer.step()
-
-    def _train_prepared(self, prepared: PreparedBatch) -> Dict[str, float]:
-        step = self._model_backward(prepared)
-        self._model_step()
-
-        # Adaptive mini-batch feedback (Eq. 11) on the positive logits.
-        self.selector.update(prepared.local_indices, step.pos_logits.data)
-
-        # Adaptive neighbor sampler update via the REINFORCE sample loss.
-        sample_loss_value = 0.0
+        sample_loss = None
         if self.sampler_optimizer is not None:
             with self.timer.section("AS"):
-                sample_loss = self._sampler_backward(step)
+                attention = None
+                if cfg.backbone == "tgat" and cfg.sample_loss == "tgat_analytic":
+                    attention = self.backbone.last_layer_attention()
+                sample_loss = build_sample_loss(
+                    cfg.sample_loss, step.prepared.minibatch.hops,
+                    step.prepared.num_positives, step.embeddings,
+                    attention=attention, alpha=cfg.sample_alpha,
+                    beta=cfg.sample_beta)
                 if sample_loss is not None:
-                    self._sampler_step()
-                    sample_loss_value = float(sample_loss.data)
+                    sample_loss.backward()
+        self._sample_losses.append(
+            0.0 if sample_loss is None else float(sample_loss.data))
+        return sample_loss is not None
 
-        return {"model_loss": float(step.model_loss.data),
-                "sample_loss": sample_loss_value}
+    def _sampler_step(self) -> None:
+        """Last half: clip and step the sampler (AS phase)."""
+        with self.timer.section("AS"):
+            if self.config.grad_clip > 0:
+                clip_grad_norm(self.sampler_optimizer.params,
+                               self.config.grad_clip)
+            self.sampler_optimizer.step()
 
-    def train_epoch(self) -> EpochStats:
-        """Run one training epoch and return its statistics."""
-        self.backbone.train()
-        self.predictor.train()
-        if self.sampler is not None:
-            self.sampler.train()
+    def _train_prepared(self, prepared: PreparedBatch) -> None:
+        """One step of Algorithm 1: the three halves back to back."""
+        if self._apply_model(self._model_backward(prepared)):
+            self._sampler_step()
 
-        self.timer.reset()
-        self.feature_store.reset_stats()
-        losses, sample_losses = [], []
-        for prepared in self.engine.epoch(self.config.max_batches_per_epoch):
-            stats = self._train_prepared(prepared)
-            losses.append(stats["model_loss"])
-            sample_losses.append(stats["sample_loss"])
-
-        # Epoch boundary: cache replacement policy + simulated transfer time.
-        # "FS" is the total feature-slicing phase (measured gather + modelled
-        # transfer); "FS_transfer" separately exposes the deterministic
-        # modelled component for the runtime-breakdown harness.
+    def _end_epoch(self) -> EpochStats:
+        """Epoch epilogue: close the cache's epoch and record the stats."""
         runtime = self.timer.totals()
         slice_stats = self.feature_store.snapshot()
-        simulated = slice_stats.simulated_seconds
-        runtime["FS_transfer"] = simulated
-        runtime["FS"] = runtime.get("FS", 0.0) + simulated
-        cache_hit = slice_stats.hit_rate if self.cache is not None else 0.0
+        runtime["FS_sim_seconds"] = slice_stats.simulated_seconds
         self.feature_store.end_epoch()
 
         ess = (self.selector.effective_sample_size()
                if isinstance(self.selector, AdaptiveMiniBatchSelector)
                else float(self.split.num_train))
+        losses, sample_losses = self._batch_losses, self._sample_losses
         self._epoch += 1
         stats = EpochStats(epoch=self._epoch,
                            model_loss=float(np.mean(losses)) if losses else 0.0,
                            sample_loss=float(np.mean(sample_losses)) if sample_losses else 0.0,
                            runtime=runtime,
-                           cache_hit_rate=float(cache_hit),
+                           cache_hit_rate=float(slice_stats.hit_rate
+                                                if self.cache is not None else 0.0),
                            effective_sample_size=float(ess),
                            batch_losses=losses,
                            dedup_ratio=float(slice_stats.dedup_ratio))
         self.history.append(stats)
         return stats
+
+    def train_epoch(self) -> EpochStats:
+        """Run one training epoch and return its statistics."""
+        self._begin_epoch()
+        for prepared in self.engine.epoch(self.config.max_batches_per_epoch):
+            self._train_prepared(prepared)
+        return self._end_epoch()
 
     # ------------------------------------------------------------------ evaluation
 
@@ -342,18 +355,34 @@ class TaserTrainer:
     def fit(self, epochs: Optional[int] = None, evaluate_val: bool = True,
             evaluate_test: bool = True) -> TrainResult:
         """Train for ``epochs`` (default from the config) and evaluate."""
-        epochs = epochs if epochs is not None else self.config.epochs
-        for _ in range(epochs):
-            self.train_epoch()
+        return train_and_evaluate(self, self.config.variant_name(), self.split,
+                                  epochs, evaluate_val, evaluate_test)
 
-        val_metrics = self.evaluate("val") if evaluate_val and self.split.num_val else {}
-        test_metrics = self.evaluate("test") if evaluate_test and self.split.num_test else {}
 
-        breakdown: Dict[str, float] = {}
-        for stats in self.history:
-            for key, value in stats.runtime.items():
-                breakdown[key] = breakdown.get(key, 0.0) + value
-        cache_history = list(self.cache.hit_rate_history) if self.cache is not None else []
-        return TrainResult(variant=self.config.variant_name(), history=list(self.history),
-                           val_metrics=val_metrics, test_metrics=test_metrics,
-                           runtime_breakdown=breakdown, cache_hit_rates=cache_history)
+def train_and_evaluate(trainer, variant: str, split: TemporalSplit,
+                       epochs: Optional[int] = None, evaluate_val: bool = True,
+                       evaluate_test: bool = True) -> TrainResult:
+    """Train ``trainer`` for ``epochs`` (default from its config), then
+    evaluate ``split``'s validation and test edges.
+
+    The one ``fit`` of :class:`TaserTrainer` and the sharded trainer: both
+    hand in their variant label and the split they evaluate.  Every summary
+    is read off the epochs' own :class:`EpochStats`, so evaluation traffic
+    never enters ``cache_hit_rates``.
+    """
+    epochs = epochs if epochs is not None else trainer.config.epochs
+    for _ in range(epochs):
+        trainer.train_epoch()
+
+    val_metrics = trainer.evaluate("val") if evaluate_val and split.num_val else {}
+    test_metrics = (trainer.evaluate("test")
+                    if evaluate_test and split.num_test else {})
+
+    breakdown: Dict[str, float] = {}
+    for stats in trainer.history:
+        for key, value in stats.runtime.items():
+            breakdown[key] = breakdown.get(key, 0.0) + value
+    return TrainResult(variant=variant, history=list(trainer.history),
+                       val_metrics=val_metrics, test_metrics=test_metrics,
+                       runtime_breakdown=breakdown,
+                       cache_hit_rates=[s.cache_hit_rate for s in trainer.history])

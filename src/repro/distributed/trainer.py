@@ -18,6 +18,11 @@ Per global step the trainer runs the lock-step protocol:
    its shard-local selector feedback; adaptive configs run a second barrier
    for the sampler's gradients.
 
+At the epoch's end every worker returns its trainer's own ``EpochStats``
+and ``SliceStats``; the master averages the batch losses per step, sums the
+runtimes and merges the slice counts, from which the epoch's cache hit rate
+and dedup ratio follow.
+
 Determinism contract
 --------------------
 * ``W = 1`` is **bitwise-identical** to :class:`TaserTrainer` under the same
@@ -43,7 +48,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.config import TaserConfig
-from ..core.trainer import EpochStats, TaserTrainer, TrainResult
+from ..core.trainer import (EpochStats, TaserTrainer, TrainResult,
+                            train_and_evaluate)
 from ..device.memory import SliceStats
 from ..graph.sharding import TemporalShardPlan, make_shard_plan
 from ..graph.temporal_graph import TemporalGraph
@@ -65,8 +71,9 @@ class ShardedEpochStats(EpochStats):
     per-shard detail the scaling benchmark consumes.
     """
 
-    #: per-shard epoch summaries (losses, NF/FS/AS/PP runtime, cache stats).
-    per_shard: List[Dict] = field(default_factory=list)
+    #: each shard's own :class:`~repro.core.trainer.EpochStats`, in shard
+    #: order.
+    per_shard: List[EpochStats] = field(default_factory=list)
     #: master-side barrier seconds: ``reduce_seconds + transport_seconds``.
     sync_seconds: float = 0.0
     #: barrier-synchronized steps this epoch (min over shard batch counts).
@@ -154,8 +161,6 @@ class ShardedTrainer:
         # for W = 1, exactly as far as the single-worker trainer's).
         self.pool.run("begin_epoch", [(steps,)] * w)
 
-        step_losses: List[float] = []
-        step_sample_losses: List[float] = []
         for _ in range(steps):
             # Backward -> reduce -> apply over the flat buckets (see
             # repro.distributed.comms), reducing in fixed shard order.
@@ -164,50 +169,41 @@ class ShardedTrainer:
         sync_seconds = (comms_stats["reduce_seconds"]
                         + comms_stats["transport_seconds"])
 
-        summaries = self.pool.run("end_epoch")
+        shards, slices, pack_seconds = zip(*self.pool.run("end_epoch"))
         wall_seconds = time.perf_counter() - epoch_start
 
         # Per-global-step means over workers, in fixed shard order (for
         # W = 1 these are exactly the single worker's batch losses).
-        for s in range(steps):
-            step_losses.append(float(
-                sum(summary["losses"][s] for summary in summaries) / w))
-            step_sample_losses.append(float(
-                sum(summary["sample_losses"][s] for summary in summaries) / w))
-
+        step_losses = [float(sum(s.batch_losses[i] for s in shards) / w)
+                       for i in range(steps)]
         runtime: Dict[str, float] = {}
-        slice_totals = SliceStats()
-        for summary in summaries:
-            for key, value in summary["runtime"].items():
+        merged = SliceStats()
+        for shard, slice_stats in zip(shards, slices):
+            for key, value in shard.runtime.items():
                 runtime[key] = runtime.get(key, 0.0) + value
-            slice_totals.merge(SliceStats(**{
-                k: summary["slice_stats"][k]
-                for k in ("bytes_from_vram", "bytes_from_ram", "requests",
-                          "cache_hits", "cache_misses", "simulated_seconds")}))
+            merged.merge(slice_stats)
         runtime["SYNC"] = sync_seconds
 
         has_cache = (self.graph.edge_feat is not None
                      and self.config.cache_ratio > 0)
-        cache_hit = slice_totals.hit_rate if has_cache else 0.0
-        ess = float(sum(s["effective_sample_size"] for s in summaries))
         self._epoch += 1
         stats = ShardedEpochStats(
             epoch=self._epoch,
             model_loss=float(np.mean(step_losses)) if step_losses else 0.0,
-            sample_loss=(float(np.mean(step_sample_losses))
-                         if step_sample_losses else 0.0),
+            sample_loss=float(np.mean([s.sample_loss for s in shards])),
             runtime=runtime,
-            cache_hit_rate=float(cache_hit),
-            effective_sample_size=ess,
+            cache_hit_rate=float(merged.hit_rate if has_cache else 0.0),
+            effective_sample_size=float(sum(s.effective_sample_size
+                                            for s in shards)),
             batch_losses=step_losses,
-            per_shard=summaries,
+            dedup_ratio=float(merged.dedup_ratio),
+            per_shard=list(shards),
             sync_seconds=sync_seconds,
             global_steps=steps,
             wall_seconds=wall_seconds,
             reduce_seconds=float(comms_stats["reduce_seconds"]),
             transport_seconds=float(comms_stats["transport_seconds"]),
-            pack_seconds=float(sum(s.get("pack_seconds", 0.0)
-                                   for s in summaries)),
+            pack_seconds=float(sum(pack_seconds)),
         )
         self.history.append(stats)
         return stats
@@ -234,26 +230,11 @@ class ShardedTrainer:
 
     def fit(self, epochs: Optional[int] = None, evaluate_val: bool = True,
             evaluate_test: bool = True) -> TrainResult:
-        """Train for ``epochs`` (default from the config) and evaluate."""
-        epochs = epochs if epochs is not None else self.config.epochs
-        for _ in range(epochs):
-            self.train_epoch()
-
-        split = self._eval_trainer.split
-        val_metrics = self.evaluate("val") if evaluate_val and split.num_val else {}
-        test_metrics = (self.evaluate("test")
-                        if evaluate_test and split.num_test else {})
-
-        breakdown: Dict[str, float] = {}
-        for stats in self.history:
-            for key, value in stats.runtime.items():
-                breakdown[key] = breakdown.get(key, 0.0) + value
-        return TrainResult(
-            variant=f"{self.config.variant_name()} x{self.num_workers}",
-            history=list(self.history),
-            val_metrics=val_metrics, test_metrics=test_metrics,
-            runtime_breakdown=breakdown,
-            cache_hit_rates=[s.cache_hit_rate for s in self.history])
+        """Train for ``epochs`` (default from the config), then evaluate the
+        full-graph split."""
+        return train_and_evaluate(
+            self, f"{self.config.variant_name()} x{self.num_workers}",
+            self._eval_trainer.split, epochs, evaluate_val, evaluate_test)
 
     def shutdown(self) -> None:
         """Stop the worker pool.  The gradient buckets need no teardown:

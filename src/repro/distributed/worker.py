@@ -8,18 +8,23 @@ are prepared through the same shared pipeline as every other execution
 path, including its deduplicated fused gather), batch engine and model
 *replica*.  Its :class:`ShardTask` carries its views of the master's flat
 gradient buckets (:mod:`repro.distributed.comms`), created before the pool
-started; the worker checks its parameter shapes against them when built,
-and the sharded trainer drives all workers in lock-step through the split
-step protocol:
+started; the worker checks its parameter shapes against them when built.
 
-1. :meth:`comms_model_backward` — generate the shard's next mini-batch
-   (through the shard's own batch engine), run forward + backward and
-   pack the gradients into this worker's buffer;
-2. :meth:`comms_apply_model`    — overwrite the replica's gradients with the
-   globally averaged ones, clip, step, run the shard-local selector update,
-   and (for adaptive configs) backprop the sampler loss and pack its
-   gradients;
-3. :meth:`comms_apply_sampler`  — apply the averaged sampler gradients.
+The worker writes no training logic of its own.  An epoch is the trainer's
+prologue (``_begin_epoch``) and epilogue (``_end_epoch``), and each step is
+the trainer's three halves (see :class:`~repro.core.trainer.TrainStep`);
+the worker only adds the barrier glue between them — pack the gradients
+into its bucket, then install the averaged ones.  The sharded trainer
+drives all workers in lock-step:
+
+1. :meth:`comms_model_backward` — the shard's next mini-batch (through the
+   shard's own batch engine), ``_model_backward``, then pack the model
+   gradients into this worker's buffer;
+2. :meth:`comms_apply_model`    — install the globally averaged model
+   gradients, ``_apply_model`` (clip, step, selector update, loss record,
+   sampler backward) and pack any sampler gradients;
+3. :meth:`comms_apply_sampler`  — install the averaged sampler gradients,
+   ``_sampler_step``.
 
 Because every replica starts from identical weights (same config seed) and
 steps on identical averaged gradients, replicas stay **bitwise identical**
@@ -37,12 +42,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.config import TaserConfig
-from ..core.trainer import TaserTrainer, TrainStep
+from ..core.trainer import EpochStats, TaserTrainer, TrainStep
+from ..device.memory import SliceStats
 from ..graph.temporal_graph import TemporalGraph
 from .comms import GradList, WorkerCommsEndpoint
 
@@ -93,7 +99,8 @@ class _ShardTrainer(TaserTrainer):
 
 
 class ShardWorker:
-    """One shard's training replica plus the lock-step epoch protocol."""
+    """One shard's training replica, driven step by step through the
+    trainer's own epoch and step halves."""
 
     def __init__(self, task: ShardTask) -> None:
         self.task = task
@@ -101,8 +108,6 @@ class ShardWorker:
                                      task.cache_capacity)
         self._batches = None
         self._step: Optional[TrainStep] = None
-        self._losses: List[float] = []
-        self._sample_losses: List[float] = []
         self._comms = task.comms
         self._pack_seconds = 0.0
         if self._comms is not None:
@@ -118,18 +123,11 @@ class ShardWorker:
         return int(count)
 
     def begin_epoch(self, max_batches: Optional[int] = None) -> None:
-        """Mirror of ``TaserTrainer.train_epoch``'s prologue, minus the loop."""
-        t = self.trainer
-        t.backbone.train()
-        t.predictor.train()
-        if t.sampler is not None:
-            t.sampler.train()
-        t.timer.reset()
-        t.feature_store.reset_stats()
-        self._batches = iter(t.engine.epoch(max_batches))
+        """The trainer's epoch prologue, then its engine epoch, which the
+        steps below advance one batch at a time."""
+        self.trainer._begin_epoch()
+        self._batches = iter(self.trainer.engine.epoch(max_batches))
         self._step = None
-        self._losses = []
-        self._sample_losses = []
         self._pack_seconds = 0.0
 
     # -- lock-step protocol --------------------------------------------------------
@@ -191,48 +189,41 @@ class ShardWorker:
         self._step = self.trainer._model_backward(prepared)
         return True
 
-    def _apply_model_grads(self, grads: GradList):
-        """Install averaged model gradients, step, run the selector update
-        and (adaptive configs) backprop the sampler loss.
+    def _install(self, params, grads: GradList) -> None:
+        """Give each param a private copy of its averaged gradient: clipping
+        scales gradients in place, and every worker reads views of the one
+        averaged buffer."""
+        t0 = time.perf_counter()
+        for p, g in zip(params, grads):
+            p.grad = None if g is None else np.array(g, copy=True)
+        self._pack_seconds += time.perf_counter() - t0
 
-        Returns the sampler optimizer's live params when the adaptive
-        sampler produced a sample loss for this batch, else ``None``.
+    def _apply_model_grads(self, grads: GradList):
+        """Install the averaged model gradients, then run the trainer's
+        apply-model half.
+
+        Returns the sampler optimizer's live params when the half
+        backpropagated a sample loss (the sampler barrier is due), else
+        ``None``.
         """
         t = self.trainer
-        step = self._step
-        t0 = time.perf_counter()
-        for p, g in zip(t.model_optimizer.params, grads):
-            # Private copy: clipping scales gradients in place, and every
-            # worker reads views of the one averaged buffer.
-            p.grad = None if g is None else np.array(g, copy=True)
-        self._pack_seconds += time.perf_counter() - t0
-        t._model_step()
-        t.selector.update(step.prepared.local_indices, step.pos_logits.data)
-        self._losses.append(float(step.model_loss.data))
-
-        if t.sampler_optimizer is None:
-            self._sample_losses.append(0.0)
-            return None
-        with t.timer.section("AS"):
-            sample_loss = t._sampler_backward(step)
-        if sample_loss is None:
-            self._sample_losses.append(0.0)
-            return None
-        self._sample_losses.append(float(sample_loss.data))
-        return t.sampler_optimizer.params
+        self._install(t.model_optimizer.params, grads)
+        if t._apply_model(self._step):
+            return t.sampler_optimizer.params
+        return None
 
     def _apply_sampler_grads(self, grads: GradList) -> None:
-        """Install averaged sampler gradients; clip + step (AS phase)."""
-        t = self.trainer
-        t0 = time.perf_counter()
-        for p, g in zip(t.sampler_optimizer.params, grads):
-            p.grad = None if g is None else np.array(g, copy=True)
-        self._pack_seconds += time.perf_counter() - t0
-        with t.timer.section("AS"):
-            t._sampler_step()
+        """Install the averaged sampler gradients, then run the trainer's
+        sampler step."""
+        self._install(self.trainer.sampler_optimizer.params, grads)
+        self.trainer._sampler_step()
 
-    def end_epoch(self) -> Dict:
-        """Finish the batch iterator and return the shard's epoch summary.
+    def end_epoch(self) -> Tuple[EpochStats, SliceStats, float]:
+        """Finish the batch iterator and run the trainer's epoch epilogue.
+
+        Returns the shard's :class:`~repro.core.trainer.EpochStats`, its
+        epoch :class:`~repro.device.memory.SliceStats` (the counts the
+        sharded trainer merges across shards) and its pack seconds.
 
         The iterator is run to natural exhaustion — exactly what the
         single-worker epoch loop does.  This matters for bitwise fidelity:
@@ -242,35 +233,13 @@ class ShardWorker:
         epoch so no trained batch remains, making this a state-finalising
         no-op pull in normal operation.
         """
-        t = self.trainer
         if self._batches is not None:
             for _ in self._batches:  # pragma: no branch
                 pass
         self._batches = None
         self._step = None
-        runtime = t.timer.totals()
-        slice_stats = t.feature_store.snapshot()
-        runtime["FS_transfer"] = slice_stats.simulated_seconds
-        runtime["FS"] = runtime.get("FS", 0.0) + slice_stats.simulated_seconds
-        t.feature_store.end_epoch()
-        from ..core.minibatch_selector import AdaptiveMiniBatchSelector
-        ess = (t.selector.effective_sample_size()
-               if isinstance(t.selector, AdaptiveMiniBatchSelector)
-               else float(t.split.num_train))
-        return {
-            "shard": self.task.shard_index,
-            "losses": list(self._losses),
-            "sample_losses": list(self._sample_losses),
-            "runtime": runtime,
-            "cache_hit_rate": (slice_stats.hit_rate
-                               if t.cache is not None else 0.0),
-            "dedup_ratio": slice_stats.dedup_ratio,
-            "slice_stats": slice_stats.as_dict(),
-            "effective_sample_size": float(ess),
-            "num_events": t.graph.num_edges,
-            "num_train": t.split.num_train,
-            "pack_seconds": float(self._pack_seconds),
-        }
+        stats = self.trainer._end_epoch()
+        return stats, self.trainer.feature_store.snapshot(), self._pack_seconds
 
     # -- replica state ----------------------------------------------------------------
 

@@ -9,8 +9,8 @@ import pytest
 from repro.bench import (VARIANTS, emit_bench_json, format_table,
                          quick_config, variant_config, run_variant,
                          system_configurations)
-from repro.bench.breakdown import (BreakdownRow, per_row_targets,
-                                    runtime_breakdown)
+from repro.bench.breakdown import (BreakdownRow, normalise_runtime,
+                                    per_row_targets, runtime_breakdown)
 from repro.bench.finders import OriginalNeighborFinder
 from repro.sampling import GPUNeighborFinder
 from repro.graph import CTDGConfig, generate_ctdg
@@ -80,6 +80,17 @@ class TestBreakdown:
         assert row.total == pytest.approx(4.0)
         assert row.minibatch_generation_fraction == pytest.approx(2.5 / 4.0)
         assert set(row.as_dict()) == {"NF", "AS", "FS", "PP", "Total"}
+
+    def test_normalise_runtime_adds_simulated_seconds_itself(self):
+        """The measured ``FS`` is converted to device seconds and the
+        modelled ``FS_sim_seconds`` added on top, nothing subtracted."""
+        runtime = {"NF": 6.4, "AS": 3.2, "FS": 1.28, "FS_sim_seconds": 0.5,
+                   "PP": 12.8}
+        phases = normalise_runtime(runtime, GPUNeighborFinder, 64.0)
+        assert phases == pytest.approx({"NF": 0.1, "AS": 0.05,
+                                        "FS": 0.5 + 0.02, "PP": 0.2})
+        host = normalise_runtime(runtime, OriginalNeighborFinder, 64.0)
+        assert host["NF"] == 6.4
 
     def test_system_configurations_rows(self):
         base = quick_config("graphmixer")

@@ -233,9 +233,9 @@ def reference_trajectory(graph, config, workers, epochs=2):
                     contributors, denominator=len(contributors))
                 for w in shards:
                     w._apply_sampler_grads(averaged)
-        summaries = [w.end_epoch() for w in shards]
+        epochs = [w.end_epoch()[0] for w in shards]
         trajectory.append([
-            float(sum(s["losses"][i] for s in summaries) / workers)
+            float(sum(s.batch_losses[i] for s in epochs) / workers)
             for i in range(steps)])
     return trajectory
 

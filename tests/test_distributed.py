@@ -118,10 +118,17 @@ class TestShardedDeterminism:
     def test_w1_bitwise_identical_to_trainer(self, shard_graph, variant):
         am, an = variant
         cfg = tiny_config(adaptive_minibatch=am, adaptive_neighbor=an)
-        reference = _losses(TaserTrainer(shard_graph, cfg))
+        trainer = TaserTrainer(shard_graph, cfg)
+        reference = [trainer.train_epoch() for _ in range(2)]
         with ShardedTrainer(shard_graph, cfg, num_workers=1,
                             backend="serial") as sharded:
-            assert _losses(sharded) == reference
+            epochs = [sharded.train_epoch() for _ in range(2)]
+        for stats, ref in zip(epochs, reference):
+            assert stats.batch_losses == ref.batch_losses
+            for name in ("model_loss", "sample_loss", "cache_hit_rate",
+                         "effective_sample_size", "dedup_ratio"):
+                assert getattr(stats, name) == getattr(ref, name), name
+            assert set(stats.runtime) - {"SYNC"} == set(ref.runtime)
 
     def test_w1_bitwise_without_batch_cap(self, shard_graph):
         cfg = tiny_config(max_batches_per_epoch=None)
@@ -202,10 +209,12 @@ class TestShardedMechanics:
         with ShardedTrainer(shard_graph, cfg, num_workers=2,
                             backend="serial") as sharded:
             stats = sharded.train_epoch()
-        assert [s["shard"] for s in stats.per_shard] == [0, 1]
-        for summary in stats.per_shard:
-            assert len(summary["losses"]) == stats.global_steps
-            assert {"NF", "FS", "PP"} <= set(summary["runtime"])
+        assert len(stats.per_shard) == 2
+        for shard in stats.per_shard:
+            assert len(shard.batch_losses) == stats.global_steps
+            assert {"NF", "FS", "PP"} <= set(shard.runtime)
+        assert stats.runtime["FS_sim_seconds"] == sum(
+            shard.runtime["FS_sim_seconds"] for shard in stats.per_shard)
 
     def test_worker_pool_error_propagates(self, shard_graph):
         cfg = tiny_config()
@@ -249,5 +258,7 @@ class TestShardedMechanics:
         has_sampler, seconds = worker.comms_apply_model()
         assert has_sampler is False and seconds >= 0.0
         assert not worker.comms_model_backward()   # schedule exhausted
-        summary = worker.end_epoch()
-        assert len(summary["losses"]) == 1
+        stats, slices, pack_seconds = worker.end_epoch()
+        assert len(stats.batch_losses) == 1
+        assert stats.dedup_ratio == slices.dedup_ratio > 1.0
+        assert pack_seconds > 0.0

@@ -173,7 +173,7 @@ class TestShardedConsumer:
             with ShardedTrainer(shard_graph, cfg, num_workers=2) as sharded:
                 hashes.append(loss_trajectory_hash(_losses(sharded)))
                 per_shard = sharded.history[-1].per_shard
-                assert all(s["dedup_ratio"] > 1.0 for s in per_shard)
+                assert all(s.dedup_ratio > 1.0 for s in per_shard)
         assert hashes[0] == hashes[1]
 
 

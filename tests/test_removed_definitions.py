@@ -9,7 +9,9 @@ went when training took the level-wise batch: the recursion lives on in
 ``tests/recursive_oracle.py`` as an oracle.  The last went with the one RNG
 protocol: no finder or adaptive sampler holds a generator, which
 ``test_no_component_holds_a_generator`` checks on instances, since an
-instance attribute is not a class member.
+instance attribute is not a class member.  With the one epoch protocol the
+shard worker lost its own step and its loss lists (the latter checked on an
+instance by ``test_shard_worker_holds_no_epoch_state``).
 """
 
 import importlib
@@ -73,6 +75,9 @@ GONE = {
     "repro.core.neighbor_sampler:AdaptiveNeighborSampler.forward": ["greedy"],
     "repro.core.sample_loss": ["sensitivity_sample_loss",
                                "tgat_analytic_sample_loss"],
+    # One epoch protocol: the trainer writes the step halves once.
+    "repro.core.trainer:TaserTrainer": ["_model_step", "_sampler_backward"],
+    "repro.core.trainer:TrainStep": ["minibatch"],
 }
 
 
@@ -118,3 +123,21 @@ def test_no_component_holds_a_generator():
         held = [name for name, value in vars(component).items()
                 if isinstance(value, (np.random.Generator, np.random.BitGenerator))]
         assert held == [], (type(component).__name__, held)
+
+
+def test_shard_worker_holds_no_epoch_state():
+    from repro.core import TaserConfig
+    from repro.distributed import ShardTask, ShardWorker
+    from repro.graph import CTDGConfig, generate_ctdg
+
+    graph = generate_ctdg(CTDGConfig(num_src=10, num_dst=8, num_events=300,
+                                     edge_dim=4, seed=0))
+    config = TaserConfig(hidden_dim=8, time_dim=4, num_neighbors=2,
+                         num_candidates=4, batch_size=50)
+    worker = ShardWorker(ShardTask(
+        config=config, shard_index=0, num_shards=1, cache_capacity=0,
+        src=graph.src, dst=graph.dst, ts=graph.ts,
+        num_nodes=graph.num_nodes, edge_feat=graph.edge_feat))
+    worker.begin_epoch(1)
+    held = {"_losses", "_sample_losses"} & set(vars(worker))
+    assert held == set()

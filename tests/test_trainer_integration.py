@@ -190,6 +190,26 @@ class TestTrainingVariants:
         assert len(result.cache_hit_rates) == 2
         assert all(0.0 <= r <= 1.0 for r in result.cache_hit_rates)
 
+    def test_fit_cache_hit_rates_exclude_evaluation(self, train_graph):
+        """``cache_hit_rates`` are the epochs' own rates: the lookups of the
+        evaluation between two fits do not count toward the second epoch."""
+        cfg = tiny_config(backbone="graphmixer", cache_ratio=0.3)
+        trainer = TaserTrainer(train_graph, cfg)
+        trainer.fit(1)
+        result = trainer.fit(1)
+        assert result.cache_hit_rates == [s.cache_hit_rate
+                                          for s in result.history]
+
+    def test_fs_is_measured_and_simulated_seconds_stand_apart(self, train_graph):
+        cfg = tiny_config(backbone="graphmixer", cache_ratio=0.3)
+        trainer = TaserTrainer(train_graph, cfg)
+        stats = trainer.train_epoch()
+        assert stats.runtime["FS"] == trainer.timer.totals()["FS"]
+        simulated = trainer.feature_store.snapshot().simulated_seconds
+        assert simulated > 0.0
+        assert stats.runtime["FS_sim_seconds"] == simulated
+        assert "FS_transfer" not in stats.runtime
+
     def test_no_cache_when_ratio_zero(self, train_graph):
         cfg = tiny_config(cache_ratio=0.0)
         trainer = TaserTrainer(train_graph, cfg)
