@@ -48,7 +48,14 @@ Two cells cover the serve path.  ``graphmixer_aggregate`` times
 and a training batch's (R = 600).  ``serve_flush`` times one
 ``ServeEngine.flush`` of 1, 3 and 10 queries on the ``serve_openloop``
 configuration and counts its Python + C calls (``calls_per_flush``, a
-``sys.setprofile`` counter).
+``sys.setprofile`` counter) and, of those, the Python frames of the
+``repro`` package (``repro_calls_per_flush``).
+
+Two cells cover prep at R = 6, 64, 512 and 3 000 rows: ``finder_sample``
+(one ``GPUNeighborFinder.sample`` of m = 10 candidates, ``recent`` and
+``uniform``) and ``edge_gather`` (one ``FeatureStore.slice_edge_features``
+of its candidates).  The small sizes show the constant cost of a call, the
+large ones the scoring tiles' and training batches' gathers.
 
 It localises a regression the end-to-end benchmark shows in a step total to
 a layer; it asserts nothing about speed.  Writes ``BENCH_layers.json``::
@@ -85,12 +92,13 @@ import repro.tensor  # noqa: E402
 from repro.bench import emit_bench_json  # noqa: E402
 from repro.core import (AdaptiveNeighborSampler, TaserConfig,  # noqa: E402
                         TaserTrainer)
+from repro.device import FeatureStore  # noqa: E402
 from repro.encoders import FixedTimeEncoder, LearnableTimeEncoder  # noqa: E402
 from repro.eval import evaluator, score_link_queries  # noqa: E402
-from repro.graph import load_dataset  # noqa: E402
+from repro.graph import build_tcsr, load_dataset  # noqa: E402
 from repro.models import TGAT, GraphMixer, HopData  # noqa: E402
 from repro.nn import MixerBlock  # noqa: E402
-from repro.sampling import NeighborBatch  # noqa: E402
+from repro.sampling import GPUNeighborFinder, NeighborBatch  # noqa: E402
 from repro.serve import LinkQuery, ServeEngine  # noqa: E402
 from repro.tensor import Tensor, get_backend, no_grad  # noqa: E402
 from repro.tensor import functional as F  # noqa: E402
@@ -98,6 +106,9 @@ from repro.tensor import functional as F  # noqa: E402
 M, D, EDGE_DIM, BUDGET = 10, 34, 32, 5
 HIDDEN, TIME_DIM, PADDED_SHARE = 32, 16, 0.15
 SIZES = (300, 1500, 6000)
+#: rows of the prep cells: a serve flush's levels (6, 64), a scoring tile
+#: (512) and a training batch's second hop (3 000).
+PREP_ROWS = (6, 64, 512, 3000)
 DEAD_SHARES = {"dead0": 0.0, "dead25": 0.25}
 
 
@@ -284,20 +295,65 @@ def train_levels_cell() -> dict:
     return {"batches": len(batches), "levels": levels}
 
 
-def calls_of(run) -> int:
-    """Python and C function calls ``run()`` makes (a ``sys.setprofile``
-    counter: every ``call`` and ``c_call`` event)."""
-    calls = [0]
+def calls_of(run) -> tuple:
+    """``(calls, repro_calls)``: the Python and C function calls ``run()``
+    makes (a ``sys.setprofile`` counter: every ``call`` and ``c_call``
+    event), and how many of them are Python frames of the ``repro`` package
+    (independent of the NumPy version, whose own Python layers vary)."""
+    calls = [0, 0]
+    package = os.path.dirname(repro.__file__) + os.sep
 
     def count(frame, event, arg):
         if event == "call" or event == "c_call":
             calls[0] += 1
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                calls[1] += 1
     sys.setprofile(count)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return calls[0] - 1                             # the setprofile(None) call
+    return calls[0] - 1, calls[1]                   # less the setprofile(None) call
+
+
+def median_ns(run, repeats: int) -> float:
+    """Median wall-clock nanoseconds of one ``run()`` after a warm call."""
+    run()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter_ns()
+        run()
+        times.append(time.perf_counter_ns() - start)
+    return statistics.median(times)
+
+
+def prep_cells(repeats: int) -> dict:
+    """``finder_sample`` and ``edge_gather`` at ``PREP_ROWS`` rows.
+
+    ``finder_sample`` is one ``GPUNeighborFinder.sample`` of ``R`` random
+    ``(node, t)`` event endpoints of ``train_tgat_taser``'s wikipedia graph
+    for ``M`` candidates each, under ``recent`` (what serving draws) and
+    ``uniform``; ``edge_gather`` one ``FeatureStore.slice_edge_features`` of
+    the ``(R, M)`` candidates ``uniform`` returns (no edge cache, as a serve
+    engine's store)."""
+    graph = load_dataset(TRAIN_SPECS["train_tgat_taser"]["dataset"], scale=1.0, seed=0)
+    tcsr, store = build_tcsr(graph), FeatureStore(graph)
+    rng = np.random.default_rng(0)
+    finders = {policy: GPUNeighborFinder(tcsr, policy=policy)
+               for policy in ("recent", "uniform")}
+    cells: dict = {"finder_sample": {}, "edge_gather": {}}
+    for rows in PREP_ROWS:
+        events = rng.integers(0, graph.num_edges, rows)
+        nodes = np.where(rng.random(rows) < 0.5, graph.src[events], graph.dst[events])
+        times = graph.ts[events]
+        for policy, finder in finders.items():
+            draws = np.random.default_rng(1)
+            cells["finder_sample"].setdefault(f"R{rows}", {})[policy] = median_ns(
+                lambda: finder.sample(nodes, times, M, draws), repeats)
+        batch = finders["uniform"].sample(nodes, times, M, np.random.default_rng(1))
+        cells["edge_gather"][f"R{rows}"] = median_ns(
+            lambda: store.slice_edge_features(batch.eids, batch.mask), repeats)
+    return cells
 
 
 def serve_flush_cell(repeats: int) -> dict:
@@ -328,7 +384,7 @@ def serve_flush_cell(repeats: int) -> dict:
         submit(count)
         engine.flush()                              # warm this flush shape
         submit(count)
-        calls = calls_of(engine.flush)
+        calls, repro_calls = calls_of(engine.flush)
         times = []
         for _ in range(repeats):
             submit(count)
@@ -336,7 +392,8 @@ def serve_flush_cell(repeats: int) -> dict:
             engine.flush()
             times.append(time.perf_counter_ns() - start)
         cell[f"q{count}"] = {"us_per_flush": statistics.median(times) / 1e3,
-                             "calls_per_flush": calls}
+                             "calls_per_flush": calls,
+                             "repro_calls_per_flush": repro_calls}
     return cell
 
 
@@ -390,10 +447,16 @@ def bench(sizes, repeats: int) -> dict:
                              f" {both['out_bytes_per_op'] / 2 ** 20:7.2f} MB")
                 cells.setdefault(name, {}).setdefault(f"R{rows}", {})[label] = cell
                 print(line)
+    cells.update(prep_cells(max(100, 20 * repeats)))
+    for rows in PREP_ROWS:
+        sample = cells["finder_sample"][f"R{rows}"]
+        print(f"  prep              R={rows:<5} finder_sample recent "
+              f"{sample['recent'] / 1e3:8.1f} us uniform {sample['uniform'] / 1e3:8.1f} us"
+              f" | edge_gather {cells['edge_gather'][f'R{rows}'] / 1e3:8.1f} us")
     cell = cells["serve_flush"] = serve_flush_cell(max(100, 20 * repeats))
     print("  serve_flush       " + "  ".join(
         f"{label}: {one['us_per_flush']:7.1f} us {one['calls_per_flush']:4d} calls"
-        for label, one in cell.items()))
+        f" ({one['repro_calls_per_flush']} in repro)" for label, one in cell.items()))
     cell = cells["eval_levels"] = eval_levels_cell(tracer, repeats)
     print(f"  eval_levels       {cell['edges']} edges      nograd "
           f"{cell['ns_per_op'] / 1e6:8.3f} ms at {cell['tile_rows']} rows per tile ("

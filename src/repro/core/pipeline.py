@@ -177,7 +177,7 @@ class MiniBatchGenerator:
         ``train``, the adaptive sampler draws one Gumbel selection per target
         and the hop keeps its ``log_prob`` and a gate; otherwise the sampler
         picks greedily.  Candidate features live only inside this call."""
-        if not self.uses_adaptive_sampling:
+        if self.adaptive_sampler is None:
             selected = self._find(target_nodes, target_times, self.num_neighbors, rng)
             return self._hop_features(selected) if features else HopData(batch=selected)
         stage = self.layer_candidates(target_nodes, target_times, rng)

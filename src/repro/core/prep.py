@@ -28,7 +28,7 @@ The ``candidates``/``gather``/``encode``/``assemble`` stages are implemented
 by :class:`~repro.core.pipeline.MiniBatchGenerator` (a thin stage wrapper
 the pipeline drives); the deduplicated fused gather lives behind the
 :class:`~repro.device.memory.FeatureStore` choke point: unique node/edge ids
-are computed once per gather (``np.unique`` + inverse map), features are
+are computed once per gather (a sorted unique + inverse map), features are
 gathered and the cache is probed once per unique id, and rows scatter back
 to every candidate slot — bitwise-identical outputs with strictly less
 gather/cache work (TASER-style redundancy elimination, surfaced as

@@ -17,7 +17,7 @@ to regenerate Fig. 1 and Table III.
 The store is the **dedup choke point** of the prep runtime
 (``repro.core.prep``): multi-hop candidate sets contain the same node/edge
 ids many times over, so every gather first collapses its request to unique
-ids (``np.unique`` + inverse map), gathers/converts each unique row once,
+ids (a sorted unique + inverse map), gathers/converts each unique row once,
 probes the cache once per unique id, and scatters the rows back to the
 requesting slots.  Outputs are bitwise-identical to the naive per-slot
 gather; bytes and simulated transfer time reflect the unique rows actually
@@ -184,19 +184,32 @@ class FeatureStore:
     # -- dedup choke point -----------------------------------------------------
 
     @staticmethod
-    def _deduplicate(flat: np.ndarray, valid: np.ndarray):
+    def _deduplicate(flat: np.ndarray, valid: Optional[np.ndarray]):
         """Unique-id decomposition of one gather request.
 
         Returns ``(unique_ids, inverse, valid_counts)`` with
         ``unique_ids[inverse] == flat`` and ``valid_counts[i]`` the number of
-        *valid* occurrences of ``unique_ids[i]`` in the request.  This is the
-        single choke point of the prep runtime's deduplicated fused gather:
-        everything downstream (feature gather, cache probe, transfer
-        accounting) operates per unique id and scatters back via ``inverse``.
+        *valid* occurrences of ``unique_ids[i]`` in the request (``valid``
+        ``None``: every slot is).  This is the single choke point of the prep
+        runtime's deduplicated fused gather: everything downstream (feature
+        gather, cache probe, transfer accounting) operates per unique id and
+        scatters back via ``inverse``.
+
+        ``np.unique(flat, return_inverse=True)``'s own sort-and-mark — the
+        same sort kind, the same ``unique_ids`` and ``inverse`` — without the
+        Python layers around it, which cost a small request more than the
+        arithmetic.
         """
-        unique_ids, inverse = np.unique(flat, return_inverse=True)
-        valid_counts = np.bincount(inverse, weights=valid,
-                                   minlength=unique_ids.size).astype(np.int64)
+        order = flat.argsort(kind="quicksort")
+        ordered = flat[order]
+        first = np.empty(ordered.shape, dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        unique_ids = ordered[first]
+        inverse = np.empty(order.shape, dtype=np.intp)
+        inverse[order] = first.cumsum() - 1
+        valid_counts = np.bincount(inverse if valid is None else inverse[valid],
+                                   minlength=unique_ids.size)
         return unique_ids, inverse, valid_counts
 
     # -- edge features ---------------------------------------------------------
@@ -217,18 +230,18 @@ class FeatureStore:
         unchanged by dedup); byte and simulated-time accounting reflect the
         unique rows actually moved.
         """
-        if self.graph.edge_feat is None:
+        edge_feat = self.graph.edge_feat
+        if edge_feat is None:
             return None
         edge_ids = np.asarray(edge_ids, dtype=np.int64)
-        flat = edge_ids.reshape(-1)
-        valid = np.ones(flat.shape[0], dtype=bool) if mask is None \
-            else np.asarray(mask, dtype=bool).reshape(-1)
+        valid = None if mask is None else np.asarray(mask, dtype=bool).reshape(-1)
 
-        unique_ids, inverse, valid_counts = self._deduplicate(flat, valid)
+        unique_ids, inverse, valid_counts = self._deduplicate(edge_ids.reshape(-1),
+                                                              valid)
         live = valid_counts > 0
         live_ids = unique_ids[live]
         live_counts = valid_counts[live]
-        requested = int(valid_counts.sum())
+        requested = int(np.add.reduce(valid_counts))
         with self._lock:
             self.stats.requests += 1
             self.stats.ids_requested += requested
@@ -255,12 +268,11 @@ class FeatureStore:
         # Fused gather: each unique row once, scattered via inverse.  The
         # graph stores features in the compute dtype (float32), so the cast
         # is a no-op: rows are never widened on the way in.
-        rows = self.graph.edge_feat[unique_ids].astype(
-            _tensor.COMPUTE_DTYPE, copy=False)
+        rows = edge_feat[unique_ids].astype(_tensor.COMPUTE_DTYPE, copy=False)
         features = rows[inverse]
-        if mask is not None:
-            features = features * valid[:, None]
-        return features.reshape(*edge_ids.shape, self.graph.edge_dim)
+        if valid is not None:
+            features *= valid[:, None]
+        return features.reshape(*edge_ids.shape, rows.shape[1])
 
     # -- node features ----------------------------------------------------------
 
@@ -271,27 +283,26 @@ class FeatureStore:
         Deduplicated like :meth:`slice_edge_features`: one gathered/converted
         row and one accounted transfer row per *unique* node id.
         """
-        if self.graph.node_feat is None:
+        node_feat = self.graph.node_feat
+        if node_feat is None:
             return None
         node_ids = np.asarray(node_ids, dtype=np.int64)
-        flat = node_ids.reshape(-1)
-        valid = np.ones(flat.shape[0], dtype=bool) if mask is None \
-            else np.asarray(mask, dtype=bool).reshape(-1)
-        unique_ids, inverse, valid_counts = self._deduplicate(flat, valid)
-        n_unique = int((valid_counts > 0).sum())
+        valid = None if mask is None else np.asarray(mask, dtype=bool).reshape(-1)
+        unique_ids, inverse, valid_counts = self._deduplicate(node_ids.reshape(-1),
+                                                              valid)
+        n_unique = int(np.count_nonzero(valid_counts))
         nbytes = float(n_unique * self._node_bytes_per_row)
         with self._lock:
-            self.stats.ids_requested += int(valid_counts.sum())
+            self.stats.ids_requested += int(np.add.reduce(valid_counts))
             self.stats.ids_unique += n_unique
             self.stats.bytes_from_vram += nbytes
             self.stats.simulated_seconds += self.cost_model.vram_time(
                 nbytes, num_rows=n_unique)
-        rows = self.graph.node_feat[unique_ids].astype(
-            _tensor.COMPUTE_DTYPE, copy=False)
+        rows = node_feat[unique_ids].astype(_tensor.COMPUTE_DTYPE, copy=False)
         features = rows[inverse]
-        if mask is not None:
-            features = features * valid[:, None]
-        return features.reshape(*node_ids.shape, self.graph.node_dim)
+        if valid is not None:
+            features *= valid[:, None]
+        return features.reshape(*node_ids.shape, rows.shape[1])
 
     # -- epoch plumbing ------------------------------------------------------------
 

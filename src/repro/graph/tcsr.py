@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .temporal_graph import TemporalGraph
+from .temporal_graph import TemporalGraph, node_id_array
 
 __all__ = ["TCSR", "build_tcsr", "StreamingTCSR"]
 
@@ -262,10 +262,10 @@ class StreamingTCSR:
         row order of the event log's edge-feature matrix.  Raises
         ``ValueError`` when the chunk holds a non-finite timestamp, is out of
         chronological order (within itself or against previously appended
-        events) or references node ids outside ``[0, num_nodes)``.
+        events), or its node ids are not integers or lie outside ``[0,
+        num_nodes)``.
         """
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
+        src, dst = node_id_array(src), node_id_array(dst)
         ts = np.ascontiguousarray(ts, dtype=np.float64)
         if not (src.shape == dst.shape == ts.shape) or src.ndim != 1:
             raise ValueError("src, dst and ts must be identical one-dimensional arrays")

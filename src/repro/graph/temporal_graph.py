@@ -17,6 +17,19 @@ import numpy as np
 __all__ = ["TemporalGraph"]
 
 
+def node_id_array(ids) -> np.ndarray:
+    """Appended node ids as a contiguous int64 array.
+
+    Raises ``ValueError`` unless ``ids`` has an integer dtype: a cast would
+    truncate a float id (``1.7`` read as node 1) and read a bool as node 0
+    or 1.
+    """
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"appended node ids must be integers, got dtype {ids.dtype}")
+    return np.ascontiguousarray(ids, dtype=np.int64)
+
+
 @dataclass
 class TemporalGraph:
     """Event-list representation of a dynamic graph.
@@ -113,8 +126,9 @@ class TemporalGraph:
 
         Constraints enforced with actionable errors:
 
-        * node ids must lie in ``[0, num_nodes)`` — streaming does not grow
-          the node set (presets have a fixed node universe);
+        * node ids must be integers (an array of another dtype raises
+          rather than being cast) in ``[0, num_nodes)`` — streaming does not
+          grow the node set (presets have a fixed node universe);
         * timestamps must be finite, non-decreasing within the chunk and must
           not precede the latest existing event (chronological ingestion);
         * ``edge_feat`` must be present with matching width iff the graph
@@ -125,8 +139,7 @@ class TemporalGraph:
 
         Returns ``self`` for chaining.
         """
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
+        src, dst = node_id_array(src), node_id_array(dst)
         ts = np.ascontiguousarray(ts, dtype=np.float64)
         if not (src.shape == dst.shape == ts.shape) or src.ndim != 1:
             raise ValueError("appended src, dst and ts must be identical 1-D arrays")

@@ -56,16 +56,18 @@ class GraphMixer(TGNNBackbone):
 
     def aggregate(self, layer: int, h_target: Optional[Tensor],
                   h_neighbors: Optional[Tensor], hop: HopData) -> Tensor:
-        if hop.budget != self.num_neighbors:
+        batch = hop.batch
+        rows, budget = batch.mask.shape
+        if budget != self.num_neighbors:
             raise ValueError(
                 f"GraphMixer was built for {self.num_neighbors} neighbors per node "
-                f"but the mini-batch provides {hop.budget}; the token-mixing MLP "
+                f"but the mini-batch provides {budget}; the token-mixing MLP "
                 "dimension is tied to the neighbor budget")
-        mixer = self.mixer
-        keep_t, keep_c = mixer.keep_masks(hop.num_targets, self.out_proj.weight.dtype)
+        mixer, out_proj = self.mixer, self.out_proj
+        keep_t, keep_c = mixer.keep_masks(rows, out_proj.weight.data.dtype)
         params = (self.message_proj.weight, self.message_proj.bias,
-                  *mixer.block_parameters(), self.out_proj.weight, self.out_proj.bias)
+                  *mixer.block_parameters(), out_proj.weight, out_proj.bias)
         return F.graphmixer_aggregate(
-            hop.batch.delta_t(), hop.batch.mask, hop.edge_feat, h_target, h_neighbors,
+            batch.delta_t(), batch.mask, hop.edge_feat, h_target, h_neighbors,
             hop.gate, params, self.time_encoder.omega, keep_t, keep_c,
             eps=mixer.token_norm.eps)

@@ -23,6 +23,10 @@ __all__ = ["NeighborBatch", "NeighborFinder", "PAD_NODE", "PAD_EDGE"]
 PAD_NODE = 0
 PAD_EDGE = 0
 
+#: whether any entry of a 1-D array is nonzero: the reduction itself, one C
+#: call (``ndarray.any`` wraps it in a Python helper).
+_any = np.logical_or.reduce
+
 
 @dataclass
 class NeighborBatch:
@@ -102,11 +106,11 @@ class NeighborBatch:
         on every finder result.
         """
         invalid = ~self.mask
-        if self.nodes[invalid].any():
+        if _any(self.nodes[invalid]):
             raise ValueError("padded neighbor slots must hold the PAD_NODE sentinel")
-        if self.eids[invalid].any():
+        if _any(self.eids[invalid]):
             raise ValueError("padded neighbor slots must hold the PAD_EDGE sentinel")
-        if self.times[invalid].any():
+        if _any(self.times[invalid]):
             raise ValueError("padded neighbor slots must have timestamp 0.0")
 
     def check_invariants(self) -> None:

@@ -26,7 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from ..graph.tcsr import TCSR
-from .base import NeighborBatch, NeighborFinder
+from .base import NeighborBatch, NeighborFinder, _any
 
 __all__ = ["GPUNeighborFinder"]
 
@@ -57,8 +57,12 @@ class GPUNeighborFinder(NeighborFinder):
 
     # -- pivot ----------------------------------------------------------------------
 
-    def batched_pivots(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
+    def batched_pivots(self, nodes: np.ndarray, times: np.ndarray,
+                       lo: np.ndarray) -> np.ndarray:
         """Vectorised pivot search: first adjacency index with ``ts >= t``.
+
+        ``lo`` is each node's segment start ``tcsr.indptr[nodes]``, which
+        :meth:`sample` reads once for the search and its offsets.
 
         Equivalent to one binary search per thread block in Algorithm 2 but
         performed as a single ``searchsorted`` over the composite key array.
@@ -72,23 +76,23 @@ class GPUNeighborFinder(NeighborFinder):
         :meth:`TCSR.pivots <repro.graph.tcsr.TCSR.pivots>`.
         """
         query_keys = nodes.astype(np.float64) * self._offset \
-            + np.clip(times - self._t_min, 0.0, self._offset - 1.0)
-        pivots = np.searchsorted(self._keys, query_keys, side="left")
-        indptr, ts = self.tcsr.indptr, self.tcsr.ts
+            + np.minimum(np.maximum(times - self._t_min, 0.0), self._offset - 1.0)
+        pivots = self._keys.searchsorted(query_keys)
+        ts = self.tcsr.ts
         if ts.shape[0] == 0:
             return pivots
-        lo, hi = indptr[nodes], indptr[nodes + 1]
+        hi = self.tcsr.indptr[nodes + 1]
         pivots = np.minimum(np.maximum(pivots, lo), hi)
         last = ts.shape[0] - 1
         while True:
             early = (pivots < hi) & (ts[np.minimum(pivots, last)] < times)
-            if not early.any():
+            if not _any(early):
                 break
             pivots += early
         while True:
             # pivots - 1 == -1 only where pivots == lo == 0, masked out.
             late = (pivots > lo) & (ts[pivots - 1] >= times)
-            if not late.any():
+            if not _any(late):
                 break
             pivots -= late
         return pivots
@@ -150,9 +154,8 @@ class GPUNeighborFinder(NeighborFinder):
                                  eids=zeros_i.copy(), times=np.zeros((b, budget)),
                                  mask=np.zeros((b, budget), dtype=bool))
 
-        pivots = self.batched_pivots(nodes, times)
         starts = tcsr.indptr[nodes]
-        counts = pivots - starts
+        counts = self.batched_pivots(nodes, times, starts) - starts
 
         if self.policy == "recent":
             # offsets counted backwards from the pivot: pivot-1, pivot-2, ...
@@ -162,11 +165,13 @@ class GPUNeighborFinder(NeighborFinder):
         else:
             offsets, mask = self._uniform_without_replacement(counts, budget, rng)
 
+        # A padded slot reads entry 0, and the integer outputs are zeroed
+        # there by the mask (exactly the PAD sentinels).
         abs_idx = starts[:, None] + offsets
-        abs_idx = np.where(mask, abs_idx, 0)
+        abs_idx *= mask
 
-        out_nodes = np.where(mask, tcsr.indices[abs_idx], 0)
-        out_eids = np.where(mask, tcsr.eid[abs_idx], 0)
+        out_nodes = tcsr.indices[abs_idx] * mask
+        out_eids = tcsr.eid[abs_idx] * mask
         out_times = np.where(mask, tcsr.ts[abs_idx], 0.0)
 
         return NeighborBatch(root_nodes=nodes, root_times=times, nodes=out_nodes,

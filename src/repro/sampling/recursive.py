@@ -43,10 +43,11 @@ def unique_targets(nodes: np.ndarray, times: np.ndarray) -> tuple:
     """
     order = np.lexsort((times, nodes))
     nodes, times = nodes[order], times[order]
-    new = np.ones(order.size, dtype=bool)
+    new = np.empty(order.size, dtype=bool)
+    new[:1] = True
     new[1:] = (nodes[1:] != nodes[:-1]) | (times[1:] != times[:-1])
     inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
+    inverse[order] = new.cumsum() - 1
     return nodes[new], times[new], inverse
 
 

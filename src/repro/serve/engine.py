@@ -9,12 +9,16 @@ pending queries into **one** pass through the existing batch-prep runtime
 (:class:`~repro.core.prep.PrepPipeline`) and **one** model forward, and
 returns calibrated probabilities.
 
-Dataflow of one flush::
+Objects exist only at the edge: :meth:`ServeEngine.submit` takes a
+:class:`LinkQuery` apart into the pending columns (src, dst, t, deadline,
+seq, enqueue time — arrays, not one object per query), and a flush builds
+each :class:`ServeResult` once, after its micro-batch is scored.  Between
+the two everything is columns.  Dataflow of one flush::
 
-    submit(LinkQuery) ──▶ bounded queue (queue_depth; shed-or-wait)
-                              │ micro-batch of <= max_batch queries
+    submit(LinkQuery) ──▶ pending columns (queue_depth; shed-or-wait)
+                              │ FIFO slices of <= max_batch rows
                               ▼
-                    endpoint (node, t) pairs ──▶ NodeEmbeddingCache.lookup
+        _score(src, dst, t): endpoint (node, t) columns ──▶ NodeEmbeddingCache.lookup
                               │ misses only          (staleness bounds;
                               │                       off when time-exact)
                               ▼
@@ -23,8 +27,10 @@ Dataflow of one flush::
                 micro-batch; each distinct (node, t) computed once)
                               │ fresh rows ──▶ NodeEmbeddingCache.insert
                               ▼
-            EdgePredictor(h_src, h_dst) ──▶ sigmoid ──▶ ServeResult
-            (score, latency, batch occupancy, cache hits)
+            EdgePredictor(h_src, h_dst) ──▶ sigmoid ──▶ score / logit columns
+                              │
+                              ▼
+            ServeResult per query (score, latency, batch occupancy, cache hits)
 
 Synchronous core, concurrency-ready: the engine itself never spawns
 threads — `submit`/`flush` are plain calls, so a caller can drive it from an
@@ -46,8 +52,10 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, repeat
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -67,14 +75,15 @@ __all__ = ["LinkQuery", "ServeResult", "ServeStats", "VirtualClock",
            "ServeEngine", "scores_hash"]
 
 
-@dataclass(frozen=True)
-class LinkQuery:
+class LinkQuery(NamedTuple):
     """One link-prediction request: how likely is ``src -> dst`` at ``t``?
 
-    ``deadline`` (seconds, measured from submission on the engine's clock)
-    optionally bounds how long the query may wait in the micro-batch queue;
-    queries past their deadline at flush time are shed with status
-    ``"expired"`` instead of being scored late.
+    ``src`` and ``dst`` are integer node ids (a Python or NumPy integer; a
+    float or a bool is ``"invalid"``, never truncated).  ``deadline``
+    (seconds, measured from submission on the engine's clock) optionally
+    bounds how long the query may wait in the micro-batch queue (``None``
+    and infinity bound nothing); queries past their deadline at flush time
+    are shed with status ``"expired"`` instead of being scored late.
     """
 
     src: int
@@ -83,14 +92,13 @@ class LinkQuery:
     deadline: Optional[float] = None
 
 
-@dataclass
-class ServeResult:
+class ServeResult(NamedTuple):
     """Outcome of one :class:`LinkQuery`.
 
     ``status`` is ``"ok"`` (scored), ``"shed"`` (rejected at admission:
     queue full under the ``shed`` policy), ``"expired"`` (deadline passed
-    while queued) or ``"invalid"`` (endpoint outside the node universe, or a
-    query time that is NaN or infinite).
+    while queued) or ``"invalid"`` (an endpoint that is not an integer node
+    id of the universe, or a query time that is NaN or infinite).
     ``score`` is the calibrated link probability ``sigmoid(logit)``.
     """
 
@@ -106,6 +114,31 @@ class ServeResult:
     cache_hits: int = 0
     #: submission order, assigned by the engine.
     seq: int = 0
+
+
+#: positional constructors from one row of fields, called from C (``map``
+#: over ``zip``ped columns): no Python frame per query.
+_query_of = partial(tuple.__new__, LinkQuery)
+_result_of = partial(tuple.__new__, ServeResult)
+
+#: sort key of results: submission order (C-level, no Python frame per item).
+_by_seq = attrgetter("seq")
+#: a deadline column value back to the query's field: infinity is ``None``
+#: (``dict.get(d, d)``, mapped from C).
+_deadline_of = {math.inf: None}.get
+_training = attrgetter("training")
+
+#: the pending columns (attribute, dtype): one row per queued query, rows
+#: ``[0, _count)`` live.  A query without a deadline holds infinity, which
+#: no wait exceeds.
+_COLUMNS = (("_src", np.int64), ("_dst", np.int64), ("_t", np.float64),
+            ("_deadline", np.float64), ("_seq", np.int64),
+            ("_enqueued", np.float64))
+
+
+def _is_node_id(value) -> bool:
+    """Whether ``value`` is an integer node id (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -145,17 +178,6 @@ class VirtualClock:
     def __call__(self) -> float:
         self.now += self.tick
         return self.now
-
-
-#: sort key of results: submission order (C-level, no Python frame per item).
-_by_seq = attrgetter("seq")
-
-
-@dataclass
-class _Pending:
-    query: LinkQuery
-    seq: int
-    enqueued_at: float
 
 
 class ServeEngine:
@@ -259,9 +281,13 @@ class ServeEngine:
         #: tile from it to seed that tile; ingest never touches it.
         self.rng = new_rng(int(seed))
 
-        self._pending: List[_Pending] = []
+        # The pending queue: parallel columns, grown geometrically as it
+        # fills (never sized by queue_depth up front).
+        for name, dtype in _COLUMNS:
+            setattr(self, name, np.empty(0, dtype=dtype))
+        self._count = 0
         self._drained: List[ServeResult] = []
-        self._seq = 0
+        self._next_seq = 0
         self.serve_stats = ServeStats()
 
     @classmethod
@@ -310,9 +336,10 @@ class ServeEngine:
         ``staleness_events`` become invalid at their next lookup.  Pending
         queries are *not* flushed: a query admitted before the ingest is
         scored against the post-ingest graph, exactly as a continuously
-        batching server would.
+        batching server would.  Node ids must be integer arrays
+        (``ValueError`` otherwise, as for every append).
         """
-        src = np.asarray(src, dtype=np.int64)
+        src = np.asarray(src)
         self.graph.append_events(src, dst, ts, edge_feat)
         self.stcsr.append(src, dst, ts)
         self.embedding_cache.grow(self.graph.num_nodes)
@@ -322,7 +349,8 @@ class ServeEngine:
     # -- admission ---------------------------------------------------------------
 
     def submit(self, query: LinkQuery) -> Optional[ServeResult]:
-        """Admit one query into the micro-batch queue.
+        """Admit one query into the micro-batch queue: its fields become one
+        row of the pending columns.
 
         Returns ``None`` when the query was enqueued; a terminal
         :class:`ServeResult` when it was rejected immediately (``"invalid"``
@@ -333,21 +361,40 @@ class ServeEngine:
         :meth:`flush`.
         """
         self.serve_stats.submitted += 1
-        seq = self._seq
-        self._seq += 1
+        seq = self._next_seq
+        self._next_seq += 1
+        src, dst, t, deadline = query.src, query.dst, query.t, query.deadline
         n = self.graph.num_nodes
-        if not (0 <= query.src < n and 0 <= query.dst < n
-                and math.isfinite(query.t)):
+        if not (_is_node_id(src) and _is_node_id(dst) and 0 <= src < n
+                and 0 <= dst < n and math.isfinite(t)):
             self.serve_stats.invalid += 1
-            return ServeResult(query=query, status="invalid", seq=seq)
-        if len(self._pending) >= self.queue_depth:
+            return ServeResult(query, "invalid", seq=seq)
+        row = self._count
+        if row >= self.queue_depth:
             if self.admission == "shed":
                 self.serve_stats.shed += 1
-                return ServeResult(query=query, status="shed", seq=seq)
-            self._drained.extend(self._flush_pending())
-        self._pending.append(_Pending(query=query, seq=seq,
-                                      enqueued_at=self._clock()))
+                return ServeResult(query, "shed", seq=seq)
+            self._drain()
+            row = self._count
+        if row == self._src.size:
+            self._grow()
+        self._src[row] = src
+        self._dst[row] = dst
+        self._t[row] = t
+        self._deadline[row] = math.inf if deadline is None else deadline
+        self._seq[row] = seq
+        self._enqueued[row] = self._clock()
+        self._count = row + 1
         return None
+
+    def _grow(self) -> None:
+        """Double the pending columns (to ``max_batch`` rows at first)."""
+        size = max(2 * self._src.size, self.max_batch)
+        for name, dtype in _COLUMNS:
+            column = np.empty(size, dtype=dtype)
+            old = getattr(self, name)
+            column[:old.size] = old
+            setattr(self, name, column)
 
     # -- micro-batched scoring ---------------------------------------------------
 
@@ -356,8 +403,8 @@ class ServeEngine:
         ``max_batch``) and return all newly completed results in submission
         order.  An empty queue flushes to an empty list without touching the
         model."""
-        results = self._drained + self._flush_pending()
-        self._drained = []
+        self._drain()
+        results, self._drained = self._drained, []
         results.sort(key=_by_seq)
         return results
 
@@ -372,50 +419,85 @@ class ServeEngine:
             immediate = self.submit(query)
             if immediate is not None:
                 results.append(immediate)
-            if len(self._pending) >= self.max_batch:
+            if self._count >= self.max_batch:
                 results.extend(self.flush())
         results.extend(self.flush())
         results.sort(key=_by_seq)
         return results
 
-    def _flush_pending(self) -> List[ServeResult]:
+    def _drain(self) -> None:
+        """Empty the queue: score its rows in FIFO slices of ``max_batch``
+        and append their results to the drained list (expired ones first
+        within a slice).
+
+        Each slice leaves the queue before it is scored, so if scoring
+        raises, that slice is lost but the results drained so far and the
+        rows behind it stay for the next flush.
+        """
         self.serve_stats.flushes += 1
-        results: List[ServeResult] = []
-        while self._pending:
-            chunk = self._pending[:self.max_batch]
-            del self._pending[:self.max_batch]
-            results.extend(self._score_chunk(chunk))
-        return results
+        results = self._drained
+        count, start = self._count, 0
+        try:
+            while start < count:
+                rows = slice(start, min(start + self.max_batch, count))
+                start = rows.stop
+                # Shed the rows whose deadline passed (an infinite one never
+                # does), then score the rest.
+                now = self._clock()
+                expired = now - self._enqueued[rows] > self._deadline[rows]
+                for row in compress(range(rows.start, rows.stop), expired.tolist()):
+                    self.serve_stats.expired += 1
+                    query = LinkQuery(int(self._src[row]), int(self._dst[row]),
+                                      float(self._t[row]), float(self._deadline[row]))
+                    results.append(ServeResult(
+                        query, "expired", seq=int(self._seq[row]),
+                        latency_seconds=now - float(self._enqueued[row])))
+                rows = rows.start + (~expired).nonzero()[0]
+                src = self._src[rows]
+                if not src.size:
+                    continue
+                dst, t = self._dst[rows], self._t[rows]
+                scores, logits, hits = self._score(src, dst, t)
+                done = self._clock()
+                deadlines = self._deadline[rows].tolist()
+                queries = zip(src.tolist(), dst.tolist(), t.tolist(),
+                              map(_deadline_of, deadlines, deadlines))
+                results.extend(map(_result_of, zip(
+                    map(_query_of, queries), repeat("ok"), scores.tolist(),
+                    logits.tolist(), (done - self._enqueued[rows]).tolist(),
+                    repeat(src.size), hits.tolist(), self._seq[rows].tolist())))
+        except BaseException:
+            # Keep the rows not yet taken: move them to the queue's front.
+            for name, _ in _COLUMNS:
+                column = getattr(self, name)
+                column[:count - start] = column[start:count]
+            self._count = count - start
+            raise
+        self._count = 0
 
-    def _score_chunk(self, chunk: List[_Pending]) -> List[ServeResult]:
-        now = self._clock()
-        live: List[_Pending] = []
-        results: List[ServeResult] = []
-        for item in chunk:
-            deadline = item.query.deadline
-            if deadline is not None and now - item.enqueued_at > deadline:
-                self.serve_stats.expired += 1
-                results.append(ServeResult(
-                    query=item.query, status="expired", seq=item.seq,
-                    latency_seconds=now - item.enqueued_at))
-            else:
-                live.append(item)
-        if not live:
-            return results
+    def _score(self, src: np.ndarray, dst: np.ndarray, t: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Score the links ``src[i] -> dst[i]`` at ``t[i]`` as one micro-batch:
+        one prep pass and one forward over the endpoints the embedding cache
+        does not hold.  Returns ``(scores, logits, cache_hits)``: the
+        calibrated probabilities, their logits and how many of each link's
+        two endpoints came from the cache.
 
-        b = len(live)
-        src = np.asarray([p.query.src for p in live], dtype=np.int64)
-        dst = np.asarray([p.query.dst for p in live], dtype=np.int64)
-        ts = np.asarray([p.query.t for p in live], dtype=np.float64)
-        nodes = np.concatenate([src, dst])
-        times = np.concatenate([ts, ts])
-
+        ``src`` / ``dst`` are int64 ids of the node universe and ``t`` finite
+        float64 times: rows of the pending columns, which :meth:`submit`
+        has checked.
+        """
+        b = src.size
+        nodes = np.concatenate((src, dst))
+        times = np.concatenate((t, t))
+        # ``training`` is a plain instance attribute: writing the instance
+        # dicts skips ``Module.__setattr__``'s registration hook.
         modules = self._modules
-        modes = [module.training for module in modules]
+        modes = list(map(_training, modules))
         for module in modules:
-            object.__setattr__(module, "training", False)
+            module.__dict__["training"] = False
         cache = self.embedding_cache
-        observed = self.events_observed
+        observed = self.graph.num_edges
         try:
             with no_grad():
                 hits, rows = cache.lookup(nodes, times, observed)
@@ -445,25 +527,14 @@ class ServeEngine:
                         cache.insert(uniq_nodes, computed, distinct.batch.root_times,
                                      observed)
                 self.serve_stats.embeddings_reused += num_hits
-                logits_t = self.predictor(Tensor(rows[:b]), Tensor(rows[b:]))
-                scores = F.sigmoid(logits_t).data
-                logits = logits_t.data
+                logits = self.predictor(Tensor(rows[:b]), Tensor(rows[b:]))
+                scores = F.sigmoid(logits).data
         finally:
             for module, mode in zip(modules, modes):
-                object.__setattr__(module, "training", mode)
-
-        done = self._clock()
+                module.__dict__["training"] = mode
         self.serve_stats.forward_batches += 1
         self.serve_stats.served += b
-        endpoint_hits = [0] * b if not num_hits else \
-            (hits[:b].astype(np.int64) + hits[b:]).tolist()
-        for item, score, logit, cache_hits in zip(
-                live, scores.tolist(), logits.tolist(), endpoint_hits):
-            results.append(ServeResult(
-                query=item.query, status="ok", score=score, logit=logit,
-                latency_seconds=done - item.enqueued_at, batch_size=b,
-                cache_hits=cache_hits, seq=item.seq))
-        return results
+        return scores, logits.data, np.add(hits[:b], hits[b:], dtype=np.int64)
 
     # -- reporting ---------------------------------------------------------------
 

@@ -427,7 +427,8 @@ class ReferenceBackend:
         ``x`` is read through its channel-major transpose: a contiguous copy
         when ``x`` is laid out that way already (``MixerBlock.input_buffer``),
         a transposing one otherwise.  ``fmask`` is the ``(R, m, 1)`` float
-        validity mask (or ``None``), ``keep_t`` ``(R, h_t, d)`` / ``keep_c``
+        validity mask (or ``None``), read in place when it is the transpose
+        of a C-contiguous ``(1, m, R)`` array, ``keep_t`` ``(R, h_t, d)`` / ``keep_c``
         ``(R, m, h_c)`` the scaled dropout keep-masks (or ``None``).  With
         ``retain`` the backward pass's inputs come back in ``saved`` — per
         sub-block the normalised input, its ``rstd``, the GELU output (written
@@ -437,7 +438,9 @@ class ReferenceBackend:
         """
         self._one_float_dtype(x, fmask, keep_t, keep_c, *params)
         gam_t, bet_t, w1t, b1t, w2t, b2t, gam_c, bet_c, w1c, b1c, w2c, b2c = params
-        fmask, keep_t = self._channel_major(fmask), self._channel_major(keep_t)
+        if fmask is not None:
+            fmask = np.ascontiguousarray(fmask.transpose(2, 1, 0))
+        keep_t = self._channel_major(keep_t)
         x0 = self._channel_major(x, fmask)
         d, m, rows = x0.shape
         # Token mixing.  W1 @ (xhat * gamma + beta) = (W1 @ xhat) * gamma +
@@ -445,7 +448,7 @@ class ReferenceBackend:
         xhat, rstd = self._standardize(x0, eps, axis=0)
         a = self.matmul(w1t, xhat)
         a *= gam_t[:, None, None]
-        a += (bet_t[:, None] * w1t.sum(axis=1) + b1t)[..., None]
+        a += (bet_t[:, None] * np.add.reduce(w1t, axis=1) + b1t)[..., None]
         s = self._gelu_gate(a)
         y = np.multiply(a, s, out=a)
         if keep_t is not None:
@@ -947,7 +950,9 @@ class ReferenceBackend:
         come back in ``saved``; without it ``saved`` is ``None``.
         """
         wm, bm, wo, bo = params[0], params[1], params[14], params[15]
-        self._one_float_dtype(wm, edge, h_target, h_neighbors, gate, *params)
+        # The block's own kernel checks its parameters and the keep-masks
+        # against the tokens, which are built in ``wm``'s dtype.
+        self._one_float_dtype(wm, edge, h_target, h_neighbors, gate, bm, wo, bo)
         rows, n = delta.shape
         width, d_t = wm.shape[0], omega.shape[0]
 
@@ -960,14 +965,16 @@ class ReferenceBackend:
         summed = summed.reshape(rows, n, width)
         tokens = summed if gate is None else summed * gate[..., None]
         tokens += bm
-        fmask = mask.astype(wm.dtype)[..., None]
+        # Built channel-major, the transpose the block reads, so it is not
+        # copied there.
+        fmask = mask.T.astype(wm.dtype, order="C")[None].transpose(2, 1, 0)
         mixed, block = self.mixer_block_forward(tokens, fmask, params[2:14], keep_t,
                                                 keep_c, eps, retain)
         del tokens
         # The block zeroes the masked tokens, so the mean over the valid ones
         # is a token sum over the valid count.
-        count = np.maximum(mask.sum(axis=1, keepdims=True), 1).astype(wm.dtype)
-        pooled = mixed.sum(axis=1)
+        count = np.maximum(np.add.reduce(mask, axis=1, keepdims=True), 1).astype(wm.dtype)
+        pooled = np.add.reduce(mixed, axis=1)
         pooled /= count
         out = self.matmul(pooled, wo[:, :width].T)
         if h_target is not None:

@@ -205,7 +205,9 @@ class Tensor:
                  "_grad_shared", "__weakref__")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False, dtype=None):
-        self.data: np.ndarray = _as_array(data, dtype)
+        # An array as it is (every kernel result) needs no conversion.
+        self.data: np.ndarray = data if dtype is None and type(data) is np.ndarray \
+            else _as_array(data, dtype)
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
         self.grad: Optional[np.ndarray] = None
         #: backward rule ``rule(grad_of_this_node)``; it must not reference
@@ -982,11 +984,12 @@ def graphmixer_aggregate(delta: np.ndarray, mask: np.ndarray,
     """
     slots = (h_target, h_neighbors, gate, *params)
     arrays = [p.data for p in params]
-    need = [s is not None and s.requires_grad for s in slots]
+    need = [s is not None and s.requires_grad for s in slots] if _GRAD_ENABLED else ()
     req = _GRAD_ENABLED and any(need)
     data, saved = get_backend().graphmixer_aggregate_forward(
-        delta, mask, edge_feat, *(None if s is None else s.data for s in slots[:3]),
-        arrays, omega, keep_t, keep_c, eps, req)
+        delta, mask, edge_feat, None if h_target is None else h_target.data,
+        None if h_neighbors is None else h_neighbors.data,
+        None if gate is None else gate.data, arrays, omega, keep_t, keep_c, eps, req)
     out = Tensor(data, requires_grad=req)
     if req:
         out._prev = tuple(s for s in slots if s is not None)
@@ -1013,7 +1016,7 @@ def edge_predictor(h_src: Tensor, h_dst: Tensor, params: Sequence[Tensor]) -> Te
     """
     parents = (h_src, h_dst, *params)
     arrays = [p.data for p in params]
-    need = [p.requires_grad for p in parents]
+    need = [p.requires_grad for p in parents] if _GRAD_ENABLED else ()
     req = _GRAD_ENABLED and any(need)
     data, saved = get_backend().edge_predictor_forward(h_src.data, h_dst.data, arrays, req)
     out = Tensor(data, requires_grad=req)

@@ -135,7 +135,8 @@ def _assert_gpu_finder_exact(tcsr, nodes, times, budget):
     nodes = np.asarray(nodes, dtype=np.int64)
     times = np.asarray(times, dtype=np.float64)
     gpu = GPUNeighborFinder(tcsr, policy="recent")
-    np.testing.assert_array_equal(gpu.batched_pivots(nodes, times),
+    np.testing.assert_array_equal(gpu.batched_pivots(nodes, times,
+                                                    tcsr.indptr[nodes]),
                                   tcsr.pivots(nodes, times))
     rng = np.random.default_rng(0)
     got = gpu.sample(nodes, times, budget, rng)

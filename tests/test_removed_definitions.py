@@ -11,7 +11,9 @@ protocol: no finder or adaptive sampler holds a generator, which
 ``test_no_component_holds_a_generator`` checks on instances, since an
 instance attribute is not a class member.  With the one epoch protocol the
 shard worker lost its own step and its loss lists (the latter checked on an
-instance by ``test_shard_worker_holds_no_epoch_state``).
+instance by ``test_shard_worker_holds_no_epoch_state``).  With the
+columnar serve pass the engine queues no object per query
+(``test_serve_queue_holds_no_per_query_objects``).
 """
 
 import importlib
@@ -60,7 +62,7 @@ GONE = {
     "repro.bench.harness": ["geometric_mean"],
     "repro.device.memory:FeatureStore": ["cost_model", "node_features_on_device"],
     "repro.core.trainer": ["TransferCostModel"],
-    "repro.serve.engine": ["TransferCostModel"],
+    "repro.serve.engine": ["TransferCostModel", "_Pending"],
     # One embedding path: training batches are level-wise too.
     "repro.models.base:TGNNBackbone": ["_embed_recursive", "_embed_levels"],
     "repro.core.pipeline:MiniBatchGenerator": ["_build_levels"],
@@ -78,6 +80,9 @@ GONE = {
     # One epoch protocol: the trainer writes the step halves once.
     "repro.core.trainer:TaserTrainer": ["_model_step", "_sampler_backward"],
     "repro.core.trainer:TrainStep": ["minibatch"],
+    # One columnar serve pass: the pending queue is columns, scored by
+    # ``ServeEngine._score``.
+    "repro.serve.engine:ServeEngine": ["_flush_pending", "_score_chunk"],
 }
 
 
@@ -141,3 +146,29 @@ def test_shard_worker_holds_no_epoch_state():
     worker.begin_epoch(1)
     held = {"_losses", "_sample_losses"} & set(vars(worker))
     assert held == set()
+
+
+def test_serve_queue_holds_no_per_query_objects():
+    from repro.core import TaserConfig, TaserTrainer
+    from repro.graph import CTDGConfig, generate_ctdg
+    from repro.serve import LinkQuery, ServeEngine
+
+    graph = generate_ctdg(CTDGConfig(num_src=10, num_dst=8, num_events=300,
+                                     edge_dim=4, seed=0))
+    config = TaserConfig(backbone="graphmixer", hidden_dim=8, time_dim=4,
+                         num_neighbors=2, batch_size=50, adaptive_minibatch=False,
+                         adaptive_neighbor=False)
+    engine = ServeEngine.from_trainer(TaserTrainer(graph, config))
+    t = float(graph.ts.max())
+    for i in range(3):
+        assert engine.submit(LinkQuery(i, 10 + i, t, deadline=1.0)) is None
+
+    def per_query(value):
+        items = value if isinstance(value, (list, tuple)) else ()
+        return any(isinstance(item, LinkQuery) or hasattr(item, "query")
+                   for item in items)
+    held = [name for name, value in vars(engine).items() if per_query(value)]
+    assert held == []
+    columns = [value for value in vars(engine).values() if isinstance(value, np.ndarray)]
+    assert len(columns) >= 6
+    assert all(column.dtype.kind in "if" for column in columns)

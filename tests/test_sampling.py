@@ -130,7 +130,7 @@ class TestFinderCorrectness:
     def test_gpu_matches_original_pivots(self, small_graph, small_tcsr):
         nodes, times = query_batch(small_graph, 300, seed=5)
         gpu = GPUNeighborFinder(small_tcsr)
-        pivots = gpu.batched_pivots(nodes, times)
+        pivots = gpu.batched_pivots(nodes, times, small_tcsr.indptr[nodes])
         expected = small_tcsr.pivots(nodes, times)
         assert np.array_equal(pivots, expected)
 
@@ -146,7 +146,8 @@ class TestFinderCorrectness:
         raw = np.searchsorted(gpu._keys, nodes * gpu._offset
                               + (times - gpu._t_min))
         assert ((raw < expected) if drift > 0 else (raw > expected)).any()
-        assert np.array_equal(gpu.batched_pivots(nodes, times), expected)
+        assert np.array_equal(
+            gpu.batched_pivots(nodes, times, small_tcsr.indptr[nodes]), expected)
 
     def test_query_beyond_horizon(self, small_graph, small_tcsr):
         """Queries later than every event see the whole neighborhood."""

@@ -8,11 +8,15 @@ deterministic replay contract: bitwise-identical scores across runs.
 """
 
 import copy
+import os
+import sys
+from enum import IntEnum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core import TaserConfig, TaserTrainer
 from repro.serve import (LinkQuery, NodeEmbeddingCache, ServeEngine,
                          VirtualClock, scores_hash)
@@ -38,6 +42,10 @@ def queries(small_graph):
     return [LinkQuery(int(rng.integers(0, n)), int(rng.integers(0, n)),
                       t_hi * (0.5 + 0.5 * float(rng.random())))
             for _ in range(30)]
+
+
+class _Node(IntEnum):
+    TWO = 2
 
 
 def make_engine(trained, **kwargs):
@@ -322,9 +330,25 @@ class TestServeEngineEdgeCases:
                                 LinkQuery(1, 3, float("nan")),
                                 LinkQuery(2, 3, float("inf")),
                                 LinkQuery(2, 3, float("-inf")),
-                                LinkQuery(2, 3, 1.0)])
-        assert [r.status for r in results] == ["invalid"] * 5 + ["ok"]
-        assert engine.stats()["invalid"] == 5
+                                # not integers: never truncated to a node
+                                LinkQuery(3.9, 7, 1.0),
+                                LinkQuery(True, 7, 1.0),
+                                LinkQuery(2, np.float64(3.0), 1.0),
+                                LinkQuery(2, 3, 1.0),
+                                LinkQuery(np.int32(2), np.int64(3), 1.0),
+                                LinkQuery(_Node.TWO, 3, 1.0)])
+        assert [r.status for r in results] == ["invalid"] * 8 + ["ok"] * 3
+        assert engine.stats()["invalid"] == 8
+        assert results[-1].score == results[-2].score == results[-3].score
+
+    def test_ingest_rejects_non_integer_ids(self, trained):
+        engine = make_engine(trained)
+        before = engine.graph.num_edges
+        last = float(engine.graph.ts[-1])
+        feat = np.zeros((1, engine.graph.edge_dim), dtype=np.float32)
+        with pytest.raises(ValueError, match="integers"):
+            engine.ingest(np.array([1.7]), np.array([2.2]), np.array([last + 1.0]), feat)
+        assert engine.graph.num_edges == engine.stcsr.num_events == before
 
     def test_unseen_node_at_time_t(self, trained):
         # At t = first timestamp no node has any history yet: the temporal
@@ -357,12 +381,17 @@ class TestServeEngineEdgeCases:
 
     def test_deadline_expiry_on_injected_clock(self, trained):
         engine = make_engine(trained, clock=VirtualClock(tick=1.0))
-        engine.submit(LinkQuery(1, 2, 100.0, deadline=0.5))
-        engine.submit(LinkQuery(3, 4, 100.0, deadline=100.0))
-        engine.submit(LinkQuery(5, 6, 100.0))  # no deadline: never expires
+        submitted = [LinkQuery(1, 2, 100.0, deadline=0.5),
+                     LinkQuery(3, 4, 100.0, deadline=100.0),
+                     LinkQuery(5, 6, 100.0)]  # no deadline: never expires
+        for query in submitted:
+            engine.submit(query)
         results = engine.flush()
         assert [r.status for r in results] == ["expired", "ok", "ok"]
         assert engine.stats()["expired"] == 1
+        # Each result carries its query back, rebuilt from the columns.
+        assert [r.query for r in results] == submitted
+        assert results[2].query.deadline is None
 
     def test_staleness_expiry_mid_batch(self, trained):
         # One micro-batch holds the same node at two query times: the nearby
@@ -547,3 +576,92 @@ class TestServeDeterminism:
             trained.backbone.train(False)
         assert seen == [{False}]
         assert after == [True] * len(backbone) + [False] * len(predictor)
+
+
+class TestColumnarCore:
+    def test_flush_scores_through_score(self, trained, queries):
+        """A flush is ``_score`` over slices of the pending columns: the same
+        links scored directly give the flush's scores and logits, bit for
+        bit."""
+        flushed = make_engine(trained, max_batch=len(queries)).serve(queries)
+        src = np.array([q.src for q in queries])
+        dst = np.array([q.dst for q in queries])
+        t = np.array([q.t for q in queries])
+        scores, logits, hits = make_engine(trained)._score(src, dst, t)
+        assert scores.tolist() == [r.score for r in flushed]
+        assert logits.tolist() == [r.logit for r in flushed]
+        assert hits.tolist() == [0] * len(queries)
+
+    def test_queue_grows_past_its_first_columns(self, trained, queries):
+        engine = make_engine(trained, max_batch=4, queue_depth=64)
+        for query in queries:
+            assert engine.submit(query) is None
+        results = engine.flush()
+        assert [r.seq for r in results] == list(range(len(queries)))
+        assert [r.query for r in results] == queries
+        assert [r.batch_size for r in results] == [4] * 28 + [2] * 2
+
+    def test_a_failing_slice_loses_only_itself(self, trained, queries):
+        """A slice leaves the queue before it is scored: when scoring it
+        raises, the results drained by backpressure and the rows behind it
+        survive, and the next flush delivers them with later queries."""
+        engine = make_engine(trained, max_batch=2, queue_depth=4)
+        for query in queries[:8]:
+            assert engine.submit(query) is None     # the 5th drains 4
+        score, calls = engine._score, []
+
+        def failing(*args):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise RuntimeError("scoring failed")
+            return score(*args)
+        engine._score = failing
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            engine.flush()
+        assert engine.submit(queries[8]) is None
+        results = engine.flush()
+        assert [r.seq for r in results] == [0, 1, 2, 3, 6, 7, 8]
+        assert [r.query for r in results] == [queries[i] for i in (0, 1, 2, 3, 6, 7, 8)]
+        assert {r.status for r in results} == {"ok"}
+        assert engine.flush() == []
+
+
+#: Python frames under ``repro`` that a 3-query flush on a one-layer
+#: GraphMixer enters (99 on Python 3.11; 3.12 inlines comprehensions, so it
+#: counts fewer).  The count was 124 before the pending queue became columns.
+FLUSH_FRAME_BUDGET = 99
+
+
+class TestFlushCallBudget:
+    def test_three_query_flush(self, small_graph):
+        """The fixed cost of a flush, counted as ``sys.setprofile`` ``call``
+        events whose code lives in the ``repro`` package: NumPy's own
+        Python layers differ between versions, so they are not counted."""
+        config = TaserConfig(backbone="graphmixer", hidden_dim=16, time_dim=8,
+                             num_neighbors=5, batch_size=150,
+                             max_batches_per_epoch=2, adaptive_minibatch=False,
+                             adaptive_neighbor=False, seed=3)
+        trainer = TaserTrainer(small_graph, config)
+        trainer.train_epoch()
+        engine = ServeEngine.from_trainer(trainer)
+        t = float(small_graph.ts.max())
+
+        def submit():
+            for i in range(3):
+                engine.submit(LinkQuery(i, 40 + i, t))
+        submit()
+        engine.flush()                              # warm this flush shape
+        submit()
+        package = os.path.dirname(repro.__file__) + os.sep
+        frames = [0]
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                frames[0] += 1
+        sys.setprofile(count)
+        try:
+            results = engine.flush()
+        finally:
+            sys.setprofile(None)
+        assert [r.status for r in results] == ["ok"] * 3
+        assert frames[0] <= FLUSH_FRAME_BUDGET

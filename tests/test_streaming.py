@@ -92,6 +92,11 @@ class TestStreamingTCSR:
                          np.array([7.0, 6.0]))
         with pytest.raises(ValueError, match="out of range"):
             stcsr.append(np.array([9]), np.array([1]), np.array([8.0]))
+        # A float id would be truncated (1.7 -> 1), a bool read as 0 / 1.
+        with pytest.raises(ValueError, match="integers"):
+            stcsr.append(np.array([1.7]), np.array([2]), np.array([8.0]))
+        with pytest.raises(ValueError, match="integers"):
+            stcsr.append(np.array([1]), np.array([True]), np.array([8.0]))
         # Failed appends must not corrupt the structure.
         assert stcsr.num_events == 1
         stcsr.snapshot().check_invariants()
@@ -135,6 +140,12 @@ class TestAppendEvents:
         with pytest.raises(ValueError, match="shape"):
             g.append_events(np.array([0]), np.array([1]), np.array([t + 1]),
                             np.zeros((1, g.edge_dim + 3)))
+        with pytest.raises(ValueError, match="integers"):
+            g.append_events(np.array([1.7]), np.array([2.2]), np.array([t + 1]),
+                            np.zeros((1, g.edge_dim)))
+        with pytest.raises(ValueError, match="integers"):
+            g.append_events(np.array([False]), np.array([1]), np.array([t + 1]),
+                            np.zeros((1, g.edge_dim)))
         assert g.num_edges == 50  # nothing was partially applied
 
     def test_empty_chunk_is_a_noop(self, small_graph):
