@@ -35,15 +35,16 @@ class _RecordingCache(DynamicFeatureCache):
         self.epoch_streams: List[np.ndarray] = []
         self._current: List[np.ndarray] = []
 
-    def _record(self, edge_ids):
-        super()._record(edge_ids)
-        self._current.append(np.array(edge_ids, copy=True))
+    def _record_unique(self, unique_ids, counts):
+        # The feature store probes deduplicated ids (``lookup_unique``).
+        super()._record_unique(unique_ids, counts)
+        self._current.append(np.repeat(unique_ids, counts))
 
     def end_epoch(self):
         self.epoch_streams.append(np.concatenate(self._current)
                                   if self._current else np.empty(0, dtype=np.int64))
         self._current = []
-        super().end_epoch()
+        return super().end_epoch()
 
 
 def _record_access_streams(graph):
@@ -68,10 +69,8 @@ def _replay(streams, num_edges, capacity):
         oracle.preload(stream)
         dynamic.lookup(stream)
         oracle.lookup(stream)
-        dynamic.end_epoch()
-        oracle.end_epoch()
-        dyn_rates.append(dynamic.hit_rate_history[-1])
-        oracle_rates.append(oracle.hit_rate_history[-1])
+        dyn_rates.append(dynamic.end_epoch())
+        oracle_rates.append(oracle.end_epoch())
     return dyn_rates, oracle_rates, dynamic.replacement_count
 
 

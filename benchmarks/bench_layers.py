@@ -39,9 +39,18 @@ dst, 49 negatives) through ``score_link_queries`` on the
 bound ``SCORING_TILE_ROWS`` and at half and twice it (``ns_by_tile_rows``).
 Per level of the call's forward-only batch it records ``rows`` (the slots
 that reach the level), ``targets`` (its distinct ``(node, t)`` queries, the
-rows the level computes) and ``tiles`` (how many tiles run them).  Beside it,
-``train_levels`` counts the same ``rows`` and ``targets`` per level, summed
-over one epoch of that workload's training batches (counts only, no timing).
+rows the level computes), ``tiles`` (how many tiles run them) and
+``live_token_fraction`` (the mean of the candidate mask over the rows the
+adaptive sampler scores: the share of its mixer block's tokens that are not
+masked).  Beside it, ``train_levels`` counts the same ``rows``, ``targets``
+and ``live_token_fraction`` per level, summed over one epoch of that
+workload's training batches (counts only, no timing).
+
+``tcsr_build`` times T-CSR construction on the graphs the four end-to-end
+workloads build one of (the serve engine's is the warm prefix) and on one
+graph of 70 000 nodes, past the 16-bit node key: ns per ``build_tcsr``, ns per
+``StreamingTCSR.from_graph(...).snapshot()`` and µs per event appended in
+chunks of 100 and 200 events (a serve ingest block, a stream chunk).
 
 Two cells cover the serve path.  ``graphmixer_aggregate`` times
 ``GraphMixer.aggregate`` on the zero state at a serve flush's rows (R = 3)
@@ -95,7 +104,8 @@ from repro.core import (AdaptiveNeighborSampler, TaserConfig,  # noqa: E402
 from repro.device import FeatureStore  # noqa: E402
 from repro.encoders import FixedTimeEncoder, LearnableTimeEncoder  # noqa: E402
 from repro.eval import evaluator, score_link_queries  # noqa: E402
-from repro.graph import build_tcsr, load_dataset  # noqa: E402
+from repro.graph import (StreamingTCSR, TemporalGraph, build_tcsr,  # noqa: E402
+                         load_dataset)
 from repro.models import TGAT, GraphMixer, HopData  # noqa: E402
 from repro.nn import MixerBlock  # noqa: E402
 from repro.sampling import GPUNeighborFinder, NeighborBatch  # noqa: E402
@@ -255,10 +265,12 @@ def eval_levels_cell(tracer: Tracer, repeats: int) -> dict:
                scorer.negatives.sample_matrix(edges.size, config.eval_negatives,
                                               exclude=graph.dst[edges]))
     bound = evaluator.SCORING_TILE_ROWS
-    minibatch = trainer.prep.prepare_eval(*queries, rng=np.random.default_rng(0)
-                                          ).minibatch
+    minibatch, live = live_tokens(trainer.generator.adaptive_sampler, lambda: (
+        trainer.prep.prepare_eval(*queries, rng=np.random.default_rng(0)).minibatch))
     levels = [{"rows": int(hop.inverse.size), "targets": hop.num_targets,
-               "tiles": -(-hop.num_targets // bound)} for hop in minibatch.hops]
+               "tiles": -(-hop.num_targets // bound),
+               "live_token_fraction": valid / slots}
+              for hop, (valid, slots) in zip(minibatch.hops, live)]
 
     def score():
         return score_link_queries(trainer.prep, trainer.backbone,
@@ -275,9 +287,27 @@ def eval_levels_cell(tracer: Tracer, repeats: int) -> dict:
                 ns_by_tile_rows=by_bound, levels=levels)
 
 
+def live_tokens(sampler: AdaptiveNeighborSampler, run) -> tuple:
+    """``(run(), counts)``: ``counts`` holds, per call of ``sampler`` during
+    ``run()`` in call order, the valid candidates of the rows it scores (the
+    rows with at least one) and their candidate slots — the live and all
+    tokens its mixer block runs on."""
+    forward, counts = sampler.forward, []
+
+    def counted(candidates, *args, **kwargs):
+        scored = candidates.mask[candidates.mask.any(axis=1)]
+        counts.append((int(scored.sum()), int(scored.size)))
+        return forward(candidates, *args, **kwargs)
+    sampler.forward = counted
+    try:
+        return run(), counts
+    finally:
+        del sampler.forward
+
+
 def train_levels_cell() -> dict:
-    """Rows and distinct targets per level, summed over one epoch of
-    ``train_tgat_taser`` training batches."""
+    """Rows, distinct targets and the sampler's live-token fraction per
+    level, summed over one epoch of ``train_tgat_taser`` training batches."""
     spec = TRAIN_SPECS["train_tgat_taser"]
     trainer = TaserTrainer(load_dataset(spec["dataset"], scale=spec["scale"],
                                         seed=0),
@@ -288,10 +318,15 @@ def train_levels_cell() -> dict:
         batches.append(build(*args, **kwargs))
         return batches[-1]
     trainer.generator.build = counted
-    trainer.train_epoch()
+    _, live = live_tokens(trainer.generator.adaptive_sampler, trainer.train_epoch)
+    layers = trainer.generator.num_layers
+    # A training batch draws each level in one sampler call, level by level.
+    assert len(live) == layers * len(batches)
     levels = [{"rows": sum(int(batch.hops[level].inverse.size) for batch in batches),
-               "targets": sum(batch.hops[level].num_targets for batch in batches)}
-              for level in range(trainer.generator.num_layers)]
+               "targets": sum(batch.hops[level].num_targets for batch in batches),
+               "live_token_fraction": (sum(valid for valid, _ in live[level::layers])
+                                       / sum(slots for _, slots in live[level::layers]))}
+              for level in range(layers)]
     return {"batches": len(batches), "levels": levels}
 
 
@@ -354,6 +389,66 @@ def prep_cells(repeats: int) -> dict:
         cells["edge_gather"][f"R{rows}"] = median_ns(
             lambda: store.slice_edge_features(batch.eids, batch.mask), repeats)
     return cells
+
+
+#: the graphs the end-to-end workloads build a T-CSR of, as ``(dataset,
+#: scale, events kept)``: the two training graphs, the stream graph and the
+#: warm prefix ``serve_openloop`` builds its engine on at ``--seconds 15``
+#: (its scale fits the 13 400 query events that follow the prefix, as the
+#: workload computes it).
+TCSR_GRAPHS = {"train_tgat_taser": ("wikipedia", 1.0, None),
+               "train_mixer_baseline": ("reddit", 2.0, None),
+               "stream_prequential": ("wikipedia", 4.0, None),
+               "serve_openloop": ("wikipedia", 13400 / 0.4 / 6000 * 1.01 + 0.01,
+                                  -13400)}
+#: events per append of the cell's chunked ingest: a serve ingest block and a
+#: stream chunk.
+APPEND_CHUNKS = (100, 200)
+
+
+def tcsr_graphs() -> dict:
+    """The e2e workloads' T-CSR graphs (seed 0) and one of 70 000 nodes, past
+    the 16-bit node key, with as many events as the stream graph."""
+    graphs = {}
+    for name, (dataset, scale, events) in TCSR_GRAPHS.items():
+        graph = load_dataset(dataset, scale=scale, seed=0)
+        if not graph.is_chronological:
+            graph = graph.sort_by_time()
+        graphs[name] = graph.select_events(np.arange(graph.num_edges)[:events])
+    rng, nodes, events = np.random.default_rng(0), 70_000, graphs["stream_prequential"].num_edges
+    graphs["nodes70000"] = TemporalGraph(
+        src=rng.integers(0, nodes, events), dst=rng.integers(0, nodes, events),
+        ts=np.sort(rng.random(events)), num_nodes=nodes)
+    return graphs
+
+
+def tcsr_build_cell(repeats: int) -> dict:
+    """Per graph: ns per ``build_tcsr``, ns per
+    ``StreamingTCSR.from_graph(...).snapshot()`` and µs per event appended in
+    chunks of ``APPEND_CHUNKS`` events onto a T-CSR seeded with the first
+    30 % of the events (the stream workload's warm prefix)."""
+    cell = {}
+    for name, graph in tcsr_graphs().items():
+        warm = graph.select_events(np.arange(int(0.3 * graph.num_edges)))
+        appended = graph.num_edges - warm.num_edges
+        per_event = {}
+        for chunk in APPEND_CHUNKS:
+            times = []
+            for _ in range(repeats):
+                stcsr = StreamingTCSR.from_graph(warm)
+                start = time.perf_counter_ns()
+                for lo in range(warm.num_edges, graph.num_edges, chunk):
+                    stcsr.append(graph.src[lo:lo + chunk], graph.dst[lo:lo + chunk],
+                                 graph.ts[lo:lo + chunk])
+                times.append(time.perf_counter_ns() - start)
+            per_event[f"chunk{chunk}"] = statistics.median(times) / 1e3 / appended
+        cell[name] = {
+            "nodes": graph.num_nodes, "events": graph.num_edges,
+            "build_tcsr_ns": median_ns(lambda: build_tcsr(graph), repeats),
+            "from_graph_snapshot_ns": median_ns(
+                lambda: StreamingTCSR.from_graph(graph).snapshot(), repeats),
+            "append_us_per_event": per_event}
+    return cell
 
 
 def serve_flush_cell(repeats: int) -> dict:
@@ -453,6 +548,13 @@ def bench(sizes, repeats: int) -> dict:
         print(f"  prep              R={rows:<5} finder_sample recent "
               f"{sample['recent'] / 1e3:8.1f} us uniform {sample['uniform'] / 1e3:8.1f} us"
               f" | edge_gather {cells['edge_gather'][f'R{rows}'] / 1e3:8.1f} us")
+    cell = cells["tcsr_build"] = tcsr_build_cell(max(20, 2 * repeats))
+    for name, one in cell.items():
+        print(f"  tcsr_build        {name:<20} V={one['nodes']:<6} E={one['events']:<6}"
+              f" build_tcsr {one['build_tcsr_ns'] / 1e6:6.3f} ms | from_graph+snapshot"
+              f" {one['from_graph_snapshot_ns'] / 1e6:6.3f} ms | append " + " ".join(
+                  f"{chunk} {us:.2f}" for chunk, us in one["append_us_per_event"].items())
+              + " us/event")
     cell = cells["serve_flush"] = serve_flush_cell(max(100, 20 * repeats))
     print("  serve_flush       " + "  ".join(
         f"{label}: {one['us_per_flush']:7.1f} us {one['calls_per_flush']:4d} calls"
@@ -464,10 +566,11 @@ def bench(sizes, repeats: int) -> dict:
                       for rows, ns in cell["ns_by_tile_rows"].items())
           + "); rows -> targets in tiles per level: " + ", ".join(
               f"{level['rows']} -> {level['targets']} in {level['tiles']}"
-              for level in cell["levels"]))
+              f" ({level['live_token_fraction']:.3f} live)" for level in cell["levels"]))
     cell = cells["train_levels"] = train_levels_cell()
     print(f"  train_levels      {cell['batches']} batches    rows -> targets per "
           "level: " + ", ".join(f"{level['rows']} -> {level['targets']}"
+                                f" ({level['live_token_fraction']:.3f} live)"
                                 for level in cell["levels"]))
     return cells
 

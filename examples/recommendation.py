@@ -73,8 +73,7 @@ def cache_study(graph, tcsr) -> None:
             if isinstance(cache, OracleCache):
                 cache.preload(stream)
             cache.lookup(stream)
-            cache.end_epoch()
-            rates.append(cache.hit_rate_history[-1])
+            rates.append(cache.end_epoch())
         print(f"  {name:22s} hit rates per epoch: "
               + "  ".join(f"{r:.3f}" for r in rates))
     print("Expected shape: dynamic ~ oracle >> static random; degree-based caching "

@@ -16,15 +16,14 @@ All caches share the same interface:
     probe and one frequency update per *unique* id, with the epoch hit/miss
     accounting weighted by the occurrence counts so the recorded numbers
     are identical to probing the full duplicate-bearing stream,
-``end_epoch()``
-    apply the replacement policy at an epoch boundary,
-``hit_rate_history``
-    per-epoch hit rates for Fig. 3(b).
+``end_epoch() -> hit_rate``
+    apply the replacement policy and return the closed epoch's hit rate
+    (Fig. 3(b)); nothing is kept per epoch.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -47,7 +46,6 @@ class FeatureCache:
         # per-epoch accounting
         self._epoch_hits = 0
         self._epoch_requests = 0
-        self.hit_rate_history: List[float] = []
         self.replacement_count = 0
 
     # -- interface ------------------------------------------------------------
@@ -95,13 +93,13 @@ class FeatureCache:
         """
         self._record(np.repeat(unique_ids, counts))
 
-    def end_epoch(self) -> None:
-        """Close the epoch: store the hit rate and run the replacement policy."""
-        rate = (self._epoch_hits / self._epoch_requests) if self._epoch_requests else 0.0
-        self.hit_rate_history.append(float(rate))
+    def end_epoch(self) -> float:
+        """Close the epoch: run the replacement policy and return its hit rate."""
+        rate = float(self.current_hit_rate)
         self._epoch_hits = 0
         self._epoch_requests = 0
         self._replace()
+        return rate
 
     def _replace(self) -> None:
         """Replacement policy hook (default: static, never replaces)."""

@@ -22,6 +22,15 @@ half-edges, so :class:`StreamingTCSR` — the incrementally appendable variant
 used by the streaming subsystem — produces snapshots **bitwise-identical**
 to a one-shot :func:`build_tcsr` over the same events (asserted by the
 streaming test suite).
+
+Construction cost
+-----------------
+Both builders order half-edges by node with one stable sort of the node ids
+cast to the narrowest unsigned dtype that holds ``num_nodes - 1``.  Up to
+65 536 nodes (every generated graph here; the paper's Wikipedia, Reddit and
+GDELT) that key is 8 or 16 bits and NumPy's stable sort is an ``O(E)`` radix
+sort; on wider keys it is ``O(E log E)``.  :func:`build_tcsr` first
+stable-sorts the timestamps, linear on a chronological log (one run).
 """
 
 from __future__ import annotations
@@ -157,6 +166,20 @@ def _half_edges(src: np.ndarray, dst: np.ndarray, eid: np.ndarray,
     return rows, cols, np.repeat(eid, 2), np.repeat(ts, 2)
 
 
+def _node_order(rows: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``argsort(rows, kind="stable")`` on the narrowest unsigned key that
+    holds ``num_nodes - 1``: a radix sort up to 16 bits (module docstring)."""
+    key = np.min_scalar_type(max(num_nodes - 1, 0))
+    return np.argsort(rows.astype(key), kind="stable")
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``
+    in one ``repeat``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
 def build_tcsr(graph: TemporalGraph) -> TCSR:
     """Build the T-CSR adjacency from an event list.
 
@@ -168,33 +191,34 @@ def build_tcsr(graph: TemporalGraph) -> TCSR:
     rows, cols, eid, ts = _half_edges(graph.src, graph.dst, np.arange(e),
                                       graph.ts)
 
-    # Counting sort by (row, ts): first order by ts, then stable-sort by row so
-    # each node segment remains chronologically sorted.
-    order_t = np.argsort(ts, kind="stable")
-    rows_t, cols_t, eid_t, ts_t = rows[order_t], cols[order_t], eid[order_t], ts[order_t]
-    order_r = np.argsort(rows_t, kind="stable")
-    rows_s, cols_s, eid_s, ts_s = rows_t[order_r], cols_t[order_r], eid_t[order_r], ts_t[order_r]
+    # Order by ts, then stably by node, so each node segment remains
+    # chronologically sorted: one composed permutation, one gather per array.
+    order = np.argsort(ts, kind="stable")
+    order = order[_node_order(rows[order], graph.num_nodes)]
 
     counts = np.bincount(rows, minlength=graph.num_nodes)
     indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
 
-    return TCSR(indptr=indptr, indices=cols_s, eid=eid_s, ts=ts_s,
+    return TCSR(indptr=indptr, indices=cols[order], eid=eid[order], ts=ts[order],
                 num_nodes=graph.num_nodes)
 
 
 class StreamingTCSR:
     """Incrementally appendable T-CSR with amortized-doubling segment growth.
 
-    The batch :func:`build_tcsr` sorts the full half-edge list — ``O(E log E)``
-    per rebuild, which a live event stream cannot afford on every arrival.
-    ``StreamingTCSR`` instead keeps every node's temporal adjacency segment in
-    a shared physical heap *with slack capacity*:
+    The batch :func:`build_tcsr` sorts the full half-edge list on every
+    rebuild (``O(E)`` up to 65 536 nodes, see the module docstring), which a
+    live event stream cannot afford on every arrival.  ``StreamingTCSR``
+    instead keeps every node's temporal adjacency segment in a shared
+    physical heap *with slack capacity*:
 
     * :meth:`append` places a chunk of chronologically ordered events at its
-      nodes' segment tails in ``O(chunk)`` amortized time;
+      nodes' segment tails in ``O(chunk)`` amortized time, independent of
+      the number of nodes;
     * a segment that outgrows its capacity is relocated to the end of the heap
-      with its capacity doubled (classic amortized doubling), and the heap
+      with its capacity doubled (classic amortized doubling; all of a chunk's
+      relocations are one gather / scatter per heap array), and the heap
       itself also grows geometrically, so the per-half-edge append cost is
       ``O(1)`` amortized;
     * :meth:`snapshot` compacts the padded segments into an exact
@@ -221,9 +245,10 @@ class StreamingTCSR:
         self._seg_len = np.zeros(self.num_nodes, dtype=np.int64)
         self._seg_cap = np.zeros(self.num_nodes, dtype=np.int64)
         capacity = max(int(initial_capacity), 1)
-        self._indices = np.zeros(capacity, dtype=np.int64)
-        self._eid = np.zeros(capacity, dtype=np.int64)
-        self._ts = np.zeros(capacity, dtype=np.float64)
+        # Nothing reads past a segment's live length: the heap starts empty.
+        self._indices = np.empty(capacity, dtype=np.int64)
+        self._eid = np.empty(capacity, dtype=np.int64)
+        self._ts = np.empty(capacity, dtype=np.float64)
         #: physical high-water mark of the heap (allocated segment space).
         self._heap_end = 0
         self._num_events = 0
@@ -286,24 +311,27 @@ class StreamingTCSR:
         eid = np.arange(self._num_events, self._num_events + k, dtype=np.int64)
         rows, cols, eids, tss = _half_edges(src, dst, eid, ts)
 
-        counts = np.bincount(rows, minlength=self.num_nodes)
-        growing = np.nonzero(self._seg_len + counts > self._seg_cap)[0]
-        if growing.size:
-            self._grow_segments(growing, counts[growing])
-
-        # Scatter the chunk's entries to their segment tails, preserving the
-        # within-chunk arrival order per node (stable sort by row).
-        order = np.argsort(rows, kind="stable")
+        # The chunk's entries in node order (stable: arrival order per node),
+        # as runs of ``counts`` entries for each distinct node it touches.
+        order = _node_order(rows, self.num_nodes)
         rows_s = rows[order]
-        run_start = np.nonzero(np.r_[True, rows_s[1:] != rows_s[:-1]])[0]
-        run_len = np.diff(np.r_[run_start, rows_s.size])
-        within = np.arange(rows_s.size) - np.repeat(run_start, run_len)
-        pos = self._seg_start[rows_s] + self._seg_len[rows_s] + within
+        # edge[i]: one node's run starts at entry i (or, last, the chunk ends).
+        edge = np.empty(rows_s.size + 1, dtype=bool)
+        edge[0] = edge[-1] = True
+        np.not_equal(rows_s[1:], rows_s[:-1], out=edge[1:-1])
+        bounds = np.flatnonzero(edge)
+        nodes, counts = rows_s[bounds[:-1]], bounds[1:] - bounds[:-1]
+        growing = self._seg_len[nodes] + counts > self._seg_cap[nodes]
+        if growing.any():
+            self._grow_segments(nodes[growing], counts[growing])
+
+        # Scatter the runs to their segment tails.
+        pos = _ranges(self._seg_start[nodes] + self._seg_len[nodes], counts)
         self._indices[pos] = cols[order]
         self._eid[pos] = eids[order]
         self._ts[pos] = tss[order]
 
-        self._seg_len += counts
+        self._seg_len[nodes] += counts
         self._num_events += k
         self._num_entries += int(rows.size)
         self._last_ts = float(ts[-1])
@@ -316,16 +344,11 @@ class StreamingTCSR:
         new_caps = np.maximum(self.MIN_SEGMENT_CAPACITY,
                               np.ceil(self.GROWTH * need)).astype(np.int64)
         self._reserve(self._heap_end + int(new_caps.sum()))
-        starts = self._heap_end + np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(new_caps[:-1], dtype=np.int64)])
-        for i, node in enumerate(nodes):
-            length = int(self._seg_len[node])
-            if length:
-                old = int(self._seg_start[node])
-                new = int(starts[i])
-                self._indices[new:new + length] = self._indices[old:old + length]
-                self._eid[new:new + length] = self._eid[old:old + length]
-                self._ts[new:new + length] = self._ts[old:old + length]
+        starts = self._heap_end + np.cumsum(new_caps) - new_caps
+        lengths = self._seg_len[nodes]
+        to, frm = _ranges(starts, lengths), _ranges(self._seg_start[nodes], lengths)
+        for heap in (self._indices, self._eid, self._ts):
+            heap[to] = heap[frm]
         self._seg_start[nodes] = starts
         self._seg_cap[nodes] = new_caps
         self._heap_end += int(new_caps.sum())
@@ -337,7 +360,7 @@ class StreamingTCSR:
         new_size = max(int(total), 2 * self._indices.shape[0])
         for name in ("_indices", "_eid", "_ts"):
             old = getattr(self, name)
-            fresh = np.zeros(new_size, dtype=old.dtype)
+            fresh = np.empty(new_size, dtype=old.dtype)
             fresh[:self._heap_end] = old[:self._heap_end]
             setattr(self, name, fresh)
 
@@ -353,10 +376,7 @@ class StreamingTCSR:
         if self._snapshot is None:
             indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
             np.cumsum(self._seg_len, out=indptr[1:])
-            total = int(indptr[-1])
-            within = np.arange(total, dtype=np.int64) \
-                - np.repeat(indptr[:-1], self._seg_len)
-            gather = np.repeat(self._seg_start, self._seg_len) + within
+            gather = _ranges(self._seg_start, self._seg_len)
             self._snapshot = TCSR(indptr=indptr, indices=self._indices[gather],
                                   eid=self._eid[gather], ts=self._ts[gather],
                                   num_nodes=self.num_nodes)

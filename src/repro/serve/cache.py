@@ -33,7 +33,7 @@ Eviction follows the :class:`~repro.device.cache.FeatureCache` idioms:
 capacity-bounded content, per-node access **frequencies** accumulated on
 lookup, lowest-frequency-first replacement with a deterministic tie-break
 (older entry, then smaller node id), and occurrence-weighted hit/miss
-accounting with ``hit_rate_history`` closed out by :meth:`end_epoch`.
+accounting closed out by :meth:`end_epoch`, which returns the epoch's rate.
 Everything is pure numpy state driven only by the request sequence — no wall
 clock — which is what makes served scores bitwise-reproducible in replay
 mode (see ``docs/ARCHITECTURE.md``, "Serving layer").
@@ -41,7 +41,7 @@ mode (see ``docs/ARCHITECTURE.md``, "Serving layer").
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class NodeEmbeddingCache:
         # -- accounting (FeatureCache idiom) ----------------------------------
         self._epoch_hits = 0
         self._epoch_requests = 0
-        self.hit_rate_history: List[float] = []
         self.eviction_count = 0
 
     # -- interface -------------------------------------------------------------
@@ -249,15 +248,14 @@ class NodeEmbeddingCache:
                 [self.frequency, np.zeros(extra, dtype=np.int64)])
         self.num_nodes = int(num_nodes)
 
-    def end_epoch(self) -> None:
-        """Close an accounting epoch (FeatureCache idiom): record the hit
-        rate and reset the counters.  Content is *not* replaced here — the
-        serving cache evicts on insert, not at epoch boundaries."""
-        rate = (self._epoch_hits / self._epoch_requests) \
-            if self._epoch_requests else 0.0
-        self.hit_rate_history.append(float(rate))
+    def end_epoch(self) -> float:
+        """Close an accounting epoch (FeatureCache idiom): reset the counters
+        and return the epoch's hit rate.  Content is *not* replaced here —
+        the serving cache evicts on insert, not at epoch boundaries."""
+        rate = float(self.current_hit_rate)
         self._epoch_hits = 0
         self._epoch_requests = 0
+        return rate
 
     # -- helpers ---------------------------------------------------------------
 

@@ -53,11 +53,11 @@ class TestDynamicCache:
         """Algorithm 3: the random initial cache is replaced by the frequent set."""
         cache = DynamicFeatureCache(500, 100, epsilon=0.9, seed=0)
         stream = self.make_stream()
+        rates = []
         for _ in range(3):
             for start in range(0, stream.size, 200):
                 cache.lookup(stream[start:start + 200])
-            cache.end_epoch()
-        rates = cache.hit_rate_history
+            rates.append(cache.end_epoch())
         assert rates[-1] > rates[0] + 0.2
         assert cache.replacement_count >= 1
 
@@ -78,8 +78,7 @@ class TestDynamicCache:
         cache = DynamicFeatureCache(100, 0)
         hits = cache.lookup(np.arange(50))
         assert not hits.any()
-        cache.end_epoch()
-        assert cache.hit_rate_history == [0.0]
+        assert cache.end_epoch() == 0.0
 
     def test_cached_set_size_never_exceeds_capacity(self):
         cache = DynamicFeatureCache(300, 40, seed=1)
@@ -98,9 +97,8 @@ class TestDynamicCache:
             oracle.preload(stream)
             dynamic.lookup(stream)
             oracle.lookup(stream)
-            dynamic.end_epoch()
-            oracle.end_epoch()
-        assert oracle.hit_rate_history[-1] >= dynamic.hit_rate_history[-1] - 1e-9
+            dynamic_rate, oracle_rate = dynamic.end_epoch(), oracle.end_epoch()
+        assert oracle_rate >= dynamic_rate - 1e-9
 
     def test_static_caches(self):
         src = np.random.default_rng(0).integers(0, 20, 200)
@@ -115,6 +113,38 @@ class TestDynamicCache:
         assert random_cache.cached.sum() == 50
 
 
+def _attribute_sizes(obj) -> dict:
+    return {name: value.nbytes if isinstance(value, np.ndarray)
+            else len(value) if hasattr(value, "__len__") else None
+            for name, value in vars(obj).items()}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DynamicFeatureCache(200, 40, seed=0),
+    lambda: OracleCache(200, 40),
+    lambda: StaticRandomCache(200, 40, seed=0),
+    lambda: StaticDegreeCache(200, 40, np.arange(200) % 7, np.arange(200) % 5, 7),
+    lambda: repro.serve.NodeEmbeddingCache(200, 40, staleness_time=None),
+], ids=["dynamic", "oracle", "static_random", "static_degree", "serve_embedding"])
+def test_cache_bookkeeping_is_bounded(make):
+    """A cache closes an epoch (every stream window, for the life of the
+    process) without keeping anything per epoch."""
+    cache, rng = make(), np.random.default_rng(0)
+
+    def epoch():
+        ids = rng.integers(0, 200, 50)
+        if isinstance(cache, repro.serve.NodeEmbeddingCache):
+            cache.lookup(ids, np.zeros(ids.size), 0)
+        else:
+            cache.lookup(ids)
+        assert 0.0 <= cache.end_epoch() <= 1.0
+    epoch()
+    before = _attribute_sizes(cache)
+    for _ in range(1000):
+        epoch()
+    assert _attribute_sizes(cache) == before
+
+
 @settings(max_examples=15, deadline=None)
 @given(capacity=st.integers(0, 60), seed=st.integers(0, 20))
 def test_property_dynamic_cache_hit_rate_bounded(capacity, seed):
@@ -123,8 +153,7 @@ def test_property_dynamic_cache_hit_rate_bounded(capacity, seed):
     rng = np.random.default_rng(seed)
     for _ in range(3):
         cache.lookup(rng.integers(0, 100, 500))
-        cache.end_epoch()
-        assert 0.0 <= cache.hit_rate_history[-1] <= 1.0
+        assert 0.0 <= cache.end_epoch() <= 1.0
         assert cache.cached.sum() <= capacity
 
 
@@ -189,11 +218,13 @@ class TestFeatureStore:
         cached = FeatureStore(featured_graph, edge_cache=cache)
         bare = FeatureStore(featured_graph)
         ids = np.arange(0, featured_graph.num_edges, 2)
+        rates = []
         for _ in range(2):
             np.testing.assert_array_equal(cached.slice_edge_features(ids),
                                           bare.slice_edge_features(ids))
+            rates.append(cache.current_hit_rate)
             cached.end_epoch()         # the replacement policy swaps content
-        assert cache.hit_rate_history[0] > 0
+        assert rates[0] > 0
 
     def test_bytes_are_charged_at_the_stored_row_width(self, featured_graph):
         graph = featured_graph
@@ -242,7 +273,6 @@ class TestCacheGrowProperties:
 
         freq = np.zeros(num_edges, dtype=np.int64)
         epoch_hits = epoch_requests = 0
-        history = []
         for _ in range(data.draw(st.integers(2, 10), label="steps")):
             op = data.draw(st.sampled_from(["lookup", "grow", "end_epoch"]))
             if op == "lookup":
@@ -277,10 +307,9 @@ class TestCacheGrowProperties:
                 freq = np.concatenate(
                     [freq, np.zeros(extra, dtype=np.int64)])
             else:
-                cache.end_epoch()
-                twin.end_epoch()
                 rate = epoch_hits / epoch_requests if epoch_requests else 0.0
-                history.append(rate)
+                assert cache.end_epoch() == pytest.approx(rate)
+                assert twin.end_epoch() == pytest.approx(rate)
                 epoch_hits = epoch_requests = 0
                 freq[:] = 0  # Algorithm 3 resets Q at every epoch boundary
                 # Same replacement decision from dedup'd and plain accesses.
@@ -292,8 +321,6 @@ class TestCacheGrowProperties:
         assert np.array_equal(twin.frequency, freq)
         assert cache._epoch_hits == twin._epoch_hits == epoch_hits
         assert cache._epoch_requests == twin._epoch_requests == epoch_requests
-        assert cache.hit_rate_history == pytest.approx(history)
-        assert twin.hit_rate_history == pytest.approx(history)
         assert cache.cached.sum() <= cache.capacity
 
     @given(st.data())

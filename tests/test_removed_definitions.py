@@ -83,6 +83,10 @@ GONE = {
     # One columnar serve pass: the pending queue is columns, scored by
     # ``ServeEngine._score``.
     "repro.serve.engine:ServeEngine": ["_flush_pending", "_score_chunk"],
+    # Bounded bookkeeping: ``end_epoch`` returns the epoch's hit rate and
+    # keeps nothing (``test_cache_bookkeeping_is_bounded`` checks instances).
+    "repro.device.cache:FeatureCache": ["hit_rate_history"],
+    "repro.serve.cache:NodeEmbeddingCache": ["hit_rate_history"],
 }
 
 

@@ -138,8 +138,7 @@ class TestNodeEmbeddingCache:
         cache.insert(np.array([1]), np.ones((1, 2)), np.zeros(1), 0)
         cache.lookup(np.array([1, 1, 2, 3]), np.zeros(4), 0)
         assert cache.current_hit_rate == pytest.approx(0.5)
-        cache.end_epoch()
-        assert cache.hit_rate_history == [pytest.approx(0.5)]
+        assert cache.end_epoch() == pytest.approx(0.5)
         assert cache.current_hit_rate == 0.0
 
     def test_zero_capacity_disables_caching(self):

@@ -102,6 +102,70 @@ class TestStreamingTCSR:
         stcsr.snapshot().check_invariants()
 
 
+def lexsort_tcsr(graph):
+    """``(indptr, indices, eid, ts)`` of the T-CSR of ``graph`` by the
+    definition of the canonical order: half-edges sorted by node, then
+    timestamp, then event id (the event's position in ``graph``), forward
+    half-edge first."""
+    e = graph.num_edges
+    rows = np.stack([graph.src, graph.dst], axis=1).reshape(-1)
+    cols = np.stack([graph.dst, graph.src], axis=1).reshape(-1)
+    eid, ts = np.repeat(np.arange(e), 2), np.repeat(graph.ts, 2)
+    order = np.lexsort((2 * eid + np.tile([0, 1], e), ts, rows))
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=graph.num_nodes))]
+    return indptr, cols[order], eid[order], ts[order]
+
+
+def assert_matches_lexsort(tcsr, graph):
+    for name, expected in zip(("indptr", "indices", "eid", "ts"), lexsort_tcsr(graph)):
+        assert np.array_equal(getattr(tcsr, name), expected), name
+
+
+class TestTCSROrderOracle:
+    """Both builders sort half-edges by node on the narrowest unsigned key
+    that holds ``num_nodes - 1`` (a radix sort up to 16 bits): each key width,
+    both sides of each width boundary, against the int64 ``lexsort``."""
+
+    WIDTHS = {1: 1, 256: 1, 257: 2, 65536: 2, 65537: 4, 70000: 4}
+
+    @staticmethod
+    def hot_graph(num_nodes, num_events=600, seed=0):
+        """Chronological events among a few hot nodes (the lowest and highest
+        id among them), many sharing a timestamp."""
+        rng = np.random.default_rng(seed)
+        hot = np.r_[0, num_nodes - 1, rng.integers(0, num_nodes, 6)]
+        ts = np.sort(rng.integers(0, num_events // 4, num_events)).astype(np.float64)
+        return TemporalGraph(src=rng.choice(hot, num_events),
+                             dst=rng.choice(hot, num_events), ts=ts,
+                             num_nodes=num_nodes)
+
+    @pytest.mark.parametrize("num_nodes", sorted(WIDTHS))
+    def test_build_tcsr_on_shuffled_events(self, num_nodes):
+        assert np.min_scalar_type(num_nodes - 1).itemsize == self.WIDTHS[num_nodes]
+        graph = self.hot_graph(num_nodes)
+        shuffled = graph.select_events(np.random.default_rng(1).permutation(
+            graph.num_edges))
+        assert not shuffled.is_chronological
+        assert_matches_lexsort(build_tcsr(shuffled), shuffled)
+
+    @pytest.mark.parametrize("num_nodes", sorted(WIDTHS))
+    def test_from_graph_snapshot(self, num_nodes):
+        graph = self.hot_graph(num_nodes)
+        assert_matches_lexsort(StreamingTCSR.from_graph(graph).snapshot(), graph)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("num_nodes", sorted(WIDTHS))
+    def test_chunked_appends(self, num_nodes, chunk):
+        graph = self.hot_graph(num_nodes)
+        stcsr = StreamingTCSR(num_nodes)
+        for lo in range(0, graph.num_edges, chunk):
+            stcsr.append(graph.src[lo:lo + chunk], graph.dst[lo:lo + chunk],
+                         graph.ts[lo:lo + chunk])
+        # Relocated non-empty segments left holes behind them.
+        assert stcsr._heap_end > stcsr._seg_cap.sum()
+        assert_matches_lexsort(stcsr.snapshot(), graph)
+
+
 class TestAppendEvents:
     def test_appending_in_chunks_equals_one_shot_generation(self, small_graph):
         prefix = small_graph.select_events(np.arange(300))
