@@ -52,6 +52,20 @@ graph of 70 000 nodes, past the 16-bit node key: ns per ``build_tcsr``, ns per
 ``StreamingTCSR.from_graph(...).snapshot()`` and µs per event appended in
 chunks of 100 and 200 events (a serve ingest block, a stream chunk).
 
+``train_step_memory`` follows the step configurations of the two train
+workloads (tgat + TASER and the GraphMixer baseline, seed 0, after one
+warm-up epoch) through ``MEMORY_STEPS`` steps run as the training loop runs
+them, the previous batch still referenced while the next is prepared.  With
+``tracemalloc`` tracing numpy's allocations and its peak reset at the start
+of each step, it records the step's traced peak bytes by three phase
+boundaries — the batch prepared (``prep``), the model loss back-propagated
+(``model_backward``), the sampler's sample loss back-propagated after the
+model's optimiser step (``sample_backward``; the baseline has none) — the
+bytes still traced once the step is dropped (``live_bytes_after_step``) and,
+over the same number of untraced steps, ``minor_faults_per_step``
+(``getrusage``).  Medians over the steps.  The payload's
+``allocator_policy`` is ``repro.ALLOCATOR_POLICY``: the faults depend on it.
+
 Two cells cover the serve path.  ``graphmixer_aggregate`` times
 ``GraphMixer.aggregate`` on the zero state at a serve flush's rows (R = 3)
 and a training batch's (R = 600).  ``serve_flush`` times one
@@ -77,9 +91,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -97,6 +113,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 from tracer import Tracer  # noqa: E402
 from workloads import MODEL, SERVE_SPEC, TRAIN_SPECS, resolve  # noqa: E402
 
+import repro  # noqa: E402
 import repro.tensor  # noqa: E402
 from repro.bench import emit_bench_json  # noqa: E402
 from repro.core import (AdaptiveNeighborSampler, TaserConfig,  # noqa: E402
@@ -451,6 +468,71 @@ def tcsr_build_cell(repeats: int) -> dict:
     return cell
 
 
+#: training steps per ``train_step_memory`` pass, after a warm-up epoch.
+MEMORY_STEPS = 10
+
+
+def run_steps(trainer: TaserTrainer, steps: int, boundary) -> None:
+    """``steps`` training steps as ``train_epoch`` runs them — the previous
+    batch stays referenced while the next one is prepared — calling
+    ``boundary(phase)`` at each phase boundary of each step."""
+    trainer._begin_epoch()
+    batches = trainer.engine.epoch(steps)
+    for _ in range(steps):
+        boundary("start")
+        prepared = next(batches)
+        boundary("prep")
+        step = trainer._model_backward(prepared)
+        boundary("model_backward")
+        sampled = trainer._apply_model(step)
+        boundary("sample_backward")
+        if sampled:
+            trainer._sampler_step()
+        del step
+        boundary("step")
+
+
+def train_step_memory_cell() -> dict:
+    """Per train workload's step configuration (seed 0, after one warm-up
+    epoch): the traced peak bytes of a step at its phase boundaries, the
+    bytes live after it and its minor page faults, medians over
+    ``MEMORY_STEPS`` steps."""
+    cell = {}
+    for name in ("train_tgat_taser", "train_mixer_baseline"):
+        spec = TRAIN_SPECS[name]
+        trainer = TaserTrainer(load_dataset(spec["dataset"], scale=spec["scale"], seed=0),
+                               TaserConfig(**dict(MODEL, **spec["config"])))
+        trainer.train_epoch()
+
+        faults = []
+
+        def count_faults(phase):
+            if phase in ("start", "step"):
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        run_steps(trainer, MEMORY_STEPS, count_faults)
+
+        peaks: dict = {}
+
+        def trace(phase):
+            if phase == "start":
+                tracemalloc.reset_peak()
+            elif phase == "step":
+                peaks.setdefault("live_bytes_after_step", []).append(
+                    tracemalloc.get_traced_memory()[0])
+            else:
+                peaks.setdefault(f"peak_bytes_after_{phase}", []).append(
+                    tracemalloc.get_traced_memory()[1])
+        tracemalloc.start()
+        try:
+            run_steps(trainer, MEMORY_STEPS, trace)
+        finally:
+            tracemalloc.stop()
+        per_step = [end - start for start, end in zip(faults[::2], faults[1::2])]
+        cell[name] = dict({key: statistics.median(values) for key, values in peaks.items()},
+                          minor_faults_per_step=statistics.median(per_step))
+    return cell
+
+
 def serve_flush_cell(repeats: int) -> dict:
     """One ``ServeEngine.flush`` of 1, 3 and 10 queries on the
     ``serve_openloop`` configuration — GraphMixer trained one epoch on a
@@ -555,6 +637,14 @@ def bench(sizes, repeats: int) -> dict:
               f" {one['from_graph_snapshot_ns'] / 1e6:6.3f} ms | append " + " ".join(
                   f"{chunk} {us:.2f}" for chunk, us in one["append_us_per_event"].items())
               + " us/event")
+    cell = cells["train_step_memory"] = train_step_memory_cell()
+    for name, one in cell.items():
+        print(f"  train_step_memory {name:<20} traced peak MB after prep "
+              f"{one['peak_bytes_after_prep'] / 2 ** 20:6.2f} | model backward "
+              f"{one['peak_bytes_after_model_backward'] / 2 ** 20:6.2f} | sample backward "
+              f"{one['peak_bytes_after_sample_backward'] / 2 ** 20:6.2f} | live after step "
+              f"{one['live_bytes_after_step'] / 2 ** 20:6.2f} | "
+              f"{one['minor_faults_per_step']:.0f} minor faults per step")
     cell = cells["serve_flush"] = serve_flush_cell(max(100, 20 * repeats))
     print("  serve_flush       " + "  ".join(
         f"{label}: {one['us_per_flush']:7.1f} us {one['calls_per_flush']:4d} calls"
@@ -588,7 +678,8 @@ def main(argv=None) -> int:
     path = emit_bench_json("layers", {
         "m": M, "d": D, "budget": BUDGET, "hidden": HIDDEN, "edge_dim": EDGE_DIM,
         "time_dim": TIME_DIM, "repeats": args.repeats,
-        "compute_dtype": compute_dtype, "cells": cells})
+        "compute_dtype": compute_dtype, "allocator_policy": repro.ALLOCATOR_POLICY,
+        "cells": cells})
     print(f"wrote {path}")
     return 0
 

@@ -45,6 +45,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
+from . import ALLOCATOR_POLICY
 from .core import TaserConfig, TaserTrainer
 from .graph import DATASET_NAMES, load_dataset
 
@@ -211,6 +212,7 @@ def run(args: argparse.Namespace) -> dict:
         "runtime_breakdown_seconds": result.runtime_breakdown,
         "cache_hit_rates": result.cache_hit_rates,
         "wall_clock_seconds": time.time() - start,
+        "allocator_policy": ALLOCATOR_POLICY,
     }
 
 
@@ -271,6 +273,7 @@ def run_train(args: argparse.Namespace) -> dict:
             "pack_seconds": sum(s.pack_seconds for s in trainer.history),
             "cache_hit_rates": result.cache_hit_rates,
             "wall_clock_seconds": time.time() - start,
+            "allocator_policy": ALLOCATOR_POLICY,
         }
 
 
@@ -372,6 +375,7 @@ def run_stream(args: argparse.Namespace) -> dict:
         "window_events": args.window_events,
         "chunk_size": args.chunk_size,
         "wall_clock_seconds": time.time() - start,
+        "allocator_policy": ALLOCATOR_POLICY,
     }
     summary.update(result.as_dict())
     return summary
@@ -520,6 +524,7 @@ def run_serve(args: argparse.Namespace) -> dict:
         "replay_hash": replay_hash,
         "replay_match": (replay_hash == run_hash) if args.replay else None,
         "wall_clock_seconds": time.time() - start,
+        "allocator_policy": ALLOCATOR_POLICY,
     }
     summary.update(engine.stats())
     return summary

@@ -199,7 +199,7 @@ class TaserTrainer:
         self.prep = PrepPipeline(self.generator, self.negative_sampler,
                                  graph=self.graph, split=self.split,
                                  selector=self.selector, rng=rng_prep)
-        self.engine = BatchEngine(self)
+        self.engine = BatchEngine(self.prep)
 
         self.history: List[EpochStats] = []
         self._epoch = 0

@@ -23,7 +23,6 @@ which thread took which tile.
 
 from __future__ import annotations
 
-import ctypes
 import os
 import threading
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -51,28 +50,6 @@ __all__ = ["LinkPredictionEvaluator", "score_link_queries", "SCORING_TILE_ROWS"]
 #: rows x slots x channels lives inside one tile, so a call's working set does
 #: not grow with its edge count.
 SCORING_TILE_ROWS = 512
-
-#: ``M_ARENA_MAX`` of glibc's ``<malloc.h>``.
-_M_ARENA_MAX = -8
-
-
-def _one_malloc_arena() -> None:
-    """Make every thread allocate from glibc's main arena (no-op elsewhere).
-
-    With an arena per thread, each scoring thread keeps its own freed pages
-    and peak RSS grows by one tile's working set per thread; scoring was
-    also slower that way.
-    """
-    try:
-        glibc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):
-        glibc = None
-    if not glibc:
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_ARENA_MAX, 1)
 
 
 def _pool_size(chunks: int) -> int:
@@ -109,7 +86,6 @@ class _Helpers:
                     # Imported here: a process that never scores on helper
                     # threads (serve, training alone) does not load it.
                     from concurrent.futures import ThreadPoolExecutor
-                    _one_malloc_arena()
                     self._executor = ThreadPoolExecutor(
                         max_workers=os.cpu_count(), thread_name_prefix="repro-scoring")
                     self._pid = os.getpid()

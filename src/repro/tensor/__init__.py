@@ -25,7 +25,8 @@ import numpy as np
 #: call time, never copied into another module's namespace.
 COMPUTE_DTYPE = np.float32
 
-from .tensor import Tensor, concatenate, where, no_grad, is_grad_enabled
+from .tensor import (Tensor, GraphConsumedError, concatenate, where, no_grad,
+                     is_grad_enabled)
 from . import functional
 from .backend import MixedDtypeError, ReferenceBackend, get_backend
 from .gradcheck import GradcheckDtypeError, gradcheck, numerical_grad
@@ -33,6 +34,7 @@ from .gradcheck import GradcheckDtypeError, gradcheck, numerical_grad
 __all__ = [
     "COMPUTE_DTYPE",
     "Tensor",
+    "GraphConsumedError",
     "concatenate",
     "where",
     "no_grad",

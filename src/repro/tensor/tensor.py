@@ -32,9 +32,21 @@ its backward rule captured), never itself — a rule receives the node's
 gradient as its argument (``node._backward(node.grad)``) instead of closing
 over the node.  A graph therefore dies by reference counting the moment the
 last tensor referencing it (a loss, a ``TrainStep``) goes out of scope; the
-cyclic collector has nothing to find.  Interior ``.grad`` arrays stay
-readable after :meth:`Tensor.backward` for as long as their tensor lives
-(the sample loss reads ``embeddings.grad`` and the hop gates' gradients).
+cyclic collector has nothing to find.
+
+A graph is also single-use: :meth:`Tensor.backward` drops each node's rule
+and its ``_prev`` links right after the rule has run, so the arrays the rule
+captured (a composite kernel's ``saved`` activations) die at their last use,
+while the node is still referenced — a sampler graph hanging off a
+``PreparedBatch`` no longer outlives its step.  Every node keeps its
+``.data`` and ``.grad`` (the sample loss reads ``embeddings.grad`` and the
+hop gates' gradients after the model backward).  A ``backward()`` whose walk
+reaches a consumed node raises :class:`GraphConsumedError` before it writes
+any gradient: a second ``loss.backward()``, or a second loss sharing an
+interior node with a back-propagated one, would otherwise return partial
+gradients.  There is no ``retain_graph``; build the graph again.  Graphs that
+share only leaves (the model loss and the sample loss share parameters) are
+unaffected.
 
 Gradient ownership
 ------------------
@@ -45,9 +57,9 @@ case of a single consumer is therefore pointless:
 * an *interior* node **borrows** its first contribution (the array itself,
   possibly a view of, or the same buffer as, its consumer's gradient);
 * the next contribution is added out of place (``grad = grad + g``); the node
-  then owns that buffer and accumulates further contributions in place —
-  until its own rule hands the buffer on, which makes it shared again (only
-  a repeated ``backward()`` over the same graph gets that far);
+  then owns that buffer and accumulates further contributions in place.  Its
+  own rule then hands the buffer on, and the node takes no further
+  contribution: the graph is consumed (see "Graph lifetime");
 * a *leaf* always **copies** — optimisers, ``clip_grad_norm`` and gradient
   buckets scale and overwrite leaf gradients in place, which must never reach
   through to another tensor's gradient.
@@ -109,7 +121,19 @@ import repro.tensor as _pkg  # COMPUTE_DTYPE is read there at call time
 
 from .backend import get_backend
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "GraphConsumedError", "no_grad", "is_grad_enabled"]
+
+
+class GraphConsumedError(RuntimeError):
+    """:meth:`Tensor.backward` reached a node whose graph an earlier
+    ``backward()`` already consumed (see "Graph lifetime")."""
+
+
+def _consumed(grad) -> None:
+    """The rule of a node whose graph has been back-propagated."""
+    raise GraphConsumedError(
+        "backward() reached a node of a graph that an earlier backward() "
+        "consumed; a graph is back-propagated once (build it again)")
 
 # ---------------------------------------------------------------------------
 # global autograd switch (mirrors torch.no_grad)
@@ -366,7 +390,8 @@ class Tensor:
             if grad.shape != self.data.shape:
                 grad = np.broadcast_to(grad, self.data.shape).copy(order="K")
 
-        # Topological sort of the graph reachable from ``self``.
+        # Topological sort of the graph reachable from ``self``.  A consumed
+        # node stops the walk before any gradient is written.
         topo: List[Tensor] = []
         visited = set()
         stack: List[Tuple[Tensor, bool]] = [(self, False)]
@@ -377,6 +402,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._prev:
@@ -385,11 +412,15 @@ class Tensor:
 
         self._accumulate(grad)
         # Reverse topological order: a node's gradient is final before its
-        # rule passes it on, which is what lets parents borrow it.
+        # rule passes it on, which is what lets parents borrow it.  Once the
+        # rule has run the node lets go of it and of its parents, so what the
+        # rule captured dies here (see "Graph lifetime").
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node._grad_shared = True
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node._backward = _consumed
+                node._prev = ()
 
     # -- arithmetic -------------------------------------------------------------
 

@@ -2,11 +2,16 @@
 
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import cli
 from repro.cli import build_parser, main, run
 from repro.graph import CTDGConfig, generate_ctdg
@@ -162,6 +167,27 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["variant"] == "w/ Ada. Mini-Batch"
         assert 0.0 <= payload["test_mrr"] <= 1.0
+        assert payload["allocator_policy"] == repro.ALLOCATOR_POLICY
+
+    def test_allocator_policy_yields_to_a_malloc_tunable(self):
+        """A glibc malloc tunable in the environment wins: the run reports
+        the policy as skipped, and why."""
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        env["MALLOC_TRIM_THRESHOLD_"] = "1073741824"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--scale", "0.05", "--epochs", "1",
+             "--max-batches-per-epoch", "1", "--hidden-dim", "8", "--time-dim", "4",
+             "--num-neighbors", "3", "--num-candidates", "6",
+             "--eval-max-edges", "10", "--eval-negatives", "3", "--json"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        policy = json.loads(proc.stdout)["allocator_policy"]
+        assert policy["applied"] is False
+        assert "settings" not in policy
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            assert policy["reason"] == "environment sets MALLOC_TRIM_THRESHOLD_"
 
 
 class TestTrainCLI:
@@ -185,6 +211,7 @@ class TestTrainCLI:
             == payload["shard_plan"]["num_events"]
         assert 0.0 <= payload["test_mrr"] <= 1.0
         assert "SYNC" in payload["runtime_breakdown_seconds"]
+        assert payload["allocator_policy"] == repro.ALLOCATOR_POLICY
 
     def test_train_text_output(self, capsys):
         assert main(self.TRAIN_ARGS + ["--workers", "2"]) == 0
@@ -246,6 +273,7 @@ class TestStreamCLI:
         assert payload["batches_per_second"] > 0
         assert 0.0 <= payload["prequential_mrr"] <= 1.0
         assert len(payload["mrr_over_time"]) == payload["chunks"]
+        assert payload["allocator_policy"] == repro.ALLOCATOR_POLICY
 
     def test_stream_text_output(self, capsys):
         assert main(self.STREAM_ARGS) == 0
@@ -302,6 +330,7 @@ class TestServeCLI:
         assert 0.0 <= payload["embedding_cache_hit_rate"] <= 1.0
         assert len(payload["scores_hash"]) == 16
         assert payload["replay_hash"] is None
+        assert payload["allocator_policy"] == repro.ALLOCATOR_POLICY
 
     def test_serve_default_is_time_exact(self, capsys):
         """``repro serve`` serves what the engine serves by default: no

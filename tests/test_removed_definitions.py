@@ -87,6 +87,10 @@ GONE = {
     # keeps nothing (``test_cache_bookkeeping_is_bounded`` checks instances).
     "repro.device.cache:FeatureCache": ["hit_rate_history"],
     "repro.serve.cache:NodeEmbeddingCache": ["hit_rate_history"],
+    # One allocator policy, applied at ``import repro``; the engine holds the
+    # prep pipeline, not the trainer (no trainer <-> engine cycle).
+    "repro.eval.evaluator": ["_one_malloc_arena", "_M_ARENA_MAX"],
+    "repro.core.prefetcher:BatchEngine": ["trainer"],
 }
 
 

@@ -1,5 +1,8 @@
 """Graph-lifetime contract of the autograd engine: graphs are acyclic and are
-freed by reference counting, with the cyclic collector switched off."""
+freed by reference counting, with the cyclic collector switched off; a
+backward consumes its graph, so what the rules captured dies at its last
+use; and the program objects that hold graphs (trainers, the serving engine)
+are acyclic too."""
 
 import contextlib
 import gc
@@ -8,8 +11,9 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core import TaserConfig, TaserTrainer
-from repro.tensor import Tensor
+from repro.core import StreamingTrainer, TaserConfig, TaserTrainer, split_warmup
+from repro.serve import LinkQuery, ServeEngine
+from repro.tensor import GraphConsumedError, Tensor, get_backend
 from repro.tensor import functional as F
 
 
@@ -73,12 +77,60 @@ def test_graph_dies_with_its_last_reference(run_backward):
 
 
 def test_interior_grads_stay_readable_after_backward():
-    """``backward`` releases nothing: the sample loss reads interior
-    gradients (``embeddings.grad``, the hop gates) afterwards."""
+    """``backward`` consumes the graph but leaves every node its ``.data``
+    and ``.grad``: the sample loss reads interior gradients
+    (``embeddings.grad``, the hop gates) afterwards."""
     leaves, interior, loss = build_graph()
     loss.backward()
     for node in interior:
         assert node.grad is not None and node.grad.shape == node.shape
+
+
+def test_second_backward_of_one_graph_raises():
+    leaves, interior, loss = build_graph()
+    loss.backward()
+    grads = [leaf.grad.copy() for leaf in leaves]
+    with pytest.raises(GraphConsumedError):
+        loss.backward()
+    # It raised before writing into any gradient.
+    for leaf, grad in zip(leaves, grads):
+        assert np.array_equal(leaf.grad, grad)
+
+
+def test_second_loss_sharing_an_interior_node_raises():
+    """Without the error the second root would skip the consumed subgraph and
+    leave the leaves partial gradients."""
+    rng = np.random.default_rng(3)
+    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    shared = (Tensor(rng.standard_normal((5, 4))) @ w).tanh()
+    first, second = (shared * 2.0).sum(), shared.sigmoid().mean()
+    first.backward()
+    grad = w.grad.copy()
+    with pytest.raises(GraphConsumedError):
+        second.backward()
+    assert np.array_equal(w.grad, grad)
+    # A new graph over the same leaves back-propagates as before.
+    (Tensor(rng.standard_normal((5, 4))) @ w).sum().backward()
+
+
+def test_backward_frees_saved_activations_of_a_live_root(monkeypatch):
+    """The arrays a composite node saved for its backward die during the
+    backward, while the root (and so, before, the whole graph) is alive."""
+    backend = get_backend()
+    forward = backend.layer_norm_forward
+    saved = []
+
+    def recording(*args):
+        out, xhat, rstd = forward(*args)
+        saved.extend([weakref.ref(xhat), weakref.ref(rstd)])
+        return out, xhat, rstd
+    monkeypatch.setattr(backend, "layer_norm_forward", recording)
+    with collector_off():
+        leaves, interior, loss = build_graph()
+        assert saved and all(ref() is not None for ref in saved)
+        loss.backward()
+        assert all(ref() is None for ref in saved)
+        assert loss.data is not None and all(n.grad is not None for n in interior)
 
 
 def test_double_backward_over_graphs_sharing_leaves():
@@ -143,3 +195,136 @@ def test_training_steps_leave_no_tensor_garbage(small_graph, variant):
             gc.set_debug(0)
             gc.garbage.clear()
         assert not leaked, f"{len(leaked)} tensors were only reachable from a cycle"
+
+
+#: the backend's composite forward kernels and the position of the backward
+#: pass's ``saved`` in each one's result tuple (a slice: layer norm's is two
+#: arrays; ``None``: the result is ``saved``).
+SAVING_KERNELS = {
+    "mixer_block_forward": slice(1, 2),
+    "sampler_encode_forward": None,
+    "sampler_head_forward": slice(4, 5),
+    "temporal_attention_forward": slice(2, 3),
+    "graphmixer_aggregate_forward": slice(1, 2),
+    "edge_predictor_forward": slice(1, 2),
+    "layer_norm_forward": slice(1, 3),
+}
+
+
+def _arrays(obj):
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _arrays(item)]
+    return [obj] if isinstance(obj, np.ndarray) else []
+
+
+def _root(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return id(a)
+
+
+def record_saved_activations(monkeypatch):
+    """Weak references to every array a composite forward saves for its
+    backward that it computed itself: neither one of its inputs (the
+    batch's features, masks, timespans; the parameters) nor one of its
+    outputs (a node's ``.data``, TGAT's attention weights), nor a view of
+    one."""
+    backend = get_backend()
+    refs = []
+
+    def recording(kernel, where):
+        def run(*args):
+            result = kernel(*args)
+            saved = result if where is None else result[where]
+            outputs = () if where is None else result[:where.start] + result[where.stop:]
+            foreign = {_root(a) for a in _arrays(args) + _arrays(outputs)}
+            refs.extend(weakref.ref(a) for a in _arrays(saved)
+                        if _root(a) not in foreign)
+            return result
+        return run
+    for name, where in SAVING_KERNELS.items():
+        monkeypatch.setattr(backend, name, recording(getattr(backend, name), where))
+    return refs
+
+
+STEP_VARIANTS = [
+    dict(backbone="tgat", adaptive_minibatch=True, adaptive_neighbor=True,
+         sample_loss="tgat_analytic"),
+    dict(backbone="graphmixer", adaptive_minibatch=False, adaptive_neighbor=False),
+]
+
+
+def step_config(**variant):
+    return TaserConfig(hidden_dim=8, time_dim=4, num_neighbors=3, num_candidates=6,
+                       batch_size=32, dropout=0.0, max_batches_per_epoch=1,
+                       eval_max_edges=10, seed=0, **variant)
+
+
+@pytest.mark.parametrize("variant", STEP_VARIANTS, ids=["tgat_taser", "graphmixer"])
+def test_step_leaves_no_saved_activation_behind(small_graph, variant, monkeypatch):
+    """As in the training loop, the batch is still referenced after its step
+    (until the next one replaces it); nothing its graphs saved is alive —
+    not the sampler's encoder and mixer activations either, which hang off
+    the batch's ``log_prob``."""
+    trainer = TaserTrainer(small_graph, step_config(**variant))
+    refs = record_saved_activations(monkeypatch)
+    with collector_off():
+        for prepared in trainer.engine.epoch(1):
+            trainer._train_prepared(prepared)
+            assert refs
+            alive = [ref() for ref in refs if ref() is not None]
+            assert not alive, [(a.shape, a.dtype) for a in alive]
+
+
+def _cyclic_garbage(make):
+    """What the cyclic collector finds once the object ``make()`` returned
+    (and used) is dropped: the objects it could only free as a cycle."""
+    obj = make()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        del obj
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("variant", STEP_VARIANTS, ids=["tgat_taser", "graphmixer"])
+def test_dropped_trainer_is_not_cyclic_garbage(small_graph, variant):
+    def trained():
+        trainer = TaserTrainer(small_graph, step_config(**variant))
+        trainer.train_epoch()
+        return trainer
+    garbage = _cyclic_garbage(trained)
+    assert not garbage, sorted({type(o).__name__ for o in garbage})
+
+
+def test_dropped_streaming_trainer_is_not_cyclic_garbage(small_graph):
+    def streamed():
+        warm, stream = split_warmup(small_graph, warmup_events=600, chunk_size=100,
+                                    max_chunks=3)
+        trainer = StreamingTrainer(warm, step_config(**STEP_VARIANTS[1]),
+                                   window_events=200, prequential_max_events=50)
+        trainer.train_epoch()
+        trainer.run(stream, train_passes=1)
+        return trainer
+    garbage = _cyclic_garbage(streamed)
+    assert not garbage, sorted({type(o).__name__ for o in garbage})
+
+
+def test_dropped_serve_engine_is_not_cyclic_garbage(small_graph):
+    trainer = TaserTrainer(small_graph, step_config(**STEP_VARIANTS[1]))
+    trainer.train_epoch()
+
+    def serving():
+        engine = ServeEngine.from_trainer(trainer, max_batch=8)
+        for i in range(5):
+            engine.submit(LinkQuery(int(small_graph.src[-i - 1]),
+                                    int(small_graph.dst[-i - 1]),
+                                    float(small_graph.ts[-1])))
+        engine.flush()
+        return engine
+    garbage = _cyclic_garbage(serving)
+    assert not garbage, sorted({type(o).__name__ for o in garbage})

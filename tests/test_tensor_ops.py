@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.tensor as repro_tensor
-from repro.core import MiniBatchGenerator
+from repro.core import AdaptiveNeighborSampler, MiniBatchGenerator
 from repro.device import FeatureStore
 from repro.graph import build_tcsr, load_dataset
 from repro.models import TGAT, EdgePredictor, GraphMixer, HopData
@@ -546,6 +546,80 @@ def assert_aggregate_agrees(got, want):
 LAYOUTS = [((6, 5), False), ((4, 3, 5), False), ((4, 5, 3), True)]
 
 
+def arrays_of(obj):
+    """The ndarrays (and ``None`` slots) of a kernel's arguments or result,
+    nested tuples and lists flattened in order."""
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in arrays_of(item)]
+    return [obj] if obj is None or isinstance(obj, np.ndarray) else []
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def _backprop(out, rng):
+    (out * Tensor(rng.standard_normal(out.shape))).sum().backward()
+
+
+def _drive_linear(rng):
+    _backprop(F.linear(t(rng.standard_normal((2, 5, 4))), t(rng.standard_normal((3, 4))),
+                       t(rng.standard_normal(3))), rng)
+
+
+def _drive_layer_norm(rng):
+    _backprop(F.layer_norm(t(rng.standard_normal((2, 5, 4))), t(rng.standard_normal(4)),
+                           t(rng.standard_normal(4))), rng)
+
+
+def _drive_mixer_block(rng):
+    block = make_mixer(rng, 4, 6)
+    _backprop(block(t(rng.standard_normal((3, 4, 6))), mask=rng.random((3, 4)) < 0.7), rng)
+
+
+def _drive_aggregate(make_model):
+    def drive(rng):
+        model = make_model(rng)
+        hop = make_hop(rng, 5, 4, 6)
+        out = model.aggregate(1, t(rng.standard_normal((5, 8))),
+                              t(rng.standard_normal((5, 4, 8))), hop)
+        _backprop(out, rng)
+    return drive
+
+
+def _drive_sampler(rng):
+    """One adaptive-sampler hop: encode -> mixer block -> decoder -> head."""
+    rows, m = 6, 8
+    mask = rng.random((rows, m)) < 0.6
+    mask[:, 0] = True
+    cand = NeighborBatch(
+        root_nodes=rng.integers(0, 9, rows), root_times=rng.uniform(50.0, 60.0, rows),
+        nodes=np.where(mask, rng.integers(1, 5, (rows, m)), 0),
+        eids=np.where(mask, rng.integers(1, 99, (rows, m)), 0),
+        times=np.where(mask, rng.uniform(1.0, 49.0, (rows, m)), 0.0), mask=mask)
+    sampler = AdaptiveNeighborSampler(0, 6, m, seed=3)
+    selection = sampler(cand, 3, edge_feat=rng.standard_normal((rows, m, 6)) * mask[..., None],
+                        rng=np.random.default_rng(4))
+    _backprop(selection.log_prob, rng)
+
+
+#: per composite kernel pair: one forward and backward through its node.
+PURITY_DRIVES = {
+    "linear": _drive_linear,
+    "layer_norm": _drive_layer_norm,
+    "mixer_block": _drive_mixer_block,
+    "temporal_attention": _drive_aggregate(make_tgat),
+    "graphmixer_aggregate": _drive_aggregate(make_graphmixer),
+    "sampler_encode": _drive_sampler,
+    "sampler_head": _drive_sampler,
+}
+
+
 class TestCompositeKernels:
     def setup_method(self):
         self.rng = np.random.default_rng(7)
@@ -741,20 +815,31 @@ class TestCompositeKernels:
         count = B.mixer_block_backward(coeff, saved, params, [6] + [True] * 12)[0]
         assert every.tobytes() == count.tobytes()
 
-    def test_mixer_block_backward_twice_doubles_the_gradient(self):
-        block = make_mixer(self.rng, 4, 6)
-        x_data, coeff = self.rng.standard_normal((2, 3, 4, 6))
-        mask = self.rng.random((3, 4)) < 0.7
-        _, gx, gp = run_mixer(node_mixer_block, block, x_data, mask, coeff)
-        once = [gx.copy()] + [g.copy() for g in gp]
-        block.zero_grad()
-        x = t(x_data)
-        out = block(x, mask=mask)
-        out.backward(coeff)
-        out.zero_grad()        # or the second call would push g + g through
-        out.backward(coeff)
-        for single, double in zip(once, [x.grad] + [p.grad for p in block.parameters()]):
-            assert np.array_equal(double, 2.0 * single)
+    @pytest.mark.parametrize("pair", sorted(PURITY_DRIVES))
+    def test_backward_kernel_is_pure(self, pair, monkeypatch):
+        """The backend's backward kernel of each composite node, called again
+        on the ``saved`` of one real forward, returns bitwise the gradients
+        of the node's own call and writes into neither ``g`` nor anything it
+        reads: a graph is consumed by its backward, so this — not a second
+        ``backward()`` — is what shows a kernel keeps no state between
+        calls."""
+        backend = get_backend()
+        kernel = getattr(backend, f"{pair}_backward")
+        calls = []
+
+        def recording(*args):
+            before = [None if a is None else a.copy() for a in arrays_of(args)]
+            result = kernel(*args)
+            calls.append((args, before, result))
+            return result
+        monkeypatch.setattr(backend, f"{pair}_backward", recording)
+        PURITY_DRIVES[pair](self.rng)
+        assert len(calls) == 1
+        args, before, first = calls[0]
+        again = [kernel(*args), kernel(*args)]
+        for result in again:
+            assert_same_arrays(arrays_of(result), arrays_of(first))
+        assert_same_arrays(arrays_of(args), before)
 
     @pytest.mark.parametrize("rows", [3, 60])
     @pytest.mark.parametrize("masked", [True, False])

@@ -1,11 +1,12 @@
 """Property-based tests (hypothesis) for the autograd engine."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.optim import clip_grad_norm
-from repro.tensor import Tensor, concatenate
+from repro.tensor import GraphConsumedError, Tensor, concatenate
 from repro.tensor import functional as F
 from repro.tensor.gradcheck import gradcheck
 
@@ -145,10 +146,17 @@ def run_dag(leaf_values, program, sinks, passes):
     loss = nodes[-1].sum()
     for s in sinks:
         loss = loss + nodes[s % len(nodes)].sum()
-    # A second pass over the same graph re-enters nodes whose gradient
-    # buffers the first pass already handed on to their parents.
-    for _ in range(passes):
-        loss.backward()
+    loss.backward()
+    if passes == 2:
+        # The first pass consumed the graph: a second one raises before it
+        # writes into any buffer the first pass handed on.
+        before = [None if t.grad is None else t.grad.copy() for t in leaves + nodes]
+        with pytest.raises(GraphConsumedError):
+            loss.backward()
+        for t, grad in zip(leaves + nodes, before):
+            assert (t.grad is None) == (grad is None)
+            if grad is not None:
+                assert t.grad.tobytes() == grad.tobytes()
     return leaves, nodes
 
 
