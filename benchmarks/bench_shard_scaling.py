@@ -15,8 +15,8 @@ at ``W = 1``, process above) and records, per ``W``:
 * the per-shard NF/FS/AS/PP phase breakdown (each shard's batch generation
   runs through its own engine, so the breakdown shows where the parallel
   time goes);
-* the barrier: ``sync_seconds = reduce_seconds + transport_seconds`` on the
-  master, and worker-side ``pack_seconds``;
+* the barrier: ``sync_seconds``, the master's reduce seconds per epoch
+  (``runtime["SYNC"]``);
 * the shard plan summary (events and cache-budget slice per shard).
 
 Correctness contracts asserted at every scale:
@@ -58,12 +58,9 @@ def _run_sharded(graph, config, workers, epochs, policy="temporal",
         trajectories = [stats.batch_losses for stats in trainer.history]
         # Per-shard phase totals across epochs (NF/FS/AS/PP per shard).
         per_shard = [{} for _ in range(workers)]
-        sync = reduce = transport = pack = 0.0
+        sync = 0.0
         for stats in trainer.history:
-            sync += stats.sync_seconds
-            reduce += stats.reduce_seconds
-            transport += stats.transport_seconds
-            pack += stats.pack_seconds
+            sync += stats.runtime["SYNC"]
             for acc, shard_stats in zip(per_shard, stats.per_shard):
                 for key, value in shard_stats.runtime.items():
                     acc[key] = acc.get(key, 0.0) + value
@@ -72,12 +69,9 @@ def _run_sharded(graph, config, workers, epochs, policy="temporal",
             "pool": trainer.backend,
             "wall_seconds_per_epoch": wall,
             "sync_seconds": sync / denom,
-            "reduce_seconds": reduce / denom,
-            "transport_seconds": transport / denom,
-            "pack_seconds": pack / denom,
             "per_shard_phases": per_shard,
             "plan": trainer.plan.describe(),
-            "global_steps_per_epoch": trainer.history[-1].global_steps,
+            "global_steps_per_epoch": len(trainer.history[-1].batch_losses),
         }, trajectories
 
 
@@ -150,10 +144,7 @@ def test_shard_scaling(benchmark, wikipedia_graph):
               f"speedup {entry['speedup_vs_w1']:.2f}x, "
               f"efficiency {entry['efficiency']:.2f}, "
               f"shards {entry['plan']['shard_events']}")
-        print(f"        sync {entry['sync_seconds']*1e3:7.2f} ms = reduce "
-              f"{entry['reduce_seconds']*1e3:6.2f} + transport "
-              f"{entry['transport_seconds']*1e3:6.2f} ms; pack "
-              f"{entry['pack_seconds']*1e3:6.2f} ms")
+        print(f"        sync (master reduce) {entry['sync_seconds']*1e3:7.2f} ms")
 
     assert payload["determinism"]["hash"] == payload["determinism"]["replay_hash"]
     # Epoch length is the min shard batch count — every step is a W-way barrier.

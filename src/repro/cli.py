@@ -259,18 +259,13 @@ def run_train(args: argparse.Namespace) -> dict:
             "shard_policy": args.shard_policy,
             "pool": trainer.backend,
             "shard_plan": trainer.plan.describe(),
-            "global_steps_per_epoch": last.global_steps if last else 0,
+            "global_steps_per_epoch": len(last.batch_losses) if last else 0,
             "val_mrr": result.val_mrr,
             "test_mrr": result.test_mrr,
             "test_metrics": result.test_metrics,
             "final_model_loss": (result.history[-1].model_loss
                                  if result.history else None),
             "runtime_breakdown_seconds": result.runtime_breakdown,
-            "sync_seconds": sum(s.sync_seconds for s in trainer.history),
-            "reduce_seconds": sum(s.reduce_seconds for s in trainer.history),
-            "transport_seconds": sum(s.transport_seconds
-                                     for s in trainer.history),
-            "pack_seconds": sum(s.pack_seconds for s in trainer.history),
             "cache_hit_rates": result.cache_hit_rates,
             "wall_clock_seconds": time.time() - start,
             "allocator_policy": ALLOCATOR_POLICY,
@@ -289,10 +284,9 @@ def _train_main(argv: Sequence[str]) -> int:
     print(f"  shards         : {summary['workers']} x {summary['shard_policy']} "
           f"{plan['shard_events']} events "
           f"(pool {summary['pool']})")
-    print(f"  barrier        : sync {summary['sync_seconds']:.2f}s = "
-          f"reduce {summary['reduce_seconds']:.2f}s + "
-          f"transport {summary['transport_seconds']:.2f}s "
-          f"(pack {summary['pack_seconds']:.2f}s)")
+    print(f"  barrier        : {summary['global_steps_per_epoch']} steps/epoch, "
+          f"master reduce "
+          f"{summary['runtime_breakdown_seconds']['SYNC'] * 1e3:.2f} ms")
     print(f"  test MRR       : {summary['test_mrr']:.4f}")
     print(f"  final loss     : {summary['final_model_loss']:.4f}")
     breakdown = ", ".join(

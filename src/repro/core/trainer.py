@@ -306,7 +306,7 @@ class TaserTrainer:
             self._sampler_step()
 
     def _end_epoch(self) -> EpochStats:
-        """Epoch epilogue: close the cache's epoch and record the stats."""
+        """Epoch epilogue: close the cache's epoch and return its stats."""
         runtime = self.timer.totals()
         slice_stats = self.feature_store.snapshot()
         runtime["FS_sim_seconds"] = slice_stats.simulated_seconds
@@ -317,24 +317,25 @@ class TaserTrainer:
                else float(self.split.num_train))
         losses, sample_losses = self._batch_losses, self._sample_losses
         self._epoch += 1
-        stats = EpochStats(epoch=self._epoch,
-                           model_loss=float(np.mean(losses)) if losses else 0.0,
-                           sample_loss=float(np.mean(sample_losses)) if sample_losses else 0.0,
-                           runtime=runtime,
-                           cache_hit_rate=float(slice_stats.hit_rate
-                                                if self.cache is not None else 0.0),
-                           effective_sample_size=float(ess),
-                           batch_losses=losses,
-                           dedup_ratio=float(slice_stats.dedup_ratio))
-        self.history.append(stats)
-        return stats
+        return EpochStats(epoch=self._epoch,
+                          model_loss=float(np.mean(losses)) if losses else 0.0,
+                          sample_loss=float(np.mean(sample_losses)) if sample_losses else 0.0,
+                          runtime=runtime,
+                          cache_hit_rate=float(slice_stats.hit_rate
+                                               if self.cache is not None else 0.0),
+                          effective_sample_size=float(ess),
+                          batch_losses=losses,
+                          dedup_ratio=float(slice_stats.dedup_ratio))
 
     def train_epoch(self) -> EpochStats:
-        """Run one training epoch and return its statistics."""
+        """Run one training epoch, record its statistics in ``history`` and
+        return them."""
         self._begin_epoch()
         for prepared in self.engine.epoch(self.config.max_batches_per_epoch):
             self._train_prepared(prepared)
-        return self._end_epoch()
+        stats = self._end_epoch()
+        self.history.append(stats)
+        return stats
 
     # ------------------------------------------------------------------ evaluation
 

@@ -41,7 +41,7 @@ import mmap
 import time
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,19 +70,11 @@ def average_gradients(grad_lists: List[GradList],
     — exactly the single-worker behaviour when ``len(grad_lists) == 1``.
 
     This is the **reference** the bucket reduction must match bitwise.  The
-    single-list case (W = 1, and the sampler barrier with one contributor)
-    returns private copies directly — ``x / 1.0 == x`` bit for bit, so
-    skipping the divide pass changes nothing.
+    result never aliases an input: callers mutate it in place.
     """
     if not grad_lists:
         raise ValueError("no gradient lists to average")
     denom = float(denominator if denominator is not None else len(grad_lists))
-    if len(grad_lists) == 1 and denom == 1.0:
-        # W = 1 early-out: averaging one list is the identity; copy (never
-        # alias — callers mutate the result in place) and skip the
-        # copy-and-divide pass the general path pays per parameter.
-        return [None if g is None else np.array(g, copy=True)
-                for g in grad_lists[0]]
     averaged: GradList = []
     for i in range(len(grad_lists[0])):
         acc: Optional[np.ndarray] = None
@@ -228,24 +220,7 @@ class GradientComms:
     own replica (every replica is built from the same config over the same
     node universe, so the shapes are everyone's); :meth:`endpoint` hands
     each shard task its buffers, and the sharded trainer drives
-    :meth:`step` over the pool once per global step.  Accounting contract
-    (:meth:`epoch_stats`):
-
-    ``reduce_seconds``
-        master time spent in the vectorised adds;
-    ``transport_seconds``
-        what moving the gradients costs the master.  On the **process pool**
-        this is the pipe I/O of every barrier exchange — argument pickling +
-        pipe writes on dispatch, pipe reads + result unpickling once a reply
-        is ready (``WorkerPool.run_timed``) — which deliberately excludes
-        the wait for worker compute: with ``W`` children on fewer cores the
-        scheduler serializes that wait, and a wall-clock measure would
-        charge it to the transport, drowning the signal.  On the serial
-        pool it is the exchange wall time minus the worker-side in-method
-        compute those calls report (dispatch overhead).
-
-    ``sync_seconds`` as reported by the trainer is
-    ``reduce_seconds + transport_seconds``.
+    :meth:`step` over the pool once per global step.
     """
 
     def __init__(self, model_shapes: Sequence[Tuple[int, ...]],
@@ -264,7 +239,6 @@ class GradientComms:
             self.sampler_bufs = [self.sampler_bucket.allocate()
                                  for _ in range(self.num_workers)]
             self.sampler_avg = self.sampler_bucket.allocate()
-        self.reset_stats()
 
     @classmethod
     def for_replica(cls, trainer, num_workers: int) -> "GradientComms":
@@ -283,59 +257,28 @@ class GradientComms:
 
     # -- barrier ----------------------------------------------------------------
 
-    def step(self, pool) -> None:
-        """Backward on all workers -> reduce -> apply (model, then sampler)."""
-        flags, io = pool.run_timed("comms_model_backward")
-        if pool.backend == "process":
-            self.transport_seconds += io
-        self._check_backward(flags)
+    def step(self, pool) -> float:
+        """Backward on all workers -> reduce -> apply (model, then sampler).
 
+        Returns the master's reduce seconds (``time.perf_counter``); the
+        round trips to the workers are not in it.
+        """
+        self._check_backward(pool.run("comms_model_backward"))
         t0 = time.perf_counter()
         self.model_bucket.reduce(self.model_bufs, out=self.model_avg,
                                  denominator=self.num_workers)
-        self.reduce_seconds += time.perf_counter() - t0
+        seconds = time.perf_counter() - t0
 
-        has_sampler = self._timed_exchange(pool, "comms_apply_model")
+        has_sampler = pool.run("comms_apply_model")
         contributors = [i for i, flag in enumerate(has_sampler) if flag]
         if contributors:
             t0 = time.perf_counter()
             self.sampler_bucket.reduce(
                 [self.sampler_bufs[i] for i in contributors],
                 out=self.sampler_avg, denominator=len(contributors))
-            self.reduce_seconds += time.perf_counter() - t0
-            self._timed_exchange(pool, "comms_apply_sampler")
-
-    # -- accounting -------------------------------------------------------------
-
-    def reset_stats(self) -> None:
-        self.reduce_seconds = 0.0
-        self.transport_seconds = 0.0
-
-    def epoch_stats(self) -> Dict[str, float]:
-        """Per-epoch barrier accounting; resets the counters."""
-        stats = {"reduce_seconds": float(self.reduce_seconds),
-                 "transport_seconds": float(self.transport_seconds)}
-        self.reset_stats()
-        return stats
-
-    def _timed_exchange(self, pool, method: str) -> List:
-        """Run a timed worker method, booking its cost as transport.
-
-        Process pool: the pipe I/O reported by ``run_timed`` (see
-        :meth:`epoch_stats`).  Serial pool: exchange wall minus the
-        worker-side compute the methods report — they return ``(value,
-        seconds)`` with ``seconds`` measured around the whole in-worker
-        body, and the serial pool runs them back to back.
-        """
-        t0 = time.perf_counter()
-        replies, io = pool.run_timed(method)
-        wall = time.perf_counter() - t0
-        if pool.backend == "process":
-            self.transport_seconds += io
-        else:
-            compute = sum(seconds for _, seconds in replies)
-            self.transport_seconds += max(0.0, wall - compute)
-        return [value for value, _ in replies]
+            seconds += time.perf_counter() - t0
+            pool.run("comms_apply_sampler")
+        return seconds
 
     @staticmethod
     def _check_backward(flags: Sequence[bool]) -> None:

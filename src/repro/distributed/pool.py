@@ -26,7 +26,6 @@ receives, and the barrier collects contributions in fixed shard order.
 from __future__ import annotations
 
 import multiprocessing as mp
-import time
 import traceback
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -65,21 +64,6 @@ class WorkerPool:
     def run_one(self, index: int, method: str, *args) -> Any:
         """Invoke ``method(*args)`` on a single worker."""
         raise NotImplementedError
-
-    def run_timed(self, method: str,
-                  args_list: Optional[Sequence[Tuple]] = None
-                  ) -> Tuple[List[Any], float]:
-        """Like :meth:`run`, plus the master-side marshalling seconds.
-
-        The second element is the time the *master* spends moving arguments
-        and results across the pool boundary — for the process pool that is
-        argument pickling + pipe writes on dispatch and pipe reads +
-        unpickling once a reply is ready, explicitly *excluding* the wait
-        for workers to compute (which a wall-clock measure conflates with
-        transport whenever workers outnumber cores).  The serial pool passes
-        references, so its marshalling cost is 0.
-        """
-        return self.run(method, args_list), 0.0
 
     def shutdown(self) -> None:
         """Release pool resources (child processes)."""
@@ -184,8 +168,8 @@ class ProcessWorkerPool(WorkerPool):
                 "cannot dispatch commands; check the child's stderr / dmesg "
                 "for the cause") from None
 
-    def _recv_wait(self, index: int) -> None:
-        """Block until a reply from child ``index`` is ready, never forever.
+    def _recv(self, index: int):
+        """Receive one reply from child ``index``, never waiting forever.
 
         A child that died (OOM-killed, segfaulted native code, ``os._exit``)
         can never reply; a plain ``conn.recv()`` would hang the master — and
@@ -200,14 +184,9 @@ class ProcessWorkerPool(WorkerPool):
                     f"shard worker {index} died (exit code {proc.exitcode}) "
                     "before replying — killed or crashed outside Python; "
                     "check the child's stderr / dmesg for the cause")
-
-    def _recv(self, index: int):
-        """Receive one reply from child ``index`` (dead-child safe)."""
-        self._recv_wait(index)
         try:
-            return self.conns[index].recv()
+            return conn.recv()
         except (EOFError, OSError):
-            proc = self.processes[index]
             raise RuntimeError(
                 f"shard worker {index} died (exit code {proc.exitcode}) "
                 "mid-reply") from None
@@ -226,40 +205,6 @@ class ProcessWorkerPool(WorkerPool):
             self._send(index, (method, args))
         return [self._check(self._recv(i), i)
                 for i in range(self.num_workers)]
-
-    def run_timed(self, method, args_list=None):
-        """Broadcast like :meth:`run`, clocking the master's pipe I/O.
-
-        The I/O clock covers the send loop (argument pickling + pipe
-        writes) and each ``recv`` *after* :meth:`_recv_wait` reports a
-        reply ready (pipe read + result unpickling).  It reads the
-        **thread CPU clock**, not wall time: a ``send`` wakes the child,
-        and on a host with fewer cores than workers the scheduler may
-        preempt the master for it mid-loop — wall time would charge that
-        child's compute to the transport.  Marshalling is pure master CPU
-        (pickle, memcpy, pipe syscalls), which is exactly what the CPU
-        clock counts and preemption cannot inflate.
-        """
-        args_list = self._resolve_args(args_list)
-        io = 0.0
-        start = time.thread_time()
-        for index, args in enumerate(args_list):
-            self._send(index, (method, args))
-        io += time.thread_time() - start
-        results = []
-        for index in range(self.num_workers):
-            self._recv_wait(index)
-            start = time.thread_time()
-            try:
-                message = self.conns[index].recv()
-            except (EOFError, OSError):
-                proc = self.processes[index]
-                raise RuntimeError(
-                    f"shard worker {index} died (exit code {proc.exitcode}) "
-                    "mid-reply") from None
-            io += time.thread_time() - start
-            results.append(self._check(message, index))
-        return results, io
 
     def run_one(self, index, method, *args):
         self._send(index, (method, args))

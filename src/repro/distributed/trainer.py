@@ -21,7 +21,9 @@ Per global step the trainer runs the lock-step protocol:
 At the epoch's end every worker returns its trainer's own ``EpochStats``
 and ``SliceStats``; the master averages the batch losses per step, sums the
 runtimes and merges the slice counts, from which the epoch's cache hit rate
-and dedup ratio follow.
+and dedup ratio follow.  The master's own barrier time is one number,
+``runtime["SYNC"]``: the wall seconds of its reductions.  The round trips to
+the workers include their compute and stay inside ``wall_seconds``.
 
 Determinism contract
 --------------------
@@ -64,30 +66,18 @@ __all__ = ["ShardedEpochStats", "ShardedTrainer"]
 class ShardedEpochStats(EpochStats):
     """Per-epoch statistics of a sharded run.
 
-    Extends :class:`~repro.core.trainer.EpochStats` (``runtime`` sums the
-    per-shard phase totals plus the master-side ``SYNC`` phase;
-    ``batch_losses`` holds the per-global-step *worker-mean* losses, which
-    for ``W = 1`` coincide with the single worker's batch losses) with the
-    per-shard detail the scaling benchmark consumes.
+    Extends :class:`~repro.core.trainer.EpochStats` — ``runtime`` sums the
+    per-shard phase totals plus the master's ``SYNC`` (its reduce seconds);
+    ``batch_losses`` holds one *worker-mean* loss per barrier step, which
+    for ``W = 1`` are the single worker's batch losses — with the two
+    numbers ``EpochStats`` has no place for.
     """
 
     #: each shard's own :class:`~repro.core.trainer.EpochStats`, in shard
     #: order.
     per_shard: List[EpochStats] = field(default_factory=list)
-    #: master-side barrier seconds: ``reduce_seconds + transport_seconds``.
-    sync_seconds: float = 0.0
-    #: barrier-synchronized steps this epoch (min over shard batch counts).
-    global_steps: int = 0
-    #: raw wall-clock of the epoch as observed by the master.
+    #: wall clock of the epoch as observed by the master.
     wall_seconds: float = 0.0
-    #: master seconds spent reducing gradients (vectorised bucket adds).
-    reduce_seconds: float = 0.0
-    #: master seconds in barrier exchanges net of worker compute — pipe I/O
-    #: of the control messages on the process pool, dispatch on the serial.
-    transport_seconds: float = 0.0
-    #: worker seconds marshalling gradients (buffer packing, ingest copies),
-    #: summed over shards.
-    pack_seconds: float = 0.0
 
 
 class ShardedTrainer:
@@ -135,14 +125,11 @@ class ShardedTrainer:
     def _shard_tasks(self) -> List[ShardTask]:
         tasks = []
         for spec in self.plan.shards:
-            shard = self.plan.shard_graph(spec.index)
             tasks.append(ShardTask(
                 config=self.config, shard_index=spec.index,
                 num_shards=self.plan.num_shards,
                 cache_capacity=spec.cache_capacity,
-                src=shard.src, dst=shard.dst, ts=shard.ts,
-                num_nodes=shard.num_nodes, edge_feat=shard.edge_feat,
-                node_feat=shard.node_feat, meta=shard.meta,
+                graph=self.plan.shard_graph(spec.index),
                 comms=self.comms.endpoint(spec.index)))
         return tasks
 
@@ -161,15 +148,12 @@ class ShardedTrainer:
         # for W = 1, exactly as far as the single-worker trainer's).
         self.pool.run("begin_epoch", [(steps,)] * w)
 
-        for _ in range(steps):
-            # Backward -> reduce -> apply over the flat buckets (see
-            # repro.distributed.comms), reducing in fixed shard order.
-            self.comms.step(self.pool)
-        comms_stats = self.comms.epoch_stats()
-        sync_seconds = (comms_stats["reduce_seconds"]
-                        + comms_stats["transport_seconds"])
+        # Backward -> reduce -> apply over the flat buckets (see
+        # repro.distributed.comms), reducing in fixed shard order.
+        sync_seconds = float(sum(self.comms.step(self.pool)
+                                 for _ in range(steps)))
 
-        shards, slices, pack_seconds = zip(*self.pool.run("end_epoch"))
+        shards, slices = zip(*self.pool.run("end_epoch"))
         wall_seconds = time.perf_counter() - epoch_start
 
         # Per-global-step means over workers, in fixed shard order (for
@@ -198,12 +182,7 @@ class ShardedTrainer:
             batch_losses=step_losses,
             dedup_ratio=float(merged.dedup_ratio),
             per_shard=list(shards),
-            sync_seconds=sync_seconds,
-            global_steps=steps,
             wall_seconds=wall_seconds,
-            reduce_seconds=float(comms_stats["reduce_seconds"]),
-            transport_seconds=float(comms_stats["transport_seconds"]),
-            pack_seconds=float(sum(pack_seconds)),
         )
         self.history.append(stats)
         return stats

@@ -29,8 +29,9 @@ drives all workers in lock-step:
 Because every replica starts from identical weights (same config seed) and
 steps on identical averaged gradients, replicas stay **bitwise identical**
 across workers for the whole run — there is no weight broadcast, only the
-gradient barrier.  All methods take and return picklable values only, so the
-same class serves the serial pool and the process pool's forked children.
+gradient barrier.  Every method takes and returns plain picklable values (a
+flag, ``None``, the epoch's stats), so the same class serves the serial pool
+and the process pool's forked children; no method times itself.
 
 Packing copies: a live ``p.grad`` is a buffer the autograd engine may have
 borrowed from an interior node and keeps accumulating into in place (see
@@ -40,8 +41,7 @@ aliased by what the master reduces.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -59,29 +59,19 @@ __all__ = ["ShardTask", "ShardWorker"]
 class ShardTask:
     """Everything needed to build one shard's worker.
 
-    Raw arrays and config, plus ``comms``: the worker's own gradient
-    buffers and the averaged ones, views of shared mappings that a forked
-    child inherits.  ``None`` builds a worker for driving the split step
-    halves by hand (the reference barrier of the tests).
+    The shard's event view and the config, plus ``comms``: the worker's own
+    gradient buffers and the averaged ones, views of shared mappings.  The
+    process pool is fork-only, so a forked child inherits its task whole;
+    nothing here is pickled.  ``comms=None`` builds a worker for driving the
+    split step halves by hand (the reference barrier of the tests).
     """
 
     config: TaserConfig
     shard_index: int
     num_shards: int
     cache_capacity: int
-    src: np.ndarray
-    dst: np.ndarray
-    ts: np.ndarray
-    num_nodes: int
-    edge_feat: Optional[np.ndarray] = None
-    node_feat: Optional[np.ndarray] = None
-    meta: Dict = field(default_factory=dict)
+    graph: TemporalGraph
     comms: Optional[WorkerCommsEndpoint] = None
-
-    def build_graph(self) -> TemporalGraph:
-        return TemporalGraph(src=self.src, dst=self.dst, ts=self.ts,
-                             num_nodes=self.num_nodes, edge_feat=self.edge_feat,
-                             node_feat=self.node_feat, meta=dict(self.meta))
 
 
 class _ShardTrainer(TaserTrainer):
@@ -104,12 +94,11 @@ class ShardWorker:
 
     def __init__(self, task: ShardTask) -> None:
         self.task = task
-        self.trainer = _ShardTrainer(task.build_graph(), task.config,
+        self.trainer = _ShardTrainer(task.graph, task.config,
                                      task.cache_capacity)
         self._batches = None
         self._step: Optional[TrainStep] = None
         self._comms = task.comms
-        self._pack_seconds = 0.0
         if self._comms is not None:
             self._comms.check_layout(self.trainer)
 
@@ -128,7 +117,6 @@ class ShardWorker:
         self.trainer._begin_epoch()
         self._batches = iter(self.trainer.engine.epoch(max_batches))
         self._step = None
-        self._pack_seconds = 0.0
 
     # -- lock-step protocol --------------------------------------------------------
 
@@ -143,40 +131,30 @@ class ShardWorker:
         """
         if not self._backward():
             return False
-        t = self.trainer
         c = self._comms
-        t0 = time.perf_counter()
+        params = self.trainer.model_optimizer.params
         # The pack *is* the copy that decouples the live p.grad buffers from
         # the barrier.
-        c.model_bucket.pack([p.grad for p in t.model_optimizer.params],
-                            c.model_buf)
-        self._pack_seconds += time.perf_counter() - t0
+        c.model_bucket.pack([p.grad for p in params], c.model_buf)
         return True
 
-    def comms_apply_model(self) -> Tuple[bool, float]:
+    def comms_apply_model(self) -> bool:
         """Apply the averaged model gradients from the shared buffer, run the
         shard-local feedback updates, and pack any sampler gradients into
-        this worker's sampler buffer.  Returns (has sampler contribution,
-        in-method seconds) — the seconds let the master subtract worker
-        compute from the exchange wall time."""
-        t0 = time.perf_counter()
+        this worker's sampler buffer.  Returns whether this worker
+        contributes to the sampler barrier."""
         c = self._comms
         sampler_params = self._apply_model_grads(
             c.model_bucket.unpack(c.model_avg))
-        if sampler_params is not None:
-            p0 = time.perf_counter()
-            c.sampler_bucket.pack([p.grad for p in sampler_params],
-                                  c.sampler_buf)
-            self._pack_seconds += time.perf_counter() - p0
-        return sampler_params is not None, time.perf_counter() - t0
+        if sampler_params is None:
+            return False
+        c.sampler_bucket.pack([p.grad for p in sampler_params], c.sampler_buf)
+        return True
 
-    def comms_apply_sampler(self) -> Tuple[None, float]:
-        """Apply the averaged sampler gradients (clip + step, AS phase),
-        timed like :meth:`comms_apply_model`."""
-        t0 = time.perf_counter()
+    def comms_apply_sampler(self) -> None:
+        """Apply the averaged sampler gradients (clip + step, AS phase)."""
         c = self._comms
         self._apply_sampler_grads(c.sampler_bucket.unpack(c.sampler_avg))
-        return None, time.perf_counter() - t0
 
     # -- transport-independent halves of a step ------------------------------------
 
@@ -193,10 +171,8 @@ class ShardWorker:
         """Give each param a private copy of its averaged gradient: clipping
         scales gradients in place, and every worker reads views of the one
         averaged buffer."""
-        t0 = time.perf_counter()
         for p, g in zip(params, grads):
             p.grad = None if g is None else np.array(g, copy=True)
-        self._pack_seconds += time.perf_counter() - t0
 
     def _apply_model_grads(self, grads: GradList):
         """Install the averaged model gradients, then run the trainer's
@@ -218,12 +194,13 @@ class ShardWorker:
         self._install(self.trainer.sampler_optimizer.params, grads)
         self.trainer._sampler_step()
 
-    def end_epoch(self) -> Tuple[EpochStats, SliceStats, float]:
+    def end_epoch(self) -> Tuple[EpochStats, SliceStats]:
         """Finish the batch iterator and run the trainer's epoch epilogue.
 
-        Returns the shard's :class:`~repro.core.trainer.EpochStats`, its
+        Returns the shard's :class:`~repro.core.trainer.EpochStats` and its
         epoch :class:`~repro.device.memory.SliceStats` (the counts the
-        sharded trainer merges across shards) and its pack seconds.
+        sharded trainer merges across shards).  The worker's trainer keeps
+        no history: the master's ``per_shard`` is the record.
 
         The iterator is run to natural exhaustion — exactly what the
         single-worker epoch loop does.  This matters for bitwise fidelity:
@@ -239,7 +216,7 @@ class ShardWorker:
         self._batches = None
         self._step = None
         stats = self.trainer._end_epoch()
-        return stats, self.trainer.feature_store.snapshot(), self._pack_seconds
+        return stats, self.trainer.feature_store.snapshot()
 
     # -- replica state ----------------------------------------------------------------
 

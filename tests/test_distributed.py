@@ -191,8 +191,7 @@ class TestShardedMechanics:
                             shard_policy="hash", backend="serial") as sharded:
             stats = sharded.train_epoch()
             counts = sharded.pool.run("num_batches", [(None,)] * 2)
-            assert stats.global_steps == min(counts)
-            assert len(stats.batch_losses) == stats.global_steps
+            assert len(stats.batch_losses) == min(counts)
 
     def test_fit_and_evaluate_full_graph(self, shard_graph):
         cfg = tiny_config(epochs=2)
@@ -211,7 +210,7 @@ class TestShardedMechanics:
             stats = sharded.train_epoch()
         assert len(stats.per_shard) == 2
         for shard in stats.per_shard:
-            assert len(shard.batch_losses) == stats.global_steps
+            assert len(shard.batch_losses) == len(stats.batch_losses)
             assert {"NF", "FS", "PP"} <= set(shard.runtime)
         assert stats.runtime["FS_sim_seconds"] == sum(
             shard.runtime["FS_sim_seconds"] for shard in stats.per_shard)
@@ -220,10 +219,7 @@ class TestShardedMechanics:
         cfg = tiny_config()
         plan_graph = shard_graph.select_events(np.arange(200))
         task = ShardTask(config=cfg, shard_index=0, num_shards=1,
-                         cache_capacity=10, src=plan_graph.src,
-                         dst=plan_graph.dst, ts=plan_graph.ts,
-                         num_nodes=plan_graph.num_nodes,
-                         edge_feat=plan_graph.edge_feat)
+                         cache_capacity=10, graph=plan_graph)
         for backend in ("serial", "process"):
             pool = make_worker_pool(backend, [task])
             try:
@@ -241,10 +237,7 @@ class TestShardedMechanics:
         """The worker protocol is usable without a pool (one manual step)."""
         cfg = tiny_config()
         task = ShardTask(config=cfg, shard_index=0, num_shards=1,
-                         cache_capacity=0, src=shard_graph.src,
-                         dst=shard_graph.dst, ts=shard_graph.ts,
-                         num_nodes=shard_graph.num_nodes,
-                         edge_feat=shard_graph.edge_feat)
+                         cache_capacity=0, graph=shard_graph)
         comms = GradientComms.for_replica(TaserTrainer(shard_graph, cfg), 1)
         assert comms.sampler_bucket is None       # non-adaptive config
         task.comms = comms.endpoint(0)
@@ -255,10 +248,18 @@ class TestShardedMechanics:
         assert worker.comms_model_backward()
         assert any(g is not None for g in bucket.unpack(own))
         bucket.reduce([own], out=comms.model_avg, denominator=1)
-        has_sampler, seconds = worker.comms_apply_model()
-        assert has_sampler is False and seconds >= 0.0
+        assert worker.comms_apply_model() is False   # no sampler barrier
         assert not worker.comms_model_backward()   # schedule exhausted
-        stats, slices, pack_seconds = worker.end_epoch()
+        stats, slices = worker.end_epoch()
         assert len(stats.batch_losses) == 1
         assert stats.dedup_ratio == slices.dedup_ratio > 1.0
-        assert pack_seconds > 0.0
+
+    def test_workers_keep_no_epoch_history(self, shard_graph):
+        """A worker's stats reach the master as ``per_shard``; its trainer
+        records none of its own."""
+        with ShardedTrainer(shard_graph, tiny_config(), num_workers=2,
+                            backend="serial") as sharded:
+            epochs = _losses(sharded)
+            assert len(epochs) == len(sharded.history) == 2
+            for worker in sharded.pool.workers:
+                assert worker.trainer.history == []

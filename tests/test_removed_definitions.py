@@ -11,7 +11,9 @@ protocol: no finder or adaptive sampler holds a generator, which
 ``test_no_component_holds_a_generator`` checks on instances, since an
 instance attribute is not a class member.  With the one epoch protocol the
 shard worker lost its own step and its loss lists (the latter checked on an
-instance by ``test_shard_worker_holds_no_epoch_state``).  With the
+instance by ``test_shard_worker_holds_no_epoch_state``), and with the one
+barrier clock its pack clock, the pool's timed call and the sharded epoch's
+restated numbers went.  With the
 columnar serve pass the engine queues no object per query
 (``test_serve_queue_holds_no_per_query_objects``).
 """
@@ -91,6 +93,18 @@ GONE = {
     # prep pipeline, not the trainer (no trainer <-> engine cycle).
     "repro.eval.evaluator": ["_one_malloc_arena", "_M_ARENA_MAX"],
     "repro.core.prefetcher:BatchEngine": ["trainer"],
+    # One barrier clock: the master times only its reduce (``runtime["SYNC"]``),
+    # the pool has one call, and a shard task carries its graph.
+    "repro.distributed.pool:WorkerPool": ["run_timed"],
+    "repro.distributed.pool:ProcessWorkerPool": ["run_timed", "_recv_wait"],
+    "repro.distributed.comms:GradientComms": ["_timed_exchange", "epoch_stats",
+                                              "reset_stats"],
+    "repro.distributed.trainer:ShardedEpochStats": [
+        "sync_seconds", "global_steps", "reduce_seconds", "transport_seconds",
+        "pack_seconds"],
+    "repro.distributed.worker:ShardTask": ["src", "dst", "ts", "num_nodes",
+                                           "edge_feat", "node_feat", "meta",
+                                           "build_graph"],
 }
 
 
@@ -149,10 +163,9 @@ def test_shard_worker_holds_no_epoch_state():
                          num_candidates=4, batch_size=50)
     worker = ShardWorker(ShardTask(
         config=config, shard_index=0, num_shards=1, cache_capacity=0,
-        src=graph.src, dst=graph.dst, ts=graph.ts,
-        num_nodes=graph.num_nodes, edge_feat=graph.edge_feat))
+        graph=graph))
     worker.begin_epoch(1)
-    held = {"_losses", "_sample_losses"} & set(vars(worker))
+    held = {"_losses", "_sample_losses", "_pack_seconds"} & set(vars(worker))
     assert held == set()
 
 
