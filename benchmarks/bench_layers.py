@@ -36,7 +36,11 @@ One more cell, ``eval_levels``, times what ``evaluate("test")`` runs on that
 workload: one whole no-grad scoring call of 100 test edges x 51 roots (src,
 dst, 49 negatives) through ``score_link_queries`` on the
 ``train_tgat_taser`` configuration after one training epoch, at the tile
-bound ``SCORING_TILE_ROWS`` and at half and twice it (``ns_by_tile_rows``).
+bound ``SCORING_TILE_ROWS`` and at half and twice it (``ns_by_tile_rows``),
+with the process CPU time of the same calls at the bound (``cpu_ns_per_op``,
+every thread's) and the scoring threads its widest level runs on
+(``pool_threads``): CPU over wall near 1 on more than one thread means the
+threads did not overlap.
 Per level of the call's forward-only batch it records ``rows`` (the slots
 that reach the level), ``targets`` (its distinct ``(node, t)`` queries, the
 rows the level computes), ``tiles`` (how many tiles run them) and
@@ -72,7 +76,10 @@ and a training batch's (R = 600).  ``serve_flush`` times one
 ``ServeEngine.flush`` of 1, 3 and 10 queries on the ``serve_openloop``
 configuration and counts its Python + C calls (``calls_per_flush``, a
 ``sys.setprofile`` counter) and, of those, the Python frames of the
-``repro`` package (``repro_calls_per_flush``).
+``repro`` package (``repro_calls_per_flush``).  ``serve_engine`` times one
+``ServeEngine.from_trainer`` on that workload's warm graph and records the
+bytes ``tracemalloc`` traces the engine holding fresh and after one
+100-event ingest (``fresh_bytes``, ``bytes_after_ingest``).
 
 Two cells cover prep at R = 6, 64, 512 and 3 000 rows: ``finder_sample``
 (one ``GPUNeighborFinder.sample`` of m = 10 candidates, ``recent`` and
@@ -292,7 +299,7 @@ def eval_levels_cell(tracer: Tracer, repeats: int) -> dict:
     def score():
         return score_link_queries(trainer.prep, trainer.backbone,
                                   trainer.predictor, *queries, scorer.rng)
-    cell = measure(score, tracer, repeats)
+    cell = measure(score, tracer, repeats, cpu=True)
     by_bound = {}
     try:
         for rows in (bound // 2, bound, 2 * bound):
@@ -301,6 +308,7 @@ def eval_levels_cell(tracer: Tracer, repeats: int) -> dict:
     finally:
         evaluator.SCORING_TILE_ROWS = bound
     return dict(cell, edges=int(edges.size), tile_rows=bound,
+                pool_threads=evaluator._pool_size(max(level["tiles"] for level in levels)),
                 ns_by_tile_rows=by_bound, levels=levels)
 
 
@@ -423,15 +431,24 @@ TCSR_GRAPHS = {"train_tgat_taser": ("wikipedia", 1.0, None),
 APPEND_CHUNKS = (100, 200)
 
 
+def e2e_graph(name: str) -> tuple:
+    """``(graph, events)``: the chronological dataset of e2e workload
+    ``name`` (seed 0) and how many of its first events that workload builds
+    a T-CSR of."""
+    dataset, scale, events = TCSR_GRAPHS[name]
+    graph = load_dataset(dataset, scale=scale, seed=0)
+    if not graph.is_chronological:
+        graph = graph.sort_by_time()
+    return graph, len(range(graph.num_edges)[:events])
+
+
 def tcsr_graphs() -> dict:
     """The e2e workloads' T-CSR graphs (seed 0) and one of 70 000 nodes, past
     the 16-bit node key, with as many events as the stream graph."""
     graphs = {}
-    for name, (dataset, scale, events) in TCSR_GRAPHS.items():
-        graph = load_dataset(dataset, scale=scale, seed=0)
-        if not graph.is_chronological:
-            graph = graph.sort_by_time()
-        graphs[name] = graph.select_events(np.arange(graph.num_edges)[:events])
+    for name in TCSR_GRAPHS:
+        graph, events = e2e_graph(name)
+        graphs[name] = graph.select_events(np.arange(events))
     rng, nodes, events = np.random.default_rng(0), 70_000, graphs["stream_prequential"].num_edges
     graphs["nodes70000"] = TemporalGraph(
         src=rng.integers(0, nodes, events), dst=rng.integers(0, nodes, events),
@@ -574,21 +591,58 @@ def serve_flush_cell(repeats: int) -> dict:
     return cell
 
 
-def measure(run, tracer: Tracer, repeats: int) -> dict:
-    """Median ns and kernel output bytes of one ``run()``."""
+def serve_engine_cell(repeats: int) -> dict:
+    """``ServeEngine.from_trainer`` on ``serve_openloop``'s warm graph (the
+    engine built as that workload builds it, over an untrained trainer of
+    its configuration): ns per construction, and the bytes ``tracemalloc``
+    traces the engine holding when fresh and after one ingest of the
+    workload's ingest block (100 events) that follows the prefix."""
+    spec, config = resolve(SERVE_SPEC, smoke=False)
+    graph, warm_events = e2e_graph("serve_openloop")
+    trainer = TaserTrainer(graph.select_events(np.arange(warm_events)),
+                           TaserConfig(**config))
+
+    def build():
+        return ServeEngine.from_trainer(trainer, max_batch=spec["max_batch"],
+                                        queue_depth=spec["queue_depth"],
+                                        staleness_time=0.0)
+    block = slice(warm_events, warm_events + spec["ingest_block"])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        engine = build()
+        fresh = tracemalloc.get_traced_memory()[0] - base
+        engine.ingest(graph.src[block], graph.dst[block], graph.ts[block],
+                      None if graph.edge_feat is None else graph.edge_feat[block])
+        ingested = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return {"nodes": graph.num_nodes, "events": warm_events,
+            "from_trainer_ns": median_ns(build, repeats),
+            "fresh_bytes": fresh, "bytes_after_ingest": ingested,
+            "ingest_events": spec["ingest_block"]}
+
+
+def measure(run, tracer: Tracer, repeats: int, cpu: bool = False) -> dict:
+    """Median ns and kernel output bytes of one ``run()``; with ``cpu``, also
+    the median process CPU ns of the same calls (every thread's)."""
     run()                                           # warm caches and lazy set-up
     tracer.install()
     before = tracer.total("tensor.kernel_out_bytes") or 0
     run()
     out_bytes = (tracer.total("tensor.kernel_out_bytes") or 0) - before
     tracer.uninstall()
-    times = []
+    times, cpu_times = [], []
     for _ in range(repeats):
-        start = time.perf_counter_ns()
+        start, cpu_start = time.perf_counter_ns(), time.process_time_ns()
         kept = run()
         times.append(time.perf_counter_ns() - start)
+        cpu_times.append(time.process_time_ns() - cpu_start)
         del kept
-    return {"ns_per_op": statistics.median(times), "out_bytes_per_op": out_bytes}
+    cell = {"ns_per_op": statistics.median(times), "out_bytes_per_op": out_bytes}
+    if cpu:
+        cell["cpu_ns_per_op"] = statistics.median(cpu_times)
+    return cell
 
 
 def bench(sizes, repeats: int) -> dict:
@@ -649,9 +703,15 @@ def bench(sizes, repeats: int) -> dict:
     print("  serve_flush       " + "  ".join(
         f"{label}: {one['us_per_flush']:7.1f} us {one['calls_per_flush']:4d} calls"
         f" ({one['repro_calls_per_flush']} in repro)" for label, one in cell.items()))
+    cell = cells["serve_engine"] = serve_engine_cell(max(20, 2 * repeats))
+    print(f"  serve_engine      V={cell['nodes']:<6} E={cell['events']:<6} from_trainer "
+          f"{cell['from_trainer_ns'] / 1e6:6.3f} ms | traced MB fresh "
+          f"{cell['fresh_bytes'] / 2 ** 20:6.2f} | after a {cell['ingest_events']}-event "
+          f"ingest {cell['bytes_after_ingest'] / 2 ** 20:6.2f}")
     cell = cells["eval_levels"] = eval_levels_cell(tracer, repeats)
     print(f"  eval_levels       {cell['edges']} edges      nograd "
-          f"{cell['ns_per_op'] / 1e6:8.3f} ms at {cell['tile_rows']} rows per tile ("
+          f"{cell['ns_per_op'] / 1e6:8.3f} ms wall {cell['cpu_ns_per_op'] / 1e6:8.3f} ms "
+          f"CPU on {cell['pool_threads']} threads at {cell['tile_rows']} rows per tile ("
           + ", ".join(f"{rows}: {ns / 1e6:.1f} ms"
                       for rows, ns in cell["ns_by_tile_rows"].items())
           + "); rows -> targets in tiles per level: " + ", ".join(

@@ -211,6 +211,27 @@ class TemporalGraph:
         order = np.argsort(self.ts, kind="stable")
         return self.select_events(order)
 
+    def shared_view(self) -> "TemporalGraph":
+        """Return a graph over read-only views of this one's event arrays.
+
+        Nothing is copied, and a write through the view raises.  Its first
+        :meth:`append_events` moves its events into private buffers, so
+        appending to the view never writes this graph; appending to this
+        graph in place writes past the view's rows, which it never reads.
+        Node features and ``meta`` entries are shared as by
+        :meth:`select_events`.
+        """
+        def read_only(array: np.ndarray) -> np.ndarray:
+            view = array.view()
+            view.flags.writeable = False
+            return view
+
+        return TemporalGraph(
+            src=read_only(self.src), dst=read_only(self.dst),
+            ts=read_only(self.ts), num_nodes=self.num_nodes,
+            edge_feat=None if self.edge_feat is None else read_only(self.edge_feat),
+            node_feat=self.node_feat, meta=dict(self.meta))
+
     def select_events(self, index: np.ndarray) -> "TemporalGraph":
         """Return a new graph restricted to ``index`` (keeps node ids / features)."""
         index = np.asarray(index)

@@ -62,6 +62,7 @@ import numpy as np
 from ..core.pipeline import MiniBatchGenerator
 from ..core.prep import PrepPipeline
 from ..device.memory import FeatureStore
+from ..graph import tcsr as _tcsr
 from ..graph.tcsr import StreamingTCSR
 from ..graph.temporal_graph import TemporalGraph
 from ..sampling import GPUNeighborFinder
@@ -186,9 +187,12 @@ class ServeEngine:
     Parameters
     ----------
     graph:
-        Event history the queries are answered against.  The engine takes a
-        private deep copy, so :meth:`ingest` never mutates the caller's
-        graph (and a replay engine can be built from the same source).
+        Event history the queries are answered against.  The engine reads
+        it through read-only views (:meth:`TemporalGraph.shared_view`): it
+        copies nothing until its first :meth:`ingest` moves the history into
+        private buffers, so the caller's graph is never written (and a
+        replay engine can be built from the same source).  A
+        non-chronological graph is sorted, which copies it.
     backbone, predictor, adaptive_sampler:
         The trained model stack (shared by reference, never copied — serving
         runs under ``no_grad`` in eval mode).
@@ -241,8 +245,9 @@ class ServeEngine:
         self._clock = clock if clock is not None else time.perf_counter
 
         src = graph if graph.is_chronological else graph.sort_by_time()
-        #: private event history (deep copy: ingest never aliases the source).
-        self.graph = src.select_events(np.arange(src.num_edges))
+        #: the event history: read-only views of the source's arrays until
+        #: the first ingest appends, which moves it into private buffers.
+        self.graph = src.shared_view()
         self.backbone = backbone
         self.predictor = predictor
         #: every module of the scoring stack, flat: a flush flips their modes
@@ -268,9 +273,12 @@ class ServeEngine:
             staleness_time=staleness_time)
 
         self.timer = Timer()
-        self.stcsr = StreamingTCSR.from_graph(self.graph)
+        # Looked up on the module at call time, where a tracer wraps it.
+        self.tcsr = _tcsr.build_tcsr(self.graph)
+        #: the incremental T-CSR the ingests append to: built by the first
+        #: ingest, so an engine that never ingests holds only ``tcsr``.
+        self.stcsr: Optional[StreamingTCSR] = None
         self.feature_store = FeatureStore(self.graph, edge_cache=None)
-        self.tcsr = self.stcsr.snapshot()
         self.generator = MiniBatchGenerator(
             GPUNeighborFinder(self.tcsr, policy=finder_policy),
             self.feature_store, int(num_layers), int(num_neighbors),
@@ -294,9 +302,11 @@ class ServeEngine:
     def from_trainer(cls, trainer, **kwargs) -> "ServeEngine":
         """Build a serving engine over a (trained) ``TaserTrainer``'s model.
 
-        The model stack is shared by reference; the event history is copied,
-        so a replay engine built from the same trainer is the bitwise-equal
-        twin of the original.
+        The model stack is shared by reference and the event history is
+        read through views of the trainer's, copied by the engine's first
+        ingest only, so the trainer's graph is never written and a replay
+        engine built from the same trainer is the bitwise-equal twin of the
+        original.
         """
         cfg = trainer.config
         defaults = dict(
@@ -330,7 +340,7 @@ class ServeEngine:
                edge_feat: Optional[np.ndarray] = None) -> None:
         """Absorb newly arrived events into the serving history.
 
-        Appends in place to the private event log and the incremental T-CSR
+        Appends in place to the event log and the incremental T-CSR
         (amortized ``O(chunk)``), grows the embedding cache's node universe,
         and advances the staleness clock — embeddings older than
         ``staleness_events`` become invalid at their next lookup.  Pending
@@ -338,7 +348,14 @@ class ServeEngine:
         scored against the post-ingest graph, exactly as a continuously
         batching server would.  Node ids must be integer arrays
         (``ValueError`` otherwise, as for every append).
+
+        The first call moves the shared history into private buffers
+        (:meth:`TemporalGraph.append_events`) and builds the incremental
+        T-CSR over it before the chunk is checked, so a rejected chunk leaves
+        the two consistent.
         """
+        if self.stcsr is None:
+            self.stcsr = StreamingTCSR.from_graph(self.graph)
         src = np.asarray(src)
         self.graph.append_events(src, dst, ts, edge_feat)
         self.stcsr.append(src, dst, ts)

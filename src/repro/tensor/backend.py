@@ -34,6 +34,13 @@ class MixedDtypeError(TypeError):
     """A composite kernel was handed floating arrays of more than one dtype."""
 
 
+def _is_basic(item) -> bool:
+    """Whether ``item`` indexes basically: a slice, ``Ellipsis`` or an integer
+    (not a bool, which NumPy reads as a mask)."""
+    return (item is Ellipsis or isinstance(item, (slice, int, np.integer))
+            and not isinstance(item, bool))
+
+
 class ReferenceBackend:
     """The kernel surface of the autodiff engine, as plain NumPy expressions.
 
@@ -170,9 +177,19 @@ class ReferenceBackend:
         return np.zeros_like(like)
 
     def index_add(self, like: np.ndarray, index, grad) -> np.ndarray:
-        """Scatter-add ``grad`` into a zeroed buffer (fancy-index backward)."""
+        """Scatter-add ``grad`` into a zeroed buffer (``__getitem__``'s
+        backward).
+
+        A basic index (ints, slices and ``Ellipsis`` only) names each element
+        once, so it adds in place through the view; an array index may repeat
+        elements and goes through ``np.add.at``.  Both add ``0.0 + grad``
+        per element: the results are bitwise equal.
+        """
         out = np.zeros_like(like)
-        np.add.at(out, index, grad)
+        if all(map(_is_basic, index if type(index) is tuple else (index,))):
+            out[index] += grad
+        else:
+            np.add.at(out, index, grad)
         return out
 
     def broadcast_grad(self, grad, shape) -> np.ndarray:

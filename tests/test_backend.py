@@ -202,3 +202,25 @@ class TestKernelEquality:
         assert np.array_equal(out.data, (xt * s) @ ones)
         want = (np.ones_like(out.data) @ ones.T) * (s + 1.702 * xt * s * (1.0 - s))
         np.testing.assert_allclose(x.grad, want.T, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("index", [
+        slice(1, 3), 2, -1, (1, slice(None, None, 2)), (slice(None), 0),
+        (Ellipsis, 1), (np.int64(3), Ellipsis), (),
+        np.array([0, 2, 0]), (np.array([1, 1]), slice(1, 4)), True],
+        ids=["slice", "int", "negative-int", "int-slice", "slice-int",
+             "ellipsis-int", "npint-ellipsis", "empty-tuple", "array",
+             "array-slice", "bool"])
+    def test_index_add_is_the_add_at_oracle_bitwise(self, index):
+        """``__getitem__``'s backward adds a basic index in place and an
+        array (or bool) index through ``np.add.at``; both are ``0.0 + g``
+        per element, so a ``-0.0`` in ``g`` lands as ``+0.0`` either way."""
+        like = np.ones((4, 5), dtype=np.float32)
+        g = np.random.default_rng(0).standard_normal(
+            like[index].shape).astype(np.float32)
+        g.reshape(-1)[::2] = -0.0
+        want = np.zeros_like(like)
+        np.add.at(want, index, g)
+        got = get_backend().index_add(like, index, g)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0]).any()

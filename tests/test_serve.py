@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.core import TaserConfig, TaserTrainer
+from repro.core import StreamingTrainer, TaserConfig, TaserTrainer, split_warmup
+from repro.graph import StreamingTCSR
 from repro.serve import (LinkQuery, NodeEmbeddingCache, ServeEngine,
                          VirtualClock, scores_hash)
 from repro.sampling import unique_targets
@@ -623,6 +624,78 @@ class TestColumnarCore:
         assert [r.query for r in results] == [queries[i] for i in (0, 1, 2, 3, 6, 7, 8)]
         assert {r.status for r in results} == {"ok"}
         assert engine.flush() == []
+
+
+#: the event arrays an engine reads through views of its source's.
+EVENT_ARRAYS = ("src", "dst", "ts", "edge_feat")
+TCSR_ARRAYS = ("indptr", "indices", "eid", "ts")
+
+
+class TestSharedHistory:
+    """An engine copies no history until it ingests: its event log is
+    read-only views of the source's arrays and it holds only the compact
+    T-CSR; the first ingest moves the log into private buffers and builds
+    the streaming heap."""
+
+    def test_a_fresh_engine_shares_the_trainers_events(self, trained):
+        engine = make_engine(trained)
+        for name in EVENT_ARRAYS:
+            assert np.shares_memory(getattr(engine.graph, name),
+                                    getattr(trained.graph, name)), name
+        assert engine.stcsr is None
+        want = StreamingTCSR.from_graph(trained.graph).snapshot()
+        for name in TCSR_ARRAYS:
+            got = getattr(engine.tcsr, name)
+            assert got.dtype == getattr(want, name).dtype, name
+            assert got.tobytes() == getattr(want, name).tobytes(), name
+
+    def test_writing_through_the_shared_arrays_raises(self, trained):
+        engine = make_engine(trained)
+        for name in EVENT_ARRAYS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(engine.graph, name)[0] = 0
+        assert trained.graph.src.flags.writeable
+
+    def test_the_first_ingest_copies_and_leaves_the_trainer_as_it_was(self, trained):
+        graph = {name: getattr(trained.graph, name).copy() for name in EVENT_ARRAYS}
+        tcsr = {name: getattr(trained.tcsr, name).copy() for name in TCSR_ARRAYS}
+        engine = make_engine(trained)
+        last = float(engine.graph.ts[-1])
+        engine.ingest(np.array([0]), np.array([1]), np.array([last + 1.0]),
+                      np.ones((1, engine.graph.edge_dim), dtype=np.float32))
+        assert engine.stcsr.num_events == engine.graph.num_edges == graph["src"].size + 1
+        for name in EVENT_ARRAYS:
+            assert not np.shares_memory(getattr(engine.graph, name),
+                                        getattr(trained.graph, name)), name
+            assert getattr(trained.graph, name).tobytes() == graph[name].tobytes(), name
+        for name in TCSR_ARRAYS:
+            assert getattr(trained.tcsr, name).tobytes() == tcsr[name].tobytes(), name
+
+    def test_an_engine_keeps_its_history_while_a_streaming_trainer_ingests(
+            self, small_graph, queries):
+        """The streaming trainer appends to its graph in place (after its
+        first append, into buffers with room to spare): the engine's views
+        stop at the rows it was built over, so it scores bitwise like a twin
+        built over a private copy of them."""
+        config = TaserConfig(backbone="graphmixer", adaptive_minibatch=False,
+                             adaptive_neighbor=False, hidden_dim=8, time_dim=4,
+                             num_neighbors=3, batch_size=64,
+                             max_batches_per_epoch=2, seed=5)
+        warm, stream = split_warmup(small_graph, warmup_events=600, chunk_size=100)
+        chunks = iter(stream)
+        trainer = StreamingTrainer(warm, config, window_events=300)
+        trainer.ingest(next(chunks))
+        engine = make_engine(trainer)
+        copied = trainer.graph.select_events(np.arange(trainer.graph.num_edges))
+        twin = ServeEngine(copied, trainer.backbone, trainer.predictor, max_batch=8,
+                           clock=VirtualClock(), num_layers=config.num_layers,
+                           num_neighbors=config.num_neighbors, seed=config.seed)
+        assert np.shares_memory(engine.graph.src, trainer.graph.src)
+        for _ in range(2):
+            trainer.ingest(next(chunks))
+        assert trainer.graph.num_edges == copied.num_edges + 200
+        assert engine.graph.num_edges == copied.num_edges
+        assert scores_hash(engine.serve(queries)) == scores_hash(twin.serve(queries))
 
 
 #: Python frames under ``repro`` that a 3-query flush on a one-layer
