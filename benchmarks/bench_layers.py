@@ -61,11 +61,11 @@ workloads (tgat + TASER and the GraphMixer baseline, seed 0, after one
 warm-up epoch) through ``MEMORY_STEPS`` steps run as the training loop runs
 them, the previous batch still referenced while the next is prepared.  With
 ``tracemalloc`` tracing numpy's allocations and its peak reset at the start
-of each step, it records the step's traced peak bytes by three phase
-boundaries — the batch prepared (``prep``), the model loss back-propagated
-(``model_backward``), the sampler's sample loss back-propagated after the
-model's optimiser step (``sample_backward``; the baseline has none) — the
-bytes still traced once the step is dropped (``live_bytes_after_step``) and,
+of each step, it records the step's traced peak bytes by two phase
+boundaries — the batch prepared (``prep``), the step's backward half, the
+model loss and then the sampler's sample loss back-propagated
+(``backward``; the baseline has no sample loss) — the bytes still traced
+once the step is applied and dropped (``live_bytes_after_step``) and,
 over the same number of untraced steps, ``minor_faults_per_step``
 (``getrusage``).  Medians over the steps.  The payload's
 ``allocator_policy`` is ``repro.ALLOCATOR_POLICY``: the faults depend on it.
@@ -499,12 +499,9 @@ def run_steps(trainer: TaserTrainer, steps: int, boundary) -> None:
         boundary("start")
         prepared = next(batches)
         boundary("prep")
-        step = trainer._model_backward(prepared)
-        boundary("model_backward")
-        sampled = trainer._apply_model(step)
-        boundary("sample_backward")
-        if sampled:
-            trainer._sampler_step()
+        step = trainer._backward(prepared)
+        boundary("backward")
+        trainer._apply(step)
         del step
         boundary("step")
 
@@ -694,9 +691,8 @@ def bench(sizes, repeats: int) -> dict:
     cell = cells["train_step_memory"] = train_step_memory_cell()
     for name, one in cell.items():
         print(f"  train_step_memory {name:<20} traced peak MB after prep "
-              f"{one['peak_bytes_after_prep'] / 2 ** 20:6.2f} | model backward "
-              f"{one['peak_bytes_after_model_backward'] / 2 ** 20:6.2f} | sample backward "
-              f"{one['peak_bytes_after_sample_backward'] / 2 ** 20:6.2f} | live after step "
+              f"{one['peak_bytes_after_prep'] / 2 ** 20:6.2f} | backward "
+              f"{one['peak_bytes_after_backward'] / 2 ** 20:6.2f} | live after step "
               f"{one['live_bytes_after_step'] / 2 ** 20:6.2f} | "
               f"{one['minor_faults_per_step']:.0f} minor faults per step")
     cell = cells["serve_flush"] = serve_flush_cell(max(100, 20 * repeats))

@@ -30,7 +30,11 @@ Correctness contracts asserted at every scale:
 * the serial pool (workers in-process over the shared buckets) and the
   process pool (forked children over the same mappings) train
   bitwise-identical trajectories at every ``W`` — recorded as the
-  ``comms_equivalence`` hash pair the gate enforces.
+  ``comms_equivalence`` hash pair the gate enforces;
+* the same holds for the adaptive-neighbor cell at ``W = 2``, whose steps
+  also exchange the sampler's gradients (the sweep's baseline cell has no
+  sampler) — the ``comms_equivalence_adaptive`` pair, losses and sample
+  losses.
 
 Results land in ``BENCH_shard_scaling.json`` for CI artifacts and the
 benchmark regression gate.
@@ -72,15 +76,17 @@ def _run_sharded(graph, config, workers, epochs, policy="temporal",
             "per_shard_phases": per_shard,
             "plan": trainer.plan.describe(),
             "global_steps_per_epoch": len(trainer.history[-1].batch_losses),
+            "sample_losses": [stats.sample_loss for stats in trainer.history],
         }, trajectories
 
 
 @pytest.mark.paper("sharding (north-star extension)")
 def test_shard_scaling(benchmark, wikipedia_graph):
-    config = quick_config(
+    cell = dict(
         backbone="graphmixer", adaptive_minibatch=False, adaptive_neighbor=False,
         batch_size=150, max_batches_per_epoch=8,
         num_neighbors=5, num_candidates=5, eval_negatives=10, seed=0)
+    config = quick_config(**cell)
     epochs = config.epochs
     worker_counts = (1, 2, 4) if bench_scale() >= 0.5 else (1, 2)
 
@@ -176,6 +182,25 @@ def test_shard_scaling(benchmark, wikipedia_graph):
     }
     assert trajectories["process"] == trajectories["serial"], \
         "the serial and process pools must train bitwise-identical trajectories"
+
+    # ---- the sampler exchange: the sweep's baseline cell backpropagates no
+    # sample loss, so train the adaptive-neighbor cell on both pools at W = 2.
+    adaptive = quick_config(**{**cell, "adaptive_neighbor": True,
+                               "num_candidates": 10})
+    runs = {}
+    for pool in ("serial", "process"):
+        entry, losses = _run_sharded(wikipedia_graph, adaptive, 2, epochs,
+                                     backend=pool)
+        assert all(loss != 0.0 for loss in entry["sample_losses"]), \
+            "the adaptive cell must exchange sampler gradients"
+        runs[pool] = {"losses": losses,
+                      "sample_losses": entry["sample_losses"]}
+    payload["comms_equivalence_adaptive"] = {
+        "hash": loss_trajectory_hash(runs["serial"]),
+        "replay_hash": loss_trajectory_hash(runs["process"]),
+    }
+    assert runs["process"] == runs["serial"], \
+        "the serial and process pools must exchange sampler gradients bitwise"
 
     benchmark.extra_info["shard_scaling"] = payload
     emit_bench_json("shard_scaling", payload)

@@ -15,8 +15,10 @@ PCIe/VRAM transfer time is never added to them: it is reported under its own
 key, ``FS_sim_seconds``, which :func:`~repro.bench.breakdown.normalise_runtime`
 folds into the paper-table view.
 
-The epoch prologue, epilogue and step halves (:class:`TrainStep`) are
-written once, here; the sharded trainer's workers call the same methods.
+A step is two halves (:class:`TrainStep`): backward computes every gradient,
+the model's and then the sampler's REINFORCE sample loss, and apply clips
+and steps both optimisers.  The epoch prologue, epilogue and the two halves
+are written once, here; the sharded trainer's workers call the same methods.
 """
 
 from __future__ import annotations
@@ -75,25 +77,22 @@ class EpochStats:
 
 @dataclass
 class TrainStep:
-    """In-flight state of one training step, between its halves.
+    """In-flight state of one training step, between its two halves.
 
-    A step of Algorithm 1 is three halves:
-
-    1. :meth:`TaserTrainer._model_backward` — forward, loss, backward;
-    2. :meth:`TaserTrainer._apply_model` — clip and step the model, selector
-       feedback (Eq. 11), loss record, sampler backward;
-    3. :meth:`TaserTrainer._sampler_step` — clip and step the sampler.
-
-    :meth:`TaserTrainer._train_prepared` runs them back to back.  A shard
-    worker of the data-parallel trainer runs the same halves, and between
-    them installs the gradients averaged over all shards.  This container
-    carries what the later halves need.
+    :meth:`TaserTrainer._backward` computes every gradient (model loss,
+    then the sampler's sample loss); :meth:`TaserTrainer._apply` clips and
+    steps on whatever gradients the parameters then hold.
+    :meth:`TaserTrainer._train_prepared` runs them back to back; a shard
+    worker of the data-parallel trainer runs the same halves and between
+    them installs the gradients averaged over all shards.
     """
 
     prepared: PreparedBatch
-    embeddings: object
     pos_logits: object
     model_loss: object
+    #: a sample loss was backpropagated, so the sampler steps in the apply
+    #: half (a shard worker sets it to whether *any* shard contributed).
+    sampled: bool
 
 
 @dataclass
@@ -233,12 +232,16 @@ class TaserTrainer:
         self._batch_losses = []
         self._sample_losses = []
 
-    def _model_backward(self, prepared: PreparedBatch) -> TrainStep:
-        """Backward half of one step: forward, loss, backward.
+    def _backward(self, prepared: PreparedBatch) -> TrainStep:
+        """Backward half of one step: every gradient, no step.
 
-        Leaves the model gradients in place *without* stepping, so a
-        data-parallel caller can average them across shard replicas first.
+        PP: forward, model loss, backward.  AS: the REINFORCE sample loss,
+        built from the gate and embedding gradients that backward left
+        behind, backpropagated into the sampler and recorded.  The
+        gradients stay in place, so a data-parallel caller can average them
+        across shard replicas before :meth:`_apply`.
         """
+        cfg = self.config
         b = prepared.num_positives
         with self.timer.section("PP"):
             self.model_optimizer.zero_grad()
@@ -255,25 +258,6 @@ class TaserTrainer:
                 pos_logits, Tensor.ones(b)) \
                 + F.binary_cross_entropy_with_logits(neg_logits, Tensor.zeros(b))
             model_loss.backward()
-        return TrainStep(prepared=prepared, embeddings=embeddings,
-                         pos_logits=pos_logits, model_loss=model_loss)
-
-    def _apply_model(self, step: TrainStep) -> bool:
-        """Apply half: clip and step the model on whatever gradients its
-        params now hold, feed the positive logits back to the selector
-        (Eq. 11), record the batch's losses and backprop the sampler's
-        REINFORCE sample loss (no step).
-
-        Returns ``True`` when a sample loss was backpropagated, i.e. when
-        :meth:`_sampler_step` is due.
-        """
-        cfg = self.config
-        with self.timer.section("PP"):
-            if cfg.grad_clip > 0:
-                clip_grad_norm(self.model_optimizer.params, cfg.grad_clip)
-            self.model_optimizer.step()
-        self.selector.update(step.prepared.local_indices, step.pos_logits.data)
-        self._batch_losses.append(float(step.model_loss.data))
 
         sample_loss = None
         if self.sampler_optimizer is not None:
@@ -282,28 +266,40 @@ class TaserTrainer:
                 if cfg.backbone == "tgat" and cfg.sample_loss == "tgat_analytic":
                     attention = self.backbone.last_layer_attention()
                 sample_loss = build_sample_loss(
-                    cfg.sample_loss, step.prepared.minibatch.hops,
-                    step.prepared.num_positives, step.embeddings,
+                    cfg.sample_loss, prepared.minibatch.hops, b, embeddings,
                     attention=attention, alpha=cfg.sample_alpha,
                     beta=cfg.sample_beta)
                 if sample_loss is not None:
                     sample_loss.backward()
         self._sample_losses.append(
             0.0 if sample_loss is None else float(sample_loss.data))
-        return sample_loss is not None
+        return TrainStep(prepared=prepared, pos_logits=pos_logits,
+                         model_loss=model_loss,
+                         sampled=sample_loss is not None)
 
-    def _sampler_step(self) -> None:
-        """Last half: clip and step the sampler (AS phase)."""
-        with self.timer.section("AS"):
-            if self.config.grad_clip > 0:
-                clip_grad_norm(self.sampler_optimizer.params,
-                               self.config.grad_clip)
-            self.sampler_optimizer.step()
+    def _apply(self, step: TrainStep) -> None:
+        """Apply half: step on whatever gradients the params now hold.
+
+        PP: clip and step the model, feed the positive logits back to the
+        selector (Eq. 11) and record the model loss.  AS: clip and step the
+        sampler when ``step.sampled``.
+        """
+        cfg = self.config
+        with self.timer.section("PP"):
+            if cfg.grad_clip > 0:
+                clip_grad_norm(self.model_optimizer.params, cfg.grad_clip)
+            self.model_optimizer.step()
+        self.selector.update(step.prepared.local_indices, step.pos_logits.data)
+        self._batch_losses.append(float(step.model_loss.data))
+        if step.sampled:
+            with self.timer.section("AS"):
+                if cfg.grad_clip > 0:
+                    clip_grad_norm(self.sampler_optimizer.params, cfg.grad_clip)
+                self.sampler_optimizer.step()
 
     def _train_prepared(self, prepared: PreparedBatch) -> None:
-        """One step of Algorithm 1: the three halves back to back."""
-        if self._apply_model(self._model_backward(prepared)):
-            self._sampler_step()
+        """One step of Algorithm 1: backward, then apply."""
+        self._apply(self._backward(prepared))
 
     def _end_epoch(self) -> EpochStats:
         """Epoch epilogue: close the cache's epoch and return its stats."""

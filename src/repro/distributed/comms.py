@@ -1,7 +1,8 @@
 """The sharded trainer's gradient barrier: flat buckets in shared mappings.
 
-Every barrier step moves each worker's gradients (a :data:`GradList`) to
-the master and the average back.  A :class:`GradientBucket` — a fixed
+Every barrier step is one gradient exchange: each worker's gradients (a
+:data:`GradList` per bucket, model and sampler) go to the master and the
+averages come back.  A :class:`GradientBucket` — a fixed
 layout computed once from the master replica's parameter shapes — packs a
 ``GradList`` (including its ``None`` mask) into **one contiguous buffer of
 the compute dtype**; the master's reduction is ``W - 1`` vectorised adds
@@ -258,36 +259,25 @@ class GradientComms:
     # -- barrier ----------------------------------------------------------------
 
     def step(self, pool) -> float:
-        """Backward on all workers -> reduce -> apply (model, then sampler).
+        """One gradient exchange: backward on all workers -> reduce -> apply.
 
+        The model reduce averages all ``W`` workers' buffers; the sampler
+        reduce averages only the workers that backpropagated a sample loss.
         Returns the master's reduce seconds (``time.perf_counter``); the
         round trips to the workers are not in it.
         """
-        self._check_backward(pool.run("comms_model_backward"))
+        sampled = pool.run("comms_backward")
         t0 = time.perf_counter()
         self.model_bucket.reduce(self.model_bufs, out=self.model_avg,
                                  denominator=self.num_workers)
-        seconds = time.perf_counter() - t0
-
-        has_sampler = pool.run("comms_apply_model")
-        contributors = [i for i, flag in enumerate(has_sampler) if flag]
+        contributors = [self.sampler_bufs[i]
+                        for i, flag in enumerate(sampled) if flag]
         if contributors:
-            t0 = time.perf_counter()
-            self.sampler_bucket.reduce(
-                [self.sampler_bufs[i] for i in contributors],
-                out=self.sampler_avg, denominator=len(contributors))
-            seconds += time.perf_counter() - t0
-            pool.run("comms_apply_sampler")
+            self.sampler_bucket.reduce(contributors, out=self.sampler_avg,
+                                       denominator=len(contributors))
+        seconds = time.perf_counter() - t0
+        pool.run("comms_apply", [(bool(contributors),)] * self.num_workers)
         return seconds
-
-    @staticmethod
-    def _check_backward(flags: Sequence[bool]) -> None:
-        exhausted = [i for i, ok in enumerate(flags) if not ok]
-        if exhausted:
-            raise RuntimeError(
-                f"shard worker(s) {exhausted} exhausted their batch schedule "
-                "mid-epoch — the sharded trainer sizes epochs to the smallest "
-                "shard, so this indicates a scheduling bug")
 
 
 # ---------------------------------------------------------------------------

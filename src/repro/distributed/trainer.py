@@ -6,17 +6,21 @@
 ``W`` shards; each worker owns a full single-worker training stack over its
 shard (T-CSR view, neighbor finder, feature store with its slice of the
 global cache budget, batch engine) plus a model *replica*.
-Per global step the trainer runs the lock-step protocol:
+Per global step the trainer runs the lock-step protocol, one gradient
+exchange:
 
-1. every worker generates its shard's next mini-batch and runs forward +
-   backward (concurrently on the process pool, which every ``W > 1`` run
-   uses; ``W = 1`` runs in-process on the serial pool);
-2. **barrier** — model gradients are averaged over workers in fixed shard
-   order (missing per-parameter gradients count as zeros, the sum is divided
-   by ``W``);
-3. every worker applies the averaged gradients (clip + Adam step), then runs
-   its shard-local selector feedback; adaptive configs run a second barrier
-   for the sampler's gradients.
+1. every worker generates its shard's next mini-batch and runs the
+   trainer's backward half — forward, model loss, backward, then the
+   sampler's sample loss and its backward (concurrently on the process
+   pool, which every ``W > 1`` run uses; ``W = 1`` runs in-process on the
+   serial pool);
+2. **barrier** — model gradients are averaged over all workers in fixed
+   shard order (missing per-parameter gradients count as zeros, the sum is
+   divided by ``W``); adaptive configs also average the sampler gradients
+   over the workers that backpropagated a sample loss;
+3. every worker runs the trainer's apply half on the averaged gradients:
+   clip and step the model, its shard-local selector feedback, clip and
+   step the sampler.
 
 At the epoch's end every worker returns its trainer's own ``EpochStats``
 and ``SliceStats``; the master averages the batch losses per step, sums the
@@ -29,7 +33,7 @@ Determinism contract
 --------------------
 * ``W = 1`` is **bitwise-identical** to :class:`TaserTrainer` under the same
   config: the single shard is the identity partition, averaging one gradient
-  is exact, and the split step hooks preserve the synchronous op order.
+  is exact, and the worker runs the trainer's own two step halves.
 * ``W > 1`` is reproducible under a fixed seed, and identical on the
   ``serial`` pool (the tests' oracle) and the ``process`` pool: every
   worker's compute is a deterministic function of (shard, averaged
@@ -148,8 +152,8 @@ class ShardedTrainer:
         # for W = 1, exactly as far as the single-worker trainer's).
         self.pool.run("begin_epoch", [(steps,)] * w)
 
-        # Backward -> reduce -> apply over the flat buckets (see
-        # repro.distributed.comms), reducing in fixed shard order.
+        # One exchange per step over the flat buckets: backward -> reduce ->
+        # apply (see repro.distributed.comms), reducing in fixed shard order.
         sync_seconds = float(sum(self.comms.step(self.pool)
                                  for _ in range(steps)))
 

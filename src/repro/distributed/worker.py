@@ -12,19 +12,19 @@ started; the worker checks its parameter shapes against them when built.
 
 The worker writes no training logic of its own.  An epoch is the trainer's
 prologue (``_begin_epoch``) and epilogue (``_end_epoch``), and each step is
-the trainer's three halves (see :class:`~repro.core.trainer.TrainStep`);
-the worker only adds the barrier glue between them — pack the gradients
-into its bucket, then install the averaged ones.  The sharded trainer
-drives all workers in lock-step:
+the trainer's two halves (see :class:`~repro.core.trainer.TrainStep`); the
+worker only adds the barrier glue between them — pack the gradients into
+its buffers, then install the averaged ones.  The sharded trainer drives all
+workers in lock-step, one gradient exchange per step:
 
-1. :meth:`comms_model_backward` — the shard's next mini-batch (through the
-   shard's own batch engine), ``_model_backward``, then pack the model
-   gradients into this worker's buffer;
-2. :meth:`comms_apply_model`    — install the globally averaged model
-   gradients, ``_apply_model`` (clip, step, selector update, loss record,
-   sampler backward) and pack any sampler gradients;
-3. :meth:`comms_apply_sampler`  — install the averaged sampler gradients,
-   ``_sampler_step``.
+1. :meth:`comms_backward` — the shard's next mini-batch (through the shard's
+   own batch engine), ``_backward`` (model loss, then sample loss), then pack
+   the model gradients and, when a sample loss was backpropagated, the
+   sampler's;
+2. :meth:`comms_apply`    — install the globally averaged model gradients
+   and, when any shard contributed sampler gradients, the averaged sampler
+   ones, then ``_apply`` (clip and step the model, selector update, loss
+   record, clip and step the sampler).
 
 Because every replica starts from identical weights (same config seed) and
 steps on identical averaged gradients, replicas stay **bitwise identical**
@@ -120,52 +120,45 @@ class ShardWorker:
 
     # -- lock-step protocol --------------------------------------------------------
 
-    def comms_model_backward(self) -> bool:
-        """Advance to the shard's next batch, run forward + backward and
-        pack the gradients into this worker's flat buffer in place; only a
-        present/exhausted flag crosses the pool channel.
+    def comms_backward(self) -> bool:
+        """The shard's next batch through the trainer's backward half, then
+        pack its gradients into this worker's flat buffers in place: the
+        model's always, the sampler's when a sample loss was backpropagated.
+        Only that flag crosses the pool channel.
 
-        Returns ``False`` once the shard's schedule is exhausted (the sharded
-        trainer sizes the epoch to the smallest shard, so this only happens
-        if it over-asks).
+        Raises ``RuntimeError`` past the end of the shard's schedule (the
+        sharded trainer sizes the epoch to the smallest shard, so this only
+        happens if it over-asks).
         """
-        if not self._backward():
-            return False
-        c = self._comms
-        params = self.trainer.model_optimizer.params
-        # The pack *is* the copy that decouples the live p.grad buffers from
-        # the barrier.
-        c.model_bucket.pack([p.grad for p in params], c.model_buf)
-        return True
-
-    def comms_apply_model(self) -> bool:
-        """Apply the averaged model gradients from the shared buffer, run the
-        shard-local feedback updates, and pack any sampler gradients into
-        this worker's sampler buffer.  Returns whether this worker
-        contributes to the sampler barrier."""
-        c = self._comms
-        sampler_params = self._apply_model_grads(
-            c.model_bucket.unpack(c.model_avg))
-        if sampler_params is None:
-            return False
-        c.sampler_bucket.pack([p.grad for p in sampler_params], c.sampler_buf)
-        return True
-
-    def comms_apply_sampler(self) -> None:
-        """Apply the averaged sampler gradients (clip + step, AS phase)."""
-        c = self._comms
-        self._apply_sampler_grads(c.sampler_bucket.unpack(c.sampler_avg))
-
-    # -- transport-independent halves of a step ------------------------------------
-
-    def _backward(self) -> bool:
-        """Next batch, forward + backward; gradients stay in ``p.grad``."""
         prepared = next(self._batches, None)
         if prepared is None:
-            self._step = None
-            return False
-        self._step = self.trainer._model_backward(prepared)
-        return True
+            raise RuntimeError(
+                f"shard worker {self.task.shard_index} exhausted its batch "
+                "schedule mid-epoch: the sharded trainer sizes epochs to the "
+                "smallest shard, so this indicates a scheduling bug")
+        t, c = self.trainer, self._comms
+        self._step = t._backward(prepared)
+        # The pack *is* the copy that decouples the live p.grad buffers from
+        # the barrier.
+        c.model_bucket.pack([p.grad for p in t.model_optimizer.params],
+                            c.model_buf)
+        if self._step.sampled:
+            c.sampler_bucket.pack([p.grad for p in t.sampler_optimizer.params],
+                                  c.sampler_buf)
+        return self._step.sampled
+
+    def comms_apply(self, sampler_due: bool) -> None:
+        """Install the averaged gradients from the shared buffers (the
+        sampler's when ``sampler_due``, i.e. when any shard contributed
+        one) and run the trainer's apply half."""
+        t, c = self.trainer, self._comms
+        self._install(t.model_optimizer.params,
+                      c.model_bucket.unpack(c.model_avg))
+        if sampler_due:
+            self._install(t.sampler_optimizer.params,
+                          c.sampler_bucket.unpack(c.sampler_avg))
+        self._step.sampled = sampler_due
+        t._apply(self._step)
 
     def _install(self, params, grads: GradList) -> None:
         """Give each param a private copy of its averaged gradient: clipping
@@ -173,26 +166,6 @@ class ShardWorker:
         averaged buffer."""
         for p, g in zip(params, grads):
             p.grad = None if g is None else np.array(g, copy=True)
-
-    def _apply_model_grads(self, grads: GradList):
-        """Install the averaged model gradients, then run the trainer's
-        apply-model half.
-
-        Returns the sampler optimizer's live params when the half
-        backpropagated a sample loss (the sampler barrier is due), else
-        ``None``.
-        """
-        t = self.trainer
-        self._install(t.model_optimizer.params, grads)
-        if t._apply_model(self._step):
-            return t.sampler_optimizer.params
-        return None
-
-    def _apply_sampler_grads(self, grads: GradList) -> None:
-        """Install the averaged sampler gradients, then run the trainer's
-        sampler step."""
-        self._install(self.trainer.sampler_optimizer.params, grads)
-        self.trainer._sampler_step()
 
     def end_epoch(self) -> Tuple[EpochStats, SliceStats]:
         """Finish the batch iterator and run the trainer's epoch epilogue.

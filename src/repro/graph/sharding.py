@@ -90,9 +90,6 @@ class TemporalShardPlan:
         """
         return self.graph.select_events(self.shards[index].event_indices)
 
-    def shard_graphs(self) -> List[TemporalGraph]:
-        return [self.shard_graph(i) for i in range(self.num_shards)]
-
     def check_invariants(self) -> None:
         """Assert the partition is exact: disjoint, covering, chronological."""
         counts = np.zeros(self.graph.num_edges, dtype=np.int64)

@@ -132,7 +132,7 @@ class TemporalGraph:
         * timestamps must be finite, non-decreasing within the chunk and must
           not precede the latest existing event (chronological ingestion);
         * ``edge_feat`` must be present with matching width iff the graph
-          already has edge features.
+          already has edge features, and finite once cast to float32.
 
         ``meta`` is left untouched: planted ground-truth arrays keep
         describing the originally generated events.
@@ -170,6 +170,8 @@ class TemporalGraph:
                 raise ValueError(
                     f"appended edge_feat must have shape ({k}, {self.edge_dim}), "
                     f"got {edge_feat.shape}")
+            if not np.isfinite(edge_feat).all():
+                raise ValueError("appended edge features must be finite")
 
         n = self.num_edges
         self._ensure_event_capacity(n + k)

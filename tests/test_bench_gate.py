@@ -121,7 +121,7 @@ class TestRequiredHashPairs:
             "BENCH_fig1_breakdown_wikipedia.json"] \
             == ("determinism",)
         assert set(bench_gate.REQUIRED_HASH_PAIRS["BENCH_shard_scaling.json"]) \
-            == {"determinism", "comms_equivalence"}
+            == {"determinism", "comms_equivalence", "comms_equivalence_adaptive"}
         assert len(bench_gate.REQUIRED_HASH_PAIRS) == 3
 
     def _fig1_artifact(self, replay="b"):
@@ -189,7 +189,8 @@ class TestRequiredHashPairs:
         _write(current, artifact, name="BENCH_serve_latency.json")
         assert _gate(current, baselines) == 1
 
-    def _shard_artifact(self, comms_replay="traj", replay="det"):
+    def _shard_artifact(self, comms_replay="traj", replay="det",
+                        adaptive_replay="sampler"):
         return {
             "benchmark": "shard_scaling", "scale": 0.1,
             "unix_time": 0.0,
@@ -197,6 +198,8 @@ class TestRequiredHashPairs:
                 "determinism": {"hash": "det", "replay_hash": replay},
                 "comms_equivalence": {"hash": "traj",
                                       "replay_hash": comms_replay},
+                "comms_equivalence_adaptive": {
+                    "hash": "sampler", "replay_hash": adaptive_replay},
             },
         }
 
@@ -259,5 +262,22 @@ class TestRequiredHashPairs:
         baselines.mkdir(parents=True)
         artifact = self._shard_artifact()
         del artifact["results"]["comms_equivalence"]
+        _write(current, artifact, name="BENCH_shard_scaling.json")
+        assert _gate(current, baselines) == 1
+
+    def test_adaptive_comms_replay_mismatch_fails_at_every_scale(self, dirs):
+        """The adaptive cell exchanges the sampler's gradients too: a process
+        pool whose sampler exchange diverges from the serial pool's fails."""
+        current, baselines = dirs
+        baselines.mkdir(parents=True)
+        _write(current, self._shard_artifact(adaptive_replay="doctored"),
+               name="BENCH_shard_scaling.json")
+        assert _gate(current, baselines) == 1
+
+    def test_adaptive_comms_pair_missing_fails_hard(self, dirs):
+        current, baselines = dirs
+        baselines.mkdir(parents=True)
+        artifact = self._shard_artifact()
+        del artifact["results"]["comms_equivalence_adaptive"]
         _write(current, artifact, name="BENCH_shard_scaling.json")
         assert _gate(current, baselines) == 1

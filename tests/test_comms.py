@@ -205,8 +205,10 @@ def _grad_copies(params):
 
 def reference_trajectory(graph, config, workers, epochs=2):
     """The barrier without buckets or a pool: per-worker ``p.grad`` copies
-    -> :func:`average_gradients` in shard order -> apply, model then
-    sampler, over bare :class:`ShardWorker`s."""
+    -> :func:`average_gradients` in shard order -> apply, over bare
+    :class:`ShardWorker`s driving their trainers' two step halves.  The
+    model average is over all workers, the sampler's over the workers that
+    backpropagated a sample loss."""
     graph = graph if graph.is_chronological else graph.sort_by_time()
     plan = make_shard_plan(graph, workers, "temporal",
                            cache_ratio=config.cache_ratio)
@@ -223,19 +225,24 @@ def reference_trajectory(graph, config, workers, epochs=2):
         for w in shards:
             w.begin_epoch(steps)
         for _ in range(steps):
-            grads = []
+            train_steps, model, sampler = [], [], []
             for w in shards:
-                assert w._backward()
-                grads.append(_grad_copies(w.trainer.model_optimizer.params))
-            averaged = average_gradients(grads, denominator=workers)
-            sampler = [w._apply_model_grads(averaged) for w in shards]
-            contributors = [_grad_copies(params) for params in sampler
-                            if params is not None]
-            if contributors:
-                averaged = average_gradients(
-                    contributors, denominator=len(contributors))
-                for w in shards:
-                    w._apply_sampler_grads(averaged)
+                t = w.trainer
+                step = t._backward(next(w._batches))
+                train_steps.append(step)
+                model.append(_grad_copies(t.model_optimizer.params))
+                if step.sampled:
+                    sampler.append(_grad_copies(t.sampler_optimizer.params))
+            model_avg = average_gradients(model, denominator=workers)
+            sampler_avg = (average_gradients(sampler, denominator=len(sampler))
+                           if sampler else None)
+            for w, step in zip(shards, train_steps):
+                t = w.trainer
+                w._install(t.model_optimizer.params, model_avg)
+                if sampler_avg is not None:
+                    w._install(t.sampler_optimizer.params, sampler_avg)
+                step.sampled = sampler_avg is not None
+                t._apply(step)
         epochs = [w.end_epoch()[0] for w in shards]
         trajectory.append([
             float(sum(s.batch_losses[i] for s in epochs) / workers)
@@ -248,7 +255,7 @@ def reference_trajectory(graph, config, workers, epochs=2):
 ])
 def test_trainer_matches_reference_barrier(comms_graph, backend, workers):
     config = tiny_config()
-    assert config.adaptive_neighbor   # the sampler sub-barrier runs too
+    assert config.adaptive_neighbor   # the sampler bucket is exchanged too
     with ShardedTrainer(comms_graph, config, num_workers=workers,
                         backend=backend) as trainer:
         losses = [trainer.train_epoch().batch_losses for _ in range(2)]
@@ -298,9 +305,11 @@ class FakePool:
     def __init__(self, replies):
         self.replies = replies
         self.calls = []
+        self.args = []
 
     def run(self, method, args_list=None):
         self.calls.append(method)
+        self.args.append(args_list)
         return self.replies[method]
 
 
@@ -310,24 +319,46 @@ def test_fake_pool_implements_only_run():
 
 
 def test_comms_step_drives_the_pool_through_run_only():
-    comms = GradientComms([(2,)], [(3,)], num_workers=2)
-    pool = FakePool({"comms_model_backward": [True, True],
-                     "comms_apply_model": [False, True],
-                     "comms_apply_sampler": [None, None]})
+    # A baseline config has no sampler bucket: one exchange of the model's.
+    comms = GradientComms([(2,)], None, num_workers=2)
+    pool = FakePool({"comms_backward": [False, False],
+                     "comms_apply": [None, None]})
     seconds = comms.step(pool)
-    assert pool.calls == ["comms_model_backward", "comms_apply_model",
-                          "comms_apply_sampler"]
+    assert pool.calls == ["comms_backward", "comms_apply"]
+    assert pool.args == [None, [(False,), (False,)]]
     assert math.isfinite(seconds) and seconds >= 0.0
 
 
-def test_comms_flags_exhausted_worker():
-    # The buckets exist before any pool; the pool only drives a step.
-    comms = GradientComms([(2,)], None, num_workers=2)
-    # worker 1 ran out of batches
-    pool = FakePool({"comms_model_backward": [True, False]})
-    with pytest.raises(RuntimeError, match=r"\[1\] exhausted"):
-        comms.step(pool)
-    assert pool.calls == ["comms_model_backward"]
+def test_adaptive_step_is_one_exchange():
+    """An adaptive step is two round trips, backward then apply: the
+    sampler's reduce runs between them, over its contributors only."""
+    comms = GradientComms([(2,)], [(3,)], num_workers=2)
+    for i, buf in enumerate(comms.model_bufs):
+        comms.model_bucket.pack([np.full(2, i + 1.0, dtype=buf.dtype)], buf)
+    for i, buf in enumerate(comms.sampler_bufs):
+        comms.sampler_bucket.pack([np.full(3, i + 3.0, dtype=buf.dtype)], buf)
+    pool = FakePool({"comms_backward": [False, True],
+                     "comms_apply": [None, None]})
+    comms.step(pool)
+    assert pool.calls == ["comms_backward", "comms_apply"]
+    assert pool.args[1] == [(True,), (True,)]
+    model, = comms.model_bucket.unpack(comms.model_avg)
+    sampler, = comms.sampler_bucket.unpack(comms.sampler_avg)
+    np.testing.assert_array_equal(model, [1.5, 1.5])      # over all W = 2
+    np.testing.assert_array_equal(sampler, [4.0, 4.0, 4.0])   # worker 1 only
+
+
+def test_comms_flags_exhausted_worker(comms_graph):
+    # A worker asked for a step past its schedule raises, naming its shard.
+    config = tiny_config(adaptive_neighbor=False)
+    comms = GradientComms.for_replica(TaserTrainer(comms_graph, config), 1)
+    worker = ShardWorker(ShardTask(config=config, shard_index=3, num_shards=4,
+                                   cache_capacity=0, graph=comms_graph,
+                                   comms=comms.endpoint(0)))
+    worker.begin_epoch(1)
+    assert worker.comms_backward() is False
+    with pytest.raises(RuntimeError, match=r"shard worker 3 exhausted"):
+        worker.comms_backward()
 
 
 def _task(graph, config, comms=None):
@@ -340,11 +371,10 @@ def test_worker_barrier_methods_return_plain_values(comms_graph):
     comms = GradientComms.for_replica(TaserTrainer(comms_graph, config), 1)
     worker = ShardWorker(_task(comms_graph, config, comms.endpoint(0)))
     worker.begin_epoch(1)
-    assert worker.comms_model_backward() is True
+    assert worker.comms_backward() is True   # a sample loss was packed
     comms.model_bucket.reduce(comms.model_bufs, out=comms.model_avg)
-    assert worker.comms_apply_model() is True   # the sampler barrier is due
     comms.sampler_bucket.reduce(comms.sampler_bufs, out=comms.sampler_avg)
-    assert worker.comms_apply_sampler() is None
+    assert worker.comms_apply(True) is None
     stats, slices = worker.end_epoch()
     assert isinstance(stats, EpochStats) and isinstance(slices, SliceStats)
 

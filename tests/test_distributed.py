@@ -59,7 +59,7 @@ class TestShardPlan:
     @pytest.mark.parametrize("policy", ["temporal", "hash"])
     def test_shard_views_chronological(self, shard_graph, policy):
         plan = make_shard_plan(shard_graph, 3, policy)
-        for view in plan.shard_graphs():
+        for view in map(plan.shard_graph, range(plan.num_shards)):
             assert view.is_chronological
             assert view.num_nodes == shard_graph.num_nodes
 
@@ -245,11 +245,12 @@ class TestShardedMechanics:
         assert worker.num_batches(4) == 4
         bucket, own = comms.model_bucket, comms.model_bufs[0]
         worker.begin_epoch(1)
-        assert worker.comms_model_backward()
+        assert worker.comms_backward() is False   # no sampler gradients
         assert any(g is not None for g in bucket.unpack(own))
         bucket.reduce([own], out=comms.model_avg, denominator=1)
-        assert worker.comms_apply_model() is False   # no sampler barrier
-        assert not worker.comms_model_backward()   # schedule exhausted
+        worker.comms_apply(False)
+        with pytest.raises(RuntimeError, match="exhausted"):
+            worker.comms_backward()   # past the schedule
         stats, slices = worker.end_epoch()
         assert len(stats.batch_losses) == 1
         assert stats.dedup_ratio == slices.dedup_ratio > 1.0

@@ -30,17 +30,6 @@ ALLOWED = {
         "`BENCH_stream_throughput.json` — `bench_stream_throughput.py` (PR 2)",
         "`BENCH_layers.json` — `bench_layers.py` (PR 15)",
         "`BENCH_history.jsonl` — e2e headline medians, one line per PR (PR 19)",
-        "One-time trajectory re-baseline (PR 13)",
-        "Last-digit trajectory shift (PR 15)",
-        "Mixer block as one node (PR 19)",
-        "TGAT aggregate as one node (PR 20)",
-        "float32 compute (PR 22)",
-        "Forward-only dedup (PR 26)",
-        "Sampler kernels at float32 speed (PR 27)",
-        "Scoring on every core (PR 30)",
-        "Serve flush at its floor (PR 32)",
-        "The adaptive sampler at its floor (PR 35)",
-        "Level-wise scoring (PR 39)",
     ),
     "docs/ARCHITECTURE.md": (
         "Tensor layer: autograd engine (PR 13)",

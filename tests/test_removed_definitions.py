@@ -13,7 +13,8 @@ instance attribute is not a class member.  With the one epoch protocol the
 shard worker lost its own step and its loss lists (the latter checked on an
 instance by ``test_shard_worker_holds_no_epoch_state``), and with the one
 barrier clock its pack clock, the pool's timed call and the sharded epoch's
-restated numbers went.  With the
+restated numbers went.  With the two-half step (backward, then apply) the
+sampler's own step half and the worker's three-call protocol went.  With the
 columnar serve pass the engine queues no object per query
 (``test_serve_queue_holds_no_per_query_objects``).
 """
@@ -80,8 +81,17 @@ GONE = {
     "repro.core.sample_loss": ["sensitivity_sample_loss",
                                "tgat_analytic_sample_loss"],
     # One epoch protocol: the trainer writes the step halves once.
-    "repro.core.trainer:TaserTrainer": ["_model_step", "_sampler_backward"],
-    "repro.core.trainer:TrainStep": ["minibatch"],
+    # A step is backward, then apply; a sharded step is one exchange.
+    "repro.core.trainer:TaserTrainer": ["_model_step", "_sampler_backward",
+                                        "_model_backward", "_apply_model",
+                                        "_sampler_step"],
+    "repro.core.trainer:TrainStep": ["minibatch", "embeddings"],
+    "repro.distributed.worker:ShardWorker": [
+        "comms_model_backward", "comms_apply_model", "comms_apply_sampler",
+        "_backward", "_apply_model_grads", "_apply_sampler_grads"],
+    "repro.distributed.comms:GradientComms": ["_timed_exchange", "epoch_stats",
+                                              "reset_stats", "_check_backward"],
+    "repro.graph.sharding:TemporalShardPlan": ["shard_graphs"],
     # One columnar serve pass: the pending queue is columns, scored by
     # ``ServeEngine._score``.
     "repro.serve.engine:ServeEngine": ["_flush_pending", "_score_chunk"],
@@ -97,8 +107,6 @@ GONE = {
     # the pool has one call, and a shard task carries its graph.
     "repro.distributed.pool:WorkerPool": ["run_timed"],
     "repro.distributed.pool:ProcessWorkerPool": ["run_timed", "_recv_wait"],
-    "repro.distributed.comms:GradientComms": ["_timed_exchange", "epoch_stats",
-                                              "reset_stats"],
     "repro.distributed.trainer:ShardedEpochStats": [
         "sync_seconds", "global_steps", "reduce_seconds", "transport_seconds",
         "pack_seconds"],

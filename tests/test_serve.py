@@ -448,6 +448,32 @@ class TestServeEngineEdgeCases:
         engine.ingest(np.array([0]), np.array([1]), np.array([last + 1.0]), feat)
         assert engine.graph.num_edges == engine.stcsr.num_events == before + 1
 
+    def test_a_rejected_first_ingest_of_nan_features_changes_no_score(
+            self, trained, queries):
+        """An all-NaN feature chunk used to be accepted, and every later
+        score that sampled it read ``nan``.  Rejected at the first ingest
+        (which builds the streaming heap), it leaves the log and the heap
+        consistent: the engine then ingests and scores bitwise like a twin
+        that never saw the bad chunk."""
+        engine, twin = make_engine(trained), make_engine(trained)
+        last = float(engine.graph.ts[-1])
+        dim = engine.graph.edge_dim
+        with pytest.raises(ValueError, match="edge features must be finite"):
+            engine.ingest(np.array([0, 1]), np.array([1, 2]),
+                          np.array([last + 1.0, last + 2.0]),
+                          np.full((2, dim), np.nan, dtype=np.float32))
+        assert engine.graph.num_edges == engine.stcsr.num_events \
+            == trained.graph.num_edges
+        good = (np.array([0, 1]), np.array([1, 2]),
+                np.array([last + 1.0, last + 2.0]),
+                np.ones((2, dim), dtype=np.float32))
+        engine.ingest(*good)
+        twin.ingest(*good)
+        late = [LinkQuery(q.src, q.dst, last + 3.0) for q in queries]
+        results = engine.serve(late)
+        assert all(r.status == "ok" and np.isfinite(r.score) for r in results)
+        assert scores_hash(results) == scores_hash(twin.serve(late))
+
     def test_constructor_validation(self, trained):
         with pytest.raises(ValueError, match="max_batch"):
             make_engine(trained, max_batch=0)

@@ -212,6 +212,23 @@ class TestAppendEvents:
                             np.zeros((1, g.edge_dim)))
         assert g.num_edges == 50  # nothing was partially applied
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_rejects_non_finite_edge_features(self, small_graph, bad):
+        """A NaN feature would reach every score that samples the event;
+        ``1e300`` is finite in float64 but ``inf`` once cast to float32."""
+        g = small_graph.select_events(np.arange(50))
+        before = {name: getattr(g, name).copy()
+                  for name in ("src", "dst", "ts", "edge_feat")}
+        feat = np.zeros((2, g.edge_dim))
+        feat[1, 0] = bad
+        t = float(g.ts[-1])
+        with pytest.raises(ValueError, match="edge features must be finite"):
+            g.append_events(np.array([0, 1]), np.array([1, 2]),
+                            np.array([t + 1, t + 2]), feat)
+        for name, array in before.items():
+            assert getattr(g, name).tobytes() == array.tobytes(), name
+
     def test_empty_chunk_is_a_noop(self, small_graph):
         g = small_graph.select_events(np.arange(10))
         g.append_events(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
@@ -377,6 +394,17 @@ class TestStreamingTrainer:
         trainer.ingest(EventChunk(np.array([0]), np.array([1]),
                                   np.array([last + 1.0]), feat))
         assert trainer.graph.num_edges == trainer.stcsr.num_events == 241
+
+    def test_ingest_rejects_non_finite_edge_features(self, small_graph):
+        warm, _ = split_warmup(small_graph, warmup_events=240)
+        trainer = StreamingTrainer(warm, stream_config(), window_events=200)
+        last = float(trainer.graph.ts[-1])
+        feat = np.full((1, trainer.graph.edge_dim), np.nan, dtype=np.float32)
+        with pytest.raises(ValueError, match="edge features must be finite"):
+            trainer.ingest(EventChunk(np.array([0]), np.array([1]),
+                                      np.array([last + 1.0]), feat))
+        assert trainer.graph.num_edges == trainer.stcsr.num_events == 240
+        assert np.isfinite(trainer.graph.edge_feat).all()
 
     def test_windows_share_one_batch_generator(self, small_graph):
         """Every window's pipeline draws from the warm-start trainer's

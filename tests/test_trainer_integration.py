@@ -20,7 +20,11 @@ import repro
 from repro.bench import harness
 from repro.bench.finders import OriginalNeighborFinder, use_finder
 from repro.core import TaserConfig, TaserTrainer
+from repro.core.sample_loss import build_sample_loss
 from repro.graph import CTDGConfig, generate_ctdg, chronological_split
+from repro.optim import clip_grad_norm
+from repro.tensor import Tensor
+from repro.tensor import functional as F
 
 
 def _field_is_read(name):
@@ -126,6 +130,68 @@ class TestConfig:
         fields = {f.name for f in dataclasses.fields(TaserConfig)}
         assert sorted(keys - fields) == []
         assert [key for key in sorted(keys) if not _field_is_read(key)] == []
+
+
+def _old_order_step(trainer, prepared):
+    """One step in the op order from before the two-half step: model
+    backward, clip and step the model, selector update, then the sample-loss
+    backward and the sampler step.  Returns the model and sample losses."""
+    cfg, b = trainer.config, prepared.num_positives
+    trainer.model_optimizer.zero_grad()
+    trainer.sampler_optimizer.zero_grad()
+    embeddings = trainer.backbone.embed(prepared.minibatch,
+                                        trainer.generator.hop_tile)
+    pos_logits = trainer.predictor(embeddings[:b], embeddings[b:2 * b])
+    neg_logits = trainer.predictor(embeddings[:b], embeddings[2 * b:])
+    model_loss = F.binary_cross_entropy_with_logits(pos_logits, Tensor.ones(b)) \
+        + F.binary_cross_entropy_with_logits(neg_logits, Tensor.zeros(b))
+    model_loss.backward()
+    clip_grad_norm(trainer.model_optimizer.params, cfg.grad_clip)
+    trainer.model_optimizer.step()
+    trainer.selector.update(prepared.local_indices, pos_logits.data)
+    attention = (trainer.backbone.last_layer_attention()
+                 if cfg.sample_loss == "tgat_analytic" else None)
+    sample_loss = build_sample_loss(
+        cfg.sample_loss, prepared.minibatch.hops, b, embeddings,
+        attention=attention, alpha=cfg.sample_alpha, beta=cfg.sample_beta)
+    sample_loss.backward()
+    clip_grad_norm(trainer.sampler_optimizer.params, cfg.grad_clip)
+    trainer.sampler_optimizer.step()
+    return float(model_loss.data), float(sample_loss.data)
+
+
+def _state_bytes(trainer):
+    return {(name, key): value.tobytes()
+            for name in ("backbone", "predictor", "sampler")
+            for key, value in getattr(trainer, name).state_dict().items()}
+
+
+@pytest.mark.parametrize("backbone,estimator", [
+    ("tgat", "sensitivity"), ("tgat", "tgat_analytic"),
+    ("graphmixer", "sensitivity"),
+])
+def test_two_half_step_matches_the_old_op_order(train_graph, backbone,
+                                                estimator):
+    """The sample loss reads no parameter or gradient that the model's clip
+    and step touch, and the sampler's parameters are the model's disjoint
+    complement, so backprop of the sample loss before the model step
+    changes no bit: losses, sample losses and every parameter agree."""
+    cfg = tiny_config(backbone=backbone, sample_loss=estimator)
+    assert cfg.grad_clip > 0
+    trainer, oracle = TaserTrainer(train_graph, cfg), TaserTrainer(train_graph, cfg)
+    expected = []
+    for _ in range(2):
+        trainer._begin_epoch()
+        for prepared in trainer.engine.epoch(cfg.max_batches_per_epoch):
+            trainer._train_prepared(prepared)
+        oracle._begin_epoch()
+        for prepared in oracle.engine.epoch(cfg.max_batches_per_epoch):
+            expected.append(_old_order_step(oracle, prepared))
+        got = list(zip(trainer._batch_losses, trainer._sample_losses))
+        assert got == expected[-len(got):]
+    assert len(expected) == 2 * cfg.max_batches_per_epoch
+    assert all(sample != 0.0 for _, sample in expected)
+    assert _state_bytes(trainer) == _state_bytes(oracle)
 
 
 class TestTrainingVariants:

@@ -6,8 +6,10 @@ artifacts (see ``docs/BENCHMARKS.md``).  Any payload object carrying a
 ``hash`` / ``replay_hash`` pair (the benchmarks' run-vs-replay digests) must
 have equal values, and the contract pairs listed in ``REQUIRED_HASH_PAIRS``
 (the fig1 ``determinism`` pair, the serve ``serve_determinism`` pair, the
-shard sweep's ``determinism`` pair and its ``comms_equivalence`` pair — the
-serial pool's trajectories vs the process pool's) must also be *present* — a
+shard sweep's ``determinism`` pair, its ``comms_equivalence`` pair — the
+serial pool's trajectories vs the process pool's — and its
+``comms_equivalence_adaptive`` pair, the same with the sampler's gradients
+exchanged too) must also be *present* — a
 benchmark that silently stops emitting one fails.  The digests are computed
 within one run, so a finding is machine-independent and fails at every
 scale.  Wall-clock timings are not compared: ``benchmarks/e2e`` is the
@@ -42,7 +44,8 @@ from typing import Dict, Iterator, List, Tuple
 REQUIRED_HASH_PAIRS: Dict[str, Tuple[str, ...]] = {
     "BENCH_fig1_breakdown_wikipedia.json": ("determinism",),
     "BENCH_serve_latency.json": ("serve_determinism",),
-    "BENCH_shard_scaling.json": ("determinism", "comms_equivalence"),
+    "BENCH_shard_scaling.json": ("determinism", "comms_equivalence",
+                                 "comms_equivalence_adaptive"),
 }
 
 
