@@ -56,14 +56,13 @@ def _run_sharded(graph, config, workers, epochs, policy="temporal",
     with ShardedTrainer(graph, config, num_workers=workers,
                         shard_policy=policy, backend=backend) as trainer:
         start = time.perf_counter()
-        for _ in range(epochs):
-            trainer.train_epoch()
+        history = [trainer.train_epoch() for _ in range(epochs)]
         wall = (time.perf_counter() - start) / max(epochs, 1)
-        trajectories = [stats.batch_losses for stats in trainer.history]
+        trajectories = [stats.batch_losses for stats in history]
         # Per-shard phase totals across epochs (NF/FS/AS/PP per shard).
         per_shard = [{} for _ in range(workers)]
         sync = 0.0
-        for stats in trainer.history:
+        for stats in history:
             sync += stats.runtime["SYNC"]
             for acc, shard_stats in zip(per_shard, stats.per_shard):
                 for key, value in shard_stats.runtime.items():
@@ -75,8 +74,8 @@ def _run_sharded(graph, config, workers, epochs, policy="temporal",
             "sync_seconds": sync / denom,
             "per_shard_phases": per_shard,
             "plan": trainer.plan.describe(),
-            "global_steps_per_epoch": len(trainer.history[-1].batch_losses),
-            "sample_losses": [stats.sample_loss for stats in trainer.history],
+            "global_steps_per_epoch": len(history[-1].batch_losses),
+            "sample_losses": [stats.sample_loss for stats in history],
         }, trajectories
 
 

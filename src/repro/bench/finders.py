@@ -25,14 +25,15 @@ __all__ = ["OriginalNeighborFinder", "TGLNeighborFinder", "use_finder"]
 def use_finder(trainer, finder: type) -> None:
     """Re-point ``trainer``'s mini-batch generator at a fresh ``finder``.
 
-    The new finder reads the trainer's T-CSR under the configured policy,
-    exactly as the trainer built its own; it draws from the same per-tile
-    generators, so a swap made before the first epoch replays the run that
-    finder would have trained.  Training and evaluation both sample through
-    the generator, its only holder.
+    The new finder reads the T-CSR of the finder it replaces under the
+    configured policy, exactly as the trainer built its own; it draws from
+    the same per-tile generators, so a swap made before the first epoch
+    replays the run that finder would have trained.  Training and
+    evaluation both sample through the generator, its only holder.
     """
-    trainer.generator.finder = finder(
-        trainer.tcsr, policy=trainer.config.resolved_finder_policy)
+    generator = trainer.generator
+    generator.finder = finder(generator.finder.tcsr,
+                              policy=trainer.config.resolved_finder_policy)
 
 
 def _gather(tcsr: TCSR, nodes: np.ndarray, times: np.ndarray, budget: int,

@@ -248,7 +248,7 @@ def run_train(args: argparse.Namespace) -> dict:
     with ShardedTrainer(graph, config, num_workers=args.workers,
                         shard_policy=args.shard_policy) as trainer:
         result = trainer.fit()
-        last = trainer.history[-1] if trainer.history else None
+        last = result.history[-1] if result.history else None
         return {
             "dataset": args.dataset,
             "backbone": args.backbone,
@@ -263,8 +263,7 @@ def run_train(args: argparse.Namespace) -> dict:
             "val_mrr": result.val_mrr,
             "test_mrr": result.test_mrr,
             "test_metrics": result.test_metrics,
-            "final_model_loss": (result.history[-1].model_loss
-                                 if result.history else None),
+            "final_model_loss": last.model_loss if last else None,
             "runtime_breakdown_seconds": result.runtime_breakdown,
             "cache_hit_rates": result.cache_hit_rates,
             "wall_clock_seconds": time.time() - start,

@@ -31,6 +31,12 @@ Every stochastic draw of a tile — the finder's, then the adaptive sampler's
 Gumbel selection — comes from that tile's own generator, seeded by one raw
 draw of the caller's generator (:meth:`MiniBatchGenerator.build`); neither
 the finder nor the sampler holds random state.
+
+The generator is the only reader of the T-CSR (through its finder) and of
+the event log (through its feature store), so it holds the live history and
+is the one place it grows: :meth:`MiniBatchGenerator.ingest` appends a chunk
+to the log and to the streaming T-CSR it builds at the first ingest, and
+re-points the finder at the new snapshot.
 """
 
 from __future__ import annotations
@@ -41,8 +47,10 @@ from typing import Optional
 import numpy as np
 
 from ..device.memory import FeatureStore
+from ..graph.tcsr import StreamingTCSR
 from ..models.minibatch import HopData, MiniBatch
 from ..sampling.base import NeighborBatch, NeighborFinder
+from ..sampling.gpu_finder import GPUNeighborFinder
 from ..sampling.recursive import flatten_frontier, unique_targets
 from ..utils.rng import TileGenerator
 from ..utils.tiles import ONE_TILE, Tiles
@@ -92,6 +100,30 @@ class MiniBatchGenerator:
         self.num_candidates = num_candidates
         self.adaptive_sampler = adaptive_sampler
         self.timer = timer if timer is not None else Timer()
+        #: the streaming T-CSR of the live history: built by the first
+        #: accepted :meth:`ingest`, so a generator that never ingests holds
+        #: only its finder's compact T-CSR.
+        self.stcsr: Optional[StreamingTCSR] = None
+
+    # -- live history ------------------------------------------------------------
+
+    def ingest(self, src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
+               edge_feat: Optional[np.ndarray] = None) -> None:
+        """Grow the live history by one chunk of events.
+
+        The event log is the feature store's graph.  The first call builds
+        the streaming T-CSR over the log as it stood before the chunk.  The
+        chunk is then appended to the log, which checks it (a rejected chunk
+        raises ``ValueError`` and leaves log and heap as they were), then to
+        the heap, and the finder is re-pointed at the heap's snapshot, which
+        is bitwise :func:`~repro.graph.tcsr.build_tcsr` of the log.
+        """
+        stcsr = self.stcsr
+        if stcsr is None:
+            stcsr = StreamingTCSR.from_graph(self.feature_store.graph)
+        self.feature_store.graph.append_events(src, dst, ts, edge_feat)
+        self.stcsr = stcsr.append(src, dst, ts)
+        self.finder = GPUNeighborFinder(stcsr.snapshot(), policy=self.finder.policy)
 
     # -- helpers -----------------------------------------------------------------
 

@@ -19,14 +19,16 @@ that workload:
     1. **prequential evaluation** ("test-then-train"): the chunk's events are
        scored as link-prediction queries *before* they are ingested, so every
        event is evaluated exactly once, by a model that has never seen it;
-    2. **ingestion**: the chunk is appended in place to the event log
-       (:meth:`~repro.graph.TemporalGraph.append_events`), to the incremental
-       :class:`~repro.graph.StreamingTCSR` (amortized O(chunk), no rebuild),
-       and the device feature cache's edge universe grows with it;
+    2. **ingestion**: the mini-batch generator grows the live history
+       (:meth:`~repro.core.pipeline.MiniBatchGenerator.ingest`): the event
+       log in place, the incremental :class:`~repro.graph.StreamingTCSR`
+       that the first ingest builds (amortized O(chunk), no rebuild) and the
+       finder over its snapshot; the device feature cache's edge universe
+       grows with the log;
     3. **sliding-window training**: one (or more) passes over the most recent
        ``window_events`` events through the mini-batch engine (its prep
-       runtime re-pointed per window at the fresh T-CSR snapshot;
-       model/optimiser state and the batches' generator persist throughout).
+       runtime re-pointed per window at the new split; model/optimiser state
+       and the batches' generator persist throughout).
 
 Determinism: under a fixed seed the whole trajectory — prequential MRR per
 chunk and per-batch training losses — is reproducible.  The graph-state
@@ -46,9 +48,7 @@ from ..eval.evaluator import score_link_queries
 from ..eval.metrics import ranking_report
 from ..eval.negative_sampling import NegativeSampler
 from ..graph.splits import TemporalSplit
-from ..graph.tcsr import StreamingTCSR
 from ..graph.temporal_graph import TemporalGraph
-from ..sampling import GPUNeighborFinder
 from ..utils.rng import new_rng
 from .config import TaserConfig
 from .minibatch_selector import ChronologicalSelector
@@ -270,10 +270,10 @@ class StreamingTrainer(TaserTrainer):
     Construction warm-starts from ``warmup_graph`` (typically the prefix
     returned by :func:`split_warmup`): the model, optimisers, feature store
     and negative samplers are built once and persist across the whole stream.
-    Per ingested chunk the graph-dependent components are refreshed — the
-    T-CSR via an incremental snapshot (never a rebuild), the neighbor finder
-    against it, and the prep runtime's split and selector over the new
-    window — which is cheap relative to training.  The training batches'
+    Per ingested chunk the generator grows the live history (an
+    incremental snapshot, never a rebuild, under its finder) and the prep
+    runtime's split and selector move to the new window, which is cheap
+    relative to training.  The training batches'
     generator is the warm-start trainer's, one stream across every window.
 
     ``adaptive_minibatch`` must be off (validated with an actionable error):
@@ -309,14 +309,6 @@ class StreamingTrainer(TaserTrainer):
         self.prequential_rng = new_rng(config.seed + 203)
         self.stream_history: List[StreamStats] = []
 
-    def _build_tcsr(self, graph):
-        """Seed the incremental T-CSR once and adopt its snapshot, so the
-        warm-start build and all later windows share one object lineage
-        (snapshots are bitwise-identical to a batch build — tested)."""
-        #: incrementally maintained T-CSR (grows with every ingested chunk).
-        self.stcsr = StreamingTCSR.from_graph(graph)
-        return self.stcsr.snapshot()
-
     # -- online cycle -----------------------------------------------------------
 
     def prequential_eval(self, chunk: EventChunk) -> float:
@@ -348,29 +340,25 @@ class StreamingTrainer(TaserTrainer):
         return ranking_report(pos, neg)["mrr"]
 
     def ingest(self, chunk: EventChunk) -> None:
-        """Append a chunk and refresh the graph-dependent components.
+        """Append a chunk and refresh the window.
 
-        The event log grows in place (feature-store accounting follows it
-        automatically), the incremental T-CSR absorbs the chunk in amortized
-        O(chunk), the device cache's edge universe grows keeping the
-        configured VRAM ratio, and the finder and the prep runtime are
-        re-pointed at the new snapshot and sliding window.
+        The mini-batch generator grows the live history (the event log, its
+        streaming T-CSR and the finder over it:
+        :meth:`~repro.core.pipeline.MiniBatchGenerator.ingest`), the device
+        cache's edge universe grows keeping the configured VRAM ratio, and
+        the prep runtime is re-pointed at the new sliding window.
         """
-        self.graph.append_events(chunk.src, chunk.dst, chunk.ts, chunk.edge_feat)
-        self.stcsr.append(chunk.src, chunk.dst, chunk.ts)
+        self.generator.ingest(chunk.src, chunk.dst, chunk.ts, chunk.edge_feat)
         if self.cache is not None:
-            capacity = int(round(self.config.cache_ratio * self.graph.num_edges))
             self.cache.grow(self.graph.num_edges,
-                            capacity=max(capacity, self.cache.capacity))
+                            capacity=max(self._cache_capacity(self.graph),
+                                         self.cache.capacity))
         self._refresh_window()
 
     def _refresh_window(self) -> None:
-        """Re-point the finder, split and selector at the current graph state
-        and sliding window.  The prep runtime keeps its generator, so the
-        training batches' stream continues across windows."""
-        self.tcsr = self.stcsr.snapshot()
-        self.generator.finder = GPUNeighborFinder(
-            self.tcsr, policy=self.config.resolved_finder_policy)
+        """Re-point the split and selector at the current sliding window.
+        The prep runtime keeps its generator, so the training batches'
+        stream continues across windows."""
         self.split = self.prep.split = _window_split(self.graph,
                                                      self.window_events)
         self.selector = self.prep.selector = ChronologicalSelector(

@@ -140,8 +140,7 @@ class TaserTrainer:
         # batch seeds its tiles' finder and selection draws from it.
         rng_model, rng_sampler, rng_prep = spawn_rngs(cfg.seed, 3)
 
-        # --- substrate: T-CSR + memory hierarchy ------------------------------------
-        self.tcsr = self._build_tcsr(self.graph)
+        # --- substrate: memory hierarchy ---------------------------------------------
         self.cache = None
         if self.graph.edge_feat is not None and cfg.cache_ratio > 0:
             self.cache = DynamicFeatureCache(
@@ -166,10 +165,12 @@ class TaserTrainer:
                 use_identity_encoding=cfg.use_identity_encoding,
                 rng=rng_sampler)
 
-        # --- pipeline: the generator holds the run's one neighbor finder -----------------
+        # --- pipeline: the generator holds the run's one neighbor finder and ---------
+        # the live history's T-CSR (it builds the streaming heap if it ingests).
         self.timer = Timer()
         self.generator = MiniBatchGenerator(
-            GPUNeighborFinder(self.tcsr, policy=cfg.resolved_finder_policy),
+            GPUNeighborFinder(build_tcsr(self.graph),
+                              policy=cfg.resolved_finder_policy),
             self.feature_store, cfg.num_layers,
             cfg.num_neighbors, cfg.num_candidates if cfg.adaptive_neighbor
             else cfg.num_neighbors,
@@ -200,16 +201,10 @@ class TaserTrainer:
                                  selector=self.selector, rng=rng_prep)
         self.engine = BatchEngine(self.prep)
 
-        self.history: List[EpochStats] = []
         self._epoch = 0
         #: the running epoch's per-batch model and sample losses.
         self._batch_losses: List[float] = []
         self._sample_losses: List[float] = []
-
-    def _build_tcsr(self, graph: TemporalGraph):
-        """T-CSR construction hook (the streaming trainer substitutes an
-        incremental builder whose snapshots are bitwise-identical)."""
-        return build_tcsr(graph)
 
     def _cache_capacity(self, graph: TemporalGraph) -> int:
         """Edge-feature cache capacity hook.
@@ -324,14 +319,12 @@ class TaserTrainer:
                           dedup_ratio=float(slice_stats.dedup_ratio))
 
     def train_epoch(self) -> EpochStats:
-        """Run one training epoch, record its statistics in ``history`` and
-        return them."""
+        """Run one training epoch and return its statistics (the trainer
+        keeps none)."""
         self._begin_epoch()
         for prepared in self.engine.epoch(self.config.max_batches_per_epoch):
             self._train_prepared(prepared)
-        stats = self._end_epoch()
-        self.history.append(stats)
-        return stats
+        return self._end_epoch()
 
     # ------------------------------------------------------------------ evaluation
 
@@ -364,22 +357,21 @@ def train_and_evaluate(trainer, variant: str, split: TemporalSplit,
 
     The one ``fit`` of :class:`TaserTrainer` and the sharded trainer: both
     hand in their variant label and the split they evaluate.  Every summary
-    is read off the epochs' own :class:`EpochStats`, so evaluation traffic
-    never enters ``cache_hit_rates``.
+    is read off the stats that the epochs trained here return, so
+    evaluation traffic never enters ``cache_hit_rates``.
     """
     epochs = epochs if epochs is not None else trainer.config.epochs
-    for _ in range(epochs):
-        trainer.train_epoch()
+    history = [trainer.train_epoch() for _ in range(epochs)]
 
     val_metrics = trainer.evaluate("val") if evaluate_val and split.num_val else {}
     test_metrics = (trainer.evaluate("test")
                     if evaluate_test and split.num_test else {})
 
     breakdown: Dict[str, float] = {}
-    for stats in trainer.history:
+    for stats in history:
         for key, value in stats.runtime.items():
             breakdown[key] = breakdown.get(key, 0.0) + value
-    return TrainResult(variant=variant, history=list(trainer.history),
+    return TrainResult(variant=variant, history=history,
                        val_metrics=val_metrics, test_metrics=test_metrics,
                        runtime_breakdown=breakdown,
-                       cache_hit_rates=[s.cache_hit_rate for s in trainer.history])
+                       cache_hit_rates=[s.cache_hit_rate for s in history])

@@ -123,7 +123,6 @@ class ShardedTrainer:
                                                self.num_workers)
         self.pool: WorkerPool = make_worker_pool(self.backend,
                                                  self._shard_tasks())
-        self.history: List[ShardedEpochStats] = []
         self._epoch = 0
 
     def _shard_tasks(self) -> List[ShardTask]:
@@ -175,7 +174,7 @@ class ShardedTrainer:
         has_cache = (self.graph.edge_feat is not None
                      and self.config.cache_ratio > 0)
         self._epoch += 1
-        stats = ShardedEpochStats(
+        return ShardedEpochStats(
             epoch=self._epoch,
             model_loss=float(np.mean(step_losses)) if step_losses else 0.0,
             sample_loss=float(np.mean([s.sample_loss for s in shards])),
@@ -188,8 +187,6 @@ class ShardedTrainer:
             per_shard=list(shards),
             wall_seconds=wall_seconds,
         )
-        self.history.append(stats)
-        return stats
 
     # ------------------------------------------------------------------ evaluation
 

@@ -19,9 +19,11 @@ Entries inside a node segment are ordered by ``(ts, event id, direction)``
 with the forward half-edge before the reverse one.  For chronologically
 sorted event logs this is exactly the order in which a live stream appends
 half-edges, so :class:`StreamingTCSR` — the incrementally appendable variant
-used by the streaming subsystem — produces snapshots **bitwise-identical**
-to a one-shot :func:`build_tcsr` over the same events (asserted by the
-streaming test suite).
+that a live history grows (:meth:`~repro.core.pipeline.MiniBatchGenerator.ingest`)
+— produces snapshots **bitwise-identical** to a one-shot :func:`build_tcsr`
+over the same events (asserted by the streaming test suite).  It checks a
+chunk with the event log's own checker,
+:func:`~repro.graph.temporal_graph.check_chunk`.
 
 Construction cost
 -----------------
@@ -40,7 +42,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .temporal_graph import TemporalGraph, node_id_array
+from .temporal_graph import TemporalGraph, check_chunk
 
 __all__ = ["TCSR", "build_tcsr", "StreamingTCSR"]
 
@@ -284,29 +286,14 @@ class StreamingTCSR:
         """Append a chunk of chronologically ordered events.
 
         Event ids continue the running counter (``num_events``), matching the
-        row order of the event log's edge-feature matrix.  Raises
-        ``ValueError`` when the chunk holds a non-finite timestamp, is out of
-        chronological order (within itself or against previously appended
-        events), or its node ids are not integers or lie outside ``[0,
-        num_nodes)``.
+        row order of the event log's edge-feature matrix.  The chunk must
+        pass the event log's own rules (:func:`~repro.graph.temporal_graph.check_chunk`);
+        a rejected chunk raises ``ValueError`` and changes nothing.
         """
-        src, dst = node_id_array(src), node_id_array(dst)
-        ts = np.ascontiguousarray(ts, dtype=np.float64)
-        if not (src.shape == dst.shape == ts.shape) or src.ndim != 1:
-            raise ValueError("src, dst and ts must be identical one-dimensional arrays")
+        src, dst, ts = check_chunk(src, dst, ts, self.num_nodes, self._last_ts)
         k = int(src.size)
         if k == 0:
             return self
-        if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= self.num_nodes:
-            raise ValueError(f"appended node id out of range [0, {self.num_nodes})")
-        if not np.isfinite(ts).all():
-            raise ValueError("appended timestamps must be finite")
-        if np.any(np.diff(ts) < 0):
-            raise ValueError("appended events must be sorted chronologically")
-        if ts[0] < self._last_ts:
-            raise ValueError(
-                f"appended events must not precede already-ingested ones "
-                f"(got timestamp {float(ts[0])!r} after {self._last_ts!r})")
 
         eid = np.arange(self._num_events, self._num_events + k, dtype=np.int64)
         rows, cols, eids, tss = _half_edges(src, dst, eid, ts)

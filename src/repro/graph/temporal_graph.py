@@ -14,7 +14,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-__all__ = ["TemporalGraph"]
+__all__ = ["TemporalGraph", "check_chunk"]
 
 
 def node_id_array(ids) -> np.ndarray:
@@ -28,6 +28,36 @@ def node_id_array(ids) -> np.ndarray:
     if ids.dtype.kind not in "iu":
         raise ValueError(f"appended node ids must be integers, got dtype {ids.dtype}")
     return np.ascontiguousarray(ids, dtype=np.int64)
+
+
+def check_chunk(src, dst, ts, num_nodes: int, last_ts: float):
+    """The rules of every appended chunk, for the event log and its T-CSR.
+
+    Node ids are integers (:func:`node_id_array`) in ``[0, num_nodes)``:
+    ingestion does not grow the node set.  Timestamps are finite,
+    non-decreasing within the chunk and not below ``last_ts``, the latest
+    event already appended.  Returns ``(src, dst, ts)`` as contiguous int64,
+    int64 and float64 arrays; raises ``ValueError`` otherwise.
+    """
+    src, dst = node_id_array(src), node_id_array(dst)
+    ts = np.ascontiguousarray(ts, dtype=np.float64)
+    if not (src.shape == dst.shape == ts.shape) or src.ndim != 1:
+        raise ValueError("appended src, dst and ts must be identical 1-D arrays")
+    if not src.size:
+        return src, dst, ts
+    if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= num_nodes:
+        raise ValueError(
+            f"appended node id out of range [0, {num_nodes}); "
+            "streaming ingestion does not grow the node set")
+    if not np.isfinite(ts).all():
+        raise ValueError("appended timestamps must be finite")
+    if np.any(np.diff(ts) < 0):
+        raise ValueError("appended events must be sorted chronologically")
+    if ts[0] < last_ts:
+        raise ValueError(
+            f"appended events must not precede already-ingested ones "
+            f"(got timestamp {float(ts[0])!r} after {float(last_ts)!r})")
+    return src, dst, ts
 
 
 @dataclass
@@ -124,41 +154,21 @@ class TemporalGraph:
         ``graph.edge_feat`` on every request) therefore stay consistent
         without any re-registration.
 
-        Constraints enforced with actionable errors:
-
-        * node ids must be integers (an array of another dtype raises
-          rather than being cast) in ``[0, num_nodes)`` — streaming does not
-          grow the node set (presets have a fixed node universe);
-        * timestamps must be finite, non-decreasing within the chunk and must
-          not precede the latest existing event (chronological ingestion);
-        * ``edge_feat`` must be present with matching width iff the graph
-          already has edge features, and finite once cast to float32.
+        The chunk must pass :func:`check_chunk` against this log, and
+        ``edge_feat`` must be present with matching width iff the graph
+        already has edge features, and finite once cast to float32.  A
+        rejected chunk changes nothing.
 
         ``meta`` is left untouched: planted ground-truth arrays keep
         describing the originally generated events.
 
         Returns ``self`` for chaining.
         """
-        src, dst = node_id_array(src), node_id_array(dst)
-        ts = np.ascontiguousarray(ts, dtype=np.float64)
-        if not (src.shape == dst.shape == ts.shape) or src.ndim != 1:
-            raise ValueError("appended src, dst and ts must be identical 1-D arrays")
+        src, dst, ts = check_chunk(src, dst, ts, self.num_nodes,
+                                   self.ts[-1] if self.num_edges else -np.inf)
         k = int(src.size)
         if k == 0:
             return self
-        if min(src.min(), dst.min()) < 0 \
-                or max(src.max(), dst.max()) >= self.num_nodes:
-            raise ValueError(
-                f"appended node id out of range [0, {self.num_nodes}); "
-                "streaming ingestion does not grow the node set")
-        if not np.isfinite(ts).all():
-            raise ValueError("appended timestamps must be finite")
-        if np.any(np.diff(ts) < 0):
-            raise ValueError("appended events must be sorted chronologically")
-        if self.num_edges and ts[0] < self.ts[-1]:
-            raise ValueError(
-                f"appended events must not precede existing ones "
-                f"(got timestamp {float(ts[0])!r} after {float(self.ts[-1])!r})")
         if (edge_feat is None) != (self.edge_feat is None):
             raise ValueError(
                 "appended chunk must carry edge features iff the graph has them "

@@ -14,7 +14,8 @@ that approximation explicit with two configurable staleness bounds:
   ``t0`` may serve a query at time ``t`` only while ``|t - t0| <=
   staleness_time`` — the temporal analogue of a TTL.
 
-Either bound may be ``None`` (unbounded).  With both bounds at ``None`` a hit
+The node universe is fixed: the event log rejects an unseen node id, so
+ingestion never grows it.  Either bound may be ``None`` (unbounded).  With both bounds at ``None`` a hit
 is exact *only* when the query time matches the cached entry's compute time,
 so the default construction keeps time staleness at ``0.0`` — i.e. a hit
 requires the identical ``(node, t)`` query — and serving engines opt in to
@@ -54,7 +55,7 @@ class NodeEmbeddingCache:
     Parameters
     ----------
     num_nodes:
-        Size of the node-id universe (grown by :meth:`grow` on ingestion).
+        Size of the node-id universe (fixed: ingestion never grows it).
     capacity:
         Maximum number of cached embedding rows (0 disables caching).
     staleness_events:
@@ -230,23 +231,6 @@ class NodeEmbeddingCache:
         # to the within-call slot permutation.
         self._stamp += 1
         self._slot_stamp[slots] = self._stamp
-
-    def grow(self, num_nodes: int) -> None:
-        """Extend the node-id universe (ingestion added nodes).
-
-        Mirrors :meth:`repro.device.cache.FeatureCache.grow`: shrinking is
-        rejected, new nodes start uncached with zero frequency.
-        """
-        if num_nodes < self.num_nodes:
-            raise ValueError(
-                f"cannot shrink the node universe ({self.num_nodes} -> {num_nodes})")
-        extra = num_nodes - self.num_nodes
-        if extra:
-            self.slot_of = np.concatenate(
-                [self.slot_of, np.full(extra, -1, dtype=np.int64)])
-            self.frequency = np.concatenate(
-                [self.frequency, np.zeros(extra, dtype=np.int64)])
-        self.num_nodes = int(num_nodes)
 
     def end_epoch(self) -> float:
         """Close an accounting epoch (FeatureCache idiom): reset the counters

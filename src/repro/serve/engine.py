@@ -32,6 +32,11 @@ the two everything is columns.  Dataflow of one flush::
                               ▼
             ServeResult per query (score, latency, batch occupancy, cache hits)
 
+Ingestion grows the engine's history through its mini-batch generator
+(:meth:`~repro.core.pipeline.MiniBatchGenerator.ingest`), the one way a live
+history grows; until the first accepted chunk the engine shares its
+source's event log read-only.
+
 Synchronous core, concurrency-ready: the engine itself never spawns
 threads — `submit`/`flush` are plain calls, so a caller can drive it from an
 event loop, a thread pool, or a benchmark loop — but every decision it makes
@@ -54,6 +59,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
+from numbers import Real
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -63,7 +69,6 @@ from ..core.pipeline import MiniBatchGenerator
 from ..core.prep import PrepPipeline
 from ..device.memory import FeatureStore
 from ..graph import tcsr as _tcsr
-from ..graph.tcsr import StreamingTCSR
 from ..graph.temporal_graph import TemporalGraph
 from ..sampling import GPUNeighborFinder
 from ..tensor import Tensor, get_backend, no_grad
@@ -99,7 +104,7 @@ class ServeResult(NamedTuple):
     ``status`` is ``"ok"`` (scored), ``"shed"`` (rejected at admission:
     queue full under the ``shed`` policy), ``"expired"`` (deadline passed
     while queued) or ``"invalid"`` (an endpoint that is not an integer node
-    id of the universe, or a query time that is NaN or infinite).
+    id of the universe, or a query time that is not a finite real number).
     ``score`` is the calibrated link probability ``sigmoid(logit)``.
     """
 
@@ -254,7 +259,6 @@ class ServeEngine:
         #: in one pass instead of a recursive ``train()`` walk per root.
         self._modules = tuple(module for root in (backbone, predictor)
                               for _, module in root.named_modules())
-        self.finder_policy = finder_policy
         #: the array runtime the forward runs on (one per process).
         self.array_backend = get_backend()
 
@@ -273,14 +277,11 @@ class ServeEngine:
             staleness_time=staleness_time)
 
         self.timer = Timer()
-        # Looked up on the module at call time, where a tracer wraps it.
-        self.tcsr = _tcsr.build_tcsr(self.graph)
-        #: the incremental T-CSR the ingests append to: built by the first
-        #: ingest, so an engine that never ingests holds only ``tcsr``.
-        self.stcsr: Optional[StreamingTCSR] = None
         self.feature_store = FeatureStore(self.graph, edge_cache=None)
+        # ``build_tcsr`` is looked up on its module at call time, where a
+        # tracer wraps it.  The generator grows the history at each ingest.
         self.generator = MiniBatchGenerator(
-            GPUNeighborFinder(self.tcsr, policy=finder_policy),
+            GPUNeighborFinder(_tcsr.build_tcsr(self.graph), policy=finder_policy),
             self.feature_store, int(num_layers), int(num_neighbors),
             int(num_neighbors if num_candidates is None else num_candidates),
             adaptive_sampler=adaptive_sampler, timer=self.timer)
@@ -320,15 +321,6 @@ class ServeEngine:
         return cls(trainer.graph, trainer.backbone, trainer.predictor,
                    **defaults)
 
-    # -- graph-dependent component refresh -------------------------------------
-
-    def _refresh(self) -> None:
-        """Re-point the finder at the current T-CSR snapshot (the streaming
-        trainer's idiom); the flushes' generator is untouched."""
-        self.tcsr = self.stcsr.snapshot()
-        self.generator.finder = GPUNeighborFinder(self.tcsr,
-                                                  policy=self.finder_policy)
-
     # -- ingestion --------------------------------------------------------------
 
     @property
@@ -340,28 +332,18 @@ class ServeEngine:
                edge_feat: Optional[np.ndarray] = None) -> None:
         """Absorb newly arrived events into the serving history.
 
-        Appends in place to the event log and the incremental T-CSR
-        (amortized ``O(chunk)``), grows the embedding cache's node universe,
-        and advances the staleness clock — embeddings older than
+        The mini-batch generator grows the live history
+        (:meth:`~repro.core.pipeline.MiniBatchGenerator.ingest`): the first
+        accepted chunk moves the shared log into private buffers and builds
+        the streaming T-CSR; a rejected one raises ``ValueError`` and changes
+        nothing.  The staleness clock advances — embeddings older than
         ``staleness_events`` become invalid at their next lookup.  Pending
         queries are *not* flushed: a query admitted before the ingest is
         scored against the post-ingest graph, exactly as a continuously
-        batching server would.  Node ids must be integer arrays
-        (``ValueError`` otherwise, as for every append).
-
-        The first call moves the shared history into private buffers
-        (:meth:`TemporalGraph.append_events`) and builds the incremental
-        T-CSR over it before the chunk is checked, so a rejected chunk leaves
-        the two consistent.
+        batching server would.
         """
-        if self.stcsr is None:
-            self.stcsr = StreamingTCSR.from_graph(self.graph)
-        src = np.asarray(src)
-        self.graph.append_events(src, dst, ts, edge_feat)
-        self.stcsr.append(src, dst, ts)
-        self.embedding_cache.grow(self.graph.num_nodes)
-        self._refresh()
-        self.serve_stats.events_ingested += int(src.size)
+        self.generator.ingest(src, dst, ts, edge_feat)
+        self.serve_stats.events_ingested += int(np.size(src))
 
     # -- admission ---------------------------------------------------------------
 
@@ -383,7 +365,7 @@ class ServeEngine:
         src, dst, t, deadline = query.src, query.dst, query.t, query.deadline
         n = self.graph.num_nodes
         if not (_is_node_id(src) and _is_node_id(dst) and 0 <= src < n
-                and 0 <= dst < n and math.isfinite(t)):
+                and 0 <= dst < n and isinstance(t, Real) and math.isfinite(t)):
             self.serve_stats.invalid += 1
             return ServeResult(query, "invalid", seq=seq)
         row = self._count

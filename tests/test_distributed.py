@@ -256,11 +256,12 @@ class TestShardedMechanics:
         assert stats.dedup_ratio == slices.dedup_ratio > 1.0
 
     def test_workers_keep_no_epoch_history(self, shard_graph):
-        """A worker's stats reach the master as ``per_shard``; its trainer
-        records none of its own."""
+        """A worker's stats reach the master as ``per_shard``, and the
+        master returns them: no trainer keeps an epoch history."""
         with ShardedTrainer(shard_graph, tiny_config(), num_workers=2,
                             backend="serial") as sharded:
-            epochs = _losses(sharded)
-            assert len(epochs) == len(sharded.history) == 2
+            epochs = [sharded.train_epoch() for _ in range(2)]
+            assert [len(stats.per_shard) for stats in epochs] == [2, 2]
+            assert not hasattr(sharded, "history")
             for worker in sharded.pool.workers:
-                assert worker.trainer.history == []
+                assert not hasattr(worker.trainer, "history")

@@ -54,7 +54,6 @@ ALLOWED = {
         "Data-parallel lockstep determinism (distributed layer, PR 3)",
         "Gradient-transport equivalence (distributed layer, PR 10)",
         "Thread-safe feature-slicing accounting (device layer, PR 3)",
-        "Chronological ingestion (graph layer, PR 2)",
     ),
 }
 

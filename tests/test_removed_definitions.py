@@ -84,7 +84,7 @@ GONE = {
     # A step is backward, then apply; a sharded step is one exchange.
     "repro.core.trainer:TaserTrainer": ["_model_step", "_sampler_backward",
                                         "_model_backward", "_apply_model",
-                                        "_sampler_step"],
+                                        "_sampler_step", "_build_tcsr"],
     "repro.core.trainer:TrainStep": ["minibatch", "embeddings"],
     "repro.distributed.worker:ShardWorker": [
         "comms_model_backward", "comms_apply_model", "comms_apply_sampler",
@@ -94,11 +94,12 @@ GONE = {
     "repro.graph.sharding:TemporalShardPlan": ["shard_graphs"],
     # One columnar serve pass: the pending queue is columns, scored by
     # ``ServeEngine._score``.
-    "repro.serve.engine:ServeEngine": ["_flush_pending", "_score_chunk"],
+    "repro.serve.engine:ServeEngine": ["_flush_pending", "_score_chunk",
+                                       "_refresh"],
     # Bounded bookkeeping: ``end_epoch`` returns the epoch's hit rate and
     # keeps nothing (``test_cache_bookkeeping_is_bounded`` checks instances).
     "repro.device.cache:FeatureCache": ["hit_rate_history"],
-    "repro.serve.cache:NodeEmbeddingCache": ["hit_rate_history"],
+    "repro.serve.cache:NodeEmbeddingCache": ["hit_rate_history", "grow"],
     # One allocator policy, applied at ``import repro``; the engine holds the
     # prep pipeline, not the trainer (no trainer <-> engine cycle).
     "repro.eval.evaluator": ["_one_malloc_arena", "_M_ARENA_MAX"],
@@ -113,6 +114,10 @@ GONE = {
     "repro.distributed.worker:ShardTask": ["src", "dst", "ts", "num_nodes",
                                            "edge_feat", "node_feat", "meta",
                                            "build_graph"],
+    # One way to grow a live history: the mini-batch generator holds the
+    # T-CSR and grows it (``test_the_live_history_lives_in_the_generator``
+    # checks the instance attributes).
+    "repro.core.streaming:StreamingTrainer": ["_build_tcsr"],
 }
 
 
@@ -201,3 +206,28 @@ def test_serve_queue_holds_no_per_query_objects():
     columns = [value for value in vars(engine).values() if isinstance(value, np.ndarray)]
     assert len(columns) >= 6
     assert all(column.dtype.kind in "if" for column in columns)
+
+
+def test_the_live_history_lives_in_the_generator():
+    """No trainer or engine holds a T-CSR of its own, a finder policy beside
+    its finder's, or an epoch history: the generator holds the T-CSR and its
+    streaming heap, and ``train_epoch`` returns its stats."""
+    from repro.core import StreamingTrainer, TaserConfig, TaserTrainer
+    from repro.distributed import ShardedTrainer
+    from repro.graph import CTDGConfig, generate_ctdg
+    from repro.serve import ServeEngine
+
+    graph = generate_ctdg(CTDGConfig(num_src=10, num_dst=8, num_events=300,
+                                     edge_dim=4, seed=0))
+    config = TaserConfig(backbone="graphmixer", hidden_dim=8, time_dim=4,
+                         num_neighbors=2, batch_size=50, adaptive_minibatch=False,
+                         adaptive_neighbor=False)
+    trainer = TaserTrainer(graph, config)
+    owners = [trainer, StreamingTrainer(graph, config),
+              ServeEngine.from_trainer(trainer)]
+    with ShardedTrainer(graph, config, backend="serial") as sharded:
+        owners.append(sharded)
+    for owner in owners:
+        held = {"tcsr", "stcsr", "history", "finder_policy"} & set(vars(owner))
+        assert held == set(), type(owner).__name__
+    assert all(owner.generator.stcsr is None for owner in owners[:3])

@@ -123,17 +123,6 @@ class TestNodeEmbeddingCache:
         assert np.array_equal(got, rows[keep])
         assert cache.num_cached == keep.size
 
-    def test_grow_extends_universe_and_rejects_shrink(self):
-        cache = NodeEmbeddingCache(5, 3)
-        cache.insert(np.array([4]), np.ones((1, 2)), np.zeros(1), 0)
-        with pytest.raises(ValueError):
-            cache.lookup(np.array([6]), np.zeros(1), 0)
-        cache.grow(8)
-        assert not cache.lookup(np.array([6]), np.zeros(1), 0)[0].any()
-        assert cache.num_cached == 1  # grown nodes start uncached
-        with pytest.raises(ValueError):
-            cache.grow(4)
-
     def test_hit_accounting_and_end_epoch(self):
         cache = NodeEmbeddingCache(10, 4, staleness_time=None)
         cache.insert(np.array([1]), np.ones((1, 2)), np.zeros(1), 0)
@@ -237,19 +226,18 @@ class ScanningCache(NodeEmbeddingCache):
 
 
 #: one cache operation: ("lookup" | "insert", node ids, time indices) or
-#: ("grow", extra nodes, ()) or ("ingest", events, ()).
+#: ("ingest", events, ()).
 _CACHE_OPS = st.one_of(
     st.tuples(st.sampled_from(["lookup", "insert"]),
               st.lists(st.integers(0, 11), min_size=0, max_size=9),
               st.lists(st.integers(0, 3), min_size=9, max_size=9)),
-    st.tuples(st.just("grow"), st.integers(0, 3), st.just(())),
     st.tuples(st.just("ingest"), st.integers(1, 3), st.just(())))
 
 
 class TestCacheAgainstScanningOracle:
-    """Over interleavings of ``lookup`` / ``insert`` / ``grow`` and
-    ingest-driven event clocks, the fill-pointer cache picks the oracle's
-    victims and keeps its stamps, rows and counters."""
+    """Over interleavings of ``lookup`` / ``insert`` and ingest-driven event
+    clocks, the fill-pointer cache picks the oracle's victims and keeps its
+    stamps, rows and counters."""
 
     STATE = ("slot_of", "node_of", "computed_time", "computed_event", "frequency",
              "_slot_stamp")
@@ -266,10 +254,6 @@ class TestCacheAgainstScanningOracle:
                       staleness_time=times_of) for cls in (NodeEmbeddingCache, ScanningCache)]
         now = 0
         for kind, arg, time_index in ops:
-            if kind == "grow":
-                for cache in caches:
-                    cache.grow(cache.num_nodes + arg)
-                continue
             if kind == "ingest":
                 now += arg
                 continue
@@ -341,6 +325,25 @@ class TestServeEngineEdgeCases:
         assert engine.stats()["invalid"] == 8
         assert results[-1].score == results[-2].score == results[-3].score
 
+    @pytest.mark.parametrize("t", ["5", None, 1 + 2j, np.datetime64(5, "s")],
+                             ids=["str", "none", "complex", "datetime64"])
+    def test_a_time_that_is_not_a_real_number_is_invalid(self, trained, t):
+        """Such a time used to raise ``TypeError`` out of ``submit`` after
+        the query was counted: the counters stopped adding up, and its
+        sequence number never got a result."""
+        engine = make_engine(trained)
+
+        def balanced():
+            s = engine.serve_stats
+            return s.submitted == (s.served + s.shed + s.expired + s.invalid
+                                   + engine._count)
+        rejected = engine.submit(LinkQuery(1, 2, t))
+        assert (rejected.seq, rejected.status) == (0, "invalid")
+        assert engine.submit(LinkQuery(1, 2, 5.0)) is None
+        assert balanced()
+        assert [(r.seq, r.status) for r in engine.flush()] == [(1, "ok")]
+        assert balanced() and engine.serve_stats.submitted == 2
+
     def test_ingest_rejects_non_integer_ids(self, trained):
         engine = make_engine(trained)
         before = engine.graph.num_edges
@@ -348,7 +351,8 @@ class TestServeEngineEdgeCases:
         feat = np.zeros((1, engine.graph.edge_dim), dtype=np.float32)
         with pytest.raises(ValueError, match="integers"):
             engine.ingest(np.array([1.7]), np.array([2.2]), np.array([last + 1.0]), feat)
-        assert engine.graph.num_edges == engine.stcsr.num_events == before
+        assert engine.graph.num_edges == before
+        assert engine.generator.stcsr is None
 
     def test_unseen_node_at_time_t(self, trained):
         # At t = first timestamp no node has any history yet: the temporal
@@ -444,17 +448,18 @@ class TestServeEngineEdgeCases:
         feat = np.zeros((1, engine.graph.edge_dim), dtype=np.float32)
         with pytest.raises(ValueError, match="finite"):
             engine.ingest(np.array([0]), np.array([1]), np.array([bad]), feat)
-        assert engine.graph.num_edges == engine.stcsr.num_events == before
+        assert engine.graph.num_edges == before
+        assert engine.generator.stcsr is None
         engine.ingest(np.array([0]), np.array([1]), np.array([last + 1.0]), feat)
-        assert engine.graph.num_edges == engine.stcsr.num_events == before + 1
+        assert engine.generator.stcsr.num_events == engine.graph.num_edges == before + 1
 
     def test_a_rejected_first_ingest_of_nan_features_changes_no_score(
             self, trained, queries):
         """An all-NaN feature chunk used to be accepted, and every later
-        score that sampled it read ``nan``.  Rejected at the first ingest
-        (which builds the streaming heap), it leaves the log and the heap
-        consistent: the engine then ingests and scores bitwise like a twin
-        that never saw the bad chunk."""
+        score that sampled it read ``nan``.  Rejected at the first ingest, it
+        leaves the log as it was and builds no streaming heap: the engine
+        then ingests and scores bitwise like a twin that never saw the bad
+        chunk."""
         engine, twin = make_engine(trained), make_engine(trained)
         last = float(engine.graph.ts[-1])
         dim = engine.graph.edge_dim
@@ -462,8 +467,8 @@ class TestServeEngineEdgeCases:
             engine.ingest(np.array([0, 1]), np.array([1, 2]),
                           np.array([last + 1.0, last + 2.0]),
                           np.full((2, dim), np.nan, dtype=np.float32))
-        assert engine.graph.num_edges == engine.stcsr.num_events \
-            == trained.graph.num_edges
+        assert engine.graph.num_edges == trained.graph.num_edges
+        assert engine.generator.stcsr is None
         good = (np.array([0, 1]), np.array([1, 2]),
                 np.array([last + 1.0, last + 2.0]),
                 np.ones((2, dim), dtype=np.float32))
@@ -659,19 +664,19 @@ TCSR_ARRAYS = ("indptr", "indices", "eid", "ts")
 
 class TestSharedHistory:
     """An engine copies no history until it ingests: its event log is
-    read-only views of the source's arrays and it holds only the compact
-    T-CSR; the first ingest moves the log into private buffers and builds
-    the streaming heap."""
+    read-only views of the source's arrays and its generator holds only the
+    finder's compact T-CSR; the first accepted ingest moves the log into
+    private buffers and builds the streaming heap."""
 
     def test_a_fresh_engine_shares_the_trainers_events(self, trained):
         engine = make_engine(trained)
         for name in EVENT_ARRAYS:
             assert np.shares_memory(getattr(engine.graph, name),
                                     getattr(trained.graph, name)), name
-        assert engine.stcsr is None
+        assert engine.generator.stcsr is None
         want = StreamingTCSR.from_graph(trained.graph).snapshot()
         for name in TCSR_ARRAYS:
-            got = getattr(engine.tcsr, name)
+            got = getattr(engine.generator.finder.tcsr, name)
             assert got.dtype == getattr(want, name).dtype, name
             assert got.tobytes() == getattr(want, name).tobytes(), name
 
@@ -684,18 +689,22 @@ class TestSharedHistory:
 
     def test_the_first_ingest_copies_and_leaves_the_trainer_as_it_was(self, trained):
         graph = {name: getattr(trained.graph, name).copy() for name in EVENT_ARRAYS}
-        tcsr = {name: getattr(trained.tcsr, name).copy() for name in TCSR_ARRAYS}
+        source = trained.generator.finder.tcsr
+        tcsr = {name: getattr(source, name).copy() for name in TCSR_ARRAYS}
         engine = make_engine(trained)
         last = float(engine.graph.ts[-1])
         engine.ingest(np.array([0]), np.array([1]), np.array([last + 1.0]),
                       np.ones((1, engine.graph.edge_dim), dtype=np.float32))
-        assert engine.stcsr.num_events == engine.graph.num_edges == graph["src"].size + 1
+        assert engine.generator.stcsr.num_events == engine.graph.num_edges \
+            == graph["src"].size + 1
+        assert trained.generator.stcsr is None
+        assert trained.generator.finder.tcsr is source
         for name in EVENT_ARRAYS:
             assert not np.shares_memory(getattr(engine.graph, name),
                                         getattr(trained.graph, name)), name
             assert getattr(trained.graph, name).tobytes() == graph[name].tobytes(), name
         for name in TCSR_ARRAYS:
-            assert getattr(trained.tcsr, name).tobytes() == tcsr[name].tobytes(), name
+            assert getattr(source, name).tobytes() == tcsr[name].tobytes(), name
 
     def test_an_engine_keeps_its_history_while_a_streaming_trainer_ingests(
             self, small_graph, queries):

@@ -236,6 +236,41 @@ class TestAppendEvents:
         assert g.num_edges == 10
 
 
+#: bad chunks over a log of ``n`` nodes whose last event is at ``t``:
+#: name -> (chunk builder, message fragment).
+BAD_CHUNKS = {
+    "float ids": (lambda n, t: ([1.7], [2], [t + 1]), "integers"),
+    "bool ids": (lambda n, t: ([1], [True], [t + 1]), "integers"),
+    "ragged": (lambda n, t: ([1, 2], [2], [t + 1, t + 2]), "identical"),
+    "negative id": (lambda n, t: ([-1], [2], [t + 1]), "out of range"),
+    "id past the node set": (lambda n, t: ([1], [n], [t + 1]), "out of range"),
+    "nan time": (lambda n, t: ([1], [2], [np.nan]), "finite"),
+    "inf time": (lambda n, t: ([1], [2], [np.inf]), "finite"),
+    "unsorted": (lambda n, t: ([1, 2], [2, 3], [t + 2, t + 1]), "chronologically"),
+    "earlier than the log": (lambda n, t: ([1], [2], [t - 1]), "precede"),
+}
+
+
+class TestChunkRules:
+    @pytest.mark.parametrize("case", sorted(BAD_CHUNKS))
+    def test_the_log_and_its_heap_raise_the_same_message(self, small_graph, case):
+        """The event log and its streaming T-CSR check a chunk with one
+        checker: each bad chunk raises the same message from both and
+        changes neither."""
+        graph = small_graph.select_events(np.arange(50))
+        heap = StreamingTCSR.from_graph(graph)
+        build, fragment = BAD_CHUNKS[case]
+        src, dst, ts = (np.array(a) for a in build(graph.num_nodes,
+                                                    float(graph.ts[-1])))
+        feat = np.zeros((ts.size, graph.edge_dim), dtype=np.float32)
+        with pytest.raises(ValueError, match=fragment) as log_error:
+            graph.append_events(src, dst, ts, feat)
+        with pytest.raises(ValueError, match=fragment) as heap_error:
+            heap.append(src, dst, ts)
+        assert str(log_error.value) == str(heap_error.value)
+        assert graph.num_edges == heap.num_events == 50
+
+
 class TestCacheGrowth:
     def test_grow_extends_universe_and_keeps_content(self):
         cache = DynamicFeatureCache(num_edges=100, capacity=20, seed=0)
@@ -338,7 +373,22 @@ class TestStreamingTrainer:
         """The key graph-state invariant: after arbitrary ingestion the
         incrementally maintained T-CSR equals a batch rebuild."""
         trainer, _, _ = self._run(stream_config(), small_graph)
-        assert_tcsr_equal(trainer.stcsr.snapshot(), build_tcsr(trainer.graph))
+        heap = trainer.generator.stcsr
+        assert heap.num_events == trainer.graph.num_edges
+        assert trainer.generator.finder.tcsr is heap.snapshot()
+        assert_tcsr_equal(heap.snapshot(), build_tcsr(trainer.graph))
+
+    def test_the_first_ingest_builds_the_heap(self, small_graph):
+        """A fresh trainer holds no streaming heap, only its finder's
+        compact T-CSR; its first ingest builds the heap, and the finder then
+        reads a snapshot bitwise equal to a rebuild of the log."""
+        warm, stream = split_warmup(small_graph, warmup_events=240, chunk_size=80)
+        trainer = StreamingTrainer(warm, stream_config(), window_events=200)
+        assert trainer.generator.stcsr is None
+        assert_tcsr_equal(trainer.generator.finder.tcsr, build_tcsr(trainer.graph))
+        trainer.ingest(next(iter(stream)))
+        assert trainer.generator.stcsr.num_events == trainer.graph.num_edges == 320
+        assert_tcsr_equal(trainer.generator.finder.tcsr, build_tcsr(trainer.graph))
 
     def test_prequential_trajectory_reproducible(self, small_graph):
         """Property: fixed seed => identical prequential MRR and batch losses
@@ -390,10 +440,11 @@ class TestStreamingTrainer:
         with pytest.raises(ValueError, match="finite"):
             trainer.ingest(EventChunk(np.array([0]), np.array([1]),
                                       np.array([bad]), feat))
-        assert trainer.graph.num_edges == trainer.stcsr.num_events == 240
+        assert trainer.graph.num_edges == 240
+        assert trainer.generator.stcsr is None
         trainer.ingest(EventChunk(np.array([0]), np.array([1]),
                                   np.array([last + 1.0]), feat))
-        assert trainer.graph.num_edges == trainer.stcsr.num_events == 241
+        assert trainer.generator.stcsr.num_events == trainer.graph.num_edges == 241
 
     def test_ingest_rejects_non_finite_edge_features(self, small_graph):
         warm, _ = split_warmup(small_graph, warmup_events=240)
@@ -403,7 +454,8 @@ class TestStreamingTrainer:
         with pytest.raises(ValueError, match="edge features must be finite"):
             trainer.ingest(EventChunk(np.array([0]), np.array([1]),
                                       np.array([last + 1.0]), feat))
-        assert trainer.graph.num_edges == trainer.stcsr.num_events == 240
+        assert trainer.graph.num_edges == 240
+        assert trainer.generator.stcsr is None
         assert np.isfinite(trainer.graph.edge_feat).all()
 
     def test_windows_share_one_batch_generator(self, small_graph):
@@ -416,7 +468,7 @@ class TestStreamingTrainer:
         state = copy.deepcopy(rng.bit_generator.state)
         trainer.step(next(iter(stream)))
         assert trainer.prep.rng is rng and trainer.generator is generator
-        assert trainer.generator.finder.tcsr is trainer.tcsr
+        assert trainer.generator.finder.tcsr is trainer.generator.stcsr.snapshot()
         assert rng.bit_generator.state != state
 
     def test_adaptive_neighbor_streams(self, small_graph):
