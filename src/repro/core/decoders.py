@@ -67,22 +67,18 @@ class LinearDecoder(NeighborDecoder):
         x2d = z_neighbors.data.transpose(2, 1, 0).reshape(d, -1)
         flat = get_backend().matmul(w.data, x2d)
         flat += b.data
-        out = z_neighbors._make(flat.reshape(m, r).T, (z_neighbors, w, b), "linear_decoder")
-        if out.requires_grad:
-            def _backward(g):
-                B = get_backend()
-                g2d = np.ascontiguousarray(g.T).reshape(1, -1)
-                if z_neighbors.requires_grad:
-                    # The outer product w (x) g as one multiply: a k = 1 GEMM
-                    # runs ten times slower on the same output.
-                    z_neighbors._accumulate(
-                        B.multiply(w.data.T, g2d).reshape(d, m, r).transpose(2, 1, 0))
-                if w.requires_grad:
-                    w._accumulate(B.matmul(g2d, x2d.T))
-                if b.requires_grad:
-                    b._accumulate(g2d.sum(axis=1))
-            out._backward = _backward
-        return out
+
+        def rule(g):
+            B = get_backend()
+            g2d = np.ascontiguousarray(g.T).reshape(1, -1)
+            # The outer product w (x) g as one multiply: a k = 1 GEMM runs
+            # ten times slower on the same output.
+            return (B.multiply(w.data.T, g2d).reshape(d, m, r).transpose(2, 1, 0)
+                    if z_neighbors.requires_grad else None,
+                    B.matmul(g2d, x2d.T) if w.requires_grad else None,
+                    g2d.sum(axis=1) if b.requires_grad else None)
+        return Tensor(flat.reshape(m, r).T, parents=(z_neighbors, w, b),
+                      op="linear_decoder", rule=rule)
 
 
 class GATDecoder(NeighborDecoder):

@@ -58,15 +58,10 @@ class LearnableTimeEncoder(Module):
     def forward(self, delta_t: Union[np.ndarray, Tensor]) -> Tensor:
         """Encode relative timespans; output shape ``delta_t.shape + (dim,)``."""
         dt, w, b = _timespans(delta_t), self.w, self.b
-        out = w._make(get_backend().time_encoding_forward(dt, w.data, b.data),
-                      (w, b), "time_encoding")
-        if out.requires_grad:
-            def _backward(g):
-                gw, gb = get_backend().time_encoding_backward(g, dt, w.data, b.data)
-                w._accumulate(gw)
-                b._accumulate(gb)
-            out._backward = _backward
-        return out
+        return Tensor(get_backend().time_encoding_forward(dt, w.data, b.data),
+                      parents=(w, b), op="time_encoding",
+                      rule=lambda g: get_backend().time_encoding_backward(
+                          g, dt, w.data, b.data))
 
 
 class FixedTimeEncoder(Module):

@@ -92,6 +92,8 @@ class CTDGConfig:
             raise ValueError("repeat_prob must be a probability")
         if self.num_communities < 1:
             raise ValueError("need at least one community")
+        if (self.num_dst if self.bipartite else self.num_src) < self.num_communities:
+            raise ValueError("need at least one destination node per community")
 
     @property
     def num_nodes(self) -> int:
@@ -145,12 +147,15 @@ def generate_ctdg(config: CTDGConfig) -> TemporalGraph:
 
     # Destination popularity within each community (skewed).
     comm_members = [np.nonzero(dst_comm == c)[0] for c in range(k)]
-    # Guarantee every community has at least one destination.
-    for c in range(k):
-        if comm_members[c].size == 0:
-            victim = rng.integers(0, n_dst)
-            dst_comm[victim] = c
-            comm_members = [np.nonzero(dst_comm == cc)[0] for cc in range(k)]
+    # Guarantee every community has at least one destination.  A victim may
+    # be the only member of a community filled earlier in the pass, so the
+    # pass repeats until none is empty (``n_dst >= k`` lets it end).
+    while any(members.size == 0 for members in comm_members):
+        for c in range(k):
+            if comm_members[c].size == 0:
+                victim = rng.integers(0, n_dst)
+                dst_comm[victim] = c
+                comm_members = [np.nonzero(dst_comm == cc)[0] for cc in range(k)]
     comm_popularity = [_zipf_weights(members.size, cfg.popularity_skew, rng)
                        for members in comm_members]
 

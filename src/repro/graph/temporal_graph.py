@@ -69,7 +69,7 @@ class TemporalGraph:
     src, dst:
         ``(E,)`` int64 arrays of source / destination node ids.
     ts:
-        ``(E,)`` float64 array of event timestamps.
+        ``(E,)`` float64 array of finite event timestamps.
     num_nodes:
         Total number of nodes ``|V|`` (ids are in ``[0, num_nodes)``).
     edge_feat:
@@ -103,6 +103,8 @@ class TemporalGraph:
             raise ValueError("node id out of range for num_nodes")
         if self.num_edges and (self.src.min() < 0 or self.dst.min() < 0):
             raise ValueError("negative node id")
+        if not np.isfinite(self.ts).all():
+            raise ValueError("timestamps must be finite")
         if self.edge_feat is not None:
             self.edge_feat = np.ascontiguousarray(self.edge_feat, dtype=np.float32)
             if self.edge_feat.shape[0] != self.num_edges:

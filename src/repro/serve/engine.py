@@ -88,8 +88,9 @@ class LinkQuery(NamedTuple):
     float or a bool is ``"invalid"``, never truncated).  ``deadline``
     (seconds, measured from submission on the engine's clock) optionally
     bounds how long the query may wait in the micro-batch queue (``None``
-    and infinity bound nothing); queries past their deadline at flush time
-    are shed with status ``"expired"`` instead of being scored late.
+    and infinity bound nothing; any other value that is not a real, non-NaN
+    number is ``"invalid"``); queries past their deadline at flush time are
+    shed with status ``"expired"`` instead of being scored late.
     """
 
     src: int
@@ -353,8 +354,8 @@ class ServeEngine:
 
         Returns ``None`` when the query was enqueued; a terminal
         :class:`ServeResult` when it was rejected immediately (``"invalid"``
-        endpoints or query time, or ``"shed"`` by a full queue under the shed
-        policy).
+        endpoints, query time or deadline, or ``"shed"`` by a full queue
+        under the shed policy).
         Under the ``wait`` policy a full queue triggers a synchronous drain
         (backpressure) whose results are delivered by the next
         :meth:`flush`.
@@ -365,7 +366,9 @@ class ServeEngine:
         src, dst, t, deadline = query.src, query.dst, query.t, query.deadline
         n = self.graph.num_nodes
         if not (_is_node_id(src) and _is_node_id(dst) and 0 <= src < n
-                and 0 <= dst < n and isinstance(t, Real) and math.isfinite(t)):
+                and 0 <= dst < n and isinstance(t, Real) and math.isfinite(t)
+                and (deadline is None
+                     or isinstance(deadline, Real) and not math.isnan(deadline))):
             self.serve_stats.invalid += 1
             return ServeResult(query, "invalid", seq=seq)
         row = self._count

@@ -27,12 +27,15 @@ gather.
 
 Graph lifetime
 --------------
-The graph is acyclic: a node references its parents (``_prev`` and whatever
-its backward rule captured), never itself — a rule receives the node's
-gradient as its argument (``node._backward(node.grad)``) instead of closing
-over the node.  A graph therefore dies by reference counting the moment the
-last tensor referencing it (a loss, a ``TrainStep``) goes out of scope; the
-cyclic collector has nothing to find.
+The graph is acyclic by construction: a node joins it only in the
+:class:`Tensor` constructor, as ``Tensor(data, parents=..., op=..., rule=...)``,
+and the rule — ``rule(g)`` returns one gradient (or ``None``) per parent — is
+built before the node exists, so it can capture the parents and the forward's
+arrays but never its own output.  The constructor wires ``_prev`` and a
+``_backward`` that hands each parent its gradient, in parent order, after the
+rule has returned them all.  A graph therefore dies by reference counting the
+moment the last tensor referencing it (a loss, a ``TrainStep``) goes out of
+scope; the cyclic collector has nothing to find.
 
 A graph is also single-use: :meth:`Tensor.backward` drops each node's rule
 and its ``_prev`` links right after the rule has run, so the arrays the rule
@@ -113,6 +116,7 @@ run the same rules.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -152,13 +156,13 @@ class no_grad:
 
     def __enter__(self) -> "no_grad":
         global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
+        self._was_enabled = _GRAD_ENABLED
         _GRAD_ENABLED = False
         return self
 
     def __exit__(self, *exc) -> None:
         global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_ENABLED = self._was_enabled
 
 
 def is_grad_enabled() -> bool:
@@ -185,6 +189,14 @@ def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
     if dtype is None and not isinstance(data, np.generic):
         dtype = _pkg.COMPUTE_DTYPE
     return np.asarray(data, dtype=dtype)
+
+
+def _route(parents: Sequence[Optional["Tensor"]], rule, grad: np.ndarray) -> None:
+    """A node's backward: hand each parent its gradient from ``rule(grad)``,
+    in parent order, once the rule has returned them all."""
+    for parent, g in zip(parents, rule(grad)):
+        if g is not None:
+            parent._accumulate(g)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -222,24 +234,47 @@ class Tensor:
         Cast the payload to this dtype instead (a copy only if it differs).
     requires_grad:
         Whether gradients should be accumulated into :attr:`grad` during
-        :meth:`backward`.
+        :meth:`backward` (a leaf; a node derives it from its parents).
+    parents, op, rule:
+        Make the tensor a graph node — the only way one is made (see "Graph
+        lifetime").  ``parents`` are the operands, a ``None`` entry an absent
+        one; ``rule(g)`` returns one gradient or ``None`` per entry of
+        ``parents`` given the node's gradient ``g``, and must not write into
+        ``g``.  The node joins the graph only while grads are enabled and a
+        parent requires one; otherwise it is a leaf holding ``data``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op",
                  "_grad_shared", "__weakref__")
 
-    def __init__(self, data: ArrayLike, requires_grad: bool = False, dtype=None):
+    def __init__(self, data: ArrayLike, requires_grad: bool = False, dtype=None, *,
+                 parents: Sequence[Optional["Tensor"]] = (), op: str = "",
+                 rule: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]]
+                 = None):
         # An array as it is (every kernel result) needs no conversion.
         self.data: np.ndarray = data if dtype is None and type(data) is np.ndarray \
             else _as_array(data, dtype)
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
         self.grad: Optional[np.ndarray] = None
-        #: backward rule ``rule(grad_of_this_node)``; it must not reference
-        #: this node (see "Graph lifetime" in the module docstring).
+        #: ``_backward(grad_of_this_node)`` hands each parent its gradient; it
+        #: holds the parents and the rule, never this node.
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._prev: Tuple["Tensor", ...] = ()
         self._op: str = ""
         self._grad_shared: bool = False
+        if parents and _GRAD_ENABLED:
+            # A leaf, unless a parent requires a gradient.
+            for parent in parents:
+                if parent is not None and parent.requires_grad:
+                    break
+            else:
+                return
+
+            self.requires_grad = True
+            self._backward = partial(_route, parents, rule)
+            self._prev = tuple(parents) if None not in parents else \
+                tuple([p for p in parents if p is not None])
+            self._op = op
 
     # -- construction helpers ------------------------------------------------
 
@@ -320,15 +355,6 @@ class Tensor:
         return len(self.data)
 
     # -- graph plumbing --------------------------------------------------------
-
-    def _make(self, data: np.ndarray, parents: Sequence["Tensor"], op: str) -> "Tensor":
-        """Create a result tensor wired into the graph when grads are enabled."""
-        req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=req)
-        if req:
-            out._prev = tuple(parents)
-            out._op = op
-        return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         """Accumulate ``grad`` into ``self.grad`` (see "Gradient ownership").
@@ -426,77 +452,60 @@ class Tensor:
 
     def __add__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._operand(other)
-        out = self._make(get_backend().add(self.data, other.data), (self, other), "add")
-        if out.requires_grad:
-            def _backward(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g, self.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g, other.shape))
-            out._backward = _backward
-        return out
+
+        def rule(g):
+            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
+                    _unbroadcast(g, other.shape) if other.requires_grad else None)
+        return Tensor(get_backend().add(self.data, other.data), parents=(self, other),
+                      op="add", rule=rule)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._operand(other)
-        out = self._make(get_backend().subtract(self.data, other.data), (self, other), "sub")
-        if out.requires_grad:
-            def _backward(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g, self.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(get_backend().negative(g),
-                                                   other.shape))
-            out._backward = _backward
-        return out
+
+        def rule(g):
+            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
+                    _unbroadcast(get_backend().negative(g), other.shape)
+                    if other.requires_grad else None)
+        return Tensor(get_backend().subtract(self.data, other.data),
+                      parents=(self, other), op="sub", rule=rule)
 
     def __rsub__(self, other):
         return self._operand(other).__sub__(self)
 
     def __neg__(self) -> "Tensor":
-        out = self._make(get_backend().negative(self.data), (self,), "neg")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(get_backend().negative(g))
-            out._backward = _backward
-        return out
+        return Tensor(get_backend().negative(self.data), parents=(self,), op="neg",
+                      rule=lambda g: (get_backend().negative(g),))
 
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._operand(other)
-        out = self._make(get_backend().multiply(self.data, other.data), (self, other), "mul")
-        if out.requires_grad:
-            def _backward(g):
-                B = get_backend()
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(B.multiply(g, other.data),
-                                                  self.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(B.multiply(g, self.data),
-                                                   other.shape))
-            out._backward = _backward
-        return out
+
+        def rule(g):
+            B = get_backend()
+            return (_unbroadcast(B.multiply(g, other.data), self.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(B.multiply(g, self.data), other.shape)
+                    if other.requires_grad else None)
+        return Tensor(get_backend().multiply(self.data, other.data),
+                      parents=(self, other), op="mul", rule=rule)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._operand(other)
-        out = self._make(get_backend().divide(self.data, other.data), (self, other), "div")
-        if out.requires_grad:
-            def _backward(g):
-                B = get_backend()
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(B.divide(g, other.data),
-                                                  self.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(
-                        B.divide(B.multiply(B.negative(g), self.data),
-                                 B.power(other.data, 2)),
-                        other.shape))
-            out._backward = _backward
-        return out
+
+        def rule(g):
+            B = get_backend()
+            return (_unbroadcast(B.divide(g, other.data), self.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(B.divide(B.multiply(B.negative(g), self.data),
+                                          B.power(other.data, 2)), other.shape)
+                    if other.requires_grad else None)
+        return Tensor(get_backend().divide(self.data, other.data),
+                      parents=(self, other), op="div", rule=rule)
 
     def __rtruediv__(self, other):
         return self._operand(other).__truediv__(self)
@@ -504,14 +513,12 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out = self._make(get_backend().power(self.data, exponent), (self,), "pow")
-        if out.requires_grad:
-            def _backward(g):
-                B = get_backend()
-                self._accumulate(B.multiply(B.multiply(g, exponent),
-                                            B.power(self.data, exponent - 1)))
-            out._backward = _backward
-        return out
+
+        def rule(g):
+            B = get_backend()
+            return (B.multiply(B.multiply(g, exponent), B.power(self.data, exponent - 1)),)
+        return Tensor(get_backend().power(self.data, exponent), parents=(self,),
+                      op="pow", rule=rule)
 
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._operand(other)
@@ -520,83 +527,73 @@ class Tensor:
             # A shared right operand makes the leading axes plain rows: the
             # product is the linear node with ``b`` as the transposed weight.
             return linear(self, other.T)
-        out = self._make(get_backend().matmul(a, b), (self, other), "matmul")
-        if out.requires_grad:
-            def _backward(g):
-                B = get_backend()
-                if self.requires_grad:
-                    if a.ndim == 1 and b.ndim == 1:
-                        ga = B.multiply(g, b)
-                    elif b.ndim == 1:
-                        # a: (..., n, k) @ b: (k,) -> out: (..., n)
-                        ga = B.multiply(g[..., None], b)
-                    elif a.ndim == 1:
-                        # a: (k,), b: (..., k, m), out: (..., m)
-                        ga = np.einsum("...m,...km->k", g, b)
-                    else:
-                        # a: (..., n, k), b: (..., k, m)
-                        ga = B.matmul(g, np.swapaxes(b, -1, -2))
-                    self._accumulate(_unbroadcast(ga, a.shape))
-                if other.requires_grad:
-                    if a.ndim == 1 and b.ndim == 1:
-                        gb = B.multiply(g, a)
-                    elif a.ndim == 1:
-                        # a: (k,), b: (..., k, m), out: (..., m)
-                        gb = B.multiply(a[:, None], g[..., None, :])
-                    elif b.ndim == 1:
-                        # a: (..., n, k), b: (k,), out: (..., n)
-                        gb = B.sum(B.multiply(a, g[..., None]).reshape(-1, a.shape[-1]),
-                                   axis=0)
-                    else:
-                        gb = B.matmul(np.swapaxes(a, -1, -2), g)
-                    other._accumulate(_unbroadcast(gb, b.shape))
-            out._backward = _backward
-        return out
+
+        def rule(g):
+            B = get_backend()
+            ga = gb = None
+            if self.requires_grad:
+                if a.ndim == 1 and b.ndim == 1:
+                    ga = B.multiply(g, b)
+                elif b.ndim == 1:
+                    # a: (..., n, k) @ b: (k,) -> out: (..., n)
+                    ga = B.multiply(g[..., None], b)
+                elif a.ndim == 1:
+                    # a: (k,), b: (..., k, m), out: (..., m)
+                    ga = np.einsum("...m,...km->k", g, b)
+                else:
+                    # a: (..., n, k), b: (..., k, m)
+                    ga = B.matmul(g, np.swapaxes(b, -1, -2))
+                ga = _unbroadcast(ga, a.shape)
+            if other.requires_grad:
+                if a.ndim == 1 and b.ndim == 1:
+                    gb = B.multiply(g, a)
+                elif a.ndim == 1:
+                    # a: (k,), b: (..., k, m), out: (..., m)
+                    gb = B.multiply(a[:, None], g[..., None, :])
+                elif b.ndim == 1:
+                    # a: (..., n, k), b: (k,), out: (..., n)
+                    gb = B.sum(B.multiply(a, g[..., None]).reshape(-1, a.shape[-1]),
+                               axis=0)
+                else:
+                    gb = B.matmul(np.swapaxes(a, -1, -2), g)
+                gb = _unbroadcast(gb, b.shape)
+            return ga, gb
+        return Tensor(get_backend().matmul(a, b), parents=(self, other), op="matmul",
+                      rule=rule)
 
     # -- reductions --------------------------------------------------------------
 
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
             keepdims: bool = False) -> "Tensor":
-        out = self._make(get_backend().sum(self.data, axis=axis, keepdims=keepdims),
-                         (self,), "sum")
-        if out.requires_grad:
-            def _backward(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis=axis)
-                self._accumulate(get_backend().broadcast_grad(g, self.shape))
-            out._backward = _backward
-        return out
+        def rule(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis=axis)
+            return (get_backend().broadcast_grad(g, self.shape),)
+        return Tensor(get_backend().sum(self.data, axis=axis, keepdims=keepdims),
+                      parents=(self,), op="sum", rule=rule)
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None,
              keepdims: bool = False) -> "Tensor":
-        out = self._make(get_backend().mean(self.data, axis=axis, keepdims=keepdims),
-                         (self,), "mean")
-        if out.requires_grad:
+        def rule(g):
+            B = get_backend()
             if axis is None:
                 count = self.data.size
             else:
                 axes = (axis,) if isinstance(axis, int) else axis
                 count = int(np.prod([self.shape[a] for a in axes]))
-
-            def _backward(g):
-                B = get_backend()
-                if axis is not None and not keepdims:
+                if not keepdims:
                     g = np.expand_dims(g, axis=axis)
-                self._accumulate(B.divide(B.broadcast_grad(g, self.shape), count))
-            out._backward = _backward
-        return out
+            return (B.divide(B.broadcast_grad(g, self.shape), count),)
+        return Tensor(get_backend().mean(self.data, axis=axis, keepdims=keepdims),
+                      parents=(self,), op="mean", rule=rule)
 
     # -- shape ops ------------------------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = self._make(self.data.reshape(shape), (self,), "reshape")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(g.reshape(self.shape))
-            out._backward = _backward
-        return out
+        return Tensor(self.data.reshape(shape), parents=(self,), op="reshape",
+                      rule=lambda g: (g.reshape(self.shape),))
 
     def transpose(self, *axes: int) -> "Tensor":
         if not axes:
@@ -605,14 +602,8 @@ class Tensor:
             axes_t = tuple(axes[0])
         else:
             axes_t = tuple(axes)
-        out = self._make(self.data.transpose(axes_t), (self,), "transpose")
-        if out.requires_grad:
-            inverse = tuple(np.argsort(axes_t))
-
-            def _backward(g):
-                self._accumulate(g.transpose(inverse))
-            out._backward = _backward
-        return out
+        return Tensor(self.data.transpose(axes_t), parents=(self,), op="transpose",
+                      rule=lambda g: (g.transpose(tuple(np.argsort(axes_t))),))
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -620,97 +611,59 @@ class Tensor:
         return self.transpose(*axes)
 
     def __getitem__(self, index) -> "Tensor":
-        out = self._make(self.data[index], (self,), "getitem")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(get_backend().index_add(self.data, index,
-                                                         g))
-            out._backward = _backward
-        return out
+        return Tensor(self.data[index], parents=(self,), op="getitem",
+                      rule=lambda g: (get_backend().index_add(self.data, index, g),))
 
     def broadcast_to(self, shape: Tuple[int, ...]) -> "Tensor":
-        out = self._make(np.broadcast_to(self.data, shape).copy(), (self,), "broadcast_to")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(_unbroadcast(g, self.shape))
-            out._backward = _backward
-        return out
+        return Tensor(np.broadcast_to(self.data, shape).copy(), parents=(self,),
+                      op="broadcast_to", rule=lambda g: (_unbroadcast(g, self.shape),))
 
     # -- elementwise non-linearities -------------------------------------------------
 
     def exp(self) -> "Tensor":
         data = get_backend().exp(self.data)
-        out = self._make(data, (self,), "exp")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(get_backend().multiply(g, data))
-            out._backward = _backward
-        return out
+        return Tensor(data, parents=(self,), op="exp",
+                      rule=lambda g: (get_backend().multiply(g, data),))
 
     def log(self) -> "Tensor":
-        out = self._make(get_backend().log(self.data), (self,), "log")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(get_backend().divide(g, self.data))
-            out._backward = _backward
-        return out
+        return Tensor(get_backend().log(self.data), parents=(self,), op="log",
+                      rule=lambda g: (get_backend().divide(g, self.data),))
 
     def sqrt(self) -> "Tensor":
         data = get_backend().sqrt(self.data)
-        out = self._make(data, (self,), "sqrt")
-        if out.requires_grad:
-            def _backward(g):
-                B = get_backend()
-                self._accumulate(B.divide(B.multiply(g, 0.5),
-                                          B.maximum(data, 1e-12)))
-            out._backward = _backward
-        return out
+
+        def rule(g):
+            B = get_backend()
+            return (B.divide(B.multiply(g, 0.5), B.maximum(data, 1e-12)),)
+        return Tensor(data, parents=(self,), op="sqrt", rule=rule)
 
     def abs(self) -> "Tensor":
-        out = self._make(get_backend().absolute(self.data), (self,), "abs")
-        if out.requires_grad:
-            def _backward(g):
-                B = get_backend()
-                self._accumulate(B.multiply(g, B.sign(self.data)))
-            out._backward = _backward
-        return out
+        def rule(g):
+            B = get_backend()
+            return (B.multiply(g, B.sign(self.data)),)
+        return Tensor(get_backend().absolute(self.data), parents=(self,), op="abs",
+                      rule=rule)
 
     def tanh(self) -> "Tensor":
         data = get_backend().tanh_forward(self.data)
-        out = self._make(data, (self,), "tanh")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(get_backend().tanh_backward(g, data))
-            out._backward = _backward
-        return out
+        return Tensor(data, parents=(self,), op="tanh",
+                      rule=lambda g: (get_backend().tanh_backward(g, data),))
 
     def sigmoid(self) -> "Tensor":
         data = get_backend().sigmoid_forward(self.data)
-        out = self._make(data, (self,), "sigmoid")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(get_backend().sigmoid_backward(g, data))
-            out._backward = _backward
-        return out
+        return Tensor(data, parents=(self,), op="sigmoid",
+                      rule=lambda g: (get_backend().sigmoid_backward(g, data),))
 
     def relu(self) -> "Tensor":
         data, mask = get_backend().relu_forward(self.data)
-        out = self._make(data, (self,), "relu")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(get_backend().relu_backward(g, mask))
-            out._backward = _backward
-        return out
+        return Tensor(data, parents=(self,), op="relu",
+                      rule=lambda g: (get_backend().relu_backward(g, mask),))
 
     def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
         data, mask = get_backend().leaky_relu_forward(self.data, negative_slope)
-        out = self._make(data, (self,), "leaky_relu")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(get_backend().leaky_relu_backward(
-                    g, mask, negative_slope))
-            out._backward = _backward
-        return out
+        return Tensor(data, parents=(self,), op="leaky_relu",
+                      rule=lambda g: (get_backend().leaky_relu_backward(
+                          g, mask, negative_slope),))
 
     def gelu(self) -> "Tensor":
         """GELU with the sigmoid approximation ``x * sigmoid(1.702 x)``.
@@ -722,23 +675,15 @@ class Tensor:
         """
         x = self.data
         data, s = get_backend().gelu_forward(x)
-        out = self._make(data, (self,), "gelu")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(get_backend().gelu_backward(g, x, s))
-            out._backward = _backward
-        return out
+        return Tensor(data, parents=(self,), op="gelu",
+                      rule=lambda g: (get_backend().gelu_backward(g, x, s),))
 
     # -- reductions along neighbourhood axes used by aggregators ----------------------
 
     def softmax(self, axis: int = -1) -> "Tensor":
         data = get_backend().softmax_forward(self.data, axis)
-        out = self._make(data, (self,), "softmax")
-        if out.requires_grad:
-            def _backward(g):
-                self._accumulate(get_backend().softmax_backward(g, data, axis))
-            out._backward = _backward
-        return out
+        return Tensor(data, parents=(self,), op="softmax",
+                      rule=lambda g: (get_backend().softmax_backward(g, data, axis),))
 
 
 
@@ -760,22 +705,17 @@ def concatenate(tensors: Sequence[Tensor], axis: int = -1,
     arrays = [t.data for t in tensors]
     data = get_backend().concatenate(arrays, axis=axis) if out is None else \
         np.concatenate(arrays, axis=axis, out=out, casting="no")
-    req = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-    joined = Tensor(data, requires_grad=req)
-    if req:
-        joined._prev = tuple(tensors)
-        joined._op = "concatenate"
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
 
-        def _backward(g):
-            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    idx = [slice(None)] * data.ndim
-                    idx[axis] = slice(int(start), int(stop))
-                    t._accumulate(g[tuple(idx)])
-        joined._backward = _backward
-    return joined
+    def rule(g):
+        idx = [slice(None)] * g.ndim
+        grads, start = [], 0
+        for t in tensors:
+            stop = start + t.data.shape[axis]
+            idx[axis] = slice(start, stop)
+            grads.append(g[tuple(idx)] if t.requires_grad else None)
+            start = stop
+        return grads
+    return Tensor(data, parents=tensors, op="concatenate", rule=rule)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -787,24 +727,17 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     added in place into its output, and the backward pass computes only the
     gradients whose tensor requires one.
     """
-    parents = (x, weight) if bias is None else (x, weight, bias)
     a, w = x.data, weight.data
     a2d = a.reshape(-1, a.shape[-1])
     data = get_backend().linear_forward(a2d, w, None if bias is None else bias.data)
-    out = x._make(data.reshape(a.shape[:-1] + (w.shape[0],)), parents, "linear")
-    if out.requires_grad:
-        def _backward(g):
-            ga, gw, gb = get_backend().linear_backward(
-                g.reshape(-1, w.shape[0]), a2d, w, x.requires_grad,
-                weight.requires_grad, bias is not None and bias.requires_grad)
-            if ga is not None:
-                x._accumulate(ga.reshape(a.shape))
-            if gw is not None:
-                weight._accumulate(gw)
-            if gb is not None:
-                bias._accumulate(gb)
-        out._backward = _backward
-    return out
+
+    def rule(g):
+        ga, gw, gb = get_backend().linear_backward(
+            g.reshape(-1, w.shape[0]), a2d, w, x.requires_grad,
+            weight.requires_grad, bias is not None and bias.requires_grad)
+        return None if ga is None else ga.reshape(a.shape), gw, gb
+    return Tensor(data.reshape(a.shape[:-1] + (w.shape[0],)), parents=(x, weight, bias),
+                  op="linear", rule=rule)
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -819,17 +752,9 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     """
     data, xhat, rstd = get_backend().layer_norm_forward(x.data, weight.data,
                                                         bias.data, eps)
-    out = x._make(data, (x, weight, bias), "layer_norm")
-    if out.requires_grad:
-        def _backward(g):
-            gx, gw, gb = get_backend().layer_norm_backward(
-                g, xhat, rstd, weight.data, x.requires_grad)
-            if gx is not None:
-                x._accumulate(gx)
-            weight._accumulate(gw)
-            bias._accumulate(gb)
-        out._backward = _backward
-    return out
+    return Tensor(data, parents=(x, weight, bias), op="layer_norm",
+                  rule=lambda g: get_backend().layer_norm_backward(
+                      g, xhat, rstd, weight.data, x.requires_grad))
 
 
 def mixer_block(x: Tensor, fmask: Optional[np.ndarray], params: Sequence[Tensor],
@@ -854,25 +779,14 @@ def mixer_block(x: Tensor, fmask: Optional[np.ndarray], params: Sequence[Tensor]
     """
     parents = (x, *params)
     arrays = [p.data for p in params]
-    req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    need = [p.requires_grad for p in parents] if _GRAD_ENABLED else ()
+    req = any(need)
+    if req and need[0] and live_channels is not None:
+        need[0] = live_channels
     data, saved = get_backend().mixer_block_forward(x.data, fmask, arrays, keep_t,
                                                     keep_c, eps, req)
-    out = Tensor(data, requires_grad=req)
-    if req:
-        out._prev = parents
-        out._op = "mixer_block"
-
-        need = [p.requires_grad for p in parents]
-        if need[0] and live_channels is not None:
-            need[0] = live_channels
-
-        def _backward(g):
-            grads = get_backend().mixer_block_backward(g, saved, arrays, need)
-            for parent, grad in zip(parents, grads):
-                if grad is not None:
-                    parent._accumulate(grad)
-        out._backward = _backward
-    return out
+    return Tensor(data, parents=parents, op="mixer_block",
+                  rule=lambda g: get_backend().mixer_block_backward(g, saved, arrays, need))
 
 
 def sampler_encode(out: np.ndarray, feats: Sequence[np.ndarray],
@@ -896,23 +810,13 @@ def sampler_encode(out: np.ndarray, feats: Sequence[np.ndarray],
     the test oracle.
     """
     arrays = [p.data for p in params]
-    need = [p.requires_grad for p in params]
-    req = _GRAD_ENABLED and any(need)
+    need = [p.requires_grad for p in params] if _GRAD_ENABLED else ()
     saved = get_backend().sampler_encode_forward(
         out.transpose(2, 1, 0), feats, arrays, delta, omega, nodes, mask,
-        inv_wavelength, identity, req)
-    encoded = Tensor(out, requires_grad=req)
-    if req:
-        encoded._prev = tuple(params)
-        encoded._op = "sampler_encode"
-
-        def _backward(g):
-            grads = get_backend().sampler_encode_backward(g, saved, arrays, need)
-            for param, grad in zip(params, grads):
-                if grad is not None:
-                    param._accumulate(grad)
-        encoded._backward = _backward
-    return encoded
+        inv_wavelength, identity, any(need))
+    return Tensor(out, parents=params, op="sampler_encode",
+                  rule=lambda g: get_backend().sampler_encode_backward(
+                      g, saved, arrays, need))
 
 
 def sampler_head(scores: Tensor, mask: np.ndarray, budget: int, temperature: float,
@@ -934,15 +838,9 @@ def sampler_head(scores: Tensor, mask: np.ndarray, budget: int, temperature: flo
     req = _GRAD_ENABLED and scores.requires_grad
     log_prob, columns, selected, probs, saved = get_backend().sampler_head_forward(
         scores.data, mask, budget, temperature, noise, live, num_rows, floor, req)
-    out = Tensor(log_prob, requires_grad=req)
-    if req:
-        out._prev = (scores,)
-        out._op = "sampler_head"
-
-        def _backward(g):
-            scores._accumulate(get_backend().sampler_head_backward(
-                g, saved, temperature, floor))
-        out._backward = _backward
+    out = Tensor(log_prob, parents=(scores,), op="sampler_head",
+                 rule=lambda g: (get_backend().sampler_head_backward(
+                     g, saved, temperature, floor),))
     return out, columns, selected, probs
 
 
@@ -972,22 +870,13 @@ def temporal_attention(delta: np.ndarray, mask: np.ndarray,
     """
     slots = (h_target, h_neighbors, gate, *params)
     arrays = [p.data for p in params]
-    need = [s is not None and s.requires_grad for s in slots]
-    req = _GRAD_ENABLED and any(need)
+    need = [s is not None and s.requires_grad for s in slots] if _GRAD_ENABLED else ()
     data, attn, saved = get_backend().temporal_attention_forward(
         delta, mask, edge_feat, *(None if s is None else s.data for s in slots[:3]),
-        arrays, num_heads, keep_attn, keep_merge, req)
-    out = Tensor(data, requires_grad=req)
-    if req:
-        out._prev = tuple(s for s in slots if s is not None)
-        out._op = "temporal_attention"
-
-        def _backward(g):
-            grads = get_backend().temporal_attention_backward(g, saved, arrays, need)
-            for slot, grad in zip(slots, grads):
-                if grad is not None:
-                    slot._accumulate(grad)
-        out._backward = _backward
+        arrays, num_heads, keep_attn, keep_merge, any(need))
+    out = Tensor(data, parents=slots, op="temporal_attention",
+                 rule=lambda g: get_backend().temporal_attention_backward(
+                     g, saved, arrays, need))
     return out, attn
 
 
@@ -1016,23 +905,14 @@ def graphmixer_aggregate(delta: np.ndarray, mask: np.ndarray,
     slots = (h_target, h_neighbors, gate, *params)
     arrays = [p.data for p in params]
     need = [s is not None and s.requires_grad for s in slots] if _GRAD_ENABLED else ()
-    req = _GRAD_ENABLED and any(need)
     data, saved = get_backend().graphmixer_aggregate_forward(
         delta, mask, edge_feat, None if h_target is None else h_target.data,
         None if h_neighbors is None else h_neighbors.data,
-        None if gate is None else gate.data, arrays, omega, keep_t, keep_c, eps, req)
-    out = Tensor(data, requires_grad=req)
-    if req:
-        out._prev = tuple(s for s in slots if s is not None)
-        out._op = "graphmixer_aggregate"
-
-        def _backward(g):
-            grads = get_backend().graphmixer_aggregate_backward(g, saved, arrays, need)
-            for slot, grad in zip(slots, grads):
-                if grad is not None:
-                    slot._accumulate(grad)
-        out._backward = _backward
-    return out
+        None if gate is None else gate.data, arrays, omega, keep_t, keep_c, eps,
+        any(need))
+    return Tensor(data, parents=slots, op="graphmixer_aggregate",
+                  rule=lambda g: get_backend().graphmixer_aggregate_backward(
+                      g, saved, arrays, need))
 
 
 def edge_predictor(h_src: Tensor, h_dst: Tensor, params: Sequence[Tensor]) -> Tensor:
@@ -1048,38 +928,24 @@ def edge_predictor(h_src: Tensor, h_dst: Tensor, params: Sequence[Tensor]) -> Te
     parents = (h_src, h_dst, *params)
     arrays = [p.data for p in params]
     need = [p.requires_grad for p in parents] if _GRAD_ENABLED else ()
-    req = _GRAD_ENABLED and any(need)
-    data, saved = get_backend().edge_predictor_forward(h_src.data, h_dst.data, arrays, req)
-    out = Tensor(data, requires_grad=req)
-    if req:
-        out._prev = parents
-        out._op = "edge_predictor"
+    data, saved = get_backend().edge_predictor_forward(h_src.data, h_dst.data, arrays,
+                                                       any(need))
 
-        def _backward(g):
-            grads = get_backend().edge_predictor_backward(g, saved, arrays, need)
-            for parent, grad in zip(parents, grads):
-                if grad is not None:
-                    parent._accumulate(grad.reshape(parent.shape))
-        out._backward = _backward
-    return out
+    def rule(g):
+        grads = get_backend().edge_predictor_backward(g, saved, arrays, need)
+        return [None if grad is None else grad.reshape(parent.shape)
+                for parent, grad in zip(parents, grads)]
+    return Tensor(data, parents=parents, op="edge_predictor", rule=rule)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Element-wise select; ``condition`` is a plain boolean array."""
     a, b = Tensor.ensure(a), Tensor.ensure(b)
     cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    data = get_backend().where(cond, a.data, b.data)
-    req = _GRAD_ENABLED and (a.requires_grad or b.requires_grad)
-    out = Tensor(data, requires_grad=req)
-    if req:
-        out._prev = (a, b)
-        out._op = "where"
 
-        def _backward(g):
-            B = get_backend()
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(B.multiply(g, cond), a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(B.multiply(g, ~cond), b.shape))
-        out._backward = _backward
-    return out
+    def rule(g):
+        B = get_backend()
+        return (_unbroadcast(B.multiply(g, cond), a.shape) if a.requires_grad else None,
+                _unbroadcast(B.multiply(g, ~cond), b.shape) if b.requires_grad else None)
+    return Tensor(get_backend().where(cond, a.data, b.data), parents=(a, b), op="where",
+                  rule=rule)

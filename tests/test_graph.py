@@ -40,6 +40,14 @@ class TestTemporalGraph:
             TemporalGraph(src=np.array([5]), dst=np.array([0]),
                           ts=np.array([0.0]), num_nodes=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_validation_timestamps_are_finite(self, bad):
+        """The constructor holds the rule ``append_events`` holds: a NaN time
+        used to build a graph that was neither sorted nor sortable."""
+        with pytest.raises(ValueError, match="finite"):
+            TemporalGraph(src=np.array([0, 1]), dst=np.array([1, 0]),
+                          ts=np.array([1.0, bad]), num_nodes=2)
+
     def test_validation_edge_feat_rows(self):
         with pytest.raises(ValueError):
             TemporalGraph(src=np.array([0]), dst=np.array([1]), ts=np.array([0.0]),
@@ -280,6 +288,18 @@ class TestGenerators:
             CTDGConfig(num_src=1)
         with pytest.raises(ValueError):
             CTDGConfig(noise_prob=2.0)
+        with pytest.raises(ValueError, match="per community"):
+            CTDGConfig(num_src=12, num_dst=4, num_communities=5)
+        with pytest.raises(ValueError, match="per community"):
+            CTDGConfig(num_src=4, bipartite=False, num_communities=5)
+
+    def test_every_community_keeps_a_destination(self):
+        """Filling an empty community can empty one filled before it; the
+        generator used to crash in ``rng.choice`` on such a config."""
+        cfg = CTDGConfig(num_src=12, num_dst=8, num_events=200, edge_dim=4, seed=3)
+        g = generate_ctdg(cfg)
+        assert g.num_edges == 200
+        assert set(g.meta["dst_community"].tolist()) == set(range(cfg.num_communities))
 
     def test_activity_skew_gini(self):
         flat = generate_ctdg(CTDGConfig(num_src=60, num_dst=30, num_events=3000,

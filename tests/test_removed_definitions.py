@@ -33,9 +33,11 @@ GONE = {
     "repro.nn.module:Module": ["num_parameters"],
     "repro.tensor": ["stack"],
     "repro.tensor.tensor": ["stack"],
+    # One way to make a graph node: the ``Tensor`` constructor
+    # (``test_only_the_constructor_wires_a_node`` checks the package).
     "repro.tensor.tensor:Tensor": ["sin", "cos", "clip", "max", "log_softmax",
                                    "squeeze", "expand_dims", "__gt__", "__lt__",
-                                   "__ge__", "__le__"],
+                                   "__ge__", "__le__", "_make"],
     "repro.tensor.functional": ["stack", "cross_entropy", "mse_loss", "softmax",
                                 "log_softmax", "relu", "leaky_relu", "gelu",
                                 "tanh"],

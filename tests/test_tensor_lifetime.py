@@ -4,16 +4,19 @@ backward consumes its graph, so what the rules captured dies at its last
 use; and the program objects that hold graphs (trainers, the serving engine)
 are acyclic too."""
 
+import ast
 import contextlib
 import gc
+import pathlib
 import weakref
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import StreamingTrainer, TaserConfig, TaserTrainer, split_warmup
 from repro.serve import LinkQuery, ServeEngine
-from repro.tensor import GraphConsumedError, Tensor, get_backend
+from repro.tensor import GraphConsumedError, Tensor, get_backend, no_grad
 from repro.tensor import functional as F
 
 
@@ -74,6 +77,78 @@ def test_graph_dies_with_its_last_reference(run_backward):
         # Leaves (and their gradients) are untouched by the graph's death.
         if run_backward:
             assert all(np.isfinite(leaf.grad).all() for leaf in leaves)
+
+
+#: The attributes that make a tensor a graph node.
+WIRING = {"_prev", "_op", "_backward"}
+
+
+class _WiringWrites(ast.NodeVisitor):
+    """``(scope, attribute)`` of every store into a wiring attribute —
+    assignment, augmented or annotated assignment, or ``setattr`` with a
+    literal name — where ``scope`` is the dotted class / function path."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Store) and node.attr in WIRING:
+            self.found.append((".".join(self.scope), node.attr))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if (isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in WIRING):
+            self.found.append((".".join(self.scope), node.args[1].value))
+        self.generic_visit(node)
+
+
+def test_only_the_constructor_wires_a_node():
+    """A node joins the graph in ``Tensor.__init__`` and leaves it in
+    ``Tensor.backward``; no other code in the package writes ``_prev``,
+    ``_op`` or ``_backward``.  A rule is built before its node, so it cannot
+    close over its own output: the acyclic-graph rule holds by construction."""
+    package = pathlib.Path(repro.__file__).parent
+    stray = []
+    for path in sorted(package.rglob("*.py")):
+        visitor = _WiringWrites()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        module = path.relative_to(package).as_posix()
+        stray += [(module, scope, attr) for scope, attr in visitor.found
+                  if not (module == "tensor/tensor.py"
+                          and scope in ("Tensor.__init__", "Tensor.backward"))]
+    assert stray == []
+
+
+def test_a_node_skips_absent_parents_and_routes_each_gradient():
+    """``None`` parents are absent: they are not linked and get nothing; the
+    rule's gradients reach the others in parent order.  Without grads, or
+    with no parent requiring one, the result is a leaf."""
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3))
+    calls = []
+
+    def rule(g):
+        calls.append(g)
+        return None, g * 2.0, g * 3.0
+    out = Tensor(np.zeros(3), parents=(None, a, b), op="probe", rule=rule)
+    assert out.requires_grad and out._op == "probe" and out._prev == (a, b)
+    out.backward(np.ones(3))
+    assert len(calls) == 1 and np.array_equal(a.grad, np.full(3, 2.0))
+    assert b.grad is None
+    with no_grad():
+        leaves = [Tensor(np.zeros(3), parents=(None, a), op="probe", rule=rule)]
+    leaves.append(Tensor(np.zeros(3), parents=(None, b), op="probe", rule=rule))
+    for leaf in leaves:
+        assert not leaf.requires_grad and leaf._prev == () and leaf._op == ""
+        assert leaf._backward is None
 
 
 def test_interior_grads_stay_readable_after_backward():
