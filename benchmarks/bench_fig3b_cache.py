@@ -35,16 +35,16 @@ class _RecordingCache(DynamicFeatureCache):
         self.epoch_streams: List[np.ndarray] = []
         self._current: List[np.ndarray] = []
 
-    def _record_unique(self, unique_ids, counts):
-        # The feature store probes deduplicated ids (``lookup_unique``).
-        super()._record_unique(unique_ids, counts)
+    def _record(self, unique_ids, counts):
+        # The feature store probes deduplicated ids with their counts.
+        super()._record(unique_ids, counts)
         self._current.append(np.repeat(unique_ids, counts))
 
     def end_epoch(self):
         self.epoch_streams.append(np.concatenate(self._current)
                                   if self._current else np.empty(0, dtype=np.int64))
         self._current = []
-        return super().end_epoch()
+        super().end_epoch()
 
 
 def _record_access_streams(graph):
@@ -67,10 +67,12 @@ def _replay(streams, num_edges, capacity):
     dyn_rates, oracle_rates = [], []
     for stream in streams:
         oracle.preload(stream)
-        dynamic.lookup(stream)
-        oracle.lookup(stream)
-        dyn_rates.append(dynamic.end_epoch())
-        oracle_rates.append(oracle.end_epoch())
+        ids, counts = np.unique(stream, return_counts=True)
+        # The caller counts the hits, weighted by each id's occurrences.
+        for cache, rates in ((dynamic, dyn_rates), (oracle, oracle_rates)):
+            hits = cache.lookup(ids, counts)
+            rates.append(counts[hits].sum() / counts.sum())
+            cache.end_epoch()
     return dyn_rates, oracle_rates, dynamic.replacement_count
 
 

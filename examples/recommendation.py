@@ -72,8 +72,10 @@ def cache_study(graph, tcsr) -> None:
         for stream in streams:
             if isinstance(cache, OracleCache):
                 cache.preload(stream)
-            cache.lookup(stream)
-            rates.append(cache.end_epoch())
+            ids, counts = np.unique(stream, return_counts=True)
+            hits = cache.lookup(ids, counts)
+            rates.append(counts[hits].sum() / counts.sum())
+            cache.end_epoch()
         print(f"  {name:22s} hit rates per epoch: "
               + "  ".join(f"{r:.3f}" for r in rates))
     print("Expected shape: dynamic ~ oracle >> static random; degree-based caching "

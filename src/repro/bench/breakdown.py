@@ -175,11 +175,10 @@ def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
                 totals[key] += stats.runtime.get(key, 0.0)
         trajectories.append(list(stats.batch_losses))
         # Per-epoch slice counters are still live right after train_epoch
-        # (reset happens at the top of the next epoch).  getattr keeps the
-        # harness usable against stores without dedup accounting.
+        # (reset happens at the top of the next epoch).
         snap = trainer.feature_store.snapshot()
-        ids_requested += int(getattr(snap, "ids_requested", 0))
-        ids_unique += int(getattr(snap, "ids_unique", 0))
+        ids_requested += snap.ids_requested
+        ids_unique += snap.ids_unique
     # FS = modelled PCIe/VRAM transfer time plus the measured gather compute
     # converted to device seconds (the gather kernel runs on the GPU in the
     # paper); the deterministic transfer component dominates, so the cache

@@ -382,12 +382,9 @@ class StreamingTrainer(TaserTrainer):
         self.stream_history.append(stats)
         return stats
 
-    def run(self, stream: EventStream, train_passes: int = 1,
-            max_chunks: Optional[int] = None) -> StreamResult:
+    def run(self, stream: EventStream, train_passes: int = 1) -> StreamResult:
         """Drive the online loop over a whole stream and return aggregates."""
-        for i, chunk in enumerate(stream):
-            if max_chunks is not None and i >= max_chunks:
-                break
+        for chunk in stream:
             self.step(chunk, train_passes=train_passes)
         return self.result()
 

@@ -8,17 +8,15 @@ byte accounting lives in :mod:`repro.device.memory`.
 
 All caches share the same interface:
 
-``lookup(edge_ids) -> hit_mask``
-    boolean array marking which requests hit the cache (also records the
-    access for the replacement policy),
-``lookup_unique(unique_ids, counts) -> hit_mask``
-    deduplicated form used by the prep runtime's fused gather: one bitmap
-    probe and one frequency update per *unique* id, with the epoch hit/miss
-    accounting weighted by the occurrence counts so the recorded numbers
-    are identical to probing the full duplicate-bearing stream,
-``end_epoch() -> hit_rate``
-    apply the replacement policy and return the closed epoch's hit rate
-    (Fig. 3(b)); nothing is kept per epoch.
+``lookup(unique_ids, counts) -> hit_mask``
+    the one probe: a boolean array marking which of the deduplicated
+    ``unique_ids`` are cached.  ``counts`` holds each id's occurrence count
+    in the request stream, which the policy records as access frequencies.
+``end_epoch()``
+    apply the replacement policy at the epoch boundary.
+
+A cache keeps no hit account: the layer that probes it counts hits from the
+mask (the feature store's ``SliceStats``; a replay weights ``counts[hits]``).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ __all__ = ["FeatureCache", "DynamicFeatureCache", "OracleCache",
 
 
 class FeatureCache:
-    """Base class: fixed-capacity set of cached edge ids with hit accounting."""
+    """Base class: fixed-capacity set of cached edge ids."""
 
     def __init__(self, num_edges: int, capacity: int) -> None:
         if capacity < 0 or capacity > num_edges:
@@ -43,63 +41,30 @@ class FeatureCache:
         self.capacity = capacity
         #: membership bitmap of the cached edge set.
         self.cached = np.zeros(num_edges, dtype=bool)
-        # per-epoch accounting
-        self._epoch_hits = 0
-        self._epoch_requests = 0
         self.replacement_count = 0
 
     # -- interface ------------------------------------------------------------
 
-    def lookup(self, edge_ids: np.ndarray) -> np.ndarray:
-        """Return hit mask for ``edge_ids`` and record the accesses."""
-        edge_ids = np.asarray(edge_ids, dtype=np.int64).reshape(-1)
-        hits = self.cached[edge_ids]
-        self._epoch_hits += int(hits.sum())
-        self._epoch_requests += int(edge_ids.size)
-        self._record(edge_ids)
-        return hits
+    def lookup(self, unique_ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Return the hit mask of the deduplicated ``unique_ids``.
 
-    def lookup_unique(self, unique_ids: np.ndarray,
-                      counts: np.ndarray) -> np.ndarray:
-        """Return hit mask for deduplicated ``unique_ids``.
-
-        ``counts`` holds each unique id's occurrence multiplicity in the
-        original request stream.  The cache is probed (and the replacement
-        policy's statistics updated) once per unique id — strictly less work
-        than :meth:`lookup` on the full stream — while the per-epoch hit/miss
-        accounting stays occurrence-weighted, so hit rates are bitwise
-        identical to the non-deduplicated path.
+        ``counts`` holds each unique id's occurrence count in the request
+        stream; the replacement policy records it once per unique id.
         """
         unique_ids = np.asarray(unique_ids, dtype=np.int64).reshape(-1)
         counts = np.asarray(counts, dtype=np.int64).reshape(-1)
         if unique_ids.shape != counts.shape:
             raise ValueError("unique_ids and counts must be parallel arrays")
         hits = self.cached[unique_ids]
-        self._epoch_hits += int(counts[hits].sum())
-        self._epoch_requests += int(counts.sum())
-        self._record_unique(unique_ids, counts)
+        self._record(unique_ids, counts)
         return hits
 
-    def _record(self, edge_ids: np.ndarray) -> None:
-        """Hook for policies that track access statistics."""
+    def _record(self, unique_ids: np.ndarray, counts: np.ndarray) -> None:
+        """Hook for policies that track access frequencies."""
 
-    def _record_unique(self, unique_ids: np.ndarray, counts: np.ndarray) -> None:
-        """Deduplicated form of :meth:`_record` (ids are unique, weighted).
-
-        Defaults to expanding back into :meth:`_record` so a policy that
-        overrides only the classic hook still sees every access; policies
-        override this too when they can exploit the unique-id form directly
-        (see :class:`DynamicFeatureCache`).
-        """
-        self._record(np.repeat(unique_ids, counts))
-
-    def end_epoch(self) -> float:
-        """Close the epoch: run the replacement policy and return its hit rate."""
-        rate = float(self.current_hit_rate)
-        self._epoch_hits = 0
-        self._epoch_requests = 0
+    def end_epoch(self) -> None:
+        """Close the epoch: run the replacement policy."""
         self._replace()
-        return rate
 
     def _replace(self) -> None:
         """Replacement policy hook (default: static, never replaces)."""
@@ -132,10 +97,6 @@ class FeatureCache:
             self.capacity = capacity
 
     # -- helpers ---------------------------------------------------------------
-
-    @property
-    def current_hit_rate(self) -> float:
-        return (self._epoch_hits / self._epoch_requests) if self._epoch_requests else 0.0
 
     def cached_ids(self) -> np.ndarray:
         return np.nonzero(self.cached)[0]
@@ -170,12 +131,9 @@ class DynamicFeatureCache(FeatureCache):
         if capacity > 0:
             self._set_cache(rng.choice(num_edges, size=capacity, replace=False))
 
-    def _record(self, edge_ids: np.ndarray) -> None:
-        np.add.at(self.frequency, edge_ids, 1)
-
-    def _record_unique(self, unique_ids: np.ndarray, counts: np.ndarray) -> None:
-        # Ids are unique, so plain fancy-index accumulation replaces the much
-        # slower ``np.add.at`` scatter — same resulting frequencies.
+    def _record(self, unique_ids: np.ndarray, counts: np.ndarray) -> None:
+        # Ids are unique, so plain fancy-index accumulation needs no
+        # ``np.add.at`` scatter.
         self.frequency[unique_ids] += counts
 
     def grow(self, num_edges: int, capacity: Optional[int] = None) -> None:

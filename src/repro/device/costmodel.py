@@ -41,18 +41,16 @@ class TransferCostModel:
     #: per-row overhead of a VRAM gather (seconds/row).
     vram_row_overhead: float = 1e-8
 
-    def pcie_time(self, num_bytes: float, num_rows: float = 0.0,
-                  num_requests: int = 1) -> float:
+    def pcie_time(self, num_bytes: float, num_rows: float = 0.0) -> float:
         """Seconds to read ``num_rows`` rows / ``num_bytes`` over PCIe (zero-copy)."""
         if num_bytes < 0 or num_rows < 0:
             raise ValueError("num_bytes and num_rows must be non-negative")
-        return (num_requests * self.pcie_latency + num_rows * self.pcie_row_overhead
+        return (self.pcie_latency + num_rows * self.pcie_row_overhead
                 + num_bytes / self.pcie_bandwidth)
 
-    def vram_time(self, num_bytes: float, num_rows: float = 0.0,
-                  num_requests: int = 1) -> float:
+    def vram_time(self, num_bytes: float, num_rows: float = 0.0) -> float:
         """Seconds to read ``num_rows`` rows / ``num_bytes`` from the VRAM cache."""
         if num_bytes < 0 or num_rows < 0:
             raise ValueError("num_bytes and num_rows must be non-negative")
-        return (num_requests * self.vram_latency + num_rows * self.vram_row_overhead
+        return (self.vram_latency + num_rows * self.vram_row_overhead
                 + num_bytes / self.vram_bandwidth)

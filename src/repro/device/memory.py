@@ -21,16 +21,18 @@ ids (a sorted unique + inverse map), gathers/converts each unique row once,
 probes the cache once per unique id, and scatters the rows back to the
 requesting slots.  Outputs are bitwise-identical to the naive per-slot
 gather; bytes and simulated transfer time reflect the unique rows actually
-moved, while hit/miss counters stay occurrence-weighted so hit rates are
-unaffected by dedup.  The achieved redundancy elimination is surfaced as
-``SliceStats.dedup_ratio`` through :meth:`FeatureStore.snapshot`.
+moved.  The cache counts no hits: the store weights its hit mask by the
+occurrence counts, so ``SliceStats`` is the one account of edge-cache hits
+and its hit/miss counters are unaffected by dedup.  The achieved redundancy
+elimination is surfaced as ``SliceStats.dedup_ratio`` through
+:meth:`FeatureStore.snapshot`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -115,20 +117,6 @@ class SliceStats:
         ``1.0`` for an idle store.
         """
         return self.ids_requested / self.ids_unique if self.ids_unique else 1.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "bytes_from_vram": self.bytes_from_vram,
-            "bytes_from_ram": self.bytes_from_ram,
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
-            "simulated_seconds": self.simulated_seconds,
-            "ids_requested": self.ids_requested,
-            "ids_unique": self.ids_unique,
-            "dedup_ratio": self.dedup_ratio,
-        }
 
 
 class FeatureStore:
@@ -247,7 +235,7 @@ class FeatureStore:
             self.stats.ids_requested += requested
             self.stats.ids_unique += int(live_ids.size)
             if self.edge_cache is not None and live_ids.size:
-                hits = self.edge_cache.lookup_unique(live_ids, live_counts)
+                hits = self.edge_cache.lookup(live_ids, live_counts)
                 n_hit_unique = int(hits.sum())
                 n_hit = int(live_counts[hits].sum())
             else:

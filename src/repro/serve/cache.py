@@ -33,8 +33,9 @@ into a full cache costs O(capacity log capacity).
 Eviction follows the :class:`~repro.device.cache.FeatureCache` idioms:
 capacity-bounded content, per-node access **frequencies** accumulated on
 lookup, lowest-frequency-first replacement with a deterministic tie-break
-(older entry, then smaller node id), and occurrence-weighted hit/miss
-accounting closed out by :meth:`end_epoch`, which returns the epoch's rate.
+(older entry, then smaller node id).  Like a feature cache it counts no hits:
+the engine counts them from the hit mask (``ServeStats.embeddings_reused`` /
+``embeddings_computed``).
 Everything is pure numpy state driven only by the request sequence — no wall
 clock — which is what makes served scores bitwise-reproducible in replay
 mode (see ``docs/ARCHITECTURE.md``, "Serving layer").
@@ -96,9 +97,6 @@ class NodeEmbeddingCache:
         self._stamp = 0
         self._slot_stamp = np.zeros(self.capacity, dtype=np.int64)
         self._num_cached = 0
-        # -- accounting (FeatureCache idiom) ----------------------------------
-        self._epoch_hits = 0
-        self._epoch_requests = 0
         self.eviction_count = 0
 
     # -- interface -------------------------------------------------------------
@@ -139,10 +137,7 @@ class NodeEmbeddingCache:
                           <= self.staleness_time)
             hits[np.nonzero(hits)[0][~fresh]] = False
 
-        num_hits = int(np.count_nonzero(hits))
-        self._epoch_hits += num_hits
-        self._epoch_requests += int(nodes.size)
-        if not num_hits:
+        if not hits.any():
             return hits, None
         rows = np.zeros((nodes.size, self.rows.shape[1]), dtype=self.rows.dtype)
         rows[hits] = self.rows[slots[hits]]
@@ -232,25 +227,11 @@ class NodeEmbeddingCache:
         self._stamp += 1
         self._slot_stamp[slots] = self._stamp
 
-    def end_epoch(self) -> float:
-        """Close an accounting epoch (FeatureCache idiom): reset the counters
-        and return the epoch's hit rate.  Content is *not* replaced here —
-        the serving cache evicts on insert, not at epoch boundaries."""
-        rate = float(self.current_hit_rate)
-        self._epoch_hits = 0
-        self._epoch_requests = 0
-        return rate
-
     # -- helpers ---------------------------------------------------------------
 
     @property
     def num_cached(self) -> int:
         return self._num_cached
-
-    @property
-    def current_hit_rate(self) -> float:
-        return (self._epoch_hits / self._epoch_requests) \
-            if self._epoch_requests else 0.0
 
     def cached_nodes(self) -> np.ndarray:
         """Sorted node ids currently cached."""

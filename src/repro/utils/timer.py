@@ -39,8 +39,6 @@ class Timer:
 
     The runtime tables of the paper (Fig. 1, Table III) break an epoch into
     named phases; :class:`Timer` is how the harness collects those phases.
-    It also supports adding *simulated* time (from the device cost model) on
-    top of measured wall-clock time via :meth:`add`.
 
     Sections may be recorded from several threads at once (the evaluator's
     scoring threads share one generator's timer): every update holds a lock,
@@ -59,11 +57,6 @@ class Timer:
         span.timer = self
         span.name = name
         return span
-
-    def add(self, name: str, seconds: float) -> None:
-        """Add simulated/externally-measured seconds to a section."""
-        with self._lock:
-            self._totals[name] += seconds
 
     def totals(self) -> Dict[str, float]:
         with self._lock:

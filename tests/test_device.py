@@ -1,6 +1,8 @@
 """Tests for the simulated memory hierarchy: caches, feature store, cost model."""
 
 import importlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,21 @@ import repro.serve
 from repro.core import TaserConfig
 from repro.device import (TransferCostModel, DynamicFeatureCache, OracleCache,
                           StaticRandomCache, StaticDegreeCache, FeatureStore)
+
+
+def probe(cache, stream):
+    """Probe ``cache`` with ``stream`` deduplicated, as the feature store
+    does; return the occurrence-weighted ``(hits, requests)``."""
+    ids, counts = np.unique(np.asarray(stream, dtype=np.int64), return_counts=True)
+    hits = cache.lookup(ids, counts)
+    return int(counts[hits].sum()), int(counts.sum())
+
+
+def epoch_rate(cache, *streams):
+    """Probe each stream, close the epoch and return its hit rate."""
+    hits, requests = map(sum, zip(*(probe(cache, s) for s in streams)))
+    assert cache.end_epoch() is None
+    return hits / requests if requests else 0.0
 
 
 class TestCostModel:
@@ -53,11 +70,8 @@ class TestDynamicCache:
         """Algorithm 3: the random initial cache is replaced by the frequent set."""
         cache = DynamicFeatureCache(500, 100, epsilon=0.9, seed=0)
         stream = self.make_stream()
-        rates = []
-        for _ in range(3):
-            for start in range(0, stream.size, 200):
-                cache.lookup(stream[start:start + 200])
-            rates.append(cache.end_epoch())
+        chunks = [stream[start:start + 200] for start in range(0, stream.size, 200)]
+        rates = [epoch_rate(cache, *chunks) for _ in range(3)]
         assert rates[-1] > rates[0] + 0.2
         assert cache.replacement_count >= 1
 
@@ -66,26 +80,23 @@ class TestDynamicCache:
         cache = DynamicFeatureCache(500, 100, epsilon=0.5, seed=0)
         stream = self.make_stream()
         for _ in range(4):
-            cache.lookup(stream)
-            cache.end_epoch()
+            epoch_rate(cache, stream)
         replacements_mid = cache.replacement_count
         for _ in range(3):
-            cache.lookup(stream)
-            cache.end_epoch()
+            epoch_rate(cache, stream)
         assert cache.replacement_count == replacements_mid
 
     def test_zero_capacity_never_hits(self):
         cache = DynamicFeatureCache(100, 0)
-        hits = cache.lookup(np.arange(50))
+        hits = cache.lookup(np.arange(50), np.full(50, 2))
         assert not hits.any()
-        assert cache.end_epoch() == 0.0
+        assert epoch_rate(cache, np.arange(50)) == 0.0
 
     def test_cached_set_size_never_exceeds_capacity(self):
         cache = DynamicFeatureCache(300, 40, seed=1)
         stream = self.make_stream(num_edges=300)
         for _ in range(3):
-            cache.lookup(stream)
-            cache.end_epoch()
+            epoch_rate(cache, stream)
             assert cache.cached.sum() <= 40
 
     def test_oracle_upper_bounds_dynamic(self):
@@ -95,9 +106,7 @@ class TestDynamicCache:
         oracle = OracleCache(500, 80)
         for _ in range(4):
             oracle.preload(stream)
-            dynamic.lookup(stream)
-            oracle.lookup(stream)
-            dynamic_rate, oracle_rate = dynamic.end_epoch(), oracle.end_epoch()
+            dynamic_rate, oracle_rate = epoch_rate(dynamic, stream), epoch_rate(oracle, stream)
         assert oracle_rate >= dynamic_rate - 1e-9
 
     def test_static_caches(self):
@@ -107,8 +116,7 @@ class TestDynamicCache:
         degree_cache = StaticDegreeCache(200, 50, src, dst, 20)
         assert random_cache.cached.sum() == 50
         assert degree_cache.cached.sum() == 50
-        random_cache.lookup(np.arange(200))
-        random_cache.end_epoch()
+        epoch_rate(random_cache, np.arange(200))
         # static policy: content unchanged after the epoch
         assert random_cache.cached.sum() == 50
 
@@ -128,7 +136,8 @@ def _attribute_sizes(obj) -> dict:
 ], ids=["dynamic", "oracle", "static_random", "static_degree", "serve_embedding"])
 def test_cache_bookkeeping_is_bounded(make):
     """A cache closes an epoch (every stream window, for the life of the
-    process) without keeping anything per epoch."""
+    process) without keeping anything per epoch, and keeps no hit account:
+    its caller counts hits from the mask."""
     cache, rng = make(), np.random.default_rng(0)
 
     def epoch():
@@ -136,13 +145,13 @@ def test_cache_bookkeeping_is_bounded(make):
         if isinstance(cache, repro.serve.NodeEmbeddingCache):
             cache.lookup(ids, np.zeros(ids.size), 0)
         else:
-            cache.lookup(ids)
-        assert 0.0 <= cache.end_epoch() <= 1.0
+            assert 0.0 <= epoch_rate(cache, ids) <= 1.0
     epoch()
     before = _attribute_sizes(cache)
     for _ in range(1000):
         epoch()
     assert _attribute_sizes(cache) == before
+    assert {"_epoch_hits", "_epoch_requests"} & set(vars(cache)) == set()
 
 
 @settings(max_examples=15, deadline=None)
@@ -152,8 +161,7 @@ def test_property_dynamic_cache_hit_rate_bounded(capacity, seed):
     cache = DynamicFeatureCache(100, capacity, seed=seed)
     rng = np.random.default_rng(seed)
     for _ in range(3):
-        cache.lookup(rng.integers(0, 100, 500))
-        assert 0.0 <= cache.end_epoch() <= 1.0
+        assert 0.0 <= epoch_rate(cache, rng.integers(0, 100, 500)) <= 1.0
         assert cache.cached.sum() <= capacity
 
 
@@ -222,8 +230,9 @@ class TestFeatureStore:
         for _ in range(2):
             np.testing.assert_array_equal(cached.slice_edge_features(ids),
                                           bare.slice_edge_features(ids))
-            rates.append(cache.current_hit_rate)
+            rates.append(cached.snapshot().hit_rate)
             cached.end_epoch()         # the replacement policy swaps content
+            cached.reset_stats()
         assert rates[0] > 0
 
     def test_bytes_are_charged_at_the_stored_row_width(self, featured_graph):
@@ -246,21 +255,61 @@ class TestFeatureStore:
         assert store.stats.cache_hits + store.stats.cache_misses == ids.size
 
 
+    def test_concurrent_slices_are_all_counted(self, featured_graph):
+        """Slices from several threads at once (the evaluator's scoring
+        threads) lose no count: the store's ``SliceStats``, the one account
+        of edge-cache hits, equals the same slices made serially."""
+        graph, threads, rounds = featured_graph, 4, 200
+        batches = [np.random.default_rng(i).integers(0, graph.num_edges, 64)
+                   for i in range(threads)]
+
+        def store():
+            cache = DynamicFeatureCache(graph.num_edges, graph.num_edges // 3, seed=0)
+            return FeatureStore(graph, edge_cache=cache)
+        serial, shared = store(), store()
+        for ids in batches:
+            for _ in range(rounds):
+                serial.slice_edge_features(ids)
+        start = threading.Barrier(threads, timeout=30)
+
+        def work(ids):
+            start.wait()
+            for _ in range(rounds):
+                shared.slice_edge_features(ids)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(ids,)) for ids in batches]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        got, want = shared.snapshot(), serial.snapshot()
+        for name in ("requests", "cache_hits", "cache_misses", "ids_requested",
+                     "ids_unique", "bytes_from_vram", "bytes_from_ram"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.simulated_seconds == pytest.approx(want.simulated_seconds)
+        np.testing.assert_array_equal(shared.edge_cache.frequency,
+                                      serial.edge_cache.frequency)
+
+
 class TestCacheGrowProperties:
-    """Hypothesis property tests: grow()/lookup()/lookup_unique() interplay.
+    """Hypothesis property tests: grow()/lookup() interplay.
 
     ``grow`` used to be exercised only incidentally through the streaming
     loop; these properties drive it directly, interleaved with lookups and
     epoch boundaries, and assert the three cache contracts:
 
-    * **hit-rate accounting** matches a naive per-epoch hit/request model at
-      every epoch boundary;
+    * the **hit mask** is the membership bitmap before the probe, and the
+      access frequencies match a naive per-epoch count;
     * **eviction order is preserved** across grows — growing the universe
-      never evicts, reorders or adopts entries mid-epoch, and the
-      post-``end_epoch`` replacement decision is identical whether the
-      accesses arrived deduplicated or not;
-    * ``lookup`` and ``lookup_unique`` are **equivalent**: same hit masks,
-      same epoch counters, same frequencies, same replacement decisions.
+      never evicts, reorders or adopts entries mid-epoch;
+    * the **probe granularity** does not matter: a twin probed once per
+      occurrence ends every epoch with the same frequencies and makes the
+      same replacement decisions as the cache probed deduplicated.
     """
 
     @given(st.data())
@@ -272,7 +321,6 @@ class TestCacheGrowProperties:
         twin = DynamicFeatureCache(num_edges, capacity, seed=3)
 
         freq = np.zeros(num_edges, dtype=np.int64)
-        epoch_hits = epoch_requests = 0
         for _ in range(data.draw(st.integers(2, 10), label="steps")):
             op = data.draw(st.sampled_from(["lookup", "grow", "end_epoch"]))
             if op == "lookup":
@@ -280,17 +328,12 @@ class TestCacheGrowProperties:
                     data.draw(st.lists(st.integers(0, cache.num_edges - 1),
                                        min_size=1, max_size=30)),
                     dtype=np.int64)
-                expected = cache.cached[ids].copy()
-                hits = cache.lookup(ids)
-                uniq, inverse, counts = np.unique(ids, return_inverse=True,
-                                                  return_counts=True)
-                twin_hits = twin.lookup_unique(uniq, counts)
-                # lookup vs lookup_unique equivalence, per request position.
-                assert np.array_equal(hits, expected)
-                assert np.array_equal(hits, twin_hits[inverse])
+                uniq, counts = np.unique(ids, return_counts=True)
+                expected = cache.cached[uniq].copy()
+                assert np.array_equal(cache.lookup(uniq, counts), expected)
+                for i in ids:
+                    assert twin.lookup([i], [1])[0] == cache.cached[i]
                 freq += np.bincount(ids, minlength=freq.size)
-                epoch_hits += int(hits.sum())
-                epoch_requests += int(ids.size)
             elif op == "grow":
                 extra = data.draw(st.integers(1, 8), label="extra")
                 raise_cap = data.draw(st.booleans(), label="raise_cap")
@@ -307,20 +350,16 @@ class TestCacheGrowProperties:
                 freq = np.concatenate(
                     [freq, np.zeros(extra, dtype=np.int64)])
             else:
-                rate = epoch_hits / epoch_requests if epoch_requests else 0.0
-                assert cache.end_epoch() == pytest.approx(rate)
-                assert twin.end_epoch() == pytest.approx(rate)
-                epoch_hits = epoch_requests = 0
+                cache.end_epoch()
+                twin.end_epoch()
                 freq[:] = 0  # Algorithm 3 resets Q at every epoch boundary
                 # Same replacement decision from dedup'd and plain accesses.
                 assert np.array_equal(cache.cached_ids(), twin.cached_ids())
                 assert cache.replacement_count == twin.replacement_count
 
-        # Frequencies and epoch accounting match the naive model exactly.
+        # Frequencies match the naive model exactly.
         assert np.array_equal(cache.frequency, freq)
         assert np.array_equal(twin.frequency, freq)
-        assert cache._epoch_hits == twin._epoch_hits == epoch_hits
-        assert cache._epoch_requests == twin._epoch_requests == epoch_requests
         assert cache.cached.sum() <= cache.capacity
 
     @given(st.data())
@@ -329,7 +368,7 @@ class TestCacheGrowProperties:
         num_edges = data.draw(st.integers(4, 16))
         capacity = data.draw(st.integers(1, num_edges))
         cache = DynamicFeatureCache(num_edges, capacity, seed=1)
-        cache.lookup(np.arange(num_edges, dtype=np.int64))
+        cache.lookup(np.arange(num_edges), np.ones(num_edges))
         before = (cache.num_edges, cache.capacity, cache.cached.copy(),
                   cache.frequency.copy())
         # Shrinking either dimension (or capacity > universe) is rejected
@@ -368,9 +407,9 @@ class TestCacheGrowProperties:
             # Clairvoyance: nothing outside the cache is hotter than the
             # coldest cached id.
             assert counts[cached].min() >= counts[uncached].max()
-        hits = cache.lookup(upcoming)
-        assert cache.current_hit_rate == pytest.approx(
-            hits.sum() / upcoming.size)
+        uniq, counts = np.unique(upcoming, return_counts=True)
+        np.testing.assert_array_equal(cache.lookup(uniq, counts),
+                                      np.isin(uniq, cached))
 
 
 # ------------------------------------------------------------- removal tests

@@ -7,8 +7,14 @@ as a line in the benchmark's current record, and a superseded one moves to
 a PR are an allowlist that may only lose entries: a heading missing from it
 fails, an entry whose heading is gone must leave it, and no entry may cite a
 PR after the last one that added such a heading.
+
+The ``## Contracts`` section of ``docs/ARCHITECTURE.md`` is an executable
+index: every ``###`` contract names at least one test that enforces it, as
+pytest prints its id (``tests/<file>.py::<Class>::<test>``), and every id it
+names is a test that pytest collects.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -81,3 +87,52 @@ class TestPerPRHeadings:
         later = [heading for heading in ALLOWED[path]
                  if int(PR_HEADING.match(f"# {heading}").group(2)) > LAST_HEADED_PR]
         assert later == []
+
+
+#: a test id as pytest prints it, in backticks: ``tests/<file>.py::<name>...``.
+TEST_ID = re.compile(r"`(tests/[\w/]+\.py)((?:::\w+)+)`")
+
+
+def contracts() -> dict:
+    """Each ``###`` contract of ARCHITECTURE.md's ``## Contracts`` section:
+    heading -> text."""
+    text = (ROOT / "docs/ARCHITECTURE.md").read_text(encoding="utf-8")
+    section = text.split("\n## Contracts\n", 1)[1].split("\n## ", 1)[0]
+    parts = re.split(r"^### (.+)$", section, flags=re.MULTILINE)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def collected(path: str, names: list) -> bool:
+    """Whether ``path::names`` is a test pytest collects by its default
+    rules: a ``test*`` function, at module level or in a ``Test*`` class, or
+    a ``Test*`` class holding one."""
+    scope = ast.parse((ROOT / path).read_text(encoding="utf-8")).body
+    node = None
+    for name in names:
+        node = next((n for n in scope if getattr(n, "name", None) == name), None)
+        if isinstance(node, ast.ClassDef) and name.startswith("Test"):
+            scope = node.body
+        elif not (isinstance(node, ast.FunctionDef) and name.startswith("test")
+                  and name == names[-1]):
+            return False
+    if isinstance(node, ast.ClassDef):
+        return any(isinstance(n, ast.FunctionDef) and n.name.startswith("test")
+                   for n in node.body)
+    return True
+
+
+CONTRACTS = contracts()
+
+
+def test_the_contracts_section_is_found():
+    assert {"Mask / padding (sampling layer, since PR 1)",
+            "Thread-safe feature-slicing accounting (device layer, PR 3)"} <= set(CONTRACTS)
+
+
+@pytest.mark.parametrize("heading", sorted(CONTRACTS))
+def test_every_contract_cites_a_collected_test(heading):
+    ids = TEST_ID.findall(CONTRACTS[heading])
+    assert ids, f"contract {heading!r} cites no tests/...py::... id"
+    unresolved = [path + rest for path, rest in ids
+                  if not collected(path, rest.split("::")[1:])]
+    assert unresolved == []

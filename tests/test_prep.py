@@ -78,26 +78,6 @@ class TestDedupGatherBitwise:
         assert stats.ids_requested == n
         assert stats.ids_unique == int(np.unique(ids).size)
 
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(0, 200), pool=st.integers(1, 40),
-           capacity=st.integers(0, 80), seed=st.integers(0, 500))
-    def test_unique_probe_accounts_like_full_stream(self, n, pool, capacity,
-                                                    seed):
-        """lookup_unique == lookup: same epoch hits/requests/frequencies."""
-        rng = np.random.default_rng(seed)
-        stream = rng.integers(0, pool, size=n)
-        a = DynamicFeatureCache(100, capacity, seed=3)
-        b = DynamicFeatureCache(100, capacity, seed=3)
-        hits_full = a.lookup(stream)
-        unique_ids, counts = np.unique(stream, return_counts=True)
-        hits_unique = b.lookup_unique(unique_ids, counts)
-        assert a._epoch_hits == b._epoch_hits
-        assert a._epoch_requests == b._epoch_requests
-        np.testing.assert_array_equal(a.frequency, b.frequency)
-        # The unique hit mask expands to the full stream's hit mask.
-        inverse = np.searchsorted(unique_ids, stream)
-        np.testing.assert_array_equal(hits_full, hits_unique[inverse])
-
     def test_hit_rate_unchanged_by_dedup(self, small_graph):
         """Occurrence-weighted hits: a duplicated cached id counts each time."""
         cache = DynamicFeatureCache(small_graph.num_edges,

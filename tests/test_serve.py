@@ -123,13 +123,12 @@ class TestNodeEmbeddingCache:
         assert np.array_equal(got, rows[keep])
         assert cache.num_cached == keep.size
 
-    def test_hit_accounting_and_end_epoch(self):
+    def test_hit_mask_is_the_only_account(self):
+        # The cache counts no hits; the engine counts them from the mask.
         cache = NodeEmbeddingCache(10, 4, staleness_time=None)
         cache.insert(np.array([1]), np.ones((1, 2)), np.zeros(1), 0)
-        cache.lookup(np.array([1, 1, 2, 3]), np.zeros(4), 0)
-        assert cache.current_hit_rate == pytest.approx(0.5)
-        assert cache.end_epoch() == pytest.approx(0.5)
-        assert cache.current_hit_rate == 0.0
+        hits, _ = cache.lookup(np.array([1, 1, 2, 3]), np.zeros(4), 0)
+        assert hits.tolist() == [True, True, False, False]
 
     def test_zero_capacity_disables_caching(self):
         cache = NodeEmbeddingCache(10, 0)
@@ -171,8 +170,6 @@ class ScanningCache(NodeEmbeddingCache):
             hits[np.nonzero(hits)[0][~fresh]] = False
         else:
             hits[:] = False
-        self._epoch_hits += int(hits.sum())
-        self._epoch_requests += int(nodes.size)
         rows = None
         if self.rows is not None:
             rows = np.zeros((nodes.size, self.rows.shape[1]), dtype=self.rows.dtype)
@@ -279,7 +276,7 @@ class TestCacheAgainstScanningOracle:
                 assert np.array_equal(got.rows[occupied], want.rows[occupied])
             assert occupied.sum() == got.num_cached == want.num_cached
             assert not occupied[got.num_cached:].any()     # the fill-pointer prefix
-            for name in ("eviction_count", "_stamp", "_epoch_hits", "_epoch_requests"):
+            for name in ("eviction_count", "_stamp"):
                 assert getattr(got, name) == getattr(want, name), name
 
 

@@ -280,9 +280,10 @@ class TestCacheGrowth:
         assert cache.capacity == 30
         assert np.array_equal(cache.cached_ids(), cached_before)
         assert cache.frequency.shape == (150,)
-        # New ids are lookupable immediately (miss, counted).
-        hits = cache.lookup(np.array([149, 120]))
+        # New ids are lookupable immediately (miss, frequency recorded).
+        hits = cache.lookup(np.array([120, 149]), np.array([1, 2]))
         assert not hits.any()
+        assert cache.frequency[[120, 149]].tolist() == [1, 2]
 
     def test_grow_rejects_shrinking(self):
         cache = DynamicFeatureCache(num_edges=100, capacity=20, seed=0)
@@ -300,7 +301,7 @@ class TestCacheGrowth:
         assert cache.capacity == 20
         assert cache.cached.shape == (100,)
         assert cache.frequency.shape == (100,)
-        cache.lookup(np.array([99]))  # still fully functional
+        cache.lookup(np.array([99]), np.array([1]))  # still fully functional
 
 
 class TestEventStream:
