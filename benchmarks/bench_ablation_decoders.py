@@ -12,7 +12,6 @@ random-ranking floor) and the spread across decoders is non-zero (the choice
 matters).
 """
 
-import numpy as np
 import pytest
 
 from repro.bench import quick_config

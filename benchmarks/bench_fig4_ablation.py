@@ -16,7 +16,6 @@ trends are within the evaluation noise, so the assertions only check sanity
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.bench import quick_config

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import TaserConfig, TaserTrainer, TrainResult
+from ..core.config import VARIANTS as TABLE_I_ROWS
 from ..graph import load_dataset
 from ..graph.temporal_graph import TemporalGraph
 
@@ -58,13 +59,11 @@ __all__ = [
 #: that the hardware scaled superlinearly.
 EFFICIENCY_TOLERANCE = 0.15
 
-#: the four method rows of Table I: (adaptive_minibatch, adaptive_neighbor).
+#: the four method rows of Table I by label:
+#: (adaptive_minibatch, adaptive_neighbor).
 VARIANTS: Dict[str, Tuple[bool, bool]] = {
-    "Baseline": (False, False),
-    "w/ Ada. Mini-Batch": (True, False),
-    "w/ Ada. Neighbor": (False, True),
-    "TASER": (True, True),
-}
+    label: (adaptive_minibatch, adaptive_neighbor)
+    for label, adaptive_minibatch, adaptive_neighbor in TABLE_I_ROWS.values()}
 
 
 def bench_scale() -> float:

@@ -1,15 +1,13 @@
 """Command-line experiment runner.
 
-Three entry points share the ``repro`` command:
+One ``repro`` command with three subcommands, one per workload:
 
-* the default (offline) runner trains one (dataset, backbone, variant) cell —
-  the same cells the Table I benchmark sweeps — and prints the resulting MRR
-  and runtime breakdown as JSON;
-* ``repro train ...`` is the sharded data-parallel runner: the event log is
-  partitioned into ``--workers`` shards (``--shard-policy temporal|hash``),
-  trained in lock-step with gradient averaging at batch barriers, one
-  forked process per shard (``--workers 1`` runs in-process and is
-  bitwise-identical to the default runner's trainer);
+* ``repro train ...`` trains one (dataset, backbone, variant) cell — the
+  cells the Table I benchmark sweeps — and prints its MRR and runtime
+  breakdown.  The event log is partitioned into ``--workers`` shards
+  (``--shard-policy temporal|hash``), trained in lock-step with gradient
+  averaging at batch barriers, one forked process per shard; ``--workers 1``
+  trains in-process and is bitwise-identical to ``TaserTrainer.fit``;
 * ``repro stream ...`` drives the online streaming loop: replay a dataset (or
   a synthetic drift scenario) as an event stream, ingest it incrementally and
   report prequential test-then-train MRR plus ingestion/training throughput;
@@ -24,10 +22,10 @@ Examples
 --------
 ::
 
-    python -m repro --dataset wikipedia --backbone graphmixer --variant taser
-    python -m repro --dataset reddit --backbone tgat --variant baseline \
+    python -m repro train --workers 1 --dataset wikipedia \
+        --backbone graphmixer --variant taser
+    python -m repro train --workers 1 --dataset reddit --backbone tgat \
         --epochs 10 --num-neighbors 10 --num-candidates 25 --seed 3
-    python -m repro --dataset wikipedia --json
     python -m repro train --dataset wikipedia --workers 4 \
         --shard-policy temporal --json
     python -m repro stream --dataset wikipedia --chunk-size 500 \
@@ -47,79 +45,45 @@ from typing import Optional, Sequence
 
 from . import ALLOCATOR_POLICY
 from .core import TaserConfig, TaserTrainer
+from .core.config import VARIANTS
 from .graph import DATASET_NAMES, load_dataset
 
-__all__ = ["build_parser", "build_serve_parser", "build_stream_parser",
-           "build_train_parser", "main", "run", "run_serve", "run_stream",
-           "run_train"]
-
-VARIANT_FLAGS = {
-    "baseline": (False, False),
-    "ada-minibatch": (True, False),
-    "ada-neighbor": (False, True),
-    "taser": (True, True),
-}
+__all__ = ["build_parser", "main", "run_serve", "run_stream", "run_train"]
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type: reject non-positive values at parse time with a clear
-    message instead of letting them surface deep in the engine."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(cast, low, high=None, strict: bool = False):
+    """Argparse type: a ``cast`` number >= ``low`` (> ``low`` if ``strict``,
+    in [``low``, ``high``] if ``high`` is given), rejected at parse time with
+    a clear message instead of surfacing deep in the engine."""
+    kind = "an integer" if cast is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+        if high is not None:
+            if not low <= value <= high:
+                raise argparse.ArgumentTypeError(
+                    f"must be in [{low}, {high}], got {value}")
+        elif strict and not value > low:
+            raise argparse.ArgumentTypeError(f"must be > {low}, got {value}")
+        elif not value >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    """Argparse type: like :func:`_positive_int` but 0 is allowed (used by
-    bounds where 0 is a meaningful 'exact only' / 'disabled' setting)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+_positive_int = _number(int, 1)
+_non_negative_int = _number(int, 0)
+_positive_float = _number(float, 0, strict=True)
 
 
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-
-
-def _non_negative_float(text: str) -> float:
-    """Argparse type: a float >= 0, rejected at parse time otherwise."""
-    value = _float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """Argparse type: a float > 0, rejected at parse time otherwise."""
-    value = _float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    """Argparse type: a float in [0, 1], rejected at parse time otherwise."""
-    value = _float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
-
-
-def _add_model_args(parser: argparse.ArgumentParser) -> None:
+def _model_args() -> argparse.ArgumentParser:
     """The dataset / model flags every command takes — one definition, so
-    the four parsers cannot drift.  :func:`_model_config` turns them into a
+    the subcommands cannot drift.  :func:`_model_config` turns them into a
     ``TaserConfig``."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--dataset", choices=DATASET_NAMES, default="wikipedia")
     parser.add_argument("--scale", type=_positive_float, default=1.0,
                         help="dataset size multiplier")
@@ -132,33 +96,18 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-candidates", type=_positive_int, default=10,
                         help="m: candidate neighbors pre-sampled by the finder")
     parser.add_argument("--batch-size", type=_positive_int, default=200)
-    parser.add_argument("--cache-ratio", type=_fraction, default=0.2)
+    parser.add_argument("--cache-ratio", type=_number(float, 0, 1), default=0.2)
     parser.add_argument("--lr", type=_positive_float, default=2e-3)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument("--json", action="store_true",
                         help="print the result as a single JSON object only")
-
-
-def _add_training_cell_args(parser: argparse.ArgumentParser,
-                            variant_default: str) -> None:
-    """The (dataset, backbone, variant) cell flags shared by the default
-    runner and ``repro train`` — one definition, so the parsers cannot
-    drift."""
-    _add_model_args(parser)
-    parser.add_argument("--variant", choices=sorted(VARIANT_FLAGS),
-                        default=variant_default)
-    parser.add_argument("--epochs", type=_positive_int, default=5)
-    parser.add_argument("--max-batches-per-epoch", type=_positive_int, default=None)
-    parser.add_argument("--decoder", choices=["linear", "gat", "gatv2", "transformer"],
-                        default="linear")
-    parser.add_argument("--eval-negatives", type=_positive_int, default=49)
-    parser.add_argument("--eval-max-edges", type=_positive_int, default=300)
+    return parser
 
 
 def _model_config(args: argparse.Namespace, **overrides) -> TaserConfig:
-    """Build the TaserConfig of any command: the :func:`_add_model_args`
-    flags plus ``--variant``, then the command's own fields."""
-    adaptive_minibatch, adaptive_neighbor = VARIANT_FLAGS[args.variant]
+    """Build the TaserConfig of any command: the :func:`_model_args` flags
+    plus ``--variant``, then the command's own fields."""
+    _, adaptive_minibatch, adaptive_neighbor = VARIANTS[args.variant]
     return TaserConfig(
         backbone=args.backbone,
         adaptive_minibatch=adaptive_minibatch,
@@ -169,72 +118,131 @@ def _model_config(args: argparse.Namespace, **overrides) -> TaserConfig:
         lr=args.lr, seed=args.seed, **overrides)
 
 
-def _taser_config(args: argparse.Namespace) -> TaserConfig:
-    """The TaserConfig of a training cell (default runner, ``repro train``)."""
-    return _model_config(
-        args, decoder=args.decoder, epochs=args.epochs,
-        max_batches_per_epoch=args.max_batches_per_epoch,
-        eval_negatives=args.eval_negatives, eval_max_edges=args.eval_max_edges)
+def _summary(args: argparse.Namespace, config: TaserConfig, start: float,
+             **fields) -> dict:
+    """The fields every command reports around its own ``fields``."""
+    return {"dataset": args.dataset, "backbone": args.backbone,
+            "variant": config.variant_name(), "seed": args.seed, **fields,
+            "wall_clock_seconds": time.time() - start,
+            "allocator_policy": ALLOCATOR_POLICY}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser: one subcommand per workload, each carrying the
+    shared model flags and its ``run`` / ``report`` pair as defaults."""
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Train a TGNN with or without TASER's adaptive sampling",
-        epilog="Subcommands: 'repro train ...' runs sharded data-parallel "
-               "training (event-log shards, gradient averaging at batch "
-               "barriers); 'repro stream ...' runs the online streaming loop "
-               "(incremental ingestion + prequential test-then-train "
-               "evaluation); 'repro serve ...' answers link-prediction "
-               "queries online through the micro-batched serving engine; see "
-               "'repro train --help' / 'repro stream --help' / "
-               "'repro serve --help'.")
-    _add_training_cell_args(parser, variant_default="taser")
-    return parser
+        description="Train, stream or serve a TGNN with or without TASER's "
+                    "adaptive sampling")
+    commands = parser.add_subparsers(dest="command", required=True)
+    model = _model_args()
 
+    train = commands.add_parser(
+        "train", parents=[model],
+        help="train one Table I cell (sharded data-parallel)",
+        description="Train one (dataset, backbone, variant) cell: partition "
+                    "the event log into worker shards, generate mini-batches "
+                    "per shard through independent engines, and synchronize "
+                    "replicas with deterministic gradient averaging at batch "
+                    "barriers (--workers 1 trains in-process and is "
+                    "bitwise-identical to TaserTrainer.fit)")
+    train.set_defaults(run=run_train, report=_report_train)
+    train.add_argument("--workers", type=_positive_int, default=2,
+                       help="W: number of event-log shards / worker replicas "
+                            "(W > 1 forks one process per shard; W = 1 "
+                            "trains in-process)")
+    train.add_argument("--shard-policy", choices=["temporal", "hash"],
+                       default="temporal",
+                       help="'temporal' = W contiguous chronological ranges; "
+                            "'hash' = route events by source node so "
+                            "per-source histories stay intact")
+    train.add_argument("--variant", choices=sorted(VARIANTS), default="baseline")
+    train.add_argument("--epochs", type=_positive_int, default=5)
+    train.add_argument("--max-batches-per-epoch", type=_positive_int, default=None)
+    train.add_argument("--decoder", choices=["linear", "gat", "gatv2", "transformer"],
+                       default="linear")
+    train.add_argument("--eval-negatives", type=_positive_int, default=49)
+    train.add_argument("--eval-max-edges", type=_positive_int, default=300)
 
-def run(args: argparse.Namespace) -> dict:
-    graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    config = _taser_config(args)
-    start = time.time()
-    trainer = TaserTrainer(graph, config)
-    result = trainer.fit()
-    return {
-        "dataset": args.dataset,
-        "backbone": args.backbone,
-        "variant": result.variant,
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "val_mrr": result.val_mrr,
-        "test_mrr": result.test_mrr,
-        "test_metrics": result.test_metrics,
-        "final_model_loss": result.history[-1].model_loss if result.history else None,
-        "runtime_breakdown_seconds": result.runtime_breakdown,
-        "cache_hit_rates": result.cache_hit_rates,
-        "wall_clock_seconds": time.time() - start,
-        "allocator_policy": ALLOCATOR_POLICY,
-    }
+    stream = commands.add_parser(
+        "stream", parents=[model], help="run the online streaming loop",
+        description="Replay a dataset as a live event stream: incremental "
+                    "T-CSR ingestion, sliding-window training and "
+                    "prequential (test-then-train) link-prediction MRR")
+    stream.set_defaults(run=run_stream, report=_report_stream)
+    stream.add_argument("--drift-phases", type=_positive_int, default=1,
+                        help="> 1 replays a synthetic drift sequence: the "
+                             "latent communities are redrawn this many times "
+                             "over the stream's lifetime")
+    stream.add_argument("--variant", choices=["baseline", "ada-neighbor"],
+                        default="baseline",
+                        help="adaptive mini-batch selection is incompatible "
+                             "with a sliding window, so only these rows stream")
+    stream.add_argument("--warmup-events", type=_positive_int, default=None,
+                        help="events trained offline before streaming starts "
+                             "(default: 20%% of the dataset)")
+    stream.add_argument("--warmup-epochs", type=_positive_int, default=1,
+                        help="offline epochs over the warm-start window")
+    stream.add_argument("--chunk-size", type=_positive_int, default=500,
+                        help="events per arrival chunk")
+    stream.add_argument("--window-events", type=_positive_int, default=2000,
+                        help="sliding training window, in events")
+    stream.add_argument("--train-passes", type=_positive_int, default=1,
+                        help="training passes over the window per chunk")
+    stream.add_argument("--max-chunks", type=_positive_int, default=None,
+                        help="stop after this many chunks")
+    stream.add_argument("--rate", type=_positive_float, default=None,
+                        help="rate-limit replay to this many events/second "
+                             "(default: as fast as the loop drains)")
+    stream.add_argument("--eval-events-per-chunk", type=_positive_int, default=256,
+                        help="cap on prequentially scored events per chunk")
+    stream.add_argument("--eval-negatives", type=_positive_int, default=49)
 
-
-def build_train_parser() -> argparse.ArgumentParser:
-    """Parser of the ``repro train`` subcommand (sharded data-parallel)."""
-    parser = argparse.ArgumentParser(
-        prog="repro train",
-        description="Sharded data-parallel training: partition the event log "
-                    "into worker shards, generate mini-batches per shard "
-                    "through independent engines, and synchronize replicas "
-                    "with deterministic gradient averaging at batch barriers "
-                    "(--workers 1 is bitwise-identical to the default runner)")
-    parser.add_argument("--workers", type=_positive_int, default=2,
-                        help="W: number of event-log shards / worker replicas "
-                             "(W > 1 forks one process per shard; W = 1 "
-                             "trains in-process)")
-    parser.add_argument("--shard-policy", choices=["temporal", "hash"],
-                        default="temporal",
-                        help="'temporal' = W contiguous chronological ranges; "
-                             "'hash' = route events by source node so "
-                             "per-source histories stay intact")
-    _add_training_cell_args(parser, variant_default="baseline")
+    serve = commands.add_parser(
+        "serve", parents=[model], help="serve link-prediction queries online",
+        description="Serve link-prediction queries online: train an "
+                    "in-memory model on the dataset's warm-up prefix, then "
+                    "micro-batch queries replayed from the held-out suffix "
+                    "through one prep pass + one forward per batch and "
+                    "report latency percentiles, QPS, batch occupancy and "
+                    "the embedding-cache hit rate")
+    serve.set_defaults(run=run_serve, report=_report_serve)
+    serve.add_argument("--variant", choices=sorted(VARIANTS), default="baseline",
+                       help="training variant of the in-memory warm-up model")
+    serve.add_argument("--warmup-events", type=_positive_int, default=None,
+                       help="events trained before serving starts "
+                            "(default: 60%% of the dataset); the remainder "
+                            "is replayed as the query stream")
+    serve.add_argument("--warmup-epochs", type=_positive_int, default=1,
+                       help="training epochs over the warm-up prefix")
+    serve.add_argument("--num-queries", type=_positive_int, default=1000,
+                       help="queries replayed from the held-out suffix")
+    serve.add_argument("--max-batch", type=_positive_int, default=32,
+                       help="micro-batch size: one prep pass + one model "
+                            "forward serves up to this many queries (>= 1)")
+    serve.add_argument("--queue-depth", type=_positive_int, default=128,
+                       help="admission bound on pending queries (>= 1)")
+    serve.add_argument("--admission", choices=["wait", "shed"], default="wait",
+                       help="full-queue policy: 'wait' drains synchronously "
+                            "(backpressure), 'shed' rejects the overflow")
+    serve.add_argument("--staleness-events", type=_non_negative_int,
+                       default=None,
+                       help="embedding-cache event-count staleness bound "
+                            "(>= 0; default: unbounded)")
+    serve.add_argument("--staleness-time", type=_number(float, 0), default=0.0,
+                       help="embedding-cache |query_t - computed_t| bound "
+                            "(>= 0; default: 0, time-exact: every score is "
+                            "computed at its own query time)")
+    serve.add_argument("--cache-nodes", type=_non_negative_int, default=None,
+                       help="embedding-cache capacity in nodes (0 disables; "
+                            "default: 0 under the time-exact --staleness-time "
+                            "0, where only an identical (node, t) query could "
+                            "hit, a quarter of the node universe under any "
+                            "other bound)")
+    serve.add_argument("--replay", action="store_true",
+                       help="serve the stream twice through fresh engines "
+                            "and verify the bitwise score-hash contract")
+    serve.add_argument("--max-batches-per-epoch", type=_positive_int, default=None)
     return parser
 
 
@@ -243,40 +251,32 @@ def run_train(args: argparse.Namespace) -> dict:
     from .distributed import ShardedTrainer
 
     graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    config = _taser_config(args)
+    config = _model_config(
+        args, decoder=args.decoder, epochs=args.epochs,
+        max_batches_per_epoch=args.max_batches_per_epoch,
+        eval_negatives=args.eval_negatives, eval_max_edges=args.eval_max_edges)
     start = time.time()
     with ShardedTrainer(graph, config, num_workers=args.workers,
                         shard_policy=args.shard_policy) as trainer:
         result = trainer.fit()
         last = result.history[-1] if result.history else None
-        return {
-            "dataset": args.dataset,
-            "backbone": args.backbone,
-            "variant": result.variant,
-            "seed": args.seed,
-            "epochs": args.epochs,
-            "workers": args.workers,
-            "shard_policy": args.shard_policy,
-            "pool": trainer.backend,
-            "shard_plan": trainer.plan.describe(),
-            "global_steps_per_epoch": len(last.batch_losses) if last else 0,
-            "val_mrr": result.val_mrr,
-            "test_mrr": result.test_mrr,
-            "test_metrics": result.test_metrics,
-            "final_model_loss": last.model_loss if last else None,
-            "runtime_breakdown_seconds": result.runtime_breakdown,
-            "cache_hit_rates": result.cache_hit_rates,
-            "wall_clock_seconds": time.time() - start,
-            "allocator_policy": ALLOCATOR_POLICY,
-        }
+        return _summary(
+            args, config, start,
+            epochs=args.epochs,
+            workers=args.workers,
+            shard_policy=args.shard_policy,
+            pool=trainer.backend,
+            shard_plan=trainer.plan.describe(),
+            global_steps_per_epoch=len(last.batch_losses) if last else 0,
+            val_mrr=result.val_mrr,
+            test_mrr=result.test_mrr,
+            test_metrics=result.test_metrics,
+            final_model_loss=last.model_loss if last else None,
+            runtime_breakdown_seconds=result.runtime_breakdown,
+            cache_hit_rates=result.cache_hit_rates)
 
 
-def _train_main(argv: Sequence[str]) -> int:
-    args = build_train_parser().parse_args(argv)
-    summary = run_train(args)
-    if args.json:
-        print(json.dumps(summary, indent=2, default=float))
-        return 0
+def _report_train(summary: dict) -> None:
     plan = summary["shard_plan"]
     print(f"train {summary['dataset']} / {summary['backbone']} / "
           f"{summary['variant']} (seed {summary['seed']})")
@@ -293,45 +293,6 @@ def _train_main(argv: Sequence[str]) -> int:
         for k, v in sorted(summary["runtime_breakdown_seconds"].items()))
     print(f"  runtime        : {breakdown}")
     print(f"  wall clock     : {summary['wall_clock_seconds']:.1f}s")
-    return 0
-
-
-def build_stream_parser() -> argparse.ArgumentParser:
-    """Parser of the ``repro stream`` subcommand (online streaming loop)."""
-    parser = argparse.ArgumentParser(
-        prog="repro stream",
-        description="Replay a dataset as a live event stream: incremental "
-                    "T-CSR ingestion, sliding-window training and "
-                    "prequential (test-then-train) link-prediction MRR")
-    _add_model_args(parser)
-    parser.add_argument("--drift-phases", type=_positive_int, default=1,
-                        help="> 1 replays a synthetic drift sequence: the "
-                             "latent communities are redrawn this many times "
-                             "over the stream's lifetime")
-    parser.add_argument("--variant", choices=["baseline", "ada-neighbor"],
-                        default="baseline",
-                        help="adaptive mini-batch selection is incompatible "
-                             "with a sliding window, so only these rows stream")
-    parser.add_argument("--warmup-events", type=_positive_int, default=None,
-                        help="events trained offline before streaming starts "
-                             "(default: 20%% of the dataset)")
-    parser.add_argument("--warmup-epochs", type=_positive_int, default=1,
-                        help="offline epochs over the warm-start window")
-    parser.add_argument("--chunk-size", type=_positive_int, default=500,
-                        help="events per arrival chunk")
-    parser.add_argument("--window-events", type=_positive_int, default=2000,
-                        help="sliding training window, in events")
-    parser.add_argument("--train-passes", type=_positive_int, default=1,
-                        help="training passes over the window per chunk")
-    parser.add_argument("--max-chunks", type=_positive_int, default=None,
-                        help="stop after this many chunks")
-    parser.add_argument("--rate", type=_positive_float, default=None,
-                        help="rate-limit replay to this many events/second "
-                             "(default: as fast as the loop drains)")
-    parser.add_argument("--eval-events-per-chunk", type=_positive_int, default=256,
-                        help="cap on prequentially scored events per chunk")
-    parser.add_argument("--eval-negatives", type=_positive_int, default=49)
-    return parser
 
 
 def run_stream(args: argparse.Namespace) -> dict:
@@ -357,29 +318,12 @@ def run_stream(args: argparse.Namespace) -> dict:
     for _ in range(args.warmup_epochs):
         trainer.train_epoch()
     result = trainer.run(stream, train_passes=args.train_passes)
-    summary = {
-        "dataset": args.dataset,
-        "drift_phases": args.drift_phases,
-        "backbone": args.backbone,
-        "variant": ("w/ Ada. Neighbor" if config.adaptive_neighbor
-                    else "Baseline"),
-        "seed": args.seed,
-        "warmup_events": warmup,
-        "window_events": args.window_events,
-        "chunk_size": args.chunk_size,
-        "wall_clock_seconds": time.time() - start,
-        "allocator_policy": ALLOCATOR_POLICY,
-    }
-    summary.update(result.as_dict())
-    return summary
+    return _summary(args, config, start, drift_phases=args.drift_phases,
+                    warmup_events=warmup, window_events=args.window_events,
+                    chunk_size=args.chunk_size, **result.as_dict())
 
 
-def _stream_main(argv: Sequence[str]) -> int:
-    args = build_stream_parser().parse_args(argv)
-    summary = run_stream(args)
-    if args.json:
-        print(json.dumps(summary, indent=2, default=float))
-        return 0
+def _report_stream(summary: dict) -> None:
     print(f"stream {summary['dataset']} / {summary['backbone']} / "
           f"{summary['variant']} (seed {summary['seed']}, "
           f"{summary['drift_phases']} phase(s))")
@@ -395,59 +339,6 @@ def _stream_main(argv: Sequence[str]) -> int:
     suffix = ", ..." if len(summary["mrr_over_time"]) > 12 else ""
     print(f"  MRR over time   : [{trajectory}{suffix}]")
     print(f"  wall clock      : {summary['wall_clock_seconds']:.1f}s")
-    return 0
-
-
-def build_serve_parser() -> argparse.ArgumentParser:
-    """Parser of the ``repro serve`` subcommand (online query serving)."""
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Serve link-prediction queries online: train an "
-                    "in-memory model on the dataset's warm-up prefix, then "
-                    "micro-batch queries replayed from the held-out suffix "
-                    "through one prep pass + one forward per batch and "
-                    "report latency percentiles, QPS, batch occupancy and "
-                    "the embedding-cache hit rate")
-    _add_model_args(parser)
-    parser.add_argument("--variant", choices=sorted(VARIANT_FLAGS),
-                        default="baseline",
-                        help="training variant of the in-memory warm-up model")
-    parser.add_argument("--warmup-events", type=_positive_int, default=None,
-                        help="events trained before serving starts "
-                             "(default: 60%% of the dataset); the remainder "
-                             "is replayed as the query stream")
-    parser.add_argument("--warmup-epochs", type=_positive_int, default=1,
-                        help="training epochs over the warm-up prefix")
-    parser.add_argument("--num-queries", type=_positive_int, default=1000,
-                        help="queries replayed from the held-out suffix")
-    parser.add_argument("--max-batch", type=_positive_int, default=32,
-                        help="micro-batch size: one prep pass + one model "
-                             "forward serves up to this many queries (>= 1)")
-    parser.add_argument("--queue-depth", type=_positive_int, default=128,
-                        help="admission bound on pending queries (>= 1)")
-    parser.add_argument("--admission", choices=["wait", "shed"], default="wait",
-                        help="full-queue policy: 'wait' drains synchronously "
-                             "(backpressure), 'shed' rejects the overflow")
-    parser.add_argument("--staleness-events", type=_non_negative_int,
-                        default=None,
-                        help="embedding-cache event-count staleness bound "
-                             "(>= 0; default: unbounded)")
-    parser.add_argument("--staleness-time", type=_non_negative_float,
-                        default=0.0,
-                        help="embedding-cache |query_t - computed_t| bound "
-                             "(>= 0; default: 0, time-exact: every score is "
-                             "computed at its own query time)")
-    parser.add_argument("--cache-nodes", type=_non_negative_int, default=None,
-                        help="embedding-cache capacity in nodes (0 disables; "
-                             "default: 0 under the time-exact --staleness-time "
-                             "0, where only an identical (node, t) query could "
-                             "hit, a quarter of the node universe under any "
-                             "other bound)")
-    parser.add_argument("--replay", action="store_true",
-                        help="serve the stream twice through fresh engines "
-                             "and verify the bitwise score-hash contract")
-    parser.add_argument("--max-batches-per-epoch", type=_positive_int, default=None)
-    return parser
 
 
 def run_serve(args: argparse.Namespace) -> dict:
@@ -494,41 +385,29 @@ def run_serve(args: argparse.Namespace) -> dict:
         replay_hash = scores_hash(replay_results)
     latencies = np.asarray([r.latency_seconds for r in results
                             if r.status == "ok"], dtype=np.float64)
-    summary = {
-        "dataset": args.dataset,
-        "backbone": args.backbone,
-        "variant": args.variant,
-        "seed": args.seed,
-        "warmup_events": warmup,
-        "train_seconds": train_seconds,
-        "num_queries": len(queries),
-        "max_batch": args.max_batch,
-        "queue_depth": args.queue_depth,
-        "admission": args.admission,
-        "staleness_events": args.staleness_events,
-        "staleness_time": args.staleness_time,
-        "serve_seconds": serve_seconds,
-        "qps": len(queries) / serve_seconds if serve_seconds else 0.0,
-        "latency_p50_ms": (float(np.percentile(latencies, 50)) * 1e3
-                           if latencies.size else None),
-        "latency_p99_ms": (float(np.percentile(latencies, 99)) * 1e3
-                           if latencies.size else None),
-        "scores_hash": run_hash,
-        "replay_hash": replay_hash,
-        "replay_match": (replay_hash == run_hash) if args.replay else None,
-        "wall_clock_seconds": time.time() - start,
-        "allocator_policy": ALLOCATOR_POLICY,
-    }
-    summary.update(engine.stats())
-    return summary
+    return _summary(
+        args, config, start,
+        warmup_events=warmup,
+        train_seconds=train_seconds,
+        num_queries=len(queries),
+        max_batch=args.max_batch,
+        queue_depth=args.queue_depth,
+        admission=args.admission,
+        staleness_events=args.staleness_events,
+        staleness_time=args.staleness_time,
+        serve_seconds=serve_seconds,
+        qps=len(queries) / serve_seconds if serve_seconds else 0.0,
+        latency_p50_ms=(float(np.percentile(latencies, 50)) * 1e3
+                        if latencies.size else None),
+        latency_p99_ms=(float(np.percentile(latencies, 99)) * 1e3
+                        if latencies.size else None),
+        scores_hash=run_hash,
+        replay_hash=replay_hash,
+        replay_match=(replay_hash == run_hash) if args.replay else None,
+        **engine.stats())
 
 
-def _serve_main(argv: Sequence[str]) -> int:
-    args = build_serve_parser().parse_args(argv)
-    summary = run_serve(args)
-    if args.json:
-        print(json.dumps(summary, indent=2, default=float))
-        return 0 if summary["replay_match"] in (True, None) else 1
+def _report_serve(summary: dict) -> None:
     print(f"serve {summary['dataset']} / {summary['backbone']} / "
           f"{summary['variant']} (seed {summary['seed']})")
     print(f"  queries        : {summary['num_queries']} "
@@ -550,33 +429,18 @@ def _serve_main(argv: Sequence[str]) -> int:
         verdict = "bitwise-identical" if summary["replay_match"] else "MISMATCH"
         print(f"  replay         : {summary['replay_hash']} ({verdict})")
     print(f"  wall clock     : {summary['wall_clock_seconds']:.1f}s")
-    return 0 if summary["replay_match"] in (True, None) else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "stream":
-        return _stream_main(argv[1:])
-    if argv and argv[0] == "train":
-        return _train_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
+    """Run one subcommand; the exit code is 1 only on a serve replay
+    mismatch."""
     args = build_parser().parse_args(argv)
-    summary = run(args)
+    summary = args.run(args)
     if args.json:
         print(json.dumps(summary, indent=2, default=float))
-        return 0
-    print(f"{summary['dataset']} / {summary['backbone']} / {summary['variant']} "
-          f"(seed {summary['seed']})")
-    print(f"  test MRR       : {summary['test_mrr']:.4f}")
-    if summary["val_mrr"] == summary["val_mrr"]:  # not NaN
-        print(f"  val MRR        : {summary['val_mrr']:.4f}")
-    print(f"  final loss     : {summary['final_model_loss']:.4f}")
-    breakdown = ", ".join(f"{k}={v:.2f}s"
-                          for k, v in sorted(summary["runtime_breakdown_seconds"].items()))
-    print(f"  runtime        : {breakdown}")
-    print(f"  wall clock     : {summary['wall_clock_seconds']:.1f}s")
-    return 0
+    else:
+        args.report(summary)
+    return 0 if summary.get("replay_match") in (True, None) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,9 +11,18 @@ to the paper's values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
-__all__ = ["TaserConfig"]
+__all__ = ["TaserConfig", "VARIANTS"]
+
+#: the four method rows of Table I, by command-line name:
+#: ``(label, adaptive_minibatch, adaptive_neighbor)``.
+VARIANTS: Dict[str, Tuple[str, bool, bool]] = {
+    "baseline": ("Baseline", False, False),
+    "ada-minibatch": ("w/ Ada. Mini-Batch", True, False),
+    "ada-neighbor": ("w/ Ada. Neighbor", False, True),
+    "taser": ("TASER", True, True),
+}
 
 
 @dataclass
@@ -146,10 +155,6 @@ class TaserConfig:
 
     def variant_name(self) -> str:
         """Row label matching Table I."""
-        if self.adaptive_minibatch and self.adaptive_neighbor:
-            return "TASER"
-        if self.adaptive_minibatch:
-            return "w/ Ada. Mini-Batch"
-        if self.adaptive_neighbor:
-            return "w/ Ada. Neighbor"
-        return "Baseline"
+        flags = (bool(self.adaptive_minibatch), bool(self.adaptive_neighbor))
+        return next(label for label, *row in VARIANTS.values()
+                    if tuple(row) == flags)

@@ -11,7 +11,7 @@ so noisy-but-informative samples are never starved.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 

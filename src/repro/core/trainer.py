@@ -345,20 +345,21 @@ class TaserTrainer:
     def fit(self, epochs: Optional[int] = None, evaluate_val: bool = True,
             evaluate_test: bool = True) -> TrainResult:
         """Train for ``epochs`` (default from the config) and evaluate."""
-        return train_and_evaluate(self, self.config.variant_name(), self.split,
-                                  epochs, evaluate_val, evaluate_test)
+        return train_and_evaluate(self, self.split, epochs, evaluate_val,
+                                  evaluate_test)
 
 
-def train_and_evaluate(trainer, variant: str, split: TemporalSplit,
+def train_and_evaluate(trainer, split: TemporalSplit,
                        epochs: Optional[int] = None, evaluate_val: bool = True,
                        evaluate_test: bool = True) -> TrainResult:
     """Train ``trainer`` for ``epochs`` (default from its config), then
     evaluate ``split``'s validation and test edges.
 
     The one ``fit`` of :class:`TaserTrainer` and the sharded trainer: both
-    hand in their variant label and the split they evaluate.  Every summary
-    is read off the stats that the epochs trained here return, so
-    evaluation traffic never enters ``cache_hit_rates``.
+    hand in the split they evaluate, and the result carries the config's
+    Table I label.  Every summary is read off the stats that the epochs
+    trained here return, so evaluation traffic never enters
+    ``cache_hit_rates``.
     """
     epochs = epochs if epochs is not None else trainer.config.epochs
     history = [trainer.train_epoch() for _ in range(epochs)]
@@ -371,7 +372,7 @@ def train_and_evaluate(trainer, variant: str, split: TemporalSplit,
     for stats in history:
         for key, value in stats.runtime.items():
             breakdown[key] = breakdown.get(key, 0.0) + value
-    return TrainResult(variant=variant, history=history,
+    return TrainResult(variant=trainer.config.variant_name(), history=history,
                        val_metrics=val_metrics, test_metrics=test_metrics,
                        runtime_breakdown=breakdown,
                        cache_hit_rates=[s.cache_hit_rate for s in history])

@@ -212,9 +212,8 @@ class ShardedTrainer:
             evaluate_test: bool = True) -> TrainResult:
         """Train for ``epochs`` (default from the config), then evaluate the
         full-graph split."""
-        return train_and_evaluate(
-            self, f"{self.config.variant_name()} x{self.num_workers}",
-            self._eval_trainer.split, epochs, evaluate_val, evaluate_test)
+        return train_and_evaluate(self, self._eval_trainer.split, epochs,
+                                  evaluate_val, evaluate_test)
 
     def shutdown(self) -> None:
         """Stop the worker pool.  The gradient buckets need no teardown:

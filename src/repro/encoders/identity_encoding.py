@@ -10,7 +10,7 @@ frequencies coincide with other nodes'.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 

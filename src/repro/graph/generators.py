@@ -30,8 +30,8 @@ that the planted structure is present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict
 
 import numpy as np
 

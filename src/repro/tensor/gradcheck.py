@@ -13,7 +13,7 @@ instead of comparing noise.  A test gets float64 modules by rebinding
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Sequence
 
 import numpy as np
 

@@ -269,9 +269,8 @@ def test_trainer_matches_reference_barrier(comms_graph, backend, workers):
 def test_run_train_summary_reports_comms(comms_graph, monkeypatch):
     monkeypatch.setattr(cli, "load_dataset",
                         lambda name, scale=1.0, seed=0: comms_graph)
-    parser = cli.build_train_parser()
-    args = parser.parse_args(["--workers", "2",
-                              "--epochs", "1", "--max-batches-per-epoch", "3"])
+    args = cli.build_parser().parse_args(["train", "--workers", "2", "--epochs",
+                                          "1", "--max-batches-per-epoch", "3"])
     summary = cli.run_train(args)
     assert summary["pool"] == "process"
     sync = summary["runtime_breakdown_seconds"]["SYNC"]
@@ -447,14 +446,13 @@ def test_config_has_no_comms_field(monkeypatch):
 
 def test_cli_comms_flag_and_env_validation(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_" + GONE.upper(), "bogus")
-    for build in (cli.build_parser, cli.build_train_parser,
-                  cli.build_stream_parser, cli.build_serve_parser):
-        parser = build()
+    parser = cli.build_parser()
+    for command in ("train", "stream", "serve"):
         with pytest.raises(SystemExit):
-            parser.parse_args(["--" + GONE, "shm"])
+            parser.parse_args([command, "--" + GONE, "shm"])
         assert "unrecognized arguments" in capsys.readouterr().err
         # the stale variable does not fail parsing
-        parser.parse_args([])
+        parser.parse_args([command])
 
 
 def test_cli_has_no_worker_backend_flag(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (AdaptiveNeighborSampler, MiniBatchGenerator, TaserConfig,
+from repro.core import (AdaptiveNeighborSampler, MiniBatchGenerator,
                         build_sample_loss)
 from repro.core.decoders import LinearDecoder
 from repro.core.neighbor_sampler import NeighborSelection

@@ -1,5 +1,6 @@
 """Tests for graph serialisation and the command-line experiment runner."""
 
+import argparse
 import inspect
 import json
 import os
@@ -13,8 +14,9 @@ import pytest
 
 import repro
 from repro import cli
-from repro.cli import build_parser, main, run
-from repro.graph import CTDGConfig, generate_ctdg
+from repro.cli import build_parser, main
+from repro.core import TaserConfig, TaserTrainer
+from repro.graph import CTDGConfig, generate_ctdg, load_dataset
 from repro.graph.io import save_graph, load_graph
 
 
@@ -49,18 +51,48 @@ class TestGraphIO:
         assert loaded.node_feat is not None
 
 
+#: the ``repro`` subcommands, one per workload.
+COMMANDS = ("train", "stream", "serve")
+
+
+def subparser(command):
+    """The parser of ``repro <command>``."""
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return commands.choices[command]
+
+
 class TestCLI:
     def test_parser_defaults(self):
-        args = build_parser().parse_args([])
+        args = build_parser().parse_args(["train"])
         assert args.dataset == "wikipedia"
-        assert args.variant == "taser"
+        assert args.variant == "baseline"
+        assert args.workers == 2
 
     def test_parser_rejects_unknown_dataset(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--dataset", "imaginary"])
+            build_parser().parse_args(["train", "--dataset", "imaginary"])
+
+    def test_no_subcommand_is_a_usage_error(self, capsys):
+        """``repro`` without a subcommand trains nothing: it exits 2 with a
+        usage line naming the three commands."""
+        with pytest.raises(SystemExit) as info:
+            main([])
+        assert info.value.code == 2
+        assert "{train,stream,serve}" in capsys.readouterr().err
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-m", "repro", "--dataset", "wikipedia"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "usage: repro" in proc.stderr
+        assert "{train,stream,serve}" in proc.stderr
 
     def test_run_baseline_tiny(self):
         args = build_parser().parse_args([
+            "train", "--workers", "1",
             "--dataset", "wikipedia", "--scale", "0.05",
             "--backbone", "graphmixer", "--variant", "baseline",
             "--epochs", "1", "--max-batches-per-epoch", "2",
@@ -68,46 +100,42 @@ class TestCLI:
             "--num-neighbors", "3", "--num-candidates", "6",
             "--eval-max-edges", "20", "--eval-negatives", "5",
         ])
-        summary = run(args)
+        summary = args.run(args)
         assert summary["variant"] == "Baseline"
         assert 0.0 <= summary["test_mrr"] <= 1.0
         assert "PP" in summary["runtime_breakdown_seconds"]
 
-    @pytest.mark.parametrize("build, readers", [
-        (cli.build_parser, (cli.run, cli._taser_config, cli.main)),
-        (cli.build_train_parser,
-         (cli.run_train, cli._taser_config, cli._train_main)),
-        (cli.build_stream_parser, (cli.run_stream, cli._stream_main)),
-        (cli.build_serve_parser, (cli.run_serve, cli._serve_main)),
-    ], ids=["default", "train", "stream", "serve"])
-    def test_no_dead_flags(self, build, readers):
-        """Every flag a parser accepts is read as ``args.<dest>`` by that
-        command's run function, ``_model_config`` (which every command
-        calls), ``_taser_config`` where the command calls it, or its
-        ``main``; an accepted flag nothing reads is silently ignored."""
+    @pytest.mark.parametrize("command, readers", [
+        ("train", (cli.run_train, cli._report_train)),
+        ("stream", (cli.run_stream, cli._report_stream)),
+        ("serve", (cli.run_serve, cli._report_serve)),
+    ], ids=COMMANDS)
+    def test_no_dead_flags(self, command, readers):
+        """Every flag a subcommand accepts is read as ``args.<dest>`` by that
+        command's run or report function, ``_model_config`` (which every
+        command calls) or ``main``; an accepted flag nothing reads is
+        silently ignored."""
         code = "\n".join(inspect.getsource(fn)
-                         for fn in readers + (cli._model_config,))
-        dead = [action.dest for action in build()._actions
+                         for fn in readers + (cli._model_config, cli.main))
+        dead = [action.dest for action in subparser(command)._actions
                 if action.dest != "help"
                 and not re.search(rf"\bargs\.{action.dest}\b", code)]
         assert dead == []
 
     def test_batch_engine_flag_plumbing(self, capsys):
-        """``--batch-engine`` is gone from both training parsers, with every
+        """``--batch-engine`` is gone from the training command, with every
         value it ever took, and no summary reports an engine."""
-        for build in (build_parser, cli.build_train_parser):
-            for gone in (["--batch-engine", "sync"], ["--batch-engine", "aot"],
-                         ["--batch-engine", "prefetch"],
-                         ["--prefetch-depth", "3"], ["--prep-pool-workers", "1"],
-                         ["--prep-cache-mb", "64"], ["--prep-backend", "fused"],
-                         ["--precision", "fp16"]):
-                with pytest.raises(SystemExit) as info:
-                    build().parse_args(gone)
-                assert info.value.code == 2
-                assert "unrecognized arguments" in capsys.readouterr().err
-        assert "batch_engine" not in vars(build_parser().parse_args([]))
-        for fn in (cli.run, cli.run_train, cli.run_stream, cli.main,
-                   cli._train_main, cli._stream_main):
+        for gone in (["--batch-engine", "sync"], ["--batch-engine", "aot"],
+                     ["--batch-engine", "prefetch"],
+                     ["--prefetch-depth", "3"], ["--prep-pool-workers", "1"],
+                     ["--prep-cache-mb", "64"], ["--prep-backend", "fused"],
+                     ["--precision", "fp16"]):
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(["train", *gone])
+            assert info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert "batch_engine" not in vars(build_parser().parse_args(["train"]))
+        for fn in (cli.run_train, cli.run_stream, cli.main):
             assert "batch_engine" not in inspect.getsource(fn)
 
     @pytest.mark.parametrize("flag", ["--hidden-dim", "--time-dim",
@@ -117,12 +145,11 @@ class TestCLI:
                                       "--eval-max-edges", "--epochs"])
     def test_model_size_flag_of_zero_rejected_at_parse_time(self, flag,
                                                             capsys):
-        for build in (build_parser, cli.build_train_parser,
-                      cli.build_stream_parser, cli.build_serve_parser):
-            if flag not in build()._option_string_actions:
+        for command in COMMANDS:
+            if flag not in subparser(command)._option_string_actions:
                 continue
             with pytest.raises(SystemExit) as info:
-                build().parse_args([flag, "0"])
+                build_parser().parse_args([command, flag, "0"])
             assert info.value.code == 2
             assert "must be >= 1" in capsys.readouterr().err
 
@@ -131,19 +158,19 @@ class TestCLI:
         ("--lr", "0", "must be > 0"),
         ("--rate", "0", "must be > 0"),
         ("--cache-ratio", "1.5", "must be in [0, 1]"),
+        ("--seed", "-1", "must be >= 0"),
     ])
     def test_out_of_range_float_flag_rejected_at_parse_time(self, flag, value,
                                                             message, capsys):
         # Each used to surface as a ValueError traceback from load_dataset,
-        # Adam, TaserConfig or EventStream (0 is legal for --cache-ratio).
-        parsers = [build for build in (build_parser, cli.build_train_parser,
-                                       cli.build_stream_parser,
-                                       cli.build_serve_parser)
-                   if flag in build()._option_string_actions]
-        assert parsers
-        for build in parsers:
+        # Adam, TaserConfig, EventStream or SeedSequence (0 is legal for
+        # --cache-ratio and --seed).
+        commands = [command for command in COMMANDS
+                    if flag in subparser(command)._option_string_actions]
+        assert commands
+        for command in commands:
             with pytest.raises(SystemExit) as info:
-                build().parse_args([flag, value])
+                build_parser().parse_args([command, flag, value])
             assert info.value.code == 2
             assert message in capsys.readouterr().err
 
@@ -156,6 +183,7 @@ class TestCLI:
 
     def test_main_json_output(self, capsys):
         code = main([
+            "train", "--workers", "1",
             "--scale", "0.05", "--variant", "ada-minibatch",
             "--epochs", "1", "--max-batches-per-epoch", "2",
             "--hidden-dim", "8", "--time-dim", "4",
@@ -178,7 +206,8 @@ class TestCLI:
         src = str(Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "--scale", "0.05", "--epochs", "1",
+            [sys.executable, "-m", "repro", "train", "--workers", "1",
+             "--scale", "0.05", "--epochs", "1",
              "--max-batches-per-epoch", "1", "--hidden-dim", "8", "--time-dim", "4",
              "--num-neighbors", "3", "--num-candidates", "6",
              "--eval-max-edges", "10", "--eval-negatives", "3", "--json"],
@@ -204,6 +233,7 @@ class TestTrainCLI:
                                        "--shard-policy", "hash", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["variant"] == "Baseline"
         assert payload["workers"] == 2
         assert payload["shard_policy"] == "hash"
         assert payload["shard_plan"]["num_shards"] == 2
@@ -219,19 +249,22 @@ class TestTrainCLI:
         assert "shards" in out
         assert "test MRR" in out
 
-    def test_train_single_worker_matches_default_runner(self, capsys):
-        """`repro train --workers 1` reproduces the default runner's loss."""
-        shared = ["--dataset", "wikipedia", "--scale", "0.05",
-                  "--variant", "baseline", "--epochs", "1",
-                  "--max-batches-per-epoch", "2", "--batch-size", "64",
-                  "--hidden-dim", "8", "--time-dim", "4",
-                  "--num-neighbors", "3", "--num-candidates", "6",
-                  "--eval-max-edges", "20", "--eval-negatives", "5", "--json"]
-        assert main(shared) == 0
-        single = json.loads(capsys.readouterr().out)
-        assert main(["train", "--workers", "1", *shared]) == 0
-        sharded = json.loads(capsys.readouterr().out)
-        assert sharded["final_model_loss"] == single["final_model_loss"]
+    def test_train_single_worker_matches_trainer_fit(self, capsys):
+        """`repro train --workers 1` reports what `TaserTrainer.fit` returns
+        for the same flags."""
+        assert main(self.TRAIN_ARGS + ["--workers", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        graph = load_dataset("wikipedia", scale=0.05, seed=0)
+        config = TaserConfig(
+            backbone="graphmixer", adaptive_minibatch=False,
+            adaptive_neighbor=False, epochs=1, max_batches_per_epoch=2,
+            batch_size=64, hidden_dim=8, time_dim=4, num_neighbors=3,
+            num_candidates=6, eval_max_edges=20, eval_negatives=5,
+            cache_ratio=0.2, lr=2e-3, seed=0, decoder="linear")
+        result = TaserTrainer(graph, config).fit()
+        assert payload["final_model_loss"] == result.history[-1].model_loss
+        assert payload["test_mrr"] == result.test_mrr
+        assert payload["variant"] == result.variant == "Baseline"
 
     def test_train_rejects_bad_flags(self, capsys):
         with pytest.raises(SystemExit):
@@ -321,6 +354,7 @@ class TestServeCLI:
         code = main(self.SERVE_ARGS + ["--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["variant"] == "Baseline"
         assert payload["num_queries"] == 60
         assert payload["served"] == 60
         assert payload["qps"] > 0

@@ -6,7 +6,7 @@ import pytest
 from repro.core import MiniBatchGenerator
 from repro.device import FeatureStore
 from repro.graph import build_tcsr
-from repro.models import (TGAT, GraphMixer, EdgePredictor, make_backbone, MiniBatch,
+from repro.models import (TGAT, GraphMixer, EdgePredictor, make_backbone,
                           HopData)
 from repro.sampling import GPUNeighborFinder
 from repro.tensor import Tensor, get_backend

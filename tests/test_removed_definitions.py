@@ -17,7 +17,8 @@ restated numbers went.  With the two-half step (backward, then apply) the
 sampler's own step half and the worker's three-call protocol went.  With the
 columnar serve pass the engine queues no object per query
 (``test_serve_queue_holds_no_per_query_objects``).  A cache keeps no hit
-account: it has one probe, and its caller counts hits from the mask.
+account: it has one probe, and its caller counts hits from the mask.  The
+command line is one parser with a subcommand per workload.
 """
 
 import importlib
@@ -130,6 +131,14 @@ GONE = {
     # T-CSR and grows it (``test_the_live_history_lives_in_the_generator``
     # checks the instance attributes).
     "repro.core.streaming:StreamingTrainer": ["_build_tcsr"],
+    # One ``repro`` parser, one subcommand per workload: the bare runner was
+    # ``repro train --workers 1``, and the four Table I rows are
+    # ``repro.core.config.VARIANTS``; ``fit`` labels a result by its config.
+    "repro.cli": ["run", "build_train_parser", "build_stream_parser",
+                  "build_serve_parser", "_train_main", "_stream_main",
+                  "_serve_main", "_add_training_cell_args", "_taser_config",
+                  "VARIANT_FLAGS"],
+    "repro.core.trainer:train_and_evaluate": ["variant"],
 }
 
 

@@ -290,10 +290,9 @@ class TestOneFinder:
         assert TaserConfig().finder == "gpu"
 
     def test_finder_flag_is_gone(self, capsys):
-        for build in (cli.build_parser, cli.build_train_parser,
-                      cli.build_serve_parser):
+        for command in ("train", "stream", "serve"):
             with pytest.raises(SystemExit) as info:
-                build().parse_args(["--finder", "gpu"])
+                cli.build_parser().parse_args([command, "--finder", "gpu"])
             assert info.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
 

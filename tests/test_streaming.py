@@ -2,7 +2,6 @@
 ingestion, event streams and the online prequential train/eval loop."""
 
 import copy
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from repro.core import (EventChunk, EventStream, StreamingTrainer, TaserConfig,
                         split_warmup)
 from repro.device.cache import DynamicFeatureCache
 from repro.graph import (DATASET_NAMES, CTDGConfig, StreamingTCSR,
-                         TemporalGraph, build_tcsr, generate_ctdg,
+                         TemporalGraph, build_tcsr,
                          generate_drift_sequence, load_dataset)
 
 
