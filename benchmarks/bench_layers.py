@@ -53,8 +53,10 @@ workload's training batches (counts only, no timing).
 ``tcsr_build`` times T-CSR construction on the graphs the four end-to-end
 workloads build one of (the serve engine's is the warm prefix) and on one
 graph of 70 000 nodes, past the 16-bit node key: ns per ``build_tcsr``, ns per
-``StreamingTCSR.from_graph(...).snapshot()`` and µs per event appended in
-chunks of 100 and 200 events (a serve ingest block, a stream chunk).
+``StreamingTCSR.from_graph(...).snapshot()`` (a ``build_tcsr`` plus a wrap)
+and µs per event appended in chunks of 100 and 200 events (a serve ingest
+block, a stream chunk), each append including its merge into a fresh
+compact T-CSR.
 
 ``train_step_memory`` follows the step configurations of the two train
 workloads (tgat + TASER and the GraphMixer baseline, seed 0, after one
@@ -458,9 +460,10 @@ def tcsr_graphs() -> dict:
 
 def tcsr_build_cell(repeats: int) -> dict:
     """Per graph: ns per ``build_tcsr``, ns per
-    ``StreamingTCSR.from_graph(...).snapshot()`` and µs per event appended in
-    chunks of ``APPEND_CHUNKS`` events onto a T-CSR seeded with the first
-    30 % of the events (the stream workload's warm prefix)."""
+    ``StreamingTCSR.from_graph(...).snapshot()`` (``build_tcsr`` plus a wrap)
+    and µs per event appended in chunks of ``APPEND_CHUNKS`` events onto a
+    T-CSR seeded with the first 30 % of the events (the stream workload's
+    warm prefix); an append merges its chunk into a fresh compact T-CSR."""
     cell = {}
     for name, graph in tcsr_graphs().items():
         warm = graph.select_events(np.arange(int(0.3 * graph.num_edges)))

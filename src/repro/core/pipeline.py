@@ -35,8 +35,8 @@ the finder nor the sampler holds random state.
 The generator is the only reader of the T-CSR (through its finder) and of
 the event log (through its feature store), so it holds the live history and
 is the one place it grows: :meth:`MiniBatchGenerator.ingest` appends a chunk
-to the log and to the streaming T-CSR it builds at the first ingest, and
-re-points the finder at the new snapshot.
+to the log and to the streaming T-CSR that wraps its finder's T-CSR, and
+re-points the finder at the merged T-CSR.
 """
 
 from __future__ import annotations
@@ -100,10 +100,9 @@ class MiniBatchGenerator:
         self.num_candidates = num_candidates
         self.adaptive_sampler = adaptive_sampler
         self.timer = timer if timer is not None else Timer()
-        #: the streaming T-CSR of the live history: built by the first
-        #: accepted :meth:`ingest`, so a generator that never ingests holds
-        #: only its finder's compact T-CSR.
-        self.stcsr: Optional[StreamingTCSR] = None
+        #: the streaming T-CSR of the live history: it wraps the finder's
+        #: T-CSR, so a generator that never ingests holds no other array.
+        self.stcsr = StreamingTCSR(finder.tcsr)
 
     # -- live history ------------------------------------------------------------
 
@@ -111,19 +110,16 @@ class MiniBatchGenerator:
                edge_feat: Optional[np.ndarray] = None) -> None:
         """Grow the live history by one chunk of events.
 
-        The event log is the feature store's graph.  The first call builds
-        the streaming T-CSR over the log as it stood before the chunk.  The
-        chunk is then appended to the log, which checks it (a rejected chunk
-        raises ``ValueError`` and leaves log and heap as they were), then to
-        the heap, and the finder is re-pointed at the heap's snapshot, which
-        is bitwise :func:`~repro.graph.tcsr.build_tcsr` of the log.
+        The event log is the feature store's graph.  The chunk is appended
+        to the log, which checks it (a rejected chunk raises ``ValueError``
+        and leaves log and T-CSR as they were), then merged into the
+        streaming T-CSR, and the finder is re-pointed at the merged T-CSR,
+        which is bitwise :func:`~repro.graph.tcsr.build_tcsr` of the log.
         """
-        stcsr = self.stcsr
-        if stcsr is None:
-            stcsr = StreamingTCSR.from_graph(self.feature_store.graph)
         self.feature_store.graph.append_events(src, dst, ts, edge_feat)
-        self.stcsr = stcsr.append(src, dst, ts)
-        self.finder = GPUNeighborFinder(stcsr.snapshot(), policy=self.finder.policy)
+        self.stcsr.append(src, dst, ts)
+        self.finder = GPUNeighborFinder(self.stcsr.snapshot(),
+                                        policy=self.finder.policy)
 
     # -- helpers -----------------------------------------------------------------
 

@@ -21,10 +21,10 @@ that workload:
        event is evaluated exactly once, by a model that has never seen it;
     2. **ingestion**: the mini-batch generator grows the live history
        (:meth:`~repro.core.pipeline.MiniBatchGenerator.ingest`): the event
-       log in place, the incremental :class:`~repro.graph.StreamingTCSR`
-       that the first ingest builds (amortized O(chunk), no rebuild) and the
-       finder over its snapshot; the device feature cache's edge universe
-       grows with the log;
+       log in place, the :class:`~repro.graph.StreamingTCSR`, which merges
+       the chunk into a fresh compact T-CSR (no re-sort of the log), and the
+       finder over it; the device feature cache's edge universe grows with
+       the log;
     3. **sliding-window training**: one (or more) passes over the most recent
        ``window_events`` events through the mini-batch engine (its prep
        runtime re-pointed per window at the new split; model/optimiser state
@@ -270,8 +270,8 @@ class StreamingTrainer(TaserTrainer):
     Construction warm-starts from ``warmup_graph`` (typically the prefix
     returned by :func:`split_warmup`): the model, optimisers, feature store
     and negative samplers are built once and persist across the whole stream.
-    Per ingested chunk the generator grows the live history (an
-    incremental snapshot, never a rebuild, under its finder) and the prep
+    Per ingested chunk the generator grows the live history (a merge of the
+    chunk into its T-CSR, never a rebuild, under its finder) and the prep
     runtime's split and selector move to the new window, which is cheap
     relative to training.  The training batches'
     generator is the warm-start trainer's, one stream across every window.

@@ -34,6 +34,9 @@ def destination_pool(graph: TemporalGraph) -> np.ndarray:
 class NegativeSampler:
     """Draws negative destinations, avoiding the paired positive node."""
 
+    #: rounds of whole-pool redraws of the clashes before the fallback.
+    REDRAW_ROUNDS = 10
+
     def __init__(self, graph: TemporalGraph, seed: int = 0) -> None:
         self.pool = destination_pool(graph)
         if self.pool.size < 2:
@@ -41,15 +44,27 @@ class NegativeSampler:
         self.rng = new_rng(seed)
 
     def sample(self, size: int, exclude: Optional[np.ndarray] = None) -> np.ndarray:
-        """Draw ``size`` destinations; ``exclude[i]`` is resampled away if hit."""
+        """Draw ``size`` destinations; ``exclude[i]`` is resampled away if hit.
+
+        A clash is redrawn from the whole pool for up to ``REDRAW_ROUNDS``
+        rounds; a clash left after them takes one uniform draw from the pool
+        without its positive, so no negative equals its positive.
+        """
         draws = self.rng.choice(self.pool, size=size, replace=True)
-        if exclude is not None:
-            exclude = np.asarray(exclude, dtype=np.int64)
-            for _ in range(10):
-                clash = draws == exclude
-                if not clash.any():
-                    break
-                draws[clash] = self.rng.choice(self.pool, size=int(clash.sum()), replace=True)
+        if exclude is None:
+            return draws
+        exclude = np.asarray(exclude, dtype=np.int64)
+        for _ in range(self.REDRAW_ROUNDS):
+            clash = draws == exclude
+            if not clash.any():
+                return draws
+            draws[clash] = self.rng.choice(self.pool, size=int(clash.sum()), replace=True)
+        clash = np.flatnonzero(draws == exclude)
+        if clash.size:
+            # The pool is sorted: skip the positive's slot in it.
+            skip = np.searchsorted(self.pool, exclude[clash])
+            offset = self.rng.integers(0, self.pool.size - 1, size=clash.size)
+            draws[clash] = self.pool[offset + (offset >= skip)]
         return draws
 
     def sample_matrix(self, batch: int, per_positive: int,

@@ -18,12 +18,12 @@ Canonical segment order
 Entries inside a node segment are ordered by ``(ts, event id, direction)``
 with the forward half-edge before the reverse one.  For chronologically
 sorted event logs this is exactly the order in which a live stream appends
-half-edges, so :class:`StreamingTCSR` — the incrementally appendable variant
-that a live history grows (:meth:`~repro.core.pipeline.MiniBatchGenerator.ingest`)
-— produces snapshots **bitwise-identical** to a one-shot :func:`build_tcsr`
-over the same events (asserted by the streaming test suite).  It checks a
-chunk with the event log's own checker,
-:func:`~repro.graph.temporal_graph.check_chunk`.
+half-edges, so :class:`StreamingTCSR` — the T-CSR a live history grows
+(:meth:`~repro.core.pipeline.MiniBatchGenerator.ingest`), which merges each
+appended chunk into a fresh compact :class:`TCSR` — holds a T-CSR
+**bitwise-identical** to a one-shot :func:`build_tcsr` over the same events
+(asserted by the streaming test suite).  It checks a chunk with the event
+log's own checker, :func:`~repro.graph.temporal_graph.check_chunk`.
 
 Construction cost
 -----------------
@@ -32,7 +32,9 @@ cast to the narrowest unsigned dtype that holds ``num_nodes - 1``.  Up to
 65 536 nodes (every generated graph here; the paper's Wikipedia, Reddit and
 GDELT) that key is 8 or 16 bits and NumPy's stable sort is an ``O(E)`` radix
 sort; on wider keys it is ``O(E log E)``.  :func:`build_tcsr` first
-stable-sorts the timestamps, linear on a chronological log (one run).
+stable-sorts the timestamps, linear on a chronological log (one run).  An
+append sorts only its chunk, then writes every entry of the merged T-CSR
+once: ``O(E + chunk)``.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ class TCSR:
         self.ts = np.ascontiguousarray(self.ts, dtype=np.float64)
         # Lazily-built composite probe keys for the batched pivot search (see
         # :meth:`pivots`).  The arrays above are treated as immutable after
-        # construction (the streaming builder emits a *fresh* TCSR per
-        # snapshot), so the cache never needs invalidation.
+        # construction (a streaming append merges into a *fresh* TCSR), so
+        # the cache never needs invalidation.
         self._probe_cache: Optional[Tuple[np.ndarray, int, np.ndarray]] = None
 
     @property
@@ -175,13 +177,6 @@ def _node_order(rows: np.ndarray, num_nodes: int) -> np.ndarray:
     return np.argsort(rows.astype(key), kind="stable")
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``
-    in one ``repeat``."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-
-
 def build_tcsr(graph: TemporalGraph) -> TCSR:
     """Build the T-CSR adjacency from an event list.
 
@@ -207,67 +202,31 @@ def build_tcsr(graph: TemporalGraph) -> TCSR:
 
 
 class StreamingTCSR:
-    """Incrementally appendable T-CSR with amortized-doubling segment growth.
+    """A live history's T-CSR: one compact :class:`TCSR` that each append
+    replaces.
 
-    The batch :func:`build_tcsr` sorts the full half-edge list on every
-    rebuild (``O(E)`` up to 65 536 nodes, see the module docstring), which a
-    live event stream cannot afford on every arrival.  ``StreamingTCSR``
-    instead keeps every node's temporal adjacency segment in a shared
-    physical heap *with slack capacity*:
-
-    * :meth:`append` places a chunk of chronologically ordered events at its
-      nodes' segment tails in ``O(chunk)`` amortized time, independent of
-      the number of nodes;
-    * a segment that outgrows its capacity is relocated to the end of the heap
-      with its capacity doubled (classic amortized doubling; all of a chunk's
-      relocations are one gather / scatter per heap array), and the heap
-      itself also grows geometrically, so the per-half-edge append cost is
-      ``O(1)`` amortized;
-    * :meth:`snapshot` compacts the padded segments into an exact
-      :class:`TCSR` in one vectorised gather — **bitwise-identical** to
-      ``build_tcsr`` over the same event log (the canonical segment order
-      ``(ts, event id, direction)`` equals chronological arrival order).
-
-    Abandoned segment slots (holes left behind by relocation) are bounded by
-    the geometric growth at roughly 2x the live capacity.  Snapshots are
-    cached and invalidated by the next append, so alternating ingest/train
-    phases pay the ``O(E)`` gather once per window.
+    :meth:`append` orders the chunk's half-edges by node as
+    :func:`build_tcsr` does and merges them into one fresh :class:`TCSR`:
+    every old segment keeps its entries in order, moved up by the chunk
+    entries of the nodes before it, and the chunk's per-node runs go to the
+    segments' tails.  The merge writes every entry once (``O(E + chunk)``),
+    and its result is **bitwise-identical** to ``build_tcsr`` over the same
+    chronological event log, since the canonical segment order
+    ``(ts, event id, direction)`` is the order of arrival.  :meth:`snapshot`
+    returns the held :class:`TCSR`; it is never written, so a finder that
+    reads it goes on reading the history as it stood.
     """
 
-    #: capacity multiplier applied when a segment is relocated.
-    GROWTH = 2.0
-    #: smallest capacity allocated to a non-empty segment.
-    MIN_SEGMENT_CAPACITY = 4
-
-    def __init__(self, num_nodes: int, initial_capacity: int = 1024) -> None:
-        if num_nodes <= 0:
-            raise ValueError("num_nodes must be positive")
-        self.num_nodes = int(num_nodes)
-        self._seg_start = np.zeros(self.num_nodes, dtype=np.int64)
-        self._seg_len = np.zeros(self.num_nodes, dtype=np.int64)
-        self._seg_cap = np.zeros(self.num_nodes, dtype=np.int64)
-        capacity = max(int(initial_capacity), 1)
-        # Nothing reads past a segment's live length: the heap starts empty.
-        self._indices = np.empty(capacity, dtype=np.int64)
-        self._eid = np.empty(capacity, dtype=np.int64)
-        self._ts = np.empty(capacity, dtype=np.float64)
-        #: physical high-water mark of the heap (allocated segment space).
-        self._heap_end = 0
-        self._num_events = 0
-        self._num_entries = 0
-        self._last_ts = -np.inf
-        self._snapshot: Optional[TCSR] = None
+    def __init__(self, tcsr: TCSR) -> None:
+        self._tcsr = tcsr
+        #: events so far (two half-edges each): the next event id.
+        self._num_events = tcsr.num_entries // 2
+        self._last_ts = float(tcsr.ts.max()) if tcsr.num_entries else -np.inf
 
     @classmethod
     def from_graph(cls, graph: TemporalGraph) -> "StreamingTCSR":
-        """Seed a streaming T-CSR with an existing (chronological) event log."""
-        g = graph if graph.is_chronological else graph.sort_by_time()
-        # Two half-edges per event, with 2x slack.
-        stcsr = cls(g.num_nodes, initial_capacity=max(1024, 4 * g.num_edges))
-        stcsr.append(g.src, g.dst, g.ts)
-        return stcsr
-
-    # -- properties -----------------------------------------------------------
+        """Wrap :func:`build_tcsr` of an event log."""
+        return cls(build_tcsr(graph))
 
     @property
     def num_events(self) -> int:
@@ -276,95 +235,45 @@ class StreamingTCSR:
 
     @property
     def num_entries(self) -> int:
-        """Number of live adjacency entries (half-edges)."""
-        return self._num_entries
-
-    # -- ingestion ------------------------------------------------------------
+        """Number of adjacency entries (half-edges)."""
+        return self._tcsr.num_entries
 
     def append(self, src: np.ndarray, dst: np.ndarray, ts: np.ndarray
                ) -> "StreamingTCSR":
-        """Append a chunk of chronologically ordered events.
+        """Merge a chunk of chronologically ordered events into a fresh T-CSR.
 
         Event ids continue the running counter (``num_events``), matching the
         row order of the event log's edge-feature matrix.  The chunk must
         pass the event log's own rules (:func:`~repro.graph.temporal_graph.check_chunk`);
         a rejected chunk raises ``ValueError`` and changes nothing.
         """
-        src, dst, ts = check_chunk(src, dst, ts, self.num_nodes, self._last_ts)
+        old = self._tcsr
+        src, dst, ts = check_chunk(src, dst, ts, old.num_nodes, self._last_ts)
         k = int(src.size)
         if k == 0:
             return self
 
         eid = np.arange(self._num_events, self._num_events + k, dtype=np.int64)
         rows, cols, eids, tss = _half_edges(src, dst, eid, ts)
-
-        # The chunk's entries in node order (stable: arrival order per node),
-        # as runs of ``counts`` entries for each distinct node it touches.
-        order = _node_order(rows, self.num_nodes)
-        rows_s = rows[order]
-        # edge[i]: one node's run starts at entry i (or, last, the chunk ends).
-        edge = np.empty(rows_s.size + 1, dtype=bool)
-        edge[0] = edge[-1] = True
-        np.not_equal(rows_s[1:], rows_s[:-1], out=edge[1:-1])
-        bounds = np.flatnonzero(edge)
-        nodes, counts = rows_s[bounds[:-1]], bounds[1:] - bounds[:-1]
-        growing = self._seg_len[nodes] + counts > self._seg_cap[nodes]
-        if growing.any():
-            self._grow_segments(nodes[growing], counts[growing])
-
-        # Scatter the runs to their segment tails.
-        pos = _ranges(self._seg_start[nodes] + self._seg_len[nodes], counts)
-        self._indices[pos] = cols[order]
-        self._eid[pos] = eids[order]
-        self._ts[pos] = tss[order]
-
-        self._seg_len[nodes] += counts
+        order = _node_order(rows, old.num_nodes)
+        indptr = old.indptr.copy()
+        indptr[1:] += np.cumsum(np.bincount(rows, minlength=old.num_nodes))
+        # The j-th chunk entry in node order, of node v, lands past the old
+        # segments of nodes 0..v and the j chunk entries before it.
+        pos = old.indptr[rows[order] + 1] + np.arange(rows.size)
+        old_slot = np.ones(int(indptr[-1]), dtype=bool)
+        old_slot[pos] = False
+        merged = []
+        for before, chunk in ((old.indices, cols), (old.eid, eids), (old.ts, tss)):
+            array = np.empty(old_slot.size, dtype=before.dtype)
+            array[old_slot] = before
+            array[pos] = chunk[order]
+            merged.append(array)
+        self._tcsr = TCSR(indptr, *merged, num_nodes=old.num_nodes)
         self._num_events += k
-        self._num_entries += int(rows.size)
         self._last_ts = float(ts[-1])
-        self._snapshot = None
         return self
 
-    def _grow_segments(self, nodes: np.ndarray, incoming: np.ndarray) -> None:
-        """Relocate overflowing segments to the heap end with doubled capacity."""
-        need = self._seg_len[nodes] + incoming
-        new_caps = np.maximum(self.MIN_SEGMENT_CAPACITY,
-                              np.ceil(self.GROWTH * need)).astype(np.int64)
-        self._reserve(self._heap_end + int(new_caps.sum()))
-        starts = self._heap_end + np.cumsum(new_caps) - new_caps
-        lengths = self._seg_len[nodes]
-        to, frm = _ranges(starts, lengths), _ranges(self._seg_start[nodes], lengths)
-        for heap in (self._indices, self._eid, self._ts):
-            heap[to] = heap[frm]
-        self._seg_start[nodes] = starts
-        self._seg_cap[nodes] = new_caps
-        self._heap_end += int(new_caps.sum())
-
-    def _reserve(self, total: int) -> None:
-        """Grow the physical heap geometrically to hold ``total`` entries."""
-        if total <= self._indices.shape[0]:
-            return
-        new_size = max(int(total), 2 * self._indices.shape[0])
-        for name in ("_indices", "_eid", "_ts"):
-            old = getattr(self, name)
-            fresh = np.empty(new_size, dtype=old.dtype)
-            fresh[:self._heap_end] = old[:self._heap_end]
-            setattr(self, name, fresh)
-
-    # -- reading --------------------------------------------------------------
-
     def snapshot(self) -> TCSR:
-        """Compact into an exact :class:`TCSR` (cached until the next append).
-
-        The result is bitwise-identical to ``build_tcsr`` over the same
-        chronological event log — the invariant the streaming subsystem's
-        property tests pin down.
-        """
-        if self._snapshot is None:
-            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-            np.cumsum(self._seg_len, out=indptr[1:])
-            gather = _ranges(self._seg_start, self._seg_len)
-            self._snapshot = TCSR(indptr=indptr, indices=self._indices[gather],
-                                  eid=self._eid[gather], ts=self._ts[gather],
-                                  num_nodes=self.num_nodes)
-        return self._snapshot
+        """The held :class:`TCSR`: bitwise ``build_tcsr`` of the log so far."""
+        return self._tcsr

@@ -21,7 +21,7 @@ from repro.core.streaming import StreamingTrainer, split_warmup
 from repro.eval import evaluator as evaluator_mod
 from repro.eval import (reciprocal_ranks, mrr, hits_at_k, ranking_report,
                         destination_pool, NegativeSampler)
-from repro.graph import CTDGConfig, generate_ctdg
+from repro.graph import CTDGConfig, TemporalGraph, generate_ctdg
 from repro.sampling import NeighborFinder
 
 
@@ -108,6 +108,52 @@ class TestNegativeSampling:
         a = NegativeSampler(small_graph, seed=5).sample(100)
         b = NegativeSampler(small_graph, seed=5).sample(100)
         assert np.array_equal(a, b)
+
+    @staticmethod
+    def pool_graph(destinations):
+        """A log whose destination pool is ``destinations`` (not bipartite)."""
+        dst = np.asarray(destinations)
+        return TemporalGraph(src=np.zeros(dst.size, dtype=np.int64), dst=dst,
+                             ts=np.arange(dst.size, dtype=np.float64),
+                             num_nodes=int(dst.max()) + 1)
+
+    def test_no_negative_equals_its_positive(self):
+        """On a two-destination pool half the draws clash each round, so
+        about ten of 20 000 outlast the redraw rounds; each of them takes
+        the other destination."""
+        sampler = NegativeSampler(self.pool_graph([1, 2]), seed=0)
+        draws = sampler.sample(20000, exclude=np.full(20000, 2))
+        assert (draws == 1).all()
+
+    def test_a_leftover_clash_draws_uniformly_from_the_rest_of_the_pool(
+            self, monkeypatch):
+        """With no redraw round every clash takes the fallback: a uniform
+        draw from the pool without its positive, at either end of the pool
+        or inside it."""
+        monkeypatch.setattr(NegativeSampler, "REDRAW_ROUNDS", 0)
+        pool = np.array([3, 5, 6, 9])
+        sampler = NegativeSampler(self.pool_graph(pool), seed=0)
+        exclude = np.repeat(pool, 20000)
+        draws = sampler.sample(exclude.size, exclude=exclude)
+        assert np.isin(draws, pool).all() and not (draws == exclude).any()
+        for positive in pool:
+            mine = draws[exclude == positive]
+            shares = np.array([(mine == other).mean() for other in pool
+                               if other != positive])
+            assert np.abs(shares - 1 / 3).max() < 0.02, (positive, shares)
+
+    def test_converged_rounds_draw_as_the_redraw_loop(self, small_graph):
+        """When the redraw rounds leave no clash the fallback draws nothing,
+        so the stream is the plain redraw loop's."""
+        exclude = np.repeat(destination_pool(small_graph)[:4], 500)
+        draws = NegativeSampler(small_graph, seed=3).sample(exclude.size, exclude)
+        rng = np.random.default_rng(3)
+        pool = destination_pool(small_graph)
+        want = rng.choice(pool, size=exclude.size, replace=True)
+        while (want == exclude).any():
+            clash = want == exclude
+            want[clash] = rng.choice(pool, size=int(clash.sum()), replace=True)
+        assert np.array_equal(draws, want)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,13 @@ history, grown only by :meth:`MiniBatchGenerator.ingest
 ingests (valid and rejected) into the trainer and into engines, engine
 construction, scoring and training windows, and checks after every step:
 
-* every generator's finder reads a snapshot bitwise equal to
-  ``build_tcsr`` of its log, and the snapshot of its heap once it has one;
+* every generator's finder reads the snapshot of its streaming T-CSR,
+  bitwise equal to ``build_tcsr`` of its log;
 * every log holds exactly the events accepted into it, so an engine's ingest
   never changes its source's arrays and a source's ingest never changes an
   engine's;
 * an engine that has accepted a chunk shares no array with any other log;
-* a rejected chunk leaves the log and the heap as they were;
+* a rejected chunk leaves the log and the T-CSR as they were;
 * an engine scores bitwise like a twin built over a private copy of its
   source's log and fed the same chunks.
 """
@@ -47,8 +47,8 @@ MAX_ENGINES = 3
 def make_chunk(graph, size, seed, rejection):
     """``size`` events after ``graph``'s last one, spoiled by ``rejection``
     unless it is ``None``.
-    Sources come from three hot nodes, so segments outgrow their capacity
-    and the heap relocates them."""
+    Sources come from three hot nodes, so a few segments take most of each
+    chunk."""
     rng = np.random.default_rng(seed)
     size = max(size, 2) if rejection == "unsorted" else size
     last = float(graph.ts[-1])
@@ -114,11 +114,10 @@ class LiveHistoryMachine(RuleBasedStateMachine):
 
     def _rejected(self, owner, ingest, rejection, size, seed):
         """Feed a bad chunk to ``ingest``: it raises, and ``owner``'s log and
-        heap are as they were."""
+        T-CSR are as they were."""
         generator = owner.generator
-        heap = generator.stcsr
-        before = None if heap is None else (heap.num_events,
-                                            tcsr_bytes(heap.snapshot()))
+        stcsr, held = generator.stcsr, generator.stcsr.snapshot()
+        before = (stcsr.num_events, tcsr_bytes(held))
         log = events_of(owner.graph)
         chunk = make_chunk(owner.graph, size, seed, rejection)
         try:
@@ -127,9 +126,8 @@ class LiveHistoryMachine(RuleBasedStateMachine):
             pass
         else:
             raise AssertionError(f"a chunk with {rejection} was accepted")
-        assert generator.stcsr is heap
-        if heap is not None:
-            assert (heap.num_events, tcsr_bytes(heap.snapshot())) == before
+        assert generator.stcsr is stcsr and stcsr.snapshot() is held
+        assert (stcsr.num_events, tcsr_bytes(held)) == before
         for name, array in log.items():
             assert getattr(owner.graph, name).tobytes() == array.tobytes(), name
 
@@ -207,10 +205,8 @@ class LiveHistoryMachine(RuleBasedStateMachine):
             generator = owner.generator
             snapshot = generator.finder.tcsr
             assert tcsr_bytes(snapshot) == tcsr_bytes(build_tcsr(owner.graph))
-            heap = generator.stcsr
-            if heap is not None:
-                assert heap.num_events == owner.graph.num_edges
-                assert snapshot is heap.snapshot()
+            assert generator.stcsr.num_events == owner.graph.num_edges
+            assert snapshot is generator.stcsr.snapshot()
 
     @invariant()
     def an_engine_that_ingested_shares_nothing(self):

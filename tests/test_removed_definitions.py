@@ -18,7 +18,10 @@ sampler's own step half and the worker's three-call protocol went.  With the
 columnar serve pass the engine queues no object per query
 (``test_serve_queue_holds_no_per_query_objects``).  A cache keeps no hit
 account: it has one probe, and its caller counts hits from the mask.  The
-command line is one parser with a subcommand per workload.
+command line is one parser with a subcommand per workload.  A live history's
+T-CSR is one compact T-CSR that each append merges into a fresh one, so the
+slack heap, its segment bookkeeping and its snapshot cache went (the
+instance attributes are checked by ``test_the_streaming_tcsr_holds_no_heap``).
 """
 
 import importlib
@@ -60,8 +63,12 @@ GONE = {
                                                  "timespan"],
     "repro.graph.splits:TemporalSplit": ["boundaries"],
     "repro.graph.tcsr:TCSR": ["degree", "degrees"],
+    "repro.graph.tcsr": ["_ranges"],
     "repro.graph.tcsr:StreamingTCSR": ["compact", "last_timestamp",
-                                       "physical_size", "add_reverse"],
+                                       "physical_size", "add_reverse",
+                                       "_grow_segments", "_reserve", "GROWTH",
+                                       "MIN_SEGMENT_CAPACITY",
+                                       "initial_capacity"],
     "repro.graph.tcsr:StreamingTCSR.from_graph": ["add_reverse"],
     "repro.graph.tcsr:build_tcsr": ["add_reverse"],
     "repro.graph.tcsr:_half_edges": ["add_reverse"],
@@ -231,8 +238,9 @@ def test_serve_queue_holds_no_per_query_objects():
 
 def test_the_live_history_lives_in_the_generator():
     """No trainer or engine holds a T-CSR of its own, a finder policy beside
-    its finder's, or an epoch history: the generator holds the T-CSR and its
-    streaming heap, and ``train_epoch`` returns its stats."""
+    its finder's, or an epoch history: the generator holds the T-CSR, whose
+    streaming wrapper is its finder's T-CSR until an ingest, and
+    ``train_epoch`` returns its stats."""
     from repro.core import StreamingTrainer, TaserConfig, TaserTrainer
     from repro.distributed import ShardedTrainer
     from repro.graph import CTDGConfig, generate_ctdg
@@ -251,4 +259,20 @@ def test_the_live_history_lives_in_the_generator():
     for owner in owners:
         held = {"tcsr", "stcsr", "history", "finder_policy"} & set(vars(owner))
         assert held == set(), type(owner).__name__
-    assert all(owner.generator.stcsr is None for owner in owners[:3])
+    assert all(owner.generator.stcsr.snapshot() is owner.generator.finder.tcsr
+               for owner in owners[:3])
+
+
+def test_the_streaming_tcsr_holds_no_heap():
+    """A streaming T-CSR holds one compact T-CSR, its event count and its
+    last timestamp: no slack heap, segment bookkeeping or snapshot cache."""
+    from repro.graph import StreamingTCSR, TemporalGraph
+
+    stcsr = StreamingTCSR.from_graph(TemporalGraph(
+        num_nodes=3, src=np.array([0]), dst=np.array([1]), ts=np.array([1.0])))
+    stcsr.append(np.array([1]), np.array([2]), np.array([2.0]))
+    gone = {"_seg_start", "_seg_len", "_seg_cap", "_heap_end", "_indices",
+            "_eid", "_ts", "_snapshot"}
+    assert gone & set(vars(stcsr)) == set()
+    assert [value for value in vars(stcsr).values()
+            if isinstance(value, np.ndarray)] == []

@@ -350,10 +350,11 @@ class TestServeEngineEdgeCases:
         before = engine.graph.num_edges
         last = float(engine.graph.ts[-1])
         feat = np.zeros((1, engine.graph.edge_dim), dtype=np.float32)
+        held = engine.generator.finder.tcsr
         with pytest.raises(ValueError, match="integers"):
             engine.ingest(np.array([1.7]), np.array([2.2]), np.array([last + 1.0]), feat)
         assert engine.graph.num_edges == before
-        assert engine.generator.stcsr is None
+        assert engine.generator.stcsr.snapshot() is held
 
     def test_unseen_node_at_time_t(self, trained):
         # At t = first timestamp no node has any history yet: the temporal
@@ -447,10 +448,11 @@ class TestServeEngineEdgeCases:
         before = engine.graph.num_edges
         last = float(engine.graph.ts[-1])
         feat = np.zeros((1, engine.graph.edge_dim), dtype=np.float32)
+        held = engine.generator.finder.tcsr
         with pytest.raises(ValueError, match="finite"):
             engine.ingest(np.array([0]), np.array([1]), np.array([bad]), feat)
         assert engine.graph.num_edges == before
-        assert engine.generator.stcsr is None
+        assert engine.generator.stcsr.snapshot() is held
         engine.ingest(np.array([0]), np.array([1]), np.array([last + 1.0]), feat)
         assert engine.generator.stcsr.num_events == engine.graph.num_edges == before + 1
 
@@ -458,18 +460,18 @@ class TestServeEngineEdgeCases:
             self, trained, queries):
         """An all-NaN feature chunk used to be accepted, and every later
         score that sampled it read ``nan``.  Rejected at the first ingest, it
-        leaves the log as it was and builds no streaming heap: the engine
-        then ingests and scores bitwise like a twin that never saw the bad
-        chunk."""
+        leaves the log and the T-CSR as they were: the engine then ingests
+        and scores bitwise like a twin that never saw the bad chunk."""
         engine, twin = make_engine(trained), make_engine(trained)
         last = float(engine.graph.ts[-1])
         dim = engine.graph.edge_dim
+        held = engine.generator.finder.tcsr
         with pytest.raises(ValueError, match="edge features must be finite"):
             engine.ingest(np.array([0, 1]), np.array([1, 2]),
                           np.array([last + 1.0, last + 2.0]),
                           np.full((2, dim), np.nan, dtype=np.float32))
         assert engine.graph.num_edges == trained.graph.num_edges
-        assert engine.generator.stcsr is None
+        assert engine.generator.stcsr.snapshot() is held
         good = (np.array([0, 1]), np.array([1, 2]),
                 np.array([last + 1.0, last + 2.0]),
                 np.ones((2, dim), dtype=np.float32))
@@ -665,16 +667,16 @@ TCSR_ARRAYS = ("indptr", "indices", "eid", "ts")
 
 class TestSharedHistory:
     """An engine copies no history until it ingests: its event log is
-    read-only views of the source's arrays and its generator holds only the
-    finder's compact T-CSR; the first accepted ingest moves the log into
-    private buffers and builds the streaming heap."""
+    read-only views of the source's arrays and its generator's streaming
+    T-CSR is the finder's compact T-CSR; the first accepted ingest moves the
+    log into private buffers, and each merges its chunk into a fresh T-CSR."""
 
     def test_a_fresh_engine_shares_the_trainers_events(self, trained):
         engine = make_engine(trained)
         for name in EVENT_ARRAYS:
             assert np.shares_memory(getattr(engine.graph, name),
                                     getattr(trained.graph, name)), name
-        assert engine.generator.stcsr is None
+        assert engine.generator.stcsr.snapshot() is engine.generator.finder.tcsr
         want = StreamingTCSR.from_graph(trained.graph).snapshot()
         for name in TCSR_ARRAYS:
             got = getattr(engine.generator.finder.tcsr, name)
@@ -698,7 +700,7 @@ class TestSharedHistory:
                       np.ones((1, engine.graph.edge_dim), dtype=np.float32))
         assert engine.generator.stcsr.num_events == engine.graph.num_edges \
             == graph["src"].size + 1
-        assert trained.generator.stcsr is None
+        assert trained.generator.stcsr.snapshot() is source
         assert trained.generator.finder.tcsr is source
         for name in EVENT_ARRAYS:
             assert not np.shares_memory(getattr(engine.graph, name),

@@ -21,6 +21,13 @@ def assert_tcsr_equal(a, b):
         assert np.array_equal(left, right), f"{name} differs"
 
 
+def empty_log(num_nodes):
+    """An event log of ``num_nodes`` nodes and no events."""
+    return TemporalGraph(src=np.empty(0, dtype=np.int64),
+                         dst=np.empty(0, dtype=np.int64), ts=np.empty(0),
+                         num_nodes=num_nodes)
+
+
 def stream_config(**overrides):
     base = dict(backbone="graphmixer", adaptive_minibatch=False,
                 adaptive_neighbor=False, hidden_dim=8, time_dim=4,
@@ -37,7 +44,7 @@ class TestStreamingTCSR:
         identical to a one-shot build, for every dataset preset."""
         graph = load_dataset(name, scale=0.05, seed=3)
         reference = build_tcsr(graph)
-        stcsr = StreamingTCSR(graph.num_nodes, initial_capacity=8)
+        stcsr = StreamingTCSR.from_graph(empty_log(graph.num_nodes))
         step = 61  # deliberately not a divisor of the event count
         for lo in range(0, graph.num_edges, step):
             hi = min(lo + step, graph.num_edges)
@@ -57,14 +64,14 @@ class TestStreamingTCSR:
         dst = rng.integers(0, 15, size=n)
         ts = np.sort(rng.integers(0, 25, size=n)).astype(np.float64)
         graph = TemporalGraph(src=src, dst=dst, ts=ts, num_nodes=15)
-        stcsr = StreamingTCSR(15, initial_capacity=4)
-        for lo in range(0, n, 17):
+        stcsr = StreamingTCSR.from_graph(graph.select_events(np.arange(17)))
+        for lo in range(17, n, 17):
             stcsr.append(src[lo:lo + 17], dst[lo:lo + 17], ts[lo:lo + 17])
         assert_tcsr_equal(stcsr.snapshot(), build_tcsr(graph))
 
     def test_single_event_appends(self, small_graph):
         g = small_graph.select_events(np.arange(200))
-        stcsr = StreamingTCSR(g.num_nodes, initial_capacity=1)
+        stcsr = StreamingTCSR.from_graph(empty_log(g.num_nodes))
         for i in range(g.num_edges):
             stcsr.append(g.src[i:i + 1], g.dst[i:i + 1], g.ts[i:i + 1])
         assert_tcsr_equal(stcsr.snapshot(), build_tcsr(g))
@@ -74,16 +81,21 @@ class TestStreamingTCSR:
                           build_tcsr(small_graph))
 
     def test_snapshot_cached_until_next_append(self, small_graph):
+        """The snapshot is the held T-CSR until an append merges into a
+        fresh one; the old one is never written, so a finder that reads it
+        keeps the history as it stood."""
         stcsr = StreamingTCSR.from_graph(small_graph)
         first = stcsr.snapshot()
         assert stcsr.snapshot() is first
         stcsr.append(np.array([0]), np.array([1]),
                      np.array([small_graph.ts[-1] + 1.0]))
         assert stcsr.snapshot() is not first
+        assert_tcsr_equal(first, build_tcsr(small_graph))
 
     def test_rejects_out_of_order_and_out_of_range(self):
-        stcsr = StreamingTCSR(4)
+        stcsr = StreamingTCSR.from_graph(empty_log(4))
         stcsr.append(np.array([0]), np.array([1]), np.array([5.0]))
+        held = stcsr.snapshot()
         with pytest.raises(ValueError, match="precede"):
             stcsr.append(np.array([1]), np.array([2]), np.array([4.0]))
         with pytest.raises(ValueError, match="chronologically"):
@@ -98,6 +110,7 @@ class TestStreamingTCSR:
             stcsr.append(np.array([1]), np.array([True]), np.array([8.0]))
         # Failed appends must not corrupt the structure.
         assert stcsr.num_events == 1
+        assert stcsr.snapshot() is held
         stcsr.snapshot().check_invariants()
 
 
@@ -156,12 +169,10 @@ class TestTCSROrderOracle:
     @pytest.mark.parametrize("num_nodes", sorted(WIDTHS))
     def test_chunked_appends(self, num_nodes, chunk):
         graph = self.hot_graph(num_nodes)
-        stcsr = StreamingTCSR(num_nodes)
+        stcsr = StreamingTCSR.from_graph(empty_log(num_nodes))
         for lo in range(0, graph.num_edges, chunk):
             stcsr.append(graph.src[lo:lo + chunk], graph.dst[lo:lo + chunk],
                          graph.ts[lo:lo + chunk])
-        # Relocated non-empty segments left holes behind them.
-        assert stcsr._heap_end > stcsr._seg_cap.sum()
         assert_matches_lexsort(stcsr.snapshot(), graph)
 
 
@@ -373,22 +384,26 @@ class TestStreamingTrainer:
         """The key graph-state invariant: after arbitrary ingestion the
         incrementally maintained T-CSR equals a batch rebuild."""
         trainer, _, _ = self._run(stream_config(), small_graph)
-        heap = trainer.generator.stcsr
-        assert heap.num_events == trainer.graph.num_edges
-        assert trainer.generator.finder.tcsr is heap.snapshot()
-        assert_tcsr_equal(heap.snapshot(), build_tcsr(trainer.graph))
+        stcsr = trainer.generator.stcsr
+        assert stcsr.num_events == trainer.graph.num_edges
+        assert trainer.generator.finder.tcsr is stcsr.snapshot()
+        assert_tcsr_equal(stcsr.snapshot(), build_tcsr(trainer.graph))
 
-    def test_the_first_ingest_builds_the_heap(self, small_graph):
-        """A fresh trainer holds no streaming heap, only its finder's
-        compact T-CSR; its first ingest builds the heap, and the finder then
-        reads a snapshot bitwise equal to a rebuild of the log."""
+    def test_the_generator_wraps_its_finders_tcsr(self, small_graph):
+        """A fresh trainer's streaming T-CSR is its finder's compact T-CSR
+        and holds no array of its own; an ingest merges the chunk into a
+        fresh T-CSR, bitwise a rebuild of the log, which the finder reads."""
         warm, stream = split_warmup(small_graph, warmup_events=240, chunk_size=80)
         trainer = StreamingTrainer(warm, stream_config(), window_events=200)
-        assert trainer.generator.stcsr is None
-        assert_tcsr_equal(trainer.generator.finder.tcsr, build_tcsr(trainer.graph))
+        generator = trainer.generator
+        assert generator.stcsr.snapshot() is generator.finder.tcsr
+        assert not any(isinstance(value, np.ndarray)
+                       for value in vars(generator.stcsr).values())
+        assert_tcsr_equal(generator.finder.tcsr, build_tcsr(trainer.graph))
         trainer.ingest(next(iter(stream)))
-        assert trainer.generator.stcsr.num_events == trainer.graph.num_edges == 320
-        assert_tcsr_equal(trainer.generator.finder.tcsr, build_tcsr(trainer.graph))
+        assert generator.stcsr.num_events == trainer.graph.num_edges == 320
+        assert generator.finder.tcsr is generator.stcsr.snapshot()
+        assert_tcsr_equal(generator.finder.tcsr, build_tcsr(trainer.graph))
 
     def test_prequential_trajectory_reproducible(self, small_graph):
         """Property: fixed seed => identical prequential MRR and batch losses
@@ -437,11 +452,13 @@ class TestStreamingTrainer:
         trainer = StreamingTrainer(warm, stream_config(), window_events=200)
         last = float(trainer.graph.ts[-1])
         feat = np.zeros((1, trainer.graph.edge_dim), dtype=np.float32)
+        held = trainer.generator.finder.tcsr
+        assert trainer.generator.stcsr.snapshot() is held
         with pytest.raises(ValueError, match="finite"):
             trainer.ingest(EventChunk(np.array([0]), np.array([1]),
                                       np.array([bad]), feat))
         assert trainer.graph.num_edges == 240
-        assert trainer.generator.stcsr is None
+        assert trainer.generator.stcsr.snapshot() is held
         trainer.ingest(EventChunk(np.array([0]), np.array([1]),
                                   np.array([last + 1.0]), feat))
         assert trainer.generator.stcsr.num_events == trainer.graph.num_edges == 241
@@ -451,11 +468,13 @@ class TestStreamingTrainer:
         trainer = StreamingTrainer(warm, stream_config(), window_events=200)
         last = float(trainer.graph.ts[-1])
         feat = np.full((1, trainer.graph.edge_dim), np.nan, dtype=np.float32)
+        held = trainer.generator.finder.tcsr
+        assert trainer.generator.stcsr.snapshot() is held
         with pytest.raises(ValueError, match="edge features must be finite"):
             trainer.ingest(EventChunk(np.array([0]), np.array([1]),
                                       np.array([last + 1.0]), feat))
         assert trainer.graph.num_edges == 240
-        assert trainer.generator.stcsr is None
+        assert trainer.generator.stcsr.snapshot() is held
         assert np.isfinite(trainer.graph.edge_feat).all()
 
     def test_windows_share_one_batch_generator(self, small_graph):
