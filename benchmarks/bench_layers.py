@@ -32,23 +32,28 @@ selected, from ``(R, 10)`` scores).  The fourth is ``time_encoding`` at R =
 Operands are built in ``repro.tensor.COMPUTE_DTYPE`` — the dtype the program
 runs these layers in — and the payload records it as ``compute_dtype``.
 
-One more cell, ``eval_levels``, times what ``evaluate("test")`` runs on that
-workload: one whole no-grad scoring call of 100 test edges x 51 roots (src,
-dst, 49 negatives) through ``score_link_queries`` on the
-``train_tgat_taser`` configuration after one training epoch, at the tile
-bound ``SCORING_TILE_ROWS`` and at half and twice it (``ns_by_tile_rows``),
-with the process CPU time of the same calls at the bound (``cpu_ns_per_op``,
-every thread's) and the scoring threads its widest level runs on
-(``pool_threads``): CPU over wall near 1 on more than one thread means the
-threads did not overlap.
+One more cell, ``eval_levels``, times the forward-only scoring call
+(``score_link_queries``) of the two workloads that score: per workload one
+whole no-grad call — on ``train_tgat_taser``, what its ``evaluate("test")``
+runs after one training epoch (100 test edges x 51 roots: src, dst, 49
+negatives); on ``stream_prequential``, the prequential scoring of its first
+chunk (256 events x 51 roots) on the warm prefix — at the tile bound
+``SCORING_TILE_ROWS`` and at half and twice it: wall ns
+(``ns_by_tile_rows``) against the bytes ``tracemalloc`` traces at the
+call's peak above what was live before it (``peak_bytes_by_tile_rows``),
+the two sides of the bound.  At the bound it adds the process CPU time of
+the same calls (``cpu_ns_per_op``, every thread's) and the scoring threads
+its widest level runs on (``pool_threads``): CPU over wall near 1 on more
+than one thread means the threads did not overlap.
 Per level of the call's forward-only batch it records ``rows`` (the slots
 that reach the level), ``targets`` (its distinct ``(node, t)`` queries, the
 rows the level computes), ``tiles`` (how many tiles run them) and
 ``live_token_fraction`` (the mean of the candidate mask over the rows the
 adaptive sampler scores: the share of its mixer block's tokens that are not
-masked).  Beside it, ``train_levels`` counts the same ``rows``, ``targets``
-and ``live_token_fraction`` per level, summed over one epoch of that
-workload's training batches (counts only, no timing).
+masked; ``None`` without a sampler).  Beside it, ``train_levels`` counts the
+same ``rows``, ``targets`` and ``live_token_fraction`` per level, summed
+over one epoch of ``train_tgat_taser``'s training batches (counts only, no
+timing).
 
 ``tcsr_build`` times T-CSR construction on the graphs the four end-to-end
 workloads build one of (the serve engine's is the warm prefix) and on one
@@ -107,6 +112,7 @@ import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Optional
 
 # Before numpy: one BLAS thread, as ``benchmarks/e2e/run.py`` pins it — the
 # cells localise what that benchmark measures, and on a host with fewer
@@ -120,13 +126,14 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 
 from tracer import Tracer  # noqa: E402
-from workloads import MODEL, SERVE_SPEC, TRAIN_SPECS, resolve  # noqa: E402
+from workloads import (MODEL, SERVE_SPEC, STREAM_SPEC, TRAIN_SPECS,  # noqa: E402
+                       resolve)
 
 import repro  # noqa: E402
 import repro.tensor  # noqa: E402
 from repro.bench import emit_bench_json  # noqa: E402
-from repro.core import (AdaptiveNeighborSampler, TaserConfig,  # noqa: E402
-                        TaserTrainer)
+from repro.core import (AdaptiveNeighborSampler, StreamingTrainer,  # noqa: E402
+                        TaserConfig, TaserTrainer, split_warmup)
 from repro.device import FeatureStore  # noqa: E402
 from repro.encoders import FixedTimeEncoder, LearnableTimeEncoder  # noqa: E402
 from repro.eval import evaluator, score_link_queries  # noqa: E402
@@ -279,7 +286,8 @@ OPS = {
 
 
 def eval_levels_cell(tracer: Tracer, repeats: int) -> dict:
-    """``score_link_queries`` on one whole ``train_tgat_taser`` evaluation."""
+    """One whole scoring call per workload that scores: a ``train_tgat_taser``
+    evaluation and a ``stream_prequential`` chunk."""
     spec = TRAIN_SPECS["train_tgat_taser"]
     config = TaserConfig(**dict(MODEL, **spec["config"]))
     trainer = TaserTrainer(load_dataset(spec["dataset"], scale=spec["scale"],
@@ -290,28 +298,76 @@ def eval_levels_cell(tracer: Tracer, repeats: int) -> dict:
     queries = (graph.src[edges], graph.dst[edges], graph.ts[edges],
                scorer.negatives.sample_matrix(edges.size, config.eval_negatives,
                                               exclude=graph.dst[edges]))
+    cells = {"train_tgat_taser": scoring_cell(trainer.prep, trainer.backbone,
+                                              trainer.predictor, queries, scorer.rng,
+                                              trainer.generator.adaptive_sampler,
+                                              tracer, repeats)}
+
+    spec, config = resolve(STREAM_SPEC, smoke=False)
+    graph = load_dataset(spec["dataset"], scale=spec["scale"], seed=0)
+    warm, stream = split_warmup(graph, warmup_events=int(graph.num_edges
+                                                         * spec["warm_fraction"]),
+                                chunk_size=spec["chunk"], max_chunks=1)
+    trainer = StreamingTrainer(warm, TaserConfig(**config), window_events=spec["window"],
+                               prequential_max_events=spec["prequential_max_events"])
+    chunk = next(iter(stream))
+    picks = np.linspace(0, chunk.num_events - 1,
+                        spec["prequential_max_events"]).astype(np.int64)
+    queries = (chunk.src[picks], chunk.dst[picks], chunk.ts[picks],
+               trainer.prequential_negatives.sample_matrix(
+                   picks.size, trainer.config.eval_negatives, exclude=chunk.dst[picks]))
+    cells["stream_prequential"] = scoring_cell(
+        trainer.prep, trainer.backbone, trainer.predictor, queries,
+        trainer.prequential_rng, None, tracer, repeats)
+    return cells
+
+
+def scoring_cell(prep, backbone, predictor, queries: tuple, rng,
+                 sampler: Optional[AdaptiveNeighborSampler], tracer: Tracer,
+                 repeats: int) -> dict:
+    """``score_link_queries`` on ``queries``: wall and CPU time at the tile
+    bound, wall time and traced peak bytes at half, at and at twice it, and
+    the forward-only batch's levels."""
     bound = evaluator.SCORING_TILE_ROWS
-    minibatch, live = live_tokens(trainer.generator.adaptive_sampler, lambda: (
-        trainer.prep.prepare_eval(*queries, rng=np.random.default_rng(0)).minibatch))
+
+    def prepare():
+        return prep.prepare_eval(*queries, rng=np.random.default_rng(0)).minibatch
+    if sampler is None:
+        minibatch, live = prepare(), itertools.repeat((0, 0))
+    else:
+        minibatch, live = live_tokens(sampler, prepare)
     levels = [{"rows": int(hop.inverse.size), "targets": hop.num_targets,
                "tiles": -(-hop.num_targets // bound),
-               "live_token_fraction": valid / slots}
+               "live_token_fraction": valid / slots if slots else None}
               for hop, (valid, slots) in zip(minibatch.hops, live)]
+    del minibatch
 
     def score():
-        return score_link_queries(trainer.prep, trainer.backbone,
-                                  trainer.predictor, *queries, scorer.rng)
+        return score_link_queries(prep, backbone, predictor, *queries, rng)
     cell = measure(score, tracer, repeats, cpu=True)
-    by_bound = {}
+    by_bound, peaks = {}, {}
     try:
         for rows in (bound // 2, bound, 2 * bound):
             evaluator.SCORING_TILE_ROWS = rows
             by_bound[str(rows)] = measure(score, tracer, repeats)["ns_per_op"]
+            peaks[str(rows)] = traced_peak(score)
     finally:
         evaluator.SCORING_TILE_ROWS = bound
-    return dict(cell, edges=int(edges.size), tile_rows=bound,
+    return dict(cell, edges=int(queries[0].size), tile_rows=bound,
                 pool_threads=evaluator._pool_size(max(level["tiles"] for level in levels)),
-                ns_by_tile_rows=by_bound, levels=levels)
+                ns_by_tile_rows=by_bound, peak_bytes_by_tile_rows=peaks, levels=levels)
+
+
+def traced_peak(run) -> int:
+    """Bytes ``tracemalloc`` traces at the peak of one ``run()`` above those
+    live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def live_tokens(sampler: AdaptiveNeighborSampler, run) -> tuple:
@@ -707,15 +763,19 @@ def bench(sizes, repeats: int) -> dict:
           f"{cell['from_trainer_ns'] / 1e6:6.3f} ms | traced MB fresh "
           f"{cell['fresh_bytes'] / 2 ** 20:6.2f} | after a {cell['ingest_events']}-event "
           f"ingest {cell['bytes_after_ingest'] / 2 ** 20:6.2f}")
-    cell = cells["eval_levels"] = eval_levels_cell(tracer, repeats)
-    print(f"  eval_levels       {cell['edges']} edges      nograd "
-          f"{cell['ns_per_op'] / 1e6:8.3f} ms wall {cell['cpu_ns_per_op'] / 1e6:8.3f} ms "
-          f"CPU on {cell['pool_threads']} threads at {cell['tile_rows']} rows per tile ("
-          + ", ".join(f"{rows}: {ns / 1e6:.1f} ms"
-                      for rows, ns in cell["ns_by_tile_rows"].items())
-          + "); rows -> targets in tiles per level: " + ", ".join(
-              f"{level['rows']} -> {level['targets']} in {level['tiles']}"
-              f" ({level['live_token_fraction']:.3f} live)" for level in cell["levels"]))
+    cells["eval_levels"] = eval_levels_cell(tracer, repeats)
+    for name, cell in cells["eval_levels"].items():
+        print(f"  eval_levels       {name:<18} {cell['edges']} edges nograd "
+              f"{cell['ns_per_op'] / 1e6:8.3f} ms wall {cell['cpu_ns_per_op'] / 1e6:8.3f} ms "
+              f"CPU on {cell['pool_threads']} threads at {cell['tile_rows']} rows per tile ("
+              + ", ".join(f"{rows}: {ns / 1e6:.1f} ms {peak / 2 ** 20:.2f} MB peak"
+                          for (rows, ns), peak in zip(cell["ns_by_tile_rows"].items(),
+                                                      cell["peak_bytes_by_tile_rows"].values()))
+              + "); rows -> targets in tiles per level: " + ", ".join(
+                  f"{level['rows']} -> {level['targets']} in {level['tiles']}"
+                  + ("" if level["live_token_fraction"] is None
+                     else f" ({level['live_token_fraction']:.3f} live)")
+                  for level in cell["levels"]))
     cell = cells["train_levels"] = train_levels_cell()
     print(f"  train_levels      {cell['batches']} batches    rows -> targets per "
           "level: " + ", ".join(f"{level['rows']} -> {level['targets']}"

@@ -15,7 +15,9 @@ level is sampled, gathered and aggregated once per call.  The heavy stages
 run over row tiles of at most :data:`SCORING_TILE_ROWS` rows, on every core
 the process may use: the calling thread and a persistent pool of helper
 threads take tile indices from one shared counter.  Almost all of a tile's
-time is spent in NumPy / BLAS calls that release the GIL.  Each tile's
+time is spent in NumPy / BLAS calls that release the GIL; what is not costs
+about 0.5 ms of hand-offs per tile whatever its rows, so the bound is as
+large as the bytes per row allow (:data:`SCORING_TILE_ROWS`).  Each tile's
 finder draws come from its own generator, seeded from the caller's before
 the level's tiles run, so scores do not depend on how many threads ran or
 which thread took which tile.
@@ -48,8 +50,13 @@ __all__ = ["LinkPredictionEvaluator", "score_link_queries", "SCORING_TILE_ROWS"]
 #: finder, the gather, the adaptive sampler and each aggregate; the scored
 #: (source, destination) pairs for the edge predictor.  Every array sized
 #: rows x slots x channels lives inside one tile, so a call's working set does
-#: not grow with its edge count.
-SCORING_TILE_ROWS = 512
+#: not grow with its edge count.  Bytes per row set the bound: each tile costs
+#: a fixed ~0.5 ms of GIL hand-offs on a 2-CPU host, so fewer, larger tiles
+#: are faster, while the tiles in flight times the bytes per row set a call's
+#: peak.  A forward-only GraphMixer aggregate holds 1.6 KB per row (n = 5,
+#: d = 32), so a stream_prequential scoring call peaks at 5.8-6.1 MB traced
+#: on two threads at 1 024 rows.
+SCORING_TILE_ROWS = 1024
 
 
 def _pool_size(chunks: int) -> int:

@@ -26,13 +26,19 @@ def reciprocal_ranks(pos_scores: np.ndarray, neg_scores: np.ndarray) -> np.ndarr
 
     Ties are resolved optimistic/pessimistic-averaged (a tie contributes half
     a rank), which keeps the metric unbiased when a model outputs identical
-    scores.
+    scores.  A score that is not finite has no rank (a NaN compares false
+    with everything, so a NaN positive would rank first): it raises
+    ``ValueError``.
     """
     pos_scores = np.asarray(pos_scores, dtype=np.float64)
     neg_scores = np.asarray(neg_scores, dtype=np.float64)
     if pos_scores.ndim != 1 or neg_scores.ndim != 2 \
             or neg_scores.shape[0] != pos_scores.shape[0]:
         raise ValueError("pos_scores must be (B,) and neg_scores (B, K)")
+    bad = np.count_nonzero(~np.isfinite(pos_scores)) + np.count_nonzero(~np.isfinite(neg_scores))
+    if bad:
+        raise ValueError(f"{bad} of {pos_scores.size + neg_scores.size} scores are "
+                         "not finite (NaN or infinite); they cannot be ranked")
     higher = (neg_scores > pos_scores[:, None]).sum(axis=1)
     ties = (neg_scores == pos_scores[:, None]).sum(axis=1)
     ranks = 1.0 + higher + 0.5 * ties

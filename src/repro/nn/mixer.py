@@ -83,7 +83,8 @@ class MixerBlock(Module):
         the block's parameters, laid out the way the block's kernel reads its
         input — the transpose of a C-contiguous ``(dim, num_tokens, rows)``
         array — so an input written into it (``F.sampler_encode``,
-        ``concatenate(..., out=)``) reaches the kernel without a copy."""
+        ``concatenate(..., out=)``) reaches the kernel without a copy.  Under
+        ``no_grad`` the block computes its output in that buffer."""
         return np.empty((self.dim, self.num_tokens, rows),
                         dtype=self.token_norm.weight.dtype).transpose(2, 1, 0)
 

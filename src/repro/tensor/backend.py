@@ -91,6 +91,7 @@ class ReferenceBackend:
         np.rint(turns, out=turns)
         turns *= -2.0 * np.pi
         phase += turns
+        del turns
         return phase.astype(dtype, copy=False)
 
     def _time_encoding(self, dt: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
@@ -433,6 +434,18 @@ class ReferenceBackend:
         return np.array(at, order="C") if fmask is None else \
             np.multiply(at, fmask, order="C")
 
+    #: rows per column block of a forward-only channel sub-block: its layer
+    #: norm and GEMMs run over at most ``m`` times this many columns of the
+    #: ``(d, m R)`` tokens at a time, so the ``(h_c, m R)`` hidden layer never
+    #: exists whole.  A block computes each column as the one-block form does
+    #: only if OpenBLAS runs it through the same kernel: the blocks of one
+    #: call are equal to within 16 columns, so each holds more than half the
+    #: bound (single-precision GEMMs of at most 1e6 multiply-adds take a
+    #: small-matrix kernel), and every block edge is a multiple of 16 columns,
+    #: so the last block alone has the one-block form's column tail (the
+    #: double-precision 4-column tail kernel differs).
+    MIXER_BLOCK_ROWS = 384
+
     def mixer_block_forward(self, x: np.ndarray, fmask: Optional[np.ndarray],
                             params, keep_t: Optional[np.ndarray],
                             keep_c: Optional[np.ndarray], eps: float,
@@ -441,62 +454,90 @@ class ReferenceBackend:
         with ``out`` the ``(R, m, d)`` transpose of a C-contiguous ``(d, m,
         R)`` array.
 
-        ``x`` is read through its channel-major transpose: a contiguous copy
-        when ``x`` is laid out that way already (``MixerBlock.input_buffer``),
-        a transposing one otherwise.  ``fmask`` is the ``(R, m, 1)`` float
+        ``x`` is read through its channel-major transpose.  With ``retain``
+        the block computes in a masked copy of it, contiguous when ``x`` is
+        laid out that way already (``MixerBlock.input_buffer``), transposing
+        otherwise.  A forward-only block reads a channel-major ``x`` in place
+        and takes its buffer over: it is masked in place, takes the residual
+        and becomes the output, so the caller's values are gone (any other
+        layout goes through one transposing copy, and ``x`` is left as it
+        was).  ``fmask`` is the ``(R, m, 1)`` float
         validity mask (or ``None``), read in place when it is the transpose
         of a C-contiguous ``(1, m, R)`` array, ``keep_t`` ``(R, h_t, d)`` / ``keep_c``
         ``(R, m, h_c)`` the scaled dropout keep-masks (or ``None``).  With
         ``retain`` the backward pass's inputs come back in ``saved`` — per
         sub-block the normalised input, its ``rstd``, the GELU output (written
         over its pre-activation) and the gate, all channel-major; without it
-        ``saved`` is ``None`` and every intermediate is released the moment it
-        is dead.
+        ``saved`` is ``None``, every intermediate is released the moment it
+        is dead and the channel sub-block runs over column blocks of at most
+        :attr:`MIXER_BLOCK_ROWS` rows.  Every dot product keeps its length,
+        so the blocks change no value.
         """
         self._one_float_dtype(x, fmask, keep_t, keep_c, *params)
         gam_t, bet_t, w1t, b1t, w2t, b2t, gam_c, bet_c, w1c, b1c, w2c, b2c = params
         if fmask is not None:
             fmask = np.ascontiguousarray(fmask.transpose(2, 1, 0))
         keep_t = self._channel_major(keep_t)
-        x0 = self._channel_major(x, fmask)
-        d, m, rows = x0.shape
+        if retain:
+            x = self._channel_major(x, fmask)
+        else:
+            x = np.ascontiguousarray(x.transpose(2, 1, 0))
+            if fmask is not None:
+                x *= fmask
+        d, m, rows = x.shape
         # Token mixing.  W1 @ (xhat * gamma + beta) = (W1 @ xhat) * gamma +
         # rowsum(W1) (x) beta: the affine lands on the half-size hidden.
-        xhat, rstd = self._standardize(x0, eps, axis=0)
+        xhat, rstd = self._standardize(x, eps, axis=0)
         a = self.matmul(w1t, xhat)
+        if not retain:
+            del xhat
         a *= gam_t[:, None, None]
         a += (bet_t[:, None] * np.add.reduce(w1t, axis=1) + b1t)[..., None]
         s = self._gelu_gate(a)
         y = np.multiply(a, s, out=a)
         if keep_t is not None:
             y *= keep_t
-        x1 = self.matmul(w2t, y)
-        x1 += b2t[:, None]
-        x1 += x0
         saved = (fmask, xhat, rstd, y, s, keep_t) if retain else None
-        # The normalised input of the channel sub-block goes into a full-size
-        # buffer that is dead by now.
-        spare = x0 if retain else xhat
-        del x0, xhat, a, s, y
-        # Channel mixing.  (W1 * gamma) @ xhat + W1 @ beta: the affine folds
-        # into fc1.
-        xhat, rstd = self._standardize(x1, eps, out=spare, axis=0)
-        a = self.matmul(w1c * gam_c, xhat.reshape(d, -1))
-        a += (w1c @ bet_c + b1c)[:, None]
-        s = self._gelu_gate(a)
-        y = np.multiply(a, s, out=a)
+        del a, s
+        # The residual lands in the input's buffer: ``x + t`` is ``t + x`` to
+        # the bit.
+        t = self.matmul(w2t, y)
+        del y
+        t += b2t[:, None]
+        x += t
+        del t
+        # Channel mixing, over column blocks of the ``(d, m R)`` tokens: the
+        # layer norm is per column.  (W1 * gamma) @ xhat + W1 @ beta: the
+        # affine folds into fc1.
+        w1g, b1g = w1c * gam_c, (w1c @ bet_c + b1c)[:, None]
         if keep_c is not None:
-            keep_c = self._channel_major(keep_c).reshape(y.shape)
-            y *= keep_c
-        if retain:
-            saved += (xhat, rstd, y, s, keep_c)
-        del spare, xhat, a, s
-        out = self.matmul(w2c, y).reshape(x1.shape)
-        out += b2c[:, None, None]
-        out += x1
+            keep_c = self._channel_major(keep_c).reshape(len(w1c), -1)
+        flat = x.reshape(d, -1)
+        width = flat.shape[1]
+        blocks = 1 if retain else -(-width // (self.MIXER_BLOCK_ROWS * m))
+        edges = [width * block // blocks // 16 * 16 for block in range(blocks)] + [width]
+        for start, stop in zip(edges, edges[1:]):
+            cols = slice(start, stop)
+            xhat, rstd = self._standardize(flat[:, cols], eps, axis=0)
+            a = self.matmul(w1g, xhat)
+            if not retain:
+                del xhat
+            a += b1g
+            s = self._gelu_gate(a)
+            y = np.multiply(a, s, out=a)
+            if keep_c is not None:
+                y *= keep_c[:, cols]
+            if retain:
+                saved += (xhat.reshape(d, m, rows), rstd.reshape(1, m, rows), y, s, keep_c)
+            del a, s
+            out = self.matmul(w2c, y)
+            del y
+            out += b2c[:, None]
+            flat[:, cols] += out
+            del out
         if fmask is not None:
-            out *= fmask
-        return out.transpose(2, 1, 0), saved
+            x *= fmask
+        return x.transpose(2, 1, 0), saved
 
     def mixer_block_backward(self, g: np.ndarray, saved, params, need) -> list:
         """Gradients of :meth:`mixer_block_forward` w.r.t. ``(x, *params)``;
@@ -975,17 +1016,25 @@ class ReferenceBackend:
 
         te = self._time_encoding(delta, omega, None, wm.dtype)
         summed = self.matmul(te.reshape(-1, d_t), wm[:, -d_t:].T)
+        if not retain:
+            te = None
         if edge is not None:
             summed += self.matmul(edge.reshape(rows * n, -1), wm[:, width:-d_t].T)
         if h_neighbors is not None:
             summed += self.matmul(h_neighbors.reshape(rows * n, width), wm[:, :width].T)
         summed = summed.reshape(rows, n, width)
-        tokens = summed if gate is None else summed * gate[..., None]
-        tokens += bm
-        # Built channel-major, the transpose the block reads, so it is not
-        # copied there.
+        # The tokens and the mask are built channel-major, the transpose the
+        # block reads: the only copy of the tokens is this one, and a
+        # forward-only block computes in it.
+        if gate is None:
+            tokens = np.add(summed.T, bm[:, None, None], order="C")
+        else:
+            tokens = np.multiply(summed.T, gate.T, order="C")
+            tokens += bm[:, None, None]
+        if gate is None or not retain:
+            summed = None
         fmask = mask.T.astype(wm.dtype, order="C")[None].transpose(2, 1, 0)
-        mixed, block = self.mixer_block_forward(tokens, fmask, params[2:14], keep_t,
+        mixed, block = self.mixer_block_forward(tokens.T, fmask, params[2:14], keep_t,
                                                 keep_c, eps, retain)
         del tokens
         # The block zeroes the masked tokens, so the mean over the valid ones
@@ -999,8 +1048,7 @@ class ReferenceBackend:
         out += bo
         saved = None
         if retain:
-            saved = (edge, h_target, h_neighbors, gate, te,
-                     None if gate is None else summed, block, count, pooled)
+            saved = (edge, h_target, h_neighbors, gate, te, summed, block, count, pooled)
         return out, saved
 
     def graphmixer_aggregate_backward(self, g: np.ndarray, saved, params, need) -> list:

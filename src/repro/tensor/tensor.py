@@ -775,7 +775,9 @@ def mixer_block(x: Tensor, fmask: Optional[np.ndarray], params: Sequence[Tensor]
     formed, the rest reading zero: channels that nothing upstream takes a
     gradient from need none (the adaptive sampler's fixed encodings).  The
     composition of ``layer_norm`` / ``linear`` / ``gelu`` it replaces is the
-    test oracle.
+    test oracle.  Under ``no_grad`` an ``x`` laid out channel-major
+    (``MixerBlock.input_buffer``) is taken over: the result is computed in
+    its buffer, so ``x`` must not be read afterwards.
     """
     parents = (x, *params)
     arrays = [p.data for p in params]

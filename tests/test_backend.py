@@ -9,10 +9,13 @@ Three layers of coverage for ``repro.tensor.backend``:
   nothing else can be counted as a kernel call;
 * kernels vs numpy — the layouts and dtypes a buffer-reusing variant once had
   to special-case (strided input to ``linear_forward``, float32 input,
-  transposed operands) against the plain numpy expression.
+  transposed operands) against the plain numpy expression;
+* the forward-only mixer kernels — column-blocked, bitwise their one-block
+  form, and bounded in bytes per row.
 """
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,3 +227,102 @@ class TestKernelEquality:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got[got == 0]).any()
+
+
+# ------------------------------------------------- forward-only mixer kernels
+
+#: GraphMixer at the e2e workloads' model size: d = 32 channels, time
+#: encoding 16, edge features 32, token / channel expansion 0.5 / 2.
+D, D_T, D_E = 32, 16, 32
+BLOCK = ReferenceBackend.MIXER_BLOCK_ROWS
+
+
+def mixer_inputs(rng, rows: int, m: int, dead_block: bool = False):
+    """``(delta, mask, edge, params, omega)`` of a GraphMixer aggregate of
+    ``rows`` rows, ``m`` tokens, float32; with ``dead_block`` every slot of
+    the second column block of the channel-major ``(m, R)`` mask is
+    masked."""
+    f32 = np.float32
+    h_t, h_c = max(1, m // 2), 2 * D
+    shapes = [(D, D + D_E + D_T), (D,), (D,), (D,), (h_t, m), (h_t,), (m, h_t), (m,),
+              (D,), (D,), (h_c, D), (h_c,), (D, h_c), (D,), (D, 2 * D), (D,)]
+    params = [(0.3 * rng.standard_normal(shape)).astype(f32) for shape in shapes]
+    mask = rng.random((rows, m)) < 0.8
+    if dead_block:
+        width, blocks = rows * m, -(-rows // BLOCK)
+        flat = mask.T.reshape(-1).copy()
+        flat[width // blocks // 16 * 16:2 * width // blocks // 16 * 16] = False
+        mask = flat.reshape(m, rows).T
+    return (rng.random((rows, m)) * 1e4, mask,
+            rng.standard_normal((rows, m, D_E)).astype(f32), params, rng.random(D_T))
+
+
+def channel_major(x: np.ndarray) -> np.ndarray:
+    """A copy of ``x`` laid out as ``MixerBlock.input_buffer`` lays it out."""
+    return np.ascontiguousarray(x.transpose(2, 1, 0)).transpose(2, 1, 0)
+
+
+class TestForwardOnlyMixer:
+    """The forward-only GraphMixer aggregate and mixer block run the channel
+    MLP over column blocks of at most ``MIXER_BLOCK_ROWS`` rows: bitwise the
+    one-block form at every row count around the bound, in fewer bytes."""
+
+    @pytest.mark.parametrize("m", [5, 10])
+    @pytest.mark.parametrize("rows, dead_block", [
+        (1, False), (BLOCK - 1, False), (BLOCK, False), (BLOCK + 1, False),
+        (3 * BLOCK + 7, False), (3 * BLOCK + 7, True)])
+    def test_column_blocks_are_the_one_block_form(self, monkeypatch, rows, m, dead_block):
+        rng = np.random.default_rng(rows * m)
+        delta, mask, edge, params, omega = mixer_inputs(rng, rows, m, dead_block)
+        x = rng.standard_normal((rows, m, D)).astype(np.float32)
+        fmask = mask[..., None].astype(np.float32)
+        backend = get_backend()
+
+        def forward_only():
+            aggregate, _ = backend.graphmixer_aggregate_forward(
+                delta, mask, edge, None, None, None, params, omega, None, None, 1e-5, False)
+            block, _ = backend.mixer_block_forward(channel_major(x), fmask, params[2:14],
+                                                   None, None, 1e-5, False)
+            return aggregate, block
+        blocked = forward_only()
+        monkeypatch.setattr(ReferenceBackend, "MIXER_BLOCK_ROWS", 10 ** 9)
+        whole = forward_only()
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want)
+        # the retained pass runs one block: its output is the same bits
+        retained, saved = backend.mixer_block_forward(x, fmask, params[2:14],
+                                                      None, None, 1e-5, True)
+        assert saved is not None and np.array_equal(retained, blocked[1])
+
+    def test_a_forward_only_block_takes_over_a_channel_major_input(self):
+        rng = np.random.default_rng(1)
+        _, mask, _, params, _ = mixer_inputs(rng, 40, 5)
+        fmask = mask[..., None].astype(np.float32)
+        backend = get_backend()
+        rows_major = rng.standard_normal((40, 5, D)).astype(np.float32)
+        before = rows_major.copy()
+        want, _ = backend.mixer_block_forward(rows_major, fmask, params[2:14],
+                                              None, None, 1e-5, False)
+        assert np.array_equal(rows_major, before)        # any other layout: copied
+        buffer = channel_major(before)
+        got, _ = backend.mixer_block_forward(buffer, fmask, params[2:14],
+                                             None, None, 1e-5, False)
+        assert np.shares_memory(got, buffer) and np.array_equal(got, want)
+
+    def test_forward_only_aggregate_bytes_per_row(self):
+        """Traced peak of one forward-only aggregate above its inputs, at R =
+        4 096, n = 5, d = 32: 4.84 KB per row when the block copied the
+        tokens and ran its channel MLP on all of them at once."""
+        rows = 4096
+        delta, mask, edge, params, omega = mixer_inputs(np.random.default_rng(2), rows, 5)
+        backend = get_backend()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, _ = backend.graphmixer_aggregate_forward(
+                delta, mask, edge, None, None, None, params, omega, None, None, 1e-5, False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (rows, D)
+        assert peak / rows <= 3000, f"{peak / rows:.0f} bytes per row"

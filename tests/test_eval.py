@@ -67,6 +67,14 @@ class TestMetrics:
         with pytest.raises(ValueError):
             hits_at_k(np.zeros(2), np.zeros((2, 3)), 0)
 
+    def test_a_score_that_is_not_finite_has_no_rank(self):
+        """A NaN compares false with everything: unchecked, a NaN positive
+        ranked first and a NaN negative was dropped (MRR 0.75 here)."""
+        with pytest.raises(ValueError, match="2 of 6 scores are not finite"):
+            ranking_report(np.array([np.nan, 0.1]), np.array([[0.5, 0.2], [0.5, np.nan]]))
+        with pytest.raises(ValueError, match="1 of 3 scores are not finite"):
+            reciprocal_ranks(np.array([0.3]), np.array([[np.inf, 0.2]]))
+
 
 @settings(max_examples=25, deadline=None)
 @given(arrays(np.float64, (7,), elements=st.floats(-5, 5)),
