@@ -11,7 +11,7 @@ faster than both TGL and the original finder in total 2-hop sampling time.
 The two baselines are the fixtures of :mod:`repro.bench.finders`.  Absolute
 factors are compressed because all three implementations here are
 Python/numpy on one CPU core (the paper's original finder is far slower
-Python code and its GPU finder is a CUDA kernel); see EXPERIMENTS.md.
+Python code and its GPU finder is a CUDA kernel).
 """
 
 import time
@@ -77,7 +77,7 @@ def test_fig3a_neighbor_finder_comparison(benchmark, wikipedia_graph, wikipedia_
         # The block-centric finder keeps a large margin over both CPU finders
         # at every budget (the paper reports 37-56x over TGL and >1000x over
         # the original implementation; the factors here are compressed because
-        # all three are single-threaded Python/numpy, see EXPERIMENTS.md).
+        # all three are single-threaded Python/numpy).
         assert row["original"] / row["gpu"] > 4.0
         assert row["tgl"] / row["gpu"] > 4.0
 

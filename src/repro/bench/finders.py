@@ -83,9 +83,8 @@ class OriginalNeighborFinder(NeighborFinder):
         rows = []
         for i in range(nodes.shape[0]):
             v = int(nodes[i])
-            lo, hi = int(tcsr.indptr[v]), int(tcsr.indptr[v + 1])
-            pivot = int(np.searchsorted(tcsr.ts[lo:hi], float(times[i]),
-                                        side="left"))
+            lo = int(tcsr.indptr[v])
+            pivot = tcsr.pivot(v, float(times[i])) - lo
             # No past interaction: the row stays fully masked on the padding
             # sentinel (see NeighborBatch.check_padding).
             if pivot:

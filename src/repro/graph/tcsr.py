@@ -13,6 +13,10 @@ Arrays
 ``eid``      ``(2|E|,)``     original event id (for edge-feature lookup).
 ``ts``       ``(2|E|,)``     event timestamp, non-decreasing inside a segment.
 
+Every :class:`TCSR` also holds the float composite keys of its one batched
+probe, :meth:`TCSR.pivots` (8 bytes per entry, built once at construction);
+the scalar :meth:`TCSR.pivot` is its reference.
+
 Canonical segment order
 -----------------------
 Entries inside a node segment are ordered by ``(ts, event id, direction)``
@@ -40,13 +44,17 @@ once: ``O(E + chunk)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .temporal_graph import TemporalGraph, check_chunk
 
 __all__ = ["TCSR", "build_tcsr", "StreamingTCSR"]
+
+#: whether any entry of a 1-D array is nonzero: the reduction itself, one C
+#: call (``ndarray.any`` wraps it in a Python helper).
+_any = np.logical_or.reduce
 
 
 @dataclass
@@ -64,11 +72,22 @@ class TCSR:
         self.indices = np.ascontiguousarray(self.indices, dtype=np.int64)
         self.eid = np.ascontiguousarray(self.eid, dtype=np.int64)
         self.ts = np.ascontiguousarray(self.ts, dtype=np.float64)
-        # Lazily-built composite probe keys for the batched pivot search (see
-        # :meth:`pivots`).  The arrays above are treated as immutable after
-        # construction (a streaming append merges into a *fresh* TCSR), so
-        # the cache never needs invalidation.
-        self._probe_cache: Optional[Tuple[np.ndarray, int, np.ndarray]] = None
+        # The composite search keys of :meth:`pivots`, built once: the arrays
+        # above are never written after construction (an append merges into
+        # a *fresh* TCSR).
+        if self.num_entries:
+            t_min, t_max = float(self.ts.min()), float(self.ts.max())
+        else:
+            t_min, t_max = 0.0, 1.0
+        self._t_min = t_min
+        #: strictly larger than any normalised timestamp, separating segments.
+        self._offset = (t_max - t_min) * 1.000001 + 1.0
+        keys = np.repeat(np.arange(self.num_nodes, dtype=np.float64),
+                         np.diff(self.indptr))
+        keys *= self._offset
+        keys += self.ts - t_min
+        #: ``node * offset + (ts - t_min)`` per entry, sorted like the entries.
+        self._keys = keys
 
     @property
     def num_entries(self) -> int:
@@ -91,49 +110,45 @@ class TCSR:
         lo, hi = int(self.indptr[node]), int(self.indptr[node + 1])
         return lo + int(np.searchsorted(self.ts[lo:hi], t, side="left"))
 
-    def _probe_keys(self) -> Tuple[np.ndarray, int, np.ndarray]:
-        """Composite ``(node, timestamp-rank)`` keys for the batched probe.
-
-        Timestamps are replaced by their *rank* in the sorted unique-timestamp
-        array, so the composite key ``node * (U + 1) + rank`` is exact int64
-        arithmetic — unlike a float ``node * offset + (ts - t_min)`` key, it
-        cannot lose a duplicate-timestamp boundary to rounding.  The key array
-        is sorted by construction (segments are node-ordered and time-sorted
-        within), making one global ``searchsorted`` equivalent to a per-segment
-        binary search.  Built lazily on first use; a concurrent first call from
-        two threads is a benign idempotent race.
-        """
-        cache = self._probe_cache
-        if cache is None:
-            unique_ts = np.unique(self.ts)
-            base = int(unique_ts.size) + 1
-            entry_node = np.repeat(np.arange(self.num_nodes, dtype=np.int64),
-                                   np.diff(self.indptr))
-            keys = entry_node * base + np.searchsorted(unique_ts, self.ts,
-                                                       side="left")
-            cache = self._probe_cache = (unique_ts, base, keys)
-        return cache
-
     def pivots(self, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`pivot` for a batch of (node, time) queries.
 
-        The exact oracle the finder tests compare against (no program path
-        calls it: the GPU finder searches cheaper float keys and repairs
-        their rounding, see ``GPUNeighborFinder.batched_pivots``).  The
-        per-query segment searches collapse into one ``searchsorted`` over
-        composite ``(node, timestamp-rank)`` keys, exactly matching the
-        scalar :meth:`pivot` — including on duplicate timestamps, where the
-        integer rank keys are immune to the float-composite precision hazard.
+        Equivalent to one binary search per thread block in Algorithm 2 but
+        performed as a single ``searchsorted`` over the composite keys
+        ``node * offset + (ts - t_min)``: segments are node-ordered and
+        time-sorted within, so the key array is sorted.
+
+        The float key rounds: once ``node * offset`` is large its ulp swallows
+        real timestamp gaps, and the search stops short of strictly earlier
+        entries whose key collides with the query's.  The result is therefore
+        clamped into the node's segment and walked to the exact pivot by
+        comparing timestamps — zero steps unless a key collided, so the
+        answer always equals the scalar :meth:`pivot` (rounding is monotone,
+        so an unrepaired key would lose history, never leak the future).
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
-        unique_ts, base, keys = self._probe_keys()
-        # rank_q = number of unique timestamps strictly below the query time;
-        # an entry with ts < t has rank < rank_q, so the first key >= the
-        # query key is exactly the scalar pivot.
-        rank_q = np.searchsorted(unique_ts, times, side="left")
-        return np.searchsorted(keys, nodes * base + rank_q,
-                               side="left").astype(np.int64)
+        query_keys = nodes * self._offset \
+            + np.minimum(np.maximum(times - self._t_min, 0.0), self._offset - 1.0)
+        pivots = self._keys.searchsorted(query_keys)
+        ts = self.ts
+        if ts.shape[0] == 0:
+            return pivots
+        lo, hi = self.indptr[nodes], self.indptr[nodes + 1]
+        pivots = np.minimum(np.maximum(pivots, lo), hi)
+        last = ts.shape[0] - 1
+        while True:
+            early = (pivots < hi) & (ts[np.minimum(pivots, last)] < times)
+            if not _any(early):
+                break
+            pivots += early
+        while True:
+            # pivots - 1 == -1 only where pivots == lo == 0, masked out.
+            late = (pivots > lo) & (ts[pivots - 1] >= times)
+            if not _any(late):
+                break
+            pivots -= late
+        return pivots
 
     def check_invariants(self) -> None:
         """Raise AssertionError when any structural invariant is violated."""
@@ -145,11 +160,14 @@ class TCSR:
         if self.num_entries:
             assert self.indices.min() >= 0 and self.indices.max() < self.num_nodes, \
                 "neighbor id out of range"
-        # Timestamps sorted within each node segment.
-        for node in range(self.num_nodes):
-            lo, hi = self.indptr[node], self.indptr[node + 1]
-            seg = self.ts[lo:hi]
-            assert np.all(np.diff(seg) >= 0), f"segment of node {node} not time-sorted"
+        # Timestamps non-decreasing inside each segment: a step between two
+        # entries may descend only where the second one starts a segment.
+        starts = np.zeros(self.num_entries + 1, dtype=bool)
+        starts[self.indptr] = True
+        unsorted = np.flatnonzero(~(np.diff(self.ts) >= 0) & ~starts[1:-1])
+        if unsorted.size:
+            node = int(np.searchsorted(self.indptr, unsorted[0], side="right")) - 1
+            raise AssertionError(f"segment of node {node} not time-sorted")
 
 
 def _half_edges(src: np.ndarray, dst: np.ndarray, eid: np.ndarray,
@@ -197,7 +215,10 @@ def build_tcsr(graph: TemporalGraph) -> TCSR:
     indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
 
-    return TCSR(indptr=indptr, indices=cols[order], eid=eid[order], ts=ts[order],
+    cols, eid, ts = cols[order], eid[order], ts[order]
+    # Release the half-edge temporaries before the T-CSR builds its keys.
+    del rows, order
+    return TCSR(indptr=indptr, indices=cols, eid=eid, ts=ts,
                 num_nodes=graph.num_nodes)
 
 

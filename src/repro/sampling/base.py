@@ -14,7 +14,7 @@ from typing import List
 
 import numpy as np
 
-from ..graph.tcsr import TCSR
+from ..graph.tcsr import TCSR, _any
 
 __all__ = ["NeighborBatch", "NeighborFinder", "PAD_NODE", "PAD_EDGE"]
 
@@ -22,10 +22,6 @@ __all__ = ["NeighborBatch", "NeighborFinder", "PAD_NODE", "PAD_EDGE"]
 #: index feature matrices safely; the mask must always be honoured).
 PAD_NODE = 0
 PAD_EDGE = 0
-
-#: whether any entry of a 1-D array is nonzero: the reduction itself, one C
-#: call (``ndarray.any`` wraps it in a Python helper).
-_any = np.logical_or.reduce
 
 
 @dataclass

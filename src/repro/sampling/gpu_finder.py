@@ -7,8 +7,10 @@ without replacement.  On this CPU-only reproduction the same algorithm is
 expressed as *batched* numpy kernels — every step operates on the whole query
 batch at once, which plays the role of the SIMD lanes:
 
-* **pivot search** — a single vectorised ``searchsorted`` over composite
-  ``(node, timestamp)`` keys replaces the per-block binary searches;
+* **pivot search** — the T-CSR's own batched probe,
+  :meth:`~repro.graph.tcsr.TCSR.pivots`: one vectorised ``searchsorted``
+  over composite ``(node, timestamp)`` keys replaces the per-block binary
+  searches;
 * **most-recent selection** — a broadcasted index expression;
 * **uniform selection without replacement** — batched random draws followed
   by vectorised collision detection and redraw, mirroring the bitmap
@@ -25,77 +27,17 @@ from typing import Tuple
 
 import numpy as np
 
-from ..graph.tcsr import TCSR
-from .base import NeighborBatch, NeighborFinder, _any
+from .base import NeighborBatch, NeighborFinder
 
 __all__ = ["GPUNeighborFinder"]
 
 
 class GPUNeighborFinder(NeighborFinder):
-    """Vectorised block-centric temporal neighbor finder (arbitrary order)."""
+    """Vectorised block-centric temporal neighbor finder (arbitrary order).
 
-    def __init__(self, tcsr: TCSR, policy: str = "uniform") -> None:
-        super().__init__(tcsr, policy=policy)
-        self._prepare_keys()
-
-    def _prepare_keys(self) -> None:
-        """Precompute the composite search keys (the "T-CSR on device")."""
-        tcsr = self.tcsr
-        degrees = np.diff(tcsr.indptr)
-        #: node id owning each adjacency entry.
-        self._entry_node = np.repeat(np.arange(tcsr.num_nodes, dtype=np.int64), degrees)
-        if tcsr.num_entries:
-            t_min = float(tcsr.ts.min())
-            t_max = float(tcsr.ts.max())
-        else:
-            t_min, t_max = 0.0, 1.0
-        self._t_min = t_min
-        #: strictly larger than any normalised timestamp, separating node segments.
-        self._offset = (t_max - t_min) * 1.000001 + 1.0
-        self._keys = self._entry_node.astype(np.float64) * self._offset \
-            + (tcsr.ts - t_min)
-
-    # -- pivot ----------------------------------------------------------------------
-
-    def batched_pivots(self, nodes: np.ndarray, times: np.ndarray,
-                       lo: np.ndarray) -> np.ndarray:
-        """Vectorised pivot search: first adjacency index with ``ts >= t``.
-
-        ``lo`` is each node's segment start ``tcsr.indptr[nodes]``, which
-        :meth:`sample` reads once for the search and its offsets.
-
-        Equivalent to one binary search per thread block in Algorithm 2 but
-        performed as a single ``searchsorted`` over the composite key array.
-
-        The float key ``node * offset + (ts - t_min)`` rounds: once
-        ``node * offset`` is large its ulp swallows real timestamp gaps, and
-        the search stops short of strictly earlier entries whose key collides
-        with the query's.  The result is therefore clamped into the node's
-        segment and walked to the exact pivot by comparing timestamps — zero
-        steps unless a key collided, so the answer always equals
-        :meth:`TCSR.pivots <repro.graph.tcsr.TCSR.pivots>`.
-        """
-        query_keys = nodes.astype(np.float64) * self._offset \
-            + np.minimum(np.maximum(times - self._t_min, 0.0), self._offset - 1.0)
-        pivots = self._keys.searchsorted(query_keys)
-        ts = self.tcsr.ts
-        if ts.shape[0] == 0:
-            return pivots
-        hi = self.tcsr.indptr[nodes + 1]
-        pivots = np.minimum(np.maximum(pivots, lo), hi)
-        last = ts.shape[0] - 1
-        while True:
-            early = (pivots < hi) & (ts[np.minimum(pivots, last)] < times)
-            if not _any(early):
-                break
-            pivots += early
-        while True:
-            # pivots - 1 == -1 only where pivots == lo == 0, masked out.
-            late = (pivots > lo) & (ts[pivots - 1] >= times)
-            if not _any(late):
-                break
-            pivots -= late
-        return pivots
+    It holds only its T-CSR and its policy: the pivot search keys belong to
+    the T-CSR, built once when it was.
+    """
 
     # -- uniform sampling without replacement (bitmap emulation) ----------------------
 
@@ -155,7 +97,7 @@ class GPUNeighborFinder(NeighborFinder):
                                  mask=np.zeros((b, budget), dtype=bool))
 
         starts = tcsr.indptr[nodes]
-        counts = self.batched_pivots(nodes, times, starts) - starts
+        counts = tcsr.pivots(nodes, times) - starts
 
         if self.policy == "recent":
             # offsets counted backwards from the pivot: pivot-1, pivot-2, ...

@@ -8,6 +8,10 @@ a PR are an allowlist that may only lose entries: a heading missing from it
 fails, an entry whose heading is gone must leave it, and no entry may cite a
 PR after the last one that added such a heading.
 
+Each of the two files holds at most its line cap, a number that may only go
+down: a record that a later one supersedes moves, verbatim, to
+``docs/benchmarks-history.md``.
+
 The ``## Contracts`` section of ``docs/ARCHITECTURE.md`` is an executable
 index: every ``###`` contract names at least one test that enforces it, as
 pytest prints its id (``tests/<file>.py::<Class>::<test>``), and every id it
@@ -62,6 +66,22 @@ ALLOWED = {
         "Thread-safe feature-slicing accounting (device layer, PR 3)",
     ),
 }
+
+
+#: per file, the most lines it may hold; lower a cap when a file shrinks,
+#: never raise one.
+LINE_CAPS = {
+    "docs/BENCHMARKS.md": 600,
+    "docs/ARCHITECTURE.md": 1407,
+}
+
+
+@pytest.mark.parametrize("path", sorted(LINE_CAPS))
+def test_doc_stays_under_its_line_cap(path):
+    lines = len((ROOT / path).read_text(encoding="utf-8").splitlines())
+    assert lines <= LINE_CAPS[path], (
+        f"{path} has {lines} lines, over its cap of {LINE_CAPS[path]}: move "
+        "superseded records to docs/benchmarks-history.md")
 
 
 def pr_headings(path: str) -> list:

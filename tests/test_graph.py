@@ -111,6 +111,35 @@ class TestTCSR:
                            for v, t in zip(nodes, times)])
         assert np.array_equal(batch, scalar)
 
+    def test_invariants_reject_a_descending_segment(self):
+        tcsr = _tcsr_from_events(4, [(1, 1.0), (1, 2.0), (2, 3.0)])
+        tcsr.ts[1] = 0.5
+        with pytest.raises(AssertionError, match="segment of node 1"):
+            tcsr.check_invariants()
+
+    def test_invariants_allow_a_descent_across_segments(self):
+        # Node 0 ends at 9.0, node 2 (after the empty node 1) starts at 1.0.
+        tcsr = _tcsr_from_events(4, [(0, 5.0), (0, 9.0), (2, 1.0), (2, 2.0)])
+        assert np.diff(tcsr.ts).min() < 0
+        tcsr.check_invariants()
+
+    @given(st.lists(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), max_size=4),
+                    min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_invariants_agree_with_the_per_segment_loop(self, segments):
+        # Segments given as lists, in any order: each is sorted iff the
+        # per-node loop the vectorised check replaced would accept it.
+        indptr = np.cumsum([0] + [len(seg) for seg in segments])
+        ts = np.asarray([t for seg in segments for t in seg], dtype=np.float64)
+        tcsr = TCSR(indptr=indptr, indices=np.zeros(ts.size, dtype=np.int64),
+                    eid=np.arange(ts.size), ts=ts, num_nodes=len(segments))
+        sorted_ = all(np.all(np.diff(seg) >= 0) for seg in segments)
+        if sorted_:
+            tcsr.check_invariants()
+        else:
+            with pytest.raises(AssertionError, match="not time-sorted"):
+                tcsr.check_invariants()
+
     def test_eid_maps_to_original_edge(self, small_graph, small_tcsr):
         nbr, eid, ts = small_tcsr.neighborhood(int(small_graph.src[0]))
         assert np.all((small_graph.ts[eid] == ts))
@@ -138,14 +167,15 @@ def _tcsr_from_events(num_nodes, events):
 
 
 def _assert_gpu_finder_exact(tcsr, nodes, times, budget):
-    """The default finder's float-key search lands on the exact pivots, and
-    under ``recent`` its batches equal the per-query finder's bitwise."""
+    """The T-CSR's float-key probe lands on the scalar pivots, and under
+    ``recent`` the default finder's batches equal the per-query finder's
+    bitwise."""
     nodes = np.asarray(nodes, dtype=np.int64)
     times = np.asarray(times, dtype=np.float64)
+    np.testing.assert_array_equal(
+        tcsr.pivots(nodes, times),
+        [tcsr.pivot(int(v), float(t)) for v, t in zip(nodes, times)])
     gpu = GPUNeighborFinder(tcsr, policy="recent")
-    np.testing.assert_array_equal(gpu.batched_pivots(nodes, times,
-                                                    tcsr.indptr[nodes]),
-                                  tcsr.pivots(nodes, times))
     rng = np.random.default_rng(0)
     got = gpu.sample(nodes, times, budget, rng)
     want = OriginalNeighborFinder(tcsr, policy="recent").sample(nodes, times,
@@ -157,7 +187,7 @@ def _assert_gpu_finder_exact(tcsr, nodes, times, budget):
 
 
 # Few distinct timestamps over many events -> heavy duplication, the case a
-# float composite key can get wrong and the rank-based key must get right.
+# float composite key can get wrong and the timestamp walk must repair.
 dup_events = st.lists(
     st.tuples(st.integers(0, 7), st.sampled_from([0.0, 1.0, 1.0 + 2**-40,
                                                   2.0, 5.0, 5.0, 9.0])),

@@ -22,6 +22,8 @@ command line is one parser with a subcommand per workload.  A live history's
 T-CSR is one compact T-CSR that each append merges into a fresh one, so the
 slack heap, its segment bookkeeping and its snapshot cache went (the
 instance attributes are checked by ``test_the_streaming_tcsr_holds_no_heap``).
+The T-CSR answers batched pivot queries itself, with keys it builds once, so
+the finder's key preparation and the unused integer-rank probe went.
 """
 
 import importlib
@@ -62,7 +64,10 @@ GONE = {
     "repro.graph.temporal_graph:TemporalGraph": ["time_slice", "latest_events",
                                                  "timespan"],
     "repro.graph.splits:TemporalSplit": ["boundaries"],
-    "repro.graph.tcsr:TCSR": ["degree", "degrees"],
+    # One T-CSR probe: ``TCSR.pivots`` searches the keys the T-CSR builds
+    # once, and a finder holds only its T-CSR and policy
+    # (``test_the_finder_holds_only_its_tcsr_and_policy``).
+    "repro.graph.tcsr:TCSR": ["degree", "degrees", "_probe_keys", "_probe_cache"],
     "repro.graph.tcsr": ["_ranges"],
     "repro.graph.tcsr:StreamingTCSR": ["compact", "last_timestamp",
                                        "physical_size", "add_reverse",
@@ -84,7 +89,8 @@ GONE = {
     "repro.models.minibatch:MiniBatch": ["root_node_feat"],
     # One RNG protocol: every draw of a tile comes from the tile's generator.
     "repro.sampling.base:NeighborFinder": ["rng", "seed"],
-    "repro.sampling.gpu_finder:GPUNeighborFinder": ["rng", "seed"],
+    "repro.sampling.gpu_finder:GPUNeighborFinder": ["rng", "seed", "batched_pivots",
+                                                    "_prepare_keys"],
     "repro.bench.finders:OriginalNeighborFinder": ["rng", "seed"],
     "repro.bench.finders:TGLNeighborFinder": ["rng", "seed"],
     "repro.core.neighbor_sampler:AdaptiveNeighborSampler": ["_select_rng"],
@@ -191,6 +197,16 @@ def test_no_component_holds_a_generator():
         held = [name for name, value in vars(component).items()
                 if isinstance(value, (np.random.Generator, np.random.BitGenerator))]
         assert held == [], (type(component).__name__, held)
+
+
+def test_the_finder_holds_only_its_tcsr_and_policy():
+    from repro.graph import TemporalGraph, build_tcsr
+    from repro.sampling import GPUNeighborFinder
+
+    tcsr = build_tcsr(TemporalGraph(num_nodes=3, src=np.array([0]),
+                                    dst=np.array([1]), ts=np.array([1.0])))
+    assert set(vars(GPUNeighborFinder(tcsr))) == {"tcsr", "policy"}
+    assert not hasattr(tcsr, "_probe_cache")
 
 
 def test_shard_worker_holds_no_epoch_state():

@@ -1,7 +1,9 @@
 """Tests for the neighbor finder, its two baseline fixtures and multi-hop
 expansion."""
 
+import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from repro.bench.breakdown import runtime_breakdown
 from repro.bench.finders import OriginalNeighborFinder, TGLNeighborFinder
 from repro.core import AdaptiveMiniBatchSelector, ChronologicalSelector, TaserConfig
 from repro.core.minibatch_selector import MiniBatchSelector
-from repro.graph import build_tcsr, CTDGConfig, generate_ctdg
+from repro.graph import build_tcsr, CTDGConfig, generate_ctdg, load_dataset
 from repro.sampling import (GPUNeighborFinder, sample_multi_hop, flatten_frontier,
                             NeighborBatch)
 
@@ -32,6 +34,12 @@ def query_batch(graph, count=200, seed=0):
 
 def chronological_queries(graph, count=300):
     return graph.src[:count], graph.ts[:count]
+
+
+def scalar_pivots(tcsr, nodes, times):
+    """The reference: one scalar ``TCSR.pivot`` per query."""
+    return np.array([tcsr.pivot(int(v), float(t)) for v, t in zip(nodes, times)],
+                    dtype=np.int64)
 
 
 class TestNeighborBatch:
@@ -129,10 +137,8 @@ class TestFinderCorrectness:
 
     def test_gpu_matches_original_pivots(self, small_graph, small_tcsr):
         nodes, times = query_batch(small_graph, 300, seed=5)
-        gpu = GPUNeighborFinder(small_tcsr)
-        pivots = gpu.batched_pivots(nodes, times, small_tcsr.indptr[nodes])
-        expected = small_tcsr.pivots(nodes, times)
-        assert np.array_equal(pivots, expected)
+        assert np.array_equal(small_tcsr.pivots(nodes, times),
+                              scalar_pivots(small_tcsr, nodes, times))
 
     @pytest.mark.parametrize("drift", [0.05, -0.05])
     def test_gpu_pivots_exact_whatever_the_keys_round_to(
@@ -140,14 +146,30 @@ class TestFinderCorrectness:
         """Entry keys pushed late (early) land the search before (after) the
         pivot; the timestamp walk repairs either direction."""
         nodes, times = query_batch(small_graph, 300, seed=5)
-        gpu = GPUNeighborFinder(small_tcsr)
-        gpu._keys = gpu._keys + drift * gpu._offset
-        expected = small_tcsr.pivots(nodes, times)
-        raw = np.searchsorted(gpu._keys, nodes * gpu._offset
-                              + (times - gpu._t_min))
+        tcsr = dataclasses.replace(small_tcsr)
+        tcsr._keys = tcsr._keys + drift * tcsr._offset
+        expected = scalar_pivots(small_tcsr, nodes, times)
+        raw = np.searchsorted(tcsr._keys, nodes * tcsr._offset
+                              + (times - tcsr._t_min))
         assert ((raw < expected) if drift > 0 else (raw > expected)).any()
-        assert np.array_equal(
-            gpu.batched_pivots(nodes, times, small_tcsr.indptr[nodes]), expected)
+        assert np.array_equal(tcsr.pivots(nodes, times), expected)
+
+    def test_finder_bytes_per_entry(self):
+        """Bytes a finder over wikipedia x1.0 holds beyond ``indptr``, and its
+        traced construction peak, per T-CSR entry: 40.0 held when the finder
+        kept its own node and key arrays beside the T-CSR."""
+        graph = load_dataset("wikipedia", scale=1.0, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            finder = GPUNeighborFinder(build_tcsr(graph))
+            held, peak = (b - base for b in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        entries = finder.tcsr.num_entries
+        held_per_entry = (held - finder.tcsr.indptr.nbytes) / entries
+        assert held_per_entry <= 36, f"{held_per_entry:.1f} B per entry held"
+        assert peak / entries <= 65, f"{peak / entries:.1f} B per entry at peak"
 
     def test_query_beyond_horizon(self, small_graph, small_tcsr):
         """Queries later than every event see the whole neighborhood."""

@@ -21,6 +21,7 @@ from repro.bench import harness
 from repro.bench.finders import OriginalNeighborFinder, use_finder
 from repro.core import TaserConfig, TaserTrainer
 from repro.core.sample_loss import build_sample_loss
+from repro.eval.evaluator import score_link_queries
 from repro.graph import CTDGConfig, generate_ctdg, chronological_split
 from repro.optim import clip_grad_norm
 from repro.tensor import Tensor
@@ -313,3 +314,35 @@ class TestTrainingVariants:
         trainer = TaserTrainer(train_graph, cfg)
         stats = trainer.train_epoch()
         assert np.isfinite(stats.sample_loss)
+
+
+@pytest.mark.filterwarnings("error")
+class TestAllDeadFrontier:
+    """Every root precedes the graph's first event, so no root has a
+    neighbor and every hop is fully masked: the documented recovery is a
+    step on zero states, not a NumPy warning or a NaN."""
+
+    @pytest.mark.parametrize("backbone", ["tgat", "graphmixer"])
+    def test_step_and_scores_stay_finite(self, train_graph, backbone):
+        trainer = TaserTrainer(train_graph, tiny_config(backbone=backbone))
+        assert trainer.sampler is not None
+        before = float(train_graph.ts.min()) - 1.0
+        prep = trainer.prep
+        prepared = prep.assemble_train(np.arange(32))
+        prepared.times = np.full_like(prepared.times, before)
+        prep.finish(prepared, prep.rng)
+        assert not any(hop.batch.mask.any() for hop in prepared.minibatch.hops)
+
+        trainer._begin_epoch()
+        step = trainer._backward(prepared)
+        trainer._apply(step)
+        assert float(step.model_loss.data) == pytest.approx(2 * np.log(2), rel=1e-6)
+        assert step.sampled and trainer._sample_losses == [0.0]
+        params = trainer.model_optimizer.params + trainer.sampler_optimizer.params
+        assert all(np.isfinite(p.data).all() for p in params)
+
+        src, dst = train_graph.src[:5], train_graph.dst[:5]
+        pos, neg = score_link_queries(prep, trainer.backbone, trainer.predictor,
+                                      src, dst, np.full(5, before),
+                                      np.tile(dst, (5, 1)), np.random.default_rng(0))
+        assert np.isfinite(pos).all() and np.isfinite(neg).all()
