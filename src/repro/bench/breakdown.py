@@ -3,9 +3,9 @@
 The breakdown separates an epoch into the four phases of Table III:
 ``NF`` (neighbor finding), ``AS`` (adaptive neighbor sampling), ``FS``
 (feature slicing) and ``PP`` (forward/backward propagation and optimiser
-steps).  An epoch's ``runtime`` holds measured seconds under those keys and
-the memory-hierarchy cost model's simulated PCIe/VRAM transfer seconds under
-``FS_sim_seconds``; only the table view below adds the two.
+steps).  An epoch's ``runtime`` holds measured seconds only; the cost model's
+simulated PCIe/VRAM transfer seconds are ``FeatureStore.snapshot()``'s, and
+only the table view below adds the two (as ``FS_sim_seconds``).
 
 Normalisation to simulated device seconds
 -----------------------------------------
@@ -51,9 +51,9 @@ def normalise_runtime(runtime: Dict[str, float], finder: type,
                       ) -> Dict[str, float]:
     """Convert one epoch's measured phase times to simulated device seconds.
 
-    Applies the module-docstring normalisation to a single
-    :attr:`~repro.core.trainer.EpochStats.runtime` dict: dense-compute phases
-    (PP, AS, and NF under the block-centric ``GPUNeighborFinder`` class) are
+    Applies the module-docstring normalisation to one epoch's runtime dict
+    plus the store's ``simulated_seconds`` as ``FS_sim_seconds``: the
+    dense-compute phases (PP, AS, and NF under ``GPUNeighborFinder``) are
     divided by ``device_speedup``; the host-side finders keep measured
     wall-clock, and feature slicing is the modelled ``FS_sim_seconds`` plus
     the device-converted measured gather time ``FS``.
@@ -170,13 +170,14 @@ def runtime_breakdown(graph: TemporalGraph, config: TaserConfig, label: str,
     trajectories: List[List[float]] = []
     for epoch in range(epochs):
         stats = trainer.train_epoch()
-        if epoch >= warmup:
-            for key in totals:
-                totals[key] += stats.runtime.get(key, 0.0)
-        trajectories.append(list(stats.batch_losses))
         # Per-epoch slice counters are still live right after train_epoch
         # (reset happens at the top of the next epoch).
         snap = trainer.feature_store.snapshot()
+        if epoch >= warmup:
+            runtime = dict(stats.runtime, FS_sim_seconds=snap.simulated_seconds)
+            for key in totals:
+                totals[key] += runtime.get(key, 0.0)
+        trajectories.append(list(stats.batch_losses))
         ids_requested += snap.ids_requested
         ids_unique += snap.ids_unique
     # FS = modelled PCIe/VRAM transfer time plus the measured gather compute

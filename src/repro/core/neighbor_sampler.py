@@ -26,7 +26,7 @@ Selection
 
 One hop is four graph nodes — encode, the mixer block, the decoder, the head
 — each with an analytic backward (``docs/ARCHITECTURE.md``, "The adaptive
-sampler at its floor"); the composition of encoder modules, ``Linear``,
+sampler"); the composition of encoder modules, ``Linear``,
 ``masked_softmax``, ``log`` and ``getitem`` nodes over all rows they replace
 is the oracle of ``tests/test_core_sampler.py``.
 """

@@ -10,10 +10,10 @@ rows of the paper's Table I correspond to the four combinations of the two
 Runtime is recorded per phase with the section names of Table III:
 ``NF`` (neighbor finding), ``AS`` (adaptive neighbor sampling), ``FS``
 (feature slicing) and ``PP`` (forward/backward propagation and optimiser
-steps), all measured wall-clock seconds.  The memory hierarchy's modelled
-PCIe/VRAM transfer time is never added to them: it is reported under its own
-key, ``FS_sim_seconds``, which :func:`~repro.bench.breakdown.normalise_runtime`
-folds into the paper-table view.
+steps), all measured wall-clock seconds and nothing else.  The memory
+hierarchy's modelled PCIe/VRAM transfer time stays in the feature store's
+accounting (``SliceStats.simulated_seconds``), which only the paper-table view
+of :mod:`repro.bench.breakdown` reads.
 
 A step is two halves (:class:`TrainStep`): backward computes every gradient,
 the model's and then the sampler's REINFORCE sample loss, and apply clips
@@ -62,8 +62,7 @@ class EpochStats:
     epoch: int
     model_loss: float
     sample_loss: float
-    #: measured seconds per phase (``NF`` / ``AS`` / ``FS`` / ``PP``), plus
-    #: the cost model's ``FS_sim_seconds`` under its own key.
+    #: measured seconds per phase (``NF`` / ``AS`` / ``FS`` / ``PP``).
     runtime: Dict[str, float]
     cache_hit_rate: float
     effective_sample_size: float
@@ -165,8 +164,8 @@ class TaserTrainer:
                 use_identity_encoding=cfg.use_identity_encoding,
                 rng=rng_sampler)
 
-        # --- pipeline: the generator holds the run's one neighbor finder and ---------
-        # the live history's T-CSR (it builds the streaming heap if it ingests).
+        # --- pipeline: the generator holds the run's one neighbor finder, whose ------
+        # T-CSR is the live history's (each ingest merges into a fresh one).
         self.timer = Timer()
         self.generator = MiniBatchGenerator(
             GPUNeighborFinder(build_tcsr(self.graph),
@@ -300,7 +299,6 @@ class TaserTrainer:
         """Epoch epilogue: close the cache's epoch and return its stats."""
         runtime = self.timer.totals()
         slice_stats = self.feature_store.snapshot()
-        runtime["FS_sim_seconds"] = slice_stats.simulated_seconds
         self.feature_store.end_epoch()
 
         ess = (self.selector.effective_sample_size()

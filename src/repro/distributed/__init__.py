@@ -14,8 +14,8 @@ bitwise-identical to the single-process
 worker (``process``), is reproducible under a fixed seed, and matches the
 serial pool bitwise.  Gradients meet in flat buckets held in anonymous
 shared mappings that exist before the fork —
-:mod:`repro.distributed.comms`.  See ``docs/ARCHITECTURE.md`` (sharded
-data-parallel layer, gradient comms layer).
+:mod:`repro.distributed.comms`.  See ``docs/ARCHITECTURE.md``, "Distributed
+layer".
 """
 
 from .comms import GradientBucket, GradientComms, average_gradients

@@ -38,7 +38,7 @@ the engine counts them from the hit mask (``ServeStats.embeddings_reused`` /
 ``embeddings_computed``).
 Everything is pure numpy state driven only by the request sequence — no wall
 clock — which is what makes served scores bitwise-reproducible in replay
-mode (see ``docs/ARCHITECTURE.md``, "Serving layer").
+mode (see ``docs/ARCHITECTURE.md``, "Serve layer").
 """
 
 from __future__ import annotations

@@ -335,9 +335,10 @@ class ServeEngine:
 
         The mini-batch generator grows the live history
         (:meth:`~repro.core.pipeline.MiniBatchGenerator.ingest`): the first
-        accepted chunk moves the shared log into private buffers and builds
-        the streaming T-CSR; a rejected one raises ``ValueError`` and changes
-        nothing.  The staleness clock advances — embeddings older than
+        accepted chunk moves the shared log into private buffers, and each
+        one merges into a fresh compact T-CSR that the finder then reads; a
+        rejected one raises ``ValueError`` and changes nothing.  The
+        staleness clock advances — embeddings older than
         ``staleness_events`` become invalid at their next lookup.  Pending
         queries are *not* flushed: a query admitted before the ingest is
         scored against the post-ingest graph, exactly as a continuously

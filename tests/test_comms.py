@@ -1,6 +1,6 @@
 """Gradient comms layer: bucket bitwise contract + the reference barrier.
 
-Three contract layers (see docs/ARCHITECTURE.md, "Gradient comms layer"):
+Three contract layers (see docs/ARCHITECTURE.md, "Gradient comms"):
 
 * :class:`GradientBucket` pack/unpack round-trips a ``GradList`` exactly
   (including the ``None`` mask and non-contiguous inputs), and its flat

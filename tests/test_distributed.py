@@ -212,8 +212,10 @@ class TestShardedMechanics:
         for shard in stats.per_shard:
             assert len(shard.batch_losses) == len(stats.batch_losses)
             assert {"NF", "FS", "PP"} <= set(shard.runtime)
-        assert stats.runtime["FS_sim_seconds"] == sum(
-            shard.runtime["FS_sim_seconds"] for shard in stats.per_shard)
+            assert set(shard.runtime) <= {"NF", "FS", "AS", "PP"}
+        assert set(stats.runtime) <= {"NF", "FS", "AS", "PP", "SYNC"}
+        assert stats.runtime["FS"] == sum(
+            shard.runtime["FS"] for shard in stats.per_shard)
 
     def test_worker_pool_error_propagates(self, shard_graph):
         cfg = tiny_config()

@@ -12,6 +12,11 @@ Each of the two files holds at most its line cap, a number that may only go
 down: a record that a later one supersedes moves, verbatim, to
 ``docs/benchmarks-history.md``.
 
+``docs/ARCHITECTURE.md`` is the map of the code: its ``##`` sections run
+in dataflow order, one per layer, its module map and README's repository
+layout name every package under ``src/repro``, and every section a
+docstring under ``src/`` or ``tests/`` points at is one of its headings.
+
 The ``## Contracts`` section of ``docs/ARCHITECTURE.md`` is an executable
 index: every ``###`` contract names at least one test that enforces it, as
 pytest prints its id (``tests/<file>.py::<Class>::<test>``), and every id it
@@ -42,18 +47,6 @@ ALLOWED = {
         "`BENCH_history.jsonl` — e2e headline medians, one line per PR (PR 19)",
     ),
     "docs/ARCHITECTURE.md": (
-        "Tensor layer: autograd engine (PR 13)",
-        "Adaptive neighbor sampler: live rows only (PR 15)",
-        "The adaptive sampler at its floor (PR 35)",
-        "Array runtime (PR 5, collapsed to one backend in PR 21)",
-        "Numeric types (PR 22)",
-        "Prep runtime (PR 4)",
-        "The one prep path (PR 24)",
-        "Serving layer (PR 7)",
-        "One feature width (PR 28)",
-        "Scoring (eval layer, PR 39)",
-        "Sharded data-parallel dataflow (PR 3)",
-        "Gradient comms layer (PR 10, one transport since PR 25)",
         "Mask / padding (sampling layer, since PR 1)",
         "Run-vs-replay determinism (core layer, since PR 1)",
         "Autograd graph lifetime and gradient ownership (tensor layer, PR 13)",
@@ -72,7 +65,7 @@ ALLOWED = {
 #: never raise one.
 LINE_CAPS = {
     "docs/BENCHMARKS.md": 600,
-    "docs/ARCHITECTURE.md": 1407,
+    "docs/ARCHITECTURE.md": 999,
 }
 
 
@@ -107,6 +100,64 @@ class TestPerPRHeadings:
         later = [heading for heading in ALLOWED[path]
                  if int(PR_HEADING.match(f"# {heading}").group(2)) > LAST_HEADED_PR]
         assert later == []
+
+
+#: the ``##`` sections of ARCHITECTURE.md: the map, then one per layer in
+#: dataflow order, then the contracts and the extension points.
+ARCHITECTURE_SECTIONS = (
+    "Module map",
+    "Dataflow: one training iteration",
+    "Graph layer",
+    "Sampling layer",
+    "Device layer",
+    "Prep layer",
+    "Tensor layer",
+    "Model layer: nn, encoders and models",
+    "Eval layer: scoring",
+    "Stream layer",
+    "Serve layer",
+    "Distributed layer",
+    "Contracts",
+    "Where to extend",
+)
+
+#: a docstring's pointer into ARCHITECTURE.md by section name.
+SECTION_CITATION = re.compile(r'docs/ARCHITECTURE\.md`*,\s+"([^"]+)"')
+
+PACKAGES = sorted(path.name for path in (ROOT / "src/repro").iterdir()
+                  if (path / "__init__.py").exists())
+
+
+def architecture() -> str:
+    return (ROOT / "docs/ARCHITECTURE.md").read_text(encoding="utf-8")
+
+
+def test_the_sections_follow_the_dataflow():
+    assert tuple(re.findall(r"^## (.+)$", architecture(), re.MULTILINE)) \
+        == ARCHITECTURE_SECTIONS
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_package_is_on_both_maps(package):
+    """The module map and README's repository layout name every package."""
+    module_map = architecture().split("\n## Module map\n", 1)[1].split("\n## ", 1)[0]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Repository layout\n", 1)[1].split("```")[1]
+    name = re.compile(rf"src/repro/{package}\b")
+    assert name.search(module_map), f"ARCHITECTURE.md's module map lacks {package}"
+    assert name.search(layout), f"README's repository layout lacks {package}"
+
+
+def test_every_cited_section_is_a_heading():
+    headings = set(re.findall(r"^#+ (.+)$", architecture(), re.MULTILINE))
+    cited = {}
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        for name in SECTION_CITATION.findall(path.read_text(encoding="utf-8")):
+            cited.setdefault(" ".join(name.split()), []).append(
+                str(path.relative_to(ROOT)))
+    assert cited
+    assert {name: paths for name, paths in cited.items()
+            if name not in headings} == {}
 
 
 #: a test id as pytest prints it, in backticks: ``tests/<file>.py::<name>...``.

@@ -1,6 +1,6 @@
 """Unified batch-prep runtime (``repro.core.prep``).
 
-Two contracts (see docs/ARCHITECTURE.md, "Prep runtime"):
+Two contracts (see docs/ARCHITECTURE.md, "Prep layer"):
 
 * **bitwise identity** — the deduplicated fused gather produces outputs
   bitwise-identical to the naive per-slot gather, for arbitrarily

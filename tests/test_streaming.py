@@ -281,6 +281,39 @@ class TestChunkRules:
         assert graph.num_edges == heap.num_events == 50
 
 
+class TestDuplicateEvents:
+    def test_an_exact_duplicate_is_a_separate_event(self, small_graph):
+        """An event repeated exactly — same endpoints, time and features,
+        within one chunk and across chunks — is kept as its own event: its
+        own event id and feature row, a T-CSR bitwise the rebuild of the
+        log, and a ``recent`` query that returns every copy, newest first."""
+        warm = small_graph.select_events(np.arange(240))
+        trainer = StreamingTrainer(warm, stream_config(), window_events=200)
+        generator = trainer.generator
+        assert generator.finder.policy == "recent"
+        u, v, t = int(warm.src[-1]), int(warm.dst[-1]), float(warm.ts[-1]) + 1.0
+        row = np.arange(warm.edge_dim, dtype=np.float32)
+        trainer.ingest(EventChunk(src=np.array([u, u]), dst=np.array([v, v]),
+                                  ts=np.array([t, t]), edge_feat=np.stack([row, row])))
+        trainer.ingest(EventChunk(src=np.array([u]), dst=np.array([v]),
+                                  ts=np.array([t]), edge_feat=row[None, :]))
+
+        log = trainer.graph
+        assert log.num_edges == 243
+        copies = np.arange(240, 243)
+        assert np.array_equal(log.src[copies], [u] * 3)
+        assert np.array_equal(log.dst[copies], [v] * 3)
+        assert np.array_equal(log.ts[copies], [t] * 3)
+        assert np.array_equal(log.edge_feat[copies], np.stack([row] * 3))
+        assert_tcsr_equal(generator.finder.tcsr, build_tcsr(log))
+
+        batch = generator.finder.sample(np.array([u, v]), np.array([t + 1.0] * 2),
+                                        4, np.random.default_rng(0))
+        assert np.array_equal(batch.eids[:, :3], [[242, 241, 240]] * 2)
+        assert np.array_equal(batch.nodes[:, :3], [[v] * 3, [u] * 3])
+        assert batch.mask[:, :3].all()
+
+
 class TestCacheGrowth:
     def test_grow_extends_universe_and_keeps_content(self):
         cache = DynamicFeatureCache(num_edges=100, capacity=20, seed=0)

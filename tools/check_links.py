@@ -9,8 +9,9 @@ Collects every ``*.md`` file from the given paths and verifies that each
 relative link target — inline ``[text](target)`` and reference-style
 ``[label]: target`` definitions — resolves to an existing file or directory,
 relative to the linking file.  External schemes (``http(s)://``, ``mailto:``)
-and pure in-page anchors (``#...``) are skipped; a ``target#anchor`` link is
-checked for the file part only.
+are skipped.  An anchor — ``#anchor`` in the linking file, or
+``file.md#anchor`` — must name a heading of its markdown target, by GitHub's
+slug rule (:func:`slug`); headings inside fenced code do not count.
 
 Exits non-zero listing every broken link.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 #: inline links [text](target); stops at the first unescaped closing paren.
 INLINE_LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
@@ -30,6 +31,10 @@ IMAGE_LINK = re.compile(r"\!\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 REFERENCE_DEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 #: fenced code blocks are stripped before scanning (``` ... ```).
 CODE_FENCE = re.compile(r"```.*?```", re.DOTALL)
+#: an ATX heading line: ``## text``.
+HEADING = re.compile(r"^#{1,6}[ \t]+(.+?)(?:[ \t]+#+)?[ \t]*$", re.MULTILINE)
+#: an inline link or image inside a heading, which renders as its text.
+HEADING_LINK = re.compile(r"!?\[([^\]]*)\]\([^)]*\)")
 
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 
@@ -54,16 +59,35 @@ def extract_targets(text: str) -> List[str]:
     return targets
 
 
+def slug(heading: str) -> str:
+    """GitHub's anchor for a heading's text: links and code spans render as
+    their text, then lowercase, drop every character but letters, digits,
+    ``_``, ``-`` and spaces, and turn each space into ``-``."""
+    text = HEADING_LINK.sub(r"\1", heading).replace("`", "").lower()
+    return re.sub(r"[^\w\- ]", "", text).replace(" ", "-")
+
+
+def anchors(text: str) -> Set[str]:
+    """Every heading anchor of a markdown text; a repeated slug gets a
+    ``-1``, ``-2``, ... suffix, as GitHub numbers them."""
+    seen: Dict[str, int] = {}
+    found = set()
+    for heading in HEADING.findall(CODE_FENCE.sub("", text)):
+        base = slug(heading)
+        count = seen.get(base, 0)
+        seen[base] = count + 1
+        found.add(f"{base}-{count}" if count else base)
+    return found
+
+
 def check_file(path: Path) -> List[Tuple[str, str]]:
     """Return (target, reason) for every broken link in ``path``."""
     broken = []
     for target in extract_targets(path.read_text(encoding="utf-8")):
-        if target.startswith(EXTERNAL_PREFIXES) or target.startswith("#"):
+        if target.startswith(EXTERNAL_PREFIXES):
             continue
-        file_part = target.split("#", 1)[0]
-        if not file_part:
-            continue
-        resolved = (path.parent / file_part).resolve()
+        file_part, _, anchor = target.partition("#")
+        resolved = (path.parent / file_part).resolve() if file_part else path.resolve()
         try:
             resolved.relative_to(Path.cwd().resolve())
         except ValueError:
@@ -72,6 +96,9 @@ def check_file(path: Path) -> List[Tuple[str, str]]:
             continue
         if not resolved.exists():
             broken.append((target, f"missing: {resolved}"))
+        elif (anchor and resolved.suffix.lower() == ".md"
+              and anchor not in anchors(resolved.read_text(encoding="utf-8"))):
+            broken.append((target, f"no heading '#{anchor}' in {resolved}"))
     return broken
 
 
