@@ -618,7 +618,7 @@ def serve_flush_cell(repeats: int) -> dict:
                            TaserConfig(**config))
     trainer.train_epoch()
     engine = ServeEngine.from_trainer(trainer, max_batch=spec["max_batch"],
-                                      queue_depth=spec["queue_depth"], staleness_time=0.0)
+                                      queue_depth=spec["queue_depth"])
     nodes = trainer.graph.num_nodes
     rng = np.random.default_rng(0)
     stream = itertools.cycle(range(warm_events, graph.num_edges))
@@ -660,8 +660,7 @@ def serve_engine_cell(repeats: int) -> dict:
 
     def build():
         return ServeEngine.from_trainer(trainer, max_batch=spec["max_batch"],
-                                        queue_depth=spec["queue_depth"],
-                                        staleness_time=0.0)
+                                        queue_depth=spec["queue_depth"])
     block = slice(warm_events, warm_events + spec["ingest_block"])
     tracemalloc.start()
     try:

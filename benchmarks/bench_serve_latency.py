@@ -10,26 +10,18 @@ replays the held-out suffix as a link-prediction query stream through
   and ``batched`` (``max_batch=32``, micro-batched continuous-batching
   shape).  Micro-batching must win by >= 2x QPS at ``REPRO_BENCH_SCALE >=
   0.5`` (warn-only at smoke scale, where per-query wall-clock is noise);
-* **batch occupancy** per cell, plus a third ``batched_stale`` cell that
-  relaxes the embedding cache to a time-staleness bound (10% of the query
-  span) and reports the **embedding-cache hit rate** the bounded-staleness
-  reuse machinery buys;
+* **batch occupancy** per cell;
 * the **run-vs-replay score hash**: a fresh engine over the same model and
   query stream must return bitwise-identical scores.  The pair is emitted as
   ``results.serve_determinism`` and listed in ``tools/bench_gate.py``'s
   ``REQUIRED_HASH_PAIRS`` — dropping it or breaking it fails CI at every
-  scale.  The stale cell carries its own ``stale_determinism`` pair (reuse
-  is approximate across *cells*, but bitwise-reproducible across *runs*).
+  scale.
 
-The ``sequential`` and ``batched`` cells run under time-exact staleness
-(``staleness_time=0.0``), where the engine's embedding cache is off by
-default: only an identical ``(node, t)`` repeat could hit, and a hit is not
-bitwise a recomputation — the row was computed in another flush, and BLAS
-picks its blocking by the matrix height.  Every score is computed, so the
-two cells must agree to within a few ulp — micro-batching changes the
-latency shape, not the numbers.  (Bitwise equality holds per batch shape,
-i.e. run-vs-replay; summation order — and the last bit — can differ
-*across* batch sizes.)
+The engine computes every endpoint at its own query time, so the two cells
+must agree to within a few ulp — micro-batching changes the latency shape,
+not the numbers.  (Bitwise equality holds per batch shape, i.e.
+run-vs-replay; summation order — and the last bit — can differ *across*
+batch sizes.)
 
 Every cell runs once untimed first, under its own admission shape: the
 first serving pass of a shape pays one-time allocator/BLAS warm-up that
@@ -49,10 +41,9 @@ from repro.bench import bench_scale, emit_bench_json, quick_config
 from repro.core import TaserTrainer
 from repro.serve import LinkQuery, ServeEngine, scores_hash
 
-def _serve_once(trainer, queries, max_batch, staleness_time=0.0):
+def _serve_once(trainer, queries, max_batch):
     engine = ServeEngine.from_trainer(
-        trainer, max_batch=max_batch, queue_depth=max(128, 4 * max_batch),
-        staleness_time=staleness_time, staleness_events=None)
+        trainer, max_batch=max_batch, queue_depth=max(128, 4 * max_batch))
     start = time.perf_counter()
     results = engine.serve(queries)
     elapsed = time.perf_counter() - start
@@ -71,8 +62,6 @@ def _cell_payload(engine, results, elapsed, num_queries):
         "latency_p99_ms": float(np.percentile(latencies, 99)) * 1e3,
         "batch_occupancy": stats["batch_occupancy"],
         "forward_batches": stats["forward_batches"],
-        "embedding_cache_hit_rate": stats["embedding_cache_hit_rate"],
-        "embedding_cache_evictions": stats["embedding_cache_evictions"],
     }
 
 
@@ -97,25 +86,17 @@ def test_serve_latency(benchmark, wikipedia_graph):
     queries = [LinkQuery(int(s) % universe, int(d) % universe, float(t))
                for s, d, t in zip(g.src[suffix], g.dst[suffix], g.ts[suffix])]
 
-    #: time-staleness bound of the reuse cell: 10% of the query-time span.
-    span = float(g.ts[suffix.stop - 1] - g.ts[suffix.start])
-    stale_bound = max(span * 0.1, 1e-9)
-
     def run_cells():
         warm_queries = queries[: max(32, len(queries) // 4)]
         cells = {}
-        for name, max_batch, staleness in (("sequential", 1, 0.0),
-                                           ("batched", 32, 0.0),
-                                           ("batched_stale", 32, stale_bound)):
+        for name, max_batch in (("sequential", 1), ("batched", 32)):
             # Untimed warm-up per cell, under the cell's own admission shape:
             # allocator/BLAS warm-up is batch-shape-specific, so warming only
             # one shape leaves the other cells' first queries paying it
             # inside their timed latency percentiles (the old
             # sequential-cell p99-vs-p50 artifact; see docs/BENCHMARKS.md).
-            _serve_once(trainer, warm_queries, max_batch,
-                        staleness_time=staleness)
-            engine, results, elapsed = _serve_once(trainer, queries, max_batch,
-                                                   staleness_time=staleness)
+            _serve_once(trainer, warm_queries, max_batch)
+            engine, results, elapsed = _serve_once(trainer, queries, max_batch)
             cells[name] = (engine, results, elapsed)
         return cells
 
@@ -123,7 +104,6 @@ def test_serve_latency(benchmark, wikipedia_graph):
 
     seq_engine, seq_results, seq_elapsed = cells["sequential"]
     bat_engine, bat_results, bat_elapsed = cells["batched"]
-    stale_engine, stale_results, stale_elapsed = cells["batched_stale"]
     for _, results, _ in cells.values():
         assert all(r.status == "ok" for r in results)
         assert all(0.0 <= r.score <= 1.0 for r in results)
@@ -133,40 +113,27 @@ def test_serve_latency(benchmark, wikipedia_graph):
     _, replay_results, _ = _serve_once(trainer, queries, 32)
     replay_hash = scores_hash(replay_results)
     assert replay_hash == run_hash, "serve replay is not bitwise-identical"
-    # Under time-exact staleness, batching must not change the scores beyond
-    # the last bits of the compute dtype (BLAS blocking differs across matrix
-    # heights, so bitwise equality only holds per batch shape — that's what
-    # the replay pair checks above).  Scores lie in [0, 1]: four float32 ulps.
+    # Batching must not change the scores beyond the last bits of the compute
+    # dtype (BLAS blocking differs across matrix heights, so bitwise equality
+    # only holds per batch shape — that's what the replay pair checks above).
+    # Scores lie in [0, 1]: four float32 ulps.
     seq_scores = np.asarray([r.score for r in seq_results])
     bat_scores = np.asarray([r.score for r in bat_results])
     np.testing.assert_allclose(seq_scores, bat_scores, rtol=0,
                                atol=4 * np.finfo(repro.tensor.COMPUTE_DTYPE).eps)
-    # The bounded-staleness cell is approximate across cells but must still
-    # be bitwise-reproducible across runs.
-    stale_hash = scores_hash(stale_results)
-    _, stale_replay, _ = _serve_once(trainer, queries, 32,
-                                     staleness_time=stale_bound)
-    stale_replay_hash = scores_hash(stale_replay)
-    assert stale_replay_hash == stale_hash, \
-        "bounded-staleness serve replay is not bitwise-identical"
 
     payload = {
         "num_queries": len(queries),
         "warmup_events": warmup,
-        "staleness_time_bound": stale_bound,
         "cells": {
             "sequential": _cell_payload(seq_engine, seq_results, seq_elapsed,
                                         len(queries)),
             "batched": _cell_payload(bat_engine, bat_results, bat_elapsed,
                                      len(queries)),
-            "batched_stale": _cell_payload(stale_engine, stale_results,
-                                           stale_elapsed, len(queries)),
         },
         "batched_qps_speedup": (seq_elapsed / bat_elapsed
                                 if bat_elapsed else float("inf")),
         "serve_determinism": {"hash": run_hash, "replay_hash": replay_hash},
-        "stale_determinism": {"hash": stale_hash,
-                              "replay_hash": stale_replay_hash},
     }
 
     print("\nServe latency (wikipedia suffix replay, graphmixer)")
@@ -174,8 +141,7 @@ def test_serve_latency(benchmark, wikipedia_graph):
         print(f"  {name:>10}: {cell['queries_per_second']:8.0f} q/s  "
               f"p50 {cell['latency_p50_ms']:7.2f}ms  "
               f"p99 {cell['latency_p99_ms']:7.2f}ms  "
-              f"occupancy {cell['batch_occupancy']:.2f}  "
-              f"cache hit {cell['embedding_cache_hit_rate']:.2f}")
+              f"occupancy {cell['batch_occupancy']:.2f}")
     print(f"  micro-batching speedup: {payload['batched_qps_speedup']:.2f}x "
           f"(hash {run_hash})")
 

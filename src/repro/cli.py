@@ -14,9 +14,9 @@ One ``repro`` command with three subcommands, one per workload:
 * ``repro serve ...`` answers link-prediction queries online: train an
   in-memory model on the dataset's warm-up prefix, then micro-batch queries
   replayed from the held-out suffix through a
-  :class:`~repro.serve.ServeEngine` and report latency percentiles, QPS,
-  batch occupancy and the embedding-cache hit rate (``--replay`` verifies the
-  bitwise run-vs-replay score-hash contract).
+  :class:`~repro.serve.ServeEngine` and report latency percentiles, QPS and
+  batch occupancy (``--replay`` verifies the bitwise run-vs-replay score-hash
+  contract).
 
 Examples
 --------
@@ -32,7 +32,7 @@ Examples
         --window-events 2000 --json
     python -m repro stream --drift-phases 3 --max-chunks 20 --json
     python -m repro serve --dataset wikipedia --max-batch 32 \
-        --staleness-events 500 --num-queries 2000 --replay --json
+        --num-queries 2000 --replay --json
 """
 
 from __future__ import annotations
@@ -204,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "in-memory model on the dataset's warm-up prefix, then "
                     "micro-batch queries replayed from the held-out suffix "
                     "through one prep pass + one forward per batch and "
-                    "report latency percentiles, QPS, batch occupancy and "
-                    "the embedding-cache hit rate")
+                    "report latency percentiles, QPS and batch occupancy")
     serve.set_defaults(run=run_serve, report=_report_serve)
     serve.add_argument("--variant", choices=sorted(VARIANTS), default="baseline",
                        help="training variant of the in-memory warm-up model")
@@ -225,20 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--admission", choices=["wait", "shed"], default="wait",
                        help="full-queue policy: 'wait' drains synchronously "
                             "(backpressure), 'shed' rejects the overflow")
-    serve.add_argument("--staleness-events", type=_non_negative_int,
-                       default=None,
-                       help="embedding-cache event-count staleness bound "
-                            "(>= 0; default: unbounded)")
-    serve.add_argument("--staleness-time", type=_number(float, 0), default=0.0,
-                       help="embedding-cache |query_t - computed_t| bound "
-                            "(>= 0; default: 0, time-exact: every score is "
-                            "computed at its own query time)")
-    serve.add_argument("--cache-nodes", type=_non_negative_int, default=None,
-                       help="embedding-cache capacity in nodes (0 disables; "
-                            "default: 0 under the time-exact --staleness-time "
-                            "0, where only an identical (node, t) query could "
-                            "hit, a quarter of the node universe under any "
-                            "other bound)")
     serve.add_argument("--replay", action="store_true",
                        help="serve the stream twice through fresh engines "
                             "and verify the bitwise score-hash contract")
@@ -371,8 +356,7 @@ def run_serve(args: argparse.Namespace) -> dict:
     def one_pass() -> tuple:
         engine = ServeEngine.from_trainer(
             trainer, max_batch=args.max_batch, queue_depth=args.queue_depth,
-            admission=args.admission, staleness_events=args.staleness_events,
-            staleness_time=args.staleness_time, cache_nodes=args.cache_nodes)
+            admission=args.admission)
         t0 = time.perf_counter()
         results = engine.serve(queries)
         return engine, results, time.perf_counter() - t0
@@ -393,8 +377,6 @@ def run_serve(args: argparse.Namespace) -> dict:
         max_batch=args.max_batch,
         queue_depth=args.queue_depth,
         admission=args.admission,
-        staleness_events=args.staleness_events,
-        staleness_time=args.staleness_time,
         serve_seconds=serve_seconds,
         qps=len(queries) / serve_seconds if serve_seconds else 0.0,
         latency_p50_ms=(float(np.percentile(latencies, 50)) * 1e3
@@ -420,10 +402,6 @@ def _report_serve(summary: dict) -> None:
     print(f"  latency        : p50 "
           f"{'n/a' if p50 is None else format(p50, '.2f')}ms, p99 "
           f"{'n/a' if p99 is None else format(p99, '.2f')}ms")
-    print(f"  embed cache    : hit rate "
-          f"{summary['embedding_cache_hit_rate']:.2f} "
-          f"({summary['embedding_cache_entries']} entries, "
-          f"{summary['embedding_cache_evictions']} evictions)")
     print(f"  scores hash    : {summary['scores_hash']}")
     if summary["replay_match"] is not None:
         verdict = "bitwise-identical" if summary["replay_match"] else "MISMATCH"

@@ -95,7 +95,7 @@ class EventStream:
         sleeps between chunks to emulate a live arrival process.  ``None``
         (default) replays as fast as the consumer drains.
     max_chunks:
-        Optional cap on the number of emitted chunks.
+        Optional cap (>= 0) on the number of emitted chunks.
     """
 
     def __init__(self, graph: TemporalGraph, chunk_size: int = 500,
@@ -105,6 +105,8 @@ class EventStream:
             raise ValueError("chunk_size must be positive")
         if rate is not None and rate <= 0:
             raise ValueError("rate must be positive events/second (or None)")
+        if max_chunks is not None and max_chunks < 0:
+            raise ValueError(f"max_chunks must be >= 0 (or None), got {max_chunks}")
         self.graph = graph if graph.is_chronological else graph.sort_by_time()
         self.chunk_size = int(chunk_size)
         self.start = int(start)

@@ -18,19 +18,20 @@ the two everything is columns.  Dataflow of one flush::
     submit(LinkQuery) ──▶ pending columns (queue_depth; shed-or-wait)
                               │ FIFO slices of <= max_batch rows
                               ▼
-        _score(src, dst, t): endpoint (node, t) columns ──▶ NodeEmbeddingCache.lookup
-                              │ misses only          (staleness bounds;
-                              │                       off when time-exact)
+        _score(src, dst, t): 2b endpoint (node, t) columns
                               ▼
-              missing (node, t) ──▶ prep runtime ──▶ backbone.embed
+                      prep runtime ──▶ backbone.embed
                (one forward-only build + one forward for the whole
                 micro-batch; each distinct (node, t) computed once)
-                              │ fresh rows ──▶ NodeEmbeddingCache.insert
                               ▼
             EdgePredictor(h_src, h_dst) ──▶ sigmoid ──▶ score / logit columns
                               │
                               ▼
-            ServeResult per query (score, latency, batch occupancy, cache hits)
+            ServeResult per query (score, latency, batch occupancy)
+
+Every endpoint is computed at its own query time: an embedding is a function
+of ``(node, t)``, and even a time-exact reuse is not bitwise a recomputation
+(BLAS blocks a GEMM by its row count).
 
 Ingestion grows the engine's history through its mini-batch generator
 (:meth:`~repro.core.pipeline.MiniBatchGenerator.ingest`), the one way a live
@@ -40,7 +41,7 @@ source's event log read-only.
 Synchronous core, concurrency-ready: the engine itself never spawns
 threads — `submit`/`flush` are plain calls, so a caller can drive it from an
 event loop, a thread pool, or a benchmark loop — but every decision it makes
-(admission, batching, cache eviction, staleness) depends only on the query
+(admission, batching) depends only on the query
 sequence and the seed, never on the wall clock, unless per-query deadlines
 are used.  That is the **deterministic replay contract**: a fresh engine
 built over the same model with the same seed, fed the same query sequence,
@@ -76,6 +77,9 @@ from ..tensor import functional as F
 from ..utils.rng import new_rng
 from ..utils.timer import Timer
 from .cache import NodeEmbeddingCache
+
+#: the frozen e2e tracer times ``lookup`` as the ``serve.embcache`` span.
+_embedding_cache = NodeEmbeddingCache()
 
 __all__ = ["LinkQuery", "ServeResult", "ServeStats", "VirtualClock",
            "ServeEngine", "scores_hash"]
@@ -117,8 +121,6 @@ class ServeResult(NamedTuple):
     latency_seconds: float = 0.0
     #: size of the micro-batch this query was served in (0 if never batched).
     batch_size: int = 0
-    #: how many of the query's two endpoints came from the embedding cache.
-    cache_hits: int = 0
     #: submission order, assigned by the engine.
     seq: int = 0
 
@@ -163,8 +165,6 @@ class ServeStats:
     forward_batches: int = 0
     #: unique (node, t) embeddings computed by the model.
     embeddings_computed: int = 0
-    #: endpoint lookups served from the embedding cache.
-    embeddings_reused: int = 0
     events_ingested: int = 0
 
 
@@ -177,8 +177,8 @@ class VirtualClock:
     """
 
     def __init__(self, tick: float = 1e-3) -> None:
-        if tick <= 0:
-            raise ValueError("tick must be positive")
+        if not (isinstance(tick, Real) and math.isfinite(tick) and tick > 0):
+            raise ValueError(f"tick must be a finite positive real, got {tick!r}")
         self.now = 0.0
         self.tick = float(tick)
 
@@ -209,15 +209,9 @@ class ServeEngine:
         Admission bound on pending queries.  ``admission="wait"`` drains the
         queue synchronously when full (backpressure); ``admission="shed"``
         rejects the overflowing query with status ``"shed"``.
-    staleness_events / staleness_time:
-        Embedding-cache staleness bounds (see
-        :class:`~repro.serve.cache.NodeEmbeddingCache`).
-    cache_nodes:
-        Embedding-cache capacity in nodes; 0 disables the cache.  The
-        default follows the staleness bounds: 0 under time-exact staleness
-        (``staleness_time=0.0``, where a hit would need an identical
-        ``(node, t)`` query and would not spare the flush its build and
-        forward), a quarter of the node universe under any other time bound.
+    staleness_time:
+        Only ``0.0``: every endpoint is computed at its query time.  The
+        frozen benchmarks/e2e/workloads.py passes it.
     seed:
         Seed of the flushes' generator (:attr:`rng`), the one random stream
         of the engine: a ``uniform`` finder draws from it, an ingest never
@@ -233,10 +227,7 @@ class ServeEngine:
                  num_neighbors: int = 5, num_candidates: Optional[int] = None,
                  finder_policy: str = "recent",
                  max_batch: int = 32, queue_depth: int = 128,
-                 admission: str = "wait",
-                 staleness_events: Optional[int] = None,
-                 staleness_time: Optional[float] = 0.0,
-                 cache_nodes: Optional[int] = None, seed: int = 0,
+                 admission: str = "wait", staleness_time: float = 0.0, seed: int = 0,
                  clock: Optional[Callable[[], float]] = None) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -245,6 +236,9 @@ class ServeEngine:
         if admission not in ("wait", "shed"):
             raise ValueError(f"admission must be 'wait' or 'shed', "
                              f"got {admission!r}")
+        if staleness_time != 0.0:
+            raise ValueError(f"unknown staleness_time {staleness_time!r}: 0.0 is the "
+                             "only value (every endpoint is computed at its query time)")
         self.max_batch = int(max_batch)
         self.queue_depth = int(queue_depth)
         self.admission = admission
@@ -262,20 +256,6 @@ class ServeEngine:
                               for _, module in root.named_modules())
         #: the array runtime the forward runs on (one per process).
         self.array_backend = get_backend()
-
-        if cache_nodes is not None:
-            capacity = cache_nodes
-        elif staleness_time == 0.0:
-            # Time-exact staleness: a hit needs the identical (node, t), which
-            # a flush's destinations never repeat, and a hit would not spare
-            # the build + forward of the misses beside it.
-            capacity = 0
-        else:
-            capacity = max(1, self.graph.num_nodes // 4)
-        self.embedding_cache = NodeEmbeddingCache(
-            self.graph.num_nodes, capacity,
-            staleness_events=staleness_events,
-            staleness_time=staleness_time)
 
         self.timer = Timer()
         self.feature_store = FeatureStore(self.graph, edge_cache=None)
@@ -324,11 +304,6 @@ class ServeEngine:
 
     # -- ingestion --------------------------------------------------------------
 
-    @property
-    def events_observed(self) -> int:
-        """Total events in the engine's history (the staleness clock)."""
-        return self.graph.num_edges
-
     def ingest(self, src: np.ndarray, dst: np.ndarray, ts: np.ndarray,
                edge_feat: Optional[np.ndarray] = None) -> None:
         """Absorb newly arrived events into the serving history.
@@ -337,9 +312,7 @@ class ServeEngine:
         (:meth:`~repro.core.pipeline.MiniBatchGenerator.ingest`): the first
         accepted chunk moves the shared log into private buffers, and each
         one merges into a fresh compact T-CSR that the finder then reads; a
-        rejected one raises ``ValueError`` and changes nothing.  The
-        staleness clock advances — embeddings older than
-        ``staleness_events`` become invalid at their next lookup.  Pending
+        rejected one raises ``ValueError`` and changes nothing.  Pending
         queries are *not* flushed: a query admitted before the ingest is
         scored against the post-ingest graph, exactly as a continuously
         batching server would.
@@ -460,7 +433,7 @@ class ServeEngine:
                 if not src.size:
                     continue
                 dst, t = self._dst[rows], self._t[rows]
-                scores, logits, hits = self._score(src, dst, t)
+                scores, logits = self._score(src, dst, t)
                 done = self._clock()
                 deadlines = self._deadline[rows].tolist()
                 queries = zip(src.tolist(), dst.tolist(), t.tolist(),
@@ -468,7 +441,7 @@ class ServeEngine:
                 results.extend(map(_result_of, zip(
                     map(_query_of, queries), repeat("ok"), scores.tolist(),
                     logits.tolist(), (done - self._enqueued[rows]).tolist(),
-                    repeat(src.size), hits.tolist(), self._seq[rows].tolist())))
+                    repeat(src.size), self._seq[rows].tolist())))
         except BaseException:
             # Keep the rows not yet taken: move them to the queue's front.
             for name, _ in _COLUMNS:
@@ -479,12 +452,11 @@ class ServeEngine:
         self._count = 0
 
     def _score(self, src: np.ndarray, dst: np.ndarray, t: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+               ) -> Tuple[np.ndarray, np.ndarray]:
         """Score the links ``src[i] -> dst[i]`` at ``t[i]`` as one micro-batch:
-        one prep pass and one forward over the endpoints the embedding cache
-        does not hold.  Returns ``(scores, logits, cache_hits)``: the
-        calibrated probabilities, their logits and how many of each link's
-        two endpoints came from the cache.
+        one prep pass and one forward over its ``2b`` endpoints, one tile per
+        level; the forward-only batch computes each distinct ``(node, t)``
+        once.  Returns the calibrated probabilities and their logits.
 
         ``src`` / ``dst`` are int64 ids of the node universe and ``t`` finite
         float64 times: rows of the pending columns, which :meth:`submit`
@@ -493,43 +465,18 @@ class ServeEngine:
         b = src.size
         nodes = np.concatenate((src, dst))
         times = np.concatenate((t, t))
+        _embedding_cache.lookup(nodes)
         # ``training`` is a plain instance attribute: writing the instance
         # dicts skips ``Module.__setattr__``'s registration hook.
         modules = self._modules
         modes = list(map(_training, modules))
         for module in modules:
             module.__dict__["training"] = False
-        cache = self.embedding_cache
-        observed = self.graph.num_edges
         try:
             with no_grad():
-                hits, rows = cache.lookup(nodes, times, observed)
-                num_hits = 0 if rows is None else int(hits.sum())
-                if num_hits < nodes.size:
-                    # One prep pass + one forward for the missing endpoints
-                    # of the whole micro-batch (all of them when nothing
-                    # hit), one tile per level; the forward-only batch
-                    # computes each distinct (node, t) once.
-                    misses = slice(None) if rows is None else ~hits
-                    generator = self.prep.generator
-                    minibatch = generator.build(nodes[misses], times[misses],
-                                                self.rng, train=False)
-                    fresh = self.backbone.embed(minibatch, generator.hop_tile).data
-                    distinct = minibatch.hops[0]
-                    uniq_nodes = distinct.batch.root_nodes
-                    self.serve_stats.embeddings_computed += uniq_nodes.size
-                    if rows is None:
-                        rows = fresh
-                    else:
-                        rows[misses] = fresh
-                    if cache.capacity:
-                        # The rows of one distinct endpoint are all the same row.
-                        computed = np.empty((uniq_nodes.size, fresh.shape[1]),
-                                            dtype=fresh.dtype)
-                        computed[distinct.inverse] = fresh
-                        cache.insert(uniq_nodes, computed, distinct.batch.root_times,
-                                     observed)
-                self.serve_stats.embeddings_reused += num_hits
+                minibatch = self.generator.build(nodes, times, self.rng, train=False)
+                rows = self.backbone.embed(minibatch, self.generator.hop_tile).data
+                self.serve_stats.embeddings_computed += minibatch.hops[0].batch.root_nodes.size
                 logits = self.predictor(Tensor(rows[:b]), Tensor(rows[b:]))
                 scores = F.sigmoid(logits).data
         finally:
@@ -537,15 +484,14 @@ class ServeEngine:
                 module.__dict__["training"] = mode
         self.serve_stats.forward_batches += 1
         self.serve_stats.served += b
-        return scores, logits.data, np.add(hits[:b], hits[b:], dtype=np.int64)
+        return scores, logits.data
 
     # -- reporting ---------------------------------------------------------------
 
     def stats(self) -> Dict:
-        """JSON-ready engine counters, occupancy and cache hit rate."""
+        """JSON-ready engine counters and occupancy."""
         s = self.serve_stats
         mean_batch = s.served / s.forward_batches if s.forward_batches else 0.0
-        endpoint_requests = s.embeddings_reused + s.embeddings_computed
         return {
             "submitted": s.submitted,
             "served": s.served,
@@ -557,14 +503,11 @@ class ServeEngine:
             "mean_batch_size": mean_batch,
             "batch_occupancy": mean_batch / self.max_batch,
             "embeddings_computed": s.embeddings_computed,
-            "embeddings_reused": s.embeddings_reused,
-            "embedding_cache_hit_rate": (
-                s.embeddings_reused / endpoint_requests
-                if endpoint_requests else 0.0),
-            "embedding_cache_entries": self.embedding_cache.num_cached,
-            "embedding_cache_evictions": self.embedding_cache.eviction_count,
+            # No embedding is reused; the key stays because the frozen
+            # benchmarks/e2e/workloads.py reads stats()["embeddings_reused"].
+            "embeddings_reused": 0,
             "events_ingested": s.events_ingested,
-            "events_observed": self.events_observed,
+            "events_observed": self.graph.num_edges,
             # There is one prep path; the key stays because the frozen
             # benchmarks/e2e/workloads.py reads stats()["prep_backend"].
             "prep_backend": self.prep.name,

@@ -182,9 +182,7 @@ class TestLeakGuard:
     def test_serve_flush(self, small_graph):
         trainer = TaserTrainer(small_graph, leak_config(adaptive_minibatch=False,
                                                         adaptive_neighbor=False))
-        # An explicit capacity: the time-exact default caches nothing.
-        engine = ServeEngine.from_trainer(trainer, max_batch=8, cache_nodes=16,
-                                          clock=VirtualClock())
+        engine = ServeEngine.from_trainer(trainer, max_batch=8, clock=VirtualClock())
         t_hi = float(small_graph.ts.max())
         with recorded_kernels() as (leaks, calls):
             for i in range(6):
@@ -193,9 +191,6 @@ class TestLeakGuard:
         assert calls[0] > 0 and len(results) == 6
         assert all(r.status == "ok" and 0.0 <= r.score <= 1.0 for r in results)
         assert leaks == []
-        cache = engine.embedding_cache
-        assert cache.rows.dtype == repro.tensor.COMPUTE_DTYPE
-        assert cache.computed_time.dtype == np.float64      # keys, not model quantities
 
     def test_gradient_bucket_follows_the_dtype(self, small_graph):
         config = leak_config(backbone="graphmixer")

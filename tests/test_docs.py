@@ -65,7 +65,7 @@ ALLOWED = {
 #: never raise one.
 LINE_CAPS = {
     "docs/BENCHMARKS.md": 600,
-    "docs/ARCHITECTURE.md": 999,
+    "docs/ARCHITECTURE.md": 988,
 }
 
 

@@ -361,28 +361,30 @@ class TestServeCLI:
         assert payload["latency_p50_ms"] > 0
         assert payload["latency_p99_ms"] >= payload["latency_p50_ms"]
         assert 0.0 < payload["batch_occupancy"] <= 1.0
-        assert 0.0 <= payload["embedding_cache_hit_rate"] <= 1.0
         assert len(payload["scores_hash"]) == 16
         assert payload["replay_hash"] is None
         assert payload["allocator_policy"] == repro.ALLOCATOR_POLICY
 
     def test_serve_default_is_time_exact(self, capsys):
-        """``repro serve`` serves what the engine serves by default: no
-        reused embedding, the scores of ``--staleness-time 0``."""
+        """``repro serve`` computes every endpoint at its own query time: it
+        reuses no embedding and has no flag that would."""
         assert main(self.SERVE_ARGS + ["--json"]) == 0
-        default = json.loads(capsys.readouterr().out)
-        assert main(self.SERVE_ARGS + ["--staleness-time", "0", "--json"]) == 0
-        exact = json.loads(capsys.readouterr().out)
-        assert default["staleness_time"] == 0.0
-        assert default["embeddings_reused"] == 0
-        assert default["scores_hash"] == exact["scores_hash"]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["embeddings_reused"] == 0
+        assert not any(key.startswith(("staleness", "embedding_cache"))
+                       for key in payload)
+        for gone in (["--staleness-events", "5"], ["--staleness-time", "0"],
+                     ["--cache-nodes", "0"]):
+            with pytest.raises(SystemExit):
+                main(self.SERVE_ARGS + gone)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_text_output(self, capsys):
         assert main(self.SERVE_ARGS) == 0
         out = capsys.readouterr().out
         assert "throughput" in out
         assert "latency" in out
-        assert "embed cache" in out
+        assert "embed cache" not in out
 
     def test_serve_replay_bitwise(self, capsys):
         code = main(self.SERVE_ARGS + ["--replay", "--json"])
@@ -402,12 +404,6 @@ class TestServeCLI:
         with pytest.raises(SystemExit):
             main(self.SERVE_ARGS + ["--max-batch", "many"])
         assert "expected an integer" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(self.SERVE_ARGS + ["--staleness-events", "-1"])
-        assert "must be >= 0" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(self.SERVE_ARGS + ["--staleness-time", "-0.5"])
-        assert "must be >= 0" in capsys.readouterr().err
 
     def test_serve_rejects_unknown_backends_at_parse_time(self, capsys):
         """--backend, --prep-backend and --precision are not flags at all."""

@@ -24,6 +24,9 @@ slack heap, its segment bookkeeping and its snapshot cache went (the
 instance attributes are checked by ``test_the_streaming_tcsr_holds_no_heap``).
 The T-CSR answers batched pivot queries itself, with keys it builds once, so
 the finder's key preparation and the unused integer-rank probe went.
+Serving computes every endpoint at its own query time, so the embedding
+cache's store, staleness bounds and eviction went with the engine's knobs
+for them.
 """
 
 import importlib
@@ -111,8 +114,15 @@ GONE = {
     "repro.graph.sharding:TemporalShardPlan": ["shard_graphs"],
     # One columnar serve pass: the pending queue is columns, scored by
     # ``ServeEngine._score``.
+    # Every endpoint is computed at its own query time: the embedding cache
+    # holds nothing, and ``staleness_time`` only accepts 0.0.
     "repro.serve.engine:ServeEngine": ["_flush_pending", "_score_chunk",
-                                       "_refresh"],
+                                       "_refresh", "staleness_events",
+                                       "cache_nodes", "events_observed"],
+    "repro.serve": ["NodeEmbeddingCache"],
+    "repro.serve.cache:NodeEmbeddingCache.lookup": ["times", "now_event"],
+    "repro.serve.engine:ServeResult": ["cache_hits"],
+    "repro.serve.engine:ServeStats": ["embeddings_reused"],
     # A cache holds and replaces; its caller counts the hits from the mask of
     # the one deduplicated probe (``test_cache_bookkeeping_is_bounded``
     # checks that no instance keeps a hit counter).
@@ -121,7 +131,10 @@ GONE = {
     "repro.device.cache:FeatureCache.lookup": ["edge_ids"],
     "repro.device.cache:DynamicFeatureCache": ["_record_unique"],
     "repro.serve.cache:NodeEmbeddingCache": ["hit_rate_history", "grow",
-                                             "end_epoch", "current_hit_rate"],
+                                             "end_epoch", "current_hit_rate",
+                                             "insert", "_install", "num_cached",
+                                             "cached_nodes", "num_nodes", "capacity",
+                                             "staleness_events", "staleness_time"],
     "repro.device.memory:SliceStats": ["as_dict"],
     "repro.device.costmodel:TransferCostModel.pcie_time": ["num_requests"],
     "repro.device.costmodel:TransferCostModel.vram_time": ["num_requests"],

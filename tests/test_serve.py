@@ -1,10 +1,10 @@
-"""Tests for the serving layer: NodeEmbeddingCache and ServeEngine.
+"""Tests for the serving layer: ServeEngine.
 
 Covers the edge cases the serving contracts hinge on — empty flushes,
 out-of-universe queries, queries for nodes with no history at time ``t``,
-staleness-bound expiry inside one micro-batch, queue-full shedding under both
-admission policies, deadline expiry on the injected clock — and the
-deterministic replay contract: bitwise-identical scores across runs.
+queue-full shedding under both admission policies, deadline expiry on the
+injected clock — and the deterministic replay contract: bitwise-identical
+scores across runs.
 """
 
 import copy
@@ -14,13 +14,11 @@ from enum import IntEnum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core import StreamingTrainer, TaserConfig, TaserTrainer, split_warmup
 from repro.graph import StreamingTCSR
-from repro.serve import (LinkQuery, NodeEmbeddingCache, ServeEngine,
-                         VirtualClock, scores_hash)
+from repro.serve import LinkQuery, ServeEngine, VirtualClock, scores_hash
 from repro.sampling import unique_targets
 
 
@@ -53,231 +51,6 @@ def make_engine(trained, **kwargs):
     kwargs.setdefault("max_batch", 8)
     kwargs.setdefault("clock", VirtualClock())
     return ServeEngine.from_trainer(trained, **kwargs)
-
-
-class TestNodeEmbeddingCache:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NodeEmbeddingCache(-1, 4)
-        with pytest.raises(ValueError):
-            NodeEmbeddingCache(10, -1)
-        with pytest.raises(ValueError):
-            NodeEmbeddingCache(10, 4, staleness_events=-1)
-        with pytest.raises(ValueError):
-            NodeEmbeddingCache(10, 4, staleness_time=-0.5)
-
-    def test_default_serves_exact_repeats_only(self):
-        cache = NodeEmbeddingCache(10, 4)
-        rows = np.arange(6, dtype=np.float64).reshape(2, 3)
-        cache.insert(np.array([1, 2]), rows, np.array([5.0, 5.0]), now_event=0)
-        hits, got = cache.lookup(np.array([1, 2, 1]),
-                                 np.array([5.0, 6.0, 4.0]), now_event=0)
-        # Only the identical (node, t) pair hits under staleness_time=0.0.
-        assert hits.tolist() == [True, False, False]
-        assert np.array_equal(got[0], rows[0])
-
-    def test_time_staleness_bound(self):
-        cache = NodeEmbeddingCache(10, 4, staleness_time=1.5)
-        cache.insert(np.array([3]), np.ones((1, 2)), np.array([10.0]), 0)
-        hits, _ = cache.lookup(np.array([3, 3, 3]),
-                               np.array([11.0, 11.5, 12.0]), 0)
-        assert hits.tolist() == [True, True, False]
-
-    def test_event_staleness_bound(self):
-        cache = NodeEmbeddingCache(10, 4, staleness_events=5,
-                                   staleness_time=None)
-        cache.insert(np.array([3]), np.ones((1, 2)), np.array([10.0]),
-                     now_event=100)
-        assert cache.lookup(np.array([3]), np.array([99.0]), 105)[0].all()
-        assert not cache.lookup(np.array([3]), np.array([99.0]), 106)[0].any()
-
-    def test_eviction_prefers_low_frequency(self):
-        cache = NodeEmbeddingCache(10, 2, staleness_time=None)
-        cache.insert(np.array([1, 2]), np.zeros((2, 2)), np.zeros(2), 0)
-        # Node 2 becomes the hot entry; node 1 must be the eviction victim.
-        cache.lookup(np.array([2, 2, 2]), np.zeros(3), 0)
-        cache.insert(np.array([5]), np.ones((1, 2)), np.zeros(1), 0)
-        assert cache.cached_nodes().tolist() == [2, 5]
-        assert cache.eviction_count == 1
-
-    def test_insert_last_write_wins_on_duplicates(self):
-        cache = NodeEmbeddingCache(10, 4, staleness_time=None)
-        rows = np.array([[1.0, 1.0], [2.0, 2.0]])
-        cache.insert(np.array([7, 7]), rows, np.array([1.0, 2.0]), 0)
-        _, got = cache.lookup(np.array([7]), np.array([2.0]), 0)
-        assert np.array_equal(got[0], rows[1])
-        assert cache.num_cached == 1
-
-    def test_insert_duplicates_keep_final_occurrence_of_each(self):
-        # Interleaved repeats: the kept rows are the np.unique-of-reversed
-        # oracle's, whatever order the duplicates arrive in.
-        rng = np.random.default_rng(5)
-        nodes = rng.integers(0, 6, 20)
-        rows = rng.standard_normal((20, 3))
-        times = rng.random(20)
-        cache = NodeEmbeddingCache(6, 6, staleness_time=None)
-        cache.insert(nodes, rows, times, 0)
-        _, last = np.unique(nodes[::-1], return_index=True)
-        keep = np.sort(nodes.size - 1 - last)
-        _, got = cache.lookup(nodes[keep], times[keep], 0)
-        assert np.array_equal(got, rows[keep])
-        assert cache.num_cached == keep.size
-
-    def test_hit_mask_is_the_only_account(self):
-        # The cache counts no hits; the engine counts them from the mask.
-        cache = NodeEmbeddingCache(10, 4, staleness_time=None)
-        cache.insert(np.array([1]), np.ones((1, 2)), np.zeros(1), 0)
-        hits, _ = cache.lookup(np.array([1, 1, 2, 3]), np.zeros(4), 0)
-        assert hits.tolist() == [True, True, False, False]
-
-    def test_zero_capacity_disables_caching(self):
-        cache = NodeEmbeddingCache(10, 0)
-        cache.insert(np.array([1]), np.ones((1, 2)), np.zeros(1), 0)
-        hits, rows = cache.lookup(np.array([1]), np.zeros(1), 0)
-        assert not hits.any() and rows is None
-        assert cache.num_cached == 0
-
-    def test_rows_are_served_exactly_as_inserted(self):
-        cache = NodeEmbeddingCache(50, 8)
-        rows = np.random.default_rng(0).normal(size=(4, 5))
-        cache.insert(np.arange(4), rows, np.zeros(4), now_event=0)
-        hits, cached = cache.lookup(np.arange(4), np.zeros(4), now_event=0)
-        assert hits.all()
-        np.testing.assert_array_equal(cached, rows)
-        assert cached.dtype == rows.dtype
-
-
-class ScanningCache(NodeEmbeddingCache):
-    """Oracle: the cache before its fill pointer — free slots found by a
-    scan of ``node_of < 0``, and a zero-filled ``rows`` from every lookup
-    once anything was inserted."""
-
-    def lookup(self, nodes, times, now_event):
-        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-        times = np.asarray(times, dtype=np.float64).reshape(-1)
-        np.add.at(self.frequency, nodes, 1)
-        slots = self.slot_of[nodes]
-        hits = slots >= 0
-        if hits.any() and self.rows is not None:
-            occupied = slots[hits]
-            fresh = np.ones(occupied.size, dtype=bool)
-            if self.staleness_events is not None:
-                fresh &= (now_event - self.computed_event[occupied]
-                          <= self.staleness_events)
-            if self.staleness_time is not None:
-                fresh &= (np.abs(times[hits] - self.computed_time[occupied])
-                          <= self.staleness_time)
-            hits[np.nonzero(hits)[0][~fresh]] = False
-        else:
-            hits[:] = False
-        rows = None
-        if self.rows is not None:
-            rows = np.zeros((nodes.size, self.rows.shape[1]), dtype=self.rows.dtype)
-            if hits.any():
-                rows[hits] = self.rows[self.slot_of[nodes[hits]]]
-        return hits, rows
-
-    def insert(self, nodes, rows, times, now_event):
-        if self.capacity == 0:
-            return
-        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-        times = np.asarray(times, dtype=np.float64).reshape(-1)
-        order = np.argsort(nodes, kind="stable")
-        by_node = nodes[order]
-        last = np.ones(nodes.size, dtype=bool)
-        last[:-1] = by_node[1:] != by_node[:-1]
-        if not last.all():
-            keep = np.sort(order[last])
-            nodes, times, rows = nodes[keep], times[keep], rows[keep]
-        if self.rows is None:
-            self.rows = np.zeros((self.capacity, rows.shape[1]), dtype=rows.dtype)
-        slots = self.slot_of[nodes]
-        cached = slots >= 0
-        if cached.any():
-            self._install(slots[cached], nodes[cached], rows[cached], times[cached],
-                          now_event)
-        new_nodes = nodes[~cached]
-        if new_nodes.size == 0:
-            return
-        new_rows, new_times = rows[~cached], times[~cached]
-        free = np.nonzero(self.node_of < 0)[0]
-        take = min(free.size, new_nodes.size)
-        if take:
-            self._install(free[:take], new_nodes[:take], new_rows[:take],
-                          new_times[:take], now_event)
-            new_nodes = new_nodes[take:]
-            new_rows, new_times = new_rows[take:], new_times[take:]
-        if new_nodes.size == 0:
-            return
-        if new_nodes.size > self.capacity:
-            order = np.lexsort((new_nodes, -self.frequency[new_nodes]))
-            keep = np.sort(order[:self.capacity])
-            new_nodes, new_rows, new_times = (new_nodes[keep], new_rows[keep],
-                                              new_times[keep])
-        occupants = self.node_of
-        order = np.lexsort((occupants, self._slot_stamp, self.frequency[occupants]))
-        victims = order[:new_nodes.size]
-        self.slot_of[occupants[victims]] = -1
-        self.eviction_count += int(victims.size)
-        self._install(victims, new_nodes, new_rows, new_times, now_event)
-
-
-#: one cache operation: ("lookup" | "insert", node ids, time indices) or
-#: ("ingest", events, ()).
-_CACHE_OPS = st.one_of(
-    st.tuples(st.sampled_from(["lookup", "insert"]),
-              st.lists(st.integers(0, 11), min_size=0, max_size=9),
-              st.lists(st.integers(0, 3), min_size=9, max_size=9)),
-    st.tuples(st.just("ingest"), st.integers(1, 3), st.just(())))
-
-
-class TestCacheAgainstScanningOracle:
-    """Over interleavings of ``lookup`` / ``insert`` and ingest-driven event
-    clocks, the fill-pointer cache picks the oracle's victims and keeps its
-    stamps, rows and counters."""
-
-    STATE = ("slot_of", "node_of", "computed_time", "computed_event", "frequency",
-             "_slot_stamp")
-
-    @settings(max_examples=120, deadline=None)
-    @given(capacity=st.integers(1, 6), num_nodes=st.integers(4, 8),
-           staleness=st.sampled_from([(None, 0.0), (None, None), (2, None), (3, 0.5)]),
-           ops=st.lists(_CACHE_OPS, min_size=1, max_size=25), seed=st.integers(0, 99))
-    def test_same_victims_stamps_rows_and_counters(self, capacity, num_nodes, staleness,
-                                                   ops, seed):
-        rng = np.random.default_rng(seed)
-        events, times_of = staleness
-        caches = [cls(num_nodes, capacity, staleness_events=events,
-                      staleness_time=times_of) for cls in (NodeEmbeddingCache, ScanningCache)]
-        now = 0
-        for kind, arg, time_index in ops:
-            if kind == "ingest":
-                now += arg
-                continue
-            nodes = np.array(arg, dtype=np.int64) % caches[0].num_nodes
-            times = np.array(time_index[:nodes.size], dtype=np.float64) * 0.5
-            if kind == "insert":
-                rows = rng.standard_normal((nodes.size, 3)).astype(np.float32)
-                for cache in caches:
-                    cache.insert(nodes, rows, times, now)
-            else:
-                (hits, rows), (want_hits, want_rows) = (
-                    cache.lookup(nodes, times, now) for cache in caches)
-                assert np.array_equal(hits, want_hits)
-                assert (rows is None) == (not hits.any())
-                if rows is not None:
-                    assert np.array_equal(rows, want_rows)
-            got, want = caches
-            for name in self.STATE:
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            occupied = got.node_of >= 0
-            assert (got.rows is None) == (want.rows is None)
-            if got.rows is not None:
-                assert np.array_equal(got.rows[occupied], want.rows[occupied])
-            assert occupied.sum() == got.num_cached == want.num_cached
-            assert not occupied[got.num_cached:].any()     # the fill-pointer prefix
-            for name in ("eviction_count", "_stamp"):
-                assert getattr(got, name) == getattr(want, name), name
 
 
 class TestUniqueEndpoints:
@@ -399,34 +172,6 @@ class TestServeEngineEdgeCases:
         assert [r.query for r in results] == submitted
         assert results[2].query.deadline is None
 
-    def test_staleness_expiry_mid_batch(self, trained):
-        # One micro-batch holds the same node at two query times: the nearby
-        # one is served from cache, the distant one exceeds the staleness
-        # bound and is recomputed — within the same flush.
-        engine = make_engine(trained, staleness_time=1.0,
-                             staleness_events=None)
-        warm = engine.serve([LinkQuery(1, 2, 100.0)])
-        assert warm[0].cache_hits == 0
-        engine.submit(LinkQuery(1, 2, 100.5))   # inside the bound: hits
-        engine.submit(LinkQuery(1, 2, 500.0))   # outside: recomputed
-        near, far = engine.flush()
-        assert near.cache_hits == 2 and far.cache_hits == 0
-        assert near.batch_size == 2 and far.batch_size == 2
-
-    def test_event_staleness_invalidated_by_ingest(self, trained):
-        engine = make_engine(trained, staleness_events=3,
-                             staleness_time=None)
-        q = LinkQuery(1, 2, float(trained.graph.ts.max()))
-        engine.serve([q])
-        engine.serve([q])
-        assert engine.stats()["embeddings_reused"] == 2
-        last = float(engine.graph.ts[-1])
-        engine.ingest(np.array([1, 2, 3, 4]), np.array([2, 3, 4, 5]),
-                      np.full(4, last + 1.0),
-                      np.zeros((4, engine.graph.edge_dim), dtype=np.float32))
-        engine.serve([q])  # 4 events ingested > bound of 3: must recompute
-        assert engine.stats()["embeddings_reused"] == 2
-
     def test_ingest_copies_graph_and_refreshes(self, trained):
         before = trained.graph.num_edges
         engine = make_engine(trained)
@@ -492,6 +237,14 @@ class TestServeEngineEdgeCases:
         with pytest.raises(ValueError, match="tick"):
             VirtualClock(tick=0.0)
 
+    @pytest.mark.parametrize("tick", [float("nan"), float("inf"), -1e-3, "1"])
+    def test_a_virtual_clock_tick_must_be_finite_and_positive(self, tick):
+        """Under a NaN or infinite tick every reading is NaN or infinite,
+        ``now - enqueued > deadline`` never holds, and a replay with deadlines
+        never sheds a query."""
+        with pytest.raises(ValueError, match="tick"):
+            VirtualClock(tick=tick)
+
     def test_results_in_submission_order(self, trained, queries):
         engine = make_engine(trained, max_batch=4)
         results = engine.serve(queries)
@@ -506,16 +259,14 @@ class TestServeEngineEdgeCases:
         assert stats["served"] == len(queries)
         assert stats["forward_batches"] >= len(queries) // 4
         assert 0.0 < stats["batch_occupancy"] <= 1.0
-        assert 0.0 <= stats["embedding_cache_hit_rate"] <= 1.0
-        assert stats["embeddings_computed"] + stats["embeddings_reused"] \
-            == 2 * len(queries)
+        assert stats["embeddings_reused"] == 0
+        assert 0 < stats["embeddings_computed"] <= 2 * len(queries)
+        assert not any(key.startswith("embedding_cache") for key in stats)
 
     def test_engine_has_no_precision_argument(self, trained):
         with pytest.raises(TypeError):
             make_engine(trained, precision="fp32")
-        engine = make_engine(trained)
-        assert type(engine.embedding_cache) is NodeEmbeddingCache
-        assert "precision" not in engine.stats()
+        assert "precision" not in make_engine(trained).stats()
 
 
 class TestServeDeterminism:
@@ -523,28 +274,21 @@ class TestServeDeterminism:
     @pytest.mark.parametrize("prep_name", ["reference"])
     def test_replay_bitwise_per_cell(self, trained, queries, prep_name):
         def run():
-            engine = make_engine(trained, staleness_time=None)
+            engine = make_engine(trained)
             assert engine.prep.name == prep_name
             return scores_hash(engine.serve(queries))
 
         assert run() == run()
 
     def test_default_engine_is_the_uncached_engine_bitwise(self, trained, queries):
-        """Under time-exact staleness the default caches nothing: a default
-        engine is a ``cache_nodes=0`` engine, score for score.  A cached hit
-        is not bitwise a recomputation — the GEMM's blocking follows the
-        flush's row count — so an engine that caches may differ in the last
-        bits."""
+        """The default engine is the ``staleness_time=0.0`` engine the e2e
+        benchmark builds, score for score, and it reuses no embedding."""
         default = make_engine(trained, max_batch=4)
-        assert default.embedding_cache.capacity == 0
-        want = make_engine(trained, max_batch=4, cache_nodes=0).serve(queries + queries)
         got = default.serve(queries + queries)
+        want = make_engine(trained, max_batch=4,
+                           staleness_time=0.0).serve(queries + queries)
         assert scores_hash(got) == scores_hash(want)
         assert default.stats()["embeddings_reused"] == 0
-        assert all(r.cache_hits == 0 for r in got)
-        cached = make_engine(trained, max_batch=4, cache_nodes=16).serve(queries + queries)
-        np.testing.assert_allclose([r.score for r in cached], [r.score for r in got],
-                                   rtol=0, atol=1e-6)
 
     def test_a_flush_draws_one_seed_per_level_tile_and_ingest_none(self, trained,
                                                                      queries):
@@ -578,14 +322,6 @@ class TestServeDeterminism:
         plain, ingested = twice(False), twice(True)
         assert plain[0] != plain[1]
         assert ingested == plain
-
-    def test_cache_default_follows_the_staleness_bound(self, trained):
-        quarter = max(1, trained.graph.num_nodes // 4)
-        assert make_engine(trained).embedding_cache.capacity == 0
-        for bounds in (dict(staleness_time=1.0), dict(staleness_time=None),
-                       dict(staleness_time=None, staleness_events=3)):
-            assert make_engine(trained, **bounds).embedding_cache.capacity == quarter
-        assert make_engine(trained, cache_nodes=7).embedding_cache.capacity == 7
 
     def test_flush_restores_each_modules_mode(self, trained, queries):
         engine = make_engine(trained)
@@ -621,10 +357,9 @@ class TestColumnarCore:
         src = np.array([q.src for q in queries])
         dst = np.array([q.dst for q in queries])
         t = np.array([q.t for q in queries])
-        scores, logits, hits = make_engine(trained)._score(src, dst, t)
+        scores, logits = make_engine(trained)._score(src, dst, t)
         assert scores.tolist() == [r.score for r in flushed]
         assert logits.tolist() == [r.logit for r in flushed]
-        assert hits.tolist() == [0] * len(queries)
 
     def test_queue_grows_past_its_first_columns(self, trained, queries):
         engine = make_engine(trained, max_batch=4, queue_depth=64)
@@ -737,9 +472,9 @@ class TestSharedHistory:
 
 
 #: Python frames under ``repro`` that a 3-query flush on a one-layer
-#: GraphMixer enters (97 on Python 3.11; 3.12 inlines comprehensions, so it
+#: GraphMixer enters (96 on Python 3.11; 3.12 inlines comprehensions, so it
 #: counts fewer).  The count was 124 before the pending queue became columns.
-FLUSH_FRAME_BUDGET = 97
+FLUSH_FRAME_BUDGET = 96
 
 
 class TestFlushCallBudget:
@@ -774,4 +509,4 @@ class TestFlushCallBudget:
         finally:
             sys.setprofile(None)
         assert [r.status for r in results] == ["ok"] * 3
-        assert frames[0] <= FLUSH_FRAME_BUDGET
+        assert frames[0] <= FLUSH_FRAME_BUDGET, frames[0]

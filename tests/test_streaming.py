@@ -362,6 +362,16 @@ class TestEventStream:
         assert len(list(stream)) == 3
         assert stream.num_chunks == 3
 
+    def test_a_negative_max_chunks_is_rejected(self, small_graph):
+        """A negative cap would read back as ``num_chunks`` while the stream
+        emits no chunk.  Zero stays legal and emits none."""
+        with pytest.raises(ValueError, match="max_chunks"):
+            EventStream(small_graph, chunk_size=50, max_chunks=-1)
+        with pytest.raises(ValueError, match="max_chunks"):
+            split_warmup(small_graph, warmup_events=200, max_chunks=-1)
+        stream = EventStream(small_graph, chunk_size=50, max_chunks=0)
+        assert list(stream) == [] and stream.num_chunks == 0
+
     def test_split_warmup(self, small_graph):
         warm, stream = split_warmup(small_graph, warmup_events=200, chunk_size=64)
         assert warm.num_edges == 200
