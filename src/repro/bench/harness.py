@@ -153,8 +153,7 @@ def run_variant(dataset: str, variant: str, backbone: str, seed: int = 0,
     return trainer.fit(evaluate_val=False)
 
 
-def attach_scaling_efficiency(workers: Dict[str, Dict],
-                              tolerance: float = EFFICIENCY_TOLERANCE) -> List[str]:
+def attach_scaling_efficiency(workers: Dict[str, Dict]) -> List[str]:
     """Fill in ``speedup_vs_w1`` / ``efficiency`` and sanity-check them.
 
     ``workers`` maps the worker count (as a string, the JSON key) to a cell
@@ -162,11 +161,10 @@ def attach_scaling_efficiency(workers: Dict[str, Dict],
     over the ``"1"`` cell and the per-worker efficiency ``speedup / W``.
 
     Returns a list of human-readable violations for every cell whose
-    efficiency exceeds ``1.0 + tolerance``.  Parallel speedup cannot beat
-    ``W`` on real work, so super-tolerance efficiency is evidence that the
-    baseline cell was mis-measured (see ``EFFICIENCY_TOLERANCE``); callers
-    decide whether to assert (scaled benchmark runs) or warn (noisy smoke
-    runs).
+    efficiency exceeds ``1.0 + EFFICIENCY_TOLERANCE``.  Parallel speedup
+    cannot beat ``W`` on real work, so super-tolerance efficiency is evidence
+    that the baseline cell was mis-measured; callers decide whether to
+    assert (scaled benchmark runs) or warn (noisy smoke runs).
     """
     if "1" not in workers:
         raise ValueError("workers must contain the W=1 baseline cell '1'")
@@ -178,10 +176,10 @@ def attach_scaling_efficiency(workers: Dict[str, Dict],
         speedup = throughput / base if base else float("inf")
         entry["speedup_vs_w1"] = speedup
         entry["efficiency"] = speedup / w
-        if entry["efficiency"] > 1.0 + tolerance:
+        if entry["efficiency"] > 1.0 + EFFICIENCY_TOLERANCE:
             violations.append(
                 f"W={w}: efficiency {entry['efficiency']:.2f} > "
-                f"{1.0 + tolerance:.2f} — the W=1 baseline is likely "
+                f"{1.0 + EFFICIENCY_TOLERANCE:.2f} — the W=1 baseline is likely "
                 "mis-measured (missing warm-up?)")
     return violations
 

@@ -4,8 +4,11 @@ The defaults mirror the paper's reference configuration (Section IV-A) scaled
 to CPU-sized synthetic datasets: the paper trains 100-dimensional models for
 200 epochs with batch size 600, m = 25 candidate neighbors and n = 10
 supporting neighbors; the reproduction defaults are smaller so that the full
-benchmark suite completes on a laptop CPU, and every field can be raised back
-to the paper's values.
+benchmark suite completes on a laptop CPU, and the sizes, budgets and epoch
+count can be raised back to the paper's values.  TASER's own fixed
+hyperparameters (Eq. 11's gamma, Eq. 25's alpha and beta, Algorithm 3's
+epsilon, TGAT's two heads, the gradient clip) are not fields: each is a
+constant of the one component that reads it.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ class TaserConfig:
     hidden_dim: int = 32
     #: time-encoding dimension (paper: 100).
     time_dim: int = 16
-    #: attention heads (TGAT only).
-    num_heads: int = 2
     #: dropout probability.
     dropout: float = 0.1
 
@@ -61,8 +62,6 @@ class TaserConfig:
     adaptive_minibatch: bool = True
     #: adaptive neighbor sampling (Section III-B).
     adaptive_neighbor: bool = True
-    #: gamma — uniform mixture weight of the importance distribution (Eq. 11).
-    gamma: float = 0.1
     #: neighbor-decoder family, the predictor of Eq. 17-20 after the MLP-Mixer
     #: block every decoder runs: "linear", "gat", "gatv2" or "transformer".
     decoder: str = "linear"
@@ -72,10 +71,6 @@ class TaserConfig:
     use_identity_encoding: bool = True
     #: sample-loss estimator: "sensitivity" (generic) or "tgat_analytic" (Eq. 25).
     sample_loss: str = "sensitivity"
-    #: alpha — gradient-variance control of the sample loss (Eq. 25).
-    sample_alpha: float = 2.0
-    #: beta — target-vs-neighbor importance ratio of the sample loss (Eq. 25).
-    sample_beta: float = 1.0
     #: learning rate of the adaptive neighbor sampler.
     sampler_lr: float = 1e-3
 
@@ -90,8 +85,6 @@ class TaserConfig:
     #: the paper does; a finite cap trades epoch coverage for wall-clock when
     #: running the benchmark suite on a CPU).
     max_batches_per_epoch: Optional[int] = None
-    #: gradient-norm clip (0 disables).
-    grad_clip: float = 5.0
 
     # -- mini-batch engine ----------------------------------------------------------
     #: Every batch is generated inside the training loop; "sync" is the only
@@ -102,8 +95,6 @@ class TaserConfig:
     # -- memory hierarchy ---------------------------------------------------------------
     #: fraction of edge features cached in simulated VRAM (0 disables the cache).
     cache_ratio: float = 0.2
-    #: cache replacement threshold epsilon (Algorithm 3).
-    cache_epsilon: float = 0.8
 
     # -- evaluation -----------------------------------------------------------------------
     #: negative destinations per positive when computing MRR (paper: 49).
@@ -133,7 +124,9 @@ class TaserConfig:
             raise ValueError(
                 f"unknown batch_engine {self.batch_engine!r}: 'sync' is the "
                 "only batch engine (choose 'sync' or leave the default)")
-        for name in ("hidden_dim", "num_heads", "num_neighbors", "eval_negatives"):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("hidden_dim", "num_neighbors", "eval_negatives"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be >= 1, got {getattr(self, name)}")

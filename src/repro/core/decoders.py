@@ -25,7 +25,10 @@ from ..nn import Linear, Module
 from ..tensor import Tensor, concatenate, get_backend
 
 __all__ = ["NeighborDecoder", "LinearDecoder", "GATDecoder", "GATv2Decoder",
-           "TransformerDecoder", "make_decoder"]
+           "TransformerDecoder", "make_decoder", "DECODER_HIDDEN"]
+
+#: hidden width of the GAT / GATv2 / transformer decoders.
+DECODER_HIDDEN = 16
 
 
 class NeighborDecoder(Module):
@@ -84,13 +87,13 @@ class LinearDecoder(NeighborDecoder):
 class GATDecoder(NeighborDecoder):
     """Eq. (18): additive GAT attention ``a^T [W z_u || W z_v]`` + LeakyReLU."""
 
-    def __init__(self, enc_dim: int, target_dim: int, hidden_dim: int = 32,
+    def __init__(self, enc_dim: int, target_dim: int,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
-        self.w_neighbor = Linear(enc_dim, hidden_dim, bias=False, rng=rng)
-        self.w_target = Linear(target_dim, hidden_dim, bias=False, rng=rng)
-        self.attn = Linear(2 * hidden_dim, 1, bias=False, rng=rng)
+        self.w_neighbor = Linear(enc_dim, DECODER_HIDDEN, bias=False, rng=rng)
+        self.w_target = Linear(target_dim, DECODER_HIDDEN, bias=False, rng=rng)
+        self.attn = Linear(2 * DECODER_HIDDEN, 1, bias=False, rng=rng)
 
     def forward(self, z_neighbors: Tensor, z_target: Tensor) -> Tensor:
         r, m, _ = z_neighbors.shape
@@ -103,12 +106,12 @@ class GATDecoder(NeighborDecoder):
 class GATv2Decoder(NeighborDecoder):
     """Eq. (19): GATv2 — LeakyReLU inside, read-out vector outside."""
 
-    def __init__(self, enc_dim: int, target_dim: int, hidden_dim: int = 32,
+    def __init__(self, enc_dim: int, target_dim: int,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
-        self.w = Linear(enc_dim + target_dim, hidden_dim, rng=rng)
-        self.attn = Linear(hidden_dim, 1, bias=False, rng=rng)
+        self.w = Linear(enc_dim + target_dim, DECODER_HIDDEN, rng=rng)
+        self.attn = Linear(DECODER_HIDDEN, 1, bias=False, rng=rng)
 
     def forward(self, z_neighbors: Tensor, z_target: Tensor) -> Tensor:
         r, m, _ = z_neighbors.shape
@@ -120,12 +123,12 @@ class GATv2Decoder(NeighborDecoder):
 class TransformerDecoder(NeighborDecoder):
     """Eq. (20): scaled dot-product attention ``(W_t z_v)(W'_t Z)^T / sqrt(m)``."""
 
-    def __init__(self, enc_dim: int, target_dim: int, hidden_dim: int = 32,
+    def __init__(self, enc_dim: int, target_dim: int,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
-        self.w_query = Linear(target_dim, hidden_dim, rng=rng)
-        self.w_key = Linear(enc_dim, hidden_dim, rng=rng)
+        self.w_query = Linear(target_dim, DECODER_HIDDEN, rng=rng)
+        self.w_key = Linear(enc_dim, DECODER_HIDDEN, rng=rng)
 
     def forward(self, z_neighbors: Tensor, z_target: Tensor) -> Tensor:
         r, m, _ = z_neighbors.shape
@@ -135,7 +138,7 @@ class TransformerDecoder(NeighborDecoder):
         return scores.reshape(r, m)
 
 
-def make_decoder(kind: str, enc_dim: int, target_dim: int, hidden_dim: int = 32,
+def make_decoder(kind: str, enc_dim: int, target_dim: int,
                  rng: Optional[np.random.Generator] = None) -> NeighborDecoder:
     """Factory over the four decoder families of Eq. (17)-(20)."""
     kinds = {
@@ -146,6 +149,4 @@ def make_decoder(kind: str, enc_dim: int, target_dim: int, hidden_dim: int = 32,
     }
     if kind not in kinds:
         raise ValueError(f"unknown decoder {kind!r}; choose from {sorted(kinds)}")
-    if kind == "linear":
-        return LinearDecoder(enc_dim, target_dim, rng=rng)
-    return kinds[kind](enc_dim, target_dim, hidden_dim=hidden_dim, rng=rng)
+    return kinds[kind](enc_dim, target_dim, rng=rng)

@@ -73,7 +73,7 @@ class AdaptiveNeighborSampler(Module):
 
     def __init__(self, node_dim: int, edge_dim: int, num_candidates: int,
                  feat_dim: int = 8, time_dim: int = 8, freq_dim: int = 8,
-                 decoder: str = "linear", decoder_hidden: int = 16,
+                 decoder: str = "linear",
                  use_frequency_encoding: bool = True,
                  use_identity_encoding: bool = True,
                  temperature: float = 1.0,
@@ -130,8 +130,7 @@ class AdaptiveNeighborSampler(Module):
         # mini-batch, so its cost directly inflates the AS phase of Table III.
         self.mixer = MixerBlock(num_candidates, enc_dim, token_expansion=0.5,
                                 channel_expansion=1.0, rng=rng)
-        self.decoder = make_decoder(decoder, enc_dim, target_dim,
-                                    hidden_dim=decoder_hidden, rng=rng)
+        self.decoder = make_decoder(decoder, enc_dim, target_dim, rng=rng)
 
     # ------------------------------------------------------------------ encoding
 

@@ -33,7 +33,11 @@ import numpy as np
 from ..models.minibatch import HopData
 from ..tensor import Tensor
 
-__all__ = ["build_sample_loss"]
+__all__ = ["build_sample_loss", "SAMPLE_ALPHA", "SAMPLE_BETA"]
+
+#: Eq. (25)'s alpha (gradient-variance control) and beta (target-vs-neighbor
+#: importance ratio): the values every training step uses.
+SAMPLE_ALPHA, SAMPLE_BETA = 2.0, 1.0
 
 
 def _accumulate(terms: List[Tensor]) -> Optional[Tensor]:
@@ -64,7 +68,8 @@ def _centered_coefficients(sensitivity: np.ndarray, mask: np.ndarray,
 def build_sample_loss(kind: str, hops: List[HopData], batch_size: int,
                       embeddings: Tensor,
                       attention: Optional[np.ndarray] = None,
-                      alpha: float = 2.0, beta: float = 1.0) -> Optional[Tensor]:
+                      alpha: float = SAMPLE_ALPHA,
+                      beta: float = SAMPLE_BETA) -> Optional[Tensor]:
     """Sample loss ``sum_j coeff_j * log q(u_j) / batch_size`` of the
     estimator ``kind`` (``"sensitivity"`` or ``"tgat_analytic"``).
 

@@ -52,7 +52,10 @@ from .prep import PreparedBatch, PrepPipeline
 from .sample_loss import build_sample_loss
 
 __all__ = ["EpochStats", "TrainStep", "TrainResult", "TaserTrainer",
-           "train_and_evaluate"]
+           "train_and_evaluate", "GRAD_CLIP"]
+
+#: global gradient-norm bound of both optimisers' steps.
+GRAD_CLIP = 5.0
 
 
 @dataclass
@@ -144,7 +147,7 @@ class TaserTrainer:
         if self.graph.edge_feat is not None and cfg.cache_ratio > 0:
             self.cache = DynamicFeatureCache(
                 self.graph.num_edges, self._cache_capacity(self.graph),
-                epsilon=cfg.cache_epsilon, seed=cfg.seed)
+                seed=cfg.seed)
         self.feature_store = FeatureStore(self.graph, edge_cache=self.cache)
 
         # --- models -------------------------------------------------------------------
@@ -152,8 +155,7 @@ class TaserTrainer:
                                       self.graph.edge_dim, hidden_dim=cfg.hidden_dim,
                                       time_dim=cfg.time_dim,
                                       num_neighbors=cfg.num_neighbors,
-                                      num_heads=cfg.num_heads, dropout=cfg.dropout,
-                                      rng=rng_model)
+                                      dropout=cfg.dropout, rng=rng_model)
         self.predictor = EdgePredictor(cfg.hidden_dim, rng=rng_model)
         self.sampler = None
         if cfg.adaptive_neighbor:
@@ -179,7 +181,7 @@ class TaserTrainer:
         num_train = self.split.num_train
         if cfg.adaptive_minibatch:
             self.selector = AdaptiveMiniBatchSelector(num_train, cfg.batch_size,
-                                                      gamma=cfg.gamma, seed=cfg.seed)
+                                                      seed=cfg.seed)
         else:
             self.selector = ChronologicalSelector(num_train, cfg.batch_size)
 
@@ -261,8 +263,7 @@ class TaserTrainer:
                     attention = self.backbone.last_layer_attention()
                 sample_loss = build_sample_loss(
                     cfg.sample_loss, prepared.minibatch.hops, b, embeddings,
-                    attention=attention, alpha=cfg.sample_alpha,
-                    beta=cfg.sample_beta)
+                    attention=attention)
                 if sample_loss is not None:
                     sample_loss.backward()
         self._sample_losses.append(
@@ -278,17 +279,14 @@ class TaserTrainer:
         selector (Eq. 11) and record the model loss.  AS: clip and step the
         sampler when ``step.sampled``.
         """
-        cfg = self.config
         with self.timer.section("PP"):
-            if cfg.grad_clip > 0:
-                clip_grad_norm(self.model_optimizer.params, cfg.grad_clip)
+            clip_grad_norm(self.model_optimizer.params, GRAD_CLIP)
             self.model_optimizer.step()
         self.selector.update(step.prepared.local_indices, step.pos_logits.data)
         self._batch_losses.append(float(step.model_loss.data))
         if step.sampled:
             with self.timer.section("AS"):
-                if cfg.grad_clip > 0:
-                    clip_grad_norm(self.sampler_optimizer.params, cfg.grad_clip)
+                clip_grad_norm(self.sampler_optimizer.params, GRAD_CLIP)
                 self.sampler_optimizer.step()
 
     def _train_prepared(self, prepared: PreparedBatch) -> None:
@@ -340,18 +338,16 @@ class TaserTrainer:
 
     # ------------------------------------------------------------------ orchestration
 
-    def fit(self, epochs: Optional[int] = None, evaluate_val: bool = True,
+    def fit(self, evaluate_val: bool = True,
             evaluate_test: bool = True) -> TrainResult:
-        """Train for ``epochs`` (default from the config) and evaluate."""
-        return train_and_evaluate(self, self.split, epochs, evaluate_val,
-                                  evaluate_test)
+        """Train for ``config.epochs`` epochs and evaluate."""
+        return train_and_evaluate(self, self.split, evaluate_val, evaluate_test)
 
 
-def train_and_evaluate(trainer, split: TemporalSplit,
-                       epochs: Optional[int] = None, evaluate_val: bool = True,
+def train_and_evaluate(trainer, split: TemporalSplit, evaluate_val: bool = True,
                        evaluate_test: bool = True) -> TrainResult:
-    """Train ``trainer`` for ``epochs`` (default from its config), then
-    evaluate ``split``'s validation and test edges.
+    """Train ``trainer`` for its ``config.epochs`` epochs, then evaluate
+    ``split``'s validation and test edges.
 
     The one ``fit`` of :class:`TaserTrainer` and the sharded trainer: both
     hand in the split they evaluate, and the result carries the config's
@@ -359,8 +355,7 @@ def train_and_evaluate(trainer, split: TemporalSplit,
     trained here return, so evaluation traffic never enters
     ``cache_hit_rates``.
     """
-    epochs = epochs if epochs is not None else trainer.config.epochs
-    history = [trainer.train_epoch() for _ in range(epochs)]
+    history = [trainer.train_epoch() for _ in range(trainer.config.epochs)]
 
     val_metrics = trainer.evaluate("val") if evaluate_val and split.num_val else {}
     test_metrics = (trainer.evaluate("test")

@@ -208,11 +208,11 @@ class ShardedTrainer:
 
     # ------------------------------------------------------------------ orchestration
 
-    def fit(self, epochs: Optional[int] = None, evaluate_val: bool = True,
+    def fit(self, evaluate_val: bool = True,
             evaluate_test: bool = True) -> TrainResult:
-        """Train for ``epochs`` (default from the config), then evaluate the
-        full-graph split."""
-        return train_and_evaluate(self, self._eval_trainer.split, epochs,
+        """Train for ``config.epochs`` epochs, then evaluate the full-graph
+        split."""
+        return train_and_evaluate(self, self._eval_trainer.split,
                                   evaluate_val, evaluate_test)
 
     def shutdown(self) -> None:

@@ -23,16 +23,15 @@ __all__ = ["FrequencyEncoder"]
 class FrequencyEncoder(Module):
     """Sinusoidal (transformer positional) encoding of integer frequencies."""
 
-    def __init__(self, dim: int, base: float = 10000.0) -> None:
+    def __init__(self, dim: int) -> None:
         super().__init__()
         if dim <= 0:
             raise ValueError("frequency-encoding dimension must be positive")
         self.dim = dim
-        self.base = base
         half = np.arange(dim) // 2
-        #: per-channel inverse wavelength 1 / base^{2i/d}; channels alternate
+        #: per-channel inverse wavelength 1 / 10000^{2i/d}; channels alternate
         #: sin (even) / cos (odd), mirroring Eq. (12), so a pair shares one.
-        self.inv_wavelength = base ** (-2.0 * half / dim)
+        self.inv_wavelength = 10000.0 ** (-2.0 * half / dim)
 
     def forward(self, frequency: Union[np.ndarray, Tensor]) -> Tensor:
         """Encode integer frequencies; output shape ``frequency.shape + (dim,)``."""

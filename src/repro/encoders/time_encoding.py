@@ -67,18 +67,16 @@ class LearnableTimeEncoder(Module):
 class FixedTimeEncoder(Module):
     """GraphMixer fixed time encoding ``cos(dt * omega)`` (no learnable state)."""
 
-    def __init__(self, dim: int, alpha: Optional[float] = None,
-                 beta: Optional[float] = None) -> None:
+    def __init__(self, dim: int) -> None:
         super().__init__()
         if dim <= 0:
             raise ValueError("time-encoding dimension must be positive")
         self.dim = dim
-        # GraphMixer defaults: alpha = beta = sqrt(dim) spreads the frequencies
+        # GraphMixer's alpha = beta = sqrt(dim) spreads the frequencies
         # geometrically from 1 down to ~alpha^{-dim/beta}.
-        self.alpha = float(alpha) if alpha is not None else float(np.sqrt(dim))
-        self.beta = float(beta) if beta is not None else float(np.sqrt(dim))
+        alpha = beta = float(np.sqrt(dim))
         i = np.arange(1, dim + 1, dtype=np.float64)
-        self.omega = self.alpha ** (-(i - 1) / self.beta)
+        self.omega = alpha ** (-(i - 1) / beta)
 
     def forward(self, delta_t: Union[np.ndarray, Tensor]) -> Tensor:
         return Tensor(get_backend().fixed_time_encoding(

@@ -18,7 +18,7 @@ __all__ = ["TemporalGraph", "check_chunk"]
 
 
 def node_id_array(ids) -> np.ndarray:
-    """Appended node ids as a contiguous int64 array.
+    """Node ids (of a graph or an appended chunk) as a contiguous int64 array.
 
     Raises ``ValueError`` unless ``ids`` has an integer dtype: a cast would
     truncate a float id (``1.7`` read as node 1) and read a bool as node 0
@@ -26,7 +26,7 @@ def node_id_array(ids) -> np.ndarray:
     """
     ids = np.asarray(ids)
     if ids.dtype.kind not in "iu":
-        raise ValueError(f"appended node ids must be integers, got dtype {ids.dtype}")
+        raise ValueError(f"node ids must be integers, got dtype {ids.dtype}")
     return np.ascontiguousarray(ids, dtype=np.int64)
 
 
@@ -67,7 +67,8 @@ class TemporalGraph:
     Attributes
     ----------
     src, dst:
-        ``(E,)`` int64 arrays of source / destination node ids.
+        ``(E,)`` int64 arrays of source / destination node ids (given with
+        an integer dtype: :func:`node_id_array`).
     ts:
         ``(E,)`` float64 array of finite event timestamps.
     num_nodes:
@@ -92,8 +93,7 @@ class TemporalGraph:
     # -- validation -------------------------------------------------------------
 
     def __post_init__(self) -> None:
-        self.src = np.ascontiguousarray(self.src, dtype=np.int64)
-        self.dst = np.ascontiguousarray(self.dst, dtype=np.int64)
+        self.src, self.dst = node_id_array(self.src), node_id_array(self.dst)
         self.ts = np.ascontiguousarray(self.ts, dtype=np.float64)
         if not (self.src.shape == self.dst.shape == self.ts.shape):
             raise ValueError("src, dst and ts must have identical shapes")

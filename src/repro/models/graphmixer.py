@@ -69,5 +69,4 @@ class GraphMixer(TGNNBackbone):
                   *mixer.block_parameters(), out_proj.weight, out_proj.bias)
         return F.graphmixer_aggregate(
             batch.delta_t(), batch.mask, hop.edge_feat, h_target, h_neighbors,
-            hop.gate, params, self.time_encoder.omega, keep_t, keep_c,
-            eps=mixer.token_norm.eps)
+            hop.gate, params, self.time_encoder.omega, keep_t, keep_c)

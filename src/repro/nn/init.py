@@ -19,10 +19,9 @@ def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
     return fan_in, fan_out
 
 
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator,
-                   gain: float = 1.0) -> np.ndarray:
+def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     fan_in, fan_out = _fans(shape)
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 

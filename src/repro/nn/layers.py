@@ -46,15 +46,14 @@ class Linear(Module):
 class LayerNorm(Module):
     """Layer normalisation over the last dimension with learnable affine."""
 
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
+    def __init__(self, dim: int) -> None:
         super().__init__()
         self.dim = dim
-        self.eps = eps
         self.weight = Parameter(init.ones((dim,)))
         self.bias = Parameter(init.zeros((dim,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
+        return F.layer_norm(x, self.weight, self.bias)
 
 
 class Dropout(Module):

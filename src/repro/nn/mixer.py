@@ -107,7 +107,7 @@ class MixerBlock(Module):
         fmask = None if mask is None else np.asarray(mask, dtype=x.dtype)[..., None]
         keep_t, keep_c = self.keep_masks(x.shape[0], x.dtype)
         return F.mixer_block(x, fmask, self.block_parameters(), keep_t, keep_c,
-                             eps=self.token_norm.eps, live_channels=live_channels)
+                             live_channels=live_channels)
 
     def block_parameters(self) -> tuple:
         """The block's twelve parameters in registration order — the

@@ -26,9 +26,8 @@ class Parameter(Tensor):
     whatever the compute dtype — and they are cast here.
     """
 
-    def __init__(self, data, requires_grad: bool = True):
-        super().__init__(data, requires_grad=requires_grad,
-                         dtype=_tensor.COMPUTE_DTYPE)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True, dtype=_tensor.COMPUTE_DTYPE)
 
 
 class Module:
@@ -80,9 +79,7 @@ class Module:
     # -- training-mode toggles -----------------------------------------------------
 
     def train(self, mode: bool = True) -> "Module":
-        # Not through __setattr__: a bool is never registered, and serving
-        # flips the mode of every submodule twice per flush.
-        object.__setattr__(self, "training", mode)
+        self.training = mode
         for module in self._modules.values():
             module.train(mode)
         return self
@@ -101,21 +98,22 @@ class Module:
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the parameters; its names must be exactly
+        theirs (``KeyError`` otherwise) and its shapes theirs."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
-        if strict and (missing or unexpected):
+        if missing or unexpected:
             raise KeyError(f"state_dict mismatch: missing={sorted(missing)} "
                            f"unexpected={sorted(unexpected)}")
         for name, value in state.items():
-            if name in own:
-                if own[name].data.shape != value.shape:
-                    raise ValueError(f"shape mismatch for {name}: "
-                                     f"{own[name].data.shape} vs {value.shape}")
-                # A copy in the receiving parameter's dtype: a wider
-                # checkpoint must not widen the model.
-                own[name].data = value.astype(own[name].data.dtype)
+            if own[name].data.shape != value.shape:
+                raise ValueError(f"shape mismatch for {name}: "
+                                 f"{own[name].data.shape} vs {value.shape}")
+            # A copy in the receiving parameter's dtype: a wider
+            # checkpoint must not widen the model.
+            own[name].data = value.astype(own[name].data.dtype)
 
 
 class ModuleList(Module):

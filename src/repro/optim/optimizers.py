@@ -16,6 +16,9 @@ from ..nn.module import Parameter
 
 __all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
+#: Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class Optimizer:
     """Base optimiser holding a flat list of parameters."""
@@ -46,11 +49,8 @@ class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba, 2015)."""
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-4,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0) -> None:
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m: List[Optional[np.ndarray]] = [None] * len(self.params)
@@ -58,8 +58,8 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
@@ -69,11 +69,11 @@ class Adam(Optimizer):
             if self._m[i] is None:
                 self._m[i] = np.zeros_like(p.data)
                 self._v[i] = np.zeros_like(p.data)
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * grad * grad
+            self._m[i] = ADAM_BETA1 * self._m[i] + (1 - ADAM_BETA1) * grad
+            self._v[i] = ADAM_BETA2 * self._v[i] + (1 - ADAM_BETA2) * grad * grad
             m_hat = self._m[i] / b1t
             v_hat = self._v[i] / b2t
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def state_dict(self) -> Dict:
         return {"lr": self.lr, "t": self.t}

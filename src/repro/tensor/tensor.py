@@ -740,7 +740,12 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
                   op="linear", rule=rule)
 
 
-def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+#: the variance floor of every layer norm: ``layer_norm`` and both norms of
+#: a mixer block (GraphMixer's included).
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Layer normalisation over the last axis with a learnable affine.
 
     One graph node with an analytic backward, over the backend's
@@ -751,7 +756,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     (``mean`` / ``sub`` / ``mul`` / ``sqrt`` / ``div``) is the test oracle.
     """
     data, xhat, rstd = get_backend().layer_norm_forward(x.data, weight.data,
-                                                        bias.data, eps)
+                                                        bias.data, LAYER_NORM_EPS)
     return Tensor(data, parents=(x, weight, bias), op="layer_norm",
                   rule=lambda g: get_backend().layer_norm_backward(
                       g, xhat, rstd, weight.data, x.requires_grad))
@@ -759,7 +764,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
 
 def mixer_block(x: Tensor, fmask: Optional[np.ndarray], params: Sequence[Tensor],
                 keep_t: Optional[np.ndarray] = None,
-                keep_c: Optional[np.ndarray] = None, eps: float = 1e-5,
+                keep_c: Optional[np.ndarray] = None,
                 live_channels: Optional[int] = None) -> Tensor:
     """One MLP-Mixer block — token mixing then channel mixing, each a
     pre-norm GELU feed-forward with a residual — on ``x`` ``(R, m, d)``.
@@ -786,7 +791,7 @@ def mixer_block(x: Tensor, fmask: Optional[np.ndarray], params: Sequence[Tensor]
     if req and need[0] and live_channels is not None:
         need[0] = live_channels
     data, saved = get_backend().mixer_block_forward(x.data, fmask, arrays, keep_t,
-                                                    keep_c, eps, req)
+                                                    keep_c, LAYER_NORM_EPS, req)
     return Tensor(data, parents=parents, op="mixer_block",
                   rule=lambda g: get_backend().mixer_block_backward(g, saved, arrays, need))
 
@@ -887,7 +892,7 @@ def graphmixer_aggregate(delta: np.ndarray, mask: np.ndarray,
                          h_neighbors: Optional[Tensor], gate: Optional[Tensor],
                          params: Sequence[Tensor], omega: np.ndarray,
                          keep_t: Optional[np.ndarray] = None,
-                         keep_c: Optional[np.ndarray] = None, eps: float = 1e-5) -> Tensor:
+                         keep_c: Optional[np.ndarray] = None) -> Tensor:
     """GraphMixer's aggregate of ``n`` sampled neighbors per row — fixed time
     encoding ``cos(delta * omega)``, messages ``h || edge || Phi(dt)`` scaled
     by ``gate`` through ``message_proj``, one MLP-Mixer block over the masked
@@ -910,8 +915,8 @@ def graphmixer_aggregate(delta: np.ndarray, mask: np.ndarray,
     data, saved = get_backend().graphmixer_aggregate_forward(
         delta, mask, edge_feat, None if h_target is None else h_target.data,
         None if h_neighbors is None else h_neighbors.data,
-        None if gate is None else gate.data, arrays, omega, keep_t, keep_c, eps,
-        any(need))
+        None if gate is None else gate.data, arrays, omega, keep_t, keep_c,
+        LAYER_NORM_EPS, any(need))
     return Tensor(data, parents=slots, op="graphmixer_aggregate",
                   rule=lambda g: get_backend().graphmixer_aggregate_backward(
                       g, saved, arrays, need))

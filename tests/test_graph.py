@@ -40,6 +40,18 @@ class TestTemporalGraph:
             TemporalGraph(src=np.array([5]), dst=np.array([0]),
                           ts=np.array([0.0]), num_nodes=3)
 
+    @pytest.mark.parametrize("ids", [np.array([0.7, 1.2]), np.array([False, True])],
+                             ids=["float", "bool"])
+    @pytest.mark.parametrize("column", ["src", "dst"])
+    def test_validation_node_ids_are_integers(self, column, ids):
+        """The constructor holds the rule ``append_events`` holds: a float id
+        used to be truncated (``[0.7, 1.2]`` stored as ``[0, 1]``) and a bool
+        read as node 0 or 1."""
+        events = dict(src=np.array([0, 1]), dst=np.array([1, 0]))
+        events[column] = ids
+        with pytest.raises(ValueError, match="node ids must be integers"):
+            TemporalGraph(ts=np.array([1.0, 2.0]), num_nodes=2, **events)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_validation_timestamps_are_finite(self, bad):
         """The constructor holds the rule ``append_events`` holds: a NaN time

@@ -26,7 +26,9 @@ The T-CSR answers batched pivot queries itself, with keys it builds once, so
 the finder's key preparation and the unused integer-rank probe went.
 Serving computes every endpoint at its own query time, so the embedding
 cache's store, staleness bounds and eviction went with the engine's knobs
-for them.
+for them.  Each fixed value lives in one place: an option that no caller set
+to anything but its default is a constant of the one component that reads
+it, and ``config.epochs`` is the only setter of the epoch count.
 """
 
 import importlib
@@ -96,7 +98,8 @@ GONE = {
                                                     "_prepare_keys"],
     "repro.bench.finders:OriginalNeighborFinder": ["rng", "seed"],
     "repro.bench.finders:TGLNeighborFinder": ["rng", "seed"],
-    "repro.core.neighbor_sampler:AdaptiveNeighborSampler": ["_select_rng"],
+    "repro.core.neighbor_sampler:AdaptiveNeighborSampler": ["_select_rng",
+                                                            "decoder_hidden"],
     "repro.core.neighbor_sampler:AdaptiveNeighborSampler.forward": ["greedy"],
     "repro.core.sample_loss": ["sensitivity_sample_loss",
                                "tgat_analytic_sample_loss"],
@@ -164,7 +167,33 @@ GONE = {
                   "build_serve_parser", "_train_main", "_stream_main",
                   "_serve_main", "_add_training_cell_args", "_taser_config",
                   "VARIANT_FLAGS"],
-    "repro.core.trainer:train_and_evaluate": ["variant"],
+    "repro.core.trainer:train_and_evaluate": ["variant", "epochs"],
+    # One place per fixed value: TASER's hyperparameters are constants of
+    # the component that reads them, and the epoch count is the config's.
+    "repro.core.config:TaserConfig": ["num_heads", "gamma", "sample_alpha",
+                                      "sample_beta", "grad_clip", "cache_epsilon"],
+    "repro.core.trainer:TaserTrainer.fit": ["epochs"],
+    "repro.distributed.trainer:ShardedTrainer.fit": ["epochs"],
+    "repro.models:make_backbone": ["num_heads"],
+    "repro.core.decoders:make_decoder": ["hidden_dim"],
+    "repro.core.decoders:GATDecoder": ["hidden_dim"],
+    "repro.core.decoders:GATv2Decoder": ["hidden_dim"],
+    "repro.core.decoders:TransformerDecoder": ["hidden_dim"],
+    "repro.encoders.time_encoding:FixedTimeEncoder": ["alpha", "beta"],
+    "repro.encoders.frequency_encoding:FrequencyEncoder": ["base"],
+    "repro.device.costmodel:TransferCostModel": [
+        "pcie_bandwidth", "vram_bandwidth", "pcie_latency", "vram_latency",
+        "pcie_row_overhead", "vram_row_overhead"],
+    "repro.optim.optimizers:Adam": ["betas", "eps"],
+    "repro.nn.layers:LayerNorm": ["eps"],
+    "repro.nn.init:xavier_uniform": ["gain"],
+    "repro.nn.module:Parameter.__init__": ["requires_grad"],
+    "repro.nn.module:Module.load_state_dict": ["strict"],
+    "repro.tensor.tensor:layer_norm": ["eps"],
+    "repro.tensor.tensor:mixer_block": ["eps"],
+    "repro.tensor.tensor:graphmixer_aggregate": ["eps"],
+    "repro.bench.harness:attach_scaling_efficiency": ["tolerance"],
+    "repro.graph.datasets:dataset_table": ["seed"],
 }
 
 

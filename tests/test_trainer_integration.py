@@ -20,7 +20,8 @@ import repro
 from repro.bench import harness
 from repro.bench.finders import OriginalNeighborFinder, use_finder
 from repro.core import TaserConfig, TaserTrainer
-from repro.core.sample_loss import build_sample_loss
+from repro.core.sample_loss import SAMPLE_ALPHA, SAMPLE_BETA, build_sample_loss
+from repro.core.trainer import GRAD_CLIP
 from repro.eval.evaluator import score_link_queries
 from repro.graph import CTDGConfig, generate_ctdg, chronological_split
 from repro.optim import clip_grad_norm
@@ -86,9 +87,13 @@ class TestConfig:
             tiny_config(cache_ratio=1.5)
         # A model size of 0 used to surface deep in the model as a reshape
         # or division error; the config names the field instead.
-        for name in ("hidden_dim", "num_heads", "num_neighbors"):
+        for name in ("hidden_dim", "num_neighbors"):
             with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                 tiny_config(**{name: 0})
+        # A negative epoch count trained zero epochs and still reported a
+        # test MRR.
+        with pytest.raises(ValueError, match="epochs must be >= 0"):
+            tiny_config(epochs=-3)
         # A cap of 0 trained zero batches (loss 0.0) or scored no edges (MRR
         # nan); a negative one failed inside numpy.
         for name in ("max_batches_per_epoch", "eval_max_edges"):
@@ -147,16 +152,16 @@ def _old_order_step(trainer, prepared):
     model_loss = F.binary_cross_entropy_with_logits(pos_logits, Tensor.ones(b)) \
         + F.binary_cross_entropy_with_logits(neg_logits, Tensor.zeros(b))
     model_loss.backward()
-    clip_grad_norm(trainer.model_optimizer.params, cfg.grad_clip)
+    clip_grad_norm(trainer.model_optimizer.params, GRAD_CLIP)
     trainer.model_optimizer.step()
     trainer.selector.update(prepared.local_indices, pos_logits.data)
     attention = (trainer.backbone.last_layer_attention()
                  if cfg.sample_loss == "tgat_analytic" else None)
     sample_loss = build_sample_loss(
         cfg.sample_loss, prepared.minibatch.hops, b, embeddings,
-        attention=attention, alpha=cfg.sample_alpha, beta=cfg.sample_beta)
+        attention=attention, alpha=SAMPLE_ALPHA, beta=SAMPLE_BETA)
     sample_loss.backward()
-    clip_grad_norm(trainer.sampler_optimizer.params, cfg.grad_clip)
+    clip_grad_norm(trainer.sampler_optimizer.params, GRAD_CLIP)
     trainer.sampler_optimizer.step()
     return float(model_loss.data), float(sample_loss.data)
 
@@ -178,7 +183,7 @@ def test_two_half_step_matches_the_old_op_order(train_graph, backbone,
     complement, so backprop of the sample loss before the model step
     changes no bit: losses, sample losses and every parameter agree."""
     cfg = tiny_config(backbone=backbone, sample_loss=estimator)
-    assert cfg.grad_clip > 0
+    assert GRAD_CLIP > 0
     trainer, oracle = TaserTrainer(train_graph, cfg), TaserTrainer(train_graph, cfg)
     expected = []
     for _ in range(2):
@@ -260,10 +265,10 @@ class TestTrainingVariants:
     def test_fit_cache_hit_rates_exclude_evaluation(self, train_graph):
         """``cache_hit_rates`` are the epochs' own rates: the lookups of the
         evaluation between two fits do not count toward the second epoch."""
-        cfg = tiny_config(backbone="graphmixer", cache_ratio=0.3)
+        cfg = tiny_config(backbone="graphmixer", cache_ratio=0.3, epochs=1)
         trainer = TaserTrainer(train_graph, cfg)
-        trainer.fit(1)
-        result = trainer.fit(1)
+        trainer.fit()
+        result = trainer.fit()
         assert result.cache_hit_rates == [s.cache_hit_rate
                                           for s in result.history]
 
@@ -283,7 +288,7 @@ class TestTrainingVariants:
         measured phase: no modelled number sits beside NF / FS / AS / PP."""
         cfg = tiny_config(backbone="graphmixer", cache_ratio=0.3,
                           adaptive_minibatch=adaptive, adaptive_neighbor=adaptive)
-        result = TaserTrainer(train_graph, cfg).fit(1)
+        result = TaserTrainer(train_graph, cfg).fit()
         assert set(result.history[0].runtime) <= {"NF", "FS", "AS", "PP"}
         assert set(result.runtime_breakdown) <= {"NF", "FS", "AS", "PP"}
 
