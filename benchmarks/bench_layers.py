@@ -490,13 +490,11 @@ APPEND_CHUNKS = (100, 200)
 
 
 def e2e_graph(name: str) -> tuple:
-    """``(graph, events)``: the chronological dataset of e2e workload
+    """``(graph, events)``: the dataset of e2e workload
     ``name`` (seed 0) and how many of its first events that workload builds
     a T-CSR of."""
     dataset, scale, events = TCSR_GRAPHS[name]
     graph = load_dataset(dataset, scale=scale, seed=0)
-    if not graph.is_chronological:
-        graph = graph.sort_by_time()
     return graph, len(range(graph.num_edges)[:events])
 
 

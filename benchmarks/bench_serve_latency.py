@@ -74,9 +74,7 @@ def test_serve_latency(benchmark, wikipedia_graph):
 
     n = wikipedia_graph.num_edges
     warmup = max(2, n * 3 // 5)
-    g = wikipedia_graph if wikipedia_graph.is_chronological \
-        else wikipedia_graph.sort_by_time()
-    warm = g.select_events(np.arange(warmup))
+    warm = wikipedia_graph.select_events(np.arange(warmup))
     trainer = TaserTrainer(warm, config)
     trainer.train_epoch()
 
@@ -84,7 +82,9 @@ def test_serve_latency(benchmark, wikipedia_graph):
     suffix = slice(warmup, warmup + num_queries)
     universe = warm.num_nodes
     queries = [LinkQuery(int(s) % universe, int(d) % universe, float(t))
-               for s, d, t in zip(g.src[suffix], g.dst[suffix], g.ts[suffix])]
+               for s, d, t in zip(wikipedia_graph.src[suffix],
+                                  wikipedia_graph.dst[suffix],
+                                  wikipedia_graph.ts[suffix])]
 
     def run_cells():
         warm_queries = queries[: max(32, len(queries) // 4)]

@@ -339,8 +339,7 @@ def run_serve(args: argparse.Namespace) -> dict:
         else max(1, graph.num_edges * 3 // 5)
     warmup = min(warmup, graph.num_edges - 1)
     start = time.time()
-    g = graph if graph.is_chronological else graph.sort_by_time()
-    warm = g.select_events(np.arange(warmup))
+    warm = graph.select_events(np.arange(warmup))
     trainer = TaserTrainer(warm, config)
     for _ in range(args.warmup_epochs):
         trainer.train_epoch()
@@ -348,10 +347,11 @@ def run_serve(args: argparse.Namespace) -> dict:
 
     # Replay the held-out suffix as the query stream (positive links at
     # their true timestamps), clipped to the warm node universe.
-    suffix = slice(warmup, min(warmup + args.num_queries, g.num_edges))
+    suffix = slice(warmup, min(warmup + args.num_queries, graph.num_edges))
     n = warm.num_nodes
     queries = [LinkQuery(int(s) % n, int(d) % n, float(t))
-               for s, d, t in zip(g.src[suffix], g.dst[suffix], g.ts[suffix])]
+               for s, d, t in zip(graph.src[suffix], graph.dst[suffix],
+                                  graph.ts[suffix])]
 
     def one_pass() -> tuple:
         engine = ServeEngine.from_trainer(

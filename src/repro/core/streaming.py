@@ -6,7 +6,7 @@ state and evaluation must keep up without full rebuilds.  This module opens
 that workload:
 
 :class:`EventStream`
-    Replays any chronological :class:`~repro.graph.TemporalGraph` (a dataset
+    Replays any :class:`~repro.graph.TemporalGraph` (a dataset
     preset, or a synthetic drift scenario from
     :func:`~repro.graph.generate_drift_sequence`) as a sequence of
     :class:`EventChunk` items, optionally rate-limited to a target
@@ -83,7 +83,7 @@ class EventStream:
     Parameters
     ----------
     graph:
-        Source of events (sorted by time; re-sorted otherwise).  Edge
+        Source of events (in time order, as every log is).  Edge
         features, when present, ride along with their events.
     chunk_size:
         Events per emitted :class:`EventChunk` (the last chunk may be short).
@@ -107,7 +107,7 @@ class EventStream:
             raise ValueError("rate must be positive events/second (or None)")
         if max_chunks is not None and max_chunks < 0:
             raise ValueError(f"max_chunks must be >= 0 (or None), got {max_chunks}")
-        self.graph = graph if graph.is_chronological else graph.sort_by_time()
+        self.graph = graph
         self.chunk_size = int(chunk_size)
         self.start = int(start)
         if not 0 <= self.start <= self.graph.num_edges:
@@ -149,13 +149,12 @@ def split_warmup(graph: TemporalGraph, warmup_events: int,
     a standalone graph (deep-copied arrays, safe to mutate by ingestion) and
     an :class:`EventStream` replaying everything after them.
     """
-    g = graph if graph.is_chronological else graph.sort_by_time()
     warmup_events = int(warmup_events)
-    if not 0 < warmup_events <= g.num_edges:
+    if not 0 < warmup_events <= graph.num_edges:
         raise ValueError(
-            f"warmup_events must be in (0, {g.num_edges}], got {warmup_events}")
-    warm = g.select_events(np.arange(warmup_events))
-    stream = EventStream(g, chunk_size=chunk_size, start=warmup_events,
+            f"warmup_events must be in (0, {graph.num_edges}], got {warmup_events}")
+    warm = graph.select_events(np.arange(warmup_events))
+    stream = EventStream(graph, chunk_size=chunk_size, start=warmup_events,
                          rate=rate, max_chunks=max_chunks)
     return warm, stream
 
@@ -298,9 +297,8 @@ class StreamingTrainer(TaserTrainer):
         if prequential_max_events is not None and prequential_max_events < 1:
             raise ValueError(f"prequential_max_events must be None or >= 1, "
                              f"got {prequential_max_events}")
-        graph = warmup_graph if warmup_graph.is_chronological \
-            else warmup_graph.sort_by_time()
-        super().__init__(graph, config, split=_window_split(graph, window_events))
+        super().__init__(warmup_graph, config,
+                         split=_window_split(warmup_graph, window_events))
         self.window_events = int(window_events)
         self.prequential_max_events = prequential_max_events
         #: negative sampler and finder-draw generator reserved for

@@ -127,11 +127,9 @@ class TaserTrainer:
     def __init__(self, graph: TemporalGraph, config: Optional[TaserConfig] = None,
                  split: Optional[TemporalSplit] = None) -> None:
         self.config = config if config is not None else TaserConfig()
-        self.graph = graph if graph.is_chronological else graph.sort_by_time()
-        self.split = split if split is not None else chronological_split(self.graph)
-        if self.split.graph is not self.graph:
-            # Keep a single canonical graph object (features, ids) everywhere.
-            self.graph = self.split.graph
+        self.split = split if split is not None else chronological_split(graph)
+        # One canonical graph object (features, ids) everywhere: the split's.
+        self.graph = self.split.graph
         cfg = self.config
 
         #: the array runtime every Tensor op runs on (one per process); held

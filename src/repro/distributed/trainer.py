@@ -90,7 +90,7 @@ class ShardedTrainer:
     Parameters
     ----------
     graph:
-        The full event log (sorted chronologically if not already).
+        The full event log (in time order, as every log is).
     config:
         Shared worker configuration; every replica is built from the same
         config (and therefore the same seed ⇒ identical initial weights).
@@ -108,7 +108,7 @@ class ShardedTrainer:
                  num_workers: int = 1, shard_policy: str = "temporal",
                  backend: Optional[str] = None) -> None:
         self.config = config if config is not None else TaserConfig()
-        self.graph = graph if graph.is_chronological else graph.sort_by_time()
+        self.graph = graph
         self.num_workers = int(num_workers)
         self.backend = resolve_backend(backend, self.num_workers)
         self.plan: TemporalShardPlan = make_shard_plan(

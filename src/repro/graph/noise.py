@@ -77,7 +77,10 @@ def inject_random_edges(graph: TemporalGraph, fraction: float,
 
     New events copy the timestamp of a random existing event (so the temporal
     distribution is preserved) and receive i.i.d. Gaussian edge features when
-    the graph has edge features.  The result is re-sorted chronologically.
+    the graph has edge features.  The merged log is put in time order by one
+    stable sort, applied to the events, their features and the planted
+    per-event ``meta`` labels alike: an injected event is labelled noise and
+    never uses its source's current community.
     """
     if fraction < 0:
         raise ValueError("fraction must be non-negative")
@@ -88,26 +91,26 @@ def inject_random_edges(graph: TemporalGraph, fraction: float,
     src = rng.integers(0, graph.num_nodes, size=extra)
     dst = rng.integers(0, graph.num_nodes, size=extra)
     ts = graph.ts[rng.integers(0, graph.num_edges, size=extra)]
+    ts = np.concatenate([graph.ts, ts])
+    order = np.argsort(ts, kind="stable")
     edge_feat = None
     if graph.edge_feat is not None:
         edge_feat = np.concatenate([
             graph.edge_feat,
             rng.standard_normal((extra, graph.edge_dim)).astype(np.float32),
-        ])
+        ])[order]
     meta = dict(graph.meta)
-    if "event_is_noise" in meta:
-        meta["event_is_noise"] = np.concatenate([
-            meta["event_is_noise"], np.ones(extra, dtype=bool)])
-    if "event_uses_current_community" in meta:
-        meta["event_uses_current_community"] = np.concatenate([
-            meta["event_uses_current_community"], np.zeros(extra, dtype=bool)])
-    out = TemporalGraph(
-        src=np.concatenate([graph.src, src]),
-        dst=np.concatenate([graph.dst, dst]),
-        ts=np.concatenate([graph.ts, ts]),
+    for key, injected in (("event_is_noise", True),
+                          ("event_uses_current_community", False)):
+        if key in meta:
+            meta[key] = np.concatenate([
+                meta[key], np.full(extra, injected)])[order]
+    return TemporalGraph(
+        src=np.concatenate([graph.src, src])[order],
+        dst=np.concatenate([graph.dst, dst])[order],
+        ts=ts[order],
         num_nodes=graph.num_nodes,
         edge_feat=edge_feat,
         node_feat=graph.node_feat,
         meta=meta,
     )
-    return out.sort_by_time()

@@ -26,7 +26,7 @@ test suite):
 
 * every event of the source log belongs to **exactly one** shard;
 * per-shard event indices are strictly increasing, so each shard view is
-  chronological whenever the source log is;
+  in time order, as its source log is;
 * the plan is a pure function of ``(graph, num_shards, policy)`` — no RNG.
 
 A ``W = 1`` plan of either policy is the identity partition: its single
@@ -138,7 +138,7 @@ def make_shard_plan(graph: TemporalGraph, num_shards: int,
     Parameters
     ----------
     graph:
-        Source event log (must be chronological; sort first otherwise).
+        Source event log (in time order, as every log is).
     num_shards:
         Number of workers ``W`` (>= 1).
     policy:
@@ -156,9 +156,6 @@ def make_shard_plan(graph: TemporalGraph, num_shards: int,
         raise ValueError(
             f"unknown shard policy {policy!r}: choose 'temporal' (contiguous "
             "chronological ranges) or 'hash' (route events by source node)")
-    if not graph.is_chronological:
-        raise ValueError("shard plans require a chronological event log; "
-                         "call graph.sort_by_time() first")
     e = graph.num_edges
     if num_shards > max(e, 1):
         raise ValueError(

@@ -20,7 +20,7 @@ __all__ = ["TemporalSplit", "chronological_split"]
 
 @dataclass
 class TemporalSplit:
-    """Index-based chronological split over a (sorted) temporal graph."""
+    """Index-based chronological split over a temporal graph."""
 
     graph: TemporalGraph
     train_idx: np.ndarray
@@ -66,7 +66,7 @@ def chronological_split(graph: TemporalGraph,
     Parameters
     ----------
     graph:
-        Input dynamic graph (re-sorted if not already chronological).
+        Input dynamic graph (in time order, as every log is).
     train_ratio, val_ratio:
         Fractions of events for training and validation; the remainder is the
         test set.  Defaults follow the paper (60/20/20).
@@ -78,8 +78,7 @@ def chronological_split(graph: TemporalGraph,
     """
     if not 0 < train_ratio < 1 or not 0 <= val_ratio < 1 or train_ratio + val_ratio >= 1:
         raise ValueError("invalid split ratios")
-    g = graph if graph.is_chronological else graph.sort_by_time()
-    e = g.num_edges
+    e = graph.num_edges
     start = 0 if max_events is None or max_events >= e else e - max_events
     usable = e - start
     n_train = int(round(usable * train_ratio))
@@ -87,4 +86,4 @@ def chronological_split(graph: TemporalGraph,
     train_idx = np.arange(start, start + n_train)
     val_idx = np.arange(start + n_train, start + n_train + n_val)
     test_idx = np.arange(start + n_train + n_val, e)
-    return TemporalSplit(graph=g, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)
+    return TemporalSplit(graph=graph, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)

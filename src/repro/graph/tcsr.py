@@ -20,8 +20,8 @@ the scalar :meth:`TCSR.pivot` is its reference.
 Canonical segment order
 -----------------------
 Entries inside a node segment are ordered by ``(ts, event id, direction)``
-with the forward half-edge before the reverse one.  For chronologically
-sorted event logs this is exactly the order in which a live stream appends
+with the forward half-edge before the reverse one.  Since every event log is
+in time order, this is exactly the order in which a live stream appends
 half-edges, so :class:`StreamingTCSR` — the T-CSR a live history grows
 (:meth:`~repro.core.pipeline.MiniBatchGenerator.ingest`), which merges each
 appended chunk into a fresh compact :class:`TCSR` — holds a T-CSR
@@ -35,10 +35,10 @@ Both builders order half-edges by node with one stable sort of the node ids
 cast to the narrowest unsigned dtype that holds ``num_nodes - 1``.  Up to
 65 536 nodes (every generated graph here; the paper's Wikipedia, Reddit and
 GDELT) that key is 8 or 16 bits and NumPy's stable sort is an ``O(E)`` radix
-sort; on wider keys it is ``O(E log E)``.  :func:`build_tcsr` first
-stable-sorts the timestamps, linear on a chronological log (one run).  An
-append sorts only its chunk, then writes every entry of the merged T-CSR
-once: ``O(E + chunk)``.
+sort; on wider keys it is ``O(E log E)``.  An event log is in time order by
+construction, so :func:`build_tcsr` sorts nothing else.  An append sorts
+only its chunk, then writes every entry of the merged T-CSR once:
+``O(E + chunk)``.
 """
 
 from __future__ import annotations
@@ -176,10 +176,11 @@ def _half_edges(src: np.ndarray, dst: np.ndarray, eid: np.ndarray,
 
     The two half-edges of each event are interleaved — forward
     ``(src -> dst)`` immediately followed by reverse ``(dst -> src)`` — so
-    that a stable sort by (ts, position) realises the canonical segment
-    order ``(ts, event id, direction)``.  Both the batch builder and the
-    incremental appender go through this single definition; changing it in
-    one place cannot silently break the append-vs-rebuild bitwise invariant.
+    that, on events in time order, a stable sort by node realises the
+    canonical segment order ``(ts, event id, direction)``.  Both the batch
+    builder and the incremental appender go through this single definition;
+    changing it in one place cannot silently break the append-vs-rebuild
+    bitwise invariant.
 
     Returns ``(rows, cols, eids, tss)``.
     """
@@ -206,10 +207,9 @@ def build_tcsr(graph: TemporalGraph) -> TCSR:
     rows, cols, eid, ts = _half_edges(graph.src, graph.dst, np.arange(e),
                                       graph.ts)
 
-    # Order by ts, then stably by node, so each node segment remains
-    # chronologically sorted: one composed permutation, one gather per array.
-    order = np.argsort(ts, kind="stable")
-    order = order[_node_order(rows[order], graph.num_nodes)]
+    # The log is in time order, so one stable sort by node leaves each node
+    # segment in the canonical order: one permutation, one gather per array.
+    order = _node_order(rows, graph.num_nodes)
 
     counts = np.bincount(rows, minlength=graph.num_nodes)
     indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)

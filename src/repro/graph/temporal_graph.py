@@ -5,6 +5,10 @@ A dynamic graph is a sequence of timestamped interaction events
 the event stream in structure-of-arrays layout (contiguous numpy arrays) so
 that mini-batch slicing, chronological splitting and T-CSR construction are
 all cheap vectorised operations.
+
+The events are in time order by construction: a whole log is checked with
+the rules of an appended chunk (:func:`check_chunk`), so a log out of time
+order raises and no consumer sorts or checks the order again.
 """
 
 from __future__ import annotations
@@ -31,28 +35,31 @@ def node_id_array(ids) -> np.ndarray:
 
 
 def check_chunk(src, dst, ts, num_nodes: int, last_ts: float):
-    """The rules of every appended chunk, for the event log and its T-CSR.
+    """The rules of an event log and of every chunk appended to it (and to
+    its T-CSR).
 
     Node ids are integers (:func:`node_id_array`) in ``[0, num_nodes)``:
     ingestion does not grow the node set.  Timestamps are finite,
     non-decreasing within the chunk and not below ``last_ts``, the latest
-    event already appended.  Returns ``(src, dst, ts)`` as contiguous int64,
-    int64 and float64 arrays; raises ``ValueError`` otherwise.
+    event already appended (``-inf`` for a whole log).  Returns
+    ``(src, dst, ts)`` as contiguous int64, int64 and float64 arrays; raises
+    ``ValueError`` otherwise.
     """
     src, dst = node_id_array(src), node_id_array(dst)
     ts = np.ascontiguousarray(ts, dtype=np.float64)
     if not (src.shape == dst.shape == ts.shape) or src.ndim != 1:
-        raise ValueError("appended src, dst and ts must be identical 1-D arrays")
+        raise ValueError("src, dst and ts must be identical 1-D arrays")
     if not src.size:
         return src, dst, ts
     if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= num_nodes:
         raise ValueError(
-            f"appended node id out of range [0, {num_nodes}); "
+            f"node id out of range [0, {num_nodes}); "
             "streaming ingestion does not grow the node set")
     if not np.isfinite(ts).all():
-        raise ValueError("appended timestamps must be finite")
+        raise ValueError("timestamps must be finite")
     if np.any(np.diff(ts) < 0):
-        raise ValueError("appended events must be sorted chronologically")
+        raise ValueError("events must be sorted chronologically: sort them by "
+                         "timestamp (a stable argsort) first")
     if ts[0] < last_ts:
         raise ValueError(
             f"appended events must not precede already-ingested ones "
@@ -70,13 +77,13 @@ class TemporalGraph:
         ``(E,)`` int64 arrays of source / destination node ids (given with
         an integer dtype: :func:`node_id_array`).
     ts:
-        ``(E,)`` float64 array of finite event timestamps.
+        ``(E,)`` float64 array of finite, non-decreasing event timestamps.
     num_nodes:
         Total number of nodes ``|V|`` (ids are in ``[0, num_nodes)``).
     edge_feat:
-        Optional ``(E, d_e)`` float32 edge feature matrix (``x_uvt``).
+        Optional ``(E, d_e)`` finite float32 edge feature matrix (``x_uvt``).
     node_feat:
-        Optional ``(|V|, d_v)`` float32 node feature matrix.
+        Optional ``(|V|, d_v)`` finite float32 node feature matrix.
     meta:
         Free-form metadata (dataset name, bipartite partition sizes, planted
         ground-truth used by tests, ...).
@@ -93,26 +100,20 @@ class TemporalGraph:
     # -- validation -------------------------------------------------------------
 
     def __post_init__(self) -> None:
-        self.src, self.dst = node_id_array(self.src), node_id_array(self.dst)
-        self.ts = np.ascontiguousarray(self.ts, dtype=np.float64)
-        if not (self.src.shape == self.dst.shape == self.ts.shape):
-            raise ValueError("src, dst and ts must have identical shapes")
-        if self.src.ndim != 1:
-            raise ValueError("event arrays must be one-dimensional")
-        if self.num_edges and (self.src.max() >= self.num_nodes or self.dst.max() >= self.num_nodes):
-            raise ValueError("node id out of range for num_nodes")
-        if self.num_edges and (self.src.min() < 0 or self.dst.min() < 0):
-            raise ValueError("negative node id")
-        if not np.isfinite(self.ts).all():
-            raise ValueError("timestamps must be finite")
+        self.src, self.dst, self.ts = check_chunk(self.src, self.dst, self.ts,
+                                                  self.num_nodes, -np.inf)
         if self.edge_feat is not None:
             self.edge_feat = np.ascontiguousarray(self.edge_feat, dtype=np.float32)
             if self.edge_feat.shape[0] != self.num_edges:
                 raise ValueError("edge_feat must have one row per event")
+            if not np.isfinite(self.edge_feat).all():
+                raise ValueError("edge features must be finite")
         if self.node_feat is not None:
             self.node_feat = np.ascontiguousarray(self.node_feat, dtype=np.float32)
             if self.node_feat.shape[0] != self.num_nodes:
                 raise ValueError("node_feat must have one row per node")
+            if not np.isfinite(self.node_feat).all():
+                raise ValueError("node features must be finite")
 
     # -- basic properties -----------------------------------------------------------
 
@@ -128,10 +129,9 @@ class TemporalGraph:
     def node_dim(self) -> int:
         return 0 if self.node_feat is None else int(self.node_feat.shape[1])
 
-    @property
-    def is_chronological(self) -> bool:
-        """True when events are already sorted by timestamp (stable order)."""
-        return bool(np.all(np.diff(self.ts) >= 0)) if self.num_edges > 1 else True
+    #: Events are in time order by construction; the name stays because the
+    #: frozen benchmarks/e2e/workloads.py reads ``graph.is_chronological``.
+    is_chronological = True
 
     def __len__(self) -> int:
         return self.num_edges
@@ -220,11 +220,6 @@ class TemporalGraph:
 
     # -- transforms -----------------------------------------------------------------
 
-    def sort_by_time(self) -> "TemporalGraph":
-        """Return a copy with events sorted chronologically (stable)."""
-        order = np.argsort(self.ts, kind="stable")
-        return self.select_events(order)
-
     def shared_view(self) -> "TemporalGraph":
         """Return a graph over read-only views of this one's event arrays.
 
@@ -233,21 +228,31 @@ class TemporalGraph:
         appending to the view never writes this graph; appending to this
         graph in place writes past the view's rows, which it never reads.
         Node features and ``meta`` entries are shared as by
-        :meth:`select_events`.
+        :meth:`select_events`.  Views of a checked log break none of its
+        rules, so the view is not checked again (that would be a pass over
+        every event and feature).
         """
         def read_only(array: np.ndarray) -> np.ndarray:
             view = array.view()
             view.flags.writeable = False
             return view
 
-        return TemporalGraph(
+        view = object.__new__(TemporalGraph)
+        vars(view).update(
             src=read_only(self.src), dst=read_only(self.dst),
             ts=read_only(self.ts), num_nodes=self.num_nodes,
             edge_feat=None if self.edge_feat is None else read_only(self.edge_feat),
             node_feat=self.node_feat, meta=dict(self.meta))
+        return view
 
     def select_events(self, index: np.ndarray) -> "TemporalGraph":
-        """Return a new graph restricted to ``index`` (keeps node ids / features)."""
+        """Return a new graph restricted to ``index`` (keeps node ids / features).
+
+        ``index`` must keep the events in time order (an increasing index
+        does).  Node features and the ``meta`` entries are shared, not
+        sliced: a per-event ``meta`` array keeps describing this graph's
+        events.
+        """
         index = np.asarray(index)
         return TemporalGraph(
             src=self.src[index],

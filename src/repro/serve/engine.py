@@ -197,8 +197,7 @@ class ServeEngine:
         it through read-only views (:meth:`TemporalGraph.shared_view`): it
         copies nothing until its first :meth:`ingest` moves the history into
         private buffers, so the caller's graph is never written (and a
-        replay engine can be built from the same source).  A
-        non-chronological graph is sorted, which copies it.
+        replay engine can be built from the same source).
     backbone, predictor, adaptive_sampler:
         The trained model stack (shared by reference, never copied — serving
         runs under ``no_grad`` in eval mode).
@@ -244,10 +243,9 @@ class ServeEngine:
         self.admission = admission
         self._clock = clock if clock is not None else time.perf_counter
 
-        src = graph if graph.is_chronological else graph.sort_by_time()
         #: the event history: read-only views of the source's arrays until
         #: the first ingest appends, which moves it into private buffers.
-        self.graph = src.shared_view()
+        self.graph = graph.shared_view()
         self.backbone = backbone
         self.predictor = predictor
         #: every module of the scoring stack, flat: a flush flips their modes

@@ -209,7 +209,6 @@ def reference_trajectory(graph, config, workers, epochs=2):
     :class:`ShardWorker`s driving their trainers' two step halves.  The
     model average is over all workers, the sampler's over the workers that
     backpropagated a sample loss."""
-    graph = graph if graph.is_chronological else graph.sort_by_time()
     plan = make_shard_plan(graph, workers, "temporal",
                            cache_ratio=config.cache_ratio)
     shards = []

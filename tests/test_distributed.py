@@ -60,7 +60,7 @@ class TestShardPlan:
     def test_shard_views_chronological(self, shard_graph, policy):
         plan = make_shard_plan(shard_graph, 3, policy)
         for view in map(plan.shard_graph, range(plan.num_shards)):
-            assert view.is_chronological
+            assert np.all(np.diff(view.ts) >= 0)
             assert view.num_nodes == shard_graph.num_nodes
 
     @pytest.mark.parametrize("policy", ["temporal", "hash"])
@@ -104,10 +104,10 @@ class TestShardPlan:
             make_shard_plan(shard_graph, 2, "round-robin")
         with pytest.raises(ValueError):
             make_shard_plan(shard_graph, shard_graph.num_edges + 1, "temporal")
-        shuffled = shard_graph.select_events(
-            np.random.default_rng(0).permutation(shard_graph.num_edges))
-        with pytest.raises(ValueError):
-            make_shard_plan(shuffled, 2, "temporal")
+        # A shuffled log cannot be built, so no plan checks the order.
+        with pytest.raises(ValueError, match="chronologically"):
+            shard_graph.select_events(
+                np.random.default_rng(0).permutation(shard_graph.num_edges))
 
 
 # ---------------------------------------------------------------- determinism

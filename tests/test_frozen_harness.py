@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import TaserConfig, TaserTrainer
+from repro.graph import TemporalGraph
 from repro.serve import LinkQuery, ServeEngine, VirtualClock
 
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
@@ -64,6 +65,13 @@ def test_staleness_time_accepts_only_zero(trainer):
     for bound in (1.0, None, float("nan")):
         with pytest.raises(ValueError, match="staleness_time"):
             ServeEngine.from_trainer(trainer, staleness_time=bound)
+
+
+def test_a_graph_reads_as_chronological(small_graph):
+    """The serve workload sorts a graph unless ``is_chronological``; every
+    log is in time order by construction, so it is the constant ``True``."""
+    assert TemporalGraph.is_chronological is True
+    assert small_graph.is_chronological is True
 
 
 def test_stats_hold_the_keys_the_serve_workload_reads(trainer):

@@ -27,7 +27,6 @@ class TestTemporalGraph:
         g = tiny_graph()
         assert g.num_edges == 5
         assert g.edge_dim == 2 and g.node_dim == 0
-        assert g.is_chronological
         assert len(g) == 5
 
     def test_validation_shape_mismatch(self):
@@ -65,13 +64,29 @@ class TestTemporalGraph:
             TemporalGraph(src=np.array([0]), dst=np.array([1]), ts=np.array([0.0]),
                           num_nodes=2, edge_feat=np.zeros((2, 3), dtype=np.float32))
 
-    def test_sort_by_time(self):
-        g = TemporalGraph(src=np.array([0, 1]), dst=np.array([1, 0]),
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["edge_feat", "node_feat"])
+    def test_validation_features_are_finite(self, column, bad):
+        """The constructor holds the rule ``append_events`` holds for edge
+        features, and the same rule for node features."""
+        features = {column: np.array([[bad], [1.0]])}
+        with pytest.raises(ValueError, match="features must be finite"):
+            TemporalGraph(src=np.array([0, 1]), dst=np.array([1, 0]),
+                          ts=np.array([1.0, 2.0]), num_nodes=2, **features)
+
+    def test_validation_events_in_time_order(self):
+        """A whole log follows the rules of an appended chunk: a decreasing
+        timestamp raises, and the message says to sort the log first."""
+        with pytest.raises(ValueError, match="sort them by timestamp"):
+            TemporalGraph(src=np.array([0, 1]), dst=np.array([1, 0]),
                           ts=np.array([5.0, 1.0]), num_nodes=2)
-        assert not g.is_chronological
-        s = g.sort_by_time()
-        assert s.is_chronological
-        assert s.src[0] == 1
+        with pytest.raises(ValueError, match="chronologically"):
+            TemporalGraph(src=[0, 1], dst=[1, 0], ts=[2.0, 1.0], num_nodes=2)
+        with pytest.raises(ValueError, match="chronologically"):
+            tiny_graph().select_events(np.array([2, 0]))
+        tied = TemporalGraph(src=np.array([0, 1, 2]), dst=np.array([1, 2, 0]),
+                             ts=np.array([1.0, 1.0, 3.0]), num_nodes=3)
+        assert tied.num_edges == 3
 
     def test_select_events_keeps_features(self):
         g = tiny_graph()
@@ -292,7 +307,7 @@ class TestGenerators:
         assert np.allclose(g1.edge_feat, g2.edge_feat)
 
     def test_chronological_output(self, small_graph):
-        assert small_graph.is_chronological
+        assert np.all(np.diff(small_graph.ts) >= 0)
 
     def test_bipartite_partition_respected(self, small_graph):
         n_src = small_graph.meta["num_src"]
@@ -407,10 +422,35 @@ class TestNoiseInjection:
     def test_inject_random_edges(self, small_graph):
         noisy = inject_random_edges(small_graph, 0.5, seed=1)
         assert noisy.num_edges == int(round(1.5 * small_graph.num_edges))
-        assert noisy.is_chronological
+        assert np.all(np.diff(noisy.ts) >= 0)
         assert noisy.edge_feat.shape[0] == noisy.num_edges
         # the injected events are flagged
         assert noisy.meta["event_is_noise"].sum() > small_graph.meta["event_is_noise"].sum()
+
+    def test_injected_events_carry_their_labels(self, small_graph):
+        """The planted per-event labels follow their events through the
+        merge: every injected event is labelled noise, and the original
+        events keep their labels, in their original order."""
+        # A one-column feature of 1 000 + event id marks the originals; the
+        # injected events draw theirs from N(0, 1).
+        marked = TemporalGraph(
+            src=small_graph.src, dst=small_graph.dst, ts=small_graph.ts,
+            num_nodes=small_graph.num_nodes,
+            edge_feat=1000.0 + np.arange(small_graph.num_edges)[:, None],
+            meta=small_graph.meta)
+        noisy = inject_random_edges(marked, 0.2, seed=1)
+        original = noisy.edge_feat[:, 0] >= 1000.0
+        assert (~original).sum() == int(round(0.2 * small_graph.num_edges))
+        assert np.array_equal(noisy.edge_feat[original, 0] - 1000.0,
+                              np.arange(small_graph.num_edges))
+        assert np.array_equal(noisy.src[original], small_graph.src)
+        assert np.array_equal(noisy.ts[original], small_graph.ts)
+        for key, injected in (("event_is_noise", True),
+                              ("event_uses_current_community", False)):
+            labels = noisy.meta[key]
+            assert labels.shape == (noisy.num_edges,)
+            assert np.all(labels[~original] == injected), key
+            assert np.array_equal(labels[original], small_graph.meta[key]), key
 
     def test_inject_zero_fraction_is_identity(self, small_graph):
         assert inject_random_edges(small_graph, 0.0) is small_graph

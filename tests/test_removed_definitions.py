@@ -28,7 +28,8 @@ Serving computes every endpoint at its own query time, so the embedding
 cache's store, staleness bounds and eviction went with the engine's knobs
 for them.  Each fixed value lives in one place: an option that no caller set
 to anything but its default is a constant of the one component that reads
-it, and ``config.epochs`` is the only setter of the epoch count.
+it, and ``config.epochs`` is the only setter of the epoch count.  An event
+log is in time order by construction, so its re-sort went.
 """
 
 import importlib
@@ -66,8 +67,9 @@ GONE = {
     "repro.encoders.identity_encoding": ["sort_by_recency"],
     "repro.graph": ["perturb_edge_features", "drop_events"],
     "repro.graph.noise": ["perturb_edge_features", "drop_events"],
+    # An event log is in time order by construction: nothing re-sorts one.
     "repro.graph.temporal_graph:TemporalGraph": ["time_slice", "latest_events",
-                                                 "timespan"],
+                                                 "timespan", "sort_by_time"],
     "repro.graph.splits:TemporalSplit": ["boundaries"],
     # One T-CSR probe: ``TCSR.pivots`` searches the keys the T-CSR builds
     # once, and a finder holds only its T-CSR and policy

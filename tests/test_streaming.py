@@ -114,23 +114,30 @@ class TestStreamingTCSR:
         stcsr.snapshot().check_invariants()
 
 
-def lexsort_tcsr(graph):
+def reference_tcsr(graph, time_then_node=False):
     """``(indptr, indices, eid, ts)`` of the T-CSR of ``graph`` by the
     definition of the canonical order: half-edges sorted by node, then
     timestamp, then event id (the event's position in ``graph``), forward
-    half-edge first."""
+    half-edge first.  ``time_then_node`` orders them by a stable timestamp
+    sort, then a stable node sort instead: on a log in time order the first
+    sort is the identity, so ``build_tcsr`` makes only the second."""
     e = graph.num_edges
     rows = np.stack([graph.src, graph.dst], axis=1).reshape(-1)
     cols = np.stack([graph.dst, graph.src], axis=1).reshape(-1)
     eid, ts = np.repeat(np.arange(e), 2), np.repeat(graph.ts, 2)
-    order = np.lexsort((2 * eid + np.tile([0, 1], e), ts, rows))
+    if time_then_node:
+        order = np.argsort(ts, kind="stable")
+        order = order[np.argsort(rows[order], kind="stable")]
+    else:
+        order = np.lexsort((2 * eid + np.tile([0, 1], e), ts, rows))
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=graph.num_nodes))]
     return indptr, cols[order], eid[order], ts[order]
 
 
-def assert_matches_lexsort(tcsr, graph):
-    for name, expected in zip(("indptr", "indices", "eid", "ts"), lexsort_tcsr(graph)):
-        assert np.array_equal(getattr(tcsr, name), expected), name
+def assert_matches_lexsort(tcsr, graph, time_then_node=False):
+    expected = reference_tcsr(graph, time_then_node)
+    for name, array in zip(("indptr", "indices", "eid", "ts"), expected):
+        assert np.array_equal(getattr(tcsr, name), array), name
 
 
 class TestTCSROrderOracle:
@@ -153,12 +160,21 @@ class TestTCSROrderOracle:
 
     @pytest.mark.parametrize("num_nodes", sorted(WIDTHS))
     def test_build_tcsr_on_shuffled_events(self, num_nodes):
+        """A shuffled log never reaches ``build_tcsr``: the event log rejects
+        it, so the builder sorts only by node."""
         assert np.min_scalar_type(num_nodes - 1).itemsize == self.WIDTHS[num_nodes]
         graph = self.hot_graph(num_nodes)
-        shuffled = graph.select_events(np.random.default_rng(1).permutation(
-            graph.num_edges))
-        assert not shuffled.is_chronological
-        assert_matches_lexsort(build_tcsr(shuffled), shuffled)
+        with pytest.raises(ValueError, match="chronologically"):
+            graph.select_events(np.random.default_rng(1).permutation(
+                graph.num_edges))
+
+    @pytest.mark.parametrize("num_nodes", sorted(WIDTHS))
+    def test_build_tcsr_equals_the_time_then_node_sort(self, num_nodes):
+        graph = self.hot_graph(num_nodes)
+        assert np.any(np.diff(graph.ts) == 0)
+        tcsr = build_tcsr(graph)
+        assert_matches_lexsort(tcsr, graph, time_then_node=True)
+        assert_matches_lexsort(tcsr, graph)
 
     @pytest.mark.parametrize("num_nodes", sorted(WIDTHS))
     def test_from_graph_snapshot(self, num_nodes):
@@ -189,7 +205,7 @@ class TestAppendEvents:
         assert np.array_equal(prefix.dst, small_graph.dst)
         assert np.array_equal(prefix.ts, small_graph.ts)
         assert np.array_equal(prefix.edge_feat, small_graph.edge_feat)
-        assert prefix.is_chronological
+        assert np.all(np.diff(prefix.ts) >= 0)
 
     def test_views_track_growth(self):
         g = TemporalGraph(src=np.array([0]), dst=np.array([1]),
@@ -469,7 +485,7 @@ class TestStreamingTrainer:
                          seed=9, name="drift-test")
         drift = generate_drift_sequence(cfg, num_phases=3)
         assert drift.num_edges == 600
-        assert drift.is_chronological
+        assert np.all(np.diff(drift.ts) >= 0)
         assert list(drift.meta["phase_boundaries"]) == [200, 400]
         assert len(drift.meta["phases"]) == 3
         trainer, result, _ = self._run(stream_config(eval_negatives=5), drift,

@@ -15,9 +15,14 @@ within one run, so a finding is machine-independent and fails at every
 scale.  Wall-clock timings are not compared: ``benchmarks/e2e`` is the
 timing record.
 
-The committed baselines in ``benchmarks/baselines/`` are the smoke-scale
-record of those hashes that a change compares its fresh artifacts against.
-Refreshing them after an intentional change::
+The committed files in ``benchmarks/baselines/`` are a smoke-scale record
+of the artifacts, and the gate compares nothing with them: it only notes a
+fresh artifact that has no committed file of its name.  Their row
+``loss_hash``es depend on the host and its numpy build (the harness imports
+numpy before ``repro``, so BLAS threads follow the host's CPU count and the
+float32 GEMM blocking with them); a change that must keep the numerics
+compares fresh artifacts of the parent and of the change, run on one host.
+Refreshing the record after an intentional change::
 
     REPRO_BENCH_SCALE=0.1 REPRO_BENCH_EPOCHS=1 PYTHONPATH=src \
         python -m pytest benchmarks/bench_stream_throughput.py \
