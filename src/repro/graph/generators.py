@@ -23,9 +23,9 @@ features encode the node's *initial* community, so a model must rely on
 recent, informative neighbors to track the current community — the mechanism
 that rewards temporal adaptive sampling.
 
-The ground truth (community assignments, drift times, per-event noise flags)
-is stored in ``TemporalGraph.meta`` so tests and oracle baselines can verify
-that the planted structure is present.
+The ground truth travels with the graph so tests and oracle baselines can
+verify the planted structure: community assignments and drift times in
+``TemporalGraph.meta``, per-event noise labels in ``TemporalGraph.labels``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Dict
 import numpy as np
 
 from ..utils.rng import new_rng
-from .temporal_graph import TemporalGraph
+from .temporal_graph import LABEL_DTYPE, TemporalGraph
 
 __all__ = ["CTDGConfig", "generate_ctdg", "generate_drift_sequence"]
 
@@ -111,18 +111,14 @@ def _zipf_weights(n: int, exponent: float, rng: np.random.Generator) -> np.ndarr
 def generate_ctdg(config: CTDGConfig) -> TemporalGraph:
     """Generate a synthetic CTDG according to ``config``.
 
-    Returns a chronologically sorted :class:`TemporalGraph` whose ``meta``
-    dictionary contains the planted ground truth:
-
-    ``dst_community``
-        community of each destination node,
-    ``src_community_initial`` / ``src_community_final`` / ``src_drift_time``
-        the community trajectory of each source,
-    ``event_is_noise``
-        per-event flag marking uniformly-random (noise) destinations,
-    ``event_uses_current_community``
-        per-event flag marking whether the destination matches the source's
-        community *at the event time* (False for noise and deprecated picks).
+    Returns a chronologically sorted :class:`TemporalGraph` carrying the
+    planted ground truth.  Its ``meta`` holds each destination's
+    ``dst_community`` and each source's community trajectory
+    (``src_community_initial`` / ``src_community_final`` /
+    ``src_drift_time``).  Its ``labels`` hold each event's ``is_noise`` (a
+    uniformly-random destination) and ``uses_current_community`` (the
+    destination matches the source's community *at the event time*; False
+    for noise and deprecated picks).
     """
     cfg = config
     rng = new_rng(cfg.seed)
@@ -164,8 +160,9 @@ def generate_ctdg(config: CTDGConfig) -> TemporalGraph:
     event_src = rng.choice(n_src, size=cfg.num_events, p=activity)
     event_ts = np.sort(rng.uniform(0.0, cfg.time_span, size=cfg.num_events))
     event_dst_local = np.empty(cfg.num_events, dtype=np.int64)
-    event_is_noise = np.zeros(cfg.num_events, dtype=bool)
-    event_current = np.zeros(cfg.num_events, dtype=bool)
+    labels = np.zeros(cfg.num_events, dtype=LABEL_DTYPE)
+    event_is_noise = labels["is_noise"]
+    event_current = labels["uses_current_community"]
 
     # Per-source partner history for repeated ("best friend") interactions.
     partner_history: Dict[int, list] = {}
@@ -235,8 +232,6 @@ def generate_ctdg(config: CTDGConfig) -> TemporalGraph:
         "src_community_initial": src_comm_initial,
         "src_community_final": src_comm_final,
         "src_drift_time": src_drift_time,
-        "event_is_noise": event_is_noise,
-        "event_uses_current_community": event_current,
         "config": cfg,
     }
 
@@ -248,6 +243,7 @@ def generate_ctdg(config: CTDGConfig) -> TemporalGraph:
         edge_feat=edge_feat,
         node_feat=node_feat,
         meta=meta,
+        labels=labels,
     )
 
 
@@ -265,9 +261,9 @@ def generate_drift_sequence(config: CTDGConfig, num_phases: int = 2) -> Temporal
 
     Node features (static by construction) come from the first phase; edge
     features are drawn per phase, so their community encoding shifts at each
-    boundary.  The returned graph is chronological, and its ``meta`` records
-    ``phase_boundaries`` — the event index where each new phase begins — plus
-    the per-phase metadata under ``phases``.
+    boundary.  The returned graph is chronological with the phases' labels
+    in event order; its ``meta`` records ``phase_boundaries`` (the event
+    index where each new phase begins) and the per-phase ``meta``s.
     """
     if num_phases < 1:
         raise ValueError("num_phases must be >= 1")
@@ -293,4 +289,4 @@ def generate_drift_sequence(config: CTDGConfig, num_phases: int = 2) -> Temporal
     }
     return TemporalGraph(src=src, dst=dst, ts=ts, num_nodes=config.num_nodes,
                          edge_feat=edge_feat, node_feat=graphs[0].node_feat,
-                         meta=meta)
+                         meta=meta, labels=np.concatenate([g.labels for g in graphs]))

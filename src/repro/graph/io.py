@@ -3,8 +3,8 @@
 Synthetic datasets are cheap to regenerate, but experiment pipelines often
 want to freeze the exact event stream (e.g. to share a benchmark workload or
 to diff two noise-injection settings).  ``save_graph``/``load_graph`` persist
-the full :class:`~repro.graph.TemporalGraph` including its planted-ground-
-truth metadata.
+the full :class:`~repro.graph.TemporalGraph` including its planted ground
+truth: the per-event ``labels`` and every array of ``meta``.
 """
 
 from __future__ import annotations
@@ -20,14 +20,11 @@ from .temporal_graph import TemporalGraph
 
 __all__ = ["save_graph", "load_graph"]
 
-_ARRAY_META_KEYS = (
-    "dst_community", "src_community_initial", "src_community_final",
-    "src_drift_time", "event_is_noise", "event_uses_current_community",
-)
-
 
 def save_graph(graph: TemporalGraph, path: Union[str, Path]) -> Path:
-    """Serialise ``graph`` (events, features, metadata) to a ``.npz`` file."""
+    """Serialise ``graph`` (events, features, labels, metadata) to a ``.npz``
+    file: each ndarray of ``meta`` as ``meta_<key>``, its scalars and config
+    as JSON."""
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
@@ -41,10 +38,12 @@ def save_graph(graph: TemporalGraph, path: Union[str, Path]) -> Path:
         arrays["edge_feat"] = graph.edge_feat
     if graph.node_feat is not None:
         arrays["node_feat"] = graph.node_feat
+    if graph.labels is not None:
+        arrays["labels"] = graph.labels
 
     scalar_meta = {}
     for key, value in graph.meta.items():
-        if key in _ARRAY_META_KEYS and isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray):
             arrays[f"meta_{key}"] = value
         elif isinstance(value, CTDGConfig):
             scalar_meta["config"] = {k: (v if not isinstance(v, (np.integer, np.floating))
@@ -59,7 +58,7 @@ def save_graph(graph: TemporalGraph, path: Union[str, Path]) -> Path:
 
 
 def load_graph(path: Union[str, Path]) -> TemporalGraph:
-    """Load a graph previously written by :func:`save_graph`."""
+    """Load a graph previously written by :func:`save_graph` (and checked)."""
     path = Path(path)
     with np.load(path, allow_pickle=False) as data:
         meta = {}
@@ -69,10 +68,9 @@ def load_graph(path: Union[str, Path]) -> TemporalGraph:
             meta.update(scalar_meta)
             if config is not None:
                 meta["config"] = CTDGConfig(**config)
-        for key in _ARRAY_META_KEYS:
-            name = f"meta_{key}"
-            if name in data:
-                meta[key] = data[name]
+        for name in data.files:
+            if name.startswith("meta_") and name != "meta_json":
+                meta[name[len("meta_"):]] = data[name]
         return TemporalGraph(
             src=data["src"],
             dst=data["dst"],
@@ -81,4 +79,5 @@ def load_graph(path: Union[str, Path]) -> TemporalGraph:
             edge_feat=data["edge_feat"] if "edge_feat" in data else None,
             node_feat=data["node_feat"] if "node_feat" in data else None,
             meta=meta,
+            labels=data["labels"] if "labels" in data else None,
         )

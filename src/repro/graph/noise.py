@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..utils.rng import new_rng
-from .temporal_graph import TemporalGraph
+from .temporal_graph import LABEL_DTYPE, TemporalGraph
 
 __all__ = [
     "NoiseReport",
@@ -28,10 +28,10 @@ __all__ = [
 class NoiseReport:
     """Summary of noise-related statistics of a dynamic graph."""
 
-    #: fraction of events flagged as uniformly-random noise (requires planted meta).
+    #: fraction of events flagged as uniformly-random noise (requires planted labels).
     noise_edge_fraction: Optional[float]
     #: fraction of events whose destination does *not* match the source's
-    #: community at event time (deprecated or noisy), requires planted meta.
+    #: community at event time (deprecated or noisy); requires planted labels.
     stale_edge_fraction: Optional[float]
     #: fraction of repeated (src, dst) events — skew indicator.
     repeat_ratio: float
@@ -52,20 +52,16 @@ def _gini(values: np.ndarray) -> float:
 def measure_noise(graph: TemporalGraph) -> NoiseReport:
     """Quantify the two paper-identified noise types on ``graph``.
 
-    When the graph was produced by :func:`repro.graph.generators.generate_ctdg`
-    the planted per-event flags are used; otherwise only the structural skew
-    measures are available.
+    The two noise shares read the graph's planted per-event ``labels``; a
+    graph without them (a live history that has ingested) reports ``None``
+    for both, and only the structural skew measures.
     """
-    meta = graph.meta
-    noise_frac = None
-    stale_frac = None
-    if "event_is_noise" in meta:
-        noise_frac = float(np.mean(meta["event_is_noise"]))
-    if "event_uses_current_community" in meta:
-        stale_frac = float(1.0 - np.mean(meta["event_uses_current_community"]))
+    labels = graph.labels
     return NoiseReport(
-        noise_edge_fraction=noise_frac,
-        stale_edge_fraction=stale_frac,
+        noise_edge_fraction=None if labels is None
+        else float(np.mean(labels["is_noise"])),
+        stale_edge_fraction=None if labels is None
+        else float(1.0 - np.mean(labels["uses_current_community"])),
         repeat_ratio=graph.repeat_ratio(),
         degree_gini=_gini(graph.degree_counts()),
     )
@@ -78,9 +74,9 @@ def inject_random_edges(graph: TemporalGraph, fraction: float,
     New events copy the timestamp of a random existing event (so the temporal
     distribution is preserved) and receive i.i.d. Gaussian edge features when
     the graph has edge features.  The merged log is put in time order by one
-    stable sort, applied to the events, their features and the planted
-    per-event ``meta`` labels alike: an injected event is labelled noise and
-    never uses its source's current community.
+    stable sort, applied to the events, their features and their planted
+    ``labels`` alike: an injected event is labelled noise and never uses
+    its source's current community.
     """
     if fraction < 0:
         raise ValueError("fraction must be non-negative")
@@ -99,12 +95,11 @@ def inject_random_edges(graph: TemporalGraph, fraction: float,
             graph.edge_feat,
             rng.standard_normal((extra, graph.edge_dim)).astype(np.float32),
         ])[order]
-    meta = dict(graph.meta)
-    for key, injected in (("event_is_noise", True),
-                          ("event_uses_current_community", False)):
-        if key in meta:
-            meta[key] = np.concatenate([
-                meta[key], np.full(extra, injected)])[order]
+    labels = None
+    if graph.labels is not None:
+        injected = np.zeros(extra, dtype=LABEL_DTYPE)
+        injected["is_noise"] = True
+        labels = np.concatenate([graph.labels, injected])[order]
     return TemporalGraph(
         src=np.concatenate([graph.src, src])[order],
         dst=np.concatenate([graph.dst, dst])[order],
@@ -112,5 +107,6 @@ def inject_random_edges(graph: TemporalGraph, fraction: float,
         num_nodes=graph.num_nodes,
         edge_feat=edge_feat,
         node_feat=graph.node_feat,
-        meta=meta,
+        meta=dict(graph.meta),
+        labels=labels,
     )

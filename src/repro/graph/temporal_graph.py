@@ -18,7 +18,15 @@ from typing import Dict, Optional
 
 import numpy as np
 
-__all__ = ["TemporalGraph", "check_chunk"]
+__all__ = ["LABEL_DTYPE", "TemporalGraph", "check_chunk"]
+
+#: The planted labels of one event: a uniformly random (noise) destination,
+#: and a destination in its source's community at the event's time.
+LABEL_DTYPE = np.dtype([("is_noise", bool), ("uses_current_community", bool)])
+
+#: The per-event arrays of a log, one row per event (``edge_feat`` and
+#: ``labels`` are optional): what slicing, sharing and appending carry.
+EVENT_FIELDS = ("src", "dst", "ts", "edge_feat", "labels")
 
 
 def node_id_array(ids) -> np.ndarray:
@@ -85,8 +93,11 @@ class TemporalGraph:
     node_feat:
         Optional ``(|V|, d_v)`` finite float32 node feature matrix.
     meta:
-        Free-form metadata (dataset name, bipartite partition sizes, planted
-        ground-truth used by tests, ...).
+        Scalars (dataset name, bipartite partition sizes), the generator
+        config and per-node arrays (planted communities); no per-event array.
+    labels:
+        Optional ``(E,)`` :data:`LABEL_DTYPE` array: each event's planted
+        noise labels (Section I's two noise types).
     """
 
     src: np.ndarray
@@ -96,6 +107,7 @@ class TemporalGraph:
     edge_feat: Optional[np.ndarray] = None
     node_feat: Optional[np.ndarray] = None
     meta: Dict = field(default_factory=dict)
+    labels: Optional[np.ndarray] = None
 
     # -- validation -------------------------------------------------------------
 
@@ -114,6 +126,10 @@ class TemporalGraph:
                 raise ValueError("node_feat must have one row per node")
             if not np.isfinite(self.node_feat).all():
                 raise ValueError("node features must be finite")
+        if self.labels is not None:
+            self.labels = np.ascontiguousarray(self.labels)
+            if self.labels.dtype != LABEL_DTYPE or self.labels.shape != (self.num_edges,):
+                raise ValueError(f"labels must be one row of {LABEL_DTYPE} per event")
 
     # -- basic properties -----------------------------------------------------------
 
@@ -148,9 +164,9 @@ class TemporalGraph:
 
         The event arrays are backed by private over-allocated buffers that
         grow with amortized doubling, so repeated appends cost ``O(chunk)``
-        amortized rather than ``O(E)`` per call; the public ``src``/``dst``/
-        ``ts``/``edge_feat`` attributes are re-pointed at views of the live
-        prefix after every append.  Consumers that read those attributes
+        amortized rather than ``O(E)`` per call; the public event arrays
+        (:data:`EVENT_FIELDS`) are re-pointed at views of the live prefix
+        after every append.  Consumers that read those attributes
         through the graph object (e.g. the device
         :class:`~repro.device.memory.FeatureStore`, which slices
         ``graph.edge_feat`` on every request) therefore stay consistent
@@ -161,8 +177,8 @@ class TemporalGraph:
         already has edge features, and finite once cast to float32.  A
         rejected chunk changes nothing.
 
-        ``meta`` is left untouched: planted ground-truth arrays keep
-        describing the originally generated events.
+        A chunk carries no planted labels, so an accepted non-empty one sets
+        ``labels`` to ``None``.
 
         Returns ``self`` for chaining.
         """
@@ -186,16 +202,12 @@ class TemporalGraph:
                 raise ValueError("appended edge features must be finite")
 
         n = self.num_edges
+        self.labels = None
         self._ensure_event_capacity(n + k)
-        self._buf_src[n:n + k] = src
-        self._buf_dst[n:n + k] = dst
-        self._buf_ts[n:n + k] = ts
-        self.src = self._buf_src[:n + k]
-        self.dst = self._buf_dst[:n + k]
-        self.ts = self._buf_ts[:n + k]
-        if edge_feat is not None:
-            self._buf_edge_feat[n:n + k] = edge_feat
-            self.edge_feat = self._buf_edge_feat[:n + k]
+        chunk = dict(src=src, dst=dst, ts=ts, edge_feat=edge_feat)
+        for name, buffer in self._buffers.items():
+            buffer[n:n + k] = chunk[name]
+            setattr(self, name, buffer[:n + k])
         return self
 
     def _ensure_event_capacity(self, total: int) -> None:
@@ -204,26 +216,28 @@ class TemporalGraph:
         if total <= capacity:
             return
         new_capacity = max(total, 2 * capacity, 2 * self.num_edges, 64)
-        n = self.num_edges
-        buf_src = np.zeros(new_capacity, dtype=np.int64)
-        buf_dst = np.zeros(new_capacity, dtype=np.int64)
-        buf_ts = np.zeros(new_capacity, dtype=np.float64)
-        buf_src[:n] = self.src
-        buf_dst[:n] = self.dst
-        buf_ts[:n] = self.ts
-        self._buf_src, self._buf_dst, self._buf_ts = buf_src, buf_dst, buf_ts
-        if self.edge_feat is not None:
-            buf_feat = np.zeros((new_capacity, self.edge_dim), dtype=np.float32)
-            buf_feat[:n] = self.edge_feat
-            self._buf_edge_feat = buf_feat
+        self._buffers = {}
+        for name in EVENT_FIELDS:
+            array = getattr(self, name)
+            if array is not None:
+                buffer = np.zeros((new_capacity,) + array.shape[1:], dtype=array.dtype)
+                buffer[:self.num_edges] = array
+                self._buffers[name] = buffer
         self._event_capacity = new_capacity
 
     # -- transforms -----------------------------------------------------------------
 
+    def _event_arrays(self, transform) -> Dict[str, Optional[np.ndarray]]:
+        """``transform`` of each per-event array (:data:`EVENT_FIELDS`);
+        an absent one stays ``None``."""
+        return {name: None if getattr(self, name) is None
+                else transform(getattr(self, name)) for name in EVENT_FIELDS}
+
     def shared_view(self) -> "TemporalGraph":
         """Return a graph over read-only views of this one's event arrays.
 
-        Nothing is copied, and a write through the view raises.  Its first
+        Every per-event array (:data:`EVENT_FIELDS`) is viewed: nothing is
+        copied, and a write through the view raises.  Its first
         :meth:`append_events` moves its events into private buffers, so
         appending to the view never writes this graph; appending to this
         graph in place writes past the view's rows, which it never reads.
@@ -238,31 +252,21 @@ class TemporalGraph:
             return view
 
         view = object.__new__(TemporalGraph)
-        vars(view).update(
-            src=read_only(self.src), dst=read_only(self.dst),
-            ts=read_only(self.ts), num_nodes=self.num_nodes,
-            edge_feat=None if self.edge_feat is None else read_only(self.edge_feat),
-            node_feat=self.node_feat, meta=dict(self.meta))
+        vars(view).update(self._event_arrays(read_only), num_nodes=self.num_nodes,
+                          node_feat=self.node_feat, meta=dict(self.meta))
         return view
 
     def select_events(self, index: np.ndarray) -> "TemporalGraph":
         """Return a new graph restricted to ``index`` (keeps node ids / features).
 
         ``index`` must keep the events in time order (an increasing index
-        does).  Node features and the ``meta`` entries are shared, not
-        sliced: a per-event ``meta`` array keeps describing this graph's
-        events.
+        does).  Every per-event array (:data:`EVENT_FIELDS`) is sliced; node
+        features and the ``meta`` entries are shared.
         """
         index = np.asarray(index)
-        return TemporalGraph(
-            src=self.src[index],
-            dst=self.dst[index],
-            ts=self.ts[index],
-            num_nodes=self.num_nodes,
-            edge_feat=None if self.edge_feat is None else self.edge_feat[index],
-            node_feat=self.node_feat,
-            meta=dict(self.meta),
-        )
+        return TemporalGraph(num_nodes=self.num_nodes, node_feat=self.node_feat,
+                             meta=dict(self.meta),
+                             **self._event_arrays(lambda array: array[index]))
 
     # -- statistics used by Table II and the generators -------------------------------
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import (TemporalGraph, chronological_split, CTDGConfig,
-                         generate_ctdg, measure_noise, inject_random_edges,
-                         load_dataset, dataset_config, dataset_table, DATASET_NAMES)
+                         generate_ctdg, generate_drift_sequence, measure_noise,
+                         inject_random_edges, load_dataset, dataset_config,
+                         dataset_table, make_shard_plan, DATASET_NAMES)
+from repro.graph.temporal_graph import LABEL_DTYPE
 from repro.graph.tcsr import TCSR
 from repro.bench.finders import OriginalNeighborFinder
 from repro.sampling import GPUNeighborFinder
@@ -425,7 +427,7 @@ class TestNoiseInjection:
         assert np.all(np.diff(noisy.ts) >= 0)
         assert noisy.edge_feat.shape[0] == noisy.num_edges
         # the injected events are flagged
-        assert noisy.meta["event_is_noise"].sum() > small_graph.meta["event_is_noise"].sum()
+        assert noisy.labels["is_noise"].sum() > small_graph.labels["is_noise"].sum()
 
     def test_injected_events_carry_their_labels(self, small_graph):
         """The planted per-event labels follow their events through the
@@ -437,7 +439,7 @@ class TestNoiseInjection:
             src=small_graph.src, dst=small_graph.dst, ts=small_graph.ts,
             num_nodes=small_graph.num_nodes,
             edge_feat=1000.0 + np.arange(small_graph.num_edges)[:, None],
-            meta=small_graph.meta)
+            meta=small_graph.meta, labels=small_graph.labels)
         noisy = inject_random_edges(marked, 0.2, seed=1)
         original = noisy.edge_feat[:, 0] >= 1000.0
         assert (~original).sum() == int(round(0.2 * small_graph.num_edges))
@@ -445,12 +447,134 @@ class TestNoiseInjection:
                               np.arange(small_graph.num_edges))
         assert np.array_equal(noisy.src[original], small_graph.src)
         assert np.array_equal(noisy.ts[original], small_graph.ts)
-        for key, injected in (("event_is_noise", True),
-                              ("event_uses_current_community", False)):
-            labels = noisy.meta[key]
+        for key, injected in (("is_noise", True), ("uses_current_community", False)):
+            labels = noisy.labels[key]
             assert labels.shape == (noisy.num_edges,)
             assert np.all(labels[~original] == injected), key
-            assert np.array_equal(labels[original], small_graph.meta[key]), key
+            assert np.array_equal(labels[original], small_graph.labels[key]), key
 
     def test_inject_zero_fraction_is_identity(self, small_graph):
         assert inject_random_edges(small_graph, 0.0) is small_graph
+
+
+def default_graph():
+    """The generator's default profile at 1 200 events, seed 0: 150 noise
+    and 241 stale events in all, 33 and 36 among the first 200."""
+    return generate_ctdg(CTDGConfig(num_events=1200, seed=0))
+
+
+def noise_counts(graph):
+    """``(noise events, stale events)`` by the graph's planted labels."""
+    labels = graph.labels
+    return (int(labels["is_noise"].sum()),
+            int((~labels["uses_current_community"]).sum()))
+
+
+def per_event_arrays(value, num_events):
+    """Every ndarray with ``num_events`` rows in a (nested) ``meta`` value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [a for item in value for a in per_event_arrays(item, num_events)]
+    if isinstance(value, np.ndarray) and value.ndim and len(value) == num_events:
+        return [value]
+    return []
+
+
+class TestPlantedLabels:
+    """The planted per-event labels are an event field: every derived graph
+    carries exactly its own events' labels, and ``meta`` holds none."""
+
+    def test_a_prefix_reports_its_own_noise(self):
+        graph = default_graph()
+        whole, prefix = graph, graph.select_events(np.arange(200))
+        assert noise_counts(whole) == (150, 241)
+        assert noise_counts(prefix) == (33, 36)
+        report = measure_noise(prefix)
+        assert report.noise_edge_fraction == pytest.approx(0.165)
+        assert report.stale_edge_fraction == pytest.approx(0.180)
+        report = measure_noise(whole)
+        assert report.noise_edge_fraction == pytest.approx(0.125)
+        assert report.stale_edge_fraction == pytest.approx(241 / 1200)
+
+    def test_a_shard_view_carries_its_events_labels(self):
+        graph = default_graph()
+        plan = make_shard_plan(graph, 3, policy="hash")
+        shards = [plan.shard_graph(i) for i in range(3)]
+        assert [(s.num_edges,) + noise_counts(s) for s in shards] == [
+            (291, 35, 53), (234, 34, 53), (675, 81, 135)]
+        for spec, shard in zip(plan.shards, shards):
+            assert shard.labels.tobytes() == graph.labels[spec.event_indices].tobytes()
+
+    def test_the_labels_are_checked_at_construction(self):
+        graph = tiny_graph()
+        events = dict(src=graph.src, dst=graph.dst, ts=graph.ts, num_nodes=3)
+        TemporalGraph(**events, labels=np.zeros(5, dtype=LABEL_DTYPE))
+        swapped = np.dtype([("uses_current_community", bool), ("is_noise", bool)])
+        for bad in (np.zeros(4, dtype=LABEL_DTYPE), np.zeros((5, 1), dtype=LABEL_DTYPE),
+                    np.zeros(5, dtype=bool), np.zeros(5, dtype=swapped)):
+            with pytest.raises(ValueError, match="labels must be one row"):
+                TemporalGraph(**events, labels=bad)
+
+    def test_a_shared_view_shares_them_read_only(self):
+        graph = default_graph()
+        view = graph.shared_view()
+        assert np.shares_memory(view.labels, graph.labels)
+        with pytest.raises(ValueError, match="read-only"):
+            view.labels[0] = (False, False)
+        assert graph.labels.flags.writeable
+
+    def test_an_accepted_append_clears_them(self):
+        graph = default_graph().select_events(np.arange(200))
+        labels = graph.labels.copy()
+        last = float(graph.ts[-1])
+        feat = np.zeros((1, graph.edge_dim), dtype=np.float32)
+        with pytest.raises(ValueError, match="precede"):
+            graph.append_events(np.array([0]), np.array([1]), np.array([last - 1]), feat)
+        graph.append_events(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                            np.empty(0), feat[:0])
+        assert graph.labels.tobytes() == labels.tobytes()
+        graph.append_events(np.array([0]), np.array([1]), np.array([last]), feat)
+        assert graph.labels is None and graph.num_edges == 201
+        report = measure_noise(graph)
+        assert report.noise_edge_fraction is None and report.stale_edge_fraction is None
+
+    def test_injection_on_a_prefix_adds_noise_rows_in_merged_order(self):
+        graph = default_graph()
+        # A one-column feature of 1 000 + event id marks the prefix's events.
+        marked = TemporalGraph(src=graph.src, dst=graph.dst, ts=graph.ts,
+                               num_nodes=graph.num_nodes,
+                               edge_feat=1000.0 + np.arange(graph.num_edges)[:, None],
+                               labels=graph.labels)
+        noisy = inject_random_edges(marked.select_events(np.arange(200)), 0.2, seed=1)
+        original = noisy.edge_feat[:, 0] >= 1000.0
+        assert noisy.num_edges == 240 and int((~original).sum()) == 40
+        assert np.array_equal(noisy.edge_feat[original, 0] - 1000.0, np.arange(200))
+        expected = np.zeros(240, dtype=LABEL_DTYPE)
+        expected[original] = graph.labels[:200]
+        expected["is_noise"][~original] = True
+        assert noisy.labels.tobytes() == expected.tobytes()
+        assert noise_counts(noisy) == (33 + 40, 36 + 40)
+
+    def test_a_drift_sequence_joins_its_phases_labels(self):
+        config = CTDGConfig(num_src=40, num_dst=20, num_events=200, edge_dim=8,
+                            seed=9, name="drift-test")
+        drift = generate_drift_sequence(config, num_phases=3)
+        counts = [noise_counts(drift.select_events(np.arange(lo, lo + 200)))
+                  for lo in (0, 200, 400)]
+        assert counts == [(24, 26), (21, 37), (19, 29)]
+        assert drift.labels[:200].tobytes() == generate_ctdg(config).labels.tobytes()
+        report = measure_noise(drift)
+        assert report.noise_edge_fraction == pytest.approx(64 / 600)
+        assert report.stale_edge_fraction == pytest.approx(92 / 600)
+
+    def test_meta_holds_no_per_event_array(self, featured_graph):
+        config = CTDGConfig(num_src=40, num_dst=20, num_events=200, seed=9)
+        drift = generate_drift_sequence(config, num_phases=3)
+        for graph in (default_graph(), featured_graph, drift):
+            assert graph.labels.shape == (graph.num_edges,)
+            for num_events in {graph.num_edges, graph.meta["config"].num_events}:
+                assert per_event_arrays(graph.meta, num_events) == []
+        # the walk reaches the phases: three per-source arrays in each
+        assert len(per_event_arrays(drift.meta, config.num_src)) == 3 * 3
+

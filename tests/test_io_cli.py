@@ -16,8 +16,9 @@ import repro
 from repro import cli
 from repro.cli import build_parser, main
 from repro.core import TaserConfig, TaserTrainer
-from repro.graph import CTDGConfig, generate_ctdg, load_dataset
+from repro.graph import CTDGConfig, generate_ctdg, generate_drift_sequence, load_dataset
 from repro.graph.io import save_graph, load_graph
+from repro.graph.temporal_graph import LABEL_DTYPE
 
 
 class TestGraphIO:
@@ -33,11 +34,43 @@ class TestGraphIO:
 
     def test_roundtrip_preserves_planted_metadata(self, tmp_path, small_graph):
         loaded = load_graph(save_graph(small_graph, tmp_path / "meta.npz"))
-        assert np.array_equal(loaded.meta["event_is_noise"],
-                              small_graph.meta["event_is_noise"])
+        assert loaded.labels.dtype == LABEL_DTYPE
+        assert loaded.labels.tobytes() == small_graph.labels.tobytes()
+        for key in ("dst_community", "src_community_initial",
+                    "src_community_final", "src_drift_time"):
+            assert np.array_equal(loaded.meta[key], small_graph.meta[key]), key
         assert loaded.meta["bipartite"] == small_graph.meta["bipartite"]
         assert isinstance(loaded.meta["config"], CTDGConfig)
         assert loaded.meta["config"].num_events == small_graph.meta["config"].num_events
+
+    def test_every_meta_array_and_the_labels_are_saved(self, tmp_path):
+        """Each ndarray of ``meta`` is saved as ``meta_<key>`` (a drift
+        graph's ``phase_boundaries`` too) and the labels as one entry."""
+        drift = generate_drift_sequence(
+            CTDGConfig(num_src=10, num_dst=5, num_events=50, edge_dim=4, seed=2), 3)
+        drift.meta["extra"] = np.arange(3.0)
+        path = save_graph(drift, tmp_path / "drift.npz")
+        with np.load(path, allow_pickle=False) as data:
+            assert "labels" in data.files
+            assert {"meta_phase_boundaries", "meta_extra"} <= set(data.files)
+        loaded = load_graph(path)
+        assert list(loaded.meta["phase_boundaries"]) == [50, 100]
+        assert np.array_equal(loaded.meta["extra"], np.arange(3.0))
+        assert loaded.meta["num_phases"] == 3
+        assert loaded.labels.tobytes() == drift.labels.tobytes()
+
+    @pytest.mark.parametrize("labels", [np.zeros(49, dtype=LABEL_DTYPE),
+                                        np.zeros(50, dtype=bool)])
+    def test_a_file_with_bad_labels_raises_at_load(self, tmp_path, labels):
+        graph = generate_ctdg(CTDGConfig(num_src=10, num_dst=5, num_events=50,
+                                         edge_dim=0, seed=0))
+        path = save_graph(graph, tmp_path / "graph.npz")
+        with np.load(path, allow_pickle=False) as data:
+            arrays = dict(data)
+        arrays["labels"] = labels
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="labels must be one row"):
+            load_graph(path)
 
     def test_roundtrip_node_features(self, tmp_path, featured_graph):
         loaded = load_graph(save_graph(featured_graph, tmp_path / "feat.npz"))

@@ -13,7 +13,10 @@ construction, scoring and training windows, and checks after every step:
   never changes its source's arrays and a source's ingest never changes an
   engine's;
 * an engine that has accepted a chunk shares no array with any other log;
-* a rejected chunk leaves the log and the T-CSR as they were;
+* a rejected chunk leaves the log and the T-CSR as they were, planted
+  labels included;
+* a log's planted labels are absent or cover exactly its events (an accepted
+  chunk carries none, so it clears them);
 * an engine scores bitwise like a twin built over a private copy of its
   source's log and fed the same chunks.
 """
@@ -119,6 +122,7 @@ class LiveHistoryMachine(RuleBasedStateMachine):
         stcsr, held = generator.stcsr, generator.stcsr.snapshot()
         before = (stcsr.num_events, tcsr_bytes(held))
         log = events_of(owner.graph)
+        labels = owner.graph.labels
         chunk = make_chunk(owner.graph, size, seed, rejection)
         try:
             ingest(*chunk)
@@ -130,6 +134,7 @@ class LiveHistoryMachine(RuleBasedStateMachine):
         assert (stcsr.num_events, tcsr_bytes(held)) == before
         for name, array in log.items():
             assert getattr(owner.graph, name).tobytes() == array.tobytes(), name
+        assert owner.graph.labels is labels
 
     # -- rules ---------------------------------------------------------------
 
@@ -198,6 +203,12 @@ class LiveHistoryMachine(RuleBasedStateMachine):
         for owner, events in self._owners():
             for name, array in events.items():
                 assert getattr(owner.graph, name).tobytes() == array.tobytes(), name
+
+    @invariant()
+    def every_log_has_labels_for_its_events_or_none(self):
+        for owner, _ in self._owners():
+            labels = owner.graph.labels
+            assert labels is None or labels.shape == (owner.graph.num_edges,)
 
     @invariant()
     def every_finder_reads_a_rebuild_of_its_log(self):

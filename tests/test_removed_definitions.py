@@ -29,7 +29,8 @@ cache's store, staleness bounds and eviction went with the engine's knobs
 for them.  Each fixed value lives in one place: an option that no caller set
 to anything but its default is a constant of the one component that reads
 it, and ``config.epochs`` is the only setter of the epoch count.  An event
-log is in time order by construction, so its re-sort went.
+log is in time order by construction, so its re-sort went.  Planted labels
+are an event field, so no list names the per-event ``meta`` arrays to save.
 """
 
 import importlib
@@ -67,6 +68,7 @@ GONE = {
     "repro.encoders.identity_encoding": ["sort_by_recency"],
     "repro.graph": ["perturb_edge_features", "drop_events"],
     "repro.graph.noise": ["perturb_edge_features", "drop_events"],
+    "repro.graph.io": ["_ARRAY_META_KEYS"],
     # An event log is in time order by construction: nothing re-sorts one.
     "repro.graph.temporal_graph:TemporalGraph": ["time_slice", "latest_events",
                                                  "timespan", "sort_by_time"],

@@ -444,6 +444,22 @@ class TestSharedHistory:
         for name in TCSR_ARRAYS:
             assert getattr(source, name).tobytes() == tcsr[name].tobytes(), name
 
+    def test_the_engines_log_carries_its_sources_labels_until_it_ingests(
+            self, trained):
+        """An engine's log shares its source's planted labels read-only; its
+        first ingest clears its own (a chunk carries none), never the
+        source's."""
+        source = trained.graph.labels.copy()
+        engine = make_engine(trained)
+        assert np.shares_memory(engine.graph.labels, trained.graph.labels)
+        assert engine.graph.labels.tobytes() == source.tobytes()
+        assert not engine.graph.labels.flags.writeable
+        last = float(engine.graph.ts[-1])
+        engine.ingest(np.array([0]), np.array([1]), np.array([last + 1.0]),
+                      np.ones((1, engine.graph.edge_dim), dtype=np.float32))
+        assert engine.graph.labels is None
+        assert trained.graph.labels.tobytes() == source.tobytes()
+
     def test_an_engine_keeps_its_history_while_a_streaming_trainer_ingests(
             self, small_graph, queries):
         """The streaming trainer appends to its graph in place (after its

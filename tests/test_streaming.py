@@ -11,7 +11,7 @@ from repro.core import (EventChunk, EventStream, StreamingTrainer, TaserConfig,
 from repro.device.cache import DynamicFeatureCache
 from repro.graph import (DATASET_NAMES, CTDGConfig, StreamingTCSR,
                          TemporalGraph, build_tcsr,
-                         generate_drift_sequence, load_dataset)
+                         generate_drift_sequence, load_dataset, measure_noise)
 
 
 def assert_tcsr_equal(a, b):
@@ -463,6 +463,24 @@ class TestStreamingTrainer:
         assert generator.stcsr.num_events == trainer.graph.num_edges == 320
         assert generator.finder.tcsr is generator.stcsr.snapshot()
         assert_tcsr_equal(generator.finder.tcsr, build_tcsr(trainer.graph))
+
+    def test_the_warm_graph_carries_its_labels_and_a_streamed_history_none(
+            self, small_graph):
+        """``split_warmup``'s warm graph carries exactly its own events'
+        labels; the first ingest clears the live history's (a chunk carries
+        none), and the source keeps its own."""
+        source = small_graph.labels.copy()
+        warm, stream = split_warmup(small_graph, warmup_events=240, chunk_size=80)
+        assert warm.labels.tobytes() == source[:240].tobytes()
+        report = measure_noise(warm)  # 24 noise and 20 stale events of 240
+        assert report.noise_edge_fraction == pytest.approx(24 / 240)
+        assert report.stale_edge_fraction == pytest.approx(20 / 240)
+        trainer = StreamingTrainer(warm, stream_config(), window_events=200)
+        trainer.ingest(next(iter(stream)))
+        assert trainer.graph.num_edges == 320 and trainer.graph.labels is None
+        report = measure_noise(trainer.graph)
+        assert report.noise_edge_fraction is None and report.stale_edge_fraction is None
+        assert small_graph.labels.tobytes() == source.tobytes()
 
     def test_prequential_trajectory_reproducible(self, small_graph):
         """Property: fixed seed => identical prequential MRR and batch losses
